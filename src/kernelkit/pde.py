@@ -14,18 +14,31 @@ bumps in the coefficient and homogeneous Dirichlet data, and an
 advection-diffusion problem with a random log-normal-type coefficient,
 fixed Gaussian source and Robin boundary data.  The quantity of interest
 is always the spatial average of the solution.
+
+The diffusion problem is assembled as a sparse matrix and solved by
+sparse LU.  The advection-diffusion problem is built around a per-mesh
+:class:`AdvectionOperator`, computed once: the coefficient-dependent base
+system is assembled once per field realization and mesh, straight into
+LAPACK banded storage (half-bandwidth ``nodes_per_axis + 1`` under
+row-major numbering), and each velocity then costs one matrix sum and one
+banded LU solve.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+import weakref
 from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import field as dataclass_field
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg import solve_banded
 from scipy.sparse.linalg import spsolve
 
+from kernelkit.memo import Memo
 from kernelkit.points import Box
 
 _FIELD_NUGGET = 1e-10
@@ -198,50 +211,12 @@ def _assemble_stiffness(mesh: Mesh, a_centroid: np.ndarray) -> sparse.csr_matrix
     ).tocsr()
 
 
-def _assemble_advection(mesh: Mesh, velocity: np.ndarray) -> sparse.csr_matrix:
-    grads = mesh.gradients
-    zdotg = np.einsum("d,tdj->tj", velocity, grads)  # (ntri, 3)
-    ntri = len(mesh.triangles)
-    local = np.broadcast_to(zdotg[:, None, :], (ntri, 3, 3)) * (
-        mesh.triangle_area / 3.0
-    )
-    tri = mesh.triangles
-    rows = np.repeat(tri, 3, axis=1).ravel()
-    cols = np.tile(tri, (1, 3)).ravel()
-    return sparse.coo_matrix(
-        (local.ravel(), (rows, cols)), shape=(mesh.node_count, mesh.node_count)
-    ).tocsr()
-
-
 def _assemble_load(mesh: Mesh, f_centroid: np.ndarray) -> np.ndarray:
     load = np.zeros(mesh.node_count)
     contribution = f_centroid * (mesh.triangle_area / 3.0)
     for k in range(3):
         np.add.at(load, mesh.triangles[:, k], contribution)
     return load
-
-
-def _assemble_robin(mesh: Mesh, a_edge: np.ndarray, ub_nodes: np.ndarray):
-    """Boundary mass and right-hand side for ``du/dn + u = u_b``.
-
-    The conormal term contributes ``a * (u_b - u)`` on the boundary, with
-    the diffusion coefficient evaluated at edge midpoints.
-    """
-    edges = mesh.boundary_edges
-    length = mesh.h
-    mass = np.array([[2.0, 1.0], [1.0, 2.0]]) * (length / 6.0)
-    data = a_edge[:, None, None] * mass[None, :, :]
-    rows = np.repeat(edges, 2, axis=1).ravel()
-    cols = np.tile(edges, (1, 2)).ravel()
-    boundary_mass = sparse.coo_matrix(
-        (data.ravel(), (rows, cols)), shape=(mesh.node_count, mesh.node_count)
-    ).tocsr()
-    ub_local = ub_nodes[edges]  # (nedge, 2)
-    rhs_local = np.einsum("ij,ej->ei", mass, ub_local) * a_edge[:, None]
-    rhs = np.zeros(mesh.node_count)
-    np.add.at(rhs, edges[:, 0], rhs_local[:, 0])
-    np.add.at(rhs, edges[:, 1], rhs_local[:, 1])
-    return boundary_mass, rhs
 
 
 def solve_poisson_dirichlet(mesh: Mesh, a_centroid, f_centroid) -> np.ndarray:
@@ -344,6 +319,106 @@ def _advection_boundary_values(x: np.ndarray) -> np.ndarray:
     return vals
 
 
+class AdvectionOperator:
+    """The parts of the advection-diffusion system that one mesh fixes.
+
+    Holds the geometry-only element stiffness ``grad^T grad * area``, the
+    unit advection matrices ``A_x`` and ``A_y``, the Robin edge mass and
+    its product with the boundary values ``u_b``, the source load, and the
+    indices that scatter element and edge entries straight into LAPACK
+    banded storage.  Row-major node numbering couples a node only to nodes
+    at most ``p = nodes_per_axis + 1`` positions away, so entry ``(i, j)``
+    of the system lives at ``[p + i - j, j]`` of a ``(2p + 1, n)`` array,
+    the layout of :func:`scipy.linalg.solve_banded`.
+
+    :meth:`base` assembles the coefficient-dependent part once per field;
+    :meth:`solve` adds ``z1 * A_x + z2 * A_y`` for one velocity and solves.
+    """
+
+    def __init__(self, problem: "AdvectionDiffusionProblem", mesh: Mesh):
+        n = mesh.node_count
+        p = mesh.nodes_per_axis + 1
+        self.mesh = mesh
+        self.bandwidth = p
+        self._shape = (2 * p + 1, n)
+        tri = mesh.triangles
+        edges = mesh.boundary_edges
+        self.edges = edges
+        self.edge_midpoints = 0.5 * (mesh.nodes[edges[:, 0]] + mesh.nodes[edges[:, 1]])
+
+        def band_index(elements: np.ndarray) -> np.ndarray:
+            rows = elements[:, :, None]
+            cols = elements[:, None, :]
+            return ((p + rows - cols) * n + cols).ravel()
+
+        tri_index = band_index(tri)
+        self._index = np.concatenate([tri_index, band_index(edges)])
+        grads = mesh.gradients
+        self._stiffness = (
+            np.einsum("tdi,tdj->tij", grads, grads) * mesh.triangle_area
+        ).reshape(len(tri), 9)
+        mass = np.array([[2.0, 1.0], [1.0, 2.0]]) * (mesh.h / 6.0)
+        self._edge_mass = mass.ravel()
+        # Row i, column j of a triangle's advection matrix is z . grad_j * area / 3.
+        unit = np.broadcast_to(grads[:, :, None, :], (len(tri), 2, 3, 3))
+        self.advection = tuple(
+            self._scatter(tri_index, unit[:, d] * (mesh.triangle_area / 3.0))
+            for d in range(2)
+        )
+        ub = np.zeros(n)
+        boundary_ids = np.unique(edges)
+        ub[boundary_ids] = problem.boundary_values(mesh.nodes[boundary_ids])
+        self._edge_rhs = ub[edges] @ mass.T
+        contribution = problem.source(mesh.centroids) * (mesh.triangle_area / 3.0)
+        self.load = np.bincount(
+            tri.ravel(), weights=np.repeat(contribution, 3), minlength=n
+        )
+
+    def _scatter(self, index: np.ndarray, entries: np.ndarray) -> np.ndarray:
+        size = self._shape[0] * self._shape[1]
+        return np.bincount(index, weights=entries.ravel(), minlength=size).reshape(
+            self._shape
+        )
+
+    def base(self, a_centroid: np.ndarray, a_edge: np.ndarray):
+        """Banded stiffness plus Robin mass, and the right-hand side.
+
+        The conormal term of ``du/dn + u = u_b`` contributes
+        ``a * (u_b - u)`` on the boundary, with the diffusion coefficient
+        ``a_edge`` evaluated at edge midpoints.
+        """
+        entries = np.concatenate(
+            [
+                (a_centroid[:, None] * self._stiffness).ravel(),
+                (a_edge[:, None] * self._edge_mass).ravel(),
+            ]
+        )
+        rhs = self.load + np.bincount(
+            self.edges.ravel(),
+            weights=(a_edge[:, None] * self._edge_rhs).ravel(),
+            minlength=self.mesh.node_count,
+        )
+        return self._scatter(self._index, entries), rhs
+
+    def solve(self, base, velocity: np.ndarray) -> np.ndarray:
+        """Nodal solution for one velocity on top of an assembled base."""
+        matrix, rhs = base
+        system = matrix + velocity[0] * self.advection[0]
+        system += velocity[1] * self.advection[1]
+        p = self.bandwidth
+        return solve_banded((p, p), system, rhs, overwrite_ab=True, check_finite=False)
+
+
+@lru_cache(maxsize=32)
+def _advection_operator(problem: "AdvectionDiffusionProblem", mesh: Mesh):
+    return AdvectionOperator(problem, mesh)
+
+
+# Base systems kept per problem: enough for the (field, mesh) pairs that
+# concurrent evaluators have in flight, few enough to bound memory.
+_BASE_CACHE_SIZE = 8
+
+
 @dataclass(frozen=True)
 class AdvectionDiffusionProblem:
     """Advection-diffusion with random diffusion and Robin boundary data.
@@ -351,7 +426,18 @@ class AdvectionDiffusionProblem:
     The diffusion coefficient is ``1 + exp(-m)`` for a nodal field ``m``,
     the velocity is a control in the closed unit disc, the source is a
     fixed Gaussian, and the boundary condition is ``du/dn + u = u_b``.
+
+    Each mesh's :class:`AdvectionOperator` is built once.  The base system
+    of a :class:`GrfSample` field is kept in a small bounded cache, so the
+    velocities solved on one (field, mesh) pair share one assembly.
     """
+
+    _bases: Memo = dataclass_field(
+        default_factory=lambda: Memo(maxsize=_BASE_CACHE_SIZE),
+        init=False,
+        repr=False,
+        compare=False,
+    )
 
     def source(self, x: np.ndarray) -> np.ndarray:
         d2 = (x[:, 0] - 0.5) ** 2 + (x[:, 1] - 0.5) ** 2
@@ -359,6 +445,19 @@ class AdvectionDiffusionProblem:
 
     def boundary_values(self, x: np.ndarray) -> np.ndarray:
         return _advection_boundary_values(x)
+
+    def _base(self, operator: AdvectionOperator, field):
+        mesh = operator.mesh
+        if isinstance(field, GrfSample):
+            m_centroid = bilinear_on_grid(field.grid, field.values, mesh.centroids)
+            m_edge = bilinear_on_grid(field.grid, field.values, operator.edge_midpoints)
+        else:
+            field = np.asarray(field, dtype=float)
+            if field.shape != (mesh.node_count,):
+                raise ValueError("field vector does not match mesh")
+            m_centroid = field[mesh.triangles].mean(axis=1)
+            m_edge = 0.5 * (field[operator.edges[:, 0]] + field[operator.edges[:, 1]])
+        return operator.base(1.0 + np.exp(-m_centroid), 1.0 + np.exp(-m_edge))
 
     def solve(self, velocity, field, mesh: Mesh) -> np.ndarray:
         """P1 solve for one field realization.
@@ -373,28 +472,15 @@ class AdvectionDiffusionProblem:
             raise ValueError("velocity must be a 2-vector")
         if np.linalg.norm(velocity) > 1.0 + 1e-9:
             raise ValueError(f"velocity must lie in the unit disc, got {velocity}")
-        edges = mesh.boundary_edges
-        edge_midpoints = 0.5 * (mesh.nodes[edges[:, 0]] + mesh.nodes[edges[:, 1]])
+        operator = _advection_operator(self, mesh)
         if isinstance(field, GrfSample):
-            m_centroid = bilinear_on_grid(field.grid, field.values, mesh.centroids)
-            m_edge = bilinear_on_grid(field.grid, field.values, edge_midpoints)
+            # The entry holds the sample, so its id is not reused while cached.
+            _, base = self._bases.get(
+                (id(field), mesh.cells), lambda: (field, self._base(operator, field))
+            )
         else:
-            field = np.asarray(field, dtype=float)
-            if field.shape != (mesh.node_count,):
-                raise ValueError("field vector does not match mesh")
-            m_centroid = field[mesh.triangles].mean(axis=1)
-            m_edge = 0.5 * (field[edges[:, 0]] + field[edges[:, 1]])
-        a_centroid = 1.0 + np.exp(-m_centroid)
-        a_edge = 1.0 + np.exp(-m_edge)
-        ub = np.zeros(mesh.node_count)
-        boundary_ids = np.unique(edges)
-        ub[boundary_ids] = self.boundary_values(mesh.nodes[boundary_ids])
-        stiffness = _assemble_stiffness(mesh, a_centroid)
-        advection = _assemble_advection(mesh, velocity)
-        boundary_mass, boundary_rhs = _assemble_robin(mesh, a_edge, ub)
-        system = (stiffness + advection + boundary_mass).tocsc()
-        rhs = _assemble_load(mesh, self.source(mesh.centroids)) + boundary_rhs
-        return spsolve(system, rhs)
+            base = self._base(operator, field)
+        return operator.solve(base, velocity)
 
     def sample_qoi(self, velocity, field, mesh: Mesh) -> float:
         return spatial_average(self.solve(velocity, field, mesh), mesh)
@@ -416,6 +502,7 @@ class GaussianFieldSampler:
     Realizations are drawn on a fixed reference grid by dense Cholesky;
     the draw indexed ``(seed, draw)`` is a pure function of its key
     (counter-based generator), so parallel sampling is order-independent.
+    Samplers on grids with the same cell count share one factor.
     """
 
     def __init__(self, grid: Mesh, stream: int = 0):
@@ -426,16 +513,7 @@ class GaussianFieldSampler:
             )
         self.grid = grid
         self.stream = stream
-        coords = grid.nodes
-        sq = ((coords[:, None, :] - coords[None, :, :]) ** 2).sum(axis=2)
-        covariance = np.exp(-100.0 * sq)
-        eye = np.eye(grid.node_count)
-        try:
-            self._factor = np.linalg.cholesky(covariance + _FIELD_NUGGET * eye)
-        except np.linalg.LinAlgError:
-            self._factor = np.linalg.cholesky(
-                covariance + _FIELD_NUGGET_FALLBACK * eye
-            )
+        self._factor = _field_factor(grid)
 
     def sample(self, seed: int, draw: int) -> GrfSample:
         rng = np.random.Generator(
@@ -445,6 +523,29 @@ class GaussianFieldSampler:
         return GrfSample(
             grid=self.grid, values=self._factor @ normals, seed=seed, draw=draw
         )
+
+
+# Cholesky factors of the field covariance by grid cells.  An entry lives
+# only while some sampler holds its factor.
+_FIELD_FACTORS: weakref.WeakValueDictionary[int, np.ndarray] = weakref.WeakValueDictionary()
+_FIELD_FACTORS_LOCK = threading.Lock()
+
+
+def _field_factor(grid: Mesh) -> np.ndarray:
+    with _FIELD_FACTORS_LOCK:
+        factor = _FIELD_FACTORS.get(grid.cells)
+        if factor is None:
+            coords = grid.nodes
+            sq = ((coords[:, None, :] - coords[None, :, :]) ** 2).sum(axis=2)
+            covariance = np.exp(-100.0 * sq)
+            eye = np.eye(grid.node_count)
+            try:
+                factor = np.linalg.cholesky(covariance + _FIELD_NUGGET * eye)
+            except np.linalg.LinAlgError:
+                factor = np.linalg.cholesky(covariance + _FIELD_NUGGET_FALLBACK * eye)
+            factor.setflags(write=False)
+            _FIELD_FACTORS[grid.cells] = factor
+        return factor
 
 
 def restrict_field(sample: GrfSample, coarse: Mesh) -> np.ndarray:

@@ -38,6 +38,7 @@ from kernelkit.kernels import (
     tensor_grid,
     tensor_grid_interpolant,
 )
+from kernelkit.memo import Memo
 from kernelkit.pde import (
     AdvectionDiffusionProblem,
     BumpDiffusionProblem,
@@ -93,7 +94,13 @@ def random_points(domain: Domain, count: int, seed: int, stream: int = 101) -> n
 
 @dataclass
 class EstimatorResult:
-    """Output of one pipeline estimate."""
+    """Output of one pipeline estimate.
+
+    ``pde_solves`` counts the distinct sample evaluations (PDE solves for
+    the PDE pipelines) that the sample family or pipeline has performed
+    so far, not those of this estimate alone: it is cumulative over every
+    estimate made with the same factor or pipeline, and never decreases.
+    """
 
     value: Any
     ledger: WorkLedger
@@ -154,25 +161,24 @@ class SampleFactor:
     """Sample family ``q_N(y)`` with coordinate-keyed memoization.
 
     ``evaluate_one(point, resolution)`` is called once per distinct
-    ``(resolution, point)`` pair; ``solve_count`` reports the number of
-    distinct evaluations performed so far.
+    ``(resolution, point)`` pair, also when several threads ask for it at
+    once; ``solve_count`` reports the number of distinct evaluations
+    performed so far.
     """
 
     def __init__(self, spec: FactorSpec, evaluate_one: Callable[[np.ndarray, int], float]):
         self.spec = spec
         self._evaluate_one = evaluate_one
-        self._cache: dict[tuple[int, bytes], float] = {}
+        self._cache = Memo()
 
     def values(self, points: np.ndarray, resolution: int) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         out = np.empty(len(pts))
         for idx, row in enumerate(pts):
-            key = (resolution, row.tobytes())
-            value = self._cache.get(key)
-            if value is None:
-                value = float(self._evaluate_one(row, resolution))
-                self._cache[key] = value
-            out[idx] = value
+            out[idx] = self._cache.get(
+                (resolution, row.tobytes()),
+                lambda: float(self._evaluate_one(row, resolution)),
+            )
         return out
 
     @property
@@ -468,15 +474,23 @@ def monte_carlo_mean(
 ):
     """Empirical mean of ``N`` counter-keyed draws.
 
-    ``sampler(rng, k)`` receives a generator that is a pure function of
-    ``(seed, stream, k)``, so the estimate does not depend on evaluation
-    order and is reproducible across worker counts.
+    ``sampler(rng, k)`` receives a generator whose stream is a pure
+    function of ``(seed, stream, k)``, so the estimate does not depend on
+    evaluation order and is reproducible across worker counts.  One
+    generator is reset for every draw: ``rng`` is valid only during the
+    ``sampler`` call and must not be kept.
     """
     if N < 1:
         raise ValueError(f"sample count must be >= 1, got {N}")
+    bit_generator = np.random.Philox(counter=[0, 0, 0, 0], key=[seed, stream])
+    rng = np.random.Generator(bit_generator)
+    state = bit_generator.state
     total = None
     for k in range(N):
-        value = sampler(philox_generator(seed, stream, draw=k), k)
+        # The state a fresh Philox(counter=[0, 0, k, 0]) starts in.
+        state["state"]["counter"][2] = k
+        bit_generator.state = state
+        value = sampler(rng, k)
         total = value if total is None else total + value
     return total / N
 
@@ -532,8 +546,8 @@ class OuuPipeline:
             problem = AdvectionDiffusionProblem()
             qoi = lambda z, m, mesh: problem.sample_qoi(z, m, mesh)  # noqa: E731
         self._qoi = qoi
-        self._field_cache: dict[int, Any] = {}
-        self._solve_cache: dict[tuple[bytes, int, int], float] = {}
+        self._field_cache = Memo()
+        self._solve_cache = Memo()
         self.draw_log: dict[tuple[int, ...], tuple[int, ...]] = {}
         problem_spec = ProblemSpec(
             factors=(self.interp_factor.spec, self.mc_spec, self.pde_spec),
@@ -543,19 +557,15 @@ class OuuPipeline:
         self.engine = SmolyakEngine(problem_spec, workers=workers)
 
     def _field(self, draw: int):
-        sample = self._field_cache.get(draw)
-        if sample is None:
-            sample = self._field_sampler.sample(self.seed, draw)
-            self._field_cache[draw] = sample
-        return sample
+        return self._field_cache.get(
+            draw, lambda: self._field_sampler.sample(self.seed, draw)
+        )
 
     def _solve(self, z: np.ndarray, draw: int, cells: int) -> float:
-        key = (z.tobytes(), draw, cells)
-        value = self._solve_cache.get(key)
-        if value is None:
-            value = float(self._qoi(z, self._field(draw), cached_mesh(cells)))
-            self._solve_cache[key] = value
-        return value
+        return self._solve_cache.get(
+            (z.tobytes(), draw, cells),
+            lambda: float(self._qoi(z, self._field(draw), cached_mesh(cells))),
+        )
 
     def _evaluate(self, resolutions: tuple[int, ...]):
         n_points, n_draws, mesh_resolution = resolutions
@@ -565,12 +575,14 @@ class OuuPipeline:
                 f"resolution {mesh_resolution} is not a realized mesh size"
             )
         nodes = self.interp_factor.points(n_points)
-        means = np.empty(n_points)
-        for i, z in enumerate(nodes.points):
-            acc = 0.0
-            for k in range(n_draws):
-                acc += self._solve(z, k, cells)
-            means[i] = acc / n_draws
+        # Draws outside, nodes inside: each draw's system on this mesh is
+        # assembled once for all nodes.  Every node still sums its draws in
+        # the order 0..n-1.
+        sums = np.zeros(n_points)
+        for k in range(n_draws):
+            for i, z in enumerate(nodes.points):
+                sums[i] += self._solve(z, k, cells)
+        means = sums / n_draws
         self.draw_log[resolutions] = tuple(range(n_draws))
         return fit_interpolant(self.interp_factor.kernel, nodes, means)
 

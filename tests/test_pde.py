@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from kernelkit.pde import (
+    _BASE_CACHE_SIZE,
     AdvectionDiffusionProblem,
     BumpDiffusionProblem,
     GaussianFieldSampler,
@@ -203,6 +204,14 @@ class TestAdvectionProblem:
         with pytest.raises(ValueError):
             problem.solve(np.array([1.2, 0.0]), np.zeros(mesh.node_count), mesh)
 
+    @pytest.mark.parametrize("kind", ["grf", "nodal"])
+    def test_velocity_just_outside_the_disc_is_rejected(self, kind):
+        problem = AdvectionDiffusionProblem()
+        mesh = Mesh(cells=4)
+        field = advection_field(kind, mesh, 0)
+        with pytest.raises(ValueError):
+            problem.sample_qoi(np.array([0.6, 0.8 + 2e-9]), field, mesh)
+
     def test_velocity_changes_qoi(self):
         problem = AdvectionDiffusionProblem()
         mesh = Mesh(cells=10)
@@ -210,6 +219,97 @@ class TestAdvectionProblem:
         q0 = problem.sample_qoi(np.array([0.0, 0.0]), field, mesh)
         q1 = problem.sample_qoi(np.array([0.5, 0.0]), field, mesh)
         assert q0 != q1
+
+
+    @pytest.mark.parametrize("kind", ["grf", "nodal"])
+    def test_matches_dense_reference(self, kind):
+        problem = AdvectionDiffusionProblem()
+        for cells in range(2, 33):
+            # Three directions per mesh, turning with the cell count.
+            angles = 0.37 * cells + np.array([0.0, 2.0, 4.0]) * np.pi / 3.0
+            velocities = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+            mesh = Mesh(cells=cells)
+            field = advection_field(kind, mesh, cells)
+            matrix, advection, rhs = dense_advection_system(problem, field, mesh)
+            for z in velocities:
+                expected = np.linalg.solve(matrix + z[0] * advection[0] + z[1] * advection[1], rhs)
+                u = problem.solve(z, field, mesh)
+                scale = np.max(np.abs(expected))
+                assert np.max(np.abs(u - expected)) <= 1e-12 * scale, (cells, z)
+                assert problem.sample_qoi(z, field, mesh) == pytest.approx(
+                    spatial_average(expected, mesh), rel=1e-12
+                )
+
+    @pytest.mark.parametrize("kind", ["grf", "nodal"])
+    def test_repeated_solves_are_bit_identical(self, kind):
+        mesh = Mesh(cells=9)
+        field = advection_field(kind, mesh, 3)
+        z = np.array([0.3, -0.7])
+        problem = AdvectionDiffusionProblem()
+        first = problem.sample_qoi(z, field, mesh)
+        assert problem.sample_qoi(z, field, mesh) == first
+        assert AdvectionDiffusionProblem().sample_qoi(z, field, mesh) == first
+        # Evict the field's base system, then solve it again.
+        for seed in range(2 * _BASE_CACHE_SIZE):
+            problem.sample_qoi(z, advection_field(kind, mesh, 100 + seed), mesh)
+        assert problem.sample_qoi(z, field, mesh) == first
+
+    def test_base_cache_is_bounded(self):
+        problem = AdvectionDiffusionProblem()
+        for cells in (4, 6):
+            mesh = Mesh(cells=cells)
+            for seed in range(2 * _BASE_CACHE_SIZE):
+                problem.sample_qoi(np.zeros(2), advection_field("grf", mesh, seed), mesh)
+        assert len(problem._bases) == _BASE_CACHE_SIZE
+
+
+def advection_field(kind, mesh, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "nodal":
+        return 0.8 * rng.standard_normal(mesh.node_count)
+    grid = Mesh(cells=16)
+    values = 0.8 * rng.standard_normal(grid.node_count)
+    return GrfSample(grid=grid, values=values, seed=seed, draw=0)
+
+
+def dense_advection_system(problem, field, mesh):
+    """Element-by-element dense assembly: diffusion plus Robin matrix, the
+    two unit advection matrices, and the right-hand side."""
+    nodes = mesh.nodes
+    edges = mesh.boundary_edges
+    midpoints = nodes[edges].mean(axis=1)
+    if isinstance(field, GrfSample):
+        m_tri = bilinear_on_grid(field.grid, field.values, mesh.centroids)
+        m_edge = bilinear_on_grid(field.grid, field.values, midpoints)
+    else:
+        m_tri = field[mesh.triangles].mean(axis=1)
+        m_edge = field[edges].mean(axis=1)
+    a_tri = 1.0 + np.exp(-m_tri)
+    a_edge = 1.0 + np.exp(-m_edge)
+    n = mesh.node_count
+    tri = mesh.triangles
+    corners = np.concatenate([np.ones((len(tri), 3, 1)), nodes[tri]], axis=2)
+    area = 0.5 * np.abs(np.linalg.det(corners))
+    grads = np.linalg.inv(corners)[:, 1:, :]  # [t, :, k]: gradient of basis k
+    rows = np.repeat(tri, 3, axis=1)
+    cols = np.tile(tri, (1, 3))
+    diffusion = np.einsum("tdi,tdj->tij", grads, grads) * (a_tri * area)[:, None, None]
+    matrix = np.zeros((n, n))
+    np.add.at(matrix, (rows, cols), diffusion.reshape(len(tri), 9))
+    advection = np.zeros((2, n, n))
+    for d in range(2):
+        local = np.broadcast_to(grads[:, d, None, :], (len(tri), 3, 3)) * (area / 3.0)[:, None, None]
+        np.add.at(advection[d], (rows, cols), local.reshape(len(tri), 9))
+    rhs = np.zeros(n)
+    source = problem.source(corners[:, :, 1:].mean(axis=1))
+    np.add.at(rhs, tri, (source * area / 3.0)[:, None])
+    ub = problem.boundary_values(nodes)
+    for e, pair in enumerate(edges):
+        length = np.linalg.norm(nodes[pair[0]] - nodes[pair[1]])
+        local = a_edge[e] * length / 6.0 * np.array([[2.0, 1.0], [1.0, 2.0]])
+        matrix[np.ix_(pair, pair)] += local
+        rhs[pair] += local @ ub[pair]
+    return matrix, advection, rhs
 
 
 class TestGaussianField:
@@ -264,6 +364,17 @@ class TestGaussianField:
         s = sampler.sample(seed=0, draw=0)
         with pytest.raises(ValueError):
             restrict_field(s, mesh_at_level(4))
+
+    def test_samplers_share_one_factor_per_grid(self):
+        grid = mesh_at_level(3)
+        first = GaussianFieldSampler(grid, stream=0)
+        second = GaussianFieldSampler(Mesh(cells=8), stream=5)
+        assert second._factor is first._factor
+        sq = ((grid.nodes[:, None, :] - grid.nodes[None, :, :]) ** 2).sum(axis=2)
+        factor = np.linalg.cholesky(np.exp(-100.0 * sq) + 1e-10 * np.eye(grid.node_count))
+        rng = np.random.Generator(np.random.Philox(counter=[0, 0, 3, 0], key=[2, 5]))
+        expected = factor @ rng.standard_normal(grid.node_count)
+        assert np.array_equal(second.sample(seed=2, draw=3).values, expected)
 
     def test_rejects_oversized_reference_grid(self):
         with pytest.raises(ValueError):

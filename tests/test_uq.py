@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -30,6 +33,7 @@ from kernelkit.uq import (
     monte_carlo_mean,
     multiindex_expectation,
     multilevel_expectation,
+    ouu_study,
     philox_generator,
     random_points,
     response_surface,
@@ -275,6 +279,22 @@ class TestMonteCarloMean:
         with pytest.raises(ValueError):
             monte_carlo_mean(lambda rng, k: 0.0, N=0, seed=0)
 
+    def test_draws_match_fresh_generators(self):
+        def draw(rng):
+            return np.concatenate(
+                [
+                    rng.standard_normal(3),
+                    rng.random(2),
+                    rng.integers(0, 1000, 3).astype(float),
+                    [rng.standard_normal()],
+                ]
+            )
+
+        seen = []
+        monte_carlo_mean(lambda rng, k: seen.append(draw(rng)) or 0.0, N=200, seed=7, stream=3)
+        for k, values in enumerate(seen):
+            assert np.array_equal(values, draw(philox_generator(7, 3, draw=k)))
+
 
 def stub_interp_factor():
     kernel = MaternKernel(beta=4.0, dim=2)
@@ -455,3 +475,119 @@ class TestDeterminism:
         philox_generator(3, 1, draw=6).standard_normal(100)
         b = philox_generator(3, 1, draw=7).standard_normal(4)
         assert np.array_equal(a, b)
+
+
+class TestPdeSolvesColumn:
+    def test_expectation_study_counts_are_cumulative_and_include_reference(self):
+        from kernelkit.smolyak import FactorSpec
+        from kernelkit.uq import SampleFactor
+
+        calls = []
+
+        def evaluate_one(point, resolution):
+            calls.append((resolution, float(point[0])))
+            return float(point[0] ** 2) + 1.0 / resolution
+
+        def factors():
+            quad = midpoint_quadrature_factor(gamma=1.0, beta=2.0)
+            return quad, SampleFactor(FactorSpec(gamma=1.0, beta=1.0), evaluate_one)
+
+        quad, sample = factors()
+        rows = expectation_study([quad], sample, range(2, 6), reference_L=7)
+        assert len(set(calls)) == len(calls) == rows[-1]["pde_solves"]
+        # Replay: the reference at L = 7 first, then the rows in order; each
+        # row reports every distinct solve made so far.
+        quad, sample = factors()
+        engine = SmolyakEngine(build_expectation_problem([quad], sample))
+        engine.estimate(7)
+        reference_only = sample.solve_count
+        expected = []
+        for L in range(2, 6):
+            engine.estimate(L)
+            expected.append(sample.solve_count)
+        assert [r["pde_solves"] for r in rows] == expected
+        assert reference_only <= expected[0] <= expected[-1]
+
+    def test_ouu_study_counts_are_cumulative_over_replications(self):
+        calls = []
+
+        def qoi(z, field, mesh):
+            calls.append(1)
+            return float(z[0]) + 0.1 * float(field.values[0])
+
+        settings = dict(qoi=qoi, field_grid=Mesh(cells=4), max_cells=4)
+        OuuPipeline(stub_interp_factor(), seed=0, stream=0, **settings).estimate(6)
+        reference_solves = len(calls)
+        calls.clear()
+        rows, _ = ouu_study(
+            stub_interp_factor, [3, 4, 5], seed=0, replications=2, reference_L=6, **settings
+        )
+        solves = [r["pde_solves"] for r in rows]
+        assert solves == sorted(solves) and solves[0] < solves[-1]
+        # The last row counts every replication solve, but not the reference.
+        assert len(calls) == reference_solves + solves[-1]
+
+
+def _short_switch_interval(test):
+    def run(*args, **kwargs):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            return test(*args, **kwargs)
+        finally:
+            sys.setswitchinterval(interval)
+
+    return run
+
+
+class TestSolveOnce:
+    @_short_switch_interval
+    def test_sample_factor_evaluates_each_input_once_under_threads(self):
+        from kernelkit.smolyak import FactorSpec, ProblemSpec
+        from kernelkit.uq import SampleFactor
+
+        calls = []
+        lock = threading.Lock()
+
+        def evaluate_one(point, resolution):
+            with lock:
+                calls.append((resolution, point.tobytes()))
+            time.sleep(0.001)
+            return float(point[0]) * resolution
+
+        sample = SampleFactor(FactorSpec(gamma=1.0, beta=1.0), evaluate_one)
+        points = np.linspace(0.0, 1.0, 6).reshape(-1, 1)
+
+        def evaluator(resolutions):
+            return float(sample.values(points, resolutions[1]).sum()) / resolutions[0]
+
+        factors = (FactorSpec(gamma=1.0, beta=1.0), FactorSpec(gamma=1.0, beta=1.0))
+        engine = SmolyakEngine(ProblemSpec(factors, evaluator), workers=4)
+        engine.estimate(8)
+        assert len(calls) == len(set(calls)) == sample.solve_count
+
+    @_short_switch_interval
+    def test_ouu_pipeline_solves_and_draws_once_under_threads(self):
+        solves = []
+        lock = threading.Lock()
+
+        def qoi(z, field, mesh):
+            with lock:
+                solves.append((z.tobytes(), id(field), mesh.cells))
+            time.sleep(0.0005)
+            return float(z[0]) + 0.1 * float(field.values[0])
+
+        pipeline = OuuPipeline(
+            stub_interp_factor(),
+            seed=0,
+            stream=1,
+            qoi=qoi,
+            field_grid=Mesh(cells=4),
+            max_cells=4,
+            workers=4,
+        )
+        pipeline.estimate(6)
+        assert len(solves) == len(set(solves)) == pipeline.pde_solves
+        # One sample object per draw: every solve of a draw saw the same one.
+        draws = {draw for _, draw, _ in pipeline._solve_cache}
+        assert len({field_id for _, field_id, _ in solves}) == len(draws)
