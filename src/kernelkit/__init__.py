@@ -12,6 +12,7 @@ __version__ = "0.1.0"
 from kernelkit.kernels import (
     ConditioningError,
     Interpolant,
+    KernelExpansion,
     MaternKernel,
     QuadratureRule,
     TensorKernel,
@@ -52,6 +53,7 @@ __all__ = [
     "Disc",
     "FactorSpec",
     "Interpolant",
+    "KernelExpansion",
     "MaternKernel",
     "PointSet",
     "ProblemSpec",

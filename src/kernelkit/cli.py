@@ -158,9 +158,7 @@ def _run_interp(config: RunConfig, out: str, seed: int, workers) -> None:
             [kernel] * blocks, grids, target(tensor_grid(grids))
         )
 
-    problem = ProblemSpec(
-        factors=tuple(specs), tensor_evaluator=evaluator, value_space="surrogate"
-    )
+    problem = ProblemSpec(factors=tuple(specs), tensor_evaluator=evaluator)
     engine = SmolyakEngine(problem, workers=workers)
     eval_domain = Box(lows=(0.0,) * (k["d"] * blocks), highs=(1.0,) * (k["d"] * blocks))
     points = random_points(eval_domain, config[("study", "eval_points")], seed)

@@ -21,6 +21,8 @@ from typing import Any, Callable
 
 PIPELINES = ("rates", "interp", "misc", "rsr", "ouu", "fem-check")
 _MAX_THRESHOLD = 14
+# Every study fits its log-log slope over at least 3 rows.
+_MIN_STUDY_ROWS = 3
 _MAX_SEED = 2**64 - 1
 
 
@@ -319,6 +321,12 @@ def _validate(raw: dict[str, dict[str, tuple[str, int]]]) -> RunConfig:
             raise ConfigError(
                 f"[pde] level range [{p['level_min']}, {p['level_max']}] invalid"
             )
+        rows = p["level_max"] - p["level_min"] + 1
+        if pipeline_text == "fem-check" and rows < _MIN_STUDY_ROWS:
+            raise ConfigError(
+                f"[pde] level range [{p['level_min']}, {p['level_max']}] gives "
+                f"{rows} study rows; the slope fit needs at least {_MIN_STUDY_ROWS}"
+            )
     if "ouu" in sections:
         o = sections["ouu"]
         _positive("[ouu] field_level", o["field_level"])
@@ -350,6 +358,11 @@ def _validate(raw: dict[str, dict[str, tuple[str, int]]]) -> RunConfig:
                 f"[run] threshold range [{l_min}, {l_max}] must satisfy "
                 f"{n} <= l_min <= l_max <= {_MAX_THRESHOLD} "
                 f"(factor count {n})"
+            )
+        if l_max - l_min + 1 < _MIN_STUDY_ROWS:
+            raise ConfigError(
+                f"[run] threshold range [{l_min}, {l_max}] gives {l_max - l_min + 1} "
+                f"study rows; the slope fit needs at least {_MIN_STUDY_ROWS}"
             )
 
     return RunConfig(

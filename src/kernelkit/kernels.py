@@ -41,6 +41,8 @@ _RESIDUAL_REQUIRED = 1e-8
 _REFINEMENT_PASSES = 4
 _SMALL_RADIUS = 1e-8
 _GAUSS_POINTS_PER_AXIS = 64
+# Largest Gram block (points x nodes) that one evaluation step builds.
+_GRAM_BLOCK_ENTRIES = 2**18
 
 
 class ConditioningError(RuntimeError):
@@ -231,22 +233,32 @@ def _solve_spd(kernel: TensorKernel, nodes: PointSet, rhs: np.ndarray):
 
 
 @dataclass(frozen=True)
-class Interpolant:
-    """Minimum-norm kernel interpolant ``x -> sum_i alpha_i Phi(x_i, x)``."""
+class KernelExpansion:
+    """Kernel expansion ``x -> sum_i c_i Phi(x_i, x)`` over a node set.
+
+    Evaluation walks the points in row chunks, so that no Gram block holds
+    more than ``_GRAM_BLOCK_ENTRIES`` entries whatever the point count.
+    """
 
     kernel: TensorKernel
     nodes: PointSet
     coefficients: np.ndarray
-    native_norm_sq: float
 
     def evaluate(self, points: np.ndarray, check_domain: bool = True) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if check_domain and not np.all(self.nodes.domain.contains(pts)):
             warnings.warn(
-                "evaluating interpolant outside its domain (extrapolation)",
+                "evaluating kernel expansion outside its domain (extrapolation)",
                 stacklevel=2,
             )
-        return self.kernel.gram(pts, self.nodes.points) @ self.coefficients
+        rows = max(1, _GRAM_BLOCK_ENTRIES // len(self.nodes))
+        out = np.empty(pts.shape[0])
+        for start in range(0, pts.shape[0], rows):
+            chunk = pts[start : start + rows]
+            out[start : start + rows] = (
+                self.kernel.gram(chunk, self.nodes.points) @ self.coefficients
+            )
+        return out
 
     def __call__(self, point) -> float:
         return float(self.evaluate(np.asarray(point, dtype=float).reshape(1, -1))[0])
@@ -255,6 +267,13 @@ class Interpolant:
         from kernelkit.surrogate import Surrogate
 
         return Surrogate(terms=((float(coefficient), self),))
+
+
+@dataclass(frozen=True)
+class Interpolant(KernelExpansion):
+    """Minimum-norm kernel interpolant ``x -> sum_i alpha_i Phi(x_i, x)``."""
+
+    native_norm_sq: float
 
 
 def fit_interpolant(
@@ -416,8 +435,10 @@ def sparse_interpolate(
     best-approximation operators: factor ``j`` has unit work per sample
     and convergence exponent ``(beta_j - alpha_j) / d_j``; its level-``l``
     operator interpolates on the first ``N_l`` points of the factor's
-    nested sequence.  The result is a signed combination of tensor-product
-    interpolants fitted to ``f_sampler`` values on sparse grids.
+    nested sequence.  The result is a :class:`~kernelkit.surrogate.Surrogate`:
+    the signed combination of tensor-product interpolants fitted to
+    ``f_sampler`` values on sparse grids, merged into one kernel expansion
+    over the distinct sparse-grid nodes.
 
     Parameters
     ----------
@@ -469,12 +490,6 @@ def sparse_interpolate(
         samples = f_sampler(tensor_grid(grids))
         return tensor_grid_interpolant(factor_kernels, grids, samples)
 
-    problem = ProblemSpec(
-        factors=tuple(specs), tensor_evaluator=evaluator, value_space="surrogate"
-    )
+    problem = ProblemSpec(factors=tuple(specs), tensor_evaluator=evaluator)
     value, _ = SmolyakEngine(problem, workers=workers).estimate(L)
-    from kernelkit.surrogate import Surrogate
-
-    if isinstance(value, Interpolant):
-        value = Surrogate(terms=((1.0, value),))
     return value

@@ -35,7 +35,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgbsv
 from scipy.sparse.linalg import spsolve
 
 from kernelkit.memo import Memo
@@ -328,8 +328,9 @@ class AdvectionOperator:
     indices that scatter element and edge entries straight into LAPACK
     banded storage.  Row-major node numbering couples a node only to nodes
     at most ``p = nodes_per_axis + 1`` positions away, so entry ``(i, j)``
-    of the system lives at ``[p + i - j, j]`` of a ``(2p + 1, n)`` array,
-    the layout of :func:`scipy.linalg.solve_banded`.
+    of the system lives at ``[2p + i - j, j]`` of a Fortran-ordered
+    ``(3p + 1, n)`` array, the layout LAPACK ``dgbsv`` factors in place
+    (its first ``p`` rows are workspace for the fill-in of pivoting).
 
     :meth:`base` assembles the coefficient-dependent part once per field;
     :meth:`solve` adds ``z1 * A_x + z2 * A_y`` for one velocity and solves.
@@ -340,7 +341,7 @@ class AdvectionOperator:
         p = mesh.nodes_per_axis + 1
         self.mesh = mesh
         self.bandwidth = p
-        self._shape = (2 * p + 1, n)
+        self._rows = 3 * p + 1
         tri = mesh.triangles
         edges = mesh.boundary_edges
         self.edges = edges
@@ -349,7 +350,7 @@ class AdvectionOperator:
         def band_index(elements: np.ndarray) -> np.ndarray:
             rows = elements[:, :, None]
             cols = elements[:, None, :]
-            return ((p + rows - cols) * n + cols).ravel()
+            return (cols * self._rows + 2 * p + rows - cols).ravel()
 
         tri_index = band_index(tri)
         self._index = np.concatenate([tri_index, band_index(edges)])
@@ -375,10 +376,9 @@ class AdvectionOperator:
         )
 
     def _scatter(self, index: np.ndarray, entries: np.ndarray) -> np.ndarray:
-        size = self._shape[0] * self._shape[1]
-        return np.bincount(index, weights=entries.ravel(), minlength=size).reshape(
-            self._shape
-        )
+        n = self.mesh.node_count
+        flat = np.bincount(index, weights=entries.ravel(), minlength=self._rows * n)
+        return flat.reshape(n, self._rows).T
 
     def base(self, a_centroid: np.ndarray, a_edge: np.ndarray):
         """Banded stiffness plus Robin mass, and the right-hand side.
@@ -406,7 +406,12 @@ class AdvectionOperator:
         system = matrix + velocity[0] * self.advection[0]
         system += velocity[1] * self.advection[1]
         p = self.bandwidth
-        return solve_banded((p, p), system, rhs, overwrite_ab=True, check_finite=False)
+        _, _, solution, info = dgbsv(p, p, system, rhs, overwrite_ab=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(
+                f"banded LU failed (LAPACK dgbsv info {info}) on {self.mesh.cells} cells"
+            )
+        return solution
 
 
 @lru_cache(maxsize=32)

@@ -130,7 +130,6 @@ class ProblemSpec:
 
     factors: tuple[FactorSpec, ...]
     tensor_evaluator: Callable[[tuple[int, ...]], Any]
-    value_space: str = "scalar"
 
     def __post_init__(self):
         if len(self.factors) < 1:

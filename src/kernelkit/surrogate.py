@@ -1,14 +1,22 @@
-"""Signed combinations of kernel interpolants, with plain-text persistence.
+"""Signed combinations of kernel expansions, with plain-text persistence.
 
 A surrogate is the function-valued output of the combination engine: a
-weighted sum of tensor-product kernel interpolants.  Surrogates support
-addition and scalar multiplication (term concatenation / coefficient
-scaling), so the engine can accumulate them like numbers.
+weighted sum of tensor-product kernel interpolants.  The terms of one
+combination share a kernel and a domain, and their nodes are nested
+prefixes, so the weighted sum is itself one kernel expansion over the
+distinct nodes (the combination technique's collapse onto the sparse
+grid).  A :class:`Surrogate` keeps it in that form: one expansion per
+distinct ``(kernel, domain)`` pair, merged whenever a surrogate is built,
+added or scaled, so evaluation costs one Gram product per expansion.
+Merging is a fixed function of the term order, and the engine reduces
+terms in lexicographic order, so the result does not depend on the
+worker count.
 
 The on-disk format is versioned plain text (header ``kernelkit-surrogate
 v1``) with one block per term listing the combination coefficient, kernel
-parameters, node coordinates and interpolation coefficients, all floats
-written with ``%.17g`` so a round trip preserves values bit-for-bit.
+parameters, node coordinates and expansion coefficients, all floats
+written with ``%.17g`` so a round trip preserves values bit-for-bit.  A
+file with several terms per ``(kernel, domain)`` pair loads merged.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from kernelkit.kernels import Interpolant, MaternKernel, TensorKernel
+from kernelkit.kernels import KernelExpansion, MaternKernel, TensorKernel
 from kernelkit.points import Box, Disc, Domain, PointSet
 
 _HEADER = "kernelkit-surrogate v1"
@@ -27,15 +35,63 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
+def _distinct_rows(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First-seen positions of the byte-distinct rows, and each row's slot.
+
+    Returns ``(first, slot)``: ``points[first]`` are the distinct rows in
+    the order they first appear, and row ``i`` equals ``points[first][slot[i]]``.
+    """
+    rows = np.ascontiguousarray(points)
+    keys = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first, kind="stable")
+    slot = np.empty_like(order)
+    slot[order] = np.arange(len(order))
+    return first[order], slot[inverse.ravel()]
+
+
+def _merge(terms) -> tuple[tuple[float, KernelExpansion], ...]:
+    """One expansion per ``(kernel, domain)`` pair, in first-seen order.
+
+    Its nodes are the byte-distinct node rows of the pair's terms, and its
+    coefficients are the weighted term coefficients summed per node in
+    term order.
+    """
+    groups: dict[tuple[TensorKernel, Domain], list[tuple[float, KernelExpansion]]] = {}
+    for coefficient, expansion in terms:
+        key = (expansion.kernel, expansion.nodes.domain)
+        groups.setdefault(key, []).append((float(coefficient), expansion))
+    merged = []
+    for (kernel, domain), group in groups.items():
+        points = np.concatenate([e.nodes.points for _, e in group])
+        weighted = np.concatenate([c * e.coefficients for c, e in group])
+        first, slot = _distinct_rows(points)
+        coefficients = np.bincount(slot, weights=weighted, minlength=len(first))
+        coefficients.setflags(write=False)
+        expansion = KernelExpansion(
+            kernel=kernel,
+            nodes=PointSet(points=points[first], domain=domain),
+            coefficients=coefficients,
+        )
+        merged.append((1.0, expansion))
+    return tuple(merged)
+
+
 @dataclass(frozen=True)
 class Surrogate:
-    """Weighted sum of kernel interpolants."""
+    """Weighted sum of kernel expansions, merged per ``(kernel, domain)``.
 
-    terms: tuple[tuple[float, Interpolant], ...]
+    ``terms`` pairs a coefficient with an expansion; after construction
+    every coefficient is 1.0 and the weights live in the expansions'
+    coefficients.
+    """
+
+    terms: tuple[tuple[float, KernelExpansion], ...]
 
     def __post_init__(self):
         if len(self.terms) == 0:
             raise ValueError("surrogate needs at least one term")
+        object.__setattr__(self, "terms", _merge(self.terms))
 
     @property
     def dim(self) -> int:
@@ -48,15 +104,15 @@ class Surrogate:
     def evaluate(self, points: np.ndarray, check_domain: bool = True) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         out = np.zeros(pts.shape[0])
-        for coefficient, interpolant in self.terms:
-            out += coefficient * interpolant.evaluate(pts, check_domain=check_domain)
+        for coefficient, expansion in self.terms:
+            out += coefficient * expansion.evaluate(pts, check_domain=check_domain)
         return out
 
     def __call__(self, point) -> float:
         return float(self.evaluate(np.asarray(point, dtype=float).reshape(1, -1))[0])
 
     def __add__(self, other):
-        if isinstance(other, Interpolant):
+        if isinstance(other, KernelExpansion):
             other = Surrogate(terms=((1.0, other),))
         if not isinstance(other, Surrogate):
             return NotImplemented
@@ -77,7 +133,7 @@ class Surrogate:
         return self + (-1.0 * other)
 
     def node_count(self) -> int:
-        return sum(len(interp.nodes) for _, interp in self.terms)
+        return sum(len(expansion.nodes) for _, expansion in self.terms)
 
 
 def _domain_line(domain: Domain) -> str:
@@ -109,11 +165,11 @@ def _parse_domain(tokens: list[str]) -> Domain:
 def dump_surrogate(surrogate: Surrogate) -> str:
     """Serialize to the versioned plain-text format."""
     lines = [_HEADER, f"terms {len(surrogate.terms)}"]
-    for coefficient, interp in surrogate.terms:
+    for coefficient, expansion in surrogate.terms:
         lines.append("term")
         lines.append(f"coefficient {_fmt(coefficient)}")
-        lines.append(f"blocks {len(interp.kernel.blocks)}")
-        for kernel, coords in interp.kernel.blocks:
+        lines.append(f"blocks {len(expansion.kernel.blocks)}")
+        for kernel, coords in expansion.kernel.blocks:
             lines.append(
                 "block "
                 + " ".join(
@@ -121,13 +177,13 @@ def dump_surrogate(surrogate: Surrogate) -> str:
                     + [str(c) for c in coords]
                 )
             )
-        lines.append(_domain_line(interp.nodes.domain))
-        pts = interp.nodes.points
+        lines.append(_domain_line(expansion.nodes.domain))
+        pts = expansion.nodes.points
         lines.append(f"nodes {pts.shape[0]} {pts.shape[1]}")
         for row in pts:
             lines.append(" ".join(_fmt(v) for v in row))
-        lines.append(f"alpha {len(interp.coefficients)}")
-        for v in interp.coefficients:
+        lines.append(f"alpha {len(expansion.coefficients)}")
+        for v in expansion.coefficients:
             lines.append(_fmt(v))
         lines.append("end")
     return "\n".join(lines) + "\n"
@@ -139,7 +195,7 @@ def save_surrogate(surrogate: Surrogate, path) -> None:
 
 
 def parse_surrogate(text: str) -> Surrogate:
-    """Inverse of :func:`dump_surrogate`."""
+    """Inverse of :func:`dump_surrogate`; several terms per pair load merged."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != _HEADER:
         raise ValueError("not a kernelkit surrogate file (bad header)")
@@ -189,18 +245,12 @@ def parse_surrogate(text: str) -> Surrogate:
         if lines[pos] != "end":
             raise ValueError(f"expected 'end' at line {pos + 1}")
         pos += 1
-        kernel = TensorKernel(blocks=tuple(blocks))
-        nodes = PointSet(points=pts, domain=domain)
-        gram = kernel.gram(pts, pts)
-        values = gram @ alpha
-        alpha.setflags(write=False)
-        interp = Interpolant(
-            kernel=kernel,
-            nodes=nodes,
+        expansion = KernelExpansion(
+            kernel=TensorKernel(blocks=tuple(blocks)),
+            nodes=PointSet(points=pts, domain=domain),
             coefficients=alpha,
-            native_norm_sq=float(values @ alpha),
         )
-        terms.append((coefficient, interp))
+        terms.append((coefficient, expansion))
     return Surrogate(terms=tuple(terms))
 
 

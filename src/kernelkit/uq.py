@@ -389,9 +389,7 @@ def build_surface_problem(
         )
 
     factors = tuple(f.spec for f in interp_factors) + (sample_factor.spec,)
-    return ProblemSpec(
-        factors=factors, tensor_evaluator=evaluator, value_space="surrogate"
-    )
+    return ProblemSpec(factors=factors, tensor_evaluator=evaluator)
 
 
 def _interp_solve_work(engine: SmolyakEngine, n_blocks: int) -> float:
@@ -416,8 +414,6 @@ def response_surface(
             build_surface_problem(interp_factors, sample_factor), workers=workers
         )
     value, ledger = engine.estimate(L)
-    if not isinstance(value, Surrogate):
-        value = Surrogate(terms=((1.0, value),))
     return EstimatorResult(
         value=value,
         ledger=ledger,
@@ -552,7 +548,6 @@ class OuuPipeline:
         problem_spec = ProblemSpec(
             factors=(self.interp_factor.spec, self.mc_spec, self.pde_spec),
             tensor_evaluator=self._evaluate,
-            value_space="surrogate",
         )
         self.engine = SmolyakEngine(problem_spec, workers=workers)
 
@@ -592,8 +587,6 @@ class OuuPipeline:
 
     def estimate(self, L: int) -> EstimatorResult:
         value, ledger = self.engine.estimate(L)
-        if not isinstance(value, Surrogate):
-            value = Surrogate(terms=((1.0, value),))
         return EstimatorResult(
             value=value,
             ledger=ledger,
@@ -602,21 +595,6 @@ class OuuPipeline:
             kernel_solve_work=_interp_solve_work(self.engine, 1),
             draw_log=dict(self.draw_log),
         )
-
-
-def ouu_surrogate(
-    interp_factor: InterpolationFactor,
-    L: int,
-    seed: int,
-    stream: int = 0,
-    workers: int | None = 1,
-    **pipeline_kwargs,
-) -> EstimatorResult:
-    """One-shot surrogate of the expected quantity of interest."""
-    pipeline = OuuPipeline(
-        interp_factor, seed=seed, stream=stream, workers=workers, **pipeline_kwargs
-    )
-    return pipeline.estimate(L)
 
 
 @dataclass(frozen=True)

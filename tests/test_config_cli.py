@@ -123,7 +123,7 @@ def generated_configs():
         gammas = np.round(rng.uniform(0.5, 2.0, size=n), 3)
         betas = np.round(rng.uniform(0.5, 2.0, size=n), 3)
         l_min = n + int(rng.integers(0, 2))
-        l_max = l_min + int(rng.integers(0, 4))
+        l_max = l_min + 2 + int(rng.integers(0, 2))
         texts.append(
             "\n".join(
                 [
@@ -155,7 +155,7 @@ class TestRoundTrip:
             "[run]\npipeline = fem-check\n[pde]\nlevel_min = 3\nlevel_max = 5\n",
             "[run]\npipeline = interp\nl_min = 4\nl_max = 6\n[kernel]\nbeta = 2.0\n",
             "[run]\npipeline = misc\nl_min = 2\nl_max = 8\n[misc]\nblocks = 1\n",
-            "[run]\npipeline = ouu\nl_min = 3\nl_max = 4\n[kernel]\nbeta = 4.0\nd = 2\nalpha = 1.0\n",
+            "[run]\npipeline = ouu\nl_min = 3\nl_max = 5\n[kernel]\nbeta = 4.0\nd = 2\nalpha = 1.0\n",
         ]
         for text in samples:
             config = parse_config(text)
@@ -185,6 +185,23 @@ class TestCliRuns:
     def test_config_error_exit_code(self, tmp_path):
         cfg = self.write(tmp_path, RATES_CONFIG.replace("beta = 1, 1", "beta = 1, -1"))
         assert main(["--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            RATES_CONFIG.replace("l_max = 6", "l_max = 3"),
+            "[run]\npipeline = fem-check\n[pde]\nlevel_min = 3\nlevel_max = 4\n",
+        ],
+    )
+    def test_short_range_is_a_config_error(self, tmp_path, capsys, text):
+        cfg = self.write(tmp_path, text)
+        out = tmp_path / "short"
+        assert main(["--config", cfg, "--out", str(out), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:")
+        assert "at least 3" in err
+        assert "Traceback" not in err
+        assert not (out / "study.csv").exists()
 
     def test_missing_config_file(self, tmp_path):
         assert main(["--config", str(tmp_path / "nope.cfg"), "--quiet"]) == 2
@@ -235,7 +252,7 @@ class TestCliRuns:
             [
                 "[run]",
                 "pipeline = interp",
-                "l_min = 7",
+                "l_min = 6",
                 "l_max = 8",
                 "[kernel]",
                 "beta = 4.0",

@@ -7,6 +7,7 @@ from scipy.integrate import quad
 from kernelkit.pde import (
     _BASE_CACHE_SIZE,
     AdvectionDiffusionProblem,
+    AdvectionOperator,
     BumpDiffusionProblem,
     GaussianFieldSampler,
     GrfSample,
@@ -261,6 +262,14 @@ class TestAdvectionProblem:
             for seed in range(2 * _BASE_CACHE_SIZE):
                 problem.sample_qoi(np.zeros(2), advection_field("grf", mesh, seed), mesh)
         assert len(problem._bases) == _BASE_CACHE_SIZE
+
+    def test_singular_system_raises_linalg_error(self):
+        mesh = Mesh(cells=4)
+        operator = AdvectionOperator(AdvectionDiffusionProblem(), mesh)
+        rhs = np.ones(mesh.node_count)
+        matrix = np.zeros_like(operator.advection[0])
+        with pytest.raises(np.linalg.LinAlgError, match="dgbsv"):
+            operator.solve((matrix, rhs), np.zeros(2))
 
 
 def advection_field(kind, mesh, seed):

@@ -1,7 +1,22 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kernelkit.kernels import MaternKernel, fit_interpolant, sparse_interpolate
+from kernelkit.kernels import (
+    _GRAM_BLOCK_ENTRIES,
+    KernelExpansion,
+    MaternKernel,
+    fit_interpolant,
+    single_block,
+    sparse_interpolate,
+    tensor_grid,
+    tensor_grid_interpolant,
+)
+from kernelkit.multiindex import combination_coefficients
+from kernelkit.pde import BumpDiffusionProblem
 from kernelkit.points import Box, Disc, generate_points
 from kernelkit.surrogate import (
     Surrogate,
@@ -10,32 +25,81 @@ from kernelkit.surrogate import (
     parse_surrogate,
     save_surrogate,
 )
+from kernelkit.uq import bump_sample_factor, interpolation_factor, response_surface
 
 UNIT_INTERVAL = Box((0.0,), (1.0,))
+UNIT_SQUARE = Box((0.0, 0.0), (1.0, 1.0))
+UNIT_DISC = Disc(center=(0.0, 0.0), radius=1.0)
 
 
-def simple_surrogate():
+def simple_terms():
     k = MaternKernel(beta=2.0, dim=1)
     nodes_a = generate_points(UNIT_INTERVAL, 6)
     nodes_b = generate_points(UNIT_INTERVAL, 9)
     ia = fit_interpolant(k, nodes_a, np.sin(nodes_a.points[:, 0]))
     ib = fit_interpolant(k, nodes_b, np.cos(nodes_b.points[:, 0]))
-    return Surrogate(terms=((1.0, ib), (-0.5, ia)))
+    return ((1.0, ib), (-0.5, ia))
+
+
+def simple_surrogate():
+    return Surrogate(terms=simple_terms())
+
+
+def term_by_term(terms, points):
+    """Unmerged evaluation ``sum_t c_t K_t alpha_t`` and its rounding scale.
+
+    The scale is ``sum_t |c_t| |K_t| |alpha_t|``: merging reassociates these
+    products, and the interpolation coefficients of an ill-conditioned fit
+    are far larger than the values they produce.
+    """
+    values = sum(c * e.evaluate(points) for c, e in terms)
+    scale = sum(
+        abs(c) * (np.abs(e.kernel.gram(points, e.nodes.points)) @ np.abs(e.coefficients))
+        for c, e in terms
+    )
+    return values, scale
+
+
+def assert_matches_term_by_term(surrogate, terms, points):
+    expected, scale = term_by_term(terms, points)
+    assert np.all(np.abs(surrogate.evaluate(points) - expected) <= 1e-12 * scale)
+
+
+def sine_product(points):
+    return np.sin(2 * np.pi * points[:, 0]) * np.sin(2 * np.pi * points[:, 1])
+
+
+def rsr_surface(workers):
+    problem = BumpDiffusionProblem(n_bumps=2)
+    kernel = MaternKernel(beta=3.0, dim=2)
+    factors = [interpolation_factor(kernel, box) for box in problem.center_boxes]
+    sample = bump_sample_factor(n_bumps=2, max_cells=16)
+    return response_surface(factors, sample, L=6, workers=workers).value
 
 
 class TestSurrogateAlgebra:
     def test_weighted_evaluation(self):
-        s = simple_surrogate()
+        terms = simple_terms()
         xs = np.linspace(0.0, 1.0, 33).reshape(-1, 1)
-        expected = s.terms[0][1].evaluate(xs) - 0.5 * s.terms[1][1].evaluate(xs)
-        assert np.allclose(s.evaluate(xs), expected, atol=1e-14)
+        expected = terms[0][1].evaluate(xs) - 0.5 * terms[1][1].evaluate(xs)
+        assert np.allclose(simple_surrogate().evaluate(xs), expected, atol=1e-14)
 
-    def test_addition_concatenates_terms(self):
+    def test_addition_merges_terms(self):
         s = simple_surrogate()
         total = s + s
-        xs = np.array([[0.3]])
-        assert total.evaluate(xs)[0] == pytest.approx(2.0 * s.evaluate(xs)[0])
-        assert len(total.terms) == 4
+        assert len(total.terms) == len(s.terms) == 1
+        (_, doubled), (_, single) = total.terms[0], s.terms[0]
+        assert np.array_equal(doubled.nodes.points, single.nodes.points)
+        assert np.array_equal(doubled.coefficients, 2.0 * single.coefficients)
+
+    def test_nodes_are_distinct_in_first_seen_order(self):
+        (_, ib), (_, ia) = simple_terms()
+        (_, merged), = simple_surrogate().terms
+        # Nested prefixes: the 6 nodes of ia are the first 6 of ib.
+        assert np.array_equal(merged.nodes.points, ib.nodes.points)
+        expected = ib.coefficients.copy()
+        expected[:6] += -0.5 * ia.coefficients
+        assert np.array_equal(merged.coefficients, expected)
 
     def test_scalar_multiplication(self):
         s = simple_surrogate()
@@ -55,6 +119,72 @@ class TestSurrogateAlgebra:
         with pytest.raises(ValueError):
             Surrogate(terms=())
 
+    def test_different_kernels_stay_separate(self):
+        nodes = generate_points(UNIT_SQUARE, 20)
+        values = sine_product(nodes.points)
+        a = 1.5 * fit_interpolant(MaternKernel(beta=2.0, dim=2), nodes, values)
+        b = -0.5 * fit_interpolant(MaternKernel(beta=3.0, dim=2), nodes, values)
+        total = a + b
+        assert len(total.terms) == 2
+        xs = np.random.default_rng(3).random((64, 2))
+        assert np.array_equal(total.evaluate(xs), a.evaluate(xs) + b.evaluate(xs))
+
+
+class TestMergedExpansion:
+    def test_sparse_interpolate_matches_term_by_term(self):
+        k = MaternKernel(beta=2.0, dim=1)
+        L = 6
+        s = sparse_interpolate([k, k], [UNIT_INTERVAL, UNIT_INTERVAL], sine_product, L=L)
+        terms = []
+        for term in combination_coefficients(2, L):
+            grids = [generate_points(UNIT_INTERVAL, 2**level) for level in term.index]
+            interp = tensor_grid_interpolant([k, k], grids, sine_product(tensor_grid(grids)))
+            terms.append((term.coefficient, interp))
+        (_, merged), = s.terms
+        assert len(merged.nodes) < sum(len(e.nodes) for _, e in terms)
+        assert_matches_term_by_term(s, terms, np.random.default_rng(1).random((300, 2)))
+
+    def test_disc_surrogate_matches_term_by_term(self):
+        k = MaternKernel(beta=4.0, dim=2)
+        terms = []
+        for count, weight in ((8, -1.0), (16, 2.0), (32, 1.0)):
+            nodes = generate_points(UNIT_DISC, count)
+            values = np.cos(count * nodes.points[:, 0]) + nodes.points[:, 1]
+            terms.append((weight, fit_interpolant(k, nodes, values)))
+        s = Surrogate(terms=tuple(terms))
+        (_, merged), = s.terms
+        assert len(merged.nodes) == 32
+        assert_matches_term_by_term(s, terms, generate_points(UNIT_DISC, 200).points)
+
+    def test_identical_across_worker_counts(self):
+        serial, threaded = rsr_surface(1), rsr_surface(4)
+        assert len(serial.terms) == len(threaded.terms) == 1
+        (_, a), (_, b) = serial.terms[0], threaded.terms[0]
+        assert np.array_equal(a.nodes.points, b.nodes.points)
+        assert np.array_equal(a.coefficients, b.coefficients)
+
+    @pytest.mark.parametrize("offset", [None, -1, 0, 1])
+    def test_chunked_evaluation_matches_one_gram(self, offset):
+        kernel = single_block(MaternKernel(beta=2.0, dim=2))
+        nodes = generate_points(UNIT_SQUARE, 1000)
+        coefficients = np.random.default_rng(4).standard_normal(1000)
+        s = Surrogate(terms=((1.0, KernelExpansion(kernel, nodes, coefficients)),))
+        chunk = _GRAM_BLOCK_ENTRIES // len(nodes)
+        count = 1 if offset is None else chunk + offset
+        xs = np.random.default_rng(5).random((count, 2))
+        expected = kernel.gram(xs, nodes.points) @ coefficients
+        got = s.evaluate(xs)
+        assert got.shape == (count,)
+        assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    def test_outside_domain_warns(self):
+        s = simple_surrogate()
+        with pytest.warns(UserWarning, match="outside its domain"):
+            s.evaluate(np.array([[1.5]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s.evaluate(np.array([[1.5]]), check_domain=False)
+
 
 class TestSerialization:
     def test_header(self):
@@ -67,14 +197,11 @@ class TestSerialization:
         save_surrogate(s, path)
         loaded = load_surrogate(path)
         xs = np.random.default_rng(0).random((200, 1))
-        a = s.evaluate(xs)
-        b = loaded.evaluate(xs)
-        assert np.max(np.abs(a - b)) <= 1e-15 * max(1.0, np.max(np.abs(a)))
+        assert np.array_equal(s.evaluate(xs), loaded.evaluate(xs))
 
     def test_round_trip_sparse_surrogate(self, tmp_path):
         k = MaternKernel(beta=2.0, dim=1)
-        f = lambda p: np.sin(2 * np.pi * p[:, 0]) * np.sin(2 * np.pi * p[:, 1])
-        s = sparse_interpolate([k, k], [UNIT_INTERVAL, UNIT_INTERVAL], f, L=5)
+        s = sparse_interpolate([k, k], [UNIT_INTERVAL, UNIT_INTERVAL], sine_product, L=5)
         path = tmp_path / "sparse.txt"
         save_surrogate(s, path)
         loaded = load_surrogate(path)
@@ -82,15 +209,58 @@ class TestSerialization:
         assert np.array_equal(s.evaluate(xs), loaded.evaluate(xs))
 
     def test_disc_domain_round_trip(self, tmp_path):
-        disc = Disc(center=(0.0, 0.0), radius=1.0)
         k = MaternKernel(beta=4.0, dim=2)
-        nodes = generate_points(disc, 12)
+        nodes = generate_points(UNIT_DISC, 12)
         interp = fit_interpolant(k, nodes, np.cos(nodes.points[:, 0]))
         s = Surrogate(terms=((2.5, interp),))
         path = tmp_path / "disc.txt"
         save_surrogate(s, path)
         loaded = load_surrogate(path)
-        xs = generate_points(disc, 50).points
+        xs = generate_points(UNIT_DISC, 50).points
+        assert np.array_equal(s.evaluate(xs), loaded.evaluate(xs))
+
+    def test_multi_term_file_loads_merged(self):
+        terms = simple_terms()
+        # A v1 file holding each term as its own block, as unmerged
+        # surrogates were written.
+        blocks = []
+        for c, e in terms:
+            body = dump_surrogate(Surrogate(terms=((1.0, e),))).splitlines()[2:]
+            body[1] = f"coefficient {c!r}"
+            blocks += body
+        text = "\n".join(["kernelkit-surrogate v1", f"terms {len(terms)}"] + blocks)
+        loaded = parse_surrogate(text)
+        (_, merged), = loaded.terms
+        assert not hasattr(merged, "native_norm_sq")
+        assert np.array_equal(merged.nodes.points, terms[0][1].nodes.points)
+        assert_matches_term_by_term(loaded, terms, np.linspace(0.0, 1.0, 41).reshape(-1, 1))
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        weights=st.lists(
+            st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False),
+            min_size=1,
+            max_size=4,
+        ),
+        counts=st.lists(st.integers(1, 24), min_size=4, max_size=4),
+        betas=st.lists(st.sampled_from([1.5, 2.0, 3.0]), min_size=4, max_size=4),
+        on_disc=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_dump_parse_evaluates_identically(self, weights, counts, betas, on_disc, seed):
+        domain = UNIT_DISC if on_disc else UNIT_SQUARE
+        rng = np.random.default_rng(seed)
+        terms = []
+        for weight, count, beta in zip(weights, counts, betas):
+            kernel = single_block(MaternKernel(beta=beta, dim=2, length_scale=0.5))
+            coefficients = rng.standard_normal(count)
+            terms.append(
+                (weight, KernelExpansion(kernel, generate_points(domain, count), coefficients))
+            )
+        s = Surrogate(terms=tuple(terms))
+        loaded = parse_surrogate(dump_surrogate(s))
+        assert len(loaded.terms) == len(s.terms)
+        xs = generate_points(domain, 40).points
         assert np.array_equal(s.evaluate(xs), loaded.evaluate(xs))
 
     def test_rejects_bad_header(self):
