@@ -155,7 +155,7 @@ def _run_interp(config: RunConfig, out: str, seed: int, workers) -> None:
     def evaluator(resolutions):
         grids = [prefix(j, r) for j, r in enumerate(resolutions)]
         return tensor_grid_interpolant(
-            [kernel] * blocks, grids, target(tensor_grid(grids))
+            [kernel] * blocks, grids, target(tensor_grid([g.points for g in grids]))
         )
 
     problem = ProblemSpec(factors=tuple(specs), tensor_evaluator=evaluator)

@@ -11,10 +11,18 @@ half-integer ``nu``; half-integer profiles use their closed
 exponential-polynomial form, integer profiles use the modified Bessel
 function of integer order with the analytic limit at ``r = 0``.
 
+A :class:`TensorKernel` multiplies Matern kernels on disjoint coordinate
+blocks.  Tensor grids and sparse grids repeat each block coordinate many
+times, so its Gram matrix evaluates every block profile once per pair of
+distinct block coordinates and gathers the result back; the entries are
+bit-identical to the pairwise products.  A kernel expansion keeps the
+split of its nodes, so evaluating it splits only the new points.
+
 Interpolation coefficients solve the symmetric positive-definite kernel
-system by Cholesky factorization with an escalating diagonal shift,
-followed by iterative refinement so that node residuals stay below 1e-8
-relative even when a shift was needed.
+system by Cholesky factorization with an escalating diagonal shift, added
+in place to one copy of the Gram matrix per attempt, followed by
+iterative refinement so that node residuals stay below 1e-8 relative even
+when a shift was needed.
 """
 
 from __future__ import annotations
@@ -147,6 +155,31 @@ def matern_evaluate(kernel: MaternKernel, x, y) -> float:
     return float(kernel.gram(x, y)[0, 0])
 
 
+def distinct_rows(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First-seen positions of the byte-distinct rows, and each row's slot.
+
+    Returns ``(first, slot)``: ``points[first]`` are the distinct rows in
+    the order they first appear, and row ``i`` equals ``points[first][slot[i]]``.
+    """
+    rows = np.ascontiguousarray(points)
+    keys = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first, kind="stable")
+    slot = np.empty_like(order)
+    slot[order] = np.arange(len(order))
+    return first[order], slot[inverse.ravel()]
+
+
+def _distinct_block_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """Distinct rows and the gather index back, or ``(rows, None)`` if none repeat."""
+    if rows.shape[0] < 2:
+        return rows, None
+    first, slot = distinct_rows(rows)
+    if len(first) == rows.shape[0]:
+        return rows, None
+    return rows[first], slot
+
+
 @dataclass(frozen=True)
 class TensorKernel:
     """Product of Matern kernels acting on disjoint coordinate blocks."""
@@ -174,13 +207,48 @@ class TensorKernel:
     def value_at_zero(self) -> float:
         return float(np.prod([k.value_at_zero for k, _ in self.blocks]))
 
+    def split(
+        self, points: np.ndarray
+    ) -> tuple[tuple[np.ndarray, np.ndarray | None], ...]:
+        """Each block's distinct coordinate rows of ``points``, with the index back.
+
+        One ``(rows, slot)`` pair per block: the block columns of
+        ``points`` equal ``rows[slot]``; when no row repeats, ``rows`` are
+        the block columns themselves and ``slot`` is None.
+        """
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        return tuple(
+            _distinct_block_rows(pts[:, list(coords)]) for _, coords in self.blocks
+        )
+
     def gram(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        y = np.atleast_2d(np.asarray(y, dtype=float))
-        out = np.ones((x.shape[0], y.shape[0]))
-        for kernel, coords in self.blocks:
-            idx = list(coords)
-            out *= kernel.profile(cdist(x[:, idx], y[:, idx]))
+        """Kernel matrix ``prod_b phi_b(|x_b - y_b|)`` over the blocks.
+
+        Each block's profile is evaluated once per pair of distinct block
+        coordinates and gathered back, so a tensor grid of ``n_1 x n_2``
+        nodes costs ``n_1**2 + n_2**2`` profile entries instead of
+        ``(n_1 n_2)**2``.  Every entry is the same product of the same
+        profile values as the pairwise evaluation, bit for bit.
+        """
+        return self.split_gram(self.split(x), self.split(y))
+
+    def split_gram(self, x_split, y_split) -> np.ndarray:
+        """:meth:`gram` of two point arrays given by their :meth:`split`."""
+        out = None
+        for (kernel, _), (x_rows, x_slot), (y_rows, y_slot) in zip(
+            self.blocks, x_split, y_split
+        ):
+            profile = kernel.profile(cdist(x_rows, y_rows))
+            if x_slot is not None:
+                profile = profile.take(x_slot, axis=0)
+            if y_slot is not None:
+                profile = profile.take(y_slot, axis=1)
+            if out is None:
+                # Products with the Gram matrix sum in memory order, so it
+                # must be C-ordered like the pairwise evaluation's.
+                out = np.ascontiguousarray(profile)
+            else:
+                out *= profile
         return out
 
 
@@ -196,15 +264,21 @@ def _solve_spd(kernel: TensorKernel, nodes: PointSet, rhs: np.ndarray):
     factorization fails at the largest admissible shift or the residual
     stays above the required tolerance.
     """
-    gram = kernel.gram(nodes.points, nodes.points)
+    split = kernel.split(nodes.points)
+    gram = kernel.split_gram(split, split)
     count = len(nodes)
     base = np.trace(gram) / count
     jitter = _JITTER_START * base
     limit = _JITTER_LIMIT * base
     factor = None
     while True:
+        # The Gram matrix is symmetric bit for bit, so the transpose of a C
+        # copy is the same matrix in the Fortran order LAPACK factors in
+        # place.
+        shifted = gram.copy()
+        shifted.flat[:: count + 1] += jitter
         try:
-            factor = cho_factor(gram + jitter * np.eye(count), lower=True)
+            factor = cho_factor(shifted.T, lower=True, overwrite_a=True)
             break
         except LinAlgError:
             jitter *= 10.0
@@ -254,19 +328,28 @@ class KernelExpansion:
         rows = max(1, _GRAM_BLOCK_ENTRIES // len(self.nodes))
         out = np.empty(pts.shape[0])
         for start in range(0, pts.shape[0], rows):
-            chunk = pts[start : start + rows]
+            chunk = self.kernel.split(pts[start : start + rows])
             out[start : start + rows] = (
-                self.kernel.gram(chunk, self.nodes.points) @ self.coefficients
+                self.kernel.split_gram(chunk, self._node_split) @ self.coefficients
             )
         return out
+
+    @cached_property
+    def _node_split(self):
+        return self.kernel.split(self.nodes.points)
 
     def __call__(self, point) -> float:
         return float(self.evaluate(np.asarray(point, dtype=float).reshape(1, -1))[0])
 
     def __rmul__(self, coefficient: float):
+        return KernelExpansion.weighted_sum([(coefficient, self)])
+
+    @staticmethod
+    def weighted_sum(pairs: Sequence[tuple[float, "KernelExpansion"]]):
+        """The surrogate ``sum_t c_t e_t``, merged once over all terms in order."""
         from kernelkit.surrogate import Surrogate
 
-        return Surrogate(terms=((float(coefficient), self),))
+        return Surrogate(terms=tuple((float(c), e) for c, e in pairs))
 
 
 @dataclass(frozen=True)
@@ -366,9 +449,8 @@ def quadrature_weights(
     )
 
 
-def tensor_grid(point_sets: Sequence[PointSet]) -> np.ndarray:
-    """Cartesian product of per-factor point sets (first factor slowest)."""
-    arrays = [ps.points for ps in point_sets]
+def tensor_grid(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """Cartesian product of per-factor ``(n_j, d_j)`` arrays (first factor slowest)."""
     counts = [a.shape[0] for a in arrays]
     dims = [a.shape[1] for a in arrays]
     total = int(np.prod(counts))
@@ -411,7 +493,9 @@ def tensor_grid_interpolant(
         offset += kernel.dim
     kernel = TensorKernel(blocks=tuple(blocks))
     domain = _product_domain([ps.domain for ps in factor_points])
-    nodes = PointSet(points=tensor_grid(factor_points), domain=domain)
+    nodes = PointSet(
+        points=tensor_grid([ps.points for ps in factor_points]), domain=domain
+    )
     return fit_interpolant(kernel, nodes, values)
 
 
@@ -487,7 +571,7 @@ def sparse_interpolate(
 
     def evaluator(resolutions: tuple[int, ...]) -> Interpolant:
         grids = [prefix(j, r) for j, r in enumerate(resolutions)]
-        samples = f_sampler(tensor_grid(grids))
+        samples = f_sampler(tensor_grid([ps.points for ps in grids]))
         return tensor_grid_interpolant(factor_kernels, grids, samples)
 
     problem = ProblemSpec(factors=tuple(specs), tensor_evaluator=evaluator)

@@ -12,8 +12,9 @@ abstract work units, and predicts the error-versus-work exponent
 ``-1/rho`` with ``rho = max_j gamma_j / beta_j``.
 
 Values produced by a tensor evaluator may be plain floats or any object
-supporting addition and scalar multiplication (see
-:class:`kernelkit.surrogate.Surrogate`).
+supporting addition and scalar multiplication; a type that defines
+``weighted_sum`` reduces a whole estimate in one call (see
+:func:`weighted_sum` and :class:`kernelkit.surrogate.Surrogate`).
 """
 
 from __future__ import annotations
@@ -204,6 +205,23 @@ class WorkLedger:
             raise AssertionError("ledger total does not match per-term sum")
 
 
+def weighted_sum(pairs: Sequence[tuple[float, Any]]) -> Any:
+    """``c_0 v_0 + c_1 v_1 + ...`` over ``(c, v)`` pairs, reduced in order.
+
+    A value whose type defines ``weighted_sum(pairs)`` reduces all pairs in
+    one call (a kernel expansion merges the nodes of all terms once);
+    other values are folded left one product at a time.
+    """
+    reduce_all = getattr(type(pairs[0][1]), "weighted_sum", None)
+    if reduce_all is not None:
+        return reduce_all(pairs)
+    total = None
+    for coefficient, value in pairs:
+        contribution = coefficient * value
+        total = contribution if total is None else total + contribution
+    return total
+
+
 def _term_work(factors: Sequence[FactorSpec], resolutions: Sequence[int]) -> float:
     work = 1.0
     for f, n in zip(factors, resolutions):
@@ -268,14 +286,14 @@ class SmolyakEngine:
         self._ensure_evaluated(zip(tuples, (t.index for t in terms)))
 
         ledger = WorkLedger()
-        value = None
         for term, resolutions in zip(terms, tuples):
             work = _term_work(self.problem.factors, resolutions)
             ledger.per_term.append((term.index, work))
             ledger.total_work += work
-            contribution = term.coefficient * self._cache[resolutions]
-            value = contribution if value is None else value + contribution
         ledger.evaluations = self.evaluations
+        value = weighted_sum(
+            [(t.coefficient, self._cache[res]) for t, res in zip(terms, tuples)]
+        )
         return value, ledger
 
     def estimate_via_deltas(self, L: int) -> Any:
@@ -293,11 +311,7 @@ class SmolyakEngine:
                 needed.append((resolutions, index))
                 plan.append((resolutions, sign))
         self._ensure_evaluated(needed)
-        value = None
-        for resolutions, sign in plan:
-            contribution = sign * self._cache[resolutions]
-            value = contribution if value is None else value + contribution
-        return value
+        return weighted_sum([(sign, self._cache[res]) for res, sign in plan])
 
 
 def smolyak_estimate(

@@ -25,7 +25,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from kernelkit.kernels import KernelExpansion, MaternKernel, TensorKernel
+from kernelkit.kernels import (
+    KernelExpansion,
+    MaternKernel,
+    TensorKernel,
+    distinct_rows,
+)
 from kernelkit.points import Box, Disc, Domain, PointSet
 
 _HEADER = "kernelkit-surrogate v1"
@@ -33,21 +38,6 @@ _HEADER = "kernelkit-surrogate v1"
 
 def _fmt(value: float) -> str:
     return f"{value:.17g}"
-
-
-def _distinct_rows(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """First-seen positions of the byte-distinct rows, and each row's slot.
-
-    Returns ``(first, slot)``: ``points[first]`` are the distinct rows in
-    the order they first appear, and row ``i`` equals ``points[first][slot[i]]``.
-    """
-    rows = np.ascontiguousarray(points)
-    keys = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    order = np.argsort(first, kind="stable")
-    slot = np.empty_like(order)
-    slot[order] = np.arange(len(order))
-    return first[order], slot[inverse.ravel()]
 
 
 def _merge(terms) -> tuple[tuple[float, KernelExpansion], ...]:
@@ -65,7 +55,7 @@ def _merge(terms) -> tuple[tuple[float, KernelExpansion], ...]:
     for (kernel, domain), group in groups.items():
         points = np.concatenate([e.nodes.points for _, e in group])
         weighted = np.concatenate([c * e.coefficients for c, e in group])
-        first, slot = _distinct_rows(points)
+        first, slot = distinct_rows(points)
         coefficients = np.bincount(slot, weights=weighted, minlength=len(first))
         coefficients.setflags(write=False)
         expansion = KernelExpansion(

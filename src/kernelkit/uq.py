@@ -275,31 +275,11 @@ def build_expectation_problem(
             pts, wts = factor.rule(count)
             points_blocks.append(pts)
             weights = np.outer(weights, wts).ravel()
-        grid = (
-            points_blocks[0]
-            if len(points_blocks) == 1
-            else _product_points(points_blocks)
-        )
-        values = sample_factor.values(grid, sample_resolution)
+        values = sample_factor.values(tensor_grid(points_blocks), sample_resolution)
         return float(weights @ values)
 
     factors = tuple(f.spec for f in quad_factors) + (sample_factor.spec,)
     return ProblemSpec(factors=factors, tensor_evaluator=evaluator)
-
-
-def _product_points(blocks: Sequence[np.ndarray]) -> np.ndarray:
-    counts = [len(b) for b in blocks]
-    dims = [b.shape[1] for b in blocks]
-    total = int(np.prod(counts))
-    out = np.empty((total, sum(dims)))
-    col = 0
-    for j, block in enumerate(blocks):
-        reps_after = int(np.prod(counts[j + 1 :])) if j + 1 < len(counts) else 1
-        reps_before = int(np.prod(counts[:j])) if j > 0 else 1
-        tiled = np.tile(np.repeat(block, reps_after, axis=0), (reps_before, 1))
-        out[:, col : col + dims[j]] = tiled
-        col += dims[j]
-    return out
 
 
 def multiindex_expectation(
@@ -382,7 +362,7 @@ def build_surface_problem(
             factor.points(count)
             for factor, count in zip(interp_factors, point_counts)
         ]
-        grid = tensor_grid(point_sets)
+        grid = tensor_grid([ps.points for ps in point_sets])
         values = sample_factor.values(grid, sample_resolution)
         return tensor_grid_interpolant(
             [f.kernel for f in interp_factors], point_sets, values

@@ -2,9 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.spatial.distance import cdist
 from scipy.special import kv
 
+import kernelkit.kernels as kernels_module
 from kernelkit.kernels import (
     ConditioningError,
     Interpolant,
@@ -18,6 +23,7 @@ from kernelkit.kernels import (
     single_block,
     sparse_interpolate,
     tensor_grid,
+    tensor_grid_interpolant,
 )
 from kernelkit.multiindex import combination_coefficients
 from kernelkit.points import Box, Disc, PointSet, generate_points
@@ -106,6 +112,68 @@ class TestTensorKernel:
             TensorKernel(blocks=((ka, (0,)), (ka, (0,))))
         with pytest.raises(ValueError):
             TensorKernel(blocks=((ka, (0, 1)),))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_gram_is_pairwise_block_product_bit_for_bit(self, data):
+        # Block layouts: one 1-D block, one 2-D block, and mixed products,
+        # with Bessel (integer nu) and closed-form (half-integer nu) profiles.
+        layout = data.draw(
+            st.sampled_from(
+                [
+                    ((1.5, 1),),
+                    ((2.0, 2),),
+                    ((2.0, 1), (1.5, 1)),
+                    ((2.0, 2), (2.0, 1)),
+                    ((1.5, 1), (2.5, 2), (2.0, 1)),
+                ]
+            )
+        )
+        blocks, offset = [], 0
+        for beta, dim in layout:
+            blocks.append(
+                (MaternKernel(beta=beta, dim=dim), tuple(range(offset, offset + dim)))
+            )
+            offset += dim
+        tensor = TensorKernel(blocks=tuple(blocks))
+        # A small pool makes block coordinates repeat; -0.0 sits next to 0.0.
+        coordinate = st.one_of(
+            st.sampled_from([0.0, -0.0, 0.5, 1.0]),
+            st.floats(-2.0, 2.0, allow_nan=False, allow_subnormal=False),
+        )
+
+        def points(label):
+            rows = data.draw(st.integers(1, 12), label=f"{label} rows")
+            values = data.draw(
+                st.lists(coordinate, min_size=rows * offset, max_size=rows * offset),
+                label=label,
+            )
+            return np.array(values).reshape(rows, offset)
+
+        x, y = points("x"), points("y")
+        expected = np.ones((len(x), len(y)))
+        for kernel, coords in tensor.blocks:
+            idx = list(coords)
+            expected *= kernel.profile(cdist(x[:, idx], y[:, idx]))
+        gram = tensor.gram(x, y)
+        assert gram.flags.c_contiguous
+        assert gram.tobytes() == expected.tobytes()
+        assert tensor.gram(x, x).tobytes() == tensor.gram(x, x).T.tobytes()
+
+    def test_tensor_grid_fit_evaluates_each_block_profile_once(self, monkeypatch):
+        entries = []
+        profile = MaternKernel.profile
+
+        def counting_profile(kernel, r):
+            entries.append(np.size(r))
+            return profile(kernel, r)
+
+        monkeypatch.setattr(MaternKernel, "profile", counting_profile)
+        k = MaternKernel(beta=2.0, dim=1)
+        grids = [generate_points(UNIT_INTERVAL, n) for n in (32, 64)]
+        nodes = tensor_grid([g.points for g in grids])
+        tensor_grid_interpolant([k, k], grids, np.sin(nodes.sum(axis=1)))
+        assert sum(entries) <= 32**2 + 64**2
 
 
 class TestFitInterpolant:
@@ -238,6 +306,46 @@ class TestFitInterpolant:
             np.linalg.cholesky(gram + bound * np.eye(len(nodes)))
 
 
+def shifted_solve_reference(gram, rhs, failures):
+    """Factor ``gram + jitter I`` out of place after ``failures`` shift raises."""
+    jitter = kernels_module._JITTER_START * np.trace(gram) / len(gram)
+    for _ in range(failures):
+        jitter *= 10.0
+    factor = cho_factor(gram + jitter * np.eye(len(gram)), lower=True)
+    solution = cho_solve(factor, rhs)
+    scale = np.max(np.abs(rhs))
+    for _ in range(kernels_module._REFINEMENT_PASSES):
+        residual = rhs - gram @ solution
+        if np.max(np.abs(residual)) <= kernels_module._RESIDUAL_TARGET * scale:
+            break
+        solution = solution + cho_solve(factor, residual)
+    return solution
+
+
+class TestSolveSpd:
+    @pytest.mark.parametrize("failures", [0, 2])
+    def test_in_place_shift_matches_out_of_place(self, monkeypatch, failures):
+        factor = kernels_module.cho_factor
+        calls = []
+
+        def failing_first(a, **kwargs):
+            calls.append(a)
+            if len(calls) <= failures:
+                a[...] = np.nan  # a failed in-place factorization leaves garbage
+                raise LinAlgError("forced failure")
+            return factor(a, **kwargs)
+
+        monkeypatch.setattr(kernels_module, "cho_factor", failing_first)
+        kernel = single_block(MaternKernel(beta=2.0, dim=2))
+        nodes = generate_points(UNIT_SQUARE, 60)
+        rhs = np.random.default_rng(3).standard_normal(60)
+        solution, gram = kernels_module._solve_spd(kernel, nodes, rhs)
+        assert len(calls) == failures + 1
+        assert gram.tobytes() == kernel.gram(nodes.points, nodes.points).tobytes()
+        expected = shifted_solve_reference(gram, rhs, failures)
+        assert solution.tobytes() == expected.tobytes()
+
+
 class TestQuadratureWeights:
     def test_single_node_rule(self):
         k = MaternKernel(beta=2.0, dim=1)
@@ -300,7 +408,7 @@ class TestSparseInterpolate:
                     generate_points(self.domains[j], level_to_resolution(spec, l))
                     for j, l in enumerate(term.index)
                 ]
-                grids.append(tensor_grid(sets))
+                grids.append(tensor_grid([ps.points for ps in sets]))
         return np.unique(np.vstack(grids), axis=0)
 
     def test_constant_reproduced_at_sparse_grid_nodes(self):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from kernelkit.multiindex import combination_coefficients
 from kernelkit.smolyak import (
     EvaluationError,
     FactorSpec,
@@ -259,6 +260,25 @@ class TestWorkLedger:
         serial, _ = smolyak_estimate(problem, 8, workers=1)
         parallel, _ = smolyak_estimate(problem, 8, workers=8)
         assert serial == parallel
+
+
+class TestWeightedSum:
+    @pytest.mark.parametrize(
+        "value",
+        [
+            lambda res: 1.0 + 0.1 * sum(res),
+            lambda res: np.sin(np.arange(4.0) + sum(res)),
+        ],
+    )
+    def test_estimate_folds_plain_values_in_term_order(self, value):
+        factors = (FactorSpec(gamma=1.0, beta=1.0), FactorSpec(gamma=1.0, beta=2.0))
+        problem = ProblemSpec(factors=factors, tensor_evaluator=value)
+        estimate, _ = smolyak_estimate(problem, 6)
+        folded = None
+        for term in combination_coefficients(2, 6):
+            contribution = term.coefficient * value(problem.resolutions(term.index))
+            folded = contribution if folded is None else folded + contribution
+        assert np.asarray(estimate).tobytes() == np.asarray(folded).tobytes()
 
 
 class TestConvergenceStudy:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kernelkit.surrogate as surrogate_module
 from kernelkit.kernels import (
     _GRAM_BLOCK_ENTRIES,
     KernelExpansion,
@@ -15,9 +16,15 @@ from kernelkit.kernels import (
     tensor_grid,
     tensor_grid_interpolant,
 )
-from kernelkit.multiindex import combination_coefficients
+from kernelkit.multiindex import (
+    combination_coefficients,
+    corner_is_zero,
+    delta_expand,
+    enumerate_simplex,
+)
 from kernelkit.pde import BumpDiffusionProblem
 from kernelkit.points import Box, Disc, generate_points
+from kernelkit.smolyak import FactorSpec, ProblemSpec, SmolyakEngine
 from kernelkit.surrogate import (
     Surrogate,
     dump_surrogate,
@@ -130,7 +137,64 @@ class TestSurrogateAlgebra:
         assert np.array_equal(total.evaluate(xs), a.evaluate(xs) + b.evaluate(xs))
 
 
+def incremental_sum(pairs):
+    """``c_0 v_0 + c_1 v_1 + ...``, merging after every addition."""
+    total = None
+    for coefficient, value in pairs:
+        contribution = coefficient * value
+        total = contribution if total is None else total + contribution
+    return total
+
+
+def assert_same_expansions(a: Surrogate, b: Surrogate):
+    assert len(a.terms) == len(b.terms)
+    for (ca, ea), (cb, eb) in zip(a.terms, b.terms):
+        assert ca == cb and ea.kernel == eb.kernel
+        assert ea.nodes.points.tobytes() == eb.nodes.points.tobytes()
+        assert ea.coefficients.tobytes() == eb.coefficients.tobytes()
+
+
 class TestMergedExpansion:
+    def test_engine_merges_once_per_estimate_as_the_incremental_sum(self, monkeypatch):
+        k = MaternKernel(beta=2.0, dim=1)
+        spec = FactorSpec(gamma=1.0, beta=2.0, resolution_map=lambda l: 2**l)
+
+        def evaluator(resolutions):
+            grids = [generate_points(UNIT_INTERVAL, n) for n in resolutions]
+            nodes = tensor_grid([g.points for g in grids])
+            return tensor_grid_interpolant([k, k], grids, sine_product(nodes))
+
+        problem = ProblemSpec(factors=(spec, spec), tensor_evaluator=evaluator)
+        engine = SmolyakEngine(problem)
+        engine.estimate(6)
+        engine.estimate_via_deltas(6)
+        merges = []
+        merge = surrogate_module._merge
+
+        def counting_merge(terms):
+            merges.append(terms)
+            return merge(terms)
+
+        monkeypatch.setattr(surrogate_module, "_merge", counting_merge)
+        value, _ = engine.estimate(6)
+        deltas = engine.estimate_via_deltas(6)
+        assert len(merges) == 2
+        monkeypatch.undo()
+
+        cache = engine._cache
+        terms = [
+            (t.coefficient, cache[problem.resolutions(t.index)])
+            for t in combination_coefficients(2, 6)
+        ]
+        assert_same_expansions(value, incremental_sum(terms))
+        deltas_plan = [
+            (sign, cache[problem.resolutions(corner)])
+            for index in enumerate_simplex(2, 6)
+            for corner, sign in delta_expand(index)
+            if not corner_is_zero(corner)
+        ]
+        assert_same_expansions(deltas, incremental_sum(deltas_plan))
+
     def test_sparse_interpolate_matches_term_by_term(self):
         k = MaternKernel(beta=2.0, dim=1)
         L = 6
@@ -138,7 +202,8 @@ class TestMergedExpansion:
         terms = []
         for term in combination_coefficients(2, L):
             grids = [generate_points(UNIT_INTERVAL, 2**level) for level in term.index]
-            interp = tensor_grid_interpolant([k, k], grids, sine_product(tensor_grid(grids)))
+            samples = sine_product(tensor_grid([g.points for g in grids]))
+            interp = tensor_grid_interpolant([k, k], grids, samples)
             terms.append((term.coefficient, interp))
         (_, merged), = s.terms
         assert len(merged.nodes) < sum(len(e.nodes) for _, e in terms)
