@@ -325,7 +325,7 @@ def _run_ouu(config: RunConfig, out: str, seed: int, workers, quiet: bool) -> No
     )
     _write_slopes(os.path.join(out, "slope.txt"), fitted, prediction.slope, config.fit_window)
     objective = OuuObjective(surrogate=reference)
-    minimizer, value = minimize_objective(objective, restarts=o["restarts"], seed=seed)
+    minimizer, value = minimize_objective(objective, restarts=o["restarts"])
     lines = [
         f"minimizer = {minimizer[0]:.6f} {minimizer[1]:.6f}",
         f"objective = {value:.6f}",

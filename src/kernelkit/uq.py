@@ -592,7 +592,6 @@ class OuuObjective:
 def minimize_objective(
     objective: Callable[[np.ndarray], float],
     restarts: int = 8,
-    seed: int = 0,
     domain: Disc | None = None,
     initial_step: float = 0.25,
     final_step: float = 1e-4,
@@ -602,10 +601,8 @@ def minimize_objective(
     Starts are a low-discrepancy prefix over the domain; each search
     probes coordinate steps, projects onto the disc, and halves the step
     on failure until it drops below ``final_step``.  The best visited
-    point is returned; ``seed`` is accepted for interface stability but
-    the search is fully deterministic.
+    point is returned; the search is fully deterministic.
     """
-    del seed
     if domain is None:
         domain = Disc(center=(0.0, 0.0), radius=1.0)
     starts = generate_points(domain, max(1, restarts)).points

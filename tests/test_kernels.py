@@ -1,4 +1,8 @@
 import math
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -25,6 +29,7 @@ from kernelkit.kernels import (
     tensor_grid,
     tensor_grid_interpolant,
 )
+from kernelkit.memo import Memo
 from kernelkit.multiindex import combination_coefficients
 from kernelkit.points import Box, Disc, PointSet, generate_points
 from kernelkit.smolyak import FactorSpec, level_to_resolution
@@ -339,11 +344,168 @@ class TestSolveSpd:
         kernel = single_block(MaternKernel(beta=2.0, dim=2))
         nodes = generate_points(UNIT_SQUARE, 60)
         rhs = np.random.default_rng(3).standard_normal(60)
-        solution, gram = kernels_module._solve_spd(kernel, nodes, rhs)
+        solution = kernels_module._solve_spd(kernel, nodes, rhs)
         assert len(calls) == failures + 1
-        assert gram.tobytes() == kernel.gram(nodes.points, nodes.points).tobytes()
+        # Refinement against a scribbled Gram matrix would not reproduce this.
+        gram = kernel.gram(nodes.points, nodes.points)
         expected = shifted_solve_reference(gram, rhs, failures)
         assert solution.tobytes() == expected.tobytes()
+
+
+def block_grid(layout, counts):
+    """Tensor kernel, per-factor point sets and tensor-grid nodes of a layout."""
+    blocks, grids, offset = [], [], 0
+    for (beta, dim), count in zip(layout, counts):
+        blocks.append(
+            (MaternKernel(beta=beta, dim=dim), tuple(range(offset, offset + dim)))
+        )
+        grids.append(generate_points(Box((0.0,) * dim, (1.0,) * dim), count))
+        offset += dim
+    points = tensor_grid([g.points for g in grids])
+    nodes = PointSet(points=points, domain=Box((0.0,) * offset, (1.0,) * offset))
+    return TensorKernel(blocks=tuple(blocks)), grids, nodes
+
+
+def smooth_values(points):
+    return np.cos(points @ np.linspace(1.0, 2.5, points.shape[1])) + points[:, 0]
+
+
+class TestKroneckerSolve:
+    # (beta, dim) per factor: nu = beta - dim/2 is half-integer for (2.0, 1)
+    # and (2.5, 2), integer for (1.5, 1), (2.0, 2) and (3.0, 1).  The last
+    # grid's smallest product eigenvalues lie far below the diagonal shift.
+    @pytest.mark.parametrize(
+        "layout,counts",
+        [
+            (((2.0, 1), (1.5, 1)), (24, 16)),
+            (((2.0, 2), (2.0, 1)), (20, 12)),
+            (((1.5, 1), (2.5, 2), (2.0, 1)), (6, 9, 7)),
+            (((3.0, 1), (2.0, 1)), (64, 6)),
+        ],
+    )
+    def test_matches_dense_solve(self, monkeypatch, layout, counts):
+        kernel, _, nodes = block_grid(layout, counts)
+        rhs = smooth_values(nodes.points)
+        gram = kernel.gram(nodes.points, nodes.points)
+        dense = shifted_solve_reference(gram, rhs, 0)
+
+        def no_dense(*args, **kwargs):
+            raise AssertionError("tensor grid took the dense Cholesky path")
+
+        monkeypatch.setattr(kernels_module, "cho_factor", no_dense)
+        solution = kernels_module._solve_spd(kernel, nodes, rhs)
+        scale = np.max(np.abs(rhs))
+        residual = np.max(np.abs(gram @ solution - rhs))
+        dense_residual = np.max(np.abs(gram @ dense - rhs))
+        assert residual <= 10.0 * dense_residual + 1e-12 * scale
+        off_node = np.random.default_rng(5).random((300, nodes.dim))
+        between = kernel.gram(off_node, nodes.points)
+        assert np.max(np.abs(between @ (solution - dense))) <= 1e-9 * scale
+
+    def test_singular_factor_raises(self):
+        # Two points of the first factor are 1e-13 apart: its Gram matrix is
+        # numerically singular and the values differ there.
+        kernel = TensorKernel(
+            blocks=(
+                (MaternKernel(beta=2.0, dim=1), (0,)),
+                (MaternKernel(beta=1.5, dim=1), (1,)),
+            )
+        )
+        first = PointSet(
+            points=np.array([[0.0], [0.5], [0.5 + 1e-13], [1.0]]), domain=UNIT_INTERVAL
+        )
+        grids = [first, generate_points(UNIT_INTERVAL, 3)]
+        values = np.random.default_rng(1).standard_normal(12)
+        with pytest.raises(ConditioningError, match="node residual") as caught:
+            tensor_grid_interpolant([k for k, _ in kernel.blocks], grids, values)
+        assert caught.value.node_count == 12
+
+    def test_spectrum_not_positive_at_largest_shift_raises(self, monkeypatch):
+        eigh = np.linalg.eigh
+
+        def negative_first(gram):
+            eigenvalues, eigenvectors = eigh(gram)
+            eigenvalues[0] = -1e-3 * eigenvalues[-1]
+            return eigenvalues, eigenvectors
+
+        monkeypatch.setattr(kernels_module, "_factor_decompositions", Memo())
+        monkeypatch.setattr(np.linalg, "eigh", negative_first)
+        kernel, _, nodes = block_grid(((2.0, 1), (2.0, 1)), (5, 4))
+        with pytest.raises(ConditioningError, match="maximum diagonal shift"):
+            fit_interpolant(kernel, nodes, smooth_values(nodes.points))
+
+    def test_single_factor_keeps_dense_cholesky(self, monkeypatch):
+        def no_eigh(gram):
+            raise AssertionError("single factor took the Kronecker path")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        k = MaternKernel(beta=2.0, dim=1)
+        grid = generate_points(UNIT_INTERVAL, 33)
+        fit = tensor_grid_interpolant([k], [grid], np.sin(grid.points[:, 0]))
+        residual = fit.evaluate(grid.points) - np.sin(grid.points[:, 0])
+        assert np.max(np.abs(residual)) <= 1e-8
+
+    def test_concurrent_fits_decompose_each_factor_once(self, monkeypatch):
+        eigh = np.linalg.eigh
+        decomposed = []
+
+        def slow_eigh(gram):
+            decomposed.append(len(gram))
+            time.sleep(0.002)
+            return eigh(gram)
+
+        monkeypatch.setattr(kernels_module, "_factor_decompositions", Memo())
+        monkeypatch.setattr(np.linalg, "eigh", slow_eigh)
+        k = MaternKernel(beta=2.0, dim=1)
+        sets = {n: generate_points(UNIT_INTERVAL, n) for n in (4, 8, 16)}
+        pairs = [(4, 8), (8, 4), (16, 16), (8, 16), (4, 4), (16, 8)]
+        start = threading.Barrier(4)
+
+        def fit_all(i):
+            start.wait(timeout=10)
+            fits = []
+            for a, b in pairs[i:] + pairs[:i]:
+                nodes = tensor_grid([sets[a].points, sets[b].points])
+                fits.append(
+                    tensor_grid_interpolant(
+                        [k, k], [sets[a], sets[b]], smooth_values(nodes)
+                    ).coefficients
+                )
+            return fits[len(pairs) - i :] + fits[: len(pairs) - i]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                results = list(pool.map(fit_all, range(4), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(decomposed) == [4, 8, 16]
+        for fits in results[1:]:
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(fits, results[0]))
+
+    def test_decomposition_memo_stays_bounded(self):
+        kept = kernels_module._FACTOR_DECOMPOSITIONS_KEPT
+        k = MaternKernel(beta=2.0, dim=1)
+        second = generate_points(UNIT_INTERVAL, 2)
+        for count in range(2, kept + 6):
+            first = generate_points(UNIT_INTERVAL, count)
+            nodes = tensor_grid([first.points, second.points])
+            tensor_grid_interpolant([k, k], [first, second], smooth_values(nodes))
+        assert len(kernels_module._factor_decompositions) == kept
+
+    def test_split_nodes_skips_the_search_for_one_block(self, monkeypatch):
+        nodes = generate_points(UNIT_SQUARE, 40)
+        one = single_block(MaternKernel(beta=2.0, dim=2))
+        expected = one.split(nodes.points)
+
+        def no_search(points):
+            raise AssertionError("distinct rows searched for a point set")
+
+        monkeypatch.setattr(kernels_module, "distinct_rows", no_search)
+        ((rows, slot),) = one.split_nodes(nodes)
+        assert slot is None
+        assert rows.tobytes() == expected[0][0].tobytes()
 
 
 class TestQuadratureWeights:

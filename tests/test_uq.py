@@ -417,7 +417,7 @@ class TestMinimizeObjective:
     def test_quadratic_bowl(self):
         z0 = np.array([0.3, 0.2])
         objective = lambda z: float(np.sum((np.asarray(z) - z0) ** 2))
-        z, value = minimize_objective(objective, restarts=6, seed=0)
+        z, value = minimize_objective(objective, restarts=6)
         assert np.linalg.norm(z - z0) <= 1e-3
         assert value <= 1e-6
 
@@ -425,12 +425,12 @@ class TestMinimizeObjective:
         objective = OuuObjective(
             surrogate=_zero_surrogate(), penalty_weight=0.1
         )
-        z, _ = minimize_objective(objective, restarts=6, seed=0)
+        z, _ = minimize_objective(objective, restarts=6)
         assert np.linalg.norm(z) <= 1e-3
 
     def test_minimizer_stays_in_disc(self):
         objective = lambda z: -float(z[0])  # pushes toward the boundary
-        z, _ = minimize_objective(objective, restarts=4, seed=0)
+        z, _ = minimize_objective(objective, restarts=4)
         assert np.linalg.norm(z) <= 1.0 + 1e-9
         assert z[0] == pytest.approx(1.0, abs=1e-3)
 
