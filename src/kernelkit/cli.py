@@ -27,11 +27,10 @@ from kernelkit.kernels import (
     ConditioningError,
     MaternKernel,
     doubling_levels,
-    tensor_grid,
     tensor_grid_interpolant,
 )
 from kernelkit.pde import l2_error_against, mesh_at_level, solve_poisson_dirichlet
-from kernelkit.points import Box, Disc, generate_points
+from kernelkit.points import Box, Disc, generate_points, tensor_grid
 from kernelkit.smolyak import (
     EvaluationError,
     FactorSpec,

@@ -46,7 +46,7 @@ from scipy.spatial.distance import cdist
 from scipy.special import kn as bessel_kn
 
 from kernelkit.memo import Memo
-from kernelkit.points import Box, Domain, PointSet, generate_points
+from kernelkit.points import Box, Domain, PointSet, generate_points, tensor_grid
 from kernelkit.smolyak import FactorSpec, ProblemSpec, SmolyakEngine
 
 _NU_TOL = 1e-9
@@ -582,33 +582,6 @@ def quadrature_weights(
     )
 
 
-def tensor_grid(arrays: Sequence[np.ndarray]) -> np.ndarray:
-    """Cartesian product of per-factor ``(n_j, d_j)`` arrays (first factor slowest)."""
-    counts = [a.shape[0] for a in arrays]
-    dims = [a.shape[1] for a in arrays]
-    total = int(np.prod(counts))
-    out = np.empty((total, sum(dims)))
-    col = 0
-    for j, a in enumerate(arrays):
-        reps_before = int(np.prod(counts[:j])) if j > 0 else 1
-        reps_after = int(np.prod(counts[j + 1 :])) if j + 1 < len(counts) else 1
-        block = np.repeat(a, reps_after, axis=0)
-        block = np.tile(block, (reps_before, 1))
-        out[:, col : col + dims[j]] = block
-        col += dims[j]
-    return out
-
-
-def _product_domain(domains: Sequence[Domain]) -> Domain:
-    if len(domains) == 1:
-        return domains[0]
-    if all(isinstance(d, Box) for d in domains):
-        lows = tuple(v for d in domains for v in d.lows)
-        highs = tuple(v for d in domains for v in d.highs)
-        return Box(lows=lows, highs=highs)
-    raise NotImplementedError("mixed product domains with discs are not supported")
-
-
 def tensor_grid_interpolant(
     factor_kernels: Sequence[MaternKernel],
     factor_points: Sequence[PointSet],
@@ -627,11 +600,7 @@ def tensor_grid_interpolant(
         blocks.append((kernel, tuple(range(offset, offset + kernel.dim))))
         offset += kernel.dim
     kernel = TensorKernel(blocks=tuple(blocks))
-    domain = _product_domain([ps.domain for ps in factor_points])
-    nodes = PointSet(
-        points=tensor_grid([ps.points for ps in factor_points]), domain=domain
-    )
-    return fit_interpolant(kernel, nodes, values)
+    return fit_interpolant(kernel, PointSet.product(factor_points), values)
 
 
 def doubling_levels(level: int) -> int:

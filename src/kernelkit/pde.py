@@ -15,13 +15,18 @@ advection-diffusion problem with a random log-normal-type coefficient,
 fixed Gaussian source and Robin boundary data.  The quantity of interest
 is always the spatial average of the solution.
 
-The diffusion problem is assembled as a sparse matrix and solved by
-sparse LU.  The advection-diffusion problem is built around a per-mesh
-:class:`AdvectionOperator`, computed once: the coefficient-dependent base
-system is assembled once per field realization and mesh, straight into
-LAPACK banded storage (half-bandwidth ``nodes_per_axis + 1`` under
-row-major numbering), and each velocity then costs one matrix sum and one
-banded LU solve.
+Both problems are solved through per-mesh operators, each computed once
+and holding what the mesh alone fixes, with element entries scattered
+straight into LAPACK banded storage.  The Dirichlet system of the
+diffusion problem is symmetric positive definite: its
+:class:`DirichletOperator` assembles the interior system (half-bandwidth
+``cells`` under row-major interior numbering) and solves it by banded
+Cholesky, falling back to sparse LU from the same element entries above
+``_MAX_BANDED_CELLS`` cells per axis, where the band would outgrow the
+sparse factors.  For advection-diffusion, the :class:`AdvectionOperator`
+assembles the coefficient-dependent base system once per field
+realization and mesh (half-bandwidth ``nodes_per_axis + 1``), and each
+velocity then costs one matrix sum and one banded LU solve.
 """
 
 from __future__ import annotations
@@ -34,9 +39,7 @@ from dataclasses import field as dataclass_field
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy import sparse
-from scipy.linalg.lapack import dgbsv
-from scipy.sparse.linalg import spsolve
+from scipy.linalg.lapack import dgbsv, dpbsv
 
 from kernelkit.memo import Memo
 from kernelkit.points import Box
@@ -199,24 +202,129 @@ def spatial_average(solution: np.ndarray, mesh: Mesh) -> float:
     return float(solution[mesh.triangles].sum() * mesh.triangle_area / 3.0)
 
 
-def _assemble_stiffness(mesh: Mesh, a_centroid: np.ndarray) -> sparse.csr_matrix:
-    grads = mesh.gradients
-    local = np.einsum("tdi,tdj->tij", grads, grads)
-    local = local * (a_centroid * mesh.triangle_area)[:, None, None]
-    tri = mesh.triangles
-    rows = np.repeat(tri, 3, axis=1).ravel()
-    cols = np.tile(tri, (1, 3)).ravel()
-    return sparse.coo_matrix(
-        (local.ravel(), (rows, cols)), shape=(mesh.node_count, mesh.node_count)
-    ).tocsr()
+class _BandLayout:
+    """Positions of the entries of an ``n x n`` matrix in LAPACK band storage.
+
+    Entry ``(i, j)`` lives at ``[diagonal + i - j, j]`` of a Fortran-ordered
+    ``(rows, n)`` array: ``dgbsv`` storage has ``diagonal = 2p`` for ``p``
+    sub- and superdiagonals, lower ``dpbsv`` storage has ``diagonal = 0``.
+    """
+
+    def __init__(self, rows: int, diagonal: int, n: int):
+        self.rows = rows
+        self.diagonal = diagonal
+        self.n = n
+
+    def index(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """Flat positions of the entries ``(i, j)``, raveled."""
+        return (j * self.rows + self.diagonal + i - j).ravel()
+
+    def scatter(self, index: np.ndarray, entries: np.ndarray) -> np.ndarray:
+        """Band array holding, at each position, the sum of its entries."""
+        flat = np.bincount(index, weights=entries.ravel(), minlength=self.rows * self.n)
+        return flat.reshape(self.n, self.rows).T
 
 
-def _assemble_load(mesh: Mesh, f_centroid: np.ndarray) -> np.ndarray:
-    load = np.zeros(mesh.node_count)
-    contribution = f_centroid * (mesh.triangle_area / 3.0)
-    for k in range(3):
-        np.add.at(load, mesh.triangles[:, k], contribution)
-    return load
+# Largest mesh (cells per axis) whose Dirichlet system is solved banded.
+# Lower band storage holds (cells + 1) * (cells - 1)**2 doubles: 2 MB at
+# 64 cells, 134 MB at 256 and 8.6 GB at the 1024 cells of a level-10 mesh.
+# Measured per solve (one thread, peak RSS growth), banded against sparse
+# LU: 27 ms / 16 MB against 127 ms / 29 MB at 128 cells, 279 ms / 125 MB
+# against 841 ms / 132 MB at 256, 367 ms / 179 MB against 1.18 s / 176 MB
+# at 288.  Above 256 cells the band costs more memory than the sparse
+# factors, and its O(cells**4) time loses its lead soon after.
+_MAX_BANDED_CELLS = 256
+
+
+class DirichletOperator:
+    """The parts of the homogeneous Dirichlet system that one mesh fixes.
+
+    Interior nodes are numbered row-major, ``cells - 1`` per axis, so an
+    interior node couples only to interior nodes at most ``kd = cells``
+    positions away (the neighbour across a triangle diagonal).  The
+    operator holds the interior numbering, the geometry-only element
+    stiffness ``grad^T grad * area`` of every interior-interior element
+    entry on or below the diagonal with its position in lower LAPACK band
+    storage ``(kd + 1, n_interior)``, and the scatter of the load onto the
+    interior nodes.  :meth:`solve` is one ``bincount`` for the matrix, one
+    for the load (:meth:`system`) and one banded Cholesky solve
+    (``dpbsv``).
+
+    Above ``_MAX_BANDED_CELLS`` cells per axis the band would outgrow the
+    sparse LU factors, so the operator keeps every interior-interior
+    element entry instead and solves by sparse LU.
+    """
+
+    def __init__(self, mesh: Mesh):
+        self.mesh = mesh
+        self.interior = np.flatnonzero(~mesh.boundary_mask)
+        n = len(self.interior)
+        number = np.full(mesh.node_count, -1)
+        number[self.interior] = np.arange(n)
+        local = number[mesh.triangles]  # -1 at boundary nodes
+        shape = local.shape + (3,)
+        rows = np.broadcast_to(local[:, :, None], shape)
+        cols = np.broadcast_to(local[:, None, :], shape)
+        self.banded = mesh.cells <= _MAX_BANDED_CELLS
+        kept = (rows >= 0) & (cols >= 0)
+        if self.banded:
+            kept &= rows >= cols  # symmetry supplies the upper triangle
+            self._layout = _BandLayout(mesh.cells + 1, 0, n)
+            self._index = self._layout.index(rows[kept], cols[kept])
+        else:
+            self._pairs = (rows[kept], cols[kept])
+        grads = mesh.gradients
+        stiffness = np.einsum("tdi,tdj->tij", grads, grads) * mesh.triangle_area
+        self._triangle = np.nonzero(kept)[0]
+        self._stiffness = stiffness[kept]
+        on_interior = local >= 0
+        self._load_triangle = np.nonzero(on_interior)[0]
+        self._load_node = local[on_interior]
+
+    def system(self, a_centroid, f_centroid):
+        """Interior matrix and load for per-triangle (or scalar) coefficient
+        and source.  The matrix is in lower band storage, or a sparse CSC
+        matrix above ``_MAX_BANDED_CELLS`` cells."""
+        mesh = self.mesh
+        ntri = len(mesh.triangles)
+        a = np.broadcast_to(np.asarray(a_centroid, dtype=float), (ntri,))
+        f = np.broadcast_to(np.asarray(f_centroid, dtype=float), (ntri,))
+        n = len(self.interior)
+        entries = a[self._triangle] * self._stiffness
+        contribution = f * (mesh.triangle_area / 3.0)
+        load = np.bincount(
+            self._load_node, weights=contribution[self._load_triangle], minlength=n
+        )
+        if self.banded:
+            return self._layout.scatter(self._index, entries), load
+        from scipy.sparse import coo_matrix
+
+        return coo_matrix((entries, self._pairs), shape=(n, n)).tocsc(), load
+
+    def solve(self, a_centroid, f_centroid) -> np.ndarray:
+        """Nodal solution, zero on the boundary."""
+        solution = np.zeros(self.mesh.node_count)
+        if len(self.interior) == 0:
+            return solution
+        matrix, load = self.system(a_centroid, f_centroid)
+        if self.banded:
+            _, values, info = dpbsv(matrix, load, lower=1, overwrite_ab=1, overwrite_b=1)
+            if info != 0:
+                raise np.linalg.LinAlgError(
+                    f"banded Cholesky failed (LAPACK dpbsv info {info}) "
+                    f"on {self.mesh.cells} cells"
+                )
+        else:
+            from scipy.sparse.linalg import spsolve
+
+            values = spsolve(matrix, load)
+        solution[self.interior] = values
+        return solution
+
+
+@lru_cache(maxsize=32)
+def _dirichlet_operator(mesh: Mesh) -> DirichletOperator:
+    return DirichletOperator(mesh)
 
 
 def solve_poisson_dirichlet(mesh: Mesh, a_centroid, f_centroid) -> np.ndarray:
@@ -225,17 +333,7 @@ def solve_poisson_dirichlet(mesh: Mesh, a_centroid, f_centroid) -> np.ndarray:
     ``a_centroid`` and ``f_centroid`` are arrays over triangles (one-point
     centroid quadrature) or scalars.
     """
-    ntri = len(mesh.triangles)
-    a = np.broadcast_to(np.asarray(a_centroid, dtype=float), (ntri,))
-    f = np.broadcast_to(np.asarray(f_centroid, dtype=float), (ntri,))
-    stiffness = _assemble_stiffness(mesh, a)
-    load = _assemble_load(mesh, f)
-    interior = ~mesh.boundary_mask
-    solution = np.zeros(mesh.node_count)
-    if interior.any():
-        system = stiffness[interior][:, interior].tocsc()
-        solution[interior] = spsolve(system, load[interior])
-    return solution
+    return _dirichlet_operator(mesh).solve(a_centroid, f_centroid)
 
 
 @dataclass(frozen=True)
@@ -341,16 +439,14 @@ class AdvectionOperator:
         p = mesh.nodes_per_axis + 1
         self.mesh = mesh
         self.bandwidth = p
-        self._rows = 3 * p + 1
+        self._layout = _BandLayout(3 * p + 1, 2 * p, n)
         tri = mesh.triangles
         edges = mesh.boundary_edges
         self.edges = edges
         self.edge_midpoints = 0.5 * (mesh.nodes[edges[:, 0]] + mesh.nodes[edges[:, 1]])
 
         def band_index(elements: np.ndarray) -> np.ndarray:
-            rows = elements[:, :, None]
-            cols = elements[:, None, :]
-            return (cols * self._rows + 2 * p + rows - cols).ravel()
+            return self._layout.index(elements[:, :, None], elements[:, None, :])
 
         tri_index = band_index(tri)
         self._index = np.concatenate([tri_index, band_index(edges)])
@@ -363,7 +459,7 @@ class AdvectionOperator:
         # Row i, column j of a triangle's advection matrix is z . grad_j * area / 3.
         unit = np.broadcast_to(grads[:, :, None, :], (len(tri), 2, 3, 3))
         self.advection = tuple(
-            self._scatter(tri_index, unit[:, d] * (mesh.triangle_area / 3.0))
+            self._layout.scatter(tri_index, unit[:, d] * (mesh.triangle_area / 3.0))
             for d in range(2)
         )
         ub = np.zeros(n)
@@ -374,11 +470,6 @@ class AdvectionOperator:
         self.load = np.bincount(
             tri.ravel(), weights=np.repeat(contribution, 3), minlength=n
         )
-
-    def _scatter(self, index: np.ndarray, entries: np.ndarray) -> np.ndarray:
-        n = self.mesh.node_count
-        flat = np.bincount(index, weights=entries.ravel(), minlength=self._rows * n)
-        return flat.reshape(n, self._rows).T
 
     def base(self, a_centroid: np.ndarray, a_edge: np.ndarray):
         """Banded stiffness plus Robin mass, and the right-hand side.
@@ -398,7 +489,7 @@ class AdvectionOperator:
             weights=(a_edge[:, None] * self._edge_rhs).ravel(),
             minlength=self.mesh.node_count,
         )
-        return self._scatter(self._index, entries), rhs
+        return self._layout.scatter(self._index, entries), rhs
 
     def solve(self, base, velocity: np.ndarray) -> np.ndarray:
         """Nodal solution for one velocity on top of an assembled base."""

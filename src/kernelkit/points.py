@@ -7,7 +7,8 @@ interpolation interpolate and lets samplers reuse evaluations across
 resolutions.  For boxes the sequence starts with the box corners (kernel
 interpolation degrades badly when the boundary is uncovered) and
 continues with the Halton sequence; discs use the rejection-filtered
-Halton sequence over the bounding box.
+Halton sequence over the bounding box.  The tensor grid of checked point
+sets (:meth:`PointSet.product`) takes its checks from its factors.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -139,6 +141,25 @@ class PointSet:
         if len(pts) > 1 and self.min_separation <= 0.0:
             raise ValueError("points must be pairwise distinct")
 
+    @classmethod
+    def product(cls, factors: Sequence["PointSet"]) -> "PointSet":
+        """The tensor grid of ``factors`` (first factor slowest, as in
+        :func:`tensor_grid`) on the product of their domains.
+
+        Its properties follow from the factors, which were checked when
+        they were built: each factor lies in its domain, so the grid lies in
+        the product box; two grid points differ in at least one factor, and
+        are nearest when they differ in one factor only, so the grid's
+        minimum separation is the smallest separation of a factor.
+        """
+        grid = object.__new__(cls)
+        points = tensor_grid([f.points for f in factors])
+        points.setflags(write=False)
+        object.__setattr__(grid, "points", points)
+        object.__setattr__(grid, "domain", _product_domain([f.domain for f in factors]))
+        grid.__dict__["min_separation"] = min(f.min_separation for f in factors)
+        return grid
+
     def __len__(self) -> int:
         return self.points.shape[0]
 
@@ -156,6 +177,33 @@ class PointSet:
     def fill_distance(self, resolution: int = 64) -> float:
         """Measured fill distance of this set (see :func:`fill_distance`)."""
         return fill_distance(self, resolution)
+
+
+def tensor_grid(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """Cartesian product of per-factor ``(n_j, d_j)`` arrays (first factor slowest)."""
+    counts = [a.shape[0] for a in arrays]
+    dims = [a.shape[1] for a in arrays]
+    total = int(np.prod(counts))
+    out = np.empty((total, sum(dims)))
+    col = 0
+    for j, a in enumerate(arrays):
+        reps_before = int(np.prod(counts[:j])) if j > 0 else 1
+        reps_after = int(np.prod(counts[j + 1 :])) if j + 1 < len(counts) else 1
+        block = np.repeat(a, reps_after, axis=0)
+        block = np.tile(block, (reps_before, 1))
+        out[:, col : col + dims[j]] = block
+        col += dims[j]
+    return out
+
+
+def _product_domain(domains: Sequence[Domain]) -> Domain:
+    if len(domains) == 1:
+        return domains[0]
+    if all(isinstance(d, Box) for d in domains):
+        lows = tuple(v for d in domains for v in d.lows)
+        highs = tuple(v for d in domains for v in d.highs)
+        return Box(lows=lows, highs=highs)
+    raise NotImplementedError("mixed product domains with discs are not supported")
 
 
 def generate_points(domain: Domain, count: int) -> PointSet:

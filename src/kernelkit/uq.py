@@ -35,7 +35,6 @@ from kernelkit.kernels import (
     fit_interpolant,
     generate_points,
     quadrature_weights,
-    tensor_grid,
     tensor_grid_interpolant,
 )
 from kernelkit.memo import Memo
@@ -46,7 +45,7 @@ from kernelkit.pde import (
     Mesh,
     pde_resolution_map,
 )
-from kernelkit.points import Box, Disc, Domain, PointSet
+from kernelkit.points import Box, Disc, Domain, PointSet, tensor_grid
 from kernelkit.smolyak import (
     FactorSpec,
     ProblemSpec,

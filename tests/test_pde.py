@@ -1,14 +1,22 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.linalg.lapack import dpbsv
 
+from kernelkit import pde
 from kernelkit.pde import (
     _BASE_CACHE_SIZE,
     AdvectionDiffusionProblem,
     AdvectionOperator,
     BumpDiffusionProblem,
+    DirichletOperator,
     GaussianFieldSampler,
     GrfSample,
     Mesh,
@@ -114,6 +122,102 @@ class TestPoissonSolver:
         lines = path.read_text().splitlines()
         assert lines[0] == "x,y,value"
         assert len(lines) == 10
+
+
+def dense_dirichlet_solution(mesh, a_tri, f_tri):
+    """Element-by-element dense assembly over all nodes, restricted to the
+    interior nodes and solved densely; zero on the boundary."""
+    nodes = mesh.nodes
+    tri = mesh.triangles
+    corners = np.concatenate([np.ones((len(tri), 3, 1)), nodes[tri]], axis=2)
+    area = 0.5 * np.abs(np.linalg.det(corners))
+    grads = np.linalg.inv(corners)[:, 1:, :]  # [t, :, k]: gradient of basis k
+    n = mesh.node_count
+    matrix = np.zeros((n, n))
+    load = np.zeros(n)
+    for t, element in enumerate(tri):
+        matrix[np.ix_(element, element)] += a_tri[t] * area[t] * grads[t].T @ grads[t]
+        load[element] += f_tri[t] * area[t] / 3.0
+    interior = ~mesh.boundary_mask
+    solution = np.zeros(n)
+    if interior.any():
+        solution[interior] = np.linalg.solve(matrix[np.ix_(interior, interior)], load[interior])
+    return solution
+
+
+@pytest.fixture
+def fresh_dirichlet_operators():
+    pde._dirichlet_operator.cache_clear()
+    yield
+    pde._dirichlet_operator.cache_clear()
+
+
+class TestDirichletOperator:
+    def check_against_dense(self, cells):
+        mesh = Mesh(cells=cells)
+        x, y = mesh.centroids.T
+        a = 1.0 + x + np.sin(3.0 * y) ** 2
+        f = 1.0 + np.cos(2.0 * x) * y
+        expected = dense_dirichlet_solution(mesh, a, f)
+        u = solve_poisson_dirichlet(mesh, a, f)
+        assert np.max(np.abs(u - expected)) <= 1e-12 * max(np.max(np.abs(expected)), 1e-300)
+        assert np.all(u[mesh.boundary_mask] == 0.0)
+
+    @pytest.mark.parametrize("cells", [1, 2, 3, 9, 16])
+    def test_banded_matches_dense_reference(self, cells, fresh_dirichlet_operators):
+        assert pde._dirichlet_operator(Mesh(cells=cells)).banded
+        self.check_against_dense(cells)
+
+    @pytest.mark.parametrize("cells", [3, 9])
+    def test_sparse_matches_dense_reference(self, cells, monkeypatch, fresh_dirichlet_operators):
+        monkeypatch.setattr(pde, "_MAX_BANDED_CELLS", 2)
+        assert not pde._dirichlet_operator(Mesh(cells=cells)).banded
+        self.check_against_dense(cells)
+
+    def test_indefinite_system_raises_linalg_error(self):
+        mesh = Mesh(cells=4)
+        with pytest.raises(np.linalg.LinAlgError, match="dpbsv.*4 cells"):
+            DirichletOperator(mesh).solve(-1.0, 1.0)
+
+    def test_import_loads_no_sparse_solver(self):
+        src = os.path.dirname(os.path.dirname(pde.__file__))
+        code = "import sys, kernelkit.cli; print('scipy.sparse.linalg' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=src)
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert result.stdout.strip() == "False", result.stderr
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        cells=st.integers(min_value=1, max_value=12),
+        scale=st.lists(st.floats(min_value=1e-3, max_value=1e3), min_size=1, max_size=8),
+    )
+    def test_stiffness_symmetric_and_interior_band_definite(self, cells, scale):
+        mesh = Mesh(cells=cells)
+        ntri = len(mesh.triangles)
+        a = np.resize(np.asarray(scale), ntri)
+        # Full-node stiffness in general band storage through the shared helper.
+        n = mesh.node_count
+        p = mesh.nodes_per_axis + 1
+        layout = pde._BandLayout(2 * p + 1, p, n)
+        tri = mesh.triangles
+        grads = mesh.gradients
+        local = np.einsum("tdi,tdj->tij", grads, grads) * (a * mesh.triangle_area)[:, None, None]
+        band = layout.scatter(layout.index(tri[:, :, None], tri[:, None, :]), local)
+        i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+        inside = np.abs(i - j) <= p
+        dense = np.zeros((n, n))
+        dense[inside] = band[(p + i - j)[inside], j[inside]]
+        # Every scattered entry lands inside the matrix.
+        assert np.abs(band).sum() == pytest.approx(np.abs(dense).sum(), rel=1e-12)
+        size = np.max(np.abs(dense))
+        assert np.max(np.abs(dense - dense.T)) <= 1e-14 * size
+        assert np.max(np.abs(dense.sum(axis=1))) <= 1e-13 * size
+        operator = DirichletOperator(mesh)
+        matrix, load = operator.system(a, 1.0)
+        if len(operator.interior):
+            assert dpbsv(matrix, load, lower=1)[2] == 0
 
 
 class TestBumpProblem:

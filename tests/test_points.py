@@ -10,6 +10,7 @@ from kernelkit.points import (
     fill_distance,
     generate_points,
     halton_sequence,
+    tensor_grid,
 )
 
 UNIT_INTERVAL = Box((0.0,), (1.0,))
@@ -59,6 +60,17 @@ class TestPointSet:
     def test_min_separation(self):
         ps = PointSet(points=np.array([[0.0], [0.25], [1.0]]), domain=UNIT_INTERVAL)
         assert ps.min_separation == pytest.approx(0.25)
+
+    @pytest.mark.parametrize("counts", [(5, 7), (9, 1, 4), (1, 1), (3,)])
+    def test_product_derives_what_a_full_check_computes(self, counts):
+        domains = [UNIT_INTERVAL, Box((0.0, -1.0), (2.0, 1.0)), Box((-0.5,), (0.5,))]
+        factors = [generate_points(d, c) for d, c in zip(domains, counts)]
+        grid = PointSet.product(factors)
+        checked = PointSet(points=tensor_grid([f.points for f in factors]), domain=grid.domain)
+        assert np.array_equal(grid.points, checked.points)
+        assert not grid.points.flags.writeable
+        assert np.all(grid.domain.contains(grid.points))
+        assert grid.min_separation == checked.min_separation
 
 
 class TestGeneratePoints:
