@@ -92,7 +92,7 @@ def _write_slopes(path, fitted: float, predicted: float, window: float) -> None:
         handle.write(f"fit_window = {window:.12e}\n")
 
 
-def _run_rates(config: RunConfig, out: str, seed: int, workers) -> None:
+def _run_rates(config: RunConfig, out: str, seed: int) -> None:
     gammas = config[("factors", "gamma")]
     betas = config[("factors", "beta")]
     specs = [FactorSpec(gamma=g, beta=b) for g, b in zip(gammas, betas)]
@@ -109,7 +109,6 @@ def _run_rates(config: RunConfig, out: str, seed: int, workers) -> None:
         problem,
         range(config.l_min, config.l_max + 1),
         reference=1.0,
-        workers=workers,
     )
     table = [
         {"L": L, "work_units": w, "evaluations": e, "error": err}
@@ -122,7 +121,7 @@ def _run_rates(config: RunConfig, out: str, seed: int, workers) -> None:
     _write_slopes(os.path.join(out, "slope.txt"), fitted, prediction.slope, config.fit_window)
 
 
-def _run_interp(config: RunConfig, out: str, seed: int, workers) -> None:
+def _run_interp(config: RunConfig, out: str, seed: int) -> None:
     k = config.section("kernel")
     blocks = config[("interp", "blocks")]
     level_map = (
@@ -158,7 +157,7 @@ def _run_interp(config: RunConfig, out: str, seed: int, workers) -> None:
         )
 
     problem = ProblemSpec(factors=tuple(specs), tensor_evaluator=evaluator)
-    engine = SmolyakEngine(problem, workers=workers)
+    engine = SmolyakEngine(problem)
     eval_domain = Box(lows=(0.0,) * (k["d"] * blocks), highs=(1.0,) * (k["d"] * blocks))
     points = random_points(eval_domain, config[("study", "eval_points")], seed)
     exact = target(points)
@@ -213,7 +212,7 @@ def _misc_factors(config: RunConfig):
     return quads, sample, exact
 
 
-def _run_misc(config: RunConfig, out: str, seed: int, workers) -> None:
+def _run_misc(config: RunConfig, out: str, seed: int) -> None:
     quads, sample, exact = _misc_factors(config)
     prediction = predicted_rates([q.spec for q in quads] + [sample.spec])
     reference_l = config[("study", "reference_l")] or None
@@ -223,7 +222,6 @@ def _run_misc(config: RunConfig, out: str, seed: int, workers) -> None:
         range(config.l_min, config.l_max + 1),
         reference=exact,
         reference_L=reference_l,
-        workers=workers,
     )
     _write_csv(
         os.path.join(out, "study.csv"),
@@ -236,7 +234,7 @@ def _run_misc(config: RunConfig, out: str, seed: int, workers) -> None:
     _write_slopes(os.path.join(out, "slope.txt"), fitted, prediction.slope, config.fit_window)
 
 
-def _run_rsr(config: RunConfig, out: str, seed: int, workers) -> None:
+def _run_rsr(config: RunConfig, out: str, seed: int) -> None:
     from kernelkit.pde import BumpDiffusionProblem
 
     k = config.section("kernel")
@@ -266,7 +264,6 @@ def _run_rsr(config: RunConfig, out: str, seed: int, workers) -> None:
         range(config.l_min, config.l_max + 1),
         eval_points=points,
         reference_L=reference_l,
-        workers=workers,
     )
     _write_csv(
         os.path.join(out, "study.csv"),
@@ -279,7 +276,7 @@ def _run_rsr(config: RunConfig, out: str, seed: int, workers) -> None:
     _write_slopes(os.path.join(out, "slope.txt"), fitted, prediction.slope, config.fit_window)
 
 
-def _run_ouu(config: RunConfig, out: str, seed: int, workers, quiet: bool) -> None:
+def _run_ouu(config: RunConfig, out: str, seed: int, quiet: bool) -> None:
     k = config.section("kernel")
     o = config.section("ouu")
     kernel = MaternKernel(beta=k["beta"], dim=2, length_scale=k["length_scale"])
@@ -307,7 +304,6 @@ def _run_ouu(config: RunConfig, out: str, seed: int, workers, quiet: bool) -> No
         replications=o["replications"],
         reference_L=reference_l,
         eval_points=points,
-        workers=workers,
         mc_scale=o["mc_scale"],
         pde_scale=o["pde_scale"],
         max_cells=2 ** o["max_mesh_level"],
@@ -362,7 +358,7 @@ def _run_fem_check(config: RunConfig, out: str) -> None:
     _write_slopes(os.path.join(out, "slope.txt"), fitted, 2.0, 1.0)
 
 
-def run(config: RunConfig, out: str, seed: int, workers: int | None, quiet: bool) -> None:
+def run(config: RunConfig, out: str, seed: int, quiet: bool) -> None:
     """Execute one configured pipeline, writing artifacts into ``out``."""
     os.makedirs(out, exist_ok=True)
     extra = {}
@@ -372,15 +368,15 @@ def run(config: RunConfig, out: str, seed: int, workers: int | None, quiet: bool
         extra["replications"] = config[("ouu", "replications")]
     _write_manifest(os.path.join(out, "manifest.txt"), config, seed, extra)
     if config.pipeline == "rates":
-        _run_rates(config, out, seed, workers)
+        _run_rates(config, out, seed)
     elif config.pipeline == "interp":
-        _run_interp(config, out, seed, workers)
+        _run_interp(config, out, seed)
     elif config.pipeline == "misc":
-        _run_misc(config, out, seed, workers)
+        _run_misc(config, out, seed)
     elif config.pipeline == "rsr":
-        _run_rsr(config, out, seed, workers)
+        _run_rsr(config, out, seed)
     elif config.pipeline == "ouu":
-        _run_ouu(config, out, seed, workers, quiet)
+        _run_ouu(config, out, seed, quiet)
     elif config.pipeline == "fem-check":
         _run_fem_check(config, out)
     else:  # pragma: no cover - guarded by config validation
@@ -399,7 +395,7 @@ def main(argv=None) -> int:
         "--workers",
         type=int,
         default=None,
-        help="concurrency cap (default: hardware count)",
+        help="accepted for compatibility; terms are evaluated serially, so it has no effect",
     )
     parser.add_argument("--quiet", action="store_true", help="suppress stdout reporting")
     args = parser.parse_args(argv)
@@ -415,9 +411,8 @@ def main(argv=None) -> int:
         print(f"configuration error: {err}", file=sys.stderr)
         return 2
     out = args.out if args.out is not None else config.out
-    workers = args.workers if args.workers is not None else os.cpu_count()
     try:
-        run(config, out, seed, workers, args.quiet)
+        run(config, out, seed, args.quiet)
     except (EvaluationError, ConditioningError, np.linalg.LinAlgError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 1

@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property, partial, reduce
+from functools import cached_property, lru_cache, partial, reduce
 from typing import Callable, Sequence
 
 import numpy as np
@@ -45,7 +45,6 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.spatial.distance import cdist
 from scipy.special import kn as bessel_kn
 
-from kernelkit.memo import Memo
 from kernelkit.points import Box, Domain, PointSet, generate_points, tensor_grid
 from kernelkit.smolyak import FactorSpec, ProblemSpec, SmolyakEngine
 
@@ -63,7 +62,6 @@ _GRAM_BLOCK_ENTRIES = 2**18
 # function of its key (block kernel, factor point bytes), so every caller
 # in the process may share them.
 _FACTOR_DECOMPOSITIONS_KEPT = 16
-_factor_decompositions = Memo(maxsize=_FACTOR_DECOMPOSITIONS_KEPT)
 
 
 class ConditioningError(RuntimeError):
@@ -341,17 +339,19 @@ def _grid_factors(split, count: int) -> list[np.ndarray] | None:
     return [rows for rows, _ in split]
 
 
-def _factor_decomposition(kernel: MaternKernel, rows: np.ndarray):
-    """``(gram, eigenvalues, eigenvectors)`` of one block kernel on one factor."""
+@lru_cache(maxsize=_FACTOR_DECOMPOSITIONS_KEPT)
+def _factor_decomposition(kernel: MaternKernel, row_bytes: bytes):
+    """``(gram, eigenvalues, eigenvectors)`` of one block kernel on one factor.
 
-    def decompose():
-        gram = kernel.profile(cdist(rows, rows))
-        eigenvalues, eigenvectors = np.linalg.eigh(gram)
-        for array in (gram, eigenvalues, eigenvectors):
-            array.setflags(write=False)
-        return gram, eigenvalues, eigenvectors
-
-    return _factor_decompositions.get((kernel, rows.tobytes()), decompose)
+    The factor's rows arrive as the bytes of a float array with
+    ``kernel.dim`` columns, so that they can key the cache.
+    """
+    rows = np.frombuffer(row_bytes).reshape(-1, kernel.dim)
+    gram = kernel.profile(cdist(rows, rows))
+    eigenvalues, eigenvectors = np.linalg.eigh(gram)
+    for array in (gram, eigenvalues, eigenvectors):
+        array.setflags(write=False)
+    return gram, eigenvalues, eigenvectors
 
 
 def _kron_apply(matrices: Sequence[np.ndarray], x: np.ndarray) -> np.ndarray:
@@ -374,7 +374,7 @@ def _solve_kronecker(
     """
     grams, eigenvalues, eigenvectors = zip(
         *(
-            _factor_decomposition(block, rows)
+            _factor_decomposition(block, rows.tobytes())
             for (block, _), rows in zip(kernel.blocks, factors)
         )
     )
@@ -615,7 +615,6 @@ def sparse_interpolate(
     L: int,
     alphas: Sequence[float] | None = None,
     resolution_map: Callable[[int], int] | None = doubling_levels,
-    workers: int | None = 1,
 ):
     """Sparse kernel interpolant of ``f_sampler`` on a product domain.
 
@@ -679,5 +678,5 @@ def sparse_interpolate(
         return tensor_grid_interpolant(factor_kernels, grids, samples)
 
     problem = ProblemSpec(factors=tuple(specs), tensor_evaluator=evaluator)
-    value, _ = SmolyakEngine(problem, workers=workers).estimate(L)
+    value, _ = SmolyakEngine(problem).estimate(L)
     return value

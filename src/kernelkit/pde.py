@@ -32,8 +32,7 @@ velocity then costs one matrix sum and one banded LU solve.
 from __future__ import annotations
 
 import math
-import threading
-import weakref
+from collections import OrderedDict
 from dataclasses import dataclass
 from dataclasses import field as dataclass_field
 from functools import cached_property, lru_cache
@@ -41,7 +40,6 @@ from functools import cached_property, lru_cache
 import numpy as np
 from scipy.linalg.lapack import dgbsv, dpbsv
 
-from kernelkit.memo import Memo
 from kernelkit.points import Box
 
 _FIELD_NUGGET = 1e-10
@@ -510,8 +508,9 @@ def _advection_operator(problem: "AdvectionDiffusionProblem", mesh: Mesh):
     return AdvectionOperator(problem, mesh)
 
 
-# Base systems kept per problem: enough for the (field, mesh) pairs that
-# concurrent evaluators have in flight, few enough to bound memory.
+# Base systems kept per problem, least recently used dropped first.  Each
+# holds a banded matrix and its field sample, so the bound caps memory; the
+# pipelines solve every node of one (field, mesh) pair in a row.
 _BASE_CACHE_SIZE = 8
 
 
@@ -528,8 +527,8 @@ class AdvectionDiffusionProblem:
     velocities solved on one (field, mesh) pair share one assembly.
     """
 
-    _bases: Memo = dataclass_field(
-        default_factory=lambda: Memo(maxsize=_BASE_CACHE_SIZE),
+    _bases: OrderedDict = dataclass_field(
+        default_factory=OrderedDict,
         init=False,
         repr=False,
         compare=False,
@@ -571,15 +570,28 @@ class AdvectionDiffusionProblem:
         operator = _advection_operator(self, mesh)
         if isinstance(field, GrfSample):
             # The entry holds the sample, so its id is not reused while cached.
-            _, base = self._bases.get(
-                (id(field), mesh.cells), lambda: (field, self._base(operator, field))
-            )
+            key = (id(field), mesh.cells)
+            entry = self._bases.get(key)
+            if entry is None:
+                entry = self._bases[key] = (field, self._base(operator, field))
+                if len(self._bases) > _BASE_CACHE_SIZE:
+                    self._bases.popitem(last=False)
+            else:
+                self._bases.move_to_end(key)
+            base = entry[1]
         else:
             base = self._base(operator, field)
         return operator.solve(base, velocity)
 
     def sample_qoi(self, velocity, field, mesh: Mesh) -> float:
         return spatial_average(self.solve(velocity, field, mesh), mesh)
+
+
+def philox_generator(seed: int, stream: int, draw: int = 0) -> np.random.Generator:
+    """Counter-based generator: a pure function of ``(seed, stream, draw)``."""
+    return np.random.Generator(
+        np.random.Philox(counter=[0, 0, draw, 0], key=[seed, stream])
+    )
 
 
 @dataclass(frozen=True)
@@ -597,8 +609,9 @@ class GaussianFieldSampler:
 
     Realizations are drawn on a fixed reference grid by dense Cholesky;
     the draw indexed ``(seed, draw)`` is a pure function of its key
-    (counter-based generator), so parallel sampling is order-independent.
-    Samplers on grids with the same cell count share one factor.
+    (counter-based generator, see :func:`philox_generator`), so draws do
+    not depend on the order they are made in.  Samplers on grids with the
+    same cell count share one factor.
     """
 
     def __init__(self, grid: Mesh, stream: int = 0):
@@ -609,39 +622,32 @@ class GaussianFieldSampler:
             )
         self.grid = grid
         self.stream = stream
-        self._factor = _field_factor(grid)
+        self._factor = _field_factor(grid.cells)
 
     def sample(self, seed: int, draw: int) -> GrfSample:
-        rng = np.random.Generator(
-            np.random.Philox(counter=[0, 0, draw, 0], key=[seed, self.stream])
-        )
+        rng = philox_generator(seed, self.stream, draw)
         normals = rng.standard_normal(self.grid.node_count)
         return GrfSample(
             grid=self.grid, values=self._factor @ normals, seed=seed, draw=draw
         )
 
 
-# Cholesky factors of the field covariance by grid cells.  An entry lives
-# only while some sampler holds its factor.
-_FIELD_FACTORS: weakref.WeakValueDictionary[int, np.ndarray] = weakref.WeakValueDictionary()
-_FIELD_FACTORS_LOCK = threading.Lock()
-
-
-def _field_factor(grid: Mesh) -> np.ndarray:
-    with _FIELD_FACTORS_LOCK:
-        factor = _FIELD_FACTORS.get(grid.cells)
-        if factor is None:
-            coords = grid.nodes
-            sq = ((coords[:, None, :] - coords[None, :, :]) ** 2).sum(axis=2)
-            covariance = np.exp(-100.0 * sq)
-            eye = np.eye(grid.node_count)
-            try:
-                factor = np.linalg.cholesky(covariance + _FIELD_NUGGET * eye)
-            except np.linalg.LinAlgError:
-                factor = np.linalg.cholesky(covariance + _FIELD_NUGGET_FALLBACK * eye)
-            factor.setflags(write=False)
-            _FIELD_FACTORS[grid.cells] = factor
-        return factor
+# Each factor is dense (nodes**2 floats) and the pipelines draw on one
+# reference grid, so few are kept.
+@lru_cache(maxsize=2)
+def _field_factor(cells: int) -> np.ndarray:
+    """Cholesky factor of the field covariance on a grid of ``cells`` per axis."""
+    grid = Mesh(cells=cells)
+    coords = grid.nodes
+    sq = ((coords[:, None, :] - coords[None, :, :]) ** 2).sum(axis=2)
+    covariance = np.exp(-100.0 * sq)
+    eye = np.eye(grid.node_count)
+    try:
+        factor = np.linalg.cholesky(covariance + _FIELD_NUGGET * eye)
+    except np.linalg.LinAlgError:
+        factor = np.linalg.cholesky(covariance + _FIELD_NUGGET_FALLBACK * eye)
+    factor.setflags(write=False)
+    return factor
 
 
 def restrict_field(sample: GrfSample, coarse: Mesh) -> np.ndarray:

@@ -19,9 +19,7 @@ supporting addition and scalar multiplication; a type that defines
 
 from __future__ import annotations
 
-import csv
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence
 
@@ -236,14 +234,12 @@ class SmolyakEngine:
     lifetime of the engine, so repeated estimates (e.g. a convergence
     study over a range of thresholds) never recompute a tuple, and the
     combination and difference-expansion paths share evaluations.
-    Independent tuples may be evaluated concurrently; results are always
-    reduced in lexicographic term order, so output does not depend on the
-    worker count.
+    Missing tuples are evaluated one after another in lexicographic order,
+    and results are reduced in lexicographic term order.
     """
 
-    def __init__(self, problem: ProblemSpec, workers: int | None = 1):
+    def __init__(self, problem: ProblemSpec):
         self.problem = problem
-        self.workers = workers
         self._cache: dict[tuple[int, ...], Any] = {}
 
     @property
@@ -254,27 +250,15 @@ class SmolyakEngine:
     def _ensure_evaluated(self, needed: Iterable[tuple[tuple[int, ...], MultiIndex]]):
         pending: dict[tuple[int, ...], MultiIndex] = {}
         for resolutions, index in needed:
-            if resolutions not in self._cache and resolutions not in pending:
-                pending[resolutions] = index
-        if not pending:
-            return
-        order = sorted(pending)
-
-        def run(res: tuple[int, ...]):
+            if resolutions not in self._cache:
+                pending.setdefault(resolutions, index)
+        for res in sorted(pending):
             try:
-                return self.problem.tensor_evaluator(res)
+                self._cache[res] = self.problem.tensor_evaluator(res)
             except Exception as exc:  # noqa: BLE001 - re-raised with context
                 raise EvaluationError(
                     f"tensor evaluator failed: {exc}", pending[res], res
                 ) from exc
-
-        if self.workers is not None and self.workers <= 1:
-            values = [run(res) for res in order]
-        else:
-            with ThreadPoolExecutor(max_workers=self.workers) as pool:
-                values = list(pool.map(run, order))
-        for res, val in zip(order, values):
-            self._cache[res] = val
 
     def estimate(self, L: int) -> tuple[Any, WorkLedger]:
         """Signed-combination estimate at threshold ``L`` plus its ledger."""
@@ -314,16 +298,14 @@ class SmolyakEngine:
         return weighted_sum([(sign, self._cache[res]) for res, sign in plan])
 
 
-def smolyak_estimate(
-    problem: ProblemSpec, L: int, workers: int | None = 1
-) -> tuple[Any, WorkLedger]:
+def smolyak_estimate(problem: ProblemSpec, L: int) -> tuple[Any, WorkLedger]:
     """One-shot combination-rule estimate (fresh memo cache)."""
-    return SmolyakEngine(problem, workers=workers).estimate(L)
+    return SmolyakEngine(problem).estimate(L)
 
 
-def smolyak_via_deltas(problem: ProblemSpec, L: int, workers: int | None = 1) -> Any:
+def smolyak_via_deltas(problem: ProblemSpec, L: int) -> Any:
     """One-shot difference-expansion estimate (cross-check oracle)."""
-    return SmolyakEngine(problem, workers=workers).estimate_via_deltas(L)
+    return SmolyakEngine(problem).estimate_via_deltas(L)
 
 
 def _abs_error(reference: Any, value: Any) -> float:
@@ -336,7 +318,6 @@ def convergence_study(
     reference: Any | None = None,
     error_fn: Callable[[Any, Any], float] = _abs_error,
     reference_margin: int = 2,
-    workers: int | None = 1,
     engine: SmolyakEngine | None = None,
 ) -> list[tuple[int, float, int, float]]:
     """Error-versus-work table over a range of thresholds.
@@ -352,8 +333,8 @@ def convergence_study(
     error_fn : callable
         ``error_fn(reference, estimate) -> float``; defaults to the
         absolute difference (scalar problems).
-    workers : int or None
-        Concurrency cap for tensor evaluations.
+    engine : SmolyakEngine, optional
+        Engine whose memo cache to share; a fresh one by default.
 
     Returns
     -------
@@ -363,7 +344,7 @@ def convergence_study(
     """
     Ls = sorted(int(L) for L in L_values)
     if engine is None:
-        engine = SmolyakEngine(problem, workers=workers)
+        engine = SmolyakEngine(problem)
     if reference is None:
         reference, _ = engine.estimate(Ls[-1] + reference_margin)
     rows = []
@@ -371,15 +352,6 @@ def convergence_study(
         value, ledger = engine.estimate(L)
         rows.append((L, ledger.total_work, ledger.evaluations, error_fn(reference, value)))
     return rows
-
-
-def write_study_csv(path, rows: Sequence[tuple[int, float, int, float]]) -> None:
-    """Write a study table as ``L,work_units,evaluations,error``."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["L", "work_units", "evaluations", "error"])
-        for L, work, evaluations, error in rows:
-            writer.writerow([L, f"{work:.12e}", evaluations, f"{error:.12e}"])
 
 
 def fit_loglog_slope(

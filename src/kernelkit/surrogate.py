@@ -9,8 +9,7 @@ grid).  A :class:`Surrogate` keeps it in that form: one expansion per
 distinct ``(kernel, domain)`` pair, merged whenever a surrogate is built,
 added or scaled, so evaluation costs one Gram product per expansion.
 Merging is a fixed function of the term order, and the engine reduces
-terms in lexicographic order, so the result does not depend on the
-worker count.
+terms in lexicographic order, so the result is reproducible.
 
 The on-disk format is versioned plain text (header ``kernelkit-surrogate
 v1``) with one block per term listing the combination coefficient, kernel

@@ -16,8 +16,7 @@ estimator with different factor wiring:
 Work ledgers charge only sampler work (``prod N_j * N_pde**gamma`` per
 term); the cost of solving kernel systems is reported separately.
 Randomness is counter-based throughout: the draw with index ``k`` of a
-given ``(seed, stream)`` never depends on evaluation order, so parallel
-runs are bit-reproducible.
+given ``(seed, stream)`` never depends on evaluation order.
 """
 
 from __future__ import annotations
@@ -37,13 +36,13 @@ from kernelkit.kernels import (
     quadrature_weights,
     tensor_grid_interpolant,
 )
-from kernelkit.memo import Memo
 from kernelkit.pde import (
     AdvectionDiffusionProblem,
     BumpDiffusionProblem,
     GaussianFieldSampler,
     Mesh,
     pde_resolution_map,
+    philox_generator,
 )
 from kernelkit.points import Box, Disc, Domain, PointSet, tensor_grid
 from kernelkit.smolyak import (
@@ -59,13 +58,6 @@ from kernelkit.surrogate import Surrogate
 @lru_cache(maxsize=None)
 def cached_mesh(cells: int) -> Mesh:
     return Mesh(cells=cells)
-
-
-def philox_generator(seed: int, stream: int, draw: int = 0) -> np.random.Generator:
-    """Counter-based generator: a pure function of ``(seed, stream, draw)``."""
-    return np.random.Generator(
-        np.random.Philox(counter=[0, 0, draw, 0], key=[seed, stream])
-    )
 
 
 def random_points(domain: Domain, count: int, seed: int, stream: int = 101) -> np.ndarray:
@@ -160,24 +152,25 @@ class SampleFactor:
     """Sample family ``q_N(y)`` with coordinate-keyed memoization.
 
     ``evaluate_one(point, resolution)`` is called once per distinct
-    ``(resolution, point)`` pair, also when several threads ask for it at
-    once; ``solve_count`` reports the number of distinct evaluations
-    performed so far.
+    ``(resolution, point)`` pair (a call that raises stores nothing);
+    ``solve_count`` reports the number of distinct evaluations performed
+    so far.
     """
 
     def __init__(self, spec: FactorSpec, evaluate_one: Callable[[np.ndarray, int], float]):
         self.spec = spec
         self._evaluate_one = evaluate_one
-        self._cache = Memo()
+        self._cache: dict[tuple[int, bytes], float] = {}
 
     def values(self, points: np.ndarray, resolution: int) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         out = np.empty(len(pts))
         for idx, row in enumerate(pts):
-            out[idx] = self._cache.get(
-                (resolution, row.tobytes()),
-                lambda: float(self._evaluate_one(row, resolution)),
-            )
+            key = (resolution, row.tobytes())
+            value = self._cache.get(key)
+            if value is None:
+                value = self._cache[key] = float(self._evaluate_one(row, resolution))
+            out[idx] = value
         return out
 
     @property
@@ -285,14 +278,11 @@ def multiindex_expectation(
     quad_factors: Sequence[QuadratureFactor],
     sample_factor: SampleFactor,
     L: int,
-    workers: int | None = 1,
     engine: SmolyakEngine | None = None,
 ) -> EstimatorResult:
     """Sparse expectation estimate with per-block deterministic quadrature."""
     if engine is None:
-        engine = SmolyakEngine(
-            build_expectation_problem(quad_factors, sample_factor), workers=workers
-        )
+        engine = SmolyakEngine(build_expectation_problem(quad_factors, sample_factor))
     value, ledger = engine.estimate(L)
     return EstimatorResult(
         value=value, ledger=ledger, L=L, pde_solves=sample_factor.solve_count
@@ -303,13 +293,10 @@ def multilevel_expectation(
     quad_factor: QuadratureFactor,
     sample_factor: SampleFactor,
     L: int,
-    workers: int | None = 1,
     engine: SmolyakEngine | None = None,
 ) -> EstimatorResult:
     """Two-factor multilevel estimate (single quadrature block)."""
-    return multiindex_expectation(
-        [quad_factor], sample_factor, L, workers=workers, engine=engine
-    )
+    return multiindex_expectation([quad_factor], sample_factor, L, engine=engine)
 
 
 def expectation_study(
@@ -318,16 +305,13 @@ def expectation_study(
     L_values: Sequence[int],
     reference: float | None = None,
     reference_L: int | None = None,
-    workers: int | None = 1,
 ) -> list[dict]:
     """Error table for an expectation pipeline.
 
     ``reference`` wins over ``reference_L``; the default reference is the
     estimator at ``max(L_values) + 2``.
     """
-    engine = SmolyakEngine(
-        build_expectation_problem(quad_factors, sample_factor), workers=workers
-    )
+    engine = SmolyakEngine(build_expectation_problem(quad_factors, sample_factor))
     Ls = sorted(int(L) for L in L_values)
     if reference is None:
         ref_L = reference_L if reference_L is not None else Ls[-1] + 2
@@ -384,14 +368,11 @@ def response_surface(
     interp_factors: Sequence[InterpolationFactor],
     sample_factor: SampleFactor,
     L: int,
-    workers: int | None = 1,
     engine: SmolyakEngine | None = None,
 ) -> EstimatorResult:
     """Function-valued sparse estimate: a surrogate of the sample limit."""
     if engine is None:
-        engine = SmolyakEngine(
-            build_surface_problem(interp_factors, sample_factor), workers=workers
-        )
+        engine = SmolyakEngine(build_surface_problem(interp_factors, sample_factor))
     value, ledger = engine.estimate(L)
     return EstimatorResult(
         value=value,
@@ -409,16 +390,13 @@ def surface_study(
     eval_points: np.ndarray,
     reference_L: int | None = None,
     reference_values: np.ndarray | None = None,
-    workers: int | None = 1,
 ) -> list[dict]:
     """Surrogate error table against a fine reference surrogate.
 
     Errors are estimated on ``eval_points``: ``error_l2`` is the root mean
     square difference, ``error_linf`` the maximum difference.
     """
-    engine = SmolyakEngine(
-        build_surface_problem(interp_factors, sample_factor), workers=workers
-    )
+    engine = SmolyakEngine(build_surface_problem(interp_factors, sample_factor))
     Ls = sorted(int(L) for L in L_values)
     if reference_values is None:
         ref_L = reference_L if reference_L is not None else Ls[-1] + 2
@@ -441,33 +419,7 @@ def surface_study(
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo and optimization under uncertainty
-
-
-def monte_carlo_mean(
-    sampler: Callable[[np.random.Generator, int], Any], N: int, seed: int, stream: int = 0
-):
-    """Empirical mean of ``N`` counter-keyed draws.
-
-    ``sampler(rng, k)`` receives a generator whose stream is a pure
-    function of ``(seed, stream, k)``, so the estimate does not depend on
-    evaluation order and is reproducible across worker counts.  One
-    generator is reset for every draw: ``rng`` is valid only during the
-    ``sampler`` call and must not be kept.
-    """
-    if N < 1:
-        raise ValueError(f"sample count must be >= 1, got {N}")
-    bit_generator = np.random.Philox(counter=[0, 0, 0, 0], key=[seed, stream])
-    rng = np.random.Generator(bit_generator)
-    state = bit_generator.state
-    total = None
-    for k in range(N):
-        # The state a fresh Philox(counter=[0, 0, k, 0]) starts in.
-        state["state"]["counter"][2] = k
-        bit_generator.state = state
-        value = sampler(rng, k)
-        total = value if total is None else total + value
-    return total / N
+# optimization under uncertainty
 
 
 class OuuPipeline:
@@ -494,8 +446,7 @@ class OuuPipeline:
         max_cells: int = 32,
         field_grid: Mesh | None = None,
         qoi: Callable[[np.ndarray, Any, Mesh], float] | None = None,
-        workers: int | None = 1,
-    ):
+        ):
         self.interp_factor = interp_factor
         self.seed = seed
         self.stream = stream
@@ -521,25 +472,28 @@ class OuuPipeline:
             problem = AdvectionDiffusionProblem()
             qoi = lambda z, m, mesh: problem.sample_qoi(z, m, mesh)  # noqa: E731
         self._qoi = qoi
-        self._field_cache = Memo()
-        self._solve_cache = Memo()
+        self._field_cache: dict[int, Any] = {}
+        self._solve_cache: dict[tuple[bytes, int, int], float] = {}
         self.draw_log: dict[tuple[int, ...], tuple[int, ...]] = {}
         problem_spec = ProblemSpec(
             factors=(self.interp_factor.spec, self.mc_spec, self.pde_spec),
             tensor_evaluator=self._evaluate,
         )
-        self.engine = SmolyakEngine(problem_spec, workers=workers)
+        self.engine = SmolyakEngine(problem_spec)
 
     def _field(self, draw: int):
-        return self._field_cache.get(
-            draw, lambda: self._field_sampler.sample(self.seed, draw)
-        )
+        sample = self._field_cache.get(draw)
+        if sample is None:
+            sample = self._field_cache[draw] = self._field_sampler.sample(self.seed, draw)
+        return sample
 
     def _solve(self, z: np.ndarray, draw: int, cells: int) -> float:
-        return self._solve_cache.get(
-            (z.tobytes(), draw, cells),
-            lambda: float(self._qoi(z, self._field(draw), cached_mesh(cells))),
-        )
+        key = (z.tobytes(), draw, cells)
+        value = self._solve_cache.get(key)
+        if value is None:
+            field = self._field(draw)
+            value = self._solve_cache[key] = float(self._qoi(z, field, cached_mesh(cells)))
+        return value
 
     def _evaluate(self, resolutions: tuple[int, ...]):
         n_points, n_draws, mesh_resolution = resolutions
@@ -645,7 +599,6 @@ def ouu_study(
     replications: int = 5,
     reference_L: int | None = None,
     eval_points: np.ndarray | None = None,
-    workers: int | None = 1,
     **pipeline_kwargs,
 ) -> tuple[list[dict], Surrogate]:
     """Mean-squared maximum-error table over stochastic replications.
@@ -661,7 +614,7 @@ def ouu_study(
         factor = interp_factor_builder()
         eval_points = random_points(factor.domain, 2048, seed)
     reference_pipeline = OuuPipeline(
-        interp_factor_builder(), seed=seed, stream=0, workers=workers, **pipeline_kwargs
+        interp_factor_builder(), seed=seed, stream=0, **pipeline_kwargs
     )
     reference = reference_pipeline.estimate(ref_L).value
     reference_values = reference.evaluate(eval_points)
@@ -670,7 +623,6 @@ def ouu_study(
             interp_factor_builder(),
             seed=seed,
             stream=r,
-            workers=workers,
             **pipeline_kwargs,
         )
         for r in range(1, replications + 1)

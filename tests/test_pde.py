@@ -367,6 +367,17 @@ class TestAdvectionProblem:
                 problem.sample_qoi(np.zeros(2), advection_field("grf", mesh, seed), mesh)
         assert len(problem._bases) == _BASE_CACHE_SIZE
 
+    def test_base_cache_drops_least_recently_used(self):
+        problem = AdvectionDiffusionProblem()
+        mesh = Mesh(cells=4)
+        fields = [advection_field("grf", mesh, seed) for seed in range(_BASE_CACHE_SIZE + 1)]
+        for field in fields[:-1]:
+            problem.sample_qoi(np.zeros(2), field, mesh)
+        problem.sample_qoi(np.zeros(2), fields[0], mesh)
+        problem.sample_qoi(np.zeros(2), fields[-1], mesh)
+        kept = {key[0] for key in problem._bases}
+        assert id(fields[0]) in kept and id(fields[1]) not in kept
+
     def test_singular_system_raises_linalg_error(self):
         mesh = Mesh(cells=4)
         operator = AdvectionOperator(AdvectionDiffusionProblem(), mesh)

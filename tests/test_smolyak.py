@@ -15,7 +15,6 @@ from kernelkit.smolyak import (
     predicted_rates,
     smolyak_estimate,
     smolyak_via_deltas,
-    write_study_csv,
 )
 
 
@@ -252,14 +251,26 @@ class TestWorkLedger:
         # The difference path only adds interior tuples not in the band.
         assert len(calls) == len(set(calls))
 
-    def test_parallel_reduction_is_deterministic(self):
-        rng = np.random.default_rng(3)
-        tables = [lambda n, r=rng.uniform(0.5, 1.5): 1.0 + (1.0 + n) ** -r for _ in range(3)]
-        factors = [FactorSpec(gamma=1.0, beta=1.0) for _ in range(3)]
-        problem = product_problem(tables, factors)
-        serial, _ = smolyak_estimate(problem, 8, workers=1)
-        parallel, _ = smolyak_estimate(problem, 8, workers=8)
-        assert serial == parallel
+    def test_evaluates_missing_tuples_in_lexicographic_order(self):
+        calls = []
+
+        def evaluator(res):
+            calls.append(res)
+            return 1.0
+
+        # A decreasing level map makes the terms' own order non-lexicographic.
+        factors = (
+            FactorSpec(gamma=1.0, beta=1.0, resolution_map=lambda level: 20 - level),
+            FactorSpec(gamma=1.0, beta=1.0),
+            FactorSpec(gamma=1.0, beta=1.0),
+        )
+        engine = SmolyakEngine(ProblemSpec(factors=factors, tensor_evaluator=evaluator))
+        engine.estimate_via_deltas(6)
+        first = len(calls)
+        engine.estimate(8)
+        assert calls[:first] == sorted(calls[:first])
+        assert calls[first:] == sorted(calls[first:])
+        assert len(calls) == len(set(calls)) == engine.evaluations
 
 
 class TestWeightedSum:
@@ -344,14 +355,6 @@ class TestConvergenceStudy:
         convergence_study(problem, [2, 4])
         max_resolution = max(r[0] for r in seen)
         assert max_resolution == level_to_resolution(problem.factors[0], 6)
-
-    def test_csv_format(self, tmp_path):
-        rows = [(2, 10.0, 3, 0.125), (3, 20.0, 5, 0.0625)]
-        path = tmp_path / "study.csv"
-        write_study_csv(path, rows)
-        text = path.read_text().splitlines()
-        assert text[0] == "L,work_units,evaluations,error"
-        assert text[1] == "2,1.000000000000e+01,3,1.250000000000e-01"
 
 
 class TestFitLoglogSlope:

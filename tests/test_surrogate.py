@@ -22,7 +22,6 @@ from kernelkit.multiindex import (
     delta_expand,
     enumerate_simplex,
 )
-from kernelkit.pde import BumpDiffusionProblem
 from kernelkit.points import Box, Disc, generate_points
 from kernelkit.smolyak import FactorSpec, ProblemSpec, SmolyakEngine
 from kernelkit.surrogate import (
@@ -32,7 +31,6 @@ from kernelkit.surrogate import (
     parse_surrogate,
     save_surrogate,
 )
-from kernelkit.uq import bump_sample_factor, interpolation_factor, response_surface
 
 UNIT_INTERVAL = Box((0.0,), (1.0,))
 UNIT_SQUARE = Box((0.0, 0.0), (1.0, 1.0))
@@ -74,14 +72,6 @@ def assert_matches_term_by_term(surrogate, terms, points):
 
 def sine_product(points):
     return np.sin(2 * np.pi * points[:, 0]) * np.sin(2 * np.pi * points[:, 1])
-
-
-def rsr_surface(workers):
-    problem = BumpDiffusionProblem(n_bumps=2)
-    kernel = MaternKernel(beta=3.0, dim=2)
-    factors = [interpolation_factor(kernel, box) for box in problem.center_boxes]
-    sample = bump_sample_factor(n_bumps=2, max_cells=16)
-    return response_surface(factors, sample, L=6, workers=workers).value
 
 
 class TestSurrogateAlgebra:
@@ -220,13 +210,6 @@ class TestMergedExpansion:
         (_, merged), = s.terms
         assert len(merged.nodes) == 32
         assert_matches_term_by_term(s, terms, generate_points(UNIT_DISC, 200).points)
-
-    def test_identical_across_worker_counts(self):
-        serial, threaded = rsr_surface(1), rsr_surface(4)
-        assert len(serial.terms) == len(threaded.terms) == 1
-        (_, a), (_, b) = serial.terms[0], threaded.terms[0]
-        assert np.array_equal(a.nodes.points, b.nodes.points)
-        assert np.array_equal(a.coefficients, b.coefficients)
 
     @pytest.mark.parametrize("offset", [None, -1, 0, 1])
     def test_chunked_evaluation_matches_one_gram(self, offset):

@@ -1,7 +1,4 @@
 import math
-import sys
-import threading
-import time
 
 import numpy as np
 import pytest
@@ -30,7 +27,6 @@ from kernelkit.uq import (
     kernel_quadrature_factor,
     midpoint_quadrature_factor,
     minimize_objective,
-    monte_carlo_mean,
     multiindex_expectation,
     multilevel_expectation,
     ouu_study,
@@ -249,53 +245,6 @@ class TestResponseSurface:
         assert result.ledger.total_work == pytest.approx(expected, rel=1e-12)
 
 
-class TestMonteCarloMean:
-    def test_constant_sampler(self):
-        value = monte_carlo_mean(lambda rng, k: 3.25, N=17, seed=0)
-        assert value == 3.25
-
-    def test_mean_of_means_band(self):
-        means = [
-            monte_carlo_mean(lambda rng, k: rng.standard_normal(), N=10_000, seed=s)
-            for s in range(30)
-        ]
-        assert abs(float(np.mean(means))) <= 4.0 / math.sqrt(10_000)
-
-    def test_variance_scales_inversely_with_samples(self):
-        def estimate(N, seed):
-            return monte_carlo_mean(lambda rng, k: rng.standard_normal(), N=N, seed=seed)
-
-        small = np.array([estimate(1024, s) for s in range(200)])
-        large = np.array([estimate(4096, s + 1000) for s in range(200)])
-        ratio = large.var() / small.var()
-        assert 0.15 <= ratio <= 0.35
-
-    def test_deterministic_in_seed(self):
-        a = monte_carlo_mean(lambda rng, k: rng.standard_normal(), N=64, seed=9)
-        b = monte_carlo_mean(lambda rng, k: rng.standard_normal(), N=64, seed=9)
-        assert a == b
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            monte_carlo_mean(lambda rng, k: 0.0, N=0, seed=0)
-
-    def test_draws_match_fresh_generators(self):
-        def draw(rng):
-            return np.concatenate(
-                [
-                    rng.standard_normal(3),
-                    rng.random(2),
-                    rng.integers(0, 1000, 3).astype(float),
-                    [rng.standard_normal()],
-                ]
-            )
-
-        seen = []
-        monte_carlo_mean(lambda rng, k: seen.append(draw(rng)) or 0.0, N=200, seed=7, stream=3)
-        for k, values in enumerate(seen):
-            assert np.array_equal(values, draw(philox_generator(7, 3, draw=k)))
-
-
 def stub_interp_factor():
     kernel = MaternKernel(beta=4.0, dim=2)
     return interpolation_factor(
@@ -445,31 +394,6 @@ def _zero_surrogate():
 
 
 class TestDeterminism:
-    def test_pipeline_outputs_identical_across_worker_counts(self):
-        def run(workers):
-            quad, sample = parabola_factors()
-            rows = expectation_study(
-                [quad], sample, range(2, 8), reference=1.0 / 3.0, workers=workers
-            )
-            return [(r["work_units"], r["error_l2"]) for r in rows]
-
-        assert run(1) == run(8)
-
-    def test_ouu_identical_across_worker_counts(self):
-        def run(workers):
-            pipeline = OuuPipeline(
-                stub_interp_factor(),
-                seed=5,
-                stream=1,
-                field_grid=Mesh(cells=8),
-                max_cells=8,
-                workers=workers,
-            )
-            pts = random_points(UNIT_DISC, 64, seed=0)
-            return pipeline.estimate(5).value.evaluate(pts)
-
-        assert np.array_equal(run(1), run(4))
-
     def test_philox_draws_are_order_independent(self):
         a = philox_generator(3, 1, draw=7).standard_normal(4)
         philox_generator(3, 1, draw=6).standard_normal(100)
@@ -528,31 +452,15 @@ class TestPdeSolvesColumn:
         assert len(calls) == reference_solves + solves[-1]
 
 
-def _short_switch_interval(test):
-    def run(*args, **kwargs):
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            return test(*args, **kwargs)
-        finally:
-            sys.setswitchinterval(interval)
-
-    return run
-
-
 class TestSolveOnce:
-    @_short_switch_interval
-    def test_sample_factor_evaluates_each_input_once_under_threads(self):
+    def test_sample_factor_evaluates_each_input_once(self):
         from kernelkit.smolyak import FactorSpec, ProblemSpec
         from kernelkit.uq import SampleFactor
 
         calls = []
-        lock = threading.Lock()
 
         def evaluate_one(point, resolution):
-            with lock:
-                calls.append((resolution, point.tobytes()))
-            time.sleep(0.001)
+            calls.append((resolution, point.tobytes()))
             return float(point[0]) * resolution
 
         sample = SampleFactor(FactorSpec(gamma=1.0, beta=1.0), evaluate_one)
@@ -562,19 +470,15 @@ class TestSolveOnce:
             return float(sample.values(points, resolutions[1]).sum()) / resolutions[0]
 
         factors = (FactorSpec(gamma=1.0, beta=1.0), FactorSpec(gamma=1.0, beta=1.0))
-        engine = SmolyakEngine(ProblemSpec(factors, evaluator), workers=4)
+        engine = SmolyakEngine(ProblemSpec(factors, evaluator))
         engine.estimate(8)
         assert len(calls) == len(set(calls)) == sample.solve_count
 
-    @_short_switch_interval
-    def test_ouu_pipeline_solves_and_draws_once_under_threads(self):
+    def test_ouu_pipeline_solves_and_draws_once(self):
         solves = []
-        lock = threading.Lock()
 
         def qoi(z, field, mesh):
-            with lock:
-                solves.append((z.tobytes(), id(field), mesh.cells))
-            time.sleep(0.0005)
+            solves.append((z.tobytes(), id(field), mesh.cells))
             return float(z[0]) + 0.1 * float(field.values[0])
 
         pipeline = OuuPipeline(
@@ -584,10 +488,30 @@ class TestSolveOnce:
             qoi=qoi,
             field_grid=Mesh(cells=4),
             max_cells=4,
-            workers=4,
         )
         pipeline.estimate(6)
         assert len(solves) == len(set(solves)) == pipeline.pde_solves
         # One sample object per draw: every solve of a draw saw the same one.
         draws = {draw for _, draw, _ in pipeline._solve_cache}
         assert len({field_id for _, field_id, _ in solves}) == len(draws)
+
+    def test_failed_compute_leaves_key_computable(self):
+        from kernelkit.smolyak import FactorSpec
+        from kernelkit.uq import SampleFactor
+
+        outcomes = [RuntimeError("solver failed"), 3.0]
+
+        def evaluate_one(point, resolution):
+            outcome = outcomes.pop(0)
+            if isinstance(outcome, Exception):
+                raise outcome
+            return outcome
+
+        sample = SampleFactor(FactorSpec(gamma=1.0, beta=1.0), evaluate_one)
+        point = np.array([[0.25]])
+        with pytest.raises(RuntimeError, match="solver failed"):
+            sample.values(point, 4)
+        assert sample.solve_count == 0
+        assert sample.values(point, 4).tolist() == [3.0]
+        assert sample.values(point, 4).tolist() == [3.0]
+        assert sample.solve_count == 1 and not outcomes
