@@ -486,6 +486,57 @@ class TestKroneckerSolve:
             tensor_grid_interpolant([k, k], [first, second], smooth_values(nodes))
         assert kernels_module._factor_decomposition.cache_info().currsize == kept
 
+    def test_decomposition_memo_drops_least_recently_used(
+        self, monkeypatch, fresh_factor_decompositions
+    ):
+        kept = kernels_module._FACTOR_DECOMPOSITIONS_KEPT
+        eigh = np.linalg.eigh
+        decomposed = []
+
+        def counting_eigh(gram):
+            decomposed.append(len(gram))
+            return eigh(gram)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        k = MaternKernel(beta=2.0, dim=1)
+
+        def fit(count):
+            # Both factors hold the same rows: one memo entry per count.
+            grid = generate_points(UNIT_INTERVAL, count)
+            nodes = tensor_grid([grid.points, grid.points])
+            tensor_grid_interpolant([k, k], [grid, grid], smooth_values(nodes))
+
+        counts = list(range(3, kept + 3))
+        for count in counts:
+            fit(count)
+        assert decomposed == counts
+        fit(3)  # the oldest entry becomes the newest
+        fit(kept + 3)  # drops the least recently used entry, count 4
+        fit(3)
+        fit(4)
+        assert decomposed[kept:] == [kept + 3, 4]
+
+    def test_failed_decomposition_leaves_factor_computable(
+        self, monkeypatch, fresh_factor_decompositions
+    ):
+        eigh = np.linalg.eigh
+        outcomes = [np.linalg.LinAlgError("eigh did not converge")]
+
+        def failing_once(gram):
+            if outcomes:
+                raise outcomes.pop()
+            return eigh(gram)
+
+        monkeypatch.setattr(np.linalg, "eigh", failing_once)
+        kernel, _, nodes = block_grid(((2.0, 1), (1.5, 1)), (6, 5))
+        values = smooth_values(nodes.points)
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            fit_interpolant(kernel, nodes, values)
+        assert kernels_module._factor_decomposition.cache_info().currsize == 0
+        fit = fit_interpolant(kernel, nodes, values)
+        assert kernels_module._factor_decomposition.cache_info().currsize == 2
+        assert np.max(np.abs(fit.evaluate(nodes.points) - values)) <= 1e-8
+
     def test_split_nodes_skips_the_search_for_one_block(self, monkeypatch):
         nodes = generate_points(UNIT_SQUARE, 40)
         one = single_block(MaternKernel(beta=2.0, dim=2))

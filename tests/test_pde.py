@@ -27,6 +27,7 @@ from kernelkit.pde import (
     mesh_at_level,
     mesh_cells_for_resolution,
     pde_resolution_map,
+    philox_generator,
     restrict_field,
     solve_poisson_dirichlet,
     spatial_average,
@@ -378,6 +379,40 @@ class TestAdvectionProblem:
         kept = {key[0] for key in problem._bases}
         assert id(fields[0]) in kept and id(fields[1]) not in kept
 
+    def test_failed_base_assembly_leaves_key_computable(self, monkeypatch):
+        mesh = Mesh(cells=4)
+        field = advection_field("grf", mesh, 0)
+        z = np.array([0.3, -0.2])
+        expected = AdvectionDiffusionProblem().sample_qoi(z, field, mesh)
+        assemble = AdvectionDiffusionProblem._base
+        outcomes = [np.linalg.LinAlgError("assembly failed")]
+
+        def failing_once(self, operator, field):
+            if outcomes:
+                raise outcomes.pop()
+            return assemble(self, operator, field)
+
+        monkeypatch.setattr(AdvectionDiffusionProblem, "_base", failing_once)
+        problem = AdvectionDiffusionProblem()
+        with pytest.raises(np.linalg.LinAlgError, match="assembly failed"):
+            problem.sample_qoi(z, field, mesh)
+        assert not problem._bases
+        assert problem.sample_qoi(z, field, mesh) == expected
+        assert list(problem._bases) == [(id(field), mesh.cells)]
+
+    def test_nodal_fields_are_never_cached(self):
+        problem = AdvectionDiffusionProblem()
+        mesh = Mesh(cells=4)
+        field = advection_field("nodal", mesh, 0)
+        z = np.array([0.1, 0.4])
+        first = problem.sample_qoi(z, field, mesh)
+        # The same array with new values must not see a stale base system.
+        field *= 2.0
+        second = problem.sample_qoi(z, field, mesh)
+        assert second == AdvectionDiffusionProblem().sample_qoi(z, field, mesh)
+        assert second != first
+        assert not problem._bases
+
     def test_singular_system_raises_linalg_error(self):
         mesh = Mesh(cells=4)
         operator = AdvectionOperator(AdvectionDiffusionProblem(), mesh)
@@ -499,6 +534,29 @@ class TestGaussianField:
         rng = np.random.Generator(np.random.Philox(counter=[0, 0, 3, 0], key=[2, 5]))
         expected = factor @ rng.standard_normal(grid.node_count)
         assert np.array_equal(second.sample(seed=2, draw=3).values, expected)
+
+    def test_field_factor_is_kept_per_cell_count(self):
+        pde._field_factor.cache_clear()
+        coarse = GaussianFieldSampler(Mesh(cells=4))
+        fine = GaussianFieldSampler(Mesh(cells=8))
+        assert coarse._factor.shape == (25, 25) and fine._factor.shape == (81, 81)
+        assert GaussianFieldSampler(Mesh(cells=4), stream=3)._factor is coarse._factor
+        assert pde._field_factor.cache_info().misses == 2
+        # Shared between samplers, so no sampler may write to it.
+        assert not coarse._factor.flags.writeable
+
+    def test_streams_draw_distinct_fields(self):
+        grid = mesh_at_level(3)
+        a = GaussianFieldSampler(grid, stream=0).sample(seed=2, draw=3)
+        b = GaussianFieldSampler(grid, stream=1).sample(seed=2, draw=3)
+        assert not np.array_equal(a.values, b.values)
+
+    def test_philox_generator_is_a_pure_function_of_its_key(self):
+        first = philox_generator(11, 2, draw=5).standard_normal(8)
+        philox_generator(11, 2, draw=4).standard_normal(1000)
+        assert np.array_equal(philox_generator(11, 2, draw=5).standard_normal(8), first)
+        for other in ((12, 2, 5), (11, 3, 5), (11, 2, 6)):
+            assert not np.array_equal(philox_generator(*other).standard_normal(8), first)
 
     def test_rejects_oversized_reference_grid(self):
         with pytest.raises(ValueError):

@@ -12,6 +12,7 @@ from kernelkit.kernels import (
 from kernelkit.pde import Mesh
 from kernelkit.points import Box, Disc, generate_points
 from kernelkit.smolyak import (
+    EvaluationError,
     SmolyakEngine,
     fit_loglog_slope,
     level_to_resolution,
@@ -515,3 +516,58 @@ class TestSolveOnce:
         assert sample.values(point, 4).tolist() == [3.0]
         assert sample.values(point, 4).tolist() == [3.0]
         assert sample.solve_count == 1 and not outcomes
+
+    def test_failed_solve_leaves_ouu_key_computable(self):
+        calls = []
+
+        def qoi(z, field, mesh):
+            calls.append((z.tobytes(), field.draw, mesh.cells))
+            if len(calls) == 3:
+                raise RuntimeError("solver failed")
+            return stub_qoi(z, field, mesh)
+
+        pipeline = small_ouu_pipeline(qoi)
+        with pytest.raises(EvaluationError, match="solver failed"):
+            pipeline.estimate(6)
+        failed = calls[2]
+        assert failed not in pipeline._solve_cache
+        retried = pipeline.estimate(6).value
+        assert calls.count(failed) == 2
+        assert len(calls) - 1 == len(set(calls)) == pipeline.pde_solves
+        expected = small_ouu_pipeline(stub_qoi).estimate(6).value
+        pts = random_points(UNIT_DISC, 32, seed=0)
+        assert np.array_equal(retried.evaluate(pts), expected.evaluate(pts))
+
+    def test_failed_field_draw_leaves_draw_computable(self):
+        pipeline = small_ouu_pipeline(stub_qoi)
+        sample = pipeline._field_sampler.sample
+        outcomes = [RuntimeError("draw failed")]
+
+        def failing_once(seed, draw):
+            if outcomes:
+                raise outcomes.pop()
+            return sample(seed, draw)
+
+        pipeline._field_sampler.sample = failing_once
+        with pytest.raises(EvaluationError, match="draw failed"):
+            pipeline.estimate(5)
+        assert not pipeline._field_cache and not pipeline._solve_cache
+        retried = pipeline.estimate(5).value
+        expected = small_ouu_pipeline(stub_qoi).estimate(5).value
+        pts = random_points(UNIT_DISC, 32, seed=0)
+        assert np.array_equal(retried.evaluate(pts), expected.evaluate(pts))
+
+
+def stub_qoi(z, field, mesh):
+    return float(z[0]) + 0.1 * float(field.values[0])
+
+
+def small_ouu_pipeline(qoi):
+    return OuuPipeline(
+        stub_interp_factor(),
+        seed=0,
+        stream=1,
+        qoi=qoi,
+        field_grid=Mesh(cells=4),
+        max_cells=4,
+    )
