@@ -8,8 +8,9 @@ whose Fourier transform is ``(1 + |w|^2)**-beta``, so the native space of
 the kernel ``Phi(x, y) = phi(|x - y| / length_scale)`` is the Sobolev
 space of order ``beta``.  Supported orders are positive integer and
 half-integer ``nu``; half-integer profiles use their closed
-exponential-polynomial form, integer profiles use the modified Bessel
-function of integer order with the analytic limit at ``r = 0``.
+exponential-polynomial form (by Horner's rule), integer profiles the
+modified Bessel function ``K_nu`` from ``K_0`` and ``K_1`` by upward
+recurrence, with the analytic limit at ``r = 0``.
 
 A :class:`TensorKernel` multiplies Matern kernels on disjoint coordinate
 blocks.  Tensor grids and sparse grids repeat each block coordinate many
@@ -43,7 +44,8 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.spatial.distance import cdist
-from scipy.special import kn as bessel_kn
+from scipy.special import k0 as bessel_k0
+from scipy.special import k1 as bessel_k1
 
 from kernelkit.points import Box, Domain, PointSet, generate_points, tensor_grid
 from kernelkit.smolyak import FactorSpec, ProblemSpec, SmolyakEngine
@@ -142,21 +144,35 @@ class MaternKernel:
         s = np.asarray(r, dtype=float) / self.length_scale
         coeffs = self._half_integer_coefficients
         if coeffs is not None:
-            m = len(coeffs) - 1
-            poly = np.zeros_like(s)
-            for k, c in enumerate(coeffs):
-                poly += c * s ** (m - k)
+            poly = np.full_like(s, coeffs[0])
+            for c in coeffs[1:]:  # Horner's rule, highest power first
+                poly *= s
+                poly += c
             return self._normalization * math.sqrt(math.pi / 2.0) * np.exp(-s) * poly
-        order = int(round(self.nu))
         out = np.full_like(s, self.value_at_zero)
         far = s > _SMALL_RADIUS
         if np.any(far):
-            sf = s[far]
-            out[far] = self._normalization * sf**order * bessel_kn(order, sf)
+            out[far] = self._normalization * _scaled_bessel_k(int(round(self.nu)), s[far])
         return out
 
     def gram(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return self.profile(cdist(np.atleast_2d(x), np.atleast_2d(y)))
+
+
+def _scaled_bessel_k(order: int, s: np.ndarray) -> np.ndarray:
+    """``s**order * K_order(s)`` for an integer ``order >= 1`` and ``s > 0``.
+
+    Runs the upward recurrence ``K_{n+1} = K_{n-1} + (2n/s) K_n``, which is
+    stable for ``K``, scaled by ``s**(n+1)``: with ``g_n = s**n K_n`` it
+    reads ``g_{n+1} = s**2 g_{n-1} + 2n g_n``, a sum of positive terms.
+    """
+    current = s * bessel_k1(s)
+    if order > 1:
+        previous = bessel_k0(s)
+        s_sq = s * s
+        for n in range(1, order):
+            previous, current = current, s_sq * previous + (2 * n) * current
+    return current
 
 
 def matern_evaluate(kernel: MaternKernel, x, y) -> float:

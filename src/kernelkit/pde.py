@@ -26,7 +26,15 @@ Cholesky, falling back to sparse LU from the same element entries above
 sparse factors.  For advection-diffusion, the :class:`AdvectionOperator`
 assembles the coefficient-dependent base system once per field
 realization and mesh (half-bandwidth ``nodes_per_axis + 1``), and each
-velocity then costs one matrix sum and one banded LU solve.
+velocity then costs one matrix sum and one banded LU solve.  A field
+realization lives on its reference grid; the operator keeps, per grid, the
+bilinear weights of its centroids and edge midpoints, so restricting a
+field to the mesh is one gather-and-sum.
+
+Random-field draws are computed in aligned blocks, one matrix product with
+the field's Cholesky factor per block.  A draw's normals come from its own
+counter-based generator and a block is always the same product, so every
+draw is bit for bit a pure function of ``(seed, stream, draw)``.
 """
 
 from __future__ import annotations
@@ -45,6 +53,9 @@ from kernelkit.points import Box
 _FIELD_NUGGET = 1e-10
 _FIELD_NUGGET_FALLBACK = 1e-8
 _MAX_FIELD_NODES = 5000
+# Field draws computed together by one matrix product (see
+# GaussianFieldSampler); a block of the 1089-node reference grid is 279 kB.
+_DRAW_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -430,6 +441,7 @@ class AdvectionOperator:
 
     :meth:`base` assembles the coefficient-dependent part once per field;
     :meth:`solve` adds ``z1 * A_x + z2 * A_y`` for one velocity and solves.
+    :meth:`field_weights` restricts fields given on a reference grid.
     """
 
     def __init__(self, problem: "AdvectionDiffusionProblem", mesh: Mesh):
@@ -468,6 +480,16 @@ class AdvectionOperator:
         self.load = np.bincount(
             tri.ravel(), weights=np.repeat(contribution, 3), minlength=n
         )
+        self._field_weights: dict[Mesh, tuple[np.ndarray, np.ndarray]] = {}
+
+    def field_weights(self, grid: Mesh) -> tuple[np.ndarray, np.ndarray]:
+        """Bilinear weights (:func:`bilinear_weights`) of the centroids, then
+        the edge midpoints, on a field's reference grid; computed once per grid."""
+        weights = self._field_weights.get(grid)
+        if weights is None:
+            points = np.concatenate([self.mesh.centroids, self.edge_midpoints])
+            weights = self._field_weights[grid] = bilinear_weights(grid, points)
+        return weights
 
     def base(self, a_centroid: np.ndarray, a_edge: np.ndarray):
         """Banded stiffness plus Robin mass, and the right-hand side.
@@ -524,7 +546,9 @@ class AdvectionDiffusionProblem:
 
     Each mesh's :class:`AdvectionOperator` is built once.  The base system
     of a :class:`GrfSample` field is kept in a small bounded cache, so the
-    velocities solved on one (field, mesh) pair share one assembly.
+    velocities solved on one (field, mesh) pair share one assembly; an
+    assembly evaluates the field at the mesh's centroids and edge midpoints
+    with the operator's precomputed bilinear weights.
     """
 
     _bases: OrderedDict = dataclass_field(
@@ -543,16 +567,18 @@ class AdvectionDiffusionProblem:
 
     def _base(self, operator: AdvectionOperator, field):
         mesh = operator.mesh
+        ntri = len(mesh.triangles)
         if isinstance(field, GrfSample):
-            m_centroid = bilinear_on_grid(field.grid, field.values, mesh.centroids)
-            m_edge = bilinear_on_grid(field.grid, field.values, operator.edge_midpoints)
+            m = _apply_weights(field.values, operator.field_weights(field.grid))
         else:
             field = np.asarray(field, dtype=float)
             if field.shape != (mesh.node_count,):
                 raise ValueError("field vector does not match mesh")
-            m_centroid = field[mesh.triangles].mean(axis=1)
-            m_edge = 0.5 * (field[operator.edges[:, 0]] + field[operator.edges[:, 1]])
-        return operator.base(1.0 + np.exp(-m_centroid), 1.0 + np.exp(-m_edge))
+            m = np.concatenate(
+                [field[mesh.triangles].mean(axis=1), field[operator.edges].mean(axis=1)]
+            )
+        a = 1.0 + np.exp(-m)
+        return operator.base(a[:ntri], a[ntri:])
 
     def solve(self, velocity, field, mesh: Mesh) -> np.ndarray:
         """P1 solve for one field realization.
@@ -565,7 +591,7 @@ class AdvectionDiffusionProblem:
         velocity = np.asarray(velocity, dtype=float)
         if velocity.shape != (2,):
             raise ValueError("velocity must be a 2-vector")
-        if np.linalg.norm(velocity) > 1.0 + 1e-9:
+        if math.hypot(velocity[0], velocity[1]) > 1.0 + 1e-9:
             raise ValueError(f"velocity must lie in the unit disc, got {velocity}")
         operator = _advection_operator(self, mesh)
         if isinstance(field, GrfSample):
@@ -607,11 +633,17 @@ class GrfSample:
 class GaussianFieldSampler:
     """Centered Gaussian field with covariance ``exp(-(10 |x-y|)**2)``.
 
-    Realizations are drawn on a fixed reference grid by dense Cholesky;
-    the draw indexed ``(seed, draw)`` is a pure function of its key
-    (counter-based generator, see :func:`philox_generator`), so draws do
-    not depend on the order they are made in.  Samplers on grids with the
-    same cell count share one factor.
+    Realizations are drawn on a fixed reference grid by dense Cholesky, in
+    aligned blocks of ``_DRAW_BLOCK`` draws: block ``b`` holds draws
+    ``_DRAW_BLOCK * b`` up to ``_DRAW_BLOCK * (b + 1) - 1`` and is one
+    product ``factor @ normals``, whose column for draw ``k`` is the
+    standard normal vector of the counter-based generator keyed
+    ``(seed, stream, k)`` (see :func:`philox_generator`).  A block is
+    always the same matrix, so the draw indexed ``(seed, draw)`` is bit
+    for bit a pure function of its key: draws do not depend on the order
+    or number of draws made before them.  The sampler keeps its latest
+    block, so draws requested in ascending order compute each block once.
+    Samplers on grids with the same cell count share one factor.
     """
 
     def __init__(self, grid: Mesh, stream: int = 0):
@@ -623,13 +655,26 @@ class GaussianFieldSampler:
         self.grid = grid
         self.stream = stream
         self._factor = _field_factor(grid.cells)
+        self._block_key: tuple[int, int] | None = None
+        self._block: np.ndarray | None = None
 
     def sample(self, seed: int, draw: int) -> GrfSample:
-        rng = philox_generator(seed, self.stream, draw)
-        normals = rng.standard_normal(self.grid.node_count)
-        return GrfSample(
-            grid=self.grid, values=self._factor @ normals, seed=seed, draw=draw
-        )
+        block, column = divmod(draw, _DRAW_BLOCK)
+        if self._block_key != (seed, block):
+            first = block * _DRAW_BLOCK
+            normals = np.stack(
+                [
+                    philox_generator(seed, self.stream, k).standard_normal(
+                        self.grid.node_count
+                    )
+                    for k in range(first, first + _DRAW_BLOCK)
+                ],
+                axis=1,
+            )
+            self._block = self._factor @ normals
+            self._block_key = (seed, block)
+        values = np.ascontiguousarray(self._block[:, column])
+        return GrfSample(grid=self.grid, values=values, seed=seed, draw=draw)
 
 
 # Each factor is dense (nodes**2 floats) and the pipelines draw on one
@@ -666,10 +711,14 @@ def restrict_field(sample: GrfSample, coarse: Mesh) -> np.ndarray:
     return bilinear_on_grid(sample.grid, sample.values, coarse.nodes)
 
 
-def bilinear_on_grid(grid: Mesh, values: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Evaluate nodal grid data at arbitrary points in the unit square."""
+def bilinear_weights(grid: Mesh, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bilinear interpolation of nodal grid data at points in the unit square.
+
+    Returns ``(index, weights)``, both ``(n, 4)``: the value at point ``i``
+    is ``sum(values[index[i]] * weights[i])``.  Points are clipped to the
+    square, and a point on the last grid line falls into the last cell.
+    """
     nx = grid.nodes_per_axis
-    table = values.reshape(nx, nx)  # [j, i] with x fastest
     c = grid.cells
     x = np.clip(np.asarray(points)[:, 0], 0.0, 1.0) * c
     y = np.clip(np.asarray(points)[:, 1], 0.0, 1.0) * c
@@ -677,16 +726,22 @@ def bilinear_on_grid(grid: Mesh, values: np.ndarray, points: np.ndarray) -> np.n
     j0 = np.minimum(y.astype(int), c - 1)
     fx = x - i0
     fy = y - j0
-    v00 = table[j0, i0]
-    v10 = table[j0, i0 + 1]
-    v01 = table[j0 + 1, i0]
-    v11 = table[j0 + 1, i0 + 1]
-    return (
-        v00 * (1.0 - fx) * (1.0 - fy)
-        + v10 * fx * (1.0 - fy)
-        + v01 * (1.0 - fx) * fy
-        + v11 * fx * fy
+    corner = j0 * nx + i0  # nodes are row-major in (y, x)
+    index = np.stack([corner, corner + 1, corner + nx, corner + nx + 1], axis=1)
+    weights = np.stack(
+        [(1.0 - fx) * (1.0 - fy), fx * (1.0 - fy), (1.0 - fx) * fy, fx * fy], axis=1
     )
+    return index, weights
+
+
+def _apply_weights(values: np.ndarray, weights: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    index, w = weights
+    return (values[index] * w).sum(axis=1)
+
+
+def bilinear_on_grid(grid: Mesh, values: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Evaluate nodal grid data at arbitrary points in the unit square."""
+    return _apply_weights(values, bilinear_weights(grid, points))
 
 
 def export_solution_csv(mesh: Mesh, solution: np.ndarray, path) -> None:

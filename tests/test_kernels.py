@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.spatial.distance import cdist
-from scipy.special import kv
+from scipy.special import kn, kv
 
 import kernelkit.kernels as kernels_module
 from kernelkit.kernels import (
@@ -86,6 +86,35 @@ class TestMaternKernel:
         assert matern_evaluate(k1, [0.0], [0.25]) == pytest.approx(
             matern_evaluate(k2, [0.0], [0.5]), rel=1e-13
         )
+
+    @pytest.mark.parametrize("nu", [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5])
+    @pytest.mark.parametrize("length_scale", [1.0, 0.3])
+    def test_profile_matches_bessel_kn_and_power_form(self, nu, length_scale):
+        k = MaternKernel(beta=nu + 1.0, dim=2, length_scale=length_scale)
+        small = kernels_module._SMALL_RADIUS
+        s = np.concatenate(
+            [
+                np.geomspace(1e-8, 40.0, 400),
+                small * np.array([0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 2.0]),
+            ]
+        )
+        normalization = 2.0 ** (-nu) / math.gamma(nu + 1.0)
+        if nu == int(nu):
+            order = int(nu)
+            far = s > small
+            reference = np.full_like(s, k.value_at_zero)
+            reference[far] = normalization * s[far] ** order * kn(order, s[far])
+        else:
+            # r**nu K_nu(r) = sqrt(pi/2) exp(-r) sum_k c_k r**(m-k), term by term.
+            m = int(nu - 0.5)
+            coeffs = [
+                math.factorial(m + j) / (math.factorial(j) * math.factorial(m - j)) * 2.0**-j
+                for j in range(m + 1)
+            ]
+            poly = sum(c * s ** (m - j) for j, c in enumerate(coeffs))
+            reference = normalization * math.sqrt(math.pi / 2.0) * np.exp(-s) * poly
+        profile = k.profile(s * length_scale)
+        assert np.max(np.abs(profile - reference) / reference) <= 1e-13
 
     def test_rejects_unsupported_orders(self):
         with pytest.raises(ValueError):

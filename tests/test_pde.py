@@ -21,6 +21,7 @@ from kernelkit.pde import (
     GrfSample,
     Mesh,
     bilinear_on_grid,
+    bilinear_weights,
     bump_profile,
     export_solution_csv,
     l2_error_against,
@@ -318,6 +319,16 @@ class TestAdvectionProblem:
         with pytest.raises(ValueError):
             problem.sample_qoi(np.array([0.6, 0.8 + 2e-9]), field, mesh)
 
+    @pytest.mark.parametrize("kind", ["grf", "nodal"])
+    def test_velocity_on_the_circle_is_accepted(self, kind):
+        problem = AdvectionDiffusionProblem()
+        mesh = Mesh(cells=4)
+        field = advection_field(kind, mesh, 0)
+        for angle in (0.0, 0.3, 2.0, -2.5):
+            z = np.array([math.cos(angle), math.sin(angle)])
+            assert math.isfinite(problem.sample_qoi(z, field, mesh))
+        assert math.isfinite(problem.sample_qoi(np.array([0.6, 0.8 + 5e-10]), field, mesh))
+
     def test_velocity_changes_qoi(self):
         problem = AdvectionDiffusionProblem()
         mesh = Mesh(cells=10)
@@ -431,6 +442,27 @@ def advection_field(kind, mesh, seed):
     return GrfSample(grid=grid, values=values, seed=seed, draw=0)
 
 
+def bilinear_reference(grid, values, points):
+    """The four-term bilinear formula, cell by cell, in plain Python."""
+    c = grid.cells
+    table = values.reshape(grid.nodes_per_axis, grid.nodes_per_axis)  # [y, x]
+    out = np.empty(len(points))
+    for n, (px, py) in enumerate(points):
+        x = min(max(px, 0.0), 1.0) * c
+        y = min(max(py, 0.0), 1.0) * c
+        i = min(int(x), c - 1)
+        j = min(int(y), c - 1)
+        fx = x - i
+        fy = y - j
+        out[n] = (
+            table[j, i] * (1.0 - fx) * (1.0 - fy)
+            + table[j, i + 1] * fx * (1.0 - fy)
+            + table[j + 1, i] * (1.0 - fx) * fy
+            + table[j + 1, i + 1] * fx * fy
+        )
+    return out
+
+
 def dense_advection_system(problem, field, mesh):
     """Element-by-element dense assembly: diffusion plus Robin matrix, the
     two unit advection matrices, and the right-hand side."""
@@ -438,8 +470,8 @@ def dense_advection_system(problem, field, mesh):
     edges = mesh.boundary_edges
     midpoints = nodes[edges].mean(axis=1)
     if isinstance(field, GrfSample):
-        m_tri = bilinear_on_grid(field.grid, field.values, mesh.centroids)
-        m_edge = bilinear_on_grid(field.grid, field.values, midpoints)
+        m_tri = bilinear_reference(field.grid, field.values, mesh.centroids)
+        m_edge = bilinear_reference(field.grid, field.values, midpoints)
     else:
         m_tri = field[mesh.triangles].mean(axis=1)
         m_edge = field[edges].mean(axis=1)
@@ -532,8 +564,34 @@ class TestGaussianField:
         sq = ((grid.nodes[:, None, :] - grid.nodes[None, :, :]) ** 2).sum(axis=2)
         factor = np.linalg.cholesky(np.exp(-100.0 * sq) + 1e-10 * np.eye(grid.node_count))
         rng = np.random.Generator(np.random.Philox(counter=[0, 0, 3, 0], key=[2, 5]))
-        expected = factor @ rng.standard_normal(grid.node_count)
-        assert np.array_equal(second.sample(seed=2, draw=3).values, expected)
+        normals = rng.standard_normal(grid.node_count)
+        assert np.array_equal(
+            philox_generator(2, 5, draw=3).standard_normal(grid.node_count), normals
+        )
+        # The draw is one column of a blocked product, so only its BLAS
+        # summation order may differ from the single matrix-vector product.
+        expected = factor @ normals
+        values = second.sample(seed=2, draw=3).values
+        assert np.max(np.abs(values - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("draw", [31, 32, 63])
+    def test_draws_do_not_depend_on_request_order(self, draw):
+        grid = mesh_at_level(3)
+
+        def requested(draws, seed=7):
+            sampler = GaussianFieldSampler(grid, stream=2)
+            samples = {k: sampler.sample(seed, k) for k in draws}
+            return samples[draw].values
+
+        alone = requested([draw])
+        ascending = requested(range(draw + 40))
+        descending = requested(range(draw + 40, -1, -1))
+        sampler = GaussianFieldSampler(grid, stream=2)
+        sampler.sample(8, draw)  # the same block position under another seed
+        after_other_seed = sampler.sample(7, draw).values
+        for values in (ascending, descending, after_other_seed):
+            assert np.array_equal(values, alone)
+        assert alone.flags.c_contiguous and alone.base is None
 
     def test_field_factor_is_kept_per_cell_count(self):
         pde._field_factor.cache_clear()
@@ -561,6 +619,33 @@ class TestGaussianField:
     def test_rejects_oversized_reference_grid(self):
         with pytest.raises(ValueError):
             GaussianFieldSampler(Mesh(cells=80))
+
+    def test_bilinear_matches_four_term_formula(self):
+        grid = Mesh(cells=7)
+        rng = np.random.default_rng(12)
+        values = rng.uniform(-1.0, 1.0, grid.node_count)
+        points = np.vstack([rng.random((500, 2)), rng.uniform(-0.2, 1.2, (50, 2))])
+        expected = bilinear_reference(grid, values, points)
+        assert np.max(np.abs(bilinear_on_grid(grid, values, points) - expected)) <= 1e-15
+
+    def test_bilinear_reproduces_grid_nodes_exactly(self):
+        grid = Mesh(cells=6)
+        values = np.random.default_rng(4).standard_normal(grid.node_count)
+        assert np.array_equal(bilinear_on_grid(grid, values, grid.nodes), values)
+        # Nodes on x = 1 or y = 1 fall into the last cell, at fraction 1.
+        index, weights = bilinear_weights(grid, np.array([[1.0, 0.5], [0.5, 1.0], [1.0, 1.0]]))
+        nx = grid.nodes_per_axis
+        assert np.array_equal(index[:, 0], [3 * nx + 5, 5 * nx + 3, 5 * nx + 5])
+        assert np.array_equal(index - index[:, :1], np.tile([0, 1, nx, nx + 1], (3, 1)))
+        assert np.array_equal(weights, [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+
+    def test_bilinear_reproduces_bilinear_data(self):
+        grid = Mesh(cells=9)
+        x, y = grid.nodes.T
+        data = lambda x, y: 0.7 - 1.3 * x + 0.4 * y + 2.1 * x * y  # noqa: E731
+        points = np.random.default_rng(6).random((300, 2))
+        values = bilinear_on_grid(grid, data(x, y), points)
+        assert np.max(np.abs(values - data(points[:, 0], points[:, 1]))) <= 1e-14
 
     def test_bilinear_evaluator_matches_restriction(self):
         grid = mesh_at_level(3)
