@@ -19,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
+from kernelkit.pde import check_field_grid, mesh_at_level
+
 PIPELINES = ("rates", "interp", "misc", "rsr", "ouu", "fem-check")
 _MAX_THRESHOLD = 14
 # Every study fits its log-log slope over at least 3 rows.
@@ -335,11 +337,10 @@ def _validate(raw: dict[str, dict[str, tuple[str, int]]]) -> RunConfig:
         _positive("[ouu] mc_scale", o["mc_scale"])
         _positive("[ouu] pde_scale", o["pde_scale"])
         _positive("[ouu] restarts", o["restarts"])
-        if o["field_level"] > 5:
-            raise ConfigError(
-                f"[ouu] field_level {o['field_level']} exceeds the dense "
-                "factorization bound (5)"
-            )
+        try:
+            check_field_grid(mesh_at_level(o["field_level"]))
+        except ValueError as err:
+            raise ConfigError(f"[ouu] field_level {o['field_level']}: {err}") from None
     if "study" in sections:
         s = sections["study"]
         _positive("[study] eval_points", s["eval_points"])

@@ -10,7 +10,10 @@ space of order ``beta``.  Supported orders are positive integer and
 half-integer ``nu``; half-integer profiles use their closed
 exponential-polynomial form (by Horner's rule), integer profiles the
 modified Bessel function ``K_nu`` from ``K_0`` and ``K_1`` by upward
-recurrence, with the analytic limit at ``r = 0``.
+recurrence, with the analytic limit at ``r = 0``.  Distances come from
+numpy (:func:`kernelkit.points.pairwise_distances`, bit-identical to
+scipy's ``cdist``), and the profile is computed in place in its scaled copy
+of them, so a Gram block costs the block and a few temporaries.
 
 A :class:`TensorKernel` multiplies Matern kernels on disjoint coordinate
 blocks.  Tensor grids and sparse grids repeat each block coordinate many
@@ -43,11 +46,17 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
-from scipy.spatial.distance import cdist
 from scipy.special import k0 as bessel_k0
 from scipy.special import k1 as bessel_k1
 
-from kernelkit.points import Box, Domain, PointSet, generate_points, tensor_grid
+from kernelkit.points import (
+    Box,
+    Domain,
+    PointSet,
+    generate_points,
+    pairwise_distances,
+    tensor_grid,
+)
 from kernelkit.smolyak import FactorSpec, ProblemSpec, SmolyakEngine
 
 _NU_TOL = 1e-9
@@ -140,23 +149,38 @@ class MaternKernel:
         return coeffs
 
     def profile(self, r: np.ndarray) -> np.ndarray:
-        """Radial profile ``phi(r / length_scale)`` for raw distances ``r``."""
-        s = np.asarray(r, dtype=float) / self.length_scale
+        """Radial profile ``phi(r / length_scale)`` for raw distances ``r``.
+
+        Works in place on the scaled copy of ``r``; ``r`` itself is not written.
+        """
+        s = np.array(r, dtype=float)
+        s /= self.length_scale
         coeffs = self._half_integer_coefficients
         if coeffs is not None:
             poly = np.full_like(s, coeffs[0])
             for c in coeffs[1:]:  # Horner's rule, highest power first
                 poly *= s
                 poly += c
-            return self._normalization * math.sqrt(math.pi / 2.0) * np.exp(-s) * poly
-        out = np.full_like(s, self.value_at_zero)
+            out = np.negative(s, out=s)
+            np.exp(out, out=out)
+            out *= self._normalization * math.sqrt(math.pi / 2.0)
+            out *= poly
+            return out
+        order = int(round(self.nu))
         far = s > _SMALL_RADIUS
+        if far.all():
+            out = _scaled_bessel_k(order, s)
+            out *= self._normalization
+            return out
+        out = np.full_like(s, self.value_at_zero)
         if np.any(far):
-            out[far] = self._normalization * _scaled_bessel_k(int(round(self.nu)), s[far])
+            values = _scaled_bessel_k(order, s[far])
+            values *= self._normalization
+            out[far] = values
         return out
 
     def gram(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return self.profile(cdist(np.atleast_2d(x), np.atleast_2d(y)))
+        return self.profile(pairwise_distances(np.atleast_2d(x), np.atleast_2d(y)))
 
 
 def _scaled_bessel_k(order: int, s: np.ndarray) -> np.ndarray:
@@ -165,13 +189,19 @@ def _scaled_bessel_k(order: int, s: np.ndarray) -> np.ndarray:
     Runs the upward recurrence ``K_{n+1} = K_{n-1} + (2n/s) K_n``, which is
     stable for ``K``, scaled by ``s**(n+1)``: with ``g_n = s**n K_n`` it
     reads ``g_{n+1} = s**2 g_{n-1} + 2n g_n``, a sum of positive terms.
+    The recurrence runs in place in two arrays and one scratch array.
     """
-    current = s * bessel_k1(s)
+    current = bessel_k1(s)
+    current *= s
     if order > 1:
         previous = bessel_k0(s)
         s_sq = s * s
+        scratch = np.empty_like(s)
         for n in range(1, order):
-            previous, current = current, s_sq * previous + (2 * n) * current
+            previous *= s_sq
+            np.multiply(current, 2 * n, out=scratch)
+            previous += scratch
+            previous, current = current, previous
     return current
 
 
@@ -278,7 +308,7 @@ class TensorKernel:
         for (kernel, _), (x_rows, x_slot), (y_rows, y_slot) in zip(
             self.blocks, x_split, y_split
         ):
-            profile = kernel.profile(cdist(x_rows, y_rows))
+            profile = kernel.profile(pairwise_distances(x_rows, y_rows))
             if x_slot is not None:
                 profile = profile.take(x_slot, axis=0)
             if y_slot is not None:
@@ -363,7 +393,7 @@ def _factor_decomposition(kernel: MaternKernel, row_bytes: bytes):
     ``kernel.dim`` columns, so that they can key the cache.
     """
     rows = np.frombuffer(row_bytes).reshape(-1, kernel.dim)
-    gram = kernel.profile(cdist(rows, rows))
+    gram = kernel.profile(pairwise_distances(rows, rows))
     eigenvalues, eigenvectors = np.linalg.eigh(gram)
     for array in (gram, eigenvalues, eigenvectors):
         array.setflags(write=False)

@@ -34,7 +34,10 @@ field to the mesh is one gather-and-sum.
 Random-field draws are computed in aligned blocks, one matrix product with
 the field's Cholesky factor per block.  A draw's normals come from its own
 counter-based generator and a block is always the same product, so every
-draw is bit for bit a pure function of ``(seed, stream, draw)``.
+draw is bit for bit a pure function of ``(seed, stream, draw)``.  The
+covariance is built in place in one ``n x n`` buffer and factored by
+``np.linalg.cholesky``, so building a factor of ``n**2`` doubles peaks at
+about three of them.
 """
 
 from __future__ import annotations
@@ -389,10 +392,13 @@ class BumpDiffusionProblem:
     def diffusion(self, centers: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Coefficient values at points ``x`` for bump centers ``centers``."""
         centers = np.asarray(centers, dtype=float).reshape(self.n_bumps, 2)
+        # A bump is +0.0 outside its support, so each is evaluated only at
+        # the points in its support's bounding box, and added in bump order.
+        offset = np.abs(x[None, :, :] - centers[:, None, :])
+        bump, point = np.nonzero(np.max(offset, axis=2) < self.radius)
+        r = np.linalg.norm(offset[bump, point], axis=1) / self.radius
         out = np.full(len(x), 2.0)
-        for c in centers:
-            r = np.linalg.norm(x - c, axis=1) / self.radius
-            out += bump_profile(r)
+        np.add.at(out, point, bump_profile(r))
         return out
 
     def solve(self, centers: np.ndarray, mesh: Mesh) -> np.ndarray:
@@ -647,11 +653,7 @@ class GaussianFieldSampler:
     """
 
     def __init__(self, grid: Mesh, stream: int = 0):
-        if grid.node_count > _MAX_FIELD_NODES:
-            raise ValueError(
-                f"reference grid has {grid.node_count} nodes, "
-                f"dense factorization bound is {_MAX_FIELD_NODES}"
-            )
+        check_field_grid(grid)
         self.grid = grid
         self.stream = stream
         self._factor = _field_factor(grid.cells)
@@ -677,20 +679,43 @@ class GaussianFieldSampler:
         return GrfSample(grid=self.grid, values=values, seed=seed, draw=draw)
 
 
+def check_field_grid(grid: Mesh) -> None:
+    """Raise ValueError if ``grid`` is too large for a dense field factor
+    (``node_count**2`` doubles)."""
+    if grid.node_count > _MAX_FIELD_NODES:
+        raise ValueError(
+            f"reference grid has {grid.node_count} nodes, "
+            f"dense factorization bound is {_MAX_FIELD_NODES}"
+        )
+
+
 # Each factor is dense (nodes**2 floats) and the pipelines draw on one
 # reference grid, so few are kept.
 @lru_cache(maxsize=2)
 def _field_factor(cells: int) -> np.ndarray:
-    """Cholesky factor of the field covariance on a grid of ``cells`` per axis."""
-    grid = Mesh(cells=cells)
-    coords = grid.nodes
-    sq = ((coords[:, None, :] - coords[None, :, :]) ** 2).sum(axis=2)
-    covariance = np.exp(-100.0 * sq)
-    eye = np.eye(grid.node_count)
+    """Cholesky factor of the field covariance on a grid of ``cells`` per axis.
+
+    The covariance is built in one ``n x n`` buffer: squared x-differences,
+    plus squared y-differences from one temporary, then ``exp(-100 sq)``
+    and the nugget on the diagonal, all in place.  The peak is the buffer,
+    the copy that ``np.linalg.cholesky`` factors, and the factor.
+    """
+    x, y = Mesh(cells=cells).nodes.T
+    covariance = np.subtract.outer(x, x)
+    np.square(covariance, out=covariance)
+    dy = np.subtract.outer(y, y)
+    np.square(dy, out=dy)
+    covariance += dy
+    del dy
+    covariance *= -100.0
+    np.exp(covariance, out=covariance)
+    diagonal = covariance.diagonal().copy()
+    covariance.flat[:: len(x) + 1] += _FIELD_NUGGET
     try:
-        factor = np.linalg.cholesky(covariance + _FIELD_NUGGET * eye)
+        factor = np.linalg.cholesky(covariance)
     except np.linalg.LinAlgError:
-        factor = np.linalg.cholesky(covariance + _FIELD_NUGGET_FALLBACK * eye)
+        covariance.flat[:: len(x) + 1] = diagonal + _FIELD_NUGGET_FALLBACK
+        factor = np.linalg.cholesky(covariance)
     factor.setflags(write=False)
     return factor
 

@@ -9,6 +9,11 @@ interpolation degrades badly when the boundary is uncovered) and
 continues with the Halton sequence; discs use the rejection-filtered
 Halton sequence over the bounding box.  The tensor grid of checked point
 sets (:meth:`PointSet.product`) takes its checks from its factors.
+
+Distances are plain numpy (:func:`pairwise_distances`, which reproduces
+``scipy.spatial.distance.cdist`` bit for bit).  A point set checks that
+its points are distinct by sorting their byte rows; its minimum separation
+and fill distance are blocked distance scans, computed only when asked for.
 """
 
 from __future__ import annotations
@@ -19,10 +24,11 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
 _CONTAIN_TOL = 1e-12
+# Largest distance block (rows x points) that one scan step builds.
+_DISTANCE_BLOCK_ENTRIES = 2**18
 
 
 @dataclass(frozen=True)
@@ -136,10 +142,10 @@ class PointSet:
             )
         if not np.all(self.domain.contains(pts)):
             raise ValueError("all points must lie inside the domain")
+        if _has_repeated_rows(pts):
+            raise ValueError("points must be pairwise distinct")
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
-        if len(pts) > 1 and self.min_separation <= 0.0:
-            raise ValueError("points must be pairwise distinct")
 
     @classmethod
     def product(cls, factors: Sequence["PointSet"]) -> "PointSet":
@@ -148,16 +154,14 @@ class PointSet:
 
         Its properties follow from the factors, which were checked when
         they were built: each factor lies in its domain, so the grid lies in
-        the product box; two grid points differ in at least one factor, and
-        are nearest when they differ in one factor only, so the grid's
-        minimum separation is the smallest separation of a factor.
+        the product box; two grid points differ in at least one factor, so
+        they are distinct.
         """
         grid = object.__new__(cls)
         points = tensor_grid([f.points for f in factors])
         points.setflags(write=False)
         object.__setattr__(grid, "points", points)
         object.__setattr__(grid, "domain", _product_domain([f.domain for f in factors]))
-        grid.__dict__["min_separation"] = min(f.min_separation for f in factors)
         return grid
 
     def __len__(self) -> int:
@@ -169,14 +173,60 @@ class PointSet:
 
     @cached_property
     def min_separation(self) -> float:
-        if len(self) < 2:
-            return float("inf")
-        dist, _ = cKDTree(self.points).query(self.points, k=2)
-        return float(np.min(dist[:, 1]))
+        """Smallest distance between two of the points (inf for one point)."""
+        pts = self.points
+        best = float("inf")
+        for start, block in _distance_blocks(pts, pts):
+            rows = np.arange(len(block))
+            block[rows, start + rows] = np.inf
+            best = min(best, float(np.min(block)))
+        return best
 
     def fill_distance(self, resolution: int = 64) -> float:
         """Measured fill distance of this set (see :func:`fill_distance`)."""
         return fill_distance(self, resolution)
+
+
+def pairwise_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Euclidean distances between the rows of ``x`` ``(m, d)`` and ``y`` ``(n, d)``.
+
+    The square root of the squared coordinate differences summed in
+    coordinate order, as ``scipy.spatial.distance.cdist`` computes it, so
+    the two agree bit for bit.  Allocates the ``(m, n)`` result and, for
+    ``d > 1``, one temporary of the same shape.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.ndim != 2 or y.ndim != 2 or x.shape[1] != y.shape[1]:
+        raise ValueError(f"need (m, d) and (n, d) arrays, got {x.shape} and {y.shape}")
+    out = np.subtract.outer(x[:, 0], y[:, 0])
+    np.square(out, out=out)
+    if x.shape[1] > 1:
+        scratch = np.empty_like(out)
+        for k in range(1, x.shape[1]):
+            np.subtract.outer(x[:, k], y[:, k], out=scratch)
+            np.square(scratch, out=scratch)
+            out += scratch
+    np.sqrt(out, out=out)
+    return out
+
+
+def _distance_blocks(x: np.ndarray, y: np.ndarray):
+    """``(start, pairwise_distances(x[start:stop], y))`` over row blocks of ``x``."""
+    step = max(1, _DISTANCE_BLOCK_ENTRIES // max(1, len(y)))
+    for start in range(0, len(x), step):
+        yield start, pairwise_distances(x[start : start + step], y)
+
+
+def _has_repeated_rows(points: np.ndarray) -> bool:
+    """Whether two rows are equal, by sorting the rows' bytes.
+
+    Adding ``0.0`` maps ``-0.0`` to ``0.0``, so rows that compare equal have
+    equal bytes (the points lie in a domain, so none is NaN).
+    """
+    rows = np.add(points, 0.0, order="C")
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    return len(np.unique(keys)) < len(keys)
 
 
 def tensor_grid(arrays: Sequence[np.ndarray]) -> np.ndarray:
@@ -252,5 +302,7 @@ def fill_distance(point_set: PointSet, resolution: int) -> float:
     if resolution < 32:
         raise ValueError(f"resolution must be >= 32 per axis, got {resolution}")
     candidates = point_set.domain.candidate_grid(resolution)
-    dist, _ = cKDTree(point_set.points).query(candidates)
-    return float(np.max(dist))
+    return max(
+        float(np.max(np.min(block, axis=1)))
+        for _, block in _distance_blocks(candidates, point_set.points)
+    )

@@ -150,6 +150,19 @@ class TestRoundTrip:
         assert again == config
         assert serialize_config(again) == serialize_config(config)
 
+    def test_field_level_bound_is_the_dense_factor_bound(self, tmp_path, capsys):
+        text = "[run]\npipeline = ouu\nl_min = 3\nl_max = 5\n[ouu]\nfield_level = {}\n"
+        # Level 6 has 65**2 = 4225 reference nodes, level 7 has 129**2 = 16641.
+        assert parse_config(text.format(6)).sections["ouu"]["field_level"] == 6
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text.format(7))
+        out = tmp_path / "o"
+        assert main(["--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "[ouu] field_level 7: reference grid has 16641 nodes" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_round_trip_other_pipelines(self):
         samples = [
             "[run]\npipeline = fem-check\n[pde]\nlevel_min = 3\nlevel_max = 5\n",

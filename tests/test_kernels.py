@@ -116,6 +116,22 @@ class TestMaternKernel:
         profile = k.profile(s * length_scale)
         assert np.max(np.abs(profile - reference) / reference) <= 1e-13
 
+    @pytest.mark.parametrize("nu", [0.5, 1.0, 1.5, 3.0])
+    def test_profile_does_not_write_its_input(self, nu):
+        k = MaternKernel(beta=nu + 1.0, dim=2, length_scale=0.7)
+        r = np.array([[0.0, 0.3, 1.2], [2.5, 1e-9, 0.05]])
+        before = r.copy()
+        k.profile(r)
+        assert np.array_equal(r, before)
+
+    @pytest.mark.parametrize("nu", [1.0, 2.0, 3.0])
+    def test_profile_all_far_path_matches_masked_path(self, nu):
+        k = MaternKernel(beta=nu + 1.0, dim=2)
+        far = np.geomspace(2e-8, 40.0, 300)
+        masked = k.profile(np.concatenate([far, [0.0, kernels_module._SMALL_RADIUS]]))
+        assert k.profile(far).tobytes() == masked[:-2].tobytes()
+        assert np.all(masked[-2:] == k.value_at_zero)
+
     def test_rejects_unsupported_orders(self):
         with pytest.raises(ValueError):
             MaternKernel(beta=1.25, dim=1)  # order 0.75

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -181,14 +182,18 @@ class TestDirichletOperator:
         with pytest.raises(np.linalg.LinAlgError, match="dpbsv.*4 cells"):
             DirichletOperator(mesh).solve(-1.0, 1.0)
 
-    def test_import_loads_no_sparse_solver(self):
+    def test_import_loads_no_sparse_or_spatial_scipy(self):
         src = os.path.dirname(os.path.dirname(pde.__file__))
-        code = "import sys, kernelkit.cli; print('scipy.sparse.linalg' in sys.modules)"
+        code = (
+            "import sys, kernelkit.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[:2] in (['scipy', 'sparse'], ['scipy', 'spatial'])))"
+        )
         env = dict(os.environ, PYTHONPATH=src)
         result = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
         )
-        assert result.stdout.strip() == "False", result.stderr
+        assert result.stdout.strip() == "[]", result.stdout + result.stderr
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -235,6 +240,21 @@ class TestBumpProblem:
                 a = problem.diffusion(centers, mesh.centroids)
                 assert np.all(a >= 2.0 - 1e-12)
                 assert np.all(a <= 2.0 + 1.0 / 30.0 + 1e-12)
+
+    @pytest.mark.parametrize("n_bumps", [1, 2, 4])
+    def test_diffusion_matches_evaluation_at_every_point(self, n_bumps):
+        rng = np.random.default_rng(n_bumps)
+        problem = BumpDiffusionProblem(n_bumps=n_bumps)
+        lo = np.array([b.lows for b in problem.center_boxes])
+        hi = np.array([b.highs for b in problem.center_boxes])
+        x = np.vstack([mesh_at_level(5).centroids, Mesh(cells=13).nodes])
+        # The first placement puts nodes of the 13-cell mesh on support boxes' edges.
+        placements = [lo] + [lo + rng.random(lo.shape) * (hi - lo) for _ in range(20)]
+        for centers in placements:
+            full = np.full(len(x), 2.0)
+            for c in centers:
+                full += bump_profile(np.linalg.norm(x - c, axis=1) / problem.radius)
+            assert problem.diffusion(centers, x).tobytes() == full.tobytes()
 
     def test_bump_supports_disjoint_and_interior(self):
         rng = np.random.default_rng(1)
@@ -615,6 +635,48 @@ class TestGaussianField:
         assert np.array_equal(philox_generator(11, 2, draw=5).standard_normal(8), first)
         for other in ((12, 2, 5), (11, 3, 5), (11, 2, 6)):
             assert not np.array_equal(philox_generator(*other).standard_normal(8), first)
+
+    @staticmethod
+    def broadcast_factor(cells, nugget):
+        coords = Mesh(cells=cells).nodes
+        sq = ((coords[:, None, :] - coords[None, :, :]) ** 2).sum(axis=2)
+        covariance = np.exp(-100.0 * sq)
+        return np.linalg.cholesky(covariance + nugget * np.eye(len(coords)))
+
+    @pytest.mark.parametrize("cells", [5, 12])
+    def test_field_factor_matches_broadcast_formula(self, cells):
+        factor = pde._field_factor.__wrapped__(cells)
+        expected = self.broadcast_factor(cells, pde._FIELD_NUGGET)
+        assert factor.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("cells", [5, 12])
+    def test_field_factor_fallback_nugget_matches_broadcast_formula(self, cells, monkeypatch):
+        expected = self.broadcast_factor(cells, pde._FIELD_NUGGET_FALLBACK)
+        cholesky = np.linalg.cholesky
+        calls = []
+
+        def fails_once(a):
+            calls.append(a.diagonal().copy())
+            if len(calls) == 1:
+                raise np.linalg.LinAlgError("forced")
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", fails_once)
+        factor = pde._field_factor.__wrapped__(cells)
+        assert len(calls) == 2
+        assert np.all(calls[0] == 1.0 + pde._FIELD_NUGGET)
+        assert factor.tobytes() == expected.tobytes()
+
+    def test_field_factor_builds_in_place(self):
+        tracemalloc.start()
+        try:
+            factor = pde._field_factor.__wrapped__(16)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The covariance buffer, one temporary and the factor; the broadcast
+        # formula allocates six or more factor sizes.
+        assert peak <= 2.5 * factor.nbytes
 
     def test_rejects_oversized_reference_grid(self):
         with pytest.raises(ValueError):

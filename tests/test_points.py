@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from kernelkit.points import (
     Box,
@@ -10,6 +11,7 @@ from kernelkit.points import (
     fill_distance,
     generate_points,
     halton_sequence,
+    pairwise_distances,
     tensor_grid,
 )
 
@@ -56,6 +58,24 @@ class TestPointSet:
     def test_rejects_duplicates(self):
         with pytest.raises(ValueError):
             PointSet(points=np.array([[0.5], [0.5]]), domain=UNIT_INTERVAL)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[0.0], [-0.0]],
+            [[0.5, 0.0], [0.25, 0.5], [0.5, -0.0]],
+            [[0.25, 0.75], [0.25, 0.75]],
+        ],
+    )
+    def test_rejects_duplicates_including_signed_zeros(self, rows):
+        domain = Box((-1.0,) * len(rows[0]), (1.0,) * len(rows[0]))
+        with pytest.raises(ValueError, match="distinct"):
+            PointSet(points=np.array(rows), domain=domain)
+
+    def test_accepts_non_contiguous_points(self):
+        pts = np.asfortranarray([[0.0, 0.5], [0.5, 0.0], [1.0, 1.0]])
+        ps = PointSet(points=pts, domain=UNIT_SQUARE)
+        assert ps.min_separation == pytest.approx(math.sqrt(0.5))
 
     def test_min_separation(self):
         ps = PointSet(points=np.array([[0.0], [0.25], [1.0]]), domain=UNIT_INTERVAL)
@@ -139,3 +159,18 @@ class TestFillDistance:
         disc = Disc(center=(0.0, 0.0), radius=1.0)
         ps = PointSet(points=np.array([[0.0, 0.0]]), domain=disc)
         assert fill_distance(ps, 64) == pytest.approx(1.0, abs=0.05)
+
+
+class TestPairwiseDistances:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_matches_cdist_bit_for_bit(self, dim):
+        rng = np.random.default_rng(dim)
+        for scale in (1e-3, 1.0, 37.0):
+            x = rng.standard_normal((41, dim)) * scale
+            y = rng.uniform(-1.0, 1.0, (29, dim))
+            assert pairwise_distances(x, y).tobytes() == cdist(x, y).tobytes()
+            assert pairwise_distances(x, x).tobytes() == cdist(x, x).tobytes()
+
+    def test_rejects_mismatched_dimensions(self):
+        with pytest.raises(ValueError):
+            pairwise_distances(np.zeros((3, 2)), np.zeros((3, 3)))
