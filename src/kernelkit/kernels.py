@@ -17,10 +17,15 @@ of them, so a Gram block costs the block and a few temporaries.
 
 A :class:`TensorKernel` multiplies Matern kernels on disjoint coordinate
 blocks.  Tensor grids and sparse grids repeat each block coordinate many
-times, so its Gram matrix evaluates every block profile once per pair of
-distinct block coordinates and gathers the result back; the entries are
-bit-identical to the pairwise products.  A kernel expansion keeps the
-split of its nodes, so evaluating it splits only the new points.
+times, so its Gram matrix, which the dense fits need, evaluates every
+block profile once per pair of distinct block coordinates and gathers
+the result back; the entries are bit-identical to the pairwise products.
+A kernel expansion never forms its points x nodes Gram matrix: it keeps
+a contraction plan of its nodes, which groups the coefficients by their
+other-block coordinates into dense matrices over a prefix of the last
+block's coordinates.  On a sparse grid, evaluation is then a few matrix
+products of the last block's profile with those matrices, times gathers
+of the other blocks' profiles per group of coordinates.
 
 Interpolation coefficients solve the symmetric positive-definite kernel
 system ``(K + jitter I) x = b`` with an escalating diagonal shift, followed
@@ -67,8 +72,12 @@ _RESIDUAL_REQUIRED = 1e-8
 _REFINEMENT_PASSES = 4
 _SMALL_RADIUS = 1e-8
 _GAUSS_POINTS_PER_AXIS = 64
-# Largest Gram block (points x nodes) that one evaluation step builds.
+# Most entries that one evaluation chunk's block profiles hold together,
+# and that any one of its group products holds.
 _GRAM_BLOCK_ENTRIES = 2**18
+# A contraction plan may hold up to this many coefficient-matrix entries
+# per node; one that pads more evaluates by per-node gathers instead.
+_PLAN_ENTRIES_PER_NODE = 2
 # Factor eigendecompositions kept for Kronecker solves.  Each is a pure
 # function of its key (block kernel, factor point bytes), so every caller
 # in the process may share them.
@@ -486,16 +495,132 @@ def _refine(
 
 
 @dataclass(frozen=True)
+class _ContractionPlan:
+    """How a kernel expansion contracts its block profiles with its coefficients.
+
+    Each block's profile is evaluated against ``node_rows``.  In a ranked
+    plan (``contracted``) the last block's rows are its distinct
+    coordinates ranked by node count, descending, and a node is the pair
+    of its tuple (its distinct coordinates in the other blocks) and its
+    last-block rank.  Each group ``(width, matrix, columns)`` holds the
+    tuples whose highest rank is ``width - 1``: ``matrix`` is their
+    ``width x tuples`` coefficient matrix and ``columns`` gives each other
+    block's row of every tuple.  The gather plan has one group whose
+    ``matrix`` is the coefficient row and whose ``columns`` give every
+    block's row of every node.
+    """
+
+    node_rows: tuple[np.ndarray, ...]
+    contracted: bool
+    groups: tuple[tuple[int, np.ndarray, tuple[np.ndarray, ...]], ...]
+
+    @classmethod
+    def build(
+        cls, kernel: TensorKernel, nodes: PointSet, coefficients: np.ndarray
+    ) -> "_ContractionPlan":
+        """The ranked plan, or the gather plan when ranking would pad too much.
+
+        On a union of tensor grids over nested sequences every tuple's
+        last-block partners are a prefix of the ranking, so the groups
+        tile the nodes with no zero entries; on unstructured nodes the
+        group matrices would be mostly zeros.
+        """
+        coefficients = np.asarray(coefficients, dtype=float)
+        split = kernel.split_nodes(nodes)
+        count = len(nodes)
+        slots = [np.arange(count) if slot is None else slot for _, slot in split]
+        *other_slots, last_slot = slots
+        last_rows = split[-1][0]
+        order = np.argsort(
+            -np.bincount(last_slot, minlength=len(last_rows)), kind="stable"
+        )
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        node_rank = rank[last_slot]
+        if other_slots:
+            first, tuple_of = distinct_rows(np.stack(other_slots, axis=1))
+        else:
+            first, tuple_of = np.zeros(1, dtype=int), np.zeros(count, dtype=int)
+        width = np.zeros(len(first), dtype=int)
+        np.maximum.at(width, tuple_of, node_rank + 1)
+        if width.sum() > _PLAN_ENTRIES_PER_NODE * count:
+            return cls(
+                node_rows=tuple(rows for rows, _ in split),
+                contracted=False,
+                groups=((0, coefficients, tuple(slots)),),
+            )
+        position = np.empty_like(width)
+        groups = []
+        for w in np.unique(width):
+            members = np.flatnonzero(width == w)
+            position[members] = np.arange(len(members))
+            in_group = np.flatnonzero(width[tuple_of] == w)
+            matrix = np.zeros((w, len(members)))
+            column = position[tuple_of[in_group]]
+            matrix[node_rank[in_group], column] = coefficients[in_group]
+            groups.append((int(w), matrix, tuple(s[first[members]] for s in other_slots)))
+        return cls(
+            node_rows=(*(rows for rows, _ in split[:-1]), last_rows[order]),
+            contracted=True,
+            groups=tuple(groups),
+        )
+
+    @cached_property
+    def chunk_columns(self) -> int:
+        """Columns per point of a chunk: its block profiles together, or its
+        widest group product."""
+        return max(
+            sum(len(rows) for rows in self.node_rows),
+            max(matrix.shape[-1] for _, matrix, _ in self.groups),
+        )
+
+    def contract(self, kernel: TensorKernel, points: np.ndarray) -> np.ndarray:
+        """The expansion's values at ``points``.
+
+        Per group, ``q = last[:, :width] @ matrix`` (or the coefficient
+        row), times each gathered block's profile columns, summed per row.
+        """
+        profiles = []
+        for (block, _), (rows, slot), node_rows in zip(
+            kernel.blocks, kernel.split(points), self.node_rows
+        ):
+            profile = block.profile(pairwise_distances(rows, node_rows))
+            profiles.append(profile if slot is None else profile.take(slot, axis=0))
+        last = profiles.pop() if self.contracted else None
+        sums = []
+        for width, matrix, columns in self.groups:
+            product = matrix if last is None else last[:, :width] @ matrix
+            for profile, cols in zip(profiles, columns):
+                factor = profile.take(cols, axis=1)
+                factor *= product
+                product = factor
+            sums.append(product.sum(axis=1))
+        return reduce(np.add, sums)
+
+
+@dataclass(frozen=True)
 class KernelExpansion:
     """Kernel expansion ``x -> sum_i c_i Phi(x_i, x)`` over a node set.
 
-    Evaluation walks the points in row chunks, so that no Gram block holds
-    more than ``_GRAM_BLOCK_ENTRIES`` entries whatever the point count.
+    Evaluation contracts each block's profile with the coefficients by a
+    :class:`_ContractionPlan`, built once per expansion: on a sparse grid
+    a few matrix products over the distinct block coordinates, never a
+    points x nodes array.  It walks the points in row chunks, so that a
+    chunk's block profiles together, and each of its group products, hold
+    at most ``_GRAM_BLOCK_ENTRIES`` entries whatever the point count.
     """
 
     kernel: TensorKernel
     nodes: PointSet
     coefficients: np.ndarray
+
+    def __post_init__(self):
+        shape = np.shape(self.coefficients)
+        if shape != (len(self.nodes),):
+            raise ValueError(
+                f"expansion over {len(self.nodes)} nodes needs one coefficient "
+                f"per node, got coefficients of shape {shape}"
+            )
 
     def evaluate(self, points: np.ndarray, check_domain: bool = True) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -504,18 +629,18 @@ class KernelExpansion:
                 "evaluating kernel expansion outside its domain (extrapolation)",
                 stacklevel=2,
             )
-        rows = max(1, _GRAM_BLOCK_ENTRIES // len(self.nodes))
+        plan = self._plan
+        rows = max(1, _GRAM_BLOCK_ENTRIES // plan.chunk_columns)
         out = np.empty(pts.shape[0])
         for start in range(0, pts.shape[0], rows):
-            chunk = self.kernel.split(pts[start : start + rows])
-            out[start : start + rows] = (
-                self.kernel.split_gram(chunk, self._node_split) @ self.coefficients
+            out[start : start + rows] = plan.contract(
+                self.kernel, pts[start : start + rows]
             )
         return out
 
     @cached_property
-    def _node_split(self):
-        return self.kernel.split_nodes(self.nodes)
+    def _plan(self) -> _ContractionPlan:
+        return _ContractionPlan.build(self.kernel, self.nodes, self.coefficients)
 
     def __call__(self, point) -> float:
         return float(self.evaluate(np.asarray(point, dtype=float).reshape(1, -1))[0])

@@ -7,7 +7,9 @@ prefixes, so the weighted sum is itself one kernel expansion over the
 distinct nodes (the combination technique's collapse onto the sparse
 grid).  A :class:`Surrogate` keeps it in that form: one expansion per
 distinct ``(kernel, domain)`` pair, merged whenever a surrogate is built,
-added or scaled, so evaluation costs one Gram product per expansion.
+added or scaled.  Each expansion evaluates through its contraction plan,
+which on a sparse grid's nested nodes is a few block matrix products
+over the distinct block coordinates.
 Merging is a fixed function of the term order, and the engine reduces
 terms in lexicographic order, so the result is reproducible.
 
@@ -183,56 +185,68 @@ def save_surrogate(surrogate: Surrogate, path) -> None:
         handle.write(dump_surrogate(surrogate))
 
 
+def _expect(lines: list[str], pos: int, token: str, values: int = 0) -> list[str]:
+    """The tokens after ``token`` opening line ``pos``, at least ``values`` of them.
+
+    Raises ValueError naming the token and the line when it is missing.
+    """
+    if pos >= len(lines):
+        raise ValueError(f"expected {token!r} at line {pos + 1}, found end of file")
+    tokens = lines[pos].split()
+    if tokens[0] != token:
+        raise ValueError(f"expected {token!r} at line {pos + 1}")
+    if len(tokens) <= values:
+        raise ValueError(f"expected {values} values after {token!r} at line {pos + 1}")
+    return tokens[1:]
+
+
+def _rows(lines: list[str], pos: int, count: int, what: str) -> list[str]:
+    """The ``count`` lines of ``what`` from line ``pos``; ValueError if the file ends."""
+    if pos + count > len(lines):
+        raise ValueError(
+            f"expected {count} {what} from line {pos + 1}, found end of file "
+            f"after line {len(lines)}"
+        )
+    return lines[pos : pos + count]
+
+
 def parse_surrogate(text: str) -> Surrogate:
     """Inverse of :func:`dump_surrogate`; several terms per pair load merged."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != _HEADER:
         raise ValueError("not a kernelkit surrogate file (bad header)")
-    if not lines[1].startswith("terms "):
-        raise ValueError("missing term count")
-    term_count = int(lines[1].split()[1])
+    term_count = int(_expect(lines, 1, "terms", 1)[0])
     pos = 2
     terms = []
     for _ in range(term_count):
-        if lines[pos] != "term":
-            raise ValueError(f"expected 'term' at line {pos + 1}")
+        _expect(lines, pos, "term")
         pos += 1
-        coefficient = float(lines[pos].split()[1])
+        coefficient = float(_expect(lines, pos, "coefficient", 1)[0])
         pos += 1
-        block_count = int(lines[pos].split()[1])
+        block_count = int(_expect(lines, pos, "blocks", 1)[0])
         pos += 1
         blocks = []
         for _ in range(block_count):
-            tokens = lines[pos].split()
-            if tokens[0] != "block":
-                raise ValueError(f"expected 'block' at line {pos + 1}")
-            beta, dim, scale = float(tokens[1]), int(tokens[2]), float(tokens[3])
-            coords = tuple(int(c) for c in tokens[4:])
+            tokens = _expect(lines, pos, "block", 3)
+            beta, dim, scale = float(tokens[0]), int(tokens[1]), float(tokens[2])
+            coords = tuple(int(c) for c in tokens[3:])
             blocks.append((MaternKernel(beta=beta, dim=dim, length_scale=scale), coords))
             pos += 1
-        tokens = lines[pos].split()
-        if tokens[0] != "domain":
-            raise ValueError(f"expected 'domain' at line {pos + 1}")
-        domain = _parse_domain(tokens[1:])
+        domain = _parse_domain(_expect(lines, pos, "domain", 2))
         pos += 1
-        tokens = lines[pos].split()
-        if tokens[0] != "nodes":
-            raise ValueError(f"expected 'nodes' at line {pos + 1}")
-        count, dim = int(tokens[1]), int(tokens[2])
+        tokens = _expect(lines, pos, "nodes", 2)
+        count, dim = int(tokens[0]), int(tokens[1])
         pos += 1
-        pts = np.array(
-            [[float(v) for v in lines[pos + i].split()] for i in range(count)]
-        ).reshape(count, dim)
+        node_lines = _rows(lines, pos, count, "node rows")
+        pts = np.array([[float(v) for v in line.split()] for line in node_lines])
+        pts = pts.reshape(count, dim)
         pos += count
-        tokens = lines[pos].split()
-        if tokens[0] != "alpha":
-            raise ValueError(f"expected 'alpha' at line {pos + 1}")
-        alpha_count = int(tokens[1])
+        alpha_count = int(_expect(lines, pos, "alpha", 1)[0])
         pos += 1
-        alpha = np.array([float(lines[pos + i]) for i in range(alpha_count)])
+        alpha_lines = _rows(lines, pos, alpha_count, "alpha values")
+        alpha = np.array([float(line) for line in alpha_lines])
         pos += alpha_count
-        if lines[pos] != "end":
-            raise ValueError(f"expected 'end' at line {pos + 1}")
+        _expect(lines, pos, "end")
         pos += 1
         expansion = KernelExpansion(
             kernel=TensorKernel(blocks=tuple(blocks)),

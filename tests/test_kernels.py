@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ import kernelkit.kernels as kernels_module
 from kernelkit.kernels import (
     ConditioningError,
     Interpolant,
+    KernelExpansion,
     MaternKernel,
     TensorKernel,
     doubling_levels,
@@ -28,6 +31,7 @@ from kernelkit.kernels import (
 from kernelkit.multiindex import combination_coefficients
 from kernelkit.points import Box, Disc, PointSet, generate_points
 from kernelkit.smolyak import FactorSpec, level_to_resolution
+from kernelkit.surrogate import Surrogate
 
 UNIT_INTERVAL = Box((0.0,), (1.0,))
 UNIT_SQUARE = Box((0.0, 0.0), (1.0, 1.0))
@@ -221,6 +225,143 @@ class TestTensorKernel:
         assert sum(entries) <= 32**2 + 64**2
 
 
+# Block layouts ((beta, dim) per block) with Bessel (integer nu) and
+# closed-form (half-integer nu) profiles.
+EXPANSION_LAYOUTS = [
+    ((2.0, 1),),
+    ((2.0, 2),),
+    ((2.0, 1), (1.5, 1)),
+    ((2.0, 2), (2.5, 2)),
+    ((1.5, 1), (2.5, 2), (2.0, 1)),
+]
+
+
+def unit_box(dim):
+    return Box((0.0,) * dim, (1.0,) * dim)
+
+
+def layout_kernel(layout):
+    """Tensor kernel of a layout, its blocks on consecutive coordinates."""
+    blocks, offset = [], 0
+    for beta, dim in layout:
+        coords = tuple(range(offset, offset + dim))
+        blocks.append((MaternKernel(beta=beta, dim=dim), coords))
+        offset += dim
+    return TensorKernel(blocks=tuple(blocks))
+
+
+def merged_sparse_grid(layout, L, resolution, rng):
+    """The merged combination of random expansions on the simplex-``L`` grids.
+
+    Each term lives on the tensor grid of nested ``generate_points``
+    prefixes of ``resolution(level)`` points per block, as the engine
+    builds them, so the result is one expansion over the sparse grid.
+    """
+    kernel = layout_kernel(layout)
+    boxes = [unit_box(dim) for _, dim in layout]
+    terms = []
+    for term in combination_coefficients(len(layout), L):
+        grids = [generate_points(b, resolution(l)) for b, l in zip(boxes, term.index)]
+        nodes = PointSet.product(grids)
+        coefficients = rng.standard_normal(len(nodes))
+        terms.append((term.coefficient, KernelExpansion(kernel, nodes, coefficients)))
+    ((_, merged),) = Surrogate(terms=tuple(terms)).terms
+    return merged
+
+
+def plan_entries(expansion):
+    return sum(matrix.size for _, matrix, _ in expansion._plan.groups)
+
+
+class TestKernelExpansionEvaluation:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        layout=st.sampled_from(EXPANSION_LAYOUTS),
+        sparse=st.booleans(),
+        L=st.integers(0, 3),
+        doubling=st.booleans(),
+        random_count=st.integers(1, 60),
+        point_count=st.integers(1, 40),
+        budget=st.sampled_from([kernels_module._GRAM_BLOCK_ENTRIES, 97, 1]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_evaluate_matches_gram_product(
+        self, layout, sparse, L, doubling, random_count, point_count, budget, seed
+    ):
+        rng = np.random.default_rng(seed)
+        dim = sum(d for _, d in layout)
+        if sparse:
+            resolution = doubling_levels if doubling else (lambda l: l + 1)
+            expansion = merged_sparse_grid(layout, len(layout) + L, resolution, rng)
+        else:
+            nodes = PointSet(rng.random((random_count, dim)), unit_box(dim))
+            expansion = KernelExpansion(
+                layout_kernel(layout), nodes, rng.standard_normal(random_count)
+            )
+        nodes, c = expansion.nodes.points, expansion.coefficients
+        # Random points, some nodes (zero block distances) and a repeated row.
+        points = np.vstack([rng.random((point_count, dim)), nodes[:3], nodes[:1]])
+        with mock.patch.object(kernels_module, "_GRAM_BLOCK_ENTRIES", budget):
+            got = expansion.evaluate(points)
+        gram = expansion.kernel.gram(points, nodes)
+        bound = 8 * np.finfo(float).eps * (np.abs(gram) @ np.abs(c))
+        assert np.all(np.abs(got - gram @ c) <= bound)
+        if len(layout) == 1:
+            # One block keeps the Gram-vector product, chunk by chunk, bit for bit.
+            rows = max(1, budget // len(nodes))
+            expected = np.concatenate(
+                [gram[start : start + rows] @ c for start in range(0, len(points), rows)]
+            )
+            assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_sparse_grid_plan_pads_nothing(self, dim):
+        k = MaternKernel(beta=2.0, dim=dim)
+        L = 8
+        surrogate = sparse_interpolate([k, k], [unit_box(dim)] * 2, smooth_values, L=L)
+        ((_, expansion),) = surrogate.terms
+        plan = expansion._plan
+        assert plan.contracted
+        assert plan_entries(expansion) == len(expansion.nodes)
+        assert len(plan.groups) <= L
+
+    def test_random_nodes_take_the_gather_plan(self):
+        rng = np.random.default_rng(3)
+        nodes = PointSet(rng.random((300, 2)), UNIT_SQUARE)
+        expansion = KernelExpansion(
+            layout_kernel(((2.0, 1), (2.0, 1))), nodes, rng.standard_normal(300)
+        )
+        plan = expansion._plan
+        assert not plan.contracted
+        assert plan_entries(expansion) == len(nodes)
+
+    def test_large_sparse_grid_stays_within_block_budget(self):
+        # About 11k nodes: the interp workload's largest surrogate.
+        rng = np.random.default_rng(8)
+        expansion = merged_sparse_grid(((2.0, 1), (2.0, 1)), 11, doubling_levels, rng)
+        assert len(expansion.nodes) == 11264
+        points = rng.random((2048, 2))
+        expansion.evaluate(points[:1])  # builds the plan
+        tracemalloc.start()
+        try:
+            expansion.evaluate(points)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        budget_bytes = kernels_module._GRAM_BLOCK_ENTRIES * 8
+        # A chunk's block profiles together fill one budget, and a profile
+        # under construction holds a few temporaries of its own size; one
+        # points x nodes array would take 88 budgets, one unchunked profile 8.
+        assert peak <= 3 * budget_bytes
+
+    def test_rejects_coefficients_that_do_not_match_the_nodes(self):
+        nodes = uniform_nodes(13)
+        kernel = single_block(MaternKernel(beta=2.0, dim=1))
+        for coefficients in (np.zeros(12), np.zeros((13, 1))):
+            with pytest.raises(ValueError, match=r"13 nodes.*shape \(1[23],"):
+                KernelExpansion(kernel, nodes, coefficients)
+
+
 class TestFitInterpolant:
     def test_zero_values_give_zero_interpolant(self):
         k = MaternKernel(beta=2.0, dim=1)
@@ -394,16 +535,10 @@ class TestSolveSpd:
 
 def block_grid(layout, counts):
     """Tensor kernel, per-factor point sets and tensor-grid nodes of a layout."""
-    blocks, grids, offset = [], [], 0
-    for (beta, dim), count in zip(layout, counts):
-        blocks.append(
-            (MaternKernel(beta=beta, dim=dim), tuple(range(offset, offset + dim)))
-        )
-        grids.append(generate_points(Box((0.0,) * dim, (1.0,) * dim), count))
-        offset += dim
+    grids = [generate_points(unit_box(dim), n) for (_, dim), n in zip(layout, counts)]
     points = tensor_grid([g.points for g in grids])
-    nodes = PointSet(points=points, domain=Box((0.0,) * offset, (1.0,) * offset))
-    return TensorKernel(blocks=tuple(blocks)), grids, nodes
+    nodes = PointSet(points=points, domain=unit_box(points.shape[1]))
+    return layout_kernel(layout), grids, nodes
 
 
 def smooth_values(points):

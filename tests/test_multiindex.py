@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kernelkit.multiindex import (
     combination_coefficients,
@@ -128,27 +130,26 @@ class TestDeltaExpand:
         with pytest.raises(ValueError):
             delta_expand((0, 2))
 
-    def test_simplex_delta_sum_equals_combination_sum(self):
-        rng = np.random.default_rng(21)
-        for n in (1, 2, 3):
-            for L in (n, n + 2, n + 4):
-                w = [np.concatenate([[0.0], rng.standard_normal(L + 1)]) for _ in range(n)]
-                delta_total = 0.0
-                for index in enumerate_simplex(n, L):
-                    for corner, sign in delta_expand(index):
-                        if corner_is_zero(corner):
-                            continue
-                        delta_total += sign * np.prod(
-                            [w[j][c] for j, c in enumerate(corner)]
-                        )
-                combo_total = sum(
-                    t.coefficient
-                    * np.prod([w[j][l] for j, l in enumerate(t.index)])
-                    for t in combination_coefficients(n, L)
-                )
-                assert delta_total == pytest.approx(
-                    combo_total, rel=1e-12, abs=1e-13
-                )
+    @settings(max_examples=60)
+    @given(st.data())
+    def test_simplex_delta_sum_equals_combination_sum(self, data):
+        # Over random integer level tables w[j][l] (w[j][0] = 0), the sum of
+        # the difference expansion over the simplex equals the combination
+        # rule exactly.
+        n = data.draw(st.integers(1, 4), label="n")
+        L = data.draw(st.integers(n, n + 4), label="L")
+        levels = st.lists(st.integers(-9, 9), min_size=L + 1, max_size=L + 1)
+        w = [[0] + data.draw(levels, label=f"w{j}") for j in range(n)]
+        delta_total = 0
+        for index in enumerate_simplex(n, L):
+            for corner, sign in delta_expand(index):
+                if not corner_is_zero(corner):
+                    delta_total += sign * math.prod(w[j][c] for j, c in enumerate(corner))
+        combo_total = sum(
+            t.coefficient * math.prod(w[j][l] for j, l in enumerate(t.index))
+            for t in combination_coefficients(n, L)
+        )
+        assert delta_total == combo_total
 
 
 class TestExponentialSum:

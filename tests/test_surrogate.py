@@ -311,6 +311,34 @@ class TestSerialization:
         xs = generate_points(domain, 40).points
         assert np.array_equal(s.evaluate(xs), loaded.evaluate(xs))
 
+    def test_alpha_count_must_match_node_count(self):
+        lines = dump_surrogate(simple_surrogate()).splitlines()
+        at = next(i for i, line in enumerate(lines) if line.startswith("alpha "))
+        count = int(lines[at].split()[1])
+        # One alpha value fewer than nodes, with a consistent count line.
+        lines[at] = f"alpha {count - 1}"
+        del lines[at + 1]
+        with pytest.raises(ValueError, match=rf"{count} nodes.*shape \({count - 1},\)"):
+            parse_surrogate("\n".join(lines))
+
+    def test_truncated_file_names_the_expected_token(self):
+        lines = dump_surrogate(simple_surrogate()).splitlines()
+        assert lines[-1] == "end"
+        with pytest.raises(ValueError, match=rf"expected 'end' at line {len(lines)}"):
+            parse_surrogate("\n".join(lines[:-1]))
+        for cut in range(1, len(lines)):
+            with pytest.raises(ValueError, match="expected"):
+                parse_surrogate("\n".join(lines[:cut]))
+        # A counted line cut short of its values.
+        for at, line in enumerate(lines[1:-1], start=1):
+            token = line.split()[0]
+            if line == token or not token[0].isalpha():
+                continue
+            short = lines[:at] + [token] + lines[at + 1 :]
+            message = rf"expected .*{token}.* at line {at + 1}"
+            with pytest.raises(ValueError, match=message):
+                parse_surrogate("\n".join(short))
+
     def test_rejects_bad_header(self):
         with pytest.raises(ValueError):
             parse_surrogate("something else\nterms 0\n")
