@@ -34,6 +34,7 @@ from kernelkit.smolyak import (
     FactorSpec,
     ProblemSpec,
     RatePrediction,
+    SlopeFitError,
     SmolyakEngine,
     WorkLedger,
     convergence_study,
@@ -59,6 +60,7 @@ __all__ = [
     "ProblemSpec",
     "QuadratureRule",
     "RatePrediction",
+    "SlopeFitError",
     "SmolyakEngine",
     "Surrogate",
     "TensorKernel",

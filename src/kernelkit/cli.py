@@ -35,11 +35,13 @@ from kernelkit.smolyak import (
     EvaluationError,
     FactorSpec,
     ProblemSpec,
+    SlopeFitError,
     SmolyakEngine,
     convergence_study,
     fit_loglog_slope,
     predicted_rates,
 )
+from kernelkit.surrogate import Surrogate
 from kernelkit.uq import (
     OuuObjective,
     bump_sample_factor,
@@ -160,19 +162,17 @@ def _run_interp(config: RunConfig, out: str, seed: int) -> None:
     engine = SmolyakEngine(problem)
     eval_domain = Box(lows=(0.0,) * (k["d"] * blocks), highs=(1.0,) * (k["d"] * blocks))
     points = random_points(eval_domain, config[("study", "eval_points")], seed)
-    exact = target(points)
     table = []
+    surrogates = []
     for L in range(config.l_min, config.l_max + 1):
         value, ledger = engine.estimate(L)
-        diff = value.evaluate(points) - exact
+        surrogates.append(value)
         table.append(
-            {
-                "L": L,
-                "work_units": ledger.total_work,
-                "evaluations": ledger.evaluations,
-                "error": float(np.sqrt(np.mean(diff**2))),
-            }
+            {"L": L, "work_units": ledger.total_work, "evaluations": ledger.evaluations}
         )
+    diffs = Surrogate.stack(surrogates).evaluate(points) - target(points)[:, None]
+    for row, diff in zip(table, diffs.T):
+        row["error"] = float(np.sqrt(np.mean(diff**2)))
     _write_csv(os.path.join(out, "study.csv"), ["L", "work_units", "evaluations", "error"], table)
     fitted = fit_loglog_slope(
         [(r["work_units"], r["error"]) for r in table], window=config.fit_window
@@ -413,7 +413,12 @@ def main(argv=None) -> int:
     out = args.out if args.out is not None else config.out
     try:
         run(config, out, seed, args.quiet)
-    except (EvaluationError, ConditioningError, np.linalg.LinAlgError) as err:
+    except (
+        EvaluationError,
+        ConditioningError,
+        SlopeFitError,
+        np.linalg.LinAlgError,
+    ) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 1
     if not args.quiet:

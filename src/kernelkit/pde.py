@@ -207,11 +207,20 @@ def pde_resolution_map(
     return mapped
 
 
+@lru_cache(maxsize=32)
+def _average_weights(mesh: Mesh) -> np.ndarray:
+    """Nodal weights of the P1 integral: ``area / 3`` per triangle at a node."""
+    counts = np.bincount(mesh.triangles.ravel(), minlength=mesh.node_count)
+    weights = counts * (mesh.triangle_area / 3.0)
+    weights.setflags(write=False)
+    return weights
+
+
 def spatial_average(solution: np.ndarray, mesh: Mesh) -> float:
     """Exact integral of a P1 function over the unit square."""
     if solution.shape != (mesh.node_count,):
         raise ValueError("solution vector does not match mesh")
-    return float(solution[mesh.triangles].sum() * mesh.triangle_area / 3.0)
+    return float(solution @ _average_weights(mesh))
 
 
 class _BandLayout:

@@ -47,6 +47,10 @@ class EvaluationError(RuntimeError):
         self.resolutions = resolutions
 
 
+class SlopeFitError(ValueError):
+    """A study table whose trailing window admits no log-log slope fit."""
+
+
 @dataclass(frozen=True)
 class FactorSpec:
     """Work/convergence description of one factor of a multilinear problem.
@@ -369,18 +373,25 @@ def fit_loglog_slope(
     Raises
     ------
     ValueError
+        If ``window`` lies outside (0, 1].
+    SlopeFitError
         If fewer than 3 points fall in the window, or any windowed value
-        is nonpositive.
+        is nonpositive (a study whose errors are all exactly 0, say).
     """
     if not 0.0 < window <= 1.0:
         raise ValueError(f"window must lie in (0, 1], got {window}")
     count = max(3, math.ceil(window * len(table)))
     tail = list(table)[-count:]
     if len(tail) < 3:
-        raise ValueError(f"need at least 3 points in the window, got {len(tail)}")
+        raise SlopeFitError(f"need at least 3 points in the window, got {len(tail)}")
     xs = np.array([p[0] for p in tail], dtype=float)
     ys = np.array([p[1] for p in tail], dtype=float)
-    if np.any(xs <= 0.0) or np.any(ys <= 0.0):
-        raise ValueError("log-log fit requires positive values in the window")
+    bad = np.flatnonzero((xs <= 0.0) | (ys <= 0.0))
+    if len(bad):
+        x, y = tail[bad[0]]
+        raise SlopeFitError(
+            f"log-log slope fit needs positive values in its window of {len(tail)} "
+            f"rows; {len(bad)} are not, the first ({x:g}, {y:g})"
+        )
     slope, _ = np.polyfit(np.log(xs), np.log(ys), 1)
     return float(slope)

@@ -13,6 +13,15 @@ over the distinct block coordinates.
 Merging is a fixed function of the term order, and the engine reduces
 terms in lexicographic order, so the result is reproducible.
 
+A study compares many surrogates at the same points: one per threshold
+``L``, per replication, and a reference.  Their nodes are prefixes of one
+nested sequence, so :meth:`Surrogate.stack` evaluates them together.  The
+stack's ``evaluate(points)`` returns one column per member; per chunk of
+points each block's profile is computed once, over the distinct block
+coordinates of all members' expansions of that kernel, and each member
+contracts only its own columns of it, never a zero-padded product over
+the union.  A stack is only evaluated: it neither combines nor saves.
+
 The on-disk format is versioned plain text (header ``kernelkit-surrogate
 v1``) with one block per term listing the combination coefficient, kernel
 parameters, node coordinates and expansion coefficients, all floats
@@ -22,7 +31,9 @@ file with several terms per ``(kernel, domain)`` pair loads merged.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -31,6 +42,7 @@ from kernelkit.kernels import (
     MaternKernel,
     TensorKernel,
     distinct_rows,
+    evaluate_stacked,
 )
 from kernelkit.points import Box, Disc, Domain, PointSet
 
@@ -74,15 +86,32 @@ class Surrogate:
 
     ``terms`` pairs a coefficient with an expansion; after construction
     every coefficient is 1.0 and the weights live in the expansions'
-    coefficients.
+    coefficients.  A stack (:meth:`stack`) also holds its ``members``;
+    its terms are theirs, in member order and not merged.
     """
 
     terms: tuple[tuple[float, KernelExpansion], ...]
+    members: tuple["Surrogate", ...] = ()
 
     def __post_init__(self):
         if len(self.terms) == 0:
             raise ValueError("surrogate needs at least one term")
-        object.__setattr__(self, "terms", _merge(self.terms))
+        if not self.members:
+            object.__setattr__(self, "terms", _merge(self.terms))
+
+    @classmethod
+    def stack(cls, members: Sequence["Surrogate"]) -> "Surrogate":
+        """The surrogates ``members`` evaluated together.
+
+        ``evaluate(points)`` of the stack returns one column per member,
+        shape ``(P, len(members))``, each equal to the member's own
+        :meth:`evaluate` up to rounding.  Members' expansions of one kernel
+        share each chunk's block profiles (:func:`evaluate_stacked`).
+        """
+        members = tuple(members)
+        if not members or any(m.members for m in members):
+            raise ValueError("a stack needs one or more surrogates that are not stacks")
+        return cls(terms=tuple(t for m in members for t in m.terms), members=members)
 
     @property
     def dim(self) -> int:
@@ -93,25 +122,56 @@ class Surrogate:
         return self.terms[0][1].nodes.domain
 
     def evaluate(self, points: np.ndarray, check_domain: bool = True) -> np.ndarray:
+        """Values at ``points``: shape ``(P,)``, or ``(P, members)`` for a stack."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
+        if self.members:
+            return self._evaluate_stack(pts, check_domain)
         out = np.zeros(pts.shape[0])
         for coefficient, expansion in self.terms:
             out += coefficient * expansion.evaluate(pts, check_domain=check_domain)
         return out
 
+    def _evaluate_stack(self, pts: np.ndarray, check_domain: bool) -> np.ndarray:
+        owners: dict[TensorKernel, list[tuple[int, float, KernelExpansion]]] = {}
+        for column, member in enumerate(self.members):
+            for coefficient, expansion in member.terms:
+                owners.setdefault(expansion.kernel, []).append(
+                    (column, coefficient, expansion)
+                )
+        if check_domain:
+            domains = {e.nodes.domain for group in owners.values() for _, _, e in group}
+            if not all(np.all(domain.contains(pts)) for domain in domains):
+                warnings.warn(
+                    "evaluating kernel expansion outside its domain (extrapolation)",
+                    stacklevel=3,
+                )
+        out = np.zeros((pts.shape[0], len(self.members)))
+        for group in owners.values():
+            values = evaluate_stacked([e for _, _, e in group], pts)
+            for (column, coefficient, _), value in zip(group, values.T):
+                out[:, column] += coefficient * value
+        return out
+
     def __call__(self, point) -> float:
         return float(self.evaluate(np.asarray(point, dtype=float).reshape(1, -1))[0])
+
+    def _unstacked(self) -> None:
+        if self.members:
+            raise TypeError("a stack of surrogates is only evaluated")
 
     def __add__(self, other):
         if isinstance(other, KernelExpansion):
             other = Surrogate(terms=((1.0, other),))
         if not isinstance(other, Surrogate):
             return NotImplemented
+        self._unstacked()
+        other._unstacked()
         return Surrogate(terms=self.terms + other.terms)
 
     __radd__ = __add__
 
     def __rmul__(self, coefficient: float) -> "Surrogate":
+        self._unstacked()
         c = float(coefficient)
         return Surrogate(terms=tuple((c * w, s) for w, s in self.terms))
 
@@ -155,6 +215,7 @@ def _parse_domain(tokens: list[str]) -> Domain:
 
 def dump_surrogate(surrogate: Surrogate) -> str:
     """Serialize to the versioned plain-text format."""
+    surrogate._unstacked()
     lines = [_HEADER, f"terms {len(surrogate.terms)}"]
     for coefficient, expansion in surrogate.terms:
         lines.append("term")

@@ -14,7 +14,10 @@ estimator with different factor wiring:
   followed by pattern-search minimization of surrogate plus penalty.
 
 Work ledgers charge only sampler work (``prod N_j * N_pde**gamma`` per
-term); the cost of solving kernel systems is reported separately.
+term); the cost of solving kernel systems is reported separately.  The
+function-valued studies build every surrogate of their table, the
+reference included, before they evaluate any, and then evaluate them all
+in one stacked pass at the study points (:meth:`Surrogate.stack`).
 Randomness is counter-based throughout: the draw with index ``k`` of a
 given ``(seed, stream)`` never depends on evaluation order.
 """
@@ -394,27 +397,35 @@ def surface_study(
     """Surrogate error table against a fine reference surrogate.
 
     Errors are estimated on ``eval_points``: ``error_l2`` is the root mean
-    square difference, ``error_linf`` the maximum difference.
+    square difference, ``error_linf`` the maximum difference.  The
+    reference and every surrogate of the table are built first and then
+    evaluated in one stacked pass (:meth:`Surrogate.stack`), which
+    computes each block profile once over the union of their nested nodes.
     """
     engine = SmolyakEngine(build_surface_problem(interp_factors, sample_factor))
     Ls = sorted(int(L) for L in L_values)
+    surrogates = []
     if reference_values is None:
         ref_L = reference_L if reference_L is not None else Ls[-1] + 2
-        reference, _ = engine.estimate(ref_L)
-        reference_values = reference.evaluate(eval_points)
+        surrogates.append(engine.estimate(ref_L)[0])
     rows = []
     for L in Ls:
         value, ledger = engine.estimate(L)
-        diff = value.evaluate(eval_points) - reference_values
+        surrogates.append(value)
         rows.append(
             {
                 "L": L,
                 "work_units": ledger.total_work,
                 "pde_solves": sample_factor.solve_count,
-                "error_l2": float(np.sqrt(np.mean(diff**2))),
-                "error_linf": float(np.max(np.abs(diff))),
             }
         )
+    values = Surrogate.stack(surrogates).evaluate(eval_points)
+    if reference_values is None:
+        reference_values, values = values[:, 0], values[:, 1:]
+    for row, column in zip(rows, values.T):
+        diff = column - reference_values
+        row["error_l2"] = float(np.sqrt(np.mean(diff**2)))
+        row["error_linf"] = float(np.max(np.abs(diff)))
     return rows
 
 
@@ -605,8 +616,12 @@ def ouu_study(
 
     The reference surrogate is built on its own stream at ``reference_L``
     (default ``max(L) + 2``); each replication r = 1..R runs the full
-    threshold range on stream ``r``.  Returns the rows and the reference
-    surrogate (for downstream minimization).
+    threshold range on stream ``r``.  All surrogates are built first and
+    then evaluated in one stacked pass (:meth:`Surrogate.stack`): their
+    nodes are prefixes of one nested sequence, so each kernel profile is
+    computed once per study point and node of the largest surrogate.
+    Returns the rows and the reference surrogate (for downstream
+    minimization).
     """
     Ls = sorted(int(L) for L in L_values)
     ref_L = reference_L if reference_L is not None else Ls[-1] + 2
@@ -617,7 +632,6 @@ def ouu_study(
         interp_factor_builder(), seed=seed, stream=0, **pipeline_kwargs
     )
     reference = reference_pipeline.estimate(ref_L).value
-    reference_values = reference.evaluate(eval_points)
     pipelines = [
         OuuPipeline(
             interp_factor_builder(),
@@ -628,14 +642,13 @@ def ouu_study(
         for r in range(1, replications + 1)
     ]
     rows = []
+    surrogates = [reference]
     for L in Ls:
-        errors_sq = []
         work = None
         solves = 0
         for pipeline in pipelines:
             result = pipeline.estimate(L)
-            diff = result.value.evaluate(eval_points) - reference_values
-            errors_sq.append(float(np.max(np.abs(diff))) ** 2)
+            surrogates.append(result.value)
             work = result.ledger.total_work
             solves += result.pde_solves
         rows.append(
@@ -643,8 +656,11 @@ def ouu_study(
                 "L": L,
                 "work_units": work,
                 "pde_solves": solves,
-                "mse_linf": float(np.mean(errors_sq)),
                 "replications": replications,
             }
         )
+    values = Surrogate.stack(surrogates).evaluate(eval_points)
+    errors = np.max(np.abs(values[:, 1:] - values[:, :1]), axis=0)
+    for row, per_replication in zip(rows, errors.reshape(len(rows), -1)):
+        row["mse_linf"] = float(np.mean(per_replication**2))
     return rows, reference

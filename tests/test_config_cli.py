@@ -281,6 +281,17 @@ class TestCliRuns:
         assert (out / "manifest.txt").exists()
         assert not (out / "study.csv").exists()
 
+    def test_failed_slope_fit_is_a_numerical_failure(self, tmp_path, capsys):
+        # At beta = 60 every error of the rates study rounds to exactly 0.0,
+        # so the log-log fit has nothing positive to fit.
+        cfg = self.write(tmp_path, RATES_CONFIG.replace("beta = 1, 1", "beta = 60, 60"))
+        out = tmp_path / "flat"
+        assert main(["--config", cfg, "--out", str(out), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: log-log slope fit needs positive values")
+        rows = (out / "study.csv").read_text().splitlines()[1:]
+        assert all(float(r.split(",")[3]) == 0.0 for r in rows)
+
     def test_interp_run(self, tmp_path):
         text = "\n".join(
             [

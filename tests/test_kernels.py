@@ -211,13 +211,13 @@ class TestTensorKernel:
 
     def test_tensor_grid_fit_evaluates_each_block_profile_once(self, monkeypatch):
         entries = []
-        profile = MaternKernel.profile
+        profile = MaternKernel._profile_in_place
 
         def counting_profile(kernel, r):
             entries.append(np.size(r))
             return profile(kernel, r)
 
-        monkeypatch.setattr(MaternKernel, "profile", counting_profile)
+        monkeypatch.setattr(MaternKernel, "_profile_in_place", counting_profile)
         k = MaternKernel(beta=2.0, dim=1)
         grids = [generate_points(UNIT_INTERVAL, n) for n in (32, 64)]
         nodes = tensor_grid([g.points for g in grids])

@@ -8,6 +8,7 @@ from kernelkit.smolyak import (
     EvaluationError,
     FactorSpec,
     ProblemSpec,
+    SlopeFitError,
     SmolyakEngine,
     convergence_study,
     fit_loglog_slope,
@@ -383,9 +384,9 @@ class TestFitLoglogSlope:
         assert abs(fit_loglog_slope(pts) - (-0.5)) <= 0.05
 
     def test_rejects_small_or_nonpositive(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(SlopeFitError):
             fit_loglog_slope([(1.0, 1.0), (2.0, 0.5)])
-        with pytest.raises(ValueError):
+        with pytest.raises(SlopeFitError, match=r"1 are not, the first \(2, 0\)"):
             fit_loglog_slope([(1.0, 1.0), (2.0, 0.0), (3.0, 0.1)])
         with pytest.raises(ValueError):
             fit_loglog_slope([(1.0, 1.0), (2.0, 0.5), (3.0, 0.25)], window=0.0)

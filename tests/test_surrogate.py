@@ -1,3 +1,5 @@
+import os
+import sys
 import warnings
 
 import numpy as np
@@ -5,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kernelkit.kernels as kernels_module
 import kernelkit.surrogate as surrogate_module
 from kernelkit.kernels import (
     _GRAM_BLOCK_ENTRIES,
@@ -22,7 +25,7 @@ from kernelkit.multiindex import (
     delta_expand,
     enumerate_simplex,
 )
-from kernelkit.points import Box, Disc, generate_points
+from kernelkit.points import Box, Disc, PointSet, generate_points
 from kernelkit.smolyak import FactorSpec, ProblemSpec, SmolyakEngine
 from kernelkit.surrogate import (
     Surrogate,
@@ -232,6 +235,149 @@ class TestMergedExpansion:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             s.evaluate(np.array([[1.5]]), check_domain=False)
+
+
+def disc_family(rng):
+    """ouu-like: signed sums of one-block fits on nested disc prefixes."""
+    kernel = MaternKernel(beta=4.0, dim=2, length_scale=0.5)
+    fits = {}
+    for count in (8, 16, 32, 64, 128):
+        nodes = generate_points(UNIT_DISC, count)
+        values = np.cos(nodes.points @ [1.3, -0.7]) + rng.normal(0.0, 0.01, count)
+        fits[count] = fit_interpolant(kernel, nodes, values)
+    members = [Surrogate(terms=((1.0, fits[128]),))]
+    for low, mid, high in ((8, 16, 32), (16, 32, 64), (32, 64, 128)):
+        terms = ((1.0, fits[high]), (1.0, fits[mid]), (-1.0, fits[low]))
+        members.append(Surrogate(terms=terms))
+    points = rng.uniform(-1.0, 1.0, (3000, 2))
+    return members, points[np.sum(points**2, axis=1) <= 1.0][:1200]
+
+
+def sparse_family(kernel, domain, rng):
+    """interp- and rsr-like: two-block sparse interpolants at L = 3..7."""
+
+    def target(points):
+        return np.prod(np.sin(2.0 * np.pi * points), axis=1)
+
+    members = [
+        sparse_interpolate([kernel] * 2, [domain] * 2, target, L=L) for L in range(3, 8)
+    ]
+    return members, rng.random((1200, 2 * domain.dim))
+
+
+def stacked_family(name):
+    rng = np.random.default_rng(11)
+    if name == "disc":
+        return disc_family(rng)
+    if name == "interval":
+        return sparse_family(MaternKernel(beta=2.0, dim=1), UNIT_INTERVAL, rng)
+    return sparse_family(MaternKernel(beta=3.0, dim=2), UNIT_SQUARE, rng)
+
+
+def stack_layout(members, kernel=None):
+    return kernels_module._stack_layout(
+        [e for m in members for _, e in m.terms if kernel in (None, e.kernel)]
+    )
+
+
+def assert_columns_match(stacked, members, points):
+    assert stacked.shape == (len(points), len(members))
+    for column, member in zip(stacked.T, members):
+        alone = member.evaluate(points)
+        assert np.max(np.abs(column - alone)) <= 1e-13 * np.max(np.abs(alone))
+
+
+class TestStackedEvaluation:
+    @pytest.mark.parametrize("family", ["disc", "interval", "square"])
+    def test_columns_match_members_evaluated_alone(self, family):
+        members, points = stacked_family(family)
+        # Several chunks, the last one short.
+        _, _, rows = stack_layout(members)
+        assert rows < len(points) and len(points) % rows != 0
+        assert_columns_match(Surrogate.stack(members).evaluate(points), members, points)
+
+    def test_nested_members_share_rows_without_gathers(self):
+        members, _ = stacked_family("interval")
+        node_rows, stacked, _ = stack_layout(members)
+        widest = members[-1].terms[0][1]._plan
+        assert [len(r) for r in node_rows] == [len(r) for r in widest.node_rows]
+        assert all(isinstance(last, slice) for _, last in stacked)
+
+    def test_one_member_stack_equals_plain_evaluate(self):
+        members, points = stacked_family("square")
+        stacked = Surrogate.stack(members[-1:]).evaluate(points)
+        assert stacked.shape == (len(points), 1)
+        assert_columns_match(stacked, members[-1:], points)
+
+    def test_unnested_mixed_kernel_members(self):
+        # Random nodes take the gather plan; a grid whose last block runs
+        # backwards gathers its columns of the shared rows; a second kernel
+        # evaluates in its own group.
+        rng = np.random.default_rng(5)
+        kernel = MaternKernel(beta=2.0, dim=1)
+        backwards = generate_points(UNIT_INTERVAL, 7).points[::-1].copy()
+        tensor = tensor_grid_interpolant(
+            [kernel, kernel],
+            [generate_points(UNIT_INTERVAL, 5), PointSet(backwards, UNIT_INTERVAL)],
+            rng.standard_normal(35),
+        )
+        nodes = PointSet(rng.random((40, 2)), UNIT_SQUARE)
+        scattered = KernelExpansion(tensor.kernel, nodes, rng.standard_normal(40))
+        other = fit_interpolant(
+            MaternKernel(beta=2.5, dim=2), generate_points(UNIT_SQUARE, 30), rng.random(30)
+        )
+        members = [
+            Surrogate(terms=((1.0, tensor),)),
+            Surrogate(terms=((2.0, scattered), (1.0, other))),
+            Surrogate(terms=((1.0, other),)),
+            sparse_interpolate([kernel] * 2, [UNIT_INTERVAL] * 2, sine_product, L=4),
+        ]
+        points = rng.random((301, 2))
+        assert_columns_match(Surrogate.stack(members).evaluate(points), members, points)
+        _, stacked, _ = stack_layout(members, tensor.kernel)
+        assert {type(None), slice, np.ndarray} == {type(last) for _, last in stacked}
+
+    def test_temporaries_stay_within_the_chunk_budget(self, monkeypatch):
+        members, _ = stacked_family("interval")
+        points = np.random.default_rng(2).random((500, 2))
+        assert kernels_module._STACK_BLOCK_ENTRIES <= kernels_module._GRAM_BLOCK_ENTRIES
+        budget = 4096
+        monkeypatch.setattr(kernels_module, "_STACK_BLOCK_ENTRIES", budget)
+        stack = Surrogate.stack(members)
+        assert points.size <= budget and len(points) * len(members) <= budget
+        package = os.path.dirname(kernels_module.__file__)
+        sizes = []
+
+        def record(frame, event, arg):
+            for value in (*frame.f_locals.values(), arg):
+                items = value if isinstance(value, (list, tuple)) else (value,)
+                sizes.extend(a.size for a in items if isinstance(a, np.ndarray))
+            return record
+
+        def enter(frame, event, arg):
+            return record if frame.f_code.co_filename.startswith(package) else None
+
+        sys.settrace(enter)
+        try:
+            stack.evaluate(points)
+        finally:
+            sys.settrace(None)
+        assert budget // 2 < max(sizes) <= budget
+
+    def test_a_stack_is_only_evaluated(self):
+        stack = Surrogate.stack([simple_surrogate()] * 2)
+        with pytest.raises(TypeError):
+            stack + simple_surrogate()
+        with pytest.raises(TypeError):
+            2.0 * stack
+        with pytest.raises(TypeError):
+            dump_surrogate(stack)
+        with pytest.raises(ValueError):
+            Surrogate.stack([stack])
+        with pytest.raises(ValueError):
+            Surrogate.stack([])
+        with pytest.warns(UserWarning, match="outside its domain"):
+            stack.evaluate(np.array([[1.5]]))
 
 
 class TestSerialization:
