@@ -5,7 +5,9 @@ and writes three artifacts into the output directory: ``manifest.txt``
 (configuration hash, seed, version; written before any numerics),
 ``study.csv`` (one row per threshold or mesh level), and ``slope.txt``
 (fitted and predicted log-log slopes).  The optimization pipeline also
-writes ``minimizer.txt``.
+writes ``minimizer.txt``.  Every pipeline returns its table to
+:func:`run`, which fits the slope first and then writes the study's
+artifacts together, so a failed fit leaves only the manifest.
 
 Exit codes: 0 success, 1 numerical failure (with the failing term named),
 2 configuration error (with a line diagnostic).
@@ -18,6 +20,7 @@ import hashlib
 import math
 import os
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,10 +30,11 @@ from kernelkit.kernels import (
     ConditioningError,
     MaternKernel,
     doubling_levels,
-    tensor_grid_interpolant,
+    sparse_interpolation_problem,
 )
 from kernelkit.pde import l2_error_against, mesh_at_level, solve_poisson_dirichlet
-from kernelkit.points import Box, Disc, generate_points, tensor_grid
+from kernelkit.points import Box, Disc
+from kernelkit.points import generate_points  # noqa: F401 - bench/tests patch it here
 from kernelkit.smolyak import (
     EvaluationError,
     FactorSpec,
@@ -94,11 +98,21 @@ def _write_slopes(path, fitted: float, predicted: float, window: float) -> None:
         handle.write(f"fit_window = {window:.12e}\n")
 
 
-def _run_rates(config: RunConfig, out: str, seed: int) -> None:
+class _Study(NamedTuple):
+    """A pipeline's table, the (x, y) series its slope is fitted to, the
+    predicted slope, and further artifacts to write (name to text)."""
+
+    header: list[str]
+    rows: list[dict]
+    series: list[tuple[float, float]]
+    predicted: float
+    artifacts: dict[str, str] = {}
+
+
+def _run_rates(config: RunConfig, seed: int) -> _Study:
     gammas = config[("factors", "gamma")]
     betas = config[("factors", "beta")]
     specs = [FactorSpec(gamma=g, beta=b) for g, b in zip(gammas, betas)]
-    prediction = predicted_rates(specs)
 
     def evaluator(resolutions):
         out_value = 1.0
@@ -106,78 +120,51 @@ def _run_rates(config: RunConfig, out: str, seed: int) -> None:
             out_value *= 1.0 + float(n) ** -b
         return out_value
 
-    problem = ProblemSpec(factors=tuple(specs), tensor_evaluator=evaluator)
-    rows = convergence_study(
-        problem,
+    engine = SmolyakEngine(ProblemSpec(factors=tuple(specs), tensor_evaluator=evaluator))
+    rows, _ = convergence_study(
+        [engine],
         range(config.l_min, config.l_max + 1),
-        reference=1.0,
+        lambda _, values: [{"error": abs(1.0 - v)} for v in values],
     )
-    table = [
-        {"L": L, "work_units": w, "evaluations": e, "error": err}
-        for L, w, e, err in rows
-    ]
-    _write_csv(os.path.join(out, "study.csv"), ["L", "work_units", "evaluations", "error"], table)
-    fitted = fit_loglog_slope(
-        [(r["work_units"], r["error"]) for r in table], window=config.fit_window
-    )
-    _write_slopes(os.path.join(out, "slope.txt"), fitted, prediction.slope, config.fit_window)
+    header = ["L", "work_units", "evaluations", "error"]
+    series = [(r["work_units"], r["error"]) for r in rows]
+    return _Study(header, rows, series, predicted_rates(specs).slope)
 
 
-def _run_interp(config: RunConfig, out: str, seed: int) -> None:
+def _sine_product(points):
+    values = np.ones(points.shape[0])
+    for j in range(points.shape[1]):
+        values = values * np.sin(2.0 * np.pi * points[:, j])
+    return values
+
+
+def _run_interp(config: RunConfig, seed: int) -> _Study:
     k = config.section("kernel")
     blocks = config[("interp", "blocks")]
-    level_map = (
-        doubling_levels if config[("interp", "level_map")] == "doubling" else None
-    )
     kernel = MaternKernel(beta=k["beta"], dim=k["d"], length_scale=k["length_scale"])
-    domain = Box(lows=(0.0,) * k["d"], highs=(1.0,) * k["d"])
-    rate = (k["beta"] - k["alpha"]) / k["d"]
-    specs = [
-        FactorSpec(gamma=1.0, beta=rate, resolution_map=level_map)
-        for _ in range(blocks)
-    ]
-    prediction = predicted_rates(specs)
-
-    def target(points):
-        values = np.ones(points.shape[0])
-        for j in range(points.shape[1]):
-            values = values * np.sin(2.0 * np.pi * points[:, j])
-        return values
-
-    prefixes: dict[tuple[int, int], object] = {}
-
-    def prefix(j, count):
-        key = (j, count)
-        if key not in prefixes:
-            prefixes[key] = generate_points(domain, count)
-        return prefixes[key]
-
-    def evaluator(resolutions):
-        grids = [prefix(j, r) for j, r in enumerate(resolutions)]
-        return tensor_grid_interpolant(
-            [kernel] * blocks, grids, target(tensor_grid([g.points for g in grids]))
-        )
-
-    problem = ProblemSpec(factors=tuple(specs), tensor_evaluator=evaluator)
-    engine = SmolyakEngine(problem)
+    problem = sparse_interpolation_problem(
+        [kernel] * blocks,
+        [Box(lows=(0.0,) * k["d"], highs=(1.0,) * k["d"])] * blocks,
+        _sine_product,
+        alphas=[k["alpha"]] * blocks,
+        resolution_map=doubling_levels
+        if config[("interp", "level_map")] == "doubling"
+        else None,
+    )
     eval_domain = Box(lows=(0.0,) * (k["d"] * blocks), highs=(1.0,) * (k["d"] * blocks))
     points = random_points(eval_domain, config[("study", "eval_points")], seed)
-    table = []
-    surrogates = []
-    for L in range(config.l_min, config.l_max + 1):
-        value, ledger = engine.estimate(L)
-        surrogates.append(value)
-        table.append(
-            {"L": L, "work_units": ledger.total_work, "evaluations": ledger.evaluations}
-        )
-    diffs = Surrogate.stack(surrogates).evaluate(points) - target(points)[:, None]
-    for row, diff in zip(table, diffs.T):
-        row["error"] = float(np.sqrt(np.mean(diff**2)))
-    _write_csv(os.path.join(out, "study.csv"), ["L", "work_units", "evaluations", "error"], table)
-    fitted = fit_loglog_slope(
-        [(r["work_units"], r["error"]) for r in table], window=config.fit_window
+
+    def errors(_, surrogates):
+        values = Surrogate.stack(surrogates).evaluate(points)
+        diffs = values - _sine_product(points)[:, None]
+        return [{"error": float(np.sqrt(np.mean(diff**2)))} for diff in diffs.T]
+
+    rows, _ = convergence_study(
+        [SmolyakEngine(problem)], range(config.l_min, config.l_max + 1), errors
     )
-    _write_slopes(os.path.join(out, "slope.txt"), fitted, prediction.slope, config.fit_window)
+    header = ["L", "work_units", "evaluations", "error"]
+    series = [(r["work_units"], r["error"]) for r in rows]
+    return _Study(header, rows, series, predicted_rates(problem.factors).slope)
 
 
 def _misc_factors(config: RunConfig):
@@ -199,42 +186,29 @@ def _misc_factors(config: RunConfig):
         integrand = lambda pts: np.sum(pts**2, axis=1)  # noqa: E731
         exact = blocks / 3.0
     else:
-        def integrand(pts):
-            values = np.ones(pts.shape[0])
-            for j in range(pts.shape[1]):
-                values = values * np.sin(2.0 * np.pi * pts[:, j])
-            return values
-
-        exact = None
+        integrand, exact = _sine_product, None
     sample = synthetic_bias_factor(
         integrand, gamma=m["sample_gamma"], kappa=m["sample_kappa"]
     )
     return quads, sample, exact
 
 
-def _run_misc(config: RunConfig, out: str, seed: int) -> None:
+def _run_misc(config: RunConfig, seed: int) -> _Study:
     quads, sample, exact = _misc_factors(config)
-    prediction = predicted_rates([q.spec for q in quads] + [sample.spec])
-    reference_l = config[("study", "reference_l")] or None
     rows = expectation_study(
         quads,
         sample,
         range(config.l_min, config.l_max + 1),
         reference=exact,
-        reference_L=reference_l,
+        reference_L=config[("study", "reference_l")] or None,
     )
-    _write_csv(
-        os.path.join(out, "study.csv"),
-        ["L", "work_units", "pde_solves", "error_l2", "error_linf"],
-        rows,
-    )
-    fitted = fit_loglog_slope(
-        [(r["work_units"], r["error_l2"]) for r in rows], window=config.fit_window
-    )
-    _write_slopes(os.path.join(out, "slope.txt"), fitted, prediction.slope, config.fit_window)
+    header = ["L", "work_units", "pde_solves", "error_l2", "error_linf"]
+    series = [(r["work_units"], r["error_l2"]) for r in rows]
+    prediction = predicted_rates([q.spec for q in quads] + [sample.spec])
+    return _Study(header, rows, series, prediction.slope)
 
 
-def _run_rsr(config: RunConfig, out: str, seed: int) -> None:
+def _run_rsr(config: RunConfig, seed: int) -> _Study:
     from kernelkit.pde import BumpDiffusionProblem
 
     k = config.section("kernel")
@@ -251,32 +225,24 @@ def _run_rsr(config: RunConfig, out: str, seed: int) -> None:
         convergence_exponent=p["convergence_exponent"],
         max_cells=2 ** p["max_mesh_level"],
     )
-    prediction = predicted_rates([f.spec for f in factors] + [sample.spec])
     parameter_box = Box(
         lows=tuple(v for box in problem.center_boxes for v in box.lows),
         highs=tuple(v for box in problem.center_boxes for v in box.highs),
     )
-    points = random_points(parameter_box, config[("study", "eval_points")], seed)
-    reference_l = config[("study", "reference_l")] or None
     rows = surface_study(
         factors,
         sample,
         range(config.l_min, config.l_max + 1),
-        eval_points=points,
-        reference_L=reference_l,
+        eval_points=random_points(parameter_box, config[("study", "eval_points")], seed),
+        reference_L=config[("study", "reference_l")] or None,
     )
-    _write_csv(
-        os.path.join(out, "study.csv"),
-        ["L", "work_units", "pde_solves", "error_l2", "error_linf"],
-        rows,
-    )
-    fitted = fit_loglog_slope(
-        [(r["work_units"], r["error_l2"]) for r in rows], window=config.fit_window
-    )
-    _write_slopes(os.path.join(out, "slope.txt"), fitted, prediction.slope, config.fit_window)
+    header = ["L", "work_units", "pde_solves", "error_l2", "error_linf"]
+    series = [(r["work_units"], r["error_l2"]) for r in rows]
+    prediction = predicted_rates([f.spec for f in factors] + [sample.spec])
+    return _Study(header, rows, series, prediction.slope)
 
 
-def _run_ouu(config: RunConfig, out: str, seed: int, quiet: bool) -> None:
+def _run_ouu(config: RunConfig, seed: int) -> _Study:
     k = config.section("kernel")
     o = config.section("ouu")
     kernel = MaternKernel(beta=k["beta"], dim=2, length_scale=k["length_scale"])
@@ -295,32 +261,21 @@ def _run_ouu(config: RunConfig, out: str, seed: int, quiet: bool) -> None:
             FactorSpec(gamma=1.5, beta=1.0),
         ]
     )
-    points = random_points(disc, config[("study", "eval_points")], seed)
-    reference_l = config[("study", "reference_l")] or None
     rows, reference = ouu_study(
         build_factor,
         range(config.l_min, config.l_max + 1),
         seed=seed,
         replications=o["replications"],
-        reference_L=reference_l,
-        eval_points=points,
+        reference_L=config[("study", "reference_l")] or None,
+        eval_points=random_points(disc, config[("study", "eval_points")], seed),
         mc_scale=o["mc_scale"],
         pde_scale=o["pde_scale"],
         max_cells=2 ** o["max_mesh_level"],
         field_grid=mesh_at_level(o["field_level"]),
     )
-    _write_csv(
-        os.path.join(out, "study.csv"),
-        ["L", "work_units", "pde_solves", "mse_linf", "replications"],
-        rows,
+    minimizer, value = minimize_objective(
+        OuuObjective(surrogate=reference), restarts=o["restarts"]
     )
-    fitted = fit_loglog_slope(
-        [(r["work_units"], math.sqrt(r["mse_linf"])) for r in rows],
-        window=config.fit_window,
-    )
-    _write_slopes(os.path.join(out, "slope.txt"), fitted, prediction.slope, config.fit_window)
-    objective = OuuObjective(surrogate=reference)
-    minimizer, value = minimize_objective(objective, restarts=o["restarts"])
     lines = [
         f"minimizer = {minimizer[0]:.6f} {minimizer[1]:.6f}",
         f"objective = {value:.6f}",
@@ -329,13 +284,13 @@ def _run_ouu(config: RunConfig, out: str, seed: int, quiet: bool) -> None:
         f"{_REFERENCE_MINIMIZER[0][1]}",
         f"informational_reference_objective = {_REFERENCE_MINIMIZER[1]}",
     ]
-    with open(os.path.join(out, "minimizer.txt"), "w") as handle:
-        handle.write("\n".join(lines) + "\n")
-    if not quiet:
-        print("\n".join(lines))
+    header = ["L", "work_units", "pde_solves", "mse_linf", "replications"]
+    series = [(r["work_units"], math.sqrt(r["mse_linf"])) for r in rows]
+    artifacts = {"minimizer.txt": "\n".join(lines) + "\n"}
+    return _Study(header, rows, series, prediction.slope, artifacts)
 
 
-def _run_fem_check(config: RunConfig, out: str) -> None:
+def _run_fem_check(config: RunConfig, seed: int) -> _Study:
     p = config.section("pde")
 
     def exact(x):
@@ -353,13 +308,26 @@ def _run_fem_check(config: RunConfig, out: str) -> None:
                 "error_l2": l2_error_against(mesh, solution, exact),
             }
         )
-    _write_csv(os.path.join(out, "study.csv"), ["level", "h_max", "error_l2"], rows)
-    fitted = fit_loglog_slope([(r["h_max"], r["error_l2"]) for r in rows])
-    _write_slopes(os.path.join(out, "slope.txt"), fitted, 2.0, 1.0)
+    series = [(r["h_max"], r["error_l2"]) for r in rows]
+    return _Study(["level", "h_max", "error_l2"], rows, series, 2.0)
+
+
+_RUNNERS = {
+    "rates": _run_rates,
+    "interp": _run_interp,
+    "misc": _run_misc,
+    "rsr": _run_rsr,
+    "ouu": _run_ouu,
+    "fem-check": _run_fem_check,
+}
 
 
 def run(config: RunConfig, out: str, seed: int, quiet: bool) -> None:
-    """Execute one configured pipeline, writing artifacts into ``out``."""
+    """Execute one configured pipeline, writing artifacts into ``out``.
+
+    ``manifest.txt`` comes first; the study's artifacts are written only
+    after its slope fit succeeded, so a failed run leaves the manifest alone.
+    """
     os.makedirs(out, exist_ok=True)
     extra = {}
     if "study" in config.sections:
@@ -367,20 +335,17 @@ def run(config: RunConfig, out: str, seed: int, quiet: bool) -> None:
     if config.pipeline == "ouu":
         extra["replications"] = config[("ouu", "replications")]
     _write_manifest(os.path.join(out, "manifest.txt"), config, seed, extra)
-    if config.pipeline == "rates":
-        _run_rates(config, out, seed)
-    elif config.pipeline == "interp":
-        _run_interp(config, out, seed)
-    elif config.pipeline == "misc":
-        _run_misc(config, out, seed)
-    elif config.pipeline == "rsr":
-        _run_rsr(config, out, seed)
-    elif config.pipeline == "ouu":
-        _run_ouu(config, out, seed, quiet)
-    elif config.pipeline == "fem-check":
-        _run_fem_check(config, out)
-    else:  # pragma: no cover - guarded by config validation
-        raise ConfigError(f"unknown pipeline {config.pipeline!r}")
+    study = _RUNNERS[config.pipeline](config, seed)
+    # fem-check fits every level; the threshold studies fit the configured window.
+    window = 1.0 if config.pipeline == "fem-check" else config.fit_window
+    fitted = fit_loglog_slope(study.series, window=window)
+    _write_csv(os.path.join(out, "study.csv"), study.header, study.rows)
+    _write_slopes(os.path.join(out, "slope.txt"), fitted, study.predicted, window)
+    for name, text in study.artifacts.items():
+        with open(os.path.join(out, name), "w") as handle:
+            handle.write(text)
+        if not quiet:
+            print(text, end="")
 
 
 def main(argv=None) -> int:
@@ -404,10 +369,7 @@ def main(argv=None) -> int:
         seed = config.seed if args.seed is None else args.seed
         if not 0 <= seed <= 2**64 - 1:
             raise ConfigError(f"--seed must be a 64-bit unsigned integer, got {seed}")
-    except ConfigError as err:
-        print(f"configuration error: {err}", file=sys.stderr)
-        return 2
-    except OSError as err:
+    except (ConfigError, OSError) as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return 2
     out = args.out if args.out is not None else config.out

@@ -638,14 +638,16 @@ class _ContractionPlan:
 def _block_profiles(
     kernel: TensorKernel, points: np.ndarray, node_rows: Sequence[np.ndarray]
 ) -> list[np.ndarray]:
-    """Each block's profile between ``points`` and its ``node_rows``."""
-    profiles = []
-    for (block, _), (rows, slot), nodes in zip(
-        kernel.blocks, kernel.split(points), node_rows
-    ):
-        profile = block.gram(rows, nodes)
-        profiles.append(profile if slot is None else profile.take(slot, axis=0))
-    return profiles
+    """Each block's profile between the block columns of ``points`` and its
+    ``node_rows``.
+
+    Points are taken as they come: study points do not repeat, so a search
+    for repeated block rows would only cost time.
+    """
+    return [
+        block.gram(points[:, list(coords)], nodes)
+        for (block, coords), nodes in zip(kernel.blocks, node_rows)
+    ]
 
 
 def _stack_layout(expansions: Sequence["KernelExpansion"]):
@@ -896,6 +898,43 @@ def doubling_levels(level: int) -> int:
     return 2**level
 
 
+def sparse_interpolation_problem(
+    factor_kernels: Sequence[MaternKernel],
+    factor_domains: Sequence[Domain],
+    f_sampler: Callable[[np.ndarray], np.ndarray],
+    alphas: Sequence[float] | None = None,
+    resolution_map: Callable[[int], int] | None = doubling_levels,
+) -> ProblemSpec:
+    """The combination problem whose estimates :func:`sparse_interpolate` returns."""
+    n = len(factor_kernels)
+    if len(factor_domains) != n:
+        raise ValueError("kernel and domain counts differ")
+    if alphas is None:
+        alphas = [0.0] * n
+    specs = []
+    for kernel, domain, alpha in zip(factor_kernels, factor_domains, alphas):
+        if domain.dim != kernel.dim:
+            raise ValueError("factor domain and kernel dimensions differ")
+        rate = (kernel.beta - alpha) / kernel.dim
+        if rate <= 0:
+            raise ValueError(f"nonpositive convergence rate {rate}")
+        specs.append(
+            FactorSpec(
+                gamma=1.0,
+                beta=rate,
+                label="interpolation",
+                resolution_map=resolution_map,
+            )
+        )
+
+    def evaluator(resolutions: tuple[int, ...]) -> Interpolant:
+        grids = [generate_points(d, r) for d, r in zip(factor_domains, resolutions)]
+        samples = f_sampler(tensor_grid([ps.points for ps in grids]))
+        return tensor_grid_interpolant(factor_kernels, grids, samples)
+
+    return ProblemSpec(factors=tuple(specs), tensor_evaluator=evaluator)
+
+
 def sparse_interpolate(
     factor_kernels: Sequence[MaternKernel],
     factor_domains: Sequence[Domain],
@@ -931,40 +970,8 @@ def sparse_interpolate(
         ``ceil(exp(t*l))``, which grows too slowly to resolve oscillatory
         targets at desk-scale thresholds.
     """
-    n = len(factor_kernels)
-    if len(factor_domains) != n:
-        raise ValueError("kernel and domain counts differ")
-    if alphas is None:
-        alphas = [0.0] * n
-    specs = []
-    for kernel, domain, alpha in zip(factor_kernels, factor_domains, alphas):
-        if domain.dim != kernel.dim:
-            raise ValueError("factor domain and kernel dimensions differ")
-        rate = (kernel.beta - alpha) / kernel.dim
-        if rate <= 0:
-            raise ValueError(f"nonpositive convergence rate {rate}")
-        specs.append(
-            FactorSpec(
-                gamma=1.0,
-                beta=rate,
-                label="interpolation",
-                resolution_map=resolution_map,
-            )
-        )
-
-    point_cache: dict[tuple[int, int], PointSet] = {}
-
-    def prefix(j: int, count: int) -> PointSet:
-        key = (j, count)
-        if key not in point_cache:
-            point_cache[key] = generate_points(factor_domains[j], count)
-        return point_cache[key]
-
-    def evaluator(resolutions: tuple[int, ...]) -> Interpolant:
-        grids = [prefix(j, r) for j, r in enumerate(resolutions)]
-        samples = f_sampler(tensor_grid([ps.points for ps in grids]))
-        return tensor_grid_interpolant(factor_kernels, grids, samples)
-
-    problem = ProblemSpec(factors=tuple(specs), tensor_evaluator=evaluator)
+    problem = sparse_interpolation_problem(
+        factor_kernels, factor_domains, f_sampler, alphas, resolution_map
+    )
     value, _ = SmolyakEngine(problem).estimate(L)
     return value

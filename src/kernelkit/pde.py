@@ -729,22 +729,6 @@ def _field_factor(cells: int) -> np.ndarray:
     return factor
 
 
-def restrict_field(sample: GrfSample, coarse: Mesh) -> np.ndarray:
-    """Field values at the nodes of a coarser mesh (bilinear interpolation).
-
-    Exact copy when the meshes coincide; rejects targets finer than the
-    reference grid so coupled differences always share one realization.
-    """
-    if coarse.cells > sample.grid.cells:
-        raise ValueError(
-            f"target mesh ({coarse.cells} cells) finer than reference "
-            f"grid ({sample.grid.cells} cells)"
-        )
-    if coarse.cells == sample.grid.cells:
-        return sample.values.copy()
-    return bilinear_on_grid(sample.grid, sample.values, coarse.nodes)
-
-
 def bilinear_weights(grid: Mesh, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Bilinear interpolation of nodal grid data at points in the unit square.
 
@@ -776,14 +760,6 @@ def _apply_weights(values: np.ndarray, weights: tuple[np.ndarray, np.ndarray]) -
 def bilinear_on_grid(grid: Mesh, values: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Evaluate nodal grid data at arbitrary points in the unit square."""
     return _apply_weights(values, bilinear_weights(grid, points))
-
-
-def export_solution_csv(mesh: Mesh, solution: np.ndarray, path) -> None:
-    """Write the nodal solution as ``x,y,value`` rows."""
-    with open(path, "w") as handle:
-        handle.write("x,y,value\n")
-        for (x, y), v in zip(mesh.nodes, solution):
-            handle.write(f"{x:.12e},{y:.12e},{v:.12e}\n")
 
 
 def l2_error_against(mesh: Mesh, solution: np.ndarray, exact) -> float:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -256,6 +256,7 @@ def _product_domain(domains: Sequence[Domain]) -> Domain:
     raise NotImplementedError("mixed product domains with discs are not supported")
 
 
+@lru_cache(maxsize=None)
 def generate_points(domain: Domain, count: int) -> PointSet:
     """First ``count`` points of the fixed low-discrepancy sequence in ``domain``.
 
@@ -263,7 +264,9 @@ def generate_points(domain: Domain, count: int) -> PointSet:
     continue with the affinely mapped Halton sequence; disc domains keep
     accepted points of the sequence mapped over the bounding box,
     preserving order.  Point sets are nested: the result for ``N`` points
-    is a prefix of the result for any ``M >= N``.
+    is a prefix of the result for any ``M >= N``.  This is the library's
+    one nested-prefix cache: each ``(domain, count)`` is generated once per
+    process, and every caller shares the read-only point set.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")

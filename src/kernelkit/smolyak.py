@@ -15,6 +15,13 @@ Values produced by a tensor evaluator may be plain floats or any object
 supporting addition and scalar multiplication; a type that defines
 ``weighted_sum`` reduces a whole estimate in one call (see
 :func:`weighted_sum` and :class:`kernelkit.surrogate.Surrogate`).
+
+Every error-versus-work table is built by one study loop,
+:func:`convergence_study`: it makes the optional reference estimate,
+then estimates each threshold in ascending order on every engine (one
+per replication), records work, evaluations and solves per row, and
+hands the reference and all estimates to one error function, so that a
+function-valued study evaluates its surrogates in a single stacked pass.
 """
 
 from __future__ import annotations
@@ -312,50 +319,47 @@ def smolyak_via_deltas(problem: ProblemSpec, L: int) -> Any:
     return SmolyakEngine(problem).estimate_via_deltas(L)
 
 
-def _abs_error(reference: Any, value: Any) -> float:
-    return abs(reference - value)
-
-
 def convergence_study(
-    problem: ProblemSpec,
+    engines: Sequence[SmolyakEngine],
     L_values: Sequence[int],
-    reference: Any | None = None,
-    error_fn: Callable[[Any, Any], float] = _abs_error,
-    reference_margin: int = 2,
-    engine: SmolyakEngine | None = None,
-) -> list[tuple[int, float, int, float]]:
-    """Error-versus-work table over a range of thresholds.
+    errors: Callable[[Any, list], Iterable[dict]],
+    reference: SmolyakEngine | None = None,
+    reference_L: int | None = None,
+    solves: Callable[[], int] = lambda: 0,
+) -> tuple[list[dict], Any]:
+    """Error-versus-work table over a range of thresholds: the one study loop.
 
-    Parameters
-    ----------
-    problem : ProblemSpec
-    L_values : sequence of int
-        Thresholds, each >= the factor count.
-    reference : optional
-        Exact value to compare against.  When omitted, the estimator at
-        ``max(L_values) + reference_margin`` serves as reference.
-    error_fn : callable
-        ``error_fn(reference, estimate) -> float``; defaults to the
-        absolute difference (scalar problems).
-    engine : SmolyakEngine, optional
-        Engine whose memo cache to share; a fresh one by default.
-
-    Returns
-    -------
-    list of (L, work_units, evaluations, error)
-        ``evaluations`` is the per-estimate distinct-evaluation count of
-        the shared engine after computing that row.
+    With ``reference``, its estimate at ``reference_L`` (default
+    ``max(L_values) + 2``) comes first.  Then every threshold, ascending,
+    is estimated on each of ``engines`` (one per replication) in turn; a
+    row records ``L``, the last estimate's ``work_units`` and
+    ``evaluations``, and ``pde_solves``, the count ``solves()`` returns
+    after the row's estimates.  Last, ``errors(reference_value, values)``
+    gets the reference estimate (None without ``reference``) and every
+    estimate in the order made, and returns one dict of error columns per
+    row.  Returns the rows and the reference estimate.
     """
     Ls = sorted(int(L) for L in L_values)
-    if engine is None:
-        engine = SmolyakEngine(problem)
-    if reference is None:
-        reference, _ = engine.estimate(Ls[-1] + reference_margin)
-    rows = []
+    reference_value = None
+    if reference is not None:
+        ref_L = reference_L if reference_L is not None else Ls[-1] + 2
+        reference_value, _ = reference.estimate(ref_L)
+    rows, values = [], []
     for L in Ls:
-        value, ledger = engine.estimate(L)
-        rows.append((L, ledger.total_work, ledger.evaluations, error_fn(reference, value)))
-    return rows
+        for engine in engines:
+            value, ledger = engine.estimate(L)
+            values.append(value)
+        rows.append(
+            {
+                "L": L,
+                "work_units": ledger.total_work,
+                "evaluations": ledger.evaluations,
+                "pde_solves": solves(),
+            }
+        )
+    for row, columns in zip(rows, errors(reference_value, values), strict=True):
+        row.update(columns)
+    return rows, reference_value
 
 
 def fit_loglog_slope(

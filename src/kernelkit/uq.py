@@ -1,31 +1,35 @@
 """Application pipelines on the combination engine.
 
-Four pipelines are provided, all instances of the same generic sparse
-estimator with different factor wiring:
+Each pipeline is a problem for the generic sparse estimator
+(:class:`~kernelkit.smolyak.SmolyakEngine`) with its own factor wiring:
 
-* multilevel expectation: one quadrature factor plus one sample-family
-  factor (two-factor combination, the classic multilevel telescope);
-* multi-index expectation: per-block quadrature rules plus the sample
-  family (deterministic collocation in every parameter block);
-* response surface: per-block kernel interpolation of the sample family,
-  producing a function-valued surrogate;
-* optimization under uncertainty: kernel interpolation over a control
-  disc of empirical means over random-field draws of PDE outputs,
-  followed by pattern-search minimization of surrogate plus penalty.
+* expectation (:func:`build_expectation_problem`): per-block quadrature
+  rules applied to a sample family; with one block it is the classic
+  multilevel telescope, with several a multi-index estimator;
+* response surface (:func:`build_surface_problem`): per-block kernel
+  interpolation of the sample family, producing a function-valued
+  surrogate;
+* optimization under uncertainty (:class:`OuuPipeline`): kernel
+  interpolation over a control disc of empirical means over random-field
+  draws of PDE outputs, followed by pattern-search minimization of
+  surrogate plus penalty.
 
 Work ledgers charge only sampler work (``prod N_j * N_pde**gamma`` per
-term); the cost of solving kernel systems is reported separately.  The
-function-valued studies build every surrogate of their table, the
-reference included, before they evaluate any, and then evaluate them all
-in one stacked pass at the study points (:meth:`Surrogate.stack`).
-Randomness is counter-based throughout: the draw with index ``k`` of a
-given ``(seed, stream)`` never depends on evaluation order.
+term).  The study functions (:func:`expectation_study`,
+:func:`surface_study`, :func:`ouu_study`) wire a pipeline into the one
+study loop, :func:`kernelkit.smolyak.convergence_study`: an optional
+reference estimate, the threshold range, a solve count and one error
+function.  The function-valued studies' error functions evaluate every
+surrogate of the table, the reference included, in one stacked pass at
+the study points (:meth:`Surrogate.stack`).  Randomness is counter-based
+throughout: the draw with index ``k`` of a given ``(seed, stream)``
+never depends on evaluation order.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Callable, Sequence
 
@@ -52,7 +56,7 @@ from kernelkit.smolyak import (
     FactorSpec,
     ProblemSpec,
     SmolyakEngine,
-    WorkLedger,
+    convergence_study,
     scaled_exponential_map,
 )
 from kernelkit.surrogate import Surrogate
@@ -84,24 +88,6 @@ def random_points(domain: Domain, count: int, seed: int, stream: int = 101) -> n
             have += take
         return out
     raise TypeError(f"unsupported domain type {type(domain)!r}")
-
-
-@dataclass
-class EstimatorResult:
-    """Output of one pipeline estimate.
-
-    ``pde_solves`` counts the distinct sample evaluations (PDE solves for
-    the PDE pipelines) that the sample family or pipeline has performed
-    so far, not those of this estimate alone: it is cumulative over every
-    estimate made with the same factor or pipeline, and never decreases.
-    """
-
-    value: Any
-    ledger: WorkLedger
-    L: int
-    pde_solves: int = 0
-    kernel_solve_work: float = 0.0
-    draw_log: dict[tuple[int, ...], tuple[int, ...]] = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +205,7 @@ def bump_sample_factor(
     return SampleFactor(spec=spec, evaluate_one=evaluate_one)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True)
 class InterpolationFactor:
     """Kernel best-approximation factor on nested points in one block."""
 
@@ -227,15 +213,8 @@ class InterpolationFactor:
     domain: Domain
     spec: FactorSpec
 
-    def __post_init__(self):
-        self._prefix_cache: dict[int, PointSet] = {}
-
     def points(self, count: int) -> PointSet:
-        cached = self._prefix_cache.get(count)
-        if cached is None:
-            cached = generate_points(self.domain, count)
-            self._prefix_cache[count] = cached
-        return cached
+        return generate_points(self.domain, count)
 
 
 def interpolation_factor(
@@ -277,31 +256,6 @@ def build_expectation_problem(
     return ProblemSpec(factors=factors, tensor_evaluator=evaluator)
 
 
-def multiindex_expectation(
-    quad_factors: Sequence[QuadratureFactor],
-    sample_factor: SampleFactor,
-    L: int,
-    engine: SmolyakEngine | None = None,
-) -> EstimatorResult:
-    """Sparse expectation estimate with per-block deterministic quadrature."""
-    if engine is None:
-        engine = SmolyakEngine(build_expectation_problem(quad_factors, sample_factor))
-    value, ledger = engine.estimate(L)
-    return EstimatorResult(
-        value=value, ledger=ledger, L=L, pde_solves=sample_factor.solve_count
-    )
-
-
-def multilevel_expectation(
-    quad_factor: QuadratureFactor,
-    sample_factor: SampleFactor,
-    L: int,
-    engine: SmolyakEngine | None = None,
-) -> EstimatorResult:
-    """Two-factor multilevel estimate (single quadrature block)."""
-    return multiindex_expectation([quad_factor], sample_factor, L, engine=engine)
-
-
 def expectation_study(
     quad_factors: Sequence[QuadratureFactor],
     sample_factor: SampleFactor,
@@ -315,23 +269,19 @@ def expectation_study(
     estimator at ``max(L_values) + 2``.
     """
     engine = SmolyakEngine(build_expectation_problem(quad_factors, sample_factor))
-    Ls = sorted(int(L) for L in L_values)
-    if reference is None:
-        ref_L = reference_L if reference_L is not None else Ls[-1] + 2
-        reference, _ = engine.estimate(ref_L)
-    rows = []
-    for L in Ls:
-        value, ledger = engine.estimate(L)
-        error = abs(reference - value)
-        rows.append(
-            {
-                "L": L,
-                "work_units": ledger.total_work,
-                "pde_solves": sample_factor.solve_count,
-                "error_l2": error,
-                "error_linf": error,
-            }
-        )
+
+    def errors(estimate, values):
+        exact = estimate if reference is None else reference
+        return [{"error_l2": abs(exact - v), "error_linf": abs(exact - v)} for v in values]
+
+    rows, _ = convergence_study(
+        [engine],
+        L_values,
+        errors,
+        reference=engine if reference is None else None,
+        reference_L=reference_L,
+        solves=lambda: sample_factor.solve_count,
+    )
     return rows
 
 
@@ -358,74 +308,41 @@ def build_surface_problem(
     return ProblemSpec(factors=factors, tensor_evaluator=evaluator)
 
 
-def _interp_solve_work(engine: SmolyakEngine, n_blocks: int) -> float:
-    """Cubic-cost model of all distinct kernel fits performed so far."""
-    total = 0.0
-    for resolutions in engine._cache:
-        size = float(np.prod(resolutions[:n_blocks]))
-        total += size**3
-    return total
-
-
-def response_surface(
-    interp_factors: Sequence[InterpolationFactor],
-    sample_factor: SampleFactor,
-    L: int,
-    engine: SmolyakEngine | None = None,
-) -> EstimatorResult:
-    """Function-valued sparse estimate: a surrogate of the sample limit."""
-    if engine is None:
-        engine = SmolyakEngine(build_surface_problem(interp_factors, sample_factor))
-    value, ledger = engine.estimate(L)
-    return EstimatorResult(
-        value=value,
-        ledger=ledger,
-        L=L,
-        pde_solves=sample_factor.solve_count,
-        kernel_solve_work=_interp_solve_work(engine, len(interp_factors)),
-    )
-
-
 def surface_study(
     interp_factors: Sequence[InterpolationFactor],
     sample_factor: SampleFactor,
     L_values: Sequence[int],
     eval_points: np.ndarray,
     reference_L: int | None = None,
-    reference_values: np.ndarray | None = None,
 ) -> list[dict]:
     """Surrogate error table against a fine reference surrogate.
 
-    Errors are estimated on ``eval_points``: ``error_l2`` is the root mean
-    square difference, ``error_linf`` the maximum difference.  The
-    reference and every surrogate of the table are built first and then
-    evaluated in one stacked pass (:meth:`Surrogate.stack`), which
-    computes each block profile once over the union of their nested nodes.
+    The reference, at ``reference_L`` (default ``max(L_values) + 2``), is
+    estimated first on the same engine.  Errors are estimated on
+    ``eval_points``: ``error_l2`` is the root mean square difference,
+    ``error_linf`` the maximum difference, all from one stacked pass
+    (:meth:`Surrogate.stack`), which computes each block profile once
+    over the union of the surrogates' nested nodes.
     """
     engine = SmolyakEngine(build_surface_problem(interp_factors, sample_factor))
-    Ls = sorted(int(L) for L in L_values)
-    surrogates = []
-    if reference_values is None:
-        ref_L = reference_L if reference_L is not None else Ls[-1] + 2
-        surrogates.append(engine.estimate(ref_L)[0])
-    rows = []
-    for L in Ls:
-        value, ledger = engine.estimate(L)
-        surrogates.append(value)
-        rows.append(
-            {
-                "L": L,
-                "work_units": ledger.total_work,
-                "pde_solves": sample_factor.solve_count,
+
+    def errors(reference, values):
+        columns = Surrogate.stack([reference, *values]).evaluate(eval_points)
+        for column in columns[:, 1:].T:
+            diff = column - columns[:, 0]
+            yield {
+                "error_l2": float(np.sqrt(np.mean(diff**2))),
+                "error_linf": float(np.max(np.abs(diff))),
             }
-        )
-    values = Surrogate.stack(surrogates).evaluate(eval_points)
-    if reference_values is None:
-        reference_values, values = values[:, 0], values[:, 1:]
-    for row, column in zip(rows, values.T):
-        diff = column - reference_values
-        row["error_l2"] = float(np.sqrt(np.mean(diff**2)))
-        row["error_linf"] = float(np.max(np.abs(diff)))
+
+    rows, _ = convergence_study(
+        [engine],
+        L_values,
+        errors,
+        reference=engine,
+        reference_L=reference_L,
+        solves=lambda: sample_factor.solve_count,
+    )
     return rows
 
 
@@ -529,17 +446,6 @@ class OuuPipeline:
     def pde_solves(self) -> int:
         return len(self._solve_cache)
 
-    def estimate(self, L: int) -> EstimatorResult:
-        value, ledger = self.engine.estimate(L)
-        return EstimatorResult(
-            value=value,
-            ledger=ledger,
-            L=L,
-            pde_solves=self.pde_solves,
-            kernel_solve_work=_interp_solve_work(self.engine, 1),
-            draw_log=dict(self.draw_log),
-        )
-
 
 @dataclass(frozen=True)
 class OuuObjective:
@@ -623,44 +529,27 @@ def ouu_study(
     Returns the rows and the reference surrogate (for downstream
     minimization).
     """
-    Ls = sorted(int(L) for L in L_values)
-    ref_L = reference_L if reference_L is not None else Ls[-1] + 2
     if eval_points is None:
-        factor = interp_factor_builder()
-        eval_points = random_points(factor.domain, 2048, seed)
-    reference_pipeline = OuuPipeline(
-        interp_factor_builder(), seed=seed, stream=0, **pipeline_kwargs
+        eval_points = random_points(interp_factor_builder().domain, 2048, seed)
+    reference_pipeline, *pipelines = (
+        OuuPipeline(interp_factor_builder(), seed=seed, stream=r, **pipeline_kwargs)
+        for r in range(replications + 1)
     )
-    reference = reference_pipeline.estimate(ref_L).value
-    pipelines = [
-        OuuPipeline(
-            interp_factor_builder(),
-            seed=seed,
-            stream=r,
-            **pipeline_kwargs,
-        )
-        for r in range(1, replications + 1)
-    ]
-    rows = []
-    surrogates = [reference]
-    for L in Ls:
-        work = None
-        solves = 0
-        for pipeline in pipelines:
-            result = pipeline.estimate(L)
-            surrogates.append(result.value)
-            work = result.ledger.total_work
-            solves += result.pde_solves
-        rows.append(
-            {
-                "L": L,
-                "work_units": work,
-                "pde_solves": solves,
+
+    def errors(reference, values):
+        columns = Surrogate.stack([reference, *values]).evaluate(eval_points)
+        worst = np.max(np.abs(columns[:, 1:] - columns[:, :1]), axis=0)
+        for per_replication in worst.reshape(-1, replications):
+            yield {
+                "mse_linf": float(np.mean(per_replication**2)),
                 "replications": replications,
             }
-        )
-    values = Surrogate.stack(surrogates).evaluate(eval_points)
-    errors = np.max(np.abs(values[:, 1:] - values[:, :1]), axis=0)
-    for row, per_replication in zip(rows, errors.reshape(len(rows), -1)):
-        row["mse_linf"] = float(np.mean(per_replication**2))
-    return rows, reference
+
+    return convergence_study(
+        [p.engine for p in pipelines],
+        L_values,
+        errors,
+        reference=reference_pipeline.engine,
+        reference_L=reference_L,
+        solves=lambda: sum(p.pde_solves for p in pipelines),
+    )

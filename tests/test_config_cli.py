@@ -1,12 +1,24 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kernelkit.cli import main
+import kernelkit.cli
+from kernelkit.cli import _RUNNERS, _run_rates, _sine_product, main
 from kernelkit.config import (
+    _PIPELINE_SECTIONS,
+    PIPELINES,
     ConfigError,
     parse_config,
     serialize_config,
 )
+from kernelkit.kernels import MaternKernel, sparse_interpolate
+from kernelkit.points import Box
+from kernelkit.smolyak import SlopeFitError
+from kernelkit.surrogate import Surrogate
+from kernelkit.uq import random_points
 
 RATES_CONFIG = """
 [run]
@@ -18,6 +30,20 @@ l_max = 6
 gamma = 1, 1.5
 beta = 1, 1
 """
+
+# One quick configuration per pipeline.
+SMALL_CONFIGS = {
+    "rates": RATES_CONFIG,
+    "interp": "[run]\npipeline = interp\nl_min = 2\nl_max = 4\n[study]\neval_points = 64\n",
+    "misc": "[run]\npipeline = misc\nl_min = 2\nl_max = 4\n",
+    "rsr": "[run]\npipeline = rsr\nl_min = 2\nl_max = 4\n"
+    "[pde]\nmax_mesh_level = 3\n[study]\neval_points = 64\n",
+    "ouu": "[run]\npipeline = ouu\nl_min = 3\nl_max = 5\n"
+    "[kernel]\nbeta = 4.0\nd = 2\nalpha = 1.0\n"
+    "[ouu]\nreplications = 2\nfield_level = 2\nmax_mesh_level = 2\nrestarts = 1\n"
+    "[study]\neval_points = 64\n",
+    "fem-check": "[run]\npipeline = fem-check\n[pde]\nlevel_min = 2\nlevel_max = 4\n",
+}
 
 
 class TestParseConfig:
@@ -115,37 +141,135 @@ class TestParseConfig:
         assert "warp" in str(err.value)
 
 
-def generated_configs():
-    rng = np.random.default_rng(2024)
-    texts = []
-    for _ in range(20):
-        n = int(rng.integers(1, 4))
-        gammas = np.round(rng.uniform(0.5, 2.0, size=n), 3)
-        betas = np.round(rng.uniform(0.5, 2.0, size=n), 3)
-        l_min = n + int(rng.integers(0, 2))
-        l_max = l_min + 2 + int(rng.integers(0, 2))
-        texts.append(
-            "\n".join(
-                [
-                    "[run]",
-                    "pipeline = rates",
-                    f"seed = {int(rng.integers(0, 2**63))}",
-                    f"l_min = {l_min}",
-                    f"l_max = {l_max}",
-                    f"fit_window = {round(float(rng.uniform(0.3, 1.0)), 3)}",
-                    "[factors]",
-                    "gamma = " + ", ".join(map(str, gammas)),
-                    "beta = " + ", ".join(map(str, betas)),
-                ]
-            )
+def _floats(low=0.01, high=100.0):
+    return st.floats(min_value=low, max_value=high, allow_nan=False).map(repr)
+
+
+_LEVEL_MAPS = st.sampled_from(["doubling", "exponential"])
+
+
+@st.composite
+def _kernel(draw):
+    beta = draw(st.floats(min_value=0.6, max_value=10.0, allow_nan=False))
+    keys = {
+        "beta": st.just(repr(beta)),
+        "d": st.integers(1, 3).map(str),
+        "length_scale": _floats(),
+        # Below beta whether or not beta is drawn (its default is 2.0).
+        "alpha": st.floats(min_value=0.0, max_value=min(beta, 2.0) / 2.0).map(repr),
+    }
+    return draw(st.fixed_dictionaries({}, optional=keys))
+
+
+@st.composite
+def _pde(draw):
+    low = draw(st.integers(1, 8))
+    keys = {
+        "problem": st.just("bump"),
+        "bumps": st.sampled_from([1, 2, 4]).map(str),
+        "max_mesh_level": st.integers(1, 8).map(str),
+        "work_exponent": _floats(),
+        "convergence_exponent": _floats(),
+    }
+    section = draw(st.fixed_dictionaries({}, optional=keys))
+    section.update(level_min=str(low), level_max=str(draw(st.integers(low + 2, 10))))
+    return section
+
+
+# Every optional section; [factors] is drawn with its factor count.
+_SECTIONS = {
+    "kernel": _kernel(),
+    "interp": st.fixed_dictionaries(
+        {}, optional={"blocks": st.integers(1, 4).map(str), "level_map": _LEVEL_MAPS}
+    ),
+    "misc": st.fixed_dictionaries(
+        {},
+        optional={
+            "quadrature": st.sampled_from(["midpoint", "kernel"]),
+            "blocks": st.integers(1, 3).map(str),
+            "integrand": st.sampled_from(["parabola", "sine-product"]),
+            "quad_beta": _floats(),
+            "sample_gamma": _floats(),
+            "sample_kappa": _floats(),
+        },
+    ),
+    "pde": _pde(),
+    "ouu": st.fixed_dictionaries(
+        {},
+        optional={
+            "field_level": st.integers(1, 6).map(str),
+            "max_mesh_level": st.integers(1, 8).map(str),
+            "replications": st.integers(1, 9).map(str),
+            "mc_scale": _floats(),
+            "pde_scale": _floats(),
+            "level_map": _LEVEL_MAPS,
+            "restarts": st.integers(1, 20).map(str),
+        },
+    ),
+    "study": st.fixed_dictionaries(
+        {},
+        optional={
+            "eval_points": st.integers(1, 4096).map(str),
+            "reference_l": st.integers(0, 14).map(str),
+        },
+    ),
+}
+
+
+def _factor_count(pipeline, sections):
+    if pipeline == "rates":
+        return len(sections["factors"]["gamma"].split(","))
+    if pipeline == "interp":
+        return int(sections.get("interp", {}).get("blocks", 2))
+    if pipeline == "misc":
+        return int(sections.get("misc", {}).get("blocks", 1)) + 1
+    if pipeline == "rsr":
+        return int(sections.get("pde", {}).get("bumps", 1)) + 1
+    return 3 if pipeline == "ouu" else None
+
+
+@st.composite
+def config_texts(draw, pipeline):
+    """A valid configuration of ``pipeline``: any subset of the optional
+    sections and keys, each value drawn from its key's valid range."""
+    run = draw(
+        st.fixed_dictionaries(
+            {},
+            optional={
+                "seed": st.integers(0, 2**64 - 1).map(str),
+                "out": st.sampled_from(["out", "runs/a"]),
+                "fit_window": _floats(0.01, 1.0),
+            },
         )
-    return texts
+    )
+    sections = {"run": {"pipeline": pipeline, **run}}
+    for name, required in _PIPELINE_SECTIONS[pipeline].items():
+        if name == "run" or not (required or draw(st.booleans())):
+            continue
+        if name == "factors":
+            n = draw(st.integers(1, 4))
+            sections[name] = {
+                key: ", ".join(draw(st.lists(_floats(), min_size=n, max_size=n)))
+                for key in ("gamma", "beta")
+            }
+        else:
+            sections[name] = draw(_SECTIONS[name])
+    n = _factor_count(pipeline, sections)
+    if n is not None:
+        l_min = draw(st.integers(n, 12))
+        sections["run"].update(l_min=str(l_min), l_max=str(draw(st.integers(l_min + 2, 14))))
+    return "\n".join(
+        f"[{name}]\n" + "".join(f"{key} = {value}\n" for key, value in keys.items())
+        for name, keys in sections.items()
+    )
 
 
 class TestRoundTrip:
-    @pytest.mark.parametrize("text", generated_configs())
-    def test_serialize_parse_identity(self, text):
-        config = parse_config(text)
+    @pytest.mark.parametrize("pipeline", PIPELINES)
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_serialize_parse_identity(self, pipeline, data):
+        config = parse_config(data.draw(config_texts(pipeline)))
         again = parse_config(serialize_config(config))
         assert again == config
         assert serialize_config(again) == serialize_config(config)
@@ -284,13 +408,67 @@ class TestCliRuns:
     def test_failed_slope_fit_is_a_numerical_failure(self, tmp_path, capsys):
         # At beta = 60 every error of the rates study rounds to exactly 0.0,
         # so the log-log fit has nothing positive to fit.
-        cfg = self.write(tmp_path, RATES_CONFIG.replace("beta = 1, 1", "beta = 60, 60"))
+        text = RATES_CONFIG.replace("beta = 1, 1", "beta = 60, 60")
+        study = _run_rates(parse_config(text), 0)
+        assert all(row["error"] == 0.0 for row in study.rows)
         out = tmp_path / "flat"
-        assert main(["--config", cfg, "--out", str(out), "--quiet"]) == 1
+        assert main(["--config", self.write(tmp_path, text), "--out", str(out), "--quiet"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: log-log slope fit needs positive values")
-        rows = (out / "study.csv").read_text().splitlines()[1:]
-        assert all(float(r.split(",")[3]) == 0.0 for r in rows)
+        assert "Traceback" not in err
+        # The manifest comes first; the study's artifacts only after a fit.
+        assert sorted(os.listdir(out)) == ["manifest.txt"]
+
+    @pytest.mark.parametrize("pipeline", PIPELINES)
+    def test_failed_slope_fit_leaves_only_the_manifest(
+        self, tmp_path, monkeypatch, pipeline
+    ):
+        def failing_fit(series, window=1.0):
+            raise SlopeFitError("no slope")
+
+        monkeypatch.setattr(kernelkit.cli, "fit_loglog_slope", failing_fit)
+        out = tmp_path / "failed"
+        cfg = self.write(tmp_path, SMALL_CONFIGS[pipeline])
+        assert main(["--config", cfg, "--out", str(out)]) == 1
+        assert sorted(os.listdir(out)) == ["manifest.txt"]
+
+    @pytest.mark.parametrize("pipeline", ["interp", "rsr", "ouu"])
+    def test_function_valued_study_evaluates_once(self, tmp_path, monkeypatch, pipeline):
+        evaluated = []
+        evaluate = Surrogate.evaluate
+
+        def recording(surrogate, points, check_domain=True):
+            evaluated.append(len(surrogate.members))
+            return evaluate(surrogate, points, check_domain)
+
+        monkeypatch.setattr(Surrogate, "evaluate", recording)
+        config = parse_config(SMALL_CONFIGS[pipeline])
+        study = _RUNNERS[pipeline](config, 0)
+        rows = config.l_max - config.l_min + 1
+        # One stacked call holds every surrogate of the table, after the
+        # reference (rsr, ouu) and every replication (ouu); the ouu
+        # minimizer's own point evaluations come after it, unstacked.
+        if pipeline == "interp":
+            assert evaluated[0] == rows
+        else:
+            replications = config.section("ouu").get("replications", 1)
+            assert evaluated[0] == 1 + rows * replications
+        assert not any(evaluated[1:])
+        assert len(study.rows) == rows
+
+    def test_interp_study_is_the_sparse_interpolant(self):
+        # The interp pipeline estimates the problem sparse_interpolate builds.
+        config = parse_config(SMALL_CONFIGS["interp"])
+        study = _RUNNERS["interp"](config, 0)
+        kernel = MaternKernel(beta=2.0, dim=1)
+        points = random_points(Box((0.0, 0.0), (1.0, 1.0)), 64, 0)
+        target = np.sin(2 * np.pi * points[:, 0]) * np.sin(2 * np.pi * points[:, 1])
+        for row in study.rows:
+            surrogate = sparse_interpolate(
+                [kernel] * 2, [Box((0.0,), (1.0,))] * 2, _sine_product, L=row["L"]
+            )
+            error = np.sqrt(np.mean((surrogate.evaluate(points) - target) ** 2))
+            assert row["error"] == pytest.approx(error, rel=1e-12)
 
     def test_interp_run(self, tmp_path):
         text = "\n".join(

@@ -37,3 +37,16 @@ def test_example_matches_golden_outputs(example, tmp_path):
     assert main(["--config", config, "--out", out, "--workers", "1", "--quiet"]) == 0
     problems = golden.compare_dirs(os.path.join(ROOT, "tests", "golden", example), out, ARTIFACTS)
     assert not problems, problems
+
+
+@pytest.mark.parametrize("example", ["interp", "rsr-bump"])
+def test_example_repeats_byte_for_byte_in_one_process(example, tmp_path):
+    # The second run reuses every process-wide cache the first one filled:
+    # nested point prefixes, factor eigendecompositions, mesh operators.
+    config = os.path.join(ROOT, "docs", "examples", f"{example}.cfg")
+    studies = []
+    for run in ("first", "second"):
+        out = tmp_path / run
+        assert main(["--config", config, "--out", str(out), "--quiet"]) == 0
+        studies.append((out / "study.csv").read_bytes())
+    assert studies[0] == studies[1]

@@ -24,13 +24,11 @@ from kernelkit.pde import (
     bilinear_on_grid,
     bilinear_weights,
     bump_profile,
-    export_solution_csv,
     l2_error_against,
     mesh_at_level,
     mesh_cells_for_resolution,
     pde_resolution_map,
     philox_generator,
-    restrict_field,
     solve_poisson_dirichlet,
     spatial_average,
 )
@@ -117,14 +115,6 @@ class TestPoissonSolver:
         mesh = mesh_at_level(6)
         value = spatial_average(self.exact(mesh.nodes), mesh)
         assert value == pytest.approx(4.0 / np.pi**2, abs=5.0 * mesh.h**2)
-
-    def test_export_csv(self, tmp_path):
-        mesh = Mesh(cells=2)
-        path = tmp_path / "field.csv"
-        export_solution_csv(mesh, np.arange(9, dtype=float), path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "x,y,value"
-        assert len(lines) == 10
 
 
 def dense_dirichlet_solution(mesh, a_tri, f_tri):
@@ -553,28 +543,16 @@ class TestGaussianField:
         empirical = np.mean(draws[:, a] * draws[:, b])
         assert empirical == pytest.approx(expected, abs=0.1)
 
-    def test_restriction_is_identity_on_same_mesh(self):
-        sampler = GaussianFieldSampler(mesh_at_level(3))
-        s = sampler.sample(seed=1, draw=0)
-        assert np.array_equal(restrict_field(s, mesh_at_level(3)), s.values)
-
-    def test_restriction_of_constant_field(self):
+    def test_constant_field_on_coarser_mesh_nodes(self):
         grid = mesh_at_level(3)
-        s = GrfSample(grid=grid, values=np.full(grid.node_count, 2.5), seed=0, draw=0)
-        r = restrict_field(s, Mesh(cells=3))
-        assert np.allclose(r, 2.5, atol=1e-14)
+        values = bilinear_on_grid(grid, np.full(grid.node_count, 2.5), Mesh(cells=3).nodes)
+        assert np.allclose(values, 2.5, atol=1e-14)
 
-    def test_restriction_reproduces_linear_fields(self):
+    def test_linear_field_on_coarser_mesh_nodes(self):
         grid = mesh_at_level(4)
-        s = GrfSample(grid=grid, values=grid.nodes[:, 0].copy(), seed=0, draw=0)
         coarse = Mesh(cells=5)
-        assert np.max(np.abs(restrict_field(s, coarse) - coarse.nodes[:, 0])) <= 1e-14
-
-    def test_rejects_finer_target(self):
-        sampler = GaussianFieldSampler(mesh_at_level(3))
-        s = sampler.sample(seed=0, draw=0)
-        with pytest.raises(ValueError):
-            restrict_field(s, mesh_at_level(4))
+        values = bilinear_on_grid(grid, grid.nodes[:, 0].copy(), coarse.nodes)
+        assert np.max(np.abs(values - coarse.nodes[:, 0])) <= 1e-14
 
     def test_samplers_share_one_factor_per_grid(self):
         grid = mesh_at_level(3)
@@ -708,12 +686,3 @@ class TestGaussianField:
         points = np.random.default_rng(6).random((300, 2))
         values = bilinear_on_grid(grid, data(x, y), points)
         assert np.max(np.abs(values - data(points[:, 0], points[:, 1]))) <= 1e-14
-
-    def test_bilinear_evaluator_matches_restriction(self):
-        grid = mesh_at_level(3)
-        rng = np.random.default_rng(5)
-        values = rng.standard_normal(grid.node_count)
-        s = GrfSample(grid=grid, values=values, seed=0, draw=0)
-        coarse = Mesh(cells=4)
-        direct = bilinear_on_grid(grid, values, coarse.nodes)
-        assert np.array_equal(direct, restrict_field(s, coarse))

@@ -130,6 +130,23 @@ class TestGeneratePoints:
         with pytest.raises(ValueError):
             generate_points(UNIT_INTERVAL, 0)
 
+    @pytest.mark.parametrize(
+        "domain", [UNIT_SQUARE, Disc(center=(0.0, 0.0), radius=1.0)]
+    )
+    def test_prefixes_are_shared_and_read_only(self, domain):
+        from kernelkit.kernels import MaternKernel
+        from kernelkit.uq import interpolation_factor
+
+        shared = generate_points(domain, 12)
+        # Equal domains built apart share one set, so every pipeline does.
+        rebuilt = type(domain)(**vars(domain))
+        assert generate_points(rebuilt, 12) is shared
+        factor = interpolation_factor(MaternKernel(beta=2.0, dim=2), rebuilt)
+        assert factor.points(12) is shared
+        assert not shared.points.flags.writeable
+        with pytest.raises(ValueError):
+            shared.points[0, 0] = 0.5
+
 
 class TestFillDistance:
     def test_three_point_interval(self):

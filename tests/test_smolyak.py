@@ -10,6 +10,7 @@ from kernelkit.smolyak import (
     ProblemSpec,
     SlopeFitError,
     SmolyakEngine,
+    WorkLedger,
     convergence_study,
     fit_loglog_slope,
     level_to_resolution,
@@ -293,15 +294,79 @@ class TestWeightedSum:
         assert np.asarray(estimate).tobytes() == np.asarray(folded).tobytes()
 
 
+def absolute_errors(exact):
+    """Error function of a scalar study against a known value."""
+    return lambda _, values: [{"error": abs(exact - v)} for v in values]
+
+
+class RecordingEngine:
+    """Stands in for an engine: logs every estimate and returns its key."""
+
+    def __init__(self, name, log):
+        self.name = name
+        self.log = log
+
+    def estimate(self, L):
+        self.log.append((self.name, L))
+        ledger = WorkLedger(total_work=10.0 * L + len(self.name), evaluations=len(self.log))
+        return (self.name, L), ledger
+
+
 class TestConvergenceStudy:
+    def test_call_order_reference_first_then_replications_inside_L(self):
+        log, calls = [], []
+        engines = [RecordingEngine(name, log) for name in ("a", "b")]
+
+        def errors(reference, values):
+            calls.append((reference, list(values), list(log)))
+            return [{"error": float(i)} for i in range(len(values) // 2)]
+
+        rows, reference = convergence_study(
+            engines,
+            [5, 3, 4],
+            errors,
+            reference=RecordingEngine("ref", log),
+            reference_L=7,
+            solves=lambda: len(log),
+        )
+        expected = [("ref", 7)] + [(name, L) for L in (3, 4, 5) for name in ("a", "b")]
+        assert log == expected
+        # One call to the error function, after every estimate, with all values.
+        assert calls == [(("ref", 7), expected[1:], expected)]
+        assert reference == ("ref", 7)
+        # Each row records the last engine's ledger and the solves so far.
+        assert rows == [
+            {"L": L, "work_units": 10.0 * L + 1, "evaluations": count,
+             "pde_solves": count, "error": float(i)}
+            for i, (L, count) in enumerate([(3, 3), (4, 5), (5, 7)])
+        ]
+
+    def test_without_reference_makes_no_reference_estimate(self):
+        log = []
+        rows, reference = convergence_study(
+            [RecordingEngine("a", log)],
+            [2, 3, 4],
+            lambda ref, values: [{"error": 0.0, "ref": ref} for _ in values],
+        )
+        assert log == [("a", 2), ("a", 3), ("a", 4)]
+        assert reference is None and all(row["ref"] is None for row in rows)
+        assert all(row["pde_solves"] == 0 for row in rows)
+
+    def test_error_columns_must_match_the_rows(self):
+        engine = RecordingEngine("a", [])
+        with pytest.raises(ValueError):
+            convergence_study([engine], [2, 3], lambda _, values: [{"error": 1.0}])
+
     def test_exact_factor_toy_has_zero_error(self):
         factors = [FactorSpec(gamma=1.0, beta=1.0) for _ in range(2)]
         problem = product_problem([lambda n: 0.7, lambda n: 1.3], factors)
-        rows = convergence_study(problem, range(2, 7), reference=0.7 * 1.3)
-        for L, work, evaluations, error in rows:
-            assert error <= 1e-14
-            assert work > 0.0
-            assert evaluations > 0
+        rows, _ = convergence_study(
+            [SmolyakEngine(problem)], range(2, 7), absolute_errors(0.7 * 1.3)
+        )
+        for row in rows:
+            assert row["error"] <= 1e-14
+            assert row["work_units"] > 0.0
+            assert row["evaluations"] > 0
 
     def test_synthetic_slope_against_level_decay(self):
         # Per-level geometric factor decay; fitted error-vs-L slope should
@@ -337,9 +402,11 @@ class TestConvergenceStudy:
                 ]
             )
         )
-        rows = convergence_study(problem, range(2, 17), reference=limit)
+        rows, _ = convergence_study(
+            [SmolyakEngine(problem)], range(2, 17), absolute_errors(limit)
+        )
         slope = fit_loglog_slope(
-            [(math.exp(L), err) for L, _, _, err in rows], window=0.5
+            [(math.exp(row["L"]), row["error"]) for row in rows], window=0.5
         )
         assert abs(slope - (-pred.b_min)) <= 0.2 * pred.b_min
 
@@ -353,7 +420,8 @@ class TestConvergenceStudy:
         problem = ProblemSpec(
             factors=(FactorSpec(gamma=1.0, beta=1.0),), tensor_evaluator=evaluator
         )
-        convergence_study(problem, [2, 4])
+        engine = SmolyakEngine(problem)
+        convergence_study([engine], [2, 4], absolute_errors(0.0), reference=engine)
         max_resolution = max(r[0] for r in seen)
         assert max_resolution == level_to_resolution(problem.factors[0], 6)
 

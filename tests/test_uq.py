@@ -23,17 +23,15 @@ from kernelkit.uq import (
     OuuObjective,
     OuuPipeline,
     build_expectation_problem,
+    build_surface_problem,
     expectation_study,
     interpolation_factor,
     kernel_quadrature_factor,
     midpoint_quadrature_factor,
     minimize_objective,
-    multiindex_expectation,
-    multilevel_expectation,
     ouu_study,
     philox_generator,
     random_points,
-    response_surface,
     surface_study,
     synthetic_bias_factor,
 )
@@ -48,18 +46,30 @@ def parabola_factors():
     return quad, sample
 
 
+def expectation_estimate(quad_factors, sample, L):
+    return SmolyakEngine(build_expectation_problem(quad_factors, sample)).estimate(L)
+
+
+def surface_estimate(interp_factors, sample, L):
+    return SmolyakEngine(build_surface_problem(interp_factors, sample)).estimate(L)
+
+
 class TestMultilevelExpectation:
-    def test_matches_generic_engine(self):
+    def test_study_errors_are_the_engine_estimates(self):
         quad, sample = parabola_factors()
-        problem = build_expectation_problem([quad], sample)
-        direct, _ = SmolyakEngine(problem).estimate(6)
-        result = multilevel_expectation(quad, sample, 6)
-        assert abs(result.value - direct) <= 1e-12 * max(1.0, abs(direct))
+        rows = expectation_study([quad], sample, range(2, 7), reference=1.0 / 3.0)
+        quad, sample = parabola_factors()
+        engine = SmolyakEngine(build_expectation_problem([quad], sample))
+        for row in rows:
+            value, ledger = engine.estimate(row["L"])
+            assert row["error_l2"] == row["error_linf"] == abs(1.0 / 3.0 - value)
+            assert row["work_units"] == ledger.total_work
+            assert row["pde_solves"] == sample.solve_count
 
     def test_matches_telescoped_double_sum(self):
         quad, sample = parabola_factors()
         for L in range(2, 7):
-            result = multilevel_expectation(quad, sample, L)
+            value, _ = expectation_estimate([quad], sample, L)
             total = 0.0
             for l1 in range(1, L):
                 l2 = L - l1
@@ -70,7 +80,7 @@ class TestMultilevelExpectation:
                 else:
                     coarse = sample.values(pts, level_to_resolution(sample.spec, l2 - 1))
                 total += float(w @ (fine - coarse))
-            assert abs(result.value - total) <= 1e-12 * max(1.0, abs(total))
+            assert abs(value - total) <= 1e-12 * max(1.0, abs(total))
 
     def test_exact_quadrature_with_saturating_samples(self):
         # Quadrature exact for the integrand; sample family exact from level 2.
@@ -90,8 +100,8 @@ class TestMultilevelExpectation:
         sample = SampleFactor(
             spec=FactorSpec(gamma=1.0, beta=1.0), evaluate_one=evaluate_one
         )
-        result = multilevel_expectation(quad, sample, 8)
-        assert result.value == pytest.approx(1.0 / 3.0 + 1.0 / cap, rel=1e-12)
+        value, _ = expectation_estimate([quad], sample, 8)
+        assert value == pytest.approx(1.0 / 3.0 + 1.0 / cap, rel=1e-12)
 
     def test_synthetic_error_slope(self):
         quad, sample = parabola_factors()
@@ -104,24 +114,17 @@ class TestMultilevelExpectation:
 
     def test_work_model_is_product_of_resolutions(self):
         quad, sample = parabola_factors()
-        result = multilevel_expectation(quad, sample, 5)
+        _, ledger = expectation_estimate([quad], sample, 5)
         recomputed = 0.0
-        for index, work in result.ledger.per_term:
+        for index, work in ledger.per_term:
             n1 = level_to_resolution(quad.spec, index[0])
             n2 = level_to_resolution(sample.spec, index[1])
             assert work == pytest.approx(n1 * n2, rel=1e-13)
             recomputed += work
-        assert result.ledger.total_work == pytest.approx(recomputed, rel=1e-13)
+        assert ledger.total_work == pytest.approx(recomputed, rel=1e-13)
 
 
 class TestMultiindexExpectation:
-    def test_single_block_equals_multilevel(self):
-        quad, sample = parabola_factors()
-        a = multilevel_expectation(quad, sample, 6).value
-        quad2, sample2 = parabola_factors()
-        b = multiindex_expectation([quad2], sample2, 6).value
-        assert a == b
-
     def test_constant_integrand_with_kernel_quadrature(self):
         kernel = MaternKernel(beta=2.0, dim=1)
         quad = kernel_quadrature_factor(kernel, UNIT_INTERVAL)
@@ -134,12 +137,12 @@ class TestMultiindexExpectation:
             evaluate_one=lambda point, resolution: constant,
         )
         L = 6
-        result = multilevel_expectation(quad, sample, L)
+        value, _ = expectation_estimate([quad], sample, L)
         # Kernel rules integrate constants only up to a measurable defect.
         n_top = level_to_resolution(quad.spec, L - 1)
         pts, w = quad.rule(n_top)
         defect = float(w.sum()) - 1.0
-        assert result.value == pytest.approx(constant * (1.0 + defect), abs=1e-9)
+        assert value == pytest.approx(constant * (1.0 + defect), abs=1e-9)
 
     def test_two_block_sine_product_converges(self):
         kernel = MaternKernel(beta=2.0, dim=1)
@@ -179,9 +182,9 @@ class TestResponseSurface:
             spec=FactorSpec(gamma=1.5, beta=1.0),
             evaluate_one=lambda point, resolution: float(target(point.reshape(1, -1))[0]),
         )
-        result = response_surface([factor], sample, L=5)
+        surrogate, _ = surface_estimate([factor], sample, 5)
         test_pts = random_points(UNIT_INTERVAL, 100, seed=3)
-        err = result.value.evaluate(test_pts) - target(test_pts)
+        err = surrogate.evaluate(test_pts) - target(test_pts)
         assert np.max(np.abs(err)) <= 1e-7
 
     def test_surrogate_linearity_in_samples(self):
@@ -197,7 +200,7 @@ class TestResponseSurface:
                 evaluate_one=lambda point, resolution, s=scale: s
                 * (math.exp(point[0]) + 1.0 / resolution),
             )
-            results.append(response_surface([factor], sample, L=5).value)
+            results.append(surface_estimate([factor], sample, 5)[0])
         xs = random_points(UNIT_INTERVAL, 64, seed=4)
         assert np.allclose(
             2.0 * results[0].evaluate(xs), results[1].evaluate(xs), rtol=0, atol=1e-12
@@ -209,7 +212,7 @@ class TestResponseSurface:
         sample = synthetic_bias_factor(
             lambda pts: np.sin(2 * np.pi * pts[:, 0]), gamma=1.5, kappa=1.0
         )
-        surrogate = response_surface([factor], sample, L=5).value
+        surrogate, _ = surface_estimate([factor], sample, 5)
         path = tmp_path / "rsr.txt"
         save_surrogate(surrogate, path)
         loaded = load_surrogate(path)
@@ -237,13 +240,13 @@ class TestResponseSurface:
         factor = interpolation_factor(kernel, box)
         sample = bump_sample_factor(n_bumps=1, max_cells=16)
         L = 5
-        result = response_surface([factor], sample, L)
+        _, ledger = surface_estimate([factor], sample, L)
         expected = sum(
             level_to_resolution(factor.spec, term.index[0])
             * level_to_resolution(sample.spec, term.index[1]) ** 1.5
             for term in combination_coefficients(2, L)
         )
-        assert result.ledger.total_work == pytest.approx(expected, rel=1e-12)
+        assert ledger.total_work == pytest.approx(expected, rel=1e-12)
 
 
 def stub_interp_factor():
@@ -265,7 +268,7 @@ class TestOuuPipeline:
             max_cells=8,
         )
         L = 6
-        result = pipeline.estimate(L)
+        surrogate, _ = pipeline.engine.estimate(L)
         count = level_to_resolution(pipeline.interp_factor.spec, L - 2)
         nodes = generate_points(UNIT_DISC, count)
         direct = fit_interpolant(
@@ -274,7 +277,7 @@ class TestOuuPipeline:
             np.array([target(z) for z in nodes.points]),
         )
         pts = random_points(UNIT_DISC, 200, seed=1)
-        assert np.max(np.abs(result.value.evaluate(pts) - direct.evaluate(pts))) <= 1e-9
+        assert np.max(np.abs(surrogate.evaluate(pts) - direct.evaluate(pts))) <= 1e-9
 
     def test_draw_sets_shared_across_mesh_levels(self):
         pipeline = OuuPipeline(
@@ -284,9 +287,9 @@ class TestOuuPipeline:
             field_grid=Mesh(cells=8),
             max_cells=8,
         )
-        result = pipeline.estimate(5)
+        pipeline.engine.estimate(5)
         by_draw_count = {}
-        for resolutions, draws in result.draw_log.items():
+        for resolutions, draws in pipeline.draw_log.items():
             assert draws == tuple(range(resolutions[1]))
             by_draw_count.setdefault(resolutions[1], set()).add(draws)
         for draws_used in by_draw_count.values():
@@ -300,7 +303,7 @@ class TestOuuPipeline:
             field_grid=Mesh(cells=8),
             max_cells=8,
         )
-        pipeline.estimate(5)
+        pipeline.engine.estimate(5)
         draws_by_cells = {}
         for _, draw, cells in pipeline._solve_cache:
             draws_by_cells.setdefault(cells, set()).add(draw)
@@ -325,7 +328,7 @@ class TestOuuPipeline:
                 field_grid=Mesh(cells=4),
                 max_cells=4,
             )
-            values.append(pipeline.estimate(4).value(np.array([0.2, 0.1])))
+            values.append(pipeline.engine.estimate(4)[0](np.array([0.2, 0.1])))
         values = np.array(values)
         stderr = values.std(ddof=1) / math.sqrt(len(values))
         assert abs(values.mean() - target) <= 4.0 * max(stderr, 1e-12)
@@ -339,7 +342,7 @@ class TestOuuPipeline:
             field_grid=Mesh(cells=4),
             max_cells=4,
         )
-        surrogate = pipeline.estimate(4).value
+        surrogate = pipeline.engine.estimate(4)[0]
         objective = OuuObjective(surrogate=surrogate)
         origin = np.zeros(2)
         assert objective(origin) == pytest.approx(float(surrogate(origin)))
@@ -355,7 +358,7 @@ class TestOuuPipeline:
                 field_grid=Mesh(cells=4),
                 max_cells=4,
             )
-            return pipeline.estimate(5).value
+            return pipeline.engine.estimate(5)[0]
 
         xs = random_points(UNIT_DISC, 50, seed=2)
         a = build(1.0).evaluate(xs)
@@ -441,7 +444,7 @@ class TestPdeSolvesColumn:
             return float(z[0]) + 0.1 * float(field.values[0])
 
         settings = dict(qoi=qoi, field_grid=Mesh(cells=4), max_cells=4)
-        OuuPipeline(stub_interp_factor(), seed=0, stream=0, **settings).estimate(6)
+        OuuPipeline(stub_interp_factor(), seed=0, stream=0, **settings).engine.estimate(6)
         reference_solves = len(calls)
         calls.clear()
         rows, _ = ouu_study(
@@ -490,7 +493,7 @@ class TestSolveOnce:
             field_grid=Mesh(cells=4),
             max_cells=4,
         )
-        pipeline.estimate(6)
+        pipeline.engine.estimate(6)
         assert len(solves) == len(set(solves)) == pipeline.pde_solves
         # One sample object per draw: every solve of a draw saw the same one.
         draws = {draw for _, draw, _ in pipeline._solve_cache}
@@ -528,13 +531,13 @@ class TestSolveOnce:
 
         pipeline = small_ouu_pipeline(qoi)
         with pytest.raises(EvaluationError, match="solver failed"):
-            pipeline.estimate(6)
+            pipeline.engine.estimate(6)
         failed = calls[2]
         assert failed not in pipeline._solve_cache
-        retried = pipeline.estimate(6).value
+        retried = pipeline.engine.estimate(6)[0]
         assert calls.count(failed) == 2
         assert len(calls) - 1 == len(set(calls)) == pipeline.pde_solves
-        expected = small_ouu_pipeline(stub_qoi).estimate(6).value
+        expected = small_ouu_pipeline(stub_qoi).engine.estimate(6)[0]
         pts = random_points(UNIT_DISC, 32, seed=0)
         assert np.array_equal(retried.evaluate(pts), expected.evaluate(pts))
 
@@ -550,10 +553,10 @@ class TestSolveOnce:
 
         pipeline._field_sampler.sample = failing_once
         with pytest.raises(EvaluationError, match="draw failed"):
-            pipeline.estimate(5)
+            pipeline.engine.estimate(5)
         assert not pipeline._field_cache and not pipeline._solve_cache
-        retried = pipeline.estimate(5).value
-        expected = small_ouu_pipeline(stub_qoi).estimate(5).value
+        retried = pipeline.engine.estimate(5)[0]
+        expected = small_ouu_pipeline(stub_qoi).engine.estimate(5)[0]
         pts = random_points(UNIT_DISC, 32, seed=0)
         assert np.array_equal(retried.evaluate(pts), expected.evaluate(pts))
 
@@ -571,3 +574,44 @@ def small_ouu_pipeline(qoi):
         field_grid=Mesh(cells=4),
         max_cells=4,
     )
+
+
+@pytest.fixture
+def estimate_log(monkeypatch):
+    """Every ``SmolyakEngine.estimate`` call as ``(engine, L)``, in call order."""
+    log = []
+    estimate = SmolyakEngine.estimate
+
+    def recording(engine, L):
+        log.append((engine, L))
+        return estimate(engine, L)
+
+    monkeypatch.setattr(SmolyakEngine, "estimate", recording)
+    return log
+
+
+class TestStudyWiring:
+    def test_surface_study_estimates_reference_first_on_its_engine(self, estimate_log):
+        kernel = MaternKernel(beta=2.0, dim=1)
+        sample = synthetic_bias_factor(lambda pts: pts[:, 0], gamma=1.5, kappa=1.0)
+        pts = random_points(UNIT_INTERVAL, 16, seed=6)
+        surface_study(
+            [interpolation_factor(kernel, UNIT_INTERVAL)], sample, [4, 2, 3], eval_points=pts
+        )
+        assert [L for _, L in estimate_log] == [6, 2, 3, 4]
+        assert len({id(engine) for engine, _ in estimate_log}) == 1
+
+    def test_expectation_study_with_exact_reference_makes_no_reference(self, estimate_log):
+        quad, sample = parabola_factors()
+        expectation_study([quad], sample, [2, 3, 4], reference=1.0 / 3.0, reference_L=9)
+        assert [L for _, L in estimate_log] == [2, 3, 4]
+
+    def test_ouu_study_runs_reference_stream_then_replications_inside_L(self, estimate_log):
+        settings = dict(qoi=stub_qoi, field_grid=Mesh(cells=4), max_cells=4)
+        ouu_study(
+            stub_interp_factor, [4, 3], seed=0, replications=3, reference_L=5, **settings
+        )
+        streams = [
+            (engine.problem.tensor_evaluator.__self__.stream, L) for engine, L in estimate_log
+        ]
+        assert streams == [(0, 5)] + [(r, L) for L in (3, 4) for r in (1, 2, 3)]
