@@ -11,14 +11,11 @@ __version__ = "0.1.0"
 
 from kernelkit.kernels import (
     ConditioningError,
-    Interpolant,
     KernelExpansion,
     MaternKernel,
     QuadratureRule,
     TensorKernel,
-    evaluate_interpolant,
     fit_interpolant,
-    matern_evaluate,
     quadrature_weights,
     sparse_interpolate,
 )
@@ -41,8 +38,6 @@ from kernelkit.smolyak import (
     fit_loglog_slope,
     level_to_resolution,
     predicted_rates,
-    smolyak_estimate,
-    smolyak_via_deltas,
 )
 from kernelkit.surrogate import Surrogate, load_surrogate, save_surrogate
 
@@ -53,7 +48,6 @@ __all__ = [
     "ConditioningError",
     "Disc",
     "FactorSpec",
-    "Interpolant",
     "KernelExpansion",
     "MaternKernel",
     "PointSet",
@@ -69,7 +63,6 @@ __all__ = [
     "convergence_study",
     "delta_expand",
     "enumerate_simplex",
-    "evaluate_interpolant",
     "exponential_sum",
     "fill_distance",
     "fit_interpolant",
@@ -77,11 +70,8 @@ __all__ = [
     "generate_points",
     "level_to_resolution",
     "load_surrogate",
-    "matern_evaluate",
     "predicted_rates",
     "quadrature_weights",
     "save_surrogate",
-    "smolyak_estimate",
-    "smolyak_via_deltas",
     "sparse_interpolate",
 ]

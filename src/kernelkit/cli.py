@@ -336,11 +336,9 @@ def run(config: RunConfig, out: str, seed: int, quiet: bool) -> None:
         extra["replications"] = config[("ouu", "replications")]
     _write_manifest(os.path.join(out, "manifest.txt"), config, seed, extra)
     study = _RUNNERS[config.pipeline](config, seed)
-    # fem-check fits every level; the threshold studies fit the configured window.
-    window = 1.0 if config.pipeline == "fem-check" else config.fit_window
-    fitted = fit_loglog_slope(study.series, window=window)
+    fitted = fit_loglog_slope(study.series, window=config.fit_window)
     _write_csv(os.path.join(out, "study.csv"), study.header, study.rows)
-    _write_slopes(os.path.join(out, "slope.txt"), fitted, study.predicted, window)
+    _write_slopes(os.path.join(out, "slope.txt"), fitted, study.predicted, config.fit_window)
     for name, text in study.artifacts.items():
         with open(os.path.join(out, name), "w") as handle:
             handle.write(text)

@@ -27,10 +27,12 @@ a contraction plan of its nodes, which groups the coefficients by their
 other-block coordinates into dense matrices over a prefix of the last
 block's coordinates.  On a sparse grid, evaluation is then a few matrix
 products of the last block's profile with those matrices, times gathers
-of the other blocks' profiles per group of coordinates.  Several
-expansions of one kernel evaluate together (:func:`evaluate_stacked`):
-each chunk's block profiles are computed once over the union of their
-block coordinates, and each plan contracts its own columns of them.
+of the other blocks' profiles per group of coordinates.  Expansions of
+one kernel always evaluate as a stack, one expansion being a stack of
+one: :func:`stack_layout` unites their block coordinates, and
+:func:`evaluate_stacked`, the one loop over point chunks, computes each
+chunk's block profiles once over that union, of which each plan
+contracts its own columns.
 
 Interpolation coefficients solve the symmetric positive-definite kernel
 system ``(K + jitter I) x = b`` with an escalating diagonal shift, followed
@@ -49,7 +51,6 @@ matrix per attempt.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial, reduce
 from typing import Callable, Sequence
@@ -77,14 +78,13 @@ _RESIDUAL_REQUIRED = 1e-8
 _REFINEMENT_PASSES = 4
 _SMALL_RADIUS = 1e-8
 _GAUSS_POINTS_PER_AXIS = 64
-# Most entries that one evaluation chunk's block profiles hold together,
-# and that any one of its group products holds.
-_GRAM_BLOCK_ENTRIES = 2**18
-# The same bound for a stacked evaluation (:func:`evaluate_stacked`).  The
-# studies evaluate their stack after building every surrogate, when they
-# hold the most memory, and an integer-order profile holds three
-# temporaries of its own size: at 2**18 entries the ouu study's peak RSS
-# rose from 97.2 to 100.7 MB, at 2**16 it fell to 94.5 MB.
+# Most entries that one evaluation chunk's shared block profiles hold
+# together, and that any one of its group products holds
+# (:func:`evaluate_stacked`).  The studies evaluate their stack after
+# building every surrogate, when they hold the most memory, and an
+# integer-order profile holds three temporaries of its own size: at 2**18
+# entries the ouu study's peak RSS rose from 97.2 to 100.7 MB, at 2**16 it
+# fell to 94.5 MB.
 _STACK_BLOCK_ENTRIES = 2**16
 # A contraction plan may hold up to this many coefficient-matrix entries
 # per node; one that pads more evaluates by per-node gathers instead.
@@ -235,13 +235,6 @@ def _scaled_bessel_k(order: int, s: np.ndarray) -> np.ndarray:
             previous += scratch
             previous, current = current, previous
     return current
-
-
-def matern_evaluate(kernel: MaternKernel, x, y) -> float:
-    """Kernel value ``Phi(x, y)`` for two points."""
-    x = np.asarray(x, dtype=float).reshape(1, -1)
-    y = np.asarray(y, dtype=float).reshape(1, -1)
-    return float(kernel.gram(x, y)[0, 0])
 
 
 def distinct_rows(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -588,15 +581,6 @@ class _ContractionPlan:
             groups=tuple(groups),
         )
 
-    @cached_property
-    def chunk_columns(self) -> int:
-        """Columns per point of a chunk: its block profiles together, or its
-        widest group product."""
-        return max(
-            sum(len(rows) for rows in self.node_rows),
-            max(matrix.shape[-1] for _, matrix, _ in self.groups),
-        )
-
     def over(
         self, rows: Sequence[np.ndarray], maps: Sequence[np.ndarray]
     ) -> "_ContractionPlan":
@@ -612,10 +596,6 @@ class _ContractionPlan:
         )
         node_rows = (*rows[:gathered], *self.node_rows[gathered:])
         return _ContractionPlan(node_rows, self.contracted, groups)
-
-    def contract(self, kernel: TensorKernel, points: np.ndarray) -> np.ndarray:
-        """The expansion's values at ``points``."""
-        return self.contract_profiles(_block_profiles(kernel, points, self.node_rows))
 
     def contract_profiles(self, profiles: list[np.ndarray]) -> np.ndarray:
         """The values at the points whose block profiles are ``profiles``.
@@ -650,20 +630,24 @@ def _block_profiles(
     ]
 
 
-def _stack_layout(expansions: Sequence["KernelExpansion"]):
-    """How :func:`evaluate_stacked` shares block profiles among expansions.
+def stack_layout(expansions: Sequence["KernelExpansion"]):
+    """How :func:`evaluate_stacked` shares block profiles among expansions
+    of one kernel.
 
-    Returns ``(node_rows, members, rows)``.  ``node_rows`` holds, per
-    block, the distinct rows of all the plans' rows of that block, in
-    first-seen order, so that nested plans' rows are prefixes.  Each
-    member is its plan moved onto those rows
+    Returns ``(kernel, node_rows, members, columns)``.  ``node_rows``
+    holds, per block, the distinct rows of all the plans' rows of that
+    block, in first-seen order, so that nested plans' rows are prefixes.
+    Each member is its plan moved onto those rows
     (:meth:`_ContractionPlan.over`) and, for a ranked plan, the last-block
     columns that are its own rows in rank order: a slice when they lie in
     a row, as nested members' rows do, otherwise an index array to
-    gather.  ``rows`` is the chunk's point count: its shared profiles with
-    the widest gathered last block, and each of its group products, hold
-    at most ``_STACK_BLOCK_ENTRIES`` entries.
+    gather.  ``columns`` counts a chunk's entries per point: in its shared
+    profiles with the widest gathered last block, or in its widest group
+    product, whichever is more.
     """
+    kernel = expansions[0].kernel
+    if any(e.kernel != kernel for e in expansions):
+        raise ValueError("stacked expansions must share one kernel")
     plans = [e._plan for e in expansions]
     node_rows = []
     maps: list[list[np.ndarray]] = [[] for _ in plans]
@@ -689,25 +673,25 @@ def _stack_layout(expansions: Sequence["KernelExpansion"]):
         sum(map(len, node_rows)) + gathered,
         *(matrix.shape[-1] for plan in plans for _, matrix, _ in plan.groups),
     )
-    return node_rows, members, max(1, _STACK_BLOCK_ENTRIES // columns)
+    return kernel, node_rows, members, columns
 
 
-def evaluate_stacked(
-    expansions: Sequence["KernelExpansion"], points: np.ndarray
-) -> np.ndarray:
-    """Values of expansions of one kernel at ``points``, one column each.
+def evaluate_stacked(layout, points: np.ndarray) -> np.ndarray:
+    """Values at ``points`` of the expansions laid out by :func:`stack_layout`,
+    one column each.
 
-    Walks the points in row chunks; per chunk each block's profile is
-    computed once, against the distinct rows of all the expansions' rows
-    of that block, and each expansion contracts only its own columns of
-    it (:func:`_stack_layout`).  Domains are not checked.
+    The one loop over point chunks.  A chunk holds ``_STACK_BLOCK_ENTRIES
+    // columns`` points (at least one), so that its shared block profiles
+    together, and each of its group products, hold at most
+    ``_STACK_BLOCK_ENTRIES`` entries whatever the point count.  Per chunk
+    each block's profile is computed once, against the layout's rows of
+    that block, and each expansion contracts only its own columns of it.
+    Domains are not checked.
     """
-    kernel = expansions[0].kernel
-    if any(e.kernel != kernel for e in expansions):
-        raise ValueError("stacked expansions must share one kernel")
-    node_rows, members, rows = _stack_layout(expansions)
+    kernel, node_rows, members, columns = layout
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    out = np.empty((pts.shape[0], len(expansions)))
+    rows = max(1, _STACK_BLOCK_ENTRIES // columns)
+    out = np.empty((pts.shape[0], len(members)))
     for start in range(0, pts.shape[0], rows):
         chunk = slice(start, start + rows)
         profiles = _block_profiles(kernel, pts[chunk], node_rows)
@@ -717,16 +701,21 @@ def evaluate_stacked(
     return out
 
 
+def _require_matching_dims(kernel: TensorKernel, nodes: PointSet) -> None:
+    if kernel.dim != nodes.dim:
+        raise ValueError(f"kernel dimension {kernel.dim} != node dimension {nodes.dim}")
+
+
 @dataclass(frozen=True)
 class KernelExpansion:
     """Kernel expansion ``x -> sum_i c_i Phi(x_i, x)`` over a node set.
 
-    Evaluation contracts each block's profile with the coefficients by a
-    :class:`_ContractionPlan`, built once per expansion: on a sparse grid
-    a few matrix products over the distinct block coordinates, never a
-    points x nodes array.  It walks the points in row chunks, so that a
-    chunk's block profiles together, and each of its group products, hold
-    at most ``_GRAM_BLOCK_ENTRIES`` entries whatever the point count.
+    Every fit is one (:func:`fit_interpolant`).  Evaluation contracts each
+    block's profile with the coefficients by a :class:`_ContractionPlan`,
+    built once per expansion: on a sparse grid a few matrix products over
+    the distinct block coordinates, never a points x nodes array.  An
+    expansion evaluates as the one-term surrogate of itself
+    (:meth:`kernelkit.surrogate.Surrogate.evaluate`).
     """
 
     kernel: TensorKernel
@@ -734,6 +723,7 @@ class KernelExpansion:
     coefficients: np.ndarray
 
     def __post_init__(self):
+        _require_matching_dims(self.kernel, self.nodes)
         shape = np.shape(self.coefficients)
         if shape != (len(self.nodes),):
             raise ValueError(
@@ -742,20 +732,7 @@ class KernelExpansion:
             )
 
     def evaluate(self, points: np.ndarray, check_domain: bool = True) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if check_domain and not np.all(self.nodes.domain.contains(pts)):
-            warnings.warn(
-                "evaluating kernel expansion outside its domain (extrapolation)",
-                stacklevel=2,
-            )
-        plan = self._plan
-        rows = max(1, _GRAM_BLOCK_ENTRIES // plan.chunk_columns)
-        out = np.empty(pts.shape[0])
-        for start in range(0, pts.shape[0], rows):
-            out[start : start + rows] = plan.contract(
-                self.kernel, pts[start : start + rows]
-            )
-        return out
+        return KernelExpansion.weighted_sum([(1.0, self)]).evaluate(points, check_domain)
 
     @cached_property
     def _plan(self) -> _ContractionPlan:
@@ -775,19 +752,13 @@ class KernelExpansion:
         return Surrogate(terms=tuple((float(c), e) for c, e in pairs))
 
 
-@dataclass(frozen=True)
-class Interpolant(KernelExpansion):
-    """Minimum-norm kernel interpolant ``x -> sum_i alpha_i Phi(x_i, x)``."""
-
-    native_norm_sq: float
-
-
 def fit_interpolant(
     kernel: TensorKernel | MaternKernel, nodes: PointSet, values
-) -> Interpolant:
-    """Fit the kernel interpolant through ``values`` at ``nodes``."""
+) -> KernelExpansion:
+    """Fit the minimum-norm kernel interpolant through ``values`` at ``nodes``."""
     if isinstance(kernel, MaternKernel):
         kernel = single_block(kernel)
+    _require_matching_dims(kernel, nodes)
     rhs = np.asarray(values, dtype=float)
     if rhs.shape != (len(nodes),):
         raise ValueError(
@@ -795,17 +766,7 @@ def fit_interpolant(
         )
     alpha = _solve_spd(kernel, nodes, rhs)
     alpha.setflags(write=False)
-    return Interpolant(
-        kernel=kernel,
-        nodes=nodes,
-        coefficients=alpha,
-        native_norm_sq=float(rhs @ alpha),
-    )
-
-
-def evaluate_interpolant(s: Interpolant, x) -> float:
-    """Value of the interpolant at one point."""
-    return s(x)
+    return KernelExpansion(kernel=kernel, nodes=nodes, coefficients=alpha)
 
 
 @dataclass(frozen=True)
@@ -855,6 +816,7 @@ def quadrature_weights(
     """
     if isinstance(kernel, MaternKernel):
         kernel = single_block(kernel)
+    _require_matching_dims(kernel, nodes)
     if density != "uniform":
         raise ValueError(f"unsupported density {density!r}; only 'uniform'")
     box = nodes.domain
@@ -876,7 +838,7 @@ def tensor_grid_interpolant(
     factor_kernels: Sequence[MaternKernel],
     factor_points: Sequence[PointSet],
     values: np.ndarray,
-) -> Interpolant:
+) -> KernelExpansion:
     """Fit a tensor-product interpolant on the product of per-factor grids.
 
     ``values`` must be ordered to match :func:`tensor_grid` (first factor
@@ -927,7 +889,7 @@ def sparse_interpolation_problem(
             )
         )
 
-    def evaluator(resolutions: tuple[int, ...]) -> Interpolant:
+    def evaluator(resolutions: tuple[int, ...]) -> KernelExpansion:
         grids = [generate_points(d, r) for d, r in zip(factor_domains, resolutions)]
         samples = f_sampler(tensor_grid([ps.points for ps in grids]))
         return tensor_grid_interpolant(factor_kernels, grids, samples)

@@ -394,10 +394,6 @@ class BumpDiffusionProblem:
             Box((0.5 + r, 0.5 + r), (1.0 - r, 1.0 - r)),
         )
 
-    @property
-    def parameter_dimension(self) -> int:
-        return 2 * self.n_bumps
-
     def diffusion(self, centers: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Coefficient values at points ``x`` for bump centers ``centers``."""
         centers = np.asarray(centers, dtype=float).reshape(self.n_bumps, 2)

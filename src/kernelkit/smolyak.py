@@ -309,16 +309,6 @@ class SmolyakEngine:
         return weighted_sum([(sign, self._cache[res]) for res, sign in plan])
 
 
-def smolyak_estimate(problem: ProblemSpec, L: int) -> tuple[Any, WorkLedger]:
-    """One-shot combination-rule estimate (fresh memo cache)."""
-    return SmolyakEngine(problem).estimate(L)
-
-
-def smolyak_via_deltas(problem: ProblemSpec, L: int) -> Any:
-    """One-shot difference-expansion estimate (cross-check oracle)."""
-    return SmolyakEngine(problem).estimate_via_deltas(L)
-
-
 def convergence_study(
     engines: Sequence[SmolyakEngine],
     L_values: Sequence[int],

@@ -7,20 +7,21 @@ prefixes, so the weighted sum is itself one kernel expansion over the
 distinct nodes (the combination technique's collapse onto the sparse
 grid).  A :class:`Surrogate` keeps it in that form: one expansion per
 distinct ``(kernel, domain)`` pair, merged whenever a surrogate is built,
-added or scaled.  Each expansion evaluates through its contraction plan,
-which on a sparse grid's nested nodes is a few block matrix products
-over the distinct block coordinates.
-Merging is a fixed function of the term order, and the engine reduces
-terms in lexicographic order, so the result is reproducible.
+added or scaled.  Merging is a fixed function of the term order, and the
+engine reduces terms in lexicographic order, so the result is
+reproducible.
 
 A study compares many surrogates at the same points: one per threshold
 ``L``, per replication, and a reference.  Their nodes are prefixes of one
-nested sequence, so :meth:`Surrogate.stack` evaluates them together.  The
-stack's ``evaluate(points)`` returns one column per member; per chunk of
-points each block's profile is computed once, over the distinct block
-coordinates of all members' expansions of that kernel, and each member
-contracts only its own columns of it, never a zero-padded product over
-the union.  A stack is only evaluated: it neither combines nor saves.
+nested sequence, so :meth:`Surrogate.stack` evaluates them together,
+one column per member.  Every evaluation is such a stack, a plain
+surrogate being the one-column stack of itself: per kernel, a
+:func:`~kernelkit.kernels.stack_layout` of the expansions of that kernel,
+built once per surrogate, and per chunk of points each block's profile
+computed once over the layout's distinct block coordinates, of which each
+expansion contracts only its own columns, never a zero-padded product
+over the union.  A stack is only evaluated: it neither combines nor
+saves.
 
 The on-disk format is versioned plain text (header ``kernelkit-surrogate
 v1``) with one block per term listing the combination coefficient, kernel
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -43,6 +45,7 @@ from kernelkit.kernels import (
     TensorKernel,
     distinct_rows,
     evaluate_stacked,
+    stack_layout,
 )
 from kernelkit.points import Box, Disc, Domain, PointSet
 
@@ -66,6 +69,9 @@ def _merge(terms) -> tuple[tuple[float, KernelExpansion], ...]:
         groups.setdefault(key, []).append((float(coefficient), expansion))
     merged = []
     for (kernel, domain), group in groups.items():
+        if len(group) == 1 and group[0][0] == 1.0:
+            merged.append(group[0])  # already one expansion over distinct nodes
+            continue
         points = np.concatenate([e.nodes.points for _, e in group])
         weighted = np.concatenate([c * e.coefficients for c, e in group])
         first, slot = distinct_rows(points)
@@ -124,33 +130,34 @@ class Surrogate:
     def evaluate(self, points: np.ndarray, check_domain: bool = True) -> np.ndarray:
         """Values at ``points``: shape ``(P,)``, or ``(P, members)`` for a stack."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if self.members:
-            return self._evaluate_stack(pts, check_domain)
-        out = np.zeros(pts.shape[0])
-        for coefficient, expansion in self.terms:
-            out += coefficient * expansion.evaluate(pts, check_domain=check_domain)
-        return out
+        if check_domain:
+            domains = {expansion.nodes.domain for _, expansion in self.terms}
+            if not all(np.all(domain.contains(pts)) for domain in domains):
+                warnings.warn(
+                    "evaluating kernel expansion outside its domain (extrapolation)",
+                    stacklevel=2,
+                )
+        out = np.zeros((pts.shape[0], len(self.members) or 1))
+        for layout, owners in self._layouts:
+            values = evaluate_stacked(layout, pts)
+            for (column, coefficient), value in zip(owners, values.T):
+                out[:, column] += coefficient * value
+        return out if self.members else out[:, 0]
 
-    def _evaluate_stack(self, pts: np.ndarray, check_domain: bool) -> np.ndarray:
+    @cached_property
+    def _layouts(self) -> list[tuple]:
+        """Per kernel, the :func:`stack_layout` of its expansions, with each
+        expansion's output column and coefficient."""
         owners: dict[TensorKernel, list[tuple[int, float, KernelExpansion]]] = {}
-        for column, member in enumerate(self.members):
+        for column, member in enumerate(self.members or (self,)):
             for coefficient, expansion in member.terms:
                 owners.setdefault(expansion.kernel, []).append(
                     (column, coefficient, expansion)
                 )
-        if check_domain:
-            domains = {e.nodes.domain for group in owners.values() for _, _, e in group}
-            if not all(np.all(domain.contains(pts)) for domain in domains):
-                warnings.warn(
-                    "evaluating kernel expansion outside its domain (extrapolation)",
-                    stacklevel=3,
-                )
-        out = np.zeros((pts.shape[0], len(self.members)))
-        for group in owners.values():
-            values = evaluate_stacked([e for _, _, e in group], pts)
-            for (column, coefficient, _), value in zip(group, values.T):
-                out[:, column] += coefficient * value
-        return out
+        return [
+            (stack_layout([e for _, _, e in group]), [(col, c) for col, c, _ in group])
+            for group in owners.values()
+        ]
 
     def __call__(self, point) -> float:
         return float(self.evaluate(np.asarray(point, dtype=float).reshape(1, -1))[0])
@@ -199,18 +206,20 @@ def _domain_line(domain: Domain) -> str:
     raise TypeError(f"unsupported domain type {type(domain)!r}")
 
 
-def _parse_domain(tokens: list[str]) -> Domain:
+def _parse_domain(tokens: list[str], line: int) -> Domain:
     kind = tokens[0]
     if kind == "box":
         d = int(tokens[1])
         values = [float(v) for v in tokens[2:]]
         if len(values) != 2 * d:
-            raise ValueError("malformed box domain line")
+            raise ValueError(f"malformed box domain at line {line}")
         return Box(lows=tuple(values[:d]), highs=tuple(values[d:]))
     if kind == "disc":
-        cx, cy, r = (float(v) for v in tokens[1:4])
+        if len(tokens) != 4:
+            raise ValueError(f"expected 3 values after 'domain disc' at line {line}")
+        cx, cy, r = (float(v) for v in tokens[1:])
         return Disc(center=(cx, cy), radius=r)
-    raise ValueError(f"unknown domain kind {kind!r}")
+    raise ValueError(f"unknown domain kind {kind!r} at line {line}")
 
 
 def dump_surrogate(surrogate: Surrogate) -> str:
@@ -293,14 +302,17 @@ def parse_surrogate(text: str) -> Surrogate:
             coords = tuple(int(c) for c in tokens[3:])
             blocks.append((MaternKernel(beta=beta, dim=dim, length_scale=scale), coords))
             pos += 1
-        domain = _parse_domain(_expect(lines, pos, "domain", 2))
+        domain = _parse_domain(_expect(lines, pos, "domain", 2), pos + 1)
         pos += 1
         tokens = _expect(lines, pos, "nodes", 2)
         count, dim = int(tokens[0]), int(tokens[1])
         pos += 1
-        node_lines = _rows(lines, pos, count, "node rows")
-        pts = np.array([[float(v) for v in line.split()] for line in node_lines])
-        pts = pts.reshape(count, dim)
+        pts = np.empty((count, dim))
+        for i, line in enumerate(_rows(lines, pos, count, "node rows")):
+            values = line.split()
+            if len(values) != dim:
+                raise ValueError(f"expected {dim} values in node row at line {pos + i + 1}")
+            pts[i] = [float(v) for v in values]
         pos += count
         alpha_count = int(_expect(lines, pos, "alpha", 1)[0])
         pos += 1

@@ -360,6 +360,23 @@ class TestCliRuns:
         fitted = float(slope_line.split("=")[1])
         assert abs(fitted - 2.0) <= 0.2
 
+    def test_fem_check_honours_the_fit_window(self, tmp_path):
+        cfg = self.write(
+            tmp_path,
+            "[run]\npipeline = fem-check\nfit_window = 0.5\n"
+            "[pde]\nlevel_min = 3\nlevel_max = 6\n",
+        )
+        out = tmp_path / "fem"
+        assert main(["--config", cfg, "--out", str(out), "--quiet"]) == 0
+        slopes = dict(line.split(" = ") for line in (out / "slope.txt").read_text().splitlines())
+        assert slopes["fit_window"] == "5.000000000000e-01"
+        rows = [line.split(",") for line in (out / "study.csv").read_text().splitlines()[1:]]
+        h, error = np.log(np.array([[float(r[1]), float(r[2])] for r in rows])).T
+        # Four levels: the window 0.5 keeps the last 3 rows, the fit's minimum.
+        last_three = np.polyfit(h[1:], error[1:], 1)[0]
+        assert float(slopes["fitted_slope"]) == pytest.approx(last_three, rel=1e-9)
+        assert abs(np.polyfit(h, error, 1)[0] - last_three) > 1e-6
+
     def test_misc_deterministic_across_workers(self, tmp_path):
         text = "\n".join(
             [

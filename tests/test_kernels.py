@@ -14,14 +14,11 @@ from scipy.special import kn, kv
 import kernelkit.kernels as kernels_module
 from kernelkit.kernels import (
     ConditioningError,
-    Interpolant,
     KernelExpansion,
     MaternKernel,
     TensorKernel,
     doubling_levels,
-    evaluate_interpolant,
     fit_interpolant,
-    matern_evaluate,
     quadrature_weights,
     single_block,
     sparse_interpolate,
@@ -54,13 +51,13 @@ def sobolev_series(x, order=2.05, modes=400, seed=11):
 class TestMaternKernel:
     def test_exponential_case_at_zero(self):
         k = MaternKernel(beta=1.0, dim=1)
-        value = matern_evaluate(k, [0.3], [0.3])
+        value = k.gram([0.3], [0.3])[0, 0]
         assert value == pytest.approx(math.sqrt(math.pi / 2.0), rel=1e-12)
 
     def test_order_one_limit_at_zero(self):
         k = MaternKernel(beta=2.0, dim=2)
-        assert matern_evaluate(k, [0.1, 0.2], [0.1, 0.2]) == pytest.approx(0.5)
-        near = matern_evaluate(k, [0.0, 0.0], [1e-8, 0.0])
+        assert k.gram([0.1, 0.2], [0.1, 0.2])[0, 0] == pytest.approx(0.5)
+        near = k.gram([0.0, 0.0], [1e-8, 0.0])[0, 0]
         assert near == pytest.approx(0.5, rel=1e-9)
 
     def test_half_integer_matches_bessel(self):
@@ -82,13 +79,13 @@ class TestMaternKernel:
         for k in (MaternKernel(2.0, 1), MaternKernel(2.0, 2), MaternKernel(4.0, 2)):
             x = rng.random(k.dim)
             y = rng.random(k.dim)
-            assert matern_evaluate(k, x, y) == matern_evaluate(k, y, x)
+            assert k.gram(x, y)[0, 0] == k.gram(y, x)[0, 0]
 
     def test_length_scale(self):
         k1 = MaternKernel(beta=2.0, dim=1, length_scale=0.5)
         k2 = MaternKernel(beta=2.0, dim=1, length_scale=1.0)
-        assert matern_evaluate(k1, [0.0], [0.25]) == pytest.approx(
-            matern_evaluate(k2, [0.0], [0.5]), rel=1e-13
+        assert k1.gram([0.0], [0.25])[0, 0] == pytest.approx(
+            k2.gram([0.0], [0.5])[0, 0], rel=1e-13
         )
 
     @pytest.mark.parametrize("nu", [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5])
@@ -152,7 +149,7 @@ class TestTensorKernel:
         tensor = TensorKernel(blocks=((ka, (0,)), (kb, (1,))))
         x = np.array([[0.1, 0.7]])
         y = np.array([[0.4, 0.2]])
-        expected = matern_evaluate(ka, [0.1], [0.4]) * matern_evaluate(kb, [0.7], [0.2])
+        expected = ka.gram([0.1], [0.4])[0, 0] * kb.gram([0.7], [0.2])[0, 0]
         assert tensor.gram(x, y)[0, 0] == pytest.approx(expected, rel=1e-13)
 
     def test_rejects_bad_partition(self):
@@ -282,7 +279,7 @@ class TestKernelExpansionEvaluation:
         doubling=st.booleans(),
         random_count=st.integers(1, 60),
         point_count=st.integers(1, 40),
-        budget=st.sampled_from([kernels_module._GRAM_BLOCK_ENTRIES, 97, 1]),
+        budget=st.sampled_from([kernels_module._STACK_BLOCK_ENTRIES, 97, 1]),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_evaluate_matches_gram_product(
@@ -301,7 +298,7 @@ class TestKernelExpansionEvaluation:
         nodes, c = expansion.nodes.points, expansion.coefficients
         # Random points, some nodes (zero block distances) and a repeated row.
         points = np.vstack([rng.random((point_count, dim)), nodes[:3], nodes[:1]])
-        with mock.patch.object(kernels_module, "_GRAM_BLOCK_ENTRIES", budget):
+        with mock.patch.object(kernels_module, "_STACK_BLOCK_ENTRIES", budget):
             got = expansion.evaluate(points)
         gram = expansion.kernel.gram(points, nodes)
         bound = 8 * np.finfo(float).eps * (np.abs(gram) @ np.abs(c))
@@ -335,8 +332,10 @@ class TestKernelExpansionEvaluation:
         assert not plan.contracted
         assert plan_entries(expansion) == len(nodes)
 
-    def test_large_sparse_grid_stays_within_block_budget(self):
+    def test_large_sparse_grid_stays_within_block_budget(self, monkeypatch):
         # About 11k nodes: the interp workload's largest surrogate.
+        budget = 2**18
+        monkeypatch.setattr(kernels_module, "_STACK_BLOCK_ENTRIES", budget)
         rng = np.random.default_rng(8)
         expansion = merged_sparse_grid(((2.0, 1), (2.0, 1)), 11, doubling_levels, rng)
         assert len(expansion.nodes) == 11264
@@ -348,7 +347,7 @@ class TestKernelExpansionEvaluation:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        budget_bytes = kernels_module._GRAM_BLOCK_ENTRIES * 8
+        budget_bytes = budget * 8
         # A chunk's block profiles together fill one budget, and a profile
         # under construction holds a few temporaries of its own size; one
         # points x nodes array would take 88 budgets, one unchunked profile 8.
@@ -366,9 +365,10 @@ class TestFitInterpolant:
     def test_zero_values_give_zero_interpolant(self):
         k = MaternKernel(beta=2.0, dim=1)
         nodes = uniform_nodes(9)
-        interp = fit_interpolant(k, nodes, np.zeros(9))
+        values = np.zeros(9)
+        interp = fit_interpolant(k, nodes, values)
         assert np.allclose(interp.coefficients, 0.0)
-        assert interp.native_norm_sq == 0.0
+        assert values @ interp.coefficients == 0.0
         xs = np.linspace(0, 1, 50).reshape(-1, 1)
         assert np.allclose(interp.evaluate(xs), 0.0)
 
@@ -406,7 +406,7 @@ class TestFitInterpolant:
         nodes = uniform_nodes(9)
         values = np.cos(nodes.points[:, 0])
         interp = fit_interpolant(k, nodes, values)
-        assert evaluate_interpolant(interp, nodes.points[3]) == pytest.approx(
+        assert interp(nodes.points[3]) == pytest.approx(
             values[3], rel=1e-8
         )
 
@@ -431,8 +431,9 @@ class TestFitInterpolant:
         rng = np.random.default_rng(9)
         for trial in range(5):
             nodes = generate_points(UNIT_INTERVAL, 20)
-            interp = fit_interpolant(k, nodes, rng.standard_normal(20))
-            assert interp.native_norm_sq >= 0.0
+            values = rng.standard_normal(20)
+            interp = fit_interpolant(k, nodes, values)
+            assert values @ interp.coefficients >= 0.0
 
     def test_native_space_member_reproduced_exactly(self):
         k = MaternKernel(beta=2.0, dim=1)
@@ -453,6 +454,21 @@ class TestFitInterpolant:
         k = MaternKernel(beta=2.0, dim=1)
         with pytest.raises(ValueError):
             fit_interpolant(k, uniform_nodes(5), np.zeros(4))
+
+    def test_kernel_and_node_dimensions_must_match(self, monkeypatch):
+        def no_solve(*args):
+            raise AssertionError("solved a system whose kernel misses coordinates")
+
+        monkeypatch.setattr(kernels_module, "_solve_spd", no_solve)
+        nodes = generate_points(UNIT_SQUARE, 12)
+        k = MaternKernel(beta=2.0, dim=1)
+        message = "kernel dimension 1 != node dimension 2"
+        with pytest.raises(ValueError, match=message):
+            fit_interpolant(k, nodes, np.zeros(12))
+        with pytest.raises(ValueError, match=message):
+            KernelExpansion(single_block(k), nodes, np.zeros(12))
+        with pytest.raises(ValueError, match=message):
+            quadrature_weights(k, nodes)
 
     def test_extrapolation_warns(self):
         k = MaternKernel(beta=2.0, dim=1)
@@ -736,7 +752,7 @@ class TestQuadratureWeights:
         k = MaternKernel(beta=2.0, dim=1)
         nodes = PointSet(points=np.array([[0.4]]), domain=UNIT_INTERVAL)
         rule = quadrature_weights(k, nodes)
-        expected = rule.embeddings[0] / matern_evaluate(k, [0.4], [0.4])
+        expected = rule.embeddings[0] / k.gram([0.4], [0.4])[0, 0]
         assert rule.weights[0] == pytest.approx(expected, rel=1e-12)
 
     def test_recovers_kernel_translate_integrals(self):

@@ -15,8 +15,6 @@ from kernelkit.smolyak import (
     fit_loglog_slope,
     level_to_resolution,
     predicted_rates,
-    smolyak_estimate,
-    smolyak_via_deltas,
 )
 
 
@@ -113,14 +111,14 @@ class TestEstimateBasics:
             [lambda n: 0.5, lambda n: 2.0, lambda n: -1.5], factors
         )
         for L in (3, 5, 8):
-            value, _ = smolyak_estimate(problem, L)
+            value, _ = SmolyakEngine(problem).estimate(L)
             assert value == pytest.approx(0.5 * 2.0 * -1.5, rel=1e-13)
 
     def test_single_factor_is_plain_evaluation(self):
         factor = FactorSpec(gamma=1.0, beta=2.0)
         problem = product_problem([lambda n: 1.0 - 2.0 ** -n], [factor])
         for L in (1, 3, 6):
-            value, ledger = smolyak_estimate(problem, L)
+            value, ledger = SmolyakEngine(problem).estimate(L)
             n_l = level_to_resolution(factor, L)
             assert value == pytest.approx(1.0 - 2.0 ** -n_l, rel=1e-14)
             assert len(ledger.per_term) == 1
@@ -131,9 +129,9 @@ class TestEstimateBasics:
             [FactorSpec(gamma=1.0, beta=1.0)] * 2,
         )
         with pytest.raises(ValueError):
-            smolyak_estimate(problem, 1)
+            SmolyakEngine(problem).estimate(1)
         with pytest.raises(ValueError):
-            smolyak_via_deltas(problem, 1)
+            SmolyakEngine(problem).estimate_via_deltas(1)
 
     def test_minimal_threshold_is_single_unit_term(self):
         # At L = n the only admissible index is all-ones.
@@ -143,8 +141,9 @@ class TestEstimateBasics:
         )
         unit = problem.resolutions((1, 1))
         expected = problem.tensor_evaluator(unit)
-        assert smolyak_via_deltas(problem, 2) == pytest.approx(expected, rel=1e-14)
-        value, ledger = smolyak_estimate(problem, 2)
+        delta = SmolyakEngine(problem).estimate_via_deltas(2)
+        assert delta == pytest.approx(expected, rel=1e-14)
+        value, ledger = SmolyakEngine(problem).estimate(2)
         assert value == pytest.approx(expected, rel=1e-14)
         assert [index for index, _ in ledger.per_term] == [(1, 1)]
 
@@ -153,8 +152,8 @@ class TestEstimateBasics:
         problem = product_problem(
             [lambda n: 1.0 - 2.0 ** -n, lambda n: 1.0 - 3.0 ** -n], factors
         )
-        combo, _ = smolyak_estimate(problem, 4)
-        delta = smolyak_via_deltas(problem, 4)
+        combo, _ = SmolyakEngine(problem).estimate(4)
+        delta = SmolyakEngine(problem).estimate_via_deltas(4)
         assert combo == pytest.approx(delta, rel=1e-12)
 
     def test_evaluator_failure_carries_term(self):
@@ -165,7 +164,7 @@ class TestEstimateBasics:
             factors=(FactorSpec(gamma=1.0, beta=1.0),), tensor_evaluator=evaluator
         )
         with pytest.raises(EvaluationError) as err:
-            smolyak_estimate(problem, 2)
+            SmolyakEngine(problem).estimate(2)
         assert err.value.resolutions == (3,)
 
 
@@ -206,7 +205,7 @@ class TestCombinationDeltaEquivalence:
         problem = product_problem([table(c) for c in caps], factors)
         exact = np.prod([1.0 - 2.0 ** -c for c in caps])
         for L in (2 * l_star, 2 * l_star + 2):
-            value, _ = smolyak_estimate(problem, L)
+            value, _ = SmolyakEngine(problem).estimate(L)
             assert value == pytest.approx(float(exact), rel=1e-13)
 
 
@@ -214,7 +213,7 @@ class TestWorkLedger:
     def test_total_matches_per_term(self):
         factors = [FactorSpec(gamma=1.0, beta=1.0), FactorSpec(gamma=1.5, beta=1.0)]
         problem = product_problem([lambda n: 1.0, lambda n: 1.0], factors)
-        _, ledger = smolyak_estimate(problem, 6)
+        _, ledger = SmolyakEngine(problem).estimate(6)
         ledger.check()
         recomputed = 0.0
         for index, work in ledger.per_term:
@@ -286,7 +285,7 @@ class TestWeightedSum:
     def test_estimate_folds_plain_values_in_term_order(self, value):
         factors = (FactorSpec(gamma=1.0, beta=1.0), FactorSpec(gamma=1.0, beta=2.0))
         problem = ProblemSpec(factors=factors, tensor_evaluator=value)
-        estimate, _ = smolyak_estimate(problem, 6)
+        estimate, _ = SmolyakEngine(problem).estimate(6)
         folded = None
         for term in combination_coefficients(2, 6):
             contribution = term.coefficient * value(problem.resolutions(term.index))

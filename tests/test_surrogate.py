@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 import kernelkit.kernels as kernels_module
 import kernelkit.surrogate as surrogate_module
 from kernelkit.kernels import (
-    _GRAM_BLOCK_ENTRIES,
     KernelExpansion,
     MaternKernel,
     fit_interpolant,
@@ -51,6 +50,12 @@ def simple_terms():
 
 def simple_surrogate():
     return Surrogate(terms=simple_terms())
+
+
+def disc_surrogate():
+    k = MaternKernel(beta=4.0, dim=2)
+    nodes = generate_points(UNIT_DISC, 12)
+    return Surrogate(terms=((1.0, fit_interpolant(k, nodes, np.cos(nodes.points[:, 0]))),))
 
 
 def term_by_term(terms, points):
@@ -220,7 +225,7 @@ class TestMergedExpansion:
         nodes = generate_points(UNIT_SQUARE, 1000)
         coefficients = np.random.default_rng(4).standard_normal(1000)
         s = Surrogate(terms=((1.0, KernelExpansion(kernel, nodes, coefficients)),))
-        chunk = _GRAM_BLOCK_ENTRIES // len(nodes)
+        chunk = kernels_module._STACK_BLOCK_ENTRIES // len(nodes)
         count = 1 if offset is None else chunk + offset
         xs = np.random.default_rng(5).random((count, 2))
         expected = kernel.gram(xs, nodes.points) @ coefficients
@@ -275,7 +280,7 @@ def stacked_family(name):
 
 
 def stack_layout(members, kernel=None):
-    return kernels_module._stack_layout(
+    return kernels_module.stack_layout(
         [e for m in members for _, e in m.terms if kernel in (None, e.kernel)]
     )
 
@@ -292,13 +297,14 @@ class TestStackedEvaluation:
     def test_columns_match_members_evaluated_alone(self, family):
         members, points = stacked_family(family)
         # Several chunks, the last one short.
-        _, _, rows = stack_layout(members)
+        _, _, _, columns = stack_layout(members)
+        rows = kernels_module._STACK_BLOCK_ENTRIES // columns
         assert rows < len(points) and len(points) % rows != 0
         assert_columns_match(Surrogate.stack(members).evaluate(points), members, points)
 
     def test_nested_members_share_rows_without_gathers(self):
         members, _ = stacked_family("interval")
-        node_rows, stacked, _ = stack_layout(members)
+        _, node_rows, stacked, _ = stack_layout(members)
         widest = members[-1].terms[0][1]._plan
         assert [len(r) for r in node_rows] == [len(r) for r in widest.node_rows]
         assert all(isinstance(last, slice) for _, last in stacked)
@@ -334,13 +340,12 @@ class TestStackedEvaluation:
         ]
         points = rng.random((301, 2))
         assert_columns_match(Surrogate.stack(members).evaluate(points), members, points)
-        _, stacked, _ = stack_layout(members, tensor.kernel)
+        _, _, stacked, _ = stack_layout(members, tensor.kernel)
         assert {type(None), slice, np.ndarray} == {type(last) for _, last in stacked}
 
     def test_temporaries_stay_within_the_chunk_budget(self, monkeypatch):
         members, _ = stacked_family("interval")
         points = np.random.default_rng(2).random((500, 2))
-        assert kernels_module._STACK_BLOCK_ENTRIES <= kernels_module._GRAM_BLOCK_ENTRIES
         budget = 4096
         monkeypatch.setattr(kernels_module, "_STACK_BLOCK_ENTRIES", budget)
         stack = Surrogate.stack(members)
@@ -378,6 +383,57 @@ class TestStackedEvaluation:
             Surrogate.stack([])
         with pytest.warns(UserWarning, match="outside its domain"):
             stack.evaluate(np.array([[1.5]]))
+
+
+class TestOneEvaluationPath:
+    def test_plain_evaluate_is_column_zero_of_its_stack(self):
+        disc, disc_points = stacked_family("disc")
+        square, square_points = stacked_family("square")
+        nodes = generate_points(UNIT_SQUARE, 20)
+        values = sine_product(nodes.points)
+        mixed = 1.5 * fit_interpolant(MaternKernel(beta=2.0, dim=2), nodes, values)
+        mixed -= 0.5 * fit_interpolant(MaternKernel(beta=3.0, dim=2), nodes, values)
+        cases = [(m, disc_points) for m in disc] + [(m, square_points) for m in square]
+        for member, points in cases + [(mixed, square_points[:, :2])]:
+            stacked = Surrogate.stack([member]).evaluate(points)
+            assert member.evaluate(points).tobytes() == stacked[:, 0].tobytes()
+
+    def test_repeated_calls_lay_out_once(self, monkeypatch):
+        layouts = []
+        stack_layout = surrogate_module.stack_layout
+
+        def counting_layout(expansions):
+            layouts.append(len(expansions))
+            return stack_layout(expansions)
+
+        monkeypatch.setattr(surrogate_module, "stack_layout", counting_layout)
+        members, points = stacked_family("disc")
+        for point in points[:20]:
+            members[1](point)
+        members[1].evaluate(points)
+        assert layouts == [1]
+
+    def test_each_evaluation_is_one_surrogate_evaluate_call(self, monkeypatch):
+        calls = []
+        evaluate = Surrogate.evaluate
+
+        def counting_evaluate(self, *args, **kwargs):
+            calls.append(self)
+            return evaluate(self, *args, **kwargs)
+
+        monkeypatch.setattr(Surrogate, "evaluate", counting_evaluate)
+        members, points = stacked_family("disc")
+        ((_, fit),) = members[0].terms
+        evaluations = [
+            lambda: members[1].evaluate(points),
+            lambda: members[1](points[0]),
+            lambda: Surrogate.stack(members).evaluate(points),
+            lambda: fit.evaluate(points),
+            lambda: fit(points[0]),
+        ]
+        for count, evaluation in enumerate(evaluations, start=1):
+            evaluation()
+            assert len(calls) == count
 
 
 class TestSerialization:
@@ -425,7 +481,6 @@ class TestSerialization:
         text = "\n".join(["kernelkit-surrogate v1", f"terms {len(terms)}"] + blocks)
         loaded = parse_surrogate(text)
         (_, merged), = loaded.terms
-        assert not hasattr(merged, "native_norm_sq")
         assert np.array_equal(merged.nodes.points, terms[0][1].nodes.points)
         assert_matches_term_by_term(loaded, terms, np.linspace(0.0, 1.0, 41).reshape(-1, 1))
 
@@ -484,6 +539,21 @@ class TestSerialization:
             message = rf"expected .*{token}.* at line {at + 1}"
             with pytest.raises(ValueError, match=message):
                 parse_surrogate("\n".join(short))
+        # A disc domain line and node rows with the wrong number of values.
+        lines = dump_surrogate(disc_surrogate()).splitlines()
+        domain = next(i for i, line in enumerate(lines) if line.startswith("domain disc"))
+        row = domain + 2  # the first node row, after the nodes line
+        for at, line in ((domain, "domain disc 0 0"), (row, "0.5"), (row, "0.1 0.2 0.3")):
+            edited = lines[:at] + [line] + lines[at + 1 :]
+            with pytest.raises(ValueError, match=rf"expected .* at line {at + 1}$"):
+                parse_surrogate("\n".join(edited))
+
+    def test_kernel_must_cover_every_node_coordinate(self):
+        lines = dump_surrogate(disc_surrogate()).splitlines()
+        at = next(i for i, line in enumerate(lines) if line.startswith("block "))
+        lines[at] = "block 3 1 1 0"
+        with pytest.raises(ValueError, match="kernel dimension 1 != node dimension 2"):
+            parse_surrogate("\n".join(lines))
 
     def test_rejects_bad_header(self):
         with pytest.raises(ValueError):
