@@ -715,7 +715,7 @@ class KernelExpansion:
     built once per expansion: on a sparse grid a few matrix products over
     the distinct block coordinates, never a points x nodes array.  An
     expansion evaluates as the one-term surrogate of itself
-    (:meth:`kernelkit.surrogate.Surrogate.evaluate`).
+    (:meth:`kernelkit.surrogate.Surrogate.evaluate`), kept on the expansion.
     """
 
     kernel: TensorKernel
@@ -732,7 +732,12 @@ class KernelExpansion:
             )
 
     def evaluate(self, points: np.ndarray, check_domain: bool = True) -> np.ndarray:
-        return KernelExpansion.weighted_sum([(1.0, self)]).evaluate(points, check_domain)
+        return self._surrogate.evaluate(points, check_domain)
+
+    @cached_property
+    def _surrogate(self):
+        """The one-term surrogate of this expansion, whose layout is built once."""
+        return KernelExpansion.weighted_sum([(1.0, self)])
 
     @cached_property
     def _plan(self) -> _ContractionPlan:

@@ -31,13 +31,15 @@ realization lives on its reference grid; the operator keeps, per grid, the
 bilinear weights of its centroids and edge midpoints, so restricting a
 field to the mesh is one gather-and-sum.
 
-Random-field draws are computed in aligned blocks, one matrix product with
-the field's Cholesky factor per block.  A draw's normals come from its own
-counter-based generator and a block is always the same product, so every
-draw is bit for bit a pure function of ``(seed, stream, draw)``.  The
-covariance is built in place in one ``n x n`` buffer and factored by
-``np.linalg.cholesky``, so building a factor of ``n**2`` doubles peaks at
-about three of them.
+Random-field draws are computed in aligned blocks, one triangular product
+(BLAS ``dtrmm``) with the field's lower Cholesky factor per block.  It
+does half the multiplications of a dense product and copies no factor,
+whose transpose is already in Fortran order.  A draw's normals come from
+its own counter-based generator and a block is always the same product,
+so every draw is bit for bit a pure function of ``(seed, stream,
+draw)``.  The covariance is built in place in one ``n x n`` buffer and
+factored by ``np.linalg.cholesky``, so building a factor of ``n**2``
+doubles peaks at about three of them.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from dataclasses import field as dataclass_field
 from functools import cached_property, lru_cache
 
 import numpy as np
+from scipy.linalg.blas import dtrmm
 from scipy.linalg.lapack import dgbsv, dpbsv
 
 from kernelkit.points import Box
@@ -621,7 +624,9 @@ class AdvectionDiffusionProblem:
         return operator.solve(base, velocity)
 
     def sample_qoi(self, velocity, field, mesh: Mesh) -> float:
-        return spatial_average(self.solve(velocity, field, mesh), mesh)
+        # The operator sizes the solution to the mesh, so the dot product
+        # needs none of spatial_average's shape check.
+        return float(self.solve(velocity, field, mesh) @ _average_weights(mesh))
 
 
 def philox_generator(seed: int, stream: int, draw: int = 0) -> np.random.Generator:
@@ -647,7 +652,8 @@ class GaussianFieldSampler:
     Realizations are drawn on a fixed reference grid by dense Cholesky, in
     aligned blocks of ``_DRAW_BLOCK`` draws: block ``b`` holds draws
     ``_DRAW_BLOCK * b`` up to ``_DRAW_BLOCK * (b + 1) - 1`` and is one
-    product ``factor @ normals``, whose column for draw ``k`` is the
+    triangular product ``factor @ normals`` (``dtrmm``, which skips the
+    factor's zero upper triangle), whose column for draw ``k`` is the
     standard normal vector of the counter-based generator keyed
     ``(seed, stream, k)`` (see :func:`philox_generator`).  A block is
     always the same matrix, so the draw indexed ``(seed, draw)`` is bit
@@ -669,18 +675,23 @@ class GaussianFieldSampler:
         block, column = divmod(draw, _DRAW_BLOCK)
         if self._block_key != (seed, block):
             first = block * _DRAW_BLOCK
+            # One normal vector per row, so the transpose is the Fortran
+            # (nodes, draws) operand that dtrmm overwrites with the product.
             normals = np.stack(
                 [
                     philox_generator(seed, self.stream, k).standard_normal(
                         self.grid.node_count
                     )
                     for k in range(first, first + _DRAW_BLOCK)
-                ],
-                axis=1,
+                ]
+            ).T
+            self._block = dtrmm(
+                1.0, self._factor.T, normals, lower=0, trans_a=1, overwrite_b=1
             )
-            self._block = self._factor @ normals
             self._block_key = (seed, block)
-        values = np.ascontiguousarray(self._block[:, column])
+        # A view of the column would keep the whole block alive in every
+        # sample that the pipelines cache.
+        values = self._block[:, column].copy()
         return GrfSample(grid=self.grid, values=values, seed=seed, draw=draw)
 
 

@@ -33,6 +33,7 @@ file with several terms per ``(kernel, domain)`` pair loads merged.
 from __future__ import annotations
 
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -206,20 +207,29 @@ def _domain_line(domain: Domain) -> str:
     raise TypeError(f"unsupported domain type {type(domain)!r}")
 
 
-def _parse_domain(tokens: list[str], line: int) -> Domain:
+@contextmanager
+def _naming(where: str):
+    """Re-raise a ValueError of the enclosed parsing with ``where`` appended."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{exc} {where}") from None
+
+
+def _parse_domain(tokens: list[str]) -> Domain:
     kind = tokens[0]
     if kind == "box":
         d = int(tokens[1])
         values = [float(v) for v in tokens[2:]]
         if len(values) != 2 * d:
-            raise ValueError(f"malformed box domain at line {line}")
+            raise ValueError("malformed box domain")
         return Box(lows=tuple(values[:d]), highs=tuple(values[d:]))
     if kind == "disc":
         if len(tokens) != 4:
-            raise ValueError(f"expected 3 values after 'domain disc' at line {line}")
+            raise ValueError("expected 3 values after 'domain disc'")
         cx, cy, r = (float(v) for v in tokens[1:])
         return Disc(center=(cx, cy), radius=r)
-    raise ValueError(f"unknown domain kind {kind!r} at line {line}")
+    raise ValueError(f"unknown domain kind {kind!r}")
 
 
 def dump_surrogate(surrogate: Surrogate) -> str:
@@ -255,10 +265,12 @@ def save_surrogate(surrogate: Surrogate, path) -> None:
         handle.write(dump_surrogate(surrogate))
 
 
-def _expect(lines: list[str], pos: int, token: str, values: int = 0) -> list[str]:
-    """The tokens after ``token`` opening line ``pos``, at least ``values`` of them.
+def _expect(lines: list[str], pos: int, token: str, values: int = 0, kind=str) -> list:
+    """The tokens after ``token`` opening line ``pos``, at least ``values`` of
+    them, each converted by ``kind``.
 
-    Raises ValueError naming the token and the line when it is missing.
+    Raises ValueError naming the token and the line when it is missing, and
+    naming the line when a token does not convert.
     """
     if pos >= len(lines):
         raise ValueError(f"expected {token!r} at line {pos + 1}, found end of file")
@@ -267,7 +279,8 @@ def _expect(lines: list[str], pos: int, token: str, values: int = 0) -> list[str
         raise ValueError(f"expected {token!r} at line {pos + 1}")
     if len(tokens) <= values:
         raise ValueError(f"expected {values} values after {token!r} at line {pos + 1}")
-    return tokens[1:]
+    with _naming(f"at line {pos + 1}"):
+        return [kind(t) for t in tokens[1:]]
 
 
 def _rows(lines: list[str], pos: int, count: int, what: str) -> list[str]:
@@ -281,51 +294,64 @@ def _rows(lines: list[str], pos: int, count: int, what: str) -> list[str]:
 
 
 def parse_surrogate(text: str) -> Surrogate:
-    """Inverse of :func:`dump_surrogate`; several terms per pair load merged."""
+    """Inverse of :func:`dump_surrogate`; several terms per pair load merged.
+
+    Every malformed input raises a ValueError that names its line.
+    """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != _HEADER:
         raise ValueError("not a kernelkit surrogate file (bad header)")
-    term_count = int(_expect(lines, 1, "terms", 1)[0])
+    term_count = _expect(lines, 1, "terms", 1, int)[0]
     pos = 2
     terms = []
     for _ in range(term_count):
         _expect(lines, pos, "term")
+        term_line = pos + 1
         pos += 1
-        coefficient = float(_expect(lines, pos, "coefficient", 1)[0])
+        coefficient = _expect(lines, pos, "coefficient", 1, float)[0]
         pos += 1
-        block_count = int(_expect(lines, pos, "blocks", 1)[0])
+        block_count = _expect(lines, pos, "blocks", 1, int)[0]
+        blocks_line = pos + 1
         pos += 1
         blocks = []
         for _ in range(block_count):
             tokens = _expect(lines, pos, "block", 3)
-            beta, dim, scale = float(tokens[0]), int(tokens[1]), float(tokens[2])
-            coords = tuple(int(c) for c in tokens[3:])
-            blocks.append((MaternKernel(beta=beta, dim=dim, length_scale=scale), coords))
+            with _naming(f"at line {pos + 1}"):
+                beta, dim, scale = float(tokens[0]), int(tokens[1]), float(tokens[2])
+                coords = tuple(int(c) for c in tokens[3:])
+                kernel = MaternKernel(beta=beta, dim=dim, length_scale=scale)
+            blocks.append((kernel, coords))
             pos += 1
-        domain = _parse_domain(_expect(lines, pos, "domain", 2), pos + 1)
+        with _naming(f"in the block lines after line {blocks_line}"):
+            kernel = TensorKernel(blocks=tuple(blocks))
+        tokens = _expect(lines, pos, "domain", 2)
+        with _naming(f"at line {pos + 1}"):
+            domain = _parse_domain(tokens)
         pos += 1
-        tokens = _expect(lines, pos, "nodes", 2)
-        count, dim = int(tokens[0]), int(tokens[1])
+        count, dim = _expect(lines, pos, "nodes", 2, int)[:2]
+        nodes_line = pos + 1
         pos += 1
         pts = np.empty((count, dim))
         for i, line in enumerate(_rows(lines, pos, count, "node rows")):
-            values = line.split()
-            if len(values) != dim:
-                raise ValueError(f"expected {dim} values in node row at line {pos + i + 1}")
-            pts[i] = [float(v) for v in values]
+            with _naming(f"at line {pos + i + 1}"):
+                values = line.split()
+                if len(values) != dim:
+                    raise ValueError(f"expected {dim} values in node row")
+                pts[i] = [float(v) for v in values]
         pos += count
-        alpha_count = int(_expect(lines, pos, "alpha", 1)[0])
+        with _naming(f"in the node rows after line {nodes_line}"):
+            nodes = PointSet(points=pts, domain=domain)
+        alpha_count = _expect(lines, pos, "alpha", 1, int)[0]
         pos += 1
-        alpha_lines = _rows(lines, pos, alpha_count, "alpha values")
-        alpha = np.array([float(line) for line in alpha_lines])
+        alpha = np.empty(alpha_count)
+        for i, line in enumerate(_rows(lines, pos, alpha_count, "alpha values")):
+            with _naming(f"at line {pos + i + 1}"):
+                alpha[i] = float(line)
         pos += alpha_count
         _expect(lines, pos, "end")
         pos += 1
-        expansion = KernelExpansion(
-            kernel=TensorKernel(blocks=tuple(blocks)),
-            nodes=PointSet(points=pts, domain=domain),
-            coefficients=alpha,
-        )
+        with _naming(f"in the term at line {term_line}"):
+            expansion = KernelExpansion(kernel=kernel, nodes=nodes, coefficients=alpha)
         terms.append((coefficient, expansion))
     return Surrogate(terms=tuple(terms))
 

@@ -12,7 +12,10 @@ Each pipeline is a problem for the generic sparse estimator
 * optimization under uncertainty (:class:`OuuPipeline`): kernel
   interpolation over a control disc of empirical means over random-field
   draws of PDE outputs, followed by pattern-search minimization of
-  surrogate plus penalty.
+  surrogate plus penalty.  The control nodes of every term are prefixes
+  of one nested sequence, so the PDE outputs are kept as a nested-suffix
+  store: per field draw and mesh, the outputs at the node prefix solved
+  so far, which a term extends by its new nodes only.
 
 Work ledgers charge only sampler work (``prod N_j * N_pde**gamma`` per
 term).  The study functions (:func:`expectation_study`,
@@ -350,6 +353,9 @@ def surface_study(
 # optimization under uncertainty
 
 
+_NO_VALUES = np.empty(0)
+
+
 class OuuPipeline:
     """Surrogate construction for optimization under uncertainty.
 
@@ -359,6 +365,15 @@ class OuuPipeline:
     every mesh resolution consumes the same realization (the solver
     samples its bilinear extension), so difference terms across mesh
     resolutions are exactly coupled.
+
+    The control nodes of every tuple are prefixes of one nested sequence
+    (:func:`~kernelkit.points.generate_points`), so solves are kept as a
+    nested-suffix store: per ``(draw, cells)`` pair, the QoI values of the
+    node prefix solved so far.  A tuple solves only the nodes past that
+    prefix and adds each draw's values with one vector add; a QoI call that
+    raises keeps the values solved before it.  Each evaluated tuple checks
+    its nodes against the longest node set seen (``ValueError`` if they
+    are not nested).
     """
 
     def __init__(
@@ -401,7 +416,8 @@ class OuuPipeline:
             qoi = lambda z, m, mesh: problem.sample_qoi(z, m, mesh)  # noqa: E731
         self._qoi = qoi
         self._field_cache: dict[int, Any] = {}
-        self._solve_cache: dict[tuple[bytes, int, int], float] = {}
+        self._nodes = np.empty((0, interp_factor.domain.dim))
+        self._prefixes: dict[tuple[int, int], np.ndarray] = {}
         self.draw_log: dict[tuple[int, ...], tuple[int, ...]] = {}
         problem_spec = ProblemSpec(
             factors=(self.interp_factor.spec, self.mc_spec, self.pde_spec),
@@ -415,13 +431,21 @@ class OuuPipeline:
             sample = self._field_cache[draw] = self._field_sampler.sample(self.seed, draw)
         return sample
 
-    def _solve(self, z: np.ndarray, draw: int, cells: int) -> float:
-        key = (z.tobytes(), draw, cells)
-        value = self._solve_cache.get(key)
-        if value is None:
-            field = self._field(draw)
-            value = self._solve_cache[key] = float(self._qoi(z, field, cached_mesh(cells)))
-        return value
+    def _prefix(self, draw: int, cells: int, nodes: np.ndarray) -> np.ndarray:
+        """QoI values of ``draw`` on ``cells`` at a prefix covering ``nodes``."""
+        done = self._prefixes.get((draw, cells), _NO_VALUES)
+        if len(done) >= len(nodes):
+            return done
+        field = self._field(draw)
+        mesh = cached_mesh(cells)
+        solved = []
+        try:
+            for z in nodes[len(done) :]:
+                solved.append(float(self._qoi(z, field, mesh)))
+        finally:
+            if solved:
+                done = self._prefixes[draw, cells] = np.concatenate([done, solved])
+        return done
 
     def _evaluate(self, resolutions: tuple[int, ...]):
         n_points, n_draws, mesh_resolution = resolutions
@@ -431,20 +455,27 @@ class OuuPipeline:
                 f"resolution {mesh_resolution} is not a realized mesh size"
             )
         nodes = self.interp_factor.points(n_points)
+        shared = min(n_points, len(self._nodes))
+        if not np.array_equal(nodes.points[:shared], self._nodes[:shared]):
+            raise ValueError(
+                f"control nodes of tuple {resolutions} are not a prefix of the "
+                f"nodes solved so far; the store needs nested point sets"
+            )
+        if n_points > len(self._nodes):
+            self._nodes = nodes.points
         # Draws outside, nodes inside: each draw's system on this mesh is
-        # assembled once for all nodes.  Every node still sums its draws in
-        # the order 0..n-1.
+        # assembled once for all new nodes.  Every node still sums its draws
+        # in the order 0..n-1.
         sums = np.zeros(n_points)
         for k in range(n_draws):
-            for i, z in enumerate(nodes.points):
-                sums[i] += self._solve(z, k, cells)
+            sums += self._prefix(k, cells, nodes.points)[:n_points]
         means = sums / n_draws
         self.draw_log[resolutions] = tuple(range(n_draws))
         return fit_interpolant(self.interp_factor.kernel, nodes, means)
 
     @property
     def pde_solves(self) -> int:
-        return len(self._solve_cache)
+        return sum(len(done) for done in self._prefixes.values())
 
 
 @dataclass(frozen=True)

@@ -339,6 +339,16 @@ class TestAdvectionProblem:
             assert math.isfinite(problem.sample_qoi(z, field, mesh))
         assert math.isfinite(problem.sample_qoi(np.array([0.6, 0.8 + 5e-10]), field, mesh))
 
+    @pytest.mark.parametrize("cells", [2, 6, 13, 20])
+    @pytest.mark.parametrize("kind", ["grf", "nodal"])
+    def test_qoi_is_the_spatial_average_of_the_solution(self, kind, cells):
+        problem = AdvectionDiffusionProblem()
+        mesh = Mesh(cells=cells)
+        field = advection_field(kind, mesh, cells)
+        for z in (np.array([0.0, 0.0]), np.array([0.3, -0.6]), np.array([-0.8, 0.6])):
+            expected = spatial_average(problem.solve(z, field, mesh), mesh)
+            assert problem.sample_qoi(z, field, mesh).hex() == expected.hex()
+
     def test_velocity_changes_qoi(self):
         problem = AdvectionDiffusionProblem()
         mesh = Mesh(cells=10)

@@ -413,6 +413,23 @@ class TestOneEvaluationPath:
         members[1].evaluate(points)
         assert layouts == [1]
 
+    def test_fit_point_calls_lay_out_once(self, monkeypatch):
+        nodes = generate_points(UNIT_DISC, 128)
+        fit = fit_interpolant(MaternKernel(beta=3.0, dim=2), nodes, sine_product(nodes.points))
+        points = 0.5 * np.random.default_rng(5).uniform(-1.0, 1.0, (20, 2))
+        expected = [Surrogate(terms=((1.0, fit),))(point) for point in points]
+        layouts = []
+        stack_layout = surrogate_module.stack_layout
+
+        def counting_layout(expansions):
+            layouts.append(len(expansions))
+            return stack_layout(expansions)
+
+        monkeypatch.setattr(surrogate_module, "stack_layout", counting_layout)
+        values = [fit(point) for point in points]
+        assert layouts == [1]
+        assert np.array(values).tobytes() == np.array(expected).tobytes()
+
     def test_each_evaluation_is_one_surrogate_evaluate_call(self, monkeypatch):
         calls = []
         evaluate = Surrogate.evaluate
@@ -547,6 +564,29 @@ class TestSerialization:
             edited = lines[:at] + [line] + lines[at + 1 :]
             with pytest.raises(ValueError, match=rf"expected .* at line {at + 1}$"):
                 parse_surrogate("\n".join(edited))
+
+    def test_non_numeric_count_names_its_line(self):
+        lines = dump_surrogate(disc_surrogate()).splitlines()
+        at = next(i for i, line in enumerate(lines) if line.startswith("alpha "))
+        lines[at] = "alpha six"
+        with pytest.raises(ValueError, match=rf"'six' at line {at + 1}$"):
+            parse_surrogate("\n".join(lines))
+
+    def test_non_numeric_node_value_names_its_line(self):
+        lines = dump_surrogate(disc_surrogate()).splitlines()
+        at = next(i for i, line in enumerate(lines) if line.startswith("nodes ")) + 1
+        lines[at] = "0.1 zero"
+        with pytest.raises(ValueError, match=rf"'zero' at line {at + 1}$"):
+            parse_surrogate("\n".join(lines))
+
+    def test_block_coordinates_must_partition_the_dimensions(self):
+        lines = dump_surrogate(disc_surrogate()).splitlines()
+        at = next(i for i, line in enumerate(lines) if line.startswith("block "))
+        assert lines[at - 1] == "blocks 1"
+        lines[at] = "block 4 2 1 0 2"
+        message = rf"must partition 0..d-1, got \[0, 2\] in the block lines after line {at}$"
+        with pytest.raises(ValueError, match=message):
+            parse_surrogate("\n".join(lines))
 
     def test_kernel_must_cover_every_node_coordinate(self):
         lines = dump_surrogate(disc_surrogate()).splitlines()

@@ -9,17 +9,19 @@ from kernelkit.kernels import (
     fit_interpolant,
     single_block,
 )
-from kernelkit.pde import Mesh
-from kernelkit.points import Box, Disc, generate_points
+from kernelkit.pde import AdvectionDiffusionProblem, GaussianFieldSampler, Mesh
+from kernelkit.points import Box, Disc, PointSet, generate_points
 from kernelkit.smolyak import (
     EvaluationError,
+    ProblemSpec,
     SmolyakEngine,
     fit_loglog_slope,
     level_to_resolution,
     predicted_rates,
 )
-from kernelkit.surrogate import load_surrogate, save_surrogate
+from kernelkit.surrogate import dump_surrogate, load_surrogate, save_surrogate
 from kernelkit.uq import (
+    InterpolationFactor,
     OuuObjective,
     OuuPipeline,
     build_expectation_problem,
@@ -304,13 +306,19 @@ class TestOuuPipeline:
             max_cells=8,
         )
         pipeline.engine.estimate(5)
+        # Every tuple's draws are in the store, each over a prefix at least
+        # as long as the tuple's node count.
+        for n_points, n_draws, mesh_resolution in pipeline.draw_log:
+            cells = math.isqrt(mesh_resolution)
+            for draw in range(n_draws):
+                assert len(pipeline._prefixes[draw, cells]) >= n_points
         draws_by_cells = {}
-        for _, draw, cells in pipeline._solve_cache:
+        for draw, cells in pipeline._prefixes:
             draws_by_cells.setdefault(cells, set()).add(draw)
-        counts = {c: max(d) + 1 for c, d in draws_by_cells.items()}
+        assert len(draws_by_cells) > 1
         # Every mesh resolution consumed a prefix of the same draw sequence.
-        for cells, draws in draws_by_cells.items():
-            assert draws == set(range(counts[cells]))
+        for draws in draws_by_cells.values():
+            assert draws == set(range(max(draws) + 1))
 
     def test_estimator_unbiased_on_noisy_stub(self):
         target = 1.7
@@ -482,22 +490,102 @@ class TestSolveOnce:
         solves = []
 
         def qoi(z, field, mesh):
-            solves.append((z.tobytes(), id(field), mesh.cells))
-            return float(z[0]) + 0.1 * float(field.values[0])
+            value = float(z[0]) + 0.1 * float(field.values[0])
+            solves.append((z.tobytes(), id(field), field.draw, mesh.cells, value))
+            return value
+
+        pipeline = small_ouu_pipeline(qoi)
+        pipeline.engine.estimate(6)
+        keys = [solve[:4] for solve in solves]
+        assert len(keys) == len(set(keys)) == pipeline.pde_solves
+        # The store holds, per (draw, cells), the values of the node prefix
+        # in the order they were solved.
+        longest = max(n for n, _, _ in pipeline.draw_log)
+        nodes = pipeline.interp_factor.points(longest).points
+        for (draw, cells), done in pipeline._prefixes.items():
+            mine = [s for s in solves if s[2:4] == (draw, cells)]
+            assert [s[0] for s in mine] == [z.tobytes() for z in nodes[: len(done)]]
+            assert done.tolist() == [s[4] for s in mine]
+        # One sample object per draw: every solve of a draw saw the same one.
+        draws = {draw for draw, _ in pipeline._prefixes}
+        assert len({s[1] for s in solves}) == len(draws)
+
+    def test_each_tuple_solves_only_its_new_suffix(self):
+        calls = []
+
+        def qoi(z, field, mesh):
+            calls.append((z.tobytes(), field.draw, mesh.cells))
+            return stub_qoi(z, field, mesh)
+
+        pipeline = small_ouu_pipeline(qoi)
+        nodes = pipeline.interp_factor.points(6).points
+
+        def solved_by(resolutions):
+            calls.clear()
+            pipeline._evaluate(resolutions)
+            return sorted(calls)
+
+        def expected(draws, first, last, cells):
+            return sorted(
+                (z.tobytes(), draw, cells) for draw in draws for z in nodes[first:last]
+            )
+
+        assert solved_by((3, 2, 16)) == expected([0, 1], 0, 3, 4)
+        assert solved_by((6, 2, 16)) == expected([0, 1], 3, 6, 4)
+        assert solved_by((4, 3, 16)) == expected([2], 0, 4, 4)
+        assert solved_by((2, 3, 16)) == []
+        assert solved_by((2, 1, 9)) == expected([0], 0, 2, 3)
+        assert pipeline.pde_solves == 6 + 6 + 4 + 2
+
+    def test_estimate_equals_a_plain_per_node_loop(self):
+        pipeline = OuuPipeline(
+            stub_interp_factor(), seed=0, stream=1, field_grid=Mesh(cells=4), max_cells=4
+        )
+        problem = AdvectionDiffusionProblem()
+
+        def plain(resolutions):
+            n_points, n_draws, mesh_resolution = resolutions
+            mesh = Mesh(cells=math.isqrt(mesh_resolution))
+            nodes = pipeline.interp_factor.points(n_points)
+            sampler = GaussianFieldSampler(pipeline.field_grid, stream=pipeline.stream)
+            sums = np.zeros(n_points)
+            for k in range(n_draws):
+                field = sampler.sample(pipeline.seed, k)
+                for i, z in enumerate(nodes.points):
+                    sums[i] += problem.sample_qoi(z, field, mesh)
+            return fit_interpolant(pipeline.interp_factor.kernel, nodes, sums / n_draws)
+
+        looped = SmolyakEngine(ProblemSpec(pipeline.engine.problem.factors, plain))
+        for L in (5, 6):
+            stored = dump_surrogate(pipeline.engine.estimate(L)[0])
+            assert stored == dump_surrogate(looped.estimate(L)[0])
+        assert pipeline.pde_solves == sum(map(len, pipeline._prefixes.values())) > 0
+
+    def test_point_sets_that_are_not_nested_raise(self):
+        class Reversed(InterpolationFactor):
+            def points(self, count):
+                nodes = generate_points(self.domain, count)
+                return PointSet(points=nodes.points[::-1].copy(), domain=self.domain)
+
+        factor = stub_interp_factor()
+        calls = []
+
+        def qoi(z, field, mesh):
+            calls.append(1)
+            return stub_qoi(z, field, mesh)
 
         pipeline = OuuPipeline(
-            stub_interp_factor(),
+            Reversed(factor.kernel, factor.domain, factor.spec),
             seed=0,
-            stream=1,
             qoi=qoi,
             field_grid=Mesh(cells=4),
             max_cells=4,
         )
-        pipeline.engine.estimate(6)
-        assert len(solves) == len(set(solves)) == pipeline.pde_solves
-        # One sample object per draw: every solve of a draw saw the same one.
-        draws = {draw for _, draw, _ in pipeline._solve_cache}
-        assert len({field_id for _, field_id, _ in solves}) == len(draws)
+        pipeline._evaluate((3, 1, 16))
+        solved = len(calls)
+        with pytest.raises(ValueError, match=r"tuple \(5, 1, 16\) are not a prefix"):
+            pipeline._evaluate((5, 1, 16))
+        assert len(calls) == solved == pipeline.pde_solves == 3
 
     def test_failed_compute_leaves_key_computable(self):
         from kernelkit.smolyak import FactorSpec
@@ -532,14 +620,20 @@ class TestSolveOnce:
         pipeline = small_ouu_pipeline(qoi)
         with pytest.raises(EvaluationError, match="solver failed"):
             pipeline.engine.estimate(6)
+        # The store keeps the two solves before the failure and nothing past it.
         failed = calls[2]
-        assert failed not in pipeline._solve_cache
+        _, draw, cells = failed
+        kept = [c for c in calls[:2] if c[1:] == (draw, cells)]
+        assert len(pipeline._prefixes.get((draw, cells), ())) == len(kept)
+        assert pipeline.pde_solves == 2
         retried = pipeline.engine.estimate(6)[0]
         assert calls.count(failed) == 2
         assert len(calls) - 1 == len(set(calls)) == pipeline.pde_solves
-        expected = small_ouu_pipeline(stub_qoi).engine.estimate(6)[0]
+        fresh = small_ouu_pipeline(stub_qoi)
+        expected = fresh.engine.estimate(6)[0]
         pts = random_points(UNIT_DISC, 32, seed=0)
         assert np.array_equal(retried.evaluate(pts), expected.evaluate(pts))
+        assert_same_store(pipeline, fresh)
 
     def test_failed_field_draw_leaves_draw_computable(self):
         pipeline = small_ouu_pipeline(stub_qoi)
@@ -547,18 +641,30 @@ class TestSolveOnce:
         outcomes = [RuntimeError("draw failed")]
 
         def failing_once(seed, draw):
-            if outcomes:
+            if draw == 1 and outcomes:
                 raise outcomes.pop()
             return sample(seed, draw)
 
         pipeline._field_sampler.sample = failing_once
         with pytest.raises(EvaluationError, match="draw failed"):
             pipeline.engine.estimate(5)
-        assert not pipeline._field_cache and not pipeline._solve_cache
+        # Draw 0 was solved and kept; draw 1 left neither a field nor values.
+        assert set(pipeline._field_cache) == {0}
+        assert pipeline._prefixes and {draw for draw, _ in pipeline._prefixes} == {0}
         retried = pipeline.engine.estimate(5)[0]
-        expected = small_ouu_pipeline(stub_qoi).engine.estimate(5)[0]
+        fresh = small_ouu_pipeline(stub_qoi)
+        expected = fresh.engine.estimate(5)[0]
         pts = random_points(UNIT_DISC, 32, seed=0)
         assert np.array_equal(retried.evaluate(pts), expected.evaluate(pts))
+        assert_same_store(pipeline, fresh)
+
+
+def assert_same_store(pipeline, fresh):
+    """Both pipelines hold the same prefixes, byte for byte."""
+    assert pipeline.pde_solves == fresh.pde_solves > 0
+    assert pipeline._prefixes.keys() == fresh._prefixes.keys()
+    for key, done in fresh._prefixes.items():
+        assert pipeline._prefixes[key].tobytes() == done.tobytes()
 
 
 def stub_qoi(z, field, mesh):
