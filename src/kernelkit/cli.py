@@ -10,7 +10,8 @@ writes ``minimizer.txt``.  Every pipeline returns its table to
 artifacts together, so a failed fit leaves only the manifest.
 
 Exit codes: 0 success, 1 numerical failure (with the failing term named),
-2 configuration error (with a line diagnostic).
+2 configuration error (with a line diagnostic), which includes an output
+directory that cannot be created.
 """
 
 from __future__ import annotations
@@ -323,12 +324,12 @@ _RUNNERS = {
 
 
 def run(config: RunConfig, out: str, seed: int, quiet: bool) -> None:
-    """Execute one configured pipeline, writing artifacts into ``out``.
+    """Execute one configured pipeline, writing artifacts into the existing
+    directory ``out``.
 
     ``manifest.txt`` comes first; the study's artifacts are written only
     after its slope fit succeeded, so a failed run leaves the manifest alone.
     """
-    os.makedirs(out, exist_ok=True)
     extra = {}
     if "study" in config.sections:
         extra["eval_points"] = config[("study", "eval_points")]
@@ -367,10 +368,16 @@ def main(argv=None) -> int:
         seed = config.seed if args.seed is None else args.seed
         if not 0 <= seed <= 2**64 - 1:
             raise ConfigError(f"--seed must be a 64-bit unsigned integer, got {seed}")
+        out = args.out if args.out is not None else config.out
+        try:
+            os.makedirs(out, exist_ok=True)
+        except OSError as err:
+            raise ConfigError(
+                f"output directory {out!r} cannot be created: {err.strerror or err}"
+            ) from None
     except (ConfigError, OSError) as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return 2
-    out = args.out if args.out is not None else config.out
     try:
         run(config, out, seed, args.quiet)
     except (

@@ -43,9 +43,12 @@ full tensor grid under a kernel of two or more blocks (every fit of
 solved through the eigendecomposition ``K_j = Q_j diag(lambda_j) Q_j^T`` of
 each factor, memoized per block kernel and factor points, so a fit on an
 ``n_1 x n_2`` grid costs ``n_1**3 + n_2**3`` instead of ``(n_1 n_2)**3``
-and never forms ``K``.  All other node sets are solved by a dense Cholesky
-factorization, with the shift added in place to one copy of the Gram
-matrix per attempt.
+and never forms ``K``; each Kronecker mode product is one ``np.dot``.  A
+:meth:`~kernelkit.points.PointSet.product` grid carries its factors, so
+such a fit reads each block's rows off them instead of searching the
+nodes for repeated coordinates.  All other node sets are solved by a
+dense Cholesky factorization, with the shift added in place to one copy
+of the Gram matrix per attempt.
 """
 
 from __future__ import annotations
@@ -66,7 +69,6 @@ from kernelkit.points import (
     PointSet,
     generate_points,
     pairwise_distances,
-    tensor_grid,
 )
 from kernelkit.smolyak import FactorSpec, ProblemSpec, SmolyakEngine
 
@@ -281,6 +283,13 @@ class TensorKernel:
                 f"coordinate slices must partition 0..d-1, got {sorted(seen)}"
             )
 
+    @classmethod
+    def product(cls, factor_kernels: Sequence[MaternKernel]) -> "TensorKernel":
+        """The kernel of ``factor_kernels`` on consecutive coordinate blocks,
+        in order, as a :meth:`PointSet.product` grid lays out its factors."""
+        coords = _factor_coords(factor_kernels)
+        return cls(blocks=tuple(zip(factor_kernels, coords)))
+
     @property
     def dim(self) -> int:
         return sum(kernel.dim for kernel, _ in self.blocks)
@@ -309,12 +318,29 @@ class TensorKernel:
         """:meth:`split` of a point set's own points.
 
         A point set is pairwise distinct, so a single block, which covers
-        every coordinate, has no repeated rows to search for.
+        every coordinate, has no repeated rows to search for.  On a
+        :meth:`PointSet.product` grid whose factors are this kernel's
+        blocks, in order, block ``j``'s distinct rows are factor ``j``'s
+        points, in the order a search would find them first, and node ``i``
+        is in row ``i // stride_j % n_j`` (``stride_j`` the product of the
+        later factors' sizes), so nothing is searched.  Other node sets are
+        searched.
         """
         if len(self.blocks) == 1:
             ((_, coords),) = self.blocks
             return ((nodes.points[:, list(coords)], None),)
-        return self.split(nodes.points)
+        if [coords for _, coords in self.blocks] != _factor_coords(nodes.factors):
+            return self.split(nodes.points)
+        count = len(nodes)
+        index = np.arange(count)
+        stride = count
+        split = []
+        for factor in nodes.factors:
+            stride //= len(factor)
+            # As in a search, a block whose rows never repeat has no slot.
+            slot = None if len(factor) == count else index // stride % len(factor)
+            split.append((factor.points, slot))
+        return tuple(split)
 
     def gram(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Kernel matrix ``prod_b phi_b(|x_b - y_b|)`` over the blocks.
@@ -345,6 +371,17 @@ class TensorKernel:
             else:
                 out *= profile
         return out
+
+
+def _factor_coords(factors) -> list[tuple[int, ...]]:
+    """The consecutive coordinate blocks that ``factors``, each with a
+    ``dim``, fill in order."""
+    coords = []
+    offset = 0
+    for factor in factors:
+        coords.append(tuple(range(offset, offset + factor.dim)))
+        offset += factor.dim
+    return coords
 
 
 def single_block(kernel: MaternKernel) -> TensorKernel:
@@ -426,9 +463,18 @@ def _factor_decomposition(kernel: MaternKernel, row_bytes: bytes):
 
 
 def _kron_apply(matrices: Sequence[np.ndarray], x: np.ndarray) -> np.ndarray:
-    """``(M_1 (x) ... (x) M_m) x`` for ``x`` shaped ``(n_1, ..., n_m)``."""
+    """``(M_1 (x) ... (x) M_m) x`` for ``x`` shaped ``(n_1, ..., n_m)``.
+
+    Each mode is one ``np.dot`` of ``M_j`` with mode ``j`` of ``x`` moved
+    first and flattened behind it, the product ``np.tensordot(M_j, x,
+    axes=(1, j))`` computes, so the two agree bit for bit.  The axes are
+    moved by plain transposes, as ``np.moveaxis`` would move them.
+    """
     for axis, matrix in enumerate(matrices):
-        x = np.moveaxis(np.tensordot(matrix, x, axes=(1, axis)), 0, axis)
+        rest = range(axis + 1, x.ndim)
+        moved = x.transpose(axis, *range(axis), *rest)
+        product = np.dot(matrix, moved.reshape(len(moved), -1))
+        x = product.reshape(moved.shape).transpose(*range(1, axis + 1), 0, *rest)
     return x
 
 
@@ -851,13 +897,9 @@ def tensor_grid_interpolant(
     product of the factor Gram matrices, and the fit is solved through
     their eigendecompositions without forming it.
     """
-    blocks = []
-    offset = 0
-    for kernel in factor_kernels:
-        blocks.append((kernel, tuple(range(offset, offset + kernel.dim))))
-        offset += kernel.dim
-    kernel = TensorKernel(blocks=tuple(blocks))
-    return fit_interpolant(kernel, PointSet.product(factor_points), values)
+    return fit_interpolant(
+        TensorKernel.product(factor_kernels), PointSet.product(factor_points), values
+    )
 
 
 def doubling_levels(level: int) -> int:
@@ -894,10 +936,13 @@ def sparse_interpolation_problem(
             )
         )
 
+    kernel = TensorKernel.product(factor_kernels)
+
     def evaluator(resolutions: tuple[int, ...]) -> KernelExpansion:
-        grids = [generate_points(d, r) for d, r in zip(factor_domains, resolutions)]
-        samples = f_sampler(tensor_grid([ps.points for ps in grids]))
-        return tensor_grid_interpolant(factor_kernels, grids, samples)
+        nodes = PointSet.product(
+            [generate_points(d, r) for d, r in zip(factor_domains, resolutions)]
+        )
+        return fit_interpolant(kernel, nodes, f_sampler(nodes.points))
 
     return ProblemSpec(factors=tuple(specs), tensor_evaluator=evaluator)
 

@@ -272,7 +272,9 @@ class DirichletOperator:
     storage ``(kd + 1, n_interior)``, and the scatter of the load onto the
     interior nodes.  :meth:`solve` is one ``bincount`` for the matrix, one
     for the load (:meth:`system`) and one banded Cholesky solve
-    (``dpbsv``).
+    (``dpbsv``).  A scalar source's load is computed once per mesh and
+    source value, and ``dpbsv``, which overwrites its right-hand side, is
+    handed a copy of it.
 
     Above ``_MAX_BANDED_CELLS`` cells per axis the band would outgrow the
     sparse LU factors, so the operator keeps every interior-interior
@@ -304,26 +306,42 @@ class DirichletOperator:
         on_interior = local >= 0
         self._load_triangle = np.nonzero(on_interior)[0]
         self._load_node = local[on_interior]
+        self._scalar_load: tuple[float, np.ndarray] | None = None
 
     def system(self, a_centroid, f_centroid):
         """Interior matrix and load for per-triangle (or scalar) coefficient
         and source.  The matrix is in lower band storage, or a sparse CSC
-        matrix above ``_MAX_BANDED_CELLS`` cells."""
-        mesh = self.mesh
-        ntri = len(mesh.triangles)
+        matrix above ``_MAX_BANDED_CELLS`` cells.  A scalar source's load
+        is computed once per source value and handed out read-only."""
+        ntri = len(self.mesh.triangles)
         a = np.broadcast_to(np.asarray(a_centroid, dtype=float), (ntri,))
-        f = np.broadcast_to(np.asarray(f_centroid, dtype=float), (ntri,))
         n = len(self.interior)
         entries = a[self._triangle] * self._stiffness
-        contribution = f * (mesh.triangle_area / 3.0)
-        load = np.bincount(
-            self._load_node, weights=contribution[self._load_triangle], minlength=n
-        )
+        if np.ndim(f_centroid) == 0:
+            f = float(f_centroid)
+            if self._scalar_load is None or self._scalar_load[0] != f:
+                load = self._load(f)
+                load.setflags(write=False)
+                self._scalar_load = (f, load)
+            load = self._scalar_load[1]
+        else:
+            load = self._load(f_centroid)
         if self.banded:
             return self._layout.scatter(self._index, entries), load
         from scipy.sparse import coo_matrix
 
         return coo_matrix((entries, self._pairs), shape=(n, n)).tocsc(), load
+
+    def _load(self, f_centroid) -> np.ndarray:
+        """Interior load of a per-triangle (or scalar) source."""
+        ntri = len(self.mesh.triangles)
+        f = np.broadcast_to(np.asarray(f_centroid, dtype=float), (ntri,))
+        contribution = f * (self.mesh.triangle_area / 3.0)
+        return np.bincount(
+            self._load_node,
+            weights=contribution[self._load_triangle],
+            minlength=len(self.interior),
+        )
 
     def solve(self, a_centroid, f_centroid) -> np.ndarray:
         """Nodal solution, zero on the boundary."""
@@ -332,7 +350,11 @@ class DirichletOperator:
             return solution
         matrix, load = self.system(a_centroid, f_centroid)
         if self.banded:
-            _, values, info = dpbsv(matrix, load, lower=1, overwrite_ab=1, overwrite_b=1)
+            # dpbsv overwrites its right-hand side, which may be the cached
+            # load of a scalar source.
+            _, values, info = dpbsv(
+                matrix, load.copy(), lower=1, overwrite_ab=1, overwrite_b=1
+            )
             if info != 0:
                 raise np.linalg.LinAlgError(
                     f"banded Cholesky failed (LAPACK dpbsv info {info}) "
@@ -400,14 +422,15 @@ class BumpDiffusionProblem:
     def diffusion(self, centers: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Coefficient values at points ``x`` for bump centers ``centers``."""
         centers = np.asarray(centers, dtype=float).reshape(self.n_bumps, 2)
-        # A bump is +0.0 outside its support, so each is evaluated only at
-        # the points in its support's bounding box, and added in bump order.
-        offset = np.abs(x[None, :, :] - centers[:, None, :])
-        bump, point = np.nonzero(np.max(offset, axis=2) < self.radius)
-        r = np.linalg.norm(offset[bump, point], axis=1) / self.radius
-        out = np.full(len(x), 2.0)
-        np.add.at(out, point, bump_profile(r))
-        return out
+        # Every bump is evaluated at every point.  The supports are
+        # disjoint and a bump is +0.0 outside its own, so a point's bumps
+        # sum to at most one nonzero profile, exactly, and adding +0.0
+        # leaves the coefficient's bits alone.
+        offset = x[None, :, :] - centers[:, None, :]
+        np.square(offset, out=offset)
+        r = np.sqrt(offset[:, :, 0] + offset[:, :, 1])
+        r /= self.radius
+        return 2.0 + bump_profile(r).sum(axis=0)
 
     def solve(self, centers: np.ndarray, mesh: Mesh) -> np.ndarray:
         a = self.diffusion(centers, mesh.centroids)
@@ -419,7 +442,7 @@ class BumpDiffusionProblem:
 
 def bump_profile(r) -> np.ndarray:
     """Polynomial bump ``s**3/3 - s**4/2 + s**5/5`` at ``s = max(1 - r, 0)``."""
-    s = np.clip(1.0 - np.asarray(r, dtype=float), 0.0, None)
+    s = np.maximum(1.0 - np.asarray(r, dtype=float), 0.0)
     return s**3 / 3.0 - s**4 / 2.0 + s**5 / 5.0
 
 

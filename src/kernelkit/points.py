@@ -8,7 +8,9 @@ resolutions.  For boxes the sequence starts with the box corners (kernel
 interpolation degrades badly when the boundary is uncovered) and
 continues with the Halton sequence; discs use the rejection-filtered
 Halton sequence over the bounding box.  The tensor grid of checked point
-sets (:meth:`PointSet.product`) takes its checks from its factors.
+sets (:meth:`PointSet.product`) takes its checks from its factors and
+carries them, so a tensor kernel splits it into its factors' rows without
+searching it for repeated coordinates.
 
 Distances are plain numpy (:func:`pairwise_distances`, which reproduces
 ``scipy.spatial.distance.cdist`` bit for bit).  A point set checks that
@@ -19,7 +21,7 @@ and fill distance are blocked distance scans, computed only when asked for.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Sequence
 
@@ -129,10 +131,18 @@ def halton_sequence(count: int, dim: int, start: int = 1) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PointSet:
-    """Pairwise-distinct points inside a domain."""
+    """Pairwise-distinct points inside a domain.
+
+    ``factors`` is empty, except on a :meth:`product` grid, where it holds
+    the factor point sets the grid was built from.  It takes no part in
+    equality or hashing.
+    """
 
     points: np.ndarray
     domain: Domain
+    factors: tuple["PointSet", ...] = field(
+        default=(), init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
@@ -155,13 +165,15 @@ class PointSet:
         Its properties follow from the factors, which were checked when
         they were built: each factor lies in its domain, so the grid lies in
         the product box; two grid points differ in at least one factor, so
-        they are distinct.
+        they are distinct.  The grid keeps its factors, so that consumers
+        can read its structure instead of searching the points for it.
         """
         grid = object.__new__(cls)
         points = tensor_grid([f.points for f in factors])
         points.setflags(write=False)
         object.__setattr__(grid, "points", points)
         object.__setattr__(grid, "domain", _product_domain([f.domain for f in factors]))
+        object.__setattr__(grid, "factors", tuple(factors))
         return grid
 
     def __len__(self) -> int:

@@ -41,10 +41,10 @@ import numpy as np
 from kernelkit.kernels import (
     MaternKernel,
     QuadratureRule,
+    TensorKernel,
     fit_interpolant,
     generate_points,
     quadrature_weights,
-    tensor_grid_interpolant,
 )
 from kernelkit.pde import (
     AdvectionDiffusionProblem,
@@ -295,17 +295,15 @@ def expectation_study(
 def build_surface_problem(
     interp_factors: Sequence[InterpolationFactor], sample_factor: SampleFactor
 ) -> ProblemSpec:
+    kernel = TensorKernel.product([f.kernel for f in interp_factors])
+
     def evaluator(resolutions: tuple[int, ...]):
         *point_counts, sample_resolution = resolutions
-        point_sets = [
-            factor.points(count)
-            for factor, count in zip(interp_factors, point_counts)
-        ]
-        grid = tensor_grid([ps.points for ps in point_sets])
-        values = sample_factor.values(grid, sample_resolution)
-        return tensor_grid_interpolant(
-            [f.kernel for f in interp_factors], point_sets, values
+        nodes = PointSet.product(
+            [factor.points(count) for factor, count in zip(interp_factors, point_counts)]
         )
+        values = sample_factor.values(nodes.points, sample_resolution)
+        return fit_interpolant(kernel, nodes, values)
 
     factors = tuple(f.spec for f in interp_factors) + (sample_factor.spec,)
     return ProblemSpec(factors=factors, tensor_evaluator=evaluator)

@@ -343,6 +343,19 @@ class TestCliRuns:
     def test_missing_config_file(self, tmp_path):
         assert main(["--config", str(tmp_path / "nope.cfg"), "--quiet"]) == 2
 
+    @pytest.mark.parametrize("below", [(), ("sub",)], ids=["file", "under-file"])
+    def test_unusable_output_path_is_a_config_error(self, tmp_path, capsys, below):
+        cfg = self.write(tmp_path, RATES_CONFIG)
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n")
+        out = taken.joinpath(*below)
+        assert main(["--config", cfg, "--out", str(out), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: output directory")
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
+        assert taken.read_text() == "not a directory\n"
+
     def test_seed_override_changes_manifest(self, tmp_path):
         cfg = self.write(tmp_path, RATES_CONFIG)
         out = str(tmp_path / "s")

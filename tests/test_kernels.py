@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from functools import reduce
 from unittest import mock
 
 import numpy as np
@@ -22,11 +23,10 @@ from kernelkit.kernels import (
     quadrature_weights,
     single_block,
     sparse_interpolate,
-    tensor_grid,
     tensor_grid_interpolant,
 )
 from kernelkit.multiindex import combination_coefficients
-from kernelkit.points import Box, Disc, PointSet, generate_points
+from kernelkit.points import Box, Disc, PointSet, generate_points, tensor_grid
 from kernelkit.smolyak import FactorSpec, level_to_resolution
 from kernelkit.surrogate import Surrogate
 
@@ -239,12 +239,7 @@ def unit_box(dim):
 
 def layout_kernel(layout):
     """Tensor kernel of a layout, its blocks on consecutive coordinates."""
-    blocks, offset = [], 0
-    for beta, dim in layout:
-        coords = tuple(range(offset, offset + dim))
-        blocks.append((MaternKernel(beta=beta, dim=dim), coords))
-        offset += dim
-    return TensorKernel(blocks=tuple(blocks))
+    return TensorKernel.product([MaternKernel(beta=beta, dim=dim) for beta, dim in layout])
 
 
 def merged_sparse_grid(layout, L, resolution, rng):
@@ -561,6 +556,19 @@ def smooth_values(points):
     return np.cos(points @ np.linspace(1.0, 2.5, points.shape[1])) + points[:, 0]
 
 
+def assert_same_split(split, expected):
+    """Each block's rows are byte-identical, and so are the slots, or both are None."""
+    assert len(split) == len(expected)
+    for (rows, slot), (want_rows, want_slot) in zip(split, expected):
+        assert rows.shape == want_rows.shape
+        assert rows.tobytes() == want_rows.tobytes()
+        if want_slot is None:
+            assert slot is None
+        else:
+            assert slot.dtype == want_slot.dtype
+            assert slot.tobytes() == want_slot.tobytes()
+
+
 @pytest.fixture
 def fresh_factor_decompositions():
     kernels_module._factor_decomposition.cache_clear()
@@ -745,6 +753,80 @@ class TestKroneckerSolve:
         ((rows, slot),) = one.split_nodes(nodes)
         assert slot is None
         assert rows.tobytes() == expected[0][0].tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        factors=st.lists(
+            st.tuples(st.integers(1, 2), st.integers(1, 12)), min_size=2, max_size=4
+        )
+    )
+    def test_product_split_matches_the_search(self, factors):
+        grid = PointSet.product([generate_points(unit_box(d), n) for d, n in factors])
+        kernel = layout_kernel([(2.0, d) for d, _ in factors])
+        searched = kernel.split(grid.points)
+
+        def no_search(points):
+            raise AssertionError("distinct rows searched for a product grid")
+
+        with mock.patch.object(kernels_module, "distinct_rows", no_search):
+            assert_same_split(kernel.split_nodes(grid), searched)
+
+    def test_product_grid_fit_takes_no_search(self, monkeypatch):
+        layout = ((2.0, 1), (2.0, 2), (1.5, 1))
+        grids = [generate_points(unit_box(d), n) for (_, d), n in zip(layout, (5, 7, 1))]
+        grid = PointSet.product(grids)
+        plain = PointSet(points=grid.points, domain=grid.domain)
+        values = smooth_values(grid.points)
+        searched = fit_interpolant(layout_kernel(layout), plain, values)
+
+        def no_search(points):
+            raise AssertionError("distinct rows searched for a product grid")
+
+        monkeypatch.setattr(kernels_module, "distinct_rows", no_search)
+        fit = tensor_grid_interpolant([MaternKernel(b, d) for b, d in layout], grids, values)
+        assert fit.coefficients.tobytes() == searched.coefficients.tobytes()
+
+    def test_other_nodes_and_mismatched_blocks_search(self, monkeypatch):
+        grids = [generate_points(unit_box(d), n) for d, n in ((1, 4), (2, 6))]
+        grid = PointSet.product(grids)
+        plain = PointSet(points=grid.points, domain=grid.domain)
+        searched = []
+        search = kernels_module.distinct_rows
+
+        def counting_search(points):
+            searched.append(len(points))
+            return search(points)
+
+        monkeypatch.setattr(kernels_module, "distinct_rows", counting_search)
+        matching = layout_kernel([(2.0, 1), (2.0, 2)])
+        matching.split_nodes(grid)
+        assert searched == []
+        # The same points without their factors, and blocks that cut the
+        # factors differently, are searched.
+        for kernel, nodes in [
+            (matching, plain),
+            (layout_kernel([(2.0, 2), (2.0, 1)]), grid),
+            (layout_kernel([(2.0, 1), (2.0, 1), (2.0, 1)]), grid),
+        ]:
+            searched.clear()
+            split = kernel.split_nodes(nodes)
+            assert len(searched) == len(kernel.blocks)
+            assert_same_split(split, kernel.split(grid.points))
+
+    @pytest.mark.parametrize("shape", [(3, 5), (1, 4), (4, 2, 3), (2, 1, 5)])
+    def test_kron_apply_is_the_tensordot_product(self, shape):
+        rng = np.random.default_rng(len(shape))
+        # Eigenvector transposes, which the solve applies, are Fortran-ordered.
+        matrices = [rng.standard_normal((n, n)).T for n in shape]
+        x = rng.standard_normal(shape)
+        result = kernels_module._kron_apply(matrices, x)
+        expected = reduce(np.kron, matrices) @ x.ravel()
+        assert np.allclose(result.ravel(), expected, rtol=1e-13, atol=1e-13)
+        reference = x
+        for axis, matrix in enumerate(matrices):
+            reference = np.moveaxis(np.tensordot(matrix, reference, axes=(1, axis)), 0, axis)
+        assert result.shape == shape
+        assert result.tobytes() == reference.tobytes()
 
 
 class TestQuadratureWeights:

@@ -167,6 +167,31 @@ class TestDirichletOperator:
         assert not pde._dirichlet_operator(Mesh(cells=cells)).banded
         self.check_against_dense(cells)
 
+    @pytest.mark.parametrize("cells", [1, 2, 3, 9])
+    def test_scalar_source_load_is_the_array_source_load(self, cells):
+        mesh = Mesh(cells=cells)
+        operator = DirichletOperator(mesh)
+        a = 1.0 + mesh.centroids[:, 0]
+        for f in (1.5, 0.5):
+            _, scalar = operator.system(a, f)
+            _, array = operator.system(a, np.full(len(mesh.triangles), f))
+            assert scalar.tobytes() == array.tobytes()
+            # Computed once per source value, and nobody may write it.
+            assert operator.system(2.0 * a, f)[1] is scalar
+            assert not scalar.flags.writeable
+
+    @pytest.mark.parametrize("cells", [2, 9])
+    def test_consecutive_scalar_source_solves_are_identical(self, cells):
+        mesh = Mesh(cells=cells)
+        operator = DirichletOperator(mesh)
+        a = 1.0 + mesh.centroids[:, 1]
+        first = operator.solve(a, 1.0)
+        # dpbsv overwrites its right-hand side; the cached load must survive.
+        second = operator.solve(a, 1.0)
+        assert first.tobytes() == second.tobytes()
+        array = operator.solve(a, np.ones(len(mesh.triangles)))
+        assert first.tobytes() == array.tobytes()
+
     def test_indefinite_system_raises_linalg_error(self):
         mesh = Mesh(cells=4)
         with pytest.raises(np.linalg.LinAlgError, match="dpbsv.*4 cells"):
@@ -237,9 +262,12 @@ class TestBumpProblem:
         problem = BumpDiffusionProblem(n_bumps=n_bumps)
         lo = np.array([b.lows for b in problem.center_boxes])
         hi = np.array([b.highs for b in problem.center_boxes])
-        x = np.vstack([mesh_at_level(5).centroids, Mesh(cells=13).nodes])
-        # The first placement puts nodes of the 13-cell mesh on support boxes' edges.
+        x = np.vstack([mesh_at_level(5).centroids, Mesh(cells=13).nodes, Mesh(cells=8).nodes])
+        # The first placement puts nodes of the 13-cell mesh on support boxes'
+        # edges and nodes of the 8-cell mesh exactly on support circles.
         placements = [lo] + [lo + rng.random(lo.shape) * (hi - lo) for _ in range(20)]
+        on_circle = np.linalg.norm(x[:, None, :] - lo[None, :, :], axis=2) == problem.radius
+        assert on_circle.any()
         for centers in placements:
             full = np.full(len(x), 2.0)
             for c in centers:

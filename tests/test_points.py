@@ -88,6 +88,9 @@ class TestPointSet:
         grid = PointSet.product(factors)
         checked = PointSet(points=tensor_grid([f.points for f in factors]), domain=grid.domain)
         assert np.array_equal(grid.points, checked.points)
+        assert len(grid.factors) == len(factors)
+        assert all(kept is f for kept, f in zip(grid.factors, factors))
+        assert checked.factors == ()
         assert not grid.points.flags.writeable
         assert np.all(grid.domain.contains(grid.points))
         assert grid.min_separation == checked.min_separation

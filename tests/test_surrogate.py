@@ -15,7 +15,6 @@ from kernelkit.kernels import (
     fit_interpolant,
     single_block,
     sparse_interpolate,
-    tensor_grid,
     tensor_grid_interpolant,
 )
 from kernelkit.multiindex import (
@@ -24,7 +23,7 @@ from kernelkit.multiindex import (
     delta_expand,
     enumerate_simplex,
 )
-from kernelkit.points import Box, Disc, PointSet, generate_points
+from kernelkit.points import Box, Disc, PointSet, generate_points, tensor_grid
 from kernelkit.smolyak import FactorSpec, ProblemSpec, SmolyakEngine
 from kernelkit.surrogate import (
     Surrogate,
