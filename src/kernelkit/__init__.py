@@ -17,7 +17,6 @@ from kernelkit.kernels import (
     TensorKernel,
     fit_interpolant,
     quadrature_weights,
-    sparse_interpolate,
 )
 from kernelkit.multiindex import (
     CombinationTerm,
@@ -40,6 +39,7 @@ from kernelkit.smolyak import (
     predicted_rates,
 )
 from kernelkit.surrogate import Surrogate, load_surrogate, save_surrogate
+from kernelkit.uq import sparse_interpolate
 
 __all__ = [
     "__version__",

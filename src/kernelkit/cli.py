@@ -27,12 +27,7 @@ import numpy as np
 
 import kernelkit
 from kernelkit.config import ConfigError, RunConfig, parse_config_file, serialize_config
-from kernelkit.kernels import (
-    ConditioningError,
-    MaternKernel,
-    doubling_levels,
-    sparse_interpolation_problem,
-)
+from kernelkit.kernels import ConditioningError, MaternKernel
 from kernelkit.pde import l2_error_against, mesh_at_level, solve_poisson_dirichlet
 from kernelkit.points import Box, Disc
 from kernelkit.points import generate_points  # noqa: F401 - bench/tests patch it here
@@ -50,11 +45,14 @@ from kernelkit.surrogate import Surrogate
 from kernelkit.uq import (
     OuuObjective,
     bump_sample_factor,
+    doubling_levels,
     expectation_study,
     interpolation_factor,
+    interpolation_problem,
     kernel_quadrature_factor,
     midpoint_quadrature_factor,
     minimize_objective,
+    ouu_sample_specs,
     ouu_study,
     random_points,
     surface_study,
@@ -143,15 +141,15 @@ def _run_interp(config: RunConfig, seed: int) -> _Study:
     k = config.section("kernel")
     blocks = config[("interp", "blocks")]
     kernel = MaternKernel(beta=k["beta"], dim=k["d"], length_scale=k["length_scale"])
-    problem = sparse_interpolation_problem(
-        [kernel] * blocks,
-        [Box(lows=(0.0,) * k["d"], highs=(1.0,) * k["d"])] * blocks,
-        _sine_product,
-        alphas=[k["alpha"]] * blocks,
+    factor = interpolation_factor(
+        kernel,
+        Box(lows=(0.0,) * k["d"], highs=(1.0,) * k["d"]),
+        alpha=k["alpha"],
         resolution_map=doubling_levels
         if config[("interp", "level_map")] == "doubling"
         else None,
     )
+    problem = interpolation_problem([factor] * blocks, _sine_product)
     eval_domain = Box(lows=(0.0,) * (k["d"] * blocks), highs=(1.0,) * (k["d"] * blocks))
     points = random_points(eval_domain, config[("study", "eval_points")], seed)
 
@@ -255,13 +253,12 @@ def _run_ouu(config: RunConfig, seed: int) -> _Study:
             kernel, disc, alpha=k["alpha"], resolution_map=level_map
         )
 
-    prediction = predicted_rates(
-        [
-            build_factor().spec,
-            FactorSpec(gamma=1.0, beta=0.5),
-            FactorSpec(gamma=1.5, beta=1.0),
-        ]
+    scales = dict(
+        mc_scale=o["mc_scale"],
+        pde_scale=o["pde_scale"],
+        max_cells=2 ** o["max_mesh_level"],
     )
+    prediction = predicted_rates([build_factor().spec, *ouu_sample_specs(**scales)])
     rows, reference = ouu_study(
         build_factor,
         range(config.l_min, config.l_max + 1),
@@ -269,10 +266,8 @@ def _run_ouu(config: RunConfig, seed: int) -> _Study:
         replications=o["replications"],
         reference_L=config[("study", "reference_l")] or None,
         eval_points=random_points(disc, config[("study", "eval_points")], seed),
-        mc_scale=o["mc_scale"],
-        pde_scale=o["pde_scale"],
-        max_cells=2 ** o["max_mesh_level"],
         field_grid=mesh_at_level(o["field_level"]),
+        **scales,
     )
     minimizer, value = minimize_objective(
         OuuObjective(surrogate=reference), restarts=o["restarts"]

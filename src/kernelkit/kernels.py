@@ -63,14 +63,7 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.special import k0 as bessel_k0
 from scipy.special import k1 as bessel_k1
 
-from kernelkit.points import (
-    Box,
-    Domain,
-    PointSet,
-    generate_points,
-    pairwise_distances,
-)
-from kernelkit.smolyak import FactorSpec, ProblemSpec, SmolyakEngine
+from kernelkit.points import Box, PointSet, pairwise_distances, tensor_grid
 
 _NU_TOL = 1e-9
 _JITTER_START = 1e-12  # relative to trace/N
@@ -844,10 +837,9 @@ def _gauss_legendre_grid(box: Box, per_axis: int) -> tuple[np.ndarray, np.ndarra
     axes_wts = []
     for lo, hi in zip(box.lows, box.highs):
         half = 0.5 * (hi - lo)
-        axes_pts.append(lo + half * (xi + 1.0))
+        axes_pts.append((lo + half * (xi + 1.0)).reshape(-1, 1))
         axes_wts.append(half * wi)
-    grids = np.meshgrid(*axes_pts, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
+    pts = tensor_grid(axes_pts)
     wts = axes_wts[0]
     for w in axes_wts[1:]:
         wts = np.outer(wts, w).ravel()
@@ -855,9 +847,7 @@ def _gauss_legendre_grid(box: Box, per_axis: int) -> tuple[np.ndarray, np.ndarra
 
 
 def quadrature_weights(
-    kernel: TensorKernel | MaternKernel,
-    nodes: PointSet,
-    density: str = "uniform",
+    kernel: TensorKernel | MaternKernel, nodes: PointSet
 ) -> QuadratureRule:
     """Kernel-quadrature weights for the uniform density on a box.
 
@@ -868,8 +858,6 @@ def quadrature_weights(
     if isinstance(kernel, MaternKernel):
         kernel = single_block(kernel)
     _require_matching_dims(kernel, nodes)
-    if density != "uniform":
-        raise ValueError(f"unsupported density {density!r}; only 'uniform'")
     box = nodes.domain
     if not isinstance(box, Box):
         raise ValueError("quadrature weights require a box domain")
@@ -900,90 +888,3 @@ def tensor_grid_interpolant(
     return fit_interpolant(
         TensorKernel.product(factor_kernels), PointSet.product(factor_points), values
     )
-
-
-def doubling_levels(level: int) -> int:
-    """Classic nested sparse-grid subsequence ``N_l = 2**l``."""
-    return 2**level
-
-
-def sparse_interpolation_problem(
-    factor_kernels: Sequence[MaternKernel],
-    factor_domains: Sequence[Domain],
-    f_sampler: Callable[[np.ndarray], np.ndarray],
-    alphas: Sequence[float] | None = None,
-    resolution_map: Callable[[int], int] | None = doubling_levels,
-) -> ProblemSpec:
-    """The combination problem whose estimates :func:`sparse_interpolate` returns."""
-    n = len(factor_kernels)
-    if len(factor_domains) != n:
-        raise ValueError("kernel and domain counts differ")
-    if alphas is None:
-        alphas = [0.0] * n
-    specs = []
-    for kernel, domain, alpha in zip(factor_kernels, factor_domains, alphas):
-        if domain.dim != kernel.dim:
-            raise ValueError("factor domain and kernel dimensions differ")
-        rate = (kernel.beta - alpha) / kernel.dim
-        if rate <= 0:
-            raise ValueError(f"nonpositive convergence rate {rate}")
-        specs.append(
-            FactorSpec(
-                gamma=1.0,
-                beta=rate,
-                label="interpolation",
-                resolution_map=resolution_map,
-            )
-        )
-
-    kernel = TensorKernel.product(factor_kernels)
-
-    def evaluator(resolutions: tuple[int, ...]) -> KernelExpansion:
-        nodes = PointSet.product(
-            [generate_points(d, r) for d, r in zip(factor_domains, resolutions)]
-        )
-        return fit_interpolant(kernel, nodes, f_sampler(nodes.points))
-
-    return ProblemSpec(factors=tuple(specs), tensor_evaluator=evaluator)
-
-
-def sparse_interpolate(
-    factor_kernels: Sequence[MaternKernel],
-    factor_domains: Sequence[Domain],
-    f_sampler: Callable[[np.ndarray], np.ndarray],
-    L: int,
-    alphas: Sequence[float] | None = None,
-    resolution_map: Callable[[int], int] | None = doubling_levels,
-):
-    """Sparse kernel interpolant of ``f_sampler`` on a product domain.
-
-    Runs the combination engine on the tensor product of per-factor
-    best-approximation operators: factor ``j`` has unit work per sample
-    and convergence exponent ``(beta_j - alpha_j) / d_j``; its level-``l``
-    operator interpolates on the first ``N_l`` points of the factor's
-    nested sequence.  The result is a :class:`~kernelkit.surrogate.Surrogate`:
-    the signed combination of tensor-product interpolants fitted to
-    ``f_sampler`` values on sparse grids, merged into one kernel expansion
-    over the distinct sparse-grid nodes.
-
-    Parameters
-    ----------
-    factor_kernels, factor_domains : sequences of equal length
-    f_sampler : callable
-        Vectorized ``(M, d) -> (M,)`` sampler of the target function.
-    L : int
-        Simplex threshold, >= the number of factors.
-    alphas : optional
-        Target smoothness offsets, default all zero (approximation error
-        measured in the base norm).
-    resolution_map : callable, optional
-        Level-to-point-count map shared by all factors.  Defaults to the
-        doubling sequence ``2**l``; pass ``None`` for the engine default
-        ``ceil(exp(t*l))``, which grows too slowly to resolve oscillatory
-        targets at desk-scale thresholds.
-    """
-    problem = sparse_interpolation_problem(
-        factor_kernels, factor_domains, f_sampler, alphas, resolution_map
-    )
-    value, _ = SmolyakEngine(problem).estimate(L)
-    return value

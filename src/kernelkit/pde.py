@@ -45,7 +45,6 @@ doubles peaks at about three of them.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 from dataclasses import field as dataclass_field
 from functools import cached_property, lru_cache
@@ -567,12 +566,6 @@ def _advection_operator(problem: "AdvectionDiffusionProblem", mesh: Mesh):
     return AdvectionOperator(problem, mesh)
 
 
-# Base systems kept per problem, least recently used dropped first.  Each
-# holds a banded matrix and its field sample, so the bound caps memory; the
-# pipelines solve every node of one (field, mesh) pair in a row.
-_BASE_CACHE_SIZE = 8
-
-
 @dataclass(frozen=True)
 class AdvectionDiffusionProblem:
     """Advection-diffusion with random diffusion and Robin boundary data.
@@ -582,17 +575,17 @@ class AdvectionDiffusionProblem:
     fixed Gaussian, and the boundary condition is ``du/dn + u = u_b``.
 
     Each mesh's :class:`AdvectionOperator` is built once.  The base system
-    of a :class:`GrfSample` field is kept in a small bounded cache, so the
-    velocities solved on one (field, mesh) pair share one assembly; an
-    assembly evaluates the field at the mesh's centroids and edge midpoints
-    with the operator's precomputed bilinear weights.
+    of the last (:class:`GrfSample` field, mesh) pair solved is kept, so the
+    velocities solved on one pair in a row, as the pipelines solve every
+    new node of a pair, share one assembly; an assembly evaluates the field
+    at the mesh's centroids and edge midpoints with the operator's
+    precomputed bilinear weights.
     """
 
-    _bases: OrderedDict = dataclass_field(
-        default_factory=OrderedDict,
-        init=False,
-        repr=False,
-        compare=False,
+    # ``[field, cells, base]`` of the last pair, or empty.  It holds the
+    # sample, so an identity check cannot match a new sample at its address.
+    _last_base: list = dataclass_field(
+        default_factory=list, init=False, repr=False, compare=False
     )
 
     def source(self, x: np.ndarray) -> np.ndarray:
@@ -632,16 +625,10 @@ class AdvectionDiffusionProblem:
             raise ValueError(f"velocity must lie in the unit disc, got {velocity}")
         operator = _advection_operator(self, mesh)
         if isinstance(field, GrfSample):
-            # The entry holds the sample, so its id is not reused while cached.
-            key = (id(field), mesh.cells)
-            entry = self._bases.get(key)
-            if entry is None:
-                entry = self._bases[key] = (field, self._base(operator, field))
-                if len(self._bases) > _BASE_CACHE_SIZE:
-                    self._bases.popitem(last=False)
-            else:
-                self._bases.move_to_end(key)
-            base = entry[1]
+            last = self._last_base
+            if not last or last[0] is not field or last[1] != mesh.cells:
+                last[:] = (field, mesh.cells, self._base(operator, field))
+            base = last[2]
         else:
             base = self._base(operator, field)
         return operator.solve(base, velocity)

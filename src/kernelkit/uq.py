@@ -1,12 +1,18 @@
 """Application pipelines on the combination engine.
 
 Each pipeline is a problem for the generic sparse estimator
-(:class:`~kernelkit.smolyak.SmolyakEngine`) with its own factor wiring:
+(:class:`~kernelkit.smolyak.SmolyakEngine`).  The Matern interpolation
+factor is defined once (:func:`interpolation_factor`: its rate
+``(beta - alpha) / dim``, its checks and its level map), and one function,
+:func:`interpolation_problem`, wires tensor-product interpolation on the
+factors' nested points for every pipeline that interpolates:
 
+* sparse interpolation (:func:`sparse_interpolate`): interpolation of a
+  plain function, the ``interp`` pipeline;
 * expectation (:func:`build_expectation_problem`): per-block quadrature
   rules applied to a sample family; with one block it is the classic
   multilevel telescope, with several a multi-index estimator;
-* response surface (:func:`build_surface_problem`): per-block kernel
+* response surface (:func:`surface_study`): per-block kernel
   interpolation of the sample family, producing a function-valued
   surrogate;
 * optimization under uncertainty (:class:`OuuPipeline`): kernel
@@ -32,7 +38,7 @@ never depends on evaluation order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Any, Callable, Sequence
 
@@ -43,7 +49,6 @@ from kernelkit.kernels import (
     QuadratureRule,
     TensorKernel,
     fit_interpolant,
-    generate_points,
     quadrature_weights,
 )
 from kernelkit.pde import (
@@ -54,7 +59,7 @@ from kernelkit.pde import (
     pde_resolution_map,
     philox_generator,
 )
-from kernelkit.points import Box, Disc, Domain, PointSet, tensor_grid
+from kernelkit.points import Box, Disc, Domain, PointSet, generate_points, tensor_grid
 from kernelkit.smolyak import (
     FactorSpec,
     ProblemSpec,
@@ -125,8 +130,16 @@ def kernel_quadrature_factor(
     gamma: float = 1.0,
     alpha: float = 0.0,
 ) -> QuadratureFactor:
-    """Kernel quadrature on nested points; rules are cached per node count."""
-    rate = (kernel.beta - alpha) / kernel.dim
+    """Kernel quadrature on nested points; rules are cached per node count.
+
+    It integrates the kernel interpolant, so it converges at the rate of
+    :func:`interpolation_factor`.
+    """
+    spec = replace(
+        interpolation_factor(kernel, domain, alpha).spec,
+        gamma=gamma,
+        label="kernel-quadrature",
+    )
     cache: dict[int, QuadratureRule] = {}
 
     def rule(count: int):
@@ -135,9 +148,7 @@ def kernel_quadrature_factor(
         built = cache[count]
         return built.nodes.points, built.weights
 
-    return QuadratureFactor(
-        spec=FactorSpec(gamma=gamma, beta=rate, label="kernel-quadrature"), rule=rule
-    )
+    return QuadratureFactor(spec=spec, rule=rule)
 
 
 class SampleFactor:
@@ -220,12 +231,24 @@ class InterpolationFactor:
         return generate_points(self.domain, count)
 
 
+def doubling_levels(level: int) -> int:
+    """Classic nested sparse-grid subsequence ``N_l = 2**l``."""
+    return 2**level
+
+
 def interpolation_factor(
     kernel: MaternKernel,
     domain: Domain,
     alpha: float = 0.0,
     resolution_map: Callable[[int], int] | None = None,
 ) -> InterpolationFactor:
+    """Matern interpolation on ``domain``'s nested points: unit work per
+    node and convergence exponent ``(beta - alpha) / dim``, the error of
+    best approximation in the Sobolev norm of order ``alpha``."""
+    if domain.dim != kernel.dim:
+        raise ValueError(
+            f"factor domain dimension {domain.dim} != kernel dimension {kernel.dim}"
+        )
     rate = (kernel.beta - alpha) / kernel.dim
     if rate <= 0:
         raise ValueError(f"nonpositive interpolation rate {rate}")
@@ -233,6 +256,83 @@ def interpolation_factor(
         gamma=1.0, beta=rate, label="interpolation", resolution_map=resolution_map
     )
     return InterpolationFactor(kernel=kernel, domain=domain, spec=spec)
+
+
+# ---------------------------------------------------------------------------
+# interpolation
+
+
+def interpolation_problem(
+    interp_factors: Sequence[InterpolationFactor],
+    values: Callable[..., np.ndarray],
+    sample_specs: Sequence[FactorSpec] = (),
+) -> ProblemSpec:
+    """Tensor-product kernel interpolation of a sample family.
+
+    The problem's factors are ``interp_factors`` followed by
+    ``sample_specs``.  A resolution tuple ``(n_1, ..., n_m, *s)`` fits
+    the tensor-product kernel to ``values(points, *s)`` on the product of
+    each factor's first ``n_j`` nested points, where ``points`` are the
+    grid's rows in :func:`~kernelkit.points.tensor_grid` order.
+    """
+    kernel = TensorKernel.product([f.kernel for f in interp_factors])
+    count = len(interp_factors)
+
+    def evaluator(resolutions: tuple[int, ...]):
+        nodes = PointSet.product(
+            [f.points(n) for f, n in zip(interp_factors, resolutions[:count])]
+        )
+        return fit_interpolant(kernel, nodes, values(nodes.points, *resolutions[count:]))
+
+    factors = tuple(f.spec for f in interp_factors) + tuple(sample_specs)
+    return ProblemSpec(factors=factors, tensor_evaluator=evaluator)
+
+
+def sparse_interpolate(
+    factor_kernels: Sequence[MaternKernel],
+    factor_domains: Sequence[Domain],
+    f_sampler: Callable[[np.ndarray], np.ndarray],
+    L: int,
+    alphas: Sequence[float] | None = None,
+    resolution_map: Callable[[int], int] | None = doubling_levels,
+) -> Surrogate:
+    """Sparse kernel interpolant of ``f_sampler`` on a product domain.
+
+    Runs the combination engine on the tensor product of per-factor
+    best-approximation operators (:func:`interpolation_factor`): factor
+    ``j`` has unit work per sample and convergence exponent
+    ``(beta_j - alpha_j) / d_j``; its level-``l`` operator interpolates on
+    the first ``N_l`` points of the factor's nested sequence.  The result
+    is the signed combination of tensor-product interpolants fitted to
+    ``f_sampler`` values on sparse grids, merged into one kernel expansion
+    over the distinct sparse-grid nodes.
+
+    Parameters
+    ----------
+    factor_kernels, factor_domains : sequences of equal length
+    f_sampler : callable
+        Vectorized ``(M, d) -> (M,)`` sampler of the target function.
+    L : int
+        Simplex threshold, >= the number of factors.
+    alphas : optional
+        Target smoothness offsets, default all zero (approximation error
+        measured in the base norm).
+    resolution_map : callable, optional
+        Level-to-point-count map shared by all factors.  Defaults to the
+        doubling sequence ``2**l``; pass ``None`` for the engine default
+        ``ceil(exp(t*l))``, which grows too slowly to resolve oscillatory
+        targets at desk-scale thresholds.
+    """
+    if len(factor_domains) != len(factor_kernels):
+        raise ValueError("kernel and domain counts differ")
+    if alphas is None:
+        alphas = [0.0] * len(factor_kernels)
+    factors = [
+        interpolation_factor(kernel, domain, alpha, resolution_map)
+        for kernel, domain, alpha in zip(factor_kernels, factor_domains, alphas)
+    ]
+    value, _ = SmolyakEngine(interpolation_problem(factors, f_sampler)).estimate(L)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -292,23 +392,6 @@ def expectation_study(
 # response surfaces
 
 
-def build_surface_problem(
-    interp_factors: Sequence[InterpolationFactor], sample_factor: SampleFactor
-) -> ProblemSpec:
-    kernel = TensorKernel.product([f.kernel for f in interp_factors])
-
-    def evaluator(resolutions: tuple[int, ...]):
-        *point_counts, sample_resolution = resolutions
-        nodes = PointSet.product(
-            [factor.points(count) for factor, count in zip(interp_factors, point_counts)]
-        )
-        values = sample_factor.values(nodes.points, sample_resolution)
-        return fit_interpolant(kernel, nodes, values)
-
-    factors = tuple(f.spec for f in interp_factors) + (sample_factor.spec,)
-    return ProblemSpec(factors=factors, tensor_evaluator=evaluator)
-
-
 def surface_study(
     interp_factors: Sequence[InterpolationFactor],
     sample_factor: SampleFactor,
@@ -325,7 +408,9 @@ def surface_study(
     (:meth:`Surrogate.stack`), which computes each block profile once
     over the union of the surrogates' nested nodes.
     """
-    engine = SmolyakEngine(build_surface_problem(interp_factors, sample_factor))
+    engine = SmolyakEngine(
+        interpolation_problem(interp_factors, sample_factor.values, (sample_factor.spec,))
+    )
 
     def errors(reference, values):
         columns = Surrogate.stack([reference, *values]).evaluate(eval_points)
@@ -352,13 +437,31 @@ def surface_study(
 
 
 _NO_VALUES = np.empty(0)
+# (gamma, beta) of the sample factors: a field draw costs unit work and the
+# mean converges at rate 1/2; an advection solve on a mesh of size
+# ``cells**2`` costs that size to the power 1.5 and converges at rate 1.
+_MC_RATES = (1.0, 0.5)
+_PDE_RATES = (1.5, 1.0)
+
+
+def ouu_sample_specs(
+    mc_scale: float = 1.0, pde_scale: float = 1.0, max_cells: int = 32
+) -> tuple[FactorSpec, FactorSpec]:
+    """The Monte Carlo and field-PDE factors of an :class:`OuuPipeline`."""
+    mc_map = scaled_exponential_map(*_MC_RATES, mc_scale) if mc_scale != 1.0 else None
+    pde_map = pde_resolution_map(*_PDE_RATES, max_cells, scale=pde_scale)
+    return (
+        FactorSpec(*_MC_RATES, label="monte-carlo", resolution_map=mc_map),
+        FactorSpec(*_PDE_RATES, label="field-pde", resolution_map=pde_map),
+    )
 
 
 class OuuPipeline:
     """Surrogate construction for optimization under uncertainty.
 
-    Three factors: kernel interpolation over the control domain, empirical
-    means over random-field draws, and the PDE mesh family.  Field draws
+    Three factors: kernel interpolation over the control domain
+    (:func:`interpolation_problem`) of empirical means over random-field
+    draws and the PDE mesh family (:func:`ouu_sample_specs`).  Field draws
     are sampled once on the reference grid per ``(seed, stream, k)`` and
     every mesh resolution consumes the same realization (the solver
     samples its bilinear extension), so difference terms across mesh
@@ -379,10 +482,7 @@ class OuuPipeline:
         interp_factor: InterpolationFactor,
         seed: int,
         stream: int = 0,
-        mc_gamma: float = 1.0,
         mc_scale: float = 1.0,
-        pde_work_exponent: float = 1.5,
-        pde_convergence_exponent: float = 1.0,
         pde_scale: float = 1.0,
         max_cells: int = 32,
         field_grid: Mesh | None = None,
@@ -391,22 +491,6 @@ class OuuPipeline:
         self.interp_factor = interp_factor
         self.seed = seed
         self.stream = stream
-        self.mc_spec = FactorSpec(
-            gamma=mc_gamma,
-            beta=0.5,
-            label="monte-carlo",
-            resolution_map=scaled_exponential_map(mc_gamma, 0.5, mc_scale)
-            if mc_scale != 1.0
-            else None,
-        )
-        self.pde_spec = FactorSpec(
-            gamma=pde_work_exponent,
-            beta=pde_convergence_exponent,
-            label="field-pde",
-            resolution_map=pde_resolution_map(
-                pde_work_exponent, pde_convergence_exponent, max_cells, scale=pde_scale
-            ),
-        )
         self.field_grid = field_grid if field_grid is not None else Mesh(cells=32)
         self._field_sampler = GaussianFieldSampler(self.field_grid, stream=stream)
         if qoi is None:
@@ -417,11 +501,13 @@ class OuuPipeline:
         self._nodes = np.empty((0, interp_factor.domain.dim))
         self._prefixes: dict[tuple[int, int], np.ndarray] = {}
         self.draw_log: dict[tuple[int, ...], tuple[int, ...]] = {}
-        problem_spec = ProblemSpec(
-            factors=(self.interp_factor.spec, self.mc_spec, self.pde_spec),
-            tensor_evaluator=self._evaluate,
+        self.engine = SmolyakEngine(
+            interpolation_problem(
+                [interp_factor],
+                self._means,
+                ouu_sample_specs(mc_scale, pde_scale, max_cells),
+            )
         )
-        self.engine = SmolyakEngine(problem_spec)
 
     def _field(self, draw: int):
         sample = self._field_cache.get(draw)
@@ -445,31 +531,32 @@ class OuuPipeline:
                 done = self._prefixes[draw, cells] = np.concatenate([done, solved])
         return done
 
-    def _evaluate(self, resolutions: tuple[int, ...]):
-        n_points, n_draws, mesh_resolution = resolutions
+    def _means(self, points: np.ndarray, n_draws: int, mesh_resolution: int) -> np.ndarray:
+        """Mean QoI over draws ``0..n_draws-1`` at each control node in
+        ``points`` on the mesh of ``mesh_resolution``."""
+        n_points = len(points)
+        resolutions = (n_points, n_draws, mesh_resolution)
         cells = math.isqrt(mesh_resolution)
         if cells * cells != mesh_resolution:
             raise ValueError(
                 f"resolution {mesh_resolution} is not a realized mesh size"
             )
-        nodes = self.interp_factor.points(n_points)
         shared = min(n_points, len(self._nodes))
-        if not np.array_equal(nodes.points[:shared], self._nodes[:shared]):
+        if not np.array_equal(points[:shared], self._nodes[:shared]):
             raise ValueError(
                 f"control nodes of tuple {resolutions} are not a prefix of the "
                 f"nodes solved so far; the store needs nested point sets"
             )
         if n_points > len(self._nodes):
-            self._nodes = nodes.points
+            self._nodes = points
         # Draws outside, nodes inside: each draw's system on this mesh is
         # assembled once for all new nodes.  Every node still sums its draws
         # in the order 0..n-1.
         sums = np.zeros(n_points)
         for k in range(n_draws):
-            sums += self._prefix(k, cells, nodes.points)[:n_points]
-        means = sums / n_draws
+            sums += self._prefix(k, cells, points)[:n_points]
         self.draw_log[resolutions] = tuple(range(n_draws))
-        return fit_interpolant(self.interp_factor.kernel, nodes, means)
+        return sums / n_draws
 
     @property
     def pde_solves(self) -> int:

@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 from kernelkit.cli import main
-from kernelkit.kernels import MaternKernel, fit_interpolant, sparse_interpolate
+from kernelkit import sparse_interpolate
+from kernelkit.kernels import MaternKernel, fit_interpolant
 from kernelkit.multiindex import combination_coefficients, enumerate_simplex
 from kernelkit.pde import (
     GaussianFieldSampler,

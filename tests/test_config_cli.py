@@ -14,7 +14,8 @@ from kernelkit.config import (
     parse_config,
     serialize_config,
 )
-from kernelkit.kernels import MaternKernel, sparse_interpolate
+from kernelkit import sparse_interpolate
+from kernelkit.kernels import MaternKernel
 from kernelkit.points import Box
 from kernelkit.smolyak import SlopeFitError
 from kernelkit.surrogate import Surrogate

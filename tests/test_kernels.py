@@ -18,17 +18,16 @@ from kernelkit.kernels import (
     KernelExpansion,
     MaternKernel,
     TensorKernel,
-    doubling_levels,
     fit_interpolant,
     quadrature_weights,
     single_block,
-    sparse_interpolate,
     tensor_grid_interpolant,
 )
 from kernelkit.multiindex import combination_coefficients
 from kernelkit.points import Box, Disc, PointSet, generate_points, tensor_grid
 from kernelkit.smolyak import FactorSpec, level_to_resolution
 from kernelkit.surrogate import Surrogate
+from kernelkit.uq import doubling_levels, sparse_interpolate
 
 UNIT_INTERVAL = Box((0.0,), (1.0,))
 UNIT_SQUARE = Box((0.0, 0.0), (1.0, 1.0))

@@ -13,7 +13,6 @@ from scipy.linalg.lapack import dpbsv
 
 from kernelkit import pde
 from kernelkit.pde import (
-    _BASE_CACHE_SIZE,
     AdvectionDiffusionProblem,
     AdvectionOperator,
     BumpDiffusionProblem,
@@ -414,29 +413,39 @@ class TestAdvectionProblem:
         first = problem.sample_qoi(z, field, mesh)
         assert problem.sample_qoi(z, field, mesh) == first
         assert AdvectionDiffusionProblem().sample_qoi(z, field, mesh) == first
-        # Evict the field's base system, then solve it again.
-        for seed in range(2 * _BASE_CACHE_SIZE):
-            problem.sample_qoi(z, advection_field(kind, mesh, 100 + seed), mesh)
+        # Replace the field's base system by another's, then solve it again.
+        problem.sample_qoi(z, advection_field(kind, mesh, 100), mesh)
         assert problem.sample_qoi(z, field, mesh) == first
 
-    def test_base_cache_is_bounded(self):
+    def test_base_slot_holds_only_the_last_pair(self):
         problem = AdvectionDiffusionProblem()
         for cells in (4, 6):
             mesh = Mesh(cells=cells)
-            for seed in range(2 * _BASE_CACHE_SIZE):
-                problem.sample_qoi(np.zeros(2), advection_field("grf", mesh, seed), mesh)
-        assert len(problem._bases) == _BASE_CACHE_SIZE
+            for seed in range(3):
+                field = advection_field("grf", mesh, seed)
+                problem.sample_qoi(np.zeros(2), field, mesh)
+        field_kept, cells_kept, _ = problem._last_base
+        assert field_kept is field and cells_kept == 6
 
-    def test_base_cache_drops_least_recently_used(self):
+    def test_base_slot_assembles_once_per_run_of_one_pair(self, monkeypatch):
+        assembled = []
+        assemble = AdvectionDiffusionProblem._base
+
+        def counting(self, operator, field):
+            assembled.append((field.seed, operator.mesh.cells))
+            return assemble(self, operator, field)
+
+        monkeypatch.setattr(AdvectionDiffusionProblem, "_base", counting)
         problem = AdvectionDiffusionProblem()
-        mesh = Mesh(cells=4)
-        fields = [advection_field("grf", mesh, seed) for seed in range(_BASE_CACHE_SIZE + 1)]
-        for field in fields[:-1]:
-            problem.sample_qoi(np.zeros(2), field, mesh)
-        problem.sample_qoi(np.zeros(2), fields[0], mesh)
-        problem.sample_qoi(np.zeros(2), fields[-1], mesh)
-        kept = {key[0] for key in problem._bases}
-        assert id(fields[0]) in kept and id(fields[1]) not in kept
+        coarse, fine = Mesh(cells=4), Mesh(cells=6)
+        a, b = (advection_field("grf", coarse, seed) for seed in (1, 2))
+        velocities = [np.array([0.1 * k, -0.05 * k]) for k in range(3)]
+        for field, mesh in [(a, coarse), (a, fine), (a, fine), (b, fine), (a, fine)]:
+            for z in velocities:
+                problem.sample_qoi(z, field, mesh)
+        # A run of solves on one pair assembles once; returning to an
+        # earlier pair after another assembles it again.
+        assert assembled == [(1, 4), (1, 6), (2, 6), (1, 6)]
 
     def test_failed_base_assembly_leaves_key_computable(self, monkeypatch):
         mesh = Mesh(cells=4)
@@ -455,9 +464,10 @@ class TestAdvectionProblem:
         problem = AdvectionDiffusionProblem()
         with pytest.raises(np.linalg.LinAlgError, match="assembly failed"):
             problem.sample_qoi(z, field, mesh)
-        assert not problem._bases
+        assert not problem._last_base
         assert problem.sample_qoi(z, field, mesh) == expected
-        assert list(problem._bases) == [(id(field), mesh.cells)]
+        field_kept, cells_kept, _ = problem._last_base
+        assert field_kept is field and cells_kept == mesh.cells
 
     def test_nodal_fields_are_never_cached(self):
         problem = AdvectionDiffusionProblem()
@@ -470,7 +480,7 @@ class TestAdvectionProblem:
         second = problem.sample_qoi(z, field, mesh)
         assert second == AdvectionDiffusionProblem().sample_qoi(z, field, mesh)
         assert second != first
-        assert not problem._bases
+        assert not problem._last_base
 
     def test_singular_system_raises_linalg_error(self):
         mesh = Mesh(cells=4)

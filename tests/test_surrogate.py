@@ -14,7 +14,6 @@ from kernelkit.kernels import (
     MaternKernel,
     fit_interpolant,
     single_block,
-    sparse_interpolate,
     tensor_grid_interpolant,
 )
 from kernelkit.multiindex import (
@@ -32,6 +31,7 @@ from kernelkit.surrogate import (
     parse_surrogate,
     save_surrogate,
 )
+from kernelkit.uq import sparse_interpolate
 
 UNIT_INTERVAL = Box((0.0,), (1.0,))
 UNIT_SQUARE = Box((0.0, 0.0), (1.0, 1.0))

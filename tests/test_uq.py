@@ -3,12 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from kernelkit.kernels import (
-    MaternKernel,
-    doubling_levels,
-    fit_interpolant,
-    single_block,
-)
+from kernelkit.kernels import MaternKernel, fit_interpolant, single_block
 from kernelkit.pde import AdvectionDiffusionProblem, GaussianFieldSampler, Mesh
 from kernelkit.points import Box, Disc, PointSet, generate_points
 from kernelkit.smolyak import (
@@ -25,12 +20,14 @@ from kernelkit.uq import (
     OuuObjective,
     OuuPipeline,
     build_expectation_problem,
-    build_surface_problem,
+    doubling_levels,
     expectation_study,
     interpolation_factor,
+    interpolation_problem,
     kernel_quadrature_factor,
     midpoint_quadrature_factor,
     minimize_objective,
+    ouu_sample_specs,
     ouu_study,
     philox_generator,
     random_points,
@@ -53,7 +50,8 @@ def expectation_estimate(quad_factors, sample, L):
 
 
 def surface_estimate(interp_factors, sample, L):
-    return SmolyakEngine(build_surface_problem(interp_factors, sample)).estimate(L)
+    problem = interpolation_problem(interp_factors, sample.values, (sample.spec,))
+    return SmolyakEngine(problem).estimate(L)
 
 
 class TestMultilevelExpectation:
@@ -164,6 +162,41 @@ class TestMultiindexExpectation:
             rows.append(abs(value - reference))
         assert all(b <= a + 1e-15 for a, b in zip(rows, rows[1:]))
         assert rows[-1] < 0.2 * rows[0]
+
+
+class TestInterpolationFactor:
+    def test_domain_and_kernel_dimensions_must_match(self):
+        # Caught when the factor is built, not deep inside the first fit.
+        with pytest.raises(ValueError, match="dimension 2 != kernel dimension 1"):
+            interpolation_factor(MaternKernel(beta=2.0, dim=1), UNIT_DISC)
+        with pytest.raises(ValueError, match="dimension 1 != kernel dimension 2"):
+            kernel_quadrature_factor(MaternKernel(beta=2.0, dim=2), UNIT_INTERVAL)
+
+    def test_rate_must_be_positive(self):
+        with pytest.raises(ValueError, match="nonpositive interpolation rate"):
+            interpolation_factor(MaternKernel(beta=2.0, dim=1), UNIT_INTERVAL, alpha=2.0)
+
+    def test_kernel_quadrature_converges_at_the_interpolation_rate(self):
+        kernel = MaternKernel(beta=3.0, dim=2)
+        box = Box((0.0, 0.0), (1.0, 1.0))
+        quad = kernel_quadrature_factor(kernel, box, gamma=2.0, alpha=1.0)
+        assert quad.spec.beta == interpolation_factor(kernel, box, alpha=1.0).spec.beta == 1.0
+        assert quad.spec.gamma == 2.0
+
+    def test_ouu_sample_specs_are_the_pipeline_factors(self):
+        scales = dict(mc_scale=2.0, pde_scale=1.5, max_cells=16)
+        pipeline = OuuPipeline(
+            stub_interp_factor(), seed=0, field_grid=Mesh(cells=4), **scales
+        )
+        _, *sample_factors = pipeline.engine.problem.factors
+        specs = ouu_sample_specs(**scales)
+        assert [(f.gamma, f.beta, f.label) for f in sample_factors] == [
+            (f.gamma, f.beta, f.label) for f in specs
+        ]
+        for level in range(1, 8):
+            assert [level_to_resolution(f, level) for f in sample_factors] == [
+                level_to_resolution(f, level) for f in specs
+            ]
 
 
 class TestResponseSurface:
@@ -522,7 +555,7 @@ class TestSolveOnce:
 
         def solved_by(resolutions):
             calls.clear()
-            pipeline._evaluate(resolutions)
+            pipeline.engine.problem.tensor_evaluator(resolutions)
             return sorted(calls)
 
         def expected(draws, first, last, cells):
@@ -581,10 +614,11 @@ class TestSolveOnce:
             field_grid=Mesh(cells=4),
             max_cells=4,
         )
-        pipeline._evaluate((3, 1, 16))
+        evaluate = pipeline.engine.problem.tensor_evaluator
+        evaluate((3, 1, 16))
         solved = len(calls)
         with pytest.raises(ValueError, match=r"tuple \(5, 1, 16\) are not a prefix"):
-            pipeline._evaluate((5, 1, 16))
+            evaluate((5, 1, 16))
         assert len(calls) == solved == pipeline.pde_solves == 3
 
     def test_failed_compute_leaves_key_computable(self):
@@ -712,12 +746,20 @@ class TestStudyWiring:
         expectation_study([quad], sample, [2, 3, 4], reference=1.0 / 3.0, reference_L=9)
         assert [L for _, L in estimate_log] == [2, 3, 4]
 
-    def test_ouu_study_runs_reference_stream_then_replications_inside_L(self, estimate_log):
+    def test_ouu_study_runs_reference_stream_then_replications_inside_L(
+        self, estimate_log, monkeypatch
+    ):
+        stream_of = {}
+        init = OuuPipeline.__init__
+
+        def recording(pipeline, *args, **kwargs):
+            init(pipeline, *args, **kwargs)
+            stream_of[id(pipeline.engine)] = pipeline.stream
+
+        monkeypatch.setattr(OuuPipeline, "__init__", recording)
         settings = dict(qoi=stub_qoi, field_grid=Mesh(cells=4), max_cells=4)
         ouu_study(
             stub_interp_factor, [4, 3], seed=0, replications=3, reference_L=5, **settings
         )
-        streams = [
-            (engine.problem.tensor_evaluator.__self__.stream, L) for engine, L in estimate_log
-        ]
+        streams = [(stream_of[id(engine)], L) for engine, L in estimate_log]
         assert streams == [(0, 5)] + [(r, L) for L in (3, 4) for r in (1, 2, 3)]
