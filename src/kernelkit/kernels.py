@@ -38,17 +38,20 @@ Interpolation coefficients solve the symmetric positive-definite kernel
 system ``(K + jitter I) x = b`` with an escalating diagonal shift, followed
 by iterative refinement against the unshifted ``K`` so that node residuals
 stay below 1e-8 relative even when a shift was needed.  Nodes that form a
-full tensor grid under a kernel of two or more blocks (every fit of
-:func:`tensor_grid_interpolant`) have ``K = K_1 (x) ... (x) K_m``; they are
-solved through the eigendecomposition ``K_j = Q_j diag(lambda_j) Q_j^T`` of
-each factor, memoized per block kernel and factor points, so a fit on an
-``n_1 x n_2`` grid costs ``n_1**3 + n_2**3`` instead of ``(n_1 n_2)**3``
-and never forms ``K``; each Kronecker mode product is one ``np.dot``.  A
-:meth:`~kernelkit.points.PointSet.product` grid carries its factors, so
-such a fit reads each block's rows off them instead of searching the
-nodes for repeated coordinates.  All other node sets are solved by a
-dense Cholesky factorization, with the shift added in place to one copy
-of the Gram matrix per attempt.
+full tensor grid under a kernel of two or more blocks (a
+:meth:`~kernelkit.points.PointSet.product` grid of two or more factors
+under ``TensorKernel.product`` of their kernels) have
+``K = K_1 (x) ... (x) K_m``; they are solved through the eigendecomposition
+``K_j = Q_j diag(lambda_j) Q_j^T`` of each factor, memoized per block
+kernel and factor points, so a fit on an ``n_1 x n_2`` grid costs
+``n_1**3 + n_2**3`` instead of ``(n_1 n_2)**3`` and never forms ``K``; each
+Kronecker mode product is one ``np.dot``.  A product grid carries its
+factors, so such a fit reads each block's rows off them instead of
+searching the nodes for repeated coordinates.  All other node sets are
+solved by a dense Cholesky factorization, with the shift added in place to
+one copy of the Gram matrix per attempt.  The Gram matrix and its shifted
+factor are kept per kernel and node bytes, within ``_FACTORED_GRAM_BYTES``,
+so fits of new values on a node set seen before factor nothing.
 """
 
 from __future__ import annotations
@@ -88,6 +91,12 @@ _PLAN_ENTRIES_PER_NODE = 2
 # function of its key (block kernel, factor point bytes), so every caller
 # in the process may share them.
 _FACTOR_DECOMPOSITIONS_KEPT = 16
+# Bytes of Gram matrices and their Cholesky factors that the dense path
+# keeps, keyed by (kernel, node bytes); each pair is a pure function of its
+# key, so every caller in the process may share them.  The ouu pipelines fit
+# 239 times over 7 node sets of at most 128 nodes (0.26 MB a pair), while a
+# 1024-node pair (16 MB) is not kept.
+_FACTORED_GRAM_BYTES = 2**23
 
 
 class ConditioningError(RuntimeError):
@@ -396,6 +405,17 @@ def _solve_spd(kernel: TensorKernel, nodes: PointSet, rhs: np.ndarray) -> np.nda
     factors = _grid_factors(split, len(nodes))
     if factors is not None:
         return _solve_kronecker(kernel, factors, nodes, rhs)
+    gram, factor = _FACTORED_GRAMS.get(
+        (kernel, nodes.points.tobytes()), partial(_factor_gram, kernel, split, nodes)
+    )
+    # cho_factor checked the factor, and the refinement solves reuse it.
+    solve = partial(cho_solve, factor, check_finite=False)
+    return _refine(solve, gram.__matmul__, rhs, nodes)
+
+
+def _factor_gram(kernel: TensorKernel, split, nodes: PointSet):
+    """``(gram, factor)``: the Gram matrix of ``nodes`` and the
+    ``cho_factor`` of its smallest admissible diagonal shift."""
     gram = kernel.split_gram(split, split)
     count = len(nodes)
     base = np.trace(gram) / count
@@ -414,9 +434,47 @@ def _solve_spd(kernel: TensorKernel, nodes: PointSet, rhs: np.ndarray) -> np.nda
             jitter *= 10.0
             if jitter > limit:
                 raise _shift_failed(nodes) from None
-    # cho_factor checked the factor, and the refinement solves reuse it.
-    solve = partial(cho_solve, factor, check_finite=False)
-    return _refine(solve, gram.__matmul__, rhs, nodes)
+    gram.setflags(write=False)
+    factor[0].setflags(write=False)
+    return gram, factor
+
+
+class _FactoredGrams:
+    """``(gram, factor)`` pairs of :func:`_factor_gram` by key, least
+    recently used first, holding at most ``limit`` bytes of matrices.
+
+    A pair larger than the whole bound is handed out but not kept.
+    """
+
+    def __init__(self, limit: int):
+        self.limit = limit
+        self.nbytes = 0
+        self._entries: dict = {}
+
+    def get(self, key, build: Callable[[], tuple]):
+        """The pair of ``key``, from ``build()`` if it is not kept."""
+        entry = self._entries.pop(key, None)
+        if entry is None:
+            entry = build()
+            size = entry[0].nbytes + entry[1][0].nbytes
+            if size > self.limit:
+                return entry
+            self.nbytes += size
+        self._entries[key] = entry
+        while self.nbytes > self.limit:
+            gram, (factor, _) = self._entries.pop(next(iter(self._entries)))
+            self.nbytes -= gram.nbytes + factor.nbytes
+        return entry
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def clear(self) -> None:
+        self._entries.clear()
+        self.nbytes = 0
+
+
+_FACTORED_GRAMS = _FactoredGrams(limit=_FACTORED_GRAM_BYTES)
 
 
 def _grid_factors(split, count: int) -> list[np.ndarray] | None:
@@ -872,19 +930,3 @@ def quadrature_weights(
         nodes=nodes, weights=weights, kernel=kernel, embeddings=embeddings
     )
 
-
-def tensor_grid_interpolant(
-    factor_kernels: Sequence[MaternKernel],
-    factor_points: Sequence[PointSet],
-    values: np.ndarray,
-) -> KernelExpansion:
-    """Fit a tensor-product interpolant on the product of per-factor grids.
-
-    ``values`` must be ordered to match :func:`tensor_grid` (first factor
-    slowest).  With two or more factors the Gram matrix is the Kronecker
-    product of the factor Gram matrices, and the fit is solved through
-    their eigendecompositions without forming it.
-    """
-    return fit_interpolant(
-        TensorKernel.product(factor_kernels), PointSet.product(factor_points), values
-    )

@@ -26,7 +26,8 @@ Cholesky, falling back to sparse LU from the same element entries above
 sparse factors.  For advection-diffusion, the :class:`AdvectionOperator`
 assembles the coefficient-dependent base system once per field
 realization and mesh (half-bandwidth ``nodes_per_axis + 1``), and each
-velocity then costs one matrix sum and one banded LU solve.  A field
+velocity then costs one matrix sum, one banded LU solve and, for the
+quantity of interest, one dot product.  A field
 realization lives on its reference grid; the operator keeps, per grid, the
 bilinear weights of its centroids and edge midpoints, so restricting a
 field to the mesh is one gather-and-sum.
@@ -34,12 +35,12 @@ field to the mesh is one gather-and-sum.
 Random-field draws are computed in aligned blocks, one triangular product
 (BLAS ``dtrmm``) with the field's lower Cholesky factor per block.  It
 does half the multiplications of a dense product and copies no factor,
-whose transpose is already in Fortran order.  A draw's normals come from
-its own counter-based generator and a block is always the same product,
+which is already in Fortran order.  A draw's normals come from its own
+counter-based generator and a block is always the same product,
 so every draw is bit for bit a pure function of ``(seed, stream,
 draw)``.  The covariance is built in place in one ``n x n`` buffer and
-factored by ``np.linalg.cholesky``, so building a factor of ``n**2``
-doubles peaks at about three of them.
+factored in that buffer by LAPACK ``dpotrf``, so building a factor of
+``n**2`` doubles holds little more than the factor itself.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.linalg.blas import dtrmm
-from scipy.linalg.lapack import dgbsv, dpbsv
+from scipy.linalg.lapack import dgbsv, dpbsv, dpotrf
 
 from kernelkit.points import Box
 
@@ -61,6 +62,8 @@ _MAX_FIELD_NODES = 5000
 # Field draws computed together by one matrix product (see
 # GaussianFieldSampler); a block of the 1089-node reference grid is 279 kB.
 _DRAW_BLOCK = 32
+# Covariance rows whose squared y-differences one temporary holds.
+_COVARIANCE_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -313,7 +316,13 @@ class DirichletOperator:
         matrix above ``_MAX_BANDED_CELLS`` cells.  A scalar source's load
         is computed once per source value and handed out read-only."""
         ntri = len(self.mesh.triangles)
-        a = np.broadcast_to(np.asarray(a_centroid, dtype=float), (ntri,))
+        a = np.asarray(a_centroid, dtype=float)
+        if a.ndim == 0:
+            a = np.broadcast_to(a, (ntri,))
+        elif a.shape != (ntri,):
+            raise ValueError(
+                f"coefficient of shape {a.shape} does not match {ntri} triangles"
+            )
         n = len(self.interior)
         entries = a[self._triangle] * self._stiffness
         if np.ndim(f_centroid) == 0:
@@ -547,11 +556,17 @@ class AdvectionOperator:
         )
         return self._layout.scatter(self._index, entries), rhs
 
-    def solve(self, base, velocity: np.ndarray) -> np.ndarray:
-        """Nodal solution for one velocity on top of an assembled base."""
+    def solve(self, base, velocity) -> np.ndarray:
+        """Nodal solution for one velocity on top of an assembled base.
+
+        The system is ``(matrix + z1 * A_x) + z2 * A_y``; the velocity's
+        components are multiplied as Python floats, which numpy handles
+        faster than its own scalars, to the same bits.
+        """
         matrix, rhs = base
-        system = matrix + velocity[0] * self.advection[0]
-        system += velocity[1] * self.advection[1]
+        system = self.advection[0] * float(velocity[0])
+        system += matrix
+        system += self.advection[1] * float(velocity[1])
         p = self.bandwidth
         _, _, solution, info = dgbsv(p, p, system, rhs, overwrite_ab=1)
         if info != 0:
@@ -575,15 +590,19 @@ class AdvectionDiffusionProblem:
     fixed Gaussian, and the boundary condition is ``du/dn + u = u_b``.
 
     Each mesh's :class:`AdvectionOperator` is built once.  The base system
-    of the last (:class:`GrfSample` field, mesh) pair solved is kept, so the
-    velocities solved on one pair in a row, as the pipelines solve every
-    new node of a pair, share one assembly; an assembly evaluates the field
+    of the last (:class:`GrfSample` field, mesh) pair solved is kept, with
+    the mesh's operator and averaging weights, so the velocities solved on
+    one pair in a row, as the pipelines solve every node of a pair, share
+    one assembly and one lookup of each; a velocity then costs its checks,
+    the slot's identity check, the system sum, ``dgbsv`` and, for the
+    quantity of interest, one dot product.  An assembly evaluates the field
     at the mesh's centroids and edge midpoints with the operator's
     precomputed bilinear weights.
     """
 
-    # ``[field, cells, base]`` of the last pair, or empty.  It holds the
-    # sample, so an identity check cannot match a new sample at its address.
+    # ``[field, cells, operator, base, weights]`` of the last pair, or
+    # empty.  It holds the sample, so an identity check cannot match a new
+    # sample at its address.
     _last_base: list = dataclass_field(
         default_factory=list, init=False, repr=False, compare=False
     )
@@ -610,6 +629,26 @@ class AdvectionDiffusionProblem:
         a = 1.0 + np.exp(-m)
         return operator.base(a[:ntri], a[ntri:])
 
+    def _system(self, field, mesh: Mesh) -> list:
+        """``[field, cells, operator, base, weights]`` of one (field, mesh)
+        pair; a :class:`GrfSample`'s is kept in the slot."""
+        grf = isinstance(field, GrfSample)
+        if grf:
+            slot = self._last_base
+            if slot and slot[0] is field and slot[1] == mesh.cells:
+                return slot
+        operator = _advection_operator(self, mesh)
+        system = [
+            field,
+            mesh.cells,
+            operator,
+            self._base(operator, field),
+            _average_weights(mesh),
+        ]
+        if grf:
+            self._last_base[:] = system
+        return system
+
     def solve(self, velocity, field, mesh: Mesh) -> np.ndarray:
         """P1 solve for one field realization.
 
@@ -618,25 +657,30 @@ class AdvectionDiffusionProblem:
         mesh resolutions see the same continuous coefficient) or a nodal
         vector on ``mesh`` itself.
         """
-        velocity = np.asarray(velocity, dtype=float)
-        if velocity.shape != (2,):
-            raise ValueError("velocity must be a 2-vector")
-        if math.hypot(velocity[0], velocity[1]) > 1.0 + 1e-9:
-            raise ValueError(f"velocity must lie in the unit disc, got {velocity}")
-        operator = _advection_operator(self, mesh)
-        if isinstance(field, GrfSample):
-            last = self._last_base
-            if not last or last[0] is not field or last[1] != mesh.cells:
-                last[:] = (field, mesh.cells, self._base(operator, field))
-            base = last[2]
-        else:
-            base = self._base(operator, field)
+        velocity = _checked_velocity(velocity)
+        _, _, operator, base, _ = self._system(field, mesh)
         return operator.solve(base, velocity)
 
     def sample_qoi(self, velocity, field, mesh: Mesh) -> float:
+        """Spatial average of :meth:`solve`'s solution."""
+        velocity = _checked_velocity(velocity)
+        _, _, operator, base, weights = self._system(field, mesh)
         # The operator sizes the solution to the mesh, so the dot product
         # needs none of spatial_average's shape check.
-        return float(self.solve(velocity, field, mesh) @ _average_weights(mesh))
+        return float(operator.solve(base, velocity) @ weights)
+
+
+def _checked_velocity(velocity) -> tuple[float, float]:
+    """The components of a finite 2-vector in the closed unit disc."""
+    array = np.asarray(velocity, dtype=float)
+    if array.shape != (2,):
+        raise ValueError("velocity must be a 2-vector")
+    z1, z2 = array.tolist()
+    if not (math.isfinite(z1) and math.isfinite(z2)):
+        raise ValueError(f"velocity must be finite, got {array}")
+    if math.hypot(z1, z2) > 1.0 + 1e-9:
+        raise ValueError(f"velocity must lie in the unit disc, got {array}")
+    return z1, z2
 
 
 def philox_generator(seed: int, stream: int, draw: int = 0) -> np.random.Generator:
@@ -665,7 +709,10 @@ class GaussianFieldSampler:
     triangular product ``factor @ normals`` (``dtrmm``, which skips the
     factor's zero upper triangle), whose column for draw ``k`` is the
     standard normal vector of the counter-based generator keyed
-    ``(seed, stream, k)`` (see :func:`philox_generator`).  A block is
+    ``(seed, stream, k)`` (see :func:`philox_generator`).  A block keys one
+    Philox generator by ``(seed, stream)`` and sets its counter to
+    ``[0, 0, k, 0]`` for each draw, which gives the same bits as a new
+    generator per draw at an eighth of its set-up cost.  A block is
     always the same matrix, so the draw indexed ``(seed, draw)`` is bit
     for bit a pure function of its key: draws do not depend on the order
     or number of draws made before them.  The sampler keeps its latest
@@ -682,22 +729,24 @@ class GaussianFieldSampler:
         self._block: np.ndarray | None = None
 
     def sample(self, seed: int, draw: int) -> GrfSample:
+        if draw < 0:
+            raise ValueError(f"draw must be >= 0, got {draw}")
         block, column = divmod(draw, _DRAW_BLOCK)
         if self._block_key != (seed, block):
             first = block * _DRAW_BLOCK
+            bits = np.random.Philox(key=[seed, self.stream])
+            generator = np.random.Generator(bits)
+            # The state of a fresh generator, counter and buffer included.
+            state = bits.state
+            counter = state["state"]["counter"]
             # One normal vector per row, so the transpose is the Fortran
             # (nodes, draws) operand that dtrmm overwrites with the product.
-            normals = np.stack(
-                [
-                    philox_generator(seed, self.stream, k).standard_normal(
-                        self.grid.node_count
-                    )
-                    for k in range(first, first + _DRAW_BLOCK)
-                ]
-            ).T
-            self._block = dtrmm(
-                1.0, self._factor.T, normals, lower=0, trans_a=1, overwrite_b=1
-            )
+            normals = np.empty((_DRAW_BLOCK, self.grid.node_count))
+            for row in range(_DRAW_BLOCK):
+                counter[2] = first + row
+                bits.state = state
+                generator.standard_normal(out=normals[row])
+            self._block = dtrmm(1.0, self._factor, normals.T, lower=1, overwrite_b=1)
             self._block_key = (seed, block)
         # A view of the column would keep the whole block alive in every
         # sample that the pipelines cache.
@@ -719,31 +768,51 @@ def check_field_grid(grid: Mesh) -> None:
 # reference grid, so few are kept.
 @lru_cache(maxsize=2)
 def _field_factor(cells: int) -> np.ndarray:
-    """Cholesky factor of the field covariance on a grid of ``cells`` per axis.
+    """Lower Cholesky factor of the field covariance on a grid of ``cells``
+    per axis, in Fortran order.
 
-    The covariance is built in one ``n x n`` buffer: squared x-differences,
-    plus squared y-differences from one temporary, then ``exp(-100 sq)``
-    and the nugget on the diagonal, all in place.  The peak is the buffer,
-    the copy that ``np.linalg.cholesky`` factors, and the factor.
+    The covariance buffer (:func:`_field_covariance`) is C-ordered and
+    symmetric, so its transpose is the same matrix in the Fortran order
+    that LAPACK ``dpotrf`` factors in place: the factor is that buffer, and
+    nothing of its size is copied.  A failed factorization has overwritten
+    the buffer, so the fallback nugget builds the covariance again.
+    """
+    covariance = _field_covariance(cells, _FIELD_NUGGET)
+    factor, info = dpotrf(covariance.T, lower=1, clean=1, overwrite_a=1)
+    if info != 0:
+        del covariance, factor
+        covariance = _field_covariance(cells, _FIELD_NUGGET_FALLBACK)
+        factor, info = dpotrf(covariance.T, lower=1, clean=1, overwrite_a=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(
+                f"field covariance on {cells} cells is not positive definite "
+                f"(LAPACK dpotrf info {info})"
+            )
+    factor.setflags(write=False)
+    return factor
+
+
+def _field_covariance(cells: int, nugget: float) -> np.ndarray:
+    """``exp(-100 |x - y|**2) + nugget * I`` over a grid's nodes, built in one
+    C-ordered ``n x n`` buffer.
+
+    Squared x-differences fill the buffer; squared y-differences are added
+    ``_COVARIANCE_ROWS`` rows at a time, from one temporary of that many
+    rows; then ``exp(-100 sq)`` and the nugget, all in place.
     """
     x, y = Mesh(cells=cells).nodes.T
     covariance = np.subtract.outer(x, x)
     np.square(covariance, out=covariance)
-    dy = np.subtract.outer(y, y)
-    np.square(dy, out=dy)
-    covariance += dy
-    del dy
+    dy_block = np.empty((_COVARIANCE_ROWS, len(y)))
+    for start in range(0, len(y), _COVARIANCE_ROWS):
+        rows = covariance[start : start + _COVARIANCE_ROWS]
+        dy = np.subtract.outer(y[start : start + len(rows)], y, out=dy_block[: len(rows)])
+        np.square(dy, out=dy)
+        rows += dy
     covariance *= -100.0
     np.exp(covariance, out=covariance)
-    diagonal = covariance.diagonal().copy()
-    covariance.flat[:: len(x) + 1] += _FIELD_NUGGET
-    try:
-        factor = np.linalg.cholesky(covariance)
-    except np.linalg.LinAlgError:
-        covariance.flat[:: len(x) + 1] = diagonal + _FIELD_NUGGET_FALLBACK
-        factor = np.linalg.cholesky(covariance)
-    factor.setflags(write=False)
-    return factor
+    covariance.flat[:: len(x) + 1] += nugget
+    return covariance
 
 
 def bilinear_weights(grid: Mesh, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -17,8 +17,8 @@ supporting addition and scalar multiplication; a type that defines
 :func:`weighted_sum` and :class:`kernelkit.surrogate.Surrogate`).
 
 Every error-versus-work table is built by one study loop,
-:func:`convergence_study`: it makes the optional reference estimate,
-then estimates each threshold in ascending order on every engine (one
+:func:`convergence_study`: it plans every engine once for its largest
+threshold, makes the optional reference estimate, then estimates each threshold in ascending order on every engine (one
 per replication), records work, evaluations and solves per row, and
 hands the reference and all estimates to one error function, so that a
 function-valued study evaluates its surrogates in a single stacked pass.
@@ -135,11 +135,15 @@ class ProblemSpec:
 
     ``tensor_evaluator`` maps a tuple of per-factor resolutions to a value
     (scalar or summable object); it must be deterministic given the same
-    resolution tuple and seed.
+    resolution tuple and seed.  The optional ``plan`` hook is told, ahead
+    of time, the resolution tuples that later estimates will evaluate
+    (:meth:`SmolyakEngine.plan`), so that work shared by several tuples
+    can be done once; it must not change any value.
     """
 
     factors: tuple[FactorSpec, ...]
     tensor_evaluator: Callable[[tuple[int, ...]], Any]
+    plan: Callable[[list[tuple[int, ...]]], None] | None = None
 
     def __post_init__(self):
         if len(self.factors) < 1:
@@ -271,6 +275,22 @@ class SmolyakEngine:
                     f"tensor evaluator failed: {exc}", pending[res], res
                 ) from exc
 
+    def plan(self, L: int) -> None:
+        """Tell the problem's ``plan`` hook the tuples not yet evaluated
+        that an estimate at threshold ``L`` needs.
+
+        Simplex level sets are downward closed, so every tuple of an
+        estimate at a smaller threshold is bounded, factor by factor, by
+        one of these: one plan for the largest threshold covers a study.
+        """
+        if self.problem.plan is None:
+            return
+        tuples = [
+            self.problem.resolutions(t.index)
+            for t in combination_coefficients(self.problem.n, L)
+        ]
+        self.problem.plan([res for res in tuples if res not in self._cache])
+
     def estimate(self, L: int) -> tuple[Any, WorkLedger]:
         """Signed-combination estimate at threshold ``L`` plus its ledger."""
         n = self.problem.n
@@ -319,20 +339,24 @@ def convergence_study(
 ) -> tuple[list[dict], Any]:
     """Error-versus-work table over a range of thresholds: the one study loop.
 
-    With ``reference``, its estimate at ``reference_L`` (default
-    ``max(L_values) + 2``) comes first.  Then every threshold, ascending,
-    is estimated on each of ``engines`` (one per replication) in turn; a
-    row records ``L``, the last estimate's ``work_units`` and
-    ``evaluations``, and ``pde_solves``, the count ``solves()`` returns
-    after the row's estimates.  Last, ``errors(reference_value, values)``
+    Every engine is first planned (:meth:`SmolyakEngine.plan`) for the
+    largest threshold it will estimate.  With ``reference``, its estimate
+    at ``reference_L`` (default ``max(L_values) + 2``) comes first.  Then
+    every threshold, ascending, is estimated on each of ``engines`` (one
+    per replication) in turn; a row records ``L``, the last estimate's
+    ``work_units`` and ``evaluations``, and ``pde_solves``, the count
+    ``solves()`` returns after the row's estimates.  Last, ``errors(reference_value, values)``
     gets the reference estimate (None without ``reference``) and every
     estimate in the order made, and returns one dict of error columns per
     row.  Returns the rows and the reference estimate.
     """
     Ls = sorted(int(L) for L in L_values)
+    for engine in engines:
+        engine.plan(Ls[-1])
     reference_value = None
     if reference is not None:
         ref_L = reference_L if reference_L is not None else Ls[-1] + 2
+        reference.plan(ref_L)
         reference_value, _ = reference.estimate(ref_L)
     rows, values = [], []
     for L in Ls:

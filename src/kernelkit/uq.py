@@ -21,7 +21,8 @@ factors' nested points for every pipeline that interpolates:
   surrogate plus penalty.  The control nodes of every term are prefixes
   of one nested sequence, so the PDE outputs are kept as a nested-suffix
   store: per field draw and mesh, the outputs at the node prefix solved
-  so far, which a term extends by its new nodes only.
+  so far, which a term extends by its new nodes only; a plan made once
+  per study extends each pair to its longest needed prefix in one run.
 
 Work ledgers charge only sampler work (``prod N_j * N_pde**gamma`` per
 term).  The study functions (:func:`expectation_study`,
@@ -266,6 +267,7 @@ def interpolation_problem(
     interp_factors: Sequence[InterpolationFactor],
     values: Callable[..., np.ndarray],
     sample_specs: Sequence[FactorSpec] = (),
+    plan: Callable[[list[tuple[int, ...]]], None] | None = None,
 ) -> ProblemSpec:
     """Tensor-product kernel interpolation of a sample family.
 
@@ -273,7 +275,8 @@ def interpolation_problem(
     ``sample_specs``.  A resolution tuple ``(n_1, ..., n_m, *s)`` fits
     the tensor-product kernel to ``values(points, *s)`` on the product of
     each factor's first ``n_j`` nested points, where ``points`` are the
-    grid's rows in :func:`~kernelkit.points.tensor_grid` order.
+    grid's rows in :func:`~kernelkit.points.tensor_grid` order.  ``plan``
+    is the problem's planning hook (:class:`~kernelkit.smolyak.ProblemSpec`).
     """
     kernel = TensorKernel.product([f.kernel for f in interp_factors])
     count = len(interp_factors)
@@ -285,7 +288,7 @@ def interpolation_problem(
         return fit_interpolant(kernel, nodes, values(nodes.points, *resolutions[count:]))
 
     factors = tuple(f.spec for f in interp_factors) + tuple(sample_specs)
-    return ProblemSpec(factors=factors, tensor_evaluator=evaluator)
+    return ProblemSpec(factors=factors, tensor_evaluator=evaluator, plan=plan)
 
 
 def sparse_interpolate(
@@ -473,8 +476,16 @@ class OuuPipeline:
     node prefix solved so far.  A tuple solves only the nodes past that
     prefix and adds each draw's values with one vector add; a QoI call that
     raises keeps the values solved before it.  Each evaluated tuple checks
-    its nodes against the longest node set seen (``ValueError`` if they
-    are not nested).
+    its nodes, and the planned nodes, against the longest node set seen
+    (``ValueError`` if they are not nested).
+
+    A plan (:meth:`~kernelkit.smolyak.SmolyakEngine.plan`, which the study
+    loop makes once for its largest threshold) sets a target per pair: the
+    longest node prefix that a planned tuple needs there.  The first tuple
+    that touches a pair solves it up to its target in one run, so each
+    pair's system is assembled once.  :attr:`pde_solves` counts, per pair,
+    the longest prefix that an evaluated tuple has needed, so nodes solved
+    ahead of need are not counted until a tuple needs them.
     """
 
     def __init__(
@@ -494,20 +505,34 @@ class OuuPipeline:
         self.field_grid = field_grid if field_grid is not None else Mesh(cells=32)
         self._field_sampler = GaussianFieldSampler(self.field_grid, stream=stream)
         if qoi is None:
-            problem = AdvectionDiffusionProblem()
-            qoi = lambda z, m, mesh: problem.sample_qoi(z, m, mesh)  # noqa: E731
+            qoi = AdvectionDiffusionProblem().sample_qoi
         self._qoi = qoi
         self._field_cache: dict[int, Any] = {}
         self._nodes = np.empty((0, interp_factor.domain.dim))
+        self._planned_nodes = 0
         self._prefixes: dict[tuple[int, int], np.ndarray] = {}
+        self._targets: dict[tuple[int, int], int] = {}
+        self._needed: dict[tuple[int, int], int] = {}
         self.draw_log: dict[tuple[int, ...], tuple[int, ...]] = {}
         self.engine = SmolyakEngine(
             interpolation_problem(
                 [interp_factor],
                 self._means,
                 ouu_sample_specs(mc_scale, pde_scale, max_cells),
+                plan=self._plan,
             )
         )
+
+    def _plan(self, tuples: list[tuple[int, ...]]) -> None:
+        """Raise each pair's target to the longest prefix a planned tuple needs."""
+        for n_points, n_draws, mesh_resolution in tuples:
+            cells = math.isqrt(mesh_resolution)
+            if cells * cells != mesh_resolution:
+                continue  # the tuple raises when it is evaluated
+            for k in range(n_draws):
+                if self._targets.get((k, cells), 0) < n_points:
+                    self._targets[k, cells] = n_points
+            self._planned_nodes = max(self._planned_nodes, n_points)
 
     def _field(self, draw: int):
         sample = self._field_cache.get(draw)
@@ -515,20 +540,37 @@ class OuuPipeline:
             sample = self._field_cache[draw] = self._field_sampler.sample(self.seed, draw)
         return sample
 
-    def _prefix(self, draw: int, cells: int, nodes: np.ndarray) -> np.ndarray:
-        """QoI values of ``draw`` on ``cells`` at a prefix covering ``nodes``."""
-        done = self._prefixes.get((draw, cells), _NO_VALUES)
-        if len(done) >= len(nodes):
+    def _extend_nodes(self, nodes: np.ndarray, resolutions: tuple[int, ...]) -> None:
+        """Check that ``nodes`` and the longest node set seen are nested,
+        and keep the longer."""
+        shared = min(len(nodes), len(self._nodes))
+        if not np.array_equal(nodes[:shared], self._nodes[:shared]):
+            raise ValueError(
+                f"control nodes of tuple {resolutions} are not a prefix of the "
+                f"nodes solved or planned so far; the store needs nested point sets"
+            )
+        if len(nodes) > len(self._nodes):
+            self._nodes = nodes
+
+    def _prefix(self, draw: int, cells: int, n_points: int) -> np.ndarray:
+        """QoI values of ``draw`` on ``cells`` at a prefix of at least
+        ``n_points`` nodes; a missing prefix is solved up to the pair's target."""
+        key = (draw, cells)
+        if self._needed.get(key, 0) < n_points:
+            self._needed[key] = n_points
+        done = self._prefixes.get(key, _NO_VALUES)
+        if len(done) >= n_points:
             return done
+        target = max(n_points, self._targets.get(key, 0))
         field = self._field(draw)
         mesh = cached_mesh(cells)
         solved = []
         try:
-            for z in nodes[len(done) :]:
+            for z in self._nodes[len(done) : target]:
                 solved.append(float(self._qoi(z, field, mesh)))
         finally:
             if solved:
-                done = self._prefixes[draw, cells] = np.concatenate([done, solved])
+                done = self._prefixes[key] = np.concatenate([done, solved])
         return done
 
     def _means(self, points: np.ndarray, n_draws: int, mesh_resolution: int) -> np.ndarray:
@@ -541,26 +583,26 @@ class OuuPipeline:
             raise ValueError(
                 f"resolution {mesh_resolution} is not a realized mesh size"
             )
-        shared = min(n_points, len(self._nodes))
-        if not np.array_equal(points[:shared], self._nodes[:shared]):
-            raise ValueError(
-                f"control nodes of tuple {resolutions} are not a prefix of the "
-                f"nodes solved so far; the store needs nested point sets"
-            )
-        if n_points > len(self._nodes):
-            self._nodes = points
+        if self._planned_nodes > len(self._nodes):
+            planned = self.interp_factor.points(self._planned_nodes).points
+            self._extend_nodes(planned, resolutions)
+        self._extend_nodes(points, resolutions)
         # Draws outside, nodes inside: each draw's system on this mesh is
         # assembled once for all new nodes.  Every node still sums its draws
         # in the order 0..n-1.
         sums = np.zeros(n_points)
         for k in range(n_draws):
-            sums += self._prefix(k, cells, points)[:n_points]
+            sums += self._prefix(k, cells, n_points)[:n_points]
         self.draw_log[resolutions] = tuple(range(n_draws))
         return sums / n_draws
 
     @property
     def pde_solves(self) -> int:
-        return sum(len(done) for done in self._prefixes.values())
+        """Distinct solves that the tuples evaluated so far have needed."""
+        return sum(
+            min(len(self._prefixes.get(key, _NO_VALUES)), needed)
+            for key, needed in self._needed.items()
+        )
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,6 @@ from kernelkit.kernels import (
     fit_interpolant,
     quadrature_weights,
     single_block,
-    tensor_grid_interpolant,
 )
 from kernelkit.multiindex import combination_coefficients
 from kernelkit.points import Box, Disc, PointSet, generate_points, tensor_grid
@@ -31,6 +30,13 @@ from kernelkit.uq import doubling_levels, sparse_interpolate
 
 UNIT_INTERVAL = Box((0.0,), (1.0,))
 UNIT_SQUARE = Box((0.0, 0.0), (1.0, 1.0))
+
+
+def grid_fit(factor_kernels, factor_points, values):
+    """The tensor-product interpolant on the product of per-factor point sets."""
+    return fit_interpolant(
+        TensorKernel.product(factor_kernels), PointSet.product(factor_points), values
+    )
 
 
 def uniform_nodes(count):
@@ -217,7 +223,7 @@ class TestTensorKernel:
         k = MaternKernel(beta=2.0, dim=1)
         grids = [generate_points(UNIT_INTERVAL, n) for n in (32, 64)]
         nodes = tensor_grid([g.points for g in grids])
-        tensor_grid_interpolant([k, k], grids, np.sin(nodes.sum(axis=1)))
+        grid_fit([k, k], grids, np.sin(nodes.sum(axis=1)))
         assert sum(entries) <= 32**2 + 64**2
 
 
@@ -518,9 +524,18 @@ def shifted_solve_reference(gram, rhs, failures):
     return solution
 
 
+@pytest.fixture
+def fresh_factored_grams():
+    kernels_module._FACTORED_GRAMS.clear()
+    yield
+    kernels_module._FACTORED_GRAMS.clear()
+
+
 class TestSolveSpd:
     @pytest.mark.parametrize("failures", [0, 2])
-    def test_in_place_shift_matches_out_of_place(self, monkeypatch, failures):
+    def test_in_place_shift_matches_out_of_place(
+        self, monkeypatch, failures, fresh_factored_grams
+    ):
         factor = kernels_module.cho_factor
         calls = []
 
@@ -541,6 +556,58 @@ class TestSolveSpd:
         gram = kernel.gram(nodes.points, nodes.points)
         expected = shifted_solve_reference(gram, rhs, failures)
         assert solution.tobytes() == expected.tobytes()
+
+    def test_fits_on_one_node_set_factor_once(self, monkeypatch, fresh_factored_grams):
+        factor = kernels_module.cho_factor
+        factored = []
+
+        def counting(a, **kwargs):
+            factored.append(len(a))
+            return factor(a, **kwargs)
+
+        monkeypatch.setattr(kernels_module, "cho_factor", counting)
+        kernel = MaternKernel(beta=4.0, dim=2)
+        nodes = generate_points(Disc(center=(0.0, 0.0), radius=1.0), 40)
+        rng = np.random.default_rng(7)
+        values = [rng.standard_normal(40) for _ in range(4)]
+        # A point set equal to the nodes, not the same object, shares them.
+        again = PointSet(points=nodes.points.copy(), domain=nodes.domain)
+        fits = [fit_interpolant(kernel, n, v) for n, v in zip([nodes, again] * 2, values)]
+        assert factored == [40]
+        fit_interpolant(MaternKernel(beta=3.0, dim=2), nodes, values[0])
+        assert factored == [40, 40]
+        for fit, v in zip(fits, values):
+            kernels_module._FACTORED_GRAMS.clear()
+            fresh = fit_interpolant(kernel, nodes, v)
+            assert fit.coefficients.tobytes() == fresh.coefficients.tobytes()
+
+    def test_factor_cache_keeps_recent_node_sets_within_its_bound(
+        self, monkeypatch, fresh_factored_grams
+    ):
+        cache = kernels_module._FACTORED_GRAMS
+
+        def pair_bytes(count):  # the Gram matrix and its factor
+            return 2 * 8 * count**2
+
+        monkeypatch.setattr(cache, "limit", 3 * pair_bytes(20))
+        factor = kernels_module.cho_factor
+        factored = []
+
+        def counting(a, **kwargs):
+            factored.append(len(a))
+            return factor(a, **kwargs)
+
+        monkeypatch.setattr(kernels_module, "cho_factor", counting)
+        kernel = MaternKernel(beta=2.0, dim=2)
+        for count in (20, 19, 18, 20, 17, 19, 40, 20):
+            nodes = generate_points(UNIT_SQUARE, count)
+            fit_interpolant(kernel, nodes, smooth_values(nodes.points))
+            assert cache.nbytes <= cache.limit
+        # 17 dropped 19, the least recently used; 19 then dropped 18; the
+        # 40-node pair is larger than the bound, so it dropped nothing.
+        assert factored == [20, 19, 18, 17, 19, 40]
+        assert len(cache) == 3
+        assert cache.nbytes == sum(map(pair_bytes, (20, 17, 19)))
 
 
 def block_grid(layout, counts):
@@ -622,7 +689,7 @@ class TestKroneckerSolve:
         grids = [first, generate_points(UNIT_INTERVAL, 3)]
         values = np.random.default_rng(1).standard_normal(12)
         with pytest.raises(ConditioningError, match="node residual") as caught:
-            tensor_grid_interpolant([k for k, _ in kernel.blocks], grids, values)
+            grid_fit([k for k, _ in kernel.blocks], grids, values)
         assert caught.value.node_count == 12
 
     def test_spectrum_not_positive_at_largest_shift_raises(
@@ -647,7 +714,7 @@ class TestKroneckerSolve:
         monkeypatch.setattr(np.linalg, "eigh", no_eigh)
         k = MaternKernel(beta=2.0, dim=1)
         grid = generate_points(UNIT_INTERVAL, 33)
-        fit = tensor_grid_interpolant([k], [grid], np.sin(grid.points[:, 0]))
+        fit = grid_fit([k], [grid], np.sin(grid.points[:, 0]))
         residual = fit.evaluate(grid.points) - np.sin(grid.points[:, 0])
         assert np.max(np.abs(residual)) <= 1e-8
 
@@ -669,7 +736,7 @@ class TestKroneckerSolve:
             for a, b in pairs:
                 nodes = tensor_grid([sets[a].points, sets[b].points])
                 fits.append(
-                    tensor_grid_interpolant(
+                    grid_fit(
                         [k, k], [sets[a], sets[b]], smooth_values(nodes)
                     ).coefficients
                 )
@@ -686,7 +753,7 @@ class TestKroneckerSolve:
         for count in range(2, kept + 6):
             first = generate_points(UNIT_INTERVAL, count)
             nodes = tensor_grid([first.points, second.points])
-            tensor_grid_interpolant([k, k], [first, second], smooth_values(nodes))
+            grid_fit([k, k], [first, second], smooth_values(nodes))
         assert kernels_module._factor_decomposition.cache_info().currsize == kept
 
     def test_decomposition_memo_drops_least_recently_used(
@@ -707,7 +774,7 @@ class TestKroneckerSolve:
             # Both factors hold the same rows: one memo entry per count.
             grid = generate_points(UNIT_INTERVAL, count)
             nodes = tensor_grid([grid.points, grid.points])
-            tensor_grid_interpolant([k, k], [grid, grid], smooth_values(nodes))
+            grid_fit([k, k], [grid, grid], smooth_values(nodes))
 
         counts = list(range(3, kept + 3))
         for count in counts:
@@ -782,7 +849,7 @@ class TestKroneckerSolve:
             raise AssertionError("distinct rows searched for a product grid")
 
         monkeypatch.setattr(kernels_module, "distinct_rows", no_search)
-        fit = tensor_grid_interpolant([MaternKernel(b, d) for b, d in layout], grids, values)
+        fit = grid_fit([MaternKernel(b, d) for b, d in layout], grids, values)
         assert fit.coefficients.tobytes() == searched.coefficients.tobytes()
 
     def test_other_nodes_and_mismatched_blocks_search(self, monkeypatch):

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.linalg import cholesky
+from scipy.linalg.blas import dtrmm
 from scipy.linalg.lapack import dpbsv
 
 from kernelkit import pde
@@ -196,6 +198,23 @@ class TestDirichletOperator:
         with pytest.raises(np.linalg.LinAlgError, match="dpbsv.*4 cells"):
             DirichletOperator(mesh).solve(-1.0, 1.0)
 
+    @pytest.mark.parametrize("cells", [3, 9])
+    def test_scalar_coefficient_is_the_array_coefficient(self, cells):
+        mesh = Mesh(cells=cells)
+        operator = DirichletOperator(mesh)
+        ntri = len(mesh.triangles)
+        scalar, _ = operator.system(1.5, 1.0)
+        array, _ = operator.system(np.full(ntri, 1.5), 1.0)
+        assert scalar.tobytes() == array.tobytes()
+
+    @pytest.mark.parametrize("length_change", [-1, 1])
+    def test_coefficient_of_the_wrong_length_raises(self, length_change):
+        mesh = Mesh(cells=4)
+        operator = DirichletOperator(mesh)
+        a = np.ones(len(mesh.triangles) + length_change)
+        with pytest.raises(ValueError, match="does not match 32 triangles"):
+            operator.system(a, 1.0)
+
     def test_import_loads_no_sparse_or_spatial_scipy(self):
         src = os.path.dirname(os.path.dirname(pde.__file__))
         code = (
@@ -349,6 +368,18 @@ class TestAdvectionProblem:
             problem.solve(np.array([1.2, 0.0]), np.zeros(mesh.node_count), mesh)
 
     @pytest.mark.parametrize("kind", ["grf", "nodal"])
+    @pytest.mark.parametrize(
+        "velocity", [(math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0), (-math.inf, math.nan)]
+    )
+    def test_non_finite_velocity_is_rejected(self, kind, velocity):
+        problem = AdvectionDiffusionProblem()
+        mesh = Mesh(cells=4)
+        field = advection_field(kind, mesh, 0)
+        for entry in (problem.solve, problem.sample_qoi):
+            with pytest.raises(ValueError, match="velocity must be finite"):
+                entry(np.array(velocity), field, mesh)
+
+    @pytest.mark.parametrize("kind", ["grf", "nodal"])
     def test_velocity_just_outside_the_disc_is_rejected(self, kind):
         problem = AdvectionDiffusionProblem()
         mesh = Mesh(cells=4)
@@ -424,8 +455,10 @@ class TestAdvectionProblem:
             for seed in range(3):
                 field = advection_field("grf", mesh, seed)
                 problem.sample_qoi(np.zeros(2), field, mesh)
-        field_kept, cells_kept, _ = problem._last_base
+        field_kept, cells_kept, operator, _, weights = problem._last_base
         assert field_kept is field and cells_kept == 6
+        assert operator.mesh == Mesh(cells=6)
+        assert weights is pde._average_weights(Mesh(cells=6))
 
     def test_base_slot_assembles_once_per_run_of_one_pair(self, monkeypatch):
         assembled = []
@@ -466,8 +499,37 @@ class TestAdvectionProblem:
             problem.sample_qoi(z, field, mesh)
         assert not problem._last_base
         assert problem.sample_qoi(z, field, mesh) == expected
-        field_kept, cells_kept, _ = problem._last_base
+        field_kept, cells_kept, operator, _, _ = problem._last_base
         assert field_kept is field and cells_kept == mesh.cells
+        assert operator.mesh == mesh
+
+    def test_qoi_is_the_solution_average_across_switches(self, monkeypatch):
+        # The slot's operator and weights must follow every field and mesh
+        # switch, and a failed assembly must leave nothing stale behind.
+        assemble = AdvectionDiffusionProblem._base
+        outcomes = []
+
+        def failing_on_demand(self, operator, field):
+            if outcomes:
+                raise outcomes.pop()
+            return assemble(self, operator, field)
+
+        monkeypatch.setattr(AdvectionDiffusionProblem, "_base", failing_on_demand)
+        problem = AdvectionDiffusionProblem()
+        coarse, fine = Mesh(cells=4), Mesh(cells=7)
+        a, b = (advection_field("grf", coarse, seed) for seed in (1, 2))
+        nodal = advection_field("nodal", fine, 3)
+        z = np.array([0.25, -0.5])
+        # Each step is another pair than the one before, the first included.
+        steps = [(a, coarse), (a, fine), (b, fine), (nodal, fine), (b, coarse), (a, fine)]
+        for fail in (False, True):
+            for field, mesh in steps:
+                if fail:
+                    outcomes.append(np.linalg.LinAlgError("assembly failed"))
+                    with pytest.raises(np.linalg.LinAlgError, match="assembly failed"):
+                        problem.sample_qoi(z, field, mesh)
+                expected = float(problem.solve(z, field, mesh) @ pde._average_weights(mesh))
+                assert problem.sample_qoi(z, field, mesh).hex() == expected.hex()
 
     def test_nodal_fields_are_never_cached(self):
         problem = AdvectionDiffusionProblem()
@@ -664,34 +726,39 @@ class TestGaussianField:
 
     @staticmethod
     def broadcast_factor(cells, nugget):
+        """The factor by the broadcast formula, through the same LAPACK
+        routine (``dpotrf``) as the sampler's."""
         coords = Mesh(cells=cells).nodes
         sq = ((coords[:, None, :] - coords[None, :, :]) ** 2).sum(axis=2)
         covariance = np.exp(-100.0 * sq)
-        return np.linalg.cholesky(covariance + nugget * np.eye(len(coords)))
+        return cholesky(covariance + nugget * np.eye(len(coords)), lower=True)
 
     @pytest.mark.parametrize("cells", [5, 12])
     def test_field_factor_matches_broadcast_formula(self, cells):
         factor = pde._field_factor.__wrapped__(cells)
         expected = self.broadcast_factor(cells, pde._FIELD_NUGGET)
-        assert factor.tobytes() == expected.tobytes()
+        assert factor.tobytes(order="C") == expected.tobytes(order="C")
 
     @pytest.mark.parametrize("cells", [5, 12])
     def test_field_factor_fallback_nugget_matches_broadcast_formula(self, cells, monkeypatch):
         expected = self.broadcast_factor(cells, pde._FIELD_NUGGET_FALLBACK)
-        cholesky = np.linalg.cholesky
+        dpotrf = pde.dpotrf
         calls = []
 
-        def fails_once(a):
+        def fails_once(a, **kwargs):
             calls.append(a.diagonal().copy())
+            factor, info = dpotrf(a, **kwargs)
             if len(calls) == 1:
-                raise np.linalg.LinAlgError("forced")
-            return cholesky(a)
+                return factor, 1  # as LAPACK reports a failed minor
+            return factor, info
 
-        monkeypatch.setattr(np.linalg, "cholesky", fails_once)
+        monkeypatch.setattr(pde, "dpotrf", fails_once)
         factor = pde._field_factor.__wrapped__(cells)
         assert len(calls) == 2
         assert np.all(calls[0] == 1.0 + pde._FIELD_NUGGET)
-        assert factor.tobytes() == expected.tobytes()
+        # The first attempt overwrote its buffer; the second is a new covariance.
+        assert np.all(calls[1] == 1.0 + pde._FIELD_NUGGET_FALLBACK)
+        assert factor.tobytes(order="C") == expected.tobytes(order="C")
 
     def test_field_factor_builds_in_place(self):
         tracemalloc.start()
@@ -700,13 +767,37 @@ class TestGaussianField:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # The covariance buffer, one temporary and the factor; the broadcast
-        # formula allocates six or more factor sizes.
-        assert peak <= 2.5 * factor.nbytes
+        # The covariance buffer, which becomes the factor, one temporary of
+        # a few rows and numpy's ufunc buffers; the broadcast formula
+        # allocates six or more factor sizes.
+        assert peak <= 1.5 * factor.nbytes
+        # Factored in place: the factor is the Fortran view of that buffer.
+        assert factor.flags.f_contiguous and factor.base is not None
 
     def test_rejects_oversized_reference_grid(self):
         with pytest.raises(ValueError):
             GaussianFieldSampler(Mesh(cells=80))
+
+    def test_rejects_negative_draws(self):
+        sampler = GaussianFieldSampler(Mesh(cells=4))
+        with pytest.raises(ValueError, match="draw must be >= 0"):
+            sampler.sample(seed=0, draw=-1)
+        assert sampler.sample(seed=0, draw=0).draw == 0
+
+    @pytest.mark.parametrize("block", [0, 2])
+    def test_block_columns_are_the_draws_own_generators(self, block):
+        # One generator per block, its counter set per draw, gives each
+        # draw the normals of philox_generator(seed, stream, draw).
+        grid = Mesh(cells=5)
+        sampler = GaussianFieldSampler(grid, stream=4)
+        draws = range(block * pde._DRAW_BLOCK, (block + 1) * pde._DRAW_BLOCK)
+        normals = np.stack(
+            [philox_generator(9, 4, k).standard_normal(grid.node_count) for k in draws]
+        )
+        expected = dtrmm(1.0, sampler._factor, normals.T, lower=1)
+        for column, k in enumerate(draws):
+            values = sampler.sample(seed=9, draw=k).values
+            assert values.tobytes() == expected[:, column].tobytes()
 
     def test_bilinear_matches_four_term_formula(self):
         grid = Mesh(cells=7)

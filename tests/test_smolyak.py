@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -168,6 +169,31 @@ class TestEstimateBasics:
         assert err.value.resolutions == (3,)
 
 
+class TestPlan:
+    def test_plan_passes_the_missing_tuples_of_the_combination(self):
+        factors = [FactorSpec(gamma=1.0, beta=1.0, resolution_map=lambda l: 2**l)] * 2
+        planned = []
+        problem = replace(
+            product_problem([lambda n: 1.0 / n] * 2, factors), plan=planned.append
+        )
+        engine = SmolyakEngine(problem)
+        engine.plan(5)
+        combination = [problem.resolutions(t.index) for t in combination_coefficients(2, 5)]
+        assert planned == [combination]
+        engine.estimate(4)
+        engine.plan(5)
+        missing = [res for res in combination if res not in engine._cache]
+        assert planned[1] == missing and 0 < len(missing) < len(combination)
+        # Planning evaluates nothing.
+        assert engine.evaluations == len(combination_coefficients(2, 4))
+
+    def test_plan_without_a_hook_does_nothing(self):
+        factors = [FactorSpec(gamma=1.0, beta=1.0)] * 2
+        engine = SmolyakEngine(product_problem([lambda n: 1.0] * 2, factors))
+        engine.plan(6)
+        assert engine.evaluations == 0
+
+
 class TestCombinationDeltaEquivalence:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_random_problems(self, n):
@@ -299,11 +325,16 @@ def absolute_errors(exact):
 
 
 class RecordingEngine:
-    """Stands in for an engine: logs every estimate and returns its key."""
+    """Stands in for an engine: logs every estimate and returns its key;
+    logs its plans in ``plans``."""
 
     def __init__(self, name, log):
         self.name = name
         self.log = log
+        self.plans = []
+
+    def plan(self, L):
+        self.plans.append(L)
 
     def estimate(self, L):
         self.log.append((self.name, L))
@@ -324,15 +355,18 @@ class TestConvergenceStudy:
             engines,
             [5, 3, 4],
             errors,
-            reference=RecordingEngine("ref", log),
+            reference=(reference_engine := RecordingEngine("ref", log)),
             reference_L=7,
             solves=lambda: len(log),
         )
         expected = [("ref", 7)] + [(name, L) for L in (3, 4, 5) for name in ("a", "b")]
         assert log == expected
+        # Each engine is planned once, for the largest threshold it estimates.
+        assert [engine.plans for engine in engines] == [[5], [5]]
         # One call to the error function, after every estimate, with all values.
         assert calls == [(("ref", 7), expected[1:], expected)]
         assert reference == ("ref", 7)
+        assert reference_engine.plans == [7]
         # Each row records the last engine's ledger and the solves so far.
         assert rows == [
             {"L": L, "work_units": 10.0 * L + 1, "evaluations": count,

@@ -12,9 +12,9 @@ import kernelkit.surrogate as surrogate_module
 from kernelkit.kernels import (
     KernelExpansion,
     MaternKernel,
+    TensorKernel,
     fit_interpolant,
     single_block,
-    tensor_grid_interpolant,
 )
 from kernelkit.multiindex import (
     combination_coefficients,
@@ -36,6 +36,13 @@ from kernelkit.uq import sparse_interpolate
 UNIT_INTERVAL = Box((0.0,), (1.0,))
 UNIT_SQUARE = Box((0.0, 0.0), (1.0, 1.0))
 UNIT_DISC = Disc(center=(0.0, 0.0), radius=1.0)
+
+
+def grid_fit(factor_kernels, factor_points, values):
+    """The tensor-product interpolant on the product of per-factor point sets."""
+    return fit_interpolant(
+        TensorKernel.product(factor_kernels), PointSet.product(factor_points), values
+    )
 
 
 def simple_terms():
@@ -159,7 +166,7 @@ class TestMergedExpansion:
         def evaluator(resolutions):
             grids = [generate_points(UNIT_INTERVAL, n) for n in resolutions]
             nodes = tensor_grid([g.points for g in grids])
-            return tensor_grid_interpolant([k, k], grids, sine_product(nodes))
+            return grid_fit([k, k], grids, sine_product(nodes))
 
         problem = ProblemSpec(factors=(spec, spec), tensor_evaluator=evaluator)
         engine = SmolyakEngine(problem)
@@ -200,7 +207,7 @@ class TestMergedExpansion:
         for term in combination_coefficients(2, L):
             grids = [generate_points(UNIT_INTERVAL, 2**level) for level in term.index]
             samples = sine_product(tensor_grid([g.points for g in grids]))
-            interp = tensor_grid_interpolant([k, k], grids, samples)
+            interp = grid_fit([k, k], grids, samples)
             terms.append((term.coefficient, interp))
         (_, merged), = s.terms
         assert len(merged.nodes) < sum(len(e.nodes) for _, e in terms)
@@ -321,7 +328,7 @@ class TestStackedEvaluation:
         rng = np.random.default_rng(5)
         kernel = MaternKernel(beta=2.0, dim=1)
         backwards = generate_points(UNIT_INTERVAL, 7).points[::-1].copy()
-        tensor = tensor_grid_interpolant(
+        tensor = grid_fit(
             [kernel, kernel],
             [generate_points(UNIT_INTERVAL, 5), PointSet(backwards, UNIT_INTERVAL)],
             rng.standard_normal(35),

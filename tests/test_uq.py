@@ -693,6 +693,111 @@ class TestSolveOnce:
         assert_same_store(pipeline, fresh)
 
 
+class TestPlannedStore:
+    @staticmethod
+    def pipeline():
+        return OuuPipeline(
+            stub_interp_factor(), seed=0, stream=1, field_grid=Mesh(cells=4), max_cells=4
+        )
+
+    def test_planned_pipeline_assembles_each_pair_once(self, monkeypatch):
+        assembled = []
+        assemble = AdvectionDiffusionProblem._base
+
+        def counting(self, operator, field):
+            assembled.append((field.draw, operator.mesh.cells))
+            return assemble(self, operator, field)
+
+        monkeypatch.setattr(AdvectionDiffusionProblem, "_base", counting)
+        unplanned = self.pipeline()
+        for L in (5, 6):
+            unplanned.engine.estimate(L)
+        unplanned_count = len(assembled)
+        assembled.clear()
+        planned = self.pipeline()
+        planned.engine.plan(6)
+        for L in (5, 6):
+            planned.engine.estimate(L)
+        assert len(assembled) == len(set(assembled)) == len(planned._prefixes)
+        assert unplanned_count > len(assembled)
+
+    def test_planned_estimates_and_counts_match_unplanned(self):
+        planned, unplanned = self.pipeline(), self.pipeline()
+        planned.engine.plan(6)
+        for L in (5, 6):
+            value = dump_surrogate(planned.engine.estimate(L)[0])
+            assert value == dump_surrogate(unplanned.engine.estimate(L)[0])
+            assert planned.pde_solves == unplanned.pde_solves > 0
+            solved = sum(map(len, planned._prefixes.values()))
+            # At L = 5 nodes were solved ahead of need; L = 6 needs them all.
+            assert (solved > planned.pde_solves) == (L == 5)
+        assert_same_store(planned, unplanned)
+
+    def test_failed_solve_ahead_of_need_keeps_the_prefix(self):
+        calls = []
+
+        def qoi(z, field, mesh):
+            calls.append((z.tobytes(), field.draw, mesh.cells))
+            if len(calls) == 5:
+                raise RuntimeError("solver failed")
+            return stub_qoi(z, field, mesh)
+
+        pipeline = small_ouu_pipeline(qoi)
+        pipeline.engine.plan(6)
+        with pytest.raises(EvaluationError, match="solver failed"):
+            pipeline.engine.estimate(6)
+        # The first tuple needs 2 nodes of (draw 0, 2 cells), whose target
+        # is longer: the 4 solved before the failure are kept, 2 counted.
+        assert {key: len(done) for key, done in pipeline._prefixes.items()} == {(0, 2): 4}
+        assert pipeline.pde_solves == 2
+        retried = pipeline.engine.estimate(6)[0]
+        assert calls.count(calls[4]) == 2
+        assert len(calls) - 1 == len(set(calls)) == pipeline.pde_solves
+        fresh = small_ouu_pipeline(stub_qoi)
+        assert dump_surrogate(retried) == dump_surrogate(fresh.engine.estimate(6)[0])
+        assert_same_store(pipeline, fresh)
+
+    def test_planned_nodes_that_are_not_nested_raise(self):
+        class Reversed(InterpolationFactor):
+            def points(self, count):
+                nodes = generate_points(self.domain, count)
+                return PointSet(points=nodes.points[::-1].copy(), domain=self.domain)
+
+        factor = stub_interp_factor()
+        calls = []
+
+        def qoi(z, field, mesh):
+            calls.append(1)
+            return stub_qoi(z, field, mesh)
+
+        pipeline = OuuPipeline(
+            Reversed(factor.kernel, factor.domain, factor.spec),
+            seed=0,
+            qoi=qoi,
+            field_grid=Mesh(cells=4),
+            max_cells=4,
+        )
+        pipeline.engine.plan(5)
+        # The first tuple's own nodes are consistent, but not with the
+        # longer planned set that it would solve ahead.
+        with pytest.raises(EvaluationError, match=r"not a prefix of the nodes solved or planned"):
+            pipeline.engine.estimate(5)
+        assert not calls and pipeline.pde_solves == 0
+
+    def test_ouu_study_plans_each_pipeline_once(self, monkeypatch):
+        plans = []
+        plan = SmolyakEngine.plan
+
+        def recording(engine, L):
+            plans.append(L)
+            return plan(engine, L)
+
+        monkeypatch.setattr(SmolyakEngine, "plan", recording)
+        settings = dict(qoi=stub_qoi, field_grid=Mesh(cells=4), max_cells=4)
+        ouu_study(stub_interp_factor, [3, 5, 4], seed=0, replications=2, reference_L=6, **settings)
+        assert plans == [5, 5, 6]
+
+
 def assert_same_store(pipeline, fresh):
     """Both pipelines hold the same prefixes, byte for byte."""
     assert pipeline.pde_solves == fresh.pde_solves > 0
