@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
+from kernelkit.kernels import MaternKernel
 from kernelkit.pde import check_field_grid, mesh_at_level
 
 PIPELINES = ("rates", "interp", "misc", "rsr", "ouu", "fem-check")
@@ -26,6 +27,8 @@ _MAX_THRESHOLD = 14
 # Every study fits its log-log slope over at least 3 rows.
 _MIN_STUDY_ROWS = 3
 _MAX_SEED = 2**64 - 1
+# Pipelines whose kernel acts on a fixed number of coordinates.
+_FIXED_KERNEL_DIM = {"rsr": 2, "ouu": 2}
 
 
 class ConfigError(ValueError):
@@ -252,6 +255,18 @@ def _factor_count(pipeline: str, sections: dict[str, dict[str, Any]]) -> int | N
     return None  # fem-check has no threshold range
 
 
+def _kernel_dim(pipeline: str, sections: dict[str, dict[str, Any]]) -> int | None:
+    """The dimension the pipeline builds its Matern kernel at, or None if it
+    builds none."""
+    if pipeline in _FIXED_KERNEL_DIM:
+        return _FIXED_KERNEL_DIM[pipeline]
+    if pipeline == "interp" or (
+        pipeline == "misc" and sections["misc"]["quadrature"] == "kernel"
+    ):
+        return sections["kernel"]["d"]
+    return None
+
+
 def _validate(raw: dict[str, dict[str, tuple[str, int]]]) -> RunConfig:
     if "run" not in raw:
         raise ConfigError("missing required section [run]")
@@ -303,9 +318,25 @@ def _validate(raw: dict[str, dict[str, tuple[str, int]]]) -> RunConfig:
         _positive("[kernel] length_scale", k["length_scale"])
         if k["alpha"] < 0:
             raise ConfigError(f"[kernel] alpha must be >= 0, got {k['alpha']}")
-        nu = k["beta"] - k["alpha"]
-        if nu <= 0:
+        if k["beta"] - k["alpha"] <= 0:
             raise ConfigError("[kernel] alpha must be smaller than beta")
+        fixed = _FIXED_KERNEL_DIM.get(pipeline_text)
+        # The schema default stands for an absent key in the canonical form.
+        if fixed is not None and k["d"] not in (fixed, _SCHEMA["kernel"]["d"].default):
+            raise ConfigError(
+                f"[kernel] d: pipeline {pipeline_text!r} uses a kernel of "
+                f"dimension {fixed}, got d = {k['d']}"
+            )
+        dim = _kernel_dim(pipeline_text, sections)
+        if dim is not None:
+            try:
+                MaternKernel(beta=k["beta"], dim=dim)
+            except ValueError as err:
+                raise ConfigError(
+                    f"[kernel] beta = {k['beta']!r} at kernel dimension {dim}: {err}"
+                ) from None
+    if "interp" in sections:
+        _positive("[interp] blocks", sections["interp"]["blocks"])
     if "misc" in sections:
         m = sections["misc"]
         _positive("[misc] blocks", m["blocks"])

@@ -37,28 +37,26 @@ contracts its own columns.
 Interpolation coefficients solve the symmetric positive-definite kernel
 system ``(K + jitter I) x = b`` with an escalating diagonal shift, followed
 by iterative refinement against the unshifted ``K`` so that node residuals
-stay below 1e-8 relative even when a shift was needed.  Nodes that form a
-full tensor grid under a kernel of two or more blocks (a
+stay below 1e-8 relative even when a shift was needed.  A
 :meth:`~kernelkit.points.PointSet.product` grid of two or more factors
-under ``TensorKernel.product`` of their kernels) have
-``K = K_1 (x) ... (x) K_m``; they are solved through the eigendecomposition
-``K_j = Q_j diag(lambda_j) Q_j^T`` of each factor, memoized per block
-kernel and factor points, so a fit on an ``n_1 x n_2`` grid costs
-``n_1**3 + n_2**3`` instead of ``(n_1 n_2)**3`` and never forms ``K``; each
-Kronecker mode product is one ``np.dot``.  A product grid carries its
-factors, so such a fit reads each block's rows off them instead of
-searching the nodes for repeated coordinates.  All other node sets are
-solved by a dense Cholesky factorization, with the shift added in place to
-one copy of the Gram matrix per attempt.  The Gram matrix and its shifted
-factor are kept per kernel and node bytes, within ``_FACTORED_GRAM_BYTES``,
-so fits of new values on a node set seen before factor nothing.
+under ``TensorKernel.product`` of their kernels has
+``K = K_1 (x) ... (x) K_m``, read off the grid's factors
+(:meth:`TensorKernel.grid_factors`); it is solved through the
+eigendecomposition ``K_j = Q_j diag(lambda_j) Q_j^T`` of each factor, so a
+fit on an ``n_1 x n_2`` grid costs ``n_1**3 + n_2**3`` instead of
+``(n_1 n_2)**3`` and never forms ``K``; each Kronecker mode product is one
+``np.dot``.  All other node sets are solved by a dense Cholesky
+factorization, with the shift added in place to one copy of the Gram
+matrix per attempt.  One cache, ``_FACTORED_GRAMS`` (32 MiB), keeps both
+paths' factorizations, so fits of new values on nodes seen before factor
+nothing.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial, reduce
+from functools import cached_property, partial, reduce
 from typing import Callable, Sequence
 
 import numpy as np
@@ -87,16 +85,13 @@ _STACK_BLOCK_ENTRIES = 2**16
 # A contraction plan may hold up to this many coefficient-matrix entries
 # per node; one that pads more evaluates by per-node gathers instead.
 _PLAN_ENTRIES_PER_NODE = 2
-# Factor eigendecompositions kept for Kronecker solves.  Each is a pure
-# function of its key (block kernel, factor point bytes), so every caller
-# in the process may share them.
-_FACTOR_DECOMPOSITIONS_KEPT = 16
-# Bytes of Gram matrices and their Cholesky factors that the dense path
-# keeps, keyed by (kernel, node bytes); each pair is a pure function of its
-# key, so every caller in the process may share them.  The ouu pipelines fit
-# 239 times over 7 node sets of at most 128 nodes (0.26 MB a pair), while a
-# 1024-node pair (16 MB) is not kept.
-_FACTORED_GRAM_BYTES = 2**23
+# Bytes of factorizations that both fit paths keep (``_FACTORED_GRAMS``).
+# The interp benchmark's ten grid factors (2 to 1024 points) hold 22.4 MB;
+# its 1024-point factor, decomposed for the tuple (2, 1024), is used again
+# at (1024, 2), and below about 23 MB it would be decomposed twice.  The
+# ouu pipelines fit 239 times over 7 node sets of at most 128 nodes
+# (0.26 MB a Gram matrix and its factor).
+_FACTORED_GRAM_BYTES = 2**25
 
 
 class ConditioningError(RuntimeError):
@@ -135,7 +130,7 @@ class MaternKernel:
         doubled = 2.0 * nu
         if abs(doubled - round(doubled)) > _NU_TOL:
             raise ValueError(
-                f"order nu={nu} unsupported: must be a positive integer or half-integer"
+                f"order nu={nu:g} unsupported: must be a positive integer or half-integer"
             )
 
     @property
@@ -320,29 +315,26 @@ class TensorKernel:
         """:meth:`split` of a point set's own points.
 
         A point set is pairwise distinct, so a single block, which covers
-        every coordinate, has no repeated rows to search for.  On a
-        :meth:`PointSet.product` grid whose factors are this kernel's
-        blocks, in order, block ``j``'s distinct rows are factor ``j``'s
-        points, in the order a search would find them first, and node ``i``
-        is in row ``i // stride_j % n_j`` (``stride_j`` the product of the
-        later factors' sizes), so nothing is searched.  Other node sets are
-        searched.
+        every coordinate, has no repeated rows to search for.
         """
         if len(self.blocks) == 1:
             ((_, coords),) = self.blocks
             return ((nodes.points[:, list(coords)], None),)
-        if [coords for _, coords in self.blocks] != _factor_coords(nodes.factors):
-            return self.split(nodes.points)
-        count = len(nodes)
-        index = np.arange(count)
-        stride = count
-        split = []
-        for factor in nodes.factors:
-            stride //= len(factor)
-            # As in a search, a block whose rows never repeat has no slot.
-            slot = None if len(factor) == count else index // stride % len(factor)
-            split.append((factor.points, slot))
-        return tuple(split)
+        return self.split(nodes.points)
+
+    def grid_factors(self, nodes: PointSet) -> list[np.ndarray] | None:
+        """The factors' points of a :meth:`PointSet.product` grid of two or
+        more factors laid out as this kernel's blocks, in order; else None.
+
+        The grid's Gram matrix is then the Kronecker product of the blocks'
+        Gram matrices over these points.  The structure is read off the
+        factors, never searched for, so the same points as a plain point
+        set get None.
+        """
+        factors = nodes.factors
+        if len(factors) < 2 or [c for _, c in self.blocks] != _factor_coords(factors):
+            return None
+        return [factor.points for factor in factors]
 
     def gram(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Kernel matrix ``prod_b phi_b(|x_b - y_b|)`` over the blocks.
@@ -394,28 +386,27 @@ def single_block(kernel: MaternKernel) -> TensorKernel:
 def _solve_spd(kernel: TensorKernel, nodes: PointSet, rhs: np.ndarray) -> np.ndarray:
     """Solve ``K x = rhs`` with jitter escalation and iterative refinement.
 
-    Nodes that form a full tensor grid of two or more blocks are solved
-    through the factors' eigendecompositions (:func:`_solve_kronecker`),
-    all others by a dense Cholesky factorization.  Raises
-    ConditioningError when the shifted system is not positive definite at
-    the largest admissible shift or the residual stays above the required
-    tolerance.
+    A tensor grid (:meth:`TensorKernel.grid_factors`) is solved through its
+    factors' eigendecompositions (:func:`_solve_kronecker`), all other node
+    sets by a dense Cholesky factorization.  Raises ConditioningError when
+    the shifted system is not positive definite at the largest admissible
+    shift or the residual stays above the required tolerance.
     """
-    split = kernel.split_nodes(nodes)
-    factors = _grid_factors(split, len(nodes))
+    factors = kernel.grid_factors(nodes)
     if factors is not None:
         return _solve_kronecker(kernel, factors, nodes, rhs)
     gram, factor = _FACTORED_GRAMS.get(
-        (kernel, nodes.points.tobytes()), partial(_factor_gram, kernel, split, nodes)
+        (kernel, nodes.points.tobytes()), partial(_factor_gram, kernel, nodes)
     )
     # cho_factor checked the factor, and the refinement solves reuse it.
-    solve = partial(cho_solve, factor, check_finite=False)
+    solve = partial(cho_solve, (factor, True), check_finite=False)
     return _refine(solve, gram.__matmul__, rhs, nodes)
 
 
-def _factor_gram(kernel: TensorKernel, split, nodes: PointSet):
-    """``(gram, factor)``: the Gram matrix of ``nodes`` and the
-    ``cho_factor`` of its smallest admissible diagonal shift."""
+def _factor_gram(kernel: TensorKernel, nodes: PointSet):
+    """``(gram, factor)``: the Gram matrix of ``nodes`` and the lower
+    Cholesky factor of its smallest admissible diagonal shift."""
+    split = kernel.split_nodes(nodes)
     gram = kernel.split_gram(split, split)
     count = len(nodes)
     base = np.trace(gram) / count
@@ -428,22 +419,35 @@ def _factor_gram(kernel: TensorKernel, split, nodes: PointSet):
         shifted = gram.copy()
         shifted.flat[:: count + 1] += jitter
         try:
-            factor = cho_factor(shifted.T, lower=True, overwrite_a=True)
+            factor, _ = cho_factor(shifted.T, lower=True, overwrite_a=True)
             break
         except LinAlgError:
             jitter *= 10.0
             if jitter > limit:
                 raise _shift_failed(nodes) from None
     gram.setflags(write=False)
-    factor[0].setflags(write=False)
+    factor.setflags(write=False)
     return gram, factor
 
 
-class _FactoredGrams:
-    """``(gram, factor)`` pairs of :func:`_factor_gram` by key, least
-    recently used first, holding at most ``limit`` bytes of matrices.
+def _decompose_factor(kernel: MaternKernel, rows: np.ndarray):
+    """``(gram, eigenvalues, eigenvectors)`` of one block kernel on one
+    factor's points."""
+    gram = kernel.gram(rows, rows)
+    eigenvalues, eigenvectors = np.linalg.eigh(gram)
+    for array in (gram, eigenvalues, eigenvectors):
+        array.setflags(write=False)
+    return gram, eigenvalues, eigenvectors
 
-    A pair larger than the whole bound is handed out but not kept.
+
+class _FactoredGrams:
+    """Factorizations by key, least recently used first, holding at most
+    ``limit`` bytes of arrays.
+
+    An entry is :func:`_factor_gram`'s pair by (kernel, node bytes) or
+    :func:`_decompose_factor`'s triple by (block kernel, factor point
+    bytes): read-only arrays, a pure function of the key, so every caller
+    in the process may share it.  One larger than the bound is not kept.
     """
 
     def __init__(self, limit: int):
@@ -452,18 +456,18 @@ class _FactoredGrams:
         self._entries: dict = {}
 
     def get(self, key, build: Callable[[], tuple]):
-        """The pair of ``key``, from ``build()`` if it is not kept."""
+        """The entry of ``key``, from ``build()`` if it is not kept."""
         entry = self._entries.pop(key, None)
         if entry is None:
             entry = build()
-            size = entry[0].nbytes + entry[1][0].nbytes
+            size = sum(array.nbytes for array in entry)
             if size > self.limit:
                 return entry
             self.nbytes += size
         self._entries[key] = entry
         while self.nbytes > self.limit:
-            gram, (factor, _) = self._entries.pop(next(iter(self._entries)))
-            self.nbytes -= gram.nbytes + factor.nbytes
+            oldest = self._entries.pop(next(iter(self._entries)))
+            self.nbytes -= sum(array.nbytes for array in oldest)
         return entry
 
     def __len__(self) -> int:
@@ -475,42 +479,6 @@ class _FactoredGrams:
 
 
 _FACTORED_GRAMS = _FactoredGrams(limit=_FACTORED_GRAM_BYTES)
-
-
-def _grid_factors(split, count: int) -> list[np.ndarray] | None:
-    """Each block's distinct rows when the nodes are their full tensor grid.
-
-    The grid must be in :func:`tensor_grid` order (first block slowest) and
-    have two or more blocks; its Gram matrix is then the Kronecker product
-    of the blocks' Gram matrices over these rows.  Returns None for any
-    other node set.
-    """
-    if len(split) < 2 or math.prod(len(rows) for rows, _ in split) != count:
-        return None
-    index = np.arange(count)
-    stride = count
-    for rows, slot in split:
-        stride //= len(rows)
-        # A block whose rows are all distinct has no slot; the product of
-        # the sizes then leaves it the only block with more than one row.
-        if slot is not None and not np.array_equal(slot, index // stride % len(rows)):
-            return None
-    return [rows for rows, _ in split]
-
-
-@lru_cache(maxsize=_FACTOR_DECOMPOSITIONS_KEPT)
-def _factor_decomposition(kernel: MaternKernel, row_bytes: bytes):
-    """``(gram, eigenvalues, eigenvectors)`` of one block kernel on one factor.
-
-    The factor's rows arrive as the bytes of a float array with
-    ``kernel.dim`` columns, so that they can key the cache.
-    """
-    rows = np.frombuffer(row_bytes).reshape(-1, kernel.dim)
-    gram = kernel.gram(rows, rows)
-    eigenvalues, eigenvectors = np.linalg.eigh(gram)
-    for array in (gram, eigenvalues, eigenvectors):
-        array.setflags(write=False)
-    return gram, eigenvalues, eigenvectors
 
 
 def _kron_apply(matrices: Sequence[np.ndarray], x: np.ndarray) -> np.ndarray:
@@ -542,7 +510,9 @@ def _solve_kronecker(
     """
     grams, eigenvalues, eigenvectors = zip(
         *(
-            _factor_decomposition(block, rows.tobytes())
+            _FACTORED_GRAMS.get(
+                (block, rows.tobytes()), partial(_decompose_factor, block, rows)
+            )
             for (block, _), rows in zip(kernel.blocks, factors)
         )
     )
@@ -571,7 +541,7 @@ def _solve_kronecker(
 
 def _shift_failed(nodes: PointSet) -> ConditioningError:
     return ConditioningError(
-        "Cholesky factorization failed at maximum diagonal shift",
+        "shifted kernel system not positive definite at maximum diagonal shift",
         len(nodes),
         nodes.min_separation,
     )

@@ -9,8 +9,8 @@ interpolation degrades badly when the boundary is uncovered) and
 continues with the Halton sequence; discs use the rejection-filtered
 Halton sequence over the bounding box.  The tensor grid of checked point
 sets (:meth:`PointSet.product`) takes its checks from its factors and
-carries them, so a tensor kernel splits it into its factors' rows without
-searching it for repeated coordinates.
+carries them, so a tensor kernel reads its Kronecker structure off them
+instead of searching it for repeated coordinates.
 
 Distances are plain numpy (:func:`pairwise_distances`, which reproduces
 ``scipy.spatial.distance.cdist`` bit for bit).  A point set checks that

@@ -150,16 +150,25 @@ _LEVEL_MAPS = st.sampled_from(["doubling", "exponential"])
 
 
 @st.composite
-def _kernel(draw):
-    beta = draw(st.floats(min_value=0.6, max_value=10.0, allow_nan=False))
-    keys = {
-        "beta": st.just(repr(beta)),
-        "d": st.integers(1, 3).map(str),
+def _kernel(draw, pipeline):
+    """A [kernel] section whose Matern order ``beta - dim/2`` is a positive
+    integer or half-integer at the dimension the pipeline builds its kernel
+    at: ``d`` (default 1), or 2 for rsr and ouu, which take d = 2 or the
+    default.  The default beta = 2.0 is valid at every dimension drawn."""
+    keys = {}
+    fixed = pipeline in ("rsr", "ouu")
+    if draw(st.booleans()):
+        keys["d"] = str(draw(st.sampled_from([1, 2]) if fixed else st.integers(1, 3)))
+    dim = 2 if fixed else int(keys.get("d", 1))
+    beta = 2.0
+    if draw(st.booleans()):
+        beta = dim / 2.0 + draw(st.integers(1, 19)) / 2.0
+        keys["beta"] = repr(beta)
+    optional = {
         "length_scale": _floats(),
-        # Below beta whether or not beta is drawn (its default is 2.0).
         "alpha": st.floats(min_value=0.0, max_value=min(beta, 2.0) / 2.0).map(repr),
     }
-    return draw(st.fixed_dictionaries({}, optional=keys))
+    return {**keys, **draw(st.fixed_dictionaries({}, optional=optional))}
 
 
 @st.composite
@@ -177,9 +186,9 @@ def _pde(draw):
     return section
 
 
-# Every optional section; [factors] is drawn with its factor count.
+# Every optional section; [factors] is drawn with its factor count, and
+# [kernel] for its pipeline.
 _SECTIONS = {
-    "kernel": _kernel(),
     "interp": st.fixed_dictionaries(
         {}, optional={"blocks": st.integers(1, 4).map(str), "level_map": _LEVEL_MAPS}
     ),
@@ -253,6 +262,8 @@ def config_texts(draw, pipeline):
                 key: ", ".join(draw(st.lists(_floats(), min_size=n, max_size=n)))
                 for key in ("gamma", "beta")
             }
+        elif name == "kernel":
+            sections[name] = draw(_kernel(pipeline))
         else:
             sections[name] = draw(_SECTIONS[name])
     n = _factor_count(pipeline, sections)
@@ -340,6 +351,35 @@ class TestCliRuns:
         assert "at least 3" in err
         assert "Traceback" not in err
         assert not (out / "study.csv").exists()
+
+    @pytest.mark.parametrize(
+        "text,key",
+        [
+            ("interp\n[kernel]\nbeta = 2.3\n", "[kernel] beta"),
+            ("interp\n[kernel]\nbeta = 1.0\nd = 2\n", "[kernel] beta"),
+            ("interp\n[interp]\nblocks = 0\n", "[interp] blocks"),
+            ("misc\n[misc]\nquadrature = kernel\n[kernel]\nbeta = 2.2\n", "[kernel] beta"),
+            # rsr and ouu build two-dimensional kernels whatever d says.
+            ("rsr\n[kernel]\nbeta = 1.0\n", "[kernel] beta"),
+            ("rsr\n[kernel]\nd = 3\n", "[kernel] d"),
+            ("ouu\n[kernel]\nd = 3\n", "[kernel] d"),
+        ],
+        ids=["order", "beta-at-d", "blocks", "misc-order", "rsr-beta", "rsr-d", "ouu-d"],
+    )
+    def test_unusable_kernel_or_blocks_is_a_config_error(self, tmp_path, capsys, text, key):
+        cfg = self.write(tmp_path, "[run]\nl_min = 4\nl_max = 6\npipeline = " + text)
+        out = tmp_path / "k"
+        assert main(["--config", cfg, "--out", str(out), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {key}")
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_unused_kernel_order_is_not_checked(self):
+        # Midpoint quadrature builds no kernel.
+        text = "[run]\npipeline = misc\nl_min = 2\nl_max = 4\n[kernel]\nbeta = 2.2\n"
+        assert parse_config(text).sections["kernel"]["beta"] == 2.2
 
     def test_missing_config_file(self, tmp_path):
         assert main(["--config", str(tmp_path / "nope.cfg"), "--quiet"]) == 2

@@ -524,6 +524,27 @@ def shifted_solve_reference(gram, rhs, failures):
     return solution
 
 
+def pair_bytes(count):
+    """Bytes of a dense entry: the Gram matrix and its Cholesky factor."""
+    return 2 * 8 * count**2
+
+
+def decomposition_bytes(count):
+    """Bytes of a grid-factor entry: the Gram matrix and its eigendecomposition."""
+    return 8 * (2 * count**2 + count)
+
+
+def counting(monkeypatch, owner, name, calls, record=len):
+    """Wrap ``owner.name`` so that each call appends ``record(first argument)``."""
+    original = getattr(owner, name)
+
+    def counted(a, *args, **kwargs):
+        calls.append(record(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
 @pytest.fixture
 def fresh_factored_grams():
     kernels_module._FACTORED_GRAMS.clear()
@@ -558,14 +579,8 @@ class TestSolveSpd:
         assert solution.tobytes() == expected.tobytes()
 
     def test_fits_on_one_node_set_factor_once(self, monkeypatch, fresh_factored_grams):
-        factor = kernels_module.cho_factor
         factored = []
-
-        def counting(a, **kwargs):
-            factored.append(len(a))
-            return factor(a, **kwargs)
-
-        monkeypatch.setattr(kernels_module, "cho_factor", counting)
+        counting(monkeypatch, kernels_module, "cho_factor", factored)
         kernel = MaternKernel(beta=4.0, dim=2)
         nodes = generate_points(Disc(center=(0.0, 0.0), radius=1.0), 40)
         rng = np.random.default_rng(7)
@@ -585,19 +600,9 @@ class TestSolveSpd:
         self, monkeypatch, fresh_factored_grams
     ):
         cache = kernels_module._FACTORED_GRAMS
-
-        def pair_bytes(count):  # the Gram matrix and its factor
-            return 2 * 8 * count**2
-
         monkeypatch.setattr(cache, "limit", 3 * pair_bytes(20))
-        factor = kernels_module.cho_factor
         factored = []
-
-        def counting(a, **kwargs):
-            factored.append(len(a))
-            return factor(a, **kwargs)
-
-        monkeypatch.setattr(kernels_module, "cho_factor", counting)
+        counting(monkeypatch, kernels_module, "cho_factor", factored)
         kernel = MaternKernel(beta=2.0, dim=2)
         for count in (20, 19, 18, 20, 17, 19, 40, 20):
             nodes = generate_points(UNIT_SQUARE, count)
@@ -611,35 +616,13 @@ class TestSolveSpd:
 
 
 def block_grid(layout, counts):
-    """Tensor kernel, per-factor point sets and tensor-grid nodes of a layout."""
+    """Tensor kernel of a layout and the product grid of its factors' points."""
     grids = [generate_points(unit_box(dim), n) for (_, dim), n in zip(layout, counts)]
-    points = tensor_grid([g.points for g in grids])
-    nodes = PointSet(points=points, domain=unit_box(points.shape[1]))
-    return layout_kernel(layout), grids, nodes
+    return layout_kernel(layout), PointSet.product(grids)
 
 
 def smooth_values(points):
     return np.cos(points @ np.linspace(1.0, 2.5, points.shape[1])) + points[:, 0]
-
-
-def assert_same_split(split, expected):
-    """Each block's rows are byte-identical, and so are the slots, or both are None."""
-    assert len(split) == len(expected)
-    for (rows, slot), (want_rows, want_slot) in zip(split, expected):
-        assert rows.shape == want_rows.shape
-        assert rows.tobytes() == want_rows.tobytes()
-        if want_slot is None:
-            assert slot is None
-        else:
-            assert slot.dtype == want_slot.dtype
-            assert slot.tobytes() == want_slot.tobytes()
-
-
-@pytest.fixture
-def fresh_factor_decompositions():
-    kernels_module._factor_decomposition.cache_clear()
-    yield
-    kernels_module._factor_decomposition.cache_clear()
 
 
 class TestKroneckerSolve:
@@ -656,7 +639,7 @@ class TestKroneckerSolve:
         ],
     )
     def test_matches_dense_solve(self, monkeypatch, layout, counts):
-        kernel, _, nodes = block_grid(layout, counts)
+        kernel, nodes = block_grid(layout, counts)
         rhs = smooth_values(nodes.points)
         gram = kernel.gram(nodes.points, nodes.points)
         dense = shifted_solve_reference(gram, rhs, 0)
@@ -693,7 +676,7 @@ class TestKroneckerSolve:
         assert caught.value.node_count == 12
 
     def test_spectrum_not_positive_at_largest_shift_raises(
-        self, monkeypatch, fresh_factor_decompositions
+        self, monkeypatch, fresh_factored_grams
     ):
         eigh = np.linalg.eigh
 
@@ -703,7 +686,7 @@ class TestKroneckerSolve:
             return eigenvalues, eigenvectors
 
         monkeypatch.setattr(np.linalg, "eigh", negative_first)
-        kernel, _, nodes = block_grid(((2.0, 1), (2.0, 1)), (5, 4))
+        kernel, nodes = block_grid(((2.0, 1), (2.0, 1)), (5, 4))
         with pytest.raises(ConditioningError, match="maximum diagonal shift"):
             fit_interpolant(kernel, nodes, smooth_values(nodes.points))
 
@@ -718,15 +701,9 @@ class TestKroneckerSolve:
         residual = fit.evaluate(grid.points) - np.sin(grid.points[:, 0])
         assert np.max(np.abs(residual)) <= 1e-8
 
-    def test_fits_decompose_each_factor_once(self, monkeypatch, fresh_factor_decompositions):
-        eigh = np.linalg.eigh
+    def test_fits_decompose_each_factor_once(self, monkeypatch, fresh_factored_grams):
         decomposed = []
-
-        def counting_eigh(gram):
-            decomposed.append(len(gram))
-            return eigh(gram)
-
-        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        counting(monkeypatch, np.linalg, "eigh", decomposed)
         k = MaternKernel(beta=2.0, dim=1)
         sets = {n: generate_points(UNIT_INTERVAL, n) for n in (4, 8, 16)}
         pairs = [(4, 8), (8, 4), (16, 16), (8, 16), (4, 4), (16, 8)]
@@ -746,48 +723,89 @@ class TestKroneckerSolve:
         assert sorted(decomposed) == [4, 8, 16]
         assert all(a.tobytes() == b.tobytes() for a, b in zip(first, again))
 
-    def test_decomposition_memo_stays_bounded(self, fresh_factor_decompositions):
-        kept = kernels_module._FACTOR_DECOMPOSITIONS_KEPT
+    def test_decomposition_memo_stays_bounded(self, monkeypatch, fresh_factored_grams):
+        cache = kernels_module._FACTORED_GRAMS
+        monkeypatch.setattr(cache, "limit", 8 * decomposition_bytes(12))
         k = MaternKernel(beta=2.0, dim=1)
         second = generate_points(UNIT_INTERVAL, 2)
-        for count in range(2, kept + 6):
+        counts = range(2, 22)
+        for count in counts:
             first = generate_points(UNIT_INTERVAL, count)
             nodes = tensor_grid([first.points, second.points])
             grid_fit([k, k], [first, second], smooth_values(nodes))
-        assert kernels_module._factor_decomposition.cache_info().currsize == kept
+            assert cache.nbytes <= cache.limit
+        # The second factor is used by every fit; of the first factors, the
+        # most recent that fit beside it are kept.
+        kept = [2]
+        for count in reversed(counts):
+            if sum(map(decomposition_bytes, [*kept, count])) > cache.limit:
+                break
+            kept.append(count)
+        assert 2 < len(kept) < len(counts)
+        assert len(cache) == len(kept)
+        assert cache.nbytes == sum(map(decomposition_bytes, kept))
 
     def test_decomposition_memo_drops_least_recently_used(
-        self, monkeypatch, fresh_factor_decompositions
+        self, monkeypatch, fresh_factored_grams
     ):
-        kept = kernels_module._FACTOR_DECOMPOSITIONS_KEPT
-        eigh = np.linalg.eigh
+        # One entry per block kernel, each of the same size.
+        grid = generate_points(UNIT_INTERVAL, 6)
+        cache = kernels_module._FACTORED_GRAMS
+        monkeypatch.setattr(cache, "limit", 4 * decomposition_bytes(6))
         decomposed = []
+        counting(monkeypatch, kernels_module, "_decompose_factor", decomposed, lambda k: k.beta)
+        values = smooth_values(tensor_grid([grid.points, grid.points]))
 
-        def counting_eigh(gram):
-            decomposed.append(len(gram))
-            return eigh(gram)
+        def fit(beta):
+            k = MaternKernel(beta=beta, dim=1)
+            grid_fit([k, k], [grid, grid], values)
 
-        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        betas = [1.0, 1.5, 2.0, 2.5]
+        for beta in betas:
+            fit(beta)
+        assert decomposed == betas
+        fit(1.0)  # the oldest entry becomes the newest
+        fit(3.0)  # drops the least recently used entry, beta 1.5
+        fit(1.0)
+        fit(1.5)
+        assert decomposed[4:] == [3.0, 1.5]
+        assert cache.nbytes == cache.limit
+
+    def test_dense_pairs_and_grid_factors_share_one_budget(
+        self, monkeypatch, fresh_factored_grams
+    ):
+        cache = kernels_module._FACTORED_GRAMS
+        limit = pair_bytes(20) + decomposition_bytes(8) + decomposition_bytes(6)
+        monkeypatch.setattr(cache, "limit", limit)
+        factored, decomposed = [], []
+        counting(monkeypatch, kernels_module, "cho_factor", factored)
+        counting(monkeypatch, np.linalg, "eigh", decomposed)
+        dense = generate_points(UNIT_SQUARE, 20)
         k = MaternKernel(beta=2.0, dim=1)
+        grids = {n: generate_points(UNIT_INTERVAL, n) for n in (5, 6, 8)}
 
-        def fit(count):
-            # Both factors hold the same rows: one memo entry per count.
-            grid = generate_points(UNIT_INTERVAL, count)
-            nodes = tensor_grid([grid.points, grid.points])
-            grid_fit([k, k], [grid, grid], smooth_values(nodes))
+        def fit_dense():
+            fit_interpolant(MaternKernel(beta=2.0, dim=2), dense, smooth_values(dense.points))
 
-        counts = list(range(3, kept + 3))
-        for count in counts:
-            fit(count)
-        assert decomposed == counts
-        fit(3)  # the oldest entry becomes the newest
-        fit(kept + 3)  # drops the least recently used entry, count 4
-        fit(3)
-        fit(4)
-        assert decomposed[kept:] == [kept + 3, 4]
+        def fit_grid(a, b):
+            nodes = tensor_grid([grids[a].points, grids[b].points])
+            grid_fit([k, k], [grids[a], grids[b]], smooth_values(nodes))
+
+        fit_dense()
+        fit_grid(8, 6)
+        assert cache.nbytes == limit  # the pair and both factors, in one budget
+        fit_dense()  # kept: the pair becomes the newest entry
+        fit_grid(5, 6)  # the 5-point factor drops the least recently used, 8
+        assert cache.nbytes == limit - decomposition_bytes(8) + decomposition_bytes(5)
+        fit_dense()  # the recently used pair was kept
+        fit_grid(8, 6)  # 8 drops 5, now the least recently used
+        assert factored == [20]
+        assert decomposed == [8, 6, 5, 8]
+        assert len(cache) == 3
+        assert cache.nbytes == limit
 
     def test_failed_decomposition_leaves_factor_computable(
-        self, monkeypatch, fresh_factor_decompositions
+        self, monkeypatch, fresh_factored_grams
     ):
         eigh = np.linalg.eigh
         outcomes = [np.linalg.LinAlgError("eigh did not converge")]
@@ -798,13 +816,13 @@ class TestKroneckerSolve:
             return eigh(gram)
 
         monkeypatch.setattr(np.linalg, "eigh", failing_once)
-        kernel, _, nodes = block_grid(((2.0, 1), (1.5, 1)), (6, 5))
+        kernel, nodes = block_grid(((2.0, 1), (1.5, 1)), (6, 5))
         values = smooth_values(nodes.points)
         with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
             fit_interpolant(kernel, nodes, values)
-        assert kernels_module._factor_decomposition.cache_info().currsize == 0
+        assert len(kernels_module._FACTORED_GRAMS) == 0
         fit = fit_interpolant(kernel, nodes, values)
-        assert kernels_module._factor_decomposition.cache_info().currsize == 2
+        assert len(kernels_module._FACTORED_GRAMS) == 2
         assert np.max(np.abs(fit.evaluate(nodes.points) - values)) <= 1e-8
 
     def test_split_nodes_skips_the_search_for_one_block(self, monkeypatch):
@@ -820,64 +838,42 @@ class TestKroneckerSolve:
         assert slot is None
         assert rows.tobytes() == expected[0][0].tobytes()
 
-    @settings(max_examples=60, deadline=None)
-    @given(
-        factors=st.lists(
-            st.tuples(st.integers(1, 2), st.integers(1, 12)), min_size=2, max_size=4
-        )
-    )
-    def test_product_split_matches_the_search(self, factors):
-        grid = PointSet.product([generate_points(unit_box(d), n) for d, n in factors])
-        kernel = layout_kernel([(2.0, d) for d, _ in factors])
-        searched = kernel.split(grid.points)
-
-        def no_search(points):
-            raise AssertionError("distinct rows searched for a product grid")
-
-        with mock.patch.object(kernels_module, "distinct_rows", no_search):
-            assert_same_split(kernel.split_nodes(grid), searched)
-
-    def test_product_grid_fit_takes_no_search(self, monkeypatch):
+    def test_product_grid_fit_takes_no_search(self):
         layout = ((2.0, 1), (2.0, 2), (1.5, 1))
         grids = [generate_points(unit_box(d), n) for (_, d), n in zip(layout, (5, 7, 1))]
         grid = PointSet.product(grids)
         plain = PointSet(points=grid.points, domain=grid.domain)
         values = smooth_values(grid.points)
-        searched = fit_interpolant(layout_kernel(layout), plain, values)
+        kernel = layout_kernel(layout)
+        dense = fit_interpolant(kernel, plain, values)
 
         def no_search(points):
             raise AssertionError("distinct rows searched for a product grid")
 
-        monkeypatch.setattr(kernels_module, "distinct_rows", no_search)
-        fit = grid_fit([MaternKernel(b, d) for b, d in layout], grids, values)
-        assert fit.coefficients.tobytes() == searched.coefficients.tobytes()
+        with mock.patch.object(kernels_module, "distinct_rows", no_search):
+            fit = grid_fit([MaternKernel(b, d) for b, d in layout], grids, values)
+        scale = np.max(np.abs(values))
+        off_node = np.random.default_rng(5).random((300, grid.dim))
+        between = kernel.gram(off_node, grid.points)
+        assert np.max(np.abs(between @ (fit.coefficients - dense.coefficients))) <= (
+            1e-9 * scale
+        )
 
-    def test_other_nodes_and_mismatched_blocks_search(self, monkeypatch):
+    def test_grid_factors_need_a_product_grid_of_the_blocks(self):
         grids = [generate_points(unit_box(d), n) for d, n in ((1, 4), (2, 6))]
         grid = PointSet.product(grids)
-        plain = PointSet(points=grid.points, domain=grid.domain)
-        searched = []
-        search = kernels_module.distinct_rows
-
-        def counting_search(points):
-            searched.append(len(points))
-            return search(points)
-
-        monkeypatch.setattr(kernels_module, "distinct_rows", counting_search)
         matching = layout_kernel([(2.0, 1), (2.0, 2)])
-        matching.split_nodes(grid)
-        assert searched == []
-        # The same points without their factors, and blocks that cut the
-        # factors differently, are searched.
+        factors = matching.grid_factors(grid)
+        assert [f.tobytes() for f in factors] == [g.points.tobytes() for g in grids]
+        # The same points without their factors, blocks that cut the factors
+        # differently, and a single factor have no Kronecker structure.
         for kernel, nodes in [
-            (matching, plain),
+            (matching, PointSet(points=grid.points, domain=grid.domain)),
             (layout_kernel([(2.0, 2), (2.0, 1)]), grid),
             (layout_kernel([(2.0, 1), (2.0, 1), (2.0, 1)]), grid),
+            (layout_kernel([(2.0, 2)]), PointSet.product(grids[1:])),
         ]:
-            searched.clear()
-            split = kernel.split_nodes(nodes)
-            assert len(searched) == len(kernel.blocks)
-            assert_same_split(split, kernel.split(grid.points))
+            assert kernel.grid_factors(nodes) is None
 
     @pytest.mark.parametrize("shape", [(3, 5), (1, 4), (4, 2, 3), (2, 1, 5)])
     def test_kron_apply_is_the_tensordot_product(self, shape):
