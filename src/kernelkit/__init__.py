@@ -23,9 +23,8 @@ from kernelkit.multiindex import (
     combination_coefficients,
     delta_expand,
     enumerate_simplex,
-    exponential_sum,
 )
-from kernelkit.points import Box, Disc, PointSet, fill_distance, generate_points
+from kernelkit.points import Box, Disc, PointSet, generate_points
 from kernelkit.smolyak import (
     FactorSpec,
     ProblemSpec,
@@ -63,8 +62,6 @@ __all__ = [
     "convergence_study",
     "delta_expand",
     "enumerate_simplex",
-    "exponential_sum",
-    "fill_distance",
     "fit_interpolant",
     "fit_loglog_slope",
     "generate_points",

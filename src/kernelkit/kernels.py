@@ -291,10 +291,6 @@ class TensorKernel:
     def dim(self) -> int:
         return sum(kernel.dim for kernel, _ in self.blocks)
 
-    @cached_property
-    def value_at_zero(self) -> float:
-        return float(np.prod([k.value_at_zero for k, _ in self.blocks]))
-
     def split(
         self, points: np.ndarray
     ) -> tuple[tuple[np.ndarray, np.ndarray | None], ...]:
@@ -849,14 +845,6 @@ class QuadratureRule:
     weights: np.ndarray
     kernel: TensorKernel
     embeddings: np.ndarray  # integral of Phi(x_i, .) against the density
-
-    def apply(self, values) -> float:
-        data = np.asarray(values, dtype=float)
-        if data.shape != (len(self.nodes),):
-            raise ValueError(
-                f"value vector length {data.shape} != node count {len(self.nodes)}"
-            )
-        return float(self.weights @ data)
 
 
 def _gauss_legendre_grid(box: Box, per_axis: int) -> tuple[np.ndarray, np.ndarray]:

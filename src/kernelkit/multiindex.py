@@ -5,9 +5,8 @@ The simplex of threshold $L$ collects all multi-indices with
 $l_1 + \dots + l_n \le L$; sparse estimators over this set can be
 rewritten as a short signed sum over the two outermost layers
 ($L - n + 1 \le |l|_1 \le L$) with binomial coefficients.  This module
-provides the enumeration, the signed coefficients, the inclusion-exclusion
-expansion of a single difference term, and an exponential-sum diagnostic
-used by rate checks.
+provides the enumeration, the signed coefficients and the
+inclusion-exclusion expansion of a single difference term.
 """
 
 from __future__ import annotations
@@ -146,33 +145,3 @@ def corner_is_zero(corner: Sequence[int]) -> bool:
     """True when a corner touches the auxiliary level-0 (zero) approximation."""
     return any(v == 0 for v in corner)
 
-
-def exponential_sum(g: Sequence[float], L: int) -> float:
-    """Sum ``exp(g . l)`` over the simplex ``sum(l) <= L``, ``l >= 1``.
-
-    All entries of ``g`` must be positive.  When the largest exponent
-    exceeds a safety bound the sum is accumulated in log-sum-exp form;
-    an OverflowError is raised if even the final value cannot be
-    represented as a float.
-    """
-    weights = [float(v) for v in g]
-    if any(v <= 0 for v in weights):
-        raise ValueError(f"exponent weights must be positive, got {weights}")
-    n = len(weights)
-    _check_simplex_args(n, L)
-    exponents = [
-        sum(w * v for w, v in zip(weights, index))
-        for index in enumerate_simplex(n, L)
-    ]
-    if not exponents:
-        return 0.0
-    peak = max(exponents)
-    if peak < 700.0:
-        return float(sum(math.exp(e) for e in exponents))
-    # log-sum-exp guard against intermediate overflow
-    log_sum = peak + math.log(sum(math.exp(e - peak) for e in exponents))
-    if log_sum > math.log(float("1e308")):
-        raise OverflowError(
-            f"exponential sum exceeds float range (log value {log_sum:.3f})"
-        )
-    return math.exp(log_sum)

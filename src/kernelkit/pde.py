@@ -709,10 +709,7 @@ class GaussianFieldSampler:
     triangular product ``factor @ normals`` (``dtrmm``, which skips the
     factor's zero upper triangle), whose column for draw ``k`` is the
     standard normal vector of the counter-based generator keyed
-    ``(seed, stream, k)`` (see :func:`philox_generator`).  A block keys one
-    Philox generator by ``(seed, stream)`` and sets its counter to
-    ``[0, 0, k, 0]`` for each draw, which gives the same bits as a new
-    generator per draw at an eighth of its set-up cost.  A block is
+    ``(seed, stream, k)`` (see :func:`philox_generator`).  A block is
     always the same matrix, so the draw indexed ``(seed, draw)`` is bit
     for bit a pure function of its key: draws do not depend on the order
     or number of draws made before them.  The sampler keeps its latest
@@ -734,18 +731,13 @@ class GaussianFieldSampler:
         block, column = divmod(draw, _DRAW_BLOCK)
         if self._block_key != (seed, block):
             first = block * _DRAW_BLOCK
-            bits = np.random.Philox(key=[seed, self.stream])
-            generator = np.random.Generator(bits)
-            # The state of a fresh generator, counter and buffer included.
-            state = bits.state
-            counter = state["state"]["counter"]
             # One normal vector per row, so the transpose is the Fortran
             # (nodes, draws) operand that dtrmm overwrites with the product.
             normals = np.empty((_DRAW_BLOCK, self.grid.node_count))
             for row in range(_DRAW_BLOCK):
-                counter[2] = first + row
-                bits.state = state
-                generator.standard_normal(out=normals[row])
+                philox_generator(seed, self.stream, first + row).standard_normal(
+                    out=normals[row]
+                )
             self._block = dtrmm(1.0, self._factor, normals.T, lower=1, overwrite_b=1)
             self._block_key = (seed, block)
         # A view of the column would keep the whole block alive in every
@@ -841,11 +833,6 @@ def bilinear_weights(grid: Mesh, points: np.ndarray) -> tuple[np.ndarray, np.nda
 def _apply_weights(values: np.ndarray, weights: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     index, w = weights
     return (values[index] * w).sum(axis=1)
-
-
-def bilinear_on_grid(grid: Mesh, values: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Evaluate nodal grid data at arbitrary points in the unit square."""
-    return _apply_weights(values, bilinear_weights(grid, points))
 
 
 def l2_error_against(mesh: Mesh, solution: np.ndarray, exact) -> float:

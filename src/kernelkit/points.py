@@ -1,4 +1,4 @@
-"""Domains, low-discrepancy point sets, and fill-distance measurement.
+"""Domains and low-discrepancy point sets.
 
 Point sets are prefixes of a fixed Halton-type sequence mapped into the
 target domain, so the set for ``N`` points is always a prefix of the set
@@ -15,7 +15,7 @@ instead of searching it for repeated coordinates.
 Distances are plain numpy (:func:`pairwise_distances`, which reproduces
 ``scipy.spatial.distance.cdist`` bit for bit).  A point set checks that
 its points are distinct by sorting their byte rows; its minimum separation
-and fill distance are blocked distance scans, computed only when asked for.
+is a blocked distance scan, computed only when asked for.
 """
 
 from __future__ import annotations
@@ -65,14 +65,6 @@ class Box:
         highs = np.asarray(self.highs)
         return lows + u * (highs - lows)
 
-    def candidate_grid(self, resolution: int) -> np.ndarray:
-        axes = [
-            np.linspace(l, h, resolution)
-            for l, h in zip(self.lows, self.highs)
-        ]
-        grids = np.meshgrid(*axes, indexing="ij")
-        return np.stack([g.ravel() for g in grids], axis=1)
-
 
 @dataclass(frozen=True)
 class Disc:
@@ -99,10 +91,6 @@ class Disc:
         pts = np.atleast_2d(points)
         d = np.linalg.norm(pts - np.asarray(self.center), axis=1)
         return d <= self.radius + _CONTAIN_TOL
-
-    def candidate_grid(self, resolution: int) -> np.ndarray:
-        grid = self.bounding_box.candidate_grid(resolution)
-        return grid[self.contains(grid)]
 
 
 Domain = Box | Disc
@@ -193,10 +181,6 @@ class PointSet:
             block[rows, start + rows] = np.inf
             best = min(best, float(np.min(block)))
         return best
-
-    def fill_distance(self, resolution: int = 64) -> float:
-        """Measured fill distance of this set (see :func:`fill_distance`)."""
-        return fill_distance(self, resolution)
 
 
 def pairwise_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -306,18 +290,3 @@ def generate_points(domain: Domain, count: int) -> PointSet:
         return PointSet(points=np.array(accepted[:count]), domain=domain)
     raise TypeError(f"unsupported domain type {type(domain)!r}")
 
-
-def fill_distance(point_set: PointSet, resolution: int) -> float:
-    """Largest candidate-grid distance to the point set.
-
-    Maximizes the nearest-neighbor distance over a uniform candidate grid
-    with ``resolution`` points per axis; this is a lower bound on the true
-    supremum that converges as the resolution grows.
-    """
-    if resolution < 32:
-        raise ValueError(f"resolution must be >= 32 per axis, got {resolution}")
-    candidates = point_set.domain.candidate_grid(resolution)
-    return max(
-        float(np.max(np.min(block, axis=1)))
-        for _, block in _distance_blocks(candidates, point_set.points)
-    )

@@ -93,10 +93,6 @@ class FactorSpec:
         """Level spacing ``1 / (gamma + beta)``."""
         return 1.0 / (self.gamma + self.beta)
 
-    def resolution(self, level: int) -> int:
-        """Resolution at ``level``; level 0 is the auxiliary zero approximation."""
-        return level_to_resolution(self, level)
-
 
 def level_to_resolution(factor: FactorSpec, level: int) -> int:
     """Map a level to its resolution: 0 at level 0, else ``ceil(exp(t*l))``."""
@@ -167,7 +163,6 @@ class RatePrediction:
     n0: int
     g: tuple[float, ...]
     b: tuple[float, ...]
-    g_max: float
     b_min: float
     slope: float
 
@@ -192,7 +187,6 @@ def predicted_rates(factors: Sequence[FactorSpec]) -> RatePrediction:
         n0=n0,
         g=g,
         b=b,
-        g_max=max(g),
         b_min=min(b),
         slope=-1.0 / rho,
     )
@@ -211,11 +205,6 @@ class WorkLedger:
     total_work: float = 0.0
     evaluations: int = 0
     per_term: list[tuple[MultiIndex, float]] = field(default_factory=list)
-
-    def check(self) -> None:
-        recomputed = sum(w for _, w in self.per_term)
-        if not math.isclose(recomputed, self.total_work, rel_tol=1e-12, abs_tol=0.0):
-            raise AssertionError("ledger total does not match per-term sum")
 
 
 def weighted_sum(pairs: Sequence[tuple[float, Any]]) -> Any:

@@ -120,14 +120,6 @@ class Surrogate:
             raise ValueError("a stack needs one or more surrogates that are not stacks")
         return cls(terms=tuple(t for m in members for t in m.terms), members=members)
 
-    @property
-    def dim(self) -> int:
-        return self.terms[0][1].nodes.dim
-
-    @property
-    def domain(self) -> Domain:
-        return self.terms[0][1].nodes.domain
-
     def evaluate(self, points: np.ndarray, check_domain: bool = True) -> np.ndarray:
         """Values at ``points``: shape ``(P,)``, or ``(P, members)`` for a stack."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -190,9 +182,6 @@ class Surrogate:
 
     def __sub__(self, other) -> "Surrogate":
         return self + (-1.0 * other)
-
-    def node_count(self) -> int:
-        return sum(len(expansion.nodes) for _, expansion in self.terms)
 
 
 def _domain_line(domain: Domain) -> str:

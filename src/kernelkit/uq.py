@@ -80,17 +80,13 @@ def random_points(domain: Domain, count: int, seed: int, stream: int = 101) -> n
     """Deterministic pseudo-random evaluation points inside a domain."""
     rng = philox_generator(seed, stream)
     if isinstance(domain, Box):
-        lows = np.asarray(domain.lows)
-        highs = np.asarray(domain.highs)
-        return lows + rng.random((count, domain.dim)) * (highs - lows)
+        return domain.from_unit(rng.random((count, domain.dim)))
     if isinstance(domain, Disc):
         box = domain.bounding_box
         out = np.empty((count, 2))
         have = 0
         while have < count:
-            chunk = np.asarray(box.lows) + rng.random((2 * (count - have), 2)) * (
-                np.asarray(box.highs) - np.asarray(box.lows)
-            )
+            chunk = box.from_unit(rng.random((2 * (count - have), 2)))
             keep = chunk[domain.contains(chunk)]
             take = min(len(keep), count - have)
             out[have : have + take] = keep[:take]

@@ -432,6 +432,9 @@ class TestCliRuns:
         assert abs(np.polyfit(h, error, 1)[0] - last_three) > 1e-6
 
     def test_misc_deterministic_across_workers(self, tmp_path):
+        # --workers is accepted and ignored: terms are evaluated serially.
+        # The option stays because the benchmark harness passes it; this is
+        # the one test that it parses and moves no byte of the output.
         text = "\n".join(
             [
                 "[run]",

@@ -34,7 +34,7 @@ golden = load_golden()
 def test_example_matches_golden_outputs(example, tmp_path):
     config = os.path.join(ROOT, "docs", "examples", f"{example}.cfg")
     out = str(tmp_path / example)
-    assert main(["--config", config, "--out", out, "--workers", "1", "--quiet"]) == 0
+    assert main(["--config", config, "--out", out, "--quiet"]) == 0
     problems = golden.compare_dirs(os.path.join(ROOT, "tests", "golden", example), out, ARTIFACTS)
     assert not problems, problems
 

@@ -906,7 +906,7 @@ class TestQuadratureWeights:
         tensor = single_block(k)
         for i in (0, 7, 20):
             samples = tensor.gram(nodes.points, nodes.points[i : i + 1])[:, 0]
-            assert rule.apply(samples) == pytest.approx(
+            assert rule.weights @ samples == pytest.approx(
                 rule.embeddings[i], rel=1e-8, abs=1e-10
             )
 
@@ -914,7 +914,7 @@ class TestQuadratureWeights:
         k = MaternKernel(beta=2.0, dim=1)
         nodes = uniform_nodes(33)
         rule = quadrature_weights(k, nodes)
-        result = rule.apply(np.sin(2 * np.pi * nodes.points[:, 0]))
+        result = rule.weights @ np.sin(2 * np.pi * nodes.points[:, 0])
         assert abs(result) <= 1e-3
 
     def test_embedding_matches_adaptive_quadrature(self):

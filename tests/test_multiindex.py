@@ -11,7 +11,6 @@ from kernelkit.multiindex import (
     corner_is_zero,
     delta_expand,
     enumerate_simplex,
-    exponential_sum,
 )
 
 
@@ -151,36 +150,3 @@ class TestDeltaExpand:
         )
         assert delta_total == combo_total
 
-
-class TestExponentialSum:
-    def test_single_factor_level_one(self):
-        assert exponential_sum((0.7,), 1) == pytest.approx(math.exp(0.7), rel=1e-14)
-
-    def test_two_factors_only_unit_index(self):
-        assert exponential_sum((1.0, 1.0), 2) == pytest.approx(math.exp(2.0), rel=1e-14)
-
-    def test_matches_double_loop(self):
-        g = (0.5, 0.8)
-        L = 6
-        direct = sum(
-            math.exp(g[0] * l1 + g[1] * l2)
-            for l1 in range(1, L + 1)
-            for l2 in range(1, L + 1)
-            if l1 + l2 <= L
-        )
-        assert exponential_sum(g, L) == pytest.approx(direct, rel=1e-13)
-
-    def test_log_increment_approaches_max_weight(self):
-        g = (0.3, 0.7)
-        for L in range(8, 13):
-            inc = math.log(exponential_sum(g, L + 1)) - math.log(exponential_sum(g, L))
-            assert abs(inc - 0.7) <= 0.1 * 0.7
-
-    def test_log_sum_exp_guard(self):
-        # Large exponents overflow termwise but the guard reports cleanly.
-        with pytest.raises(OverflowError):
-            exponential_sum((500.0,), 2)
-
-    def test_rejects_nonpositive_weights(self):
-        with pytest.raises(ValueError):
-            exponential_sum((0.5, 0.0), 4)

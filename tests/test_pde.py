@@ -22,7 +22,6 @@ from kernelkit.pde import (
     GaussianFieldSampler,
     GrfSample,
     Mesh,
-    bilinear_on_grid,
     bilinear_weights,
     bump_profile,
     l2_error_against,
@@ -562,6 +561,11 @@ def advection_field(kind, mesh, seed):
     return GrfSample(grid=grid, values=values, seed=seed, draw=0)
 
 
+def on_grid(grid, values, points):
+    """Nodal grid data at ``points``, through the weights the solver uses."""
+    return pde._apply_weights(values, bilinear_weights(grid, points))
+
+
 def bilinear_reference(grid, values, points):
     """The four-term bilinear formula, cell by cell, in plain Python."""
     c = grid.cells
@@ -655,13 +659,13 @@ class TestGaussianField:
 
     def test_constant_field_on_coarser_mesh_nodes(self):
         grid = mesh_at_level(3)
-        values = bilinear_on_grid(grid, np.full(grid.node_count, 2.5), Mesh(cells=3).nodes)
+        values = on_grid(grid, np.full(grid.node_count, 2.5), Mesh(cells=3).nodes)
         assert np.allclose(values, 2.5, atol=1e-14)
 
     def test_linear_field_on_coarser_mesh_nodes(self):
         grid = mesh_at_level(4)
         coarse = Mesh(cells=5)
-        values = bilinear_on_grid(grid, grid.nodes[:, 0].copy(), coarse.nodes)
+        values = on_grid(grid, grid.nodes[:, 0].copy(), coarse.nodes)
         assert np.max(np.abs(values - coarse.nodes[:, 0])) <= 1e-14
 
     def test_samplers_share_one_factor_per_grid(self):
@@ -786,8 +790,8 @@ class TestGaussianField:
 
     @pytest.mark.parametrize("block", [0, 2])
     def test_block_columns_are_the_draws_own_generators(self, block):
-        # One generator per block, its counter set per draw, gives each
-        # draw the normals of philox_generator(seed, stream, draw).
+        # Each column of a block holds the normals of its own draw's
+        # philox_generator(seed, stream, draw).
         grid = Mesh(cells=5)
         sampler = GaussianFieldSampler(grid, stream=4)
         draws = range(block * pde._DRAW_BLOCK, (block + 1) * pde._DRAW_BLOCK)
@@ -805,12 +809,12 @@ class TestGaussianField:
         values = rng.uniform(-1.0, 1.0, grid.node_count)
         points = np.vstack([rng.random((500, 2)), rng.uniform(-0.2, 1.2, (50, 2))])
         expected = bilinear_reference(grid, values, points)
-        assert np.max(np.abs(bilinear_on_grid(grid, values, points) - expected)) <= 1e-15
+        assert np.max(np.abs(on_grid(grid, values, points) - expected)) <= 1e-15
 
     def test_bilinear_reproduces_grid_nodes_exactly(self):
         grid = Mesh(cells=6)
         values = np.random.default_rng(4).standard_normal(grid.node_count)
-        assert np.array_equal(bilinear_on_grid(grid, values, grid.nodes), values)
+        assert np.array_equal(on_grid(grid, values, grid.nodes), values)
         # Nodes on x = 1 or y = 1 fall into the last cell, at fraction 1.
         index, weights = bilinear_weights(grid, np.array([[1.0, 0.5], [0.5, 1.0], [1.0, 1.0]]))
         nx = grid.nodes_per_axis
@@ -823,5 +827,5 @@ class TestGaussianField:
         x, y = grid.nodes.T
         data = lambda x, y: 0.7 - 1.3 * x + 0.4 * y + 2.1 * x * y  # noqa: E731
         points = np.random.default_rng(6).random((300, 2))
-        values = bilinear_on_grid(grid, data(x, y), points)
+        values = on_grid(grid, data(x, y), points)
         assert np.max(np.abs(values - data(points[:, 0], points[:, 1]))) <= 1e-14

@@ -8,7 +8,6 @@ from kernelkit.points import (
     Box,
     Disc,
     PointSet,
-    fill_distance,
     generate_points,
     halton_sequence,
     pairwise_distances,
@@ -114,14 +113,6 @@ class TestGeneratePoints:
         pts = generate_points(box, 20).points
         assert np.all((pts >= 2.0) & (pts <= 4.0))
 
-    def test_fill_distance_decreases_on_square(self):
-        fills = [
-            fill_distance(generate_points(UNIT_SQUARE, n), 256)
-            for n in (16, 64, 256)
-        ]
-        assert fills[0] > fills[1] > fills[2]
-        assert fills[2] / fills[0] <= 0.4
-
     def test_disc_points_inside_and_nested(self):
         disc = Disc(center=(0.0, 0.0), radius=1.0)
         small = generate_points(disc, 30)
@@ -149,36 +140,6 @@ class TestGeneratePoints:
         assert not shared.points.flags.writeable
         with pytest.raises(ValueError):
             shared.points[0, 0] = 0.5
-
-
-class TestFillDistance:
-    def test_three_point_interval(self):
-        ps = PointSet(
-            points=np.array([[0.0], [0.5], [1.0]]), domain=UNIT_INTERVAL
-        )
-        assert fill_distance(ps, 33) == pytest.approx(0.25)
-
-    def test_midpoint_only(self):
-        ps = PointSet(points=np.array([[0.5]]), domain=UNIT_INTERVAL)
-        assert fill_distance(ps, 33) == pytest.approx(0.5)
-
-    def test_uniform_grid_on_square(self):
-        g = np.linspace(0.0, 1.0, 4)
-        pts = np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1).reshape(-1, 2)
-        ps = PointSet(points=pts, domain=UNIT_SQUARE)
-        measured = fill_distance(ps, 512)
-        assert measured == pytest.approx(math.sqrt(2.0) / 6.0, abs=2e-3)
-        assert measured <= math.sqrt(2.0) / 6.0 + 1e-12
-
-    def test_rejects_coarse_candidate_grid(self):
-        ps = PointSet(points=np.array([[0.5]]), domain=UNIT_INTERVAL)
-        with pytest.raises(ValueError):
-            fill_distance(ps, 16)
-
-    def test_disc_candidates(self):
-        disc = Disc(center=(0.0, 0.0), radius=1.0)
-        ps = PointSet(points=np.array([[0.0, 0.0]]), domain=disc)
-        assert fill_distance(ps, 64) == pytest.approx(1.0, abs=0.05)
 
 
 class TestPairwiseDistances:
