@@ -41,14 +41,21 @@ stay below 1e-8 relative even when a shift was needed.  A
 :meth:`~kernelkit.points.PointSet.product` grid of two or more factors
 under ``TensorKernel.product`` of their kernels has
 ``K = K_1 (x) ... (x) K_m``, read off the grid's factors
-(:meth:`TensorKernel.grid_factors`); it is solved through the
-eigendecomposition ``K_j = Q_j diag(lambda_j) Q_j^T`` of each factor, so a
-fit on an ``n_1 x n_2`` grid costs ``n_1**3 + n_2**3`` instead of
-``(n_1 n_2)**3`` and never forms ``K``; each Kronecker mode product is one
-``np.dot``.  All other node sets are solved by a dense Cholesky
+(:meth:`TensorKernel.grid_factors`), and is solved through per-factor
+inverses, so it never forms ``K``; each Kronecker mode product is one
+``np.dot``.  When every block is a one-dimensional Matern kernel of
+order ``nu = m + 1/2`` = 1/2, 3/2 or 5/2, each factor's exact inverse comes
+from kernel packets (Chen, Ding & Tuo, JMLR 23, 2022): combinations of
+the kernel at ``2m + 3`` consecutive sorted points that vanish outside
+them, which make ``K_j = A^-1 Phi`` with ``A`` and ``Phi`` banded, so
+``K_j^-1 = Phi^-1 A`` costs ``O(n)`` row operations on one ``n x n``
+buffer, needs no shift, and gives the same bits at any BLAS thread count.
+Otherwise, or when the grid's eigenvalues may lie far below the shift,
+each factor is eigendecomposed, ``K_j = Q_j diag(lambda_j) Q_j^T``, at
+``n_j**3``.  All other node sets are solved by a dense Cholesky
 factorization, with the shift added in place to one copy of the Gram
-matrix per attempt.  One cache, ``_FACTORED_GRAMS`` (32 MiB), keeps both
-paths' factorizations, so fits of new values on nodes seen before factor
+matrix per attempt.  One cache, ``_FACTORED_GRAMS`` (32 MiB), keeps every
+path's factorizations, so fits of new values on nodes seen before factor
 nothing.
 """
 
@@ -56,7 +63,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial, reduce
+from functools import cached_property, lru_cache, partial, reduce
 from typing import Callable, Sequence
 
 import numpy as np
@@ -86,12 +93,32 @@ _STACK_BLOCK_ENTRIES = 2**16
 # per node; one that pads more evaluates by per-node gathers instead.
 _PLAN_ENTRIES_PER_NODE = 2
 # Bytes of factorizations that both fit paths keep (``_FACTORED_GRAMS``).
-# The interp benchmark's ten grid factors (2 to 1024 points) hold 22.4 MB;
-# its 1024-point factor, decomposed for the tuple (2, 1024), is used again
-# at (1024, 2), and below about 23 MB it would be decomposed twice.  The
-# ouu pipelines fit 239 times over 7 node sets of at most 128 nodes
-# (0.26 MB a Gram matrix and its factor).
+# The interp benchmark's ten grid factors (2 to 1024 points) hold 22.4 MB
+# as Gram matrices with packet inverses (or with eigendecompositions, 8
+# bytes a point more); its 1024-point factor, factored for the tuple
+# (2, 1024), is used again at (1024, 2), and below about 23 MB it would be
+# factored twice.  The ouu pipelines fit 239 times over 7 node sets of at
+# most 128 nodes (0.26 MB a Gram matrix and its factor).
 _FACTORED_GRAM_BYTES = 2**25
+# Kernel packets (:func:`_packet_inverse`): Taylor series are summed to
+# this many terms, for arguments up to this radius (in length scales);
+# wider windows and distances use the closed exponential forms.
+_PACKET_SERIES_TERMS = 40
+_PACKET_SERIES_RADIUS = 2.0
+# Highest order m (nu = m + 1/2) whose factors are inverted by packets.
+# Against a 50-digit inverse on 40 points, the packet inverse's relative
+# error grows with m: 2e-13 at m = 2, 7e-11 at m = 4, 4e-9 at m = 5 and
+# of order 1 at m = 8 (length scale 0.1); and from m = 20 on the odd
+# series table above holds no term.  Higher orders keep the eigen solve.
+_PACKET_ORDER_MAX = 2
+# A grid is solved through packet inverses only if its eigenvalues provably
+# stay above this fraction of the starting diagonal shift.  Below that the
+# shifted eigen solve regularizes the grid's lowest modes, and the exact
+# inverse would move the fit off-node by more than refinement noise: a
+# (nu 5/2, 64 points) x (nu 3/2, 6 points) grid, whose floor is 0.004 of
+# the shift, moved by 6e-9.  The interp benchmark's grids (up to 2048
+# nodes) have floors of at least 0.8 of the shift.
+_PACKET_SHIFT_MARGIN = 0.1
 
 
 class ConditioningError(RuntimeError):
@@ -383,10 +410,11 @@ def _solve_spd(kernel: TensorKernel, nodes: PointSet, rhs: np.ndarray) -> np.nda
     """Solve ``K x = rhs`` with jitter escalation and iterative refinement.
 
     A tensor grid (:meth:`TensorKernel.grid_factors`) is solved through its
-    factors' eigendecompositions (:func:`_solve_kronecker`), all other node
-    sets by a dense Cholesky factorization.  Raises ConditioningError when
-    the shifted system is not positive definite at the largest admissible
-    shift or the residual stays above the required tolerance.
+    factors' packet inverses or eigendecompositions (:func:`_solve_kronecker`),
+    all other node sets by a dense Cholesky factorization.  Raises
+    ConditioningError when the shifted system is not positive definite at
+    the largest admissible shift, a packet elimination meets a zero or
+    non-finite pivot, or the residual stays above the required tolerance.
     """
     factors = kernel.grid_factors(nodes)
     if factors is not None:
@@ -436,14 +464,293 @@ def _decompose_factor(kernel: MaternKernel, rows: np.ndarray):
     return gram, eigenvalues, eigenvectors
 
 
+def _packet_order(kernel: MaternKernel) -> int | None:
+    """``m`` of a one-dimensional Matern kernel of order ``nu = m + 1/2``,
+    ``m <= _PACKET_ORDER_MAX``, whose grid factors :func:`_packet_factor`
+    inverts; else None."""
+    coefficients = kernel._half_integer_coefficients
+    if kernel.dim != 1 or coefficients is None or len(coefficients) > _PACKET_ORDER_MAX + 1:
+        return None
+    return len(coefficients) - 1
+
+
+def _packet_factor(kernel: MaternKernel, rows: np.ndarray):
+    """``(gram, inverse, floor)`` of one block kernel on one factor's points.
+
+    The inverse comes from kernel packets (:func:`_packet_inverse`), or
+    directly when the factor has fewer points than a packet spans.
+    ``floor``, a 0-d array, is ``1 / ||inverse||_inf``, a lower bound on
+    the Gram matrix's smallest eigenvalue.
+    """
+    gram = kernel.gram(rows, rows)
+    m = _packet_order(kernel)
+    try:
+        if len(rows) < 2 * m + 3:
+            inverse = np.linalg.inv(gram)
+        else:
+            inverse = _packet_inverse(kernel, rows[:, 0], m)
+    except np.linalg.LinAlgError:
+        gaps = np.diff(np.sort(rows[:, 0]))
+        raise ConditioningError(
+            "kernel packet inverse met a zero or non-finite pivot",
+            len(rows),
+            float(gaps.min()) if len(gaps) else math.inf,
+        ) from None
+    # ||inverse||_inf by blocks of rows, with no temporary of its size.
+    norm = max(
+        np.abs(inverse[start : start + 64]).sum(axis=1).max()
+        for start in range(0, len(inverse), 64)
+    )
+    floor = np.array(1.0 / norm)
+    for array in (gram, inverse, floor):
+        array.setflags(write=False)
+    return gram, inverse, floor
+
+
+def _packet_inverse(kernel: MaternKernel, x: np.ndarray, m: int) -> np.ndarray:
+    """``K^-1`` of the Matern kernel of order ``m + 1/2`` on at least
+    ``2m + 3`` one-dimensional points ``x``, from kernel packets.
+
+    On the sorted points, packet ``i`` is the combination ``sum_j A[i, j]
+    K(., x_j)`` over a window of consecutive points that vanishes on one
+    or both sides of the window (:func:`_packet_coefficients`).  So ``A``
+    is banded, ``Phi = A K``, the packets' values at the points, is banded
+    (:func:`_packet_band`), and ``K^-1 = Phi^-1 A`` (Chen, Ding & Tuo,
+    JMLR 23, 2022).  ``A`` is scattered into one ``n x n`` buffer, whose
+    row ``order[i]`` holds packet ``i`` and column ``order[j]`` point
+    ``j``, so that the result is in the points' own order.  Gaussian
+    elimination of the banded ``Phi`` without pivoting, each row operation
+    applied to whole buffer rows, then leaves ``K^-1`` there: ``O(n)`` row
+    operations, no ``n x n`` temporary.  Raises LinAlgError at a zero or
+    non-finite pivot.
+    """
+    order = np.argsort(x, kind="stable")
+    u = x[order] / kernel.length_scale
+    n = len(u)
+    starts, coefficients = _packet_coefficients(u, m)
+    band = _packet_band(kernel, u, starts, coefficients).tolist()
+    inverse = np.zeros((n, n))
+    window = starts[:, None] + np.arange(2 * m + 3)
+    inverse[order[:, None], order[window]] = coefficients
+    rows = [inverse[i] for i in order.tolist()]
+    for i in range(n):
+        pivot = band[i][m]
+        if not (math.isfinite(pivot) and pivot != 0.0):
+            raise np.linalg.LinAlgError(f"kernel packet pivot {pivot} at row {i}")
+        for k in range(1, min(m, n - 1 - i) + 1):
+            below = band[i + k]
+            factor = below[m - k] / pivot
+            for t in range(m - k + 1, 2 * m + 1 - k):
+                below[t] -= factor * band[i][t + k]
+            rows[i + k] -= factor * rows[i]
+    for i in range(n - 1, -1, -1):
+        row = rows[i]
+        for k in range(1, min(m, n - 1 - i) + 1):
+            row -= band[i][m + k] * rows[i + k]
+        row /= band[i][m]
+    return inverse
+
+
+def _packet_coefficients(u: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(starts, coefficients)`` of the kernel packets on sorted points ``u``
+    (in length scales): packet ``i`` combines the kernel at points
+    ``starts[i]`` to ``starts[i] + 2m + 2`` with ``coefficients[i]``.
+
+    Right of all its points a combination of order ``m + 1/2`` translates
+    is ``sum_p c_p u**p exp(-u)``, left of them ``sum_p c_p u**p exp(u)``:
+    it vanishes on the right if its coefficients annihilate ``u**p
+    exp(u)``, ``p <= m``, and on the left if they annihilate ``u**p
+    exp(-u)``.  Central packets do both over ``2m + 3`` points
+    (:func:`_central_packets`).  The first and last ``m + 1`` packets are
+    one-sided: over the ``m + 2`` points from (or up to) their own point,
+    they vanish on the right (or left), with coefficients ``exp(-u_j)``
+    (or ``exp(u_j)``) times the divided-difference weights of order
+    ``m + 1``, which annihilate polynomials of degree ``m``.
+    """
+    n = len(u)
+    width = 2 * m + 3
+    index = np.arange(n)
+    starts = np.clip(index - m - 1, 0, n - width)
+    points = u[starts[:, None] + np.arange(width)]
+    coefficients = np.zeros((n, width))
+    for packets, first, sign in (
+        (index[: m + 1], index[: m + 1], 1.0),
+        (index[n - m - 1 :], index[n - m - 1 :] - m - 1, -1.0),
+    ):
+        columns = (first - starts[packets])[:, None] + np.arange(m + 2)
+        own = np.take_along_axis(points[packets], columns, axis=1)
+        anchor = u[packets][:, None]
+        z = (own - anchor) / (own[:, -1:] - own[:, :1])
+        gaps = z[:, :, None] - z[:, None, :]
+        gaps[:, range(m + 2), range(m + 2)] = 1.0
+        coefficients[packets[:, None], columns] = np.exp(
+            sign * (anchor - own)
+        ) / gaps.prod(axis=2)
+    central = index[m + 1 : n - m - 1]
+    coefficients[central] = _central_packets(points[central], m)
+    return starts, coefficients
+
+
+def _central_packets(points: np.ndarray, m: int) -> np.ndarray:
+    """Coefficients of the packets over each row of ``2m + 3`` sorted
+    ``points``, each scaled to a middle coefficient of 1.
+
+    They span the null space of the ``2m + 2`` conditions that a basis of
+    the span of ``u**p exp(+-u)`` imposes, in local coordinates ``v`` about
+    the window's midpoint.  Narrow windows use the solutions ``f_k`` of
+    ``(D**2 - 1)**(m+1) f = 0`` with ``f_k(v) = v**k / k! + O(v**(2m+2))``,
+    divided by ``span**k``: they tend to ``(v / span)**k / k!`` as the
+    window shrinks, where ``u**p exp(+-u)`` would become linearly
+    dependent.  Wide windows use ``(v / span)**p exp(+-v)``, each point's
+    column divided by ``exp(|v|)`` so that nothing overflows or vanishes,
+    which the coefficients then undo.  Every coefficient of a packet is
+    nonzero, since no ``2m + 2`` points carry one, so the middle one can be
+    fixed.
+    """
+    count, width = points.shape
+    span = points[:, -1:] - points[:, :1]
+    v = points - 0.5 * (points[:, :1] + points[:, -1:])
+    conditions = np.empty((count, width - 1, width))
+    narrow = span[:, 0] <= 2.0 * _PACKET_SERIES_RADIUS
+    basis = _packet_tables(m)[2]
+    near = v[narrow]
+    values = np.zeros((width - 1, *near.shape))
+    for coefficient in basis.T[::-1]:  # Horner's rule, highest power first
+        values *= near
+        values += coefficient[:, None, None]
+    powers = span[narrow].T[:, :, None] ** np.arange(width - 1)[:, None, None]
+    conditions[narrow] = (values / powers).transpose(1, 0, 2)
+    far = v[~narrow]
+    z = far / span[~narrow]
+    for p in range(m + 1):
+        conditions[~narrow, 2 * p] = z**p * np.exp(far - np.abs(far))
+        conditions[~narrow, 2 * p + 1] = z**p * np.exp(-far - np.abs(far))
+    middle = m + 1
+    others = [j for j in range(width) if j != middle]
+    solved = np.linalg.solve(
+        conditions[:, :, others], -conditions[:, :, middle, None]
+    )[..., 0]
+    coefficients = np.insert(solved, middle, 1.0, axis=1)
+    coefficients[~narrow] *= np.exp(np.abs(far[:, middle : middle + 1]) - np.abs(far))
+    return coefficients
+
+
+def _packet_band(
+    kernel: MaternKernel, u: np.ndarray, starts: np.ndarray, coefficients: np.ndarray
+) -> np.ndarray:
+    """The band of ``Phi``: entry ``[i, t]`` is packet ``i``'s value at point
+    ``i - m + t``, zero past the ends.
+
+    A packet vanishes outside its window, and its values there come in
+    three exact forms; each entry takes the one whose terms' magnitudes sum
+    the least, so that it loses the fewest digits.  Summing the kernel
+    values themselves cancels to ``O(h**(2m+1))`` in a window of width
+    ``h``.  But a packet that vanishes on the right is, at ``u_l``, the
+    sum over its points ``u_j > u_l`` of ``c_j (psi(d) - psi(-d))``,
+    ``d = u_j - u_l``, ``psi(s) = q(s) exp(-s)`` the profile, because its
+    analytic continuation ``sum_j c_j psi(u - u_j)`` from the right is
+    zero; likewise over ``u_j < u_l`` for one that vanishes on the left.
+    ``psi(d) - psi(-d)`` is ``O(d**(2m+1))`` and is summed by its series
+    (:func:`_odd_profile`).
+    """
+    n, width = coefficients.shape
+    m = (width - 3) // 2
+    columns = np.arange(n)[:, None] + np.arange(-m, m + 1)
+    inside = (columns >= 0) & (columns < n)
+    offsets = (
+        u[np.clip(columns, 0, n - 1)][:, :, None]
+        - u[starts[:, None] + np.arange(width)][:, None, :]
+    )
+    distance = np.abs(offsets)
+    # psi's constant: the profile is constant * q(d) exp(-d).
+    weights = coefficients[:, None, :] * (kernel._normalization * math.sqrt(math.pi / 2.0))
+    q = _packet_tables(m)[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        direct = weights * np.polynomial.polynomial.polyval(distance, q)
+        direct *= np.exp(-distance)
+        odd = weights * _odd_profile(distance, m)
+        forms = [direct, np.where(offsets < 0, odd, 0.0), np.where(offsets > 0, odd, 0.0)]
+        costs = [np.nan_to_num(np.abs(f).sum(axis=2), nan=np.inf) for f in forms]
+    costs[1][n - m - 1 :] = np.inf  # the last packets do not vanish on the right
+    costs[2][: m + 1] = np.inf  # nor the first on the left
+    band = np.choose(np.argmin(costs, axis=0), [f.sum(axis=2) for f in forms])
+    return np.where(inside, band, 0.0)
+
+
+def _odd_profile(d: np.ndarray, m: int) -> np.ndarray:
+    """``psi(d) - psi(-d)`` for ``d >= 0``, with ``psi(s) = q(s) exp(-s)``
+    the order ``m + 1/2`` profile without its constant.
+
+    It equals ``2 (q_odd(d) cosh(d) - q_even(d) sinh(d))``, ``d cosh(d) -
+    sinh(d)`` times 2 for ``m = 1``, and is ``O(d**(2m+1))``, so below the
+    series radius, where its two terms nearly cancel, it is summed as a
+    Taylor series in ``d**2`` instead.
+    """
+    q, odd, _ = _packet_tables(m)
+    out = np.empty_like(d)
+    near = d < _PACKET_SERIES_RADIUS
+    small = d[near]
+    square = small * small
+    series = np.full_like(small, odd[-1])
+    for coefficient in odd[-2::-1]:
+        series *= square
+        series += coefficient
+    out[near] = series * small ** (2 * m + 1)
+    large = d[~near]
+    polyval = np.polynomial.polynomial.polyval
+    out[~near] = polyval(large, q) * np.exp(-large) - polyval(-large, q) * np.exp(large)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _packet_tables(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Series tables of the Matern kernel of order ``m + 1/2``, as floats.
+
+    ``(q, odd, basis)``: the profile is ``q(s) exp(-s)`` up to its constant,
+    ``q`` lowest power first; ``psi(d) - psi(-d) = d**(2m+1) sum_i
+    odd[i] d**(2i)``; ``basis[k, j]`` is the ``v**j`` Taylor coefficient of
+    the solution ``f_k`` of ``(D**2 - 1)**(m+1) f = 0`` whose first
+    ``2m + 2`` derivatives at 0 are those of ``v**k / k!``.  All are
+    computed in rationals, so the coefficients that vanish are exactly 0.
+    """
+    # Imported here: only packet grids need it, and every run imports this
+    # module.
+    from fractions import Fraction
+
+    terms = _PACKET_SERIES_TERMS
+    q = [
+        Fraction(math.factorial(2 * m - p), math.factorial(p) * math.factorial(m - p))
+        / 2 ** (m - p)
+        for p in range(m + 1)
+    ]
+    psi = [
+        sum(q[p] * Fraction((-1) ** (j - p), math.factorial(j - p)) for p in range(min(j, m) + 1))
+        for j in range(terms)
+    ]
+    odd = [2 * psi[j] for j in range(2 * m + 1, terms, 2)]
+    order = 2 * m + 2
+    # (D**2 - 1)**(m+1) = D**order + sum_i recurrence[i] D**(2i)
+    recurrence = [math.comb(m + 1, i) * (-1) ** (m + 1 - i) for i in range(m + 1)]
+    basis = []
+    for k in range(order):
+        derivatives = [Fraction(int(j == k)) for j in range(order)]
+        for j in range(order, terms):
+            derivatives.append(
+                -sum(c * derivatives[j - order + 2 * i] for i, c in enumerate(recurrence))
+            )
+        basis.append([d / math.factorial(j) for j, d in enumerate(derivatives)])
+    return tuple(np.array(table, dtype=float) for table in (q, odd, basis))
+
+
 class _FactoredGrams:
     """Factorizations by key, least recently used first, holding at most
     ``limit`` bytes of arrays.
 
-    An entry is :func:`_factor_gram`'s pair by (kernel, node bytes) or
-    :func:`_decompose_factor`'s triple by (block kernel, factor point
-    bytes): read-only arrays, a pure function of the key, so every caller
-    in the process may share it.  One larger than the bound is not kept.
+    An entry is :func:`_factor_gram`'s pair by (kernel, node bytes), or
+    :func:`_packet_factor`'s or :func:`_decompose_factor`'s triple by
+    (block kernel, factor point bytes, kind):
+    read-only arrays, a pure function of the key, so every caller in the
+    process may share it.  One larger than the bound is not kept.
     """
 
     def __init__(self, limit: int):
@@ -465,6 +772,11 @@ class _FactoredGrams:
             oldest = self._entries.pop(next(iter(self._entries)))
             self.nbytes -= sum(array.nbytes for array in oldest)
         return entry
+
+    def kept(self, key):
+        """The entry of ``key`` if it is kept, else None; its place in the
+        order stays."""
+        return self._entries.get(key)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -496,26 +808,70 @@ def _kron_apply(matrices: Sequence[np.ndarray], x: np.ndarray) -> np.ndarray:
 def _solve_kronecker(
     kernel: TensorKernel, factors: list[np.ndarray], nodes: PointSet, rhs: np.ndarray
 ) -> np.ndarray:
-    """:func:`_solve_spd` on a tensor grid, through per-factor eigendecompositions.
+    """:func:`_solve_spd` on a tensor grid, through per-factor inverses.
 
-    With ``K_j = Q_j diag(lambda_j) Q_j^T`` the shifted system is solved
-    exactly as ``x = (x)Q_j [((x)Q_j^T b) / ((x)lambda_j + jitter)]``; the
-    shift escalates like the dense path's while that spectrum is not
-    positive, and refinement applies the unshifted ``(x)K_j`` by mode
-    products, never forming the Gram matrix.
+    When every block is a one-dimensional Matern kernel of order 1/2, 3/2
+    or 5/2 (:func:`_packet_order`), each factor's exact inverse is formed
+    from kernel packets (:func:`_packet_factor`), and if the grid's
+    eigenvalues provably stay above ``_PACKET_SHIFT_MARGIN`` times the
+    starting shift, the solve is one mode product per factor with them,
+    unshifted; only then are the inverses kept.  Otherwise each
+    factor is eigendecomposed, ``K_j = Q_j diag(lambda_j) Q_j^T``, and the
+    shifted system is solved exactly as ``x = (x)Q_j [((x)Q_j^T b) /
+    ((x)lambda_j + jitter)]``; the shift escalates like the dense path's
+    while that spectrum is not positive.  Either way refinement applies
+    the unshifted ``(x)K_j`` by mode products, never forming the Gram
+    matrix: a packet inverse is exact in exact arithmetic, but a solve by
+    it alone is not backward stable.
     """
-    grams, eigenvalues, eigenvectors = zip(
-        *(
-            _FACTORED_GRAMS.get(
-                (block, rows.tobytes()), partial(_decompose_factor, block, rows)
-            )
-            for (block, _), rows in zip(kernel.blocks, factors)
-        )
-    )
     shape = tuple(len(rows) for rows in factors)
+    blocks = [block for block, _ in kernel.blocks]
+    packets = all(_packet_order(block) is not None for block in blocks)
+    if packets:
+        keys = [(block, rows.tobytes(), "packets") for block, rows in zip(blocks, factors)]
+        built = {}  # by key: a factor used twice is built once
+        for key, block, rows in zip(keys, blocks, factors):
+            if key not in built:
+                built[key] = _FACTORED_GRAMS.kept(key) or _packet_factor(block, rows)
+        grams, inverses, floors = zip(*(built[key] for key in keys))
+        base = _shift_base(grams)
+        packets = math.prod(floors) >= _PACKET_SHIFT_MARGIN * _JITTER_START * base
+    if packets:
+        # Kept only now, so that a grid that falls back keeps no inverse.
+        for key, entry in built.items():
+            _FACTORED_GRAMS.get(key, lambda entry=entry: entry)
+
+        def solve(r: np.ndarray) -> np.ndarray:
+            return _kron_apply(inverses, r.reshape(shape)).ravel()
+
+    else:
+        entries = [
+            _FACTORED_GRAMS.get(
+                (block, rows.tobytes(), "eigen"), partial(_decompose_factor, block, rows)
+            )
+            for block, rows in zip(blocks, factors)
+        ]
+        grams = [entry[0] for entry in entries]
+        solve = _eigen_solve(entries, shape, nodes)
+
+    def apply(x: np.ndarray) -> np.ndarray:
+        return _kron_apply(grams, x.reshape(shape)).ravel()
+
+    return _refine(solve, apply, rhs, nodes)
+
+
+def _shift_base(grams: Sequence[np.ndarray]) -> float:
+    """``trace(K) / N`` of the Kronecker product of ``grams``, the dense
+    path's shift scale."""
+    return math.prod(np.trace(gram) / len(gram) for gram in grams)
+
+
+def _eigen_solve(entries, shape: tuple[int, ...], nodes: PointSet):
+    """The solve of the smallest admissibly shifted Kronecker system whose
+    factors have the eigendecompositions ``entries``."""
+    grams, eigenvalues, eigenvectors = zip(*entries)
     spectrum = reduce(np.multiply.outer, eigenvalues)
-    # trace(K) / N, the dense path's shift scale.
-    base = math.prod(np.trace(gram) / len(gram) for gram in grams)
+    base = _shift_base(grams)
     jitter = _JITTER_START * base
     limit = _JITTER_LIMIT * base
     while np.min(spectrum) + jitter <= 0.0:
@@ -529,10 +885,7 @@ def _solve_kronecker(
         projected = _kron_apply(transposed, r.reshape(shape))
         return _kron_apply(eigenvectors, projected / shifted).ravel()
 
-    def apply(x: np.ndarray) -> np.ndarray:
-        return _kron_apply(grams, x.reshape(shape)).ravel()
-
-    return _refine(solve, apply, rhs, nodes)
+    return solve
 
 
 def _shift_failed(nodes: PointSet) -> ConditioningError:
@@ -564,7 +917,8 @@ def _refine(
                 break
             solution = solution + solve(residual)
         residual = rhs - apply(solution)
-        if np.max(np.abs(residual)) > _RESIDUAL_REQUIRED * scale:
+        # Written so that a residual that is not a number fails too.
+        if not np.max(np.abs(residual)) <= _RESIDUAL_REQUIRED * scale:
             raise ConditioningError(
                 "node residual above tolerance after refinement",
                 len(nodes),

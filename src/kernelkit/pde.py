@@ -709,8 +709,11 @@ class GaussianFieldSampler:
     triangular product ``factor @ normals`` (``dtrmm``, which skips the
     factor's zero upper triangle), whose column for draw ``k`` is the
     standard normal vector of the counter-based generator keyed
-    ``(seed, stream, k)`` (see :func:`philox_generator`).  A block is
-    always the same matrix, so the draw indexed ``(seed, draw)`` is bit
+    ``(seed, stream, k)`` (see :func:`philox_generator`).  A block takes
+    one such generator and resets its state, counter ``[0, 0, k, 0]`` and
+    empty buffer, before each draw ``k``: the same bits as a new generator
+    per draw, without building 32 of them.  A block is always the same
+    matrix, so the draw indexed ``(seed, draw)`` is bit
     for bit a pure function of its key: draws do not depend on the order
     or number of draws made before them.  The sampler keeps its latest
     block, so draws requested in ascending order compute each block once.
@@ -731,13 +734,19 @@ class GaussianFieldSampler:
         block, column = divmod(draw, _DRAW_BLOCK)
         if self._block_key != (seed, block):
             first = block * _DRAW_BLOCK
+            generator = philox_generator(seed, self.stream, first)
+            bits = generator.bit_generator
+            # The fresh state, buffer included; its counter array is the
+            # one each draw sets.
+            state = bits.state
+            counter = state["state"]["counter"]
             # One normal vector per row, so the transpose is the Fortran
             # (nodes, draws) operand that dtrmm overwrites with the product.
             normals = np.empty((_DRAW_BLOCK, self.grid.node_count))
             for row in range(_DRAW_BLOCK):
-                philox_generator(seed, self.stream, first + row).standard_normal(
-                    out=normals[row]
-                )
+                counter[2] = first + row
+                bits.state = state
+                generator.standard_normal(out=normals[row])
             self._block = dtrmm(1.0, self._factor, normals.T, lower=1, overwrite_b=1)
             self._block_key = (seed, block)
         # A view of the column would keep the whole block alive in every

@@ -9,9 +9,13 @@ engine that moves these numbers beyond rounding fails here.
 
 import importlib.util
 import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
+import kernelkit.kernels as kernels_module
 from kernelkit.cli import main
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -42,11 +46,56 @@ def test_example_matches_golden_outputs(example, tmp_path):
 @pytest.mark.parametrize("example", ["interp", "rsr-bump"])
 def test_example_repeats_byte_for_byte_in_one_process(example, tmp_path):
     # The second run reuses every process-wide cache the first one filled:
-    # nested point prefixes, factor eigendecompositions, mesh operators.
+    # nested point prefixes, grid-factor inverses, mesh operators.
     config = os.path.join(ROOT, "docs", "examples", f"{example}.cfg")
     studies = []
     for run in ("first", "second"):
         out = tmp_path / run
         assert main(["--config", config, "--out", str(out), "--quiet"]) == 0
+        studies.append((out / "study.csv").read_bytes())
+    assert studies[0] == studies[1]
+
+
+def test_interp_example_inverts_its_factors_by_packets(monkeypatch, tmp_path):
+    # Its grids' blocks are all one-dimensional with nu = 3/2: each of the 7
+    # distinct factors is inverted once, and nothing is eigendecomposed.
+    kernels_module._FACTORED_GRAMS.clear()
+    calls = {"eigh": 0, "_packet_factor": 0}
+    for owner, name in ((np.linalg, "eigh"), (kernels_module, "_packet_factor")):
+        original = getattr(owner, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    config = os.path.join(ROOT, "docs", "examples", "interp.cfg")
+    assert main(["--config", config, "--out", str(tmp_path / "out"), "--quiet"]) == 0
+    assert calls == {"eigh": 0, "_packet_factor": 7}
+
+
+@pytest.mark.parametrize("l_max", [8, 11])
+def test_interp_example_is_byte_identical_across_blas_thread_counts(tmp_path, l_max):
+    # At l_max = 11 the grids have factors of up to 1,024 points, where an
+    # eigendecomposition or a dense LU inverse gives different bits at one
+    # and at two BLAS threads; the example itself stops at l_max = 8.
+    with open(os.path.join(ROOT, "docs", "examples", "interp.cfg")) as handle:
+        text = handle.read()
+    assert "l_max = 8\n" in text
+    config = tmp_path / "interp.cfg"
+    config.write_text(text.replace("l_max = 8\n", f"l_max = {l_max}\n"))
+    src = os.path.join(ROOT, "src")
+    studies = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        result = subprocess.run(
+            [sys.executable, "-m", "kernelkit.cli", "--config", str(config), "--out", str(out), "--quiet"],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
         studies.append((out / "study.csv").read_bytes())
     assert studies[0] == studies[1]

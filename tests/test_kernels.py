@@ -534,6 +534,12 @@ def decomposition_bytes(count):
     return 8 * (2 * count**2 + count)
 
 
+def packet_bytes(count):
+    """Bytes of a packet grid-factor entry: the Gram matrix, its inverse and
+    the eigenvalue floor."""
+    return 8 * (2 * count**2 + 1)
+
+
 def counting(monkeypatch, owner, name, calls, record=len):
     """Wrap ``owner.name`` so that each call appends ``record(first argument)``."""
     original = getattr(owner, name)
@@ -626,9 +632,12 @@ def smooth_values(points):
 
 
 class TestKroneckerSolve:
-    # (beta, dim) per factor: nu = beta - dim/2 is half-integer for (2.0, 1)
-    # and (2.5, 2), integer for (1.5, 1), (2.0, 2) and (3.0, 1).  The last
+    # (beta, dim) per factor: nu = beta - dim/2 is half-integer for (2.0, 1),
+    # (2.5, 2) and (3.0, 1), integer for (1.5, 1) and (2.0, 2).  The last
     # grid's smallest product eigenvalues lie far below the diagonal shift.
+    # Grids of one-dimensional half-integer blocks alone are solved by kernel
+    # packets (TestPacketInverse), so the eigendecomposition tests below use
+    # integer orders.
     @pytest.mark.parametrize(
         "layout,counts",
         [
@@ -686,7 +695,7 @@ class TestKroneckerSolve:
             return eigenvalues, eigenvectors
 
         monkeypatch.setattr(np.linalg, "eigh", negative_first)
-        kernel, nodes = block_grid(((2.0, 1), (2.0, 1)), (5, 4))
+        kernel, nodes = block_grid(((1.5, 1), (1.5, 1)), (5, 4))
         with pytest.raises(ConditioningError, match="maximum diagonal shift"):
             fit_interpolant(kernel, nodes, smooth_values(nodes.points))
 
@@ -704,7 +713,7 @@ class TestKroneckerSolve:
     def test_fits_decompose_each_factor_once(self, monkeypatch, fresh_factored_grams):
         decomposed = []
         counting(monkeypatch, np.linalg, "eigh", decomposed)
-        k = MaternKernel(beta=2.0, dim=1)
+        k = MaternKernel(beta=1.5, dim=1)
         sets = {n: generate_points(UNIT_INTERVAL, n) for n in (4, 8, 16)}
         pairs = [(4, 8), (8, 4), (16, 16), (8, 16), (4, 4), (16, 8)]
 
@@ -726,7 +735,7 @@ class TestKroneckerSolve:
     def test_decomposition_memo_stays_bounded(self, monkeypatch, fresh_factored_grams):
         cache = kernels_module._FACTORED_GRAMS
         monkeypatch.setattr(cache, "limit", 8 * decomposition_bytes(12))
-        k = MaternKernel(beta=2.0, dim=1)
+        k = MaternKernel(beta=1.5, dim=1)
         second = generate_points(UNIT_INTERVAL, 2)
         counts = range(2, 22)
         for count in counts:
@@ -753,22 +762,28 @@ class TestKroneckerSolve:
         cache = kernels_module._FACTORED_GRAMS
         monkeypatch.setattr(cache, "limit", 4 * decomposition_bytes(6))
         decomposed = []
-        counting(monkeypatch, kernels_module, "_decompose_factor", decomposed, lambda k: k.beta)
+        counting(
+            monkeypatch,
+            kernels_module,
+            "_decompose_factor",
+            decomposed,
+            lambda k: k.length_scale,
+        )
         values = smooth_values(tensor_grid([grid.points, grid.points]))
 
-        def fit(beta):
-            k = MaternKernel(beta=beta, dim=1)
+        def fit(scale):
+            k = MaternKernel(beta=1.5, dim=1, length_scale=scale)
             grid_fit([k, k], [grid, grid], values)
 
-        betas = [1.0, 1.5, 2.0, 2.5]
-        for beta in betas:
-            fit(beta)
-        assert decomposed == betas
+        scales = [1.0, 0.8, 0.6, 0.4]
+        for scale in scales:
+            fit(scale)
+        assert decomposed == scales
         fit(1.0)  # the oldest entry becomes the newest
-        fit(3.0)  # drops the least recently used entry, beta 1.5
+        fit(0.2)  # drops the least recently used entry, scale 0.8
         fit(1.0)
-        fit(1.5)
-        assert decomposed[4:] == [3.0, 1.5]
+        fit(0.8)
+        assert decomposed[4:] == [0.2, 0.8]
         assert cache.nbytes == cache.limit
 
     def test_dense_pairs_and_grid_factors_share_one_budget(
@@ -781,7 +796,7 @@ class TestKroneckerSolve:
         counting(monkeypatch, kernels_module, "cho_factor", factored)
         counting(monkeypatch, np.linalg, "eigh", decomposed)
         dense = generate_points(UNIT_SQUARE, 20)
-        k = MaternKernel(beta=2.0, dim=1)
+        k = MaternKernel(beta=1.5, dim=1)
         grids = {n: generate_points(UNIT_INTERVAL, n) for n in (5, 6, 8)}
 
         def fit_dense():
@@ -889,6 +904,203 @@ class TestKroneckerSolve:
             reference = np.moveaxis(np.tensordot(matrix, reference, axes=(1, axis)), 0, axis)
         assert result.shape == shape
         assert result.tobytes() == reference.tobytes()
+
+
+def mp_gram(kernel, x):
+    """The Gram matrix of a one-dimensional half-integer Matern kernel at the
+    points ``x``, as rows of mpmath numbers at the working precision."""
+    mpmath = pytest.importorskip("mpmath")
+    m = kernels_module._packet_order(kernel)
+    beta = mpmath.mpf(kernel.beta)
+    scale = mpmath.mpf(2) ** (1 - beta) / mpmath.gamma(beta) * mpmath.sqrt(mpmath.pi / 2)
+    # Highest power first: r**nu K_nu(r) is exp(-r) times this polynomial.
+    coefficients = [
+        mpmath.factorial(m + k) / (mpmath.factorial(k) * mpmath.factorial(m - k) * 2**k)
+        for k in range(m + 1)
+    ]
+    u = [mpmath.mpf(float(v)) / kernel.length_scale for v in x]
+    return [
+        [scale * mpmath.exp(-abs(a - b)) * mpmath.polyval(coefficients, abs(a - b)) for b in u]
+        for a in u
+    ]
+
+
+def mp_inverse_columns(gram, columns):
+    """Columns of the inverse of an SPD mpmath matrix, by a dense Cholesky
+    factorization and solve at the working precision, rounded to floats."""
+    mpmath = pytest.importorskip("mpmath")
+    n = len(gram)
+    lower = [[mpmath.mpf(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            rest = gram[i][j] - mpmath.fdot(lower[i][:j], lower[j][:j])
+            lower[i][j] = mpmath.sqrt(rest) if i == j else rest / lower[j][j]
+    upper = [list(column) for column in zip(*lower)]
+    solved = []
+    for c in columns:
+        y = []
+        for i in range(n):
+            y.append((int(i == c) - mpmath.fdot(lower[i][:i], y)) / lower[i][i])
+        x = [mpmath.mpf(0)] * n
+        for i in reversed(range(n)):
+            x[i] = (y[i] - mpmath.fdot(upper[i][i + 1 :], x[i + 1 :])) / lower[i][i]
+        solved.append(x)
+    return np.array(solved, dtype=float).T
+
+
+class TestPacketInverse:
+    # beta 1.0, 2.0 and 3.0 in one dimension: nu = 1/2, 3/2 and 5/2.  At
+    # length scale 0.004 the windows span many length scales, where the
+    # packets' values are summed from the kernel values themselves.
+    @pytest.mark.parametrize(
+        "beta,length_scale,count",
+        [
+            *((beta, 1.0, count) for beta in (1.0, 2.0, 3.0) for count in (40, 100)),
+            (3.0, 0.004, 40),
+        ],
+    )
+    def test_matches_50_digit_dense_solve(self, beta, length_scale, count):
+        # mpmath is a test-only dependency; without it this reference skips.
+        mpmath = pytest.importorskip("mpmath")
+        kernel = MaternKernel(beta=beta, dim=1, length_scale=length_scale)
+        x = generate_points(UNIT_INTERVAL, count).points[:, 0]
+        inverse = kernels_module._packet_inverse(
+            kernel, x, kernels_module._packet_order(kernel)
+        )
+        columns = list(range(count)) if count <= 40 else list(range(0, count, 9))
+        with mpmath.workdps(50):
+            reference = mp_inverse_columns(mp_gram(kernel, x), columns)
+        error = np.max(np.abs(inverse[:, columns] - reference))
+        assert error <= 1e-9 * np.max(np.abs(reference))
+
+    @pytest.mark.parametrize("beta", [1.0, 2.0, 3.0])
+    def test_points_far_apart_match_the_dense_inverse(self, beta):
+        # Windows span about 1,500 length scales, where exp(+-u) over a
+        # window under- or overflows; the Gram matrix is nearly diagonal.
+        kernel = MaternKernel(beta=beta, dim=1, length_scale=1e-5)
+        rows = generate_points(UNIT_INTERVAL, 64).points
+        gram, inverse, _ = kernels_module._packet_factor(kernel, rows)
+        dense = np.linalg.inv(gram)
+        assert np.max(np.abs(inverse - dense)) <= 1e-14 * np.max(np.abs(dense))
+
+    def test_factors_below_the_window_take_the_direct_inverse(self, monkeypatch):
+        packets = []
+        counting(monkeypatch, kernels_module, "_packet_inverse", packets, lambda k: k.beta)
+        for beta, window in ((1.0, 3), (2.0, 5), (3.0, 7)):
+            kernel = MaternKernel(beta=beta, dim=1)
+            for count in (window - 1, window):
+                rows = generate_points(UNIT_INTERVAL, count).points
+                gram, inverse, _ = kernels_module._packet_factor(kernel, rows)
+                if count < window:
+                    assert inverse.tobytes() == np.linalg.inv(gram).tobytes()
+                else:
+                    assert np.allclose(inverse @ gram, np.eye(count), atol=1e-6)
+        assert packets == [1.0, 2.0, 3.0]
+
+    @pytest.mark.parametrize("pivot", [0.0, np.nan])
+    def test_zero_or_non_finite_pivot_raises(self, monkeypatch, fresh_factored_grams, pivot):
+        band = kernels_module._packet_band
+
+        def broken(*args):
+            values = band(*args)
+            values[0, values.shape[1] // 2] = pivot  # row 0's pivot is its diagonal
+            return values
+
+        monkeypatch.setattr(kernels_module, "_packet_band", broken)
+        kernel, nodes = block_grid(((2.0, 1), (2.0, 1)), (12, 9))
+        with pytest.raises(ConditioningError, match="zero or non-finite pivot") as caught:
+            fit_interpolant(kernel, nodes, smooth_values(nodes.points))
+        assert caught.value.node_count == 12
+
+    @pytest.mark.parametrize(
+        "layout,counts",
+        [
+            (((2.0, 1), (2.0, 1)), (24, 16)),
+            (((1.0, 1), (3.0, 1)), (40, 12)),
+            (((2.0, 1), (1.0, 1), (2.0, 1)), (9, 7, 6)),
+        ],
+    )
+    def test_grid_fit_matches_dense_solve_without_eigh(self, monkeypatch, layout, counts):
+        kernel, nodes = block_grid(layout, counts)
+        rhs = smooth_values(nodes.points)
+        gram = kernel.gram(nodes.points, nodes.points)
+        dense = shifted_solve_reference(gram, rhs, 0)
+
+        def no_eigh(gram):
+            raise AssertionError("a grid of half-integer factors was eigendecomposed")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        solution = kernels_module._solve_spd(kernel, nodes, rhs)
+        scale = np.max(np.abs(rhs))
+        assert np.max(np.abs(gram @ solution - rhs)) <= 1e-10 * scale
+        off_node = np.random.default_rng(5).random((300, nodes.dim))
+        between = kernel.gram(off_node, nodes.points)
+        assert np.max(np.abs(between @ (solution - dense))) <= 1e-9 * scale
+
+    def test_grid_far_below_the_shift_keeps_the_shifted_eigen_solve(
+        self, monkeypatch, fresh_factored_grams
+    ):
+        # TestKroneckerSolve's last layout: its floor is 0.004 of the shift.
+        decomposed = []
+        counting(monkeypatch, np.linalg, "eigh", decomposed)
+        kernel, nodes = block_grid(((3.0, 1), (2.0, 1)), (64, 6))
+        fit_interpolant(kernel, nodes, smooth_values(nodes.points))
+        assert sorted(decomposed) == [6, 64]
+        # The packet inverses that decided it are not kept.
+        cache = kernels_module._FACTORED_GRAMS
+        assert len(cache) == 2
+        assert cache.nbytes == decomposition_bytes(64) + decomposition_bytes(6)
+
+    @pytest.mark.parametrize("beta", [4.0, 21.0])
+    def test_orders_above_five_halves_keep_the_eigen_solve(
+        self, monkeypatch, fresh_factored_grams, beta
+    ):
+        # nu = 7/2 and 41/2; at length scale 0.001 the 64-point factor's
+        # Gram matrix is well conditioned and wider than a packet window.
+        built, decomposed = [], []
+        counting(monkeypatch, kernels_module, "_packet_factor", built)
+        counting(monkeypatch, np.linalg, "eigh", decomposed)
+        k = MaternKernel(beta=beta, dim=1, length_scale=0.001)
+        sets = [generate_points(UNIT_INTERVAL, n) for n in (2, 64)]
+        values = smooth_values(tensor_grid([p.points for p in sets]))
+        fit = grid_fit([k, k], sets, values)
+        assert built == []
+        assert sorted(decomposed) == [2, 64]
+        assert np.max(np.abs(fit.evaluate(tensor_grid([p.points for p in sets])) - values)) <= 1e-8
+
+    def test_fits_build_each_packet_factor_once(self, monkeypatch, fresh_factored_grams):
+        built = []
+        counting(monkeypatch, kernels_module, "_packet_factor", built, lambda k: k.beta)
+        k = MaternKernel(beta=2.0, dim=1)
+        sets = {n: generate_points(UNIT_INTERVAL, n) for n in (4, 8, 16)}
+        pairs = [(4, 8), (8, 4), (16, 16), (8, 16), (4, 4), (16, 8)]
+
+        def fit_all():
+            return [
+                grid_fit(
+                    [k, k],
+                    [sets[a], sets[b]],
+                    smooth_values(tensor_grid([sets[a].points, sets[b].points])),
+                ).coefficients
+                for a, b in pairs
+            ]
+
+        first, again = fit_all(), fit_all()
+        assert built == [2.0] * 3
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(first, again))
+        cache = kernels_module._FACTORED_GRAMS
+        assert cache.nbytes == sum(packet_bytes(n) for n in (4, 8, 16))
+
+    def test_packet_path_takes_no_scipy(self, monkeypatch, fresh_factored_grams):
+        def no_scipy(*args, **kwargs):
+            raise AssertionError("the packet path called scipy")
+
+        for name in ("cho_factor", "cho_solve", "bessel_k0", "bessel_k1"):
+            monkeypatch.setattr(kernels_module, name, no_scipy)
+        kernel, nodes = block_grid(((2.0, 1), (2.0, 1)), (33, 17))
+        fit = fit_interpolant(kernel, nodes, smooth_values(nodes.points))
+        residual = fit.evaluate(nodes.points) - smooth_values(nodes.points)
+        assert np.max(np.abs(residual)) <= 1e-8
 
 
 class TestQuadratureWeights:

@@ -422,6 +422,32 @@ class TestMinimizeObjective:
         z, _ = minimize_objective(objective, restarts=6)
         assert np.linalg.norm(z) <= 1e-3
 
+    def test_objective_evaluates_each_point_once(self):
+        surrogate = _zero_surrogate()
+        evaluated, probed = [], []
+
+        def counted(z):
+            evaluated.append(np.asarray(z).tobytes())
+            return surrogate(z)
+
+        objective = OuuObjective(surrogate=counted)
+
+        def probe(z):
+            probed.append(np.asarray(z).tobytes())
+            return objective(z)
+
+        def plain(z):
+            z = np.asarray(z, dtype=float)
+            return float(surrogate(z)) + 0.1 * float(z @ z)
+
+        z, value = minimize_objective(probe, restarts=3)
+        # The search revisits points; each is evaluated once, and the
+        # search takes the same path as without the kept values.
+        assert len(probed) > len(evaluated) == len(set(probed))
+        assert sorted(evaluated) == sorted(set(probed))
+        reference, reference_value = minimize_objective(plain, restarts=3)
+        assert z.tobytes() == reference.tobytes() and value == reference_value
+
     def test_minimizer_stays_in_disc(self):
         objective = lambda z: -float(z[0])  # pushes toward the boundary
         z, _ = minimize_objective(objective, restarts=4)
