@@ -85,9 +85,10 @@ _GAUSS_POINTS_PER_AXIS = 64
 # together, and that any one of its group products holds
 # (:func:`evaluate_stacked`).  The studies evaluate their stack after
 # building every surrogate, when they hold the most memory, and an
-# integer-order profile holds three temporaries of its own size: at 2**18
-# entries the ouu study's peak RSS rose from 97.2 to 100.7 MB, at 2**16 it
-# fell to 94.5 MB.
+# integer-order profile holds three temporaries of its own size.  Against
+# 2**16, 2**18 entries raise the peak RSS of one run at 1 BLAS thread by
+# 3.4 MB for interp (89.3 to 92.7 MB), by 2.1 MB for rsr (67.0 to 69.1 MB)
+# and by under 1 MB for ouu (79.0 to 79.6-79.8 MB).
 _STACK_BLOCK_ENTRIES = 2**16
 # A contraction plan may hold up to this many coefficient-matrix entries
 # per node; one that pads more evaluates by per-node gathers instead.
@@ -911,12 +912,12 @@ def _refine(
     solution = solve(rhs)
     scale = np.max(np.abs(rhs))
     if scale > 0.0:
+        residual = rhs - apply(solution)
         for _ in range(_REFINEMENT_PASSES):
-            residual = rhs - apply(solution)
             if np.max(np.abs(residual)) <= _RESIDUAL_TARGET * scale:
                 break
             solution = solution + solve(residual)
-        residual = rhs - apply(solution)
+            residual = rhs - apply(solution)
         # Written so that a residual that is not a number fails too.
         if not np.max(np.abs(residual)) <= _RESIDUAL_REQUIRED * scale:
             raise ConditioningError(

@@ -718,21 +718,38 @@ class GaussianFieldSampler:
     or number of draws made before them.  The sampler keeps its latest
     block, so draws requested in ascending order compute each block once.
     Samplers on grids with the same cell count share one factor.
+
+    :meth:`release` lets a sampler's block and factor go once its owner
+    needs no more draws; a draw after it fetches the factor again.
     """
 
     def __init__(self, grid: Mesh, stream: int = 0):
         check_field_grid(grid)
         self.grid = grid
         self.stream = stream
-        self._factor = _field_factor(grid.cells)
+        self._factor: np.ndarray | None = _field_factor(grid.cells)
         self._block_key: tuple[int, int] | None = None
         self._block: np.ndarray | None = None
+
+    def release(self) -> None:
+        """Drop the latest block and this sampler's factor reference, and
+        clear the shared factor cache.
+
+        Samplers still live keep the factor they took when they were made,
+        so nothing is factored again for them; the factor's memory is freed
+        when the last sampler holding it is released.  A later draw from
+        this sampler factors the covariance again, to the same bits.
+        """
+        self._block_key = self._block = self._factor = None
+        _field_factor.cache_clear()
 
     def sample(self, seed: int, draw: int) -> GrfSample:
         if draw < 0:
             raise ValueError(f"draw must be >= 0, got {draw}")
         block, column = divmod(draw, _DRAW_BLOCK)
         if self._block_key != (seed, block):
+            if self._factor is None:
+                self._factor = _field_factor(self.grid.cells)
             first = block * _DRAW_BLOCK
             generator = philox_generator(seed, self.stream, first)
             bits = generator.bit_generator

@@ -22,7 +22,8 @@ factors' nested points for every pipeline that interpolates:
   of one nested sequence, so the PDE outputs are kept as a nested-suffix
   store: per field draw and mesh, the outputs at the node prefix solved
   so far, which a term extends by its new nodes only; a plan made once
-  per study extends each pair to its longest needed prefix in one run.
+  per study is solved one field draw at a time, each pair to its longest
+  needed prefix in one run, and no field is kept.
 
 Work ledgers charge only sampler work (``prod N_j * N_pde**gamma`` per
 term).  The study functions (:func:`expectation_study`,
@@ -477,11 +478,19 @@ class OuuPipeline:
 
     A plan (:meth:`~kernelkit.smolyak.SmolyakEngine.plan`, which the study
     loop makes once for its largest threshold) sets a target per pair: the
-    longest node prefix that a planned tuple needs there.  The first tuple
-    that touches a pair solves it up to its target in one run, so each
-    pair's system is assembled once.  :attr:`pde_solves` counts, per pair,
-    the longest prefix that an evaluated tuple has needed, so nodes solved
-    ahead of need are not counted until a tuple needs them.
+    longest node prefix that a planned tuple needs there.  The next
+    evaluation solves the whole plan one field draw at a time, in ascending
+    draw order: it draws field ``k`` once, solves every planned pair of
+    ``k`` up to its target, and drops the field.  So each pair's system is
+    assembled once and each field drawn once, and no field is kept; once
+    the plan is solved the sampler's block and factor are released
+    (:meth:`~kernelkit.pde.GaussianFieldSampler.release`).  If a QoI call
+    raises, the prefixes solved so far are kept and the next evaluation
+    solves the rest of the plan.  Tuples outside the plan, and pipelines
+    that have none, solve their missing suffixes lazily, keeping each
+    field they draw.  :attr:`pde_solves` counts, per pair, the longest
+    prefix that an evaluated tuple has needed, so nodes solved ahead of
+    need are not counted until a tuple needs them.
     """
 
     def __init__(
@@ -509,7 +518,6 @@ class OuuPipeline:
         self._prefixes: dict[tuple[int, int], np.ndarray] = {}
         self._targets: dict[tuple[int, int], int] = {}
         self._needed: dict[tuple[int, int], int] = {}
-        self.draw_log: dict[tuple[int, ...], tuple[int, ...]] = {}
         self.engine = SmolyakEngine(
             interpolation_problem(
                 [interp_factor],
@@ -548,26 +556,33 @@ class OuuPipeline:
         if len(nodes) > len(self._nodes):
             self._nodes = nodes
 
-    def _prefix(self, draw: int, cells: int, n_points: int) -> np.ndarray:
-        """QoI values of ``draw`` on ``cells`` at a prefix of at least
-        ``n_points`` nodes; a missing prefix is solved up to the pair's target."""
-        key = (draw, cells)
-        if self._needed.get(key, 0) < n_points:
-            self._needed[key] = n_points
-        done = self._prefixes.get(key, _NO_VALUES)
-        if len(done) >= n_points:
-            return done
-        target = max(n_points, self._targets.get(key, 0))
-        field = self._field(draw)
-        mesh = cached_mesh(cells)
-        solved = []
-        try:
-            for z in self._nodes[len(done) : target]:
-                solved.append(float(self._qoi(z, field, mesh)))
-        finally:
-            if solved:
-                done = self._prefixes[key] = np.concatenate([done, solved])
-        return done
+    def _solve_draw(self, draw: int, field, targets) -> None:
+        """Extend the prefix of each ``(draw, cells)`` pair to its target node
+        count, for ``(cells, target)`` in ``targets``, with ``draw``'s field;
+        a QoI call that raises keeps the values solved before it."""
+        for cells, target in targets:
+            key = (draw, cells)
+            done = self._prefixes.get(key, _NO_VALUES)
+            mesh = cached_mesh(cells)
+            solved = []
+            try:
+                for z in self._nodes[len(done) : target]:
+                    solved.append(float(self._qoi(z, field, mesh)))
+            finally:
+                if solved:
+                    self._prefixes[key] = np.concatenate([done, solved])
+
+    def _solve_plan(self) -> None:
+        """Solve every planned pair short of its target, one field draw at a
+        time in ascending order, then release the field sampler."""
+        pending: dict[int, list[tuple[int, int]]] = {}
+        for (draw, cells), target in sorted(self._targets.items()):
+            if len(self._prefixes.get((draw, cells), _NO_VALUES)) < target:
+                pending.setdefault(draw, []).append((cells, target))
+        for draw, targets in pending.items():
+            self._solve_draw(draw, self._field_sampler.sample(self.seed, draw), targets)
+        self._targets.clear()
+        self._field_sampler.release()
 
     def _means(self, points: np.ndarray, n_draws: int, mesh_resolution: int) -> np.ndarray:
         """Mean QoI over draws ``0..n_draws-1`` at each control node in
@@ -583,13 +598,18 @@ class OuuPipeline:
             planned = self.interp_factor.points(self._planned_nodes).points
             self._extend_nodes(planned, resolutions)
         self._extend_nodes(points, resolutions)
-        # Draws outside, nodes inside: each draw's system on this mesh is
-        # assembled once for all new nodes.  Every node still sums its draws
-        # in the order 0..n-1.
+        for k in range(n_draws):
+            if self._needed.get((k, cells), 0) < n_points:
+                self._needed[k, cells] = n_points
+        if self._targets:
+            self._solve_plan()
+        # A missing suffix outside the plan is solved with the cached field.
+        # Every node sums its draws in the order 0..n-1.
         sums = np.zeros(n_points)
         for k in range(n_draws):
-            sums += self._prefix(k, cells, n_points)[:n_points]
-        self.draw_log[resolutions] = tuple(range(n_draws))
+            if len(self._prefixes.get((k, cells), _NO_VALUES)) < n_points:
+                self._solve_draw(k, self._field(k), ((cells, n_points),))
+            sums += self._prefixes[k, cells][:n_points]
         return sums / n_draws
 
     @property

@@ -602,6 +602,44 @@ class TestSolveSpd:
             fresh = fit_interpolant(kernel, nodes, v)
             assert fit.coefficients.tobytes() == fresh.coefficients.tobytes()
 
+    @staticmethod
+    def counted(calls, name, function):
+        def wrapped(vector):
+            calls.append(name)
+            return function(vector)
+
+        return wrapped
+
+    def test_refinement_converged_at_once_applies_once(self):
+        calls = []
+        rhs = np.array([1.0, -3.0, 0.5])
+        solution = kernels_module._refine(
+            self.counted(calls, "solve", lambda r: r / 2.0),
+            self.counted(calls, "apply", lambda x: 2.0 * x),
+            rhs,
+            generate_points(UNIT_SQUARE, 3),
+        )
+        # The residual of the first solve is zero; it is also the final check.
+        assert calls == ["solve", "apply"]
+        assert solution.tolist() == [0.5, -1.5, 0.25]
+
+    def test_converged_fit_applies_the_gram_once_per_solve(
+        self, monkeypatch, fresh_factored_grams
+    ):
+        calls = []
+        refine = kernels_module._refine
+
+        def counted_refine(solve, apply, rhs, nodes):
+            solve = self.counted(calls, "solve", solve)
+            return refine(solve, self.counted(calls, "apply", apply), rhs, nodes)
+
+        monkeypatch.setattr(kernels_module, "_refine", counted_refine)
+        nodes = generate_points(UNIT_SQUARE, 20)
+        fit_interpolant(MaternKernel(beta=2.0, dim=2), nodes, smooth_values(nodes.points))
+        # The loop broke on a small residual, which is not computed again.
+        assert calls.count("solve") <= kernels_module._REFINEMENT_PASSES
+        assert calls.count("apply") == calls.count("solve")
+
     def test_factor_cache_keeps_recent_node_sets_within_its_bound(
         self, monkeypatch, fresh_factored_grams
     ):

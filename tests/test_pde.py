@@ -715,6 +715,23 @@ class TestGaussianField:
         # Shared between samplers, so no sampler may write to it.
         assert not coarse._factor.flags.writeable
 
+    def test_draw_after_release_is_bit_identical(self):
+        grid = mesh_at_level(3)
+        sampler = GaussianFieldSampler(grid, stream=2)
+        live = GaussianFieldSampler(grid, stream=2)
+        before = sampler.sample(seed=7, draw=40).values
+        held = sampler._factor
+        sampler.release()
+        assert sampler._factor is None and sampler._block is None
+        assert pde._field_factor.cache_info().currsize == 0
+        # A live sampler keeps the factor it took; the released one fetches
+        # the factor again.
+        assert live._factor is held
+        after = sampler.sample(seed=7, draw=40).values
+        assert sampler._factor is not held
+        assert after.tobytes() == before.tobytes()
+        assert live.sample(seed=7, draw=40).values.tobytes() == before.tobytes()
+
     def test_streams_draw_distinct_fields(self):
         grid = mesh_at_level(3)
         a = GaussianFieldSampler(grid, stream=0).sample(seed=2, draw=3)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kernelkit.kernels import MaternKernel, fit_interpolant, single_block
-from kernelkit.pde import AdvectionDiffusionProblem, GaussianFieldSampler, Mesh
+from kernelkit.pde import AdvectionDiffusionProblem, GaussianFieldSampler, Mesh, _field_factor
 from kernelkit.points import Box, Disc, PointSet, generate_points
 from kernelkit.smolyak import (
     EvaluationError,
@@ -323,14 +323,15 @@ class TestOuuPipeline:
             max_cells=8,
         )
         pipeline.engine.estimate(5)
-        by_draw_count = {}
-        for resolutions, draws in pipeline.draw_log.items():
-            assert draws == tuple(range(resolutions[1]))
-            by_draw_count.setdefault(resolutions[1], set()).add(draws)
-        for draws_used in by_draw_count.values():
-            assert len(draws_used) == 1
+        draws_by_cells = {}
+        for draw, cells in pipeline._prefixes:
+            draws_by_cells.setdefault(cells, set()).add(draw)
+        assert len(draws_by_cells) > 1
+        # Every mesh resolution consumed a prefix of the same draw sequence.
+        for draws in draws_by_cells.values():
+            assert draws == set(range(len(draws)))
 
-    def test_solve_cache_couples_corners(self):
+    def test_solve_cache_couples_corners(self, means_log):
         pipeline = OuuPipeline(
             stub_interp_factor(),
             seed=0,
@@ -341,17 +342,11 @@ class TestOuuPipeline:
         pipeline.engine.estimate(5)
         # Every tuple's draws are in the store, each over a prefix at least
         # as long as the tuple's node count.
-        for n_points, n_draws, mesh_resolution in pipeline.draw_log:
+        assert len(means_log) == pipeline.engine.evaluations > 0
+        for n_points, n_draws, mesh_resolution in means_log:
             cells = math.isqrt(mesh_resolution)
             for draw in range(n_draws):
                 assert len(pipeline._prefixes[draw, cells]) >= n_points
-        draws_by_cells = {}
-        for draw, cells in pipeline._prefixes:
-            draws_by_cells.setdefault(cells, set()).add(draw)
-        assert len(draws_by_cells) > 1
-        # Every mesh resolution consumed a prefix of the same draw sequence.
-        for draws in draws_by_cells.values():
-            assert draws == set(range(max(draws) + 1))
 
     def test_estimator_unbiased_on_noisy_stub(self):
         target = 1.7
@@ -559,7 +554,7 @@ class TestSolveOnce:
         assert len(keys) == len(set(keys)) == pipeline.pde_solves
         # The store holds, per (draw, cells), the values of the node prefix
         # in the order they were solved.
-        longest = max(n for n, _, _ in pipeline.draw_log)
+        longest = max(map(len, pipeline._prefixes.values()))
         nodes = pipeline.interp_factor.points(longest).points
         for (draw, cells), done in pipeline._prefixes.items():
             mine = [s for s in solves if s[2:4] == (draw, cells)]
@@ -764,7 +759,7 @@ class TestPlannedStore:
 
         def qoi(z, field, mesh):
             calls.append((z.tobytes(), field.draw, mesh.cells))
-            if len(calls) == 5:
+            if len(calls) == 22:
                 raise RuntimeError("solver failed")
             return stub_qoi(z, field, mesh)
 
@@ -772,16 +767,50 @@ class TestPlannedStore:
         pipeline.engine.plan(6)
         with pytest.raises(EvaluationError, match="solver failed"):
             pipeline.engine.estimate(6)
-        # The first tuple needs 2 nodes of (draw 0, 2 cells), whose target
-        # is longer: the 4 solved before the failure are kept, 2 counted.
-        assert {key: len(done) for key, done in pipeline._prefixes.items()} == {(0, 2): 4}
-        assert pipeline.pde_solves == 2
+        # The first tuple, (2, 2, 4), needs 2 nodes of draws 0 and 1 on 2
+        # cells.  The plan is solved draw by draw: draw 0 to its targets on
+        # 2 and 3 cells (16 + 4 nodes), then draw 1 on 2 cells, whose second
+        # node fails.  The 21 solves before it are kept, 2 + 1 counted.
+        assert {key: len(done) for key, done in pipeline._prefixes.items()} == {
+            (0, 2): 16,
+            (0, 3): 4,
+            (1, 2): 1,
+        }
+        assert pipeline.pde_solves == 3
         retried = pipeline.engine.estimate(6)[0]
-        assert calls.count(calls[4]) == 2
+        assert calls.count(calls[21]) == 2
         assert len(calls) - 1 == len(set(calls)) == pipeline.pde_solves
         fresh = small_ouu_pipeline(stub_qoi)
         assert dump_surrogate(retried) == dump_surrogate(fresh.engine.estimate(6)[0])
         assert_same_store(pipeline, fresh)
+
+    def test_planned_pipeline_draws_each_field_once_in_order(self, monkeypatch):
+        drawn = []
+        sample = GaussianFieldSampler.sample
+
+        def counting(sampler, seed, draw):
+            drawn.append(draw)
+            return sample(sampler, seed, draw)
+
+        monkeypatch.setattr(GaussianFieldSampler, "sample", counting)
+        pipeline = self.pipeline()
+        pipeline.engine.plan(6)
+        for L in (5, 6):
+            pipeline.engine.estimate(L)
+        assert drawn == sorted({draw for draw, _ in pipeline._prefixes})
+
+    def test_planned_pipeline_keeps_no_field_machinery(self):
+        pipeline = self.pipeline()
+        pipeline.engine.plan(6)
+        pipeline.engine.estimate(5)
+        sampler = pipeline._field_sampler
+        assert not pipeline._field_cache
+        assert sampler._block is None and sampler._factor is None
+
+    def test_ouu_study_frees_the_field_factor(self):
+        settings = dict(field_grid=Mesh(cells=4), max_cells=4)
+        ouu_study(stub_interp_factor, [3, 4], seed=0, replications=2, reference_L=5, **settings)
+        assert _field_factor.cache_info().currsize == 0
 
     def test_planned_nodes_that_are_not_nested_raise(self):
         class Reversed(InterpolationFactor):
@@ -845,6 +874,20 @@ def small_ouu_pipeline(qoi):
         field_grid=Mesh(cells=4),
         max_cells=4,
     )
+
+
+@pytest.fixture
+def means_log(monkeypatch):
+    """Every ``OuuPipeline._means`` call as ``(n_points, n_draws, mesh_resolution)``."""
+    log = []
+    means = OuuPipeline._means
+
+    def recording(pipeline, points, n_draws, mesh_resolution):
+        log.append((len(points), n_draws, mesh_resolution))
+        return means(pipeline, points, n_draws, mesh_resolution)
+
+    monkeypatch.setattr(OuuPipeline, "_means", recording)
+    return log
 
 
 @pytest.fixture
