@@ -9,13 +9,15 @@ the kernel ``Phi(x, y) = phi(|x - y| / length_scale)`` is the Sobolev
 space of order ``beta``.  Supported orders are positive integer and
 half-integer ``nu``; half-integer profiles use their closed
 exponential-polynomial form (by Horner's rule), integer profiles the
-modified Bessel function ``K_nu`` from ``K_0`` and ``K_1`` by upward
-recurrence, with the analytic limit at ``r = 0``.  Distances come from
-numpy (:func:`kernelkit.points.pairwise_distances`, bit-identical to
-scipy's ``cdist``), and the profile is computed in place in the fresh
-distance array (in a scaled copy of a caller's array through the public
-:meth:`MaternKernel.profile`), so a Gram block costs the block and a few
-temporaries.
+modified Bessel function ``K_nu``, with the analytic limit at ``r = 0``:
+up to 2 length scales, where every distance of the benchmark workloads
+lies, by its ascending series in numpy; above, from scipy's ``k0`` and
+``k1`` by upward recurrence, with ``scipy.special`` imported on first use.
+Distances come from numpy (:func:`kernelkit.points.pairwise_distances`,
+bit-identical to scipy's ``cdist``), and the profile is computed in place
+in the fresh distance array (in a scaled copy of a caller's array through
+the public :meth:`MaternKernel.profile`), so a Gram block costs the block
+and a few temporaries.
 
 A :class:`TensorKernel` multiplies Matern kernels on disjoint coordinate
 blocks.  Tensor grids and sparse grids repeat each block coordinate many
@@ -68,8 +70,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
-from scipy.special import k0 as bessel_k0
-from scipy.special import k1 as bessel_k1
 
 from kernelkit.points import Box, PointSet, pairwise_distances, tensor_grid
 
@@ -84,11 +84,14 @@ _GAUSS_POINTS_PER_AXIS = 64
 # Most entries that one evaluation chunk's shared block profiles hold
 # together, and that any one of its group products holds
 # (:func:`evaluate_stacked`).  The studies evaluate their stack after
-# building every surrogate, when they hold the most memory, and an
-# integer-order profile holds three temporaries of its own size.  Against
-# 2**16, 2**18 entries raise the peak RSS of one run at 1 BLAS thread by
-# 3.4 MB for interp (89.3 to 92.7 MB), by 2.1 MB for rsr (67.0 to 69.1 MB)
-# and by under 1 MB for ouu (79.0 to 79.6-79.8 MB).
+# building every surrogate, when they hold the most memory.  A
+# half-integer profile holds one temporary of its own size; an
+# integer-order one within the series radius holds a fixed 0.33 MB
+# (``_BESSEL_SERIES_BLOCK``), and above it three temporaries of its own
+# size.  Against 2**16, 2**18 entries raise the peak RSS of one run at 1
+# BLAS thread by 3.1-3.7 MB for interp (85.6-85.9 to 89.0-89.4 MB) and by
+# 1.8-1.9 MB for rsr (63.7-63.9 to 65.6-65.7 MB), and leave ouu's at
+# 75.6-75.7 MB.
 _STACK_BLOCK_ENTRIES = 2**16
 # A contraction plan may hold up to this many coefficient-matrix entries
 # per node; one that pads more evaluates by per-node gathers instead.
@@ -120,6 +123,20 @@ _PACKET_ORDER_MAX = 2
 # the shift, moved by 6e-9.  The interp benchmark's grids (up to 2048
 # nodes) have floors of at least 0.8 of the shift.
 _PACKET_SHIFT_MARGIN = 0.1
+# Integer-order profiles (:func:`_bessel_series`): entries within this
+# radius (in length scales) sum the ascending series of ``s**n K_n(s)`` to
+# this degree in ``t = s**2 / 4``, its n finite terms and 15 - n terms of
+# each infinite sum, for orders up to the degree.  Against 50-digit values
+# on (1e-8, 2] that is within 5e-16 relative for orders 1 to 4; at order
+# 1, ten terms would leave 1.2e-13 and eleven 1.2e-15.  Wider entries and
+# higher orders take scipy's K_0 and K_1 and the upward recurrence.
+_BESSEL_SERIES_RADIUS = 2.0
+_BESSEL_SERIES_DEGREE = 14
+# The series runs over blocks of this many entries, in five block-sized
+# arrays (0.33 MB) whatever the size of the call.
+_BESSEL_SERIES_BLOCK = 2**13
+# Euler's constant to 40 digits, from which the series table is built.
+_EULER_GAMMA = "0.5772156649015328606065120900824024310422"
 
 
 class ConditioningError(RuntimeError):
@@ -241,15 +258,48 @@ class MaternKernel:
         )
 
 
+def bessel_k0(s: np.ndarray) -> np.ndarray:
+    """scipy's ``K_0``; ``scipy.special`` is imported on the first call."""
+    from scipy.special import k0
+
+    return k0(s)
+
+
+def bessel_k1(s: np.ndarray) -> np.ndarray:
+    """scipy's ``K_1``; ``scipy.special`` is imported on the first call."""
+    from scipy.special import k1
+
+    return k1(s)
+
+
 def _scaled_bessel_k(order: int, s: np.ndarray) -> np.ndarray:
     """``s**order * K_order(s)`` for an integer ``order >= 1`` and ``s > 0``.
 
-    Runs the upward recurrence ``K_{n+1} = K_{n-1} + (2n/s) K_n``, which is
-    stable for ``K``, scaled by ``s**(n+1)``: with ``g_n = s**n K_n`` it
-    reads ``g_{n+1} = s**2 g_{n-1} + 2n g_n``, a sum of positive terms.
-    The recurrence runs in place in two arrays and one scratch array, and
-    overwrites ``s`` with ``s**2``.
+    Entries within ``_BESSEL_SERIES_RADIUS`` take :func:`_bessel_series`
+    (orders up to ``_BESSEL_SERIES_DEGREE``), the others scipy's ``K_0``
+    and ``K_1`` and the upward recurrence ``K_{n+1} = K_{n-1} + (2n/s)
+    K_n``, which is stable for ``K``, scaled by ``s**(n+1)``: with ``g_n =
+    s**n K_n`` it reads ``g_{n+1} = s**2 g_{n-1} + 2n g_n``, a sum of
+    positive terms, run in place in two arrays and one scratch array.  The
+    choice is made per entry, so an entry's value never depends on the
+    other entries of the call.  ``s`` is overwritten, and the result may be
+    ``s`` itself.
     """
+    if order > _BESSEL_SERIES_DEGREE:
+        return _bessel_recurrence(order, s)
+    if s.max(initial=0.0) <= _BESSEL_SERIES_RADIUS:
+        return _bessel_series(order, s)
+    near = s <= _BESSEL_SERIES_RADIUS
+    wide = ~near
+    values = _bessel_recurrence(order, s[wide])
+    s[near] = _bessel_series(order, s[near])
+    s[wide] = values
+    return s
+
+
+def _bessel_recurrence(order: int, s: np.ndarray) -> np.ndarray:
+    """:func:`_scaled_bessel_k` from scipy's ``K_0`` and ``K_1``,
+    overwriting ``s`` with ``s**2``."""
     current = bessel_k1(s)
     current *= s
     if order > 1:
@@ -262,6 +312,76 @@ def _scaled_bessel_k(order: int, s: np.ndarray) -> np.ndarray:
             previous += scratch
             previous, current = current, previous
     return current
+
+
+def _bessel_series(order: int, s: np.ndarray) -> np.ndarray:
+    """:func:`_scaled_bessel_k` by the ascending series, in place in ``s``.
+
+    With ``t = s**2 / 4`` and ``l = log(s / 2)``, Abramowitz & Stegun
+    9.6.11 gives ``s**n K_n(s) = l P(t) - Q(t)`` with two polynomials
+    (:func:`_bessel_series_table`).  ``P + iQ`` is summed as one complex
+    polynomial by Horner's rule at ``t + 0i``: multiplying by a real
+    number and adding a coefficient act on the real and imaginary parts
+    exactly as on two real polynomials, so each part has the bits of its
+    own real Horner sum, in half the numpy calls.  That count sets the cost
+    of short calls, such as a minimizer's point evaluations.  Only
+    elementwise operations touch an entry, so its value does not depend on
+    the call's other entries or its blocking.
+    """
+    coefficients = _bessel_series_table(order)
+    flat = s.reshape(-1)
+    width = min(flat.size, _BESSEL_SERIES_BLOCK)
+    t_buffer = np.zeros(width, dtype=complex)  # the imaginary parts stay 0
+    sums_buffer = np.empty(width, dtype=complex)
+    log_buffer = np.empty(width)
+    for start in range(0, flat.size, _BESSEL_SERIES_BLOCK):
+        block = flat[start : start + _BESSEL_SERIES_BLOCK]
+        t = t_buffer[: len(block)]
+        sums = sums_buffer[: len(block)]
+        log = log_buffer[: len(block)]
+        block *= 0.5
+        np.log(block, out=log)
+        np.square(block, out=t.real)
+        np.multiply(t, coefficients[0], out=sums)
+        for c in coefficients[1:-1]:
+            sums += c
+            sums *= t
+        sums += coefficients[-1]
+        np.multiply(sums.real, log, out=block)
+        block -= sums.imag
+    return flat.reshape(s.shape)
+
+
+@lru_cache(maxsize=None)
+def _bessel_series_table(order: int) -> np.ndarray:
+    """Coefficients of :func:`_bessel_series`'s ``P + iQ`` for ``K_order``,
+    highest power of ``t`` first, to degree ``_BESSEL_SERIES_DEGREE``.
+
+    From A&S 9.6.11 with ``psi(m) = H_(m-1) - gamma``::
+
+        P(t) = (-1)**(n+1) 2**n sum_k t**(n+k) / (k! (n+k)!),
+        Q(t) = -2**(n-1) sum_(k<n) (n-k-1)!/k! (-t)**k
+               - (-1)**n 2**(n-1) sum_k (psi(k+1) + psi(n+k+1)) t**(n+k) / (k! (n+k)!).
+
+    Computed in rationals (with Euler's constant to 40 digits) and rounded
+    once, like :func:`_packet_tables`.
+    """
+    # Imported here: only integer-order profiles need it.
+    from fractions import Fraction
+
+    n, degree = order, _BESSEL_SERIES_DEGREE
+    psi = [-Fraction(_EULER_GAMMA)]  # psi(m) at psi[m - 1]
+    for m in range(1, degree + 1):
+        psi.append(psi[-1] + Fraction(1, m))
+    p = [Fraction(0)] * (degree + 1)
+    q = [Fraction(0)] * (degree + 1)
+    for k in range(n):
+        q[k] = -Fraction(2 ** (n - 1) * math.factorial(n - k - 1) * (-1) ** k, math.factorial(k))
+    for k in range(degree + 1 - n):
+        denominator = math.factorial(k) * math.factorial(n + k)
+        p[n + k] = Fraction((-1) ** (n + 1) * 2**n, denominator)
+        q[n + k] = -((-1) ** n) * 2 ** (n - 1) * (psi[k] + psi[n + k]) / denominator
+    return np.array([complex(a, b) for a, b in zip(p[::-1], q[::-1])])
 
 
 def distinct_rows(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -449,9 +449,17 @@ class BumpDiffusionProblem:
 
 
 def bump_profile(r) -> np.ndarray:
-    """Polynomial bump ``s**3/3 - s**4/2 + s**5/5`` at ``s = max(1 - r, 0)``."""
+    """Polynomial bump ``s**3/3 - s**4/2 + s**5/5`` at ``s = max(1 - r, 0)``,
+    as ``s**3 (1/3 + s (s/5 - 1/2))``."""
     s = np.maximum(1.0 - np.asarray(r, dtype=float), 0.0)
-    return s**3 / 3.0 - s**4 / 2.0 + s**5 / 5.0
+    out = s / 5.0
+    out -= 0.5
+    out *= s
+    out += 1.0 / 3.0
+    out *= s
+    out *= s
+    out *= s
+    return out
 
 
 def _advection_boundary_values(x: np.ndarray) -> np.ndarray:

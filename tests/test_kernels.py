@@ -122,6 +122,56 @@ class TestMaternKernel:
         profile = k.profile(s * length_scale)
         assert np.max(np.abs(profile - reference) / reference) <= 1e-13
 
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_series_matches_50_digit_values(self, monkeypatch, order):
+        # mpmath is a test-only dependency; without it this reference skips.
+        mpmath = pytest.importorskip("mpmath")
+
+        def no_scipy(*args, **kwargs):
+            raise AssertionError("an argument within the series radius called scipy")
+
+        monkeypatch.setattr(kernels_module, "bessel_k0", no_scipy)
+        monkeypatch.setattr(kernels_module, "bessel_k1", no_scipy)
+        s = np.append(np.geomspace(1e-8, 2.0, 400, endpoint=False), 2.0)
+        with mpmath.workdps(50):
+            reference = np.array(
+                [float(mpmath.mpf(x) ** order * mpmath.besselk(order, mpmath.mpf(x))) for x in s]
+            )
+        values = kernels_module._scaled_bessel_k(order, s.copy())
+        assert np.max(np.abs(values - reference) / reference) <= 2e-15
+
+    @pytest.mark.parametrize(
+        "order, largest, scipy_entries",
+        [
+            (1, 2.0, []),
+            (3, 2.0, []),
+            (1, np.nextafter(2.0, 3.0), [1]),
+            (3, np.nextafter(2.0, 3.0), [1]),
+            (3, 2.5, [1]),
+            # Orders above the series degree take scipy whatever the argument.
+            (15, 2.0, [17001]),
+        ],
+    )
+    def test_entries_beyond_the_series_radius_take_scipy(
+        self, monkeypatch, order, largest, scipy_entries
+    ):
+        calls = []
+        counting(monkeypatch, kernels_module, "bessel_k1", calls)
+        # Enough entries for several series blocks, the last one partial.
+        s = np.append(np.geomspace(1e-6, 1.9, 17000), largest)
+        values = kernels_module._scaled_bessel_k(order, s.copy())
+        assert calls == scipy_entries
+        reference = s**order * kn(order, s)
+        assert np.max(np.abs(values - reference) / reference) <= 1e-13
+        # Each entry's value is its own: the series entries keep their bits
+        # whatever else the call holds, and however it is blocked.
+        alone = kernels_module._scaled_bessel_k(order, s[:-1].copy())
+        assert values[:-1].tobytes() == alone.tobytes()
+        singles = [
+            kernels_module._scaled_bessel_k(order, s[i : i + 1].copy()) for i in range(0, 17000, 997)
+        ]
+        assert np.concatenate(singles).tobytes() == values[:-1:997].tobytes()
+
     @pytest.mark.parametrize("nu", [0.5, 1.0, 1.5, 3.0])
     def test_profile_does_not_write_its_input(self, nu):
         k = MaternKernel(beta=nu + 1.0, dim=2, length_scale=0.7)

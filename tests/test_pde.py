@@ -214,18 +214,39 @@ class TestDirichletOperator:
         with pytest.raises(ValueError, match="does not match 32 triangles"):
             operator.system(a, 1.0)
 
-    def test_import_loads_no_sparse_or_spatial_scipy(self):
+    @staticmethod
+    def run_python(code, *args):
         src = os.path.dirname(os.path.dirname(pde.__file__))
-        code = (
-            "import sys, kernelkit.cli; "
-            "print(sorted(m for m in sys.modules "
-            "if m.split('.')[:2] in (['scipy', 'sparse'], ['scipy', 'spatial'])))"
-        )
         env = dict(os.environ, PYTHONPATH=src)
-        result = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        return subprocess.run(
+            [sys.executable, "-c", code, *args],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+
+    def test_import_loads_no_sparse_spatial_or_special_scipy(self):
+        result = self.run_python(
+            "import sys, kernelkit.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
+            "(['scipy', 'sparse'], ['scipy', 'spatial'], ['scipy', 'special'])))"
         )
         assert result.stdout.strip() == "[]", result.stdout + result.stderr
+
+    def test_rsr_example_runs_without_scipy_special(self, tmp_path):
+        # Every distance of the example's integer-order (nu = 1) kernel lies
+        # within 0.71 length scales, where the profile sums its series.
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        config = os.path.join(root, "docs", "examples", "rsr-bump.cfg")
+        result = self.run_python(
+            "import sys, kernelkit.cli; "
+            "code = kernelkit.cli.main(['--config', sys.argv[1], '--out', sys.argv[2], '--quiet']); "
+            "print(code, 'scipy.special' in sys.modules)",
+            config,
+            str(tmp_path / "out"),
+        )
+        assert result.stdout.strip() == "0 False", result.stdout + result.stderr
 
     @settings(max_examples=40, deadline=None)
     @given(
