@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 import kernelkit
-from kernelkit.config import ConfigError, RunConfig, parse_config_file, serialize_config
+from kernelkit.config import _MAX_SEED, ConfigError, RunConfig, parse_config_file, serialize_config
 from kernelkit.kernels import ConditioningError, MaternKernel
 from kernelkit.pde import l2_error_against, mesh_at_level, solve_poisson_dirichlet
 from kernelkit.points import Box, Disc
@@ -361,7 +361,7 @@ def main(argv=None) -> int:
     try:
         config = parse_config_file(args.config)
         seed = config.seed if args.seed is None else args.seed
-        if not 0 <= seed <= 2**64 - 1:
+        if not 0 <= seed <= _MAX_SEED:
             raise ConfigError(f"--seed must be a 64-bit unsigned integer, got {seed}")
         out = args.out if args.out is not None else config.out
         try:

@@ -52,9 +52,9 @@ the kernel at ``2m + 3`` consecutive sorted points that vanish outside
 them, which make ``K_j = A^-1 Phi`` with ``A`` and ``Phi`` banded, so
 ``K_j^-1 = Phi^-1 A`` costs ``O(n)`` row operations on one ``n x n``
 buffer, needs no shift, and gives the same bits at any BLAS thread count.
-Otherwise, or when the grid's eigenvalues may lie far below the shift,
-each factor is eigendecomposed, ``K_j = Q_j diag(lambda_j) Q_j^T``, at
-``n_j**3``.  All other node sets are solved by a dense Cholesky
+Otherwise, or when the packet solve's node residual stays above
+tolerance, each factor is eigendecomposed, ``K_j = Q_j diag(lambda_j)
+Q_j^T``, at ``n_j**3``.  All other node sets are solved by a dense Cholesky
 factorization, with the shift added in place to one copy of the Gram
 matrix per attempt.  One cache, ``_FACTORED_GRAMS`` (32 MiB), keeps every
 path's factorizations, so fits of new values on nodes seen before factor
@@ -96,7 +96,8 @@ _STACK_BLOCK_ENTRIES = 2**16
 # A contraction plan may hold up to this many coefficient-matrix entries
 # per node; one that pads more evaluates by per-node gathers instead.
 _PLAN_ENTRIES_PER_NODE = 2
-# Bytes of factorizations that both fit paths keep (``_FACTORED_GRAMS``).
+# Bytes of factorizations that both fit paths keep (``_FACTORED_GRAMS``);
+# a grid whose packet solve falls back to eigendecompositions keeps both.
 # The interp benchmark's ten grid factors (2 to 1024 points) hold 22.4 MB
 # as Gram matrices with packet inverses (or with eigendecompositions, 8
 # bytes a point more); its 1024-point factor, factored for the tuple
@@ -115,14 +116,6 @@ _PACKET_SERIES_RADIUS = 2.0
 # of order 1 at m = 8 (length scale 0.1); and from m = 20 on the odd
 # series table above holds no term.  Higher orders keep the eigen solve.
 _PACKET_ORDER_MAX = 2
-# A grid is solved through packet inverses only if its eigenvalues provably
-# stay above this fraction of the starting diagonal shift.  Below that the
-# shifted eigen solve regularizes the grid's lowest modes, and the exact
-# inverse would move the fit off-node by more than refinement noise: a
-# (nu 5/2, 64 points) x (nu 3/2, 6 points) grid, whose floor is 0.004 of
-# the shift, moved by 6e-9.  The interp benchmark's grids (up to 2048
-# nodes) have floors of at least 0.8 of the shift.
-_PACKET_SHIFT_MARGIN = 0.1
 # Integer-order profiles (:func:`_bessel_series`): entries within this
 # radius (in length scales) sum the ascending series of ``s**n K_n(s)`` to
 # this degree in ``t = s**2 / 4``, its n finite terms and 15 - n terms of
@@ -596,12 +589,10 @@ def _packet_order(kernel: MaternKernel) -> int | None:
 
 
 def _packet_factor(kernel: MaternKernel, rows: np.ndarray):
-    """``(gram, inverse, floor)`` of one block kernel on one factor's points.
+    """``(gram, inverse)`` of one block kernel on one factor's points.
 
     The inverse comes from kernel packets (:func:`_packet_inverse`), or
     directly when the factor has fewer points than a packet spans.
-    ``floor``, a 0-d array, is ``1 / ||inverse||_inf``, a lower bound on
-    the Gram matrix's smallest eigenvalue.
     """
     gram = kernel.gram(rows, rows)
     m = _packet_order(kernel)
@@ -617,15 +608,9 @@ def _packet_factor(kernel: MaternKernel, rows: np.ndarray):
             len(rows),
             float(gaps.min()) if len(gaps) else math.inf,
         ) from None
-    # ||inverse||_inf by blocks of rows, with no temporary of its size.
-    norm = max(
-        np.abs(inverse[start : start + 64]).sum(axis=1).max()
-        for start in range(0, len(inverse), 64)
-    )
-    floor = np.array(1.0 / norm)
-    for array in (gram, inverse, floor):
+    for array in (gram, inverse):
         array.setflags(write=False)
-    return gram, inverse, floor
+    return gram, inverse
 
 
 def _packet_inverse(kernel: MaternKernel, x: np.ndarray, m: int) -> np.ndarray:
@@ -868,7 +853,7 @@ class _FactoredGrams:
     ``limit`` bytes of arrays.
 
     An entry is :func:`_factor_gram`'s pair by (kernel, node bytes), or
-    :func:`_packet_factor`'s or :func:`_decompose_factor`'s triple by
+    :func:`_packet_factor`'s pair or :func:`_decompose_factor`'s triple by
     (block kernel, factor point bytes, kind):
     read-only arrays, a pure function of the key, so every caller in the
     process may share it.  One larger than the bound is not kept.
@@ -893,11 +878,6 @@ class _FactoredGrams:
             oldest = self._entries.pop(next(iter(self._entries)))
             self.nbytes -= sum(array.nbytes for array in oldest)
         return entry
-
-    def kept(self, key):
-        """The entry of ``key`` if it is kept, else None; its place in the
-        order stays."""
-        return self._entries.get(key)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -933,58 +913,39 @@ def _solve_kronecker(
 
     When every block is a one-dimensional Matern kernel of order 1/2, 3/2
     or 5/2 (:func:`_packet_order`), each factor's exact inverse is formed
-    from kernel packets (:func:`_packet_factor`), and if the grid's
-    eigenvalues provably stay above ``_PACKET_SHIFT_MARGIN`` times the
-    starting shift, the solve is one mode product per factor with them,
-    unshifted; only then are the inverses kept.  Otherwise each
-    factor is eigendecomposed, ``K_j = Q_j diag(lambda_j) Q_j^T``, and the
-    shifted system is solved exactly as ``x = (x)Q_j [((x)Q_j^T b) /
-    ((x)lambda_j + jitter)]``; the shift escalates like the dense path's
-    while that spectrum is not positive.  Either way refinement applies
-    the unshifted ``(x)K_j`` by mode products, never forming the Gram
-    matrix: a packet inverse is exact in exact arithmetic, but a solve by
-    it alone is not backward stable.
+    from kernel packets (:func:`_packet_factor`), and the solve is one
+    mode product per factor with them, unshifted.  If refinement cannot
+    bring that solve's node residual within tolerance, as on a grid whose
+    lowest eigenvalues lie far below the starting shift, or when a block
+    takes no packets, each factor is eigendecomposed, ``K_j = Q_j
+    diag(lambda_j) Q_j^T``, and the shifted system is solved exactly as
+    ``x = (x)Q_j [((x)Q_j^T b) / ((x)lambda_j + jitter)]``; the shift
+    escalates like the dense path's while that spectrum is not positive.
+    Either way refinement applies the unshifted ``(x)K_j`` by mode
+    products, never forming the Gram matrix: a packet inverse is exact in
+    exact arithmetic, but a solve by it alone is not backward stable.
     """
     shape = tuple(len(rows) for rows in factors)
     blocks = [block for block, _ in kernel.blocks]
-    packets = all(_packet_order(block) is not None for block in blocks)
-    if packets:
-        keys = [(block, rows.tobytes(), "packets") for block, rows in zip(blocks, factors)]
-        built = {}  # by key: a factor used twice is built once
-        for key, block, rows in zip(keys, blocks, factors):
-            if key not in built:
-                built[key] = _FACTORED_GRAMS.kept(key) or _packet_factor(block, rows)
-        grams, inverses, floors = zip(*(built[key] for key in keys))
-        base = _shift_base(grams)
-        packets = math.prod(floors) >= _PACKET_SHIFT_MARGIN * _JITTER_START * base
-    if packets:
-        # Kept only now, so that a grid that falls back keeps no inverse.
-        for key, entry in built.items():
-            _FACTORED_GRAMS.get(key, lambda entry=entry: entry)
 
-        def solve(r: np.ndarray) -> np.ndarray:
-            return _kron_apply(inverses, r.reshape(shape)).ravel()
-
-    else:
-        entries = [
-            _FACTORED_GRAMS.get(
-                (block, rows.tobytes(), "eigen"), partial(_decompose_factor, block, rows)
-            )
+    def entries(kind: str, build: Callable) -> list[tuple]:
+        return [
+            _FACTORED_GRAMS.get((block, rows.tobytes(), kind), partial(build, block, rows))
             for block, rows in zip(blocks, factors)
         ]
-        grams = [entry[0] for entry in entries]
-        solve = _eigen_solve(entries, shape, nodes)
 
-    def apply(x: np.ndarray) -> np.ndarray:
-        return _kron_apply(grams, x.reshape(shape)).ravel()
+    def kron(matrices: Sequence[np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
+        return lambda x: _kron_apply(matrices, x.reshape(shape)).ravel()
 
-    return _refine(solve, apply, rhs, nodes)
-
-
-def _shift_base(grams: Sequence[np.ndarray]) -> float:
-    """``trace(K) / N`` of the Kronecker product of ``grams``, the dense
-    path's shift scale."""
-    return math.prod(np.trace(gram) / len(gram) for gram in grams)
+    if all(_packet_order(block) is not None for block in blocks):
+        grams, inverses = zip(*entries("packets", _packet_factor))
+        try:
+            return _refine(kron(inverses), kron(grams), rhs, nodes)
+        except ConditioningError:
+            pass  # the packet solve missed the residual gate
+    eigen = entries("eigen", _decompose_factor)
+    grams = [entry[0] for entry in eigen]
+    return _refine(_eigen_solve(eigen, shape, nodes), kron(grams), rhs, nodes)
 
 
 def _eigen_solve(entries, shape: tuple[int, ...], nodes: PointSet):
@@ -992,7 +953,8 @@ def _eigen_solve(entries, shape: tuple[int, ...], nodes: PointSet):
     factors have the eigendecompositions ``entries``."""
     grams, eigenvalues, eigenvectors = zip(*entries)
     spectrum = reduce(np.multiply.outer, eigenvalues)
-    base = _shift_base(grams)
+    # trace(K) / N of the Kronecker product, the dense path's shift scale.
+    base = math.prod(np.trace(gram) / len(gram) for gram in grams)
     jitter = _JITTER_START * base
     limit = _JITTER_LIMIT * base
     while np.min(spectrum) + jitter <= 0.0:

@@ -21,9 +21,9 @@ factors' nested points for every pipeline that interpolates:
   surrogate plus penalty.  The control nodes of every term are prefixes
   of one nested sequence, so the PDE outputs are kept as a nested-suffix
   store: per field draw and mesh, the outputs at the node prefix solved
-  so far, which a term extends by its new nodes only; a plan made once
-  per study is solved one field draw at a time, each pair to its longest
-  needed prefix in one run, and no field is kept.
+  so far, which a term extends by its new nodes only; a plan, made once
+  per study or by a tuple outside it, is solved one field draw at a time,
+  each pair to its longest needed prefix in one run; no field is kept.
 
 Work ledgers charge only sampler work (``prod N_j * N_pde**gamma`` per
 term).  The study functions (:func:`expectation_study`,
@@ -486,11 +486,12 @@ class OuuPipeline:
     the plan is solved the sampler's block and factor are released
     (:meth:`~kernelkit.pde.GaussianFieldSampler.release`).  If a QoI call
     raises, the prefixes solved so far are kept and the next evaluation
-    solves the rest of the plan.  Tuples outside the plan, and pipelines
-    that have none, solve their missing suffixes lazily, keeping each
-    field they draw.  :attr:`pde_solves` counts, per pair, the longest
-    prefix that an evaluated tuple has needed, so nodes solved ahead of
-    need are not counted until a tuple needs them.
+    solves the rest of the plan.  A tuple outside the plan, or of a
+    pipeline that has none, plans and solves its own short pairs, so a
+    tuple evaluated after its plan was solved draws no field.
+    :attr:`pde_solves` counts, per pair, the longest prefix that an
+    evaluated tuple has needed, so nodes solved ahead of need are not
+    counted until a tuple needs them.
     """
 
     def __init__(
@@ -503,7 +504,7 @@ class OuuPipeline:
         max_cells: int = 32,
         field_grid: Mesh | None = None,
         qoi: Callable[[np.ndarray, Any, Mesh], float] | None = None,
-        ):
+    ):
         self.interp_factor = interp_factor
         self.seed = seed
         self.stream = stream
@@ -512,7 +513,6 @@ class OuuPipeline:
         if qoi is None:
             qoi = AdvectionDiffusionProblem().sample_qoi
         self._qoi = qoi
-        self._field_cache: dict[int, Any] = {}
         self._nodes = np.empty((0, interp_factor.domain.dim))
         self._planned_nodes = 0
         self._prefixes: dict[tuple[int, int], np.ndarray] = {}
@@ -528,21 +528,16 @@ class OuuPipeline:
         )
 
     def _plan(self, tuples: list[tuple[int, ...]]) -> None:
-        """Raise each pair's target to the longest prefix a planned tuple needs."""
+        """Raise each short pair's target to the longest prefix a planned tuple needs."""
         for n_points, n_draws, mesh_resolution in tuples:
             cells = math.isqrt(mesh_resolution)
             if cells * cells != mesh_resolution:
                 continue  # the tuple raises when it is evaluated
             for k in range(n_draws):
-                if self._targets.get((k, cells), 0) < n_points:
+                short = len(self._prefixes.get((k, cells), _NO_VALUES)) < n_points
+                if short and self._targets.get((k, cells), 0) < n_points:
                     self._targets[k, cells] = n_points
             self._planned_nodes = max(self._planned_nodes, n_points)
-
-    def _field(self, draw: int):
-        sample = self._field_cache.get(draw)
-        if sample is None:
-            sample = self._field_cache[draw] = self._field_sampler.sample(self.seed, draw)
-        return sample
 
     def _extend_nodes(self, nodes: np.ndarray, resolutions: tuple[int, ...]) -> None:
         """Check that ``nodes`` and the longest node set seen are nested,
@@ -601,14 +596,13 @@ class OuuPipeline:
         for k in range(n_draws):
             if self._needed.get((k, cells), 0) < n_points:
                 self._needed[k, cells] = n_points
+        # A tuple outside the plan plans its own short pairs.
+        self._plan([resolutions])
         if self._targets:
             self._solve_plan()
-        # A missing suffix outside the plan is solved with the cached field.
         # Every node sums its draws in the order 0..n-1.
         sums = np.zeros(n_points)
         for k in range(n_draws):
-            if len(self._prefixes.get((k, cells), _NO_VALUES)) < n_points:
-                self._solve_draw(k, self._field(k), ((cells, n_points),))
             sums += self._prefixes[k, cells][:n_points]
         return sums / n_draws
 

@@ -585,9 +585,8 @@ def decomposition_bytes(count):
 
 
 def packet_bytes(count):
-    """Bytes of a packet grid-factor entry: the Gram matrix, its inverse and
-    the eigenvalue floor."""
-    return 8 * (2 * count**2 + 1)
+    """Bytes of a packet grid-factor entry: the Gram matrix and its inverse."""
+    return 16 * count**2
 
 
 def counting(monkeypatch, owner, name, calls, record=len):
@@ -721,11 +720,13 @@ def smooth_values(points):
 
 class TestKroneckerSolve:
     # (beta, dim) per factor: nu = beta - dim/2 is half-integer for (2.0, 1),
-    # (2.5, 2) and (3.0, 1), integer for (1.5, 1) and (2.0, 2).  The last
-    # grid's smallest product eigenvalues lie far below the diagonal shift.
-    # Grids of one-dimensional half-integer blocks alone are solved by kernel
-    # packets (TestPacketInverse), so the eigendecomposition tests below use
-    # integer orders.
+    # (2.5, 2) and (3.0, 1), integer for (1.5, 1) and (2.0, 2).  Grids of
+    # one-dimensional half-integer blocks alone, like the last, are solved
+    # by kernel packets (TestPacketInverse), so the eigendecomposition tests
+    # below use integer orders.  The last grid's smallest product
+    # eigenvalues lie far below the diagonal shift, so its unshifted packet
+    # solve is checked against a 50-digit solve: off-node, the shifted
+    # dense solve lies 4.1e-9 from that, the packet solve 9.7e-11.
     @pytest.mark.parametrize(
         "layout,counts",
         [
@@ -744,15 +745,26 @@ class TestKroneckerSolve:
         def no_dense(*args, **kwargs):
             raise AssertionError("tensor grid took the dense Cholesky path")
 
+        def no_eigh(gram):
+            raise AssertionError("a grid of half-integer factors was eigendecomposed")
+
         monkeypatch.setattr(kernels_module, "cho_factor", no_dense)
+        blocks = [block for block, _ in kernel.blocks]
+        packets = all(kernels_module._packet_order(block) is not None for block in blocks)
+        if packets:
+            monkeypatch.setattr(np.linalg, "eigh", no_eigh)
         solution = kernels_module._solve_spd(kernel, nodes, rhs)
         scale = np.max(np.abs(rhs))
         residual = np.max(np.abs(gram @ solution - rhs))
         dense_residual = np.max(np.abs(gram @ dense - rhs))
         assert residual <= 10.0 * dense_residual + 1e-12 * scale
         off_node = np.random.default_rng(5).random((300, nodes.dim))
-        between = kernel.gram(off_node, nodes.points)
-        assert np.max(np.abs(between @ (solution - dense))) <= 1e-9 * scale
+        if packets:
+            error = mp_off_node_error(kernel, nodes, rhs, solution, off_node)
+        else:
+            between = kernel.gram(off_node, nodes.points)
+            error = np.max(np.abs(between @ (solution - dense)))
+        assert error <= 1e-9 * scale
 
     def test_singular_factor_raises(self):
         # Two points of the first factor are 1e-13 apart: its Gram matrix is
@@ -994,9 +1006,10 @@ class TestKroneckerSolve:
         assert result.tobytes() == reference.tobytes()
 
 
-def mp_gram(kernel, x):
-    """The Gram matrix of a one-dimensional half-integer Matern kernel at the
-    points ``x``, as rows of mpmath numbers at the working precision."""
+def mp_gram(kernel, x, y=None):
+    """The Gram matrix of a one-dimensional half-integer Matern kernel
+    between the points ``x`` and ``y`` (default ``x``), as rows of mpmath
+    numbers at the working precision."""
     mpmath = pytest.importorskip("mpmath")
     m = kernels_module._packet_order(kernel)
     beta = mpmath.mpf(kernel.beta)
@@ -1006,16 +1019,20 @@ def mp_gram(kernel, x):
         mpmath.factorial(m + k) / (mpmath.factorial(k) * mpmath.factorial(m - k) * 2**k)
         for k in range(m + 1)
     ]
-    u = [mpmath.mpf(float(v)) / kernel.length_scale for v in x]
+    u, v = (
+        [mpmath.mpf(float(t)) / kernel.length_scale for t in points]
+        for points in (x, x if y is None else y)
+    )
     return [
-        [scale * mpmath.exp(-abs(a - b)) * mpmath.polyval(coefficients, abs(a - b)) for b in u]
+        [scale * mpmath.exp(-abs(a - b)) * mpmath.polyval(coefficients, abs(a - b)) for b in v]
         for a in u
     ]
 
 
 def mp_inverse_columns(gram, columns):
     """Columns of the inverse of an SPD mpmath matrix, by a dense Cholesky
-    factorization and solve at the working precision, rounded to floats."""
+    factorization and solve at the working precision, as a list of columns
+    of mpmath numbers."""
     mpmath = pytest.importorskip("mpmath")
     n = len(gram)
     lower = [[mpmath.mpf(0)] * n for _ in range(n)]
@@ -1033,7 +1050,32 @@ def mp_inverse_columns(gram, columns):
         for i in reversed(range(n)):
             x[i] = (y[i] - mpmath.fdot(upper[i][i + 1 :], x[i + 1 :])) / lower[i][i]
         solved.append(x)
-    return np.array(solved, dtype=float).T
+    return solved
+
+
+def mp_off_node_error(kernel, nodes, rhs, solution, points):
+    """Largest difference at ``points`` between the expansion with
+    coefficients ``solution`` on the tensor grid ``nodes`` of one-dimensional
+    half-integer blocks and the exact interpolant of ``rhs`` there, from a
+    50-digit Kronecker solve, the difference evaluated in mpmath."""
+    mpmath = pytest.importorskip("mpmath")
+    factors = kernel.grid_factors(nodes)
+    shape = tuple(map(len, factors))
+    as_mp = np.vectorize(mpmath.mpf, otypes=[object])
+    with mpmath.workdps(50):
+        exact = as_mp(rhs).reshape(shape)
+        for axis, ((block, _), rows) in enumerate(zip(kernel.blocks, factors)):
+            columns = mp_inverse_columns(mp_gram(block, rows[:, 0]), range(len(rows)))
+            inverse = np.array(columns, dtype=object).T
+            exact = np.moveaxis(np.tensordot(inverse, exact, axes=(1, axis)), 0, axis)
+        # The difference of the two expansions, contracted one block at a
+        # time: (points or 1, n_j, rest).
+        contracted = (as_mp(solution).reshape(shape) - exact).reshape(1, *shape)
+        for (block, coords), rows in zip(kernel.blocks, factors):
+            profile = np.array(mp_gram(block, points[:, coords[0]], rows[:, 0]), dtype=object)
+            rest = contracted.reshape(len(contracted), len(rows), -1)
+            contracted = (profile[:, :, None] * rest).sum(axis=1)
+        return float(max(abs(d) for d in contracted[:, 0]))
 
 
 class TestPacketInverse:
@@ -1057,7 +1099,7 @@ class TestPacketInverse:
         )
         columns = list(range(count)) if count <= 40 else list(range(0, count, 9))
         with mpmath.workdps(50):
-            reference = mp_inverse_columns(mp_gram(kernel, x), columns)
+            reference = np.array(mp_inverse_columns(mp_gram(kernel, x), columns), dtype=float).T
         error = np.max(np.abs(inverse[:, columns] - reference))
         assert error <= 1e-9 * np.max(np.abs(reference))
 
@@ -1067,7 +1109,7 @@ class TestPacketInverse:
         # window under- or overflows; the Gram matrix is nearly diagonal.
         kernel = MaternKernel(beta=beta, dim=1, length_scale=1e-5)
         rows = generate_points(UNIT_INTERVAL, 64).points
-        gram, inverse, _ = kernels_module._packet_factor(kernel, rows)
+        gram, inverse = kernels_module._packet_factor(kernel, rows)
         dense = np.linalg.inv(gram)
         assert np.max(np.abs(inverse - dense)) <= 1e-14 * np.max(np.abs(dense))
 
@@ -1078,7 +1120,7 @@ class TestPacketInverse:
             kernel = MaternKernel(beta=beta, dim=1)
             for count in (window - 1, window):
                 rows = generate_points(UNIT_INTERVAL, count).points
-                gram, inverse, _ = kernels_module._packet_factor(kernel, rows)
+                gram, inverse = kernels_module._packet_factor(kernel, rows)
                 if count < window:
                     assert inverse.tobytes() == np.linalg.inv(gram).tobytes()
                 else:
@@ -1125,19 +1167,23 @@ class TestPacketInverse:
         between = kernel.gram(off_node, nodes.points)
         assert np.max(np.abs(between @ (solution - dense))) <= 1e-9 * scale
 
-    def test_grid_far_below_the_shift_keeps_the_shifted_eigen_solve(
+    def test_grid_whose_packet_solve_misses_the_gate_takes_the_eigen_solve(
         self, monkeypatch, fresh_factored_grams
     ):
-        # TestKroneckerSolve's last layout: its floor is 0.004 of the shift.
+        # Two points of the first factor are 1e-9 apart: refinement cannot
+        # bring the unshifted packet solve's node residual within tolerance,
+        # and the shifted eigen solve fits the grid.
         decomposed = []
         counting(monkeypatch, np.linalg, "eigh", decomposed)
-        kernel, nodes = block_grid(((3.0, 1), (2.0, 1)), (64, 6))
-        fit_interpolant(kernel, nodes, smooth_values(nodes.points))
-        assert sorted(decomposed) == [6, 64]
-        # The packet inverses that decided it are not kept.
-        cache = kernels_module._FACTORED_GRAMS
-        assert len(cache) == 2
-        assert cache.nbytes == decomposition_bytes(64) + decomposition_bytes(6)
+        k = MaternKernel(beta=2.0, dim=1)
+        halton = generate_points(UNIT_INTERVAL, 9).points
+        first = PointSet(points=np.vstack([halton, [[0.5 + 1e-9]]]), domain=UNIT_INTERVAL)
+        grids = [first, generate_points(UNIT_INTERVAL, 7)]
+        values = smooth_values(tensor_grid([p.points for p in grids]))
+        fit = grid_fit([k, k], grids, values)
+        assert sorted(decomposed) == [7, 10]
+        residual = fit.evaluate(tensor_grid([p.points for p in grids])) - values
+        assert np.max(np.abs(residual)) <= 1e-8
 
     @pytest.mark.parametrize("beta", [4.0, 21.0])
     def test_orders_above_five_halves_keep_the_eigen_solve(

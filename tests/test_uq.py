@@ -540,29 +540,38 @@ class TestSolveOnce:
         engine.estimate(8)
         assert len(calls) == len(set(calls)) == sample.solve_count
 
-    def test_ouu_pipeline_solves_and_draws_once(self):
-        solves = []
+    def test_ouu_pipeline_solves_once_on_identical_redrawn_fields(self, monkeypatch):
+        solves, drawn = [], []
+        sample = GaussianFieldSampler.sample
+
+        def counting(sampler, seed, draw):
+            drawn.append(draw)
+            return sample(sampler, seed, draw)
+
+        monkeypatch.setattr(GaussianFieldSampler, "sample", counting)
 
         def qoi(z, field, mesh):
             value = float(z[0]) + 0.1 * float(field.values[0])
-            solves.append((z.tobytes(), id(field), field.draw, mesh.cells, value))
+            solves.append((z.tobytes(), field.draw, mesh.cells, value, field.values.tobytes()))
             return value
 
         pipeline = small_ouu_pipeline(qoi)
         pipeline.engine.estimate(6)
-        keys = [solve[:4] for solve in solves]
+        keys = [solve[:3] for solve in solves]
         assert len(keys) == len(set(keys)) == pipeline.pde_solves
         # The store holds, per (draw, cells), the values of the node prefix
         # in the order they were solved.
         longest = max(map(len, pipeline._prefixes.values()))
         nodes = pipeline.interp_factor.points(longest).points
         for (draw, cells), done in pipeline._prefixes.items():
-            mine = [s for s in solves if s[2:4] == (draw, cells)]
+            mine = [s for s in solves if s[1:3] == (draw, cells)]
             assert [s[0] for s in mine] == [z.tobytes() for z in nodes[: len(done)]]
-            assert done.tolist() == [s[4] for s in mine]
-        # One sample object per draw: every solve of a draw saw the same one.
+            assert done.tolist() == [s[3] for s in mine]
+        # Unplanned tuples draw their fields again: every solve of a draw
+        # saw the same field, bit for bit.
         draws = {draw for draw, _ in pipeline._prefixes}
-        assert len({s[1] for s in solves}) == len(draws)
+        assert len(drawn) > len(set(drawn)) == len(draws)
+        assert len({(s[1], s[4]) for s in solves}) == len(draws)
 
     def test_each_tuple_solves_only_its_new_suffix(self):
         calls = []
@@ -703,8 +712,7 @@ class TestSolveOnce:
         pipeline._field_sampler.sample = failing_once
         with pytest.raises(EvaluationError, match="draw failed"):
             pipeline.engine.estimate(5)
-        # Draw 0 was solved and kept; draw 1 left neither a field nor values.
-        assert set(pipeline._field_cache) == {0}
+        # Draw 0 was solved and kept; draw 1 left no values.
         assert pipeline._prefixes and {draw for draw, _ in pipeline._prefixes} == {0}
         retried = pipeline.engine.estimate(5)[0]
         fresh = small_ouu_pipeline(stub_qoi)
@@ -804,7 +812,24 @@ class TestPlannedStore:
         pipeline.engine.plan(6)
         pipeline.engine.estimate(5)
         sampler = pipeline._field_sampler
-        assert not pipeline._field_cache
+        assert sampler._block is None and sampler._factor is None
+
+    def test_tuple_evaluated_after_its_plan_was_solved_draws_no_field(self, monkeypatch):
+        drawn = []
+        sample = GaussianFieldSampler.sample
+
+        def counting(sampler, seed, draw):
+            drawn.append(draw)
+            return sample(sampler, seed, draw)
+
+        monkeypatch.setattr(GaussianFieldSampler, "sample", counting)
+        pipeline = self.pipeline()
+        pipeline.engine.plan(6)
+        pipeline.engine.estimate(5)  # its first tuple solves the whole plan
+        drawn.clear()
+        pipeline.engine.estimate(6)
+        assert drawn == []
+        sampler = pipeline._field_sampler
         assert sampler._block is None and sampler._factor is None
 
     def test_ouu_study_frees_the_field_factor(self):
