@@ -37,7 +37,7 @@ from kernelkit.smolyak import (
     level_to_resolution,
     predicted_rates,
 )
-from kernelkit.surrogate import Surrogate, load_surrogate, save_surrogate
+from kernelkit.surrogate import Surrogate
 from kernelkit.uq import sparse_interpolate
 
 __all__ = [
@@ -66,9 +66,7 @@ __all__ = [
     "fit_loglog_slope",
     "generate_points",
     "level_to_resolution",
-    "load_surrogate",
     "predicted_rates",
     "quadrature_weights",
-    "save_surrogate",
     "sparse_interpolate",
 ]

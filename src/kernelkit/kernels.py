@@ -1246,9 +1246,6 @@ class KernelExpansion:
     def __call__(self, point) -> float:
         return float(self.evaluate(np.asarray(point, dtype=float).reshape(1, -1))[0])
 
-    def __rmul__(self, coefficient: float):
-        return KernelExpansion.weighted_sum([(coefficient, self)])
-
     @staticmethod
     def weighted_sum(pairs: Sequence[tuple[float, "KernelExpansion"]]):
         """The surrogate ``sum_t c_t e_t``, merged once over all terms in order."""

@@ -14,7 +14,8 @@ abstract work units, and predicts the error-versus-work exponent
 Values produced by a tensor evaluator may be plain floats or any object
 supporting addition and scalar multiplication; a type that defines
 ``weighted_sum`` reduces a whole estimate in one call (see
-:func:`weighted_sum` and :class:`kernelkit.surrogate.Surrogate`).
+:func:`weighted_sum` and
+:meth:`kernelkit.kernels.KernelExpansion.weighted_sum`).
 
 Every error-versus-work table is built by one study loop,
 :func:`convergence_study`: it plans every engine once for its largest

@@ -1,7 +1,10 @@
 """The example configurations against their stored outputs.
 
 ``tests/golden/<example>/`` holds ``study.csv`` and ``slope.txt`` of
-``docs/examples/<example>.cfg`` at its default seed.  They are compared
+``docs/examples/<example>.cfg`` at its default seed.  A golden whose
+config is no example keeps it beside its outputs, as
+``tests/golden/<name>/<name>.cfg``: one per config path that no example
+reaches.  They are compared
 with the benchmark's comparison (``bench/golden.py``: integers exactly,
 floats within rtol 1e-5 / atol 1e-9), so a change to a solver or to the
 engine that moves these numbers beyond rounding fails here.
@@ -32,11 +35,30 @@ def load_golden():
 golden = load_golden()
 
 
+def golden_config(name):
+    pinned = os.path.join(ROOT, "tests", "golden", name, f"{name}.cfg")
+    if os.path.exists(pinned):
+        return pinned
+    return os.path.join(ROOT, "docs", "examples", f"{name}.cfg")
+
+
 @pytest.mark.parametrize(
-    "example", ["fem-check", "interp", "misc-synthetic", "rates", "rsr-bump"]
+    "example",
+    [
+        "fem-check",
+        "interp",
+        "misc-synthetic",
+        "rates",
+        "rsr-bump",
+        # [misc] quadrature = kernel: Matern quadrature weights on a
+        # Gauss-Legendre grid, with a sine-product integrand.
+        "misc-kernel",
+        # [kernel] length_scale = 0.1: profiles beyond two length scales.
+        "rsr-short-scale",
+    ],
 )
 def test_example_matches_golden_outputs(example, tmp_path):
-    config = os.path.join(ROOT, "docs", "examples", f"{example}.cfg")
+    config = golden_config(example)
     out = str(tmp_path / example)
     assert main(["--config", config, "--out", out, "--quiet"]) == 0
     problems = golden.compare_dirs(os.path.join(ROOT, "tests", "golden", example), out, ARTIFACTS)
