@@ -49,9 +49,11 @@ inverses, so it never forms ``K``; each Kronecker mode product is one
 order ``nu = m + 1/2`` = 1/2, 3/2 or 5/2, each factor's exact inverse comes
 from kernel packets (Chen, Ding & Tuo, JMLR 23, 2022): combinations of
 the kernel at ``2m + 3`` consecutive sorted points that vanish outside
-them, which make ``K_j = A^-1 Phi`` with ``A`` and ``Phi`` banded, so
-``K_j^-1 = Phi^-1 A`` costs ``O(n)`` row operations on one ``n x n``
-buffer, needs no shift, and gives the same bits at any BLAS thread count.
+them, which make ``K_j = A^-1 Phi`` with ``A`` and ``Phi`` banded.
+``K_j^-1 = Phi^-1 A`` decays away from the diagonal, so only its
+numerically nonzero band is eliminated, in ``O(n)`` row operations, and
+kept as row blocks; it needs no shift, and gives the same bits at any
+BLAS thread count.
 Otherwise, or when the packet solve's node residual stays above
 tolerance, each factor is eigendecomposed, ``K_j = Q_j diag(lambda_j)
 Q_j^T``, at ``n_j**3``.  All other node sets are solved by a dense Cholesky
@@ -89,7 +91,7 @@ _GAUSS_POINTS_PER_AXIS = 64
 # integer-order one within the series radius holds a fixed 0.33 MB
 # (``_BESSEL_SERIES_BLOCK``), and above it three temporaries of its own
 # size.  Against 2**16, 2**18 entries raise the peak RSS of one run at 1
-# BLAS thread by 3.1-3.7 MB for interp (85.6-85.9 to 89.0-89.4 MB) and by
+# BLAS thread by 0.1-0.4 MB for interp (80.3-80.5 to 80.6-80.7 MB) and by
 # 1.8-1.9 MB for rsr (63.7-63.9 to 65.6-65.7 MB), and leave ouu's at
 # 75.6-75.7 MB.
 _STACK_BLOCK_ENTRIES = 2**16
@@ -98,18 +100,31 @@ _STACK_BLOCK_ENTRIES = 2**16
 _PLAN_ENTRIES_PER_NODE = 2
 # Bytes of factorizations that both fit paths keep (``_FACTORED_GRAMS``);
 # a grid whose packet solve falls back to eigendecompositions keeps both.
-# The interp benchmark's ten grid factors (2 to 1024 points) hold 22.4 MB
-# as Gram matrices with packet inverses (or with eigendecompositions, 8
-# bytes a point more); its 1024-point factor, factored for the tuple
-# (2, 1024), is used again at (1024, 2), and below about 23 MB it would be
-# factored twice.  The ouu pipelines fit 239 times over 7 node sets of at
-# most 128 nodes (0.26 MB a Gram matrix and its factor).
+# The interp benchmark's ten grid factors (2 to 1024 points) hold 13.3 MB:
+# 11.2 MB of Gram matrices and 2.1 MB of packet inverse bands (as dense
+# inverses they held 22.4 MB).  Its 1024-point factor, factored for the
+# tuple (2, 1024), is used again at (1024, 2), and below about 13.3 MB
+# every factor would be factored twice.  The ouu pipelines fit 239 times
+# over 7 node sets of at most 128 nodes (0.26 MB a Gram matrix and its
+# factor).
 _FACTORED_GRAM_BYTES = 2**25
 # Kernel packets (:func:`_packet_inverse`): Taylor series are summed to
 # this many terms, for arguments up to this radius (in length scales);
 # wider windows and distances use the closed exponential forms.
 _PACKET_SERIES_TERMS = 40
 _PACKET_SERIES_RADIUS = 2.0
+# A packet inverse is swept over a band whose half-width starts at this
+# many points per ``m + 1`` and doubles until its edge entries are at most
+# ``_PACKET_BAND_FLOOR`` of their row's diagonal entry; entries that small
+# are dropped.  The inverse decays by about 2 - sqrt(3) = 0.27 a point at
+# nu = 3/2, so on interp's 1024-point factor the band keeps 36 points each
+# side at nu = 3/2, 58 at nu = 5/2 and 1 at nu = 1/2 (where it is exact),
+# and no subnormal number, where the dense inverse held 10,176.
+_PACKET_BAND_GUESS = 24
+_PACKET_BAND_FLOOR = 2.0**-64
+# A banded packet factor is kept as blocks of this many rows
+# (:func:`_packet_blocks`).
+_PACKET_BLOCK_ROWS = 64
 # Highest order m (nu = m + 1/2) whose factors are inverted by packets.
 # Against a 50-digit inverse on 40 points, the packet inverse's relative
 # error grows with m: 2e-13 at m = 2, 7e-11 at m = 4, 4e-9 at m = 5 and
@@ -356,24 +371,27 @@ def _bessel_series_table(order: int) -> np.ndarray:
         Q(t) = -2**(n-1) sum_(k<n) (n-k-1)!/k! (-t)**k
                - (-1)**n 2**(n-1) sum_k (psi(k+1) + psi(n+k+1)) t**(n+k) / (k! (n+k)!).
 
-    Computed in rationals (with Euler's constant to 40 digits) and rounded
-    once, like :func:`_packet_tables`.
+    Each coefficient is an exact ratio of integers, with Euler's constant
+    to 40 digits, rounded once by ``int / int``, like :func:`_packet_tables`.
     """
-    # Imported here: only integer-order profiles need it.
-    from fractions import Fraction
-
     n, degree = order, _BESSEL_SERIES_DEGREE
-    psi = [-Fraction(_EULER_GAMMA)]  # psi(m) at psi[m - 1]
-    for m in range(1, degree + 1):
-        psi.append(psi[-1] + Fraction(1, m))
-    p = [Fraction(0)] * (degree + 1)
-    q = [Fraction(0)] * (degree + 1)
+    whole, digits = _EULER_GAMMA.split(".")
+    gamma, gamma_scale = int(whole + digits), 10 ** len(digits)
+    # psi(k + 1) = H_k - gamma = psi[k] / scale
+    common = math.lcm(*range(1, degree + 1))
+    scale = common * gamma_scale
+    psi = [-gamma * common]
+    for k in range(1, degree + 1):
+        psi.append(psi[-1] + common // k * gamma_scale)
+    p = [0.0] * (degree + 1)
+    q = [0.0] * (degree + 1)
     for k in range(n):
-        q[k] = -Fraction(2 ** (n - 1) * math.factorial(n - k - 1) * (-1) ** k, math.factorial(k))
+        q[k] = -(2 ** (n - 1) * math.factorial(n - k - 1) * (-1) ** k) / math.factorial(k)
     for k in range(degree + 1 - n):
         denominator = math.factorial(k) * math.factorial(n + k)
-        p[n + k] = Fraction((-1) ** (n + 1) * 2**n, denominator)
-        q[n + k] = -((-1) ** n) * 2 ** (n - 1) * (psi[k] + psi[n + k]) / denominator
+        p[n + k] = (-1) ** (n + 1) * 2**n / denominator
+        numerator = -((-1) ** n) * 2 ** (n - 1) * (psi[k] + psi[n + k])
+        q[n + k] = numerator / (scale * denominator)
     return np.array([complex(a, b) for a, b in zip(p[::-1], q[::-1])])
 
 
@@ -589,18 +607,22 @@ def _packet_order(kernel: MaternKernel) -> int | None:
 
 
 def _packet_factor(kernel: MaternKernel, rows: np.ndarray):
-    """``(gram, inverse)`` of one block kernel on one factor's points.
+    """``(gram, order, blocks)`` of one block kernel on one factor's points.
 
-    The inverse comes from kernel packets (:func:`_packet_inverse`), or
-    directly when the factor has fewer points than a packet spans.
+    ``order`` sorts the points, and ``blocks`` hold their inverse Gram
+    matrix in that order, for :func:`_band_apply`: the numerically nonzero
+    band from kernel packets (:func:`_packet_inverse`,
+    :func:`_packet_blocks`), or the whole inverse as one block when the
+    factor has fewer points than a packet spans.
     """
     gram = kernel.gram(rows, rows)
     m = _packet_order(kernel)
+    order = np.argsort(rows[:, 0], kind="stable")
     try:
         if len(rows) < 2 * m + 3:
-            inverse = np.linalg.inv(gram)
+            blocks = np.linalg.inv(gram[np.ix_(order, order)])[None]
         else:
-            inverse = _packet_inverse(kernel, rows[:, 0], m)
+            blocks = _packet_blocks(_packet_inverse(kernel, rows[order, 0], m))
     except np.linalg.LinAlgError:
         gaps = np.diff(np.sort(rows[:, 0]))
         raise ConditioningError(
@@ -608,53 +630,152 @@ def _packet_factor(kernel: MaternKernel, rows: np.ndarray):
             len(rows),
             float(gaps.min()) if len(gaps) else math.inf,
         ) from None
-    for array in (gram, inverse):
+    for array in (gram, order, blocks):
         array.setflags(write=False)
-    return gram, inverse
+    return gram, order, blocks
 
 
 def _packet_inverse(kernel: MaternKernel, x: np.ndarray, m: int) -> np.ndarray:
-    """``K^-1`` of the Matern kernel of order ``m + 1/2`` on at least
-    ``2m + 3`` one-dimensional points ``x``, from kernel packets.
+    """The numerically nonzero band of ``K^-1`` of the Matern kernel of
+    order ``m + 1/2`` on at least ``2m + 3`` sorted one-dimensional points
+    ``x``, from kernel packets: ``band[i, t]`` is entry ``(i, i - w + t)``,
+    0 past the ends, with ``band`` shaped ``(n, 2w + 1)``.
 
-    On the sorted points, packet ``i`` is the combination ``sum_j A[i, j]
-    K(., x_j)`` over a window of consecutive points that vanishes on one
-    or both sides of the window (:func:`_packet_coefficients`).  So ``A``
-    is banded, ``Phi = A K``, the packets' values at the points, is banded
-    (:func:`_packet_band`), and ``K^-1 = Phi^-1 A`` (Chen, Ding & Tuo,
-    JMLR 23, 2022).  ``A`` is scattered into one ``n x n`` buffer, whose
-    row ``order[i]`` holds packet ``i`` and column ``order[j]`` point
-    ``j``, so that the result is in the points' own order.  Gaussian
-    elimination of the banded ``Phi`` without pivoting, each row operation
-    applied to whole buffer rows, then leaves ``K^-1`` there: ``O(n)`` row
-    operations, no ``n x n`` temporary.  Raises LinAlgError at a zero or
-    non-finite pivot.
+    Packet ``i`` is the combination ``sum_j A[i, j] K(., x_j)`` over a
+    window of consecutive points that vanishes on one or both sides of the
+    window (:func:`_packet_coefficients`).  So ``A`` is banded, ``Phi = A
+    K``, the packets' values at the points, is banded (:func:`_packet_band`),
+    and ``K^-1 = Phi^-1 A`` (Chen, Ding & Tuo, JMLR 23, 2022).  ``Phi^-1 A``
+    is dense but decays away from the diagonal, so it is eliminated on a
+    band only (:func:`_packet_sweep`), which doubles from
+    ``_PACKET_BAND_GUESS (m + 1)`` points each side until every row's edge
+    entries are at most ``_PACKET_BAND_FLOOR`` of its diagonal entry, or
+    until it spans every point, where it is exact.  Entries that small are
+    then zeroed, which leaves no subnormal number, and the band is trimmed
+    to the widest half-width that still holds a nonzero entry.  Raises
+    LinAlgError at a zero or non-finite pivot.
     """
-    order = np.argsort(x, kind="stable")
-    u = x[order] / kernel.length_scale
+    u = x / kernel.length_scale
     n = len(u)
     starts, coefficients = _packet_coefficients(u, m)
-    band = _packet_band(kernel, u, starts, coefficients).tolist()
-    inverse = np.zeros((n, n))
-    window = starts[:, None] + np.arange(2 * m + 3)
-    inverse[order[:, None], order[window]] = coefficients
-    rows = [inverse[i] for i in order.tolist()]
+    lower, upper = _packet_lu(_packet_band(kernel, u, starts, coefficients))
+    width = min(_PACKET_BAND_GUESS * (m + 1), n - 1)
+    while True:
+        band = _packet_sweep(lower, upper, starts, coefficients, width)
+        dead = np.abs(band) <= _PACKET_BAND_FLOOR * np.abs(band[:, width : width + 1])
+        if width == n - 1 or dead[:, [0, -1]].all():
+            break
+        width = min(2 * width, n - 1)
+    band[dead] = 0.0
+    keep = int(np.max(np.abs(np.flatnonzero(~dead.all(axis=0)) - width), initial=0))
+    return band[:, width - keep : width + keep + 1].copy()
+
+
+def _packet_lu(phi: np.ndarray) -> tuple[list, list]:
+    """Gaussian elimination without pivoting of ``Phi``, given by its band
+    (:func:`_packet_band`): ``(lower, upper)`` with ``lower[i][k - 1]`` the
+    multiple of row ``i`` taken from row ``i + k``, and ``upper[i]`` the
+    diagonal of row ``i`` and the ``m`` entries right of it.  Raises
+    LinAlgError at a zero or non-finite pivot."""
+    band = phi.tolist()
+    n, m = len(band), phi.shape[1] // 2
+    lower = []
     for i in range(n):
         pivot = band[i][m]
         if not (math.isfinite(pivot) and pivot != 0.0):
             raise np.linalg.LinAlgError(f"kernel packet pivot {pivot} at row {i}")
+        factors = []
         for k in range(1, min(m, n - 1 - i) + 1):
             below = band[i + k]
             factor = below[m - k] / pivot
             for t in range(m - k + 1, 2 * m + 1 - k):
                 below[t] -= factor * band[i][t + k]
-            rows[i + k] -= factor * rows[i]
-    for i in range(n - 1, -1, -1):
+            factors.append(factor)
+        lower.append(factors)
+    return lower, [row[m:] for row in band]
+
+
+def _packet_sweep(
+    lower: list, upper: list, starts: np.ndarray, coefficients: np.ndarray, width: int
+) -> np.ndarray:
+    """``Phi^-1 A`` on the band of half-width ``width`` (as
+    :func:`_packet_inverse` returns it), from the elimination of ``Phi``
+    (:func:`_packet_lu`) and the packets' coefficients ``A``.
+
+    Each row operation of the forward and backward sweeps acts on one band
+    row, shifted by the two rows' distance; entries that would fall outside
+    the band are dropped.  The rows are divided by their pivots before the
+    backward sweep, whose multipliers are divided likewise.  ``A`` lies
+    within ``2m + 2`` points of the diagonal, so ``width`` must be at least
+    that.
+    """
+    n, window = coefficients.shape
+    band = np.zeros((n, 2 * width + 1))
+    index = np.arange(n)[:, None]
+    band[index, starts[:, None] + np.arange(window) - index + width] = coefficients
+    rows = list(band)
+    for i, factors in enumerate(lower):
+        for k, factor in enumerate(factors, 1):
+            rows[i + k][:-k] -= factor * rows[i][k:]
+    diagonal = [row[0] for row in upper]
+    band /= np.array(diagonal)[:, None]
+    for i in range(n - 2, -1, -1):
         row = rows[i]
-        for k in range(1, min(m, n - 1 - i) + 1):
-            row -= band[i][m + k] * rows[i + k]
-        row /= band[i][m]
-    return inverse
+        for k, entry in enumerate(upper[i][1 : n - i], 1):
+            row[k:] -= entry / diagonal[i] * rows[i + k][:-k]
+    return band
+
+
+def _packet_blocks(band: np.ndarray) -> np.ndarray:
+    """A packet inverse's band (:func:`_packet_inverse`) as the blocks of
+    :func:`_band_apply`, shaped ``(count, rows, columns)``.
+
+    Block ``b`` holds rows ``b * rows`` to ``b * rows + rows - 1`` over the
+    columns from ``w`` before the first to ``w`` after the last, 0 past the
+    ends, with ``rows = _PACKET_BLOCK_ROWS`` and ``columns = rows + 2w``.
+    When that would hold no fewer entries than the whole inverse, as for
+    every factor of fewer than ``rows`` points, the whole inverse is one
+    block.  The band is written into the blocks through a strided view of
+    their diagonals.
+    """
+    n, width = band.shape
+    w = width // 2
+    rows = _PACKET_BLOCK_ROWS
+    count = -(-n // rows)
+    dense = count * rows * (rows + 2 * w) >= n * n
+    if dense:
+        rows, count = n, 1
+    blocks = np.zeros((count, rows, rows + 2 * w))
+    step, row_step, item = blocks.strides
+    diagonals = np.lib.stride_tricks.as_strided(
+        blocks, (count, rows, width), (step, row_step + item, item)
+    )
+    full, rest = divmod(n, rows)
+    diagonals[:full] = band[: full * rows].reshape(full, rows, width)
+    if rest:
+        diagonals[full, :rest] = band[full * rows :]
+    return blocks[:, :, w : w + n].copy() if dense else blocks
+
+
+def _band_apply(order: np.ndarray, blocks: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``K^-1 x`` for ``x`` shaped ``(n, k)``, with a packet factor's
+    ``order`` and ``blocks`` (:func:`_packet_factor`): the rows of ``x`` are
+    gathered into sorted order with zero padding, each block multiplies
+    its window of them in one batched matmul, and the products are
+    scattered back into the points' order."""
+    count, rows, columns = blocks.shape
+    pad = (columns - rows) // 2
+    n, k = x.shape
+    padded = np.zeros((count * rows + 2 * pad, k))
+    np.take(x, order, axis=0, out=padded[pad : pad + n])
+    step, item = padded.strides
+    windows = np.lib.stride_tricks.as_strided(
+        padded, (count, columns, k), (rows * step, step, item), writeable=False
+    )
+    product = np.matmul(blocks, windows).reshape(-1, k)
+    result = np.empty((n, k))
+    result[order] = product[:n]
+    return result
 
 
 def _packet_coefficients(u: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -816,30 +937,34 @@ def _packet_tables(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ``q`` lowest power first; ``psi(d) - psi(-d) = d**(2m+1) sum_i
     odd[i] d**(2i)``; ``basis[k, j]`` is the ``v**j`` Taylor coefficient of
     the solution ``f_k`` of ``(D**2 - 1)**(m+1) f = 0`` whose first
-    ``2m + 2`` derivatives at 0 are those of ``v**k / k!``.  All are
-    computed in rationals, so the coefficients that vanish are exactly 0.
+    ``2m + 2`` derivatives at 0 are those of ``v**k / k!``.  Each entry is
+    an exact ratio of integers, rounded once by ``int / int`` (correctly,
+    as ``float`` rounds a ``Fraction``), so the coefficients that vanish
+    are exactly 0.
     """
-    # Imported here: only packet grids need it, and every run imports this
-    # module.
-    from fractions import Fraction
-
     terms = _PACKET_SERIES_TERMS
-    q = [
-        Fraction(math.factorial(2 * m - p), math.factorial(p) * math.factorial(m - p))
-        / 2 ** (m - p)
-        for p in range(m + 1)
-    ]
-    psi = [
-        sum(q[p] * Fraction((-1) ** (j - p), math.factorial(j - p)) for p in range(min(j, m) + 1))
+    # q[p] = weights[p] / scale
+    scale = math.factorial(m) * 2**m
+    weights = [math.factorial(2 * m - p) * math.comb(m, p) * 2**p for p in range(m + 1)]
+    q = [weight / scale for weight in weights]
+    # psi[j] = psi_numerators[j] / (scale * j!): the v**j coefficient of q(v) exp(-v)
+    psi_numerators = [
+        sum(
+            weights[p] * (-1) ** (j - p) * (math.factorial(j) // math.factorial(j - p))
+            for p in range(min(j, m) + 1)
+        )
         for j in range(terms)
     ]
-    odd = [2 * psi[j] for j in range(2 * m + 1, terms, 2)]
+    odd = [
+        2 * psi_numerators[j] / (scale * math.factorial(j))
+        for j in range(2 * m + 1, terms, 2)
+    ]
     order = 2 * m + 2
     # (D**2 - 1)**(m+1) = D**order + sum_i recurrence[i] D**(2i)
     recurrence = [math.comb(m + 1, i) * (-1) ** (m + 1 - i) for i in range(m + 1)]
     basis = []
     for k in range(order):
-        derivatives = [Fraction(int(j == k)) for j in range(order)]
+        derivatives = [int(j == k) for j in range(order)]
         for j in range(order, terms):
             derivatives.append(
                 -sum(c * derivatives[j - order + 2 * i] for i, c in enumerate(recurrence))
@@ -853,10 +978,11 @@ class _FactoredGrams:
     ``limit`` bytes of arrays.
 
     An entry is :func:`_factor_gram`'s pair by (kernel, node bytes), or
-    :func:`_packet_factor`'s pair or :func:`_decompose_factor`'s triple by
-    (block kernel, factor point bytes, kind):
-    read-only arrays, a pure function of the key, so every caller in the
-    process may share it.  One larger than the bound is not kept.
+    :func:`_packet_factor`'s or :func:`_decompose_factor`'s triple by
+    (block kernel, factor point bytes, kind): a flat tuple of read-only
+    arrays, sized by their bytes, a pure function of the key, so every
+    caller in the process may share it.  One larger than the bound is not
+    kept.
     """
 
     def __init__(self, limit: int):
@@ -890,18 +1016,24 @@ class _FactoredGrams:
 _FACTORED_GRAMS = _FactoredGrams(limit=_FACTORED_GRAM_BYTES)
 
 
-def _kron_apply(matrices: Sequence[np.ndarray], x: np.ndarray) -> np.ndarray:
+def _kron_apply(matrices: Sequence, x: np.ndarray) -> np.ndarray:
     """``(M_1 (x) ... (x) M_m) x`` for ``x`` shaped ``(n_1, ..., n_m)``.
 
-    Each mode is one ``np.dot`` of ``M_j`` with mode ``j`` of ``x`` moved
-    first and flattened behind it, the product ``np.tensordot(M_j, x,
-    axes=(1, j))`` computes, so the two agree bit for bit.  The axes are
-    moved by plain transposes, as ``np.moveaxis`` would move them.
+    Each mode applies ``M_j`` to mode ``j`` of ``x`` moved first and
+    flattened behind it.  A matrix, such as a Gram matrix or eigenvectors,
+    takes one ``np.dot``, the product ``np.tensordot(M_j, x, axes=(1, j))``
+    computes, so the two agree bit for bit; a packet factor's ``(order,
+    blocks)`` takes :func:`_band_apply`.  The axes are moved by plain
+    transposes, as ``np.moveaxis`` would move them.
     """
     for axis, matrix in enumerate(matrices):
         rest = range(axis + 1, x.ndim)
         moved = x.transpose(axis, *range(axis), *rest)
-        product = np.dot(matrix, moved.reshape(len(moved), -1))
+        flat = moved.reshape(len(moved), -1)
+        if isinstance(matrix, np.ndarray):
+            product = np.dot(matrix, flat)
+        else:
+            product = _band_apply(*matrix, flat)
         x = product.reshape(moved.shape).transpose(*range(1, axis + 1), 0, *rest)
     return x
 
@@ -912,9 +1044,10 @@ def _solve_kronecker(
     """:func:`_solve_spd` on a tensor grid, through per-factor inverses.
 
     When every block is a one-dimensional Matern kernel of order 1/2, 3/2
-    or 5/2 (:func:`_packet_order`), each factor's exact inverse is formed
-    from kernel packets (:func:`_packet_factor`), and the solve is one
-    mode product per factor with them, unshifted.  If refinement cannot
+    or 5/2 (:func:`_packet_order`), each factor's inverse is kept as the
+    numerically nonzero band of its exact inverse from kernel packets
+    (:func:`_packet_factor`), and the solve is one mode product per factor
+    with them (:func:`_band_apply`), unshifted.  If refinement cannot
     bring that solve's node residual within tolerance, as on a grid whose
     lowest eigenvalues lie far below the starting shift, or when a block
     takes no packets, each factor is eigendecomposed, ``K_j = Q_j
@@ -923,7 +1056,9 @@ def _solve_kronecker(
     escalates like the dense path's while that spectrum is not positive.
     Either way refinement applies the unshifted ``(x)K_j`` by mode
     products, never forming the Gram matrix: a packet inverse is exact in
-    exact arithmetic, but a solve by it alone is not backward stable.
+    exact arithmetic up to the entries its band drops, each at most
+    ``_PACKET_BAND_FLOOR`` of its row's diagonal, but a solve by it alone
+    is not backward stable.
     """
     shape = tuple(len(rows) for rows in factors)
     blocks = [block for block, _ in kernel.blocks]
@@ -938,7 +1073,9 @@ def _solve_kronecker(
         return lambda x: _kron_apply(matrices, x.reshape(shape)).ravel()
 
     if all(_packet_order(block) is not None for block in blocks):
-        grams, inverses = zip(*entries("packets", _packet_factor))
+        packets = entries("packets", _packet_factor)
+        grams = [entry[0] for entry in packets]
+        inverses = [entry[1:] for entry in packets]
         try:
             return _refine(kron(inverses), kron(grams), rhs, nodes)
         except ConditioningError:
@@ -988,20 +1125,29 @@ def _refine(
     """Solve the shifted system, then refine against the unshifted operator.
 
     ``solve`` applies the inverse of the shifted system and ``apply`` the
-    unshifted Gram matrix.  Raises ConditioningError when the node residual
-    stays above the required tolerance.
+    unshifted Gram matrix.  Refinement stops at the target, or after the
+    first pass that does not halve the node residual, and returns the
+    iterate with the smaller residual.  Raises ConditioningError when that
+    residual stays above the required tolerance.
     """
     solution = solve(rhs)
     scale = np.max(np.abs(rhs))
     if scale > 0.0:
         residual = rhs - apply(solution)
+        size = np.max(np.abs(residual))
         for _ in range(_REFINEMENT_PASSES):
-            if np.max(np.abs(residual)) <= _RESIDUAL_TARGET * scale:
+            if size <= _RESIDUAL_TARGET * scale:
                 break
-            solution = solution + solve(residual)
-            residual = rhs - apply(solution)
+            candidate = solution + solve(residual)
+            candidate_residual = rhs - apply(candidate)
+            candidate_size = np.max(np.abs(candidate_residual))
+            halved = candidate_size <= 0.5 * size
+            if candidate_size < size:
+                solution, residual, size = candidate, candidate_residual, candidate_size
+            if not halved:
+                break
         # Written so that a residual that is not a number fails too.
-        if not np.max(np.abs(residual)) <= _RESIDUAL_REQUIRED * scale:
+        if not size <= _RESIDUAL_REQUIRED * scale:
             raise ConditioningError(
                 "node residual above tolerance after refinement",
                 len(nodes),

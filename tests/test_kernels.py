@@ -197,6 +197,68 @@ class TestMaternKernel:
             MaternKernel(beta=2.0, dim=1, length_scale=0.0)
 
 
+def fraction_packet_tables(m, terms):
+    """:func:`kernels._packet_tables` computed in ``Fraction``s."""
+    from fractions import Fraction
+
+    q = [
+        Fraction(math.factorial(2 * m - p), math.factorial(p) * math.factorial(m - p))
+        / 2 ** (m - p)
+        for p in range(m + 1)
+    ]
+    psi = [
+        sum(q[p] * Fraction((-1) ** (j - p), math.factorial(j - p)) for p in range(min(j, m) + 1))
+        for j in range(terms)
+    ]
+    odd = [2 * psi[j] for j in range(2 * m + 1, terms, 2)]
+    order = 2 * m + 2
+    recurrence = [math.comb(m + 1, i) * (-1) ** (m + 1 - i) for i in range(m + 1)]
+    basis = []
+    for k in range(order):
+        derivatives = [Fraction(int(j == k)) for j in range(order)]
+        for j in range(order, terms):
+            derivatives.append(
+                -sum(c * derivatives[j - order + 2 * i] for i, c in enumerate(recurrence))
+            )
+        basis.append([d / math.factorial(j) for j, d in enumerate(derivatives)])
+    return tuple(np.array(table, dtype=float) for table in (q, odd, basis))
+
+
+def fraction_bessel_series_table(n, degree, euler_gamma):
+    """:func:`kernels._bessel_series_table` computed in ``Fraction``s."""
+    from fractions import Fraction
+
+    psi = [-Fraction(euler_gamma)]
+    for m in range(1, degree + 1):
+        psi.append(psi[-1] + Fraction(1, m))
+    p = [Fraction(0)] * (degree + 1)
+    q = [Fraction(0)] * (degree + 1)
+    for k in range(n):
+        q[k] = -Fraction(2 ** (n - 1) * math.factorial(n - k - 1) * (-1) ** k, math.factorial(k))
+    for k in range(degree + 1 - n):
+        denominator = math.factorial(k) * math.factorial(n + k)
+        p[n + k] = Fraction((-1) ** (n + 1) * 2**n, denominator)
+        q[n + k] = -((-1) ** n) * 2 ** (n - 1) * (psi[k] + psi[n + k]) / denominator
+    return np.array([complex(a, b) for a, b in zip(p[::-1], q[::-1])])
+
+
+class TestSeriesTables:
+    # The tables round exact integer ratios once each, as a Fraction rounds.
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    def test_packet_tables_match_fractions_bit_for_bit(self, m):
+        tables = kernels_module._packet_tables(m)
+        reference = fraction_packet_tables(m, kernels_module._PACKET_SERIES_TERMS)
+        assert [t.tobytes() for t in tables] == [r.tobytes() for r in reference]
+
+    @pytest.mark.parametrize("order", range(1, 15))
+    def test_bessel_series_table_matches_fractions_bit_for_bit(self, order):
+        table = kernels_module._bessel_series_table(order)
+        reference = fraction_bessel_series_table(
+            order, kernels_module._BESSEL_SERIES_DEGREE, kernels_module._EULER_GAMMA
+        )
+        assert table.tobytes() == reference.tobytes()
+
+
 class TestTensorKernel:
     def test_block_product(self):
         ka = MaternKernel(beta=2.0, dim=1)
@@ -585,8 +647,9 @@ def decomposition_bytes(count):
 
 
 def packet_bytes(count):
-    """Bytes of a packet grid-factor entry: the Gram matrix and its inverse."""
-    return 16 * count**2
+    """Bytes of a packet grid-factor entry of fewer points than a block: the
+    Gram matrix, the sort order and the inverse as one dense block."""
+    return 16 * count**2 + 8 * count
 
 
 def counting(monkeypatch, owner, name, calls, record=len):
@@ -671,6 +734,52 @@ class TestSolveSpd:
         # The residual of the first solve is zero; it is also the final check.
         assert calls == ["solve", "apply"]
         assert solution.tolist() == [0.5, -1.5, 0.25]
+
+    def test_stalled_refinement_returns_the_better_iterate(self):
+        # The first solve is 1e-10 off; the pass after it is worse, so
+        # refinement stops there and keeps the first solve.
+        calls = []
+        errors = iter([1e-10, 1e-9])
+
+        def solve(r):
+            return r / 2.0 + np.array([next(errors), 0.0, 0.0])
+
+        rhs = np.array([1.0, -3.0, 0.5])
+        solution = kernels_module._refine(
+            self.counted(calls, "solve", solve),
+            self.counted(calls, "apply", lambda x: 2.0 * x),
+            rhs,
+            generate_points(UNIT_SQUARE, 3),
+        )
+        assert calls == ["solve", "apply"] * 2
+        assert solution.tobytes() == (rhs / 2.0 + np.array([1e-10, 0.0, 0.0])).tobytes()
+
+    def test_refinement_that_stops_halving_keeps_its_last_gain(self):
+        # Each pass shrinks the residual by 0.6: the first pass is kept, and
+        # refinement stops after it.
+        calls = []
+        rhs = np.array([1.0, -3.0, 0.5]) * 1e-9
+        rhs[0] = 1.0
+        solution = kernels_module._refine(
+            self.counted(calls, "solve", lambda r: r / 2.0 * np.array([1.0, 1.6, 1.0])),
+            self.counted(calls, "apply", lambda x: 2.0 * x),
+            rhs,
+            generate_points(UNIT_SQUARE, 3),
+        )
+        assert calls == ["solve", "apply"] * 2
+        assert np.abs(2.0 * solution[1] - rhs[1]) == pytest.approx(0.36 * 3e-9, rel=1e-6)
+
+    @pytest.mark.parametrize("gain", [0.7, np.nan])
+    def test_refinement_short_of_the_required_residual_raises(self, gain):
+        # Each pass shrinks the residual by 0.7, or the solve gives no
+        # number at all: neither reaches 1e-8.
+        with pytest.raises(ConditioningError, match="node residual"):
+            kernels_module._refine(
+                lambda r: r / 2.0 * (1.0 + gain),
+                lambda x: 2.0 * x,
+                np.array([1.0, -3.0, 0.5]),
+                generate_points(UNIT_SQUARE, 3),
+            )
 
     def test_converged_fit_applies_the_gram_once_per_solve(
         self, monkeypatch, fresh_factored_grams
@@ -1078,6 +1187,29 @@ def mp_off_node_error(kernel, nodes, rhs, solution, points):
         return float(max(abs(d) for d in contracted[:, 0]))
 
 
+def packet_matrix(kernel, rows):
+    """The Gram matrix of a packet factor and its kept inverse, applied to
+    the identity, in the points' order."""
+    gram, order, blocks = kernels_module._packet_factor(kernel, rows)
+    return gram, kernels_module._band_apply(order, blocks, np.eye(len(rows)))
+
+
+def packet_band(kernel, count):
+    """The sorted points of a Halton factor and their packet band."""
+    x = np.sort(generate_points(UNIT_INTERVAL, count).points[:, 0])
+    return x, kernels_module._packet_inverse(kernel, x, kernels_module._packet_order(kernel))
+
+
+def band_matrix(band):
+    """The dense matrix of a band: entry ``(i, i - w + t)`` is ``band[i, t]``."""
+    n, width = band.shape
+    w = width // 2
+    dense = np.zeros((n, n + 2 * w))
+    for i in range(n):
+        dense[i, i : i + width] = band[i]
+    return dense[:, w : w + n]
+
+
 class TestPacketInverse:
     # beta 1.0, 2.0 and 3.0 in one dimension: nu = 1/2, 3/2 and 5/2.  At
     # length scale 0.004 the windows span many length scales, where the
@@ -1093,13 +1225,13 @@ class TestPacketInverse:
         # mpmath is a test-only dependency; without it this reference skips.
         mpmath = pytest.importorskip("mpmath")
         kernel = MaternKernel(beta=beta, dim=1, length_scale=length_scale)
-        x = generate_points(UNIT_INTERVAL, count).points[:, 0]
-        inverse = kernels_module._packet_inverse(
-            kernel, x, kernels_module._packet_order(kernel)
-        )
+        rows = generate_points(UNIT_INTERVAL, count).points
+        _, inverse = packet_matrix(kernel, rows)
         columns = list(range(count)) if count <= 40 else list(range(0, count, 9))
         with mpmath.workdps(50):
-            reference = np.array(mp_inverse_columns(mp_gram(kernel, x), columns), dtype=float).T
+            reference = np.array(
+                mp_inverse_columns(mp_gram(kernel, rows[:, 0]), columns), dtype=float
+            ).T
         error = np.max(np.abs(inverse[:, columns] - reference))
         assert error <= 1e-9 * np.max(np.abs(reference))
 
@@ -1109,7 +1241,7 @@ class TestPacketInverse:
         # window under- or overflows; the Gram matrix is nearly diagonal.
         kernel = MaternKernel(beta=beta, dim=1, length_scale=1e-5)
         rows = generate_points(UNIT_INTERVAL, 64).points
-        gram, inverse = kernels_module._packet_factor(kernel, rows)
+        gram, inverse = packet_matrix(kernel, rows)
         dense = np.linalg.inv(gram)
         assert np.max(np.abs(inverse - dense)) <= 1e-14 * np.max(np.abs(dense))
 
@@ -1120,12 +1252,92 @@ class TestPacketInverse:
             kernel = MaternKernel(beta=beta, dim=1)
             for count in (window - 1, window):
                 rows = generate_points(UNIT_INTERVAL, count).points
-                gram, inverse = kernels_module._packet_factor(kernel, rows)
+                gram, order, blocks = kernels_module._packet_factor(kernel, rows)
+                assert order.tolist() == np.argsort(rows[:, 0], kind="stable").tolist()
+                assert blocks.shape == (1, count, count)
                 if count < window:
-                    assert inverse.tobytes() == np.linalg.inv(gram).tobytes()
+                    sorted_gram = gram[np.ix_(order, order)]
+                    assert blocks[0].tobytes() == np.linalg.inv(sorted_gram).tobytes()
                 else:
+                    inverse = kernels_module._band_apply(order, blocks, np.eye(count))
                     assert np.allclose(inverse @ gram, np.eye(count), atol=1e-6)
         assert packets == [1.0, 2.0, 3.0]
+
+    @pytest.mark.parametrize("beta", [1.0, 2.0, 3.0])
+    def test_band_drops_only_entries_below_its_floor(self, beta):
+        # The sweep over every point is exact; the kept band is its nonzero
+        # part, and every entry outside it is at most 2**-64 of its row's
+        # diagonal entry.
+        kernel = MaternKernel(beta=beta, dim=1)
+        count = 200
+        x, band = packet_band(kernel, count)
+        m = kernels_module._packet_order(kernel)
+        starts, coefficients = kernels_module._packet_coefficients(x, m)
+        lower, upper = kernels_module._packet_lu(
+            kernels_module._packet_band(kernel, x, starts, coefficients)
+        )
+        full = kernels_module._packet_sweep(lower, upper, starts, coefficients, count - 1)
+        exact = band_matrix(full)
+        diagonal = np.abs(np.diag(exact))[:, None]
+        kept = band_matrix(band)
+        w = band.shape[1] // 2
+        offsets = np.abs(np.subtract.outer(np.arange(count), np.arange(count)))
+        outside = offsets > w
+        floor = 2.0**-64 * np.broadcast_to(diagonal, exact.shape)
+        assert np.all(np.abs(exact[outside]) <= floor[outside])
+        assert np.all(np.abs(kept - exact) <= 1e-15 * diagonal)
+        # The band is trimmed: its outermost diagonals hold a nonzero entry.
+        assert np.any(band[:, [0, -1]] != 0.0)
+        assert w == {1.0: 1, 2.0: 35, 3.0: 57}[beta]
+
+    @pytest.mark.parametrize("beta", [1.0, 2.0, 3.0])
+    def test_kept_factor_holds_no_subnormal_number(self, beta):
+        # At nu = 3/2 the dense inverse on these points holds 10,176
+        # subnormal entries.
+        kernel = MaternKernel(beta=beta, dim=1)
+        _, _, blocks = kernels_module._packet_factor(
+            kernel, generate_points(UNIT_INTERVAL, 1024).points
+        )
+        magnitudes = np.abs(blocks[blocks != 0.0])
+        assert magnitudes.size and np.min(magnitudes) >= np.finfo(float).tiny
+
+    def test_kept_1024_point_factor_holds_under_12_mb(self):
+        # A dense inverse beside the 8.4 MB Gram matrix held 16.8 MB.
+        kernel = MaternKernel(beta=2.0, dim=1)
+        entry = kernels_module._packet_factor(
+            kernel, generate_points(UNIT_INTERVAL, 1024).points
+        )
+        assert sum(array.nbytes for array in entry) < 12e6
+        assert all(not array.flags.writeable for array in entry)
+
+    @pytest.mark.parametrize("columns", [1, 2, 33])
+    @pytest.mark.parametrize("beta", [1.0, 2.0])
+    @pytest.mark.parametrize(
+        "count,layout",
+        [
+            (kernels_module._PACKET_BLOCK_ROWS - 1, "one dense block"),
+            (kernels_module._PACKET_BLOCK_ROWS, "one dense block"),
+            (4 * kernels_module._PACKET_BLOCK_ROWS, "whole blocks"),
+            (3 * kernels_module._PACKET_BLOCK_ROWS + 17, "a partial last block"),
+        ],
+    )
+    def test_apply_matches_the_dense_product(self, count, layout, beta, columns):
+        kernel = MaternKernel(beta=beta, dim=1)
+        rows = generate_points(UNIT_INTERVAL, count).points
+        _, order, blocks = kernels_module._packet_factor(kernel, rows)
+        block_rows = kernels_module._PACKET_BLOCK_ROWS
+        if layout == "one dense block":
+            assert blocks.shape == (1, count, count)
+        else:
+            assert blocks.shape[:2] == (-(-count // block_rows), block_rows)
+        _, band = packet_band(kernel, count)
+        dense = np.empty((count, count))
+        dense[np.ix_(order, order)] = band_matrix(band)
+        x = np.random.default_rng(columns).standard_normal((count, columns))
+        expected = dense @ x
+        result = kernels_module._band_apply(order, blocks, x)
+        assert result.shape == (count, columns)
+        assert np.max(np.abs(result - expected)) <= 1e-15 * np.max(np.abs(expected))
 
     @pytest.mark.parametrize("pivot", [0.0, np.nan])
     def test_zero_or_non_finite_pivot_raises(self, monkeypatch, fresh_factored_grams, pivot):
