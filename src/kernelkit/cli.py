@@ -26,7 +26,14 @@ from typing import NamedTuple
 import numpy as np
 
 import kernelkit
-from kernelkit.config import _MAX_SEED, ConfigError, RunConfig, parse_config_file, serialize_config
+from kernelkit.config import (
+    _MAX_SEED,
+    ConfigError,
+    RunConfig,
+    interp_factor,
+    parse_config_file,
+    serialize_config,
+)
 from kernelkit.kernels import ConditioningError, MaternKernel
 from kernelkit.pde import l2_error_against, mesh_at_level, solve_poisson_dirichlet
 from kernelkit.points import Box, Disc
@@ -138,19 +145,10 @@ def _sine_product(points):
 
 
 def _run_interp(config: RunConfig, seed: int) -> _Study:
-    k = config.section("kernel")
+    d = config[("kernel", "d")]
     blocks = config[("interp", "blocks")]
-    kernel = MaternKernel(beta=k["beta"], dim=k["d"], length_scale=k["length_scale"])
-    factor = interpolation_factor(
-        kernel,
-        Box(lows=(0.0,) * k["d"], highs=(1.0,) * k["d"]),
-        alpha=k["alpha"],
-        resolution_map=doubling_levels
-        if config[("interp", "level_map")] == "doubling"
-        else None,
-    )
-    problem = interpolation_problem([factor] * blocks, _sine_product)
-    eval_domain = Box(lows=(0.0,) * (k["d"] * blocks), highs=(1.0,) * (k["d"] * blocks))
+    problem = interpolation_problem([interp_factor(config.sections)] * blocks, _sine_product)
+    eval_domain = Box(lows=(0.0,) * (d * blocks), highs=(1.0,) * (d * blocks))
     points = random_points(eval_domain, config[("study", "eval_points")], seed)
 
     def errors(_, surrogates):

@@ -19,8 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from kernelkit.kernels import MaternKernel
+from kernelkit.kernels import REFERENCE_RULE_MAX_DIM, MaternKernel
 from kernelkit.pde import check_field_grid, mesh_at_level
+from kernelkit.points import _PRIMES, Box
+from kernelkit.smolyak import level_to_resolution
+from kernelkit.uq import InterpolationFactor, doubling_levels, interpolation_factor
 
 PIPELINES = ("rates", "interp", "misc", "rsr", "ouu", "fem-check")
 _MAX_THRESHOLD = 14
@@ -267,6 +270,44 @@ def _kernel_dim(pipeline: str, sections: dict[str, dict[str, Any]]) -> int | Non
     return None
 
 
+def interp_factor(sections: dict[str, dict[str, Any]]) -> InterpolationFactor:
+    """The factor that each block of an ``interp`` run fits, as its
+    ``[kernel]`` and ``[interp]`` sections configure it."""
+    k = sections["kernel"]
+    kernel = MaternKernel(beta=k["beta"], dim=k["d"], length_scale=k["length_scale"])
+    return interpolation_factor(
+        kernel,
+        Box(lows=(0.0,) * k["d"], highs=(1.0,) * k["d"]),
+        alpha=k["alpha"],
+        resolution_map=doubling_levels
+        if sections["interp"]["level_map"] == "doubling"
+        else None,
+    )
+
+
+def _check_point_dims(pipeline: str, sections: dict[str, dict[str, Any]], l_max: int) -> None:
+    """Reject a ``[kernel] d`` whose points the pipeline cannot build: past
+    its ``2**d`` corners a box's nested points are Halton points, which exist
+    up to dimension ``len(_PRIMES)``, and ``misc``'s kernel quadrature needs
+    the reference rule of :func:`~kernelkit.kernels.quadrature_weights`."""
+    d = _kernel_dim(pipeline, sections)
+    if pipeline == "interp" and d > len(_PRIMES):
+        # The largest factor of a run has the highest level, l_max - blocks + 1.
+        level = l_max - sections["interp"]["blocks"] + 1
+        count = level_to_resolution(interp_factor(sections).spec, level)
+        if count > 2**d:
+            raise ConfigError(
+                f"[kernel] d = {d}: the largest interp factor holds {count} points, "
+                f"more than the {2**d} box corners, and the points past them "
+                f"exist up to dimension {len(_PRIMES)}"
+            )
+    if pipeline == "misc" and d is not None and d > REFERENCE_RULE_MAX_DIM:
+        raise ConfigError(
+            f"[kernel] d = {d}: the kernel quadrature's reference rule "
+            f"exists up to dimension {REFERENCE_RULE_MAX_DIM}"
+        )
+
+
 def _validate(raw: dict[str, dict[str, tuple[str, int]]]) -> RunConfig:
     if "run" not in raw:
         raise ConfigError("missing required section [run]")
@@ -396,6 +437,7 @@ def _validate(raw: dict[str, dict[str, tuple[str, int]]]) -> RunConfig:
                 f"[run] threshold range [{l_min}, {l_max}] gives {l_max - l_min + 1} "
                 f"study rows; the slope fit needs at least {_MIN_STUDY_ROWS}"
             )
+        _check_point_dims(pipeline_text, sections, l_max)
 
     return RunConfig(
         pipeline=pipeline_text,

@@ -20,21 +20,21 @@ the public :meth:`MaternKernel.profile`), so a Gram block costs the block
 and a few temporaries.
 
 A :class:`TensorKernel` multiplies Matern kernels on disjoint coordinate
-blocks.  Tensor grids and sparse grids repeat each block coordinate many
-times, so its Gram matrix, which the dense fits need, evaluates every
-block profile once per pair of distinct block coordinates and gathers
-the result back; the entries are bit-identical to the pairwise products.
-A kernel expansion never forms its points x nodes Gram matrix: it keeps
-a contraction plan of its nodes, which groups the coefficients by their
-other-block coordinates into dense matrices over a prefix of the last
-block's coordinates.  On a sparse grid, evaluation is then a few matrix
-products of the last block's profile with those matrices, times gathers
-of the other blocks' profiles per group of coordinates.  Expansions of
-one kernel always evaluate as a stack, one expansion being a stack of
-one: :func:`stack_layout` unites their block coordinates, and
-:func:`evaluate_stacked`, the one loop over point chunks, computes each
-chunk's block profiles once over that union, of which each plan
-contracts its own columns.
+blocks; its Gram matrix, which the dense fits need, is the plain product
+of the block profiles.  Every multi-block node set a pipeline fits is a
+product grid, which the Kronecker solve below takes without a Gram
+matrix.  A kernel expansion never forms its points x nodes Gram matrix:
+it keeps a contraction plan of its nodes, which groups the coefficients
+by their other-block coordinates into dense matrices over a prefix of
+the last block's coordinates.  Every expansion a pipeline builds is a
+union of grids over nested prefixes, which those matrices tile with no
+zero entries, so evaluation is a few matrix products of the last block's
+profile with them, times gathers of the other blocks' profiles per group
+of coordinates.  Expansions of one kernel always evaluate as a stack,
+one expansion being a stack of one: :func:`stack_layout` unites their
+block coordinates, and :func:`evaluate_stacked`, the one loop over point
+chunks, computes each chunk's block profiles once over that union, of
+which each plan contracts its own columns.
 
 Interpolation coefficients solve the symmetric positive-definite kernel
 system ``(K + jitter I) x = b`` with an escalating diagonal shift, followed
@@ -83,6 +83,9 @@ _RESIDUAL_REQUIRED = 1e-8
 _REFINEMENT_PASSES = 4
 _SMALL_RADIUS = 1e-8
 _GAUSS_POINTS_PER_AXIS = 64
+# Highest box dimension whose tensor Gauss-Legendre reference rule
+# (:func:`quadrature_weights`, 64**d points) is built.
+REFERENCE_RULE_MAX_DIM = 3
 # Most entries that one evaluation chunk's shared block profiles hold
 # together, and that any one of its group products holds
 # (:func:`evaluate_stacked`).  The studies evaluate their stack after
@@ -95,9 +98,6 @@ _GAUSS_POINTS_PER_AXIS = 64
 # 1.8-1.9 MB for rsr (63.7-63.9 to 65.6-65.7 MB), and leave ouu's at
 # 75.6-75.7 MB.
 _STACK_BLOCK_ENTRIES = 2**16
-# A contraction plan may hold up to this many coefficient-matrix entries
-# per node; one that pads more evaluates by per-node gathers instead.
-_PLAN_ENTRIES_PER_NODE = 2
 # Bytes of factorizations that both fit paths keep (``_FACTORED_GRAMS``);
 # a grid whose packet solve falls back to eigendecompositions keeps both.
 # The interp benchmark's ten grid factors (2 to 1024 points) hold 13.3 MB:
@@ -410,16 +410,6 @@ def distinct_rows(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return first[order], slot[inverse.ravel()]
 
 
-def _distinct_block_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """Distinct rows and the gather index back, or ``(rows, None)`` if none repeat."""
-    if rows.shape[0] < 2:
-        return rows, None
-    first, slot = distinct_rows(rows)
-    if len(first) == rows.shape[0]:
-        return rows, None
-    return rows[first], slot
-
-
 @dataclass(frozen=True)
 class TensorKernel:
     """Product of Matern kernels acting on disjoint coordinate blocks."""
@@ -450,32 +440,23 @@ class TensorKernel:
     def dim(self) -> int:
         return sum(kernel.dim for kernel, _ in self.blocks)
 
-    def split(
-        self, points: np.ndarray
-    ) -> tuple[tuple[np.ndarray, np.ndarray | None], ...]:
-        """Each block's distinct coordinate rows of ``points``, with the index back.
-
-        One ``(rows, slot)`` pair per block: the block columns of
-        ``points`` equal ``rows[slot]``; when no row repeats, ``rows`` are
-        the block columns themselves and ``slot`` is None.
-        """
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return tuple(
-            _distinct_block_rows(pts[:, list(coords)]) for _, coords in self.blocks
-        )
-
-    def split_nodes(
-        self, nodes: PointSet
-    ) -> tuple[tuple[np.ndarray, np.ndarray | None], ...]:
-        """:meth:`split` of a point set's own points.
+    def split_nodes(self, nodes: PointSet) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Each block's distinct coordinate rows of a point set's points, in
+        first-seen order, with the index back: one ``(rows, slot)`` pair per
+        block, the block columns of the points being ``rows[slot]``.
 
         A point set is pairwise distinct, so a single block, which covers
         every coordinate, has no repeated rows to search for.
         """
         if len(self.blocks) == 1:
             ((_, coords),) = self.blocks
-            return ((nodes.points[:, list(coords)], None),)
-        return self.split(nodes.points)
+            return [(nodes.points[:, list(coords)], np.arange(len(nodes)))]
+        split = []
+        for _, coords in self.blocks:
+            rows = nodes.points[:, list(coords)]
+            first, slot = distinct_rows(rows)
+            split.append((rows[first], slot))
+        return split
 
     def grid_factors(self, nodes: PointSet) -> list[np.ndarray] | None:
         """The factors' points of a :meth:`PointSet.product` grid of two or
@@ -492,33 +473,15 @@ class TensorKernel:
         return [factor.points for factor in factors]
 
     def gram(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Kernel matrix ``prod_b phi_b(|x_b - y_b|)`` over the blocks.
-
-        Each block's profile is evaluated once per pair of distinct block
-        coordinates and gathered back, so a tensor grid of ``n_1 x n_2``
-        nodes costs ``n_1**2 + n_2**2`` profile entries instead of
-        ``(n_1 n_2)**2``.  Every entry is the same product of the same
-        profile values as the pairwise evaluation, bit for bit.
-        """
-        return self.split_gram(self.split(x), self.split(y))
-
-    def split_gram(self, x_split, y_split) -> np.ndarray:
-        """:meth:`gram` of two point arrays given by their :meth:`split`."""
-        out = None
-        for (kernel, _), (x_rows, x_slot), (y_rows, y_slot) in zip(
-            self.blocks, x_split, y_split
-        ):
-            profile = kernel.gram(x_rows, y_rows)
-            if x_slot is not None:
-                profile = profile.take(x_slot, axis=0)
-            if y_slot is not None:
-                profile = profile.take(y_slot, axis=1)
-            if out is None:
-                # Products with the Gram matrix sum in memory order, so it
-                # must be C-ordered like the pairwise evaluation's.
-                out = np.ascontiguousarray(profile)
-            else:
-                out *= profile
+        """Kernel matrix ``prod_b phi_b(|x_b - y_b|)``: the product of the
+        blocks' profiles, in block order, in the first one's C-ordered array."""
+        x, y = (np.atleast_2d(np.asarray(a, dtype=float)) for a in (x, y))
+        profiles = (
+            kernel.gram(x[:, list(c)], y[:, list(c)]) for kernel, c in self.blocks
+        )
+        out = next(profiles)
+        for profile in profiles:
+            out *= profile
         return out
 
 
@@ -534,7 +497,12 @@ def _factor_coords(factors) -> list[tuple[int, ...]]:
 
 
 def single_block(kernel: MaternKernel) -> TensorKernel:
-    """Tensor kernel with one block covering all coordinates."""
+    """Tensor kernel with one block covering all coordinates.
+
+    :func:`fit_interpolant` and :func:`quadrature_weights` wrap a bare
+    :class:`MaternKernel` in it; the ``misc`` pipeline's kernel quadrature
+    reaches it through the latter.
+    """
     return TensorKernel(blocks=((kernel, tuple(range(kernel.dim))),))
 
 
@@ -562,8 +530,7 @@ def _solve_spd(kernel: TensorKernel, nodes: PointSet, rhs: np.ndarray) -> np.nda
 def _factor_gram(kernel: TensorKernel, nodes: PointSet):
     """``(gram, factor)``: the Gram matrix of ``nodes`` and the lower
     Cholesky factor of its smallest admissible diagonal shift."""
-    split = kernel.split_nodes(nodes)
-    gram = kernel.split_gram(split, split)
+    gram = kernel.gram(nodes.points, nodes.points)
     count = len(nodes)
     base = np.trace(gram) / count
     jitter = _JITTER_START * base
@@ -1005,13 +972,6 @@ class _FactoredGrams:
             self.nbytes -= sum(array.nbytes for array in oldest)
         return entry
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self.nbytes = 0
-
 
 _FACTORED_GRAMS = _FactoredGrams(limit=_FACTORED_GRAM_BYTES)
 
@@ -1160,38 +1120,32 @@ def _refine(
 class _ContractionPlan:
     """How a kernel expansion contracts its block profiles with its coefficients.
 
-    Each block's profile is evaluated against ``node_rows``.  In a ranked
-    plan (``contracted``) the last block's rows are its distinct
-    coordinates ranked by node count, descending, and a node is the pair
-    of its tuple (its distinct coordinates in the other blocks) and its
-    last-block rank.  Each group ``(width, matrix, columns)`` holds the
-    tuples whose highest rank is ``width - 1``: ``matrix`` is their
-    ``width x tuples`` coefficient matrix and ``columns`` gives each other
-    block's row of every tuple.  The gather plan has one group whose
-    ``matrix`` is the coefficient row and whose ``columns`` give every
-    block's row of every node.
+    Each block's profile is evaluated against ``node_rows``.  The last
+    block's rows are its distinct coordinates ranked by node count,
+    descending, and a node is the pair of its tuple (its distinct
+    coordinates in the other blocks) and its last-block rank.  Each group
+    ``(width, matrix, columns)`` holds the tuples whose highest rank is
+    ``width - 1``: ``matrix`` is their ``width x tuples`` coefficient
+    matrix and ``columns`` gives each other block's row of every tuple.
     """
 
     node_rows: tuple[np.ndarray, ...]
-    contracted: bool
     groups: tuple[tuple[int, np.ndarray, tuple[np.ndarray, ...]], ...]
 
     @classmethod
     def build(
         cls, kernel: TensorKernel, nodes: PointSet, coefficients: np.ndarray
     ) -> "_ContractionPlan":
-        """The ranked plan, or the gather plan when ranking would pad too much.
+        """The ranked plan of an expansion.
 
-        On a union of tensor grids over nested sequences every tuple's
-        last-block partners are a prefix of the ranking, so the groups
-        tile the nodes with no zero entries; on unstructured nodes the
-        group matrices would be mostly zeros.
+        On a union of tensor grids over nested sequences, which is every
+        expansion a pipeline builds, each tuple's last-block partners are
+        a prefix of the ranking, so the groups tile the nodes with no zero
+        entries; other node sets are padded with zeros.
         """
         coefficients = np.asarray(coefficients, dtype=float)
         split = kernel.split_nodes(nodes)
-        count = len(nodes)
-        slots = [np.arange(count) if slot is None else slot for _, slot in split]
-        *other_slots, last_slot = slots
+        *other_slots, last_slot = (slot for _, slot in split)
         last_rows = split[-1][0]
         order = np.argsort(
             -np.bincount(last_slot, minlength=len(last_rows)), kind="stable"
@@ -1202,15 +1156,9 @@ class _ContractionPlan:
         if other_slots:
             first, tuple_of = distinct_rows(np.stack(other_slots, axis=1))
         else:
-            first, tuple_of = np.zeros(1, dtype=int), np.zeros(count, dtype=int)
+            first, tuple_of = np.zeros(1, dtype=int), np.zeros(len(nodes), dtype=int)
         width = np.zeros(len(first), dtype=int)
         np.maximum.at(width, tuple_of, node_rank + 1)
-        if width.sum() > _PLAN_ENTRIES_PER_NODE * count:
-            return cls(
-                node_rows=tuple(rows for rows, _ in split),
-                contracted=False,
-                groups=((0, coefficients, tuple(slots)),),
-            )
         position = np.empty_like(width)
         groups = []
         for w in np.unique(width):
@@ -1223,57 +1171,27 @@ class _ContractionPlan:
             groups.append((int(w), matrix, tuple(s[first[members]] for s in other_slots)))
         return cls(
             node_rows=(*(rows for rows, _ in split[:-1]), last_rows[order]),
-            contracted=True,
             groups=tuple(groups),
         )
 
-    def over(
-        self, rows: Sequence[np.ndarray], maps: Sequence[np.ndarray]
-    ) -> "_ContractionPlan":
-        """This plan against the gathered blocks' rows ``rows``.
 
-        Row ``i`` of the plan's block ``b`` is row ``maps[b][i]`` of
-        ``rows[b]``.  A ranked plan's last block keeps its own rows.
-        """
-        gathered = len(self.node_rows) - self.contracted
-        groups = tuple(
-            (width, matrix, tuple(m[c] for m, c in zip(maps, columns)))
-            for width, matrix, columns in self.groups
-        )
-        node_rows = (*rows[:gathered], *self.node_rows[gathered:])
-        return _ContractionPlan(node_rows, self.contracted, groups)
+def _contract(groups, profiles: list[np.ndarray]) -> np.ndarray:
+    """The values at the points whose block profiles are ``profiles``, from
+    a plan's ``groups`` (:class:`_ContractionPlan`).
 
-    def contract_profiles(self, profiles: list[np.ndarray]) -> np.ndarray:
-        """The values at the points whose block profiles are ``profiles``.
-
-        Per group, ``q = last[:, :width] @ matrix`` (or the coefficient
-        row), times each gathered block's profile columns, summed per row.
-        """
-        last = profiles[-1] if self.contracted else None
-        sums = []
-        for width, matrix, columns in self.groups:
-            product = matrix if last is None else last[:, :width] @ matrix
-            for profile, cols in zip(profiles, columns):
-                factor = profile.take(cols, axis=1)
-                factor *= product
-                product = factor
-            sums.append(product.sum(axis=1))
-        return reduce(np.add, sums)
-
-
-def _block_profiles(
-    kernel: TensorKernel, points: np.ndarray, node_rows: Sequence[np.ndarray]
-) -> list[np.ndarray]:
-    """Each block's profile between the block columns of ``points`` and its
-    ``node_rows``.
-
-    Points are taken as they come: study points do not repeat, so a search
-    for repeated block rows would only cost time.
+    Per group, ``q = last[:, :width] @ matrix``, times each other block's
+    profile columns, summed per row.
     """
-    return [
-        block.gram(points[:, list(coords)], nodes)
-        for (block, coords), nodes in zip(kernel.blocks, node_rows)
-    ]
+    last = profiles[-1]
+    sums = []
+    for width, matrix, columns in groups:
+        product = last[:, :width] @ matrix
+        for profile, cols in zip(profiles, columns):
+            factor = profile.take(cols, axis=1)
+            factor *= product
+            product = factor
+        sums.append(product.sum(axis=1))
+    return reduce(np.add, sums)
 
 
 def stack_layout(expansions: Sequence["KernelExpansion"]):
@@ -1283,13 +1201,12 @@ def stack_layout(expansions: Sequence["KernelExpansion"]):
     Returns ``(kernel, node_rows, members, columns)``.  ``node_rows``
     holds, per block, the distinct rows of all the plans' rows of that
     block, in first-seen order, so that nested plans' rows are prefixes.
-    Each member is its plan moved onto those rows
-    (:meth:`_ContractionPlan.over`) and, for a ranked plan, the last-block
-    columns that are its own rows in rank order: a slice when they lie in
-    a row, as nested members' rows do, otherwise an index array to
-    gather.  ``columns`` counts a chunk's entries per point: in its shared
-    profiles with the widest gathered last block, or in its widest group
-    product, whichever is more.
+    Each member is its plan's groups, their columns moved onto those rows,
+    and the last-block columns that are its own rows in rank order: a
+    slice when they lie in a row, as nested members' rows do, otherwise
+    an index array to gather.  ``columns`` counts a chunk's entries per
+    point: in its shared profiles with the widest gathered last block, or
+    in its widest group product, whichever is more.
     """
     kernel = expansions[0].kernel
     if any(e.kernel != kernel for e in expansions):
@@ -1306,15 +1223,16 @@ def stack_layout(expansions: Sequence["KernelExpansion"]):
             own.append(piece)
     members = []
     gathered = 0
-    for plan, own in zip(plans, maps):
-        last = None
-        if plan.contracted:
-            last = own[-1]
-            if np.array_equal(last, np.arange(last[0], last[0] + len(last))):
-                last = slice(int(last[0]), int(last[0]) + len(last))
-            else:
-                gathered = max(gathered, len(last))
-        members.append((plan.over(node_rows, own), last))
+    for plan, (*other, last) in zip(plans, maps):
+        if np.array_equal(last, np.arange(last[0], last[0] + len(last))):
+            last = slice(int(last[0]), int(last[0]) + len(last))
+        else:
+            gathered = max(gathered, len(last))
+        groups = [
+            (width, matrix, [m[c] for m, c in zip(other, columns)])
+            for width, matrix, columns in plan.groups
+        ]
+        members.append((groups, last))
     columns = max(
         sum(map(len, node_rows)) + gathered,
         *(matrix.shape[-1] for plan in plans for _, matrix, _ in plan.groups),
@@ -1340,10 +1258,14 @@ def evaluate_stacked(layout, points: np.ndarray) -> np.ndarray:
     out = np.empty((pts.shape[0], len(members)))
     for start in range(0, pts.shape[0], rows):
         chunk = slice(start, start + rows)
-        profiles = _block_profiles(kernel, pts[chunk], node_rows)
-        for j, (plan, last) in enumerate(members):
-            own = profiles if last is None else [*profiles[:-1], profiles[-1][:, last]]
-            out[chunk, j] = plan.contract_profiles(own)
+        # Points are taken as they come: study points do not repeat, so a
+        # search for repeated block rows would only cost time.
+        profiles = [
+            block.gram(pts[chunk, list(coords)], nodes)
+            for (block, coords), nodes in zip(kernel.blocks, node_rows)
+        ]
+        for j, (groups, last) in enumerate(members):
+            out[chunk, j] = _contract(groups, [*profiles[:-1], profiles[-1][:, last]])
     return out
 
 
@@ -1457,8 +1379,10 @@ def quadrature_weights(
     box = nodes.domain
     if not isinstance(box, Box):
         raise ValueError("quadrature weights require a box domain")
-    if box.dim > 3:
-        raise ValueError("tensor reference rule limited to dimension <= 3")
+    if box.dim > REFERENCE_RULE_MAX_DIM:
+        raise ValueError(
+            f"tensor reference rule limited to dimension <= {REFERENCE_RULE_MAX_DIM}"
+        )
     grid, grid_w = _gauss_legendre_grid(box, _GAUSS_POINTS_PER_AXIS)
     embeddings = kernel.gram(nodes.points, grid) @ (grid_w / box.volume)
     weights = _solve_spd(kernel, nodes, embeddings)

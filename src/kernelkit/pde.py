@@ -28,7 +28,8 @@ assembles the coefficient-dependent base system once per field
 realization and mesh (half-bandwidth ``nodes_per_axis + 1``), and each
 velocity then costs one matrix sum, one banded LU solve and, for the
 quantity of interest, one dot product.  A field
-realization lives on its reference grid; the operator keeps, per grid, the
+realization (a :class:`GrfSample`, the only coefficient field the problem
+takes) lives on its reference grid; the operator keeps, per grid, the
 bilinear weights of its centroids and edge midpoints, so restricting a
 field to the mesh is one gather-and-sum.
 
@@ -593,19 +594,20 @@ def _advection_operator(problem: "AdvectionDiffusionProblem", mesh: Mesh):
 class AdvectionDiffusionProblem:
     """Advection-diffusion with random diffusion and Robin boundary data.
 
-    The diffusion coefficient is ``1 + exp(-m)`` for a nodal field ``m``,
-    the velocity is a control in the closed unit disc, the source is a
-    fixed Gaussian, and the boundary condition is ``du/dn + u = u_b``.
+    The diffusion coefficient is ``1 + exp(-m)`` for a drawn field ``m``
+    (a :class:`GrfSample`, the only kind of field it takes), the velocity
+    is a control in the closed unit disc, the source is a fixed Gaussian,
+    and the boundary condition is ``du/dn + u = u_b``.
 
     Each mesh's :class:`AdvectionOperator` is built once.  The base system
-    of the last (:class:`GrfSample` field, mesh) pair solved is kept, with
-    the mesh's operator and averaging weights, so the velocities solved on
-    one pair in a row, as the pipelines solve every node of a pair, share
-    one assembly and one lookup of each; a velocity then costs its checks,
-    the slot's identity check, the system sum, ``dgbsv`` and, for the
-    quantity of interest, one dot product.  An assembly evaluates the field
-    at the mesh's centroids and edge midpoints with the operator's
-    precomputed bilinear weights.
+    of the last (field, mesh) pair solved is kept, with the mesh's
+    operator and averaging weights, so the velocities solved on one pair
+    in a row, as the pipelines solve every node of a pair, share one
+    assembly and one lookup of each; a velocity then costs its checks, the
+    slot's identity check, the system sum, ``dgbsv`` and, for the quantity
+    of interest, one dot product.  An assembly evaluates the field at the
+    mesh's centroids and edge midpoints with the operator's precomputed
+    bilinear weights.
     """
 
     # ``[field, cells, operator, base, weights]`` of the last pair, or
@@ -622,54 +624,34 @@ class AdvectionDiffusionProblem:
     def boundary_values(self, x: np.ndarray) -> np.ndarray:
         return _advection_boundary_values(x)
 
-    def _base(self, operator: AdvectionOperator, field):
-        mesh = operator.mesh
-        ntri = len(mesh.triangles)
-        if isinstance(field, GrfSample):
-            m = _apply_weights(field.values, operator.field_weights(field.grid))
-        else:
-            field = np.asarray(field, dtype=float)
-            if field.shape != (mesh.node_count,):
-                raise ValueError("field vector does not match mesh")
-            m = np.concatenate(
-                [field[mesh.triangles].mean(axis=1), field[operator.edges].mean(axis=1)]
-            )
+    def _base(self, operator: AdvectionOperator, field: GrfSample):
+        m = _apply_weights(field.values, operator.field_weights(field.grid))
         a = 1.0 + np.exp(-m)
+        ntri = len(operator.mesh.triangles)
         return operator.base(a[:ntri], a[ntri:])
 
-    def _system(self, field, mesh: Mesh) -> list:
+    def _system(self, field: GrfSample, mesh: Mesh) -> list:
         """``[field, cells, operator, base, weights]`` of one (field, mesh)
-        pair; a :class:`GrfSample`'s is kept in the slot."""
-        grf = isinstance(field, GrfSample)
-        if grf:
-            slot = self._last_base
-            if slot and slot[0] is field and slot[1] == mesh.cells:
-                return slot
+        pair, kept in the slot."""
+        slot = self._last_base
+        if slot and slot[0] is field and slot[1] == mesh.cells:
+            return slot
         operator = _advection_operator(self, mesh)
-        system = [
-            field,
-            mesh.cells,
-            operator,
-            self._base(operator, field),
-            _average_weights(mesh),
-        ]
-        if grf:
-            self._last_base[:] = system
-        return system
+        slot[:] = [field, mesh.cells, operator, self._base(operator, field), _average_weights(mesh)]
+        return slot
 
-    def solve(self, velocity, field, mesh: Mesh) -> np.ndarray:
+    def solve(self, velocity, field: GrfSample, mesh: Mesh) -> np.ndarray:
         """P1 solve for one field realization.
 
-        ``field`` is either a :class:`GrfSample` (the coefficient samples
-        the bilinear extension of the reference-grid realization, so all
-        mesh resolutions see the same continuous coefficient) or a nodal
-        vector on ``mesh`` itself.
+        The coefficient samples the bilinear extension of the field's
+        reference-grid realization, so all mesh resolutions see the same
+        continuous coefficient.
         """
         velocity = _checked_velocity(velocity)
         _, _, operator, base, _ = self._system(field, mesh)
         return operator.solve(base, velocity)
 
-    def sample_qoi(self, velocity, field, mesh: Mesh) -> float:
+    def sample_qoi(self, velocity, field: GrfSample, mesh: Mesh) -> float:
         """Spatial average of :meth:`solve`'s solution."""
         velocity = _checked_velocity(velocity)
         _, _, operator, base, weights = self._system(field, mesh)

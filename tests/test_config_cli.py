@@ -376,6 +376,53 @@ class TestCliRuns:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "text,limit",
+        [
+            # The 1,024-point factor runs past the 512 corners of the 9-cube.
+            (
+                "interp\nl_min = 8\nl_max = 10\n[kernel]\nd = 9\nbeta = 5\n"
+                "[interp]\nblocks = 1\n",
+                "holds 1024 points, more than the 512 box corners",
+            ),
+            (
+                "misc\nl_min = 2\nl_max = 4\n[misc]\nquadrature = kernel\n"
+                "[kernel]\nd = 4\nbeta = 3\n",
+                "reference rule exists up to dimension 3",
+            ),
+        ],
+        ids=["interp-points", "misc-reference-rule"],
+    )
+    def test_unusable_point_dimension_is_a_config_error(self, tmp_path, capsys, text, limit):
+        cfg = self.write(tmp_path, "[run]\npipeline = " + text)
+        out = tmp_path / "dim"
+        assert main(["--config", cfg, "--out", str(out), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: [kernel] d = ")
+        assert limit in err
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_interp_point_limit_follows_the_level_map(self):
+        # At beta = 6.5 the exponential map's level-10 factor holds 333 points,
+        # within the 512 corners; the doubling map's holds 1,024.
+        text = (
+            "[run]\npipeline = interp\nl_min = 8\nl_max = 10\n"
+            "[kernel]\nd = 9\nbeta = 6.5\n[interp]\nblocks = 1\nlevel_map = {}\n"
+        )
+        assert parse_config(text.format("exponential")).l_max == 10
+        with pytest.raises(ConfigError, match="holds 1024 points"):
+            parse_config(text.format("doubling"))
+
+    def test_interp_within_the_box_corners_runs_at_any_dimension(self, tmp_path):
+        # Its largest factor holds 16 of the 512 corners of the 9-cube.
+        text = (
+            "[run]\npipeline = interp\nl_min = 2\nl_max = 4\n"
+            "[kernel]\nd = 9\nbeta = 5\n[interp]\nblocks = 1\n[study]\neval_points = 64\n"
+        )
+        cfg = self.write(tmp_path, text)
+        assert main(["--config", cfg, "--out", str(tmp_path / "d9"), "--quiet"]) == 0
+
     def test_unused_kernel_order_is_not_checked(self):
         # Midpoint quadrature builds no kernel.
         text = "[run]\npipeline = misc\nl_min = 2\nl_max = 4\n[kernel]\nbeta = 2.2\n"

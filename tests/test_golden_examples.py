@@ -81,7 +81,8 @@ def test_example_repeats_byte_for_byte_in_one_process(example, tmp_path):
 def test_interp_example_inverts_its_factors_by_packets(monkeypatch, tmp_path):
     # Its grids' blocks are all one-dimensional with nu = 3/2: each of the 7
     # distinct factors is inverted once, and nothing is eigendecomposed.
-    kernels_module._FACTORED_GRAMS.clear()
+    fresh = kernels_module._FactoredGrams(limit=kernels_module._FACTORED_GRAM_BYTES)
+    monkeypatch.setattr(kernels_module, "_FACTORED_GRAMS", fresh)
     calls = {"eigh": 0, "_packet_factor": 0}
     for owner, name in ((np.linalg, "eigh"), (kernels_module, "_packet_factor")):
         original = getattr(owner, name)

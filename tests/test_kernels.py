@@ -429,20 +429,8 @@ class TestKernelExpansionEvaluation:
         L = 8
         surrogate = sparse_interpolate([k, k], [unit_box(dim)] * 2, smooth_values, L=L)
         ((_, expansion),) = surrogate.terms
-        plan = expansion._plan
-        assert plan.contracted
         assert plan_entries(expansion) == len(expansion.nodes)
-        assert len(plan.groups) <= L
-
-    def test_random_nodes_take_the_gather_plan(self):
-        rng = np.random.default_rng(3)
-        nodes = PointSet(rng.random((300, 2)), UNIT_SQUARE)
-        expansion = KernelExpansion(
-            layout_kernel(((2.0, 1), (2.0, 1))), nodes, rng.standard_normal(300)
-        )
-        plan = expansion._plan
-        assert not plan.contracted
-        assert plan_entries(expansion) == len(nodes)
+        assert len(expansion._plan.groups) <= L
 
     def test_large_sparse_grid_stays_within_block_budget(self, monkeypatch):
         # About 11k nodes: the interp workload's largest surrogate.
@@ -663,11 +651,16 @@ def counting(monkeypatch, owner, name, calls, record=len):
     monkeypatch.setattr(owner, name, counted)
 
 
+def fresh_cache(monkeypatch):
+    """Put an empty factor cache of the library's bound in place of the shared one."""
+    cache = kernels_module._FactoredGrams(limit=kernels_module._FACTORED_GRAM_BYTES)
+    monkeypatch.setattr(kernels_module, "_FACTORED_GRAMS", cache)
+    return cache
+
+
 @pytest.fixture
-def fresh_factored_grams():
-    kernels_module._FACTORED_GRAMS.clear()
-    yield
-    kernels_module._FACTORED_GRAMS.clear()
+def fresh_factored_grams(monkeypatch):
+    return fresh_cache(monkeypatch)
 
 
 class TestSolveSpd:
@@ -710,7 +703,7 @@ class TestSolveSpd:
         fit_interpolant(MaternKernel(beta=3.0, dim=2), nodes, values[0])
         assert factored == [40, 40]
         for fit, v in zip(fits, values):
-            kernels_module._FACTORED_GRAMS.clear()
+            fresh_cache(monkeypatch)
             fresh = fit_interpolant(kernel, nodes, v)
             assert fit.coefficients.tobytes() == fresh.coefficients.tobytes()
 
@@ -813,7 +806,7 @@ class TestSolveSpd:
         # 17 dropped 19, the least recently used; 19 then dropped 18; the
         # 40-node pair is larger than the bound, so it dropped nothing.
         assert factored == [20, 19, 18, 17, 19, 40]
-        assert len(cache) == 3
+        assert len(cache._entries) == 3
         assert cache.nbytes == sum(map(pair_bytes, (20, 17, 19)))
 
 
@@ -960,7 +953,7 @@ class TestKroneckerSolve:
                 break
             kept.append(count)
         assert 2 < len(kept) < len(counts)
-        assert len(cache) == len(kept)
+        assert len(cache._entries) == len(kept)
         assert cache.nbytes == sum(map(decomposition_bytes, kept))
 
     def test_decomposition_memo_drops_least_recently_used(
@@ -1025,7 +1018,7 @@ class TestKroneckerSolve:
         fit_grid(8, 6)  # 8 drops 5, now the least recently used
         assert factored == [20]
         assert decomposed == [8, 6, 5, 8]
-        assert len(cache) == 3
+        assert len(cache._entries) == 3
         assert cache.nbytes == limit
 
     def test_failed_decomposition_leaves_factor_computable(
@@ -1044,23 +1037,22 @@ class TestKroneckerSolve:
         values = smooth_values(nodes.points)
         with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
             fit_interpolant(kernel, nodes, values)
-        assert len(kernels_module._FACTORED_GRAMS) == 0
+        assert len(fresh_factored_grams._entries) == 0
         fit = fit_interpolant(kernel, nodes, values)
-        assert len(kernels_module._FACTORED_GRAMS) == 2
+        assert len(fresh_factored_grams._entries) == 2
         assert np.max(np.abs(fit.evaluate(nodes.points) - values)) <= 1e-8
 
     def test_split_nodes_skips_the_search_for_one_block(self, monkeypatch):
         nodes = generate_points(UNIT_SQUARE, 40)
         one = single_block(MaternKernel(beta=2.0, dim=2))
-        expected = one.split(nodes.points)
 
         def no_search(points):
             raise AssertionError("distinct rows searched for a point set")
 
         monkeypatch.setattr(kernels_module, "distinct_rows", no_search)
         ((rows, slot),) = one.split_nodes(nodes)
-        assert slot is None
-        assert rows.tobytes() == expected[0][0].tobytes()
+        assert slot.tolist() == list(range(40))
+        assert rows.tobytes() == nodes.points.tobytes()
 
     def test_product_grid_fit_takes_no_search(self):
         layout = ((2.0, 1), (2.0, 2), (1.5, 1))

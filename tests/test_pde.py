@@ -377,7 +377,7 @@ class TestAdvectionProblem:
     def test_solve_bounds_with_zero_field(self):
         problem = AdvectionDiffusionProblem()
         mesh = Mesh(cells=12)
-        u = problem.solve(np.array([0.0, 0.0]), np.zeros(mesh.node_count), mesh)
+        u = problem.solve(np.array([0.0, 0.0]), zero_field(), mesh)
         q = spatial_average(u, mesh)
         assert 0.0 < q < 20.0
 
@@ -385,9 +385,9 @@ class TestAdvectionProblem:
         problem = AdvectionDiffusionProblem()
         mesh = Mesh(cells=4)
         with pytest.raises(ValueError):
-            problem.solve(np.array([1.2, 0.0]), np.zeros(mesh.node_count), mesh)
+            problem.solve(np.array([1.2, 0.0]), zero_field(), mesh)
 
-    @pytest.mark.parametrize("kind", ["grf", "nodal"])
+    @pytest.mark.parametrize("kind", ["grf", "mesh-grid"])
     @pytest.mark.parametrize(
         "velocity", [(math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0), (-math.inf, math.nan)]
     )
@@ -399,7 +399,7 @@ class TestAdvectionProblem:
             with pytest.raises(ValueError, match="velocity must be finite"):
                 entry(np.array(velocity), field, mesh)
 
-    @pytest.mark.parametrize("kind", ["grf", "nodal"])
+    @pytest.mark.parametrize("kind", ["grf", "mesh-grid"])
     def test_velocity_just_outside_the_disc_is_rejected(self, kind):
         problem = AdvectionDiffusionProblem()
         mesh = Mesh(cells=4)
@@ -407,7 +407,7 @@ class TestAdvectionProblem:
         with pytest.raises(ValueError):
             problem.sample_qoi(np.array([0.6, 0.8 + 2e-9]), field, mesh)
 
-    @pytest.mark.parametrize("kind", ["grf", "nodal"])
+    @pytest.mark.parametrize("kind", ["grf", "mesh-grid"])
     def test_velocity_on_the_circle_is_accepted(self, kind):
         problem = AdvectionDiffusionProblem()
         mesh = Mesh(cells=4)
@@ -418,7 +418,7 @@ class TestAdvectionProblem:
         assert math.isfinite(problem.sample_qoi(np.array([0.6, 0.8 + 5e-10]), field, mesh))
 
     @pytest.mark.parametrize("cells", [2, 6, 13, 20])
-    @pytest.mark.parametrize("kind", ["grf", "nodal"])
+    @pytest.mark.parametrize("kind", ["grf", "mesh-grid"])
     def test_qoi_is_the_spatial_average_of_the_solution(self, kind, cells):
         problem = AdvectionDiffusionProblem()
         mesh = Mesh(cells=cells)
@@ -430,13 +430,13 @@ class TestAdvectionProblem:
     def test_velocity_changes_qoi(self):
         problem = AdvectionDiffusionProblem()
         mesh = Mesh(cells=10)
-        field = np.zeros(mesh.node_count)
+        field = zero_field()
         q0 = problem.sample_qoi(np.array([0.0, 0.0]), field, mesh)
         q1 = problem.sample_qoi(np.array([0.5, 0.0]), field, mesh)
         assert q0 != q1
 
 
-    @pytest.mark.parametrize("kind", ["grf", "nodal"])
+    @pytest.mark.parametrize("kind", ["grf", "mesh-grid"])
     def test_matches_dense_reference(self, kind):
         problem = AdvectionDiffusionProblem()
         for cells in range(2, 33):
@@ -455,7 +455,7 @@ class TestAdvectionProblem:
                     spatial_average(expected, mesh), rel=1e-12
                 )
 
-    @pytest.mark.parametrize("kind", ["grf", "nodal"])
+    @pytest.mark.parametrize("kind", ["grf", "mesh-grid"])
     def test_repeated_solves_are_bit_identical(self, kind):
         mesh = Mesh(cells=9)
         field = advection_field(kind, mesh, 3)
@@ -538,10 +538,10 @@ class TestAdvectionProblem:
         problem = AdvectionDiffusionProblem()
         coarse, fine = Mesh(cells=4), Mesh(cells=7)
         a, b = (advection_field("grf", coarse, seed) for seed in (1, 2))
-        nodal = advection_field("nodal", fine, 3)
+        c = advection_field("mesh-grid", fine, 3)
         z = np.array([0.25, -0.5])
         # Each step is another pair than the one before, the first included.
-        steps = [(a, coarse), (a, fine), (b, fine), (nodal, fine), (b, coarse), (a, fine)]
+        steps = [(a, coarse), (a, fine), (b, fine), (c, fine), (b, coarse), (a, fine)]
         for fail in (False, True):
             for field, mesh in steps:
                 if fail:
@@ -550,19 +550,6 @@ class TestAdvectionProblem:
                         problem.sample_qoi(z, field, mesh)
                 expected = float(problem.solve(z, field, mesh) @ pde._average_weights(mesh))
                 assert problem.sample_qoi(z, field, mesh).hex() == expected.hex()
-
-    def test_nodal_fields_are_never_cached(self):
-        problem = AdvectionDiffusionProblem()
-        mesh = Mesh(cells=4)
-        field = advection_field("nodal", mesh, 0)
-        z = np.array([0.1, 0.4])
-        first = problem.sample_qoi(z, field, mesh)
-        # The same array with new values must not see a stale base system.
-        field *= 2.0
-        second = problem.sample_qoi(z, field, mesh)
-        assert second == AdvectionDiffusionProblem().sample_qoi(z, field, mesh)
-        assert second != first
-        assert not problem._last_base
 
     def test_singular_system_raises_linalg_error(self):
         mesh = Mesh(cells=4)
@@ -574,12 +561,17 @@ class TestAdvectionProblem:
 
 
 def advection_field(kind, mesh, seed):
+    """A random field drawn on a 16-cell reference grid (``grf``) or on the
+    grid of ``mesh`` itself (``mesh-grid``)."""
     rng = np.random.default_rng(seed)
-    if kind == "nodal":
-        return 0.8 * rng.standard_normal(mesh.node_count)
-    grid = Mesh(cells=16)
+    grid = mesh if kind == "mesh-grid" else Mesh(cells=16)
     values = 0.8 * rng.standard_normal(grid.node_count)
     return GrfSample(grid=grid, values=values, seed=seed, draw=0)
+
+
+def zero_field():
+    grid = Mesh(cells=16)
+    return GrfSample(grid=grid, values=np.zeros(grid.node_count), seed=0, draw=0)
 
 
 def on_grid(grid, values, points):
@@ -614,12 +606,8 @@ def dense_advection_system(problem, field, mesh):
     nodes = mesh.nodes
     edges = mesh.boundary_edges
     midpoints = nodes[edges].mean(axis=1)
-    if isinstance(field, GrfSample):
-        m_tri = bilinear_reference(field.grid, field.values, mesh.centroids)
-        m_edge = bilinear_reference(field.grid, field.values, midpoints)
-    else:
-        m_tri = field[mesh.triangles].mean(axis=1)
-        m_edge = field[edges].mean(axis=1)
+    m_tri = bilinear_reference(field.grid, field.values, mesh.centroids)
+    m_edge = bilinear_reference(field.grid, field.values, midpoints)
     a_tri = 1.0 + np.exp(-m_tri)
     a_edge = 1.0 + np.exp(-m_edge)
     n = mesh.node_count

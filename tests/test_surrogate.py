@@ -102,16 +102,20 @@ class TestSurrogateAlgebra:
         with pytest.raises(ValueError):
             Surrogate(terms=())
 
-    def test_different_kernels_stay_separate(self):
+    def test_mixed_kernels_or_domains_are_rejected(self):
         nodes = generate_points(UNIT_SQUARE, 20)
         values = sine_product(nodes.points)
         fa = fit_interpolant(MaternKernel(beta=2.0, dim=2), nodes, values)
         fb = fit_interpolant(MaternKernel(beta=3.0, dim=2), nodes, values)
-        a, b = Surrogate(terms=((1.5, fa),)), Surrogate(terms=((-0.5, fb),))
-        total = Surrogate(terms=a.terms + b.terms)
-        assert len(total.terms) == 2
-        xs = np.random.default_rng(3).random((64, 2))
-        assert np.array_equal(total.evaluate(xs), a.evaluate(xs) + b.evaluate(xs))
+        disc = generate_points(UNIT_DISC, 20)
+        fc = fit_interpolant(MaternKernel(beta=2.0, dim=2), disc, sine_product(disc.points))
+        for other in (fb, fc):
+            with pytest.raises(ValueError, match="one kernel and one domain"):
+                Surrogate(terms=((1.5, fa), (-0.5, other)))
+        # Members of one stack share each chunk's block profiles.
+        stack = Surrogate.stack([Surrogate(terms=((1.0, f),)) for f in (fa, fb)])
+        with pytest.raises(ValueError, match="share one kernel"):
+            stack.evaluate(nodes.points)
 
 
 def incremental_sum(pairs):
@@ -257,10 +261,8 @@ def stacked_family(name):
     return sparse_family(MaternKernel(beta=3.0, dim=2), UNIT_SQUARE, rng)
 
 
-def stack_layout(members, kernel=None):
-    return kernels_module.stack_layout(
-        [e for m in members for _, e in m.terms if kernel in (None, e.kernel)]
-    )
+def stack_layout(members):
+    return kernels_module.stack_layout([e for m in members for _, e in m.terms])
 
 
 def assert_columns_match(stacked, members, points):
@@ -293,10 +295,9 @@ class TestStackedEvaluation:
         assert stacked.shape == (len(points), 1)
         assert_columns_match(stacked, members[-1:], points)
 
-    def test_unnested_mixed_kernel_members(self):
-        # Random nodes take the gather plan; a grid whose last block runs
-        # backwards gathers its columns of the shared rows; a second kernel
-        # evaluates in its own group.
+    def test_unnested_members(self):
+        # A sparse grid's last-block columns are a slice of the shared rows;
+        # a grid whose last block runs backwards gathers its columns.
         rng = np.random.default_rng(5)
         kernel = MaternKernel(beta=2.0, dim=1)
         backwards = generate_points(UNIT_INTERVAL, 7).points[::-1].copy()
@@ -305,21 +306,14 @@ class TestStackedEvaluation:
             [generate_points(UNIT_INTERVAL, 5), PointSet(backwards, UNIT_INTERVAL)],
             rng.standard_normal(35),
         )
-        nodes = PointSet(rng.random((40, 2)), UNIT_SQUARE)
-        scattered = KernelExpansion(tensor.kernel, nodes, rng.standard_normal(40))
-        other = fit_interpolant(
-            MaternKernel(beta=2.5, dim=2), generate_points(UNIT_SQUARE, 30), rng.random(30)
-        )
         members = [
-            Surrogate(terms=((1.0, tensor),)),
-            Surrogate(terms=((2.0, scattered), (1.0, other))),
-            Surrogate(terms=((1.0, other),)),
             sparse_interpolate([kernel] * 2, [UNIT_INTERVAL] * 2, sine_product, L=4),
+            Surrogate(terms=((1.0, tensor),)),
         ]
         points = rng.random((301, 2))
         assert_columns_match(Surrogate.stack(members).evaluate(points), members, points)
-        _, _, stacked, _ = stack_layout(members, tensor.kernel)
-        assert {type(None), slice, np.ndarray} == {type(last) for _, last in stacked}
+        _, _, stacked, _ = stack_layout(members)
+        assert [slice, np.ndarray] == [type(last) for _, last in stacked]
 
     def test_temporaries_stay_within_the_chunk_budget(self, monkeypatch):
         members, _ = stacked_family("interval")
@@ -361,16 +355,8 @@ class TestOneEvaluationPath:
     def test_plain_evaluate_is_column_zero_of_its_stack(self):
         disc, disc_points = stacked_family("disc")
         square, square_points = stacked_family("square")
-        nodes = generate_points(UNIT_SQUARE, 20)
-        values = sine_product(nodes.points)
-        mixed = Surrogate(
-            terms=(
-                (1.5, fit_interpolant(MaternKernel(beta=2.0, dim=2), nodes, values)),
-                (-0.5, fit_interpolant(MaternKernel(beta=3.0, dim=2), nodes, values)),
-            )
-        )
         cases = [(m, disc_points) for m in disc] + [(m, square_points) for m in square]
-        for member, points in cases + [(mixed, square_points[:, :2])]:
+        for member, points in cases:
             stacked = Surrogate.stack([member]).evaluate(points)
             assert member.evaluate(points).tobytes() == stacked[:, 0].tobytes()
 
