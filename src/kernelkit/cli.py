@@ -211,7 +211,7 @@ def _run_rsr(config: RunConfig, seed: int) -> _Study:
     k = config.section("kernel")
     p = config.section("pde")
     problem = BumpDiffusionProblem(n_bumps=p["bumps"])
-    kernel = MaternKernel(beta=k["beta"], dim=2, length_scale=k["length_scale"])
+    kernel = MaternKernel(beta=k["beta"], dim=k["d"], length_scale=k["length_scale"])
     factors = [
         interpolation_factor(kernel, box, alpha=k["alpha"])
         for box in problem.center_boxes
@@ -242,7 +242,7 @@ def _run_rsr(config: RunConfig, seed: int) -> _Study:
 def _run_ouu(config: RunConfig, seed: int) -> _Study:
     k = config.section("kernel")
     o = config.section("ouu")
-    kernel = MaternKernel(beta=k["beta"], dim=2, length_scale=k["length_scale"])
+    kernel = MaternKernel(beta=k["beta"], dim=k["d"], length_scale=k["length_scale"])
     disc = Disc(center=(0.0, 0.0), radius=1.0)
     level_map = doubling_levels if o["level_map"] == "doubling" else None
 
@@ -324,7 +324,7 @@ def run(config: RunConfig, out: str, seed: int, quiet: bool) -> None:
     after its slope fit succeeded, so a failed run leaves the manifest alone.
     """
     extra = {}
-    if "study" in config.sections:
+    if "eval_points" in config.section("study"):
         extra["eval_points"] = config[("study", "eval_points")]
     if config.pipeline == "ouu":
         extra["replications"] = config[("ouu", "replications")]

@@ -9,9 +9,11 @@ Grammar (one statement per line):
 Keys are lowercase identifiers; values are integers, floats, comma lists
 of floats, or words, depending on the key.  Unknown sections or keys are
 errors (no silent defaults for misspellings), duplicate keys are errors
-naming both lines, and every parse error carries a line number.  The
-serializer emits a canonical form (all defaults applied, fixed order)
-whose parse compares equal to the original configuration.
+naming both lines, and every parse error carries a line number.  Each
+pipeline admits only the keys its run reads (``_KEYS_READ``); any other
+key is an error naming its line.  The serializer emits a canonical form
+(those keys, defaults applied, fixed order) whose parse compares equal to
+the original configuration.
 """
 
 from __future__ import annotations
@@ -30,8 +32,6 @@ _MAX_THRESHOLD = 14
 # Every study fits its log-log slope over at least 3 rows.
 _MIN_STUDY_ROWS = 3
 _MAX_SEED = 2**64 - 1
-# Pipelines whose kernel acts on a fixed number of coordinates.
-_FIXED_KERNEL_DIM = {"rsr": 2, "ouu": 2}
 
 
 class ConfigError(ValueError):
@@ -71,79 +71,108 @@ def _parse_word(text: str) -> str:
 @dataclass(frozen=True)
 class _Key:
     parse: Callable[[str], Any]
-    default: Any = None  # None means required when the section is active
+    default: Any = None  # None means required when the section is read
     choices: tuple | None = None
-
-
-def _positive(name: str, value) -> None:
-    values = value if isinstance(value, tuple) else (value,)
-    if any(not (v > 0) for v in values):
-        raise ConfigError(f"{name} must be positive, got {value}")
+    positive: bool = False  # every value must be > 0
 
 
 _SCHEMA: dict[str, dict[str, _Key]] = {
     "run": {
         "pipeline": _Key(_parse_word, choices=PIPELINES),
         "seed": _Key(_parse_int, default=0),
-        "l_min": _Key(_parse_int, default=0),
-        "l_max": _Key(_parse_int, default=0),
+        "l_min": _Key(_parse_int),
+        "l_max": _Key(_parse_int),
         "out": _Key(_parse_word, default="out"),
-        "fit_window": _Key(_parse_float, default=1.0),
+        "fit_window": _Key(_parse_float, default=1.0, positive=True),
     },
     "factors": {
-        "gamma": _Key(_parse_float_list),
-        "beta": _Key(_parse_float_list),
+        "gamma": _Key(_parse_float_list, positive=True),
+        "beta": _Key(_parse_float_list, positive=True),
     },
     "kernel": {
-        "beta": _Key(_parse_float, default=2.0),
-        "d": _Key(_parse_int, default=1),
-        "length_scale": _Key(_parse_float, default=1.0),
+        "beta": _Key(_parse_float, default=2.0, positive=True),
+        "d": _Key(_parse_int, default=1, positive=True),
+        "length_scale": _Key(_parse_float, default=1.0, positive=True),
         "alpha": _Key(_parse_float, default=0.0),
     },
     "interp": {
-        "blocks": _Key(_parse_int, default=2),
+        "blocks": _Key(_parse_int, default=2, positive=True),
         "level_map": _Key(_parse_word, default="doubling", choices=("doubling", "exponential")),
     },
     "misc": {
         "quadrature": _Key(_parse_word, default="midpoint", choices=("midpoint", "kernel")),
-        "blocks": _Key(_parse_int, default=1),
+        "blocks": _Key(_parse_int, default=1, positive=True),
         "integrand": _Key(_parse_word, default="parabola", choices=("parabola", "sine-product")),
-        "quad_beta": _Key(_parse_float, default=2.0),
-        "sample_gamma": _Key(_parse_float, default=1.0),
-        "sample_kappa": _Key(_parse_float, default=1.0),
+        "quad_beta": _Key(_parse_float, default=2.0, positive=True),
+        "sample_gamma": _Key(_parse_float, default=1.0, positive=True),
+        "sample_kappa": _Key(_parse_float, default=1.0, positive=True),
     },
     "pde": {
-        "problem": _Key(_parse_word, default="bump", choices=("bump",)),
-        "bumps": _Key(_parse_int, default=1),
-        "max_mesh_level": _Key(_parse_int, default=6),
-        "work_exponent": _Key(_parse_float, default=1.5),
-        "convergence_exponent": _Key(_parse_float, default=1.0),
+        "bumps": _Key(_parse_int, default=1, choices=(1, 2, 4)),
+        "max_mesh_level": _Key(_parse_int, default=6, positive=True),
+        "work_exponent": _Key(_parse_float, default=1.5, positive=True),
+        "convergence_exponent": _Key(_parse_float, default=1.0, positive=True),
         "level_min": _Key(_parse_int, default=3),
         "level_max": _Key(_parse_int, default=6),
     },
     "ouu": {
-        "field_level": _Key(_parse_int, default=5),
-        "max_mesh_level": _Key(_parse_int, default=5),
-        "replications": _Key(_parse_int, default=5),
-        "mc_scale": _Key(_parse_float, default=4.0),
-        "pde_scale": _Key(_parse_float, default=12.0),
+        "field_level": _Key(_parse_int, default=5, positive=True),
+        "max_mesh_level": _Key(_parse_int, default=5, positive=True),
+        "replications": _Key(_parse_int, default=5, positive=True),
+        "mc_scale": _Key(_parse_float, default=4.0, positive=True),
+        "pde_scale": _Key(_parse_float, default=12.0, positive=True),
         "level_map": _Key(_parse_word, default="doubling", choices=("doubling", "exponential")),
-        "restarts": _Key(_parse_int, default=8),
+        "restarts": _Key(_parse_int, default=8, positive=True),
     },
     "study": {
-        "eval_points": _Key(_parse_int, default=2048),
+        "eval_points": _Key(_parse_int, default=2048, positive=True),
         "reference_l": _Key(_parse_int, default=0),
     },
 }
 
-# Sections admitted per pipeline; True marks sections that must be present.
-_PIPELINE_SECTIONS: dict[str, dict[str, bool]] = {
-    "rates": {"run": True, "factors": True, "study": False},
-    "interp": {"run": True, "kernel": False, "interp": False, "study": False},
-    "misc": {"run": True, "misc": False, "kernel": False, "study": False},
-    "rsr": {"run": True, "kernel": False, "pde": False, "study": False},
-    "ouu": {"run": True, "kernel": False, "ouu": False, "study": False},
-    "fem-check": {"run": True, "pde": False},
+
+def _read(section: str, *keys: str) -> dict[str, _Key]:
+    return {key: _SCHEMA[section][key] for key in keys}
+
+
+_RUN = _SCHEMA["run"]
+_KERNEL = _SCHEMA["kernel"]
+# rsr and ouu build their kernels over the plane.
+_PLANAR_KERNEL = {**_KERNEL, "d": _Key(_parse_int, default=2, choices=(2,))}
+
+# The keys each pipeline reads, by section: the only keys it admits, and the
+# only ones its canonical form writes.
+_KEYS_READ: dict[str, dict[str, dict[str, _Key]]] = {
+    "rates": {"run": _RUN, "factors": _SCHEMA["factors"]},
+    "interp": {
+        "run": _RUN,
+        "kernel": _KERNEL,
+        "interp": _SCHEMA["interp"],
+        "study": _read("study", "eval_points"),
+    },
+    "misc": {"run": _RUN, "misc": _SCHEMA["misc"], "study": _read("study", "reference_l")},
+    "rsr": {
+        "run": _RUN,
+        "kernel": _PLANAR_KERNEL,
+        "pde": _read("pde", "bumps", "max_mesh_level", "work_exponent", "convergence_exponent"),
+        "study": _SCHEMA["study"],
+    },
+    "ouu": {
+        "run": _RUN,
+        "kernel": _PLANAR_KERNEL,
+        "ouu": _SCHEMA["ouu"],
+        "study": _SCHEMA["study"],
+    },
+    "fem-check": {
+        "run": _read("run", "pipeline", "seed", "out", "fit_window"),
+        "pde": _read("pde", "level_min", "level_max"),
+    },
+}
+# Kernel quadrature makes misc read [kernel] in place of [misc] quad_beta.
+_MISC_BY_KERNEL = {
+    **_KEYS_READ["misc"],
+    "kernel": _KERNEL,
+    "misc": {key: spec for key, spec in _SCHEMA["misc"].items() if key != "quad_beta"},
 }
 
 _SECTION_ORDER = ("run", "factors", "kernel", "interp", "misc", "pde", "ouu", "study")
@@ -155,8 +184,8 @@ class RunConfig:
 
     pipeline: str
     seed: int
-    l_min: int
-    l_max: int
+    l_min: int | None  # None for fem-check, which has no threshold range
+    l_max: int | None
     out: str
     fit_window: float
     sections: dict[str, dict[str, Any]] = field(default_factory=dict, compare=True)
@@ -221,9 +250,11 @@ def parse_config(text: str) -> RunConfig:
     return _validate(raw)
 
 
-def _convert_section(name: str, entries: dict[str, tuple[str, int]]) -> dict[str, Any]:
+def _convert_section(
+    name: str, entries: dict[str, tuple[str, int]], keys: dict[str, _Key]
+) -> dict[str, Any]:
     out: dict[str, Any] = {}
-    for key, spec in _SCHEMA[name].items():
+    for key, spec in keys.items():
         if key in entries:
             text, line_no = entries[key]
             try:
@@ -236,6 +267,9 @@ def _convert_section(name: str, entries: dict[str, tuple[str, int]]) -> dict[str
                     f"got {value!r}",
                     line_no,
                 )
+            values = value if isinstance(value, tuple) else (value,)
+            if spec.positive and any(not (v > 0) for v in values):
+                raise ConfigError(f"[{name}] {key} must be positive, got {value}", line_no)
             out[key] = value
         elif spec.default is not None:
             out[key] = spec.default
@@ -258,18 +292,6 @@ def _factor_count(pipeline: str, sections: dict[str, dict[str, Any]]) -> int | N
     return None  # fem-check has no threshold range
 
 
-def _kernel_dim(pipeline: str, sections: dict[str, dict[str, Any]]) -> int | None:
-    """The dimension the pipeline builds its Matern kernel at, or None if it
-    builds none."""
-    if pipeline in _FIXED_KERNEL_DIM:
-        return _FIXED_KERNEL_DIM[pipeline]
-    if pipeline == "interp" or (
-        pipeline == "misc" and sections["misc"]["quadrature"] == "kernel"
-    ):
-        return sections["kernel"]["d"]
-    return None
-
-
 def interp_factor(sections: dict[str, dict[str, Any]]) -> InterpolationFactor:
     """The factor that each block of an ``interp`` run fits, as its
     ``[kernel]`` and ``[interp]`` sections configure it."""
@@ -290,7 +312,7 @@ def _check_point_dims(pipeline: str, sections: dict[str, dict[str, Any]], l_max:
     its ``2**d`` corners a box's nested points are Halton points, which exist
     up to dimension ``len(_PRIMES)``, and ``misc``'s kernel quadrature needs
     the reference rule of :func:`~kernelkit.kernels.quadrature_weights`."""
-    d = _kernel_dim(pipeline, sections)
+    d = sections.get("kernel", {}).get("d")
     if pipeline == "interp" and d > len(_PRIMES):
         # The largest factor of a run has the highest level, l_max - blocks + 1.
         level = l_max - sections["interp"]["blocks"] + 1
@@ -309,36 +331,26 @@ def _check_point_dims(pipeline: str, sections: dict[str, dict[str, Any]], l_max:
 
 
 def _validate(raw: dict[str, dict[str, tuple[str, int]]]) -> RunConfig:
-    if "run" not in raw:
-        raise ConfigError("missing required section [run]")
-    if "pipeline" not in raw["run"]:
-        raise ConfigError("missing required key 'pipeline' in [run]")
-    pipeline_text, pipeline_line = raw["run"]["pipeline"]
-    if pipeline_text not in PIPELINES:
-        raise ConfigError(
-            f"[run] pipeline: expected one of {', '.join(PIPELINES)}, got "
-            f"{pipeline_text!r}",
-            pipeline_line,
-        )
-    allowed = _PIPELINE_SECTIONS[pipeline_text]
-    for name in raw:
-        if name not in allowed:
-            line = min(line for _, line in raw[name].values()) if raw[name] else None
-            raise ConfigError(
-                f"section [{name}] is not used by pipeline {pipeline_text!r}", line
-            )
-    for name, required in allowed.items():
-        if required and name not in raw:
-            raise ConfigError(f"pipeline {pipeline_text!r} requires section [{name}]")
+    pipeline = _convert_section("run", raw.get("run", {}), _read("run", "pipeline"))["pipeline"]
+    reader, keys = f"pipeline {pipeline!r}", _KEYS_READ[pipeline]
+    if pipeline == "misc":
+        misc = _convert_section("misc", raw.get("misc", {}), _read("misc", "quadrature"))
+        if misc["quadrature"] == "kernel":
+            reader, keys = f"{reader} with quadrature = kernel", _MISC_BY_KERNEL
+    for name, entries in raw.items():
+        for key, (_, line) in entries.items():
+            if key not in keys.get(name, {}):
+                raise ConfigError(f"[{name}] {key} is not read by {reader}", line)
+        if name not in keys:
+            raise ConfigError(f"section [{name}] is not read by {reader}")
     sections = {
-        name: _convert_section(name, raw.get(name, {})) for name in allowed
+        name: _convert_section(name, raw.get(name, {}), spec) for name, spec in keys.items()
     }
 
     run = sections["run"]
     seed = run["seed"]
     if not 0 <= seed <= _MAX_SEED:
         raise ConfigError(f"[run] seed must be a 64-bit unsigned integer, got {seed}")
-    _positive("[run] fit_window", run["fit_window"])
     if run["fit_window"] > 1.0:
         raise ConfigError(f"[run] fit_window must be <= 1, got {run['fit_window']}")
 
@@ -350,82 +362,42 @@ def _validate(raw: dict[str, dict[str, tuple[str, int]]]) -> RunConfig:
                 f"[factors] gamma and beta must have equal length "
                 f"({len(gamma)} vs {len(beta)})"
             )
-        _positive("[factors] gamma", gamma)
-        _positive("[factors] beta", beta)
     if "kernel" in sections:
         k = sections["kernel"]
-        _positive("[kernel] beta", k["beta"])
-        _positive("[kernel] d", k["d"])
-        _positive("[kernel] length_scale", k["length_scale"])
         if k["alpha"] < 0:
             raise ConfigError(f"[kernel] alpha must be >= 0, got {k['alpha']}")
         if k["beta"] - k["alpha"] <= 0:
             raise ConfigError("[kernel] alpha must be smaller than beta")
-        fixed = _FIXED_KERNEL_DIM.get(pipeline_text)
-        # The schema default stands for an absent key in the canonical form.
-        if fixed is not None and k["d"] not in (fixed, _SCHEMA["kernel"]["d"].default):
+        try:
+            MaternKernel(beta=k["beta"], dim=k["d"])
+        except ValueError as err:
             raise ConfigError(
-                f"[kernel] d: pipeline {pipeline_text!r} uses a kernel of "
-                f"dimension {fixed}, got d = {k['d']}"
-            )
-        dim = _kernel_dim(pipeline_text, sections)
-        if dim is not None:
-            try:
-                MaternKernel(beta=k["beta"], dim=dim)
-            except ValueError as err:
-                raise ConfigError(
-                    f"[kernel] beta = {k['beta']!r} at kernel dimension {dim}: {err}"
-                ) from None
-    if "interp" in sections:
-        _positive("[interp] blocks", sections["interp"]["blocks"])
-    if "misc" in sections:
-        m = sections["misc"]
-        _positive("[misc] blocks", m["blocks"])
-        _positive("[misc] quad_beta", m["quad_beta"])
-        _positive("[misc] sample_gamma", m["sample_gamma"])
-        _positive("[misc] sample_kappa", m["sample_kappa"])
-    if "pde" in sections:
+                f"[kernel] beta = {k['beta']!r} at kernel dimension {k['d']}: {err}"
+            ) from None
+    if pipeline == "fem-check":
         p = sections["pde"]
-        if p["bumps"] not in (1, 2, 4):
-            raise ConfigError(f"[pde] bumps must be 1, 2 or 4, got {p['bumps']}")
-        _positive("[pde] max_mesh_level", p["max_mesh_level"])
-        _positive("[pde] work_exponent", p["work_exponent"])
-        _positive("[pde] convergence_exponent", p["convergence_exponent"])
         if not 1 <= p["level_min"] <= p["level_max"] <= 10:
             raise ConfigError(
                 f"[pde] level range [{p['level_min']}, {p['level_max']}] invalid"
             )
         rows = p["level_max"] - p["level_min"] + 1
-        if pipeline_text == "fem-check" and rows < _MIN_STUDY_ROWS:
+        if rows < _MIN_STUDY_ROWS:
             raise ConfigError(
                 f"[pde] level range [{p['level_min']}, {p['level_max']}] gives "
                 f"{rows} study rows; the slope fit needs at least {_MIN_STUDY_ROWS}"
             )
     if "ouu" in sections:
         o = sections["ouu"]
-        _positive("[ouu] field_level", o["field_level"])
-        _positive("[ouu] max_mesh_level", o["max_mesh_level"])
-        _positive("[ouu] replications", o["replications"])
-        _positive("[ouu] mc_scale", o["mc_scale"])
-        _positive("[ouu] pde_scale", o["pde_scale"])
-        _positive("[ouu] restarts", o["restarts"])
         try:
             check_field_grid(mesh_at_level(o["field_level"]))
         except ValueError as err:
             raise ConfigError(f"[ouu] field_level {o['field_level']}: {err}") from None
-    if "study" in sections:
-        s = sections["study"]
-        _positive("[study] eval_points", s["eval_points"])
-        if s["reference_l"] < 0:
-            raise ConfigError("[study] reference_l must be >= 0 (0 selects automatic)")
+    if sections.get("study", {}).get("reference_l", 0) < 0:
+        raise ConfigError("[study] reference_l must be >= 0 (0 selects automatic)")
 
-    n = _factor_count(pipeline_text, sections)
-    l_min, l_max = run["l_min"], run["l_max"]
+    n = _factor_count(pipeline, sections)
     if n is not None:
-        if l_min == 0 and l_max == 0:
-            raise ConfigError(
-                f"pipeline {pipeline_text!r} requires [run] l_min and l_max"
-            )
+        l_min, l_max = run["l_min"], run["l_max"]
         if not n <= l_min <= l_max <= _MAX_THRESHOLD:
             raise ConfigError(
                 f"[run] threshold range [{l_min}, {l_max}] must satisfy "
@@ -437,13 +409,13 @@ def _validate(raw: dict[str, dict[str, tuple[str, int]]]) -> RunConfig:
                 f"[run] threshold range [{l_min}, {l_max}] gives {l_max - l_min + 1} "
                 f"study rows; the slope fit needs at least {_MIN_STUDY_ROWS}"
             )
-        _check_point_dims(pipeline_text, sections, l_max)
+        _check_point_dims(pipeline, sections, l_max)
 
     return RunConfig(
-        pipeline=pipeline_text,
+        pipeline=pipeline,
         seed=seed,
-        l_min=l_min,
-        l_max=l_max,
+        l_min=run.get("l_min"),
+        l_max=run.get("l_max"),
         out=run["out"],
         fit_window=run["fit_window"],
         sections=sections,

@@ -86,6 +86,10 @@ _GAUSS_POINTS_PER_AXIS = 64
 # Highest box dimension whose tensor Gauss-Legendre reference rule
 # (:func:`quadrature_weights`, 64**d points) is built.
 REFERENCE_RULE_MAX_DIM = 3
+# Most kernel entries against the reference grid that one row chunk of
+# :func:`quadrature_weights`' embeddings holds: whole multiples of 8 rows,
+# at least 8, so the 64**3-point grid of d = 3 takes 8 rows (16 MB).
+_EMBEDDING_BLOCK_ENTRIES = 8 * _GAUSS_POINTS_PER_AXIS**REFERENCE_RULE_MAX_DIM
 # Most entries that one evaluation chunk's shared block profiles hold
 # together, and that any one of its group products holds
 # (:func:`evaluate_stacked`).  The studies evaluate their stack after
@@ -1384,7 +1388,14 @@ def quadrature_weights(
             f"tensor reference rule limited to dimension <= {REFERENCE_RULE_MAX_DIM}"
         )
     grid, grid_w = _gauss_legendre_grid(box, _GAUSS_POINTS_PER_AXIS)
-    embeddings = kernel.gram(nodes.points, grid) @ (grid_w / box.volume)
+    grid_w /= box.volume
+    rows = max(8, _EMBEDDING_BLOCK_ENTRIES // len(grid) // 8 * 8)
+    embeddings = np.concatenate(
+        [
+            kernel.gram(nodes.points[start : start + rows], grid) @ grid_w
+            for start in range(0, len(nodes.points), rows)
+        ]
+    )
     weights = _solve_spd(kernel, nodes, embeddings)
     weights.setflags(write=False)
     embeddings.setflags(write=False)

@@ -56,7 +56,6 @@ fit_window = 0.7
 beta = 2.0
 d = 2
 [pde]
-problem = bump
 bumps = 1
 max_mesh_level = 6
 [study]

@@ -1,4 +1,9 @@
+import dataclasses
+import glob
+import hashlib
+import importlib.util
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -8,7 +13,8 @@ from hypothesis import strategies as st
 import kernelkit.cli
 from kernelkit.cli import _RUNNERS, _run_rates, _sine_product, main
 from kernelkit.config import (
-    _PIPELINE_SECTIONS,
+    _KEYS_READ,
+    _MISC_BY_KERNEL,
     PIPELINES,
     ConfigError,
     parse_config,
@@ -20,6 +26,8 @@ from kernelkit.points import Box
 from kernelkit.smolyak import SlopeFitError
 from kernelkit.surrogate import Surrogate
 from kernelkit.uq import random_points
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 RATES_CONFIG = """
 [run]
@@ -153,12 +161,12 @@ _LEVEL_MAPS = st.sampled_from(["doubling", "exponential"])
 def _kernel(draw, pipeline):
     """A [kernel] section whose Matern order ``beta - dim/2`` is a positive
     integer or half-integer at the dimension the pipeline builds its kernel
-    at: ``d`` (default 1), or 2 for rsr and ouu, which take d = 2 or the
-    default.  The default beta = 2.0 is valid at every dimension drawn."""
+    at: ``d`` (default 1), or 2 for rsr and ouu, which admit only d = 2.
+    The default beta = 2.0 is valid at every dimension drawn."""
     keys = {}
     fixed = pipeline in ("rsr", "ouu")
     if draw(st.booleans()):
-        keys["d"] = str(draw(st.sampled_from([1, 2]) if fixed else st.integers(1, 3)))
+        keys["d"] = str(2 if fixed else draw(st.integers(1, 3)))
     dim = 2 if fixed else int(keys.get("d", 1))
     beta = 2.0
     if draw(st.booleans()):
@@ -171,58 +179,43 @@ def _kernel(draw, pipeline):
     return {**keys, **draw(st.fixed_dictionaries({}, optional=optional))}
 
 
-@st.composite
-def _pde(draw):
-    low = draw(st.integers(1, 8))
-    keys = {
-        "problem": st.just("bump"),
+# The values of every key drawn on its own, by section; [factors], [kernel]
+# and fem-check's level range are drawn whole.
+_VALUES = {
+    "run": {
+        "seed": st.integers(0, 2**64 - 1).map(str),
+        "out": st.sampled_from(["out", "runs/a"]),
+        "fit_window": _floats(0.01, 1.0),
+    },
+    "interp": {"blocks": st.integers(1, 4).map(str), "level_map": _LEVEL_MAPS},
+    "misc": {
+        # Kernel quadrature reads other keys; config_texts draws it on its own.
+        "quadrature": st.just("midpoint"),
+        "blocks": st.integers(1, 3).map(str),
+        "integrand": st.sampled_from(["parabola", "sine-product"]),
+        "quad_beta": _floats(),
+        "sample_gamma": _floats(),
+        "sample_kappa": _floats(),
+    },
+    "pde": {
         "bumps": st.sampled_from([1, 2, 4]).map(str),
         "max_mesh_level": st.integers(1, 8).map(str),
         "work_exponent": _floats(),
         "convergence_exponent": _floats(),
-    }
-    section = draw(st.fixed_dictionaries({}, optional=keys))
-    section.update(level_min=str(low), level_max=str(draw(st.integers(low + 2, 10))))
-    return section
-
-
-# Every optional section; [factors] is drawn with its factor count, and
-# [kernel] for its pipeline.
-_SECTIONS = {
-    "interp": st.fixed_dictionaries(
-        {}, optional={"blocks": st.integers(1, 4).map(str), "level_map": _LEVEL_MAPS}
-    ),
-    "misc": st.fixed_dictionaries(
-        {},
-        optional={
-            "quadrature": st.sampled_from(["midpoint", "kernel"]),
-            "blocks": st.integers(1, 3).map(str),
-            "integrand": st.sampled_from(["parabola", "sine-product"]),
-            "quad_beta": _floats(),
-            "sample_gamma": _floats(),
-            "sample_kappa": _floats(),
-        },
-    ),
-    "pde": _pde(),
-    "ouu": st.fixed_dictionaries(
-        {},
-        optional={
-            "field_level": st.integers(1, 6).map(str),
-            "max_mesh_level": st.integers(1, 8).map(str),
-            "replications": st.integers(1, 9).map(str),
-            "mc_scale": _floats(),
-            "pde_scale": _floats(),
-            "level_map": _LEVEL_MAPS,
-            "restarts": st.integers(1, 20).map(str),
-        },
-    ),
-    "study": st.fixed_dictionaries(
-        {},
-        optional={
-            "eval_points": st.integers(1, 4096).map(str),
-            "reference_l": st.integers(0, 14).map(str),
-        },
-    ),
+    },
+    "ouu": {
+        "field_level": st.integers(1, 6).map(str),
+        "max_mesh_level": st.integers(1, 8).map(str),
+        "replications": st.integers(1, 9).map(str),
+        "mc_scale": _floats(),
+        "pde_scale": _floats(),
+        "level_map": _LEVEL_MAPS,
+        "restarts": st.integers(1, 20).map(str),
+    },
+    "study": {
+        "eval_points": st.integers(1, 4096).map(str),
+        "reference_l": st.integers(0, 14).map(str),
+    },
 }
 
 
@@ -240,32 +233,34 @@ def _factor_count(pipeline, sections):
 
 @st.composite
 def config_texts(draw, pipeline):
-    """A valid configuration of ``pipeline``: any subset of the optional
-    sections and keys, each value drawn from its key's valid range."""
-    run = draw(
-        st.fixed_dictionaries(
-            {},
-            optional={
-                "seed": st.integers(0, 2**64 - 1).map(str),
-                "out": st.sampled_from(["out", "runs/a"]),
-                "fit_window": _floats(0.01, 1.0),
-            },
-        )
-    )
-    sections = {"run": {"pipeline": pipeline, **run}}
-    for name, required in _PIPELINE_SECTIONS[pipeline].items():
-        if name == "run" or not (required or draw(st.booleans())):
-            continue
+    """A valid configuration of ``pipeline``: any subset of the keys it reads
+    (``_KEYS_READ``), each value drawn from its key's valid range."""
+    keys = _KEYS_READ[pipeline]
+    if pipeline == "misc" and draw(st.booleans()):
+        keys = _MISC_BY_KERNEL
+    sections = {}
+    for name, read in keys.items():
         if name == "factors":
             n = draw(st.integers(1, 4))
             sections[name] = {
                 key: ", ".join(draw(st.lists(_floats(), min_size=n, max_size=n)))
-                for key in ("gamma", "beta")
+                for key in read
             }
+        elif name != "run" and not draw(st.booleans()):
+            continue
         elif name == "kernel":
             sections[name] = draw(_kernel(pipeline))
+        elif name == "pde" and pipeline == "fem-check":
+            low = draw(st.integers(1, 8))
+            high = draw(st.integers(low + 2, 10))
+            sections[name] = {"level_min": str(low), "level_max": str(high)}
         else:
-            sections[name] = draw(_SECTIONS[name])
+            values = {key: _VALUES[name][key] for key in read if key in _VALUES[name]}
+            sections[name] = draw(st.fixed_dictionaries({}, optional=values))
+        assert set(sections[name]) <= set(read)
+    sections["run"]["pipeline"] = pipeline
+    if keys is _MISC_BY_KERNEL:
+        sections.setdefault("misc", {})["quadrature"] = "kernel"
     n = _factor_count(pipeline, sections)
     if n is not None:
         l_min = draw(st.integers(n, 12))
@@ -309,6 +304,216 @@ class TestRoundTrip:
         for text in samples:
             config = parse_config(text)
             assert parse_config(serialize_config(config)) == config
+
+
+MISC_KERNEL_CONFIG = SMALL_CONFIGS["misc"] + "[misc]\nquadrature = kernel\n"
+CONFIGS = {**SMALL_CONFIGS, "misc-kernel": MISC_KERNEL_CONFIG}
+
+# Every key that a pipeline's run does not read, with a value it parses to.
+UNREAD_KEYS = [
+    ("rates", "study", "eval_points", "64"),
+    ("rates", "study", "reference_l", "9"),
+    ("interp", "study", "reference_l", "9"),
+    ("misc", "study", "eval_points", "64"),
+    ("misc", "kernel", "beta", "2.0"),
+    ("misc", "kernel", "d", "1"),
+    ("misc", "kernel", "length_scale", "1.0"),
+    ("misc", "kernel", "alpha", "0.0"),
+    ("misc-kernel", "study", "eval_points", "64"),
+    ("misc-kernel", "misc", "quad_beta", "2.0"),
+    ("rsr", "pde", "level_min", "3"),
+    ("rsr", "pde", "level_max", "6"),
+    ("fem-check", "run", "l_min", "2"),
+    ("fem-check", "run", "l_max", "4"),
+    ("fem-check", "pde", "bumps", "1"),
+    ("fem-check", "pde", "max_mesh_level", "6"),
+    ("fem-check", "pde", "work_exponent", "1.5"),
+    ("fem-check", "pde", "convergence_exponent", "1.0"),
+]
+
+
+class _Recording(dict):
+    """A config section that records each key read from it."""
+
+    def __init__(self, entries, read):
+        super().__init__(entries)
+        self.read = read
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+def _serialized_keys(config):
+    """The keys of each section of the canonical form."""
+    keys = {}
+    for line in serialize_config(config).splitlines():
+        if line.startswith("["):
+            section = keys.setdefault(line[1:-1], set())
+        elif line:
+            section.add(line.split(" = ")[0])
+    return keys
+
+
+class TestKeysRead:
+    @pytest.mark.parametrize("name", CONFIGS)
+    def test_runner_reads_exactly_the_keys_serialized(self, name):
+        config = parse_config(CONFIGS[name])
+        read = {section: set() for section in config.sections if section != "run"}
+        recording = dataclasses.replace(
+            config,
+            sections={
+                name: _Recording(entries, read[name]) if name in read else entries
+                for name, entries in config.sections.items()
+            },
+        )
+        _RUNNERS[config.pipeline](recording, config.seed)
+        serialized = _serialized_keys(config)
+        del serialized["run"]
+        assert read == serialized
+
+    @pytest.mark.parametrize(
+        "name,section,key,value", UNREAD_KEYS, ids=[f"{n}-{k}" for n, _, k, _ in UNREAD_KEYS]
+    )
+    def test_unread_key_is_a_config_error(self, name, section, key, value):
+        text = CONFIGS[name] + f"[{section}]\n{key} = {value}\n"
+        line = len(text.splitlines())
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        pipeline = name.removesuffix("-kernel")
+        assert str(err.value).startswith(
+            f"line {line}: [{section}] {key} is not read by pipeline {pipeline!r}"
+        )
+
+    def test_unread_section_header_is_a_config_error(self):
+        # Midpoint quadrature builds no kernel.
+        with pytest.raises(ConfigError, match=r"section \[kernel\] is not read by pipeline 'misc'"):
+            parse_config(SMALL_CONFIGS["misc"] + "[kernel]\n")
+
+    @pytest.mark.parametrize("name", ["rsr", "fem-check"])
+    def test_pde_problem_is_an_unknown_key(self, name):
+        text = CONFIGS[name] + "[pde]\nproblem = bump\n"
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert str(err.value).startswith(
+            f"line {len(text.splitlines())}: unknown key 'problem' in [pde]"
+        )
+
+    @pytest.mark.parametrize("name", ["rsr", "ouu"])
+    def test_planar_kernel_admits_only_d_2(self, name):
+        text = f"[run]\npipeline = {name}\nl_min = 3\nl_max = 5\n"
+        assert parse_config(text).sections["kernel"]["d"] == 2
+        with pytest.raises(ConfigError) as err:
+            parse_config(text + "[kernel]\nd = 1\n")
+        assert str(err.value) == "line 6: [kernel] d: expected one of 2, got 1"
+
+    def test_unread_key_exits_two_and_writes_nothing(self, tmp_path, capsys):
+        with open(os.path.join(ROOT, "docs", "examples", "rsr-bump.cfg")) as handle:
+            text = handle.read() + "\n[pde]\nlevel_min = 3\n"
+        cfg = tmp_path / "rsr.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            f"configuration error: line {len(text.splitlines())}: "
+            "[pde] level_min is not read by pipeline 'rsr'\n"
+        )
+        assert not out.exists()
+
+
+def _workload_configs():
+    """The benchmark's workload configs at its default seed, by name."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", os.path.join(ROOT, "bench", "workloads.py")
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up by name
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return {
+        f"bench/workloads.py:{name}": workload.config_text(module.DEFAULT_SEED)
+        for name, workload in module.WORKLOADS.items()
+    }
+
+
+def _config_files():
+    paths = sorted(glob.glob(os.path.join(ROOT, "docs", "examples", "*.cfg")))
+    paths += sorted(glob.glob(os.path.join(ROOT, "tests", "golden", "*", "*.cfg")))
+    texts = {}
+    for path in paths:
+        with open(path) as handle:
+            texts[os.path.relpath(path, ROOT)] = handle.read()
+    return {**texts, **_workload_configs()}
+
+
+CONFIG_FILES = _config_files()
+
+# The manifest's config_sha256 of each example and workload config: a change
+# to the canonical form, or to one of these configs, moves it.
+PINNED_SHA256 = {
+    "docs/examples/fem-check.cfg": (
+        "fc219aee39b1e85754fb3fb6dad32955"
+        "5477c852fd9a2ac1986c7dde32f74b1a"
+    ),
+    "docs/examples/interp.cfg": (
+        "890c5b71d720992a1852bedc69db96f8"
+        "cdcef06c614f64de6cd39ec09b98a976"
+    ),
+    "docs/examples/misc-synthetic.cfg": (
+        "f95df96cce5fac5f710b8539fa1373a3"
+        "f2788395d4d0055a02f171c735421888"
+    ),
+    "docs/examples/ouu-advection.cfg": (
+        "9c351f10494a487539b74dc9c697afc2"
+        "5b0490fbc86f391675faa03f725ec279"
+    ),
+    "docs/examples/rates.cfg": (
+        "c32c71eedb04cff553126b871b3be7fa"
+        "63f53181fd28d5b78d7d37b14ad4cb07"
+    ),
+    "docs/examples/rsr-bump.cfg": (
+        "811f9c3675e468e4ff6a12ddf3d596fb"
+        "abab362aef369cc93be1564d7ae0d562"
+    ),
+    "bench/workloads.py:interp": (
+        "0cb41e102b7d2f2c6b74f94555b2e0ec"
+        "27eb5c849f15869ba6431950a9bb18fc"
+    ),
+    "bench/workloads.py:rsr": (
+        "c5ddce60a9e1e680705482f956c4dac0"
+        "79afec57a6ab2f7c6c34cef92f53ec98"
+    ),
+    "bench/workloads.py:ouu": (
+        "9c351f10494a487539b74dc9c697afc2"
+        "5b0490fbc86f391675faa03f725ec279"
+    ),
+}
+
+
+class TestConfigFiles:
+    @pytest.mark.parametrize("name", CONFIG_FILES)
+    def test_parses_and_round_trips(self, name):
+        config = parse_config(CONFIG_FILES[name])
+        canonical = serialize_config(config)
+        assert parse_config(canonical) == config
+        assert serialize_config(parse_config(canonical)) == canonical
+
+    def test_every_example_and_workload_is_pinned(self):
+        assert set(PINNED_SHA256) == {
+            name for name in CONFIG_FILES if not name.startswith("tests/")
+        }
+
+    @pytest.mark.parametrize("name", PINNED_SHA256)
+    def test_config_sha256_is_pinned(self, name):
+        canonical = serialize_config(parse_config(CONFIG_FILES[name]))
+        assert hashlib.sha256(canonical.encode()).hexdigest() == PINNED_SHA256[name]
 
 
 class TestCliRuns:
@@ -357,12 +562,12 @@ class TestCliRuns:
         [
             ("interp\n[kernel]\nbeta = 2.3\n", "[kernel] beta"),
             ("interp\n[kernel]\nbeta = 1.0\nd = 2\n", "[kernel] beta"),
-            ("interp\n[interp]\nblocks = 0\n", "[interp] blocks"),
+            ("interp\n[interp]\nblocks = 0\n", "line 6: [interp] blocks"),
             ("misc\n[misc]\nquadrature = kernel\n[kernel]\nbeta = 2.2\n", "[kernel] beta"),
-            # rsr and ouu build two-dimensional kernels whatever d says.
+            # rsr and ouu build two-dimensional kernels and admit only d = 2.
             ("rsr\n[kernel]\nbeta = 1.0\n", "[kernel] beta"),
-            ("rsr\n[kernel]\nd = 3\n", "[kernel] d"),
-            ("ouu\n[kernel]\nd = 3\n", "[kernel] d"),
+            ("rsr\n[kernel]\nd = 3\n", "line 6: [kernel] d"),
+            ("ouu\n[kernel]\nd = 3\n", "line 6: [kernel] d"),
         ],
         ids=["order", "beta-at-d", "blocks", "misc-order", "rsr-beta", "rsr-d", "ouu-d"],
     )
@@ -422,11 +627,6 @@ class TestCliRuns:
         )
         cfg = self.write(tmp_path, text)
         assert main(["--config", cfg, "--out", str(tmp_path / "d9"), "--quiet"]) == 0
-
-    def test_unused_kernel_order_is_not_checked(self):
-        # Midpoint quadrature builds no kernel.
-        text = "[run]\npipeline = misc\nl_min = 2\nl_max = 4\n[kernel]\nbeta = 2.2\n"
-        assert parse_config(text).sections["kernel"]["beta"] == 2.2
 
     def test_missing_config_file(self, tmp_path):
         assert main(["--config", str(tmp_path / "nope.cfg"), "--quiet"]) == 2

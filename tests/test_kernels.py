@@ -1485,6 +1485,28 @@ class TestQuadratureWeights:
         with pytest.raises(ValueError):
             quadrature_weights(k, nodes)
 
+    def test_three_dimensional_rule_builds_its_embeddings_in_row_chunks(self):
+        # The reference grid of d = 3 holds 64**3 points, so each node's row
+        # of kernel values against it takes 2 MB; the embeddings are built
+        # 8 rows at a time, and the peak does not grow with the node count.
+        box = Box((0.0,) * 3, (1.0,) * 3)
+        k = MaternKernel(beta=3.0, dim=3)
+        quadrature_weights(k, generate_points(box, 2))  # loads the profile tables
+        nodes = generate_points(box, 40)
+        tracemalloc.start()
+        try:
+            rule = quadrature_weights(k, nodes)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        chunk_bytes = 8 * 64**3 * 8
+        # A chunk and its distance temporary, plus the grid and its weights;
+        # one 40 x 64**3 array alone would take 5 chunks.
+        assert peak <= 4 * chunk_bytes
+        grid, grid_w = kernels_module._gauss_legendre_grid(box, 64)
+        whole = single_block(k).gram(nodes.points[:12], grid) @ grid_w
+        np.testing.assert_allclose(rule.embeddings[:12], whole, rtol=1e-13)
+
 
 class TestSparseInterpolate:
     kernel = MaternKernel(beta=2.0, dim=1)
