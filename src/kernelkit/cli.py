@@ -197,7 +197,7 @@ def _run_misc(config: RunConfig, seed: int) -> _Study:
         sample,
         range(config.l_min, config.l_max + 1),
         reference=exact,
-        reference_L=config[("study", "reference_l")] or None,
+        reference_L=config.section("study").get("reference_l") or None,
     )
     header = ["L", "work_units", "pde_solves", "error_l2", "error_linf"]
     series = [(r["work_units"], r["error_l2"]) for r in rows]

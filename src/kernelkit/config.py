@@ -150,7 +150,7 @@ _KEYS_READ: dict[str, dict[str, dict[str, _Key]]] = {
         "interp": _SCHEMA["interp"],
         "study": _read("study", "eval_points"),
     },
-    "misc": {"run": _RUN, "misc": _SCHEMA["misc"], "study": _read("study", "reference_l")},
+    "misc": {"run": _RUN, "misc": _SCHEMA["misc"]},
     "rsr": {
         "run": _RUN,
         "kernel": _PLANAR_KERNEL,
@@ -174,6 +174,9 @@ _MISC_BY_KERNEL = {
     "kernel": _KERNEL,
     "misc": {key: spec for key, spec in _SCHEMA["misc"].items() if key != "quad_beta"},
 }
+# The sine-product integrand has no exact mean, so misc also reads the
+# threshold of its reference estimate; the parabola's exact mean ignores it.
+_MISC_SINE_PRODUCT = {"study": _read("study", "reference_l")}
 
 _SECTION_ORDER = ("run", "factors", "kernel", "interp", "misc", "pde", "ouu", "study")
 
@@ -334,9 +337,14 @@ def _validate(raw: dict[str, dict[str, tuple[str, int]]]) -> RunConfig:
     pipeline = _convert_section("run", raw.get("run", {}), _read("run", "pipeline"))["pipeline"]
     reader, keys = f"pipeline {pipeline!r}", _KEYS_READ[pipeline]
     if pipeline == "misc":
-        misc = _convert_section("misc", raw.get("misc", {}), _read("misc", "quadrature"))
+        misc = _convert_section(
+            "misc", raw.get("misc", {}), _read("misc", "quadrature", "integrand")
+        )
+        reader += f" with quadrature = {misc['quadrature']}, integrand = {misc['integrand']}"
         if misc["quadrature"] == "kernel":
-            reader, keys = f"{reader} with quadrature = kernel", _MISC_BY_KERNEL
+            keys = _MISC_BY_KERNEL
+        if misc["integrand"] == "sine-product":
+            keys = {**keys, **_MISC_SINE_PRODUCT}
     for name, entries in raw.items():
         for key, (_, line) in entries.items():
             if key not in keys.get(name, {}):

@@ -14,10 +14,11 @@ up to 2 length scales, where every distance of the benchmark workloads
 lies, by its ascending series in numpy; above, from scipy's ``k0`` and
 ``k1`` by upward recurrence, with ``scipy.special`` imported on first use.
 Distances come from numpy (:func:`kernelkit.points.pairwise_distances`,
-bit-identical to scipy's ``cdist``), and the profile is computed in place
-in the fresh distance array (in a scaled copy of a caller's array through
-the public :meth:`MaternKernel.profile`), so a Gram block costs the block
-and a few temporaries.
+bit-identical to scipy's ``cdist``), over the row blocks of
+:func:`kernelkit.points._distance_blocks`, and each block is profiled in
+place, in its rows of the Gram matrix (in a scaled copy of a caller's
+array through the public :meth:`MaternKernel.profile`), so a Gram matrix
+costs itself, one distance block and a few block-sized temporaries.
 
 A :class:`TensorKernel` multiplies Matern kernels on disjoint coordinate
 blocks; its Gram matrix, which the dense fits need, is the plain product
@@ -73,7 +74,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
-from kernelkit.points import Box, PointSet, pairwise_distances, tensor_grid
+from kernelkit.points import Box, PointSet, _distance_blocks, tensor_grid
 
 _NU_TOL = 1e-9
 _JITTER_START = 1e-12  # relative to trace/N
@@ -93,14 +94,17 @@ _EMBEDDING_BLOCK_ENTRIES = 8 * _GAUSS_POINTS_PER_AXIS**REFERENCE_RULE_MAX_DIM
 # Most entries that one evaluation chunk's shared block profiles hold
 # together, and that any one of its group products holds
 # (:func:`evaluate_stacked`).  The studies evaluate their stack after
-# building every surrogate, when they hold the most memory.  A
-# half-integer profile holds one temporary of its own size; an
-# integer-order one within the series radius holds a fixed 0.33 MB
-# (``_BESSEL_SERIES_BLOCK``), and above it three temporaries of its own
-# size.  Against 2**16, 2**18 entries raise the peak RSS of one run at 1
-# BLAS thread by 0.1-0.4 MB for interp (80.3-80.5 to 80.6-80.7 MB) and by
-# 1.8-1.9 MB for rsr (63.7-63.9 to 65.6-65.7 MB), and leave ouu's at
-# 75.6-75.7 MB.
+# building every surrogate, when they hold the most memory.  Up to
+# ``points._DISTANCE_BLOCK_ENTRIES`` (also 2**16) a kernel block's profile
+# is one distance block, profiled in place: at half-integer order beside one
+# temporary of its own size; at integer order within the series radius
+# beside a fixed 0.33 MB (``_BESSEL_SERIES_BLOCK``), and above it beside
+# three temporaries of its own size.  A larger budget would build each
+# profile from several distance blocks and copy them.  Against 2**16,
+# 2**18 entries raised the peak RSS of one run at 1 BLAS thread by
+# 0.1-0.4 MB for interp (80.3-80.5 to 80.6-80.7 MB) and by 1.8-1.9 MB for
+# rsr (63.7-63.9 to 65.6-65.7 MB), and left ouu's at 75.6-75.7 MB, when
+# distances were not yet blocked.
 _STACK_BLOCK_ENTRIES = 2**16
 # Bytes of factorizations that both fit paths keep (``_FACTORED_GRAMS``);
 # a grid whose packet solve falls back to eigendecompositions keeps both.
@@ -265,9 +269,28 @@ class MaternKernel:
         return s
 
     def gram(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return self._profile_in_place(
-            pairwise_distances(np.atleast_2d(x), np.atleast_2d(y))
-        )
+        """Kernel matrix ``phi(|x_i - y_j| / length_scale)``, ``(m, n)``.
+
+        Rows that fit one block of :func:`~kernelkit.points._distance_blocks`
+        return that block, profiled in place.  Otherwise each block is copied
+        into its rows of the output and profiled there while it is in cache,
+        so besides the output the call holds one block and the profile's
+        block-sized temporaries, never a second matrix of the output's size.
+        """
+        x, y = np.atleast_2d(x), np.atleast_2d(y)
+        out = np.empty((0, len(y)))  # no rows make no block
+        for start, block in _distance_blocks(x, y):
+            if len(block) == len(x):
+                return self._profile_in_place(block)
+            if start == 0:
+                out = np.empty((len(x), len(y)))
+            rows = out[start : start + len(block)]
+            rows[...] = block
+            del block  # before the next one is built
+            profiled = self._profile_in_place(rows)
+            if not np.may_share_memory(profiled, rows):  # orders past the series
+                rows[...] = profiled
+        return out
 
 
 def bessel_k0(s: np.ndarray) -> np.ndarray:

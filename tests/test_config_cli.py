@@ -15,6 +15,7 @@ from kernelkit.cli import _RUNNERS, _run_rates, _sine_product, main
 from kernelkit.config import (
     _KEYS_READ,
     _MISC_BY_KERNEL,
+    _MISC_SINE_PRODUCT,
     PIPELINES,
     ConfigError,
     parse_config,
@@ -189,10 +190,11 @@ _VALUES = {
     },
     "interp": {"blocks": st.integers(1, 4).map(str), "level_map": _LEVEL_MAPS},
     "misc": {
-        # Kernel quadrature reads other keys; config_texts draws it on its own.
+        # Kernel quadrature and the sine-product integrand read other keys;
+        # config_texts draws them on their own.
         "quadrature": st.just("midpoint"),
         "blocks": st.integers(1, 3).map(str),
-        "integrand": st.sampled_from(["parabola", "sine-product"]),
+        "integrand": st.just("parabola"),
         "quad_beta": _floats(),
         "sample_gamma": _floats(),
         "sample_kappa": _floats(),
@@ -236,8 +238,12 @@ def config_texts(draw, pipeline):
     """A valid configuration of ``pipeline``: any subset of the keys it reads
     (``_KEYS_READ``), each value drawn from its key's valid range."""
     keys = _KEYS_READ[pipeline]
-    if pipeline == "misc" and draw(st.booleans()):
+    kernel_quadrature = pipeline == "misc" and draw(st.booleans())
+    sine_product = pipeline == "misc" and draw(st.booleans())
+    if kernel_quadrature:
         keys = _MISC_BY_KERNEL
+    if sine_product:
+        keys = {**keys, **_MISC_SINE_PRODUCT}
     sections = {}
     for name, read in keys.items():
         if name == "factors":
@@ -259,8 +265,10 @@ def config_texts(draw, pipeline):
             sections[name] = draw(st.fixed_dictionaries({}, optional=values))
         assert set(sections[name]) <= set(read)
     sections["run"]["pipeline"] = pipeline
-    if keys is _MISC_BY_KERNEL:
+    if kernel_quadrature:
         sections.setdefault("misc", {})["quadrature"] = "kernel"
+    if sine_product:
+        sections.setdefault("misc", {})["integrand"] = "sine-product"
     n = _factor_count(pipeline, sections)
     if n is not None:
         l_min = draw(st.integers(n, 12))
@@ -307,7 +315,10 @@ class TestRoundTrip:
 
 
 MISC_KERNEL_CONFIG = SMALL_CONFIGS["misc"] + "[misc]\nquadrature = kernel\n"
-CONFIGS = {**SMALL_CONFIGS, "misc-kernel": MISC_KERNEL_CONFIG}
+MISC_SINE_CONFIG = (
+    SMALL_CONFIGS["misc"] + "[misc]\nintegrand = sine-product\n[study]\nreference_l = 6\n"
+)
+CONFIGS = {**SMALL_CONFIGS, "misc-kernel": MISC_KERNEL_CONFIG, "misc-sine": MISC_SINE_CONFIG}
 
 # Every key that a pipeline's run does not read, with a value it parses to.
 UNREAD_KEYS = [
@@ -315,6 +326,7 @@ UNREAD_KEYS = [
     ("rates", "study", "reference_l", "9"),
     ("interp", "study", "reference_l", "9"),
     ("misc", "study", "eval_points", "64"),
+    ("misc", "study", "reference_l", "9"),
     ("misc", "kernel", "beta", "2.0"),
     ("misc", "kernel", "d", "1"),
     ("misc", "kernel", "length_scale", "1.0"),
@@ -388,6 +400,18 @@ class TestKeysRead:
         assert str(err.value).startswith(
             f"line {line}: [{section}] {key} is not read by pipeline {pipeline!r}"
         )
+
+    def test_reference_l_is_read_only_under_sine_product(self):
+        # The parabola's exact mean is the reference, so nothing reads the key.
+        text = SMALL_CONFIGS["misc"] + "[study]\nreference_l = 6\n"
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert str(err.value) == (
+            "line 6: [study] reference_l is not read by pipeline 'misc' "
+            "with quadrature = midpoint, integrand = parabola"
+        )
+        config = parse_config(text + "[misc]\nintegrand = sine-product\n")
+        assert config.sections["study"] == {"reference_l": 6}
 
     def test_unread_section_header_is_a_config_error(self):
         # Midpoint quadrature builds no kernel.
@@ -467,8 +491,8 @@ PINNED_SHA256 = {
         "cdcef06c614f64de6cd39ec09b98a976"
     ),
     "docs/examples/misc-synthetic.cfg": (
-        "f95df96cce5fac5f710b8539fa1373a3"
-        "f2788395d4d0055a02f171c735421888"
+        "142200c5a26a81b219bbf4383995302a"
+        "5b4239d44bdeea47522248fefa3f710d"
     ),
     "docs/examples/ouu-advection.cfg": (
         "9c351f10494a487539b74dc9c697afc2"

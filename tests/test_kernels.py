@@ -23,7 +23,15 @@ from kernelkit.kernels import (
     single_block,
 )
 from kernelkit.multiindex import combination_coefficients
-from kernelkit.points import Box, Disc, PointSet, generate_points, tensor_grid
+from kernelkit.points import (
+    _DISTANCE_BLOCK_ENTRIES,
+    Box,
+    Disc,
+    PointSet,
+    generate_points,
+    pairwise_distances,
+    tensor_grid,
+)
 from kernelkit.smolyak import FactorSpec, level_to_resolution
 from kernelkit.surrogate import Surrogate
 from kernelkit.uq import doubling_levels, sparse_interpolate
@@ -187,6 +195,45 @@ class TestMaternKernel:
         masked = k.profile(np.concatenate([far, [0.0, kernels_module._SMALL_RADIUS]]))
         assert k.profile(far).tobytes() == masked[:-2].tobytes()
         assert np.all(masked[-2:] == k.value_at_zero)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("nu", [0.5, 1.5, 2.5, 1.0, 3.0, 16.0])
+    def test_gram_from_row_blocks_matches_one_whole_profile_bit_for_bit(self, nu, dim):
+        # At length scale 0.1 entries reach past the series radius, so the
+        # integer orders take both the series and scipy's recurrence, which
+        # order 16, past the series degree, takes alone.
+        k = MaternKernel(beta=nu + dim / 2, dim=dim, length_scale=0.1)
+        rng = np.random.default_rng(int(10 * nu) + dim)
+
+        def check(x, y):
+            x[0] = y[-1]  # a zero distance
+            whole = k._profile_in_place(pairwise_distances(x, y))
+            gram = k.gram(x, y)
+            assert gram.flags.c_contiguous
+            assert gram.shape == whole.shape
+            assert gram.tobytes() == whole.tobytes()
+
+        y = rng.random((300, dim))
+        block_rows = _DISTANCE_BLOCK_ENTRIES // len(y)
+        for rows in (1, block_rows - 1, block_rows, block_rows + 1):
+            check(rng.random((rows, dim)), y)
+        # Each block holds a single row.
+        check(rng.random((3, dim)), rng.random((_DISTANCE_BLOCK_ENTRIES + 1, dim)))
+        assert k.gram(np.empty((0, dim)), y).shape == (0, len(y))
+
+    def test_gram_holds_one_array_of_its_size(self):
+        # nu = 3/2 on 1,024 points, the interp workload's largest grid factor:
+        # a whole-matrix distance or Horner temporary would double the peak.
+        k = MaternKernel(beta=2.0, dim=1)
+        x = np.linspace(0.0, 1.0, 1024).reshape(-1, 1)
+        tracemalloc.start()
+        try:
+            gram = k.gram(x, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert gram.nbytes == 2**23
+        assert peak < gram.nbytes + 2**20
 
     def test_rejects_unsupported_orders(self):
         with pytest.raises(ValueError):
