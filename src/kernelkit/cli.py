@@ -31,10 +31,11 @@ from kernelkit.config import (
     ConfigError,
     RunConfig,
     interp_factor,
+    matern_kernel,
     parse_config_file,
     serialize_config,
 )
-from kernelkit.kernels import ConditioningError, MaternKernel
+from kernelkit.kernels import ConditioningError
 from kernelkit.pde import l2_error_against, mesh_at_level, solve_poisson_dirichlet
 from kernelkit.points import Box, Disc
 from kernelkit.points import generate_points  # noqa: F401 - bench/tests patch it here
@@ -173,7 +174,7 @@ def _misc_factors(config: RunConfig):
         ]
     else:
         k = config.section("kernel")
-        kernel = MaternKernel(beta=k["beta"], dim=k["d"], length_scale=k["length_scale"])
+        kernel = matern_kernel(config.sections)
         domain = Box(lows=(0.0,) * k["d"], highs=(1.0,) * k["d"])
         quads = [
             kernel_quadrature_factor(kernel, domain, alpha=k["alpha"])
@@ -211,7 +212,7 @@ def _run_rsr(config: RunConfig, seed: int) -> _Study:
     k = config.section("kernel")
     p = config.section("pde")
     problem = BumpDiffusionProblem(n_bumps=p["bumps"])
-    kernel = MaternKernel(beta=k["beta"], dim=k["d"], length_scale=k["length_scale"])
+    kernel = matern_kernel(config.sections)
     factors = [
         interpolation_factor(kernel, box, alpha=k["alpha"])
         for box in problem.center_boxes
@@ -242,28 +243,26 @@ def _run_rsr(config: RunConfig, seed: int) -> _Study:
 def _run_ouu(config: RunConfig, seed: int) -> _Study:
     k = config.section("kernel")
     o = config.section("ouu")
-    kernel = MaternKernel(beta=k["beta"], dim=k["d"], length_scale=k["length_scale"])
     disc = Disc(center=(0.0, 0.0), radius=1.0)
-    level_map = doubling_levels if o["level_map"] == "doubling" else None
-
-    def build_factor():
-        return interpolation_factor(
-            kernel, disc, alpha=k["alpha"], resolution_map=level_map
-        )
-
+    factor = interpolation_factor(
+        matern_kernel(config.sections),
+        disc,
+        alpha=k["alpha"],
+        resolution_map=doubling_levels if o["level_map"] == "doubling" else None,
+    )
     scales = dict(
         mc_scale=o["mc_scale"],
         pde_scale=o["pde_scale"],
         max_cells=2 ** o["max_mesh_level"],
     )
-    prediction = predicted_rates([build_factor().spec, *ouu_sample_specs(**scales)])
+    prediction = predicted_rates([factor.spec, *ouu_sample_specs(**scales)])
     rows, reference = ouu_study(
-        build_factor,
+        factor,
         range(config.l_min, config.l_max + 1),
         seed=seed,
+        eval_points=random_points(disc, config[("study", "eval_points")], seed),
         replications=o["replications"],
         reference_L=config[("study", "reference_l")] or None,
-        eval_points=random_points(disc, config[("study", "eval_points")], seed),
         field_grid=mesh_at_level(o["field_level"]),
         **scales,
     )

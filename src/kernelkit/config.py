@@ -295,13 +295,18 @@ def _factor_count(pipeline: str, sections: dict[str, dict[str, Any]]) -> int | N
     return None  # fem-check has no threshold range
 
 
+def matern_kernel(sections: dict[str, dict[str, Any]]) -> MaternKernel:
+    """The kernel that the ``[kernel]`` section configures."""
+    k = sections["kernel"]
+    return MaternKernel(beta=k["beta"], dim=k["d"], length_scale=k["length_scale"])
+
+
 def interp_factor(sections: dict[str, dict[str, Any]]) -> InterpolationFactor:
     """The factor that each block of an ``interp`` run fits, as its
     ``[kernel]`` and ``[interp]`` sections configure it."""
     k = sections["kernel"]
-    kernel = MaternKernel(beta=k["beta"], dim=k["d"], length_scale=k["length_scale"])
     return interpolation_factor(
-        kernel,
+        matern_kernel(sections),
         Box(lows=(0.0,) * k["d"], highs=(1.0,) * k["d"]),
         alpha=k["alpha"],
         resolution_map=doubling_levels
@@ -377,7 +382,7 @@ def _validate(raw: dict[str, dict[str, tuple[str, int]]]) -> RunConfig:
         if k["beta"] - k["alpha"] <= 0:
             raise ConfigError("[kernel] alpha must be smaller than beta")
         try:
-            MaternKernel(beta=k["beta"], dim=k["d"])
+            matern_kernel(sections)
         except ValueError as err:
             raise ConfigError(
                 f"[kernel] beta = {k['beta']!r} at kernel dimension {k['d']}: {err}"
@@ -400,8 +405,6 @@ def _validate(raw: dict[str, dict[str, tuple[str, int]]]) -> RunConfig:
             check_field_grid(mesh_at_level(o["field_level"]))
         except ValueError as err:
             raise ConfigError(f"[ouu] field_level {o['field_level']}: {err}") from None
-    if sections.get("study", {}).get("reference_l", 0) < 0:
-        raise ConfigError("[study] reference_l must be >= 0 (0 selects automatic)")
 
     n = _factor_count(pipeline, sections)
     if n is not None:
@@ -418,6 +421,12 @@ def _validate(raw: dict[str, dict[str, tuple[str, int]]]) -> RunConfig:
                 f"study rows; the slope fit needs at least {_MIN_STUDY_ROWS}"
             )
         _check_point_dims(pipeline, sections, l_max)
+        # A reference inside the study would be measured against itself.
+        reference_l = sections.get("study", {}).get("reference_l", 0)
+        if reference_l != 0 and not reference_l > l_max:
+            message = f"must be 0 (automatic) or above l_max = {l_max}"
+            line = raw["study"]["reference_l"][1]
+            raise ConfigError(f"[study] reference_l = {reference_l} {message}", line)
 
     return RunConfig(
         pipeline=pipeline,

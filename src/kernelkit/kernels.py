@@ -74,7 +74,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
-from kernelkit.points import Box, PointSet, _distance_blocks, tensor_grid
+from kernelkit.points import Box, PointSet, _distance_blocks, tensor_grid, tensor_weights
 
 _NU_TOL = 1e-9
 _JITTER_START = 1e-12  # relative to trace/N
@@ -213,20 +213,17 @@ class MaternKernel:
 
     @cached_property
     def _half_integer_coefficients(self) -> np.ndarray | None:
+        """:func:`_half_integer_polynomial` in floats, highest power first, or None."""
         doubled = round(2.0 * self.nu)
         if doubled % 2 == 0:
             return None
-        m = (doubled - 1) // 2
-        # r**nu K_nu(r) = sqrt(pi/2) exp(-r) sum_k c_k 2**-k r**(m-k)
-        coeffs = np.array(
-            [
-                math.factorial(m + k)
-                / (math.factorial(k) * math.factorial(m - k))
-                * 2.0**-k
-                for k in range(m + 1)
-            ]
-        )
-        return coeffs
+        weights, scale = _half_integer_polynomial((doubled - 1) // 2)
+        return np.array([weight / scale for weight in weights[::-1]])
+
+    @cached_property
+    def _half_integer_constant(self) -> float:
+        """``c`` of a half-integer order's profile ``c q(s) exp(-s)``."""
+        return self._normalization * math.sqrt(math.pi / 2.0)
 
     def profile(self, r: np.ndarray) -> np.ndarray:
         """Radial profile ``phi(r / length_scale)`` for raw distances ``r``.
@@ -253,7 +250,7 @@ class MaternKernel:
                     poly += c
             out = np.negative(s, out=s)
             np.exp(out, out=out)
-            out *= self._normalization * math.sqrt(math.pi / 2.0)
+            out *= self._half_integer_constant
             out *= poly
             return out
         order = int(round(self.nu))
@@ -291,6 +288,14 @@ class MaternKernel:
             if not np.may_share_memory(profiled, rows):  # orders past the series
                 rows[...] = profiled
         return out
+
+
+def _half_integer_polynomial(m: int) -> tuple[list[int], int]:
+    """``(weights, scale)``, exact integers: ``r**nu K_nu(r) = sqrt(pi/2) q(r)
+    exp(-r)`` at ``nu = m + 1/2``, ``q(r) = sum_p weights[p] r**p / scale``.
+    Each float coefficient is one ``int / int``, rounded once."""
+    weights = [math.factorial(2 * m - p) * math.comb(m, p) * 2**p for p in range(m + 1)]
+    return weights, math.factorial(m) * 2**m
 
 
 def bessel_k0(s: np.ndarray) -> np.ndarray:
@@ -559,22 +564,16 @@ def _factor_gram(kernel: TensorKernel, nodes: PointSet):
     Cholesky factor of its smallest admissible diagonal shift."""
     gram = kernel.gram(nodes.points, nodes.points)
     count = len(nodes)
-    base = np.trace(gram) / count
-    jitter = _JITTER_START * base
-    limit = _JITTER_LIMIT * base
-    while True:
+
+    def factor_shifted(jitter: float) -> np.ndarray:
         # The Gram matrix is symmetric bit for bit, so the transpose of a C
         # copy is the same matrix in the Fortran order LAPACK factors in
         # place.
         shifted = gram.copy()
         shifted.flat[:: count + 1] += jitter
-        try:
-            factor, _ = cho_factor(shifted.T, lower=True, overwrite_a=True)
-            break
-        except LinAlgError:
-            jitter *= 10.0
-            if jitter > limit:
-                raise _shift_failed(nodes) from None
+        return cho_factor(shifted.T, lower=True, overwrite_a=True)[0]
+
+    factor = _smallest_shift(factor_shifted, np.trace(gram) / count, nodes)
     gram.setflags(write=False)
     factor.setflags(write=False)
     return gram, factor
@@ -833,7 +832,7 @@ def _central_packets(points: np.ndarray, m: int) -> np.ndarray:
     v = points - 0.5 * (points[:, :1] + points[:, -1:])
     conditions = np.empty((count, width - 1, width))
     narrow = span[:, 0] <= 2.0 * _PACKET_SERIES_RADIUS
-    basis = _packet_tables(m)[2]
+    basis = _packet_tables(m)[1]
     near = v[narrow]
     values = np.zeros((width - 1, *near.shape))
     for coefficient in basis.T[::-1]:  # Horner's rule, highest power first
@@ -884,12 +883,12 @@ def _packet_band(
     )
     distance = np.abs(offsets)
     # psi's constant: the profile is constant * q(d) exp(-d).
-    weights = coefficients[:, None, :] * (kernel._normalization * math.sqrt(math.pi / 2.0))
-    q = _packet_tables(m)[0]
+    weights = coefficients[:, None, :] * kernel._half_integer_constant
+    q = kernel._half_integer_coefficients[::-1]
     with np.errstate(over="ignore", invalid="ignore"):
         direct = weights * np.polynomial.polynomial.polyval(distance, q)
         direct *= np.exp(-distance)
-        odd = weights * _odd_profile(distance, m)
+        odd = weights * _odd_profile(distance, q)
         forms = [direct, np.where(offsets < 0, odd, 0.0), np.where(offsets > 0, odd, 0.0)]
         costs = [np.nan_to_num(np.abs(f).sum(axis=2), nan=np.inf) for f in forms]
     costs[1][n - m - 1 :] = np.inf  # the last packets do not vanish on the right
@@ -898,16 +897,18 @@ def _packet_band(
     return np.where(inside, band, 0.0)
 
 
-def _odd_profile(d: np.ndarray, m: int) -> np.ndarray:
+def _odd_profile(d: np.ndarray, q: np.ndarray) -> np.ndarray:
     """``psi(d) - psi(-d)`` for ``d >= 0``, with ``psi(s) = q(s) exp(-s)``
-    the order ``m + 1/2`` profile without its constant.
+    the order ``m + 1/2`` profile without its constant, ``q`` of degree
+    ``m`` lowest power first.
 
     It equals ``2 (q_odd(d) cosh(d) - q_even(d) sinh(d))``, ``d cosh(d) -
     sinh(d)`` times 2 for ``m = 1``, and is ``O(d**(2m+1))``, so below the
     series radius, where its two terms nearly cancel, it is summed as a
     Taylor series in ``d**2`` instead.
     """
-    q, odd, _ = _packet_tables(m)
+    m = len(q) - 1
+    odd = _packet_tables(m)[0]
     out = np.empty_like(d)
     near = d < _PACKET_SERIES_RADIUS
     small = d[near]
@@ -924,12 +925,12 @@ def _odd_profile(d: np.ndarray, m: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _packet_tables(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _packet_tables(m: int) -> tuple[np.ndarray, np.ndarray]:
     """Series tables of the Matern kernel of order ``m + 1/2``, as floats.
 
-    ``(q, odd, basis)``: the profile is ``q(s) exp(-s)`` up to its constant,
-    ``q`` lowest power first; ``psi(d) - psi(-d) = d**(2m+1) sum_i
-    odd[i] d**(2i)``; ``basis[k, j]`` is the ``v**j`` Taylor coefficient of
+    ``(odd, basis)``: with the profile ``q(s) exp(-s)`` up to its constant
+    (:func:`_half_integer_polynomial`), ``psi(d) - psi(-d) = d**(2m+1)
+    sum_i odd[i] d**(2i)``; ``basis[k, j]`` is the ``v**j`` Taylor coefficient of
     the solution ``f_k`` of ``(D**2 - 1)**(m+1) f = 0`` whose first
     ``2m + 2`` derivatives at 0 are those of ``v**k / k!``.  Each entry is
     an exact ratio of integers, rounded once by ``int / int`` (correctly,
@@ -937,10 +938,7 @@ def _packet_tables(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     are exactly 0.
     """
     terms = _PACKET_SERIES_TERMS
-    # q[p] = weights[p] / scale
-    scale = math.factorial(m) * 2**m
-    weights = [math.factorial(2 * m - p) * math.comb(m, p) * 2**p for p in range(m + 1)]
-    q = [weight / scale for weight in weights]
+    weights, scale = _half_integer_polynomial(m)
     # psi[j] = psi_numerators[j] / (scale * j!): the v**j coefficient of q(v) exp(-v)
     psi_numerators = [
         sum(
@@ -964,7 +962,7 @@ def _packet_tables(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                 -sum(c * derivatives[j - order + 2 * i] for i, c in enumerate(recurrence))
             )
         basis.append([d / math.factorial(j) for j, d in enumerate(derivatives)])
-    return tuple(np.array(table, dtype=float) for table in (q, odd, basis))
+    return tuple(np.array(table, dtype=float) for table in (odd, basis))
 
 
 class _FactoredGrams:
@@ -1076,16 +1074,16 @@ def _eigen_solve(entries, shape: tuple[int, ...], nodes: PointSet):
     """The solve of the smallest admissibly shifted Kronecker system whose
     factors have the eigendecompositions ``entries``."""
     grams, eigenvalues, eigenvectors = zip(*entries)
-    spectrum = reduce(np.multiply.outer, eigenvalues)
+    spectrum = tensor_weights(eigenvalues).reshape(shape)
+
+    def shift(jitter: float) -> np.ndarray:
+        if np.min(spectrum) + jitter <= 0.0:
+            raise LinAlgError("shifted Kronecker spectrum not positive")
+        return spectrum + jitter
+
     # trace(K) / N of the Kronecker product, the dense path's shift scale.
     base = math.prod(np.trace(gram) / len(gram) for gram in grams)
-    jitter = _JITTER_START * base
-    limit = _JITTER_LIMIT * base
-    while np.min(spectrum) + jitter <= 0.0:
-        jitter *= 10.0
-        if jitter > limit:
-            raise _shift_failed(nodes)
-    shifted = spectrum + jitter
+    shifted = _smallest_shift(shift, base, nodes)
     transposed = [q.T for q in eigenvectors]
 
     def solve(r: np.ndarray) -> np.ndarray:
@@ -1095,12 +1093,22 @@ def _eigen_solve(entries, shape: tuple[int, ...], nodes: PointSet):
     return solve
 
 
-def _shift_failed(nodes: PointSet) -> ConditioningError:
-    return ConditioningError(
-        "shifted kernel system not positive definite at maximum diagonal shift",
-        len(nodes),
-        nodes.min_separation,
-    )
+def _smallest_shift(attempt: Callable[[float], np.ndarray], base: float, nodes: PointSet):
+    """``attempt(jitter)`` at the smallest admissible diagonal shift: from
+    ``_JITTER_START * base``, tenfold while ``attempt`` raises LinAlgError
+    (not positive definite), and ConditioningError past ``_JITTER_LIMIT * base``."""
+    jitter = _JITTER_START * base
+    while True:
+        try:
+            return attempt(jitter)
+        except LinAlgError:
+            jitter *= 10.0
+            if jitter > _JITTER_LIMIT * base:
+                raise ConditioningError(
+                    "shifted kernel system not positive definite at maximum diagonal shift",
+                    len(nodes),
+                    nodes.min_separation,
+                ) from None
 
 
 def _refine(
@@ -1303,14 +1311,12 @@ def _require_matching_dims(kernel: TensorKernel, nodes: PointSet) -> None:
 
 @dataclass(frozen=True)
 class KernelExpansion:
-    """Kernel expansion ``x -> sum_i c_i Phi(x_i, x)`` over a node set.
+    """The kernel, nodes and coefficients of ``x -> sum_i c_i Phi(x_i, x)``.
 
-    Every fit is one (:func:`fit_interpolant`).  Evaluation contracts each
-    block's profile with the coefficients by a :class:`_ContractionPlan`,
-    built once per expansion: on a sparse grid a few matrix products over
-    the distinct block coordinates, never a points x nodes array.  An
-    expansion evaluates as the one-term surrogate of itself
-    (:meth:`kernelkit.surrogate.Surrogate.evaluate`), kept on the expansion.
+    A :class:`~kernelkit.surrogate.Surrogate` evaluates it, a fit
+    (:func:`fit_interpolant`) being the one-term surrogate of one, by a
+    :class:`_ContractionPlan` built once per expansion: on a sparse grid a
+    few matrix products over the distinct block coordinates.
     """
 
     kernel: TensorKernel
@@ -1326,33 +1332,16 @@ class KernelExpansion:
                 f"per node, got coefficients of shape {shape}"
             )
 
-    def evaluate(self, points: np.ndarray, check_domain: bool = True) -> np.ndarray:
-        return self._surrogate.evaluate(points, check_domain)
-
-    @cached_property
-    def _surrogate(self):
-        """The one-term surrogate of this expansion, whose layout is built once."""
-        return KernelExpansion.weighted_sum([(1.0, self)])
-
     @cached_property
     def _plan(self) -> _ContractionPlan:
         return _ContractionPlan.build(self.kernel, self.nodes, self.coefficients)
 
-    def __call__(self, point) -> float:
-        return float(self.evaluate(np.asarray(point, dtype=float).reshape(1, -1))[0])
 
-    @staticmethod
-    def weighted_sum(pairs: Sequence[tuple[float, "KernelExpansion"]]):
-        """The surrogate ``sum_t c_t e_t``, merged once over all terms in order."""
-        from kernelkit.surrogate import Surrogate
+def fit_interpolant(kernel: TensorKernel | MaternKernel, nodes: PointSet, values):
+    """The minimum-norm kernel interpolant through ``values`` at ``nodes``:
+    the one-term :class:`~kernelkit.surrogate.Surrogate` of its expansion."""
+    from kernelkit.surrogate import Surrogate
 
-        return Surrogate(terms=tuple((float(c), e) for c, e in pairs))
-
-
-def fit_interpolant(
-    kernel: TensorKernel | MaternKernel, nodes: PointSet, values
-) -> KernelExpansion:
-    """Fit the minimum-norm kernel interpolant through ``values`` at ``nodes``."""
     if isinstance(kernel, MaternKernel):
         kernel = single_block(kernel)
     _require_matching_dims(kernel, nodes)
@@ -1363,7 +1352,7 @@ def fit_interpolant(
         )
     alpha = _solve_spd(kernel, nodes, rhs)
     alpha.setflags(write=False)
-    return KernelExpansion(kernel=kernel, nodes=nodes, coefficients=alpha)
+    return Surrogate(terms=((1.0, KernelExpansion(kernel, nodes, alpha)),))
 
 
 @dataclass(frozen=True)
@@ -1384,11 +1373,7 @@ def _gauss_legendre_grid(box: Box, per_axis: int) -> tuple[np.ndarray, np.ndarra
         half = 0.5 * (hi - lo)
         axes_pts.append((lo + half * (xi + 1.0)).reshape(-1, 1))
         axes_wts.append(half * wi)
-    pts = tensor_grid(axes_pts)
-    wts = axes_wts[0]
-    for w in axes_wts[1:]:
-        wts = np.outer(wts, w).ravel()
-    return pts, np.asarray(wts, dtype=float).ravel()
+    return tensor_grid(axes_pts), tensor_weights(axes_wts)
 
 
 def quadrature_weights(

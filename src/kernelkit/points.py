@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -95,6 +95,19 @@ class Disc:
         pts = np.atleast_2d(points)
         d = np.linalg.norm(pts - np.asarray(self.center), axis=1)
         return d <= self.radius + _CONTAIN_TOL
+
+    def from_unit_stream(self, draw: Callable[[int, int], np.ndarray], count: int) -> np.ndarray:
+        """The first ``count`` points of a unit-square stream, mapped over the
+        bounding box, that lie in the disc.  ``draw(start, k)`` returns stream
+        points ``start`` to ``start + k - 1``, shape ``(k, 2)``, on consecutive
+        ranges, so a sequential generator may ignore ``start``."""
+        accepted, drawn = np.empty((0, 2)), 0
+        while len(accepted) < count:
+            chunk = max(32, 2 * (count - len(accepted)))
+            mapped = self.bounding_box.from_unit(draw(drawn, chunk))
+            drawn += chunk
+            accepted = np.concatenate([accepted, mapped[self.contains(mapped)]])
+        return accepted[:count]
 
 
 Domain = Box | Disc
@@ -254,6 +267,15 @@ def tensor_grid(arrays: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
+def tensor_weights(vectors: Sequence[np.ndarray]) -> np.ndarray:
+    """The products ``((1 * v_1) * v_2) * ...`` of one entry of each vector,
+    in :func:`tensor_grid` order: a tensor product's weights or eigenvalues."""
+    weights = np.ones(1)
+    for vector in vectors:
+        weights = np.outer(weights, vector).ravel()
+    return weights
+
+
 def _product_domain(domains: Sequence[Domain]) -> Domain:
     if len(domains) == 1:
         return domains[0]
@@ -289,16 +311,7 @@ def generate_points(domain: Domain, count: int) -> PointSet:
             points=np.vstack([corners, domain.from_unit(raw)]), domain=domain
         )
     if isinstance(domain, Disc):
-        accepted: list[np.ndarray] = []
-        start = 1
-        box = domain.bounding_box
-        while len(accepted) < count:
-            chunk = max(32, 2 * (count - len(accepted)))
-            raw = halton_sequence(chunk, 2, start=start)
-            start += chunk
-            mapped = box.from_unit(raw)
-            keep = domain.contains(mapped)
-            accepted.extend(mapped[keep])
-        return PointSet(points=np.array(accepted[:count]), domain=domain)
+        points = domain.from_unit_stream(lambda start, k: halton_sequence(k, 2, start + 1), count)
+        return PointSet(points=points, domain=domain)
     raise TypeError(f"unsupported domain type {type(domain)!r}")
 

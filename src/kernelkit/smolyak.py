@@ -14,8 +14,8 @@ abstract work units, and predicts the error-versus-work exponent
 Values produced by a tensor evaluator may be plain floats or any object
 supporting addition and scalar multiplication; a type that defines
 ``weighted_sum`` reduces a whole estimate in one call (see
-:func:`weighted_sum` and
-:meth:`kernelkit.kernels.KernelExpansion.weighted_sum`).
+:func:`weighted_sum` and :meth:`kernelkit.surrogate.Surrogate.weighted_sum`,
+which merges the fits of a kernel pipeline).
 
 Every error-versus-work table is built by one study loop,
 :func:`convergence_study`: it plans every engine once for its largest
@@ -212,7 +212,7 @@ def weighted_sum(pairs: Sequence[tuple[float, Any]]) -> Any:
     """``c_0 v_0 + c_1 v_1 + ...`` over ``(c, v)`` pairs, reduced in order.
 
     A value whose type defines ``weighted_sum(pairs)`` reduces all pairs in
-    one call (a kernel expansion merges the nodes of all terms once);
+    one call (a surrogate merges the nodes of all terms once);
     other values are folded left one product at a time.
     """
     reduce_all = getattr(type(pairs[0][1]), "weighted_sum", None)

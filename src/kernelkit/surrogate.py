@@ -7,10 +7,11 @@ prefixes, so the weighted sum is itself one kernel expansion over the
 distinct nodes (the combination technique's collapse onto the sparse
 grid).  A :class:`Surrogate` is that one expansion, merged when the
 surrogate is built; terms of different kernels or domains are rejected.
-It is built from its terms, which the engine hands over in one call
-(:meth:`~kernelkit.kernels.KernelExpansion.weighted_sum`), in
-lexicographic order; merging is a fixed function of the term order, so
-the result is reproducible.
+It is the one function-valued type: a fit
+(:func:`~kernelkit.kernels.fit_interpolant`) is the one-term surrogate of
+its expansion, and the engine reduces a combination of fits in one call
+(:meth:`Surrogate.weighted_sum`), in lexicographic order; merging is a
+fixed function of the term order, so the result is reproducible.
 
 A study compares many surrogates at the same points: one per threshold
 ``L``, per replication, and a reference.  Their nodes are prefixes of one
@@ -99,16 +100,20 @@ class Surrogate:
             raise ValueError("a stack needs one or more surrogates that are not stacks")
         return cls(terms=tuple(t for m in members for t in m.terms), members=members)
 
-    def evaluate(self, points: np.ndarray, check_domain: bool = True) -> np.ndarray:
+    @classmethod
+    def weighted_sum(cls, pairs: Sequence[tuple[float, "Surrogate"]]) -> "Surrogate":
+        """The surrogate ``sum_t c_t s_t``, its terms merged once in order."""
+        return cls(terms=tuple((float(c) * w, e) for c, s in pairs for w, e in s.terms))
+
+    def evaluate(self, points: np.ndarray) -> np.ndarray:
         """Values at ``points``: shape ``(P,)``, or ``(P, members)`` for a stack."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if check_domain:
-            domains = {expansion.nodes.domain for _, expansion in self.terms}
-            if not all(np.all(domain.contains(pts)) for domain in domains):
-                warnings.warn(
-                    "evaluating kernel expansion outside its domain (extrapolation)",
-                    stacklevel=2,
-                )
+        domains = {expansion.nodes.domain for _, expansion in self.terms}
+        if not all(np.all(domain.contains(pts)) for domain in domains):
+            warnings.warn(
+                "evaluating kernel expansion outside its domain (extrapolation)",
+                stacklevel=2,
+            )
         out = evaluate_stacked(self._layout, pts)
         return out if self.members else out[:, 0]
 

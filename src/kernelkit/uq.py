@@ -61,7 +61,8 @@ from kernelkit.pde import (
     pde_resolution_map,
     philox_generator,
 )
-from kernelkit.points import Box, Disc, Domain, PointSet, generate_points, tensor_grid
+from kernelkit.points import Box, Disc, Domain, PointSet, generate_points
+from kernelkit.points import tensor_grid, tensor_weights
 from kernelkit.smolyak import (
     FactorSpec,
     ProblemSpec,
@@ -83,16 +84,7 @@ def random_points(domain: Domain, count: int, seed: int, stream: int = 101) -> n
     if isinstance(domain, Box):
         return domain.from_unit(rng.random((count, domain.dim)))
     if isinstance(domain, Disc):
-        box = domain.bounding_box
-        out = np.empty((count, 2))
-        have = 0
-        while have < count:
-            chunk = box.from_unit(rng.random((2 * (count - have), 2)))
-            keep = chunk[domain.contains(chunk)]
-            take = min(len(keep), count - have)
-            out[have : have + take] = keep[:take]
-            have += take
-        return out
+        return domain.from_unit_stream(lambda _, k: rng.random((k, 2)), count)
     raise TypeError(f"unsupported domain type {type(domain)!r}")
 
 
@@ -346,14 +338,9 @@ def build_expectation_problem(
 
     def evaluator(resolutions: tuple[int, ...]) -> float:
         *rule_counts, sample_resolution = resolutions
-        points_blocks = []
-        weights = np.array([1.0])
-        for factor, count in zip(quad_factors, rule_counts):
-            pts, wts = factor.rule(count)
-            points_blocks.append(pts)
-            weights = np.outer(weights, wts).ravel()
-        values = sample_factor.values(tensor_grid(points_blocks), sample_resolution)
-        return float(weights @ values)
+        rules = [f.rule(n) for f, n in zip(quad_factors, rule_counts)]
+        values = sample_factor.values(tensor_grid([p for p, _ in rules]), sample_resolution)
+        return float(tensor_weights([w for _, w in rules]) @ values)
 
     factors = tuple(f.spec for f in quad_factors) + (sample_factor.spec,)
     return ProblemSpec(factors=factors, tensor_evaluator=evaluator)
@@ -442,13 +429,16 @@ _NO_VALUES = np.empty(0)
 # ``cells**2`` costs that size to the power 1.5 and converges at rate 1.
 _MC_RATES = (1.0, 0.5)
 _PDE_RATES = (1.5, 1.0)
+# The first and the last coordinate step of :func:`minimize_objective`.
+_INITIAL_STEP = 0.25
+_FINAL_STEP = 1e-4
 
 
 def ouu_sample_specs(
     mc_scale: float = 1.0, pde_scale: float = 1.0, max_cells: int = 32
 ) -> tuple[FactorSpec, FactorSpec]:
     """The Monte Carlo and field-PDE factors of an :class:`OuuPipeline`."""
-    mc_map = scaled_exponential_map(*_MC_RATES, mc_scale) if mc_scale != 1.0 else None
+    mc_map = scaled_exponential_map(*_MC_RATES, mc_scale)
     pde_map = pde_resolution_map(*_PDE_RATES, max_cells, scale=pde_scale)
     return (
         FactorSpec(*_MC_RATES, label="monte-carlo", resolution_map=mc_map),
@@ -639,38 +629,28 @@ class OuuObjective:
 
 
 def minimize_objective(
-    objective: Callable[[np.ndarray], float],
-    restarts: int = 8,
-    domain: Disc | None = None,
-    initial_step: float = 0.25,
-    final_step: float = 1e-4,
+    objective: Callable[[np.ndarray], float], restarts: int = 8
 ) -> tuple[np.ndarray, float]:
     """Multi-start coordinate pattern search over the closed unit disc.
 
-    Starts are a low-discrepancy prefix over the domain; each search
-    probes coordinate steps, projects onto the disc, and halves the step
-    on failure until it drops below ``final_step``.  The best visited
-    point is returned; the search is fully deterministic.
+    Starts are a low-discrepancy prefix over the disc; each search probes
+    coordinate steps from ``_INITIAL_STEP``, projects onto the disc, and
+    halves the step on failure until it drops below ``_FINAL_STEP``.  The
+    best visited point is returned; the search is fully deterministic.
     """
-    if domain is None:
-        domain = Disc(center=(0.0, 0.0), radius=1.0)
-    starts = generate_points(domain, max(1, restarts)).points
-    center = np.asarray(domain.center)
+    starts = generate_points(Disc(center=(0.0, 0.0), radius=1.0), max(1, restarts)).points
 
     def project(z: np.ndarray) -> np.ndarray:
-        offset = z - center
-        norm = np.linalg.norm(offset)
-        if norm <= domain.radius:
-            return z
-        return center + offset * (domain.radius / norm)
+        norm = np.linalg.norm(z)
+        return z if norm <= 1.0 else z * (1.0 / norm)
 
     best_z = None
     best_value = math.inf
     for start in starts:
         z = project(start.copy())
         value = objective(z)
-        step = initial_step
-        while step > final_step:
+        step = _INITIAL_STEP
+        while step > _FINAL_STEP:
             improved = False
             for axis in range(len(z)):
                 for direction in (1.0, -1.0):
@@ -689,12 +669,12 @@ def minimize_objective(
 
 
 def ouu_study(
-    interp_factor_builder: Callable[[], InterpolationFactor],
+    interp_factor: InterpolationFactor,
     L_values: Sequence[int],
     seed: int,
+    eval_points: np.ndarray,
     replications: int = 5,
     reference_L: int | None = None,
-    eval_points: np.ndarray | None = None,
     **pipeline_kwargs,
 ) -> tuple[list[dict], Surrogate]:
     """Mean-squared maximum-error table over stochastic replications.
@@ -705,13 +685,11 @@ def ouu_study(
     then evaluated in one stacked pass (:meth:`Surrogate.stack`): their
     nodes are prefixes of one nested sequence, so each kernel profile is
     computed once per study point and node of the largest surrogate.
-    Returns the rows and the reference surrogate (for downstream
-    minimization).
+    Errors are the maxima over ``eval_points``.  Returns the rows and the
+    reference surrogate (for downstream minimization).
     """
-    if eval_points is None:
-        eval_points = random_points(interp_factor_builder().domain, 2048, seed)
     reference_pipeline, *pipelines = (
-        OuuPipeline(interp_factor_builder(), seed=seed, stream=r, **pipeline_kwargs)
+        OuuPipeline(interp_factor, seed=seed, stream=r, **pipeline_kwargs)
         for r in range(replications + 1)
     )
 

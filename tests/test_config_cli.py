@@ -216,6 +216,7 @@ _VALUES = {
     },
     "study": {
         "eval_points": st.integers(1, 4096).map(str),
+        # config_texts redraws it above the drawn l_max.
         "reference_l": st.integers(0, 14).map(str),
     },
 }
@@ -272,7 +273,12 @@ def config_texts(draw, pipeline):
     n = _factor_count(pipeline, sections)
     if n is not None:
         l_min = draw(st.integers(n, 12))
-        sections["run"].update(l_min=str(l_min), l_max=str(draw(st.integers(l_min + 2, 14))))
+        l_max = draw(st.integers(l_min + 2, 14))
+        sections["run"].update(l_min=str(l_min), l_max=str(l_max))
+        # A reference threshold is automatic (0) or above the study's range.
+        if "reference_l" in sections.get("study", {}):
+            reference_l = draw(st.one_of(st.just(0), st.integers(l_max + 1, 16)))
+            sections["study"]["reference_l"] = str(reference_l)
     return "\n".join(
         f"[{name}]\n" + "".join(f"{key} = {value}\n" for key, value in keys.items())
         for name, keys in sections.items()
@@ -546,6 +552,26 @@ class TestCliRuns:
         path.write_text(text)
         return str(path)
 
+    @pytest.mark.parametrize("name", ["rsr", "ouu", "misc-sine"])
+    def test_reference_l_inside_the_study_is_refused(self, tmp_path, capsys, name):
+        # Every pipeline that reads [study] reference_l: at l_max the
+        # reference would be a row of the study itself.
+        base = CONFIGS[name].replace("reference_l = 6\n", "")
+        text = base + "[study]\nreference_l = {}\n"
+        l_max = parse_config(base).l_max
+        line = len(text.splitlines())
+        inside = tmp_path / "inside"
+        assert main(["--config", self.write(tmp_path, text.format(l_max)), "--out", str(inside)]) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: line {line}: [study] reference_l = {l_max} "
+            f"must be 0 (automatic) or above l_max = {l_max}\n"
+        )
+        assert not inside.exists()
+        above = str(tmp_path / "above")
+        cfg = self.write(tmp_path, text.format(l_max + 1))
+        assert main(["--config", cfg, "--out", above, "--quiet"]) == 0
+        assert sorted(os.listdir(above))[-2:] == ["slope.txt", "study.csv"]
+
     def test_rates_run_and_artifacts(self, tmp_path):
         cfg = self.write(tmp_path, RATES_CONFIG)
         out = str(tmp_path / "out")
@@ -782,9 +808,9 @@ class TestCliRuns:
         evaluated = []
         evaluate = Surrogate.evaluate
 
-        def recording(surrogate, points, check_domain=True):
+        def recording(surrogate, points):
             evaluated.append(len(surrogate.members))
-            return evaluate(surrogate, points, check_domain)
+            return evaluate(surrogate, points)
 
         monkeypatch.setattr(Surrogate, "evaluate", recording)
         config = parse_config(SMALL_CONFIGS[pipeline])

@@ -4,7 +4,8 @@
 ``docs/examples/<example>.cfg`` at its default seed.  A golden whose
 config is no example keeps it beside its outputs, as
 ``tests/golden/<name>/<name>.cfg``: one per config path that no example
-reaches.  They are compared
+reaches.  The ``ouu-advection`` example is the benchmark's ``ouu``
+workload and is compared with ``bench/reference/ouu``.  They are compared
 with the benchmark's comparison (``bench/golden.py``: integers exactly,
 floats within rtol 1e-5 / atol 1e-9), so a change to a solver or to the
 engine that moves these numbers beyond rounding fails here.
@@ -62,6 +63,17 @@ def test_example_matches_golden_outputs(example, tmp_path):
     out = str(tmp_path / example)
     assert main(["--config", config, "--out", out, "--quiet"]) == 0
     problems = golden.compare_dirs(os.path.join(ROOT, "tests", "golden", example), out, ARTIFACTS)
+    assert not problems, problems
+
+
+def test_ouu_example_matches_the_benchmark_reference(tmp_path):
+    # docs/examples/ouu-advection.cfg is the benchmark's ouu workload, whose
+    # reference outputs at seed 0 live in bench/reference/ouu.
+    config = os.path.join(ROOT, "docs", "examples", "ouu-advection.cfg")
+    out = str(tmp_path / "ouu")
+    assert main(["--config", config, "--out", out, "--seed", "0", "--quiet"]) == 0
+    artifacts = ARTIFACTS + ("minimizer.txt",)
+    problems = golden.compare_dirs(os.path.join(ROOT, "bench", "reference", "ouu"), out, artifacts)
     assert not problems, problems
 
 

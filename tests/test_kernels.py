@@ -47,6 +47,12 @@ def grid_fit(factor_kernels, factor_points, values):
     )
 
 
+def expansion_of(fit):
+    """The one kernel expansion of a fit (a one-term surrogate)."""
+    ((_, expansion),) = fit.terms
+    return expansion
+
+
 def uniform_nodes(count):
     return PointSet(
         points=np.linspace(0.0, 1.0, count).reshape(-1, 1), domain=UNIT_INTERVAL
@@ -244,15 +250,23 @@ class TestMaternKernel:
             MaternKernel(beta=2.0, dim=1, length_scale=0.0)
 
 
-def fraction_packet_tables(m, terms):
-    """:func:`kernels._packet_tables` computed in ``Fraction``s."""
+def fraction_half_integer_polynomial(m):
+    """The order ``m + 1/2`` profile's polynomial ``q`` in ``Fraction``s,
+    lowest power first."""
     from fractions import Fraction
 
-    q = [
+    return [
         Fraction(math.factorial(2 * m - p), math.factorial(p) * math.factorial(m - p))
         / 2 ** (m - p)
         for p in range(m + 1)
     ]
+
+
+def fraction_packet_tables(m, terms):
+    """:func:`kernels._packet_tables` computed in ``Fraction``s."""
+    from fractions import Fraction
+
+    q = fraction_half_integer_polynomial(m)
     psi = [
         sum(q[p] * Fraction((-1) ** (j - p), math.factorial(j - p)) for p in range(min(j, m) + 1))
         for j in range(terms)
@@ -268,7 +282,7 @@ def fraction_packet_tables(m, terms):
                 -sum(c * derivatives[j - order + 2 * i] for i, c in enumerate(recurrence))
             )
         basis.append([d / math.factorial(j) for j, d in enumerate(derivatives)])
-    return tuple(np.array(table, dtype=float) for table in (q, odd, basis))
+    return tuple(np.array(table, dtype=float) for table in (odd, basis))
 
 
 def fraction_bessel_series_table(n, degree, euler_gamma):
@@ -296,6 +310,13 @@ class TestSeriesTables:
         tables = kernels_module._packet_tables(m)
         reference = fraction_packet_tables(m, kernels_module._PACKET_SERIES_TERMS)
         assert [t.tobytes() for t in tables] == [r.tobytes() for r in reference]
+
+    @pytest.mark.parametrize("m", range(15))
+    def test_half_integer_polynomial_matches_fractions_bit_for_bit(self, m):
+        # The profile and the packets share this one table.
+        kernel = MaternKernel(beta=m + 1.0, dim=1)  # nu = m + 1/2
+        reference = np.array(fraction_half_integer_polynomial(m)[::-1], dtype=float)
+        assert kernel._half_integer_coefficients.tobytes() == reference.tobytes()
 
     @pytest.mark.parametrize("order", range(1, 15))
     def test_bessel_series_table_matches_fractions_bit_for_bit(self, order):
@@ -407,7 +428,8 @@ def layout_kernel(layout):
 
 
 def merged_sparse_grid(layout, L, resolution, rng):
-    """The merged combination of random expansions on the simplex-``L`` grids.
+    """The merged combination of random expansions on the simplex-``L`` grids,
+    a surrogate of one expansion.
 
     Each term lives on the tensor grid of nested ``generate_points``
     prefixes of ``resolution(level)`` points per block, as the engine
@@ -421,8 +443,7 @@ def merged_sparse_grid(layout, L, resolution, rng):
         nodes = PointSet.product(grids)
         coefficients = rng.standard_normal(len(nodes))
         terms.append((term.coefficient, KernelExpansion(kernel, nodes, coefficients)))
-    ((_, merged),) = Surrogate(terms=tuple(terms)).terms
-    return merged
+    return Surrogate(terms=tuple(terms))
 
 
 def plan_entries(expansion):
@@ -448,17 +469,19 @@ class TestKernelExpansionEvaluation:
         dim = sum(d for _, d in layout)
         if sparse:
             resolution = doubling_levels if doubling else (lambda l: l + 1)
-            expansion = merged_sparse_grid(layout, len(layout) + L, resolution, rng)
+            surrogate = merged_sparse_grid(layout, len(layout) + L, resolution, rng)
         else:
             nodes = PointSet(rng.random((random_count, dim)), unit_box(dim))
-            expansion = KernelExpansion(
-                layout_kernel(layout), nodes, rng.standard_normal(random_count)
+            coefficients = rng.standard_normal(random_count)
+            surrogate = Surrogate(
+                terms=((1.0, KernelExpansion(layout_kernel(layout), nodes, coefficients)),)
             )
+        expansion = expansion_of(surrogate)
         nodes, c = expansion.nodes.points, expansion.coefficients
         # Random points, some nodes (zero block distances) and a repeated row.
         points = np.vstack([rng.random((point_count, dim)), nodes[:3], nodes[:1]])
         with mock.patch.object(kernels_module, "_STACK_BLOCK_ENTRIES", budget):
-            got = expansion.evaluate(points)
+            got = surrogate.evaluate(points)
         gram = expansion.kernel.gram(points, nodes)
         bound = 8 * np.finfo(float).eps * (np.abs(gram) @ np.abs(c))
         assert np.all(np.abs(got - gram @ c) <= bound)
@@ -484,13 +507,13 @@ class TestKernelExpansionEvaluation:
         budget = 2**18
         monkeypatch.setattr(kernels_module, "_STACK_BLOCK_ENTRIES", budget)
         rng = np.random.default_rng(8)
-        expansion = merged_sparse_grid(((2.0, 1), (2.0, 1)), 11, doubling_levels, rng)
-        assert len(expansion.nodes) == 11264
+        surrogate = merged_sparse_grid(((2.0, 1), (2.0, 1)), 11, doubling_levels, rng)
+        assert len(expansion_of(surrogate).nodes) == 11264
         points = rng.random((2048, 2))
-        expansion.evaluate(points[:1])  # builds the plan
+        surrogate.evaluate(points[:1])  # builds the plan
         tracemalloc.start()
         try:
-            expansion.evaluate(points)
+            surrogate.evaluate(points)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -514,8 +537,8 @@ class TestFitInterpolant:
         nodes = uniform_nodes(9)
         values = np.zeros(9)
         interp = fit_interpolant(k, nodes, values)
-        assert np.allclose(interp.coefficients, 0.0)
-        assert values @ interp.coefficients == 0.0
+        assert np.allclose(expansion_of(interp).coefficients, 0.0)
+        assert values @ expansion_of(interp).coefficients == 0.0
         xs = np.linspace(0, 1, 50).reshape(-1, 1)
         assert np.allclose(interp.evaluate(xs), 0.0)
 
@@ -527,7 +550,7 @@ class TestFitInterpolant:
         interp = fit_interpolant(k, nodes, gram[:, j])
         expected = np.zeros(10)
         expected[j] = 1.0
-        assert np.max(np.abs(interp.coefficients - expected)) <= 1e-8
+        assert np.max(np.abs(expansion_of(interp).coefficients - expected)) <= 1e-8
 
     def test_sin_l2_error_below_threshold(self):
         k = MaternKernel(beta=2.0, dim=1)
@@ -569,8 +592,8 @@ class TestFitInterpolant:
         values = np.exp(nodes.points.sum(axis=1))
         first = fit_interpolant(kernel, nodes, values)
         refit = fit_interpolant(kernel, nodes, first.evaluate(nodes.points))
-        assert np.max(np.abs(refit.coefficients - first.coefficients)) <= 1e-8 * max(
-            1.0, np.max(np.abs(first.coefficients))
+        assert np.max(np.abs(expansion_of(refit).coefficients - expansion_of(first).coefficients)) <= 1e-8 * max(
+            1.0, np.max(np.abs(expansion_of(first).coefficients))
         )
 
     def test_native_norm_nonnegative(self):
@@ -580,7 +603,7 @@ class TestFitInterpolant:
             nodes = generate_points(UNIT_INTERVAL, 20)
             values = rng.standard_normal(20)
             interp = fit_interpolant(k, nodes, values)
-            assert values @ interp.coefficients >= 0.0
+            assert values @ expansion_of(interp).coefficients >= 0.0
 
     def test_native_space_member_reproduced_exactly(self):
         k = MaternKernel(beta=2.0, dim=1)
@@ -752,7 +775,7 @@ class TestSolveSpd:
         for fit, v in zip(fits, values):
             fresh_cache(monkeypatch)
             fresh = fit_interpolant(kernel, nodes, v)
-            assert fit.coefficients.tobytes() == fresh.coefficients.tobytes()
+            assert expansion_of(fit).coefficients.tobytes() == expansion_of(fresh).coefficients.tobytes()
 
     @staticmethod
     def counted(calls, name, function):
@@ -973,9 +996,9 @@ class TestKroneckerSolve:
                 fits.append(
                     grid_fit(
                         [k, k], [sets[a], sets[b]], smooth_values(nodes)
-                    ).coefficients
+                    )
                 )
-            return fits
+            return [expansion_of(fit).coefficients for fit in fits]
 
         first, again = fit_all(), fit_all()
         assert sorted(decomposed) == [4, 8, 16]
@@ -1118,7 +1141,7 @@ class TestKroneckerSolve:
         scale = np.max(np.abs(values))
         off_node = np.random.default_rng(5).random((300, grid.dim))
         between = kernel.gram(off_node, grid.points)
-        assert np.max(np.abs(between @ (fit.coefficients - dense.coefficients))) <= (
+        assert np.max(np.abs(between @ (expansion_of(fit).coefficients - expansion_of(dense).coefficients))) <= (
             1e-9 * scale
         )
 
@@ -1461,14 +1484,15 @@ class TestPacketInverse:
         pairs = [(4, 8), (8, 4), (16, 16), (8, 16), (4, 4), (16, 8)]
 
         def fit_all():
-            return [
+            fits = [
                 grid_fit(
                     [k, k],
                     [sets[a], sets[b]],
                     smooth_values(tensor_grid([sets[a].points, sets[b].points])),
-                ).coefficients
+                )
                 for a, b in pairs
             ]
+            return [expansion_of(fit).coefficients for fit in fits]
 
         first, again = fit_all(), fit_all()
         assert built == [2.0] * 3

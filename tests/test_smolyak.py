@@ -496,3 +496,53 @@ class TestFitLoglogSlope:
         pts = [(1.0, 100.0), (2.0, 100.0)]
         pts += [(x, x**-1.0) for x in (10.0, 20.0, 40.0, 80.0)]
         assert fit_loglog_slope(pts, window=0.6) == pytest.approx(-1.0, abs=1e-10)
+
+
+def rates_table(gammas, betas=(1.0, 1.0), thresholds=range(2, 62)):
+    """``(L, work, error)`` of the closed-form problem ``prod_j (1 + N_j**-beta_j)``,
+    whose limit is 1, and the predicted rates.  The thresholds run to 61,
+    so that ``n + L <= 64``."""
+    factors = tuple(FactorSpec(gamma=g, beta=b) for g, b in zip(gammas, betas))
+    engine = SmolyakEngine(
+        product_problem([lambda n, b=b: 1.0 + float(n) ** -b for b in betas], factors)
+    )
+    rows = []
+    for L in thresholds:
+        value, ledger = engine.estimate(L)
+        rows.append((L, ledger.total_work, abs(1.0 - value)))
+    return np.array(rows), predicted_rates(factors)
+
+
+def log_exponent(rows, rho, low, high):
+    """``k`` of ``W ~ eps**-rho log(1/eps)**k`` over thresholds ``low..high``:
+    the slope of ``log W - rho log(1/eps)`` against ``log log(1/eps)``."""
+    L, work, error = rows.T
+    inside = (L >= low) & (L <= high)
+    decades = np.log(1.0 / error[inside])
+    return np.polyfit(np.log(decades), np.log(work[inside]) - rho * decades, 1)[0]
+
+
+def late_slope(rows):
+    """The log-log slope of error against work over the last three thresholds."""
+    return np.polyfit(np.log(rows[-3:, 1]), np.log(rows[-3:, 2]), 1)[0]
+
+
+class TestComplexityResults:
+    # The paper's two results on the closed-form problem: with a unique
+    # largest gamma_j / beta_j the work for error eps is eps**-rho with no
+    # log factor (k = 0); with n tied factors it is eps**-rho
+    # log(1/eps)**((n - 1)(1 + rho)), so k = 2 for two factors at rho = 1.
+    def test_unique_largest_ratio_has_no_log_factor(self):
+        rows, prediction = rates_table((1.0, 1.5))
+        assert prediction.rho == 1.5
+        # The exponent is approached from above as the thresholds grow.
+        windows = [log_exponent(rows, 1.5, *window) for window in ((20, 40), (30, 50), (40, 61))]
+        assert windows[0] > windows[1] > windows[2]
+        assert windows[2] <= 0.3
+        assert abs(late_slope(rows) - (-2.0 / 3.0)) <= 0.005
+
+    def test_tied_ratios_take_the_log_factor(self):
+        rows, prediction = rates_table((1.0, 1.0))
+        assert prediction.rho == 1.0 and prediction.n0 == 2
+        assert abs(log_exponent(rows, 1.0, 40, 61) - 2.0) <= 0.15
+        assert -1.0 < late_slope(rows) < -0.9

@@ -38,6 +38,7 @@ def grid_fit(factor_kernels, factor_points, values):
 
 
 def simple_terms():
+    """Two weighted fits, each a one-term surrogate."""
     k = MaternKernel(beta=2.0, dim=1)
     nodes_a = generate_points(UNIT_INTERVAL, 6)
     nodes_b = generate_points(UNIT_INTERVAL, 9)
@@ -47,7 +48,7 @@ def simple_terms():
 
 
 def simple_surrogate():
-    return Surrogate(terms=simple_terms())
+    return Surrogate.weighted_sum(simple_terms())
 
 
 def term_by_term(terms, points):
@@ -57,10 +58,11 @@ def term_by_term(terms, points):
     products, and the interpolation coefficients of an ill-conditioned fit
     are far larger than the values they produce.
     """
-    values = sum(c * e.evaluate(points) for c, e in terms)
+    values = sum(c * fit.evaluate(points) for c, fit in terms)
+    expansions = [(c, fit.terms[0][1]) for c, fit in terms]
     scale = sum(
         abs(c) * (np.abs(e.kernel.gram(points, e.nodes.points)) @ np.abs(e.coefficients))
-        for c, e in terms
+        for c, e in expansions
     )
     return values, scale
 
@@ -90,7 +92,7 @@ class TestSurrogateAlgebra:
         assert np.array_equal(doubled.coefficients, 2.0 * single.coefficients)
 
     def test_nodes_are_distinct_in_first_seen_order(self):
-        (_, ib), (_, ia) = simple_terms()
+        ib, ia = (fit.terms[0][1] for _, fit in simple_terms())
         (_, merged), = simple_surrogate().terms
         # Nested prefixes: the 6 nodes of ia are the first 6 of ib.
         assert np.array_equal(merged.nodes.points, ib.nodes.points)
@@ -111,18 +113,18 @@ class TestSurrogateAlgebra:
         fc = fit_interpolant(MaternKernel(beta=2.0, dim=2), disc, sine_product(disc.points))
         for other in (fb, fc):
             with pytest.raises(ValueError, match="one kernel and one domain"):
-                Surrogate(terms=((1.5, fa), (-0.5, other)))
+                Surrogate.weighted_sum(((1.5, fa), (-0.5, other)))
         # Members of one stack share each chunk's block profiles.
-        stack = Surrogate.stack([Surrogate(terms=((1.0, f),)) for f in (fa, fb)])
+        stack = Surrogate.stack([fa, fb])
         with pytest.raises(ValueError, match="share one kernel"):
             stack.evaluate(nodes.points)
 
 
 def incremental_sum(pairs):
-    """``c_0 v_0 + c_1 v_1 + ...``, merging after every term."""
+    """``c_0 v_0 + c_1 v_1 + ...`` of fits, merging after every term."""
     merged = ()
-    for pair in pairs:
-        merged = Surrogate(terms=merged + (pair,)).terms
+    for c, fit in pairs:
+        merged = Surrogate(terms=merged + ((c, fit.terms[0][1]),)).terms
     return Surrogate(terms=merged)
 
 
@@ -186,7 +188,7 @@ class TestMergedExpansion:
             interp = grid_fit([k, k], grids, samples)
             terms.append((term.coefficient, interp))
         (_, merged), = s.terms
-        assert len(merged.nodes) < sum(len(e.nodes) for _, e in terms)
+        assert len(merged.nodes) < sum(len(fit.terms[0][1].nodes) for _, fit in terms)
         assert_matches_term_by_term(s, terms, np.random.default_rng(1).random((300, 2)))
 
     def test_disc_surrogate_matches_term_by_term(self):
@@ -196,7 +198,7 @@ class TestMergedExpansion:
             nodes = generate_points(UNIT_DISC, count)
             values = np.cos(count * nodes.points[:, 0]) + nodes.points[:, 1]
             terms.append((weight, fit_interpolant(k, nodes, values)))
-        s = Surrogate(terms=tuple(terms))
+        s = Surrogate.weighted_sum(terms)
         (_, merged), = s.terms
         assert len(merged.nodes) == 32
         assert_matches_term_by_term(s, terms, generate_points(UNIT_DISC, 200).points)
@@ -221,7 +223,7 @@ class TestMergedExpansion:
             s.evaluate(np.array([[1.5]]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            s.evaluate(np.array([[1.5]]), check_domain=False)
+            s.evaluate(np.array([[0.5]]))
 
 
 def disc_family(rng):
@@ -232,10 +234,10 @@ def disc_family(rng):
         nodes = generate_points(UNIT_DISC, count)
         values = np.cos(nodes.points @ [1.3, -0.7]) + rng.normal(0.0, 0.01, count)
         fits[count] = fit_interpolant(kernel, nodes, values)
-    members = [Surrogate(terms=((1.0, fits[128]),))]
+    members = [fits[128]]
     for low, mid, high in ((8, 16, 32), (16, 32, 64), (32, 64, 128)):
         terms = ((1.0, fits[high]), (1.0, fits[mid]), (-1.0, fits[low]))
-        members.append(Surrogate(terms=terms))
+        members.append(Surrogate.weighted_sum(terms))
     points = rng.uniform(-1.0, 1.0, (3000, 2))
     return members, points[np.sum(points**2, axis=1) <= 1.0][:1200]
 
@@ -308,7 +310,7 @@ class TestStackedEvaluation:
         )
         members = [
             sparse_interpolate([kernel] * 2, [UNIT_INTERVAL] * 2, sine_product, L=4),
-            Surrogate(terms=((1.0, tensor),)),
+            tensor,
         ]
         points = rng.random((301, 2))
         assert_columns_match(Surrogate.stack(members).evaluate(points), members, points)
@@ -379,7 +381,7 @@ class TestOneEvaluationPath:
         nodes = generate_points(UNIT_DISC, 128)
         fit = fit_interpolant(MaternKernel(beta=3.0, dim=2), nodes, sine_product(nodes.points))
         points = 0.5 * np.random.default_rng(5).uniform(-1.0, 1.0, (20, 2))
-        expected = [Surrogate(terms=((1.0, fit),))(point) for point in points]
+        expected = [Surrogate(terms=fit.terms)(point) for point in points]
         layouts = []
         stack_layout = surrogate_module.stack_layout
 
@@ -402,7 +404,7 @@ class TestOneEvaluationPath:
 
         monkeypatch.setattr(Surrogate, "evaluate", counting_evaluate)
         members, points = stacked_family("disc")
-        ((_, fit),) = members[0].terms
+        fit = members[0]  # a fit is a one-term surrogate
         evaluations = [
             lambda: members[1].evaluate(points),
             lambda: members[1](points[0]),

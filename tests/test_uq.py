@@ -36,6 +36,8 @@ from kernelkit.uq import (
 
 UNIT_INTERVAL = Box((0.0,), (1.0,))
 UNIT_DISC = Disc(center=(0.0, 0.0), radius=1.0)
+# The study points of an ouu study at seed 0 with the default count.
+STUDY_POINTS = random_points(UNIT_DISC, 2048, seed=0)
 
 
 def parabola_factors():
@@ -439,10 +441,7 @@ class TestMinimizeObjective:
 def _zero_surrogate():
     kernel = MaternKernel(beta=4.0, dim=2)
     nodes = generate_points(UNIT_DISC, 3)
-    interp = fit_interpolant(kernel, nodes, np.zeros(3))
-    from kernelkit.surrogate import Surrogate
-
-    return Surrogate(terms=((1.0, interp),))
+    return fit_interpolant(kernel, nodes, np.zeros(3))
 
 
 class TestDeterminism:
@@ -496,7 +495,13 @@ class TestPdeSolvesColumn:
         reference_solves = len(calls)
         calls.clear()
         rows, _ = ouu_study(
-            stub_interp_factor, [3, 4, 5], seed=0, replications=2, reference_L=6, **settings
+            stub_interp_factor(),
+            [3, 4, 5],
+            seed=0,
+            eval_points=STUDY_POINTS,
+            replications=2,
+            reference_L=6,
+            **settings,
         )
         solves = [r["pde_solves"] for r in rows]
         assert solves == sorted(solves) and solves[0] < solves[-1]
@@ -818,7 +823,15 @@ class TestPlannedStore:
 
     def test_ouu_study_frees_the_field_factor(self):
         settings = dict(field_grid=Mesh(cells=4), max_cells=4)
-        ouu_study(stub_interp_factor, [3, 4], seed=0, replications=2, reference_L=5, **settings)
+        ouu_study(
+            stub_interp_factor(),
+            [3, 4],
+            seed=0,
+            eval_points=STUDY_POINTS,
+            replications=2,
+            reference_L=5,
+            **settings,
+        )
         assert _field_factor.cache_info().currsize == 0
 
     def test_planned_nodes_that_are_not_nested_raise(self):
@@ -858,7 +871,15 @@ class TestPlannedStore:
 
         monkeypatch.setattr(SmolyakEngine, "plan", recording)
         settings = dict(qoi=stub_qoi, field_grid=Mesh(cells=4), max_cells=4)
-        ouu_study(stub_interp_factor, [3, 5, 4], seed=0, replications=2, reference_L=6, **settings)
+        ouu_study(
+            stub_interp_factor(),
+            [3, 5, 4],
+            seed=0,
+            eval_points=STUDY_POINTS,
+            replications=2,
+            reference_L=6,
+            **settings,
+        )
         assert plans == [5, 5, 6]
 
 
@@ -952,7 +973,13 @@ class TestStudyWiring:
         monkeypatch.setattr(OuuPipeline, "__init__", recording)
         settings = dict(qoi=stub_qoi, field_grid=Mesh(cells=4), max_cells=4)
         ouu_study(
-            stub_interp_factor, [4, 3], seed=0, replications=3, reference_L=5, **settings
+            stub_interp_factor(),
+            [4, 3],
+            seed=0,
+            eval_points=STUDY_POINTS,
+            replications=3,
+            reference_L=5,
+            **settings,
         )
         streams = [(stream_of[id(engine)], L) for engine, L in estimate_log]
         assert streams == [(0, 5)] + [(r, L) for L in (3, 4) for r in (1, 2, 3)]
