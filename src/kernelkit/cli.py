@@ -377,6 +377,7 @@ def main(argv=None) -> int:
         ConditioningError,
         SlopeFitError,
         np.linalg.LinAlgError,
+        OverflowError,
     ) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 1

@@ -76,6 +76,7 @@ class _Key:
     positive: bool = False  # every value must be > 0
 
 
+# Sections and keys in the order of the canonical form (serialize_config).
 _SCHEMA: dict[str, dict[str, _Key]] = {
     "run": {
         "pipeline": _Key(_parse_word, choices=PIPELINES),
@@ -177,9 +178,6 @@ _MISC_BY_KERNEL = {
 # The sine-product integrand has no exact mean, so misc also reads the
 # threshold of its reference estimate; the parabola's exact mean ignores it.
 _MISC_SINE_PRODUCT = {"study": _read("study", "reference_l")}
-
-_SECTION_ORDER = ("run", "factors", "kernel", "interp", "misc", "pde", "ouu", "study")
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -450,11 +448,11 @@ def _format_value(value: Any) -> str:
 def serialize_config(config: RunConfig) -> str:
     """Canonical text form; parses back to an equal configuration."""
     lines = []
-    for name in _SECTION_ORDER:
+    for name, keys in _SCHEMA.items():
         if name not in config.sections:
             continue
         lines.append(f"[{name}]")
-        for key in _SCHEMA[name]:
+        for key in keys:
             if key in config.sections[name]:
                 lines.append(f"{key} = {_format_value(config.sections[name][key])}")
         lines.append("")

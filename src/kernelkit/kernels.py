@@ -20,14 +20,14 @@ place, in its rows of the Gram matrix (in a scaled copy of a caller's
 array through the public :meth:`MaternKernel.profile`), so a Gram matrix
 costs itself, one distance block and a few block-sized temporaries.
 
-A :class:`TensorKernel` multiplies Matern kernels on disjoint coordinate
-blocks; its Gram matrix, which the dense fits need, is the plain product
-of the block profiles.  Every multi-block node set a pipeline fits is a
-product grid, which the Kronecker solve below takes without a Gram
-matrix.  A kernel expansion never forms its points x nodes Gram matrix:
-it keeps a contraction plan of its nodes, which groups the coefficients
-by their other-block coordinates into dense matrices over a prefix of
-the last block's coordinates.  Every expansion a pipeline builds is a
+A :class:`TensorKernel` is the tuple of its factor kernels, Matern kernels
+on consecutive coordinate blocks; its Gram matrix, which the dense fits
+need, is the plain product of the block profiles.  Every multi-block node
+set a pipeline fits is a product grid, which the Kronecker solve below
+takes without a Gram matrix.  A kernel expansion never forms its points x
+nodes Gram matrix: it keeps a contraction plan of its nodes, which groups
+the coefficients by their other-block coordinates into dense matrices
+over a prefix of the last block's coordinates.  Every expansion a pipeline builds is a
 union of grids over nested prefixes, which those matrices tile with no
 zero entries, so evaluation is a few matrix products of the last block's
 profile with them, times gathers of the other blocks' profiles per group
@@ -42,7 +42,7 @@ system ``(K + jitter I) x = b`` with an escalating diagonal shift, followed
 by iterative refinement against the unshifted ``K`` so that node residuals
 stay below 1e-8 relative even when a shift was needed.  A
 :meth:`~kernelkit.points.PointSet.product` grid of two or more factors
-under ``TensorKernel.product`` of their kernels has
+under the :class:`TensorKernel` of their kernels has
 ``K = K_1 (x) ... (x) K_m``, read off the grid's factors
 (:meth:`TensorKernel.grid_factors`), and is solved through per-factor
 inverses, so it never forms ``K``; each Kronecker mode product is one
@@ -444,72 +444,62 @@ def distinct_rows(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class TensorKernel:
-    """Product of Matern kernels acting on disjoint coordinate blocks."""
+    """Product of Matern kernels on consecutive coordinate blocks, in order,
+    as a :meth:`PointSet.product` grid lays out its factors."""
 
-    blocks: tuple[tuple[MaternKernel, tuple[int, ...]], ...]
-
-    def __post_init__(self):
-        seen: list[int] = []
-        for kernel, coords in self.blocks:
-            if len(coords) != kernel.dim:
-                raise ValueError(
-                    f"block kernel dimension {kernel.dim} != slice length {len(coords)}"
-                )
-            seen.extend(coords)
-        if sorted(seen) != list(range(len(seen))):
-            raise ValueError(
-                f"coordinate slices must partition 0..d-1, got {sorted(seen)}"
-            )
-
-    @classmethod
-    def product(cls, factor_kernels: Sequence[MaternKernel]) -> "TensorKernel":
-        """The kernel of ``factor_kernels`` on consecutive coordinate blocks,
-        in order, as a :meth:`PointSet.product` grid lays out its factors."""
-        coords = _factor_coords(factor_kernels)
-        return cls(blocks=tuple(zip(factor_kernels, coords)))
+    kernels: tuple[MaternKernel, ...]
 
     @property
     def dim(self) -> int:
-        return sum(kernel.dim for kernel, _ in self.blocks)
+        return sum(kernel.dim for kernel in self.kernels)
+
+    @cached_property
+    def _columns(self) -> tuple[slice, ...]:
+        """Each factor's columns of a point array."""
+        columns, start = [], 0
+        for kernel in self.kernels:
+            columns.append(slice(start, start + kernel.dim))
+            start += kernel.dim
+        return tuple(columns)
 
     def split_nodes(self, nodes: PointSet) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Each block's distinct coordinate rows of a point set's points, in
+        """Each factor's distinct coordinate rows of a point set's points, in
         first-seen order, with the index back: one ``(rows, slot)`` pair per
-        block, the block columns of the points being ``rows[slot]``.
+        factor, the factor's columns of the points being ``rows[slot]``.
 
-        A point set is pairwise distinct, so a single block, which covers
+        A point set is pairwise distinct, so a single factor, which covers
         every coordinate, has no repeated rows to search for.
         """
-        if len(self.blocks) == 1:
-            ((_, coords),) = self.blocks
-            return [(nodes.points[:, list(coords)], np.arange(len(nodes)))]
+        if len(self.kernels) == 1:
+            return [(nodes.points, np.arange(len(nodes)))]
         split = []
-        for _, coords in self.blocks:
-            rows = nodes.points[:, list(coords)]
+        for columns in self._columns:
+            rows = nodes.points[:, columns]
             first, slot = distinct_rows(rows)
             split.append((rows[first], slot))
         return split
 
     def grid_factors(self, nodes: PointSet) -> list[np.ndarray] | None:
         """The factors' points of a :meth:`PointSet.product` grid of two or
-        more factors laid out as this kernel's blocks, in order; else None.
+        more factors of this kernel's factor dimensions, in order; else None.
 
-        The grid's Gram matrix is then the Kronecker product of the blocks'
-        Gram matrices over these points.  The structure is read off the
-        factors, never searched for, so the same points as a plain point
-        set get None.
+        The grid's Gram matrix is then the Kronecker product of the factor
+        kernels' Gram matrices over these points.  The structure is read off
+        the grid's factors, never searched for, so the same points as a
+        plain point set get None.
         """
         factors = nodes.factors
-        if len(factors) < 2 or [c for _, c in self.blocks] != _factor_coords(factors):
+        if len(factors) < 2 or [f.dim for f in factors] != [k.dim for k in self.kernels]:
             return None
         return [factor.points for factor in factors]
 
     def gram(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Kernel matrix ``prod_b phi_b(|x_b - y_b|)``: the product of the
-        blocks' profiles, in block order, in the first one's C-ordered array."""
+        factors' profiles, in order, in the first one's C-ordered array."""
         x, y = (np.atleast_2d(np.asarray(a, dtype=float)) for a in (x, y))
         profiles = (
-            kernel.gram(x[:, list(c)], y[:, list(c)]) for kernel, c in self.blocks
+            kernel.gram(x[:, columns], y[:, columns])
+            for kernel, columns in zip(self.kernels, self._columns)
         )
         out = next(profiles)
         for profile in profiles:
@@ -517,25 +507,14 @@ class TensorKernel:
         return out
 
 
-def _factor_coords(factors) -> list[tuple[int, ...]]:
-    """The consecutive coordinate blocks that ``factors``, each with a
-    ``dim``, fill in order."""
-    coords = []
-    offset = 0
-    for factor in factors:
-        coords.append(tuple(range(offset, offset + factor.dim)))
-        offset += factor.dim
-    return coords
-
-
-def single_block(kernel: MaternKernel) -> TensorKernel:
-    """Tensor kernel with one block covering all coordinates.
-
-    :func:`fit_interpolant` and :func:`quadrature_weights` wrap a bare
-    :class:`MaternKernel` in it; the ``misc`` pipeline's kernel quadrature
-    reaches it through the latter.
-    """
-    return TensorKernel(blocks=((kernel, tuple(range(kernel.dim))),))
+def _tensor_kernel(kernel: TensorKernel | MaternKernel, nodes: PointSet) -> TensorKernel:
+    """``kernel``, a bare :class:`MaternKernel` as the tensor kernel of one
+    factor, checked against the dimension of ``nodes``."""
+    if isinstance(kernel, MaternKernel):
+        kernel = TensorKernel(kernels=(kernel,))
+    if kernel.dim != nodes.dim:
+        raise ValueError(f"kernel dimension {kernel.dim} != node dimension {nodes.dim}")
+    return kernel
 
 
 def _solve_spd(kernel: TensorKernel, nodes: PointSet, rhs: np.ndarray) -> np.ndarray:
@@ -1046,18 +1025,17 @@ def _solve_kronecker(
     is not backward stable.
     """
     shape = tuple(len(rows) for rows in factors)
-    blocks = [block for block, _ in kernel.blocks]
 
     def entries(kind: str, build: Callable) -> list[tuple]:
         return [
             _FACTORED_GRAMS.get((block, rows.tobytes(), kind), partial(build, block, rows))
-            for block, rows in zip(blocks, factors)
+            for block, rows in zip(kernel.kernels, factors)
         ]
 
     def kron(matrices: Sequence[np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
         return lambda x: _kron_apply(matrices, x.reshape(shape)).ravel()
 
-    if all(_packet_order(block) is not None for block in blocks):
+    if all(_packet_order(block) is not None for block in kernel.kernels):
         packets = entries("packets", _packet_factor)
         grams = [entry[0] for entry in packets]
         inverses = [entry[1:] for entry in packets]
@@ -1296,17 +1274,12 @@ def evaluate_stacked(layout, points: np.ndarray) -> np.ndarray:
         # Points are taken as they come: study points do not repeat, so a
         # search for repeated block rows would only cost time.
         profiles = [
-            block.gram(pts[chunk, list(coords)], nodes)
-            for (block, coords), nodes in zip(kernel.blocks, node_rows)
+            block.gram(pts[chunk, columns], nodes)
+            for block, columns, nodes in zip(kernel.kernels, kernel._columns, node_rows)
         ]
         for j, (groups, last) in enumerate(members):
             out[chunk, j] = _contract(groups, [*profiles[:-1], profiles[-1][:, last]])
     return out
-
-
-def _require_matching_dims(kernel: TensorKernel, nodes: PointSet) -> None:
-    if kernel.dim != nodes.dim:
-        raise ValueError(f"kernel dimension {kernel.dim} != node dimension {nodes.dim}")
 
 
 @dataclass(frozen=True)
@@ -1324,7 +1297,7 @@ class KernelExpansion:
     coefficients: np.ndarray
 
     def __post_init__(self):
-        _require_matching_dims(self.kernel, self.nodes)
+        _tensor_kernel(self.kernel, self.nodes)
         shape = np.shape(self.coefficients)
         if shape != (len(self.nodes),):
             raise ValueError(
@@ -1339,12 +1312,13 @@ class KernelExpansion:
 
 def fit_interpolant(kernel: TensorKernel | MaternKernel, nodes: PointSet, values):
     """The minimum-norm kernel interpolant through ``values`` at ``nodes``:
-    the one-term :class:`~kernelkit.surrogate.Surrogate` of its expansion."""
+    the one-term :class:`~kernelkit.surrogate.Surrogate` of its expansion.
+
+    A bare :class:`MaternKernel` is fitted as the tensor kernel of one
+    factor."""
     from kernelkit.surrogate import Surrogate
 
-    if isinstance(kernel, MaternKernel):
-        kernel = single_block(kernel)
-    _require_matching_dims(kernel, nodes)
+    kernel = _tensor_kernel(kernel, nodes)
     rhs = np.asarray(values, dtype=float)
     if rhs.shape != (len(nodes),):
         raise ValueError(
@@ -1361,7 +1335,6 @@ class QuadratureRule:
 
     nodes: PointSet
     weights: np.ndarray
-    kernel: TensorKernel
     embeddings: np.ndarray  # integral of Phi(x_i, .) against the density
 
 
@@ -1384,10 +1357,10 @@ def quadrature_weights(
     The weights solve ``K w = c`` where ``c_i`` is the integral of
     ``Phi(x_i, .)`` against the uniform probability density, computed with
     a fixed tensor Gauss-Legendre reference rule (64 points per axis).
+    A bare :class:`MaternKernel`, which the ``misc`` pipeline's kernel
+    quadrature passes, is the tensor kernel of one factor.
     """
-    if isinstance(kernel, MaternKernel):
-        kernel = single_block(kernel)
-    _require_matching_dims(kernel, nodes)
+    kernel = _tensor_kernel(kernel, nodes)
     box = nodes.domain
     if not isinstance(box, Box):
         raise ValueError("quadrature weights require a box domain")
@@ -1407,7 +1380,5 @@ def quadrature_weights(
     weights = _solve_spd(kernel, nodes, embeddings)
     weights.setflags(write=False)
     embeddings.setflags(write=False)
-    return QuadratureRule(
-        nodes=nodes, weights=weights, kernel=kernel, embeddings=embeddings
-    )
+    return QuadratureRule(nodes=nodes, weights=weights, embeddings=embeddings)
 

@@ -56,6 +56,7 @@ from scipy.linalg.blas import dtrmm
 from scipy.linalg.lapack import dgbsv, dpbsv, dpotrf
 
 from kernelkit.points import Box
+from kernelkit.smolyak import scaled_exponential_map
 
 _FIELD_NUGGET = 1e-10
 _FIELD_NUGGET_FALLBACK = 1e-8
@@ -200,15 +201,13 @@ def pde_resolution_map(
     the mesh family by rounding to a cell count; the returned resolution
     is the realized ``cells**2``, so the engine's ``resolution**gamma``
     charge equals the ``(mesh size)**gamma`` solver-work model exactly.
-    ``scale`` shifts the subsequence without touching any exponent.
+    ``scale`` shifts the subsequence without touching any exponent
+    (:func:`~kernelkit.smolyak.scaled_exponential_map`).
     """
-    if scale <= 0:
-        raise ValueError(f"scale must be positive, got {scale}")
-    t = 1.0 / (work_exponent + convergence_exponent)
+    target = scaled_exponential_map(work_exponent, convergence_exponent, scale)
 
     def mapped(level: int) -> int:
-        target = math.ceil(scale * math.exp(t * level))
-        return mesh_cells_for_resolution(target, max_cells) ** 2
+        return mesh_cells_for_resolution(target(level), max_cells) ** 2
 
     return mapped
 

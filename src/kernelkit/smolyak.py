@@ -106,22 +106,36 @@ def level_to_resolution(factor: FactorSpec, level: int) -> int:
         if value < 1:
             raise ValueError(f"resolution map returned {value} at level {level}")
         return value
-    return math.ceil(math.exp(factor.t * level))
+    return scaled_exponential_map(factor.gamma, factor.beta, 1.0)(level)
 
 
 def scaled_exponential_map(gamma: float, beta: float, scale: float) -> Callable[[int], int]:
-    """Resolution map ``ceil(scale * exp(t*l))`` with ``t = 1/(gamma+beta)``.
+    """Resolution map ``ceil(scale * exp(t*l))`` with ``t = 1/(gamma+beta)``:
+    the one exponential level map, which :func:`level_to_resolution` takes
+    at ``scale = 1`` and :func:`kernelkit.pde.pde_resolution_map` rounds to
+    a mesh.
 
     Prefactors do not change any convergence or work exponent; they shift
     a subsequence so that its coarsest members are already meaningful,
-    which matters at small thresholds.
+    which matters at small thresholds.  A level at which ``scale *
+    exp(t*l)`` is not a finite float raises OverflowError naming the map
+    and the level.
     """
     if scale <= 0:
         raise ValueError(f"scale must be positive, got {scale}")
     t = 1.0 / (gamma + beta)
 
     def mapped(level: int) -> int:
-        return math.ceil(scale * math.exp(t * level))
+        try:
+            value = scale * math.exp(t * level)
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            raise OverflowError(
+                f"level map ceil({scale!r} * exp(l / ({gamma!r} + {beta!r}))) "
+                f"is not a finite float at level {level}"
+            )
+        return math.ceil(value)
 
     return mapped
 

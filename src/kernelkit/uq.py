@@ -78,9 +78,10 @@ def cached_mesh(cells: int) -> Mesh:
     return Mesh(cells=cells)
 
 
-def random_points(domain: Domain, count: int, seed: int, stream: int = 101) -> np.ndarray:
-    """Deterministic pseudo-random evaluation points inside a domain."""
-    rng = philox_generator(seed, stream)
+def random_points(domain: Domain, count: int, seed: int) -> np.ndarray:
+    """Deterministic pseudo-random evaluation points inside a domain, from
+    stream 101 of ``seed`` (:func:`~kernelkit.pde.philox_generator`)."""
+    rng = philox_generator(seed, 101)
     if isinstance(domain, Box):
         return domain.from_unit(rng.random((count, domain.dim)))
     if isinstance(domain, Disc):
@@ -267,7 +268,7 @@ def interpolation_problem(
     grid's rows in :func:`~kernelkit.points.tensor_grid` order.  ``plan``
     is the problem's planning hook (:class:`~kernelkit.smolyak.ProblemSpec`).
     """
-    kernel = TensorKernel.product([f.kernel for f in interp_factors])
+    kernel = TensorKernel(kernels=tuple(f.kernel for f in interp_factors))
     count = len(interp_factors)
 
     def evaluator(resolutions: tuple[int, ...]):
@@ -615,7 +616,6 @@ class OuuObjective:
     """
 
     surrogate: Surrogate
-    penalty_weight: float = 0.1
     _values: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __call__(self, z) -> float:
@@ -623,7 +623,7 @@ class OuuObjective:
         key = z.tobytes()
         value = self._values.get(key)
         if value is None:
-            value = float(self.surrogate(z)) + self.penalty_weight * float(z @ z)
+            value = float(self.surrogate(z)) + 0.1 * float(z @ z)
             self._values[key] = value
         return value
 

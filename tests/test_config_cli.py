@@ -3,6 +3,7 @@ import glob
 import hashlib
 import importlib.util
 import os
+import re
 import sys
 
 import numpy as np
@@ -788,6 +789,44 @@ class TestCliRuns:
         assert err.startswith("numerical failure: log-log slope fit needs positive values")
         assert "Traceback" not in err
         # The manifest comes first; the study's artifacts only after a fit.
+        assert sorted(os.listdir(out)) == ["manifest.txt"]
+
+    @pytest.mark.parametrize(
+        "example, edit, level",
+        [
+            (
+                "rates",
+                lambda text: re.sub(r"(?m)^(gamma|beta) = .*", r"\1 = 0.001, 0.001", text),
+                2,
+            ),
+            (
+                "misc-synthetic",
+                lambda text: text + "sample_gamma = 0.001\nsample_kappa = 0.001\n",
+                2,
+            ),
+            (
+                "rsr-bump",
+                lambda text: text + "[pde]\nwork_exponent = 0.001\nconvergence_exponent = 0.001\n",
+                7,
+            ),
+            ("ouu-advection", lambda text: text + "[ouu]\nmc_scale = 1e308\n", 1),
+        ],
+        ids=["rates", "misc", "rsr", "ouu"],
+    )
+    def test_overflowing_level_map_is_a_numerical_failure(
+        self, tmp_path, capsys, example, edit, level
+    ):
+        # Each edited example admits a level map ceil(scale * exp(l / (gamma
+        # + beta))) that passes the largest float within its levels.
+        with open(os.path.join(ROOT, "docs", "examples", f"{example}.cfg")) as handle:
+            cfg = self.write(tmp_path, edit(handle.read()))
+        out = tmp_path / "overflow"
+        assert main(["--config", cfg, "--out", str(out), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: level map ceil(")
+        assert err.endswith(f" at level {level}\n")
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
         assert sorted(os.listdir(out)) == ["manifest.txt"]
 
     @pytest.mark.parametrize("pipeline", PIPELINES)

@@ -20,7 +20,6 @@ from kernelkit.kernels import (
     TensorKernel,
     fit_interpolant,
     quadrature_weights,
-    single_block,
 )
 from kernelkit.multiindex import combination_coefficients
 from kernelkit.points import (
@@ -43,7 +42,7 @@ UNIT_SQUARE = Box((0.0, 0.0), (1.0, 1.0))
 def grid_fit(factor_kernels, factor_points, values):
     """The tensor-product interpolant on the product of per-factor point sets."""
     return fit_interpolant(
-        TensorKernel.product(factor_kernels), PointSet.product(factor_points), values
+        TensorKernel(kernels=tuple(factor_kernels)), PointSet.product(factor_points), values
     )
 
 
@@ -331,18 +330,11 @@ class TestTensorKernel:
     def test_block_product(self):
         ka = MaternKernel(beta=2.0, dim=1)
         kb = MaternKernel(beta=1.0, dim=1)
-        tensor = TensorKernel(blocks=((ka, (0,)), (kb, (1,))))
+        tensor = TensorKernel(kernels=(ka, kb))
         x = np.array([[0.1, 0.7]])
         y = np.array([[0.4, 0.2]])
         expected = ka.gram([0.1], [0.4])[0, 0] * kb.gram([0.7], [0.2])[0, 0]
         assert tensor.gram(x, y)[0, 0] == pytest.approx(expected, rel=1e-13)
-
-    def test_rejects_bad_partition(self):
-        ka = MaternKernel(beta=2.0, dim=1)
-        with pytest.raises(ValueError):
-            TensorKernel(blocks=((ka, (0,)), (ka, (0,))))
-        with pytest.raises(ValueError):
-            TensorKernel(blocks=((ka, (0, 1)),))
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -360,13 +352,8 @@ class TestTensorKernel:
                 ]
             )
         )
-        blocks, offset = [], 0
-        for beta, dim in layout:
-            blocks.append(
-                (MaternKernel(beta=beta, dim=dim), tuple(range(offset, offset + dim)))
-            )
-            offset += dim
-        tensor = TensorKernel(blocks=tuple(blocks))
+        tensor = layout_kernel(layout)
+        offset = tensor.dim
         # A small pool makes block coordinates repeat; -0.0 sits next to 0.0.
         coordinate = st.one_of(
             st.sampled_from([0.0, -0.0, 0.5, 1.0]),
@@ -383,8 +370,10 @@ class TestTensorKernel:
 
         x, y = points("x"), points("y")
         expected = np.ones((len(x), len(y)))
-        for kernel, coords in tensor.blocks:
-            idx = list(coords)
+        start = 0
+        for kernel in tensor.kernels:
+            idx = list(range(start, start + kernel.dim))
+            start += kernel.dim
             expected *= kernel.profile(cdist(x[:, idx], y[:, idx]))
         gram = tensor.gram(x, y)
         assert gram.flags.c_contiguous
@@ -424,7 +413,7 @@ def unit_box(dim):
 
 def layout_kernel(layout):
     """Tensor kernel of a layout, its blocks on consecutive coordinates."""
-    return TensorKernel.product([MaternKernel(beta=beta, dim=dim) for beta, dim in layout])
+    return TensorKernel(kernels=tuple(MaternKernel(beta=beta, dim=dim) for beta, dim in layout))
 
 
 def merged_sparse_grid(layout, L, resolution, rng):
@@ -525,7 +514,7 @@ class TestKernelExpansionEvaluation:
 
     def test_rejects_coefficients_that_do_not_match_the_nodes(self):
         nodes = uniform_nodes(13)
-        kernel = single_block(MaternKernel(beta=2.0, dim=1))
+        kernel = TensorKernel(kernels=(MaternKernel(beta=2.0, dim=1),))
         for coefficients in (np.zeros(12), np.zeros((13, 1))):
             with pytest.raises(ValueError, match=r"13 nodes.*shape \(1[23],"):
                 KernelExpansion(kernel, nodes, coefficients)
@@ -545,7 +534,7 @@ class TestFitInterpolant:
     def test_kernel_translate_gives_unit_vector(self):
         k = MaternKernel(beta=2.0, dim=1)
         nodes = uniform_nodes(10)
-        gram = single_block(k).gram(nodes.points, nodes.points)
+        gram = TensorKernel(kernels=(k,)).gram(nodes.points, nodes.points)
         j = 4
         interp = fit_interpolant(k, nodes, gram[:, j])
         expected = np.zeros(10)
@@ -609,7 +598,7 @@ class TestFitInterpolant:
         k = MaternKernel(beta=2.0, dim=1)
         centers = uniform_nodes(7)
         coeffs = np.array([0.5, -1.0, 2.0, 0.3, -0.7, 1.1, -0.2])
-        tensor = single_block(k)
+        tensor = TensorKernel(kernels=(k,))
 
         def f(x):
             return tensor.gram(x, centers.points) @ coeffs
@@ -636,7 +625,7 @@ class TestFitInterpolant:
         with pytest.raises(ValueError, match=message):
             fit_interpolant(k, nodes, np.zeros(12))
         with pytest.raises(ValueError, match=message):
-            KernelExpansion(single_block(k), nodes, np.zeros(12))
+            KernelExpansion(TensorKernel(kernels=(k,)), nodes, np.zeros(12))
         with pytest.raises(ValueError, match=message):
             quadrature_weights(k, nodes)
 
@@ -672,7 +661,7 @@ class TestFitInterpolant:
         ]
         for kernel, nodes in cases:
             assert nodes.min_separation >= 1e-3
-            tensor = single_block(kernel)
+            tensor = TensorKernel(kernels=(kernel,))
             gram = tensor.gram(nodes.points, nodes.points)
             bound = 1e-8 * np.trace(gram) / len(nodes)
             np.linalg.cholesky(gram + bound * np.eye(len(nodes)))
@@ -749,7 +738,7 @@ class TestSolveSpd:
             return factor(a, **kwargs)
 
         monkeypatch.setattr(kernels_module, "cho_factor", failing_first)
-        kernel = single_block(MaternKernel(beta=2.0, dim=2))
+        kernel = TensorKernel(kernels=(MaternKernel(beta=2.0, dim=2),))
         nodes = generate_points(UNIT_SQUARE, 60)
         rhs = np.random.default_rng(3).standard_normal(60)
         solution = kernels_module._solve_spd(kernel, nodes, rhs)
@@ -921,8 +910,7 @@ class TestKroneckerSolve:
             raise AssertionError("a grid of half-integer factors was eigendecomposed")
 
         monkeypatch.setattr(kernels_module, "cho_factor", no_dense)
-        blocks = [block for block, _ in kernel.blocks]
-        packets = all(kernels_module._packet_order(block) is not None for block in blocks)
+        packets = all(kernels_module._packet_order(block) is not None for block in kernel.kernels)
         if packets:
             monkeypatch.setattr(np.linalg, "eigh", no_eigh)
         solution = kernels_module._solve_spd(kernel, nodes, rhs)
@@ -942,10 +930,7 @@ class TestKroneckerSolve:
         # Two points of the first factor are 1e-13 apart: its Gram matrix is
         # numerically singular and the values differ there.
         kernel = TensorKernel(
-            blocks=(
-                (MaternKernel(beta=2.0, dim=1), (0,)),
-                (MaternKernel(beta=1.5, dim=1), (1,)),
-            )
+            kernels=(MaternKernel(beta=2.0, dim=1), MaternKernel(beta=1.5, dim=1))
         )
         first = PointSet(
             points=np.array([[0.0], [0.5], [0.5 + 1e-13], [1.0]]), domain=UNIT_INTERVAL
@@ -953,7 +938,7 @@ class TestKroneckerSolve:
         grids = [first, generate_points(UNIT_INTERVAL, 3)]
         values = np.random.default_rng(1).standard_normal(12)
         with pytest.raises(ConditioningError, match="node residual") as caught:
-            grid_fit([k for k, _ in kernel.blocks], grids, values)
+            grid_fit(kernel.kernels, grids, values)
         assert caught.value.node_count == 12
 
     def test_spectrum_not_positive_at_largest_shift_raises(
@@ -1114,7 +1099,7 @@ class TestKroneckerSolve:
 
     def test_split_nodes_skips_the_search_for_one_block(self, monkeypatch):
         nodes = generate_points(UNIT_SQUARE, 40)
-        one = single_block(MaternKernel(beta=2.0, dim=2))
+        one = TensorKernel(kernels=(MaternKernel(beta=2.0, dim=2),))
 
         def no_search(points):
             raise AssertionError("distinct rows searched for a point set")
@@ -1235,15 +1220,15 @@ def mp_off_node_error(kernel, nodes, rhs, solution, points):
     as_mp = np.vectorize(mpmath.mpf, otypes=[object])
     with mpmath.workdps(50):
         exact = as_mp(rhs).reshape(shape)
-        for axis, ((block, _), rows) in enumerate(zip(kernel.blocks, factors)):
+        for axis, (block, rows) in enumerate(zip(kernel.kernels, factors)):
             columns = mp_inverse_columns(mp_gram(block, rows[:, 0]), range(len(rows)))
             inverse = np.array(columns, dtype=object).T
             exact = np.moveaxis(np.tensordot(inverse, exact, axes=(1, axis)), 0, axis)
         # The difference of the two expansions, contracted one block at a
         # time: (points or 1, n_j, rest).
         contracted = (as_mp(solution).reshape(shape) - exact).reshape(1, *shape)
-        for (block, coords), rows in zip(kernel.blocks, factors):
-            profile = np.array(mp_gram(block, points[:, coords[0]], rows[:, 0]), dtype=object)
+        for axis, (block, rows) in enumerate(zip(kernel.kernels, factors)):
+            profile = np.array(mp_gram(block, points[:, axis], rows[:, 0]), dtype=object)
             rest = contracted.reshape(len(contracted), len(rows), -1)
             contracted = (profile[:, :, None] * rest).sum(axis=1)
         return float(max(abs(d) for d in contracted[:, 0]))
@@ -1524,7 +1509,7 @@ class TestQuadratureWeights:
         k = MaternKernel(beta=2.0, dim=1)
         nodes = uniform_nodes(21)
         rule = quadrature_weights(k, nodes)
-        tensor = single_block(k)
+        tensor = TensorKernel(kernels=(k,))
         for i in (0, 7, 20):
             samples = tensor.gram(nodes.points, nodes.points[i : i + 1])[:, 0]
             assert rule.weights @ samples == pytest.approx(
@@ -1575,7 +1560,7 @@ class TestQuadratureWeights:
         # one 40 x 64**3 array alone would take 5 chunks.
         assert peak <= 4 * chunk_bytes
         grid, grid_w = kernels_module._gauss_legendre_grid(box, 64)
-        whole = single_block(k).gram(nodes.points[:12], grid) @ grid_w
+        whole = TensorKernel(kernels=(k,)).gram(nodes.points[:12], grid) @ grid_w
         np.testing.assert_allclose(rule.embeddings[:12], whole, rtol=1e-13)
 
 

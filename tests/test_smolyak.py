@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from kernelkit.multiindex import combination_coefficients
+from kernelkit.pde import pde_resolution_map
 from kernelkit.smolyak import (
     EvaluationError,
     FactorSpec,
@@ -16,6 +17,7 @@ from kernelkit.smolyak import (
     fit_loglog_slope,
     level_to_resolution,
     predicted_rates,
+    scaled_exponential_map,
 )
 
 
@@ -64,6 +66,38 @@ class TestLevelToResolution:
         f = FactorSpec(gamma=1.0, beta=1.0, resolution_map=lambda l: 2 ** l)
         assert level_to_resolution(f, 3) == 8
         assert level_to_resolution(f, 0) == 0
+
+    @pytest.mark.parametrize("gamma, beta", [(1.0, 1.0), (1.5, 1.0), (1.0, 0.5), (0.3, 0.7)])
+    def test_default_map_is_the_exponential_map_at_scale_one(self, gamma, beta):
+        f = FactorSpec(gamma=gamma, beta=beta)
+        mapped = scaled_exponential_map(gamma, beta, 1.0)
+        for level in range(1, 60):
+            expected = math.ceil(math.exp(1.0 / (gamma + beta) * level))
+            assert level_to_resolution(f, level) == mapped(level) == expected
+
+    @pytest.mark.parametrize("scale", [0.0, -1.0])
+    def test_exponential_maps_refuse_a_nonpositive_scale(self, scale):
+        with pytest.raises(ValueError, match="scale must be positive"):
+            scaled_exponential_map(1.0, 0.5, scale)
+        with pytest.raises(ValueError, match="scale must be positive"):
+            pde_resolution_map(1.5, 1.0, max_cells=64, scale=scale)
+
+    @pytest.mark.parametrize(
+        "mapped, level",
+        [
+            # exp itself overflows at level 2 ...
+            (lambda l: level_to_resolution(FactorSpec(gamma=0.001, beta=0.001), l), 2),
+            (pde_resolution_map(0.001, 0.001, max_cells=64), 2),
+            # ... and the scale takes a finite exp past the largest float.
+            (scaled_exponential_map(1.0, 0.5, 1e308), 1),
+        ],
+        ids=["default", "pde", "scaled"],
+    )
+    def test_overflow_names_the_map_and_the_level(self, mapped, level):
+        if level > 1:
+            assert mapped(level - 1) >= 1
+        with pytest.raises(OverflowError, match=rf"^level map ceil\(.*\) .* at level {level}$"):
+            mapped(level)
 
 
 class TestPredictedRates:

@@ -12,7 +12,6 @@ from kernelkit.kernels import (
     MaternKernel,
     TensorKernel,
     fit_interpolant,
-    single_block,
 )
 from kernelkit.multiindex import (
     combination_coefficients,
@@ -33,7 +32,7 @@ UNIT_DISC = Disc(center=(0.0, 0.0), radius=1.0)
 def grid_fit(factor_kernels, factor_points, values):
     """The tensor-product interpolant on the product of per-factor point sets."""
     return fit_interpolant(
-        TensorKernel.product(factor_kernels), PointSet.product(factor_points), values
+        TensorKernel(kernels=tuple(factor_kernels)), PointSet.product(factor_points), values
     )
 
 
@@ -205,7 +204,7 @@ class TestMergedExpansion:
 
     @pytest.mark.parametrize("offset", [None, -1, 0, 1])
     def test_chunked_evaluation_matches_one_gram(self, offset):
-        kernel = single_block(MaternKernel(beta=2.0, dim=2))
+        kernel = TensorKernel(kernels=(MaternKernel(beta=2.0, dim=2),))
         nodes = generate_points(UNIT_SQUARE, 1000)
         coefficients = np.random.default_rng(4).standard_normal(1000)
         s = Surrogate(terms=((1.0, KernelExpansion(kernel, nodes, coefficients)),))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from kernelkit.kernels import MaternKernel, fit_interpolant, single_block
+from kernelkit.kernels import MaternKernel, TensorKernel, fit_interpolant
 from kernelkit.pde import AdvectionDiffusionProblem, GaussianFieldSampler, Mesh, _field_factor
 from kernelkit.points import Box, Disc, PointSet, generate_points
 from kernelkit.smolyak import (
@@ -206,7 +206,7 @@ class TestResponseSurface:
         factor = interpolation_factor(kernel, UNIT_INTERVAL)
         anchors = factor.points(level_to_resolution(factor.spec, 1))
         coeffs = np.array([1.5, -0.75])
-        tensor = single_block(kernel)
+        tensor = TensorKernel(kernels=(kernel,))
 
         def target(pts):
             return tensor.gram(pts, anchors.points) @ coeffs
@@ -399,9 +399,7 @@ class TestMinimizeObjective:
         assert value <= 1e-6
 
     def test_pure_penalty(self):
-        objective = OuuObjective(
-            surrogate=_zero_surrogate(), penalty_weight=0.1
-        )
+        objective = OuuObjective(surrogate=_zero_surrogate())
         z, _ = minimize_objective(objective, restarts=6)
         assert np.linalg.norm(z) <= 1e-3
 
