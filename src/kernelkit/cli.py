@@ -36,9 +36,14 @@ from kernelkit.config import (
     serialize_config,
 )
 from kernelkit.kernels import ConditioningError
-from kernelkit.pde import l2_error_against, mesh_at_level, solve_poisson_dirichlet
+from kernelkit.pde import (
+    BumpDiffusionProblem,
+    l2_error_against,
+    mesh_at_level,
+    solve_poisson_dirichlet,
+)
 from kernelkit.points import Box, Disc
-from kernelkit.points import generate_points  # noqa: F401 - bench/tests patch it here
+from kernelkit.points import generate_points  # noqa: F401 - bench/tests read this binding
 from kernelkit.smolyak import (
     EvaluationError,
     FactorSpec,
@@ -207,8 +212,6 @@ def _run_misc(config: RunConfig, seed: int) -> _Study:
 
 
 def _run_rsr(config: RunConfig, seed: int) -> _Study:
-    from kernelkit.pde import BumpDiffusionProblem
-
     k = config.section("kernel")
     p = config.section("pde")
     problem = BumpDiffusionProblem(n_bumps=p["bumps"])

@@ -175,8 +175,10 @@ _MISC_BY_KERNEL = {
     "kernel": _KERNEL,
     "misc": {key: spec for key, spec in _SCHEMA["misc"].items() if key != "quad_beta"},
 }
-# The sine-product integrand has no exact mean, so misc also reads the
-# threshold of its reference estimate; the parabola's exact mean ignores it.
+# misc compares the sine-product integrand against a reference estimate, so
+# it also reads that estimate's threshold; the parabola's exact mean ignores
+# it.  The sine product's mean over the unit cube is 0, and using it instead
+# changes a published golden, a decision recorded as ROADMAP direction 16.
 _MISC_SINE_PRODUCT = {"study": _read("study", "reference_l")}
 
 @dataclass(frozen=True)

@@ -176,8 +176,6 @@ class RatePrediction:
 
     rho: float
     n0: int
-    g: tuple[float, ...]
-    b: tuple[float, ...]
     b_min: float
     slope: float
 
@@ -186,25 +184,17 @@ def predicted_rates(factors: Sequence[FactorSpec]) -> RatePrediction:
     """Predict the error-versus-work exponent for a factor collection.
 
     Returns ``rho = max_j gamma_j/beta_j``, its multiplicity ``n0``
-    (ties detected with relative tolerance 1e-9), the per-factor work and
-    error shares ``g_j = gamma_j/(gamma_j+beta_j)`` and ``b_j = 1 - g_j``,
-    and the predicted log-log slope ``-1/rho`` of error against work.
+    (ties detected with relative tolerance 1e-9), the least error share
+    ``b_min = min_j beta_j/(gamma_j+beta_j)``, and the predicted log-log
+    slope ``-1/rho`` of error against work.
     """
     if len(factors) < 1:
         raise ValueError("need at least one factor")
     ratios = [f.gamma / f.beta for f in factors]
     rho = max(ratios)
     n0 = sum(1 for r in ratios if r >= rho * (1.0 - _TIE_RTOL))
-    g = tuple(f.gamma / (f.gamma + f.beta) for f in factors)
-    b = tuple(f.beta / (f.gamma + f.beta) for f in factors)
-    return RatePrediction(
-        rho=rho,
-        n0=n0,
-        g=g,
-        b=b,
-        b_min=min(b),
-        slope=-1.0 / rho,
-    )
+    b_min = min(f.beta / (f.gamma + f.beta) for f in factors)
+    return RatePrediction(rho=rho, n0=n0, b_min=b_min, slope=-1.0 / rho)
 
 
 @dataclass

@@ -101,36 +101,30 @@ class QuadratureFactor:
     rule: Callable[[int], tuple[np.ndarray, np.ndarray]]
 
 
-def midpoint_quadrature_factor(
-    gamma: float = 1.0, beta: float = 2.0
-) -> QuadratureFactor:
-    """Composite midpoint rule on [0, 1] (order-2 on smooth integrands)."""
+def midpoint_quadrature_factor(beta: float = 2.0) -> QuadratureFactor:
+    """Composite midpoint rule on [0, 1] at unit work per node (order-2 on
+    smooth integrands)."""
 
     def rule(count: int):
         pts = ((np.arange(count) + 0.5) / count).reshape(-1, 1)
         return pts, np.full(count, 1.0 / count)
 
     return QuadratureFactor(
-        spec=FactorSpec(gamma=gamma, beta=beta, label="midpoint"), rule=rule
+        spec=FactorSpec(gamma=1.0, beta=beta, label="midpoint"), rule=rule
     )
 
 
 def kernel_quadrature_factor(
     kernel: MaternKernel,
     domain: Box,
-    gamma: float = 1.0,
     alpha: float = 0.0,
 ) -> QuadratureFactor:
     """Kernel quadrature on nested points; rules are cached per node count.
 
     It integrates the kernel interpolant, so it converges at the rate of
-    :func:`interpolation_factor`.
+    :func:`interpolation_factor`, at the same unit work per node.
     """
-    spec = replace(
-        interpolation_factor(kernel, domain, alpha).spec,
-        gamma=gamma,
-        label="kernel-quadrature",
-    )
+    spec = replace(interpolation_factor(kernel, domain, alpha).spec, label="kernel-quadrature")
     cache: dict[int, QuadratureRule] = {}
 
     def rule(count: int):

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from kernelkit.cli import main
-from kernelkit import sparse_interpolate
 from kernelkit.kernels import MaternKernel, fit_interpolant
 from kernelkit.multiindex import combination_coefficients, enumerate_simplex
 from kernelkit.pde import (
@@ -31,7 +30,7 @@ from kernelkit.smolyak import (
     fit_loglog_slope,
     level_to_resolution,
 )
-from kernelkit.uq import random_points
+from kernelkit.uq import random_points, sparse_interpolate
 
 UNIT_INTERVAL = Box((0.0,), (1.0,))
 

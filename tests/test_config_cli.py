@@ -22,12 +22,11 @@ from kernelkit.config import (
     parse_config,
     serialize_config,
 )
-from kernelkit import sparse_interpolate
 from kernelkit.kernels import MaternKernel
 from kernelkit.points import Box
 from kernelkit.smolyak import SlopeFitError
 from kernelkit.surrogate import Surrogate
-from kernelkit.uq import random_points
+from kernelkit.uq import random_points, sparse_interpolate
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -19,6 +22,8 @@ from kernelkit.smolyak import (
     predicted_rates,
     scaled_exponential_map,
 )
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def product_problem(value_tables, factors):
@@ -580,3 +585,23 @@ class TestComplexityResults:
         assert prediction.rho == 1.0 and prediction.n0 == 2
         assert abs(log_exponent(rows, 1.0, 40, 61) - 2.0) <= 0.15
         assert -1.0 < late_slope(rows) < -0.9
+
+
+@pytest.mark.parametrize("module", ["kernelkit.smolyak", "kernelkit.multiindex", "kernelkit.points"])
+def test_generic_engine_imports_without_scipy_or_pipelines(module):
+    # The engine is usable on its own: importing it loads no scipy and none
+    # of the kernel, PDE, surrogate or pipeline modules.
+    code = (
+        f"import sys, {module}; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m in "
+        "{f'kernelkit.{n}' for n in ('kernels', 'pde', 'uq', 'surrogate', 'config', 'cli')}))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=SRC),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]", result.stdout

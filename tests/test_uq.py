@@ -41,7 +41,7 @@ STUDY_POINTS = random_points(UNIT_DISC, 2048, seed=0)
 
 
 def parabola_factors():
-    quad = midpoint_quadrature_factor(gamma=1.0, beta=2.0)
+    quad = midpoint_quadrature_factor(beta=2.0)
     sample = synthetic_bias_factor(lambda pts: pts[:, 0] ** 2, gamma=1.0, kappa=1.0)
     return quad, sample
 
@@ -180,9 +180,9 @@ class TestInterpolationFactor:
     def test_kernel_quadrature_converges_at_the_interpolation_rate(self):
         kernel = MaternKernel(beta=3.0, dim=2)
         box = Box((0.0, 0.0), (1.0, 1.0))
-        quad = kernel_quadrature_factor(kernel, box, gamma=2.0, alpha=1.0)
+        quad = kernel_quadrature_factor(kernel, box, alpha=1.0)
         assert quad.spec.beta == interpolation_factor(kernel, box, alpha=1.0).spec.beta == 1.0
-        assert quad.spec.gamma == 2.0
+        assert quad.spec.gamma == 1.0
 
     def test_ouu_sample_specs_are_the_pipeline_factors(self):
         scales = dict(mc_scale=2.0, pde_scale=1.5, max_cells=16)
@@ -462,7 +462,7 @@ class TestPdeSolvesColumn:
             return float(point[0] ** 2) + 1.0 / resolution
 
         def factors():
-            quad = midpoint_quadrature_factor(gamma=1.0, beta=2.0)
+            quad = midpoint_quadrature_factor(beta=2.0)
             return quad, SampleFactor(FactorSpec(gamma=1.0, beta=1.0), evaluate_one)
 
         quad, sample = factors()
