@@ -23,8 +23,8 @@ costs itself, one distance block and a few block-sized temporaries.
 A :class:`TensorKernel` is the tuple of its factor kernels, Matern kernels
 on consecutive coordinate blocks; its Gram matrix, which the dense fits
 need, is the plain product of the block profiles.  Every multi-block node
-set a pipeline fits is a product grid, which the Kronecker solve below
-takes without a Gram matrix.  A kernel expansion never forms its points x
+set a pipeline fits is a product grid, which the Kronecker solves below
+take without a Gram matrix.  A kernel expansion never forms its points x
 nodes Gram matrix: it keeps a contraction plan of its nodes, which groups
 the coefficients by their other-block coordinates into dense matrices
 over a prefix of the last block's coordinates.  Every expansion a pipeline builds is a
@@ -45,19 +45,20 @@ stay below 1e-8 relative even when a shift was needed.  A
 under the :class:`TensorKernel` of their kernels has
 ``K = K_1 (x) ... (x) K_m``, read off the grid's factors
 (:meth:`TensorKernel.grid_factors`), and is solved through per-factor
-inverses, so it never forms ``K``; each Kronecker mode product is one
-``np.dot``.  When every block is a one-dimensional Matern kernel of
-order ``nu = m + 1/2`` = 1/2, 3/2 or 5/2, each factor's exact inverse comes
-from kernel packets (Chen, Ding & Tuo, JMLR 23, 2022): combinations of
-the kernel at ``2m + 3`` consecutive sorted points that vanish outside
-them, which make ``K_j = A^-1 Phi`` with ``A`` and ``Phi`` banded.
-``K_j^-1 = Phi^-1 A`` decays away from the diagonal, so only its
-numerically nonzero band is eliminated, in ``O(n)`` row operations, and
-kept as row blocks; it needs no shift, and gives the same bits at any
-BLAS thread count.
-Otherwise, or when the packet solve's node residual stays above
-tolerance, each factor is eigendecomposed, ``K_j = Q_j diag(lambda_j)
-Q_j^T``, at ``n_j**3``.  All other node sets are solved by a dense Cholesky
+eigendecompositions, ``K_j = Q_j diag(lambda_j) Q_j^T`` at ``n_j**3``, so
+it never forms ``K``; each Kronecker mode product is one ``np.dot``.
+
+When every block is a one-dimensional Matern kernel of order ``nu = m +
+1/2`` = 1/2, 3/2 or 5/2, a grid is fitted in its factors' kernel-packet
+basis instead (:func:`_packet_solve`; the basis, its inverses and the
+evaluation of such fits live in :mod:`kernelkit.packets`, which only runs
+that fit such grids import): ``x -> ((x)phi_j(x_j))^T w`` with ``((x)Phi_j^T)
+w = b``, ``Phi_j`` the packets' values at factor ``j``'s points, banded
+and well conditioned whatever the factor's size, where ``K_j`` is not.
+It needs no shift and no Gram matrix, and gives the same bits at any BLAS
+thread count.  A grid whose packet solve misses the residual gate takes
+the eigen solve, and keeps its kernel-basis coefficients over its
+factors' kernel translates.  All other node sets are solved by a dense Cholesky
 factorization, with the shift added in place to one copy of the Gram
 matrix per attempt.  One cache, ``_FACTORED_GRAMS`` (32 MiB), keeps every
 path's factorizations, so fits of new values on nodes seen before factor
@@ -106,38 +107,23 @@ _EMBEDDING_BLOCK_ENTRIES = 8 * _GAUSS_POINTS_PER_AXIS**REFERENCE_RULE_MAX_DIM
 # rsr (63.7-63.9 to 65.6-65.7 MB), and left ouu's at 75.6-75.7 MB, when
 # distances were not yet blocked.
 _STACK_BLOCK_ENTRIES = 2**16
-# Bytes of factorizations that both fit paths keep (``_FACTORED_GRAMS``);
+# Bytes of factorizations that every fit path keeps (``_FACTORED_GRAMS``);
 # a grid whose packet solve falls back to eigendecompositions keeps both.
-# The interp benchmark's ten grid factors (2 to 1024 points) hold 13.3 MB:
-# 11.2 MB of Gram matrices and 2.1 MB of packet inverse bands (as dense
-# inverses they held 22.4 MB).  Its 1024-point factor, factored for the
-# tuple (2, 1024), is used again at (1024, 2), and below about 13.3 MB
-# every factor would be factored twice.  The ouu pipelines fit 239 times
-# over 7 node sets of at most 128 nodes (0.26 MB a Gram matrix and its
-# factor).
+# The interp benchmark's ten grid factors (2 to 1024 points) hold 4.4 MB
+# and no Gram matrix: 1.2 MB of packet bases laid out for evaluation,
+# 1.1 MB of ``Phi^T`` and 2.1 MB of ``Phi^-T`` blocks (with the Gram
+# matrices the refinement once applied, they held 13.3 MB).  Its 1024-point
+# factor, factored for the tuple (2, 1024), is used again at (1024, 2), and
+# below about 4.4 MB every factor would be factored twice.  The ouu
+# pipelines fit 239 times over 7 node sets of at most 128 nodes (0.26 MB a
+# Gram matrix and its factor).
 _FACTORED_GRAM_BYTES = 2**25
-# Kernel packets (:func:`_packet_inverse`): Taylor series are summed to
-# this many terms, for arguments up to this radius (in length scales);
-# wider windows and distances use the closed exponential forms.
-_PACKET_SERIES_TERMS = 40
-_PACKET_SERIES_RADIUS = 2.0
-# A packet inverse is swept over a band whose half-width starts at this
-# many points per ``m + 1`` and doubles until its edge entries are at most
-# ``_PACKET_BAND_FLOOR`` of their row's diagonal entry; entries that small
-# are dropped.  The inverse decays by about 2 - sqrt(3) = 0.27 a point at
-# nu = 3/2, so on interp's 1024-point factor the band keeps 36 points each
-# side at nu = 3/2, 58 at nu = 5/2 and 1 at nu = 1/2 (where it is exact),
-# and no subnormal number, where the dense inverse held 10,176.
-_PACKET_BAND_GUESS = 24
-_PACKET_BAND_FLOOR = 2.0**-64
-# A banded packet factor is kept as blocks of this many rows
-# (:func:`_packet_blocks`).
-_PACKET_BLOCK_ROWS = 64
-# Highest order m (nu = m + 1/2) whose factors are inverted by packets.
-# Against a 50-digit inverse on 40 points, the packet inverse's relative
-# error grows with m: 2e-13 at m = 2, 7e-11 at m = 4, 4e-9 at m = 5 and
-# of order 1 at m = 8 (length scale 0.1); and from m = 20 on the odd
-# series table above holds no term.  Higher orders keep the eigen solve.
+# Highest order m (nu = m + 1/2) whose grids are fitted in the packet basis.
+# Against a 50-digit inverse of ``K`` on 40 points, the inverse formed from
+# packets, ``Phi^-1 A``, had a relative error that grew with m: 2e-13 at
+# m = 2, 7e-11 at m = 4, 4e-9 at m = 5 and of order 1 at m = 8 (length
+# scale 0.1); and from m = 20 on the odd series table above holds no term.
+# Higher orders keep the eigen solve.
 _PACKET_ORDER_MAX = 2
 # Integer-order profiles (:func:`_bessel_series`): entries within this
 # radius (in length scales) sum the ascending series of ``s**n K_n(s)`` to
@@ -404,7 +390,8 @@ def _bessel_series_table(order: int) -> np.ndarray:
                - (-1)**n 2**(n-1) sum_k (psi(k+1) + psi(n+k+1)) t**(n+k) / (k! (n+k)!).
 
     Each coefficient is an exact ratio of integers, with Euler's constant
-    to 40 digits, rounded once by ``int / int``, like :func:`_packet_tables`.
+    to 40 digits, rounded once by ``int / int``, like
+    :func:`kernelkit.packets._packet_tables`.
     """
     n, degree = order, _BESSEL_SERIES_DEGREE
     whole, digits = _EULER_GAMMA.split(".")
@@ -521,11 +508,10 @@ def _solve_spd(kernel: TensorKernel, nodes: PointSet, rhs: np.ndarray) -> np.nda
     """Solve ``K x = rhs`` with jitter escalation and iterative refinement.
 
     A tensor grid (:meth:`TensorKernel.grid_factors`) is solved through its
-    factors' packet inverses or eigendecompositions (:func:`_solve_kronecker`),
-    all other node sets by a dense Cholesky factorization.  Raises
-    ConditioningError when the shifted system is not positive definite at
-    the largest admissible shift, a packet elimination meets a zero or
-    non-finite pivot, or the residual stays above the required tolerance.
+    factors' eigendecompositions (:func:`_solve_kronecker`), all other node
+    sets by a dense Cholesky factorization.  Raises ConditioningError when
+    the shifted system is not positive definite at the largest admissible
+    shift, or the residual stays above the required tolerance.
     """
     factors = kernel.grid_factors(nodes)
     if factors is not None:
@@ -579,369 +565,65 @@ def _packet_order(kernel: MaternKernel) -> int | None:
 
 
 def _packet_factor(kernel: MaternKernel, rows: np.ndarray):
-    """``(gram, order, blocks)`` of one block kernel on one factor's points.
+    """``(order, basis, phi, inverse, condition)`` of one block kernel on
+    one factor's points.
 
-    ``order`` sorts the points, and ``blocks`` hold their inverse Gram
-    matrix in that order, for :func:`_band_apply`: the numerically nonzero
-    band from kernel packets (:func:`_packet_inverse`,
-    :func:`_packet_blocks`), or the whole inverse as one block when the
-    factor has fewer points than a packet spans.
+    ``order`` sorts the points into those of ``basis``, the factor's kernel
+    packets (:mod:`kernelkit.packets`).  ``phi`` and ``inverse`` hold
+    ``Phi^T`` and ``Phi^-T`` as the blocks of :func:`_band_apply`, ``Phi``
+    being the packets' values at the points: ``Phi^T`` from its band,
+    ``Phi^-T`` from the numerically nonzero band of the inverse of that.
+    The packet machinery is imported on the first call, so that runs
+    without packet grids never load it.  A factor of fewer points
+    than a packet spans takes its kernel translates as its basis: ``phi``
+    is then its Gram matrix and ``inverse`` the inverse of that, each one
+    block.  ``condition`` is ``cond(Phi)`` in the 1-norm, from the blocks.
+    No entry holds a Gram matrix of a factor that takes packets.
     """
-    gram = kernel.gram(rows, rows)
+    from kernelkit import packets
+
     m = _packet_order(kernel)
     order = np.argsort(rows[:, 0], kind="stable")
+    points = rows[order]
+    points.setflags(write=False)
     try:
         if len(rows) < 2 * m + 3:
-            blocks = np.linalg.inv(gram[np.ix_(order, order)])[None]
+            basis = packets._FactorBasis(kernel, points)
+            gram = kernel.gram(points, points)
+            phi, inverse = gram[None], np.linalg.inv(gram)[None]
         else:
-            blocks = _packet_blocks(_packet_inverse(kernel, rows[order, 0], m))
+            basis = packets._packet_basis(kernel, points)
+            band = packets._packet_band(basis)
+            phi = packets._packet_blocks(band)
+            inverse = packets._packet_blocks(packets._packet_inverse(band))
     except np.linalg.LinAlgError:
-        gaps = np.diff(np.sort(rows[:, 0]))
+        gaps = np.diff(points[:, 0])
         raise ConditioningError(
             "kernel packet inverse met a zero or non-finite pivot",
             len(rows),
             float(gaps.min()) if len(gaps) else math.inf,
         ) from None
-    for array in (gram, order, blocks):
+    condition = np.array(np.abs(phi).sum(axis=2).max() * np.abs(inverse).sum(axis=2).max())
+    for array in (order, phi, inverse, condition):
         array.setflags(write=False)
-    return gram, order, blocks
+    return order, basis, phi, inverse, condition
 
 
-def _packet_inverse(kernel: MaternKernel, x: np.ndarray, m: int) -> np.ndarray:
-    """The numerically nonzero band of ``K^-1`` of the Matern kernel of
-    order ``m + 1/2`` on at least ``2m + 3`` sorted one-dimensional points
-    ``x``, from kernel packets: ``band[i, t]`` is entry ``(i, i - w + t)``,
-    0 past the ends, with ``band`` shaped ``(n, 2w + 1)``.
-
-    Packet ``i`` is the combination ``sum_j A[i, j] K(., x_j)`` over a
-    window of consecutive points that vanishes on one or both sides of the
-    window (:func:`_packet_coefficients`).  So ``A`` is banded, ``Phi = A
-    K``, the packets' values at the points, is banded (:func:`_packet_band`),
-    and ``K^-1 = Phi^-1 A`` (Chen, Ding & Tuo, JMLR 23, 2022).  ``Phi^-1 A``
-    is dense but decays away from the diagonal, so it is eliminated on a
-    band only (:func:`_packet_sweep`), which doubles from
-    ``_PACKET_BAND_GUESS (m + 1)`` points each side until every row's edge
-    entries are at most ``_PACKET_BAND_FLOOR`` of its diagonal entry, or
-    until it spans every point, where it is exact.  Entries that small are
-    then zeroed, which leaves no subnormal number, and the band is trimmed
-    to the widest half-width that still holds a nonzero entry.  Raises
-    LinAlgError at a zero or non-finite pivot.
-    """
-    u = x / kernel.length_scale
-    n = len(u)
-    starts, coefficients = _packet_coefficients(u, m)
-    lower, upper = _packet_lu(_packet_band(kernel, u, starts, coefficients))
-    width = min(_PACKET_BAND_GUESS * (m + 1), n - 1)
-    while True:
-        band = _packet_sweep(lower, upper, starts, coefficients, width)
-        dead = np.abs(band) <= _PACKET_BAND_FLOOR * np.abs(band[:, width : width + 1])
-        if width == n - 1 or dead[:, [0, -1]].all():
-            break
-        width = min(2 * width, n - 1)
-    band[dead] = 0.0
-    keep = int(np.max(np.abs(np.flatnonzero(~dead.all(axis=0)) - width), initial=0))
-    return band[:, width - keep : width + keep + 1].copy()
-
-
-def _packet_lu(phi: np.ndarray) -> tuple[list, list]:
-    """Gaussian elimination without pivoting of ``Phi``, given by its band
-    (:func:`_packet_band`): ``(lower, upper)`` with ``lower[i][k - 1]`` the
-    multiple of row ``i`` taken from row ``i + k``, and ``upper[i]`` the
-    diagonal of row ``i`` and the ``m`` entries right of it.  Raises
-    LinAlgError at a zero or non-finite pivot."""
-    band = phi.tolist()
-    n, m = len(band), phi.shape[1] // 2
-    lower = []
-    for i in range(n):
-        pivot = band[i][m]
-        if not (math.isfinite(pivot) and pivot != 0.0):
-            raise np.linalg.LinAlgError(f"kernel packet pivot {pivot} at row {i}")
-        factors = []
-        for k in range(1, min(m, n - 1 - i) + 1):
-            below = band[i + k]
-            factor = below[m - k] / pivot
-            for t in range(m - k + 1, 2 * m + 1 - k):
-                below[t] -= factor * band[i][t + k]
-            factors.append(factor)
-        lower.append(factors)
-    return lower, [row[m:] for row in band]
-
-
-def _packet_sweep(
-    lower: list, upper: list, starts: np.ndarray, coefficients: np.ndarray, width: int
-) -> np.ndarray:
-    """``Phi^-1 A`` on the band of half-width ``width`` (as
-    :func:`_packet_inverse` returns it), from the elimination of ``Phi``
-    (:func:`_packet_lu`) and the packets' coefficients ``A``.
-
-    Each row operation of the forward and backward sweeps acts on one band
-    row, shifted by the two rows' distance; entries that would fall outside
-    the band are dropped.  The rows are divided by their pivots before the
-    backward sweep, whose multipliers are divided likewise.  ``A`` lies
-    within ``2m + 2`` points of the diagonal, so ``width`` must be at least
-    that.
-    """
-    n, window = coefficients.shape
-    band = np.zeros((n, 2 * width + 1))
-    index = np.arange(n)[:, None]
-    band[index, starts[:, None] + np.arange(window) - index + width] = coefficients
-    rows = list(band)
-    for i, factors in enumerate(lower):
-        for k, factor in enumerate(factors, 1):
-            rows[i + k][:-k] -= factor * rows[i][k:]
-    diagonal = [row[0] for row in upper]
-    band /= np.array(diagonal)[:, None]
-    for i in range(n - 2, -1, -1):
-        row = rows[i]
-        for k, entry in enumerate(upper[i][1 : n - i], 1):
-            row[k:] -= entry / diagonal[i] * rows[i + k][:-k]
-    return band
-
-
-def _packet_blocks(band: np.ndarray) -> np.ndarray:
-    """A packet inverse's band (:func:`_packet_inverse`) as the blocks of
-    :func:`_band_apply`, shaped ``(count, rows, columns)``.
-
-    Block ``b`` holds rows ``b * rows`` to ``b * rows + rows - 1`` over the
-    columns from ``w`` before the first to ``w`` after the last, 0 past the
-    ends, with ``rows = _PACKET_BLOCK_ROWS`` and ``columns = rows + 2w``.
-    When that would hold no fewer entries than the whole inverse, as for
-    every factor of fewer than ``rows`` points, the whole inverse is one
-    block.  The band is written into the blocks through a strided view of
-    their diagonals.
-    """
-    n, width = band.shape
-    w = width // 2
-    rows = _PACKET_BLOCK_ROWS
-    count = -(-n // rows)
-    dense = count * rows * (rows + 2 * w) >= n * n
-    if dense:
-        rows, count = n, 1
-    blocks = np.zeros((count, rows, rows + 2 * w))
-    step, row_step, item = blocks.strides
-    diagonals = np.lib.stride_tricks.as_strided(
-        blocks, (count, rows, width), (step, row_step + item, item)
-    )
-    full, rest = divmod(n, rows)
-    diagonals[:full] = band[: full * rows].reshape(full, rows, width)
-    if rest:
-        diagonals[full, :rest] = band[full * rows :]
-    return blocks[:, :, w : w + n].copy() if dense else blocks
-
-
-def _band_apply(order: np.ndarray, blocks: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``K^-1 x`` for ``x`` shaped ``(n, k)``, with a packet factor's
-    ``order`` and ``blocks`` (:func:`_packet_factor`): the rows of ``x`` are
-    gathered into sorted order with zero padding, each block multiplies
-    its window of them in one batched matmul, and the products are
-    scattered back into the points' order."""
+def _band_apply(blocks: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``M x`` for ``x`` shaped ``(n, k)``, with the blocks of a banded
+    ``M`` (:func:`kernelkit.packets._packet_blocks`): the rows of ``x`` are
+    padded with zeros, and each block multiplies its window of them in one
+    batched matmul."""
     count, rows, columns = blocks.shape
     pad = (columns - rows) // 2
     n, k = x.shape
     padded = np.zeros((count * rows + 2 * pad, k))
-    np.take(x, order, axis=0, out=padded[pad : pad + n])
+    padded[pad : pad + n] = x
     step, item = padded.strides
     windows = np.lib.stride_tricks.as_strided(
         padded, (count, columns, k), (rows * step, step, item), writeable=False
     )
-    product = np.matmul(blocks, windows).reshape(-1, k)
-    result = np.empty((n, k))
-    result[order] = product[:n]
-    return result
-
-
-def _packet_coefficients(u: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(starts, coefficients)`` of the kernel packets on sorted points ``u``
-    (in length scales): packet ``i`` combines the kernel at points
-    ``starts[i]`` to ``starts[i] + 2m + 2`` with ``coefficients[i]``.
-
-    Right of all its points a combination of order ``m + 1/2`` translates
-    is ``sum_p c_p u**p exp(-u)``, left of them ``sum_p c_p u**p exp(u)``:
-    it vanishes on the right if its coefficients annihilate ``u**p
-    exp(u)``, ``p <= m``, and on the left if they annihilate ``u**p
-    exp(-u)``.  Central packets do both over ``2m + 3`` points
-    (:func:`_central_packets`).  The first and last ``m + 1`` packets are
-    one-sided: over the ``m + 2`` points from (or up to) their own point,
-    they vanish on the right (or left), with coefficients ``exp(-u_j)``
-    (or ``exp(u_j)``) times the divided-difference weights of order
-    ``m + 1``, which annihilate polynomials of degree ``m``.
-    """
-    n = len(u)
-    width = 2 * m + 3
-    index = np.arange(n)
-    starts = np.clip(index - m - 1, 0, n - width)
-    points = u[starts[:, None] + np.arange(width)]
-    coefficients = np.zeros((n, width))
-    for packets, first, sign in (
-        (index[: m + 1], index[: m + 1], 1.0),
-        (index[n - m - 1 :], index[n - m - 1 :] - m - 1, -1.0),
-    ):
-        columns = (first - starts[packets])[:, None] + np.arange(m + 2)
-        own = np.take_along_axis(points[packets], columns, axis=1)
-        anchor = u[packets][:, None]
-        z = (own - anchor) / (own[:, -1:] - own[:, :1])
-        gaps = z[:, :, None] - z[:, None, :]
-        gaps[:, range(m + 2), range(m + 2)] = 1.0
-        coefficients[packets[:, None], columns] = np.exp(
-            sign * (anchor - own)
-        ) / gaps.prod(axis=2)
-    central = index[m + 1 : n - m - 1]
-    coefficients[central] = _central_packets(points[central], m)
-    return starts, coefficients
-
-
-def _central_packets(points: np.ndarray, m: int) -> np.ndarray:
-    """Coefficients of the packets over each row of ``2m + 3`` sorted
-    ``points``, each scaled to a middle coefficient of 1.
-
-    They span the null space of the ``2m + 2`` conditions that a basis of
-    the span of ``u**p exp(+-u)`` imposes, in local coordinates ``v`` about
-    the window's midpoint.  Narrow windows use the solutions ``f_k`` of
-    ``(D**2 - 1)**(m+1) f = 0`` with ``f_k(v) = v**k / k! + O(v**(2m+2))``,
-    divided by ``span**k``: they tend to ``(v / span)**k / k!`` as the
-    window shrinks, where ``u**p exp(+-u)`` would become linearly
-    dependent.  Wide windows use ``(v / span)**p exp(+-v)``, each point's
-    column divided by ``exp(|v|)`` so that nothing overflows or vanishes,
-    which the coefficients then undo.  Every coefficient of a packet is
-    nonzero, since no ``2m + 2`` points carry one, so the middle one can be
-    fixed.
-    """
-    count, width = points.shape
-    span = points[:, -1:] - points[:, :1]
-    v = points - 0.5 * (points[:, :1] + points[:, -1:])
-    conditions = np.empty((count, width - 1, width))
-    narrow = span[:, 0] <= 2.0 * _PACKET_SERIES_RADIUS
-    basis = _packet_tables(m)[1]
-    near = v[narrow]
-    values = np.zeros((width - 1, *near.shape))
-    for coefficient in basis.T[::-1]:  # Horner's rule, highest power first
-        values *= near
-        values += coefficient[:, None, None]
-    powers = span[narrow].T[:, :, None] ** np.arange(width - 1)[:, None, None]
-    conditions[narrow] = (values / powers).transpose(1, 0, 2)
-    far = v[~narrow]
-    z = far / span[~narrow]
-    for p in range(m + 1):
-        conditions[~narrow, 2 * p] = z**p * np.exp(far - np.abs(far))
-        conditions[~narrow, 2 * p + 1] = z**p * np.exp(-far - np.abs(far))
-    middle = m + 1
-    others = [j for j in range(width) if j != middle]
-    solved = np.linalg.solve(
-        conditions[:, :, others], -conditions[:, :, middle, None]
-    )[..., 0]
-    coefficients = np.insert(solved, middle, 1.0, axis=1)
-    coefficients[~narrow] *= np.exp(np.abs(far[:, middle : middle + 1]) - np.abs(far))
-    return coefficients
-
-
-def _packet_band(
-    kernel: MaternKernel, u: np.ndarray, starts: np.ndarray, coefficients: np.ndarray
-) -> np.ndarray:
-    """The band of ``Phi``: entry ``[i, t]`` is packet ``i``'s value at point
-    ``i - m + t``, zero past the ends.
-
-    A packet vanishes outside its window, and its values there come in
-    three exact forms; each entry takes the one whose terms' magnitudes sum
-    the least, so that it loses the fewest digits.  Summing the kernel
-    values themselves cancels to ``O(h**(2m+1))`` in a window of width
-    ``h``.  But a packet that vanishes on the right is, at ``u_l``, the
-    sum over its points ``u_j > u_l`` of ``c_j (psi(d) - psi(-d))``,
-    ``d = u_j - u_l``, ``psi(s) = q(s) exp(-s)`` the profile, because its
-    analytic continuation ``sum_j c_j psi(u - u_j)`` from the right is
-    zero; likewise over ``u_j < u_l`` for one that vanishes on the left.
-    ``psi(d) - psi(-d)`` is ``O(d**(2m+1))`` and is summed by its series
-    (:func:`_odd_profile`).
-    """
-    n, width = coefficients.shape
-    m = (width - 3) // 2
-    columns = np.arange(n)[:, None] + np.arange(-m, m + 1)
-    inside = (columns >= 0) & (columns < n)
-    offsets = (
-        u[np.clip(columns, 0, n - 1)][:, :, None]
-        - u[starts[:, None] + np.arange(width)][:, None, :]
-    )
-    distance = np.abs(offsets)
-    # psi's constant: the profile is constant * q(d) exp(-d).
-    weights = coefficients[:, None, :] * kernel._half_integer_constant
-    q = kernel._half_integer_coefficients[::-1]
-    with np.errstate(over="ignore", invalid="ignore"):
-        direct = weights * np.polynomial.polynomial.polyval(distance, q)
-        direct *= np.exp(-distance)
-        odd = weights * _odd_profile(distance, q)
-        forms = [direct, np.where(offsets < 0, odd, 0.0), np.where(offsets > 0, odd, 0.0)]
-        costs = [np.nan_to_num(np.abs(f).sum(axis=2), nan=np.inf) for f in forms]
-    costs[1][n - m - 1 :] = np.inf  # the last packets do not vanish on the right
-    costs[2][: m + 1] = np.inf  # nor the first on the left
-    band = np.choose(np.argmin(costs, axis=0), [f.sum(axis=2) for f in forms])
-    return np.where(inside, band, 0.0)
-
-
-def _odd_profile(d: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """``psi(d) - psi(-d)`` for ``d >= 0``, with ``psi(s) = q(s) exp(-s)``
-    the order ``m + 1/2`` profile without its constant, ``q`` of degree
-    ``m`` lowest power first.
-
-    It equals ``2 (q_odd(d) cosh(d) - q_even(d) sinh(d))``, ``d cosh(d) -
-    sinh(d)`` times 2 for ``m = 1``, and is ``O(d**(2m+1))``, so below the
-    series radius, where its two terms nearly cancel, it is summed as a
-    Taylor series in ``d**2`` instead.
-    """
-    m = len(q) - 1
-    odd = _packet_tables(m)[0]
-    out = np.empty_like(d)
-    near = d < _PACKET_SERIES_RADIUS
-    small = d[near]
-    square = small * small
-    series = np.full_like(small, odd[-1])
-    for coefficient in odd[-2::-1]:
-        series *= square
-        series += coefficient
-    out[near] = series * small ** (2 * m + 1)
-    large = d[~near]
-    polyval = np.polynomial.polynomial.polyval
-    out[~near] = polyval(large, q) * np.exp(-large) - polyval(-large, q) * np.exp(large)
-    return out
-
-
-@lru_cache(maxsize=None)
-def _packet_tables(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Series tables of the Matern kernel of order ``m + 1/2``, as floats.
-
-    ``(odd, basis)``: with the profile ``q(s) exp(-s)`` up to its constant
-    (:func:`_half_integer_polynomial`), ``psi(d) - psi(-d) = d**(2m+1)
-    sum_i odd[i] d**(2i)``; ``basis[k, j]`` is the ``v**j`` Taylor coefficient of
-    the solution ``f_k`` of ``(D**2 - 1)**(m+1) f = 0`` whose first
-    ``2m + 2`` derivatives at 0 are those of ``v**k / k!``.  Each entry is
-    an exact ratio of integers, rounded once by ``int / int`` (correctly,
-    as ``float`` rounds a ``Fraction``), so the coefficients that vanish
-    are exactly 0.
-    """
-    terms = _PACKET_SERIES_TERMS
-    weights, scale = _half_integer_polynomial(m)
-    # psi[j] = psi_numerators[j] / (scale * j!): the v**j coefficient of q(v) exp(-v)
-    psi_numerators = [
-        sum(
-            weights[p] * (-1) ** (j - p) * (math.factorial(j) // math.factorial(j - p))
-            for p in range(min(j, m) + 1)
-        )
-        for j in range(terms)
-    ]
-    odd = [
-        2 * psi_numerators[j] / (scale * math.factorial(j))
-        for j in range(2 * m + 1, terms, 2)
-    ]
-    order = 2 * m + 2
-    # (D**2 - 1)**(m+1) = D**order + sum_i recurrence[i] D**(2i)
-    recurrence = [math.comb(m + 1, i) * (-1) ** (m + 1 - i) for i in range(m + 1)]
-    basis = []
-    for k in range(order):
-        derivatives = [int(j == k) for j in range(order)]
-        for j in range(order, terms):
-            derivatives.append(
-                -sum(c * derivatives[j - order + 2 * i] for i, c in enumerate(recurrence))
-            )
-        basis.append([d / math.factorial(j) for j, d in enumerate(derivatives)])
-    return tuple(np.array(table, dtype=float) for table in (odd, basis))
+    return np.matmul(blocks, windows).reshape(-1, k)[:n]
 
 
 class _FactoredGrams:
@@ -949,11 +631,11 @@ class _FactoredGrams:
     ``limit`` bytes of arrays.
 
     An entry is :func:`_factor_gram`'s pair by (kernel, node bytes), or
-    :func:`_packet_factor`'s or :func:`_decompose_factor`'s triple by
+    :func:`_packet_factor`'s or :func:`_decompose_factor`'s tuple by
     (block kernel, factor point bytes, kind): a flat tuple of read-only
-    arrays, sized by their bytes, a pure function of the key, so every
-    caller in the process may share it.  One larger than the bound is not
-    kept.
+    arrays and packet bases, sized by their bytes, a pure function of the
+    key, so every caller in the process may share it.  One larger than the
+    bound is not kept.
     """
 
     def __init__(self, limit: int):
@@ -986,66 +668,102 @@ def _kron_apply(matrices: Sequence, x: np.ndarray) -> np.ndarray:
     Each mode applies ``M_j`` to mode ``j`` of ``x`` moved first and
     flattened behind it.  A matrix, such as a Gram matrix or eigenvectors,
     takes one ``np.dot``, the product ``np.tensordot(M_j, x, axes=(1, j))``
-    computes, so the two agree bit for bit; a packet factor's ``(order,
-    blocks)`` takes :func:`_band_apply`.  The axes are moved by plain
+    computes, so the two agree bit for bit; a packet factor's blocks
+    (three axes) take :func:`_band_apply`.  The axes are moved by plain
     transposes, as ``np.moveaxis`` would move them.
     """
     for axis, matrix in enumerate(matrices):
         rest = range(axis + 1, x.ndim)
         moved = x.transpose(axis, *range(axis), *rest)
         flat = moved.reshape(len(moved), -1)
-        if isinstance(matrix, np.ndarray):
+        if matrix.ndim == 2:
             product = np.dot(matrix, flat)
         else:
-            product = _band_apply(*matrix, flat)
+            product = _band_apply(matrix, flat)
         x = product.reshape(moved.shape).transpose(*range(1, axis + 1), 0, *rest)
     return x
+
+
+def _factor_entries(kernel: TensorKernel, factors: list[np.ndarray], kind: str, build):
+    """Each grid factor's ``_FACTORED_GRAMS`` entry of ``kind``, from
+    ``build(block kernel, factor points)`` if it is not kept."""
+    return [
+        _FACTORED_GRAMS.get((block, rows.tobytes(), kind), partial(build, block, rows))
+        for block, rows in zip(kernel.kernels, factors)
+    ]
 
 
 def _solve_kronecker(
     kernel: TensorKernel, factors: list[np.ndarray], nodes: PointSet, rhs: np.ndarray
 ) -> np.ndarray:
-    """:func:`_solve_spd` on a tensor grid, through per-factor inverses.
+    """:func:`_solve_spd` on a tensor grid, through per-factor
+    eigendecompositions.
 
-    When every block is a one-dimensional Matern kernel of order 1/2, 3/2
-    or 5/2 (:func:`_packet_order`), each factor's inverse is kept as the
-    numerically nonzero band of its exact inverse from kernel packets
-    (:func:`_packet_factor`), and the solve is one mode product per factor
-    with them (:func:`_band_apply`), unshifted.  If refinement cannot
-    bring that solve's node residual within tolerance, as on a grid whose
-    lowest eigenvalues lie far below the starting shift, or when a block
-    takes no packets, each factor is eigendecomposed, ``K_j = Q_j
-    diag(lambda_j) Q_j^T``, and the shifted system is solved exactly as
-    ``x = (x)Q_j [((x)Q_j^T b) / ((x)lambda_j + jitter)]``; the shift
-    escalates like the dense path's while that spectrum is not positive.
-    Either way refinement applies the unshifted ``(x)K_j`` by mode
-    products, never forming the Gram matrix: a packet inverse is exact in
-    exact arithmetic up to the entries its band drops, each at most
-    ``_PACKET_BAND_FLOOR`` of its row's diagonal, but a solve by it alone
-    is not backward stable.
+    Each factor is eigendecomposed, ``K_j = Q_j diag(lambda_j) Q_j^T``, at
+    ``n_j**3``, and the shifted system is solved exactly as ``x = (x)Q_j
+    [((x)Q_j^T b) / ((x)lambda_j + jitter)]``; the shift escalates like the
+    dense path's while that spectrum is not positive.  Refinement applies
+    the unshifted ``(x)K_j`` by mode products, never forming the Gram
+    matrix.  Grids of one-dimensional blocks of order 1/2, 3/2 or 5/2 are
+    fitted in their kernel-packet basis instead (:func:`_packet_solve`),
+    and come here only when that misses the residual gate.
     """
     shape = tuple(len(rows) for rows in factors)
+    eigen = _factor_entries(kernel, factors, "eigen", _decompose_factor)
+    grams = [entry[0] for entry in eigen]
 
-    def entries(kind: str, build: Callable) -> list[tuple]:
-        return [
-            _FACTORED_GRAMS.get((block, rows.tobytes(), kind), partial(build, block, rows))
-            for block, rows in zip(kernel.kernels, factors)
-        ]
+    def apply(x: np.ndarray) -> np.ndarray:
+        return _kron_apply(grams, x.reshape(shape)).ravel()
 
-    def kron(matrices: Sequence[np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
-        return lambda x: _kron_apply(matrices, x.reshape(shape)).ravel()
+    return _refine(_eigen_solve(eigen, shape, nodes), apply, rhs, nodes)
 
-    if all(_packet_order(block) is not None for block in kernel.kernels):
-        packets = entries("packets", _packet_factor)
-        grams = [entry[0] for entry in packets]
-        inverses = [entry[1:] for entry in packets]
+
+def _packet_solve(
+    kernel: TensorKernel, factors: list[np.ndarray], nodes: PointSet, rhs: np.ndarray
+) -> "PacketGrid":
+    """The fit on a tensor grid of one-dimensional blocks of order 1/2, 3/2
+    or 5/2 (:func:`_packet_order`), in its factors' kernel-packet basis.
+
+    With ``Phi_j`` the packets' values at factor ``j``'s points
+    (:func:`_packet_factor`), the interpolant is ``x -> ((x)phi_j(x_j))^T
+    w`` with ``((x)Phi_j^T) w = b``: ``w = ((x)Phi_j^-T) b``, one mode
+    product per factor with the kept band of each inverse, unshifted and
+    refined against ``(x)Phi_j^T``, each also banded.  That node residual
+    is the interpolant minus the data at the nodes, the quantity every fit
+    is gated on, and no Gram matrix is built.  ``Phi_j`` is well
+    conditioned whatever the factor's size, where ``K_j`` is not.  A grid
+    with a factor whose ``cond(Phi_j)`` would leave the weights less
+    accurate than the required residual, as one with two points 1e-9
+    apart, or whose residual refinement cannot bring within tolerance,
+    takes the eigen solve (:func:`_solve_kronecker`) instead, whose
+    kernel-basis coefficients it holds over its factors' kernel
+    translates.
+    """
+    from kernelkit.packets import PacketGrid, _FactorBasis
+
+    shape = tuple(len(rows) for rows in factors)
+    packets = _factor_entries(kernel, factors, "packets", _packet_factor)
+    orders, bases, phis, inverses, conditions = zip(*packets)
+
+    def kron(blocks: Sequence[np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
+        return lambda x: _kron_apply(blocks, x.reshape(shape)).ravel()
+
+    def grid(bases: Sequence, weights: np.ndarray) -> PacketGrid:
+        weights = weights.reshape(shape)
+        weights.setflags(write=False)
+        return PacketGrid(nodes=nodes, bases=tuple(bases), weights=weights)
+
+    # Rounding leaves the weights about cond(Phi_j) eps off, relative.
+    if max(conditions) * np.finfo(float).eps <= _RESIDUAL_REQUIRED:
+        data = rhs.reshape(shape)[np.ix_(*orders)].ravel()
         try:
-            return _refine(kron(inverses), kron(grams), rhs, nodes)
+            weights = _refine(kron(inverses), kron(phis), data, nodes)
         except ConditioningError:
             pass  # the packet solve missed the residual gate
-    eigen = entries("eigen", _decompose_factor)
-    grams = [entry[0] for entry in eigen]
-    return _refine(_eigen_solve(eigen, shape, nodes), kron(grams), rhs, nodes)
+        else:
+            return grid(bases, weights)
+    weights = _solve_kronecker(kernel, factors, nodes, rhs)
+    return grid(map(_FactorBasis, kernel.kernels, factors), weights)
 
 
 def _eigen_solve(entries, shape: tuple[int, ...], nodes: PointSet):
@@ -1222,8 +940,8 @@ def stack_layout(expansions: Sequence["KernelExpansion"]):
     in its widest group product, whichever is more.
     """
     kernel = expansions[0].kernel
-    if any(e.kernel != kernel for e in expansions):
-        raise ValueError("stacked expansions must share one kernel")
+    if any(not isinstance(e, KernelExpansion) or e.kernel != kernel for e in expansions):
+        raise ValueError("stacked expansions must share one kernel and one basis")
     plans = [e._plan for e in expansions]
     node_rows = []
     maps: list[list[np.ndarray]] = [[] for _ in plans]
@@ -1305,6 +1023,10 @@ class KernelExpansion:
                 f"per node, got coefficients of shape {shape}"
             )
 
+    @property
+    def domain(self):
+        return self.nodes.domain
+
     @cached_property
     def _plan(self) -> _ContractionPlan:
         return _ContractionPlan.build(self.kernel, self.nodes, self.coefficients)
@@ -1314,8 +1036,11 @@ def fit_interpolant(kernel: TensorKernel | MaternKernel, nodes: PointSet, values
     """The minimum-norm kernel interpolant through ``values`` at ``nodes``:
     the one-term :class:`~kernelkit.surrogate.Surrogate` of its expansion.
 
-    A bare :class:`MaternKernel` is fitted as the tensor kernel of one
-    factor."""
+    A tensor grid of one-dimensional blocks of order 1/2, 3/2 or 5/2 is
+    fitted in its factors' kernel-packet basis (:func:`_packet_solve`), a
+    :class:`~kernelkit.packets.PacketExpansion`; every other node set in the kernel basis
+    (:func:`_solve_spd`), a :class:`KernelExpansion`.  A bare
+    :class:`MaternKernel` is fitted as the tensor kernel of one factor."""
     from kernelkit.surrogate import Surrogate
 
     kernel = _tensor_kernel(kernel, nodes)
@@ -1324,6 +1049,12 @@ def fit_interpolant(kernel: TensorKernel | MaternKernel, nodes: PointSet, values
         raise ValueError(
             f"value vector length {rhs.shape} != node count {len(nodes)}"
         )
+    factors = kernel.grid_factors(nodes)
+    if factors is not None and all(_packet_order(b) is not None for b in kernel.kernels):
+        from kernelkit.packets import PacketExpansion
+
+        grid = _packet_solve(kernel, factors, nodes, rhs)
+        return Surrogate(terms=((1.0, PacketExpansion(kernel, ((1.0, grid),))),))
     alpha = _solve_spd(kernel, nodes, rhs)
     alpha.setflags(write=False)
     return Surrogate(terms=((1.0, KernelExpansion(kernel, nodes, alpha)),))

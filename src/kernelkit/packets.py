@@ -1,0 +1,732 @@
+r"""Kernel packets: the basis in which grids of half-integer Matern blocks are fitted.
+
+A kernel packet of the one-dimensional Matern kernel of order ``nu = m +
+1/2`` (Chen, Ding & Tuo, JMLR 23, 2022) combines the kernel at ``2m + 3``
+consecutive sorted points and vanishes outside them; the first and last
+``m + 1`` packets of a factor combine ``m + 2`` points and vanish on one
+side only.  So at most ``2m + 2`` of a factor's packets are nonzero at any
+point, their values at the factor's points, ``Phi``, are banded, and
+``cond(Phi)`` does not grow with the factor's size, where that of the
+factor's Gram matrix does.  :func:`kernelkit.kernels._packet_solve` fits a
+product grid of such blocks as ``x -> ((x)phi_j(x_j))^T w`` with
+``((x)Phi_j^T) w = b``, with the numerically nonzero bands of ``Phi_j^T``
+and ``Phi_j^-T`` that :func:`kernelkit.kernels._packet_factor` builds
+here, in ``O(n)`` row operations with numpy alone.
+
+A packet's values come in three exact forms (:func:`_packet_forms`), of
+which the cheapest loses the fewest digits.  A factor's basis
+(:func:`_packet_basis`) fixes each packet's form once per interval
+between neighbouring points, as one table over the ``4m + 4`` points
+around it, and past the factor's ends takes each packet as
+``exp(-|v|)`` times a polynomial.  A fit is a :class:`PacketGrid`, and
+signed sums of fits of one kernel are a :class:`PacketExpansion`, which a
+:class:`~kernelkit.surrogate.Surrogate` holds like a kernel expansion;
+stacks of them evaluate through :func:`packet_layout` and
+:func:`evaluate_packets`, which compute each factor's packet values once
+per chunk of points and each grid's values once from them.
+
+:mod:`kernelkit.kernels` and :mod:`kernelkit.surrogate` import this module
+on first use, so runs without such grids do not load it.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
+from typing import Sequence
+
+import numpy as np
+
+from kernelkit import kernels
+from kernelkit.kernels import (
+    MaternKernel,
+    TensorKernel,
+    _half_integer_polynomial,
+    _packet_order,
+    distinct_rows,
+)
+from kernelkit.points import PointSet
+
+# Kernel packets (:func:`_packet_basis`): Taylor series are summed to at
+# most this many terms, for arguments up to this radius (in length scales);
+# wider windows and distances use the closed exponential forms.
+_PACKET_SERIES_TERMS = 40
+_PACKET_SERIES_RADIUS = 2.0
+# A packet inverse is swept over a band whose half-width starts at this
+# many points per ``m + 1`` and doubles until its edge entries are at most
+# ``_PACKET_BAND_FLOOR`` of their row's diagonal entry; entries that small
+# are dropped.  ``Phi^-T`` decays by about 2 - sqrt(3) = 0.27 a point at
+# nu = 3/2, so on interp's 1024-point factor the band keeps 36 points each
+# side at nu = 3/2, 57 at nu = 5/2 and none at nu = 1/2 (where ``Phi`` is
+# diagonal), and no subnormal number.
+_PACKET_BAND_GUESS = 24
+_PACKET_BAND_FLOOR = 2.0**-64
+# A banded packet factor is kept as blocks of this many rows
+# (:func:`_packet_blocks`).
+_PACKET_BLOCK_ROWS = 64
+
+
+def _packet_inverse(phi: np.ndarray) -> np.ndarray:
+    """The numerically nonzero band of ``Phi^-T``, from the band ``phi`` of
+    ``Phi^T`` (:func:`_packet_band`), ``Phi`` the values of the kernel
+    packets of a factor at its sorted points: ``band[i, t]`` is entry ``(i,
+    i - w + t)``, 0 past the ends, with ``band`` shaped ``(n, 2w + 1)``.
+
+    ``Phi`` is banded (Chen, Ding & Tuo, JMLR 23, 2022) and its condition
+    number does not grow with ``n``: about 240 in the 1-norm at nu = 3/2
+    on interp's factors, whose Gram matrices reach 1e13 at 1,024 points.
+    ``Phi^-T`` is dense but decays away from the diagonal, so it is
+    eliminated on a band only (:func:`_packet_sweep`), which doubles from
+    ``_PACKET_BAND_GUESS (m + 1)`` points each side until every row's edge
+    entries are at most ``_PACKET_BAND_FLOOR`` of its diagonal entry, or
+    until it spans every point, where it is exact.  Entries that small are
+    then zeroed, which leaves no subnormal number, and the band is trimmed
+    to the widest half-width that still holds a nonzero entry.  Raises
+    LinAlgError at a zero or non-finite pivot.
+    """
+    n, m = len(phi), phi.shape[1] // 2
+    lower, upper = _packet_lu(phi)
+    width = min(_PACKET_BAND_GUESS * (m + 1), n - 1)
+    while True:
+        band = _packet_sweep(lower, upper, width)
+        dead = np.abs(band) <= _PACKET_BAND_FLOOR * np.abs(band[:, width : width + 1])
+        if width == n - 1 or dead[:, [0, -1]].all():
+            break
+        width = min(2 * width, n - 1)
+    band[dead] = 0.0
+    keep = int(np.max(np.abs(np.flatnonzero(~dead.all(axis=0)) - width), initial=0))
+    return band[:, width - keep : width + keep + 1].copy()
+
+
+def _packet_lu(phi: np.ndarray) -> tuple[list, list]:
+    """Gaussian elimination without pivoting of ``Phi^T``, given by its band
+    (:func:`_packet_band`): ``(lower, upper)`` with ``lower[i][k - 1]`` the
+    multiple of row ``i`` taken from row ``i + k``, and ``upper[i]`` the
+    diagonal of row ``i`` and the ``m`` entries right of it.  Raises
+    LinAlgError at a zero or non-finite pivot."""
+    band = phi.tolist()
+    n, m = len(band), phi.shape[1] // 2
+    lower = []
+    for i in range(n):
+        pivot = band[i][m]
+        if not (math.isfinite(pivot) and pivot != 0.0):
+            raise np.linalg.LinAlgError(f"kernel packet pivot {pivot} at row {i}")
+        factors = []
+        for k in range(1, min(m, n - 1 - i) + 1):
+            below = band[i + k]
+            factor = below[m - k] / pivot
+            for t in range(m - k + 1, 2 * m + 1 - k):
+                below[t] -= factor * band[i][t + k]
+            factors.append(factor)
+        lower.append(factors)
+    return lower, [row[m:] for row in band]
+
+
+def _packet_sweep(lower: list, upper: list, width: int) -> np.ndarray:
+    """``Phi^-T`` on the band of half-width ``width`` (as
+    :func:`_packet_inverse` returns it), from the elimination of ``Phi^T``
+    (:func:`_packet_lu`): the sweeps of the identity.
+
+    Each row operation of the forward and backward sweeps acts on one band
+    row, shifted by the two rows' distance; entries that would fall outside
+    the band are dropped.  The rows are divided by their pivots before the
+    backward sweep, whose multipliers are divided likewise.
+    """
+    n = len(upper)
+    band = np.zeros((n, 2 * width + 1))
+    band[:, width] = 1.0
+    rows = list(band)
+    for i, factors in enumerate(lower):
+        for k, factor in enumerate(factors, 1):
+            rows[i + k][:-k] -= factor * rows[i][k:]
+    diagonal = [row[0] for row in upper]
+    band /= np.array(diagonal)[:, None]
+    for i in range(n - 2, -1, -1):
+        row = rows[i]
+        for k, entry in enumerate(upper[i][1 : n - i], 1):
+            row[k:] -= entry / diagonal[i] * rows[i + k][:-k]
+    return band
+
+
+def _packet_blocks(band: np.ndarray) -> np.ndarray:
+    """A band of ``Phi^T`` or ``Phi^-T``
+    (:func:`~kernelkit.kernels._packet_factor`) as the blocks of
+    :func:`~kernelkit.kernels._band_apply`, shaped ``(count, rows,
+    columns)``.
+
+    Block ``b`` holds rows ``b * rows`` to ``b * rows + rows - 1`` over the
+    columns from ``w`` before the first to ``w`` after the last, 0 past the
+    ends, with ``rows = _PACKET_BLOCK_ROWS`` and ``columns = rows + 2w``.
+    When that would hold no fewer entries than the whole matrix, as for
+    every factor of fewer than ``rows`` points, the whole matrix is one
+    block.  The band is written into the blocks through a strided view of
+    their diagonals.
+    """
+    n, width = band.shape
+    w = width // 2
+    rows = _PACKET_BLOCK_ROWS
+    count = -(-n // rows)
+    dense = count * rows * (rows + 2 * w) >= n * n
+    if dense:
+        rows, count = n, 1
+    blocks = np.zeros((count, rows, rows + 2 * w))
+    step, row_step, item = blocks.strides
+    diagonals = np.lib.stride_tricks.as_strided(
+        blocks, (count, rows, width), (step, row_step + item, item)
+    )
+    full, rest = divmod(n, rows)
+    diagonals[:full] = band[: full * rows].reshape(full, rows, width)
+    if rest:
+        diagonals[full, :rest] = band[full * rows :]
+    return blocks[:, :, w : w + n].copy() if dense else blocks
+
+
+def _packet_coefficients(u: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(starts, coefficients)`` of the kernel packets on sorted points ``u``
+    (in length scales): packet ``i`` combines the kernel at points
+    ``starts[i]`` to ``starts[i] + 2m + 2`` with ``coefficients[i]``.
+
+    Right of all its points a combination of order ``m + 1/2`` translates
+    is ``sum_p c_p u**p exp(-u)``, left of them ``sum_p c_p u**p exp(u)``:
+    it vanishes on the right if its coefficients annihilate ``u**p
+    exp(u)``, ``p <= m``, and on the left if they annihilate ``u**p
+    exp(-u)``.  Central packets do both over ``2m + 3`` points
+    (:func:`_central_packets`).  The first and last ``m + 1`` packets are
+    one-sided: over the ``m + 2`` points from (or up to) their own point,
+    they vanish on the right (or left), with coefficients ``exp(-u_j)``
+    (or ``exp(u_j)``) times the divided-difference weights of order
+    ``m + 1``, which annihilate polynomials of degree ``m``.
+    """
+    n = len(u)
+    width = 2 * m + 3
+    index = np.arange(n)
+    starts = np.clip(index - m - 1, 0, n - width)
+    points = u[starts[:, None] + np.arange(width)]
+    coefficients = np.zeros((n, width))
+    for packets, first, sign in (
+        (index[: m + 1], index[: m + 1], 1.0),
+        (index[n - m - 1 :], index[n - m - 1 :] - m - 1, -1.0),
+    ):
+        columns = (first - starts[packets])[:, None] + np.arange(m + 2)
+        own = np.take_along_axis(points[packets], columns, axis=1)
+        anchor = u[packets][:, None]
+        z = (own - anchor) / (own[:, -1:] - own[:, :1])
+        gaps = z[:, :, None] - z[:, None, :]
+        gaps[:, range(m + 2), range(m + 2)] = 1.0
+        coefficients[packets[:, None], columns] = np.exp(
+            sign * (anchor - own)
+        ) / gaps.prod(axis=2)
+    central = index[m + 1 : n - m - 1]
+    coefficients[central] = _central_packets(points[central], m)
+    return starts, coefficients
+
+
+def _central_packets(points: np.ndarray, m: int) -> np.ndarray:
+    """Coefficients of the packets over each row of ``2m + 3`` sorted
+    ``points``, each scaled to a middle coefficient of 1.
+
+    They span the null space of the ``2m + 2`` conditions that a basis of
+    the span of ``u**p exp(+-u)`` imposes, in local coordinates ``v`` about
+    the window's midpoint.  Narrow windows use the solutions ``f_k`` of
+    ``(D**2 - 1)**(m+1) f = 0`` with ``f_k(v) = v**k / k! + O(v**(2m+2))``,
+    divided by ``span**k``: they tend to ``(v / span)**k / k!`` as the
+    window shrinks, where ``u**p exp(+-u)`` would become linearly
+    dependent.  Wide windows use ``(v / span)**p exp(+-v)``, each point's
+    column divided by ``exp(|v|)`` so that nothing overflows or vanishes,
+    which the coefficients then undo.  Every coefficient of a packet is
+    nonzero, since no ``2m + 2`` points carry one, so the middle one can be
+    fixed.
+    """
+    count, width = points.shape
+    span = points[:, -1:] - points[:, :1]
+    v = points - 0.5 * (points[:, :1] + points[:, -1:])
+    conditions = np.empty((count, width - 1, width))
+    narrow = span[:, 0] <= 2.0 * _PACKET_SERIES_RADIUS
+    basis = _packet_tables(m)[1]
+    near = v[narrow]
+    values = np.zeros((width - 1, *near.shape))
+    for coefficient in basis.T[::-1]:  # Horner's rule, highest power first
+        values *= near
+        values += coefficient[:, None, None]
+    powers = span[narrow].T[:, :, None] ** np.arange(width - 1)[:, None, None]
+    conditions[narrow] = (values / powers).transpose(1, 0, 2)
+    far = v[~narrow]
+    z = far / span[~narrow]
+    for p in range(m + 1):
+        conditions[~narrow, 2 * p] = z**p * np.exp(far - np.abs(far))
+        conditions[~narrow, 2 * p + 1] = z**p * np.exp(-far - np.abs(far))
+    middle = m + 1
+    others = [j for j in range(width) if j != middle]
+    solved = np.linalg.solve(
+        conditions[:, :, others], -conditions[:, :, middle, None]
+    )[..., 0]
+    coefficients = np.insert(solved, middle, 1.0, axis=1)
+    coefficients[~narrow] *= np.exp(np.abs(far[:, middle : middle + 1]) - np.abs(far))
+    return coefficients
+
+
+def _packet_band(basis: "_FactorBasis") -> np.ndarray:
+    """The band of ``Phi^T``, ``Phi`` the values of a packet basis's packets
+    at its own points (:meth:`_FactorBasis.values`): entry ``[l, t]`` is
+    packet ``l - m + t``'s value at point ``l``, zero past the ends."""
+    first, values = basis.values(basis.points)
+    n, width = values.shape
+    m = width // 2 - 1
+    column = first[:, None] + np.arange(width) - np.arange(n)[:, None] + m
+    kept = (column >= 0) & (column <= 2 * m)
+    band = np.zeros((n, 2 * m + 1))
+    band[np.nonzero(kept)[0], column[kept]] = values[kept]
+    return band
+
+
+def _packet_forms(
+    kernel: MaternKernel,
+    x: np.ndarray,
+    starts: np.ndarray,
+    coefficients: np.ndarray,
+    packets: np.ndarray,
+    t: np.ndarray,
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """``(forms, costs)``: the three exact forms of the packets ``packets``
+    on the sorted points ``x`` (:func:`_packet_coefficients`) at the points
+    ``t``, broadcast together, and the sum of each form's terms'
+    magnitudes, infinite where it does not apply.
+
+    A packet vanishes outside its window, and its values there come in
+    three exact forms, of which the one whose terms' magnitudes sum the
+    least loses the fewest digits.  Summing the kernel values themselves
+    cancels to ``O(h**(2m+1))`` in a window of width ``h``.  But a packet
+    that vanishes on the right is, at ``t``, the sum over its points ``u_j
+    > t`` of ``c_j (psi(d) - psi(-d))``, ``d = u_j - t``, ``psi(s) = q(s)
+    exp(-s)`` the profile, because its analytic continuation ``sum_j c_j
+    psi(u - u_j)`` from the right is zero; likewise over ``u_j < t`` for
+    one that vanishes on the left.  ``psi(d) - psi(-d)`` is
+    ``O(d**(2m+1))`` and is summed by its series (:func:`_odd_profile`).
+    """
+    n, width = coefficients.shape
+    m = (width - 3) // 2
+    # In length scales, scaled after the difference, which is exact near a point.
+    offsets = t[..., None] - x[starts[packets][..., None] + np.arange(width)]
+    offsets /= kernel.length_scale
+    distance = np.abs(offsets)
+    # psi's constant: the profile is constant * q(d) exp(-d).
+    weights = coefficients[packets] * kernel._half_integer_constant
+    q = kernel._half_integer_coefficients[::-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        direct = weights * np.polynomial.polynomial.polyval(distance, q)
+        direct *= np.exp(-distance)
+        odd = weights * _odd_profile(distance, q)
+        forms = [direct, np.where(offsets < 0, odd, 0.0), np.where(offsets > 0, odd, 0.0)]
+        costs = [np.nan_to_num(np.abs(f).sum(axis=-1), nan=np.inf) for f in forms]
+        sums = [f.sum(axis=-1) for f in forms]
+    # The last packets do not vanish on the right, nor the first on the left.
+    costs[1] = np.where(packets >= n - m - 1, np.inf, costs[1])
+    costs[2] = np.where(packets < m + 1, np.inf, costs[2])
+    return sums, costs
+
+
+def _packet_basis(kernel: MaternKernel, points: np.ndarray) -> "_FactorBasis":
+    """The kernel packets of order ``m + 1/2`` on at least ``2m + 3`` sorted
+    one-dimensional ``points``, laid out for evaluation.
+
+    Between two neighbouring points ``u_j`` and ``u_(j+1)`` (in length
+    scales) at most the ``2m + 2`` packets from ``first[j]`` are nonzero,
+    and their windows lie within the ``4m + 4`` points from ``local[j]``.
+    Each takes there the exact form (:func:`_packet_forms`) that is
+    cheapest at the interval's midpoint, so that its value at any ``t`` of
+    the interval is ``table[j, a] @ [psi(d), o(d)]``, with ``d`` the
+    distances from ``t`` to those points, ``psi`` the profile without its
+    constant and ``o`` its odd part (:func:`_odd_profile`).  Past the first
+    or the last point
+    only that end's ``m + 1`` one-sided packets are nonzero, each
+    ``exp(-|v|) sum_l ends[side, l, a] v**l``, ``v`` the signed distance
+    past the end in length scales, as is every kernel translate there.
+    """
+    u = points[:, 0] / kernel.length_scale
+    m = _packet_order(kernel)
+    starts, coefficients = _packet_coefficients(u, m)
+    n, window = coefficients.shape
+    width, span = 2 * m + 2, 4 * m + 4
+    j = np.arange(n - 1)
+    first = np.clip(j - m, 0, n - width)
+    local = starts[first]
+    packets = first[:, None] + np.arange(width)
+    x = points[:, 0]
+    middle = (0.5 * (x[:-1] + x[1:]))[:, None]
+    costs = _packet_forms(kernel, x, starts, coefficients, packets, middle)[1]
+    # An odd form is taken only in a window narrower than the series radius,
+    # where its terms are finite throughout.
+    wide = u[starts[packets] + window - 1] - u[starts[packets]] >= _PACKET_SERIES_RADIUS
+    form = np.argmin([costs[0], *(np.where(wide, np.inf, c) for c in costs[1:])], axis=0)
+    # Packets j - m to j + m + 1 may be nonzero on interval j, the others not.
+    live = np.abs(packets - j[:, None] - 0.5) <= m + 1
+    index = starts[packets][..., None] + np.arange(window)
+    right = index > j[:, None, None]
+    odd = np.where(form[..., None] == 1, right, ~right) & (form[..., None] > 0)
+    weights = coefficients[packets] * (kernel._half_integer_constant * live[..., None])
+    table = np.zeros((n - 1, width, 2 * span))
+    rows, slots = np.arange(n - 1)[:, None, None], np.arange(width)[:, None]
+    position = index - local[:, None, None]
+    table[rows, slots, position] = np.where(form[..., None] == 0, weights, 0.0)
+    table[rows, slots, span + position] = np.where(odd, weights, 0.0)
+    ends = _packet_ends(kernel, x, starts, coefficients)
+    arrays = (starts, coefficients, first, local, table, ends)
+    for array in arrays:
+        array.setflags(write=False)
+    return _FactorBasis(kernel, points, arrays)
+
+
+def _packet_ends(
+    kernel: MaternKernel, x: np.ndarray, starts: np.ndarray, coefficients: np.ndarray
+) -> np.ndarray:
+    """``ends[side, l, a]``: past the first (side 0) or the last (side 1) of
+    the sorted points ``x``, the ``a``-th of the ``m + 1`` one-sided packets
+    of that end (:func:`_packet_coefficients`), the only ones nonzero there,
+    is ``exp(-|v|) sum_l ends[side, l, a] v**l``, ``v`` the signed distance
+    past the end in length scales, as is every kernel translate there.
+
+    ``R_0`` is the packet's value at the end (:func:`_packet_forms`).  In
+    length scales ``u``, packet ``i`` combines ``exp(-s (u_i - u_j)) w_j
+    K(., u_j)`` over its points, ``s`` = -1 at the first end and +1 at the
+    last, ``w`` the weights of the divided difference ``Delta_z`` of order
+    ``m + 1`` in ``z = (u - u_i) / span``.  With ``q`` the profile's
+    polynomial, ``Q_l = q^(l) / l!`` and ``e`` the end point, ``R_l = s**l
+    exp(-s (u_i + e)) Delta_z[exp(2 s u) Q_l(s (e - u))]``.  Over a window
+    narrower than a length scale that sum cancels, so it is taken from the
+    Taylor series about the window's centre ``c`` instead, with
+    ``Delta_z[(u - c)**k] = span**k h_(k - m - 1)(zeta)``: ``h`` the complete
+    homogeneous symmetric polynomials of the points' ``zeta = (u - c) /
+    span``, ``_PACKET_SERIES_TERMS`` of them.
+    """
+    u = x / kernel.length_scale
+    n, window = coefficients.shape
+    m, terms = (window - 3) // 2, _PACKET_SERIES_TERMS
+    polynomial = np.polynomial.polynomial
+    q = kernel._half_integer_coefficients[::-1] * kernel._half_integer_constant
+    taylor = [polynomial.polyder(q, l) / math.factorial(l) for l in range(m + 1)]
+    ends = np.empty((2, m + 1, m + 1))
+    for side, s in enumerate((-1.0, 1.0)):
+        end = n - 1 if side else 0
+        packets = (n - m - 1 if side else 0) + np.arange(m + 1)
+        forms, costs = _packet_forms(kernel, x, starts, coefficients, packets, x[end : end + 1])
+        ends[side, 0] = np.choose(np.argmin(costs, axis=0), forms)
+        for a, i in enumerate(packets):
+            own = u[i - m - 1 : i + 1] if side else u[i : i + m + 2]
+            span = own[-1] - own[0]
+            if span >= 1.0:
+                z = (own - u[i]) / span
+                gaps = z[:, None] - z[None, :]
+                np.fill_diagonal(gaps, 1.0)
+                weights = np.exp(-s * (u[i] + u[end]) + 2 * s * own) / gaps.prod(axis=1)
+                for l in range(1, m + 1):
+                    values = polynomial.polyval(s * (u[end] - own), taylor[l])
+                    ends[side, l, a] = s**l * weights @ values
+                continue
+            centre = 0.5 * (own[0] + own[-1])
+            h = np.zeros(terms)
+            h[0] = 1.0
+            for zeta in (own - centre) / span:
+                for r in range(1, terms):
+                    h[r] += zeta * h[r - 1]
+            k = np.arange(m + 1, m + 1 + terms)
+            moments = span**k * h * math.exp(-s * (u[i] + u[end]) + 2 * s * centre)
+            for l in range(1, m + 1):
+                # The Taylor coefficients of exp(2 s y) Q_l(s (e - c) - s y) at y = 0.
+                shifted = [
+                    polynomial.polyval(s * (u[end] - centre), polynomial.polyder(taylor[l], r))
+                    * (-s) ** r
+                    / math.factorial(r)
+                    for r in range(len(taylor[l]))
+                ]
+                series = [
+                    sum(
+                        c * (2 * s) ** (j - r) / math.factorial(j - r)
+                        for r, c in enumerate(shifted)
+                    )
+                    for j in k
+                ]
+                ends[side, l, a] = s**l * np.dot(series, moments)
+    return ends
+
+
+def _odd_profile(d: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``psi(d) - psi(-d)`` for ``d >= 0``, with ``psi(s) = q(s) exp(-s)``
+    the order ``m + 1/2`` profile without its constant, ``q`` of degree
+    ``m`` lowest power first.
+
+    It equals ``2 (q_odd(d) cosh(d) - q_even(d) sinh(d))``, ``d cosh(d) -
+    sinh(d)`` times 2 for ``m = 1``, and is ``O(d**(2m+1))``, so below the
+    series radius, where its two terms nearly cancel, it is summed as a
+    Taylor series in ``d**2`` instead.
+    """
+    m = len(q) - 1
+    odd = _packet_tables(m)[0]
+    near = d < _PACKET_SERIES_RADIUS
+    every = near.all()
+    small = d if every else d[near]
+    square = small * small
+    series = np.full_like(small, odd[-1])
+    for coefficient in odd[-2::-1]:
+        series *= square
+        series += coefficient
+    series *= small ** (2 * m + 1)
+    if every:
+        return series
+    out = np.empty_like(d)
+    out[near] = series
+    large = d[~near]
+    polyval = np.polynomial.polynomial.polyval
+    out[~near] = polyval(large, q) * np.exp(-large) - polyval(-large, q) * np.exp(large)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _packet_tables(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Series tables of the Matern kernel of order ``m + 1/2``, as floats.
+
+    ``(odd, basis)``: with the profile ``q(s) exp(-s)`` up to its constant
+    (:func:`~kernelkit.kernels._half_integer_polynomial`), ``psi(d) -
+    psi(-d) = d**(2m+1) sum_i odd[i] d**(2i)``; ``basis[k, j]`` is the
+    ``v**j`` Taylor coefficient of the solution ``f_k`` of ``(D**2 -
+    1)**(m+1) f = 0`` whose first ``2m + 2`` derivatives at 0 are those of
+    ``v**k / k!``.  Each entry is
+    an exact ratio of integers, rounded once by ``int / int`` (correctly,
+    as ``float`` rounds a ``Fraction``), so the coefficients that vanish
+    are exactly 0.
+    """
+    terms = _PACKET_SERIES_TERMS
+    weights, scale = _half_integer_polynomial(m)
+    # psi[j] = psi_numerators[j] / (scale * j!): the v**j coefficient of q(v) exp(-v)
+    psi_numerators = [
+        sum(
+            weights[p] * (-1) ** (j - p) * (math.factorial(j) // math.factorial(j - p))
+            for p in range(min(j, m) + 1)
+        )
+        for j in range(terms)
+    ]
+    odd = [
+        2 * psi_numerators[j] / (scale * math.factorial(j))
+        for j in range(2 * m + 1, terms, 2)
+    ]
+    order = 2 * m + 2
+    # (D**2 - 1)**(m+1) = D**order + sum_i recurrence[i] D**(2i)
+    recurrence = [math.comb(m + 1, i) * (-1) ** (m + 1 - i) for i in range(m + 1)]
+    basis = []
+    for k in range(order):
+        derivatives = [int(j == k) for j in range(order)]
+        for j in range(order, terms):
+            derivatives.append(
+                -sum(c * derivatives[j - order + 2 * i] for i, c in enumerate(recurrence))
+            )
+        basis.append([d / math.factorial(j) for j, d in enumerate(derivatives)])
+    return tuple(np.array(table, dtype=float) for table in (odd, basis))
+
+
+@dataclass(frozen=True, eq=False)
+class _FactorBasis:
+    """The functions of one grid factor that a :class:`PacketGrid` combines:
+    the kernel packets on its sorted ``points``, laid out by
+    :func:`_packet_basis` in ``packets`` (``starts``, ``coefficients``,
+    ``first``, ``local``, ``table``, ``ends``); or, with no ``packets``, the
+    kernel translates on ``points``."""
+
+    kernel: MaternKernel
+    points: np.ndarray
+    packets: tuple[np.ndarray, ...] = ()
+
+    @property
+    def nbytes(self) -> int:
+        return self.points.nbytes + sum(array.nbytes for array in self.packets)
+
+    @property
+    def width(self) -> int:
+        """How many of the functions can be nonzero at one point."""
+        return self.packets[4].shape[1] if self.packets else len(self.points)
+
+    @property
+    def entries(self) -> int:
+        """Entries per point of the largest array :meth:`values` builds."""
+        return self.packets[4][0].size if self.packets else len(self.points)
+
+    def values(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(first, values)`` at the points ``x``, shaped ``(P, 1)``:
+        ``values[p, a]`` is function ``first[p] + a`` at ``x[p]``, and every
+        other function is 0 there.
+
+        Within the factor's points, packets take their interval's table,
+        beyond its ends their end's polynomials (:func:`_packet_basis`).
+        """
+        if not self.packets:
+            return np.zeros(len(x), dtype=np.intp), self.kernel.gram(x, self.points)
+        _, _, first, local, table, ends = self.packets
+        s, t = self.points[:, 0], x[:, 0]
+        n, (_, width, columns) = len(s), table.shape
+        span = columns // 2
+        interval = np.searchsorted(s[1:-1], t, side="right")
+        d = s[np.minimum(local[interval][:, None] + np.arange(span), n - 1)]
+        np.subtract(t[:, None], d, out=d)
+        np.abs(d, out=d)
+        d /= self.kernel.length_scale
+        q = self.kernel._half_integer_coefficients[::-1]
+        profiles = np.empty((len(t), columns))
+        psi = profiles[:, :span]
+        psi[...] = q[-1]
+        for c in q[-2::-1]:  # Horner's rule
+            psi *= d
+            psi += c
+        psi *= np.exp(-d)
+        with np.errstate(over="ignore", invalid="ignore"):
+            profiles[:, span:] = _odd_profile(d, q)
+        if d.max(initial=0.0) >= _PACKET_SERIES_RADIUS:
+            # Odd parts too large for a float have no weight in the table.
+            np.nan_to_num(profiles, copy=False, nan=0.0, posinf=0.0, neginf=0.0)
+        values = np.einsum("pac,pc->pa", table[interval], profiles)
+        first = first[interval]
+        if t.min(initial=s[0]) < s[0] or t.max(initial=s[-1]) > s[-1]:
+            outside = np.flatnonzero((t < s[0]) | (t > s[-1]))
+            right = t[outside] > s[-1]
+            v = (t[outside] - np.where(right, s[-1], s[0])) / self.kernel.length_scale
+            powers = v[:, None] ** np.arange(ends.shape[1])
+            found = np.einsum("kp,kpa->ka", powers, ends[right.astype(np.intp)])
+            found *= np.exp(-np.abs(v))[:, None]
+            first[outside] = np.where(right, n - width, 0)
+            values[outside] = 0.0
+            values[outside[~right], : found.shape[1]] = found[~right]
+            values[outside[right], width - found.shape[1] :] = found[right]
+        return first, values
+
+
+@dataclass(frozen=True, eq=False)
+class PacketGrid:
+    """A fit on a product grid, ``x -> sum_i weights[i] prod_j b_(j, i_j)(x_j)``
+    over the bases ``b_j`` of its factors (:class:`_FactorBasis`), with
+    ``weights`` shaped by the factors, in each basis's order."""
+
+    nodes: PointSet
+    bases: tuple[_FactorBasis, ...]
+    weights: np.ndarray
+
+    def contract(self, values: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+        """The values at the points whose basis values, per factor, are
+        ``values`` (:meth:`_FactorBasis.values`): per point, the weights of
+        the functions nonzero there, gathered and summed against the
+        products of their values."""
+        index = sum(first * stride for (first, _), stride in zip(values, self._strides))
+        gathered = np.take(self.weights, index[:, None] + self._offsets)
+        factors = [factor for _, factor in values]
+        return np.einsum(self._subscripts, *factors, gathered.reshape(-1, *self._widths))
+
+    @cached_property
+    def _subscripts(self) -> str:
+        """The contraction, ``"pa,pb,pab->p"`` for two factors."""
+        letters = "abcdefghijklmnoqrstuvwxyz"[: len(self.bases)]
+        return ",".join(f"p{a}" for a in letters) + f",p{letters}->p"
+
+    @cached_property
+    def _strides(self) -> tuple[int, ...]:
+        return tuple(s // self.weights.itemsize for s in self.weights.strides)
+
+    @cached_property
+    def _widths(self) -> tuple[int, ...]:
+        return tuple(basis.width for basis in self.bases)
+
+    @cached_property
+    def _offsets(self) -> np.ndarray:
+        """Each function tuple's offset in the weights from its first one's."""
+        offsets = np.zeros(1, dtype=np.intp)
+        for width, stride in zip(self._widths, self._strides):
+            offsets = (offsets[:, None] + stride * np.arange(width)).ravel()
+        return offsets
+
+
+@dataclass(frozen=True, eq=False)
+class PacketExpansion:
+    """``x -> sum_g c_g g(x)`` over fits on product grids of one tensor
+    kernel (:class:`PacketGrid`), ``grids`` holding the pairs ``(c_g, g)``.
+
+    A fit on a grid of one-dimensional blocks of order 1/2, 3/2 or 5/2
+    (:func:`~kernelkit.kernels._packet_solve`) is the expansion of its one
+    grid.  Packets depend on the whole factor, so grids are not merged by
+    node as kernel expansions are: ``nodes``, the grids' distinct nodes in first-seen
+    order, describes the expansion and takes no part in evaluating it.
+    """
+
+    kernel: TensorKernel
+    grids: tuple[tuple[float, PacketGrid], ...]
+
+    @property
+    def domain(self):
+        return self.grids[0][1].nodes.domain
+
+    @cached_property
+    def nodes(self) -> PointSet:
+        (_, head), *rest = self.grids
+        if not rest:
+            return head.nodes
+        points = np.concatenate([grid.nodes.points for _, grid in self.grids])
+        first, _ = distinct_rows(points)
+        return PointSet(points=points[first], domain=self.domain)
+
+
+def packet_layout(expansions: Sequence[PacketExpansion]):
+    """How :func:`evaluate_packets` shares values among packet expansions
+    of one kernel.
+
+    Returns ``(kernel, bases, grids, count, columns)``: the distinct factor
+    bases, each with its block; the distinct grids in first-seen order, each
+    with the positions of its bases and its uses, ``(column, coefficient)``
+    per term of an expansion that holds it; the number of expansions; and
+    the entries per point that a chunk holds at most: in its basis values
+    together, in the largest array of one basis's values
+    (:attr:`_FactorBasis.entries`) or in one grid's gathered weights.
+    """
+    kernel = expansions[0].kernel
+    if any(not isinstance(e, PacketExpansion) or e.kernel != kernel for e in expansions):
+        raise ValueError("stacked expansions must share one kernel and one basis")
+    bases: dict = {}
+    grids: dict = {}
+    for column, expansion in enumerate(expansions):
+        for coefficient, grid in expansion.grids:
+            if id(grid) not in grids:
+                positions = tuple(
+                    bases.setdefault((block, id(basis)), (len(bases), block, basis))[0]
+                    for block, basis in enumerate(grid.bases)
+                )
+                grids[id(grid)] = (grid, positions, [])
+            grids[id(grid)][2].append((column, coefficient))
+    columns = max(
+        sum(basis.width for _, _, basis in bases.values()),
+        *(basis.entries for _, _, basis in bases.values()),
+        *(math.prod(grid._widths) for grid, _, _ in grids.values()),
+    )
+    bases = [(block, basis) for _, block, basis in bases.values()]
+    return kernel, bases, list(grids.values()), len(expansions), columns
+
+
+def evaluate_packets(layout, points: np.ndarray) -> np.ndarray:
+    """Values at ``points`` of the packet expansions laid out by
+    :func:`packet_layout`, one column each.
+
+    The packet counterpart of :func:`~kernelkit.kernels.evaluate_stacked`,
+    under the same budget: a chunk holds ``_STACK_BLOCK_ENTRIES // columns``
+    points (at least one).  Per chunk
+    each basis's values are computed once, and each grid's values once from
+    them, which each expansion that holds the grid adds to its column, in
+    the layout's order of grids.  Domains are not checked.
+    """
+    kernel, bases, grids, count, columns = layout
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    rows = max(1, kernels._STACK_BLOCK_ENTRIES // columns)
+    out = np.zeros((pts.shape[0], count))
+    for start in range(0, pts.shape[0], rows):
+        chunk = out[start : start + rows]
+        values = [
+            basis.values(pts[start : start + rows, kernel._columns[block]])
+            for block, basis in bases
+        ]
+        for grid, positions, uses in grids:
+            value = grid.contract([values[p] for p in positions])
+            for column, coefficient in uses:
+                chunk[:, column] += coefficient * value
+    return out

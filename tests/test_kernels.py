@@ -13,6 +13,7 @@ from scipy.spatial.distance import cdist
 from scipy.special import kn, kv
 
 import kernelkit.kernels as kernels_module
+import kernelkit.packets as packets_module
 from kernelkit.kernels import (
     ConditioningError,
     KernelExpansion,
@@ -22,6 +23,7 @@ from kernelkit.kernels import (
     quadrature_weights,
 )
 from kernelkit.multiindex import combination_coefficients
+from kernelkit.packets import PacketExpansion
 from kernelkit.points import (
     _DISTANCE_BLOCK_ENTRIES,
     Box,
@@ -47,9 +49,15 @@ def grid_fit(factor_kernels, factor_points, values):
 
 
 def expansion_of(fit):
-    """The one kernel expansion of a fit (a one-term surrogate)."""
+    """The one expansion of a fit (a one-term surrogate)."""
     ((_, expansion),) = fit.terms
     return expansion
+
+
+def grid_of(fit):
+    """The one grid of a fit in the packet basis."""
+    ((_, grid),) = expansion_of(fit).grids
+    return grid
 
 
 def uniform_nodes(count):
@@ -262,7 +270,7 @@ def fraction_half_integer_polynomial(m):
 
 
 def fraction_packet_tables(m, terms):
-    """:func:`kernels._packet_tables` computed in ``Fraction``s."""
+    """:func:`packets._packet_tables` computed in ``Fraction``s."""
     from fractions import Fraction
 
     q = fraction_half_integer_polynomial(m)
@@ -306,8 +314,8 @@ class TestSeriesTables:
     # The tables round exact integer ratios once each, as a Fraction rounds.
     @pytest.mark.parametrize("m", [0, 1, 2])
     def test_packet_tables_match_fractions_bit_for_bit(self, m):
-        tables = kernels_module._packet_tables(m)
-        reference = fraction_packet_tables(m, kernels_module._PACKET_SERIES_TERMS)
+        tables = packets_module._packet_tables(m)
+        reference = fraction_packet_tables(m, packets_module._PACKET_SERIES_TERMS)
         assert [t.tobytes() for t in tables] == [r.tobytes() for r in reference]
 
     @pytest.mark.parametrize("m", range(15))
@@ -484,7 +492,8 @@ class TestKernelExpansionEvaluation:
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_sparse_grid_plan_pads_nothing(self, dim):
-        k = MaternKernel(beta=2.0, dim=dim)
+        # nu = 1: grids of half-integer one-dimensional blocks take packets.
+        k = MaternKernel(beta=1.0 + dim / 2, dim=dim)
         L = 8
         surrogate = sparse_interpolate([k, k], [unit_box(dim)] * 2, smooth_values, L=L)
         ((_, expansion),) = surrogate.terms
@@ -693,10 +702,19 @@ def decomposition_bytes(count):
     return 8 * (2 * count**2 + count)
 
 
-def packet_bytes(count):
+def packet_bytes(count, m=1):
     """Bytes of a packet grid-factor entry of fewer points than a block: the
-    Gram matrix, the sort order and the inverse as one dense block."""
-    return 16 * count**2 + 8 * count
+    sort order, the sorted points, ``Phi^T`` and ``Phi^-T`` as one dense
+    block each and ``cond(Phi)``; beside them, from ``2m + 3`` points on,
+    the packets' starts and coefficients, each interval's first packet,
+    first point and table, and the polynomials past the two ends
+    (:func:`packets._packet_basis`)."""
+    size = 2 * count + 2 * count**2 + 1
+    if count >= 2 * m + 3:
+        intervals = count - 1
+        size += count * (2 * m + 4) + intervals * (2 + (2 * m + 2) * (8 * m + 8))
+        size += 2 * (m + 1) ** 2
+    return 8 * size
 
 
 def counting(monkeypatch, owner, name, calls, record=len):
@@ -882,12 +900,12 @@ def smooth_values(points):
 class TestKroneckerSolve:
     # (beta, dim) per factor: nu = beta - dim/2 is half-integer for (2.0, 1),
     # (2.5, 2) and (3.0, 1), integer for (1.5, 1) and (2.0, 2).  Grids of
-    # one-dimensional half-integer blocks alone, like the last, are solved
-    # by kernel packets (TestPacketInverse), so the eigendecomposition tests
-    # below use integer orders.  The last grid's smallest product
-    # eigenvalues lie far below the diagonal shift, so its unshifted packet
-    # solve is checked against a 50-digit solve: off-node, the shifted
-    # dense solve lies 4.1e-9 from that, the packet solve 9.7e-11.
+    # one-dimensional half-integer blocks alone, like the last, are fitted
+    # in the kernel-packet basis (TestPacketInverse), so the
+    # eigendecomposition tests below use integer orders.  The last grid's
+    # smallest product eigenvalues lie far below the diagonal shift, so its
+    # packet fit is checked against a 50-digit solve: off-node, the shifted
+    # dense solve lies 4.1e-9 from that.
     @pytest.mark.parametrize(
         "layout,counts",
         [
@@ -911,19 +929,22 @@ class TestKroneckerSolve:
 
         monkeypatch.setattr(kernels_module, "cho_factor", no_dense)
         packets = all(kernels_module._packet_order(block) is not None for block in kernel.kernels)
-        if packets:
-            monkeypatch.setattr(np.linalg, "eigh", no_eigh)
-        solution = kernels_module._solve_spd(kernel, nodes, rhs)
         scale = np.max(np.abs(rhs))
-        residual = np.max(np.abs(gram @ solution - rhs))
         dense_residual = np.max(np.abs(gram @ dense - rhs))
-        assert residual <= 10.0 * dense_residual + 1e-12 * scale
         off_node = np.random.default_rng(5).random((300, nodes.dim))
         if packets:
-            error = mp_off_node_error(kernel, nodes, rhs, solution, off_node)
+            monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+            fit = fit_interpolant(kernel, nodes, rhs)
+            residual = np.max(np.abs(fit.evaluate(nodes.points) - rhs))
+            factors = kernel.grid_factors(nodes)
+            exact = mp_interpolant(kernel.kernels, factors, rhs, off_node)
+            error = np.max(np.abs(fit.evaluate(off_node) - exact))
         else:
+            solution = kernels_module._solve_spd(kernel, nodes, rhs)
+            residual = np.max(np.abs(gram @ solution - rhs))
             between = kernel.gram(off_node, nodes.points)
             error = np.max(np.abs(between @ (solution - dense)))
+        assert residual <= 10.0 * dense_residual + 1e-12 * scale
         assert error <= 1e-9 * scale
 
     def test_singular_factor_raises(self):
@@ -1209,42 +1230,45 @@ def mp_inverse_columns(gram, columns):
     return solved
 
 
-def mp_off_node_error(kernel, nodes, rhs, solution, points):
-    """Largest difference at ``points`` between the expansion with
-    coefficients ``solution`` on the tensor grid ``nodes`` of one-dimensional
-    half-integer blocks and the exact interpolant of ``rhs`` there, from a
-    50-digit Kronecker solve, the difference evaluated in mpmath."""
+def mp_interpolant(kernels, factors, rhs, points):
+    """The exact interpolant of ``rhs`` on the tensor grid of ``factors``
+    (one-dimensional point columns) under the half-integer Matern
+    ``kernels``, at ``points``: a 50-digit Kronecker solve, contracted with
+    the 50-digit kernel values one block at a time, rounded to floats."""
     mpmath = pytest.importorskip("mpmath")
-    factors = kernel.grid_factors(nodes)
     shape = tuple(map(len, factors))
     as_mp = np.vectorize(mpmath.mpf, otypes=[object])
     with mpmath.workdps(50):
         exact = as_mp(rhs).reshape(shape)
-        for axis, (block, rows) in enumerate(zip(kernel.kernels, factors)):
+        for axis, (block, rows) in enumerate(zip(kernels, factors)):
             columns = mp_inverse_columns(mp_gram(block, rows[:, 0]), range(len(rows)))
             inverse = np.array(columns, dtype=object).T
             exact = np.moveaxis(np.tensordot(inverse, exact, axes=(1, axis)), 0, axis)
-        # The difference of the two expansions, contracted one block at a
-        # time: (points or 1, n_j, rest).
-        contracted = (as_mp(solution).reshape(shape) - exact).reshape(1, *shape)
-        for axis, (block, rows) in enumerate(zip(kernel.kernels, factors)):
+        # (points or 1, n_j, rest)
+        contracted = exact.reshape(1, *shape)
+        for axis, (block, rows) in enumerate(zip(kernels, factors)):
             profile = np.array(mp_gram(block, points[:, axis], rows[:, 0]), dtype=object)
             rest = contracted.reshape(len(contracted), len(rows), -1)
             contracted = (profile[:, :, None] * rest).sum(axis=1)
-        return float(max(abs(d) for d in contracted[:, 0]))
+        return np.array([float(value) for value in contracted[:, 0]])
 
 
-def packet_matrix(kernel, rows):
-    """The Gram matrix of a packet factor and its kept inverse, applied to
-    the identity, in the points' order."""
-    gram, order, blocks = kernels_module._packet_factor(kernel, rows)
-    return gram, kernels_module._band_apply(order, blocks, np.eye(len(rows)))
+def packet_interpolant(kernel, rows, values, points):
+    """The one-factor interpolant of ``values`` in the factor's basis
+    (:func:`kernels._packet_factor`) at ``points``: ``phi(t)^T Phi^-T y``,
+    one solve by the kept band, unrefined."""
+    order, basis, _, inverse, _ = kernels_module._packet_factor(kernel, rows)
+    weights = kernels_module._band_apply(inverse, values[order][:, None])[:, 0]
+    first, found = basis.values(points)
+    return np.sum(found * weights[first[:, None] + np.arange(found.shape[1])], axis=1)
 
 
-def packet_band(kernel, count):
-    """The sorted points of a Halton factor and their packet band."""
-    x = np.sort(generate_points(UNIT_INTERVAL, count).points[:, 0])
-    return x, kernels_module._packet_inverse(kernel, x, kernels_module._packet_order(kernel))
+def sorted_packet_bands(kernel, count):
+    """The bands of ``Phi^T`` and of the kept ``Phi^-T`` on the sorted
+    points of a Halton factor."""
+    x = np.sort(generate_points(UNIT_INTERVAL, count).points, axis=0)
+    phi = packets_module._packet_band(packets_module._packet_basis(kernel, x))
+    return phi, packets_module._packet_inverse(phi)
 
 
 def band_matrix(band):
@@ -1270,61 +1294,64 @@ class TestPacketInverse:
     )
     def test_matches_50_digit_dense_solve(self, beta, length_scale, count):
         # mpmath is a test-only dependency; without it this reference skips.
-        mpmath = pytest.importorskip("mpmath")
         kernel = MaternKernel(beta=beta, dim=1, length_scale=length_scale)
         rows = generate_points(UNIT_INTERVAL, count).points
-        _, inverse = packet_matrix(kernel, rows)
-        columns = list(range(count)) if count <= 40 else list(range(0, count, 9))
-        with mpmath.workdps(50):
-            reference = np.array(
-                mp_inverse_columns(mp_gram(kernel, rows[:, 0]), columns), dtype=float
-            ).T
-        error = np.max(np.abs(inverse[:, columns] - reference))
-        assert error <= 1e-9 * np.max(np.abs(reference))
+        values = smooth_values(rows)
+        points = np.random.default_rng(count).random((60, 1))
+        got = packet_interpolant(kernel, rows, values, points)
+        expected = mp_interpolant([kernel], [rows], values, points)
+        # Largest seen: 3.4e-13 (nu = 5/2, 100 points).
+        assert np.max(np.abs(got - expected)) <= 1e-11 * np.max(np.abs(values))
 
     @pytest.mark.parametrize("beta", [1.0, 2.0, 3.0])
     def test_points_far_apart_match_the_dense_inverse(self, beta):
         # Windows span about 1,500 length scales, where exp(+-u) over a
-        # window under- or overflows; the Gram matrix is nearly diagonal.
+        # window under- or overflows, and so does the odd part of the
+        # profile at the points around an interval; the Gram matrix is
+        # nearly diagonal.  The points lie within a length scale of a node.
         kernel = MaternKernel(beta=beta, dim=1, length_scale=1e-5)
         rows = generate_points(UNIT_INTERVAL, 64).points
-        gram, inverse = packet_matrix(kernel, rows)
-        dense = np.linalg.inv(gram)
-        assert np.max(np.abs(inverse - dense)) <= 1e-14 * np.max(np.abs(dense))
+        values = smooth_values(rows)
+        offsets = np.random.default_rng(3).uniform(-1e-5, 1e-5, (64, 1))
+        points = np.clip(rows + offsets, 0.0, 1.0)
+        got = packet_interpolant(kernel, rows, values, points)
+        gram = kernel.gram(rows, rows)
+        expected = kernel.gram(points, rows) @ np.linalg.solve(gram, values)
+        assert np.all(np.isfinite(got))
+        assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(values))
 
     def test_factors_below_the_window_take_the_direct_inverse(self, monkeypatch):
         packets = []
-        counting(monkeypatch, kernels_module, "_packet_inverse", packets, lambda k: k.beta)
+        counting(monkeypatch, packets_module, "_packet_basis", packets, lambda k: k.beta)
         for beta, window in ((1.0, 3), (2.0, 5), (3.0, 7)):
             kernel = MaternKernel(beta=beta, dim=1)
             for count in (window - 1, window):
                 rows = generate_points(UNIT_INTERVAL, count).points
-                gram, order, blocks = kernels_module._packet_factor(kernel, rows)
+                order, basis, phi, inverse, _ = kernels_module._packet_factor(kernel, rows)
                 assert order.tolist() == np.argsort(rows[:, 0], kind="stable").tolist()
-                assert blocks.shape == (1, count, count)
+                assert phi.shape == inverse.shape == (1, count, count)
                 if count < window:
-                    sorted_gram = gram[np.ix_(order, order)]
-                    assert blocks[0].tobytes() == np.linalg.inv(sorted_gram).tobytes()
+                    # The kernel translates: Phi is the Gram matrix.
+                    sorted_gram = kernel.gram(rows[order], rows[order])
+                    assert not basis.packets
+                    assert phi[0].tobytes() == sorted_gram.tobytes()
+                    assert inverse[0].tobytes() == np.linalg.inv(sorted_gram).tobytes()
                 else:
-                    inverse = kernels_module._band_apply(order, blocks, np.eye(count))
-                    assert np.allclose(inverse @ gram, np.eye(count), atol=1e-6)
+                    assert np.allclose(inverse[0] @ phi[0], np.eye(count), atol=1e-12)
         assert packets == [1.0, 2.0, 3.0]
 
     @pytest.mark.parametrize("beta", [1.0, 2.0, 3.0])
     def test_band_drops_only_entries_below_its_floor(self, beta):
-        # The sweep over every point is exact; the kept band is its nonzero
-        # part, and every entry outside it is at most 2**-64 of its row's
-        # diagonal entry.
+        # The sweep over every point is the exact inverse of Phi^T; the kept
+        # band is its nonzero part, and every entry outside it is at most
+        # 2**-64 of its row's diagonal entry.
         kernel = MaternKernel(beta=beta, dim=1)
         count = 200
-        x, band = packet_band(kernel, count)
-        m = kernels_module._packet_order(kernel)
-        starts, coefficients = kernels_module._packet_coefficients(x, m)
-        lower, upper = kernels_module._packet_lu(
-            kernels_module._packet_band(kernel, x, starts, coefficients)
-        )
-        full = kernels_module._packet_sweep(lower, upper, starts, coefficients, count - 1)
+        phi, band = sorted_packet_bands(kernel, count)
+        lower, upper = packets_module._packet_lu(phi)
+        full = packets_module._packet_sweep(lower, upper, count - 1)
         exact = band_matrix(full)
+        assert np.allclose(exact @ band_matrix(phi), np.eye(count), atol=1e-12)
         diagonal = np.abs(np.diag(exact))[:, None]
         kept = band_matrix(band)
         w = band.shape[1] // 2
@@ -1335,67 +1362,70 @@ class TestPacketInverse:
         assert np.all(np.abs(kept - exact) <= 1e-15 * diagonal)
         # The band is trimmed: its outermost diagonals hold a nonzero entry.
         assert np.any(band[:, [0, -1]] != 0.0)
-        assert w == {1.0: 1, 2.0: 35, 3.0: 57}[beta]
+        assert w == {1.0: 0, 2.0: 35, 3.0: 55}[beta]
 
     @pytest.mark.parametrize("beta", [1.0, 2.0, 3.0])
     def test_kept_factor_holds_no_subnormal_number(self, beta):
-        # At nu = 3/2 the dense inverse on these points holds 10,176
-        # subnormal entries.
+        # At nu = 3/2 the dense inverse of the Gram matrix on these points
+        # held 10,176 subnormal entries.
         kernel = MaternKernel(beta=beta, dim=1)
-        _, _, blocks = kernels_module._packet_factor(
+        _, _, phi, inverse, _ = kernels_module._packet_factor(
             kernel, generate_points(UNIT_INTERVAL, 1024).points
         )
-        magnitudes = np.abs(blocks[blocks != 0.0])
-        assert magnitudes.size and np.min(magnitudes) >= np.finfo(float).tiny
+        for blocks in (phi, inverse):
+            magnitudes = np.abs(blocks[blocks != 0.0])
+            assert magnitudes.size and np.min(magnitudes) >= np.finfo(float).tiny
 
-    def test_kept_1024_point_factor_holds_under_12_mb(self):
-        # A dense inverse beside the 8.4 MB Gram matrix held 16.8 MB.
+    def test_kept_1024_point_factor_holds_under_3_mb(self):
+        # With its Gram matrix (8.4 MB) beside the band of its inverse, the
+        # entry held 10.5 MB.
         kernel = MaternKernel(beta=2.0, dim=1)
         entry = kernels_module._packet_factor(
             kernel, generate_points(UNIT_INTERVAL, 1024).points
         )
-        assert sum(array.nbytes for array in entry) < 12e6
-        assert all(not array.flags.writeable for array in entry)
+        assert sum(array.nbytes for array in entry) < 3e6
+        order, basis, *arrays = entry
+        assert all(not array.flags.writeable for array in (order, *basis.packets, *arrays))
 
     @pytest.mark.parametrize("columns", [1, 2, 33])
     @pytest.mark.parametrize("beta", [1.0, 2.0])
     @pytest.mark.parametrize(
         "count,layout",
         [
-            (kernels_module._PACKET_BLOCK_ROWS - 1, "one dense block"),
-            (kernels_module._PACKET_BLOCK_ROWS, "one dense block"),
-            (4 * kernels_module._PACKET_BLOCK_ROWS, "whole blocks"),
-            (3 * kernels_module._PACKET_BLOCK_ROWS + 17, "a partial last block"),
+            (packets_module._PACKET_BLOCK_ROWS - 1, "one dense block"),
+            (packets_module._PACKET_BLOCK_ROWS, "one dense block"),
+            (4 * packets_module._PACKET_BLOCK_ROWS, "whole blocks"),
+            (3 * packets_module._PACKET_BLOCK_ROWS + 17, "a partial last block"),
         ],
     )
     def test_apply_matches_the_dense_product(self, count, layout, beta, columns):
         kernel = MaternKernel(beta=beta, dim=1)
         rows = generate_points(UNIT_INTERVAL, count).points
-        _, order, blocks = kernels_module._packet_factor(kernel, rows)
-        block_rows = kernels_module._PACKET_BLOCK_ROWS
-        if layout == "one dense block":
-            assert blocks.shape == (1, count, count)
-        else:
-            assert blocks.shape[:2] == (-(-count // block_rows), block_rows)
-        _, band = packet_band(kernel, count)
-        dense = np.empty((count, count))
-        dense[np.ix_(order, order)] = band_matrix(band)
+        _, _, phi_blocks, inverse_blocks, _ = kernels_module._packet_factor(kernel, rows)
+        block_rows = packets_module._PACKET_BLOCK_ROWS
+        for blocks in (phi_blocks, inverse_blocks):
+            if layout == "one dense block":
+                assert blocks.shape == (1, count, count)
+            else:
+                assert blocks.shape[:2] == (-(-count // block_rows), block_rows)
+        phi, inverse = sorted_packet_bands(kernel, count)
         x = np.random.default_rng(columns).standard_normal((count, columns))
-        expected = dense @ x
-        result = kernels_module._band_apply(order, blocks, x)
-        assert result.shape == (count, columns)
-        assert np.max(np.abs(result - expected)) <= 1e-15 * np.max(np.abs(expected))
+        for blocks, band in ((phi_blocks, phi), (inverse_blocks, inverse)):
+            expected = band_matrix(band) @ x
+            result = kernels_module._band_apply(blocks, x)
+            assert result.shape == (count, columns)
+            assert np.max(np.abs(result - expected)) <= 1e-15 * np.max(np.abs(expected))
 
     @pytest.mark.parametrize("pivot", [0.0, np.nan])
     def test_zero_or_non_finite_pivot_raises(self, monkeypatch, fresh_factored_grams, pivot):
-        band = kernels_module._packet_band
+        band = packets_module._packet_band
 
         def broken(*args):
             values = band(*args)
             values[0, values.shape[1] // 2] = pivot  # row 0's pivot is its diagonal
             return values
 
-        monkeypatch.setattr(kernels_module, "_packet_band", broken)
+        monkeypatch.setattr(packets_module, "_packet_band", broken)
         kernel, nodes = block_grid(((2.0, 1), (2.0, 1)), (12, 9))
         with pytest.raises(ConditioningError, match="zero or non-finite pivot") as caught:
             fit_interpolant(kernel, nodes, smooth_values(nodes.points))
@@ -1419,12 +1449,13 @@ class TestPacketInverse:
             raise AssertionError("a grid of half-integer factors was eigendecomposed")
 
         monkeypatch.setattr(np.linalg, "eigh", no_eigh)
-        solution = kernels_module._solve_spd(kernel, nodes, rhs)
+        fit = fit_interpolant(kernel, nodes, rhs)
+        assert isinstance(expansion_of(fit), PacketExpansion)
         scale = np.max(np.abs(rhs))
-        assert np.max(np.abs(gram @ solution - rhs)) <= 1e-10 * scale
+        assert np.max(np.abs(fit.evaluate(nodes.points) - rhs)) <= 1e-10 * scale
         off_node = np.random.default_rng(5).random((300, nodes.dim))
         between = kernel.gram(off_node, nodes.points)
-        assert np.max(np.abs(between @ (solution - dense))) <= 1e-9 * scale
+        assert np.max(np.abs(fit.evaluate(off_node) - between @ dense)) <= 1e-9 * scale
 
     def test_grid_whose_packet_solve_misses_the_gate_takes_the_eigen_solve(
         self, monkeypatch, fresh_factored_grams
@@ -1477,7 +1508,7 @@ class TestPacketInverse:
                 )
                 for a, b in pairs
             ]
-            return [expansion_of(fit).coefficients for fit in fits]
+            return [grid_of(fit).weights for fit in fits]
 
         first, again = fit_all(), fit_all()
         assert built == [2.0] * 3
@@ -1495,6 +1526,130 @@ class TestPacketInverse:
         fit = fit_interpolant(kernel, nodes, smooth_values(nodes.points))
         residual = fit.evaluate(nodes.points) - smooth_values(nodes.points)
         assert np.max(np.abs(residual)) <= 1e-8
+
+
+def corner_grid(beta, count):
+    """The tensor kernel of two one-dimensional blocks of order ``beta -
+    1/2`` and the grid of a ``count``-point Halton factor with the 2-point
+    corner factor {0, 1}, whose basis is its kernel translates."""
+    kernel = MaternKernel(beta=beta, dim=1)
+    grids = [generate_points(UNIT_INTERVAL, count), generate_points(UNIT_INTERVAL, 2)]
+    return TensorKernel(kernels=(kernel, kernel)), PointSet.product(grids)
+
+
+def long_double_gram(kernel, x, y):
+    """The Gram matrix of a one-dimensional half-integer Matern kernel
+    between the points ``x`` and ``y``, in long double."""
+    d = np.abs(np.subtract.outer(x.astype(np.longdouble), y.astype(np.longdouble)))
+    d /= np.longdouble(kernel.length_scale)
+    poly = np.zeros_like(d)
+    for c in kernel._half_integer_coefficients:  # highest power first
+        poly = poly * d + np.longdouble(c)
+    return np.longdouble(kernel._half_integer_constant) * poly * np.exp(-d)
+
+
+def long_double_solve(matrix, rhs):
+    """``matrix^-1 rhs`` by Gaussian elimination without pivoting (the
+    matrix is symmetric positive definite), in long double."""
+    a, b = matrix.copy(), rhs.copy()
+    n = len(a)
+    for k in range(n - 1):
+        factor = a[k + 1 :, k] / a[k, k]
+        a[k + 1 :, k + 1 :] -= np.outer(factor, a[k, k + 1 :])
+        b[k + 1 :] -= np.outer(factor, b[k])
+    x = np.zeros_like(b)
+    for k in range(n - 1, -1, -1):
+        x[k] = (b[k] - a[k, k + 1 :] @ x[k + 1 :]) / a[k, k]
+    return x
+
+
+class TestPacketBasis:
+    # Grids of a 5-, 256- or 1,024-point factor and the 2-point corner
+    # factor, at nu = 1/2, 3/2 and 5/2.  The 5-point factor takes packets
+    # at nu = 1/2 and 3/2, and its kernel translates at nu = 5/2, whose
+    # packets span 7 points.
+    @pytest.mark.parametrize("count", [5, 256, 1024])
+    @pytest.mark.parametrize("beta", [1.0, 2.0, 3.0])
+    def test_node_residual_is_within_the_target(self, beta, count):
+        kernel, nodes = corner_grid(beta, count)
+        values = smooth_values(nodes.points)
+        fit = fit_interpolant(kernel, nodes, values)
+        assert isinstance(expansion_of(fit), PacketExpansion)
+        # Largest seen: 2.1e-13 relative (nu = 5/2, 5 points).
+        residual = fit.evaluate(nodes.points) - values
+        target = kernels_module._RESIDUAL_TARGET
+        assert np.max(np.abs(residual)) <= target * np.max(np.abs(values))
+
+    @pytest.mark.parametrize("count", [5, 256, 1024])
+    @pytest.mark.parametrize("beta", [1.0, 2.0, 3.0])
+    def test_reproduces_a_native_space_member(self, beta, count):
+        # A combination of kernel translates at nodes is its own
+        # interpolant, so its values are exact off the nodes, also outside
+        # the factors' points, where each packet takes its cheapest form.
+        kernel, nodes = corner_grid(beta, count)
+        block = kernel.kernels[0]
+        factors = kernel.grid_factors(nodes)
+        centers = [factors[0][[1, count // 2]], factors[1]]
+
+        def member(points):
+            first = block.gram(points[:, :1], centers[0]) @ [0.7, -1.3]
+            return first * (block.gram(points[:, 1:], centers[1]) @ [1.1, 0.4])
+
+        fit = fit_interpolant(kernel, nodes, member(nodes.points))
+        scale = np.max(np.abs(member(nodes.points)))
+        rng = np.random.default_rng(count)
+        inside = rng.random((400, 2))
+        # Largest seen: 9.8e-13 relative (nu = 5/2, 5 points).
+        assert np.max(np.abs(fit.evaluate(inside) - member(inside))) <= 1e-11 * scale
+        outside = np.column_stack([rng.uniform(-0.2, 1.2, 50), rng.random(50)])
+        outside[:, 0] += np.where(outside[:, 0] < 0.5, -0.2, 0.2)
+        with pytest.warns(UserWarning, match="outside its domain"):
+            got = fit.evaluate(outside)
+        # Past the ends the nu = 5/2 weights' rounding grows with the
+        # distance, as the kernel basis's did: largest seen 1.5e-9 at 1,024
+        # points, where the kernel-basis fit read 2.8e-9, against 1e-13 at
+        # nu = 3/2.
+        bound = 1e-8 if beta == 3.0 else 1e-11
+        assert np.max(np.abs(got - member(outside))) <= bound * scale
+
+    @pytest.mark.parametrize("count", [5, 256])
+    @pytest.mark.parametrize("beta", [1.0, 2.0, 3.0])
+    def test_matches_a_long_double_dense_solve(self, beta, count):
+        kernel, nodes = corner_grid(beta, count)
+        values = smooth_values(nodes.points)
+        fit = fit_interpolant(kernel, nodes, values)
+        block = kernel.kernels[0]
+        x, corners = (rows[:, 0] for rows in kernel.grid_factors(nodes))
+        grams = [long_double_gram(block, rows, rows) for rows in (x, corners)]
+        coefficients = long_double_solve(grams[0], values.reshape(count, 2).astype(np.longdouble))
+        coefficients = long_double_solve(grams[1], coefficients.T).T
+        points = np.random.default_rng(count).random((300, 2))
+        expected = np.einsum(
+            "pi,ij,pj->p",
+            long_double_gram(block, points[:, 0], x),
+            coefficients,
+            long_double_gram(block, points[:, 1], corners),
+        )
+        # Largest seen: 5.0e-13 relative (nu = 5/2, 256 points).
+        error = np.abs(fit.evaluate(points) - expected.astype(float))
+        assert np.max(error) <= 1e-11 * np.max(np.abs(values))
+
+    @pytest.mark.parametrize("beta", [1.0, 2.0, 3.0])
+    def test_factor_entries_hold_no_gram_matrix(self, beta, fresh_factored_grams):
+        kernel = MaternKernel(beta=beta, dim=1)
+        for count in (256, 1024):
+            grid = PointSet.product([generate_points(UNIT_INTERVAL, count)] * 2)
+            tensor = TensorKernel(kernels=(kernel, kernel))
+            fit_interpolant(tensor, grid, smooth_values(grid.points))
+        entries = list(fresh_factored_grams._entries.values())
+        assert len(entries) == 2
+        for order, basis, *arrays in entries:
+            count = len(order)
+            for array in (order, *basis.packets, *arrays):
+                assert array.size < count * count
+        assert fresh_factored_grams.nbytes == sum(
+            sum(array.nbytes for array in entry) for entry in entries
+        )
 
 
 class TestQuadratureWeights:

@@ -19,6 +19,7 @@ from kernelkit.multiindex import (
     delta_expand,
     enumerate_simplex,
 )
+from kernelkit.packets import PacketExpansion, packet_layout
 from kernelkit.points import Box, Disc, PointSet, generate_points, tensor_grid
 from kernelkit.smolyak import FactorSpec, ProblemSpec, SmolyakEngine
 from kernelkit.surrogate import Surrogate
@@ -55,10 +56,14 @@ def term_by_term(terms, points):
 
     The scale is ``sum_t |c_t| |K_t| |alpha_t|``: merging reassociates these
     products, and the interpolation coefficients of an ill-conditioned fit
-    are far larger than the values they produce.
+    are far larger than the values they produce.  Merged packet expansions
+    sum the same grid values in another order, so for them the scale is
+    ``sum_t |c_t| |f_t|``.
     """
     values = sum(c * fit.evaluate(points) for c, fit in terms)
     expansions = [(c, fit.terms[0][1]) for c, fit in terms]
+    if isinstance(expansions[0][1], PacketExpansion):
+        return values, sum(abs(c) * np.abs(fit.evaluate(points)) for c, fit in terms)
     scale = sum(
         abs(c) * (np.abs(e.kernel.gram(points, e.nodes.points)) @ np.abs(e.coefficients))
         for c, e in expansions
@@ -119,6 +124,37 @@ class TestSurrogateAlgebra:
             stack.evaluate(nodes.points)
 
 
+class TestExpansionKinds:
+    def test_kernel_and_packet_expansions_do_not_mix(self):
+        # One kernel fits a product grid in the packet basis and the same
+        # points as a plain point set in the kernel basis.
+        k = MaternKernel(beta=2.0, dim=1)
+        grids = [generate_points(UNIT_INTERVAL, 5), generate_points(UNIT_INTERVAL, 3)]
+        grid = PointSet.product(grids)
+        plain = PointSet(points=grid.points, domain=grid.domain)
+        values = sine_product(grid.points)
+        packets = grid_fit([k, k], grids, values)
+        dense = fit_interpolant(TensorKernel(kernels=(k, k)), plain, values)
+        assert isinstance(packets.terms[0][1], PacketExpansion)
+        assert isinstance(dense.terms[0][1], KernelExpansion)
+        with pytest.raises(ValueError, match="one kind of expansion"):
+            Surrogate.weighted_sum(((1.0, packets), (-1.0, dense)))
+        with pytest.raises(ValueError, match="one kernel and one basis"):
+            Surrogate.stack([packets, dense]).evaluate(grid.points)
+
+    def test_packet_sums_hold_each_grid_once(self):
+        k = MaternKernel(beta=2.0, dim=1)
+        grids = [generate_points(UNIT_INTERVAL, 9), generate_points(UNIT_INTERVAL, 5)]
+        fit = grid_fit([k, k], grids, sine_product(tensor_grid([g.points for g in grids])))
+        total = Surrogate.weighted_sum(((1.0, fit), (2.0, fit), (-0.5, fit)))
+        ((_, merged),) = total.terms
+        ((_, grid),) = fit.terms[0][1].grids
+        assert merged.grids == ((2.5, grid),)
+        assert merged.nodes.points.tobytes() == fit.terms[0][1].nodes.points.tobytes()
+        points = np.random.default_rng(4).random((50, 2))
+        assert np.allclose(total.evaluate(points), 2.5 * fit.evaluate(points), rtol=1e-14, atol=0)
+
+
 def incremental_sum(pairs):
     """``c_0 v_0 + c_1 v_1 + ...`` of fits, merging after every term."""
     merged = ()
@@ -132,12 +168,18 @@ def assert_same_expansions(a: Surrogate, b: Surrogate):
     for (ca, ea), (cb, eb) in zip(a.terms, b.terms):
         assert ca == cb and ea.kernel == eb.kernel
         assert ea.nodes.points.tobytes() == eb.nodes.points.tobytes()
-        assert ea.coefficients.tobytes() == eb.coefficients.tobytes()
+        if isinstance(ea, PacketExpansion):
+            assert [(c, id(g)) for c, g in ea.grids] == [(c, id(g)) for c, g in eb.grids]
+        else:
+            assert ea.coefficients.tobytes() == eb.coefficients.tobytes()
 
 
 class TestMergedExpansion:
-    def test_engine_merges_once_per_estimate_as_the_incremental_sum(self, monkeypatch):
-        k = MaternKernel(beta=2.0, dim=1)
+    # beta 2.0 in one dimension (nu = 3/2) fits its grids in the packet
+    # basis, beta 1.5 (nu = 1) in the kernel basis.
+    @pytest.mark.parametrize("beta", [2.0, 1.5])
+    def test_engine_merges_once_per_estimate_as_the_incremental_sum(self, monkeypatch, beta):
+        k = MaternKernel(beta=beta, dim=1)
         spec = FactorSpec(gamma=1.0, beta=2.0, resolution_map=lambda l: 2**l)
 
         def evaluator(resolutions):
@@ -176,8 +218,9 @@ class TestMergedExpansion:
         ]
         assert_same_expansions(deltas, incremental_sum(deltas_plan))
 
-    def test_sparse_interpolate_matches_term_by_term(self):
-        k = MaternKernel(beta=2.0, dim=1)
+    @pytest.mark.parametrize("beta", [2.0, 1.5])
+    def test_sparse_interpolate_matches_term_by_term(self, beta):
+        k = MaternKernel(beta=beta, dim=1)
         L = 6
         s = sparse_interpolate([k, k], [UNIT_INTERVAL, UNIT_INTERVAL], sine_product, L=L)
         terms = []
@@ -254,16 +297,26 @@ def sparse_family(kernel, domain, rng):
 
 
 def stacked_family(name):
+    """Members of one kernel and the points to evaluate them at: "interval"
+    fits its grids in the packet basis (nu = 3/2), the others in the kernel
+    basis, "bessel" on the same grids as "interval" at nu = 1."""
     rng = np.random.default_rng(11)
     if name == "disc":
         return disc_family(rng)
     if name == "interval":
         return sparse_family(MaternKernel(beta=2.0, dim=1), UNIT_INTERVAL, rng)
+    if name == "bessel":
+        return sparse_family(MaternKernel(beta=1.5, dim=1), UNIT_INTERVAL, rng)
     return sparse_family(MaternKernel(beta=3.0, dim=2), UNIT_SQUARE, rng)
 
 
 def stack_layout(members):
-    return kernels_module.stack_layout([e for m in members for _, e in m.terms])
+    """The layout of a stack's expansions, kernel or packet; either ends
+    with the entries per point that bound a chunk."""
+    expansions = [e for m in members for _, e in m.terms]
+    if isinstance(expansions[0], PacketExpansion):
+        return packet_layout(expansions)
+    return kernels_module.stack_layout(expansions)
 
 
 def assert_columns_match(stacked, members, points):
@@ -274,17 +327,17 @@ def assert_columns_match(stacked, members, points):
 
 
 class TestStackedEvaluation:
-    @pytest.mark.parametrize("family", ["disc", "interval", "square"])
+    @pytest.mark.parametrize("family", ["disc", "interval", "bessel", "square"])
     def test_columns_match_members_evaluated_alone(self, family):
         members, points = stacked_family(family)
         # Several chunks, the last one short.
-        _, _, _, columns = stack_layout(members)
+        *_, columns = stack_layout(members)
         rows = kernels_module._STACK_BLOCK_ENTRIES // columns
         assert rows < len(points) and len(points) % rows != 0
         assert_columns_match(Surrogate.stack(members).evaluate(points), members, points)
 
     def test_nested_members_share_rows_without_gathers(self):
-        members, _ = stacked_family("interval")
+        members, _ = stacked_family("bessel")
         _, node_rows, stacked, _ = stack_layout(members)
         widest = members[-1].terms[0][1]._plan
         assert [len(r) for r in node_rows] == [len(r) for r in widest.node_rows]
@@ -296,11 +349,13 @@ class TestStackedEvaluation:
         assert stacked.shape == (len(points), 1)
         assert_columns_match(stacked, members[-1:], points)
 
-    def test_unnested_members(self):
-        # A sparse grid's last-block columns are a slice of the shared rows;
-        # a grid whose last block runs backwards gathers its columns.
+    @pytest.mark.parametrize("beta", [1.5, 2.0])
+    def test_unnested_members(self, beta):
+        # In the kernel basis (beta 1.5), a sparse grid's last-block columns
+        # are a slice of the shared rows, and a grid whose last block runs
+        # backwards gathers its columns; packets (beta 2.0) sort each factor.
         rng = np.random.default_rng(5)
-        kernel = MaternKernel(beta=2.0, dim=1)
+        kernel = MaternKernel(beta=beta, dim=1)
         backwards = generate_points(UNIT_INTERVAL, 7).points[::-1].copy()
         tensor = grid_fit(
             [kernel, kernel],
@@ -313,11 +368,33 @@ class TestStackedEvaluation:
         ]
         points = rng.random((301, 2))
         assert_columns_match(Surrogate.stack(members).evaluate(points), members, points)
-        _, _, stacked, _ = stack_layout(members)
-        assert [slice, np.ndarray] == [type(last) for _, last in stacked]
+        if beta == 1.5:
+            _, _, stacked, _ = stack_layout(members)
+            assert [slice, np.ndarray] == [type(last) for _, last in stacked]
 
-    def test_temporaries_stay_within_the_chunk_budget(self, monkeypatch):
-        members, _ = stacked_family("interval")
+    def test_packet_members_with_a_kernel_translate_grid(self):
+        # A grid with two points 1e-9 apart takes the eigen solve and keeps
+        # its coefficients over its factors' kernel translates; summed with
+        # a packet grid and stacked, it evaluates as its members do alone.
+        k = MaternKernel(beta=2.0, dim=1)
+        halton = generate_points(UNIT_INTERVAL, 9)
+        close = PointSet(points=np.vstack([halton.points, [[0.5 + 1e-9]]]), domain=UNIT_INTERVAL)
+        other = generate_points(UNIT_INTERVAL, 7)
+
+        def fit(grids):
+            values = sine_product(tensor_grid([g.points for g in grids]))
+            return grid_fit([k, k], grids, values)
+
+        translates, packets = fit([close, other]), fit([halton, other])
+        ((_, grid),) = translates.terms[0][1].grids
+        assert not any(basis.packets for basis in grid.bases)
+        members = [Surrogate.weighted_sum(((1.0, packets), (-0.5, translates))), packets, translates]
+        points = np.random.default_rng(3).random((301, 2))
+        assert_columns_match(Surrogate.stack(members).evaluate(points), members, points)
+
+    @pytest.mark.parametrize("family", ["interval", "bessel"])
+    def test_temporaries_stay_within_the_chunk_budget(self, monkeypatch, family):
+        members, _ = stacked_family(family)
         points = np.random.default_rng(2).random((500, 2))
         budget = 4096
         monkeypatch.setattr(kernels_module, "_STACK_BLOCK_ENTRIES", budget)
