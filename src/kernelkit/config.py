@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from kernelkit.kernels import REFERENCE_RULE_MAX_DIM, MaternKernel
-from kernelkit.pde import check_field_grid, mesh_at_level
+from kernelkit.pde import MAX_MESH_LEVEL, check_field_grid, mesh_at_level
 from kernelkit.points import _PRIMES, Box
 from kernelkit.smolyak import level_to_resolution
 from kernelkit.uq import InterpolationFactor, doubling_levels, interpolation_factor
@@ -74,6 +74,7 @@ class _Key:
     default: Any = None  # None means required when the section is read
     choices: tuple | None = None
     positive: bool = False  # every value must be > 0
+    maximum: int | None = None  # no value may exceed it
 
 
 # Sections and keys in the order of the canonical form (serialize_config).
@@ -110,15 +111,15 @@ _SCHEMA: dict[str, dict[str, _Key]] = {
     },
     "pde": {
         "bumps": _Key(_parse_int, default=1, choices=(1, 2, 4)),
-        "max_mesh_level": _Key(_parse_int, default=6, positive=True),
+        "max_mesh_level": _Key(_parse_int, default=6, positive=True, maximum=MAX_MESH_LEVEL),
         "work_exponent": _Key(_parse_float, default=1.5, positive=True),
         "convergence_exponent": _Key(_parse_float, default=1.0, positive=True),
         "level_min": _Key(_parse_int, default=3),
-        "level_max": _Key(_parse_int, default=6),
+        "level_max": _Key(_parse_int, default=6, maximum=MAX_MESH_LEVEL),
     },
     "ouu": {
         "field_level": _Key(_parse_int, default=5, positive=True),
-        "max_mesh_level": _Key(_parse_int, default=5, positive=True),
+        "max_mesh_level": _Key(_parse_int, default=5, positive=True, maximum=MAX_MESH_LEVEL),
         "replications": _Key(_parse_int, default=5, positive=True),
         "mc_scale": _Key(_parse_float, default=4.0, positive=True),
         "pde_scale": _Key(_parse_float, default=12.0, positive=True),
@@ -273,6 +274,10 @@ def _convert_section(
             values = value if isinstance(value, tuple) else (value,)
             if spec.positive and any(not (v > 0) for v in values):
                 raise ConfigError(f"[{name}] {key} must be positive, got {value}", line_no)
+            if spec.maximum is not None and value > spec.maximum:
+                raise ConfigError(
+                    f"[{name}] {key} must be <= {spec.maximum}, got {value}", line_no
+                )
             out[key] = value
         elif spec.default is not None:
             out[key] = spec.default
@@ -389,7 +394,7 @@ def _validate(raw: dict[str, dict[str, tuple[str, int]]]) -> RunConfig:
             ) from None
     if pipeline == "fem-check":
         p = sections["pde"]
-        if not 1 <= p["level_min"] <= p["level_max"] <= 10:
+        if not 1 <= p["level_min"] <= p["level_max"]:
             raise ConfigError(
                 f"[pde] level range [{p['level_min']}, {p['level_max']}] invalid"
             )

@@ -15,23 +15,24 @@ advection-diffusion problem with a random log-normal-type coefficient,
 fixed Gaussian source and Robin boundary data.  The quantity of interest
 is always the spatial average of the solution.
 
-Both problems are solved through per-mesh operators, each computed once
-and holding what the mesh alone fixes, with element entries scattered
-straight into LAPACK banded storage.  The Dirichlet system of the
-diffusion problem is symmetric positive definite: its
-:class:`DirichletOperator` assembles the interior system (half-bandwidth
-``cells`` under row-major interior numbering) and solves it by banded
-Cholesky, falling back to sparse LU from the same element entries above
-``_MAX_BANDED_CELLS`` cells per axis, where the band would outgrow the
-sparse factors.  For advection-diffusion, the :class:`AdvectionOperator`
-assembles the coefficient-dependent base system once per field
-realization and mesh (half-bandwidth ``nodes_per_axis + 1``), and each
-velocity then costs one matrix sum, one banded LU solve and, for the
-quantity of interest, one dot product.  A field
-realization (a :class:`GrfSample`, the only coefficient field the problem
-takes) lives on its reference grid; the operator keeps, per grid, the
-bilinear weights of its centroids and edge midpoints, so restricting a
-field to the mesh is one gather-and-sum.
+Both problems are solved on meshes built once per cell count
+(:func:`cached_mesh`).  A mesh holds, as cached properties, what it alone
+fixes: the geometry-only element stiffness, the nodal averaging weights
+and its Dirichlet operator; :meth:`Mesh.load` is the one P1 load scatter.
+Element entries are scattered straight into LAPACK banded storage.  The
+Dirichlet system of the diffusion problem is symmetric positive definite:
+its :class:`DirichletOperator` assembles the interior system
+(half-bandwidth ``cells`` under row-major interior numbering) and solves
+it by banded Cholesky.  A config asks for at most ``2**MAX_MESH_LEVEL``
+cells per axis, where that band holds 134 MB.  For advection-diffusion,
+the :class:`AdvectionOperator` assembles the coefficient-dependent base
+system once per field realization and mesh (half-bandwidth
+``nodes_per_axis + 1``), and each velocity then costs one matrix sum, one
+banded LU solve and, for the quantity of interest, one dot product.  A
+field realization (a :class:`GrfSample`, the only coefficient field the
+problem takes) lives on its reference grid; the operator keeps, per grid,
+the bilinear weights of its centroids and edge midpoints, so restricting
+a field to the mesh is one gather-and-sum.
 
 Random-field draws are computed in aligned blocks, one triangular product
 (BLAS ``dtrmm``) with the field's lower Cholesky factor per block.  It
@@ -61,6 +62,11 @@ from kernelkit.smolyak import scaled_exponential_map
 _FIELD_NUGGET = 1e-10
 _FIELD_NUGGET_FALLBACK = 1e-8
 _MAX_FIELD_NODES = 5000
+# Finest mesh level a config may ask for: 2**8 = 256 cells per axis, whose
+# Dirichlet band holds 134 MB.  Measured at one BLAS thread on a shared
+# 2-core machine, a first bump solve there took 0.4-0.7 s (255 MB peak RSS)
+# and a first advection solve 1.8-3.1 s (2.1 GB).
+MAX_MESH_LEVEL = 8
 # Field draws computed together by one matrix product (see
 # GaussianFieldSampler); a block of the 1089-node reference grid is 279 kB.
 _DRAW_BLOCK = 32
@@ -169,12 +175,53 @@ class Mesh:
         grads.setflags(write=False)
         return grads
 
+    @cached_property
+    def stiffness(self) -> np.ndarray:
+        """Geometry-only P1 element stiffness ``grad^T grad * area``, shape
+        (ntri, 3, 3)."""
+        grads = self.gradients
+        out = np.einsum("tdi,tdj->tij", grads, grads) * self.triangle_area
+        out.setflags(write=False)
+        return out
+
+    def load(self, f_centroid) -> np.ndarray:
+        """Nodal P1 load of a per-triangle (or scalar) source by one-point
+        centroid quadrature: ``area / 3`` of each triangle's value at each of
+        its nodes, summed per node in triangle order."""
+        ntri = len(self.triangles)
+        f = np.broadcast_to(np.asarray(f_centroid, dtype=float), (ntri,))
+        contribution = f * (self.triangle_area / 3.0)
+        return np.bincount(
+            self.triangles.ravel(), weights=np.repeat(contribution, 3), minlength=self.node_count
+        )
+
+    @cached_property
+    def average_weights(self) -> np.ndarray:
+        """Nodal weights of the P1 integral: ``area / 3`` per triangle at a node."""
+        counts = np.bincount(self.triangles.ravel(), minlength=self.node_count)
+        out = counts * (self.triangle_area / 3.0)
+        out.setflags(write=False)
+        return out
+
+    @cached_property
+    def dirichlet(self) -> "DirichletOperator":
+        """The homogeneous Dirichlet operator of this mesh."""
+        return DirichletOperator(self)
+
+
+@lru_cache(maxsize=None)
+def cached_mesh(cells: int) -> Mesh:
+    """The one :class:`Mesh` of ``cells`` per axis that the pipelines solve
+    on, so its cached properties are built once per cell count.  Cell
+    counts are bounded by ``2**MAX_MESH_LEVEL`` in every config."""
+    return Mesh(cells=cells)
+
 
 def mesh_at_level(level: int) -> Mesh:
     """Dyadic mesh with ``2**level`` cells per axis."""
     if level < 1:
         raise ValueError(f"mesh level must be >= 1, got {level}")
-    return Mesh(cells=2**level)
+    return cached_mesh(2**level)
 
 
 def mesh_cells_for_resolution(resolution: int, max_cells: int) -> int:
@@ -212,20 +259,11 @@ def pde_resolution_map(
     return mapped
 
 
-@lru_cache(maxsize=32)
-def _average_weights(mesh: Mesh) -> np.ndarray:
-    """Nodal weights of the P1 integral: ``area / 3`` per triangle at a node."""
-    counts = np.bincount(mesh.triangles.ravel(), minlength=mesh.node_count)
-    weights = counts * (mesh.triangle_area / 3.0)
-    weights.setflags(write=False)
-    return weights
-
-
 def spatial_average(solution: np.ndarray, mesh: Mesh) -> float:
     """Exact integral of a P1 function over the unit square."""
     if solution.shape != (mesh.node_count,):
         raise ValueError("solution vector does not match mesh")
-    return float(solution @ _average_weights(mesh))
+    return float(solution @ mesh.average_weights)
 
 
 class _BandLayout:
@@ -251,36 +289,20 @@ class _BandLayout:
         return flat.reshape(self.n, self.rows).T
 
 
-# Largest mesh (cells per axis) whose Dirichlet system is solved banded.
-# Lower band storage holds (cells + 1) * (cells - 1)**2 doubles: 2 MB at
-# 64 cells, 134 MB at 256 and 8.6 GB at the 1024 cells of a level-10 mesh.
-# Measured per solve (one thread, peak RSS growth), banded against sparse
-# LU: 27 ms / 16 MB against 127 ms / 29 MB at 128 cells, 279 ms / 125 MB
-# against 841 ms / 132 MB at 256, 367 ms / 179 MB against 1.18 s / 176 MB
-# at 288.  Above 256 cells the band costs more memory than the sparse
-# factors, and its O(cells**4) time loses its lead soon after.
-_MAX_BANDED_CELLS = 256
-
-
 class DirichletOperator:
     """The parts of the homogeneous Dirichlet system that one mesh fixes.
 
     Interior nodes are numbered row-major, ``cells - 1`` per axis, so an
     interior node couples only to interior nodes at most ``kd = cells``
     positions away (the neighbour across a triangle diagonal).  The
-    operator holds the interior numbering, the geometry-only element
-    stiffness ``grad^T grad * area`` of every interior-interior element
+    operator holds the interior numbering, and the mesh's element
+    stiffness (:attr:`Mesh.stiffness`) of every interior-interior element
     entry on or below the diagonal with its position in lower LAPACK band
-    storage ``(kd + 1, n_interior)``, and the scatter of the load onto the
-    interior nodes.  :meth:`solve` is one ``bincount`` for the matrix, one
-    for the load (:meth:`system`) and one banded Cholesky solve
-    (``dpbsv``).  A scalar source's load is computed once per mesh and
-    source value, and ``dpbsv``, which overwrites its right-hand side, is
-    handed a copy of it.
-
-    Above ``_MAX_BANDED_CELLS`` cells per axis the band would outgrow the
-    sparse LU factors, so the operator keeps every interior-interior
-    element entry instead and solves by sparse LU.
+    storage ``(kd + 1, n_interior)``.  :meth:`solve` is one ``bincount``
+    for the matrix, the mesh's load restricted to the interior nodes
+    (:meth:`system`) and one banded Cholesky solve (``dpbsv``).  A scalar
+    source's load is computed once per mesh and source value, and
+    ``dpbsv``, which overwrites its right-hand side, is handed a copy of it.
     """
 
     def __init__(self, mesh: Mesh):
@@ -293,28 +315,18 @@ class DirichletOperator:
         shape = local.shape + (3,)
         rows = np.broadcast_to(local[:, :, None], shape)
         cols = np.broadcast_to(local[:, None, :], shape)
-        self.banded = mesh.cells <= _MAX_BANDED_CELLS
-        kept = (rows >= 0) & (cols >= 0)
-        if self.banded:
-            kept &= rows >= cols  # symmetry supplies the upper triangle
-            self._layout = _BandLayout(mesh.cells + 1, 0, n)
-            self._index = self._layout.index(rows[kept], cols[kept])
-        else:
-            self._pairs = (rows[kept], cols[kept])
-        grads = mesh.gradients
-        stiffness = np.einsum("tdi,tdj->tij", grads, grads) * mesh.triangle_area
+        # Symmetry supplies the upper triangle.
+        kept = (rows >= 0) & (cols >= 0) & (rows >= cols)
+        self._layout = _BandLayout(mesh.cells + 1, 0, n)
+        self._index = self._layout.index(rows[kept], cols[kept])
         self._triangle = np.nonzero(kept)[0]
-        self._stiffness = stiffness[kept]
-        on_interior = local >= 0
-        self._load_triangle = np.nonzero(on_interior)[0]
-        self._load_node = local[on_interior]
+        self._stiffness = mesh.stiffness[kept]
         self._scalar_load: tuple[float, np.ndarray] | None = None
 
     def system(self, a_centroid, f_centroid):
-        """Interior matrix and load for per-triangle (or scalar) coefficient
-        and source.  The matrix is in lower band storage, or a sparse CSC
-        matrix above ``_MAX_BANDED_CELLS`` cells.  A scalar source's load
-        is computed once per source value and handed out read-only."""
+        """Interior matrix, in lower band storage, and load for per-triangle
+        (or scalar) coefficient and source.  A scalar source's load is
+        computed once per source value and handed out read-only."""
         ntri = len(self.mesh.triangles)
         a = np.asarray(a_centroid, dtype=float)
         if a.ndim == 0:
@@ -323,33 +335,19 @@ class DirichletOperator:
             raise ValueError(
                 f"coefficient of shape {a.shape} does not match {ntri} triangles"
             )
-        n = len(self.interior)
         entries = a[self._triangle] * self._stiffness
+        # The mesh's load sums each node's entries in triangle order, so its
+        # interior entries have the bits of a scatter onto the interior alone.
         if np.ndim(f_centroid) == 0:
             f = float(f_centroid)
             if self._scalar_load is None or self._scalar_load[0] != f:
-                load = self._load(f)
+                load = self.mesh.load(f)[self.interior]
                 load.setflags(write=False)
                 self._scalar_load = (f, load)
             load = self._scalar_load[1]
         else:
-            load = self._load(f_centroid)
-        if self.banded:
-            return self._layout.scatter(self._index, entries), load
-        from scipy.sparse import coo_matrix
-
-        return coo_matrix((entries, self._pairs), shape=(n, n)).tocsc(), load
-
-    def _load(self, f_centroid) -> np.ndarray:
-        """Interior load of a per-triangle (or scalar) source."""
-        ntri = len(self.mesh.triangles)
-        f = np.broadcast_to(np.asarray(f_centroid, dtype=float), (ntri,))
-        contribution = f * (self.mesh.triangle_area / 3.0)
-        return np.bincount(
-            self._load_node,
-            weights=contribution[self._load_triangle],
-            minlength=len(self.interior),
-        )
+            load = self.mesh.load(f_centroid)[self.interior]
+        return self._layout.scatter(self._index, entries), load
 
     def solve(self, a_centroid, f_centroid) -> np.ndarray:
         """Nodal solution, zero on the boundary."""
@@ -357,28 +355,16 @@ class DirichletOperator:
         if len(self.interior) == 0:
             return solution
         matrix, load = self.system(a_centroid, f_centroid)
-        if self.banded:
-            # dpbsv overwrites its right-hand side, which may be the cached
-            # load of a scalar source.
-            _, values, info = dpbsv(
-                matrix, load.copy(), lower=1, overwrite_ab=1, overwrite_b=1
+        # dpbsv overwrites its right-hand side, which may be the cached
+        # load of a scalar source.
+        _, values, info = dpbsv(matrix, load.copy(), lower=1, overwrite_ab=1, overwrite_b=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(
+                f"banded Cholesky failed (LAPACK dpbsv info {info}) "
+                f"on {self.mesh.cells} cells"
             )
-            if info != 0:
-                raise np.linalg.LinAlgError(
-                    f"banded Cholesky failed (LAPACK dpbsv info {info}) "
-                    f"on {self.mesh.cells} cells"
-                )
-        else:
-            from scipy.sparse.linalg import spsolve
-
-            values = spsolve(matrix, load)
         solution[self.interior] = values
         return solution
-
-
-@lru_cache(maxsize=32)
-def _dirichlet_operator(mesh: Mesh) -> DirichletOperator:
-    return DirichletOperator(mesh)
 
 
 def solve_poisson_dirichlet(mesh: Mesh, a_centroid, f_centroid) -> np.ndarray:
@@ -387,7 +373,7 @@ def solve_poisson_dirichlet(mesh: Mesh, a_centroid, f_centroid) -> np.ndarray:
     ``a_centroid`` and ``f_centroid`` are arrays over triangles (one-point
     centroid quadrature) or scalars.
     """
-    return _dirichlet_operator(mesh).solve(a_centroid, f_centroid)
+    return mesh.dirichlet.solve(a_centroid, f_centroid)
 
 
 @dataclass(frozen=True)
@@ -462,27 +448,10 @@ def bump_profile(r) -> np.ndarray:
     return out
 
 
-def _advection_boundary_values(x: np.ndarray) -> np.ndarray:
-    """Piecewise boundary data; corners are consistent across sides."""
-    vals = np.zeros(len(x))
-    x1 = x[:, 0]
-    x2 = x[:, 1]
-    left = np.isclose(x1, 0.0)
-    right = np.isclose(x1, 1.0)
-    bottom = np.isclose(x2, 0.0) & ~left & ~right
-    top = np.isclose(x2, 1.0) & ~left & ~right
-    vals[left] = 1.0
-    vals[right] = 0.0
-    vals[bottom] = 0.5 * (1.0 + np.cos(np.pi * x1[bottom]))
-    safe = top & (x1 < 1.0)
-    vals[safe] = np.exp(1.0 - 1.0 / (1.0 - x1[safe]))
-    return vals
-
-
 class AdvectionOperator:
     """The parts of the advection-diffusion system that one mesh fixes.
 
-    Holds the geometry-only element stiffness ``grad^T grad * area``, the
+    Holds the mesh's element stiffness (:attr:`Mesh.stiffness`), the
     unit advection matrices ``A_x`` and ``A_y``, the Robin edge mass and
     its product with the boundary values ``u_b``, the source load, and the
     indices that scatter element and edge entries straight into LAPACK
@@ -513,14 +482,11 @@ class AdvectionOperator:
 
         tri_index = band_index(tri)
         self._index = np.concatenate([tri_index, band_index(edges)])
-        grads = mesh.gradients
-        self._stiffness = (
-            np.einsum("tdi,tdj->tij", grads, grads) * mesh.triangle_area
-        ).reshape(len(tri), 9)
+        self._stiffness = mesh.stiffness.reshape(len(tri), 9)
         mass = np.array([[2.0, 1.0], [1.0, 2.0]]) * (mesh.h / 6.0)
         self._edge_mass = mass.ravel()
         # Row i, column j of a triangle's advection matrix is z . grad_j * area / 3.
-        unit = np.broadcast_to(grads[:, :, None, :], (len(tri), 2, 3, 3))
+        unit = np.broadcast_to(mesh.gradients[:, :, None, :], (len(tri), 2, 3, 3))
         self.advection = tuple(
             self._layout.scatter(tri_index, unit[:, d] * (mesh.triangle_area / 3.0))
             for d in range(2)
@@ -529,10 +495,7 @@ class AdvectionOperator:
         boundary_ids = np.unique(edges)
         ub[boundary_ids] = problem.boundary_values(mesh.nodes[boundary_ids])
         self._edge_rhs = ub[edges] @ mass.T
-        contribution = problem.source(mesh.centroids) * (mesh.triangle_area / 3.0)
-        self.load = np.bincount(
-            tri.ravel(), weights=np.repeat(contribution, 3), minlength=n
-        )
+        self.load = mesh.load(problem.source(mesh.centroids))
         self._field_weights: dict[Mesh, tuple[np.ndarray, np.ndarray]] = {}
 
     def field_weights(self, grid: Mesh) -> tuple[np.ndarray, np.ndarray]:
@@ -584,6 +547,8 @@ class AdvectionOperator:
         return solution
 
 
+# Kept beside the meshes' own caches because an operator also holds its
+# problem's source load and Robin data, which the mesh alone does not fix.
 @lru_cache(maxsize=32)
 def _advection_operator(problem: "AdvectionDiffusionProblem", mesh: Mesh):
     return AdvectionOperator(problem, mesh)
@@ -621,7 +586,20 @@ class AdvectionDiffusionProblem:
         return 20.0 * np.exp(-d2)
 
     def boundary_values(self, x: np.ndarray) -> np.ndarray:
-        return _advection_boundary_values(x)
+        """Piecewise boundary data; corners are consistent across sides."""
+        vals = np.zeros(len(x))
+        x1 = x[:, 0]
+        x2 = x[:, 1]
+        left = np.isclose(x1, 0.0)
+        right = np.isclose(x1, 1.0)
+        bottom = np.isclose(x2, 0.0) & ~left & ~right
+        top = np.isclose(x2, 1.0) & ~left & ~right
+        vals[left] = 1.0
+        vals[right] = 0.0
+        vals[bottom] = 0.5 * (1.0 + np.cos(np.pi * x1[bottom]))
+        safe = top & (x1 < 1.0)
+        vals[safe] = np.exp(1.0 - 1.0 / (1.0 - x1[safe]))
+        return vals
 
     def _base(self, operator: AdvectionOperator, field: GrfSample):
         m = _apply_weights(field.values, operator.field_weights(field.grid))
@@ -636,7 +614,7 @@ class AdvectionDiffusionProblem:
         if slot and slot[0] is field and slot[1] == mesh.cells:
             return slot
         operator = _advection_operator(self, mesh)
-        slot[:] = [field, mesh.cells, operator, self._base(operator, field), _average_weights(mesh)]
+        slot[:] = [field, mesh.cells, operator, self._base(operator, field), mesh.average_weights]
         return slot
 
     def solve(self, velocity, field: GrfSample, mesh: Mesh) -> np.ndarray:

@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -58,6 +57,7 @@ from kernelkit.pde import (
     BumpDiffusionProblem,
     GaussianFieldSampler,
     Mesh,
+    cached_mesh,
     pde_resolution_map,
     philox_generator,
 )
@@ -71,11 +71,6 @@ from kernelkit.smolyak import (
     scaled_exponential_map,
 )
 from kernelkit.surrogate import Surrogate
-
-
-@lru_cache(maxsize=None)
-def cached_mesh(cells: int) -> Mesh:
-    return Mesh(cells=cells)
 
 
 def random_points(domain: Domain, count: int, seed: int) -> np.ndarray:

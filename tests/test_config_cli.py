@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kernelkit.cli
+import kernelkit.pde
 from kernelkit.cli import _RUNNERS, _run_rates, _sine_product, main
 from kernelkit.config import (
     _KEYS_READ,
@@ -23,6 +24,7 @@ from kernelkit.config import (
     serialize_config,
 )
 from kernelkit.kernels import MaternKernel
+from kernelkit.pde import MAX_MESH_LEVEL
 from kernelkit.points import Box
 from kernelkit.smolyak import SlopeFitError
 from kernelkit.surrogate import Surrogate
@@ -258,8 +260,8 @@ def config_texts(draw, pipeline):
         elif name == "kernel":
             sections[name] = draw(_kernel(pipeline))
         elif name == "pde" and pipeline == "fem-check":
-            low = draw(st.integers(1, 8))
-            high = draw(st.integers(low + 2, 10))
+            low = draw(st.integers(1, MAX_MESH_LEVEL - 2))
+            high = draw(st.integers(low + 2, MAX_MESH_LEVEL))
             sections[name] = {"level_min": str(low), "level_max": str(high)}
         else:
             values = {key: _VALUES[name][key] for key in read if key in _VALUES[name]}
@@ -306,6 +308,40 @@ class TestRoundTrip:
         err = capsys.readouterr().err
         assert "[ouu] field_level 7: reference grid has 16641 nodes" in err
         assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text,section,key",
+        [
+            (
+                "[run]\npipeline = fem-check\n[pde]\nlevel_min = 6\nlevel_max = {}\n",
+                "pde",
+                "level_max",
+            ),
+            (
+                SMALL_CONFIGS["rsr"].replace("max_mesh_level = 3", "max_mesh_level = {}"),
+                "pde",
+                "max_mesh_level",
+            ),
+            (
+                SMALL_CONFIGS["ouu"].replace("max_mesh_level = 2", "max_mesh_level = {}"),
+                "ouu",
+                "max_mesh_level",
+            ),
+        ],
+        ids=["fem-check", "rsr", "ouu"],
+    )
+    def test_mesh_level_is_capped_at_256_cells(self, tmp_path, capsys, text, section, key):
+        assert MAX_MESH_LEVEL == 8
+        assert parse_config(text.format(8)).sections[section][key] == 8
+        line = next(n for n, row in enumerate(text.splitlines(), 1) if row.startswith(key))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text.format(9))
+        out = tmp_path / "o"
+        assert main(["--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: line {line}: [{section}] {key} must be <= 8, got 9\n"
+        )
         assert not out.exists()
 
     def test_round_trip_other_pipelines(self):
@@ -727,6 +763,43 @@ class TestCliRuns:
         last_three = np.polyfit(h[1:], error[1:], 1)[0]
         assert float(slopes["fitted_slope"]) == pytest.approx(last_three, rel=1e-9)
         assert abs(np.polyfit(h, error, 1)[0] - last_three) > 1e-6
+
+    @pytest.mark.parametrize(
+        "owner,name,replacement,message",
+        [
+            (
+                kernelkit.pde,
+                "dpbsv",
+                lambda ab, b, **_: (ab, b, 1),
+                "banded Cholesky failed (LAPACK dpbsv info 1) on 8 cells",
+            ),
+            (
+                kernelkit.cli,
+                "l2_error_against",
+                lambda *_: 0.0,
+                "log-log slope fit needs positive values",
+            ),
+        ],
+        ids=["solve", "slope-fit"],
+    )
+    def test_fem_check_numerical_failure_exits_one(
+        self, tmp_path, capsys, monkeypatch, owner, name, replacement, message
+    ):
+        # fem-check runs outside the engine, which wraps evaluator errors, so
+        # each numerical failure it can reach is checked here: a failed
+        # Cholesky solve and a slope fit over errors that are not positive.
+        # Its configuration errors (level range, mesh-level cap) exit 2.
+        monkeypatch.setattr(owner, name, replacement)
+        cfg = self.write(
+            tmp_path, "[run]\npipeline = fem-check\n[pde]\nlevel_min = 3\nlevel_max = 5\n"
+        )
+        out = tmp_path / "fem"
+        assert main(["--config", cfg, "--out", str(out), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"numerical failure: {message}")
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
+        assert os.listdir(out) == ["manifest.txt"]
 
     def test_misc_deterministic_across_workers(self, tmp_path):
         # --workers is accepted and ignored: terms are evaluated serially.

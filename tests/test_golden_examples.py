@@ -137,19 +137,11 @@ def test_interp_example_is_byte_identical_across_blas_thread_counts(tmp_path, l_
     assert studies[0] == studies[1]
 
 
-def test_interp_example_at_l_max_13_runs_within_its_budget(tmp_path):
+def run_measured(config, out):
+    """Run the CLI on ``config`` in a child process that must exit 0: its
+    wall time in seconds, imports included, and its peak RSS in MB."""
     if not os.path.exists("/proc/self/status"):
         pytest.skip("needs /proc for the child's peak RSS")
-    # l_max = 13 fits two 8,192-node grids, 2 x 4,096 and 4,096 x 2, whose
-    # 4,096-point factor's Gram matrix has condition number 3.3e15.  In the
-    # kernel basis they missed the residual gate and fell back to two
-    # eigendecompositions of it: 24 s and 872 MB.  In the packet basis the
-    # run took 0.96 s and peaked at 88 MB, imports included; the budget
-    # leaves 2x headroom on the memory and 10x on the time.
-    with open(os.path.join(ROOT, "docs", "examples", "interp.cfg")) as handle:
-        text = handle.read()
-    config = tmp_path / "interp.cfg"
-    config.write_text(text.replace("l_max = 8\n", "l_max = 13\n"))
     # The child's own peak RSS (VmHWM): ru_maxrss would keep this process's
     # from before the child's exec.
     script = (
@@ -161,7 +153,7 @@ def test_interp_example_at_l_max_13_runs_within_its_budget(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     start = time.perf_counter()
     result = subprocess.run(
-        [sys.executable, "-c", script, str(config), str(tmp_path / "out")],
+        [sys.executable, "-c", script, str(config), str(out)],
         env=env,
         capture_output=True,
         text=True,
@@ -169,8 +161,39 @@ def test_interp_example_at_l_max_13_runs_within_its_budget(tmp_path):
     )
     elapsed = time.perf_counter() - start
     assert result.returncode == 0, result.stderr
-    peak_mb = int(result.stdout.split()[-1]) / 1024
+    return elapsed, int(result.stdout.split()[-1]) / 1024
+
+
+def test_interp_example_at_l_max_13_runs_within_its_budget(tmp_path):
+    # l_max = 13 fits two 8,192-node grids, 2 x 4,096 and 4,096 x 2, whose
+    # 4,096-point factor's Gram matrix has condition number 3.3e15.  In the
+    # kernel basis they missed the residual gate and fell back to two
+    # eigendecompositions of it: 24 s and 872 MB.  In the packet basis the
+    # run took 0.96 s and peaked at 88 MB, imports included; the budget
+    # leaves 2x headroom on the memory and 10x on the time.
+    with open(os.path.join(ROOT, "docs", "examples", "interp.cfg")) as handle:
+        text = handle.read()
+    config = tmp_path / "interp.cfg"
+    config.write_text(text.replace("l_max = 8\n", "l_max = 13\n"))
+    elapsed, peak_mb = run_measured(config, tmp_path / "out")
     assert elapsed <= 10.0
     assert peak_mb <= 180.0
     rows = (tmp_path / "out" / "study.csv").read_text().splitlines()
     assert rows[-1].startswith("13,")
+
+
+def test_fem_check_at_the_finest_mesh_level_runs_within_its_budget(tmp_path):
+    # Levels 6-8 end at the finest admitted mesh, 256 cells per axis.  The
+    # run took 1.3 s and peaked at 274 MB, imports included; the budget
+    # leaves 2x headroom on the memory and 10x on the time.
+    config = tmp_path / "fem-check.cfg"
+    config.write_text("[run]\npipeline = fem-check\n[pde]\nlevel_min = 6\nlevel_max = 8\n")
+    elapsed, peak_mb = run_measured(config, tmp_path / "out")
+    assert elapsed <= 13.0
+    assert peak_mb <= 550.0
+    rows = (tmp_path / "out" / "study.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["6", "7", "8"]
+    errors = [float(row.split(",")[2]) for row in rows]
+    # P1 converges at order 2 in L2: each halving of h divides the error by 4.
+    for coarse, fine in zip(errors, errors[1:]):
+        assert coarse / fine == pytest.approx(4.0, abs=0.01)

@@ -103,6 +103,15 @@ class TestPoissonSolver:
         e6 = np.max(np.abs(u6 - self.exact(mesh6.nodes)))
         assert e6 <= 0.35 * e5  # order ~2 means a factor ~4 per refinement
 
+    def test_a_mesh_is_built_once_per_cell_count(self):
+        mesh = mesh_at_level(3)
+        assert mesh is pde.cached_mesh(8)
+        assert mesh.dirichlet is pde.cached_mesh(8).dirichlet
+        # Both operators take their element stiffness from the mesh.
+        advection = AdvectionOperator(AdvectionDiffusionProblem(), mesh)
+        assert np.shares_memory(advection._stiffness, mesh.stiffness)
+        assert not mesh.stiffness.flags.writeable
+
     def test_qoi_of_nodal_one(self):
         mesh = mesh_at_level(4)
         assert spatial_average(np.ones(mesh.node_count), mesh) == pytest.approx(1.0)
@@ -140,14 +149,14 @@ def dense_dirichlet_solution(mesh, a_tri, f_tri):
 
 @pytest.fixture
 def fresh_dirichlet_operators():
-    pde._dirichlet_operator.cache_clear()
+    pde.cached_mesh.cache_clear()
     yield
-    pde._dirichlet_operator.cache_clear()
+    pde.cached_mesh.cache_clear()
 
 
 class TestDirichletOperator:
     def check_against_dense(self, cells):
-        mesh = Mesh(cells=cells)
+        mesh = pde.cached_mesh(cells)
         x, y = mesh.centroids.T
         a = 1.0 + x + np.sin(3.0 * y) ** 2
         f = 1.0 + np.cos(2.0 * x) * y
@@ -158,13 +167,6 @@ class TestDirichletOperator:
 
     @pytest.mark.parametrize("cells", [1, 2, 3, 9, 16])
     def test_banded_matches_dense_reference(self, cells, fresh_dirichlet_operators):
-        assert pde._dirichlet_operator(Mesh(cells=cells)).banded
-        self.check_against_dense(cells)
-
-    @pytest.mark.parametrize("cells", [3, 9])
-    def test_sparse_matches_dense_reference(self, cells, monkeypatch, fresh_dirichlet_operators):
-        monkeypatch.setattr(pde, "_MAX_BANDED_CELLS", 2)
-        assert not pde._dirichlet_operator(Mesh(cells=cells)).banded
         self.check_against_dense(cells)
 
     @pytest.mark.parametrize("cells", [1, 2, 3, 9])
@@ -179,6 +181,25 @@ class TestDirichletOperator:
             # Computed once per source value, and nobody may write it.
             assert operator.system(2.0 * a, f)[1] is scalar
             assert not scalar.flags.writeable
+
+    @pytest.mark.parametrize("cells", [1, 2, 5, 16])
+    def test_interior_load_is_an_interior_only_scatter(self, cells):
+        # The mesh's load sums each node's entries in triangle order, so its
+        # interior entries have the bits of scattering the interior alone.
+        mesh = Mesh(cells=cells)
+        x, y = mesh.centroids.T
+        f = 1.0 + np.cos(2.0 * x) * y
+        operator = DirichletOperator(mesh)
+        number = np.full(mesh.node_count, -1)
+        number[operator.interior] = np.arange(len(operator.interior))
+        local = number[mesh.triangles]
+        inside = local >= 0
+        expected = np.bincount(
+            local[inside],
+            weights=(f * (mesh.triangle_area / 3.0))[np.nonzero(inside)[0]],
+            minlength=len(operator.interior),
+        )
+        assert operator.system(1.0, f)[1].tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("cells", [2, 9])
     def test_consecutive_scalar_source_solves_are_identical(self, cells):
@@ -478,7 +499,7 @@ class TestAdvectionProblem:
         field_kept, cells_kept, operator, _, weights = problem._last_base
         assert field_kept is field and cells_kept == 6
         assert operator.mesh == Mesh(cells=6)
-        assert weights is pde._average_weights(Mesh(cells=6))
+        assert weights is mesh.average_weights
 
     def test_base_slot_assembles_once_per_run_of_one_pair(self, monkeypatch):
         assembled = []
@@ -548,7 +569,7 @@ class TestAdvectionProblem:
                     outcomes.append(np.linalg.LinAlgError("assembly failed"))
                     with pytest.raises(np.linalg.LinAlgError, match="assembly failed"):
                         problem.sample_qoi(z, field, mesh)
-                expected = float(problem.solve(z, field, mesh) @ pde._average_weights(mesh))
+                expected = float(problem.solve(z, field, mesh) @ mesh.average_weights)
                 assert problem.sample_qoi(z, field, mesh).hex() == expected.hex()
 
     def test_singular_system_raises_linalg_error(self):
