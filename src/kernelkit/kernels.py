@@ -24,18 +24,9 @@ A :class:`TensorKernel` is the tuple of its factor kernels, Matern kernels
 on consecutive coordinate blocks; its Gram matrix, which the dense fits
 need, is the plain product of the block profiles.  Every multi-block node
 set a pipeline fits is a product grid, which the Kronecker solves below
-take without a Gram matrix.  A kernel expansion never forms its points x
-nodes Gram matrix: it keeps a contraction plan of its nodes, which groups
-the coefficients by their other-block coordinates into dense matrices
-over a prefix of the last block's coordinates.  Every expansion a pipeline builds is a
-union of grids over nested prefixes, which those matrices tile with no
-zero entries, so evaluation is a few matrix products of the last block's
-profile with them, times gathers of the other blocks' profiles per group
-of coordinates.  Expansions of one kernel always evaluate as a stack,
-one expansion being a stack of one: :func:`stack_layout` unites their
-block coordinates, and :func:`evaluate_stacked`, the one loop over point
-chunks, computes each chunk's block profiles once over that union, of
-which each plan contracts its own columns.
+take without a Gram matrix.  A fit (:func:`fit_interpolant`) is the
+one-term :class:`~kernelkit.surrogate.Surrogate` of its expansion; that
+module holds and evaluates every fitted function, and this one imports it.
 
 Interpolation coefficients solve the symmetric positive-definite kernel
 system ``(K + jitter I) x = b`` with an escalating diagonal shift, followed
@@ -50,32 +41,34 @@ it never forms ``K``; each Kronecker mode product is one ``np.dot``.
 
 When every block is a one-dimensional Matern kernel of order ``nu = m +
 1/2`` = 1/2, 3/2 or 5/2, a grid is fitted in its factors' kernel-packet
-basis instead (:func:`_packet_solve`; the basis, its inverses and the
-evaluation of such fits live in :mod:`kernelkit.packets`, which only runs
-that fit such grids import): ``x -> ((x)phi_j(x_j))^T w`` with ``((x)Phi_j^T)
-w = b``, ``Phi_j`` the packets' values at factor ``j``'s points, banded
-and well conditioned whatever the factor's size, where ``K_j`` is not.
-It needs no shift and no Gram matrix, and gives the same bits at any BLAS
-thread count.  A grid whose packet solve misses the residual gate takes
-the eigen solve, and keeps its kernel-basis coefficients over its
-factors' kernel translates.  All other node sets are solved by a dense Cholesky
-factorization, with the shift added in place to one copy of the Gram
-matrix per attempt.  One cache, ``_FACTORED_GRAMS`` (32 MiB), keeps every
-path's factorizations, so fits of new values on nodes seen before factor
-nothing.
+basis instead (:func:`_packet_solve`; the basis and its inverses live
+in :mod:`kernelkit.packets`, which only runs that fit such grids import):
+``x -> ((x)phi_j(x_j))^T w`` with ``((x)Phi_j^T) w = b``, ``Phi_j`` the
+packets' values at factor ``j``'s points, banded and well conditioned
+whatever the factor's size, where ``K_j`` is not.  It needs no shift and
+no Gram matrix, and gives the same bits at any BLAS thread count.  A grid
+whose packet solve misses the residual gate takes the eigen solve, and
+keeps its kernel-basis coefficients over its factors' kernel translates.
+All other node sets, of at most ``_DENSE_FIT_NODES_MAX`` nodes, are solved
+by a dense Cholesky factorization, with the shift added in place to one
+copy of the Gram matrix per attempt.  One cache, ``_FACTORED_GRAMS`` (32
+MiB), keeps every path's factorizations, so fits of new values on nodes
+seen before factor nothing.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial, reduce
+from functools import cached_property, lru_cache, partial
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
-from kernelkit.points import Box, PointSet, _distance_blocks, tensor_grid, tensor_weights
+from kernelkit.points import Box, PointSet, _distance_blocks, distinct_rows
+from kernelkit.points import tensor_grid, tensor_weights
+from kernelkit.surrogate import KernelExpansion, PacketExpansion, PacketGrid, Surrogate
 
 _NU_TOL = 1e-9
 _JITTER_START = 1e-12  # relative to trace/N
@@ -92,21 +85,6 @@ REFERENCE_RULE_MAX_DIM = 3
 # :func:`quadrature_weights`' embeddings holds: whole multiples of 8 rows,
 # at least 8, so the 64**3-point grid of d = 3 takes 8 rows (16 MB).
 _EMBEDDING_BLOCK_ENTRIES = 8 * _GAUSS_POINTS_PER_AXIS**REFERENCE_RULE_MAX_DIM
-# Most entries that one evaluation chunk's shared block profiles hold
-# together, and that any one of its group products holds
-# (:func:`evaluate_stacked`).  The studies evaluate their stack after
-# building every surrogate, when they hold the most memory.  Up to
-# ``points._DISTANCE_BLOCK_ENTRIES`` (also 2**16) a kernel block's profile
-# is one distance block, profiled in place: at half-integer order beside one
-# temporary of its own size; at integer order within the series radius
-# beside a fixed 0.33 MB (``_BESSEL_SERIES_BLOCK``), and above it beside
-# three temporaries of its own size.  A larger budget would build each
-# profile from several distance blocks and copy them.  Against 2**16,
-# 2**18 entries raised the peak RSS of one run at 1 BLAS thread by
-# 0.1-0.4 MB for interp (80.3-80.5 to 80.6-80.7 MB) and by 1.8-1.9 MB for
-# rsr (63.7-63.9 to 65.6-65.7 MB), and left ouu's at 75.6-75.7 MB, when
-# distances were not yet blocked.
-_STACK_BLOCK_ENTRIES = 2**16
 # Bytes of factorizations that every fit path keeps (``_FACTORED_GRAMS``);
 # a grid whose packet solve falls back to eigendecompositions keeps both.
 # The interp benchmark's ten grid factors (2 to 1024 points) hold 4.4 MB
@@ -118,6 +96,11 @@ _STACK_BLOCK_ENTRIES = 2**16
 # pipelines fit 239 times over 7 node sets of at most 128 nodes (0.26 MB a
 # Gram matrix and its factor).
 _FACTORED_GRAM_BYTES = 2**25
+# Most nodes of a dense fit (:func:`_solve_spd`), checked before the Gram
+# matrix is built.  On a 2-core machine scipy's ``cho_factor`` segfaulted on
+# 16,384 nodes at 2 OpenBLAS threads (at 1 it took 32.7 s); 12,000 nodes
+# factored at both.  No example or benchmark config fits over 128 densely.
+_DENSE_FIT_NODES_MAX = 2**13
 # Highest order m (nu = m + 1/2) whose grids are fitted in the packet basis.
 # Against a 50-digit inverse of ``K`` on 40 points, the inverse formed from
 # packets, ``Phi^-1 A``, had a relative error that grew with m: 2e-13 at
@@ -414,21 +397,6 @@ def _bessel_series_table(order: int) -> np.ndarray:
     return np.array([complex(a, b) for a, b in zip(p[::-1], q[::-1])])
 
 
-def distinct_rows(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """First-seen positions of the byte-distinct rows, and each row's slot.
-
-    Returns ``(first, slot)``: ``points[first]`` are the distinct rows in
-    the order they first appear, and row ``i`` equals ``points[first][slot[i]]``.
-    """
-    rows = np.ascontiguousarray(points)
-    keys = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    order = np.argsort(first, kind="stable")
-    slot = np.empty_like(order)
-    slot[order] = np.arange(len(order))
-    return first[order], slot[inverse.ravel()]
-
-
 @dataclass(frozen=True)
 class TensorKernel:
     """Product of Matern kernels on consecutive coordinate blocks, in order,
@@ -509,13 +477,20 @@ def _solve_spd(kernel: TensorKernel, nodes: PointSet, rhs: np.ndarray) -> np.nda
 
     A tensor grid (:meth:`TensorKernel.grid_factors`) is solved through its
     factors' eigendecompositions (:func:`_solve_kronecker`), all other node
-    sets by a dense Cholesky factorization.  Raises ConditioningError when
-    the shifted system is not positive definite at the largest admissible
-    shift, or the residual stays above the required tolerance.
+    sets by a dense Cholesky factorization.  Raises LinAlgError for a dense
+    system of more than ``_DENSE_FIT_NODES_MAX`` nodes, and
+    ConditioningError when the shifted system is not positive definite at
+    the largest admissible shift, or the residual stays above the required
+    tolerance.
     """
     factors = kernel.grid_factors(nodes)
     if factors is not None:
         return _solve_kronecker(kernel, factors, nodes, rhs)
+    if len(nodes) > _DENSE_FIT_NODES_MAX:
+        raise LinAlgError(
+            f"dense kernel fit on {len(nodes)} nodes exceeds the bound of "
+            f"{_DENSE_FIT_NODES_MAX} nodes"
+        )
     gram, factor = _FACTORED_GRAMS.get(
         (kernel, nodes.points.tobytes()), partial(_factor_gram, kernel, nodes)
     )
@@ -720,7 +695,7 @@ def _solve_kronecker(
 
 def _packet_solve(
     kernel: TensorKernel, factors: list[np.ndarray], nodes: PointSet, rhs: np.ndarray
-) -> "PacketGrid":
+) -> PacketGrid:
     """The fit on a tensor grid of one-dimensional blocks of order 1/2, 3/2
     or 5/2 (:func:`_packet_order`), in its factors' kernel-packet basis.
 
@@ -739,7 +714,7 @@ def _packet_solve(
     kernel-basis coefficients it holds over its factors' kernel
     translates.
     """
-    from kernelkit.packets import PacketGrid, _FactorBasis
+    from kernelkit.packets import _FactorBasis
 
     shape = tuple(len(rows) for rows in factors)
     packets = _factor_entries(kernel, factors, "packets", _packet_factor)
@@ -847,202 +822,16 @@ def _refine(
     return solution
 
 
-@dataclass(frozen=True)
-class _ContractionPlan:
-    """How a kernel expansion contracts its block profiles with its coefficients.
-
-    Each block's profile is evaluated against ``node_rows``.  The last
-    block's rows are its distinct coordinates ranked by node count,
-    descending, and a node is the pair of its tuple (its distinct
-    coordinates in the other blocks) and its last-block rank.  Each group
-    ``(width, matrix, columns)`` holds the tuples whose highest rank is
-    ``width - 1``: ``matrix`` is their ``width x tuples`` coefficient
-    matrix and ``columns`` gives each other block's row of every tuple.
-    """
-
-    node_rows: tuple[np.ndarray, ...]
-    groups: tuple[tuple[int, np.ndarray, tuple[np.ndarray, ...]], ...]
-
-    @classmethod
-    def build(
-        cls, kernel: TensorKernel, nodes: PointSet, coefficients: np.ndarray
-    ) -> "_ContractionPlan":
-        """The ranked plan of an expansion.
-
-        On a union of tensor grids over nested sequences, which is every
-        expansion a pipeline builds, each tuple's last-block partners are
-        a prefix of the ranking, so the groups tile the nodes with no zero
-        entries; other node sets are padded with zeros.
-        """
-        coefficients = np.asarray(coefficients, dtype=float)
-        split = kernel.split_nodes(nodes)
-        *other_slots, last_slot = (slot for _, slot in split)
-        last_rows = split[-1][0]
-        order = np.argsort(
-            -np.bincount(last_slot, minlength=len(last_rows)), kind="stable"
-        )
-        rank = np.empty_like(order)
-        rank[order] = np.arange(len(order))
-        node_rank = rank[last_slot]
-        if other_slots:
-            first, tuple_of = distinct_rows(np.stack(other_slots, axis=1))
-        else:
-            first, tuple_of = np.zeros(1, dtype=int), np.zeros(len(nodes), dtype=int)
-        width = np.zeros(len(first), dtype=int)
-        np.maximum.at(width, tuple_of, node_rank + 1)
-        position = np.empty_like(width)
-        groups = []
-        for w in np.unique(width):
-            members = np.flatnonzero(width == w)
-            position[members] = np.arange(len(members))
-            in_group = np.flatnonzero(width[tuple_of] == w)
-            matrix = np.zeros((w, len(members)))
-            column = position[tuple_of[in_group]]
-            matrix[node_rank[in_group], column] = coefficients[in_group]
-            groups.append((int(w), matrix, tuple(s[first[members]] for s in other_slots)))
-        return cls(
-            node_rows=(*(rows for rows, _ in split[:-1]), last_rows[order]),
-            groups=tuple(groups),
-        )
-
-
-def _contract(groups, profiles: list[np.ndarray]) -> np.ndarray:
-    """The values at the points whose block profiles are ``profiles``, from
-    a plan's ``groups`` (:class:`_ContractionPlan`).
-
-    Per group, ``q = last[:, :width] @ matrix``, times each other block's
-    profile columns, summed per row.
-    """
-    last = profiles[-1]
-    sums = []
-    for width, matrix, columns in groups:
-        product = last[:, :width] @ matrix
-        for profile, cols in zip(profiles, columns):
-            factor = profile.take(cols, axis=1)
-            factor *= product
-            product = factor
-        sums.append(product.sum(axis=1))
-    return reduce(np.add, sums)
-
-
-def stack_layout(expansions: Sequence["KernelExpansion"]):
-    """How :func:`evaluate_stacked` shares block profiles among expansions
-    of one kernel.
-
-    Returns ``(kernel, node_rows, members, columns)``.  ``node_rows``
-    holds, per block, the distinct rows of all the plans' rows of that
-    block, in first-seen order, so that nested plans' rows are prefixes.
-    Each member is its plan's groups, their columns moved onto those rows,
-    and the last-block columns that are its own rows in rank order: a
-    slice when they lie in a row, as nested members' rows do, otherwise
-    an index array to gather.  ``columns`` counts a chunk's entries per
-    point: in its shared profiles with the widest gathered last block, or
-    in its widest group product, whichever is more.
-    """
-    kernel = expansions[0].kernel
-    if any(not isinstance(e, KernelExpansion) or e.kernel != kernel for e in expansions):
-        raise ValueError("stacked expansions must share one kernel and one basis")
-    plans = [e._plan for e in expansions]
-    node_rows = []
-    maps: list[list[np.ndarray]] = [[] for _ in plans]
-    for b in range(len(plans[0].node_rows)):
-        rows = np.concatenate([plan.node_rows[b] for plan in plans])
-        first, slot = distinct_rows(rows)
-        node_rows.append(rows[first])
-        ends = np.cumsum([len(plan.node_rows[b]) for plan in plans])
-        for own, piece in zip(maps, np.split(slot, ends[:-1])):
-            own.append(piece)
-    members = []
-    gathered = 0
-    for plan, (*other, last) in zip(plans, maps):
-        if np.array_equal(last, np.arange(last[0], last[0] + len(last))):
-            last = slice(int(last[0]), int(last[0]) + len(last))
-        else:
-            gathered = max(gathered, len(last))
-        groups = [
-            (width, matrix, [m[c] for m, c in zip(other, columns)])
-            for width, matrix, columns in plan.groups
-        ]
-        members.append((groups, last))
-    columns = max(
-        sum(map(len, node_rows)) + gathered,
-        *(matrix.shape[-1] for plan in plans for _, matrix, _ in plan.groups),
-    )
-    return kernel, node_rows, members, columns
-
-
-def evaluate_stacked(layout, points: np.ndarray) -> np.ndarray:
-    """Values at ``points`` of the expansions laid out by :func:`stack_layout`,
-    one column each.
-
-    The one loop over point chunks.  A chunk holds ``_STACK_BLOCK_ENTRIES
-    // columns`` points (at least one), so that its shared block profiles
-    together, and each of its group products, hold at most
-    ``_STACK_BLOCK_ENTRIES`` entries whatever the point count.  Per chunk
-    each block's profile is computed once, against the layout's rows of
-    that block, and each expansion contracts only its own columns of it.
-    Domains are not checked.
-    """
-    kernel, node_rows, members, columns = layout
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    rows = max(1, _STACK_BLOCK_ENTRIES // columns)
-    out = np.empty((pts.shape[0], len(members)))
-    for start in range(0, pts.shape[0], rows):
-        chunk = slice(start, start + rows)
-        # Points are taken as they come: study points do not repeat, so a
-        # search for repeated block rows would only cost time.
-        profiles = [
-            block.gram(pts[chunk, columns], nodes)
-            for block, columns, nodes in zip(kernel.kernels, kernel._columns, node_rows)
-        ]
-        for j, (groups, last) in enumerate(members):
-            out[chunk, j] = _contract(groups, [*profiles[:-1], profiles[-1][:, last]])
-    return out
-
-
-@dataclass(frozen=True)
-class KernelExpansion:
-    """The kernel, nodes and coefficients of ``x -> sum_i c_i Phi(x_i, x)``.
-
-    A :class:`~kernelkit.surrogate.Surrogate` evaluates it, a fit
-    (:func:`fit_interpolant`) being the one-term surrogate of one, by a
-    :class:`_ContractionPlan` built once per expansion: on a sparse grid a
-    few matrix products over the distinct block coordinates.
-    """
-
-    kernel: TensorKernel
-    nodes: PointSet
-    coefficients: np.ndarray
-
-    def __post_init__(self):
-        _tensor_kernel(self.kernel, self.nodes)
-        shape = np.shape(self.coefficients)
-        if shape != (len(self.nodes),):
-            raise ValueError(
-                f"expansion over {len(self.nodes)} nodes needs one coefficient "
-                f"per node, got coefficients of shape {shape}"
-            )
-
-    @property
-    def domain(self):
-        return self.nodes.domain
-
-    @cached_property
-    def _plan(self) -> _ContractionPlan:
-        return _ContractionPlan.build(self.kernel, self.nodes, self.coefficients)
-
-
 def fit_interpolant(kernel: TensorKernel | MaternKernel, nodes: PointSet, values):
     """The minimum-norm kernel interpolant through ``values`` at ``nodes``:
     the one-term :class:`~kernelkit.surrogate.Surrogate` of its expansion.
 
     A tensor grid of one-dimensional blocks of order 1/2, 3/2 or 5/2 is
     fitted in its factors' kernel-packet basis (:func:`_packet_solve`), a
-    :class:`~kernelkit.packets.PacketExpansion`; every other node set in the kernel basis
-    (:func:`_solve_spd`), a :class:`KernelExpansion`.  A bare
+    :class:`~kernelkit.surrogate.PacketExpansion`; every other node set in
+    the kernel basis (:func:`_solve_spd`), a
+    :class:`~kernelkit.surrogate.KernelExpansion`.  A bare
     :class:`MaternKernel` is fitted as the tensor kernel of one factor."""
-    from kernelkit.surrogate import Surrogate
-
     kernel = _tensor_kernel(kernel, nodes)
     rhs = np.asarray(values, dtype=float)
     if rhs.shape != (len(nodes),):
@@ -1051,8 +840,6 @@ def fit_interpolant(kernel: TensorKernel | MaternKernel, nodes: PointSet, values
         )
     factors = kernel.grid_factors(nodes)
     if factors is not None and all(_packet_order(b) is not None for b in kernel.kernels):
-        from kernelkit.packets import PacketExpansion
-
         grid = _packet_solve(kernel, factors, nodes, rhs)
         return Surrogate(terms=((1.0, PacketExpansion(kernel, ((1.0, grid),))),))
     alpha = _solve_spd(kernel, nodes, rhs)

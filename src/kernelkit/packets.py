@@ -18,35 +18,25 @@ which the cheapest loses the fewest digits.  A factor's basis
 (:func:`_packet_basis`) fixes each packet's form once per interval
 between neighbouring points, as one table over the ``4m + 4`` points
 around it, and past the factor's ends takes each packet as
-``exp(-|v|)`` times a polynomial.  A fit is a :class:`PacketGrid`, and
-signed sums of fits of one kernel are a :class:`PacketExpansion`, which a
-:class:`~kernelkit.surrogate.Surrogate` holds like a kernel expansion;
-stacks of them evaluate through :func:`packet_layout` and
-:func:`evaluate_packets`, which compute each factor's packet values once
-per chunk of points and each grid's values once from them.
+``exp(-|v|)`` times a polynomial.  The basis, a :class:`_FactorBasis`,
+gives its functions' values at any points (:meth:`_FactorBasis.values`);
+a fit on a grid of such factors is a
+:class:`~kernelkit.surrogate.PacketGrid` over their bases, held and
+evaluated by :mod:`kernelkit.surrogate` with every other fitted function.
 
-:mod:`kernelkit.kernels` and :mod:`kernelkit.surrogate` import this module
-on first use, so runs without such grids do not load it.
+:mod:`kernelkit.kernels` imports this module on first use, so runs without
+such grids do not load it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from typing import Sequence
+from functools import lru_cache
 
 import numpy as np
 
-from kernelkit import kernels
-from kernelkit.kernels import (
-    MaternKernel,
-    TensorKernel,
-    _half_integer_polynomial,
-    _packet_order,
-    distinct_rows,
-)
-from kernelkit.points import PointSet
+from kernelkit.kernels import MaternKernel, _half_integer_polynomial, _packet_order
 
 # Kernel packets (:func:`_packet_basis`): Taylor series are summed to at
 # most this many terms, for arguments up to this radius (in length scales);
@@ -430,7 +420,7 @@ def _packet_ends(
                 for r in range(1, terms):
                     h[r] += zeta * h[r - 1]
             k = np.arange(m + 1, m + 1 + terms)
-            moments = span**k * h * math.exp(-s * (u[i] + u[end]) + 2 * s * centre)
+            moments = span**k * h * np.exp(-s * (u[i] + u[end]) + 2 * s * centre)
             for l in range(1, m + 1):
                 # The Taylor coefficients of exp(2 s y) Q_l(s (e - c) - s y) at y = 0.
                 shifted = [
@@ -525,7 +515,8 @@ def _packet_tables(m: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class _FactorBasis:
-    """The functions of one grid factor that a :class:`PacketGrid` combines:
+    """The functions of one grid factor that a
+    :class:`~kernelkit.surrogate.PacketGrid` combines:
     the kernel packets on its sorted ``points``, laid out by
     :func:`_packet_basis` in ``packets`` (``starts``, ``coefficients``,
     ``first``, ``local``, ``table``, ``ends``); or, with no ``packets``, the
@@ -595,138 +586,3 @@ class _FactorBasis:
             values[outside[~right], : found.shape[1]] = found[~right]
             values[outside[right], width - found.shape[1] :] = found[right]
         return first, values
-
-
-@dataclass(frozen=True, eq=False)
-class PacketGrid:
-    """A fit on a product grid, ``x -> sum_i weights[i] prod_j b_(j, i_j)(x_j)``
-    over the bases ``b_j`` of its factors (:class:`_FactorBasis`), with
-    ``weights`` shaped by the factors, in each basis's order."""
-
-    nodes: PointSet
-    bases: tuple[_FactorBasis, ...]
-    weights: np.ndarray
-
-    def contract(self, values: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-        """The values at the points whose basis values, per factor, are
-        ``values`` (:meth:`_FactorBasis.values`): per point, the weights of
-        the functions nonzero there, gathered and summed against the
-        products of their values."""
-        index = sum(first * stride for (first, _), stride in zip(values, self._strides))
-        gathered = np.take(self.weights, index[:, None] + self._offsets)
-        factors = [factor for _, factor in values]
-        return np.einsum(self._subscripts, *factors, gathered.reshape(-1, *self._widths))
-
-    @cached_property
-    def _subscripts(self) -> str:
-        """The contraction, ``"pa,pb,pab->p"`` for two factors."""
-        letters = "abcdefghijklmnoqrstuvwxyz"[: len(self.bases)]
-        return ",".join(f"p{a}" for a in letters) + f",p{letters}->p"
-
-    @cached_property
-    def _strides(self) -> tuple[int, ...]:
-        return tuple(s // self.weights.itemsize for s in self.weights.strides)
-
-    @cached_property
-    def _widths(self) -> tuple[int, ...]:
-        return tuple(basis.width for basis in self.bases)
-
-    @cached_property
-    def _offsets(self) -> np.ndarray:
-        """Each function tuple's offset in the weights from its first one's."""
-        offsets = np.zeros(1, dtype=np.intp)
-        for width, stride in zip(self._widths, self._strides):
-            offsets = (offsets[:, None] + stride * np.arange(width)).ravel()
-        return offsets
-
-
-@dataclass(frozen=True, eq=False)
-class PacketExpansion:
-    """``x -> sum_g c_g g(x)`` over fits on product grids of one tensor
-    kernel (:class:`PacketGrid`), ``grids`` holding the pairs ``(c_g, g)``.
-
-    A fit on a grid of one-dimensional blocks of order 1/2, 3/2 or 5/2
-    (:func:`~kernelkit.kernels._packet_solve`) is the expansion of its one
-    grid.  Packets depend on the whole factor, so grids are not merged by
-    node as kernel expansions are: ``nodes``, the grids' distinct nodes in first-seen
-    order, describes the expansion and takes no part in evaluating it.
-    """
-
-    kernel: TensorKernel
-    grids: tuple[tuple[float, PacketGrid], ...]
-
-    @property
-    def domain(self):
-        return self.grids[0][1].nodes.domain
-
-    @cached_property
-    def nodes(self) -> PointSet:
-        (_, head), *rest = self.grids
-        if not rest:
-            return head.nodes
-        points = np.concatenate([grid.nodes.points for _, grid in self.grids])
-        first, _ = distinct_rows(points)
-        return PointSet(points=points[first], domain=self.domain)
-
-
-def packet_layout(expansions: Sequence[PacketExpansion]):
-    """How :func:`evaluate_packets` shares values among packet expansions
-    of one kernel.
-
-    Returns ``(kernel, bases, grids, count, columns)``: the distinct factor
-    bases, each with its block; the distinct grids in first-seen order, each
-    with the positions of its bases and its uses, ``(column, coefficient)``
-    per term of an expansion that holds it; the number of expansions; and
-    the entries per point that a chunk holds at most: in its basis values
-    together, in the largest array of one basis's values
-    (:attr:`_FactorBasis.entries`) or in one grid's gathered weights.
-    """
-    kernel = expansions[0].kernel
-    if any(not isinstance(e, PacketExpansion) or e.kernel != kernel for e in expansions):
-        raise ValueError("stacked expansions must share one kernel and one basis")
-    bases: dict = {}
-    grids: dict = {}
-    for column, expansion in enumerate(expansions):
-        for coefficient, grid in expansion.grids:
-            if id(grid) not in grids:
-                positions = tuple(
-                    bases.setdefault((block, id(basis)), (len(bases), block, basis))[0]
-                    for block, basis in enumerate(grid.bases)
-                )
-                grids[id(grid)] = (grid, positions, [])
-            grids[id(grid)][2].append((column, coefficient))
-    columns = max(
-        sum(basis.width for _, _, basis in bases.values()),
-        *(basis.entries for _, _, basis in bases.values()),
-        *(math.prod(grid._widths) for grid, _, _ in grids.values()),
-    )
-    bases = [(block, basis) for _, block, basis in bases.values()]
-    return kernel, bases, list(grids.values()), len(expansions), columns
-
-
-def evaluate_packets(layout, points: np.ndarray) -> np.ndarray:
-    """Values at ``points`` of the packet expansions laid out by
-    :func:`packet_layout`, one column each.
-
-    The packet counterpart of :func:`~kernelkit.kernels.evaluate_stacked`,
-    under the same budget: a chunk holds ``_STACK_BLOCK_ENTRIES // columns``
-    points (at least one).  Per chunk
-    each basis's values are computed once, and each grid's values once from
-    them, which each expansion that holds the grid adds to its column, in
-    the layout's order of grids.  Domains are not checked.
-    """
-    kernel, bases, grids, count, columns = layout
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    rows = max(1, kernels._STACK_BLOCK_ENTRIES // columns)
-    out = np.zeros((pts.shape[0], count))
-    for start in range(0, pts.shape[0], rows):
-        chunk = out[start : start + rows]
-        values = [
-            basis.values(pts[start : start + rows, kernel._columns[block]])
-            for block, basis in bases
-        ]
-        for grid, positions, uses in grids:
-            value = grid.contract([values[p] for p in positions])
-            for column, coefficient in uses:
-                chunk[:, column] += coefficient * value
-    return out

@@ -250,6 +250,21 @@ def _has_repeated_rows(points: np.ndarray) -> bool:
     return len(np.unique(keys)) < len(keys)
 
 
+def distinct_rows(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First-seen positions of the byte-distinct rows, and each row's slot.
+
+    Returns ``(first, slot)``: ``points[first]`` are the distinct rows in
+    the order they first appear, and row ``i`` equals ``points[first][slot[i]]``.
+    """
+    rows = np.ascontiguousarray(points)
+    keys = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first, kind="stable")
+    slot = np.empty_like(order)
+    slot[order] = np.arange(len(order))
+    return first[order], slot[inverse.ravel()]
+
+
 def tensor_grid(arrays: Sequence[np.ndarray]) -> np.ndarray:
     """Cartesian product of per-factor ``(n_j, d_j)`` arrays (first factor slowest)."""
     counts = [a.shape[0] for a in arrays]

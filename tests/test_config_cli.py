@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kernelkit.cli
+import kernelkit.kernels
 import kernelkit.pde
 from kernelkit.cli import _RUNNERS, _run_rates, _sine_product, main
 from kernelkit.config import (
@@ -848,6 +849,35 @@ class TestCliRuns:
         # The manifest is written before any numerical output.
         assert (out / "manifest.txt").exists()
         assert not (out / "study.csv").exists()
+
+    def test_dense_fit_above_the_node_bound_is_a_numerical_failure(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # One block fits each level's nodes densely; past the bound the fit
+        # is refused before its Gram matrix is built (at 8,192 nodes the
+        # bound is first reached at l_max = 14).
+        monkeypatch.setattr(kernelkit.kernels, "_DENSE_FIT_NODES_MAX", 64)
+        text = "\n".join(
+            [
+                "[run]",
+                "pipeline = interp",
+                "l_min = 4",
+                "l_max = 8",
+                "[kernel]",
+                "beta = 1.0",
+                "d = 1",
+                "[interp]",
+                "blocks = 1",
+            ]
+        )
+        out = tmp_path / "dense"
+        assert main(["--config", self.write(tmp_path, text), "--out", str(out), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ")
+        assert "nodes exceeds the bound of 64 nodes" in err
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
+        assert sorted(os.listdir(out)) == ["manifest.txt"]
 
     def test_failed_slope_fit_is_a_numerical_failure(self, tmp_path, capsys):
         # At beta = 60 every error of the rates study rounds to exactly 0.0,

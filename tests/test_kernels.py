@@ -14,16 +14,15 @@ from scipy.special import kn, kv
 
 import kernelkit.kernels as kernels_module
 import kernelkit.packets as packets_module
+import kernelkit.surrogate as surrogate_module
 from kernelkit.kernels import (
     ConditioningError,
-    KernelExpansion,
     MaternKernel,
     TensorKernel,
     fit_interpolant,
     quadrature_weights,
 )
 from kernelkit.multiindex import combination_coefficients
-from kernelkit.packets import PacketExpansion
 from kernelkit.points import (
     _DISTANCE_BLOCK_ENTRIES,
     Box,
@@ -34,7 +33,7 @@ from kernelkit.points import (
     tensor_grid,
 )
 from kernelkit.smolyak import FactorSpec, level_to_resolution
-from kernelkit.surrogate import Surrogate
+from kernelkit.surrogate import KernelExpansion, PacketExpansion, Surrogate
 from kernelkit.uq import doubling_levels, sparse_interpolate
 
 UNIT_INTERVAL = Box((0.0,), (1.0,))
@@ -456,7 +455,7 @@ class TestKernelExpansionEvaluation:
         doubling=st.booleans(),
         random_count=st.integers(1, 60),
         point_count=st.integers(1, 40),
-        budget=st.sampled_from([kernels_module._STACK_BLOCK_ENTRIES, 97, 1]),
+        budget=st.sampled_from([surrogate_module._STACK_BLOCK_ENTRIES, 97, 1]),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_evaluate_matches_gram_product(
@@ -477,7 +476,7 @@ class TestKernelExpansionEvaluation:
         nodes, c = expansion.nodes.points, expansion.coefficients
         # Random points, some nodes (zero block distances) and a repeated row.
         points = np.vstack([rng.random((point_count, dim)), nodes[:3], nodes[:1]])
-        with mock.patch.object(kernels_module, "_STACK_BLOCK_ENTRIES", budget):
+        with mock.patch.object(surrogate_module, "_STACK_BLOCK_ENTRIES", budget):
             got = surrogate.evaluate(points)
         gram = expansion.kernel.gram(points, nodes)
         bound = 8 * np.finfo(float).eps * (np.abs(gram) @ np.abs(c))
@@ -503,7 +502,7 @@ class TestKernelExpansionEvaluation:
     def test_large_sparse_grid_stays_within_block_budget(self, monkeypatch):
         # About 11k nodes: the interp workload's largest surrogate.
         budget = 2**18
-        monkeypatch.setattr(kernels_module, "_STACK_BLOCK_ENTRIES", budget)
+        monkeypatch.setattr(surrogate_module, "_STACK_BLOCK_ENTRIES", budget)
         rng = np.random.default_rng(8)
         surrogate = merged_sparse_grid(((2.0, 1), (2.0, 1)), 11, doubling_levels, rng)
         assert len(expansion_of(surrogate).nodes) == 11264
@@ -741,6 +740,17 @@ def fresh_factored_grams(monkeypatch):
 
 
 class TestSolveSpd:
+    def test_dense_fit_above_the_node_bound_builds_no_gram(self, monkeypatch):
+        def no_gram(*args):
+            raise AssertionError("built the Gram matrix of a dense fit above the bound")
+
+        monkeypatch.setattr(MaternKernel, "gram", no_gram)
+        count = kernels_module._DENSE_FIT_NODES_MAX + 1
+        assert count == 8193
+        nodes = uniform_nodes(count)
+        with pytest.raises(LinAlgError, match="8193 nodes exceeds the bound of 8192 nodes"):
+            fit_interpolant(MaternKernel(beta=1.0, dim=1), nodes, np.zeros(count))
+
     @pytest.mark.parametrize("failures", [0, 2])
     def test_in_place_shift_matches_out_of_place(
         self, monkeypatch, failures, fresh_factored_grams

@@ -1,28 +1,22 @@
 import os
+import subprocess
 import sys
 import warnings
 
 import numpy as np
 import pytest
 
-import kernelkit.kernels as kernels_module
 import kernelkit.surrogate as surrogate_module
-from kernelkit.kernels import (
-    KernelExpansion,
-    MaternKernel,
-    TensorKernel,
-    fit_interpolant,
-)
+from kernelkit.kernels import MaternKernel, TensorKernel, fit_interpolant
 from kernelkit.multiindex import (
     combination_coefficients,
     corner_is_zero,
     delta_expand,
     enumerate_simplex,
 )
-from kernelkit.packets import PacketExpansion, packet_layout
 from kernelkit.points import Box, Disc, PointSet, generate_points, tensor_grid
 from kernelkit.smolyak import FactorSpec, ProblemSpec, SmolyakEngine
-from kernelkit.surrogate import Surrogate
+from kernelkit.surrogate import KernelExpansion, PacketExpansion, Surrogate
 from kernelkit.uq import sparse_interpolate
 
 UNIT_INTERVAL = Box((0.0,), (1.0,))
@@ -251,7 +245,7 @@ class TestMergedExpansion:
         nodes = generate_points(UNIT_SQUARE, 1000)
         coefficients = np.random.default_rng(4).standard_normal(1000)
         s = Surrogate(terms=((1.0, KernelExpansion(kernel, nodes, coefficients)),))
-        chunk = kernels_module._STACK_BLOCK_ENTRIES // len(nodes)
+        chunk = surrogate_module._STACK_BLOCK_ENTRIES // len(nodes)
         count = 1 if offset is None else chunk + offset
         xs = np.random.default_rng(5).random((count, 2))
         expected = kernel.gram(xs, nodes.points) @ coefficients
@@ -310,15 +304,6 @@ def stacked_family(name):
     return sparse_family(MaternKernel(beta=3.0, dim=2), UNIT_SQUARE, rng)
 
 
-def stack_layout(members):
-    """The layout of a stack's expansions, kernel or packet; either ends
-    with the entries per point that bound a chunk."""
-    expansions = [e for m in members for _, e in m.terms]
-    if isinstance(expansions[0], PacketExpansion):
-        return packet_layout(expansions)
-    return kernels_module.stack_layout(expansions)
-
-
 def assert_columns_match(stacked, members, points):
     assert stacked.shape == (len(points), len(members))
     for column, member in zip(stacked.T, members):
@@ -331,17 +316,17 @@ class TestStackedEvaluation:
     def test_columns_match_members_evaluated_alone(self, family):
         members, points = stacked_family(family)
         # Several chunks, the last one short.
-        *_, columns = stack_layout(members)
-        rows = kernels_module._STACK_BLOCK_ENTRIES // columns
+        stack = Surrogate.stack(members)
+        rows = surrogate_module._STACK_BLOCK_ENTRIES // stack._layout.columns
         assert rows < len(points) and len(points) % rows != 0
-        assert_columns_match(Surrogate.stack(members).evaluate(points), members, points)
+        assert_columns_match(stack.evaluate(points), members, points)
 
     def test_nested_members_share_rows_without_gathers(self):
         members, _ = stacked_family("bessel")
-        _, node_rows, stacked, _ = stack_layout(members)
+        layout = Surrogate.stack(members)._layout
         widest = members[-1].terms[0][1]._plan
-        assert [len(r) for r in node_rows] == [len(r) for r in widest.node_rows]
-        assert all(isinstance(last, slice) for _, last in stacked)
+        assert [len(r) for r in layout.node_rows] == [len(r) for r in widest.node_rows]
+        assert all(isinstance(last, slice) for _, last in layout.members)
 
     def test_one_member_stack_equals_plain_evaluate(self):
         members, points = stacked_family("square")
@@ -369,8 +354,8 @@ class TestStackedEvaluation:
         points = rng.random((301, 2))
         assert_columns_match(Surrogate.stack(members).evaluate(points), members, points)
         if beta == 1.5:
-            _, _, stacked, _ = stack_layout(members)
-            assert [slice, np.ndarray] == [type(last) for _, last in stacked]
+            layout = Surrogate.stack(members)._layout
+            assert [slice, np.ndarray] == [type(last) for _, last in layout.members]
 
     def test_packet_members_with_a_kernel_translate_grid(self):
         # A grid with two points 1e-9 apart takes the eigen solve and keeps
@@ -397,10 +382,10 @@ class TestStackedEvaluation:
         members, _ = stacked_family(family)
         points = np.random.default_rng(2).random((500, 2))
         budget = 4096
-        monkeypatch.setattr(kernels_module, "_STACK_BLOCK_ENTRIES", budget)
+        monkeypatch.setattr(surrogate_module, "_STACK_BLOCK_ENTRIES", budget)
         stack = Surrogate.stack(members)
         assert points.size <= budget and len(points) * len(members) <= budget
-        package = os.path.dirname(kernels_module.__file__)
+        package = os.path.dirname(surrogate_module.__file__)
         sizes = []
 
         def record(frame, event, arg):
@@ -430,6 +415,24 @@ class TestStackedEvaluation:
 
 
 class TestOneEvaluationPath:
+    def test_surrogate_imports_without_kernels_or_packets(self):
+        # Fitted functions are held and evaluated in one module, which the
+        # fitting module imports, never the other way round.
+        code = (
+            "import sys, kernelkit.surrogate; "
+            "print(sorted(m for m in sys.modules if m in ('kernelkit.kernels', 'kernelkit.packets')))"
+        )
+        src = os.path.dirname(os.path.dirname(surrogate_module.__file__))
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]", result.stdout
+
     def test_plain_evaluate_is_column_zero_of_its_stack(self):
         disc, disc_points = stacked_family("disc")
         square, square_points = stacked_family("square")
