@@ -41,19 +41,22 @@ it never forms ``K``; each Kronecker mode product is one ``np.dot``.
 
 When every block is a one-dimensional Matern kernel of order ``nu = m +
 1/2`` = 1/2, 3/2 or 5/2, a grid is fitted in its factors' kernel-packet
-basis instead (:func:`_packet_solve`; the basis and its inverses live
-in :mod:`kernelkit.packets`, which only runs that fit such grids import):
+basis instead (:func:`_packet_solve`; the basis lives in
+:mod:`kernelkit.packets`, which only runs that fit such grids import):
 ``x -> ((x)phi_j(x_j))^T w`` with ``((x)Phi_j^T) w = b``, ``Phi_j`` the
-packets' values at factor ``j``'s points, banded and well conditioned
-whatever the factor's size, where ``K_j`` is not.  It needs no shift and
-no Gram matrix, and gives the same bits at any BLAS thread count.  A grid
-whose packet solve misses the residual gate takes the eigen solve, and
-keeps its kernel-basis coefficients over its factors' kernel translates.
-All other node sets, of at most ``_DENSE_FIT_NODES_MAX`` nodes, are solved
-by a dense Cholesky factorization, with the shift added in place to one
-copy of the Gram matrix per attempt.  One cache, ``_FACTORED_GRAMS`` (32
-MiB), keeps every path's factorizations, so fits of new values on nodes
-seen before factor nothing.
+packets' values at factor ``j``'s points, banded (half-width ``m``) and
+well conditioned whatever the factor's size, where ``K_j`` is not.  Each
+``Phi_j^T`` is factored once by LAPACK's banded LU (``dgbtrf``), each mode
+solved by one ``dgbtrs`` call and applied by a sum over its diagonals.
+It needs no shift and no Gram matrix, and gives the same bits at any BLAS
+thread count.  A grid whose packet solve misses the residual gate takes
+the eigen solve, and keeps its kernel-basis coefficients over its
+factors' kernel translates.  All other node sets, of at most
+``_DENSE_FIT_NODES_MAX`` nodes, are solved by a dense Cholesky
+factorization, with the shift added in place to one copy of the Gram
+matrix per attempt.  One cache, ``_FACTORED_GRAMS`` (32 MiB), keeps every
+path's factorizations, so fits of new values on nodes seen before factor
+nothing.
 """
 
 from __future__ import annotations
@@ -65,6 +68,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg.lapack import dgbcon, dgbtrf, dgbtrs
 
 from kernelkit.points import Box, PointSet, _distance_blocks, distinct_rows
 from kernelkit.points import tensor_grid, tensor_weights
@@ -87,12 +91,12 @@ REFERENCE_RULE_MAX_DIM = 3
 _EMBEDDING_BLOCK_ENTRIES = 8 * _GAUSS_POINTS_PER_AXIS**REFERENCE_RULE_MAX_DIM
 # Bytes of factorizations that every fit path keeps (``_FACTORED_GRAMS``);
 # a grid whose packet solve falls back to eigendecompositions keeps both.
-# The interp benchmark's ten grid factors (2 to 1024 points) hold 4.4 MB
-# and no Gram matrix: 1.2 MB of packet bases laid out for evaluation,
-# 1.1 MB of ``Phi^T`` and 2.1 MB of ``Phi^-T`` blocks (with the Gram
-# matrices the refinement once applied, they held 13.3 MB).  Its 1024-point
-# factor, factored for the tuple (2, 1024), is used again at (1024, 2), and
-# below about 4.4 MB every factor would be factored twice.  The ouu
+# The interp benchmark's ten grid factors (2 to 1024 points) hold 1.3 MB
+# and no Gram matrix: 1.2 MB of packet bases laid out for evaluation and
+# 0.12 MB of ``Phi^T`` diagonals, banded LU factors and pivots.  Its
+# 1024-point factor, factored for the tuple (2, 1024), is used again at
+# (1024, 2), and below about 1.3 MB every factor would be factored twice.
+# At l_max = 14 the 13 factors (up to 8,192 points) hold 10.7 MB.  The ouu
 # pipelines fit 239 times over 7 node sets of at most 128 nodes (0.26 MB a
 # Gram matrix and its factor).
 _FACTORED_GRAM_BYTES = 2**25
@@ -102,11 +106,13 @@ _FACTORED_GRAM_BYTES = 2**25
 # factored at both.  No example or benchmark config fits over 128 densely.
 _DENSE_FIT_NODES_MAX = 2**13
 # Highest order m (nu = m + 1/2) whose grids are fitted in the packet basis.
-# Against a 50-digit inverse of ``K`` on 40 points, the inverse formed from
-# packets, ``Phi^-1 A``, had a relative error that grew with m: 2e-13 at
-# m = 2, 7e-11 at m = 4, 4e-9 at m = 5 and of order 1 at m = 8 (length
-# scale 0.1); and from m = 20 on the odd series table above holds no term.
-# Higher orders keep the eigen solve.
+# Against a 50-digit dense solve on 40 and 100 Halton points at length
+# scales 1 and 0.1, the unrefined one-factor packet fit's largest error off
+# the nodes, relative to the data, grew with m: 5.6e-14 at m = 2, 3.0e-10
+# at m = 3, 3.7e-8 at m = 4 and 2.6e-6 at m = 5, as the largest cond(Phi)
+# grew from 5e4 to 6e6, 4e8 and 3e10; and from m = 20 on the odd series
+# table of ``packets._packet_tables`` holds no term.  Higher orders keep
+# the eigen solve.
 _PACKET_ORDER_MAX = 2
 # Integer-order profiles (:func:`_bessel_series`): entries within this
 # radius (in length scales) sum the ascending series of ``s**n K_n(s)`` to
@@ -532,7 +538,7 @@ def _decompose_factor(kernel: MaternKernel, rows: np.ndarray):
 def _packet_order(kernel: MaternKernel) -> int | None:
     """``m`` of a one-dimensional Matern kernel of order ``nu = m + 1/2``,
     ``m <= _PACKET_ORDER_MAX``, whose grid factors :func:`_packet_factor`
-    inverts; else None."""
+    factors; else None."""
     coefficients = kernel._half_integer_coefficients
     if kernel.dim != 1 or coefficients is None or len(coefficients) > _PACKET_ORDER_MAX + 1:
         return None
@@ -540,20 +546,23 @@ def _packet_order(kernel: MaternKernel) -> int | None:
 
 
 def _packet_factor(kernel: MaternKernel, rows: np.ndarray):
-    """``(order, basis, phi, inverse, condition)`` of one block kernel on
+    """``(order, basis, phi, lu, pivots, condition)`` of one block kernel on
     one factor's points.
 
     ``order`` sorts the points into those of ``basis``, the factor's kernel
-    packets (:mod:`kernelkit.packets`).  ``phi`` and ``inverse`` hold
-    ``Phi^T`` and ``Phi^-T`` as the blocks of :func:`_band_apply`, ``Phi``
-    being the packets' values at the points: ``Phi^T`` from its band,
-    ``Phi^-T`` from the numerically nonzero band of the inverse of that.
+    packets (:mod:`kernelkit.packets`).  ``phi`` is ``Phi^T`` by its
+    diagonals (:func:`kernelkit.packets._packet_band`), ``Phi`` being the
+    packets' values at the points, and ``lu`` and ``pivots`` its banded LU
+    factorization by LAPACK's ``dgbtrf``, in LAPACK's band storage; ``phi``
+    is applied by :func:`_band_apply` and its inverse by :func:`_band_solve`.
     The packet machinery is imported on the first call, so that runs
-    without packet grids never load it.  A factor of fewer points
-    than a packet spans takes its kernel translates as its basis: ``phi``
-    is then its Gram matrix and ``inverse`` the inverse of that, each one
-    block.  ``condition`` is ``cond(Phi)`` in the 1-norm, from the blocks.
-    No entry holds a Gram matrix of a factor that takes packets.
+    without packet grids never load it.  A factor of fewer points than a
+    packet spans takes its kernel translates as its basis: ``phi`` is then
+    its Gram matrix as a full band.  ``condition`` is ``cond(Phi)`` in the
+    1-norm, LAPACK's ``dgbcon`` estimate from the factorization.  No entry
+    holds a Gram matrix of a factor that takes packets.  Raises
+    ConditioningError when ``Phi`` holds a non-finite entry or is exactly
+    singular.
     """
     from kernelkit import packets
 
@@ -561,44 +570,58 @@ def _packet_factor(kernel: MaternKernel, rows: np.ndarray):
     order = np.argsort(rows[:, 0], kind="stable")
     points = rows[order]
     points.setflags(write=False)
-    try:
-        if len(rows) < 2 * m + 3:
-            basis = packets._FactorBasis(kernel, points)
-            gram = kernel.gram(points, points)
-            phi, inverse = gram[None], np.linalg.inv(gram)[None]
-        else:
-            basis = packets._packet_basis(kernel, points)
-            band = packets._packet_band(basis)
-            phi = packets._packet_blocks(band)
-            inverse = packets._packet_blocks(packets._packet_inverse(band))
-    except np.linalg.LinAlgError:
+    n = len(points)
+    if n < 2 * m + 3:
+        basis = packets._FactorBasis(kernel, points)
+        i, j = np.indices((n, n))
+        phi = np.zeros((n, 2 * n - 1))
+        phi[i, j - i + n - 1] = kernel.gram(points, points)
+    else:
+        basis = packets._packet_basis(kernel, points)
+        phi = packets._packet_band(basis)
+    w = phi.shape[1] // 2
+    # LAPACK's band storage: entry (i, j) in row 2w + i - j of column j; the
+    # w rows above hold the fill-in of the row interchanges.
+    i, t = np.indices(phi.shape)
+    j = i - w + t
+    kept = (j >= 0) & (j < n)
+    band = np.zeros((3 * w + 1, n), order="F")
+    band[3 * w - t[kept], j[kept]] = phi[kept]
+    lu, pivots, info = dgbtrf(band, w, w, overwrite_ab=True)
+    if info > 0 or not np.isfinite(phi).all():
         gaps = np.diff(points[:, 0])
         raise ConditioningError(
-            "kernel packet inverse met a zero or non-finite pivot",
-            len(rows),
+            "kernel packet LU met a zero or non-finite pivot",
+            n,
             float(gaps.min()) if len(gaps) else math.inf,
-        ) from None
-    condition = np.array(np.abs(phi).sum(axis=2).max() * np.abs(inverse).sum(axis=2).max())
-    for array in (order, phi, inverse, condition):
+        )
+    anorm = np.abs(phi).sum(axis=1).max()  # of Phi^T in the max-norm, Phi's 1-norm
+    rcond = dgbcon(w, w, lu, pivots, anorm, norm="I")[0]
+    condition = np.array(1.0 / rcond if rcond > 0.0 else math.inf)
+    for array in (order, phi, lu, pivots, condition):
         array.setflags(write=False)
-    return order, basis, phi, inverse, condition
+    return order, basis, phi, lu, pivots, condition
 
 
-def _band_apply(blocks: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``M x`` for ``x`` shaped ``(n, k)``, with the blocks of a banded
-    ``M`` (:func:`kernelkit.packets._packet_blocks`): the rows of ``x`` are
-    padded with zeros, and each block multiplies its window of them in one
-    batched matmul."""
-    count, rows, columns = blocks.shape
-    pad = (columns - rows) // 2
-    n, k = x.shape
-    padded = np.zeros((count * rows + 2 * pad, k))
-    padded[pad : pad + n] = x
-    step, item = padded.strides
-    windows = np.lib.stride_tricks.as_strided(
-        padded, (count, columns, k), (rows * step, step, item), writeable=False
-    )
-    return np.matmul(blocks, windows).reshape(-1, k)[:n]
+def _band_apply(band: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``M x`` for ``x`` shaped ``(n, k)``, ``M`` given by its diagonals:
+    entry ``(i, i - w + t)`` is ``band[i, t]``, 0 past the ends.  A sum of
+    elementwise products over the diagonals, so no BLAS reduction enters."""
+    n, width = band.shape
+    padded = np.zeros((n + width - 1, x.shape[1]))
+    padded[width // 2 : width // 2 + n] = x
+    product = band[:, :1] * padded[:n]
+    for t in range(1, width):
+        product += band[:, t, None] * padded[t : t + n]
+    return product
+
+
+def _band_solve(lu: np.ndarray, pivots: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``M^-1 x`` for ``x`` shaped ``(n, k)``, from the banded LU
+    factorization of ``M`` (:func:`_packet_factor`): one ``dgbtrs`` call,
+    with the columns of ``x`` as its right-hand sides."""
+    w = (len(lu) - 1) // 3
+    return dgbtrs(lu, w, w, x, pivots)[0]
 
 
 class _FactoredGrams:
@@ -637,24 +660,22 @@ class _FactoredGrams:
 _FACTORED_GRAMS = _FactoredGrams(limit=_FACTORED_GRAM_BYTES)
 
 
-def _kron_apply(matrices: Sequence, x: np.ndarray) -> np.ndarray:
-    """``(M_1 (x) ... (x) M_m) x`` for ``x`` shaped ``(n_1, ..., n_m)``.
+def _kron_apply(maps: Sequence[Callable], x: np.ndarray) -> np.ndarray:
+    """``(M_1 (x) ... (x) M_m) x`` for ``x`` shaped ``(n_1, ..., n_m)``,
+    with ``maps[j]`` the map ``y -> M_j y`` of arrays ``y`` shaped ``(n_j,
+    k)``.
 
     Each mode applies ``M_j`` to mode ``j`` of ``x`` moved first and
     flattened behind it.  A matrix, such as a Gram matrix or eigenvectors,
-    takes one ``np.dot``, the product ``np.tensordot(M_j, x, axes=(1, j))``
-    computes, so the two agree bit for bit; a packet factor's blocks
-    (three axes) take :func:`_band_apply`.  The axes are moved by plain
+    is applied by its ``dot``, the product ``np.tensordot(M_j, x, axes=(1,
+    j))`` computes, so the two agree bit for bit; a packet factor by
+    :func:`_band_apply` or :func:`_band_solve`.  The axes are moved by plain
     transposes, as ``np.moveaxis`` would move them.
     """
-    for axis, matrix in enumerate(matrices):
+    for axis, apply in enumerate(maps):
         rest = range(axis + 1, x.ndim)
         moved = x.transpose(axis, *range(axis), *rest)
-        flat = moved.reshape(len(moved), -1)
-        if matrix.ndim == 2:
-            product = np.dot(matrix, flat)
-        else:
-            product = _band_apply(matrix, flat)
+        product = apply(moved.reshape(len(moved), -1))
         x = product.reshape(moved.shape).transpose(*range(1, axis + 1), 0, *rest)
     return x
 
@@ -685,7 +706,7 @@ def _solve_kronecker(
     """
     shape = tuple(len(rows) for rows in factors)
     eigen = _factor_entries(kernel, factors, "eigen", _decompose_factor)
-    grams = [entry[0] for entry in eigen]
+    grams = [entry[0].dot for entry in eigen]
 
     def apply(x: np.ndarray) -> np.ndarray:
         return _kron_apply(grams, x.reshape(shape)).ravel()
@@ -701,9 +722,9 @@ def _packet_solve(
 
     With ``Phi_j`` the packets' values at factor ``j``'s points
     (:func:`_packet_factor`), the interpolant is ``x -> ((x)phi_j(x_j))^T
-    w`` with ``((x)Phi_j^T) w = b``: ``w = ((x)Phi_j^-T) b``, one mode
-    product per factor with the kept band of each inverse, unshifted and
-    refined against ``(x)Phi_j^T``, each also banded.  That node residual
+    w`` with ``((x)Phi_j^T) w = b``: ``w = ((x)Phi_j^-T) b``, one banded
+    LU solve per mode, unshifted and refined against ``(x)Phi_j^T``, applied
+    by its diagonals.  That node residual
     is the interpolant minus the data at the nodes, the quantity every fit
     is gated on, and no Gram matrix is built.  ``Phi_j`` is well
     conditioned whatever the factor's size, where ``K_j`` is not.  A grid
@@ -718,10 +739,10 @@ def _packet_solve(
 
     shape = tuple(len(rows) for rows in factors)
     packets = _factor_entries(kernel, factors, "packets", _packet_factor)
-    orders, bases, phis, inverses, conditions = zip(*packets)
+    orders, bases, phis, lus, pivots, conditions = zip(*packets)
 
-    def kron(blocks: Sequence[np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
-        return lambda x: _kron_apply(blocks, x.reshape(shape)).ravel()
+    def kron(maps: Sequence[Callable]) -> Callable[[np.ndarray], np.ndarray]:
+        return lambda x: _kron_apply(maps, x.reshape(shape)).ravel()
 
     def grid(bases: Sequence, weights: np.ndarray) -> PacketGrid:
         weights = weights.reshape(shape)
@@ -731,8 +752,10 @@ def _packet_solve(
     # Rounding leaves the weights about cond(Phi_j) eps off, relative.
     if max(conditions) * np.finfo(float).eps <= _RESIDUAL_REQUIRED:
         data = rhs.reshape(shape)[np.ix_(*orders)].ravel()
+        solve = kron([partial(_band_solve, lu, p) for lu, p in zip(lus, pivots)])
+        apply = kron([partial(_band_apply, phi) for phi in phis])
         try:
-            weights = _refine(kron(inverses), kron(phis), data, nodes)
+            weights = _refine(solve, apply, data, nodes)
         except ConditioningError:
             pass  # the packet solve missed the residual gate
         else:
@@ -755,11 +778,12 @@ def _eigen_solve(entries, shape: tuple[int, ...], nodes: PointSet):
     # trace(K) / N of the Kronecker product, the dense path's shift scale.
     base = math.prod(np.trace(gram) / len(gram) for gram in grams)
     shifted = _smallest_shift(shift, base, nodes)
-    transposed = [q.T for q in eigenvectors]
+    transposed = [q.T.dot for q in eigenvectors]
+    vectors = [q.dot for q in eigenvectors]
 
     def solve(r: np.ndarray) -> np.ndarray:
         projected = _kron_apply(transposed, r.reshape(shape))
-        return _kron_apply(eigenvectors, projected / shifted).ravel()
+        return _kron_apply(vectors, projected / shifted).ravel()
 
     return solve
 

@@ -9,9 +9,9 @@ point, their values at the factor's points, ``Phi``, are banded, and
 ``cond(Phi)`` does not grow with the factor's size, where that of the
 factor's Gram matrix does.  :func:`kernelkit.kernels._packet_solve` fits a
 product grid of such blocks as ``x -> ((x)phi_j(x_j))^T w`` with
-``((x)Phi_j^T) w = b``, with the numerically nonzero bands of ``Phi_j^T``
-and ``Phi_j^-T`` that :func:`kernelkit.kernels._packet_factor` builds
-here, in ``O(n)`` row operations with numpy alone.
+``((x)Phi_j^T) w = b``, by a banded LU factorization of each ``Phi_j^T``
+(:func:`kernelkit.kernels._packet_factor`), whose diagonals
+:func:`_packet_band` reads off here.
 
 A packet's values come in three exact forms (:func:`_packet_forms`), of
 which the cheapest loses the fewest digits.  A factor's basis
@@ -43,133 +43,6 @@ from kernelkit.kernels import MaternKernel, _half_integer_polynomial, _packet_or
 # wider windows and distances use the closed exponential forms.
 _PACKET_SERIES_TERMS = 40
 _PACKET_SERIES_RADIUS = 2.0
-# A packet inverse is swept over a band whose half-width starts at this
-# many points per ``m + 1`` and doubles until its edge entries are at most
-# ``_PACKET_BAND_FLOOR`` of their row's diagonal entry; entries that small
-# are dropped.  ``Phi^-T`` decays by about 2 - sqrt(3) = 0.27 a point at
-# nu = 3/2, so on interp's 1024-point factor the band keeps 36 points each
-# side at nu = 3/2, 57 at nu = 5/2 and none at nu = 1/2 (where ``Phi`` is
-# diagonal), and no subnormal number.
-_PACKET_BAND_GUESS = 24
-_PACKET_BAND_FLOOR = 2.0**-64
-# A banded packet factor is kept as blocks of this many rows
-# (:func:`_packet_blocks`).
-_PACKET_BLOCK_ROWS = 64
-
-
-def _packet_inverse(phi: np.ndarray) -> np.ndarray:
-    """The numerically nonzero band of ``Phi^-T``, from the band ``phi`` of
-    ``Phi^T`` (:func:`_packet_band`), ``Phi`` the values of the kernel
-    packets of a factor at its sorted points: ``band[i, t]`` is entry ``(i,
-    i - w + t)``, 0 past the ends, with ``band`` shaped ``(n, 2w + 1)``.
-
-    ``Phi`` is banded (Chen, Ding & Tuo, JMLR 23, 2022) and its condition
-    number does not grow with ``n``: about 240 in the 1-norm at nu = 3/2
-    on interp's factors, whose Gram matrices reach 1e13 at 1,024 points.
-    ``Phi^-T`` is dense but decays away from the diagonal, so it is
-    eliminated on a band only (:func:`_packet_sweep`), which doubles from
-    ``_PACKET_BAND_GUESS (m + 1)`` points each side until every row's edge
-    entries are at most ``_PACKET_BAND_FLOOR`` of its diagonal entry, or
-    until it spans every point, where it is exact.  Entries that small are
-    then zeroed, which leaves no subnormal number, and the band is trimmed
-    to the widest half-width that still holds a nonzero entry.  Raises
-    LinAlgError at a zero or non-finite pivot.
-    """
-    n, m = len(phi), phi.shape[1] // 2
-    lower, upper = _packet_lu(phi)
-    width = min(_PACKET_BAND_GUESS * (m + 1), n - 1)
-    while True:
-        band = _packet_sweep(lower, upper, width)
-        dead = np.abs(band) <= _PACKET_BAND_FLOOR * np.abs(band[:, width : width + 1])
-        if width == n - 1 or dead[:, [0, -1]].all():
-            break
-        width = min(2 * width, n - 1)
-    band[dead] = 0.0
-    keep = int(np.max(np.abs(np.flatnonzero(~dead.all(axis=0)) - width), initial=0))
-    return band[:, width - keep : width + keep + 1].copy()
-
-
-def _packet_lu(phi: np.ndarray) -> tuple[list, list]:
-    """Gaussian elimination without pivoting of ``Phi^T``, given by its band
-    (:func:`_packet_band`): ``(lower, upper)`` with ``lower[i][k - 1]`` the
-    multiple of row ``i`` taken from row ``i + k``, and ``upper[i]`` the
-    diagonal of row ``i`` and the ``m`` entries right of it.  Raises
-    LinAlgError at a zero or non-finite pivot."""
-    band = phi.tolist()
-    n, m = len(band), phi.shape[1] // 2
-    lower = []
-    for i in range(n):
-        pivot = band[i][m]
-        if not (math.isfinite(pivot) and pivot != 0.0):
-            raise np.linalg.LinAlgError(f"kernel packet pivot {pivot} at row {i}")
-        factors = []
-        for k in range(1, min(m, n - 1 - i) + 1):
-            below = band[i + k]
-            factor = below[m - k] / pivot
-            for t in range(m - k + 1, 2 * m + 1 - k):
-                below[t] -= factor * band[i][t + k]
-            factors.append(factor)
-        lower.append(factors)
-    return lower, [row[m:] for row in band]
-
-
-def _packet_sweep(lower: list, upper: list, width: int) -> np.ndarray:
-    """``Phi^-T`` on the band of half-width ``width`` (as
-    :func:`_packet_inverse` returns it), from the elimination of ``Phi^T``
-    (:func:`_packet_lu`): the sweeps of the identity.
-
-    Each row operation of the forward and backward sweeps acts on one band
-    row, shifted by the two rows' distance; entries that would fall outside
-    the band are dropped.  The rows are divided by their pivots before the
-    backward sweep, whose multipliers are divided likewise.
-    """
-    n = len(upper)
-    band = np.zeros((n, 2 * width + 1))
-    band[:, width] = 1.0
-    rows = list(band)
-    for i, factors in enumerate(lower):
-        for k, factor in enumerate(factors, 1):
-            rows[i + k][:-k] -= factor * rows[i][k:]
-    diagonal = [row[0] for row in upper]
-    band /= np.array(diagonal)[:, None]
-    for i in range(n - 2, -1, -1):
-        row = rows[i]
-        for k, entry in enumerate(upper[i][1 : n - i], 1):
-            row[k:] -= entry / diagonal[i] * rows[i + k][:-k]
-    return band
-
-
-def _packet_blocks(band: np.ndarray) -> np.ndarray:
-    """A band of ``Phi^T`` or ``Phi^-T``
-    (:func:`~kernelkit.kernels._packet_factor`) as the blocks of
-    :func:`~kernelkit.kernels._band_apply`, shaped ``(count, rows,
-    columns)``.
-
-    Block ``b`` holds rows ``b * rows`` to ``b * rows + rows - 1`` over the
-    columns from ``w`` before the first to ``w`` after the last, 0 past the
-    ends, with ``rows = _PACKET_BLOCK_ROWS`` and ``columns = rows + 2w``.
-    When that would hold no fewer entries than the whole matrix, as for
-    every factor of fewer than ``rows`` points, the whole matrix is one
-    block.  The band is written into the blocks through a strided view of
-    their diagonals.
-    """
-    n, width = band.shape
-    w = width // 2
-    rows = _PACKET_BLOCK_ROWS
-    count = -(-n // rows)
-    dense = count * rows * (rows + 2 * w) >= n * n
-    if dense:
-        rows, count = n, 1
-    blocks = np.zeros((count, rows, rows + 2 * w))
-    step, row_step, item = blocks.strides
-    diagonals = np.lib.stride_tricks.as_strided(
-        blocks, (count, rows, width), (step, row_step + item, item)
-    )
-    full, rest = divmod(n, rows)
-    diagonals[:full] = band[: full * rows].reshape(full, rows, width)
-    if rest:
-        diagonals[full, :rest] = band[full * rows :]
-    return blocks[:, :, w : w + n].copy() if dense else blocks
 
 
 def _packet_coefficients(u: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:

@@ -93,11 +93,13 @@ def test_example_repeats_byte_for_byte_in_one_process(example, tmp_path):
 
 def test_interp_example_inverts_its_factors_by_packets(monkeypatch, tmp_path):
     # Its grids' blocks are all one-dimensional with nu = 3/2: each of the 7
-    # distinct factors is inverted once, and nothing is eigendecomposed.
+    # distinct factors is given one banded LU, and nothing is
+    # eigendecomposed.
     fresh = kernels_module._FactoredGrams(limit=kernels_module._FACTORED_GRAM_BYTES)
     monkeypatch.setattr(kernels_module, "_FACTORED_GRAMS", fresh)
-    calls = {"eigh": 0, "_packet_factor": 0}
-    for owner, name in ((np.linalg, "eigh"), (kernels_module, "_packet_factor")):
+    calls = {"eigh": 0, "_packet_factor": 0, "dgbtrf": 0}
+    owners = {"eigh": np.linalg, "_packet_factor": kernels_module, "dgbtrf": kernels_module}
+    for name, owner in owners.items():
         original = getattr(owner, name)
 
         def counted(*args, _original=original, _name=name, **kwargs):
@@ -107,14 +109,15 @@ def test_interp_example_inverts_its_factors_by_packets(monkeypatch, tmp_path):
         monkeypatch.setattr(owner, name, counted)
     config = os.path.join(ROOT, "docs", "examples", "interp.cfg")
     assert main(["--config", config, "--out", str(tmp_path / "out"), "--quiet"]) == 0
-    assert calls == {"eigh": 0, "_packet_factor": 7}
+    assert calls == {"eigh": 0, "_packet_factor": 7, "dgbtrf": 7}
 
 
-@pytest.mark.parametrize("l_max", [8, 11])
+@pytest.mark.parametrize("l_max", [8, 11, 14])
 def test_interp_example_is_byte_identical_across_blas_thread_counts(tmp_path, l_max):
     # At l_max = 11 the grids have factors of up to 1,024 points, where an
     # eigendecomposition or a dense LU inverse gives different bits at one
-    # and at two BLAS threads; the example itself stops at l_max = 8.
+    # and at two BLAS threads; l_max = 14, the highest a config admits,
+    # reaches 8,192 points.  The example itself stops at l_max = 8.
     with open(os.path.join(ROOT, "docs", "examples", "interp.cfg")) as handle:
         text = handle.read()
     assert "l_max = 8\n" in text
@@ -164,22 +167,25 @@ def run_measured(config, out):
     return elapsed, int(result.stdout.split()[-1]) / 1024
 
 
-def test_interp_example_at_l_max_13_runs_within_its_budget(tmp_path):
+@pytest.mark.parametrize("l_max,seconds,mb", [(13, 10.0, 145.0), (14, 13.0, 170.0)])
+def test_interp_example_at_l_max_13_runs_within_its_budget(tmp_path, l_max, seconds, mb):
     # l_max = 13 fits two 8,192-node grids, 2 x 4,096 and 4,096 x 2, whose
     # 4,096-point factor's Gram matrix has condition number 3.3e15.  In the
     # kernel basis they missed the residual gate and fell back to two
-    # eigendecompositions of it: 24 s and 872 MB.  In the packet basis the
-    # run took 0.96 s and peaked at 88 MB, imports included; the budget
-    # leaves 2x headroom on the memory and 10x on the time.
+    # eigendecompositions of it: 24 s and 872 MB.  In the packet basis,
+    # solved by banded LU, the run took 1.0-1.25 s and peaked at 72 MB,
+    # imports included; at l_max = 14, the highest a config admits, with
+    # an 8,192-point factor, 1.2-1.45 s and 85 MB.  The budgets leave 2x
+    # headroom on the memory and 10x on the time.
     with open(os.path.join(ROOT, "docs", "examples", "interp.cfg")) as handle:
         text = handle.read()
     config = tmp_path / "interp.cfg"
-    config.write_text(text.replace("l_max = 8\n", "l_max = 13\n"))
+    config.write_text(text.replace("l_max = 8\n", f"l_max = {l_max}\n"))
     elapsed, peak_mb = run_measured(config, tmp_path / "out")
-    assert elapsed <= 10.0
-    assert peak_mb <= 180.0
+    assert elapsed <= seconds
+    assert peak_mb <= mb
     rows = (tmp_path / "out" / "study.csv").read_text().splitlines()
-    assert rows[-1].startswith("13,")
+    assert rows[-1].startswith(f"{l_max},")
 
 
 def test_fem_check_at_the_finest_mesh_level_runs_within_its_budget(tmp_path):

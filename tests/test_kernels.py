@@ -702,18 +702,20 @@ def decomposition_bytes(count):
 
 
 def packet_bytes(count, m=1):
-    """Bytes of a packet grid-factor entry of fewer points than a block: the
-    sort order, the sorted points, ``Phi^T`` and ``Phi^-T`` as one dense
-    block each and ``cond(Phi)``; beside them, from ``2m + 3`` points on,
-    the packets' starts and coefficients, each interval's first packet,
-    first point and table, and the polynomials past the two ends
-    (:func:`packets._packet_basis`)."""
-    size = 2 * count + 2 * count**2 + 1
+    """Bytes of a packet grid-factor entry: the sort order, the sorted
+    points, ``Phi^T`` by its ``2w + 1`` diagonals, its banded LU in
+    LAPACK's ``3w + 1`` rows, its 4-byte pivots and ``cond(Phi)``, with
+    ``w = m``; beside them, from ``2m + 3`` points on, the packets' starts
+    and coefficients, each interval's first packet, first point and table,
+    and the polynomials past the two ends (:func:`packets._packet_basis`).
+    Below ``2m + 3`` points ``Phi^T`` is the Gram matrix, ``w = count - 1``."""
+    w = m if count >= 2 * m + 3 else count - 1
+    size = 2 * count + count * (2 * w + 1) + count * (3 * w + 1) + 1
     if count >= 2 * m + 3:
         intervals = count - 1
         size += count * (2 * m + 4) + intervals * (2 + (2 * m + 2) * (8 * m + 8))
         size += 2 * (m + 1) ** 2
-    return 8 * size
+    return 8 * size + 4 * count
 
 
 def counting(monkeypatch, owner, name, calls, record=len):
@@ -1183,7 +1185,7 @@ class TestKroneckerSolve:
         # Eigenvector transposes, which the solve applies, are Fortran-ordered.
         matrices = [rng.standard_normal((n, n)).T for n in shape]
         x = rng.standard_normal(shape)
-        result = kernels_module._kron_apply(matrices, x)
+        result = kernels_module._kron_apply([matrix.dot for matrix in matrices], x)
         expected = reduce(np.kron, matrices) @ x.ravel()
         assert np.allclose(result.ravel(), expected, rtol=1e-13, atol=1e-13)
         reference = x
@@ -1266,19 +1268,11 @@ def mp_interpolant(kernels, factors, rhs, points):
 def packet_interpolant(kernel, rows, values, points):
     """The one-factor interpolant of ``values`` in the factor's basis
     (:func:`kernels._packet_factor`) at ``points``: ``phi(t)^T Phi^-T y``,
-    one solve by the kept band, unrefined."""
-    order, basis, _, inverse, _ = kernels_module._packet_factor(kernel, rows)
-    weights = kernels_module._band_apply(inverse, values[order][:, None])[:, 0]
+    one solve by the banded LU, unrefined."""
+    order, basis, _, lu, pivots, _ = kernels_module._packet_factor(kernel, rows)
+    weights = kernels_module._band_solve(lu, pivots, values[order][:, None])[:, 0]
     first, found = basis.values(points)
     return np.sum(found * weights[first[:, None] + np.arange(found.shape[1])], axis=1)
-
-
-def sorted_packet_bands(kernel, count):
-    """The bands of ``Phi^T`` and of the kept ``Phi^-T`` on the sorted
-    points of a Halton factor."""
-    x = np.sort(generate_points(UNIT_INTERVAL, count).points, axis=0)
-    phi = packets_module._packet_band(packets_module._packet_basis(kernel, x))
-    return phi, packets_module._packet_inverse(phi)
 
 
 def band_matrix(band):
@@ -1330,109 +1324,94 @@ class TestPacketInverse:
         assert np.all(np.isfinite(got))
         assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(values))
 
-    def test_factors_below_the_window_take_the_direct_inverse(self, monkeypatch):
+    def test_factors_below_the_window_solve_with_their_gram_matrix(self, monkeypatch):
         packets = []
         counting(monkeypatch, packets_module, "_packet_basis", packets, lambda k: k.beta)
         for beta, window in ((1.0, 3), (2.0, 5), (3.0, 7)):
             kernel = MaternKernel(beta=beta, dim=1)
             for count in (window - 1, window):
                 rows = generate_points(UNIT_INTERVAL, count).points
-                order, basis, phi, inverse, _ = kernels_module._packet_factor(kernel, rows)
+                entry = kernels_module._packet_factor(kernel, rows)
+                order, basis, phi, lu, pivots, condition = entry
                 assert order.tolist() == np.argsort(rows[:, 0], kind="stable").tolist()
-                assert phi.shape == inverse.shape == (1, count, count)
+                y = np.random.default_rng(count).standard_normal((count, 2))
+                solved = kernels_module._band_solve(lu, pivots, y)
                 if count < window:
-                    # The kernel translates: Phi is the Gram matrix.
+                    # The kernel translates: Phi is the Gram matrix, as a full band.
                     sorted_gram = kernel.gram(rows[order], rows[order])
                     assert not basis.packets
-                    assert phi[0].tobytes() == sorted_gram.tobytes()
-                    assert inverse[0].tobytes() == np.linalg.inv(sorted_gram).tobytes()
+                    assert phi.shape == (count, 2 * count - 1)
+                    assert band_matrix(phi).tobytes() == sorted_gram.tobytes()
+                    # Backward stable: largest seen 2.4e-17, as np.linalg.solve's.
+                    norm = np.abs(sorted_gram).sum(axis=1).max()
+                    residual = np.max(np.abs(sorted_gram @ solved - y))
+                    assert residual <= 1e-15 * (norm * np.max(np.abs(solved)) + np.max(np.abs(y)))
+                    # So within cond(Phi) eps of np.linalg.solve, relative:
+                    # largest seen 0.45 cond(Phi) eps (nu = 1/2, 2 points), and
+                    # 9.8e-13 (nu = 5/2, 6 points, where cond(Phi) is 1.8e6).
+                    expected = np.linalg.solve(sorted_gram, y)
+                    bound = condition * np.finfo(float).eps * np.max(np.abs(expected))
+                    assert np.max(np.abs(solved - expected)) <= bound
                 else:
-                    assert np.allclose(inverse[0] @ phi[0], np.eye(count), atol=1e-12)
+                    assert np.allclose(band_matrix(phi) @ solved, y, atol=1e-12)
         assert packets == [1.0, 2.0, 3.0]
-
-    @pytest.mark.parametrize("beta", [1.0, 2.0, 3.0])
-    def test_band_drops_only_entries_below_its_floor(self, beta):
-        # The sweep over every point is the exact inverse of Phi^T; the kept
-        # band is its nonzero part, and every entry outside it is at most
-        # 2**-64 of its row's diagonal entry.
-        kernel = MaternKernel(beta=beta, dim=1)
-        count = 200
-        phi, band = sorted_packet_bands(kernel, count)
-        lower, upper = packets_module._packet_lu(phi)
-        full = packets_module._packet_sweep(lower, upper, count - 1)
-        exact = band_matrix(full)
-        assert np.allclose(exact @ band_matrix(phi), np.eye(count), atol=1e-12)
-        diagonal = np.abs(np.diag(exact))[:, None]
-        kept = band_matrix(band)
-        w = band.shape[1] // 2
-        offsets = np.abs(np.subtract.outer(np.arange(count), np.arange(count)))
-        outside = offsets > w
-        floor = 2.0**-64 * np.broadcast_to(diagonal, exact.shape)
-        assert np.all(np.abs(exact[outside]) <= floor[outside])
-        assert np.all(np.abs(kept - exact) <= 1e-15 * diagonal)
-        # The band is trimmed: its outermost diagonals hold a nonzero entry.
-        assert np.any(band[:, [0, -1]] != 0.0)
-        assert w == {1.0: 0, 2.0: 35, 3.0: 55}[beta]
 
     @pytest.mark.parametrize("beta", [1.0, 2.0, 3.0])
     def test_kept_factor_holds_no_subnormal_number(self, beta):
         # At nu = 3/2 the dense inverse of the Gram matrix on these points
         # held 10,176 subnormal entries.
         kernel = MaternKernel(beta=beta, dim=1)
-        _, _, phi, inverse, _ = kernels_module._packet_factor(
+        _, _, phi, lu, _, _ = kernels_module._packet_factor(
             kernel, generate_points(UNIT_INTERVAL, 1024).points
         )
-        for blocks in (phi, inverse):
-            magnitudes = np.abs(blocks[blocks != 0.0])
+        for band in (phi, lu):
+            magnitudes = np.abs(band[band != 0.0])
             assert magnitudes.size and np.min(magnitudes) >= np.finfo(float).tiny
 
-    def test_kept_1024_point_factor_holds_under_3_mb(self):
+    def test_kept_1024_point_factor_holds_under_700_kb(self):
+        # It holds 667 KB, 598 KB of them the basis laid out for evaluation.
         # With its Gram matrix (8.4 MB) beside the band of its inverse, the
-        # entry held 10.5 MB.
+        # entry held 10.5 MB; with the band of the inverse as blocks, 2.3 MB.
         kernel = MaternKernel(beta=2.0, dim=1)
         entry = kernels_module._packet_factor(
             kernel, generate_points(UNIT_INTERVAL, 1024).points
         )
-        assert sum(array.nbytes for array in entry) < 3e6
+        assert sum(array.nbytes for array in entry) < 7e5
         order, basis, *arrays = entry
         assert all(not array.flags.writeable for array in (order, *basis.packets, *arrays))
 
     @pytest.mark.parametrize("columns", [1, 2, 33])
-    @pytest.mark.parametrize("beta", [1.0, 2.0])
-    @pytest.mark.parametrize(
-        "count,layout",
-        [
-            (packets_module._PACKET_BLOCK_ROWS - 1, "one dense block"),
-            (packets_module._PACKET_BLOCK_ROWS, "one dense block"),
-            (4 * packets_module._PACKET_BLOCK_ROWS, "whole blocks"),
-            (3 * packets_module._PACKET_BLOCK_ROWS + 17, "a partial last block"),
-        ],
-    )
-    def test_apply_matches_the_dense_product(self, count, layout, beta, columns):
+    @pytest.mark.parametrize("beta", [1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("count", [63, 64, 209, 256])
+    def test_apply_matches_the_dense_product(self, count, beta, columns):
         kernel = MaternKernel(beta=beta, dim=1)
         rows = generate_points(UNIT_INTERVAL, count).points
-        _, _, phi_blocks, inverse_blocks, _ = kernels_module._packet_factor(kernel, rows)
-        block_rows = packets_module._PACKET_BLOCK_ROWS
-        for blocks in (phi_blocks, inverse_blocks):
-            if layout == "one dense block":
-                assert blocks.shape == (1, count, count)
-            else:
-                assert blocks.shape[:2] == (-(-count // block_rows), block_rows)
-        phi, inverse = sorted_packet_bands(kernel, count)
+        _, _, phi, lu, pivots, _ = kernels_module._packet_factor(kernel, rows)
+        dense = band_matrix(phi)
         x = np.random.default_rng(columns).standard_normal((count, columns))
-        for blocks, band in ((phi_blocks, phi), (inverse_blocks, inverse)):
-            expected = band_matrix(band) @ x
-            result = kernels_module._band_apply(blocks, x)
-            assert result.shape == (count, columns)
-            assert np.max(np.abs(result - expected)) <= 1e-15 * np.max(np.abs(expected))
+        expected = dense @ x
+        result = kernels_module._band_apply(phi, x)
+        assert result.shape == (count, columns)
+        assert np.max(np.abs(result - expected)) <= 1e-15 * np.max(np.abs(expected))
+        # Largest seen: 4.8e-16 relative (nu = 5/2, cond(Phi) up to 3.3e4 here).
+        expected = np.linalg.solve(dense, x)
+        result = kernels_module._band_solve(lu, pivots, x)
+        assert result.shape == (count, columns)
+        assert np.max(np.abs(result - expected)) <= 1e-14 * np.max(np.abs(expected))
 
-    @pytest.mark.parametrize("pivot", [0.0, np.nan])
-    def test_zero_or_non_finite_pivot_raises(self, monkeypatch, fresh_factored_grams, pivot):
+    @pytest.mark.parametrize("fault", ["equal rows", "nan"])
+    def test_zero_or_non_finite_pivot_raises(self, monkeypatch, fresh_factored_grams, fault):
         band = packets_module._packet_band
 
         def broken(*args):
             values = band(*args)
-            values[0, values.shape[1] // 2] = pivot  # row 0's pivot is its diagonal
+            if fault == "nan":
+                values[0, values.shape[1] // 2] = np.nan
+            else:
+                # Row 0 of Phi^T starts at its diagonal, row 1 one column
+                # left of it: row 1 becomes row 0, and the pivoted LU meets
+                # an exact zero pivot.
+                values[1] = np.roll(values[0], -1)
             return values
 
         monkeypatch.setattr(packets_module, "_packet_band", broken)
@@ -1526,12 +1505,14 @@ class TestPacketInverse:
         cache = kernels_module._FACTORED_GRAMS
         assert cache.nbytes == sum(packet_bytes(n) for n in (4, 8, 16))
 
-    def test_packet_path_takes_no_scipy(self, monkeypatch, fresh_factored_grams):
-        def no_scipy(*args, **kwargs):
-            raise AssertionError("the packet path called scipy")
+    def test_packet_path_takes_no_cholesky_or_bessel_function(
+        self, monkeypatch, fresh_factored_grams
+    ):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the packet path called a Cholesky or Bessel function")
 
         for name in ("cho_factor", "cho_solve", "bessel_k0", "bessel_k1"):
-            monkeypatch.setattr(kernels_module, name, no_scipy)
+            monkeypatch.setattr(kernels_module, name, forbidden)
         kernel, nodes = block_grid(((2.0, 1), (2.0, 1)), (33, 17))
         fit = fit_interpolant(kernel, nodes, smooth_values(nodes.points))
         residual = fit.evaluate(nodes.points) - smooth_values(nodes.points)
@@ -1660,6 +1641,8 @@ class TestPacketBasis:
         assert fresh_factored_grams.nbytes == sum(
             sum(array.nbytes for array in entry) for entry in entries
         )
+        m = kernels_module._packet_order(kernel)
+        assert fresh_factored_grams.nbytes == sum(packet_bytes(n, m) for n in (256, 1024))
 
 
 class TestQuadratureWeights:
