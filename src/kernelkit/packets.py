@@ -13,12 +13,16 @@ product grid of such blocks as ``x -> ((x)phi_j(x_j))^T w`` with
 (:func:`kernelkit.kernels._packet_factor`), whose diagonals
 :func:`_packet_band` reads off here.
 
-A packet's values come in three exact forms (:func:`_packet_forms`), of
-which the cheapest loses the fewest digits.  A factor's basis
+A packet's values come in three exact forms, of which the cheapest loses
+the fewest digits.  A factor's basis
 (:func:`_packet_basis`) fixes each packet's form once per interval
 between neighbouring points, as one table over the ``4m + 4`` points
 around it, and past the factor's ends takes each packet as
-``exp(-|v|)`` times a polynomial.  The basis, a :class:`_FactorBasis`,
+``exp(-|v|)`` times a polynomial, built for every end packet at once
+(:func:`_packet_ends`).  Each Taylor series sums only the leading terms
+that can reach its result at the call's largest argument
+(:func:`_leading`), so a basis takes the same array passes at any size.
+The basis, a :class:`_FactorBasis`,
 gives its functions' values at any points (:meth:`_FactorBasis.values`);
 a fit on a grid of such factors is a
 :class:`~kernelkit.surrogate.PacketGrid` over their bases, held and
@@ -75,11 +79,8 @@ def _packet_coefficients(u: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]
         own = np.take_along_axis(points[packets], columns, axis=1)
         anchor = u[packets][:, None]
         z = (own - anchor) / (own[:, -1:] - own[:, :1])
-        gaps = z[:, :, None] - z[:, None, :]
-        gaps[:, range(m + 2), range(m + 2)] = 1.0
-        coefficients[packets[:, None], columns] = np.exp(
-            sign * (anchor - own)
-        ) / gaps.prod(axis=2)
+        gaps = z[:, :, None] - z[:, None, :] + np.eye(m + 2)
+        coefficients[packets[:, None], columns] = np.exp(sign * (anchor - own)) / gaps.prod(axis=2)
     central = index[m + 1 : n - m - 1]
     coefficients[central] = _central_packets(points[central], m)
     return starts, coefficients
@@ -93,6 +94,7 @@ def _central_packets(points: np.ndarray, m: int) -> np.ndarray:
     the span of ``u**p exp(+-u)`` imposes, in local coordinates ``v`` about
     the window's midpoint.  Narrow windows use the solutions ``f_k`` of
     ``(D**2 - 1)**(m+1) f = 0`` with ``f_k(v) = v**k / k! + O(v**(2m+2))``,
+    summed to the terms the widest of them needs (:func:`_taylor`) and
     divided by ``span**k``: they tend to ``(v / span)**k / k!`` as the
     window shrinks, where ``u**p exp(+-u)`` would become linearly
     dependent.  Wide windows use ``(v / span)**p exp(+-v)``, each point's
@@ -107,11 +109,7 @@ def _central_packets(points: np.ndarray, m: int) -> np.ndarray:
     conditions = np.empty((count, width - 1, width))
     narrow = span[:, 0] <= 2.0 * _PACKET_SERIES_RADIUS
     basis = _packet_tables(m)[1]
-    near = v[narrow]
-    values = np.zeros((width - 1, *near.shape))
-    for coefficient in basis.T[::-1]:  # Horner's rule, highest power first
-        values *= near
-        values += coefficient[:, None, None]
+    values = _taylor(basis, v[narrow])
     powers = span[narrow].T[:, :, None] ** np.arange(width - 1)[:, None, None]
     conditions[narrow] = (values / powers).transpose(1, 0, 2)
     far = v[~narrow]
@@ -143,18 +141,9 @@ def _packet_band(basis: "_FactorBasis") -> np.ndarray:
     return band
 
 
-def _packet_forms(
-    kernel: MaternKernel,
-    x: np.ndarray,
-    starts: np.ndarray,
-    coefficients: np.ndarray,
-    packets: np.ndarray,
-    t: np.ndarray,
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """``(forms, costs)``: the three exact forms of the packets ``packets``
-    on the sorted points ``x`` (:func:`_packet_coefficients`) at the points
-    ``t``, broadcast together, and the sum of each form's terms'
-    magnitudes, infinite where it does not apply.
+def _packet_basis(kernel: MaternKernel, points: np.ndarray) -> "_FactorBasis":
+    """The kernel packets of order ``m + 1/2`` on at least ``2m + 3`` sorted
+    one-dimensional ``points``, laid out for evaluation.
 
     A packet vanishes outside its window, and its values there come in
     three exact forms, of which the one whose terms' magnitudes sum the
@@ -166,45 +155,17 @@ def _packet_forms(
     psi(u - u_j)`` from the right is zero; likewise over ``u_j < t`` for
     one that vanishes on the left.  ``psi(d) - psi(-d)`` is
     ``O(d**(2m+1))`` and is summed by its series (:func:`_odd_profile`).
-    """
-    n, width = coefficients.shape
-    m = (width - 3) // 2
-    # In length scales, scaled after the difference, which is exact near a point.
-    offsets = t[..., None] - x[starts[packets][..., None] + np.arange(width)]
-    offsets /= kernel.length_scale
-    distance = np.abs(offsets)
-    # psi's constant: the profile is constant * q(d) exp(-d).
-    weights = coefficients[packets] * kernel._half_integer_constant
-    q = kernel._half_integer_coefficients[::-1]
-    with np.errstate(over="ignore", invalid="ignore"):
-        direct = weights * np.polynomial.polynomial.polyval(distance, q)
-        direct *= np.exp(-distance)
-        odd = weights * _odd_profile(distance, q)
-        forms = [direct, np.where(offsets < 0, odd, 0.0), np.where(offsets > 0, odd, 0.0)]
-        costs = [np.nan_to_num(np.abs(f).sum(axis=-1), nan=np.inf) for f in forms]
-        sums = [f.sum(axis=-1) for f in forms]
-    # The last packets do not vanish on the right, nor the first on the left.
-    costs[1] = np.where(packets >= n - m - 1, np.inf, costs[1])
-    costs[2] = np.where(packets < m + 1, np.inf, costs[2])
-    return sums, costs
-
-
-def _packet_basis(kernel: MaternKernel, points: np.ndarray) -> "_FactorBasis":
-    """The kernel packets of order ``m + 1/2`` on at least ``2m + 3`` sorted
-    one-dimensional ``points``, laid out for evaluation.
 
     Between two neighbouring points ``u_j`` and ``u_(j+1)`` (in length
     scales) at most the ``2m + 2`` packets from ``first[j]`` are nonzero,
     and their windows lie within the ``4m + 4`` points from ``local[j]``.
-    Each takes there the exact form (:func:`_packet_forms`) that is
-    cheapest at the interval's midpoint, so that its value at any ``t`` of
-    the interval is ``table[j, a] @ [psi(d), o(d)]``, with ``d`` the
-    distances from ``t`` to those points, ``psi`` the profile without its
-    constant and ``o`` its odd part (:func:`_odd_profile`).  Past the first
-    or the last point
-    only that end's ``m + 1`` one-sided packets are nonzero, each
-    ``exp(-|v|) sum_l ends[side, l, a] v**l``, ``v`` the signed distance
-    past the end in length scales, as is every kernel translate there.
+    Each takes there the form that is cheapest at the interval's midpoint,
+    so that its value at any ``t`` of the interval is ``table[j, a] @
+    [psi(d), o(d)]``, with ``d`` the distances from ``t`` to those points,
+    ``psi`` the profile without its constant and ``o`` its odd part.  Past
+    the first or the last point only that end's ``m + 1`` one-sided packets
+    are nonzero, each ``exp(-|v|)`` times a polynomial
+    (:func:`_packet_ends`) whose value at the end is its cheapest form's.
     """
     u = points[:, 0] / kernel.length_scale
     m = _packet_order(kernel)
@@ -216,101 +177,104 @@ def _packet_basis(kernel: MaternKernel, points: np.ndarray) -> "_FactorBasis":
     local = starts[first]
     packets = first[:, None] + np.arange(width)
     x = points[:, 0]
-    middle = (0.5 * (x[:-1] + x[1:]))[:, None]
-    costs = _packet_forms(kernel, x, starts, coefficients, packets, middle)[1]
+    # The forms of each interval's packets at its midpoint, then of the first
+    # interval's at the first point and of the last one's at the last point.
+    rows = np.concatenate([packets, packets[[0, -1]]])
+    at = np.concatenate([0.5 * (x[:-1] + x[1:]), x[[0, -1]]])
+    index = starts[rows][..., None] + np.arange(window)
+    # In length scales, scaled after the difference, which is exact near a point.
+    offsets = at[:, None, None] - x[index]
+    offsets /= kernel.length_scale
+    sides = [offsets < 0, offsets > 0]
+    distance = np.abs(offsets, out=offsets)
+    # psi's constant: the profile is constant * q(d) exp(-d).
+    weights = coefficients[rows] * kernel._half_integer_constant
+    q = kernel._half_integer_coefficients[::-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        direct = np.polynomial.polynomial.polyval(distance, q)
+        direct *= weights
+        direct *= np.exp(-distance)
+        odd = _odd_profile(distance, q)
+        odd *= weights
+        forms = [direct, *(np.where(side, odd, 0.0) for side in sides)]
+        costs = [np.nan_to_num(np.abs(f).sum(axis=-1), nan=np.inf) for f in forms]
+        # The last packets do not vanish on the right, nor the first on the left.
+        costs[1][rows >= n - m - 1] = costs[2][rows < m + 1] = np.inf
+        found = np.choose(np.argmin(costs, axis=0)[-2:], [f[-2:].sum(axis=-1) for f in forms])
+    del distance, direct, odd, forms  # each as large as the weights: freed before the table
+    ends = _packet_ends(kernel, u, np.stack([found[0, : m + 1], found[1, m + 1 :]]))
+    index, weights = index[:-2], weights[:-2]
     # An odd form is taken only in a window narrower than the series radius,
     # where its terms are finite throughout.
-    wide = u[starts[packets] + window - 1] - u[starts[packets]] >= _PACKET_SERIES_RADIUS
-    form = np.argmin([costs[0], *(np.where(wide, np.inf, c) for c in costs[1:])], axis=0)
+    wide = u[index[..., -1]] - u[index[..., 0]] >= _PACKET_SERIES_RADIUS
+    form = np.argmin([costs[0][:-2], *(np.where(wide, np.inf, c[:-2]) for c in costs[1:])], axis=0)
     # Packets j - m to j + m + 1 may be nonzero on interval j, the others not.
-    live = np.abs(packets - j[:, None] - 0.5) <= m + 1
-    index = starts[packets][..., None] + np.arange(window)
+    weights *= np.abs(packets - j[:, None] - 0.5)[..., None] <= m + 1
     right = index > j[:, None, None]
     odd = np.where(form[..., None] == 1, right, ~right) & (form[..., None] > 0)
-    weights = coefficients[packets] * (kernel._half_integer_constant * live[..., None])
     table = np.zeros((n - 1, width, 2 * span))
     rows, slots = np.arange(n - 1)[:, None, None], np.arange(width)[:, None]
     position = index - local[:, None, None]
     table[rows, slots, position] = np.where(form[..., None] == 0, weights, 0.0)
     table[rows, slots, span + position] = np.where(odd, weights, 0.0)
-    ends = _packet_ends(kernel, x, starts, coefficients)
     arrays = (starts, coefficients, first, local, table, ends)
     for array in arrays:
         array.setflags(write=False)
     return _FactorBasis(kernel, points, arrays)
 
 
-def _packet_ends(
-    kernel: MaternKernel, x: np.ndarray, starts: np.ndarray, coefficients: np.ndarray
-) -> np.ndarray:
+def _packet_ends(kernel: MaternKernel, u: np.ndarray, values: np.ndarray) -> np.ndarray:
     """``ends[side, l, a]``: past the first (side 0) or the last (side 1) of
-    the sorted points ``x``, the ``a``-th of the ``m + 1`` one-sided packets
-    of that end (:func:`_packet_coefficients`), the only ones nonzero there,
-    is ``exp(-|v|) sum_l ends[side, l, a] v**l``, ``v`` the signed distance
-    past the end in length scales, as is every kernel translate there.
+    the sorted points ``u`` (in length scales), the ``a``-th of the ``m +
+    1`` one-sided packets of that end (:func:`_packet_coefficients`), the
+    only ones nonzero there, is ``exp(-|v|) sum_l ends[side, l, a] v**l``,
+    ``v`` the signed distance past the end, as is every kernel translate
+    there.  ``values[side, a]``, its value at the end, is ``R_0``.
 
-    ``R_0`` is the packet's value at the end (:func:`_packet_forms`).  In
-    length scales ``u``, packet ``i`` combines ``exp(-s (u_i - u_j)) w_j
-    K(., u_j)`` over its points, ``s`` = -1 at the first end and +1 at the
-    last, ``w`` the weights of the divided difference ``Delta_z`` of order
-    ``m + 1`` in ``z = (u - u_i) / span``.  With ``q`` the profile's
-    polynomial, ``Q_l = q^(l) / l!`` and ``e`` the end point, ``R_l = s**l
-    exp(-s (u_i + e)) Delta_z[exp(2 s u) Q_l(s (e - u))]``.  Over a window
-    narrower than a length scale that sum cancels, so it is taken from the
-    Taylor series about the window's centre ``c`` instead, with
-    ``Delta_z[(u - c)**k] = span**k h_(k - m - 1)(zeta)``: ``h`` the complete
-    homogeneous symmetric polynomials of the points' ``zeta = (u - c) /
-    span``, ``_PACKET_SERIES_TERMS`` of them.
+    Packet ``i`` combines ``exp(-s (u_i - u_j)) w_j K(., u_j)`` over its
+    points, ``s`` = -1 at the first end and +1 at the last, ``w`` the
+    weights of the divided difference ``Delta_z`` of order ``m + 1`` in ``z
+    = (u - u_i) / span``.  With ``q`` the profile's polynomial, ``Q_l =
+    q^(l) / l!`` and ``e`` the end point, ``R_l = s**l exp(-s (u_i + e))
+    Delta_z[exp(2 s u) Q_l(s (e - u))]``.  Over a window narrower than a
+    length scale that sum cancels, so it is taken from the Taylor series
+    about the window's centre ``c`` instead, with ``Delta_z[(u - c)**k] =
+    span**k h_(k - m - 1)(zeta)``: ``h`` the complete homogeneous symmetric
+    polynomials of the points' ``zeta = (u - c) / span``, the convolution
+    of each point's powers, to the terms the widest such window needs.
     """
-    u = x / kernel.length_scale
-    n, window = coefficients.shape
-    m, terms = (window - 3) // 2, _PACKET_SERIES_TERMS
-    polynomial = np.polynomial.polynomial
-    q = kernel._half_integer_coefficients[::-1] * kernel._half_integer_constant
-    taylor = [polynomial.polyder(q, l) / math.factorial(l) for l in range(m + 1)]
-    ends = np.empty((2, m + 1, m + 1))
-    for side, s in enumerate((-1.0, 1.0)):
-        end = n - 1 if side else 0
-        packets = (n - m - 1 if side else 0) + np.arange(m + 1)
-        forms, costs = _packet_forms(kernel, x, starts, coefficients, packets, x[end : end + 1])
-        ends[side, 0] = np.choose(np.argmin(costs, axis=0), forms)
-        for a, i in enumerate(packets):
-            own = u[i - m - 1 : i + 1] if side else u[i : i + m + 2]
-            span = own[-1] - own[0]
-            if span >= 1.0:
-                z = (own - u[i]) / span
-                gaps = z[:, None] - z[None, :]
-                np.fill_diagonal(gaps, 1.0)
-                weights = np.exp(-s * (u[i] + u[end]) + 2 * s * own) / gaps.prod(axis=1)
-                for l in range(1, m + 1):
-                    values = polynomial.polyval(s * (u[end] - own), taylor[l])
-                    ends[side, l, a] = s**l * weights @ values
-                continue
-            centre = 0.5 * (own[0] + own[-1])
-            h = np.zeros(terms)
-            h[0] = 1.0
-            for zeta in (own - centre) / span:
-                for r in range(1, terms):
-                    h[r] += zeta * h[r - 1]
-            k = np.arange(m + 1, m + 1 + terms)
-            moments = span**k * h * np.exp(-s * (u[i] + u[end]) + 2 * s * centre)
-            for l in range(1, m + 1):
-                # The Taylor coefficients of exp(2 s y) Q_l(s (e - c) - s y) at y = 0.
-                shifted = [
-                    polynomial.polyval(s * (u[end] - centre), polynomial.polyder(taylor[l], r))
-                    * (-s) ** r
-                    / math.factorial(r)
-                    for r in range(len(taylor[l]))
-                ]
-                series = [
-                    sum(
-                        c * (2 * s) ** (j - r) / math.factorial(j - r)
-                        for r, c in enumerate(shifted)
-                    )
-                    for j in k
-                ]
-                ends[side, l, a] = s**l * np.dot(series, moments)
-    return ends
+    n, m = len(u), values.shape[1] - 1
+    steps, taylor = _packet_tables(m)[2:]
+    order, s = np.arange(m + 1), np.array([-1.0, 1.0])[:, None, None]
+    # Packet a of side 0 spans points a to a + m + 1, of side 1 points
+    # n - 2m - 2 + a to n - m - 1 + a; its own point is the first or the last.
+    own = u[np.array([0, n - 2 * m - 2])[:, None, None] + order[:, None] + np.arange(m + 2)]
+    anchor, end = np.where(s < 0, own[..., :1], own[..., -1:]), u[[0, -1]][:, None, None]
+    span = own[..., -1:] - own[..., :1]
+    z, scale = (own - anchor) / span, -s * (anchor + end)
+    weights = np.exp(scale + 2 * s * own)
+    weights /= (z[..., :, None] - z[..., None, :] + np.eye(m + 2)).prod(axis=-1)
+    direct = np.einsum(
+        "saj,sajk,lk->sal", weights, (s * (end - own))[..., None] ** order, taylor[:, 0]
+    )
+    # |h_t| <= C(t + m + 1, m + 1) / 2**t <= ((m + 2) / 2)**t, as |zeta| <= 1/2.
+    reach = np.where(span < 1.0, span, 0.0)
+    k = m + 1 + np.arange(_PACKET_SERIES_TERMS)
+    terms = _leading(np.abs(steps[1]).max(axis=0) * (reach.max() * (m + 2) / 2) ** k)
+    centre = 0.5 * (own[..., :1] + own[..., -1:])
+    powers = ((own - centre) / span)[..., None] ** np.arange(terms)
+    toeplitz = np.tril(powers[..., np.subtract.outer(np.arange(terms), np.arange(terms))])
+    h = powers[..., 0, :]
+    for point in range(1, m + 2):  # convolve in the powers of each further point
+        h = np.einsum("...rt,...t->...r", toeplitz[..., point, :, :], h)
+    h *= reach ** k[:terms]
+    moments = np.einsum("srt,sat->sar", steps[..., :terms], h)
+    shifted = np.einsum("lrk,sak->salr", taylor, (s * (end - centre)) ** order)
+    series = np.einsum("salr,sar->sal", shifted * (-s[..., None]) ** order, moments)
+    series *= np.exp(scale + 2 * s * centre)
+    ends = np.where(span < 1.0, series, direct) * s**order * kernel._half_integer_constant
+    ends[..., 0] = values
+    return ends.transpose(0, 2, 1)
 
 
 def _odd_profile(d: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -324,16 +288,12 @@ def _odd_profile(d: np.ndarray, q: np.ndarray) -> np.ndarray:
     Taylor series in ``d**2`` instead.
     """
     m = len(q) - 1
-    odd = _packet_tables(m)[0]
     near = d < _PACKET_SERIES_RADIUS
     every = near.all()
     small = d if every else d[near]
     square = small * small
-    series = np.full_like(small, odd[-1])
-    for coefficient in odd[-2::-1]:
-        series *= square
-        series += coefficient
-    series *= small ** (2 * m + 1)
+    series = _taylor(_packet_tables(m)[0], square)
+    series *= small * square**m
     if every:
         return series
     out = np.empty_like(d)
@@ -345,36 +305,35 @@ def _odd_profile(d: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _packet_tables(m: int) -> tuple[np.ndarray, np.ndarray]:
+def _packet_tables(m: int) -> tuple[np.ndarray, ...]:
     """Series tables of the Matern kernel of order ``m + 1/2``, as floats.
 
-    ``(odd, basis)``: with the profile ``q(s) exp(-s)`` up to its constant
-    (:func:`~kernelkit.kernels._half_integer_polynomial`), ``psi(d) -
+    ``(odd, basis, steps, taylor)``: with the profile ``q(s) exp(-s)`` up to
+    its constant (:func:`~kernelkit.kernels._half_integer_polynomial`), ``psi(d) -
     psi(-d) = d**(2m+1) sum_i odd[i] d**(2i)``; ``basis[k, j]`` is the
     ``v**j`` Taylor coefficient of the solution ``f_k`` of ``(D**2 -
     1)**(m+1) f = 0`` whose first ``2m + 2`` derivatives at 0 are those of
-    ``v**k / k!``.  Each entry is
-    an exact ratio of integers, rounded once by ``int / int`` (correctly,
-    as ``float`` rounds a ``Fraction``), so the coefficients that vanish
-    are exactly 0.
+    ``v**k / k!``.  For the end packets (:func:`_packet_ends`),
+    ``steps[side, r, t] = (2 s)**i / i!``, ``i = t + m + 1 - r``, ``s = -1``
+    on side 0 and +1 on side 1, and ``taylor[l, r, k]`` is the ``y**k``
+    coefficient of ``Q_l^(r)(y) / r!``, ``Q_l = q^(l) / l!``.  Each entry is an exact ratio
+    of integers, rounded once by ``int / int`` (correctly, as ``float``
+    rounds a ``Fraction``), so the coefficients that vanish are exactly 0.
     """
-    terms = _PACKET_SERIES_TERMS
+    terms, factorial, comb = _PACKET_SERIES_TERMS, math.factorial, math.comb
     weights, scale = _half_integer_polynomial(m)
     # psi[j] = psi_numerators[j] / (scale * j!): the v**j coefficient of q(v) exp(-v)
     psi_numerators = [
         sum(
-            weights[p] * (-1) ** (j - p) * (math.factorial(j) // math.factorial(j - p))
+            weights[p] * (-1) ** (j - p) * (factorial(j) // factorial(j - p))
             for p in range(min(j, m) + 1)
         )
         for j in range(terms)
     ]
-    odd = [
-        2 * psi_numerators[j] / (scale * math.factorial(j))
-        for j in range(2 * m + 1, terms, 2)
-    ]
+    odd = [2 * psi_numerators[j] / (scale * factorial(j)) for j in range(2 * m + 1, terms, 2)]
     order = 2 * m + 2
     # (D**2 - 1)**(m+1) = D**order + sum_i recurrence[i] D**(2i)
-    recurrence = [math.comb(m + 1, i) * (-1) ** (m + 1 - i) for i in range(m + 1)]
+    recurrence = [comb(m + 1, i) * (-1) ** (m + 1 - i) for i in range(m + 1)]
     basis = []
     for k in range(order):
         derivatives = [int(j == k) for j in range(order)]
@@ -382,8 +341,43 @@ def _packet_tables(m: int) -> tuple[np.ndarray, np.ndarray]:
             derivatives.append(
                 -sum(c * derivatives[j - order + 2 * i] for i, c in enumerate(recurrence))
             )
-        basis.append([d / math.factorial(j) for j, d in enumerate(derivatives)])
-    return tuple(np.array(table, dtype=float) for table in (odd, basis))
+        basis.append([d / factorial(j) for j, d in enumerate(derivatives)])
+    low, padded = range(m + 1), weights + [0] * 2 * m
+    steps = [
+        [[(2 * s) ** i / factorial(i) for i in range(m + 1 - r, terms + m + 1 - r)] for r in low]
+        for s in (-1, 1)
+    ]
+    taylor = [
+        [[padded[l + r + k] * comb(l + r + k, l) * comb(r + k, r) / scale for k in low]
+         for r in low]
+        for l in low
+    ]
+    return tuple(np.array(t, dtype=float) for t in (odd, basis, steps, taylor))
+
+
+def _leading(sizes: np.ndarray) -> int:
+    """How many leading terms of a series to sum, ``sizes[..., i]`` the size
+    of term ``i`` of each row at the largest argument: those up to the last
+    whose tail (it and every later term) exceeds ``eps**2`` times its row's
+    largest term, so that the terms left out lie far below the last bit of
+    any sum of the row's terms."""
+    tail = np.cumsum(sizes[..., ::-1], axis=-1)[..., ::-1]
+    reach = tail > np.finfo(float).eps ** 2 * sizes.max(axis=-1, keepdims=True)
+    return int(reach.sum(axis=-1).max(initial=1))
+
+
+def _taylor(table: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``sum_i table[..., i] x**i`` at each ``x``, shaped ``table.shape[:-1] +
+    x.shape``, by Horner's rule over the leading terms that can reach the
+    sum at the largest ``|x|`` (:func:`_leading`)."""
+    reach = max(x.max(initial=0.0), -x.min(initial=0.0))
+    terms = _leading(np.abs(table) * reach ** np.arange(table.shape[-1]))
+    rows = table.shape[:-1]
+    out = np.zeros(rows + x.shape)
+    for coefficient in table[..., terms - 1 :: -1].T.reshape(terms, *rows, *(1,) * x.ndim):
+        out *= x  # highest power first
+        out += coefficient
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -433,15 +427,13 @@ class _FactorBasis:
         np.abs(d, out=d)
         d /= self.kernel.length_scale
         q = self.kernel._half_integer_coefficients[::-1]
-        profiles = np.empty((len(t), columns))
-        psi = profiles[:, :span]
-        psi[...] = q[-1]
+        psi = np.full_like(d, q[-1])
         for c in q[-2::-1]:  # Horner's rule
             psi *= d
             psi += c
         psi *= np.exp(-d)
         with np.errstate(over="ignore", invalid="ignore"):
-            profiles[:, span:] = _odd_profile(d, q)
+            profiles = np.concatenate([psi, _odd_profile(d, q)], axis=1)
         if d.max(initial=0.0) >= _PACKET_SERIES_RADIUS:
             # Odd parts too large for a float have no weight in the table.
             np.nan_to_num(profiles, copy=False, nan=0.0, posinf=0.0, neginf=0.0)

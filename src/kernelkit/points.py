@@ -113,24 +113,24 @@ class Disc:
 Domain = Box | Disc
 
 
-def _radical_inverse(index: int, base: int) -> float:
-    inv = 0.0
-    scale = 1.0
-    while index > 0:
-        scale /= base
-        inv += scale * (index % base)
-        index //= base
-    return inv
-
-
 def halton_sequence(count: int, dim: int, start: int = 1) -> np.ndarray:
-    """First ``count`` Halton points in the open unit cube (index origin 1)."""
+    """First ``count`` Halton points in the open unit cube (index origin 1).
+
+    Coordinate ``j`` of point ``i`` is the radical inverse of ``i`` in the
+    ``j``-th prime ``b``: digit ``k`` of ``i`` times ``b**-(k+1)``, that
+    scale divided down from 1 one digit at a time, summed lowest digit
+    first (a cumulative sum, so every point keeps the bits of that order).
+    """
     if dim > len(_PRIMES):
         raise ValueError(f"halton sequence supports up to {len(_PRIMES)} dimensions")
     out = np.empty((count, dim))
-    for j in range(dim):
-        base = _PRIMES[j]
-        out[:, j] = [_radical_inverse(i, base) for i in range(start, start + count)]
+    index = np.arange(start, start + count)[:, None]
+    for j, base in enumerate(_PRIMES[:dim]):
+        scales = [1.0 / base]
+        while base ** len(scales) < start + count:
+            scales.append(scales[-1] / base)
+        terms = np.multiply(scales, index // base ** np.arange(len(scales)) % base)
+        out[:, j] = terms.cumsum(axis=1)[:, -1]
     return out
 
 

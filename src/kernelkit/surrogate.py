@@ -267,17 +267,12 @@ class PacketGrid:
         """The values at the points whose basis values, per factor, are
         ``values`` (:meth:`~kernelkit.packets._FactorBasis.values`): per
         point, the weights of the functions nonzero there, gathered and
-        summed against the products of their values."""
+        contracted with one factor's values at a time, the last first."""
         index = sum(first * stride for (first, _), stride in zip(values, self._strides))
-        gathered = np.take(self.weights, index[:, None] + self._offsets)
-        factors = [factor for _, factor in values]
-        return np.einsum(self._subscripts, *factors, gathered.reshape(-1, *self._widths))
-
-    @cached_property
-    def _subscripts(self) -> str:
-        """The contraction, ``"pa,pb,pab->p"`` for two factors."""
-        letters = "abcdefghijklmnoqrstuvwxyz"[: len(self.bases)]
-        return ",".join(f"p{a}" for a in letters) + f",p{letters}->p"
+        gathered = np.take(self.weights, index[:, None] + self._offsets).reshape(-1, *self._widths)
+        for _, factor in values[:0:-1]:
+            gathered = np.einsum("p...a,pa->p...", gathered, factor)
+        return np.einsum("pa,pa->p", gathered, values[0][1])
 
     @cached_property
     def _strides(self) -> tuple[int, ...]:

@@ -29,6 +29,7 @@ from kernelkit.points import (
     Disc,
     PointSet,
     generate_points,
+    halton_sequence,
     pairwise_distances,
     tensor_grid,
 )
@@ -288,7 +289,26 @@ def fraction_packet_tables(m, terms):
                 -sum(c * derivatives[j - order + 2 * i] for i, c in enumerate(recurrence))
             )
         basis.append([d / math.factorial(j) for j, d in enumerate(derivatives)])
-    return tuple(np.array(table, dtype=float) for table in (odd, basis))
+    # steps[side][r][t] = (2 s)**i / i!, i = t + m + 1 - r
+    steps = [
+        [[Fraction((2 * s) ** (t + m + 1 - r), math.factorial(t + m + 1 - r)) for t in range(terms)]
+         for r in range(m + 1)]
+        for s in (-1, 1)
+    ]
+    # taylor[l][r][k]: the y**k coefficient of Q_l^(r)(y) / r!, Q_l = q^(l) / l!
+    taylor = [
+        [
+            [
+                q[l + r + k] * math.comb(l + r + k, l) * math.comb(r + k, r)
+                if l + r + k <= m
+                else 0
+                for k in range(m + 1)
+            ]
+            for r in range(m + 1)
+        ]
+        for l in range(m + 1)
+    ]
+    return tuple(np.array(table, dtype=float) for table in (odd, basis, steps, taylor))
 
 
 def fraction_bessel_series_table(n, degree, euler_gamma):
@@ -316,6 +336,38 @@ class TestSeriesTables:
         tables = packets_module._packet_tables(m)
         reference = fraction_packet_tables(m, packets_module._PACKET_SERIES_TERMS)
         assert [t.tobytes() for t in tables] == [r.tobytes() for r in reference]
+
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    def test_sized_series_match_the_full_sums_within_2_ulps(self, m):
+        # A call sums only the leading terms that can reach the sum at its
+        # largest argument.  At every argument of calls whose largest spans
+        # (0, radius), the odd profile's series in d**2 and the narrow-window
+        # solutions' series in v (:func:`packets._central_packets`) match
+        # the full 40-term sums.  Largest seen: 0 ulps.
+        odd, basis = packets_module._packet_tables(m)[:2]
+        q = MaternKernel(beta=m + 1.0, dim=1)._half_integer_coefficients[::-1]
+
+        def full_sum(table, x):
+            out = np.zeros(table.shape[:-1] + x.shape)
+            for coefficient in table.T[::-1]:
+                out = out * x + coefficient.reshape(coefficient.shape + (1,) * x.ndim)
+            return out
+
+        def ulps(got, expected):
+            nonzero = expected != 0
+            assert np.all(got[~nonzero] == 0)
+            return np.max(np.abs(got - expected)[nonzero] / np.spacing(np.abs(expected[nonzero])))
+
+        radius = packets_module._PACKET_SERIES_RADIUS
+        for largest in radius * np.geomspace(1e-6, 1.0, 60, endpoint=False):
+            d = np.linspace(0.0, largest, 257)
+            square = d * d
+            expected = full_sum(odd, square)
+            assert ulps(packets_module._taylor(odd, square), expected) <= 2
+            profile = packets_module._odd_profile(d, q)
+            assert ulps(profile, expected * (d * square**m)) <= 2
+            v = np.linspace(-largest, largest, 257)
+            assert ulps(packets_module._taylor(basis, v), full_sum(basis, v)) <= 2
 
     @pytest.mark.parametrize("m", range(15))
     def test_half_integer_polynomial_matches_fractions_bit_for_bit(self, m):
@@ -1218,6 +1270,40 @@ def mp_gram(kernel, x, y=None):
     ]
 
 
+def mp_end_polynomials(kernel, u):
+    """:func:`packets._packet_ends` of the sorted points ``u`` (in length
+    scales) at 50 digits, rounded to floats.  Past an end, a one-sided
+    packet ``sum_j c_j K(., u_j)`` of that end is ``exp(-|v|)`` times a
+    polynomial in the signed distance ``v`` past it: with the profile
+    ``constant * q(r) exp(-r)`` and ``y_j = |u_j - e|``, its ``v**l``
+    coefficient is ``(+-1)**l sum_j c_j exp(-y_j) constant Q_l(y_j)``,
+    ``Q_l = q^(l) / l!``, ``-`` at the first end ``e``, summed here from the
+    packet's own coefficients (:func:`packets._packet_coefficients`)."""
+    mpmath = pytest.importorskip("mpmath")
+    m, n = kernels_module._packet_order(kernel), len(u)
+    ends = np.zeros((2, m + 1, m + 1))
+    with mpmath.workdps(50):
+        constant = mpmath.mpf(float(kernel._half_integer_constant))
+        q = [constant * mpmath.mpf(float(c)) for c in kernel._half_integer_coefficients[::-1]]
+        for side, a in np.ndindex(2, m + 1):
+            i = n - m - 1 + a if side else a
+            window = u[i - m - 1 : i + 1] if side else u[i : i + m + 2]
+            own = [mpmath.mpf(float(t)) for t in window]
+            anchor = own[-1] if side else own[0]
+            end = mpmath.mpf(float(u[-1] if side else u[0]))
+            z = [(t - anchor) / (own[-1] - own[0]) for t in own]
+            for l in range(m + 1):
+                total = mpmath.mpf(0)
+                for j, t in enumerate(own):
+                    gaps = mpmath.fprod(z[j] - z[k] for k in range(m + 2) if k != j)
+                    y = abs(t - end)
+                    terms = range(m + 1 - l)
+                    taylor = sum(q[p + l] * mpmath.binomial(p + l, l) * y**p for p in terms)
+                    total += mpmath.exp(-abs(anchor - t)) / gaps * mpmath.exp(-y) * taylor
+                ends[side, l, a] = float(total if side else (-1) ** l * total)
+    return ends
+
+
 def mp_inverse_columns(gram, columns):
     """Columns of the inverse of an SPD mpmath matrix, by a dense Cholesky
     factorization and solve at the working precision, as a list of columns
@@ -1624,6 +1710,50 @@ class TestPacketBasis:
         # Largest seen: 5.0e-13 relative (nu = 5/2, 256 points).
         error = np.abs(fit.evaluate(points) - expected.astype(float))
         assert np.max(error) <= 1e-11 * np.max(np.abs(values))
+
+    @pytest.mark.parametrize("points", ["halton", "random"])
+    @pytest.mark.parametrize("length_scale", [1.0, 0.01])
+    @pytest.mark.parametrize("beta", [1.0, 2.0, 3.0])
+    def test_end_polynomials_match_50_digit_values(self, beta, length_scale, points):
+        # 16 Halton or 40 random points: at length scale 1 every end window
+        # is narrower than a length scale (the Taylor series, which the
+        # interp pipeline takes), at 0.01 every one is wider (the divided
+        # difference).  Error relative to each packet's largest coefficient;
+        # largest seen: 4.8e-15 (nu = 5/2, random points, length scale 0.01).
+        kernel = MaternKernel(beta=beta, dim=1, length_scale=length_scale)
+        rng = np.random.default_rng(3)
+        x = halton_sequence(16, 1) if points == "halton" else rng.random((40, 1))
+        x = np.sort(x, axis=0)
+        u = x[:, 0] / length_scale
+        m = kernels_module._packet_order(kernel)
+        spans = [u[m + 1 + a] - u[a] for a in range(m + 1)]
+        spans += [u[-1 - a] - u[-m - 2 - a] for a in range(m + 1)]
+        assert all((span < 1.0) == (length_scale == 1.0) for span in spans)
+        ends = packets_module._packet_basis(kernel, x).packets[5]
+        expected = mp_end_polynomials(kernel, u)
+        error = np.abs(ends - expected).max(axis=1) / np.abs(expected).max(axis=1)
+        assert error.max() <= 1e-13
+
+    @pytest.mark.parametrize("beta", [1.0, 2.0, 3.0])
+    def test_basis_built_twice_in_one_process_is_byte_identical(self, beta):
+        # Each series sums the terms its call's largest argument needs: a
+        # basis built again after bases of other sizes keeps its bytes, and
+        # so do its values at points taken whole or in chunks.
+        kernel = MaternKernel(beta=beta, dim=1)
+        grids = [np.sort(halton_sequence(n, 1), axis=0) for n in (8, 64, 1024)]
+        t = np.random.default_rng(0).uniform(-0.2, 1.2, (862, 1))
+
+        def snapshot(basis):
+            arrays = (*basis.packets, packets_module._packet_band(basis), *basis.values(t))
+            return [array.tobytes() for array in arrays]
+
+        before = [snapshot(packets_module._packet_basis(kernel, grid)) for grid in grids]
+        after = [snapshot(packets_module._packet_basis(kernel, grid)) for grid in grids[::-1]]
+        assert before == after[::-1]
+        for grid in grids:
+            basis = packets_module._packet_basis(kernel, grid)
+            chunks = [basis.values(chunk)[1] for chunk in np.array_split(t, 3)]
+            assert np.concatenate(chunks).tobytes() == basis.values(t)[1].tobytes()
 
     @pytest.mark.parametrize("beta", [1.0, 2.0, 3.0])
     def test_factor_entries_hold_no_gram_matrix(self, beta, fresh_factored_grams):

@@ -48,6 +48,25 @@ class TestHalton:
         seq = halton_sequence(500, 2)
         assert len(np.unique(seq, axis=0)) == 500
 
+    @pytest.mark.parametrize("dim", range(1, 7))
+    @pytest.mark.parametrize("start", [1, 2, 7, 64, 513, 1000])
+    def test_matches_the_scalar_radical_inverse_bit_for_bit(self, dim, start):
+        # The scalar reference: each index's radical inverse on its own,
+        # its digits summed lowest first.
+        def radical_inverse(index, base):
+            inverse, scale = 0.0, 1.0
+            while index > 0:
+                scale /= base
+                inverse += scale * (index % base)
+                index //= base
+            return inverse
+
+        primes = (2, 3, 5, 7, 11, 13)
+        for count in (1, 2, 3, 100, 3000):
+            indices = range(start, start + count)
+            reference = np.array([[radical_inverse(i, p) for p in primes[:dim]] for i in indices])
+            assert halton_sequence(count, dim, start).tobytes() == reference.tobytes()
+
 
 class TestPointSet:
     def test_rejects_points_outside_domain(self):
