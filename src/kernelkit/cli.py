@@ -5,13 +5,23 @@ and writes three artifacts into the output directory: ``manifest.txt``
 (configuration hash, seed, version; written before any numerics),
 ``study.csv`` (one row per threshold or mesh level), and ``slope.txt``
 (fitted and predicted log-log slopes).  The optimization pipeline also
-writes ``minimizer.txt``.  Every pipeline returns its table to
-:func:`run`, which fits the slope first and then writes the study's
-artifacts together, so a failed fit leaves only the manifest.
+writes ``minimizer.txt``.  Every pipeline builds its problem from the
+run plan of its configuration (:func:`~kernelkit.config.run_plan`) and
+returns its table to :func:`run`, which fits the slope first and then
+writes the study's artifacts together, so a failed fit leaves only the
+manifest.
 
-Exit codes: 0 success, 1 numerical failure (with the failing term named),
-2 configuration error (with a line diagnostic), which includes an output
-directory that cannot be created.
+Exit codes:
+
+* 0 success;
+* 1 numerical failure, one ``numerical failure:`` line naming the failing
+  term where there is one, with only ``manifest.txt`` written;
+* 2 configuration error, one ``configuration error:`` line naming the
+  config line where there is one, with nothing written.  It includes an
+  output directory that cannot be created, and a threshold that the plan
+  cannot reach: ``n + L`` above the combination rule's bound of 64, a
+  level map that is not a finite float at a reached level, or a dense
+  kernel fit above its node bound.
 """
 
 from __future__ import annotations
@@ -30,23 +40,18 @@ from kernelkit.config import (
     _MAX_SEED,
     ConfigError,
     RunConfig,
-    interp_factor,
-    matern_kernel,
+    RunPlan,
     parse_config_file,
+    run_plan,
     serialize_config,
+    sine_product,
 )
 from kernelkit.kernels import ConditioningError
-from kernelkit.pde import (
-    BumpDiffusionProblem,
-    l2_error_against,
-    mesh_at_level,
-    solve_poisson_dirichlet,
-)
-from kernelkit.points import Box, Disc
+from kernelkit.pde import l2_error_against, mesh_at_level, solve_poisson_dirichlet
+from kernelkit.points import Box
 from kernelkit.points import generate_points  # noqa: F401 - bench/tests read this binding
 from kernelkit.smolyak import (
     EvaluationError,
-    FactorSpec,
     ProblemSpec,
     SlopeFitError,
     SmolyakEngine,
@@ -57,19 +62,12 @@ from kernelkit.smolyak import (
 from kernelkit.surrogate import Surrogate
 from kernelkit.uq import (
     OuuObjective,
-    bump_sample_factor,
-    doubling_levels,
     expectation_study,
-    interpolation_factor,
     interpolation_problem,
-    kernel_quadrature_factor,
-    midpoint_quadrature_factor,
     minimize_objective,
-    ouu_sample_specs,
     ouu_study,
     random_points,
     surface_study,
-    synthetic_bias_factor,
 )
 
 # Informational reference for the optimization experiment; compared in
@@ -111,163 +109,82 @@ def _write_slopes(path, fitted: float, predicted: float, window: float) -> None:
 
 
 class _Study(NamedTuple):
-    """A pipeline's table, the (x, y) series its slope is fitted to, the
-    predicted slope, and further artifacts to write (name to text)."""
+    """A pipeline's table, the (x, y) series its slope is fitted to, and
+    further artifacts to write (name to text)."""
 
     header: list[str]
     rows: list[dict]
     series: list[tuple[float, float]]
-    predicted: float
     artifacts: dict[str, str] = {}
 
 
-def _run_rates(config: RunConfig, seed: int) -> _Study:
-    gammas = config[("factors", "gamma")]
-    betas = config[("factors", "beta")]
-    specs = [FactorSpec(gamma=g, beta=b) for g, b in zip(gammas, betas)]
-
+def _run_rates(config: RunConfig, plan: RunPlan, seed: int) -> _Study:
     def evaluator(resolutions):
         out_value = 1.0
-        for n, b in zip(resolutions, betas):
-            out_value *= 1.0 + float(n) ** -b
+        for n, spec in zip(resolutions, plan.factors):
+            out_value *= 1.0 + float(n) ** -spec.beta
         return out_value
 
-    engine = SmolyakEngine(ProblemSpec(factors=tuple(specs), tensor_evaluator=evaluator))
+    engine = SmolyakEngine(ProblemSpec(factors=plan.factors, tensor_evaluator=evaluator))
     rows, _ = convergence_study(
-        [engine],
-        range(config.l_min, config.l_max + 1),
-        lambda _, values: [{"error": abs(1.0 - v)} for v in values],
+        [engine], plan.rows, lambda _, values: [{"error": abs(1.0 - v)} for v in values]
     )
-    header = ["L", "work_units", "evaluations", "error"]
     series = [(r["work_units"], r["error"]) for r in rows]
-    return _Study(header, rows, series, predicted_rates(specs).slope)
+    return _Study(["L", "work_units", "evaluations", "error"], rows, series)
 
 
-def _sine_product(points):
-    values = np.ones(points.shape[0])
-    for j in range(points.shape[1]):
-        values = values * np.sin(2.0 * np.pi * points[:, j])
-    return values
-
-
-def _run_interp(config: RunConfig, seed: int) -> _Study:
-    d = config[("kernel", "d")]
-    blocks = config[("interp", "blocks")]
-    problem = interpolation_problem([interp_factor(config.sections)] * blocks, _sine_product)
-    eval_domain = Box(lows=(0.0,) * (d * blocks), highs=(1.0,) * (d * blocks))
-    points = random_points(eval_domain, config[("study", "eval_points")], seed)
+def _run_interp(config: RunConfig, plan: RunPlan, seed: int) -> _Study:
+    dim = config[("kernel", "d")] * len(plan.factors)
+    unit = Box(lows=(0.0,) * dim, highs=(1.0,) * dim)
+    points = random_points(unit, config[("study", "eval_points")], seed)
 
     def errors(_, surrogates):
         values = Surrogate.stack(surrogates).evaluate(points)
-        diffs = values - _sine_product(points)[:, None]
+        diffs = values - sine_product(points)[:, None]
         return [{"error": float(np.sqrt(np.mean(diff**2)))} for diff in diffs.T]
 
-    rows, _ = convergence_study(
-        [SmolyakEngine(problem)], range(config.l_min, config.l_max + 1), errors
-    )
-    header = ["L", "work_units", "evaluations", "error"]
+    problem = interpolation_problem(plan.factors, sine_product)
+    rows, _ = convergence_study([SmolyakEngine(problem)], plan.rows, errors)
     series = [(r["work_units"], r["error"]) for r in rows]
-    return _Study(header, rows, series, predicted_rates(problem.factors).slope)
+    return _Study(["L", "work_units", "evaluations", "error"], rows, series)
 
 
-def _misc_factors(config: RunConfig):
+def _run_misc(config: RunConfig, plan: RunPlan, seed: int) -> _Study:
+    *quads, sample = plan.factors
     m = config.section("misc")
-    blocks = m["blocks"]
-    if m["quadrature"] == "midpoint":
-        quads = [
-            midpoint_quadrature_factor(beta=m["quad_beta"]) for _ in range(blocks)
-        ]
-    else:
-        k = config.section("kernel")
-        kernel = matern_kernel(config.sections)
-        domain = Box(lows=(0.0,) * k["d"], highs=(1.0,) * k["d"])
-        quads = [
-            kernel_quadrature_factor(kernel, domain, alpha=k["alpha"])
-            for _ in range(blocks)
-        ]
-    if m["integrand"] == "parabola":
-        integrand = lambda pts: np.sum(pts**2, axis=1)  # noqa: E731
-        exact = blocks / 3.0
-    else:
-        integrand, exact = _sine_product, None
-    sample = synthetic_bias_factor(
-        integrand, gamma=m["sample_gamma"], kappa=m["sample_kappa"]
-    )
-    return quads, sample, exact
-
-
-def _run_misc(config: RunConfig, seed: int) -> _Study:
-    quads, sample, exact = _misc_factors(config)
+    exact = m["blocks"] / 3.0 if m["integrand"] == "parabola" else None
     rows = expectation_study(
-        quads,
-        sample,
-        range(config.l_min, config.l_max + 1),
-        reference=exact,
-        reference_L=config.section("study").get("reference_l") or None,
+        quads, sample, plan.rows, reference=exact, reference_L=plan.reference_l
     )
-    header = ["L", "work_units", "pde_solves", "error_l2", "error_linf"]
     series = [(r["work_units"], r["error_l2"]) for r in rows]
-    prediction = predicted_rates([q.spec for q in quads] + [sample.spec])
-    return _Study(header, rows, series, prediction.slope)
+    return _Study(["L", "work_units", "pde_solves", "error_l2", "error_linf"], rows, series)
 
 
-def _run_rsr(config: RunConfig, seed: int) -> _Study:
-    k = config.section("kernel")
-    p = config.section("pde")
-    problem = BumpDiffusionProblem(n_bumps=p["bumps"])
-    kernel = matern_kernel(config.sections)
-    factors = [
-        interpolation_factor(kernel, box, alpha=k["alpha"])
-        for box in problem.center_boxes
-    ]
-    sample = bump_sample_factor(
-        n_bumps=p["bumps"],
-        work_exponent=p["work_exponent"],
-        convergence_exponent=p["convergence_exponent"],
-        max_cells=2 ** p["max_mesh_level"],
+def _run_rsr(config: RunConfig, plan: RunPlan, seed: int) -> _Study:
+    *factors, sample = plan.factors
+    box = Box(
+        lows=tuple(v for f in factors for v in f.domain.lows),
+        highs=tuple(v for f in factors for v in f.domain.highs),
     )
-    parameter_box = Box(
-        lows=tuple(v for box in problem.center_boxes for v in box.lows),
-        highs=tuple(v for box in problem.center_boxes for v in box.highs),
-    )
-    rows = surface_study(
-        factors,
-        sample,
-        range(config.l_min, config.l_max + 1),
-        eval_points=random_points(parameter_box, config[("study", "eval_points")], seed),
-        reference_L=config[("study", "reference_l")] or None,
-    )
-    header = ["L", "work_units", "pde_solves", "error_l2", "error_linf"]
+    points = random_points(box, config[("study", "eval_points")], seed)
+    rows = surface_study(factors, sample, plan.rows, points, reference_L=plan.reference_l)
     series = [(r["work_units"], r["error_l2"]) for r in rows]
-    prediction = predicted_rates([f.spec for f in factors] + [sample.spec])
-    return _Study(header, rows, series, prediction.slope)
+    return _Study(["L", "work_units", "pde_solves", "error_l2", "error_linf"], rows, series)
 
 
-def _run_ouu(config: RunConfig, seed: int) -> _Study:
-    k = config.section("kernel")
-    o = config.section("ouu")
-    disc = Disc(center=(0.0, 0.0), radius=1.0)
-    factor = interpolation_factor(
-        matern_kernel(config.sections),
-        disc,
-        alpha=k["alpha"],
-        resolution_map=doubling_levels if o["level_map"] == "doubling" else None,
-    )
-    scales = dict(
+def _run_ouu(config: RunConfig, plan: RunPlan, seed: int) -> _Study:
+    o, factor = config.section("ouu"), plan.factors[0]
+    rows, reference = ouu_study(
+        factor,
+        plan.rows,
+        seed=seed,
+        eval_points=random_points(factor.domain, config[("study", "eval_points")], seed),
+        replications=o["replications"],
+        reference_L=plan.reference_l,
+        field_grid=mesh_at_level(o["field_level"]),
         mc_scale=o["mc_scale"],
         pde_scale=o["pde_scale"],
         max_cells=2 ** o["max_mesh_level"],
-    )
-    prediction = predicted_rates([factor.spec, *ouu_sample_specs(**scales)])
-    rows, reference = ouu_study(
-        factor,
-        range(config.l_min, config.l_max + 1),
-        seed=seed,
-        eval_points=random_points(disc, config[("study", "eval_points")], seed),
-        replications=o["replications"],
-        reference_L=config[("study", "reference_l")] or None,
-        field_grid=mesh_at_level(o["field_level"]),
-        **scales,
     )
     minimizer, value = minimize_objective(
         OuuObjective(surrogate=reference), restarts=o["restarts"]
@@ -282,11 +199,10 @@ def _run_ouu(config: RunConfig, seed: int) -> _Study:
     ]
     header = ["L", "work_units", "pde_solves", "mse_linf", "replications"]
     series = [(r["work_units"], math.sqrt(r["mse_linf"])) for r in rows]
-    artifacts = {"minimizer.txt": "\n".join(lines) + "\n"}
-    return _Study(header, rows, series, prediction.slope, artifacts)
+    return _Study(header, rows, series, {"minimizer.txt": "\n".join(lines) + "\n"})
 
 
-def _run_fem_check(config: RunConfig, seed: int) -> _Study:
+def _run_fem_check(config: RunConfig, plan: None, seed: int) -> _Study:
     p = config.section("pde")
 
     def exact(x):
@@ -305,7 +221,7 @@ def _run_fem_check(config: RunConfig, seed: int) -> _Study:
             }
         )
     series = [(r["h_max"], r["error_l2"]) for r in rows]
-    return _Study(["level", "h_max", "error_l2"], rows, series, 2.0)
+    return _Study(["level", "h_max", "error_l2"], rows, series)
 
 
 _RUNNERS = {
@@ -331,10 +247,13 @@ def run(config: RunConfig, out: str, seed: int, quiet: bool) -> None:
     if config.pipeline == "ouu":
         extra["replications"] = config[("ouu", "replications")]
     _write_manifest(os.path.join(out, "manifest.txt"), config, seed, extra)
-    study = _RUNNERS[config.pipeline](config, seed)
+    plan = run_plan(config.pipeline, config.sections)
+    study = _RUNNERS[config.pipeline](config, plan, seed)
     fitted = fit_loglog_slope(study.series, window=config.fit_window)
+    # fem-check's P1 solutions converge in L2 at order 2 in the mesh width.
+    predicted = 2.0 if plan is None else predicted_rates(plan.specs).slope
     _write_csv(os.path.join(out, "study.csv"), study.header, study.rows)
-    _write_slopes(os.path.join(out, "slope.txt"), fitted, study.predicted, config.fit_window)
+    _write_slopes(os.path.join(out, "slope.txt"), fitted, predicted, config.fit_window)
     for name, text in study.artifacts.items():
         with open(os.path.join(out, name), "w") as handle:
             handle.write(text)

@@ -19,13 +19,34 @@ the original configuration.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
-from kernelkit.kernels import REFERENCE_RULE_MAX_DIM, MaternKernel
-from kernelkit.pde import MAX_MESH_LEVEL, check_field_grid, mesh_at_level
-from kernelkit.points import _PRIMES, Box
-from kernelkit.smolyak import level_to_resolution
-from kernelkit.uq import InterpolationFactor, doubling_levels, interpolation_factor
+import numpy as np
+
+from kernelkit.kernels import (
+    _DENSE_FIT_NODES_MAX,
+    REFERENCE_RULE_MAX_DIM,
+    MaternKernel,
+    TensorKernel,
+)
+from kernelkit.multiindex import _MAX_N_PLUS_L
+from kernelkit.pde import (
+    MAX_MESH_LEVEL,
+    BumpDiffusionProblem,
+    check_field_grid,
+    mesh_at_level,
+)
+from kernelkit.points import _PRIMES, Box, Disc
+from kernelkit.smolyak import FactorSpec, level_to_resolution
+from kernelkit.uq import (
+    bump_sample_factor,
+    doubling_levels,
+    interpolation_factor,
+    kernel_quadrature_factor,
+    midpoint_quadrature_factor,
+    ouu_sample_specs,
+    synthetic_bias_factor,
+)
 
 PIPELINES = ("rates", "interp", "misc", "rsr", "ouu", "fem-check")
 _MAX_THRESHOLD = 14
@@ -286,41 +307,134 @@ def _convert_section(
     return out
 
 
-def _factor_count(pipeline: str, sections: dict[str, dict[str, Any]]) -> int | None:
-    if pipeline == "rates":
-        return len(sections["factors"]["gamma"])
-    if pipeline == "interp":
-        return sections["interp"]["blocks"]
-    if pipeline == "misc":
-        return sections["misc"]["blocks"] + 1
-    if pipeline == "rsr":
-        return sections["pde"]["bumps"] + 1
-    if pipeline == "ouu":
-        return 3
-    return None  # fem-check has no threshold range
-
-
 def matern_kernel(sections: dict[str, dict[str, Any]]) -> MaternKernel:
     """The kernel that the ``[kernel]`` section configures."""
     k = sections["kernel"]
     return MaternKernel(beta=k["beta"], dim=k["d"], length_scale=k["length_scale"])
 
 
-def interp_factor(sections: dict[str, dict[str, Any]]) -> InterpolationFactor:
-    """The factor that each block of an ``interp`` run fits, as its
-    ``[kernel]`` and ``[interp]`` sections configure it."""
-    k = sections["kernel"]
-    return interpolation_factor(
-        matern_kernel(sections),
-        Box(lows=(0.0,) * k["d"], highs=(1.0,) * k["d"]),
-        alpha=k["alpha"],
-        resolution_map=doubling_levels
-        if sections["interp"]["level_map"] == "doubling"
-        else None,
-    )
+def sine_product(points: np.ndarray) -> np.ndarray:
+    """``prod_j sin(2 pi x_j)``: the ``interp`` target and ``misc``'s
+    sine-product integrand."""
+    values = np.ones(points.shape[0])
+    for j in range(points.shape[1]):
+        values = values * np.sin(2.0 * np.pi * points[:, j])
+    return values
 
 
-def _check_point_dims(pipeline: str, sections: dict[str, dict[str, Any]], l_max: int) -> None:
+class RunPlan(NamedTuple):
+    """What a run estimates, fixed by its configuration before any numerics.
+
+    ``factors`` are the pipeline's factors in engine order: a
+    :class:`~kernelkit.smolyak.FactorSpec`, or a factor object that holds
+    one as ``spec`` (its level map included).  ``dense`` tells, per factor,
+    whether its nodes are fitted by a kernel that :attr:`~kernelkit.kernels.
+    TensorKernel.fits_densely`.  ``rows`` are the study's thresholds and
+    ``reference_l`` the threshold of its reference estimate, None for a run
+    that makes none.
+    """
+
+    factors: tuple
+    dense: tuple[bool, ...]
+    rows: range
+    reference_l: int | None
+
+    @property
+    def specs(self) -> tuple[FactorSpec, ...]:
+        return tuple(f if isinstance(f, FactorSpec) else f.spec for f in self.factors)
+
+
+def run_plan(pipeline: str, sections: dict[str, dict[str, Any]]) -> RunPlan | None:
+    """The plan of a run of ``pipeline`` on converted ``sections``; None
+    for fem-check, which estimates no threshold.  It builds factor objects
+    only: no mesh, point set, Gram matrix or field factor."""
+    if pipeline == "fem-check":
+        return None
+    k, study = sections.get("kernel"), sections.get("study", {})
+    if k:
+        kernel = matern_kernel(sections)
+        unit = Box(lows=(0.0,) * k["d"], highs=(1.0,) * k["d"])
+
+    def fitted(blocks: int) -> list[bool]:
+        # The flags of the factors that one kernel of ``blocks`` blocks fits.
+        return [TensorKernel((kernel,) * blocks).fits_densely] * blocks
+
+    if pipeline == "rates":
+        gammas, betas = sections["factors"]["gamma"], sections["factors"]["beta"]
+        factors = [FactorSpec(gamma=g, beta=b) for g, b in zip(gammas, betas)]
+        dense = [False] * len(factors)
+    elif pipeline == "interp":
+        level_map = doubling_levels if sections["interp"]["level_map"] == "doubling" else None
+        factor = interpolation_factor(kernel, unit, k["alpha"], level_map)
+        factors = [factor] * sections["interp"]["blocks"]
+        dense = fitted(len(factors))
+    elif pipeline == "misc":
+        m = sections["misc"]
+        if m["quadrature"] == "midpoint":
+            factors = [midpoint_quadrature_factor(m["quad_beta"]) for _ in range(m["blocks"])]
+            dense = [False] * m["blocks"]
+        else:
+            factors = [
+                kernel_quadrature_factor(kernel, unit, k["alpha"]) for _ in range(m["blocks"])
+            ]
+            # Each rule solves its weights on its own nodes.
+            dense = fitted(1) * m["blocks"]
+        if m["integrand"] == "parabola":
+            integrand = lambda pts: np.sum(pts**2, axis=1)  # noqa: E731
+        else:
+            integrand = sine_product
+        factors.append(synthetic_bias_factor(integrand, m["sample_gamma"], m["sample_kappa"]))
+        dense.append(False)
+    elif pipeline == "rsr":
+        p = sections["pde"]
+        boxes = BumpDiffusionProblem(n_bumps=p["bumps"]).center_boxes
+        factors = [interpolation_factor(kernel, box, alpha=k["alpha"]) for box in boxes]
+        dense = fitted(len(factors)) + [False]
+        factors.append(
+            bump_sample_factor(
+                n_bumps=p["bumps"],
+                work_exponent=p["work_exponent"],
+                convergence_exponent=p["convergence_exponent"],
+                max_cells=2 ** p["max_mesh_level"],
+            )
+        )
+    else:
+        o = sections["ouu"]
+        level_map = doubling_levels if o["level_map"] == "doubling" else None
+        disc = Disc(center=(0.0, 0.0), radius=1.0)
+        factors = [interpolation_factor(kernel, disc, k["alpha"], level_map)]
+        dense = fitted(1) + [False, False]
+        factors += ouu_sample_specs(o["mc_scale"], o["pde_scale"], 2 ** o["max_mesh_level"])
+    l_min, l_max = sections["run"]["l_min"], sections["run"]["l_max"]
+    reference_l = (study["reference_l"] or l_max + 2) if "reference_l" in study else None
+    return RunPlan(tuple(factors), tuple(dense), range(l_min, l_max + 1), reference_l)
+
+
+def _unreachable(plan: RunPlan, L: int) -> str | None:
+    """Why a run of ``plan`` cannot estimate threshold ``L``, or None: ``n +
+    L`` past the combination rule's exact-arithmetic bound, a factor whose
+    level map is not a finite float at its highest level ``L - n + 1``, or a
+    dense fit there of more than ``_DENSE_FIT_NODES_MAX`` nodes, which
+    :func:`~kernelkit.kernels.fit_interpolant` would refuse after the fits
+    below it."""
+    n = len(plan.factors)
+    if n + L > _MAX_N_PLUS_L:
+        return f"n + L = {n + L} exceeds the exact-arithmetic bound {_MAX_N_PLUS_L}"
+    level = L - n + 1
+    for j, (spec, dense) in enumerate(zip(plan.specs, plan.dense), start=1):
+        try:
+            count = level_to_resolution(spec, level)
+        except OverflowError as err:
+            return str(err)
+        if dense and count > _DENSE_FIT_NODES_MAX:
+            return (
+                f"factor {j} at level {level} needs a dense kernel fit on {count} "
+                f"nodes, above the bound of {_DENSE_FIT_NODES_MAX} nodes"
+            )
+    return None
+
+
+def _check_point_dims(pipeline: str, sections: dict[str, dict[str, Any]], plan: RunPlan) -> None:
     """Reject a ``[kernel] d`` whose points the pipeline cannot build: past
     its ``2**d`` corners a box's nested points are Halton points, which exist
     up to dimension ``len(_PRIMES)``, and ``misc``'s kernel quadrature needs
@@ -328,8 +442,8 @@ def _check_point_dims(pipeline: str, sections: dict[str, dict[str, Any]], l_max:
     d = sections.get("kernel", {}).get("d")
     if pipeline == "interp" and d > len(_PRIMES):
         # The largest factor of a run has the highest level, l_max - blocks + 1.
-        level = l_max - sections["interp"]["blocks"] + 1
-        count = level_to_resolution(interp_factor(sections).spec, level)
+        level = plan.rows[-1] - len(plan.factors) + 1
+        count = level_to_resolution(plan.specs[0], level)
         if count > 2**d:
             raise ConfigError(
                 f"[kernel] d = {d}: the largest interp factor holds {count} points, "
@@ -411,8 +525,9 @@ def _validate(raw: dict[str, dict[str, tuple[str, int]]]) -> RunConfig:
         except ValueError as err:
             raise ConfigError(f"[ouu] field_level {o['field_level']}: {err}") from None
 
-    n = _factor_count(pipeline, sections)
-    if n is not None:
+    plan = run_plan(pipeline, sections)
+    if plan is not None:
+        n = len(plan.factors)
         l_min, l_max = run["l_min"], run["l_max"]
         if not n <= l_min <= l_max <= _MAX_THRESHOLD:
             raise ConfigError(
@@ -425,13 +540,21 @@ def _validate(raw: dict[str, dict[str, tuple[str, int]]]) -> RunConfig:
                 f"[run] threshold range [{l_min}, {l_max}] gives {l_max - l_min + 1} "
                 f"study rows; the slope fit needs at least {_MIN_STUDY_ROWS}"
             )
-        _check_point_dims(pipeline, sections, l_max)
+        _check_point_dims(pipeline, sections, plan)
         # A reference inside the study would be measured against itself.
         reference_l = sections.get("study", {}).get("reference_l", 0)
         if reference_l != 0 and not reference_l > l_max:
             message = f"must be 0 (automatic) or above l_max = {l_max}"
             line = raw["study"]["reference_l"][1]
             raise ConfigError(f"[study] reference_l = {reference_l} {message}", line)
+        # The largest threshold is the reference's, when the run makes one.
+        top = plan.rows[-1] if plan.reference_l is None else plan.reference_l
+        reason = _unreachable(plan, top)
+        if reason is not None:
+            section, key = ("study", "reference_l") if reference_l else ("run", "l_max")
+            value = sections[section][key]
+            at = "" if top == value else f" (reference at {top})"
+            raise ConfigError(f"[{section}] {key} = {value}{at}: {reason}", raw[section][key][1])
 
     return RunConfig(
         pipeline=pipeline,

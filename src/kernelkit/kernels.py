@@ -440,9 +440,17 @@ class TensorKernel:
             split.append((rows[first], slot))
         return split
 
+    @property
+    def fits_densely(self) -> bool:
+        """Whether every fit of this kernel is dense (:func:`_solve_spd`): a
+        kernel of one block has no grid factors, so it fits any node set by
+        one Cholesky factorization of its Gram matrix."""
+        return len(self.kernels) < 2
+
     def grid_factors(self, nodes: PointSet) -> list[np.ndarray] | None:
-        """The factors' points of a :meth:`PointSet.product` grid of two or
-        more factors of this kernel's factor dimensions, in order; else None.
+        """The factors' points of a :meth:`PointSet.product` grid of this
+        kernel's factor dimensions, in order, unless the kernel
+        :attr:`fits_densely`; else None.
 
         The grid's Gram matrix is then the Kronecker product of the factor
         kernels' Gram matrices over these points.  The structure is read off
@@ -450,7 +458,7 @@ class TensorKernel:
         plain point set get None.
         """
         factors = nodes.factors
-        if len(factors) < 2 or [f.dim for f in factors] != [k.dim for k in self.kernels]:
+        if self.fits_densely or [f.dim for f in factors] != [k.dim for k in self.kernels]:
             return None
         return [factor.points for factor in factors]
 

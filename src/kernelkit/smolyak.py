@@ -47,10 +47,17 @@ _TIE_RTOL = 1e-9
 
 
 class EvaluationError(RuntimeError):
-    """Raised when a tensor evaluator fails; carries the offending term."""
+    """Raised when a tensor evaluator, or an estimate before its first
+    evaluation, fails; carries the offending term, if any."""
 
-    def __init__(self, message: str, index: MultiIndex, resolutions: tuple[int, ...]):
-        super().__init__(f"{message} (multi-index {index}, resolutions {resolutions})")
+    def __init__(
+        self,
+        message: str,
+        index: MultiIndex | None = None,
+        resolutions: tuple[int, ...] | None = None,
+    ):
+        term = "" if index is None else f" (multi-index {index}, resolutions {resolutions})"
+        super().__init__(message + term)
         self.index = index
         self.resolutions = resolutions
 
@@ -342,7 +349,10 @@ def convergence_study(
     ``solves()`` returns after the row's estimates.  Last, ``errors(reference_value, values)``
     gets the reference estimate (None without ``reference``) and every
     estimate in the order made, and returns one dict of error columns per
-    row.  Returns the rows and the reference estimate.
+    row.  Returns the rows and the reference estimate.  A ValueError that
+    planning or making the reference estimate raises outside its evaluator
+    (a threshold past the combination rule's bound, say) is raised again as
+    an :class:`EvaluationError`, as the engine raises evaluator failures.
     """
     Ls = sorted(int(L) for L in L_values)
     for engine in engines:
@@ -350,8 +360,12 @@ def convergence_study(
     reference_value = None
     if reference is not None:
         ref_L = reference_L if reference_L is not None else Ls[-1] + 2
-        reference.plan(ref_L)
-        reference_value, _ = reference.estimate(ref_L)
+        try:
+            reference.plan(ref_L)
+            reference_value, _ = reference.estimate(ref_L)
+        except ValueError as exc:
+            # Evaluator failures arrive wrapped; this one came before them.
+            raise EvaluationError(f"reference estimate at L={ref_L} failed: {exc}") from exc
     rows, values = [], []
     for L in Ls:
         for engine in engines:

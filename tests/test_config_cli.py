@@ -8,21 +8,27 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import kernelkit.cli
+import kernelkit.config
 import kernelkit.kernels
 import kernelkit.pde
-from kernelkit.cli import _RUNNERS, _run_rates, _sine_product, main
+from kernelkit.cli import _RUNNERS, main
 from kernelkit.config import (
     _KEYS_READ,
+    _MAX_THRESHOLD,
     _MISC_BY_KERNEL,
     _MISC_SINE_PRODUCT,
+    _convert_section,
+    _unreachable,
     PIPELINES,
     ConfigError,
     parse_config,
+    run_plan,
     serialize_config,
+    sine_product,
 )
 from kernelkit.kernels import MaternKernel
 from kernelkit.pde import MAX_MESH_LEVEL
@@ -43,6 +49,12 @@ l_max = 6
 gamma = 1, 1.5
 beta = 1, 1
 """
+
+
+def run_study(config, seed):
+    """The study table of ``config``'s runner, on the plan the run makes."""
+    return _RUNNERS[config.pipeline](config, run_plan(config.pipeline, config.sections), seed)
+
 
 # One quick configuration per pipeline.
 SMALL_CONFIGS = {
@@ -219,34 +231,25 @@ _VALUES = {
     },
     "study": {
         "eval_points": st.integers(1, 4096).map(str),
-        # config_texts redraws it above the drawn l_max.
+        # config_texts redraws it within the thresholds the run reaches.
         "reference_l": st.integers(0, 14).map(str),
     },
 }
 
 
-def _factor_count(pipeline, sections):
-    if pipeline == "rates":
-        return len(sections["factors"]["gamma"].split(","))
-    if pipeline == "interp":
-        return int(sections.get("interp", {}).get("blocks", 2))
-    if pipeline == "misc":
-        return int(sections.get("misc", {}).get("blocks", 1)) + 1
-    if pipeline == "rsr":
-        return int(sections.get("pde", {}).get("bumps", 1)) + 1
-    return 3 if pipeline == "ouu" else None
-
-
 @st.composite
-def config_texts(draw, pipeline):
+def config_texts(draw, pipeline, reference_ls=None):
     """A valid configuration of ``pipeline``: any subset of the keys it reads
-    (``_KEYS_READ``), each value drawn from its key's valid range."""
+    (``_KEYS_READ``), each value drawn from its key's valid range, and a
+    threshold range that its run plan reaches.  With ``reference_ls``, a
+    reference threshold drawn from it, which may be invalid, is always set
+    (and misc integrates the sine product, which reads it)."""
     keys = _KEYS_READ[pipeline]
     kernel_quadrature = pipeline == "misc" and draw(st.booleans())
-    sine_product = pipeline == "misc" and draw(st.booleans())
+    sine = pipeline == "misc" and (reference_ls is not None or draw(st.booleans()))
     if kernel_quadrature:
         keys = _MISC_BY_KERNEL
-    if sine_product:
+    if sine:
         keys = {**keys, **_MISC_SINE_PRODUCT}
     sections = {}
     for name, read in keys.items():
@@ -271,16 +274,34 @@ def config_texts(draw, pipeline):
     sections["run"]["pipeline"] = pipeline
     if kernel_quadrature:
         sections.setdefault("misc", {})["quadrature"] = "kernel"
-    if sine_product:
+    if sine:
         sections.setdefault("misc", {})["integrand"] = "sine-product"
-    n = _factor_count(pipeline, sections)
-    if n is not None:
-        l_min = draw(st.integers(n, 12))
-        l_max = draw(st.integers(l_min + 2, 14))
+    if pipeline != "fem-check":
+        # The plan of the drawn keys, at a placeholder range drawn below.
+        sections["run"].update(l_min="0", l_max="0")
+        plan = run_plan(
+            pipeline,
+            {
+                name: _convert_section(
+                    name, {k: (v, 0) for k, v in sections.get(name, {}).items()}, read
+                )
+                for name, read in keys.items()
+            },
+        )
+        n = len(plan.factors)
+        # The plan reaches every threshold up to top, up to 16.
+        top = max((L for L in range(n, 17) if _unreachable(plan, L) is None), default=0)
+        # An automatic reference is estimated at l_max + 2.
+        last = min(_MAX_THRESHOLD, top - 2 * (plan.reference_l is not None))
+        assume(last >= n + 2)
+        l_min = draw(st.integers(n, last - 2))
+        l_max = draw(st.integers(l_min + 2, last))
         sections["run"].update(l_min=str(l_min), l_max=str(l_max))
-        # A reference threshold is automatic (0) or above the study's range.
-        if "reference_l" in sections.get("study", {}):
-            reference_l = draw(st.one_of(st.just(0), st.integers(l_max + 1, 16)))
+        if reference_ls is not None:
+            sections.setdefault("study", {})["reference_l"] = str(draw(reference_ls))
+        elif "reference_l" in sections.get("study", {}):
+            # Automatic (0) or above the study's range.
+            reference_l = draw(st.one_of(st.just(0), st.integers(l_max + 1, top)))
             sections["study"]["reference_l"] = str(reference_l)
     return "\n".join(
         f"[{name}]\n" + "".join(f"{key} = {value}\n" for key, value in keys.items())
@@ -426,7 +447,7 @@ class TestKeysRead:
                 for name, entries in config.sections.items()
             },
         )
-        _RUNNERS[config.pipeline](recording, config.seed)
+        run_study(recording, config.seed)
         serialized = _serialized_keys(config)
         del serialized["run"]
         assert read == serialized
@@ -522,6 +543,50 @@ def _config_files():
 
 CONFIG_FILES = _config_files()
 
+
+def _set_reference(text, reference_l):
+    return re.sub(r"(?m)^reference_l = .*", f"reference_l = {reference_l}", text)
+
+
+# Configs that parse at the parent of the run plan, by a short name: the
+# text, the key that sets the threshold the run cannot reach, and why.
+UNREACHABLE = {
+    "rsr-bound": (
+        _set_reference(CONFIG_FILES["docs/examples/rsr-bump.cfg"], 70),
+        "[study] reference_l = 70",
+        "n + L = 72 exceeds the exact-arithmetic bound 64",
+    ),
+    "ouu-bound": (
+        _set_reference(CONFIG_FILES["docs/examples/ouu-advection.cfg"], 70),
+        "[study] reference_l = 70",
+        "n + L = 73 exceeds the exact-arithmetic bound 64",
+    ),
+    "misc-bound": (
+        CONFIG_FILES["tests/golden/misc-kernel/misc-kernel.cfg"] + "[study]\nreference_l = 70\n",
+        "[study] reference_l = 70",
+        "n + L = 73 exceeds the exact-arithmetic bound 64",
+    ),
+    "rates-map": (
+        re.sub(r"(?m)^(gamma|beta) = .*", r"\1 = 0.001, 0.001", CONFIG_FILES["docs/examples/rates.cfg"]),
+        "[run] l_max = 10",
+        "level map ceil(1.0 * exp(l / (0.001 + 0.001))) is not a finite float at level 9",
+    ),
+    # At the parent it ran 13.7 s and peaked at 1.2 GB before exit 1.
+    "rsr-dense": (
+        _set_reference(CONFIG_FILES["docs/examples/rsr-bump.cfg"], 20),
+        "[study] reference_l = 20",
+        "factor 1 at level 19 needs a dense kernel fit on 13360 nodes, "
+        "above the bound of 8192 nodes",
+    ),
+    # One block of nu = 1/2: 6.2 s and 1.18 GB before exit 1 at the parent.
+    "interp-dense": (
+        "[run]\npipeline = interp\nl_min = 4\nl_max = 14\n"
+        "[kernel]\nbeta = 1.0\nd = 1\n[interp]\nblocks = 1\n",
+        "[run] l_max = 14",
+        "factor 1 at level 14 needs a dense kernel fit on 16384 nodes",
+    ),
+}
+
 # The manifest's config_sha256 of each example and workload config: a change
 # to the canonical form, or to one of these configs, moves it.
 PINNED_SHA256 = {
@@ -608,6 +673,55 @@ class TestCliRuns:
         cfg = self.write(tmp_path, text.format(l_max + 1))
         assert main(["--config", cfg, "--out", above, "--quiet"]) == 0
         assert sorted(os.listdir(above))[-2:] == ["slope.txt", "study.csv"]
+
+    @pytest.mark.parametrize("name", UNREACHABLE)
+    def test_unreachable_threshold_is_a_config_error(self, tmp_path, capsys, name):
+        text, key, reason = UNREACHABLE[name]
+        assignment = key.split("] ")[1].split(" =")[0] + " = "
+        line = next(n for n, row in enumerate(text.splitlines(), 1) if row.startswith(assignment))
+        out = tmp_path / "unreachable"
+        assert main(["--config", self.write(tmp_path, text), "--out", str(out), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: line {line}: {key}")
+        assert reason in err
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", UNREACHABLE)
+    def test_unreachable_threshold_without_the_parse_check_fails_in_one_line(
+        self, tmp_path, capsys, monkeypatch, name
+    ):
+        # Each run then fails where it did before the check: before any
+        # evaluation (n + L), at the level map, or at the first dense fit
+        # past the bound, lowered to 64 nodes so that it fails in a second.
+        monkeypatch.setattr(kernelkit.config, "_unreachable", lambda plan, L: None)
+        monkeypatch.setattr(kernelkit.kernels, "_DENSE_FIT_NODES_MAX", 64)
+        text, _, reason = UNREACHABLE[name]
+        out = tmp_path / "unreachable"
+        assert main(["--config", self.write(tmp_path, text), "--out", str(out), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ")
+        if reason.startswith("n + L"):
+            assert err.startswith("numerical failure: reference estimate at L=70 failed: " + reason)
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
+        assert os.listdir(out) == ["manifest.txt"]
+
+    @pytest.mark.parametrize("pipeline", ["rsr", "ouu", "misc"])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_any_reference_l_parses_or_names_its_line(self, pipeline, data):
+        # Drawn in [0, 70]: past the study, past the combination bound and,
+        # for dense fits, past their node bound.
+        text = data.draw(config_texts(pipeline, reference_ls=st.integers(0, 70)))
+        line = next(
+            n for n, row in enumerate(text.splitlines(), 1) if row.startswith("reference_l = ")
+        )
+        try:
+            parse_config(text)
+        except ConfigError as err:
+            assert str(err).startswith(f"line {line}: [study] reference_l = ")
 
     def test_rates_run_and_artifacts(self, tmp_path):
         cfg = self.write(tmp_path, RATES_CONFIG)
@@ -883,7 +997,7 @@ class TestCliRuns:
         # At beta = 60 every error of the rates study rounds to exactly 0.0,
         # so the log-log fit has nothing positive to fit.
         text = RATES_CONFIG.replace("beta = 1, 1", "beta = 60, 60")
-        study = _run_rates(parse_config(text), 0)
+        study = run_study(parse_config(text), 0)
         assert all(row["error"] == 0.0 for row in study.rows)
         out = tmp_path / "flat"
         assert main(["--config", self.write(tmp_path, text), "--out", str(out), "--quiet"]) == 1
@@ -916,10 +1030,12 @@ class TestCliRuns:
         ids=["rates", "misc", "rsr", "ouu"],
     )
     def test_overflowing_level_map_is_a_numerical_failure(
-        self, tmp_path, capsys, example, edit, level
+        self, tmp_path, capsys, monkeypatch, example, edit, level
     ):
         # Each edited example admits a level map ceil(scale * exp(l / (gamma
-        # + beta))) that passes the largest float within its levels.
+        # + beta))) that passes the largest float within its levels.  Parsing
+        # refuses it; with that check patched out, the run fails at the map.
+        monkeypatch.setattr(kernelkit.config, "_unreachable", lambda plan, L: None)
         with open(os.path.join(ROOT, "docs", "examples", f"{example}.cfg")) as handle:
             cfg = self.write(tmp_path, edit(handle.read()))
         out = tmp_path / "overflow"
@@ -955,7 +1071,7 @@ class TestCliRuns:
 
         monkeypatch.setattr(Surrogate, "evaluate", recording)
         config = parse_config(SMALL_CONFIGS[pipeline])
-        study = _RUNNERS[pipeline](config, 0)
+        study = run_study(config, 0)
         rows = config.l_max - config.l_min + 1
         # One stacked call holds every surrogate of the table, after the
         # reference (rsr, ouu) and every replication (ouu); the ouu
@@ -971,13 +1087,13 @@ class TestCliRuns:
     def test_interp_study_is_the_sparse_interpolant(self):
         # The interp pipeline estimates the problem sparse_interpolate builds.
         config = parse_config(SMALL_CONFIGS["interp"])
-        study = _RUNNERS["interp"](config, 0)
+        study = run_study(config, 0)
         kernel = MaternKernel(beta=2.0, dim=1)
         points = random_points(Box((0.0, 0.0), (1.0, 1.0)), 64, 0)
         target = np.sin(2 * np.pi * points[:, 0]) * np.sin(2 * np.pi * points[:, 1])
         for row in study.rows:
             surrogate = sparse_interpolate(
-                [kernel] * 2, [Box((0.0,), (1.0,))] * 2, _sine_product, L=row["L"]
+                [kernel] * 2, [Box((0.0,), (1.0,))] * 2, sine_product, L=row["L"]
             )
             error = np.sqrt(np.mean((surrogate.evaluate(points) - target) ** 2))
             assert row["error"] == pytest.approx(error, rel=1e-12)
