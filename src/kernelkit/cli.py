@@ -175,16 +175,13 @@ def _run_rsr(config: RunConfig, plan: RunPlan, seed: int) -> _Study:
 def _run_ouu(config: RunConfig, plan: RunPlan, seed: int) -> _Study:
     o, factor = config.section("ouu"), plan.factors[0]
     rows, reference = ouu_study(
-        factor,
+        plan.factors,
         plan.rows,
         seed=seed,
         eval_points=random_points(factor.domain, config[("study", "eval_points")], seed),
         replications=o["replications"],
         reference_L=plan.reference_l,
         field_grid=mesh_at_level(o["field_level"]),
-        mc_scale=o["mc_scale"],
-        pde_scale=o["pde_scale"],
-        max_cells=2 ** o["max_mesh_level"],
     )
     minimizer, value = minimize_objective(
         OuuObjective(surrogate=reference), restarts=o["restarts"]

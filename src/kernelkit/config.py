@@ -53,6 +53,12 @@ _MAX_THRESHOLD = 14
 # Every study fits its log-log slope over at least 3 rows.
 _MIN_STUDY_ROWS = 3
 _MAX_SEED = 2**64 - 1
+# Counts that size a run: at each maximum the benchmark's workload configs ran in
+# 0.5-5 s and 70-109 MB peak RSS (2 cores, 1 BLAS thread); 2**20 study points took
+# 9-15 s, and ouu 748 MB.
+_MAX_EVAL_POINTS = 2**16
+_MAX_REPLICATIONS = 64
+_MAX_RESTARTS = 1024
 
 
 class ConfigError(ValueError):
@@ -141,14 +147,14 @@ _SCHEMA: dict[str, dict[str, _Key]] = {
     "ouu": {
         "field_level": _Key(_parse_int, default=5, positive=True),
         "max_mesh_level": _Key(_parse_int, default=5, positive=True, maximum=MAX_MESH_LEVEL),
-        "replications": _Key(_parse_int, default=5, positive=True),
+        "replications": _Key(_parse_int, default=5, positive=True, maximum=_MAX_REPLICATIONS),
         "mc_scale": _Key(_parse_float, default=4.0, positive=True),
         "pde_scale": _Key(_parse_float, default=12.0, positive=True),
         "level_map": _Key(_parse_word, default="doubling", choices=("doubling", "exponential")),
-        "restarts": _Key(_parse_int, default=8, positive=True),
+        "restarts": _Key(_parse_int, default=8, positive=True, maximum=_MAX_RESTARTS),
     },
     "study": {
-        "eval_points": _Key(_parse_int, default=2048, positive=True),
+        "eval_points": _Key(_parse_int, default=2048, positive=True, maximum=_MAX_EVAL_POINTS),
         "reference_l": _Key(_parse_int, default=0),
     },
 }

@@ -15,15 +15,16 @@ factors' nested points for every pipeline that interpolates:
 * response surface (:func:`surface_study`): per-block kernel
   interpolation of the sample family, producing a function-valued
   surrogate;
-* optimization under uncertainty (:class:`OuuPipeline`): kernel
-  interpolation over a control disc of empirical means over random-field
-  draws of PDE outputs, followed by pattern-search minimization of
-  surrogate plus penalty.  The control nodes of every term are prefixes
-  of one nested sequence, so the PDE outputs are kept as a nested-suffix
-  store: per field draw and mesh, the outputs at the node prefix solved
-  so far, which a term extends by its new nodes only; a plan, made once
-  per study or by a tuple outside it, is solved one field draw at a time,
-  each pair to its longest needed prefix in one run; no field is kept.
+* optimization under uncertainty (:class:`OuuPipeline`) on the run plan's
+  factors (:func:`~kernelkit.config.run_plan`): kernel interpolation over a
+  control disc of empirical means over random-field draws of PDE outputs,
+  followed by pattern-search minimization of surrogate plus penalty.  The
+  control nodes of every term are prefixes of one nested sequence, so the
+  PDE outputs are kept as a nested-suffix store: per field draw and mesh,
+  the outputs at the node prefix solved so far, which a term extends by its
+  new nodes only; a plan, made once per study or by a tuple outside it, is
+  solved one field draw at a time, each pair to its longest needed prefix
+  in one run; no field is kept.
 
 Work ledgers charge only sampler work (``prod N_j * N_pde**gamma`` per
 term).  The study functions (:func:`expectation_study`,
@@ -425,9 +426,9 @@ _FINAL_STEP = 1e-4
 
 
 def ouu_sample_specs(
-    mc_scale: float = 1.0, pde_scale: float = 1.0, max_cells: int = 32
+    mc_scale: float, pde_scale: float, max_cells: int
 ) -> tuple[FactorSpec, FactorSpec]:
-    """The Monte Carlo and field-PDE factors of an :class:`OuuPipeline`."""
+    """The Monte Carlo and field-PDE factors of the ``ouu`` run plan."""
     mc_map = scaled_exponential_map(*_MC_RATES, mc_scale)
     pde_map = pde_resolution_map(*_PDE_RATES, max_cells, scale=pde_scale)
     return (
@@ -439,7 +440,7 @@ def ouu_sample_specs(
 class OuuPipeline:
     """Surrogate construction for optimization under uncertainty.
 
-    Three factors: kernel interpolation over the control domain
+    The run plan's three factors: kernel interpolation over the control domain
     (:func:`interpolation_problem`) of empirical means over random-field
     draws and the PDE mesh family (:func:`ouu_sample_specs`).  Field draws
     are sampled once on the reference grid per ``(seed, stream, k)`` and
@@ -476,15 +477,13 @@ class OuuPipeline:
 
     def __init__(
         self,
-        interp_factor: InterpolationFactor,
+        factors: tuple[InterpolationFactor, FactorSpec, FactorSpec],
         seed: int,
         stream: int = 0,
-        mc_scale: float = 1.0,
-        pde_scale: float = 1.0,
-        max_cells: int = 32,
         field_grid: Mesh | None = None,
         qoi: Callable[[np.ndarray, Any, Mesh], float] | None = None,
     ):
+        interp_factor, *sample_specs = factors
         self.interp_factor = interp_factor
         self.seed = seed
         self.stream = stream
@@ -499,12 +498,7 @@ class OuuPipeline:
         self._targets: dict[tuple[int, int], int] = {}
         self._needed: dict[tuple[int, int], int] = {}
         self.engine = SmolyakEngine(
-            interpolation_problem(
-                [interp_factor],
-                self._means,
-                ouu_sample_specs(mc_scale, pde_scale, max_cells),
-                plan=self._plan,
-            )
+            interpolation_problem([interp_factor], self._means, sample_specs, plan=self._plan)
         )
 
     def _plan(self, tuples: list[tuple[int, ...]]) -> None:
@@ -658,16 +652,18 @@ def minimize_objective(
 
 
 def ouu_study(
-    interp_factor: InterpolationFactor,
+    factors: tuple[InterpolationFactor, FactorSpec, FactorSpec],
     L_values: Sequence[int],
     seed: int,
     eval_points: np.ndarray,
     replications: int = 5,
     reference_L: int | None = None,
-    **pipeline_kwargs,
+    field_grid: Mesh | None = None,
+    qoi: Callable[[np.ndarray, Any, Mesh], float] | None = None,
 ) -> tuple[list[dict], Surrogate]:
     """Mean-squared maximum-error table over stochastic replications.
 
+    Each pipeline (:class:`OuuPipeline`) takes the run plan's ``factors``.
     The reference surrogate is built on its own stream at ``reference_L``
     (default ``max(L) + 2``); each replication r = 1..R runs the full
     threshold range on stream ``r``.  All surrogates are built first and
@@ -678,7 +674,7 @@ def ouu_study(
     reference surrogate (for downstream minimization).
     """
     reference_pipeline, *pipelines = (
-        OuuPipeline(interp_factor, seed=seed, stream=r, **pipeline_kwargs)
+        OuuPipeline(factors, seed, stream=r, field_grid=field_grid, qoi=qoi)
         for r in range(replications + 1)
     )
 

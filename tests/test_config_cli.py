@@ -1,7 +1,9 @@
+import contextlib
 import dataclasses
 import glob
 import hashlib
 import importlib.util
+import io
 import os
 import re
 import sys
@@ -18,9 +20,13 @@ import kernelkit.pde
 from kernelkit.cli import _RUNNERS, main
 from kernelkit.config import (
     _KEYS_READ,
+    _MAX_EVAL_POINTS,
+    _MAX_REPLICATIONS,
+    _MAX_RESTARTS,
     _MAX_THRESHOLD,
     _MISC_BY_KERNEL,
     _MISC_SINE_PRODUCT,
+    _SCHEMA,
     _convert_section,
     _unreachable,
     PIPELINES,
@@ -223,14 +229,14 @@ _VALUES = {
     "ouu": {
         "field_level": st.integers(1, 6).map(str),
         "max_mesh_level": st.integers(1, 8).map(str),
-        "replications": st.integers(1, 9).map(str),
+        "replications": st.integers(1, _MAX_REPLICATIONS).map(str),
         "mc_scale": _floats(),
         "pde_scale": _floats(),
         "level_map": _LEVEL_MAPS,
-        "restarts": st.integers(1, 20).map(str),
+        "restarts": st.integers(1, _MAX_RESTARTS).map(str),
     },
     "study": {
-        "eval_points": st.integers(1, 4096).map(str),
+        "eval_points": st.integers(1, _MAX_EVAL_POINTS).map(str),
         # config_texts redraws it within the thresholds the run reaches.
         "reference_l": st.integers(0, 14).map(str),
     },
@@ -350,19 +356,68 @@ class TestRoundTrip:
                 "ouu",
                 "max_mesh_level",
             ),
+            (
+                SMALL_CONFIGS["interp"].replace("eval_points = 64", "eval_points = {}"),
+                "study",
+                "eval_points",
+            ),
+            (
+                SMALL_CONFIGS["ouu"].replace("replications = 2", "replications = {}"),
+                "ouu",
+                "replications",
+            ),
+            (
+                SMALL_CONFIGS["ouu"].replace("restarts = 1", "restarts = {}"),
+                "ouu",
+                "restarts",
+            ),
         ],
-        ids=["fem-check", "rsr", "ouu"],
+        ids=["fem-check", "rsr", "ouu", "eval_points", "replications", "restarts"],
     )
-    def test_mesh_level_is_capped_at_256_cells(self, tmp_path, capsys, text, section, key):
+    def test_bounded_key_is_capped_at_its_maximum(self, tmp_path, capsys, text, section, key):
         assert MAX_MESH_LEVEL == 8
-        assert parse_config(text.format(8)).sections[section][key] == 8
+        maximum = _SCHEMA[section][key].maximum
+        assert parse_config(text.format(maximum)).sections[section][key] == maximum
         line = next(n for n, row in enumerate(text.splitlines(), 1) if row.startswith(key))
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(text.format(9))
+        cfg.write_text(text.format(maximum + 1))
         out = tmp_path / "o"
         assert main(["--config", str(cfg), "--out", str(out), "--quiet"]) == 2
         assert capsys.readouterr().err == (
-            f"configuration error: line {line}: [{section}] {key} must be <= 8, got 9\n"
+            f"configuration error: line {line}: [{section}] {key} "
+            f"must be <= {maximum}, got {maximum + 1}\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("pipeline", ["interp", "rsr", "ouu"])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_any_count_parses_or_names_its_line(self, pipeline, data, tmp_path_factory):
+        # A bounded count drawn up to four times its maximum, in a config
+        # that is valid otherwise: it parses, or the run exits 2 with one
+        # line that names the count's line and writes nothing.
+        text = data.draw(config_texts(pipeline))
+        counts = [("study", "eval_points"), ("ouu", "replications"), ("ouu", "restarts")]
+        section, key = data.draw(
+            st.sampled_from([c for c in counts if c[1] in _KEYS_READ[pipeline].get(c[0], {})])
+        )
+        maximum = _SCHEMA[section][key].maximum
+        value = data.draw(st.integers(1, 4 * maximum))
+        rows = [row for row in text.splitlines() if not row.startswith(f"{key} = ")]
+        rows += [f"[{section}]", f"{key} = {value}"]
+        if value <= maximum:
+            assert parse_config("\n".join(rows))[(section, key)] == value
+            return
+        directory = tmp_path_factory.mktemp("count")
+        cfg, out = directory / "run.cfg", directory / "out"
+        cfg.write_text("\n".join(rows) + "\n")
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = main(["--config", str(cfg), "--out", str(out), "--quiet"])
+        assert code == 2
+        assert stderr.getvalue() == (
+            f"configuration error: line {len(rows)}: [{section}] {key} "
+            f"must be <= {maximum}, got {value}\n"
         )
         assert not out.exists()
 
@@ -1059,6 +1114,25 @@ class TestCliRuns:
         cfg = self.write(tmp_path, SMALL_CONFIGS[pipeline])
         assert main(["--config", cfg, "--out", str(out)]) == 1
         assert sorted(os.listdir(out)) == ["manifest.txt"]
+
+    def test_ouu_study_takes_the_plan_factors(self, monkeypatch):
+        # The run builds its pipelines from the very factors that the
+        # validator and the predicted slope read.
+        received = []
+
+        class Recorded(Exception):
+            pass
+
+        def recording(factors, *args, **kwargs):
+            received.append(factors)
+            raise Recorded
+
+        monkeypatch.setattr(kernelkit.cli, "ouu_study", recording)
+        config = parse_config(SMALL_CONFIGS["ouu"])
+        plan = run_plan(config.pipeline, config.sections)
+        with pytest.raises(Recorded):
+            kernelkit.cli._run_ouu(config, plan, config.seed)
+        assert len(received) == 1 and received[0] is plan.factors
 
     @pytest.mark.parametrize("pipeline", ["interp", "rsr", "ouu"])
     def test_function_valued_study_evaluates_once(self, tmp_path, monkeypatch, pipeline):

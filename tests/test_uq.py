@@ -184,21 +184,6 @@ class TestInterpolationFactor:
         assert quad.spec.beta == interpolation_factor(kernel, box, alpha=1.0).spec.beta == 1.0
         assert quad.spec.gamma == 1.0
 
-    def test_ouu_sample_specs_are_the_pipeline_factors(self):
-        scales = dict(mc_scale=2.0, pde_scale=1.5, max_cells=16)
-        pipeline = OuuPipeline(
-            stub_interp_factor(), seed=0, field_grid=Mesh(cells=4), **scales
-        )
-        _, *sample_factors = pipeline.engine.problem.factors
-        specs = ouu_sample_specs(**scales)
-        assert [(f.gamma, f.beta, f.label) for f in sample_factors] == [
-            (f.gamma, f.beta, f.label) for f in specs
-        ]
-        for level in range(1, 8):
-            assert [level_to_resolution(f, level) for f in sample_factors] == [
-                level_to_resolution(f, level) for f in specs
-            ]
-
 
 class TestResponseSurface:
     def test_exactness_for_native_target(self):
@@ -279,16 +264,21 @@ def stub_interp_factor():
     )
 
 
+def ouu_factors():
+    """An ouu run plan's factors: the stub control factor, unit scales and
+    meshes of at most 4 cells per axis."""
+    return (stub_interp_factor(), *ouu_sample_specs(1.0, 1.0, 4))
+
+
 class TestOuuPipeline:
     def test_degenerate_factors_reduce_to_interpolation(self):
         target = lambda z: float(np.sin(z[0]) + 0.5 * z[1])
         pipeline = OuuPipeline(
-            stub_interp_factor(),
+            ouu_factors(),
             seed=0,
             stream=1,
             qoi=lambda z, field, mesh: target(z),
             field_grid=Mesh(cells=8),
-            max_cells=8,
         )
         L = 6
         surrogate, _ = pipeline.engine.estimate(L)
@@ -304,11 +294,10 @@ class TestOuuPipeline:
 
     def test_draw_sets_shared_across_mesh_levels(self):
         pipeline = OuuPipeline(
-            stub_interp_factor(),
+            ouu_factors(),
             seed=0,
             stream=2,
             field_grid=Mesh(cells=8),
-            max_cells=8,
         )
         pipeline.engine.estimate(5)
         draws_by_cells = {}
@@ -321,11 +310,10 @@ class TestOuuPipeline:
 
     def test_solve_cache_couples_corners(self, means_log):
         pipeline = OuuPipeline(
-            stub_interp_factor(),
+            ouu_factors(),
             seed=0,
             stream=3,
             field_grid=Mesh(cells=8),
-            max_cells=8,
         )
         pipeline.engine.estimate(5)
         # Every tuple's draws are in the store, each over a prefix at least
@@ -345,12 +333,11 @@ class TestOuuPipeline:
         values = []
         for seed in range(100):
             pipeline = OuuPipeline(
-                stub_interp_factor(),
+                ouu_factors(),
                 seed=seed,
                 stream=1,
                 qoi=qoi,
                 field_grid=Mesh(cells=4),
-                max_cells=4,
             )
             values.append(pipeline.engine.estimate(4)[0](np.array([0.2, 0.1])))
         values = np.array(values)
@@ -359,12 +346,11 @@ class TestOuuPipeline:
 
     def test_objective_at_origin_has_no_penalty(self):
         pipeline = OuuPipeline(
-            stub_interp_factor(),
+            ouu_factors(),
             seed=0,
             stream=1,
             qoi=lambda z, field, mesh: float(z[0] ** 2),
             field_grid=Mesh(cells=4),
-            max_cells=4,
         )
         surrogate = pipeline.engine.estimate(4)[0]
         objective = OuuObjective(surrogate=surrogate)
@@ -374,13 +360,12 @@ class TestOuuPipeline:
     def test_linearity_under_qoi_scaling(self):
         def build(scale):
             pipeline = OuuPipeline(
-                stub_interp_factor(),
+                ouu_factors(),
                 seed=0,
                 stream=1,
                 qoi=lambda z, field, mesh: scale
                 * (1.0 + z[0] + 0.1 * float(field.values[0])),
                 field_grid=Mesh(cells=4),
-                max_cells=4,
             )
             return pipeline.engine.estimate(5)[0]
 
@@ -488,12 +473,12 @@ class TestPdeSolvesColumn:
             calls.append(1)
             return float(z[0]) + 0.1 * float(field.values[0])
 
-        settings = dict(qoi=qoi, field_grid=Mesh(cells=4), max_cells=4)
-        OuuPipeline(stub_interp_factor(), seed=0, stream=0, **settings).engine.estimate(6)
+        settings = dict(qoi=qoi, field_grid=Mesh(cells=4))
+        OuuPipeline(ouu_factors(), seed=0, stream=0, **settings).engine.estimate(6)
         reference_solves = len(calls)
         calls.clear()
         rows, _ = ouu_study(
-            stub_interp_factor(),
+            ouu_factors(),
             [3, 4, 5],
             seed=0,
             eval_points=STUDY_POINTS,
@@ -590,9 +575,7 @@ class TestSolveOnce:
         assert pipeline.pde_solves == 6 + 6 + 4 + 2
 
     def test_estimate_equals_a_plain_per_node_loop(self):
-        pipeline = OuuPipeline(
-            stub_interp_factor(), seed=0, stream=1, field_grid=Mesh(cells=4), max_cells=4
-        )
+        pipeline = OuuPipeline(ouu_factors(), seed=0, stream=1, field_grid=Mesh(cells=4))
         problem = AdvectionDiffusionProblem()
 
         def plain(resolutions):
@@ -626,11 +609,10 @@ class TestSolveOnce:
             return stub_qoi(z, field, mesh)
 
         pipeline = OuuPipeline(
-            Reversed(factor.kernel, factor.domain, factor.spec),
+            (Reversed(factor.kernel, factor.domain, factor.spec), *ouu_factors()[1:]),
             seed=0,
             qoi=qoi,
             field_grid=Mesh(cells=4),
-            max_cells=4,
         )
         evaluate = pipeline.engine.problem.tensor_evaluator
         evaluate((3, 1, 16))
@@ -713,9 +695,7 @@ class TestSolveOnce:
 class TestPlannedStore:
     @staticmethod
     def pipeline():
-        return OuuPipeline(
-            stub_interp_factor(), seed=0, stream=1, field_grid=Mesh(cells=4), max_cells=4
-        )
+        return OuuPipeline(ouu_factors(), seed=0, stream=1, field_grid=Mesh(cells=4))
 
     def test_planned_pipeline_assembles_each_pair_once(self, monkeypatch):
         assembled = []
@@ -820,15 +800,14 @@ class TestPlannedStore:
         assert sampler._block is None and sampler._factor is None
 
     def test_ouu_study_frees_the_field_factor(self):
-        settings = dict(field_grid=Mesh(cells=4), max_cells=4)
         ouu_study(
-            stub_interp_factor(),
+            ouu_factors(),
             [3, 4],
             seed=0,
             eval_points=STUDY_POINTS,
             replications=2,
             reference_L=5,
-            **settings,
+            field_grid=Mesh(cells=4),
         )
         assert _field_factor.cache_info().currsize == 0
 
@@ -846,11 +825,10 @@ class TestPlannedStore:
             return stub_qoi(z, field, mesh)
 
         pipeline = OuuPipeline(
-            Reversed(factor.kernel, factor.domain, factor.spec),
+            (Reversed(factor.kernel, factor.domain, factor.spec), *ouu_factors()[1:]),
             seed=0,
             qoi=qoi,
             field_grid=Mesh(cells=4),
-            max_cells=4,
         )
         pipeline.engine.plan(5)
         # The first tuple's own nodes are consistent, but not with the
@@ -868,9 +846,9 @@ class TestPlannedStore:
             return plan(engine, L)
 
         monkeypatch.setattr(SmolyakEngine, "plan", recording)
-        settings = dict(qoi=stub_qoi, field_grid=Mesh(cells=4), max_cells=4)
+        settings = dict(qoi=stub_qoi, field_grid=Mesh(cells=4))
         ouu_study(
-            stub_interp_factor(),
+            ouu_factors(),
             [3, 5, 4],
             seed=0,
             eval_points=STUDY_POINTS,
@@ -905,12 +883,11 @@ def stub_qoi(z, field, mesh):
 
 def small_ouu_pipeline(qoi):
     return OuuPipeline(
-        stub_interp_factor(),
+        ouu_factors(),
         seed=0,
         stream=1,
         qoi=qoi,
         field_grid=Mesh(cells=4),
-        max_cells=4,
     )
 
 
@@ -969,9 +946,9 @@ class TestStudyWiring:
             stream_of[id(pipeline.engine)] = pipeline.stream
 
         monkeypatch.setattr(OuuPipeline, "__init__", recording)
-        settings = dict(qoi=stub_qoi, field_grid=Mesh(cells=4), max_cells=4)
+        settings = dict(qoi=stub_qoi, field_grid=Mesh(cells=4))
         ouu_study(
-            stub_interp_factor(),
+            ouu_factors(),
             [4, 3],
             seed=0,
             eval_points=STUDY_POINTS,
