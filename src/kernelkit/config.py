@@ -203,11 +203,7 @@ _MISC_BY_KERNEL = {
     "kernel": _KERNEL,
     "misc": {key: spec for key, spec in _SCHEMA["misc"].items() if key != "quad_beta"},
 }
-# misc compares the sine-product integrand against a reference estimate, so
-# it also reads that estimate's threshold; the parabola's exact mean ignores
-# it.  The sine product's mean over the unit cube is 0, and using it instead
-# changes a published golden, a decision recorded as ROADMAP direction 16.
-_MISC_SINE_PRODUCT = {"study": _read("study", "reference_l")}
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -473,8 +469,6 @@ def _validate(raw: dict[str, dict[str, tuple[str, int]]]) -> RunConfig:
         reader += f" with quadrature = {misc['quadrature']}, integrand = {misc['integrand']}"
         if misc["quadrature"] == "kernel":
             keys = _MISC_BY_KERNEL
-        if misc["integrand"] == "sine-product":
-            keys = {**keys, **_MISC_SINE_PRODUCT}
     for name, entries in raw.items():
         for key, (_, line) in entries.items():
             if key not in keys.get(name, {}):

@@ -29,11 +29,12 @@ factors' nested points for every pipeline that interpolates:
 Work ledgers charge only sampler work (``prod N_j * N_pde**gamma`` per
 term).  The study functions (:func:`expectation_study`,
 :func:`surface_study`, :func:`ouu_study`) wire a pipeline into the one
-study loop, :func:`kernelkit.smolyak.convergence_study`: an optional
-reference estimate, the threshold range, a solve count and one error
-function.  The function-valued studies' error functions evaluate every
-surrogate of the table, the reference included, in one stacked pass at
-the study points (:meth:`Surrogate.stack`).  Randomness is counter-based
+study loop, :func:`kernelkit.smolyak.convergence_study`: the threshold
+range, a solve count and one error function.  The expectation study
+measures against the integrand's exact mean; the function-valued studies
+measure against a reference estimate, and their error functions evaluate
+every surrogate of the table, the reference included, in one stacked pass
+at the study points (:meth:`Surrogate.stack`).  Randomness is counter-based
 throughout: the draw with index ``k`` of a given ``(seed, stream)``
 never depends on evaluation order.
 """
@@ -341,27 +342,18 @@ def expectation_study(
     quad_factors: Sequence[QuadratureFactor],
     sample_factor: SampleFactor,
     L_values: Sequence[int],
-    reference: float | None = None,
-    reference_L: int | None = None,
+    mean: float,
 ) -> list[dict]:
-    """Error table for an expectation pipeline.
-
-    ``reference`` wins over ``reference_L``; the default reference is the
-    estimator at ``max(L_values) + 2``.
-    """
+    """Error table for an expectation pipeline against the integrand's exact
+    ``mean``: one estimate per threshold, and ``pde_solves`` counts the
+    sample evaluations that the estimates so far made."""
     engine = SmolyakEngine(build_expectation_problem(quad_factors, sample_factor))
 
-    def errors(estimate, values):
-        exact = estimate if reference is None else reference
-        return [{"error_l2": abs(exact - v), "error_linf": abs(exact - v)} for v in values]
+    def errors(_, values):
+        return [{"error_l2": abs(mean - v), "error_linf": abs(mean - v)} for v in values]
 
     rows, _ = convergence_study(
-        [engine],
-        L_values,
-        errors,
-        reference=engine if reference is None else None,
-        reference_L=reference_L,
-        solves=lambda: sample_factor.solve_count,
+        [engine], L_values, errors, solves=lambda: sample_factor.solve_count
     )
     return rows
 
@@ -443,10 +435,10 @@ class OuuPipeline:
     The run plan's three factors: kernel interpolation over the control domain
     (:func:`interpolation_problem`) of empirical means over random-field
     draws and the PDE mesh family (:func:`ouu_sample_specs`).  Field draws
-    are sampled once on the reference grid per ``(seed, stream, k)`` and
-    every mesh resolution consumes the same realization (the solver
-    samples its bilinear extension), so difference terms across mesh
-    resolutions are exactly coupled.
+    are sampled once on the reference grid ``field_grid`` per
+    ``(seed, stream, k)`` and every mesh resolution consumes the same
+    realization (the solver samples its bilinear extension), so difference
+    terms across mesh resolutions are exactly coupled.
 
     The control nodes of every tuple are prefixes of one nested sequence
     (:func:`~kernelkit.points.generate_points`), so solves are kept as a
@@ -479,15 +471,15 @@ class OuuPipeline:
         self,
         factors: tuple[InterpolationFactor, FactorSpec, FactorSpec],
         seed: int,
+        field_grid: Mesh,
         stream: int = 0,
-        field_grid: Mesh | None = None,
         qoi: Callable[[np.ndarray, Any, Mesh], float] | None = None,
     ):
         interp_factor, *sample_specs = factors
         self.interp_factor = interp_factor
         self.seed = seed
         self.stream = stream
-        self.field_grid = field_grid if field_grid is not None else Mesh(cells=32)
+        self.field_grid = field_grid
         self._field_sampler = GaussianFieldSampler(self.field_grid, stream=stream)
         if qoi is None:
             qoi = AdvectionDiffusionProblem().sample_qoi
@@ -656,14 +648,15 @@ def ouu_study(
     L_values: Sequence[int],
     seed: int,
     eval_points: np.ndarray,
+    field_grid: Mesh,
     replications: int = 5,
     reference_L: int | None = None,
-    field_grid: Mesh | None = None,
     qoi: Callable[[np.ndarray, Any, Mesh], float] | None = None,
 ) -> tuple[list[dict], Surrogate]:
     """Mean-squared maximum-error table over stochastic replications.
 
-    Each pipeline (:class:`OuuPipeline`) takes the run plan's ``factors``.
+    Each pipeline (:class:`OuuPipeline`) takes the run plan's ``factors``
+    and draws its fields on ``field_grid``.
     The reference surrogate is built on its own stream at ``reference_L``
     (default ``max(L) + 2``); each replication r = 1..R runs the full
     threshold range on stream ``r``.  All surrogates are built first and
@@ -674,7 +667,7 @@ def ouu_study(
     reference surrogate (for downstream minimization).
     """
     reference_pipeline, *pipelines = (
-        OuuPipeline(factors, seed, stream=r, field_grid=field_grid, qoi=qoi)
+        OuuPipeline(factors, seed, field_grid, stream=r, qoi=qoi)
         for r in range(replications + 1)
     )
 

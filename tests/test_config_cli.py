@@ -6,6 +6,7 @@ import importlib.util
 import io
 import os
 import re
+import subprocess
 import sys
 
 import numpy as np
@@ -25,7 +26,6 @@ from kernelkit.config import (
     _MAX_RESTARTS,
     _MAX_THRESHOLD,
     _MISC_BY_KERNEL,
-    _MISC_SINE_PRODUCT,
     _SCHEMA,
     _convert_section,
     _unreachable,
@@ -39,9 +39,9 @@ from kernelkit.config import (
 from kernelkit.kernels import MaternKernel
 from kernelkit.pde import MAX_MESH_LEVEL
 from kernelkit.points import Box
-from kernelkit.smolyak import SlopeFitError
+from kernelkit.smolyak import SlopeFitError, SmolyakEngine
 from kernelkit.surrogate import Surrogate
-from kernelkit.uq import random_points, sparse_interpolate
+from kernelkit.uq import build_expectation_problem, random_points, sparse_interpolate
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -211,11 +211,10 @@ _VALUES = {
     },
     "interp": {"blocks": st.integers(1, 4).map(str), "level_map": _LEVEL_MAPS},
     "misc": {
-        # Kernel quadrature and the sine-product integrand read other keys;
-        # config_texts draws them on their own.
+        # Kernel quadrature reads other keys; config_texts draws it on its own.
         "quadrature": st.just("midpoint"),
         "blocks": st.integers(1, 3).map(str),
-        "integrand": st.just("parabola"),
+        "integrand": st.sampled_from(["parabola", "sine-product"]),
         "quad_beta": _floats(),
         "sample_gamma": _floats(),
         "sample_kappa": _floats(),
@@ -248,15 +247,11 @@ def config_texts(draw, pipeline, reference_ls=None):
     """A valid configuration of ``pipeline``: any subset of the keys it reads
     (``_KEYS_READ``), each value drawn from its key's valid range, and a
     threshold range that its run plan reaches.  With ``reference_ls``, a
-    reference threshold drawn from it, which may be invalid, is always set
-    (and misc integrates the sine product, which reads it)."""
+    reference threshold drawn from it, which may be invalid, is always set."""
     keys = _KEYS_READ[pipeline]
     kernel_quadrature = pipeline == "misc" and draw(st.booleans())
-    sine = pipeline == "misc" and (reference_ls is not None or draw(st.booleans()))
     if kernel_quadrature:
         keys = _MISC_BY_KERNEL
-    if sine:
-        keys = {**keys, **_MISC_SINE_PRODUCT}
     sections = {}
     for name, read in keys.items():
         if name == "factors":
@@ -280,8 +275,6 @@ def config_texts(draw, pipeline, reference_ls=None):
     sections["run"]["pipeline"] = pipeline
     if kernel_quadrature:
         sections.setdefault("misc", {})["quadrature"] = "kernel"
-    if sine:
-        sections.setdefault("misc", {})["integrand"] = "sine-product"
     if pipeline != "fem-check":
         # The plan of the drawn keys, at a placeholder range drawn below.
         sections["run"].update(l_min="0", l_max="0")
@@ -434,9 +427,7 @@ class TestRoundTrip:
 
 
 MISC_KERNEL_CONFIG = SMALL_CONFIGS["misc"] + "[misc]\nquadrature = kernel\n"
-MISC_SINE_CONFIG = (
-    SMALL_CONFIGS["misc"] + "[misc]\nintegrand = sine-product\n[study]\nreference_l = 6\n"
-)
+MISC_SINE_CONFIG = SMALL_CONFIGS["misc"] + "[misc]\nintegrand = sine-product\n"
 CONFIGS = {**SMALL_CONFIGS, "misc-kernel": MISC_KERNEL_CONFIG, "misc-sine": MISC_SINE_CONFIG}
 
 # Every key that a pipeline's run does not read, with a value it parses to.
@@ -446,6 +437,7 @@ UNREAD_KEYS = [
     ("interp", "study", "reference_l", "9"),
     ("misc", "study", "eval_points", "64"),
     ("misc", "study", "reference_l", "9"),
+    ("misc-sine", "study", "reference_l", "9"),
     ("misc", "kernel", "beta", "2.0"),
     ("misc", "kernel", "d", "1"),
     ("misc", "kernel", "length_scale", "1.0"),
@@ -515,22 +507,10 @@ class TestKeysRead:
         line = len(text.splitlines())
         with pytest.raises(ConfigError) as err:
             parse_config(text)
-        pipeline = name.removesuffix("-kernel")
+        pipeline = parse_config(CONFIGS[name]).pipeline
         assert str(err.value).startswith(
             f"line {line}: [{section}] {key} is not read by pipeline {pipeline!r}"
         )
-
-    def test_reference_l_is_read_only_under_sine_product(self):
-        # The parabola's exact mean is the reference, so nothing reads the key.
-        text = SMALL_CONFIGS["misc"] + "[study]\nreference_l = 6\n"
-        with pytest.raises(ConfigError) as err:
-            parse_config(text)
-        assert str(err.value) == (
-            "line 6: [study] reference_l is not read by pipeline 'misc' "
-            "with quadrature = midpoint, integrand = parabola"
-        )
-        config = parse_config(text + "[misc]\nintegrand = sine-product\n")
-        assert config.sections["study"] == {"reference_l": 6}
 
     def test_unread_section_header_is_a_config_error(self):
         # Midpoint quadrature builds no kernel.
@@ -616,10 +596,11 @@ UNREACHABLE = {
         "[study] reference_l = 70",
         "n + L = 73 exceeds the exact-arithmetic bound 64",
     ),
-    "misc-bound": (
-        CONFIG_FILES["tests/golden/misc-kernel/misc-kernel.cfg"] + "[study]\nreference_l = 70\n",
-        "[study] reference_l = 70",
-        "n + L = 73 exceeds the exact-arithmetic bound 64",
+    "misc-map": (
+        CONFIG_FILES["docs/examples/misc-synthetic.cfg"]
+        + "sample_gamma = 0.001\nsample_kappa = 0.001\n",
+        "[run] l_max = 14",
+        "level map ceil(1.0 * exp(l / (0.001 + 0.001))) is not a finite float at level 13",
     ),
     "rates-map": (
         re.sub(r"(?m)^(gamma|beta) = .*", r"\1 = 0.001, 0.001", CONFIG_FILES["docs/examples/rates.cfg"]),
@@ -709,13 +690,12 @@ class TestCliRuns:
         path.write_text(text)
         return str(path)
 
-    @pytest.mark.parametrize("name", ["rsr", "ouu", "misc-sine"])
+    @pytest.mark.parametrize("name", ["rsr", "ouu"])
     def test_reference_l_inside_the_study_is_refused(self, tmp_path, capsys, name):
         # Every pipeline that reads [study] reference_l: at l_max the
         # reference would be a row of the study itself.
-        base = CONFIGS[name].replace("reference_l = 6\n", "")
-        text = base + "[study]\nreference_l = {}\n"
-        l_max = parse_config(base).l_max
+        text = CONFIGS[name] + "[study]\nreference_l = {}\n"
+        l_max = parse_config(CONFIGS[name]).l_max
         line = len(text.splitlines())
         inside = tmp_path / "inside"
         assert main(["--config", self.write(tmp_path, text.format(l_max)), "--out", str(inside)]) == 2
@@ -728,6 +708,30 @@ class TestCliRuns:
         cfg = self.write(tmp_path, text.format(l_max + 1))
         assert main(["--config", cfg, "--out", above, "--quiet"]) == 0
         assert sorted(os.listdir(above))[-2:] == ["slope.txt", "study.csv"]
+
+    def test_sine_product_misc_is_measured_against_its_exact_mean(self, monkeypatch):
+        # prod_j sin(2 pi x_j) has mean 0 over the unit cube, so the run
+        # estimates no reference: one estimate per row, and each row's
+        # solves are those of the estimates up to it.
+        estimated = []
+        estimate = SmolyakEngine.estimate
+
+        def counted(engine, L):
+            estimated.append(L)
+            return estimate(engine, L)
+
+        config = parse_config(MISC_SINE_CONFIG)
+        monkeypatch.setattr(SmolyakEngine, "estimate", counted)
+        rows = run_study(config, config.seed).rows
+        monkeypatch.undo()
+        assert estimated == [row["L"] for row in rows] == [2, 3, 4]
+        *quads, sample = run_plan(config.pipeline, config.sections).factors
+        engine = SmolyakEngine(build_expectation_problem(quads, sample))
+        for row in rows:
+            value, ledger = engine.estimate(row["L"])
+            assert row["error_l2"] == row["error_linf"] == abs(value)
+            assert row["work_units"] == ledger.total_work
+            assert row["pde_solves"] == sample.solve_count
 
     @pytest.mark.parametrize("name", UNREACHABLE)
     def test_unreachable_threshold_is_a_config_error(self, tmp_path, capsys, name):
@@ -763,7 +767,7 @@ class TestCliRuns:
         assert "Traceback" not in err
         assert os.listdir(out) == ["manifest.txt"]
 
-    @pytest.mark.parametrize("pipeline", ["rsr", "ouu", "misc"])
+    @pytest.mark.parametrize("pipeline", ["rsr", "ouu"])
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_any_reference_l_parses_or_names_its_line(self, pipeline, data):
@@ -1189,3 +1193,61 @@ class TestCliRuns:
         rows = (tmp_path / "interp" / "study.csv").read_text().splitlines()[1:]
         errors = [float(r.split(",")[3]) for r in rows]
         assert all(b < a for a, b in zip(errors, errors[1:]))
+
+
+def run_cli_child(*argv):
+    """Run the command line in a child process, as a shell runs it."""
+    return subprocess.run(
+        [sys.executable, "-m", "kernelkit.cli", *argv, "--quiet"],
+        env=dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src")),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+class TestCliExitPathsInChild:
+    """Each exit path as a shell sees it: the exit code, one stderr line and
+    no traceback, and exactly the files the path leaves behind."""
+
+    def test_failed_run_leaves_only_the_manifest(self, tmp_path):
+        # At beta = 60 every error of the rates study is exactly 0.0, so the
+        # slope fit fails.
+        with open(os.path.join(ROOT, "docs", "examples", "rates.cfg")) as handle:
+            text = re.sub(r"(?m)^beta = .*", "beta = 60, 60", handle.read())
+        cfg = tmp_path / "flat.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "flat"
+        result = run_cli_child("--config", str(cfg), "--out", str(out))
+        assert result.returncode == 1
+        assert result.stderr.startswith("numerical failure:")
+        assert len(result.stderr.splitlines()) == 1
+        assert "Traceback" not in result.stderr
+        assert os.listdir(out) == ["manifest.txt"]
+
+    def test_unusable_output_path_is_a_configuration_error(self, tmp_path):
+        # --out names an existing file, which is left alone.
+        taken = tmp_path / "taken"
+        taken.write_text("taken\n")
+        cfg = os.path.join(ROOT, "docs", "examples", "rates.cfg")
+        result = run_cli_child("--config", cfg, "--out", str(taken))
+        assert result.returncode == 2
+        assert result.stderr.startswith("configuration error:")
+        assert len(result.stderr.splitlines()) == 1
+        assert "Traceback" not in result.stderr
+        assert taken.read_text() == "taken\n"
+
+    def test_unread_key_is_a_configuration_error(self, tmp_path):
+        # rsr reads no [pde] level_min (fem-check's level range).
+        with open(os.path.join(ROOT, "docs", "examples", "rsr-bump.cfg")) as handle:
+            text = handle.read() + "[pde]\nlevel_min = 3\n"
+        cfg = tmp_path / "unread.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "unread"
+        result = run_cli_child("--config", str(cfg), "--out", str(out))
+        assert result.returncode == 2
+        line = len(text.splitlines())
+        assert result.stderr.startswith(f"configuration error: line {line}: [pde] level_min ")
+        assert len(result.stderr.splitlines()) == 1
+        assert "Traceback" not in result.stderr
+        assert not out.exists()

@@ -58,7 +58,7 @@ def surface_estimate(interp_factors, sample, L):
 class TestMultilevelExpectation:
     def test_study_errors_are_the_engine_estimates(self):
         quad, sample = parabola_factors()
-        rows = expectation_study([quad], sample, range(2, 7), reference=1.0 / 3.0)
+        rows = expectation_study([quad], sample, range(2, 7), 1.0 / 3.0)
         quad, sample = parabola_factors()
         engine = SmolyakEngine(build_expectation_problem([quad], sample))
         for row in rows:
@@ -107,7 +107,7 @@ class TestMultilevelExpectation:
     def test_synthetic_error_slope(self):
         quad, sample = parabola_factors()
         pred = predicted_rates([quad.spec, sample.spec])
-        rows = expectation_study([quad], sample, range(2, 15), reference=1.0 / 3.0)
+        rows = expectation_study([quad], sample, range(2, 15), 1.0 / 3.0)
         slope = fit_loglog_slope(
             [(r["work_units"], r["error_l2"]) for r in rows], window=0.5
         )
@@ -436,7 +436,7 @@ class TestDeterminism:
 
 
 class TestPdeSolvesColumn:
-    def test_expectation_study_counts_are_cumulative_and_include_reference(self):
+    def test_expectation_study_counts_are_cumulative(self):
         from kernelkit.smolyak import FactorSpec
         from kernelkit.uq import SampleFactor
 
@@ -451,20 +451,18 @@ class TestPdeSolvesColumn:
             return quad, SampleFactor(FactorSpec(gamma=1.0, beta=1.0), evaluate_one)
 
         quad, sample = factors()
-        rows = expectation_study([quad], sample, range(2, 6), reference_L=7)
+        rows = expectation_study([quad], sample, range(2, 6), 1.0 / 3.0)
         assert len(set(calls)) == len(calls) == rows[-1]["pde_solves"]
-        # Replay: the reference at L = 7 first, then the rows in order; each
-        # row reports every distinct solve made so far.
+        # Replay: the rows in order, each reporting every distinct solve
+        # made so far.
         quad, sample = factors()
         engine = SmolyakEngine(build_expectation_problem([quad], sample))
-        engine.estimate(7)
-        reference_only = sample.solve_count
         expected = []
         for L in range(2, 6):
             engine.estimate(L)
             expected.append(sample.solve_count)
         assert [r["pde_solves"] for r in rows] == expected
-        assert reference_only <= expected[0] <= expected[-1]
+        assert expected == sorted(expected) and expected[0] < expected[-1]
 
     def test_ouu_study_counts_are_cumulative_over_replications(self):
         calls = []
@@ -930,9 +928,9 @@ class TestStudyWiring:
         assert [L for _, L in estimate_log] == [6, 2, 3, 4]
         assert len({id(engine) for engine, _ in estimate_log}) == 1
 
-    def test_expectation_study_with_exact_reference_makes_no_reference(self, estimate_log):
+    def test_expectation_study_estimates_each_threshold_once(self, estimate_log):
         quad, sample = parabola_factors()
-        expectation_study([quad], sample, [2, 3, 4], reference=1.0 / 3.0, reference_L=9)
+        expectation_study([quad], sample, [4, 2, 3], 1.0 / 3.0)
         assert [L for _, L in estimate_log] == [2, 3, 4]
 
     def test_ouu_study_runs_reference_stream_then_replications_inside_L(
