@@ -152,8 +152,10 @@ def _run_interp(config: RunConfig, plan: RunPlan, seed: int) -> _Study:
 def _run_misc(config: RunConfig, plan: RunPlan, seed: int) -> _Study:
     *quads, sample = plan.factors
     m = config.section("misc")
-    # Each sin(2 pi x_j) integrates to 0 over [0, 1], and the bias 1/N tends to 0.
-    mean = m["blocks"] / 3.0 if m["integrand"] == "parabola" else 0.0
+    # Each x_j**2 integrates to 1/3 and each sin(2 pi x_j) to 0 over [0, 1],
+    # and the bias 1/N tends to 0.
+    coordinates = sum(q.dim for q in quads)
+    mean = coordinates / 3.0 if m["integrand"] == "parabola" else 0.0
     rows = expectation_study(quads, sample, plan.rows, mean)
     series = [(r["work_units"], r["error_l2"]) for r in rows]
     return _Study(["L", "work_units", "pde_solves", "error_l2", "error_linf"], rows, series)

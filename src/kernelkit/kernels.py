@@ -67,9 +67,10 @@ from functools import cached_property, lru_cache, partial
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
-from scipy.linalg.lapack import dgbcon, dgbtrf, dgbtrs
+import numpy.polynomial  # noqa: F401 - leggauss and packets' polyval, loaded at import
+from numpy.linalg import LinAlgError
 
+from kernelkit.lapack import cho_factor, cho_solve, dgbcon, dgbtrf, dgbtrs
 from kernelkit.points import Box, PointSet, _distance_blocks, distinct_rows
 from kernelkit.points import tensor_grid, tensor_weights
 from kernelkit.surrogate import KernelExpansion, PacketExpansion, PacketGrid, Surrogate

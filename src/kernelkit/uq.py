@@ -92,10 +92,12 @@ def random_points(domain: Domain, count: int, seed: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuadratureFactor:
-    """A family of quadrature rules indexed by node count."""
+    """A family of quadrature rules indexed by node count, on ``dim``
+    coordinates."""
 
     spec: FactorSpec
     rule: Callable[[int], tuple[np.ndarray, np.ndarray]]
+    dim: int
 
 
 def midpoint_quadrature_factor(beta: float = 2.0) -> QuadratureFactor:
@@ -107,7 +109,7 @@ def midpoint_quadrature_factor(beta: float = 2.0) -> QuadratureFactor:
         return pts, np.full(count, 1.0 / count)
 
     return QuadratureFactor(
-        spec=FactorSpec(gamma=1.0, beta=beta, label="midpoint"), rule=rule
+        spec=FactorSpec(gamma=1.0, beta=beta, label="midpoint"), rule=rule, dim=1
     )
 
 
@@ -130,7 +132,7 @@ def kernel_quadrature_factor(
         built = cache[count]
         return built.nodes.points, built.weights
 
-    return QuadratureFactor(spec=spec, rule=rule)
+    return QuadratureFactor(spec=spec, rule=rule, dim=domain.dim)
 
 
 class SampleFactor:

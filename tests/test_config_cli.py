@@ -733,6 +733,16 @@ class TestCliRuns:
             assert row["work_units"] == ledger.total_work
             assert row["pde_solves"] == sample.solve_count
 
+    def test_parabola_misc_is_measured_against_the_mean_of_every_coordinate(self):
+        # sum(x**2) over one block of d = 2 coordinates has mean 2/3.  Measured
+        # against blocks / 3 the error levelled off near 1/3 (0.81 at L = 3,
+        # 0.38 at L = 7).
+        text = MISC_KERNEL_CONFIG.replace("l_min = 2\nl_max = 4", "l_min = 3\nl_max = 7")
+        config = parse_config(text + "[kernel]\nd = 2\n")
+        errors = [row["error_l2"] for row in run_study(config, config.seed).rows]
+        assert all(later < earlier for earlier, later in zip(errors, errors[1:])), errors
+        assert errors[-1] < 0.1, errors
+
     @pytest.mark.parametrize("name", UNREACHABLE)
     def test_unreachable_threshold_is_a_config_error(self, tmp_path, capsys, name):
         text, key, reason = UNREACHABLE[name]

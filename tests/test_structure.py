@@ -7,6 +7,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SOURCE = ROOT / "src" / "kernelkit"
 
@@ -62,14 +64,91 @@ def test_each_ouu_unit_of_work_happens_once(tmp_path):
     # factors each of its 7 dense node sets once, draws each of its 991
     # fields once and factors the field covariance once.  Each of its 6
     # pipelines solves one plan, and no tuple outside it.
+    done = run_child(_OUU_COUNTS, str(tmp_path / "once"))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "12618 1995 7 991 1 6\n"
+
+
+# No library module imports scipy.sparse, at any depth of its code.  The
+# generic engine, kernelkit.smolyak, imports without any scipy module, and
+# the CLI loads neither scipy.spatial, scipy.sparse and scipy.special nor
+# the scipy.linalg package and scipy._lib._util, which it would load with
+# scipy.linalg's __init__.  Then the interp and rsr-bump examples run in
+# the same process; their packet and series tables are rounded from integer
+# ratios, so neither loads fractions or decimal.
+_SCIPY_IMPORTS = """
+import ast, pathlib, sys
+sparse = []
+for path in sorted(pathlib.Path('src/kernelkit').glob('*.py')):
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ''
+            names = [module] + [f'{module}.{alias.name}' for alias in node.names]
+        else:
+            continue
+        if any(name == 'scipy.sparse' or name.startswith('scipy.sparse.') for name in names):
+            sparse.append(f'{path}:{node.lineno}')
+if sparse:
+    sys.exit('scipy.sparse imported at ' + ', '.join(sparse))
+import kernelkit.smolyak
+loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')
+if loaded:
+    sys.exit('import kernelkit.smolyak loads ' + ', '.join(loaded))
+import kernelkit.cli
+loaded = sorted(
+    m for m in sys.modules
+    if m.startswith(('scipy.spatial', 'scipy.sparse', 'scipy.special'))
+    or m in ('scipy.linalg', 'scipy._lib._util')
+)
+if loaded:
+    sys.exit('import kernelkit.cli loads ' + ', '.join(loaded))
+for name in ('interp', 'rsr-bump'):
+    argv = ['--config', f'docs/examples/{name}.cfg', '--out', f'{sys.argv[1]}/{name}', '--quiet']
+    if kernelkit.cli.main(argv):
+        sys.exit(f'docs/examples/{name}.cfg failed')
+loaded = sorted(m for m in ('fractions', 'decimal') if m in sys.modules)
+sys.exit('the interp and rsr-bump examples load ' + ', '.join(loaded) if loaded else 0)
+"""
+
+# Imports the CLI and parses a config, then prints the modules that the run
+# itself imports.
+_RUN_IMPORTS = """
+import sys
+import kernelkit.cli
+from kernelkit.config import parse_config_file
+parse_config_file(sys.argv[1])
+before = set(sys.modules)
+code = kernelkit.cli.main(['--config', sys.argv[1], '--out', sys.argv[2], '--quiet'])
+print(*sorted(set(sys.modules) - before))
+sys.exit(code)
+"""
+
+
+def run_child(script, *argv):
+    """``python -c script *argv`` with the library on the path, from the root."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    done = subprocess.run(
-        [sys.executable, "-c", _OUU_COUNTS, str(tmp_path / "once")],
+    return subprocess.run(
+        [sys.executable, "-c", script, *argv],
         cwd=ROOT,
         env=env,
         capture_output=True,
         text=True,
         timeout=300,
     )
+
+
+def test_cli_loads_no_scipy_package_beyond_the_compiled_wrappers(tmp_path):
+    done = run_child(_SCIPY_IMPORTS, str(tmp_path))
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "12618 1995 7 991 1 6\n"
+
+
+@pytest.mark.parametrize("name", ["interp", "rsr-bump", "ouu-advection"])
+def test_a_run_imports_only_the_lazy_modules(tmp_path, name):
+    # Every module a run needs is imported with the CLI, so its cost stays
+    # in start-up; only kernelkit.packets, which only packet-grid fits use,
+    # loads on first use.
+    done = run_child(_RUN_IMPORTS, f"docs/examples/{name}.cfg", str(tmp_path / name))
+    assert done.returncode == 0, done.stderr
+    assert set(done.stdout.split()) <= {"kernelkit.packets"}, done.stdout

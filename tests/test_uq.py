@@ -92,7 +92,7 @@ class TestMultilevelExpectation:
         from kernelkit.smolyak import FactorSpec
         from kernelkit.uq import QuadratureFactor, SampleFactor
 
-        quad = QuadratureFactor(spec=FactorSpec(gamma=1.0, beta=2.0), rule=rule)
+        quad = QuadratureFactor(spec=FactorSpec(gamma=1.0, beta=2.0), rule=rule, dim=1)
         cap = level_to_resolution(FactorSpec(gamma=1.0, beta=1.0), 2)
 
         def evaluate_one(point, resolution):
