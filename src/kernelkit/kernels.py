@@ -67,7 +67,6 @@ from functools import cached_property, lru_cache, partial
 from typing import Callable, Sequence
 
 import numpy as np
-import numpy.polynomial  # noqa: F401 - leggauss and packets' polyval, loaded at import
 from numpy.linalg import LinAlgError
 
 from kernelkit.lapack import cho_factor, cho_solve, dgbcon, dgbtrf, dgbtrs
@@ -510,7 +509,7 @@ def _solve_spd(kernel: TensorKernel, nodes: PointSet, rhs: np.ndarray) -> np.nda
         (kernel, nodes.points.tobytes()), partial(_factor_gram, kernel, nodes)
     )
     # cho_factor checked the factor, and the refinement solves reuse it.
-    solve = partial(cho_solve, (factor, True), check_finite=False)
+    solve = partial(cho_solve, factor)
     return _refine(solve, gram.__matmul__, rhs, nodes)
 
 
@@ -526,7 +525,7 @@ def _factor_gram(kernel: TensorKernel, nodes: PointSet):
         # place.
         shifted = gram.copy()
         shifted.flat[:: count + 1] += jitter
-        return cho_factor(shifted.T, lower=True, overwrite_a=True)[0]
+        return cho_factor(shifted.T)
 
     factor = _smallest_shift(factor_shifted, np.trace(gram) / count, nodes)
     gram.setflags(write=False)

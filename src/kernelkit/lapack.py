@@ -5,11 +5,26 @@ Only scipy's f2py wrappers are loaded (``scipy.linalg._flapack`` and
 ``scipy.linalg`` package itself, whose ``__init__`` pulls in scipy's
 array-API layer, ``numpy.testing`` and ``unittest``, never runs.  If scipy
 has already loaded a wrapper, that module is taken; a wrapper loaded here
-enters ``sys.modules`` under its full name, so a later ``import
-scipy.linalg`` takes it too and each is loaded once.  :func:`cho_factor`
-and :func:`cho_solve` are the float64 cases of ``scipy.linalg``'s
-functions, over ``dpotrf`` and ``dpotrs``, with the same checks and
-exceptions.
+is entered in ``sys.modules`` under its full name before it runs, so a
+later ``import scipy.linalg`` takes it too and each is loaded once.
+:func:`cho_factor` and :func:`cho_solve` are the one case of
+``scipy.linalg``'s functions the library uses, over ``dpotrf`` and
+``dpotrs``, with the same checks and exceptions.
+
+Importing ``scipy.linalg`` also did two things a run relies on, which are
+done here instead, at import, so their cost stays in start-up:
+
+* it loaded three numpy submodules that numpy otherwise loads on first
+  use: ``numpy.ma`` (every plain ``np.unique`` call reads
+  ``np.ma.is_masked``), ``numpy.polynomial`` (``leggauss`` and
+  ``packets``' ``polyval``) and ``numpy.random`` (``pde``'s generators);
+* it freed a mapped block, which raised glibc malloc's mmap threshold
+  (128 KiB at start; freeing a mapped block raises it to that block's
+  size).  Below the threshold a run's arrays are reused from the heap;
+  above it each is mapped afresh and its pages faulted in again.  One
+  1 MiB array, never touched, is allocated and freed here for that:
+  measured on an ``interp`` run, about 800 minor page faults instead of
+  1,450, where one with ``scipy.linalg`` took 950-1,350.
 """
 
 from __future__ import annotations
@@ -20,7 +35,12 @@ import os
 import sys
 
 import numpy as np
+import numpy.ma  # noqa: F401
+import numpy.polynomial  # noqa: F401
+import numpy.random  # noqa: F401
 import scipy
+
+np.empty(1 << 17)
 
 
 def _wrapper(name: str):
@@ -34,6 +54,7 @@ def _wrapper(name: str):
     if spec is None:
         raise ImportError(f"scipy {scipy.__version__} has no compiled wrapper {full}")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[full] = module
     spec.loader.exec_module(module)
     return module
 
@@ -45,34 +66,32 @@ dpbsv, dpotrf, dpotrs = _flapack.dpbsv, _flapack.dpotrf, _flapack.dpotrs
 dtrmm = _fblas.dtrmm
 
 
-def cho_factor(a, lower=False, overwrite_a=False):
-    """``(c, lower)``: the Cholesky factor of the square matrix ``a`` in
-    the ``lower`` or upper triangle of ``c`` (``dpotrf``, the other
-    triangle left as it was).  Raises ValueError for a non-finite or
-    non-square ``a``, LinAlgError when ``a`` is not positive definite."""
+def cho_factor(a):
+    """The lower Cholesky factor of the square matrix ``a``, written over
+    ``a``'s lower triangle when ``a`` is a Fortran-ordered float64 array
+    (``dpotrf``; the upper triangle is left as it was).  Raises ValueError
+    for a non-finite or non-square ``a``, LinAlgError when ``a`` is not
+    positive definite."""
     a1 = np.atleast_2d(np.asarray_chkfinite(a))
     if a1.ndim != 2 or a1.shape[0] != a1.shape[1]:
         raise ValueError(f"Input array is expected to be square 2-D but has the shape: {a1.shape}.")
-    c, info = dpotrf(a1, lower=lower, overwrite_a=overwrite_a, clean=0)
+    c, info = dpotrf(a1, lower=1, overwrite_a=1, clean=0)
     if info > 0:
         raise np.linalg.LinAlgError(f"{info}-th leading minor of the array is not positive definite")
     if info < 0:
         raise ValueError(f'LAPACK reported an illegal value in {-info}-th argument on entry to "POTRF".')
-    return c, lower
+    return c
 
 
-def cho_solve(c_and_lower, b, check_finite=True):
-    """``x`` with ``A x = b``, from :func:`cho_factor`'s ``(c, lower)`` of
-    ``A`` (``dpotrs``).  Raises ValueError for a non-finite (when
-    ``check_finite``), non-square or mismatched input."""
-    c, lower = c_and_lower
-    convert = np.asarray_chkfinite if check_finite else np.asarray
-    b1, c = convert(b), convert(c)
+def cho_solve(c, b):
+    """``x`` with ``A x = b``, from :func:`cho_factor`'s lower factor ``c``
+    of ``A`` (``dpotrs``).  Raises ValueError for a non-square or
+    mismatched input."""
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         raise ValueError("The factored matrix c is not square.")
-    if c.shape[1] != b1.shape[0]:
-        raise ValueError(f"incompatible dimensions ({c.shape} and {b1.shape})")
-    x, info = dpotrs(c, b1, lower=lower)
+    if c.shape[1] != b.shape[0]:
+        raise ValueError(f"incompatible dimensions ({c.shape} and {b.shape})")
+    x, info = dpotrs(c, b, lower=1)
     if info != 0:
         raise ValueError(f"illegal value in {-info}th argument of internal potrs")
     return x

@@ -39,7 +39,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import numpy.polynomial  # noqa: F401 - polyval, loaded at import
 
 from kernelkit.kernels import MaternKernel, _half_integer_polynomial, _packet_order
 

@@ -53,8 +53,6 @@ from dataclasses import field as dataclass_field
 from functools import cached_property, lru_cache
 
 import numpy as np
-import numpy.ma  # noqa: F401 - np.unique reads np.ma.is_masked; loaded at import, not in a run
-import numpy.random  # noqa: F401 - philox_generator's, loaded at import
 
 from kernelkit.lapack import dgbsv, dpbsv, dpotrf, dtrmm
 from kernelkit.points import Box

@@ -27,7 +27,6 @@ from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-import numpy.ma  # noqa: F401 - np.unique reads np.ma.is_masked; loaded at import, not in a run
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
 _CONTAIN_TOL = 1e-12

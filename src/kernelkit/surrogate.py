@@ -47,7 +47,6 @@ from functools import cached_property, reduce
 from typing import Any, NamedTuple, Sequence
 
 import numpy as np
-import numpy.ma  # noqa: F401 - np.unique reads np.ma.is_masked; loaded at import, not in a run
 
 from kernelkit.points import PointSet, distinct_rows
 

@@ -1,5 +1,10 @@
 """kernelkit.lapack against scipy.linalg: the same bits and the same errors."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -64,16 +69,15 @@ def test_triangular_product_matches_scipy(rng, spd):
     same(lapack.dtrmm(1.0, factor, block, lower=1), blas.dtrmm(1.0, factor, block, lower=1))
 
 
-@pytest.mark.parametrize("lower", [True, False])
-def test_cholesky_pair_matches_scipy(rng, spd, lower):
+def test_cholesky_pair_matches_scipy(rng, spd):
     rhs = rng.standard_normal(N)
-    factored = lapack.cho_factor(spd, lower=lower)
-    same(factored, scipy.linalg.cho_factor(spd, lower=lower))
-    same(lapack.cho_solve(factored, rhs), scipy.linalg.cho_solve(factored, rhs))
-    same(
-        lapack.cho_solve(factored, rhs[:, None], check_finite=False),
-        scipy.linalg.cho_solve(factored, rhs[:, None], check_finite=False),
-    )
+    # Both factor a Fortran-ordered copy in place, in its lower triangle.
+    ours, theirs = np.asfortranarray(spd), np.asfortranarray(spd)
+    factor = lapack.cho_factor(ours)
+    same(factor, scipy.linalg.cho_factor(theirs, lower=True, overwrite_a=True)[0])
+    assert factor is ours
+    for b in (rhs, rhs[:, None]):
+        same(lapack.cho_solve(factor, b), scipy.linalg.cho_solve((factor, True), b, check_finite=False))
 
 
 def test_cholesky_pair_raises_as_scipy(spd):
@@ -81,20 +85,30 @@ def test_cholesky_pair_raises_as_scipy(spd):
     nan[0, 0] = np.nan
     indefinite = spd.copy()
     indefinite[N - 1, N - 1] = -1.0
-    factored = lapack.cho_factor(spd, lower=True)
+    factor = lapack.cho_factor(spd.copy(order="F"))
     cases = [
-        ("cho_factor", (nan,), ValueError),
-        ("cho_factor", (spd[:, :-1],), ValueError),
-        ("cho_factor", (indefinite,), np.linalg.LinAlgError),
-        ("cho_solve", ((nan, True), np.ones(N)), ValueError),
-        ("cho_solve", (factored, np.full(N, np.nan)), ValueError),
-        ("cho_solve", ((spd[:, :-1], True), np.ones(N)), ValueError),
-        ("cho_solve", (factored, np.ones(N + 1)), ValueError),
+        (lapack.cho_factor, (nan,), scipy.linalg.cho_factor, (nan,), ValueError),
+        (lapack.cho_factor, (spd[:, :-1],), scipy.linalg.cho_factor, (spd[:, :-1],), ValueError),
+        (
+            lapack.cho_factor, (indefinite.copy(),),
+            scipy.linalg.cho_factor, (indefinite.copy(),),
+            np.linalg.LinAlgError,
+        ),
+        (
+            lapack.cho_solve, (spd[:, :-1], np.ones(N)),
+            scipy.linalg.cho_solve, ((spd[:, :-1], True), np.ones(N)),
+            ValueError,
+        ),
+        (
+            lapack.cho_solve, (factor, np.ones(N + 1)),
+            scipy.linalg.cho_solve, ((factor, True), np.ones(N + 1)),
+            ValueError,
+        ),
     ]
-    for name, args, error in cases:
+    for ours, our_args, theirs, their_args, error in cases:
         # LinAlgError is a ValueError, so the types are compared exactly.
-        ours = raised(getattr(lapack, name), args)
-        assert ours is raised(getattr(scipy.linalg, name), args) is error, (name, ours)
+        got = raised(ours, our_args)
+        assert got is raised(theirs, their_args) is error, (ours.__name__, got)
 
 
 def raised(function, args):
@@ -109,3 +123,15 @@ def raised(function, args):
 def test_a_missing_wrapper_names_the_scipy_version():
     with pytest.raises(ImportError, match=f"scipy {scipy.__version__} has no compiled wrapper"):
         lapack._wrapper("_no_such_wrapper")
+
+
+def test_a_later_scipy_linalg_takes_the_loaded_wrappers():
+    # An extension module loaded twice would be two module objects.
+    script = (
+        "import kernelkit.lapack as ours\n"
+        "from scipy.linalg import blas, lapack\n"
+        "assert lapack._flapack is ours._flapack and blas._fblas is ours._fblas\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(__file__).parents[1] / "src")}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
