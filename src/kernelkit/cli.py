@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import locale  # noqa: F401 - argparse's messages import it through gettext; loaded at start-up
 import math
 import os
 import sys

@@ -1,30 +1,26 @@
 """The compiled LAPACK and BLAS routines the library calls, from scipy.
 
 Only scipy's f2py wrappers are loaded (``scipy.linalg._flapack`` and
-``_fblas``), by an import spec found under ``scipy.__path__``, so the
-``scipy.linalg`` package itself, whose ``__init__`` pulls in scipy's
-array-API layer, ``numpy.testing`` and ``unittest``, never runs.  If scipy
-has already loaded a wrapper, that module is taken; a wrapper loaded here
-is entered in ``sys.modules`` under its full name before it runs, so a
-later ``import scipy.linalg`` takes it too and each is loaded once.
-:func:`cho_factor` and :func:`cho_solve` are the one case of
-``scipy.linalg``'s functions the library uses, over ``dpotrf`` and
-``dpotrs``, with the same checks and exceptions.
+``_fblas``), by an import spec found under scipy's package directory
+(``importlib.util.find_spec("scipy")``, which runs no scipy code), so
+neither the top-level ``scipy`` package nor ``scipy.linalg``, whose
+``__init__`` pulls in scipy's array-API layer, ``numpy.testing`` and
+``unittest``, ever runs.  If scipy has already loaded a wrapper, that
+module is taken; a wrapper loaded here is entered in ``sys.modules`` under
+its full name before it runs, so a later ``import scipy.linalg`` takes it
+too and each is loaded once.  :func:`cho_factor` and :func:`cho_solve` are
+the one case of ``scipy.linalg``'s functions the library uses, over
+``dpotrf`` and ``dpotrs``, with the same checks and exceptions.
 
-Importing ``scipy.linalg`` also did two things a run relies on, which are
-done here instead, at import, so their cost stays in start-up:
-
-* it loaded three numpy submodules that numpy otherwise loads on first
-  use: ``numpy.ma`` (every plain ``np.unique`` call reads
-  ``np.ma.is_masked``), ``numpy.polynomial`` (``leggauss`` and
-  ``packets``' ``polyval``) and ``numpy.random`` (``pde``'s generators);
-* it freed a mapped block, which raised glibc malloc's mmap threshold
-  (128 KiB at start; freeing a mapped block raises it to that block's
-  size).  Below the threshold a run's arrays are reused from the heap;
-  above it each is mapped afresh and its pages faulted in again.  One
-  1 MiB array, never touched, is allocated and freed here for that:
-  measured on an ``interp`` run, about 800 minor page faults instead of
-  1,450, where one with ``scipy.linalg`` took 950-1,350.
+Importing ``scipy.linalg`` also freed a mapped block, which raised glibc
+malloc's mmap threshold (128 KiB at start; freeing a mapped block raises
+it to that block's size).  Below the threshold a run's arrays are reused
+from the heap; above it each is mapped afresh and its pages faulted in
+again.  One 1 MiB array, never touched, is allocated and freed here at
+import for that, so its cost stays in start-up.  The numpy submodules
+that ``scipy`` loaded (``numpy.random``, ``numpy.ma``,
+``numpy.polynomial``) are not loaded here: a run that needs one loads it
+itself.
 """
 
 from __future__ import annotations
@@ -35,10 +31,6 @@ import os
 import sys
 
 import numpy as np
-import numpy.ma  # noqa: F401
-import numpy.polynomial  # noqa: F401
-import numpy.random  # noqa: F401
-import scipy
 
 np.empty(1 << 17)
 
@@ -49,10 +41,13 @@ def _wrapper(name: str):
     full = f"scipy.linalg.{name}"
     if full in sys.modules:
         return sys.modules[full]
-    path = [os.path.join(entry, "linalg") for entry in scipy.__path__]
+    package = importlib.util.find_spec("scipy").submodule_search_locations
+    path = [os.path.join(entry, "linalg") for entry in package]
     spec = importlib.machinery.PathFinder.find_spec(full, path)
     if spec is None:
-        raise ImportError(f"scipy {scipy.__version__} has no compiled wrapper {full}")
+        from importlib.metadata import version
+
+        raise ImportError(f"scipy {version('scipy')} has no compiled wrapper {full}")
     module = importlib.util.module_from_spec(spec)
     sys.modules[full] = module
     spec.loader.exec_module(module)

@@ -191,7 +191,7 @@ def _packet_basis(kernel: MaternKernel, points: np.ndarray) -> "_FactorBasis":
     weights = coefficients[rows] * kernel._half_integer_constant
     q = kernel._half_integer_coefficients[::-1]
     with np.errstate(over="ignore", invalid="ignore"):
-        direct = np.polynomial.polynomial.polyval(distance, q)
+        direct = _polyval(distance, q)
         direct *= weights
         direct *= np.exp(-distance)
         odd = _odd_profile(distance, q)
@@ -277,6 +277,16 @@ def _packet_ends(kernel: MaternKernel, u: np.ndarray, values: np.ndarray) -> np.
     return ends.transpose(0, 2, 1)
 
 
+def _polyval(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """``np.polynomial.polynomial.polyval(x, c)`` bit for bit, by its own
+    operations in its order (Horner's rule, ``c`` lowest power first),
+    without loading ``numpy.polynomial``."""
+    out = c[-1] + x * 0
+    for a in c[-2::-1]:
+        out = a + out * x
+    return out
+
+
 def _odd_profile(d: np.ndarray, q: np.ndarray) -> np.ndarray:
     """``psi(d) - psi(-d)`` for ``d >= 0``, with ``psi(s) = q(s) exp(-s)``
     the order ``m + 1/2`` profile without its constant, ``q`` of degree
@@ -299,8 +309,7 @@ def _odd_profile(d: np.ndarray, q: np.ndarray) -> np.ndarray:
     out = np.empty_like(d)
     out[near] = series
     large = d[~near]
-    polyval = np.polynomial.polynomial.polyval
-    out[~near] = polyval(large, q) * np.exp(-large) - polyval(-large, q) * np.exp(large)
+    out[~near] = _polyval(large, q) * np.exp(-large) - _polyval(-large, q) * np.exp(large)
     return out
 
 

@@ -491,7 +491,7 @@ class AdvectionOperator:
             for d in range(2)
         )
         ub = np.zeros(n)
-        boundary_ids = np.unique(edges)
+        boundary_ids = np.flatnonzero(np.bincount(edges.ravel()))
         ub[boundary_ids] = problem.boundary_values(mesh.nodes[boundary_ids])
         self._edge_rhs = ub[edges] @ mass.T
         self.load = mesh.load(problem.source(mesh.centroids))
@@ -650,10 +650,46 @@ def _checked_velocity(velocity) -> tuple[float, float]:
 
 
 def philox_generator(seed: int, stream: int, draw: int = 0) -> np.random.Generator:
-    """Counter-based generator: a pure function of ``(seed, stream, draw)``."""
-    return np.random.Generator(
-        np.random.Philox(counter=[0, 0, draw, 0], key=[seed, stream])
-    )
+    """Counter-based generator: a pure function of ``(seed, stream, draw)``.
+
+    The key is built as a uint64 array, so every seed below ``2**64`` keys
+    its own stream (a list would reach numpy through float64)."""
+    key = np.array([seed, stream], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(counter=[0, 0, draw, 0], key=key))
+
+
+def philox_uniforms(seed: int, stream: int, start: int, shape, draw: int = 0) -> np.ndarray:
+    """Values ``start`` onwards of ``philox_generator(seed, stream,
+    draw).random``, bit for bit, as an array of ``shape``, computed by
+    uint64 array operations without loading ``numpy.random``.
+
+    Value ``i`` is ``(w >> 11) * 2**-53`` for the Philox4x64-10 word ``w``
+    in lane ``i % 4`` of the block keyed ``(seed, stream)`` at counter
+    ``[i // 4 + 1, 0, draw, 0]`` (the generator increments its counter
+    before each block; Salmon et al., SC'11).
+    """
+    count = math.prod(shape)
+    first = start // 4
+    counters = np.arange(first + 1, (start + count + 3) // 4 + 1, dtype=np.uint64)
+    # Counter words 0 and 2, and words 1 and 3, each pair one (2, blocks) array.
+    even = np.stack([counters, np.full_like(counters, draw)])
+    odd = np.zeros_like(even)
+    key = np.array([[seed], [stream]], dtype=np.uint64)
+    bump = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
+    multiplier = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
+    low, half = np.uint64(0xFFFFFFFF), np.uint64(32)
+    m_lo, m_hi = multiplier & low, multiplier >> half
+    for _ in range(10):
+        # The high words of the 128-bit products even * multiplier, from
+        # 32-bit halves; uint64 products wrap, so the low words are plain.
+        e_lo, e_hi = even & low, even >> half
+        cross, other = e_lo * m_hi, e_hi * m_lo
+        middle = (e_lo * m_lo >> half) + (cross & low) + (other & low)
+        high = e_hi * m_hi + (cross >> half) + (other >> half) + (middle >> half)
+        even, odd = high[::-1] ^ odd ^ key, (even * multiplier)[::-1]
+        key += bump
+    words = np.stack([even, odd], axis=1).reshape(4, -1).T.ravel()[start - 4 * first :][:count]
+    return ((words >> np.uint64(11)) * 2.0**-53).reshape(shape)
 
 
 @dataclass(frozen=True)

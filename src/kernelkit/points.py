@@ -246,8 +246,8 @@ def _has_repeated_rows(points: np.ndarray) -> bool:
     equal bytes (the points lie in a domain, so none is NaN).
     """
     rows = np.add(points, 0.0, order="C")
-    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
-    return len(np.unique(keys)) < len(keys)
+    keys = np.sort(rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel())
+    return bool((keys[1:] == keys[:-1]).any())
 
 
 def distinct_rows(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

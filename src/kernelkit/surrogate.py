@@ -110,7 +110,7 @@ class _ContractionPlan:
         np.maximum.at(width, tuple_of, node_rank + 1)
         position = np.empty_like(width)
         groups = []
-        for w in np.unique(width):
+        for w in np.flatnonzero(np.bincount(width)):
             members = np.flatnonzero(width == w)
             position[members] = np.arange(len(members))
             in_group = np.flatnonzero(width[tuple_of] == w)

@@ -61,7 +61,7 @@ from kernelkit.pde import (
     Mesh,
     cached_mesh,
     pde_resolution_map,
-    philox_generator,
+    philox_uniforms,
 )
 from kernelkit.points import Box, Disc, Domain, PointSet, generate_points
 from kernelkit.points import tensor_grid, tensor_weights
@@ -77,12 +77,13 @@ from kernelkit.surrogate import Surrogate
 
 def random_points(domain: Domain, count: int, seed: int) -> np.ndarray:
     """Deterministic pseudo-random evaluation points inside a domain, from
-    stream 101 of ``seed`` (:func:`~kernelkit.pde.philox_generator`)."""
-    rng = philox_generator(seed, 101)
+    the uniforms of stream 101 of ``seed``
+    (:func:`~kernelkit.pde.philox_uniforms`), taken in order."""
     if isinstance(domain, Box):
-        return domain.from_unit(rng.random((count, domain.dim)))
+        return domain.from_unit(philox_uniforms(seed, 101, 0, (count, domain.dim)))
     if isinstance(domain, Disc):
-        return domain.from_unit_stream(lambda _, k: rng.random((k, 2)), count)
+        draw = lambda start, k: philox_uniforms(seed, 101, 2 * start, (k, 2))  # noqa: E731
+        return domain.from_unit_stream(draw, count)
     raise TypeError(f"unsupported domain type {type(domain)!r}")
 
 

@@ -369,6 +369,22 @@ class TestSeriesTables:
             v = np.linspace(-largest, largest, 257)
             assert ulps(packets_module._taylor(basis, v), full_sum(basis, v)) <= 2
 
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    def test_polyval_matches_numpy_polynomial_bit_for_bit(self, m):
+        # The packets' profile polynomial, at the shapes the packets evaluate
+        # it on, and at infinite distances, where both give NaN (inf * 0).
+        q = MaternKernel(beta=m + 1.0, dim=1)._half_integer_coefficients[::-1]
+        rng = np.random.default_rng(m)
+        distances = [
+            rng.uniform(0.0, 40.0, (7, 3, 5)),
+            -rng.uniform(0.0, 40.0, 64),
+            np.array([0.0, -0.0, 1e-300, 700.0, np.inf, -np.inf, np.nan]),
+        ]
+        with np.errstate(invalid="ignore", over="ignore"):
+            for d in distances:
+                expected = np.polynomial.polynomial.polyval(d, q)
+                assert packets_module._polyval(d, q).tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("m", range(15))
     def test_half_integer_polynomial_matches_fractions_bit_for_bit(self, m):
         # The profile and the packets share this one table.

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from kernelkit.pde import (
     mesh_cells_for_resolution,
     pde_resolution_map,
     philox_generator,
+    philox_uniforms,
     solve_poisson_dirichlet,
     spatial_average,
 )
@@ -777,6 +779,33 @@ class TestGaussianField:
         assert np.array_equal(philox_generator(11, 2, draw=5).standard_normal(8), first)
         for other in ((12, 2, 5), (11, 3, 5), (11, 2, 6)):
             assert not np.array_equal(philox_generator(*other).standard_normal(8), first)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32, 2**63 - 1, 2**63, 2**64 - 1])
+    @pytest.mark.parametrize("stream", [0, 101])
+    @pytest.mark.parametrize("draw", [0, 5])
+    def test_philox_uniforms_are_the_generators_bit_for_bit(self, seed, stream, draw):
+        # Consecutive takes of lengths that are not multiples of 4, so they
+        # start and end inside a counter's block of four words.
+        generator = philox_generator(seed, stream, draw)
+        start = 0
+        for shape in [(3,), (5, 2), (1,), (0,), (7, 3), (4,)]:
+            expected = generator.random(shape)
+            got = philox_uniforms(seed, stream, start, shape, draw)
+            assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+            start += expected.size
+
+    def test_seeds_above_2_63_key_their_own_streams(self):
+        # Their keys are exact uint64 words, not rounded through float64,
+        # and the largest admitted seed keys its own stream without a
+        # warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            top = philox_generator(2**64 - 1, 0).random(4)
+            assert not np.array_equal(top, philox_generator(0, 0).random(4))
+            assert np.array_equal(philox_uniforms(2**64 - 1, 0, 0, (4,)), top)
+            for make in (lambda s: philox_generator(s, 101).random(4),
+                         lambda s: philox_uniforms(s, 101, 0, (4,))):
+                assert not np.array_equal(make(2**63), make(2**63 + 1))
 
     @staticmethod
     def broadcast_factor(cells, nugget):

@@ -58,6 +58,41 @@ def test_one_exponential_level_map():
     assert not outside, "math.exp outside smolyak.scaled_exponential_map: " + ", ".join(outside)
 
 
+# Philox4x64's two round multipliers and its two key increments (Salmon et
+# al., SC'11).
+_PHILOX_CONSTANTS = {
+    0xD2E7470EE14C6C93, 0xCA5A826395121157, 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
+}
+
+
+def test_one_counter_based_rng_helper():
+    # np.random.Philox is built only inside pde.philox_generator, and the
+    # Philox round constants appear only inside pde.philox_uniforms, which
+    # computes the same generator's uniforms without numpy.random.
+    built, constants, inside = [], [], set()
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        generator, uniforms = set(), set()
+        for node in ast.walk(tree):
+            if path.name == "pde.py" and getattr(node, "name", None) == "philox_generator":
+                generator.update(map(id, ast.walk(node)))
+            if path.name == "pde.py" and getattr(node, "name", None) == "philox_uniforms":
+                uniforms.update(map(id, ast.walk(node)))
+        for node in ast.walk(tree):
+            called = getattr(node, "func", None)
+            name = getattr(called, "attr", getattr(called, "id", None))
+            if isinstance(node, ast.Call) and name == "Philox" and id(node) not in generator:
+                built.append(f"{path.name}:{node.lineno}")
+            if isinstance(node, ast.Constant) and node.value in _PHILOX_CONSTANTS:
+                if id(node) in uniforms:
+                    inside.add(node.value)
+                else:
+                    constants.append(f"{path.name}:{node.lineno}")
+    assert not built, "np.random.Philox built outside pde.philox_generator: " + ", ".join(built)
+    assert not constants, "Philox constants outside pde.philox_uniforms: " + ", ".join(constants)
+    assert inside == _PHILOX_CONSTANTS, "pde.philox_uniforms does not hold the Philox constants"
+
+
 def test_each_ouu_unit_of_work_happens_once(tmp_path):
     # The ouu example makes 12,618 distinct solves, each one sample_qoi
     # call; it assembles each of its 1,995 (field draw, mesh) systems once,
@@ -73,9 +108,11 @@ def test_each_ouu_unit_of_work_happens_once(tmp_path):
 # generic engine, kernelkit.smolyak, imports without any scipy module, and
 # the CLI loads neither scipy.spatial, scipy.sparse and scipy.special nor
 # the scipy.linalg package and scipy._lib._util, which it would load with
-# scipy.linalg's __init__.  Then the interp and rsr-bump examples run in
-# the same process; their packet and series tables are rounded from integer
-# ratios, so neither loads fractions or decimal.
+# scipy.linalg's __init__.  Then the interp and rsr-bump examples are parsed
+# and run in the same process; their packet and series tables are rounded
+# from integer ratios, so neither loads fractions or decimal, and they call
+# no numpy.random, numpy.ma or numpy.polynomial code and load no top-level
+# scipy package.
 _SCIPY_IMPORTS = """
 import ast, pathlib, sys
 sparse = []
@@ -108,7 +145,8 @@ for name in ('interp', 'rsr-bump'):
     argv = ['--config', f'docs/examples/{name}.cfg', '--out', f'{sys.argv[1]}/{name}', '--quiet']
     if kernelkit.cli.main(argv):
         sys.exit(f'docs/examples/{name}.cfg failed')
-loaded = sorted(m for m in ('fractions', 'decimal') if m in sys.modules)
+unused = ('fractions', 'decimal', 'numpy.random', 'numpy.ma', 'numpy.polynomial', 'scipy')
+loaded = sorted(m for m in unused if m in sys.modules)
 sys.exit('the interp and rsr-bump examples load ' + ', '.join(loaded) if loaded else 0)
 """
 

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from kernelkit.kernels import MaternKernel, TensorKernel, fit_interpolant
-from kernelkit.pde import AdvectionDiffusionProblem, GaussianFieldSampler, Mesh, _field_factor
+from kernelkit.pde import (
+    AdvectionDiffusionProblem,
+    GaussianFieldSampler,
+    Mesh,
+    _field_factor,
+    philox_generator,
+)
 from kernelkit.points import Box, Disc, PointSet, generate_points
 from kernelkit.smolyak import (
     EvaluationError,
@@ -28,7 +34,6 @@ from kernelkit.uq import (
     minimize_objective,
     ouu_sample_specs,
     ouu_study,
-    philox_generator,
     random_points,
     surface_study,
     synthetic_bias_factor,
