@@ -17,10 +17,10 @@ malloc's mmap threshold (128 KiB at start; freeing a mapped block raises
 it to that block's size).  Below the threshold a run's arrays are reused
 from the heap; above it each is mapped afresh and its pages faulted in
 again.  One 1 MiB array, never touched, is allocated and freed here at
-import for that, so its cost stays in start-up.  The numpy submodules
-that ``scipy`` loaded (``numpy.random``, ``numpy.ma``,
-``numpy.polynomial``) are not loaded here: a run that needs one loads it
-itself.
+import for that, so its cost stays in start-up.  No numpy submodule is
+loaded here: ``numpy.random`` loads when an ``ouu`` run is planned (for
+its field draws), ``numpy.polynomial`` when kernel quadrature first calls
+``leggauss``, and no run calls ``numpy.ma`` code.
 """
 
 from __future__ import annotations

@@ -82,8 +82,9 @@ def random_points(domain: Domain, count: int, seed: int) -> np.ndarray:
     if isinstance(domain, Box):
         return domain.from_unit(philox_uniforms(seed, 101, 0, (count, domain.dim)))
     if isinstance(domain, Disc):
-        draw = lambda start, k: philox_uniforms(seed, 101, 2 * start, (k, 2))  # noqa: E731
-        return domain.from_unit_stream(draw, count)
+        return domain.from_unit_stream(
+            lambda start, k: philox_uniforms(seed, 101, 2 * start, (k, 2)), count
+        )
     raise TypeError(f"unsupported domain type {type(domain)!r}")
 
 
