@@ -401,10 +401,6 @@ def run_plan(pipeline: str, sections: dict[str, dict[str, Any]]) -> RunPlan | No
             )
         )
     else:
-        # The field draws take their normals from numpy.random, whose import
-        # is made here, at parse time, so its cost stays in start-up.
-        import numpy.random  # noqa: F401
-
         o = sections["ouu"]
         level_map = doubling_levels if o["level_map"] == "doubling" else None
         disc = Disc(center=(0.0, 0.0), radius=1.0)

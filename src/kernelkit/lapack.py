@@ -18,9 +18,10 @@ it to that block's size).  Below the threshold a run's arrays are reused
 from the heap; above it each is mapped afresh and its pages faulted in
 again.  One 1 MiB array, never touched, is allocated and freed here at
 import for that, so its cost stays in start-up.  No numpy submodule is
-loaded here: ``numpy.random`` loads when an ``ouu`` run is planned (for
-its field draws), ``numpy.polynomial`` when kernel quadrature first calls
-``leggauss``, and no run calls ``numpy.ma`` code.
+loaded here: ``numpy.random`` loads when an ``ouu`` run is planned
+(``uq.ouu_sample_specs``, for its field draws), ``numpy.polynomial``
+when kernel quadrature first calls ``leggauss``, and no run calls
+``numpy.ma`` code.
 """
 
 from __future__ import annotations

@@ -69,6 +69,9 @@ MAX_MESH_LEVEL = 8
 # Field draws computed together by one matrix product (see
 # GaussianFieldSampler); a block of the 1089-node reference grid is 279 kB.
 _DRAW_BLOCK = 32
+# Philox blocks (4 uniforms each) computed together by philox_uniforms; a
+# round's temporaries are (2, blocks) uint64 arrays, 64 kB each.
+_PHILOX_CHUNK = 4096
 # Covariance rows whose squared y-differences one temporary holds.
 _COVARIANCE_ROWS = 32
 
@@ -658,38 +661,44 @@ def philox_generator(seed: int, stream: int, draw: int = 0) -> np.random.Generat
     return np.random.Generator(np.random.Philox(counter=[0, 0, draw, 0], key=key))
 
 
-def philox_uniforms(seed: int, stream: int, start: int, shape, draw: int = 0) -> np.ndarray:
-    """Values ``start`` onwards of ``philox_generator(seed, stream,
-    draw).random``, bit for bit, as an array of ``shape``, computed by
-    uint64 array operations without loading ``numpy.random``.
+def philox_uniforms(seed: int, stream: int, start: int, shape) -> np.ndarray:
+    """Values ``start`` onwards of ``philox_generator(seed, stream).random``,
+    bit for bit, as an array of ``shape``, computed by uint64 array
+    operations without loading ``numpy.random``.
 
     Value ``i`` is ``(w >> 11) * 2**-53`` for the Philox4x64-10 word ``w``
     in lane ``i % 4`` of the block keyed ``(seed, stream)`` at counter
-    ``[i // 4 + 1, 0, draw, 0]`` (the generator increments its counter
-    before each block; Salmon et al., SC'11).
+    ``[i // 4 + 1, 0, 0, 0]`` (the generator increments its counter before
+    each block; Salmon et al., SC'11).  Blocks are computed
+    ``_PHILOX_CHUNK`` at a time, so the temporaries stay small beside the
+    output.
     """
     count = math.prod(shape)
-    first = start // 4
-    counters = np.arange(first + 1, (start + count + 3) // 4 + 1, dtype=np.uint64)
-    # Counter words 0 and 2, and words 1 and 3, each pair one (2, blocks) array.
-    even = np.stack([counters, np.full_like(counters, draw)])
-    odd = np.zeros_like(even)
-    key = np.array([[seed], [stream]], dtype=np.uint64)
+    first, last = start // 4, (start + count + 3) // 4
+    out = np.empty(4 * (last - first))
     bump = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
     multiplier = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
     low, half = np.uint64(0xFFFFFFFF), np.uint64(32)
     m_lo, m_hi = multiplier & low, multiplier >> half
-    for _ in range(10):
-        # The high words of the 128-bit products even * multiplier, from
-        # 32-bit halves; uint64 products wrap, so the low words are plain.
-        e_lo, e_hi = even & low, even >> half
-        cross, other = e_lo * m_hi, e_hi * m_lo
-        middle = (e_lo * m_lo >> half) + (cross & low) + (other & low)
-        high = e_hi * m_hi + (cross >> half) + (other >> half) + (middle >> half)
-        even, odd = high[::-1] ^ odd ^ key, (even * multiplier)[::-1]
-        key += bump
-    words = np.stack([even, odd], axis=1).reshape(4, -1).T.ravel()[start - 4 * first :][:count]
-    return ((words >> np.uint64(11)) * 2.0**-53).reshape(shape)
+    for at in range(first, last, _PHILOX_CHUNK):
+        counters = np.arange(at + 1, min(at + _PHILOX_CHUNK, last) + 1, dtype=np.uint64)
+        # Counter words 0 and 2, and words 1 and 3, each pair one (2, blocks) array.
+        even = np.stack([counters, np.zeros_like(counters)])
+        odd = np.zeros_like(even)
+        key = np.array([[seed], [stream]], dtype=np.uint64)
+        for _ in range(10):
+            # The high words of the 128-bit products even * multiplier, from
+            # 32-bit halves; uint64 products wrap, so the low words are plain.
+            e_lo, e_hi = even & low, even >> half
+            cross, other = e_lo * m_hi, e_hi * m_lo
+            middle = (e_lo * m_lo >> half) + (cross & low) + (other & low)
+            high = e_hi * m_hi + (cross >> half) + (other >> half) + (middle >> half)
+            even, odd = high[::-1] ^ odd ^ key, (even * multiplier)[::-1]
+            key += bump
+        words = np.stack([even, odd], axis=1).reshape(4, -1).T.ravel()
+        offset = 4 * (at - first)
+        out[offset : offset + words.size] = (words >> np.uint64(11)) * 2.0**-53
+    return out[start - 4 * first :][:count].reshape(shape)
 
 
 @dataclass(frozen=True)

@@ -425,6 +425,11 @@ def ouu_sample_specs(
     mc_scale: float, pde_scale: float, max_cells: int
 ) -> tuple[FactorSpec, FactorSpec]:
     """The Monte Carlo and field-PDE factors of the ``ouu`` run plan."""
+    # The field draws take their normals from numpy.random (see
+    # pde.GaussianFieldSampler).  A run plan is built at parse time, so
+    # importing it here keeps its cost in start-up, not in the run.
+    import numpy.random  # noqa: F401
+
     mc_map = scaled_exponential_map(*_MC_RATES, mc_scale)
     pde_map = pde_resolution_map(*_PDE_RATES, max_cells, scale=pde_scale)
     return (

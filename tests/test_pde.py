@@ -782,17 +782,30 @@ class TestGaussianField:
 
     @pytest.mark.parametrize("seed", [0, 1, 2**32, 2**63 - 1, 2**63, 2**64 - 1])
     @pytest.mark.parametrize("stream", [0, 101])
-    @pytest.mark.parametrize("draw", [0, 5])
-    def test_philox_uniforms_are_the_generators_bit_for_bit(self, seed, stream, draw):
+    def test_philox_uniforms_are_the_generators_bit_for_bit(self, seed, stream):
         # Consecutive takes of lengths that are not multiples of 4, so they
-        # start and end inside a counter's block of four words.
-        generator = philox_generator(seed, stream, draw)
+        # start and end inside a counter's block of four words, and one take
+        # across two chunk boundaries.
+        generator = philox_generator(seed, stream)
         start = 0
-        for shape in [(3,), (5, 2), (1,), (0,), (7, 3), (4,)]:
+        chunk = 4 * pde._PHILOX_CHUNK
+        for shape in [(3,), (5, 2), (1,), (0,), (7, 3), (4,), (2 * chunk + 1,), (6,)]:
             expected = generator.random(shape)
-            got = philox_uniforms(seed, stream, start, shape, draw)
+            got = philox_uniforms(seed, stream, start, shape)
             assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
             start += expected.size
+
+    def test_philox_uniforms_keep_temporaries_small(self):
+        # The largest study a config admits, 2**16 points, in 8 dimensions:
+        # the blocks are computed a chunk at a time, so the peak stays near
+        # the 4 MiB output (all blocks at once peaked near 20 MiB).
+        tracemalloc.start()
+        try:
+            values = philox_uniforms(0, 101, 1, (2**16, 8))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < values.nbytes + 2**20
 
     def test_seeds_above_2_63_key_their_own_streams(self):
         # Their keys are exact uint64 words, not rounded through float64,
