@@ -796,9 +796,9 @@ class TestGaussianField:
             start += expected.size
 
     def test_philox_uniforms_keep_temporaries_small(self):
-        # The largest study a config admits, 2**16 points, in 8 dimensions:
-        # the blocks are computed a chunk at a time, so the peak stays near
-        # the 4 MiB output (all blocks at once peaked near 20 MiB).
+        # 2**16 points, the most a study admits, in 8 dimensions: the
+        # blocks are computed a chunk at a time, so the peak stays near the
+        # 4 MiB output (all blocks at once peaked at 33 MiB).
         tracemalloc.start()
         try:
             values = philox_uniforms(0, 101, 1, (2**16, 8))
