@@ -34,10 +34,14 @@ import os
 import sys
 from typing import NamedTuple
 
-import numpy as np
+# An idle OpenBLAS worker sleeps after 2**4 cycles, the least OpenBLAS takes,
+# instead of spinning through a run.  OpenBLAS reads this as it loads.
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
 
-import kernelkit
-from kernelkit.config import (
+import numpy as np  # noqa: E402
+
+import kernelkit  # noqa: E402
+from kernelkit.config import (  # noqa: E402
     _MAX_SEED,
     ConfigError,
     RunConfig,
@@ -47,11 +51,10 @@ from kernelkit.config import (
     serialize_config,
     sine_product,
 )
-from kernelkit.kernels import ConditioningError
-from kernelkit.pde import l2_error_against, mesh_at_level, solve_poisson_dirichlet
-from kernelkit.points import Box
-from kernelkit.points import generate_points  # noqa: F401 - bench/tests read this binding
-from kernelkit.smolyak import (
+from kernelkit.kernels import ConditioningError  # noqa: E402
+from kernelkit.points import Box, _product_domain, random_points  # noqa: E402
+from kernelkit.points import generate_points  # noqa: E402, F401 - bench/tests read this binding
+from kernelkit.smolyak import (  # noqa: E402
     EvaluationError,
     ProblemSpec,
     SlopeFitError,
@@ -60,14 +63,13 @@ from kernelkit.smolyak import (
     fit_loglog_slope,
     predicted_rates,
 )
-from kernelkit.surrogate import Surrogate
-from kernelkit.uq import (
+from kernelkit.surrogate import Surrogate  # noqa: E402
+from kernelkit.uq import (  # noqa: E402
     OuuObjective,
     expectation_study,
     interpolation_problem,
     minimize_objective,
     ouu_study,
-    random_points,
     surface_study,
 )
 
@@ -164,10 +166,7 @@ def _run_misc(config: RunConfig, plan: RunPlan, seed: int) -> _Study:
 
 def _run_rsr(config: RunConfig, plan: RunPlan, seed: int) -> _Study:
     *factors, sample = plan.factors
-    box = Box(
-        lows=tuple(v for f in factors for v in f.domain.lows),
-        highs=tuple(v for f in factors for v in f.domain.highs),
-    )
+    box = _product_domain([f.domain for f in factors])
     points = random_points(box, config[("study", "eval_points")], seed)
     rows = surface_study(factors, sample, plan.rows, points, reference_L=plan.reference_l)
     series = [(r["work_units"], r["error_l2"]) for r in rows]
@@ -175,6 +174,8 @@ def _run_rsr(config: RunConfig, plan: RunPlan, seed: int) -> _Study:
 
 
 def _run_ouu(config: RunConfig, plan: RunPlan, seed: int) -> _Study:
+    from kernelkit.pde import mesh_at_level
+
     o, factor = config.section("ouu"), plan.factors[0]
     rows, reference = ouu_study(
         plan.factors,
@@ -202,6 +203,8 @@ def _run_ouu(config: RunConfig, plan: RunPlan, seed: int) -> _Study:
 
 
 def _run_fem_check(config: RunConfig, plan: None, seed: int) -> _Study:
+    from kernelkit.pde import l2_error_against, mesh_at_level, solve_poisson_dirichlet
+
     p = config.section("pde")
 
     def exact(x):

@@ -18,6 +18,7 @@ the original configuration.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, NamedTuple
 
@@ -30,12 +31,6 @@ from kernelkit.kernels import (
     TensorKernel,
 )
 from kernelkit.multiindex import _MAX_N_PLUS_L
-from kernelkit.pde import (
-    MAX_MESH_LEVEL,
-    BumpDiffusionProblem,
-    check_field_grid,
-    mesh_at_level,
-)
 from kernelkit.points import _PRIMES, Box, Disc
 from kernelkit.smolyak import FactorSpec, level_to_resolution
 from kernelkit.uq import (
@@ -53,6 +48,11 @@ _MAX_THRESHOLD = 14
 # Every study fits its log-log slope over at least 3 rows.
 _MIN_STUDY_ROWS = 3
 _MAX_SEED = 2**64 - 1
+# Finest mesh level a config may ask for: 2**8 = 256 cells per axis, whose
+# Dirichlet band holds 134 MB.  Measured at one BLAS thread on a shared
+# 2-core machine, a first bump solve there took 0.4-0.7 s (255 MB peak RSS)
+# and a first advection solve 1.8-3.1 s (2.1 GB).
+MAX_MESH_LEVEL = 8
 # Counts that size a run: at each maximum the benchmark's workload configs ran in
 # 0.5-5 s and 70-109 MB peak RSS (2 cores, 1 BLAS thread); 2**20 study points took
 # 9-15 s, and ouu 748 MB.
@@ -79,9 +79,12 @@ def _parse_int(text: str) -> int:
 
 def _parse_float(text: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ConfigError(f"expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _parse_float_list(text: str) -> tuple[float, ...]:
@@ -388,6 +391,8 @@ def run_plan(pipeline: str, sections: dict[str, dict[str, Any]]) -> RunPlan | No
         factors.append(synthetic_bias_factor(integrand, m["sample_gamma"], m["sample_kappa"]))
         dense.append(False)
     elif pipeline == "rsr":
+        from kernelkit.pde import BumpDiffusionProblem
+
         p = sections["pde"]
         boxes = BumpDiffusionProblem(n_bumps=p["bumps"]).center_boxes
         factors = [interpolation_factor(kernel, box, alpha=k["alpha"]) for box in boxes]
@@ -519,6 +524,8 @@ def _validate(raw: dict[str, dict[str, tuple[str, int]]]) -> RunConfig:
                 f"{rows} study rows; the slope fit needs at least {_MIN_STUDY_ROWS}"
             )
     if "ouu" in sections:
+        from kernelkit.pde import check_field_grid, mesh_at_level
+
         o = sections["ouu"]
         try:
             check_field_grid(mesh_at_level(o["field_level"]))
@@ -590,5 +597,11 @@ def serialize_config(config: RunConfig) -> str:
 
 
 def parse_config_file(path) -> RunConfig:
-    with open(path) as handle:
-        return parse_config(handle.read())
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        line = data.count(b"\n", 0, err.start) + 1
+        raise ConfigError(f"byte 0x{data[err.start]:02x} is not UTF-8 text", line) from None
+    return parse_config(text)

@@ -1,5 +1,6 @@
 """Structured P1 finite elements on the unit square, model problems, and
-a Gaussian-random-field sampler with cross-resolution coupling.
+a Gaussian-random-field sampler with cross-resolution coupling.  Only the
+pipelines that solve PDEs load it: ``rsr``, ``ouu`` and ``fem-check``.
 
 Meshes are uniform triangulations of ``[0,1]**2``: ``cells`` squares per
 axis, each split into two right triangles along the southwest-northeast
@@ -23,8 +24,8 @@ Element entries are scattered straight into LAPACK banded storage.  The
 Dirichlet system of the diffusion problem is symmetric positive definite:
 its :class:`DirichletOperator` assembles the interior system
 (half-bandwidth ``cells`` under row-major interior numbering) and solves
-it by banded Cholesky.  A config asks for at most ``2**MAX_MESH_LEVEL``
-cells per axis, where that band holds 134 MB.  For advection-diffusion,
+it by banded Cholesky, whose band holds 134 MB at the configurable maximum
+(``2**config.MAX_MESH_LEVEL`` cells per axis).  For advection-diffusion,
 the :class:`AdvectionOperator` assembles the coefficient-dependent base
 system once per field realization and mesh (half-bandwidth
 ``nodes_per_axis + 1``), and each velocity then costs one matrix sum, one
@@ -38,11 +39,11 @@ Random-field draws are computed in aligned blocks, one triangular product
 (BLAS ``dtrmm``) with the field's lower Cholesky factor per block.  It
 does half the multiplications of a dense product and copies no factor,
 which is already in Fortran order.  A draw's normals come from its own
-counter-based generator and a block is always the same product,
-so every draw is bit for bit a pure function of ``(seed, stream,
-draw)``.  The covariance is built in place in one ``n x n`` buffer and
-factored in that buffer by LAPACK ``dpotrf``, so building a factor of
-``n**2`` doubles holds little more than the factor itself.
+counter-based generator (:func:`~kernelkit.points.philox_generator`) and a
+block is always the same product, so every draw is bit for bit a pure
+function of ``(seed, stream, draw)``.  The covariance is built in place in
+one ``n x n`` buffer and factored in that buffer by LAPACK ``dpotrf``, so
+building a factor of ``n**2`` doubles holds little more than the factor.
 """
 
 from __future__ import annotations
@@ -55,23 +56,15 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from kernelkit.lapack import dgbsv, dpbsv, dpotrf, dtrmm
-from kernelkit.points import Box
+from kernelkit.points import Box, philox_generator
 from kernelkit.smolyak import scaled_exponential_map
 
 _FIELD_NUGGET = 1e-10
 _FIELD_NUGGET_FALLBACK = 1e-8
 _MAX_FIELD_NODES = 5000
-# Finest mesh level a config may ask for: 2**8 = 256 cells per axis, whose
-# Dirichlet band holds 134 MB.  Measured at one BLAS thread on a shared
-# 2-core machine, a first bump solve there took 0.4-0.7 s (255 MB peak RSS)
-# and a first advection solve 1.8-3.1 s (2.1 GB).
-MAX_MESH_LEVEL = 8
 # Field draws computed together by one matrix product (see
 # GaussianFieldSampler); a block of the 1089-node reference grid is 279 kB.
 _DRAW_BLOCK = 32
-# Philox blocks (4 uniforms each) computed together by philox_uniforms; a
-# round's temporaries are (2, blocks) uint64 arrays, 64 kB each.
-_PHILOX_CHUNK = 4096
 # Covariance rows whose squared y-differences one temporary holds.
 _COVARIANCE_ROWS = 32
 
@@ -215,7 +208,7 @@ class Mesh:
 def cached_mesh(cells: int) -> Mesh:
     """The one :class:`Mesh` of ``cells`` per axis that the pipelines solve
     on, so its cached properties are built once per cell count.  Cell
-    counts are bounded by ``2**MAX_MESH_LEVEL`` in every config."""
+    counts are bounded by ``2**config.MAX_MESH_LEVEL`` in every config."""
     return Mesh(cells=cells)
 
 
@@ -652,55 +645,6 @@ def _checked_velocity(velocity) -> tuple[float, float]:
     return z1, z2
 
 
-def philox_generator(seed: int, stream: int, draw: int = 0) -> np.random.Generator:
-    """Counter-based generator: a pure function of ``(seed, stream, draw)``.
-
-    The key is built as a uint64 array, so every seed below ``2**64`` keys
-    its own stream (a list would reach numpy through float64)."""
-    key = np.array([seed, stream], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(counter=[0, 0, draw, 0], key=key))
-
-
-def philox_uniforms(seed: int, stream: int, start: int, shape) -> np.ndarray:
-    """Values ``start`` onwards of ``philox_generator(seed, stream).random``,
-    bit for bit, as an array of ``shape``, computed by uint64 array
-    operations without loading ``numpy.random``.
-
-    Value ``i`` is ``(w >> 11) * 2**-53`` for the Philox4x64-10 word ``w``
-    in lane ``i % 4`` of the block keyed ``(seed, stream)`` at counter
-    ``[i // 4 + 1, 0, 0, 0]`` (the generator increments its counter before
-    each block; Salmon et al., SC'11).  Blocks are computed
-    ``_PHILOX_CHUNK`` at a time, so the temporaries stay small beside the
-    output.
-    """
-    count = math.prod(shape)
-    first, last = start // 4, (start + count + 3) // 4
-    out = np.empty(4 * (last - first))
-    bump = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
-    multiplier = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
-    low, half = np.uint64(0xFFFFFFFF), np.uint64(32)
-    m_lo, m_hi = multiplier & low, multiplier >> half
-    for at in range(first, last, _PHILOX_CHUNK):
-        counters = np.arange(at + 1, min(at + _PHILOX_CHUNK, last) + 1, dtype=np.uint64)
-        # Counter words 0 and 2, and words 1 and 3, each pair one (2, blocks) array.
-        even = np.stack([counters, np.zeros_like(counters)])
-        odd = np.zeros_like(even)
-        key = np.array([[seed], [stream]], dtype=np.uint64)
-        for _ in range(10):
-            # The high words of the 128-bit products even * multiplier, from
-            # 32-bit halves; uint64 products wrap, so the low words are plain.
-            e_lo, e_hi = even & low, even >> half
-            cross, other = e_lo * m_hi, e_hi * m_lo
-            middle = (e_lo * m_lo >> half) + (cross & low) + (other & low)
-            high = e_hi * m_hi + (cross >> half) + (other >> half) + (middle >> half)
-            even, odd = high[::-1] ^ odd ^ key, (even * multiplier)[::-1]
-            key += bump
-        words = np.stack([even, odd], axis=1).reshape(4, -1).T.ravel()
-        offset = 4 * (at - first)
-        out[offset : offset + words.size] = (words >> np.uint64(11)) * 2.0**-53
-    return out[start - 4 * first :][:count].reshape(shape)
-
-
 @dataclass(frozen=True)
 class GrfSample:
     """One realization of the random field on its reference grid."""
@@ -720,7 +664,7 @@ class GaussianFieldSampler:
     triangular product ``factor @ normals`` (``dtrmm``, which skips the
     factor's zero upper triangle), whose column for draw ``k`` is the
     standard normal vector of the counter-based generator keyed
-    ``(seed, stream, k)`` (see :func:`philox_generator`).  A block takes
+    ``(seed, stream, k)`` (see ``points.philox_generator``).  A block takes
     one such generator and resets its state, counter ``[0, 0, k, 0]`` and
     empty buffer, before each draw ``k``: the same bits as a new generator
     per draw, without building 32 of them.  A block is always the same

@@ -1,4 +1,4 @@
-"""Domains and low-discrepancy point sets.
+"""Domains, low-discrepancy point sets, random points and the one RNG helper.
 
 Point sets are prefixes of a fixed Halton-type sequence mapped into the
 target domain, so the set for ``N`` points is always a prefix of the set
@@ -22,6 +22,7 @@ blocks (:func:`_distance_blocks`) build every Matern Gram matrix.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Callable, Sequence
@@ -35,6 +36,9 @@ _CONTAIN_TOL = 1e-12
 # the 512-point nu = 3/2 Gram matrix took 2.3-2.8 ms, against 5.2-5.5 ms
 # in blocks of 2**18 and 3.7-3.8 ms unblocked (shared 2-core machine).
 _DISTANCE_BLOCK_ENTRIES = 2**16
+# Philox blocks (4 uniforms each) computed together by philox_uniforms; a
+# round's temporaries are (2, blocks) uint64 arrays, 64 kB each.
+_PHILOX_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -330,3 +334,64 @@ def generate_points(domain: Domain, count: int) -> PointSet:
         return PointSet(points=points, domain=domain)
     raise TypeError(f"unsupported domain type {type(domain)!r}")
 
+
+def philox_generator(seed: int, stream: int, draw: int = 0) -> np.random.Generator:
+    """Counter-based generator: a pure function of ``(seed, stream, draw)``.
+
+    The key is built as a uint64 array, so every seed below ``2**64`` keys
+    its own stream (a list would reach numpy through float64)."""
+    key = np.array([seed, stream], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(counter=[0, 0, draw, 0], key=key))
+
+
+def philox_uniforms(seed: int, stream: int, start: int, shape) -> np.ndarray:
+    """Values ``start`` onwards of ``philox_generator(seed, stream).random``,
+    bit for bit, as an array of ``shape``, computed by uint64 array
+    operations without loading ``numpy.random``.
+
+    Value ``i`` is ``(w >> 11) * 2**-53`` for the Philox4x64-10 word ``w``
+    in lane ``i % 4`` of the block keyed ``(seed, stream)`` at counter
+    ``[i // 4 + 1, 0, 0, 0]`` (the generator increments its counter before
+    each block; Salmon et al., SC'11).  Blocks are computed
+    ``_PHILOX_CHUNK`` at a time, so the temporaries stay small beside the
+    output.
+    """
+    count = math.prod(shape)
+    first, last = start // 4, (start + count + 3) // 4
+    out = np.empty(4 * (last - first))
+    bump = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
+    multiplier = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
+    low, half = np.uint64(0xFFFFFFFF), np.uint64(32)
+    m_lo, m_hi = multiplier & low, multiplier >> half
+    for at in range(first, last, _PHILOX_CHUNK):
+        counters = np.arange(at + 1, min(at + _PHILOX_CHUNK, last) + 1, dtype=np.uint64)
+        # Counter words 0 and 2, and words 1 and 3, each pair one (2, blocks) array.
+        even = np.stack([counters, np.zeros_like(counters)])
+        odd = np.zeros_like(even)
+        key = np.array([[seed], [stream]], dtype=np.uint64)
+        for _ in range(10):
+            # The high words of the 128-bit products even * multiplier, from
+            # 32-bit halves; uint64 products wrap, so the low words are plain.
+            e_lo, e_hi = even & low, even >> half
+            cross, other = e_lo * m_hi, e_hi * m_lo
+            middle = (e_lo * m_lo >> half) + (cross & low) + (other & low)
+            high = e_hi * m_hi + (cross >> half) + (other >> half) + (middle >> half)
+            even, odd = high[::-1] ^ odd ^ key, (even * multiplier)[::-1]
+            key += bump
+        words = np.stack([even, odd], axis=1).reshape(4, -1).T.ravel()
+        offset = 4 * (at - first)
+        out[offset : offset + words.size] = (words >> np.uint64(11)) * 2.0**-53
+    return out[start - 4 * first :][:count].reshape(shape)
+
+
+def random_points(domain: Domain, count: int, seed: int) -> np.ndarray:
+    """Deterministic pseudo-random evaluation points inside a domain, from
+    the uniforms of stream 101 of ``seed`` (:func:`philox_uniforms`), taken
+    in order."""
+    if isinstance(domain, Box):
+        return domain.from_unit(philox_uniforms(seed, 101, 0, (count, domain.dim)))
+    if isinstance(domain, Disc):
+        return domain.from_unit_stream(
+            lambda start, k: philox_uniforms(seed, 101, 2 * start, (k, 2)), count
+        )
+    raise TypeError(f"unsupported domain type {type(domain)!r}")

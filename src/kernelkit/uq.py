@@ -36,14 +36,15 @@ measure against a reference estimate, and their error functions evaluate
 every surrogate of the table, the reference included, in one stacked pass
 at the study points (:meth:`Surrogate.stack`).  Randomness is counter-based
 throughout: the draw with index ``k`` of a given ``(seed, stream)``
-never depends on evaluation order.
+never depends on evaluation order.  The PDE factors and pipeline import
+:mod:`kernelkit.pde` when they are built; other pipelines never load it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 import numpy as np
 
@@ -53,15 +54,6 @@ from kernelkit.kernels import (
     TensorKernel,
     fit_interpolant,
     quadrature_weights,
-)
-from kernelkit.pde import (
-    AdvectionDiffusionProblem,
-    BumpDiffusionProblem,
-    GaussianFieldSampler,
-    Mesh,
-    cached_mesh,
-    pde_resolution_map,
-    philox_uniforms,
 )
 from kernelkit.points import Box, Disc, Domain, PointSet, generate_points
 from kernelkit.points import tensor_grid, tensor_weights
@@ -74,18 +66,8 @@ from kernelkit.smolyak import (
 )
 from kernelkit.surrogate import Surrogate
 
-
-def random_points(domain: Domain, count: int, seed: int) -> np.ndarray:
-    """Deterministic pseudo-random evaluation points inside a domain, from
-    the uniforms of stream 101 of ``seed``
-    (:func:`~kernelkit.pde.philox_uniforms`), taken in order."""
-    if isinstance(domain, Box):
-        return domain.from_unit(philox_uniforms(seed, 101, 0, (count, domain.dim)))
-    if isinstance(domain, Disc):
-        return domain.from_unit_stream(
-            lambda start, k: philox_uniforms(seed, 101, 2 * start, (k, 2)), count
-        )
-    raise TypeError(f"unsupported domain type {type(domain)!r}")
+if TYPE_CHECKING:
+    from kernelkit.pde import Mesh
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +170,8 @@ def bump_sample_factor(
     max_cells: int = 64,
 ) -> SampleFactor:
     """Bump-diffusion quantity of interest on meshes realizing the level map."""
+    from kernelkit.pde import BumpDiffusionProblem, cached_mesh, pde_resolution_map
+
     problem = BumpDiffusionProblem(n_bumps=n_bumps)
     spec = FactorSpec(
         gamma=work_exponent,
@@ -427,8 +411,10 @@ def ouu_sample_specs(
     """The Monte Carlo and field-PDE factors of the ``ouu`` run plan."""
     # The field draws take their normals from numpy.random (see
     # pde.GaussianFieldSampler).  A run plan is built at parse time, so
-    # importing it here keeps its cost in start-up, not in the run.
+    # importing both here keeps their cost in start-up, not in the run.
     import numpy.random  # noqa: F401
+
+    from kernelkit.pde import pde_resolution_map
 
     mc_map = scaled_exponential_map(*_MC_RATES, mc_scale)
     pde_map = pde_resolution_map(*_PDE_RATES, max_cells, scale=pde_scale)
@@ -484,6 +470,8 @@ class OuuPipeline:
         stream: int = 0,
         qoi: Callable[[np.ndarray, Any, Mesh], float] | None = None,
     ):
+        from kernelkit.pde import AdvectionDiffusionProblem, GaussianFieldSampler
+
         interp_factor, *sample_specs = factors
         self.interp_factor = interp_factor
         self.seed = seed
@@ -530,6 +518,8 @@ class OuuPipeline:
         """Extend the prefix of each ``(draw, cells)`` pair to its target node
         count, for ``(cells, target)`` in ``targets``, with ``draw``'s field;
         a QoI call that raises keeps the values solved before it."""
+        from kernelkit.pde import cached_mesh
+
         for cells, target in targets:
             key = (draw, cells)
             done = self._prefixes.get(key, _NO_VALUES)

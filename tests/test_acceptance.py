@@ -22,7 +22,7 @@ from kernelkit.pde import (
     mesh_at_level,
     solve_poisson_dirichlet,
 )
-from kernelkit.points import Box, generate_points
+from kernelkit.points import Box, generate_points, random_points
 from kernelkit.smolyak import (
     FactorSpec,
     ProblemSpec,
@@ -30,7 +30,7 @@ from kernelkit.smolyak import (
     fit_loglog_slope,
     level_to_resolution,
 )
-from kernelkit.uq import random_points, sparse_interpolate
+from kernelkit.uq import sparse_interpolate
 
 UNIT_INTERVAL = Box((0.0,), (1.0,))
 

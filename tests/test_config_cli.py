@@ -29,19 +29,20 @@ from kernelkit.config import (
     _SCHEMA,
     _convert_section,
     _unreachable,
+    MAX_MESH_LEVEL,
     PIPELINES,
     ConfigError,
     parse_config,
+    parse_config_file,
     run_plan,
     serialize_config,
     sine_product,
 )
 from kernelkit.kernels import MaternKernel
-from kernelkit.pde import MAX_MESH_LEVEL
-from kernelkit.points import Box
+from kernelkit.points import Box, random_points
 from kernelkit.smolyak import SlopeFitError, SmolyakEngine
 from kernelkit.surrogate import Surrogate
-from kernelkit.uq import build_expectation_problem, random_points, sparse_interpolate
+from kernelkit.uq import build_expectation_problem, sparse_interpolate
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -914,6 +915,47 @@ class TestCliRuns:
         assert "Traceback" not in err
         assert taken.read_text() == "not a directory\n"
 
+    def test_config_that_is_not_utf8_is_a_config_error(self, tmp_path, capsys):
+        # Byte 0xE9 (Latin-1 e-acute) in a comment on line 3; the file is
+        # read as UTF-8 whatever the locale, and the same comment in UTF-8
+        # parses.
+        lines = RATES_CONFIG.lstrip("\n").splitlines(keepends=True)
+        path = tmp_path / "latin1.cfg"
+        text = "".join(lines[:2]) + "# caf\u00e9\n" + "".join(lines[2:])
+        path.write_bytes(text.encode("latin-1"))
+        out = tmp_path / "latin1"
+        assert main(["--config", str(path), "--out", str(out), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err == "configuration error: line 3: byte 0xe9 is not UTF-8 text\n"
+        assert not out.exists()
+        path.write_bytes(text.encode("utf-8"))
+        assert parse_config_file(str(path)) == parse_config(RATES_CONFIG)
+
+    @pytest.mark.parametrize(
+        "example,assignment",
+        [
+            ("interp", "alpha = nan"),
+            ("interp", "length_scale = inf"),
+            ("rates", "gamma = inf, 1"),
+            ("rates", "beta = 1, 1e400"),
+        ],
+    )
+    def test_non_finite_number_is_a_config_error(self, tmp_path, capsys, example, assignment):
+        # Each ran before: nan ended in a ValueError traceback, inf in a
+        # failed packet LU (exit 1), and an infinite rate exited 0 (with a
+        # predicted slope of -0.0 for gamma = inf).
+        key, value = assignment.split(" = ")
+        with open(os.path.join(ROOT, "docs", "examples", f"{example}.cfg")) as handle:
+            text = re.sub(rf"(?m)^{key} = .*\n", "", handle.read()) + assignment + "\n"
+        out = tmp_path / "nonfinite"
+        assert main(["--config", self.write(tmp_path, text), "--out", str(out), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        line = len(text.splitlines())
+        assert err.startswith(f"configuration error: line {line}: ")
+        assert f"] {key}: expected a finite number, got " in err
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
     def test_seed_override_changes_manifest(self, tmp_path):
         cfg = self.write(tmp_path, RATES_CONFIG)
         out = str(tmp_path / "s")
@@ -958,7 +1000,7 @@ class TestCliRuns:
                 "banded Cholesky failed (LAPACK dpbsv info 1) on 8 cells",
             ),
             (
-                kernelkit.cli,
+                kernelkit.pde,
                 "l2_error_against",
                 lambda *_: 0.0,
                 "log-log slope fit needs positive values",

@@ -3,7 +3,6 @@ import os
 import subprocess
 import sys
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -29,11 +28,10 @@ from kernelkit.pde import (
     mesh_at_level,
     mesh_cells_for_resolution,
     pde_resolution_map,
-    philox_generator,
-    philox_uniforms,
     solve_poisson_dirichlet,
     spatial_average,
 )
+from kernelkit.points import philox_generator
 
 
 class TestMesh:
@@ -772,53 +770,6 @@ class TestGaussianField:
         a = GaussianFieldSampler(grid, stream=0).sample(seed=2, draw=3)
         b = GaussianFieldSampler(grid, stream=1).sample(seed=2, draw=3)
         assert not np.array_equal(a.values, b.values)
-
-    def test_philox_generator_is_a_pure_function_of_its_key(self):
-        first = philox_generator(11, 2, draw=5).standard_normal(8)
-        philox_generator(11, 2, draw=4).standard_normal(1000)
-        assert np.array_equal(philox_generator(11, 2, draw=5).standard_normal(8), first)
-        for other in ((12, 2, 5), (11, 3, 5), (11, 2, 6)):
-            assert not np.array_equal(philox_generator(*other).standard_normal(8), first)
-
-    @pytest.mark.parametrize("seed", [0, 1, 2**32, 2**63 - 1, 2**63, 2**64 - 1])
-    @pytest.mark.parametrize("stream", [0, 101])
-    def test_philox_uniforms_are_the_generators_bit_for_bit(self, seed, stream):
-        # Consecutive takes of lengths that are not multiples of 4, so they
-        # start and end inside a counter's block of four words, and one take
-        # across two chunk boundaries.
-        generator = philox_generator(seed, stream)
-        start = 0
-        chunk = 4 * pde._PHILOX_CHUNK
-        for shape in [(3,), (5, 2), (1,), (0,), (7, 3), (4,), (2 * chunk + 1,), (6,)]:
-            expected = generator.random(shape)
-            got = philox_uniforms(seed, stream, start, shape)
-            assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
-            start += expected.size
-
-    def test_philox_uniforms_keep_temporaries_small(self):
-        # 2**16 points, the most a study admits, in 8 dimensions: the
-        # blocks are computed a chunk at a time, so the peak stays near the
-        # 4 MiB output (all blocks at once peaked at 33 MiB).
-        tracemalloc.start()
-        try:
-            values = philox_uniforms(0, 101, 1, (2**16, 8))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < values.nbytes + 2**20
-
-    def test_seeds_above_2_63_key_their_own_streams(self):
-        # Their keys are exact uint64 words, not rounded through float64,
-        # and the largest admitted seed keys its own stream without a
-        # warning.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            top = philox_generator(2**64 - 1, 0).random(4)
-            assert not np.array_equal(top, philox_generator(0, 0).random(4))
-            assert np.array_equal(philox_uniforms(2**64 - 1, 0, 0, (4,)), top)
-            for make in (lambda s: philox_generator(s, 101).random(4),
-                         lambda s: philox_uniforms(s, 101, 0, (4,))):
-                assert not np.array_equal(make(2**63), make(2**63 + 1))
 
     @staticmethod
     def broadcast_factor(cells, nugget):

@@ -4,6 +4,7 @@ and counts of the work that an example run does."""
 import ast
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -66,17 +67,17 @@ _PHILOX_CONSTANTS = {
 
 
 def test_one_counter_based_rng_helper():
-    # np.random.Philox is built only inside pde.philox_generator, and the
-    # Philox round constants appear only inside pde.philox_uniforms, which
+    # np.random.Philox is built only inside points.philox_generator, and the
+    # Philox round constants appear only inside points.philox_uniforms, which
     # computes the same generator's uniforms without numpy.random.
     built, constants, inside = [], [], set()
     for path in sorted(SOURCE.glob("*.py")):
         tree = ast.parse(path.read_text())
         generator, uniforms = set(), set()
         for node in ast.walk(tree):
-            if path.name == "pde.py" and getattr(node, "name", None) == "philox_generator":
+            if path.name == "points.py" and getattr(node, "name", None) == "philox_generator":
                 generator.update(map(id, ast.walk(node)))
-            if path.name == "pde.py" and getattr(node, "name", None) == "philox_uniforms":
+            if path.name == "points.py" and getattr(node, "name", None) == "philox_uniforms":
                 uniforms.update(map(id, ast.walk(node)))
         for node in ast.walk(tree):
             called = getattr(node, "func", None)
@@ -88,9 +89,112 @@ def test_one_counter_based_rng_helper():
                     inside.add(node.value)
                 else:
                     constants.append(f"{path.name}:{node.lineno}")
-    assert not built, "np.random.Philox built outside pde.philox_generator: " + ", ".join(built)
-    assert not constants, "Philox constants outside pde.philox_uniforms: " + ", ".join(constants)
-    assert inside == _PHILOX_CONSTANTS, "pde.philox_uniforms does not hold the Philox constants"
+    assert not built, "np.random.Philox built outside points.philox_generator: " + ", ".join(built)
+    assert not constants, "Philox constants outside points.philox_uniforms: " + ", ".join(constants)
+    assert inside == _PHILOX_CONSTANTS, "points.philox_uniforms does not hold the Philox constants"
+
+
+def test_the_library_stays_serial():
+    # No thread or weak-reference machinery.
+    pattern = re.compile(r"^\s*(import|from)\s+(threading|concurrent|weakref)\b")
+    found = [
+        f"{path.name}:{number}"
+        for path in sorted(SOURCE.rglob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), start=1)
+        if pattern.search(line)
+    ]
+    message = "src/kernelkit imports threading, concurrent.futures or weakref: "
+    assert not found, message + ", ".join(found)
+
+
+def test_the_library_writes_files_in_one_place():
+    # Only cli.py writes: open() for writing, write_text or write_bytes.  A
+    # mode that is not a string literal counts as writing.
+    writers = []
+    for path in sorted(SOURCE.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if name == "open":
+                modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
+                writing = any(
+                    not isinstance(m, ast.Constant) or set(str(m.value)) & set("wax+")
+                    for m in modes
+                )
+            else:
+                writing = name in ("write_text", "write_bytes")
+            if writing:
+                writers.append(f"{path.name}:{node.lineno}")
+    assert not writers, "files written outside cli.py: " + ", ".join(writers)
+
+
+def test_one_tensor_product_builder():
+    # np.outer, np.multiply.outer and np.kron are called only inside
+    # points.tensor_weights; np.subtract.outer (distances) is no tensor
+    # product.
+    outside = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        helper = set()
+        for node in ast.walk(tree):
+            if path.name == "points.py" and getattr(node, "name", None) == "tensor_weights":
+                helper.update(map(id, ast.walk(node)))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Attribute) or id(node) in helper:
+                continue
+            owner = node.value
+            outer = node.attr == "outer" and getattr(owner, "attr", None) == "multiply"
+            numpy = getattr(owner, "id", None) in ("np", "numpy")
+            if node.attr in ("outer", "kron") and numpy or outer:
+                outside.append(f"{path.name}:{node.lineno}")
+    assert not outside, "tensor products built outside points.tensor_weights: " + ", ".join(outside)
+
+
+def test_one_loop_over_point_chunks():
+    # _STACK_BLOCK_ENTRIES, the evaluation chunk budget, is read only inside
+    # surrogate.evaluate_stacked, the one loop that walks a stack's points
+    # in chunks, whatever the kind of its expansions.
+    outside, inside = [], 0
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        helper = set()
+        for node in ast.walk(tree):
+            if path.name == "surrogate.py" and getattr(node, "name", None) == "evaluate_stacked":
+                helper.update(map(id, ast.walk(node)))
+        for node in ast.walk(tree):
+            name = isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id
+            attribute = isinstance(node, ast.Attribute) and node.attr
+            if "_STACK_BLOCK_ENTRIES" not in (name, attribute):
+                continue
+            if id(node) in helper:
+                inside += 1
+            else:
+                outside.append(f"{path.name}:{node.lineno}")
+    assert inside, "surrogate.evaluate_stacked does not read _STACK_BLOCK_ENTRIES"
+    assert not outside, (
+        "_STACK_BLOCK_ENTRIES read outside surrogate.evaluate_stacked: " + ", ".join(outside)
+    )
+
+
+def test_the_cli_sets_the_openblas_thread_timeout_before_numpy_loads():
+    # OpenBLAS reads OPENBLAS_THREAD_TIMEOUT as it loads, with numpy, so the
+    # CLI's setdefault comes before its first numpy or kernelkit import.
+    setting = ast.unparse(ast.parse('os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")'))
+    set_at = first_import = None
+    for index, node in enumerate(ast.parse((SOURCE / "cli.py").read_text()).body):
+        if ast.unparse(node) == setting and set_at is None:
+            set_at = index
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            names = [node.module or ""] if isinstance(node, ast.ImportFrom) else []
+        if first_import is None and any(n.split(".")[0] in ("numpy", "kernelkit") for n in names):
+            first_import = index
+    assert set_at is not None, "cli.py does not set OPENBLAS_THREAD_TIMEOUT by setdefault"
+    assert set_at < first_import, "cli.py imports numpy or kernelkit before it sets the timeout"
 
 
 def test_each_ouu_unit_of_work_happens_once(tmp_path):
@@ -151,7 +255,7 @@ sys.exit('the interp and rsr-bump examples load ' + ', '.join(loaded) if loaded 
 """
 
 # Imports the CLI and parses a config, then prints the modules that the run
-# itself imports.
+# itself imports, and whether the FEM module is loaded.
 _RUN_IMPORTS = """
 import sys
 import kernelkit.cli
@@ -160,6 +264,7 @@ parse_config_file(sys.argv[1])
 before = set(sys.modules)
 code = kernelkit.cli.main(['--config', sys.argv[1], '--out', sys.argv[2], '--quiet'])
 print(*sorted(set(sys.modules) - before))
+print('kernelkit.pde' in sys.modules)
 sys.exit(code)
 """
 
@@ -184,9 +289,13 @@ def test_cli_loads_no_scipy_package_beyond_the_compiled_wrappers(tmp_path):
 
 @pytest.mark.parametrize("name", ["interp", "rsr-bump", "ouu-advection"])
 def test_a_run_imports_only_the_lazy_modules(tmp_path, name):
-    # Every module a run needs is imported with the CLI, so its cost stays
-    # in start-up; only kernelkit.packets, which only packet-grid fits use,
-    # loads on first use.
+    # Every module a run needs is imported with the CLI or its config's run
+    # plan, so its cost stays in start-up; only kernelkit.packets, which
+    # only packet-grid fits use, loads on first use.  The interp run never
+    # loads the FEM module, kernelkit.pde.
     done = run_child(_RUN_IMPORTS, f"docs/examples/{name}.cfg", str(tmp_path / name))
     assert done.returncode == 0, done.stderr
-    assert set(done.stdout.split()) <= {"kernelkit.packets"}, done.stdout
+    run_imports, pde_loaded = done.stdout.split("\n")[:2]
+    assert set(run_imports.split()) <= {"kernelkit.packets"}, done.stdout
+    if name == "interp":
+        assert pde_loaded == "False", done.stdout

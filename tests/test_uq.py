@@ -9,9 +9,8 @@ from kernelkit.pde import (
     GaussianFieldSampler,
     Mesh,
     _field_factor,
-    philox_generator,
 )
-from kernelkit.points import Box, Disc, PointSet, generate_points
+from kernelkit.points import Box, Disc, PointSet, generate_points, philox_generator, random_points
 from kernelkit.smolyak import (
     EvaluationError,
     ProblemSpec,
@@ -34,7 +33,6 @@ from kernelkit.uq import (
     minimize_objective,
     ouu_sample_specs,
     ouu_study,
-    random_points,
     surface_study,
     synthetic_bias_factor,
 )
