@@ -21,7 +21,9 @@ Exit codes:
   output directory that cannot be created, and a threshold that the plan
   cannot reach: ``n + L`` above the combination rule's bound of 64, a
   level map that is not a finite float at a reached level, or a dense
-  kernel fit above its node bound.
+  kernel fit above its node bound.  An artifact that cannot be written,
+  such as a ``study.csv`` that is a directory, is one too; the artifacts
+  written before it stay.
 """
 
 from __future__ import annotations
@@ -78,7 +80,20 @@ from kernelkit.uq import (  # noqa: E402
 _REFERENCE_MINIMIZER = ((-0.451, -0.062), 5.059)
 
 
-def _write_manifest(path, config: RunConfig, seed: int, extra: dict) -> None:
+def _write(out: str, name: str, text: str) -> None:
+    """Write the artifact ``name`` into ``out``; one that cannot be written
+    is a configuration error."""
+    path = os.path.join(out, name)
+    try:
+        with open(path, "w", newline="") as handle:
+            handle.write(text)
+    except OSError as err:
+        raise ConfigError(
+            f"output file {path!r} cannot be written: {err.strerror or err}"
+        ) from None
+
+
+def _manifest_text(config: RunConfig, seed: int, extra: dict) -> str:
     canonical = serialize_config(config)
     digest = hashlib.sha256(canonical.encode()).hexdigest()
     lines = [
@@ -88,27 +103,17 @@ def _write_manifest(path, config: RunConfig, seed: int, extra: dict) -> None:
         f"seed = {seed}",
     ]
     lines += [f"{key} = {value}" for key, value in extra.items()]
-    with open(path, "w") as handle:
-        handle.write("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
-def _write_csv(path, header: list[str], rows: list[dict]) -> None:
+def _csv_text(header: list[str], rows: list[dict]) -> str:
     def fmt(key, value):
         if isinstance(value, float):
             return f"{value:.12e}"
         return str(value)
 
-    with open(path, "w", newline="") as handle:
-        handle.write(",".join(header) + "\n")
-        for row in rows:
-            handle.write(",".join(fmt(k, row[k]) for k in header) + "\n")
-
-
-def _write_slopes(path, fitted: float, predicted: float, window: float) -> None:
-    with open(path, "w") as handle:
-        handle.write(f"predicted_slope = {predicted:.12e}\n")
-        handle.write(f"fitted_slope = {fitted:.12e}\n")
-        handle.write(f"fit_window = {window:.12e}\n")
+    lines = [",".join(header)] + [",".join(fmt(k, row[k]) for k in header) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 class _Study(NamedTuple):
@@ -248,17 +253,21 @@ def run(config: RunConfig, out: str, seed: int, quiet: bool) -> None:
         extra["eval_points"] = config[("study", "eval_points")]
     if config.pipeline == "ouu":
         extra["replications"] = config[("ouu", "replications")]
-    _write_manifest(os.path.join(out, "manifest.txt"), config, seed, extra)
+    _write(out, "manifest.txt", _manifest_text(config, seed, extra))
     plan = run_plan(config.pipeline, config.sections)
     study = _RUNNERS[config.pipeline](config, plan, seed)
     fitted = fit_loglog_slope(study.series, window=config.fit_window)
     # fem-check's P1 solutions converge in L2 at order 2 in the mesh width.
     predicted = 2.0 if plan is None else predicted_rates(plan.specs).slope
-    _write_csv(os.path.join(out, "study.csv"), study.header, study.rows)
-    _write_slopes(os.path.join(out, "slope.txt"), fitted, predicted, config.fit_window)
+    _write(out, "study.csv", _csv_text(study.header, study.rows))
+    slopes = (
+        f"predicted_slope = {predicted:.12e}\n"
+        f"fitted_slope = {fitted:.12e}\n"
+        f"fit_window = {config.fit_window:.12e}\n"
+    )
+    _write(out, "slope.txt", slopes)
     for name, text in study.artifacts.items():
-        with open(os.path.join(out, name), "w") as handle:
-            handle.write(text)
+        _write(out, name, text)
         if not quiet:
             print(text, end="")
 
@@ -296,6 +305,9 @@ def main(argv=None) -> int:
         return 2
     try:
         run(config, out, seed, args.quiet)
+    except ConfigError as err:
+        print(f"configuration error: {err}", file=sys.stderr)
+        return 2
     except (
         EvaluationError,
         ConditioningError,

@@ -75,6 +75,11 @@ from kernelkit.points import tensor_grid, tensor_weights
 from kernelkit.surrogate import KernelExpansion, PacketExpansion, PacketGrid, Surrogate
 
 _NU_TOL = 1e-9
+# The highest order nu a kernel takes.  Just above it the profile's
+# constants overflow (the half-integer coefficients from nu = 151.5,
+# Gamma(beta) from beta = 172), and a huge integer order would run the
+# Bessel recurrence without bound.
+_MAX_NU = 150
 _JITTER_START = 1e-12  # relative to trace/N
 _JITTER_LIMIT = 1e-6
 _RESIDUAL_TARGET = 1e-12
@@ -146,7 +151,7 @@ class MaternKernel:
     """Matern kernel with Sobolev smoothness ``beta`` on ``R**dim``.
 
     Requires ``beta > dim / 2`` and ``nu = beta - dim/2`` to be a positive
-    integer or half-integer.
+    integer or half-integer of at most ``_MAX_NU``.
     """
 
     beta: float
@@ -163,6 +168,8 @@ class MaternKernel:
             raise ValueError(
                 f"need beta > dim/2, got beta={self.beta}, dim={self.dim}"
             )
+        if nu > _MAX_NU:
+            raise ValueError(f"order nu={nu:g} unsupported: must be at most {_MAX_NU}")
         doubled = 2.0 * nu
         if abs(doubled - round(doubled)) > _NU_TOL:
             raise ValueError(

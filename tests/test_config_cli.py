@@ -1247,14 +1247,14 @@ class TestCliRuns:
         assert all(b < a for a, b in zip(errors, errors[1:]))
 
 
-def run_cli_child(*argv):
+def run_cli_child(*argv, timeout=120):
     """Run the command line in a child process, as a shell runs it."""
     return subprocess.run(
         [sys.executable, "-m", "kernelkit.cli", *argv, "--quiet"],
         env=dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src")),
         capture_output=True,
         text=True,
-        timeout=120,
+        timeout=timeout,
     )
 
 
@@ -1288,6 +1288,43 @@ class TestCliExitPathsInChild:
         assert len(result.stderr.splitlines()) == 1
         assert "Traceback" not in result.stderr
         assert taken.read_text() == "taken\n"
+
+    @pytest.mark.parametrize(
+        "name, before",
+        [("manifest.txt", []), ("study.csv", ["manifest.txt"])],
+        ids=["manifest.txt", "study.csv"],
+    )
+    def test_unwritable_artifact_is_a_configuration_error(self, tmp_path, name, before):
+        # A directory takes the artifact's path; the artifacts written before
+        # it stay.
+        out = tmp_path / "taken"
+        (out / name).mkdir(parents=True)
+        cfg = os.path.join(ROOT, "docs", "examples", "rates.cfg")
+        result = run_cli_child("--config", cfg, "--out", str(out))
+        assert result.returncode == 2
+        path = str(out / name)
+        assert result.stderr.startswith(f"configuration error: output file {path!r} cannot be written:")
+        assert len(result.stderr.splitlines()) == 1
+        assert "Traceback" not in result.stderr
+        assert sorted(os.listdir(out)) == sorted(before + [name])
+        assert not os.listdir(out / name)
+
+    @pytest.mark.parametrize("beta", ["1e6", "1e300"])
+    def test_huge_kernel_order_is_refused_at_parse_time(self, tmp_path, beta):
+        # Such an order, an integer-valued float, would run the Bessel
+        # recurrence without bound; refused at parse time, it exits well
+        # within 10 s.
+        with open(os.path.join(ROOT, "docs", "examples", "interp.cfg")) as handle:
+            text = re.sub(r"(?m)^beta = .*", f"beta = {beta}", handle.read())
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "huge"
+        result = run_cli_child("--config", str(cfg), "--out", str(out), timeout=10)
+        assert result.returncode == 2
+        assert result.stderr.startswith("configuration error: [kernel] beta = ")
+        assert "at most 150" in result.stderr
+        assert len(result.stderr.splitlines()) == 1
+        assert not out.exists()
 
     def test_unread_key_is_a_configuration_error(self, tmp_path):
         # rsr reads no [pde] level_min (fem-check's level range).

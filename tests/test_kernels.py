@@ -256,6 +256,19 @@ class TestMaternKernel:
         with pytest.raises(ValueError):
             MaternKernel(beta=2.0, dim=1, length_scale=0.0)
 
+    def test_order_bound(self):
+        # At nu = 150, the highest order, and at the highest half-integer
+        # order below it the profile's constants are finite; a kernel of an
+        # order above it is refused as it is built.
+        for beta, dim in [(150.5, 1), (151.0, 2)]:
+            kernel = MaternKernel(beta=beta, dim=dim)
+            assert kernel.nu == 150
+            assert 0 < kernel._normalization and math.isfinite(kernel.value_at_zero)
+        assert np.isfinite(MaternKernel(beta=150.0, dim=1)._half_integer_coefficients).all()
+        for beta, dim in [(151.0, 1), (151.5, 2), (1e6, 1), (1e300, 1)]:
+            with pytest.raises(ValueError, match="at most 150"):
+                MaternKernel(beta=beta, dim=dim)
+
 
 def fraction_half_integer_polynomial(m):
     """The order ``m + 1/2`` profile's polynomial ``q`` in ``Fraction``s,

@@ -497,13 +497,12 @@ class TestConvergenceStudy:
         assert max_resolution == level_to_resolution(problem.factors[0], 6)
 
     def test_csv_format(self, tmp_path):
-        from kernelkit.cli import _write_csv
+        from kernelkit.cli import _csv_text, _write
 
         rows = [(2, 10.0, 3, 0.125), (3, 20.0, 5, 0.0625)]
         header = ["L", "work_units", "evaluations", "error"]
-        path = tmp_path / "study.csv"
-        _write_csv(path, header, [dict(zip(header, row)) for row in rows])
-        text = path.read_text().splitlines()
+        _write(str(tmp_path), "study.csv", _csv_text(header, [dict(zip(header, r)) for r in rows]))
+        text = (tmp_path / "study.csv").read_text().splitlines()
         assert text[0] == "L,work_units,evaluations,error"
         assert text[1] == "2,1.000000000000e+01,3,1.250000000000e-01"
 

@@ -1,25 +1,27 @@
 """Structural rules on the library's source, checked on its syntax trees,
-and counts of the work that an example run does."""
+and on the CI workflow, and counts and budgets of the work that an example
+run does."""
 
 import ast
+import cProfile
 import os
 import pathlib
+import pstats
 import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SOURCE = ROOT / "src" / "kernelkit"
 
-# Runs the ouu example through the CLI and prints how often each unit of
-# work happened: sample_qoi calls (one per distinct solve), assembled
-# (field draw, mesh) systems, dense node-set factorizations, field draws,
-# field covariance factorizations and solved plans.
-_OUU_COUNTS = """
+# The preamble of each child script that counts calls: count(owner, name)
+# wraps owner.name so that each call adds one to counts[name].
+_COUNTING = """
 import collections, sys
-import kernelkit.cli, kernelkit.kernels as kernels, kernelkit.pde as pde, kernelkit.uq as uq
+import kernelkit.cli
 counts = collections.Counter()
 def count(owner, name):
     original = getattr(owner, name)
@@ -27,6 +29,14 @@ def count(owner, name):
         counts[name] += 1
         return original(*args, **kwargs)
     setattr(owner, name, counted)
+"""
+
+# Runs the ouu example through the CLI and prints how often each unit of
+# work happened: sample_qoi calls (one per distinct solve), assembled
+# (field draw, mesh) systems, dense node-set factorizations, field draws,
+# field covariance factorizations and solved plans.
+_OUU_COUNTS = _COUNTING + """
+import kernelkit.kernels as kernels, kernelkit.pde as pde, kernelkit.uq as uq
 count(pde.AdvectionDiffusionProblem, 'sample_qoi')
 count(pde.AdvectionDiffusionProblem, '_base')
 count(kernels, 'cho_factor')
@@ -36,6 +46,19 @@ count(uq.OuuPipeline, '_solve_plan')
 argv = ['--config', 'docs/examples/ouu-advection.cfg', '--out', sys.argv[1], '--quiet']
 code = kernelkit.cli.main(argv)
 print(*(counts[name] for name in ('sample_qoi', '_base', 'cho_factor', 'sample', 'dpotrf', '_solve_plan')))
+sys.exit(code)
+"""
+
+# Runs a config through the CLI and prints how often each named function
+# of kernelkit.kernels (np.linalg for eigh) was called.
+_FACTORED_ONCE = _COUNTING + """
+import numpy as np
+import kernelkit.kernels as kernels
+config, out, *names = sys.argv[1:]
+for name in names:
+    count(np.linalg if name == 'eigh' else kernels, name)
+code = kernelkit.cli.main(['--config', config, '--out', out, '--quiet'])
+print(*(counts[name] for name in names))
 sys.exit(code)
 """
 
@@ -197,6 +220,21 @@ def test_the_cli_sets_the_openblas_thread_timeout_before_numpy_loads():
     assert set_at < first_import, "cli.py imports numpy or kernelkit before it sets the timeout"
 
 
+def test_ci_runs_library_code_only_through_tier_1():
+    # The tier-1 verify command runs every check CI runs: beside the tier-1
+    # step, no workflow step names kernelkit or puts src on PYTHONPATH.
+    text = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
+    steps = re.split(r"(?m)^\s*- (?=name:|uses:)", text)[1:]
+    found = [
+        step.splitlines()[0]
+        for step in steps
+        if not step.startswith("name: Tier-1 tests")
+        and ("kernelkit" in step or re.search(r"PYTHONPATH[=:]\s*\S*\bsrc\b", step))
+    ]
+    assert steps, "no step found in .github/workflows/tests.yml"
+    assert not found, "workflow steps that run library code beside tier-1: " + ", ".join(found)
+
+
 def test_each_ouu_unit_of_work_happens_once(tmp_path):
     # The ouu example makes 12,618 distinct solves, each one sample_qoi
     # call; it assembles each of its 1,995 (field draw, mesh) systems once,
@@ -206,6 +244,128 @@ def test_each_ouu_unit_of_work_happens_once(tmp_path):
     done = run_child(_OUU_COUNTS, str(tmp_path / "once"))
     assert done.returncode == 0, done.stderr
     assert done.stdout == "12618 1995 7 991 1 6\n"
+
+
+@pytest.mark.parametrize(
+    "name, functions, expected",
+    [
+        ("interp", ["_packet_factor", "eigh", "dgbtrf"], "7 0 7"),
+        ("rsr-bump", ["cho_factor"], "8"),
+    ],
+    ids=["interp", "rsr-bump"],
+)
+def test_each_kernel_node_set_and_grid_factor_is_factored_once(
+    tmp_path, name, functions, expected
+):
+    # The interp example fits on product grids of 7 distinct one-dimensional
+    # nu = 3/2 factors, each given its kernel-packet basis and one banded LU
+    # (dgbtrf) once, and none eigendecomposed; the rsr-bump example fits on
+    # 8 distinct dense node sets, each Cholesky-factored once.
+    config, out = f"docs/examples/{name}.cfg", str(tmp_path / name)
+    done = run_child(_FACTORED_ONCE, config, out, *functions)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == expected + "\n", f"{' '.join(functions)}: {done.stdout}"
+
+
+def test_a_kernel_packet_basis_costs_a_fixed_number_of_calls():
+    # packets._packet_basis builds a factor's basis in a fixed number of
+    # array passes, whatever its size: at nu = 3/2 it makes as many
+    # Python-level calls (cProfile) on 64 sorted Halton points as on 1,024.
+    # Measured: 462 on each (1,296 when the end packets and the series were
+    # summed term by term); the ceiling, 600, leaves room for numpy's own
+    # wrappers to differ between versions.
+    from kernelkit import packets
+    from kernelkit.kernels import MaternKernel
+    from kernelkit.points import halton_sequence
+
+    kernel = MaternKernel(beta=2.0, dim=1)
+    grids = [np.sort(halton_sequence(count, 1), axis=0) for count in (64, 1024)]
+    packets._packet_basis(kernel, grids[0])  # builds the order's series tables once
+    counts = []
+    for points in grids:
+        profile = cProfile.Profile()
+        profile.runcall(packets._packet_basis, kernel, points)
+        counts.append(pstats.Stats(profile).total_calls)
+    assert counts[0] == counts[1] <= 600, f"calls at 64 and 1,024 points: {counts}"
+
+
+# Runs a config through the CLI with tracemalloc on and prints its exit
+# code, the size of the largest Gram matrix TensorKernel.gram returned and
+# the heap growth while that matrix was built.
+_GRAM_BUILDS = """
+import sys, tracemalloc
+import kernelkit.cli, kernelkit.kernels as kernels
+build = kernels.TensorKernel.gram
+builds = []
+def measured(self, x, y):
+    start, _ = tracemalloc.get_traced_memory()
+    tracemalloc.reset_peak()
+    out = build(self, x, y)
+    builds.append((out.nbytes, tracemalloc.get_traced_memory()[1] - start))
+    return out
+kernels.TensorKernel.gram = measured
+tracemalloc.start()
+code = kernelkit.cli.main(['--config', sys.argv[1], '--out', sys.argv[2], '--quiet'])
+print(code, *max(builds, default=(0, 0)))
+"""
+
+
+def test_a_gram_build_holds_one_gram_sized_array(tmp_path):
+    # The interp example with one block fits 2,048 nodes at l_max = 11 on
+    # the dense Cholesky path, whose Gram matrix takes 32 MiB; grids of
+    # several blocks are fitted in the packet basis and build none.  Built
+    # from row blocks, that matrix grows the heap by 32.6 MiB while it is
+    # built; a whole-matrix distance or Horner temporary beside it would
+    # take the growth to 64 MiB or more.
+    text = (ROOT / "docs" / "examples" / "interp.cfg").read_text()
+    config = tmp_path / "gram.cfg"
+    config.write_text(re.sub(r"(?m)^l_max = .*", "l_max = 11", text) + "\n[interp]\nblocks = 1\n")
+    done = run_child(_GRAM_BUILDS, str(config), str(tmp_path / "gram"))
+    assert done.returncode == 0, done.stderr
+    code, size, grown = map(int, done.stdout.split())
+    message = f"exit {code}, largest Gram {size / 2**20:.1f} MiB, heap growth {grown / 2**20:.1f} MiB"
+    assert code == 0 and size >= 32 * 2**20 and grown <= 40 * 2**20, message
+
+
+# Runs the interp, rsr-bump and ouu-advection examples through the CLI and
+# prints how many ranked plans surrogate._ContractionPlan.build made, their
+# coefficient-matrix entries in all, and each plan with more entries than
+# nodes.
+_RANKED_PLANS = """
+import sys
+import kernelkit.cli, kernelkit.surrogate as surrogate
+build = surrogate._ContractionPlan.build.__func__
+plans, padded = [], []
+def checked(cls, kernel, nodes, coefficients):
+    plan = build(cls, kernel, nodes, coefficients)
+    entries = sum(matrix.size for _, matrix, _ in plan.groups)
+    plans.append(entries)
+    if entries > len(nodes):
+        padded.append(f'{entries} entries for {len(nodes)} nodes')
+    return plan
+surrogate._ContractionPlan.build = classmethod(checked)
+for name in ('interp', 'rsr-bump', 'ouu-advection'):
+    argv = ['--config', f'docs/examples/{name}.cfg', '--out', f'{sys.argv[1]}/{name}', '--quiet']
+    if kernelkit.cli.main(argv):
+        sys.exit(f'docs/examples/{name}.cfg failed')
+print(len(plans), 'plans,', sum(plans), 'entries')
+print(*padded, sep=', ')
+"""
+
+
+def test_every_kernel_expansion_a_config_builds_is_a_padless_ranked_plan(tmp_path):
+    # surrogate.py contracts every kernel expansion by its ranked plan alone,
+    # which holds one coefficient-matrix entry per node on a union of grids
+    # over nested prefixes, the only node sets a pipeline builds, and pads
+    # the rest with zeros.  The rsr-bump and ouu-advection examples build
+    # their plans here (33, with 545 entries); the interp example's grids
+    # are fitted in the packet basis and build none.  Any plan with more
+    # entries than nodes fails.
+    done = run_child(_RANKED_PLANS, str(tmp_path))
+    assert done.returncode == 0, done.stderr
+    built, padded = done.stdout.split("\n")[:2]
+    assert not built.startswith("0 plans"), "no plan was built"
+    assert not padded, f"{built}; padded plans: {padded}"
 
 
 # No library module imports scipy.sparse, at any depth of its code.  The
