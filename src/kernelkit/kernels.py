@@ -26,7 +26,8 @@ need, is the plain product of the block profiles.  Every multi-block node
 set a pipeline fits is a product grid, which the Kronecker solves below
 take without a Gram matrix.  A fit (:func:`fit_interpolant`) is the
 one-term :class:`~kernelkit.surrogate.Surrogate` of its expansion; that
-module holds and evaluates every fitted function, and this one imports it.
+module holds and evaluates every fitted function, on its nodes' domain
+only, and this one imports it.
 
 Interpolation coefficients solve the symmetric positive-definite kernel
 system ``(K + jitter I) x = b`` with an escalating diagonal shift, followed
@@ -45,7 +46,9 @@ basis instead (:func:`_packet_solve`; the basis lives in
 :mod:`kernelkit.packets`, which only runs that fit such grids import):
 ``x -> ((x)phi_j(x_j))^T w`` with ``((x)Phi_j^T) w = b``, ``Phi_j`` the
 packets' values at factor ``j``'s points, banded (half-width ``m``) and
-well conditioned whatever the factor's size, where ``K_j`` is not.  Each
+well conditioned whatever the factor's size, where ``K_j`` is not.  The
+packets are evaluated from each factor's first point to its last, which
+are its domain's ends in every pipeline.  Each
 ``Phi_j^T`` is factored once by LAPACK's banded LU (``dgbtrf``), each mode
 solved by one ``dgbtrs`` call and applied by a sum over its diagonals.
 It needs no shift and no Gram matrix, and gives the same bits at any BLAS

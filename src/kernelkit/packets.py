@@ -17,14 +17,14 @@ A packet's values come in three exact forms, of which the cheapest loses
 the fewest digits.  A factor's basis
 (:func:`_packet_basis`) fixes each packet's form once per interval
 between neighbouring points, as one table over the ``4m + 4`` points
-around it, and past the factor's ends takes each packet as
-``exp(-|v|)`` times a polynomial, built for every end packet at once
-(:func:`_packet_ends`).  Each Taylor series sums only the leading terms
+around it.  Each Taylor series sums only the leading terms
 that can reach its result at the call's largest argument
 (:func:`_leading`), so a basis takes the same array passes at any size.
 The basis, a :class:`_FactorBasis`,
-gives its functions' values at any points (:meth:`_FactorBasis.values`);
-a fit on a grid of such factors is a
+gives its functions' values from the factor's first point to its last
+(:meth:`_FactorBasis.values`) and refuses points past them; every factor
+a pipeline builds spans its domain, on which alone a surrogate is
+evaluated.  A fit on a grid of such factors is a
 :class:`~kernelkit.surrogate.PacketGrid` over their bases, held and
 evaluated by :mod:`kernelkit.surrogate` with every other fitted function.
 
@@ -41,6 +41,7 @@ from functools import lru_cache
 import numpy as np
 
 from kernelkit.kernels import MaternKernel, _half_integer_polynomial, _packet_order
+from kernelkit.points import _CONTAIN_TOL
 
 # Kernel packets (:func:`_packet_basis`): Taylor series are summed to at
 # most this many terms, for arguments up to this radius (in length scales);
@@ -162,10 +163,9 @@ def _packet_basis(kernel: MaternKernel, points: np.ndarray) -> "_FactorBasis":
     Each takes there the form that is cheapest at the interval's midpoint,
     so that its value at any ``t`` of the interval is ``table[j, a] @
     [psi(d), o(d)]``, with ``d`` the distances from ``t`` to those points,
-    ``psi`` the profile without its constant and ``o`` its odd part.  Past
-    the first or the last point only that end's ``m + 1`` one-sided packets
-    are nonzero, each ``exp(-|v|)`` times a polynomial
-    (:func:`_packet_ends`) whose value at the end is its cheapest form's.
+    ``psi`` the profile without its constant and ``o`` its odd part.  The
+    tables hold only between the first and the last point, so a basis is
+    evaluated there alone (:meth:`_FactorBasis.values`).
     """
     u = points[:, 0] / kernel.length_scale
     m = _packet_order(kernel)
@@ -177,18 +177,15 @@ def _packet_basis(kernel: MaternKernel, points: np.ndarray) -> "_FactorBasis":
     local = starts[first]
     packets = first[:, None] + np.arange(width)
     x = points[:, 0]
-    # The forms of each interval's packets at its midpoint, then of the first
-    # interval's at the first point and of the last one's at the last point.
-    rows = np.concatenate([packets, packets[[0, -1]]])
-    at = np.concatenate([0.5 * (x[:-1] + x[1:]), x[[0, -1]]])
-    index = starts[rows][..., None] + np.arange(window)
+    # The forms of each interval's packets at its midpoint.
+    index = starts[packets][..., None] + np.arange(window)
     # In length scales, scaled after the difference, which is exact near a point.
-    offsets = at[:, None, None] - x[index]
+    offsets = 0.5 * (x[:-1] + x[1:])[:, None, None] - x[index]
     offsets /= kernel.length_scale
     sides = [offsets < 0, offsets > 0]
     distance = np.abs(offsets, out=offsets)
     # psi's constant: the profile is constant * q(d) exp(-d).
-    weights = coefficients[rows] * kernel._half_integer_constant
+    weights = coefficients[packets] * kernel._half_integer_constant
     q = kernel._half_integer_coefficients[::-1]
     with np.errstate(over="ignore", invalid="ignore"):
         direct = _polyval(distance, q)
@@ -199,15 +196,12 @@ def _packet_basis(kernel: MaternKernel, points: np.ndarray) -> "_FactorBasis":
         forms = [direct, *(np.where(side, odd, 0.0) for side in sides)]
         costs = [np.nan_to_num(np.abs(f).sum(axis=-1), nan=np.inf) for f in forms]
         # The last packets do not vanish on the right, nor the first on the left.
-        costs[1][rows >= n - m - 1] = costs[2][rows < m + 1] = np.inf
-        found = np.choose(np.argmin(costs, axis=0)[-2:], [f[-2:].sum(axis=-1) for f in forms])
+        costs[1][packets >= n - m - 1] = costs[2][packets < m + 1] = np.inf
     del distance, direct, odd, forms  # each as large as the weights: freed before the table
-    ends = _packet_ends(kernel, u, np.stack([found[0, : m + 1], found[1, m + 1 :]]))
-    index, weights = index[:-2], weights[:-2]
     # An odd form is taken only in a window narrower than the series radius,
     # where its terms are finite throughout.
     wide = u[index[..., -1]] - u[index[..., 0]] >= _PACKET_SERIES_RADIUS
-    form = np.argmin([costs[0][:-2], *(np.where(wide, np.inf, c[:-2]) for c in costs[1:])], axis=0)
+    form = np.argmin([costs[0], *(np.where(wide, np.inf, c) for c in costs[1:])], axis=0)
     # Packets j - m to j + m + 1 may be nonzero on interval j, the others not.
     weights *= np.abs(packets - j[:, None] - 0.5)[..., None] <= m + 1
     right = index > j[:, None, None]
@@ -217,64 +211,10 @@ def _packet_basis(kernel: MaternKernel, points: np.ndarray) -> "_FactorBasis":
     position = index - local[:, None, None]
     table[rows, slots, position] = np.where(form[..., None] == 0, weights, 0.0)
     table[rows, slots, span + position] = np.where(odd, weights, 0.0)
-    arrays = (starts, coefficients, first, local, table, ends)
+    arrays = (starts, coefficients, first, local, table)
     for array in arrays:
         array.setflags(write=False)
     return _FactorBasis(kernel, points, arrays)
-
-
-def _packet_ends(kernel: MaternKernel, u: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """``ends[side, l, a]``: past the first (side 0) or the last (side 1) of
-    the sorted points ``u`` (in length scales), the ``a``-th of the ``m +
-    1`` one-sided packets of that end (:func:`_packet_coefficients`), the
-    only ones nonzero there, is ``exp(-|v|) sum_l ends[side, l, a] v**l``,
-    ``v`` the signed distance past the end, as is every kernel translate
-    there.  ``values[side, a]``, its value at the end, is ``R_0``.
-
-    Packet ``i`` combines ``exp(-s (u_i - u_j)) w_j K(., u_j)`` over its
-    points, ``s`` = -1 at the first end and +1 at the last, ``w`` the
-    weights of the divided difference ``Delta_z`` of order ``m + 1`` in ``z
-    = (u - u_i) / span``.  With ``q`` the profile's polynomial, ``Q_l =
-    q^(l) / l!`` and ``e`` the end point, ``R_l = s**l exp(-s (u_i + e))
-    Delta_z[exp(2 s u) Q_l(s (e - u))]``.  Over a window narrower than a
-    length scale that sum cancels, so it is taken from the Taylor series
-    about the window's centre ``c`` instead, with ``Delta_z[(u - c)**k] =
-    span**k h_(k - m - 1)(zeta)``: ``h`` the complete homogeneous symmetric
-    polynomials of the points' ``zeta = (u - c) / span``, the convolution
-    of each point's powers, to the terms the widest such window needs.
-    """
-    n, m = len(u), values.shape[1] - 1
-    steps, taylor = _packet_tables(m)[2:]
-    order, s = np.arange(m + 1), np.array([-1.0, 1.0])[:, None, None]
-    # Packet a of side 0 spans points a to a + m + 1, of side 1 points
-    # n - 2m - 2 + a to n - m - 1 + a; its own point is the first or the last.
-    own = u[np.array([0, n - 2 * m - 2])[:, None, None] + order[:, None] + np.arange(m + 2)]
-    anchor, end = np.where(s < 0, own[..., :1], own[..., -1:]), u[[0, -1]][:, None, None]
-    span = own[..., -1:] - own[..., :1]
-    z, scale = (own - anchor) / span, -s * (anchor + end)
-    weights = np.exp(scale + 2 * s * own)
-    weights /= (z[..., :, None] - z[..., None, :] + np.eye(m + 2)).prod(axis=-1)
-    direct = np.einsum(
-        "saj,sajk,lk->sal", weights, (s * (end - own))[..., None] ** order, taylor[:, 0]
-    )
-    # |h_t| <= C(t + m + 1, m + 1) / 2**t <= ((m + 2) / 2)**t, as |zeta| <= 1/2.
-    reach = np.where(span < 1.0, span, 0.0)
-    k = m + 1 + np.arange(_PACKET_SERIES_TERMS)
-    terms = _leading(np.abs(steps[1]).max(axis=0) * (reach.max() * (m + 2) / 2) ** k)
-    centre = 0.5 * (own[..., :1] + own[..., -1:])
-    powers = ((own - centre) / span)[..., None] ** np.arange(terms)
-    toeplitz = np.tril(powers[..., np.subtract.outer(np.arange(terms), np.arange(terms))])
-    h = powers[..., 0, :]
-    for point in range(1, m + 2):  # convolve in the powers of each further point
-        h = np.einsum("...rt,...t->...r", toeplitz[..., point, :, :], h)
-    h *= reach ** k[:terms]
-    moments = np.einsum("srt,sat->sar", steps[..., :terms], h)
-    shifted = np.einsum("lrk,sak->salr", taylor, (s * (end - centre)) ** order)
-    series = np.einsum("salr,sar->sal", shifted * (-s[..., None]) ** order, moments)
-    series *= np.exp(scale + 2 * s * centre)
-    ends = np.where(span < 1.0, series, direct) * s**order * kernel._half_integer_constant
-    ends[..., 0] = values
-    return ends.transpose(0, 2, 1)
 
 
 def _polyval(x: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -317,17 +257,14 @@ def _odd_profile(d: np.ndarray, q: np.ndarray) -> np.ndarray:
 def _packet_tables(m: int) -> tuple[np.ndarray, ...]:
     """Series tables of the Matern kernel of order ``m + 1/2``, as floats.
 
-    ``(odd, basis, steps, taylor)``: with the profile ``q(s) exp(-s)`` up to
-    its constant (:func:`~kernelkit.kernels._half_integer_polynomial`), ``psi(d) -
+    ``(odd, basis)``: with the profile ``q(s) exp(-s)`` up to its constant
+    (:func:`~kernelkit.kernels._half_integer_polynomial`), ``psi(d) -
     psi(-d) = d**(2m+1) sum_i odd[i] d**(2i)``; ``basis[k, j]`` is the
     ``v**j`` Taylor coefficient of the solution ``f_k`` of ``(D**2 -
     1)**(m+1) f = 0`` whose first ``2m + 2`` derivatives at 0 are those of
-    ``v**k / k!``.  For the end packets (:func:`_packet_ends`),
-    ``steps[side, r, t] = (2 s)**i / i!``, ``i = t + m + 1 - r``, ``s = -1``
-    on side 0 and +1 on side 1, and ``taylor[l, r, k]`` is the ``y**k``
-    coefficient of ``Q_l^(r)(y) / r!``, ``Q_l = q^(l) / l!``.  Each entry is an exact ratio
-    of integers, rounded once by ``int / int`` (correctly, as ``float``
-    rounds a ``Fraction``), so the coefficients that vanish are exactly 0.
+    ``v**k / k!``.  Each entry is an exact ratio of integers, rounded once
+    by ``int / int`` (correctly, as ``float`` rounds a ``Fraction``), so
+    the coefficients that vanish are exactly 0.
     """
     terms, factorial, comb = _PACKET_SERIES_TERMS, math.factorial, math.comb
     weights, scale = _half_integer_polynomial(m)
@@ -351,17 +288,7 @@ def _packet_tables(m: int) -> tuple[np.ndarray, ...]:
                 -sum(c * derivatives[j - order + 2 * i] for i, c in enumerate(recurrence))
             )
         basis.append([d / factorial(j) for j, d in enumerate(derivatives)])
-    low, padded = range(m + 1), weights + [0] * 2 * m
-    steps = [
-        [[(2 * s) ** i / factorial(i) for i in range(m + 1 - r, terms + m + 1 - r)] for r in low]
-        for s in (-1, 1)
-    ]
-    taylor = [
-        [[padded[l + r + k] * comb(l + r + k, l) * comb(r + k, r) / scale for k in low]
-         for r in low]
-        for l in low
-    ]
-    return tuple(np.array(t, dtype=float) for t in (odd, basis, steps, taylor))
+    return np.array(odd, dtype=float), np.array(basis, dtype=float)
 
 
 def _leading(sizes: np.ndarray) -> int:
@@ -395,8 +322,8 @@ class _FactorBasis:
     :class:`~kernelkit.surrogate.PacketGrid` combines:
     the kernel packets on its sorted ``points``, laid out by
     :func:`_packet_basis` in ``packets`` (``starts``, ``coefficients``,
-    ``first``, ``local``, ``table``, ``ends``); or, with no ``packets``, the
-    kernel translates on ``points``."""
+    ``first``, ``local``, ``table``); or, with no ``packets``, the kernel
+    translates on ``points``."""
 
     kernel: MaternKernel
     points: np.ndarray
@@ -421,15 +348,24 @@ class _FactorBasis:
         ``values[p, a]`` is function ``first[p] + a`` at ``x[p]``, and every
         other function is 0 there.
 
-        Within the factor's points, packets take their interval's table,
-        beyond its ends their end's polynomials (:func:`_packet_basis`).
+        Packets take their interval's table (:func:`_packet_basis`), which
+        holds from the factor's first point to its last.  A point within
+        ``Box.contains``' tolerance past an end takes the end's values;
+        one farther out raises ValueError.
         """
         if not self.packets:
             return np.zeros(len(x), dtype=np.intp), self.kernel.gram(x, self.points)
-        _, _, first, local, table, ends = self.packets
+        _, _, first, local, table = self.packets
         s, t = self.points[:, 0], x[:, 0]
-        n, (_, width, columns) = len(s), table.shape
-        span = columns // 2
+        if t.min(initial=s[0]) < s[0] or t.max(initial=s[-1]) > s[-1]:
+            far = np.flatnonzero((t < s[0] - _CONTAIN_TOL) | (t > s[-1] + _CONTAIN_TOL))
+            if far.size:
+                raise ValueError(
+                    f"point {t[far[0]]!r} lies outside the packet basis's points "
+                    f"[{s[0]!r}, {s[-1]!r}]"
+                )
+            t = np.clip(t, s[0], s[-1])
+        n, span = len(s), table.shape[2] // 2
         interval = np.searchsorted(s[1:-1], t, side="right")
         d = s[np.minimum(local[interval][:, None] + np.arange(span), n - 1)]
         np.subtract(t[:, None], d, out=d)
@@ -446,17 +382,4 @@ class _FactorBasis:
         if d.max(initial=0.0) >= _PACKET_SERIES_RADIUS:
             # Odd parts too large for a float have no weight in the table.
             np.nan_to_num(profiles, copy=False, nan=0.0, posinf=0.0, neginf=0.0)
-        values = np.einsum("pac,pc->pa", table[interval], profiles)
-        first = first[interval]
-        if t.min(initial=s[0]) < s[0] or t.max(initial=s[-1]) > s[-1]:
-            outside = np.flatnonzero((t < s[0]) | (t > s[-1]))
-            right = t[outside] > s[-1]
-            v = (t[outside] - np.where(right, s[-1], s[0])) / self.kernel.length_scale
-            powers = v[:, None] ** np.arange(ends.shape[1])
-            found = np.einsum("kp,kpa->ka", powers, ends[right.astype(np.intp)])
-            found *= np.exp(-np.abs(v))[:, None]
-            first[outside] = np.where(right, n - width, 0)
-            values[outside] = 0.0
-            values[outside[~right], : found.shape[1]] = found[~right]
-            values[outside[right], width - found.shape[1] :] = found[right]
-        return first, values
+        return first[interval], np.einsum("pac,pc->pa", table[interval], profiles)

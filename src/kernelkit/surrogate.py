@@ -26,7 +26,9 @@ the nodes a fit is given:
 It is the one function-valued type: a fit is the one-term surrogate of its
 expansion, and the engine reduces a combination of fits in one call
 (:meth:`Surrogate.weighted_sum`), in lexicographic order; merging is a
-fixed function of the term order, so the result is reproducible.
+fixed function of the term order, so the result is reproducible.  A
+surrogate is evaluated on its domain only: :meth:`Surrogate.evaluate`
+refuses a point outside it, as no pipeline extrapolates.
 
 A study compares many surrogates at the same points: one per threshold
 ``L``, per replication, and a reference.  Their nodes are prefixes of one
@@ -41,7 +43,6 @@ columns from block profiles or packet values computed once per chunk.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from typing import Any, NamedTuple, Sequence
@@ -476,14 +477,17 @@ class Surrogate:
         return cls(terms=tuple((float(c) * w, e) for c, s in pairs for w, e in s.terms))
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
-        """Values at ``points``: shape ``(P,)``, or ``(P, members)`` for a stack."""
+        """Values at ``points``: shape ``(P,)``, or ``(P, members)`` for a
+        stack.  Raises ValueError, naming the first, if a point lies outside
+        an expansion's domain (its ``contains``, within 1e-12)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        domains = {expansion.domain for _, expansion in self.terms}
-        if not all(np.all(domain.contains(pts)) for domain in domains):
-            warnings.warn(
-                "evaluating kernel expansion outside its domain (extrapolation)",
-                stacklevel=2,
-            )
+        for domain in dict.fromkeys(expansion.domain for _, expansion in self.terms):
+            outside = np.flatnonzero(~domain.contains(pts))
+            if outside.size:
+                raise ValueError(
+                    f"point {outside[0]}, {pts[outside[0]].tolist()}, lies outside "
+                    f"its domain {domain}: a surrogate is not extrapolated"
+                )
         out = evaluate_stacked(self._layout, pts)
         return out if self.members else out[:, 0]
 

@@ -302,26 +302,7 @@ def fraction_packet_tables(m, terms):
                 -sum(c * derivatives[j - order + 2 * i] for i, c in enumerate(recurrence))
             )
         basis.append([d / math.factorial(j) for j, d in enumerate(derivatives)])
-    # steps[side][r][t] = (2 s)**i / i!, i = t + m + 1 - r
-    steps = [
-        [[Fraction((2 * s) ** (t + m + 1 - r), math.factorial(t + m + 1 - r)) for t in range(terms)]
-         for r in range(m + 1)]
-        for s in (-1, 1)
-    ]
-    # taylor[l][r][k]: the y**k coefficient of Q_l^(r)(y) / r!, Q_l = q^(l) / l!
-    taylor = [
-        [
-            [
-                q[l + r + k] * math.comb(l + r + k, l) * math.comb(r + k, r)
-                if l + r + k <= m
-                else 0
-                for k in range(m + 1)
-            ]
-            for r in range(m + 1)
-        ]
-        for l in range(m + 1)
-    ]
-    return tuple(np.array(table, dtype=float) for table in (odd, basis, steps, taylor))
+    return np.array(odd, dtype=float), np.array(basis, dtype=float)
 
 
 def fraction_bessel_series_table(n, degree, euler_gamma):
@@ -357,7 +338,7 @@ class TestSeriesTables:
         # (0, radius), the odd profile's series in d**2 and the narrow-window
         # solutions' series in v (:func:`packets._central_packets`) match
         # the full 40-term sums.  Largest seen: 0 ulps.
-        odd, basis = packets_module._packet_tables(m)[:2]
+        odd, basis = packets_module._packet_tables(m)
         q = MaternKernel(beta=m + 1.0, dim=1)._half_integer_coefficients[::-1]
 
         def full_sum(table, x):
@@ -718,11 +699,11 @@ class TestFitInterpolant:
         with pytest.raises(ValueError, match=message):
             quadrature_weights(k, nodes)
 
-    def test_extrapolation_warns(self):
+    def test_extrapolation_is_refused(self):
         k = MaternKernel(beta=2.0, dim=1)
         interp = fit_interpolant(k, uniform_nodes(5), np.ones(5))
-        with pytest.warns(UserWarning):
-            interp.evaluate(np.array([[1.5]]))
+        with pytest.raises(ValueError, match=r"point 1, \[1\.5\], lies outside its domain"):
+            interp.evaluate(np.array([[0.5], [1.5], [-0.5]]))
 
     def test_single_factor_convergence_order(self):
         k = MaternKernel(beta=2.0, dim=1)
@@ -787,15 +768,14 @@ def packet_bytes(count, m=1):
     points, ``Phi^T`` by its ``2w + 1`` diagonals, its banded LU in
     LAPACK's ``3w + 1`` rows, its 4-byte pivots and ``cond(Phi)``, with
     ``w = m``; beside them, from ``2m + 3`` points on, the packets' starts
-    and coefficients, each interval's first packet, first point and table,
-    and the polynomials past the two ends (:func:`packets._packet_basis`).
-    Below ``2m + 3`` points ``Phi^T`` is the Gram matrix, ``w = count - 1``."""
+    and coefficients, and each interval's first packet, first point and
+    table (:func:`packets._packet_basis`).  Below ``2m + 3`` points
+    ``Phi^T`` is the Gram matrix, ``w = count - 1``."""
     w = m if count >= 2 * m + 3 else count - 1
     size = 2 * count + count * (2 * w + 1) + count * (3 * w + 1) + 1
     if count >= 2 * m + 3:
         intervals = count - 1
         size += count * (2 * m + 4) + intervals * (2 + (2 * m + 2) * (8 * m + 8))
-        size += 2 * (m + 1) ** 2
     return 8 * size + 4 * count
 
 
@@ -1299,40 +1279,6 @@ def mp_gram(kernel, x, y=None):
     ]
 
 
-def mp_end_polynomials(kernel, u):
-    """:func:`packets._packet_ends` of the sorted points ``u`` (in length
-    scales) at 50 digits, rounded to floats.  Past an end, a one-sided
-    packet ``sum_j c_j K(., u_j)`` of that end is ``exp(-|v|)`` times a
-    polynomial in the signed distance ``v`` past it: with the profile
-    ``constant * q(r) exp(-r)`` and ``y_j = |u_j - e|``, its ``v**l``
-    coefficient is ``(+-1)**l sum_j c_j exp(-y_j) constant Q_l(y_j)``,
-    ``Q_l = q^(l) / l!``, ``-`` at the first end ``e``, summed here from the
-    packet's own coefficients (:func:`packets._packet_coefficients`)."""
-    mpmath = pytest.importorskip("mpmath")
-    m, n = kernels_module._packet_order(kernel), len(u)
-    ends = np.zeros((2, m + 1, m + 1))
-    with mpmath.workdps(50):
-        constant = mpmath.mpf(float(kernel._half_integer_constant))
-        q = [constant * mpmath.mpf(float(c)) for c in kernel._half_integer_coefficients[::-1]]
-        for side, a in np.ndindex(2, m + 1):
-            i = n - m - 1 + a if side else a
-            window = u[i - m - 1 : i + 1] if side else u[i : i + m + 2]
-            own = [mpmath.mpf(float(t)) for t in window]
-            anchor = own[-1] if side else own[0]
-            end = mpmath.mpf(float(u[-1] if side else u[0]))
-            z = [(t - anchor) / (own[-1] - own[0]) for t in own]
-            for l in range(m + 1):
-                total = mpmath.mpf(0)
-                for j, t in enumerate(own):
-                    gaps = mpmath.fprod(z[j] - z[k] for k in range(m + 2) if k != j)
-                    y = abs(t - end)
-                    terms = range(m + 1 - l)
-                    taylor = sum(q[p + l] * mpmath.binomial(p + l, l) * y**p for p in terms)
-                    total += mpmath.exp(-abs(anchor - t)) / gaps * mpmath.exp(-y) * taylor
-                ends[side, l, a] = float(total if side else (-1) ** l * total)
-    return ends
-
-
 def mp_inverse_columns(gram, columns):
     """Columns of the inverse of an SPD mpmath matrix, by a dense Cholesky
     factorization and solve at the working precision, as a list of columns
@@ -1690,8 +1636,8 @@ class TestPacketBasis:
     @pytest.mark.parametrize("beta", [1.0, 2.0, 3.0])
     def test_reproduces_a_native_space_member(self, beta, count):
         # A combination of kernel translates at nodes is its own
-        # interpolant, so its values are exact off the nodes, also outside
-        # the factors' points, where each packet takes its cheapest form.
+        # interpolant, so its values are exact off the nodes, where each
+        # packet takes its cheapest form.
         kernel, nodes = corner_grid(beta, count)
         block = kernel.kernels[0]
         factors = kernel.grid_factors(nodes)
@@ -1707,16 +1653,8 @@ class TestPacketBasis:
         inside = rng.random((400, 2))
         # Largest seen: 9.8e-13 relative (nu = 5/2, 5 points).
         assert np.max(np.abs(fit.evaluate(inside) - member(inside))) <= 1e-11 * scale
-        outside = np.column_stack([rng.uniform(-0.2, 1.2, 50), rng.random(50)])
-        outside[:, 0] += np.where(outside[:, 0] < 0.5, -0.2, 0.2)
-        with pytest.warns(UserWarning, match="outside its domain"):
-            got = fit.evaluate(outside)
-        # Past the ends the nu = 5/2 weights' rounding grows with the
-        # distance, as the kernel basis's did: largest seen 1.5e-9 at 1,024
-        # points, where the kernel-basis fit read 2.8e-9, against 1e-13 at
-        # nu = 3/2.
-        bound = 1e-8 if beta == 3.0 else 1e-11
-        assert np.max(np.abs(got - member(outside))) <= bound * scale
+        with pytest.raises(ValueError, match="outside its domain"):
+            fit.evaluate([[1.2, 0.5]])
 
     @pytest.mark.parametrize("count", [5, 256])
     @pytest.mark.parametrize("beta", [1.0, 2.0, 3.0])
@@ -1740,37 +1678,49 @@ class TestPacketBasis:
         error = np.abs(fit.evaluate(points) - expected.astype(float))
         assert np.max(error) <= 1e-11 * np.max(np.abs(values))
 
-    @pytest.mark.parametrize("points", ["halton", "random"])
-    @pytest.mark.parametrize("length_scale", [1.0, 0.01])
+    @pytest.mark.parametrize("count", [8, 256])
     @pytest.mark.parametrize("beta", [1.0, 2.0, 3.0])
-    def test_end_polynomials_match_50_digit_values(self, beta, length_scale, points):
-        # 16 Halton or 40 random points: at length scale 1 every end window
-        # is narrower than a length scale (the Taylor series, which the
-        # interp pipeline takes), at 0.01 every one is wider (the divided
-        # difference).  Error relative to each packet's largest coefficient;
-        # largest seen: 4.8e-15 (nu = 5/2, random points, length scale 0.01).
-        kernel = MaternKernel(beta=beta, dim=1, length_scale=length_scale)
-        rng = np.random.default_rng(3)
-        x = halton_sequence(16, 1) if points == "halton" else rng.random((40, 1))
-        x = np.sort(x, axis=0)
-        u = x[:, 0] / length_scale
-        m = kernels_module._packet_order(kernel)
-        spans = [u[m + 1 + a] - u[a] for a in range(m + 1)]
-        spans += [u[-1 - a] - u[-m - 2 - a] for a in range(m + 1)]
-        assert all((span < 1.0) == (length_scale == 1.0) for span in spans)
-        ends = packets_module._packet_basis(kernel, x).packets[5]
-        expected = mp_end_polynomials(kernel, u)
-        error = np.abs(ends - expected).max(axis=1) / np.abs(expected).max(axis=1)
-        assert error.max() <= 1e-13
+    def test_a_point_just_past_an_end_takes_the_end_value(self, beta, count):
+        # Within Box.contains' tolerance, 1e-12, past either end of a
+        # factor, its packets take their values at that end; a point
+        # farther out is refused.
+        kernel, nodes = corner_grid(beta, count)
+        basis = grid_of(fit_interpolant(kernel, nodes, smooth_values(nodes.points))).bases[0]
+        assert basis.packets
+        for end, past in ((0.0, -1e-12), (1.0, 1.0 + 1e-12)):
+            got, expected = basis.values(np.array([[past]])), basis.values(np.array([[end]]))
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
+            with pytest.raises(ValueError, match="outside the packet basis's points"):
+                basis.values(np.array([[past + (past - end)]]))
+
+    def test_a_basis_short_of_its_domain_refuses_points_past_its_ends(self):
+        # A packet basis holds from its factor's first point to its last.
+        # A fit whose factor stops short of its domain's ends, as no
+        # pipeline's does, refuses a point of the domain past them rather
+        # than read its tables outside their span.
+        kernel = MaternKernel(beta=2.0, dim=1)
+        factor = PointSet(points=halton_sequence(16, 1), domain=UNIT_INTERVAL)
+        nodes = PointSet.product([factor, generate_points(UNIT_INTERVAL, 2)])
+        tensor = TensorKernel(kernels=(kernel, kernel))
+        fit = fit_interpolant(tensor, nodes, smooth_values(nodes.points))
+        assert isinstance(expansion_of(fit), PacketExpansion)
+        low, high = factor.points.min(), factor.points.max()
+        assert 0.0 < low and high < 1.0
+        assert np.isfinite(fit.evaluate([[low, 0.3], [high, 0.7]])).all()
+        for outside in (0.5 * low, 0.5 * (1.0 + high)):
+            with pytest.raises(ValueError, match="outside the packet basis's points"):
+                fit.evaluate([[0.5, 0.5], [outside, 0.5]])
 
     @pytest.mark.parametrize("beta", [1.0, 2.0, 3.0])
     def test_basis_built_twice_in_one_process_is_byte_identical(self, beta):
         # Each series sums the terms its call's largest argument needs: a
         # basis built again after bases of other sizes keeps its bytes, and
-        # so do its values at points taken whole or in chunks.
+        # so do its values at points taken whole or in chunks, within every
+        # basis's points.
         kernel = MaternKernel(beta=beta, dim=1)
         grids = [np.sort(halton_sequence(n, 1), axis=0) for n in (8, 64, 1024)]
-        t = np.random.default_rng(0).uniform(-0.2, 1.2, (862, 1))
+        low, high = max(grid[0, 0] for grid in grids), min(grid[-1, 0] for grid in grids)
+        t = np.random.default_rng(0).uniform(low, high, (862, 1))
 
         def snapshot(basis):
             arrays = (*basis.packets, packets_module._packet_band(basis), *basis.values(t))

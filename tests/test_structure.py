@@ -271,9 +271,10 @@ def test_a_kernel_packet_basis_costs_a_fixed_number_of_calls():
     # packets._packet_basis builds a factor's basis in a fixed number of
     # array passes, whatever its size: at nu = 3/2 it makes as many
     # Python-level calls (cProfile) on 64 sorted Halton points as on 1,024.
-    # Measured: 462 on each (1,296 when the end packets and the series were
-    # summed term by term); the ceiling, 600, leaves room for numpy's own
-    # wrappers to differ between versions.
+    # Measured: 313 on each (462 when the basis also built the end packets'
+    # polynomials, and 1,296 when those and the series were summed term by
+    # term); the ceiling, 400, leaves room for numpy's own wrappers to
+    # differ between versions.
     from kernelkit import packets
     from kernelkit.kernels import MaternKernel
     from kernelkit.points import halton_sequence
@@ -286,7 +287,7 @@ def test_a_kernel_packet_basis_costs_a_fixed_number_of_calls():
         profile = cProfile.Profile()
         profile.runcall(packets._packet_basis, kernel, points)
         counts.append(pstats.Stats(profile).total_calls)
-    assert counts[0] == counts[1] <= 600, f"calls at 64 and 1,024 points: {counts}"
+    assert counts[0] == counts[1] <= 400, f"calls at 64 and 1,024 points: {counts}"
 
 
 # Runs a config through the CLI with tracemalloc on and prints its exit
@@ -327,12 +328,12 @@ def test_a_gram_build_holds_one_gram_sized_array(tmp_path):
     assert code == 0 and size >= 32 * 2**20 and grown <= 40 * 2**20, message
 
 
-# Runs the interp, rsr-bump and ouu-advection examples through the CLI and
+# Runs each config given after the output directory through the CLI and
 # prints how many ranked plans surrogate._ContractionPlan.build made, their
 # coefficient-matrix entries in all, and each plan with more entries than
 # nodes.
 _RANKED_PLANS = """
-import sys
+import os, sys
 import kernelkit.cli, kernelkit.surrogate as surrogate
 build = surrogate._ContractionPlan.build.__func__
 plans, padded = [], []
@@ -344,10 +345,10 @@ def checked(cls, kernel, nodes, coefficients):
         padded.append(f'{entries} entries for {len(nodes)} nodes')
     return plan
 surrogate._ContractionPlan.build = classmethod(checked)
-for name in ('interp', 'rsr-bump', 'ouu-advection'):
-    argv = ['--config', f'docs/examples/{name}.cfg', '--out', f'{sys.argv[1]}/{name}', '--quiet']
-    if kernelkit.cli.main(argv):
-        sys.exit(f'docs/examples/{name}.cfg failed')
+for config in sys.argv[2:]:
+    out = os.path.join(sys.argv[1], os.path.basename(config)[:-4])
+    if kernelkit.cli.main(['--config', config, '--out', out, '--quiet']):
+        sys.exit(f'{config} failed')
 print(len(plans), 'plans,', sum(plans), 'entries')
 print(*padded, sep=', ')
 """
@@ -358,10 +359,18 @@ def test_every_kernel_expansion_a_config_builds_is_a_padless_ranked_plan(tmp_pat
     # which holds one coefficient-matrix entry per node on a union of grids
     # over nested prefixes, the only node sets a pipeline builds, and pads
     # the rest with zeros.  The rsr-bump and ouu-advection examples build
-    # their plans here (33, with 545 entries); the interp example's grids
-    # are fitted in the packet basis and build none.  Any plan with more
-    # entries than nodes fails.
-    done = run_child(_RANKED_PLANS, str(tmp_path))
+    # one-block plans here (33, with 545 entries), whose ranking cannot pad;
+    # rsr-bump with two bumps from l_min = 3 builds six two-block plans (339
+    # entries), which a last block ranked by ascending node count pads (5
+    # of the 6).  The interp example's grids are fitted in the packet basis
+    # and build none.  Any plan with more entries than nodes fails.
+    text = (ROOT / "docs" / "examples" / "rsr-bump.cfg").read_text()
+    two_bumps = tmp_path / "rsr-two-bumps.cfg"
+    two_bumps.write_text(
+        re.sub(r"(?m)^bumps = .*", "bumps = 2", re.sub(r"(?m)^l_min = .*", "l_min = 3", text))
+    )
+    examples = [f"docs/examples/{name}.cfg" for name in ("interp", "rsr-bump", "ouu-advection")]
+    done = run_child(_RANKED_PLANS, str(tmp_path), *examples, str(two_bumps))
     assert done.returncode == 0, done.stderr
     built, padded = done.stdout.split("\n")[:2]
     assert not built.startswith("0 plans"), "no plan was built"

@@ -1,7 +1,6 @@
 import os
 import subprocess
 import sys
-import warnings
 
 import numpy as np
 import pytest
@@ -253,13 +252,13 @@ class TestMergedExpansion:
         assert got.shape == (count,)
         assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
 
-    def test_outside_domain_warns(self):
+    def test_outside_domain_is_refused(self):
+        # Within Box.contains' tolerance of the domain a point is evaluated;
+        # the first point farther out is named.
         s = simple_surrogate()
-        with pytest.warns(UserWarning, match="outside its domain"):
-            s.evaluate(np.array([[1.5]]))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            s.evaluate(np.array([[0.5]]))
+        with pytest.raises(ValueError, match=r"point 2, \[1\.5\], lies outside its domain"):
+            s.evaluate(np.array([[0.5], [1.0 + 1e-12], [1.5], [-0.5]]))
+        assert s.evaluate(np.array([[-1e-12], [0.5]])).shape == (2,)
 
 
 def disc_family(rng):
@@ -410,7 +409,7 @@ class TestStackedEvaluation:
             Surrogate.stack([stack])
         with pytest.raises(ValueError):
             Surrogate.stack([])
-        with pytest.warns(UserWarning, match="outside its domain"):
+        with pytest.raises(ValueError, match="outside its domain"):
             stack.evaluate(np.array([[1.5]]))
 
 
