@@ -1279,6 +1279,37 @@ def mp_gram(kernel, x, y=None):
     ]
 
 
+def mp_end_packets(kernel, x, t):
+    """The first and last ``m + 1`` kernel packets on the sorted points
+    ``x`` (:func:`packets._packet_coefficients`) at 50 digits, rounded to
+    floats: ``(coefficients, values)``, ``coefficients[i]`` packet ``i``'s
+    weights of its ``m + 2`` own points and ``values[i]`` its values at
+    ``t``, by the sum of its weighted kernel translates (:func:`mp_gram`).
+    A one-sided packet's weights are ``exp(-|u_j - u_i|)`` times the
+    divided-difference weights of order ``m + 1`` over its own points
+    ``u_j`` in length scales, ``u_i`` its own point, the first of them at
+    the first end and the last at the last."""
+    mpmath = pytest.importorskip("mpmath")
+    m, n = kernels_module._packet_order(kernel), len(x)
+    packets = [*range(m + 1), *range(n - m - 1, n)]
+    coefficients, values = np.zeros((len(packets), m + 2)), np.zeros((len(packets), len(t)))
+    with mpmath.workdps(50):
+        u = [mpmath.mpf(float(s)) / kernel.length_scale for s in x]
+        gram = mp_gram(kernel, t, x)
+        for row, i in enumerate(packets):
+            start = i if i < m + 1 else i - m - 1
+            own = u[start : start + m + 2]
+            z = [(s - own[0]) / (own[-1] - own[0]) for s in own]
+            weights = [
+                mpmath.exp(-abs(s - u[i])) / mpmath.fprod(z[j] - z[k] for k in range(m + 2) if k != j)
+                for j, s in enumerate(own)
+            ]
+            coefficients[row] = [float(w) for w in weights]
+            for p, kernel_row in enumerate(gram):
+                values[row, p] = float(mpmath.fdot(weights, kernel_row[start : start + m + 2]))
+    return coefficients, values
+
+
 def mp_inverse_columns(gram, columns):
     """Columns of the inverse of an SPD mpmath matrix, by a dense Cholesky
     factorization and solve at the working precision, as a list of columns
@@ -1677,6 +1708,50 @@ class TestPacketBasis:
         # Largest seen: 5.0e-13 relative (nu = 5/2, 256 points).
         error = np.abs(fit.evaluate(points) - expected.astype(float))
         assert np.max(error) <= 1e-11 * np.max(np.abs(values))
+
+    @pytest.mark.parametrize("points", ["halton", "random"])
+    @pytest.mark.parametrize("length_scale", [1.0, 0.01])
+    @pytest.mark.parametrize("beta", [1.0, 2.0, 3.0])
+    def test_end_packets_match_50_digit_values(self, beta, length_scale, points):
+        # The first and last m + 1 packets vanish on one side only.  On 16
+        # Halton or 40 random points, at length scale 1 every end window is
+        # narrower than a length scale, where those packets take the odd
+        # form near their points, and at 0.01 every one is wider, where
+        # they take the kernel values themselves.  Their weights and their
+        # values between the factor's ends, at points that cover every
+        # interval they reach, match the 50-digit sums, relative to each
+        # packet's largest weight or value.
+        kernel = MaternKernel(beta=beta, dim=1, length_scale=length_scale)
+        rng = np.random.default_rng(3)
+        x = halton_sequence(16, 1) if points == "halton" else rng.random((40, 1))
+        x = np.sort(x, axis=0)
+        u = x[:, 0] / length_scale
+        m, n = kernels_module._packet_order(kernel), len(x)
+        spans = [u[m + 1 + a] - u[a] for a in range(m + 1)]
+        spans += [u[-1 - a] - u[-m - 2 - a] for a in range(m + 1)]
+        assert all((span < 1.0) == (length_scale == 1.0) for span in spans)
+        ends = [(x[0, 0], x[2 * m + 2, 0]), (x[n - 2 * m - 3, 0], x[-1, 0])]
+        t = np.concatenate([x[:, 0], *(rng.uniform(a, b, 40) for a, b in ends)])
+        basis = packets_module._packet_basis(kernel, x)
+        expected_coefficients, expected_values = mp_end_packets(kernel, x[:, 0], t)
+        packets = [*range(m + 1), *range(n - m - 1, n)]
+        starts, coefficients = basis.packets[:2]
+        own = [
+            coefficients[i, i - starts[i] : i - starts[i] + m + 2]
+            if i < m + 1
+            else coefficients[i, i - starts[i] - m - 1 : i - starts[i] + 1]
+            for i in packets
+        ]
+        error = np.abs(np.array(own) - expected_coefficients).max(axis=1)
+        assert np.max(error / np.abs(expected_coefficients).max(axis=1)) <= 1e-13
+        first, found = basis.values(t[:, None])
+        dense = np.zeros((len(t), n))
+        dense[np.arange(len(t))[:, None], first[:, None] + np.arange(found.shape[1])] = found
+        got = dense[:, packets].T
+        error = np.abs(got - expected_values).max(axis=1)
+        # Largest seen: 4.8e-15 for a weight and 3.6e-14 for a value (nu =
+        # 5/2, random points, length scales 0.01 and 1).
+        assert np.max(error / np.abs(expected_values).max(axis=1)) <= 1e-13
 
     @pytest.mark.parametrize("count", [8, 256])
     @pytest.mark.parametrize("beta", [1.0, 2.0, 3.0])
