@@ -104,7 +104,7 @@ class _Key:
     default: Any = None  # None means required when the section is read
     choices: tuple | None = None
     positive: bool = False  # every value must be > 0
-    maximum: int | None = None  # no value may exceed it
+    maximum: float | None = None  # no value may exceed it
 
 
 # Sections and keys in the order of the canonical form (serialize_config).
@@ -115,7 +115,7 @@ _SCHEMA: dict[str, dict[str, _Key]] = {
         "l_min": _Key(_parse_int),
         "l_max": _Key(_parse_int),
         "out": _Key(_parse_word, default="out"),
-        "fit_window": _Key(_parse_float, default=1.0, positive=True),
+        "fit_window": _Key(_parse_float, default=1.0, positive=True, maximum=1.0),
     },
     "factors": {
         "gamma": _Key(_parse_float_list, positive=True),
@@ -487,9 +487,8 @@ def _validate(raw: dict[str, dict[str, tuple[str, int]]]) -> RunConfig:
     run = sections["run"]
     seed = run["seed"]
     if not 0 <= seed <= _MAX_SEED:
-        raise ConfigError(f"[run] seed must be a 64-bit unsigned integer, got {seed}")
-    if run["fit_window"] > 1.0:
-        raise ConfigError(f"[run] fit_window must be <= 1, got {run['fit_window']}")
+        message = f"[run] seed must be a 64-bit unsigned integer, got {seed}"
+        raise ConfigError(message, raw["run"]["seed"][1])
 
     if "factors" in sections:
         gamma = sections["factors"]["gamma"]
@@ -502,7 +501,8 @@ def _validate(raw: dict[str, dict[str, tuple[str, int]]]) -> RunConfig:
     if "kernel" in sections:
         k = sections["kernel"]
         if k["alpha"] < 0:
-            raise ConfigError(f"[kernel] alpha must be >= 0, got {k['alpha']}")
+            message = f"[kernel] alpha must be >= 0, got {k['alpha']}"
+            raise ConfigError(message, raw["kernel"]["alpha"][1])
         if k["beta"] - k["alpha"] <= 0:
             raise ConfigError("[kernel] alpha must be smaller than beta")
         try:
@@ -530,7 +530,8 @@ def _validate(raw: dict[str, dict[str, tuple[str, int]]]) -> RunConfig:
         try:
             check_field_grid(mesh_at_level(o["field_level"]))
         except ValueError as err:
-            raise ConfigError(f"[ouu] field_level {o['field_level']}: {err}") from None
+            message = f"[ouu] field_level {o['field_level']}: {err}"
+            raise ConfigError(message, raw["ouu"]["field_level"][1]) from None
 
     plan = run_plan(pipeline, sections)
     if plan is not None:

@@ -72,7 +72,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from kernelkit.lapack import cho_factor, cho_solve, dgbcon, dgbtrf, dgbtrs
+from kernelkit.lapack import dgbcon, dgbtrf, dgbtrs, dpotrf, dpotrs
 from kernelkit.points import Box, PointSet, _distance_blocks, distinct_rows
 from kernelkit.points import tensor_grid, tensor_weights
 from kernelkit.surrogate import KernelExpansion, PacketExpansion, PacketGrid, Surrogate
@@ -109,7 +109,7 @@ _EMBEDDING_BLOCK_ENTRIES = 8 * _GAUSS_POINTS_PER_AXIS**REFERENCE_RULE_MAX_DIM
 # Gram matrix and its factor).
 _FACTORED_GRAM_BYTES = 2**25
 # Most nodes of a dense fit (:func:`_solve_spd`), checked before the Gram
-# matrix is built.  On a 2-core machine scipy's ``cho_factor`` segfaulted on
+# matrix is built.  On a 2-core machine LAPACK's ``dpotrf`` segfaulted on
 # 16,384 nodes at 2 OpenBLAS threads (at 1 it took 32.7 s); 12,000 nodes
 # factored at both.  No example or benchmark config fits over 128 densely.
 _DENSE_FIT_NODES_MAX = 2**13
@@ -210,6 +210,20 @@ class MaternKernel:
         """``c`` of a half-integer order's profile ``c q(s) exp(-s)``."""
         return self._normalization * math.sqrt(math.pi / 2.0)
 
+    def _half_integer_poly(self, s: np.ndarray) -> np.ndarray | float:
+        """``q(s)`` of a half-integer order's profile ``c q(s) exp(-s)``, by
+        Horner's rule highest power first; at ``m = 0`` the constant itself.
+        ``s`` is not written."""
+        coeffs = self._half_integer_coefficients
+        if len(coeffs) == 1:
+            return coeffs[0]
+        poly = s * coeffs[0]
+        poly += coeffs[1]
+        for c in coeffs[2:]:
+            poly *= s
+            poly += c
+        return poly
+
     def profile(self, r: np.ndarray) -> np.ndarray:
         """Radial profile ``phi(r / length_scale)`` for raw distances ``r``.
 
@@ -223,16 +237,8 @@ class MaternKernel:
         ``s`` is scaled and overwritten; the result may be ``s`` itself.
         """
         s /= self.length_scale
-        coeffs = self._half_integer_coefficients
-        if coeffs is not None:
-            if len(coeffs) == 1:
-                poly = coeffs[0]
-            else:  # Horner's rule, highest power first
-                poly = s * coeffs[0]
-                poly += coeffs[1]
-                for c in coeffs[2:]:
-                    poly *= s
-                    poly += c
+        if self._half_integer_coefficients is not None:
+            poly = self._half_integer_poly(s)
             out = np.negative(s, out=s)
             np.exp(out, out=out)
             out *= self._half_integer_constant
@@ -518,8 +524,13 @@ def _solve_spd(kernel: TensorKernel, nodes: PointSet, rhs: np.ndarray) -> np.nda
     gram, factor = _FACTORED_GRAMS.get(
         (kernel, nodes.points.tobytes()), partial(_factor_gram, kernel, nodes)
     )
-    # cho_factor checked the factor, and the refinement solves reuse it.
-    solve = partial(cho_solve, factor)
+
+    def solve(r: np.ndarray) -> np.ndarray:
+        x, info = dpotrs(factor, r, lower=1)
+        if info != 0:
+            raise ValueError(f"LAPACK dpotrs info {info} on {len(nodes)} nodes")
+        return x
+
     return _refine(solve, gram.__matmul__, rhs, nodes)
 
 
@@ -535,7 +546,10 @@ def _factor_gram(kernel: TensorKernel, nodes: PointSet):
         # place.
         shifted = gram.copy()
         shifted.flat[:: count + 1] += jitter
-        return cho_factor(shifted.T)
+        factor, info = dpotrf(shifted.T, lower=1, overwrite_a=1, clean=0)
+        if info > 0:
+            raise LinAlgError(f"LAPACK dpotrf info {info}: not positive definite")
+        return factor
 
     factor = _smallest_shift(factor_shifted, np.trace(gram) / count, nodes)
     gram.setflags(write=False)

@@ -8,9 +8,8 @@ neither the top-level ``scipy`` package nor ``scipy.linalg``, whose
 ``unittest``, ever runs.  If scipy has already loaded a wrapper, that
 module is taken; a wrapper loaded here is entered in ``sys.modules`` under
 its full name before it runs, so a later ``import scipy.linalg`` takes it
-too and each is loaded once.  :func:`cho_factor` and :func:`cho_solve` are
-the one case of ``scipy.linalg``'s functions the library uses, over
-``dpotrf`` and ``dpotrs``, with the same checks and exceptions.
+too and each is loaded once.  Every routine is called raw, and each
+caller checks the ``info`` it returns.
 
 Importing ``scipy.linalg`` also freed a mapped block, which raised glibc
 malloc's mmap threshold (128 KiB at start; freeing a mapped block raises
@@ -61,33 +60,3 @@ dgbcon, dgbsv, dgbtrf, dgbtrs = _flapack.dgbcon, _flapack.dgbsv, _flapack.dgbtrf
 dpbsv, dpotrf, dpotrs = _flapack.dpbsv, _flapack.dpotrf, _flapack.dpotrs
 dtrmm = _fblas.dtrmm
 
-
-def cho_factor(a):
-    """The lower Cholesky factor of the square matrix ``a``, written over
-    ``a``'s lower triangle when ``a`` is a Fortran-ordered float64 array
-    (``dpotrf``; the upper triangle is left as it was).  Raises ValueError
-    for a non-finite or non-square ``a``, LinAlgError when ``a`` is not
-    positive definite."""
-    a1 = np.atleast_2d(np.asarray_chkfinite(a))
-    if a1.ndim != 2 or a1.shape[0] != a1.shape[1]:
-        raise ValueError(f"Input array is expected to be square 2-D but has the shape: {a1.shape}.")
-    c, info = dpotrf(a1, lower=1, overwrite_a=1, clean=0)
-    if info > 0:
-        raise np.linalg.LinAlgError(f"{info}-th leading minor of the array is not positive definite")
-    if info < 0:
-        raise ValueError(f'LAPACK reported an illegal value in {-info}-th argument on entry to "POTRF".')
-    return c
-
-
-def cho_solve(c, b):
-    """``x`` with ``A x = b``, from :func:`cho_factor`'s lower factor ``c``
-    of ``A`` (``dpotrs``).  Raises ValueError for a non-square or
-    mismatched input."""
-    if c.ndim != 2 or c.shape[0] != c.shape[1]:
-        raise ValueError("The factored matrix c is not square.")
-    if c.shape[1] != b.shape[0]:
-        raise ValueError(f"incompatible dimensions ({c.shape} and {b.shape})")
-    x, info = dpotrs(c, b, lower=1)
-    if info != 0:
-        raise ValueError(f"illegal value in {-info}th argument of internal potrs")
-    return x

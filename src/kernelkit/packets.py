@@ -14,7 +14,8 @@ product grid of such blocks as ``x -> ((x)phi_j(x_j))^T w`` with
 :func:`_packet_band` reads off here.
 
 A packet's values come in three exact forms, of which the cheapest loses
-the fewest digits.  A factor's basis
+the fewest digits; each evaluates the profile's polynomial by the kernel's
+own :meth:`~kernelkit.kernels.MaternKernel._half_integer_poly`.  A factor's basis
 (:func:`_packet_basis`) fixes each packet's form once per interval
 between neighbouring points, as one table over the ``4m + 4`` points
 around it.  Each Taylor series sums only the leading terms
@@ -186,12 +187,11 @@ def _packet_basis(kernel: MaternKernel, points: np.ndarray) -> "_FactorBasis":
     distance = np.abs(offsets, out=offsets)
     # psi's constant: the profile is constant * q(d) exp(-d).
     weights = coefficients[packets] * kernel._half_integer_constant
-    q = kernel._half_integer_coefficients[::-1]
     with np.errstate(over="ignore", invalid="ignore"):
-        direct = _polyval(distance, q)
+        direct = kernel._half_integer_poly(distance)
         direct *= weights
         direct *= np.exp(-distance)
-        odd = _odd_profile(distance, q)
+        odd = _odd_profile(distance, kernel)
         odd *= weights
         forms = [direct, *(np.where(side, odd, 0.0) for side in sides)]
         costs = [np.nan_to_num(np.abs(f).sum(axis=-1), nan=np.inf) for f in forms]
@@ -217,27 +217,17 @@ def _packet_basis(kernel: MaternKernel, points: np.ndarray) -> "_FactorBasis":
     return _FactorBasis(kernel, points, arrays)
 
 
-def _polyval(x: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """``np.polynomial.polynomial.polyval(x, c)`` bit for bit, by its own
-    operations in its order (Horner's rule, ``c`` lowest power first),
-    without loading ``numpy.polynomial``."""
-    out = c[-1] + x * 0
-    for a in c[-2::-1]:
-        out = a + out * x
-    return out
-
-
-def _odd_profile(d: np.ndarray, q: np.ndarray) -> np.ndarray:
+def _odd_profile(d: np.ndarray, kernel: MaternKernel) -> np.ndarray:
     """``psi(d) - psi(-d)`` for ``d >= 0``, with ``psi(s) = q(s) exp(-s)``
-    the order ``m + 1/2`` profile without its constant, ``q`` of degree
-    ``m`` lowest power first.
+    the profile of ``kernel``, of order ``m + 1/2``, without its constant
+    (:meth:`~kernelkit.kernels.MaternKernel._half_integer_poly`).
 
     It equals ``2 (q_odd(d) cosh(d) - q_even(d) sinh(d))``, ``d cosh(d) -
     sinh(d)`` times 2 for ``m = 1``, and is ``O(d**(2m+1))``, so below the
     series radius, where its two terms nearly cancel, it is summed as a
     Taylor series in ``d**2`` instead.
     """
-    m = len(q) - 1
+    m = _packet_order(kernel)
     near = d < _PACKET_SERIES_RADIUS
     every = near.all()
     small = d if every else d[near]
@@ -249,7 +239,8 @@ def _odd_profile(d: np.ndarray, q: np.ndarray) -> np.ndarray:
     out = np.empty_like(d)
     out[near] = series
     large = d[~near]
-    out[~near] = _polyval(large, q) * np.exp(-large) - _polyval(-large, q) * np.exp(large)
+    poly = kernel._half_integer_poly
+    out[~near] = poly(large) * np.exp(-large) - poly(-large) * np.exp(large)
     return out
 
 
@@ -371,14 +362,10 @@ class _FactorBasis:
         np.subtract(t[:, None], d, out=d)
         np.abs(d, out=d)
         d /= self.kernel.length_scale
-        q = self.kernel._half_integer_coefficients[::-1]
-        psi = np.full_like(d, q[-1])
-        for c in q[-2::-1]:  # Horner's rule
-            psi *= d
-            psi += c
+        psi = self.kernel._half_integer_poly(d)
         psi *= np.exp(-d)
         with np.errstate(over="ignore", invalid="ignore"):
-            profiles = np.concatenate([psi, _odd_profile(d, q)], axis=1)
+            profiles = np.concatenate([psi, _odd_profile(d, self.kernel)], axis=1)
         if d.max(initial=0.0) >= _PACKET_SERIES_RADIUS:
             # Odd parts too large for a float have no weight in the table.
             np.nan_to_num(profiles, copy=False, nan=0.0, posinf=0.0, neginf=0.0)

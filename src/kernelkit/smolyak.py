@@ -77,8 +77,6 @@ class FactorSpec:
         ``N**gamma`` abstract units.
     beta : float
         Convergence exponent; the factor error decays like ``N**-beta``.
-    label : str
-        Free-form name used in diagnostics.
     resolution_map : callable, optional
         Override for the level-to-resolution map.  Must return a positive
         integer for every level >= 1.  The default map is
@@ -87,7 +85,6 @@ class FactorSpec:
 
     gamma: float
     beta: float
-    label: str = ""
     resolution_map: Callable[[int], int] | None = None
 
     def __post_init__(self):

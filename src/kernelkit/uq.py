@@ -43,7 +43,7 @@ never depends on evaluation order.  The PDE factors and pipeline import
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 import numpy as np
@@ -92,9 +92,7 @@ def midpoint_quadrature_factor(beta: float = 2.0) -> QuadratureFactor:
         pts = ((np.arange(count) + 0.5) / count).reshape(-1, 1)
         return pts, np.full(count, 1.0 / count)
 
-    return QuadratureFactor(
-        spec=FactorSpec(gamma=1.0, beta=beta, label="midpoint"), rule=rule, dim=1
-    )
+    return QuadratureFactor(spec=FactorSpec(gamma=1.0, beta=beta), rule=rule, dim=1)
 
 
 def kernel_quadrature_factor(
@@ -107,7 +105,7 @@ def kernel_quadrature_factor(
     It integrates the kernel interpolant, so it converges at the rate of
     :func:`interpolation_factor`, at the same unit work per node.
     """
-    spec = replace(interpolation_factor(kernel, domain, alpha).spec, label="kernel-quadrature")
+    spec = interpolation_factor(kernel, domain, alpha).spec
     cache: dict[int, QuadratureRule] = {}
 
     def rule(count: int):
@@ -155,7 +153,7 @@ def synthetic_bias_factor(
     kappa: float = 1.0,
 ) -> SampleFactor:
     """Synthetic family ``q_N(y) = integrand(y) + 1/N`` with known bias."""
-    spec = FactorSpec(gamma=gamma, beta=kappa, label="synthetic")
+    spec = FactorSpec(gamma=gamma, beta=kappa)
 
     def evaluate_one(point: np.ndarray, resolution: int) -> float:
         return float(integrand(point.reshape(1, -1))[0]) + 1.0 / resolution
@@ -176,7 +174,6 @@ def bump_sample_factor(
     spec = FactorSpec(
         gamma=work_exponent,
         beta=convergence_exponent,
-        label="bump-pde",
         resolution_map=pde_resolution_map(work_exponent, convergence_exponent, max_cells),
     )
 
@@ -222,9 +219,7 @@ def interpolation_factor(
     rate = (kernel.beta - alpha) / kernel.dim
     if rate <= 0:
         raise ValueError(f"nonpositive interpolation rate {rate}")
-    spec = FactorSpec(
-        gamma=1.0, beta=rate, label="interpolation", resolution_map=resolution_map
-    )
+    spec = FactorSpec(gamma=1.0, beta=rate, resolution_map=resolution_map)
     return InterpolationFactor(kernel=kernel, domain=domain, spec=spec)
 
 
@@ -419,8 +414,8 @@ def ouu_sample_specs(
     mc_map = scaled_exponential_map(*_MC_RATES, mc_scale)
     pde_map = pde_resolution_map(*_PDE_RATES, max_cells, scale=pde_scale)
     return (
-        FactorSpec(*_MC_RATES, label="monte-carlo", resolution_map=mc_map),
-        FactorSpec(*_PDE_RATES, label="field-pde", resolution_map=pde_map),
+        FactorSpec(*_MC_RATES, resolution_map=mc_map),
+        FactorSpec(*_PDE_RATES, resolution_map=pde_map),
     )
 
 

@@ -383,6 +383,43 @@ class TestRoundTrip:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "text,row,message",
+        [
+            (
+                RATES_CONFIG.replace("l_max = 6\n", "l_max = 6\nfit_window = 1.5\n"),
+                "fit_window = ",
+                "[run] fit_window must be <= 1.0, got 1.5",
+            ),
+            (
+                SMALL_CONFIGS["misc"] + "seed = -1\n",
+                "seed = ",
+                "[run] seed must be a 64-bit unsigned integer, got -1",
+            ),
+            (
+                SMALL_CONFIGS["interp"] + "[kernel]\nalpha = -0.5\n",
+                "alpha = ",
+                "[kernel] alpha must be >= 0, got -0.5",
+            ),
+            (
+                SMALL_CONFIGS["ouu"].replace("field_level = 2", "field_level = 7"),
+                "field_level = ",
+                "[ouu] field_level 7: reference grid has 16641 nodes",
+            ),
+        ],
+        ids=["fit_window", "seed", "alpha", "field_level"],
+    )
+    def test_a_check_on_one_key_names_its_line(self, tmp_path, capsys, text, row, message):
+        line = next(n for n, r in enumerate(text.splitlines(), 1) if r.startswith(row))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "o"
+        assert main(["--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: line {line}: {message}")
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("pipeline", ["interp", "rsr", "ouu"])
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -777,6 +814,33 @@ class TestCliRuns:
         assert len(err.splitlines()) == 1
         assert "Traceback" not in err
         assert os.listdir(out) == ["manifest.txt"]
+
+    def test_a_nan_in_a_dense_gram_matrix_is_a_numerical_failure(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # The dense fits' Cholesky factorization checks no entry for NaN;
+        # the refinement's residual test fails the fit, and the run ends in
+        # one line.
+        gram = kernelkit.kernels.TensorKernel.gram
+
+        def poisoned(self, x, y):
+            out = gram(self, x, y)
+            if x is y:  # the Gram matrix of the nodes
+                out[0, 1] = out[1, 0] = np.nan
+            return out
+
+        monkeypatch.setattr(kernelkit.kernels.TensorKernel, "gram", poisoned)
+        # An empty factor cache, so that no earlier test's factor is reused.
+        cache = kernelkit.kernels._FactoredGrams(limit=kernelkit.kernels._FACTORED_GRAM_BYTES)
+        monkeypatch.setattr(kernelkit.kernels, "_FACTORED_GRAMS", cache)
+        out = tmp_path / "nan"
+        cfg = self.write(tmp_path, SMALL_CONFIGS["rsr"])
+        assert main(["--config", cfg, "--out", str(out), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ")
+        assert "node residual above tolerance after refinement" in err
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("pipeline", ["rsr", "ouu"])
     @settings(max_examples=40, deadline=None)

@@ -339,7 +339,7 @@ class TestSeriesTables:
         # solutions' series in v (:func:`packets._central_packets`) match
         # the full 40-term sums.  Largest seen: 0 ulps.
         odd, basis = packets_module._packet_tables(m)
-        q = MaternKernel(beta=m + 1.0, dim=1)._half_integer_coefficients[::-1]
+        kernel = MaternKernel(beta=m + 1.0, dim=1)
 
         def full_sum(table, x):
             out = np.zeros(table.shape[:-1] + x.shape)
@@ -358,26 +358,28 @@ class TestSeriesTables:
             square = d * d
             expected = full_sum(odd, square)
             assert ulps(packets_module._taylor(odd, square), expected) <= 2
-            profile = packets_module._odd_profile(d, q)
+            profile = packets_module._odd_profile(d, kernel)
             assert ulps(profile, expected * (d * square**m)) <= 2
             v = np.linspace(-largest, largest, 257)
             assert ulps(packets_module._taylor(basis, v), full_sum(basis, v)) <= 2
 
     @pytest.mark.parametrize("m", [0, 1, 2])
-    def test_polyval_matches_numpy_polynomial_bit_for_bit(self, m):
-        # The packets' profile polynomial, at the shapes the packets evaluate
-        # it on, and at infinite distances, where both give NaN (inf * 0).
-        q = MaternKernel(beta=m + 1.0, dim=1)._half_integer_coefficients[::-1]
+    def test_half_integer_poly_matches_numpy_polynomial_bit_for_bit(self, m):
+        # The profile polynomial q(s) that the profile and the packets share,
+        # at the shapes the packets evaluate it on and at finite extremes.
+        # At m = 0 it is the constant itself.
+        kernel = MaternKernel(beta=m + 1.0, dim=1)
+        q = kernel._half_integer_coefficients[::-1]  # lowest power first
         rng = np.random.default_rng(m)
         distances = [
             rng.uniform(0.0, 40.0, (7, 3, 5)),
             -rng.uniform(0.0, 40.0, 64),
-            np.array([0.0, -0.0, 1e-300, 700.0, np.inf, -np.inf, np.nan]),
+            np.array([0.0, -0.0, 1e-300, -1e-300, 700.0, -700.0]),
         ]
-        with np.errstate(invalid="ignore", over="ignore"):
-            for d in distances:
-                expected = np.polynomial.polynomial.polyval(d, q)
-                assert packets_module._polyval(d, q).tobytes() == expected.tobytes()
+        for d in distances:
+            expected = np.polynomial.polynomial.polyval(d, q)
+            got = np.broadcast_to(kernel._half_integer_poly(d), d.shape)
+            assert got.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("m", range(15))
     def test_half_integer_polynomial_matches_fractions_bit_for_bit(self, m):
@@ -818,17 +820,17 @@ class TestSolveSpd:
     def test_in_place_shift_matches_out_of_place(
         self, monkeypatch, failures, fresh_factored_grams
     ):
-        factor = kernels_module.cho_factor
+        factor = kernels_module.dpotrf
         calls = []
 
         def failing_first(a, **kwargs):
             calls.append(a)
             if len(calls) <= failures:
                 a[...] = np.nan  # a failed in-place factorization leaves garbage
-                raise LinAlgError("forced failure")
+                return a, 1  # LAPACK's info: the first leading minor failed
             return factor(a, **kwargs)
 
-        monkeypatch.setattr(kernels_module, "cho_factor", failing_first)
+        monkeypatch.setattr(kernels_module, "dpotrf", failing_first)
         kernel = TensorKernel(kernels=(MaternKernel(beta=2.0, dim=2),))
         nodes = generate_points(UNIT_SQUARE, 60)
         rhs = np.random.default_rng(3).standard_normal(60)
@@ -841,7 +843,7 @@ class TestSolveSpd:
 
     def test_fits_on_one_node_set_factor_once(self, monkeypatch, fresh_factored_grams):
         factored = []
-        counting(monkeypatch, kernels_module, "cho_factor", factored)
+        counting(monkeypatch, kernels_module, "dpotrf", factored)
         kernel = MaternKernel(beta=4.0, dim=2)
         nodes = generate_points(Disc(center=(0.0, 0.0), radius=1.0), 40)
         rng = np.random.default_rng(7)
@@ -856,6 +858,24 @@ class TestSolveSpd:
             fresh_cache(monkeypatch)
             fresh = fit_interpolant(kernel, nodes, v)
             assert expansion_of(fit).coefficients.tobytes() == expansion_of(fresh).coefficients.tobytes()
+
+    def test_a_gram_matrix_with_a_nan_entry_is_a_conditioning_error(
+        self, monkeypatch, fresh_factored_grams
+    ):
+        # LAPACK's dpotrf is given no finiteness check; the refinement's
+        # residual test, written so that NaN fails it, catches the entry.
+        gram = TensorKernel.gram
+
+        def poisoned(self, x, y):
+            out = gram(self, x, y)
+            if x is y:  # the Gram matrix of the nodes
+                out[0, 1] = out[1, 0] = np.nan
+            return out
+
+        monkeypatch.setattr(TensorKernel, "gram", poisoned)
+        nodes = generate_points(UNIT_SQUARE, 30)
+        with pytest.raises(ConditioningError, match="node residual above tolerance"):
+            fit_interpolant(MaternKernel(beta=2.0, dim=2), nodes, smooth_values(nodes.points))
 
     @staticmethod
     def counted(calls, name, function):
@@ -947,7 +967,7 @@ class TestSolveSpd:
         cache = kernels_module._FACTORED_GRAMS
         monkeypatch.setattr(cache, "limit", 3 * pair_bytes(20))
         factored = []
-        counting(monkeypatch, kernels_module, "cho_factor", factored)
+        counting(monkeypatch, kernels_module, "dpotrf", factored)
         kernel = MaternKernel(beta=2.0, dim=2)
         for count in (20, 19, 18, 20, 17, 19, 40, 20):
             nodes = generate_points(UNIT_SQUARE, count)
@@ -1000,7 +1020,7 @@ class TestKroneckerSolve:
         def no_eigh(gram):
             raise AssertionError("a grid of half-integer factors was eigendecomposed")
 
-        monkeypatch.setattr(kernels_module, "cho_factor", no_dense)
+        monkeypatch.setattr(kernels_module, "dpotrf", no_dense)
         packets = all(kernels_module._packet_order(block) is not None for block in kernel.kernels)
         scale = np.max(np.abs(rhs))
         dense_residual = np.max(np.abs(gram @ dense - rhs))
@@ -1144,7 +1164,7 @@ class TestKroneckerSolve:
         limit = pair_bytes(20) + decomposition_bytes(8) + decomposition_bytes(6)
         monkeypatch.setattr(cache, "limit", limit)
         factored, decomposed = [], []
-        counting(monkeypatch, kernels_module, "cho_factor", factored)
+        counting(monkeypatch, kernels_module, "dpotrf", factored)
         counting(monkeypatch, np.linalg, "eigh", decomposed)
         dense = generate_points(UNIT_SQUARE, 20)
         k = MaternKernel(beta=1.5, dim=1)
@@ -1603,7 +1623,7 @@ class TestPacketInverse:
         def forbidden(*args, **kwargs):
             raise AssertionError("the packet path called a Cholesky or Bessel function")
 
-        for name in ("cho_factor", "cho_solve", "bessel_k0", "bessel_k1"):
+        for name in ("dpotrf", "dpotrs", "bessel_k0", "bessel_k1"):
             monkeypatch.setattr(kernels_module, name, forbidden)
         kernel, nodes = block_grid(((2.0, 1), (2.0, 1)), (33, 17))
         fit = fit_interpolant(kernel, nodes, smooth_values(nodes.points))

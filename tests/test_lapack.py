@@ -1,4 +1,4 @@
-"""kernelkit.lapack against scipy.linalg: the same bits and the same errors."""
+"""kernelkit.lapack against scipy.linalg: the same bits."""
 
 import os
 import pathlib
@@ -67,57 +67,6 @@ def test_triangular_product_matches_scipy(rng, spd):
     factor = np.linalg.cholesky(spd)
     block = rng.standard_normal((N, 5))
     same(lapack.dtrmm(1.0, factor, block, lower=1), blas.dtrmm(1.0, factor, block, lower=1))
-
-
-def test_cholesky_pair_matches_scipy(rng, spd):
-    rhs = rng.standard_normal(N)
-    # Both factor a Fortran-ordered copy in place, in its lower triangle.
-    ours, theirs = np.asfortranarray(spd), np.asfortranarray(spd)
-    factor = lapack.cho_factor(ours)
-    same(factor, scipy.linalg.cho_factor(theirs, lower=True, overwrite_a=True)[0])
-    assert factor is ours
-    for b in (rhs, rhs[:, None]):
-        same(lapack.cho_solve(factor, b), scipy.linalg.cho_solve((factor, True), b, check_finite=False))
-
-
-def test_cholesky_pair_raises_as_scipy(spd):
-    nan = spd.copy()
-    nan[0, 0] = np.nan
-    indefinite = spd.copy()
-    indefinite[N - 1, N - 1] = -1.0
-    factor = lapack.cho_factor(spd.copy(order="F"))
-    cases = [
-        (lapack.cho_factor, (nan,), scipy.linalg.cho_factor, (nan,), ValueError),
-        (lapack.cho_factor, (spd[:, :-1],), scipy.linalg.cho_factor, (spd[:, :-1],), ValueError),
-        (
-            lapack.cho_factor, (indefinite.copy(),),
-            scipy.linalg.cho_factor, (indefinite.copy(),),
-            np.linalg.LinAlgError,
-        ),
-        (
-            lapack.cho_solve, (spd[:, :-1], np.ones(N)),
-            scipy.linalg.cho_solve, ((spd[:, :-1], True), np.ones(N)),
-            ValueError,
-        ),
-        (
-            lapack.cho_solve, (factor, np.ones(N + 1)),
-            scipy.linalg.cho_solve, ((factor, True), np.ones(N + 1)),
-            ValueError,
-        ),
-    ]
-    for ours, our_args, theirs, their_args, error in cases:
-        # LinAlgError is a ValueError, so the types are compared exactly.
-        got = raised(ours, our_args)
-        assert got is raised(theirs, their_args) is error, (ours.__name__, got)
-
-
-def raised(function, args):
-    """The type of the exception ``function(*args)`` raises, or None."""
-    try:
-        function(*args)
-    except Exception as error:
-        return type(error)
-    return None
 
 
 def test_a_missing_wrapper_names_the_scipy_version():

@@ -17,16 +17,17 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SOURCE = ROOT / "src" / "kernelkit"
 
-# The preamble of each child script that counts calls: count(owner, name)
-# wraps owner.name so that each call adds one to counts[name].
+# The preamble of each child script that counts calls: count(owner, name,
+# label) wraps owner.name so that each call adds one to counts[label],
+# which is the name unless given.
 _COUNTING = """
 import collections, sys
 import kernelkit.cli
 counts = collections.Counter()
-def count(owner, name):
+def count(owner, name, label=None):
     original = getattr(owner, name)
     def counted(*args, **kwargs):
-        counts[name] += 1
+        counts[label or name] += 1
         return original(*args, **kwargs)
     setattr(owner, name, counted)
 """
@@ -39,13 +40,14 @@ _OUU_COUNTS = _COUNTING + """
 import kernelkit.kernels as kernels, kernelkit.pde as pde, kernelkit.uq as uq
 count(pde.AdvectionDiffusionProblem, 'sample_qoi')
 count(pde.AdvectionDiffusionProblem, '_base')
-count(kernels, 'cho_factor')
+count(kernels, 'dpotrf', 'kernels.dpotrf')
 count(pde.GaussianFieldSampler, 'sample')
-count(pde, 'dpotrf')
+count(pde, 'dpotrf', 'pde.dpotrf')
 count(uq.OuuPipeline, '_solve_plan')
 argv = ['--config', 'docs/examples/ouu-advection.cfg', '--out', sys.argv[1], '--quiet']
 code = kernelkit.cli.main(argv)
-print(*(counts[name] for name in ('sample_qoi', '_base', 'cho_factor', 'sample', 'dpotrf', '_solve_plan')))
+names = ('sample_qoi', '_base', 'kernels.dpotrf', 'sample', 'pde.dpotrf', '_solve_plan')
+print(*(counts[name] for name in names))
 sys.exit(code)
 """
 
@@ -87,6 +89,28 @@ def test_one_exponential_level_map():
 _PHILOX_CONSTANTS = {
     0xD2E7470EE14C6C93, 0xCA5A826395121157, 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
 }
+
+
+def test_one_half_integer_polynomial_evaluation():
+    # The half-integer Matern polynomial q(s) is evaluated only by
+    # MaternKernel._half_integer_poly: its coefficients are read only inside
+    # MaternKernel and by kernels._packet_order, which reads its degree.
+    allowed = {("kernels.py", "MaternKernel"), ("kernels.py", "_packet_order")}
+    outside = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        inside = set()
+        for node in ast.walk(tree):
+            if (path.name, getattr(node, "name", None)) in allowed:
+                inside.update(map(id, ast.walk(node)))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "_half_integer_coefficients":
+                if id(node) not in inside:
+                    outside.append(f"{path.name}:{node.lineno}")
+    assert not outside, (
+        "_half_integer_coefficients read outside MaternKernel and _packet_order: "
+        + ", ".join(outside)
+    )
 
 
 def test_one_counter_based_rng_helper():
@@ -250,7 +274,7 @@ def test_each_ouu_unit_of_work_happens_once(tmp_path):
     "name, functions, expected",
     [
         ("interp", ["_packet_factor", "eigh", "dgbtrf"], "7 0 7"),
-        ("rsr-bump", ["cho_factor"], "8"),
+        ("rsr-bump", ["dpotrf"], "8"),
     ],
     ids=["interp", "rsr-bump"],
 )
@@ -267,19 +291,21 @@ def test_each_kernel_node_set_and_grid_factor_is_factored_once(
     assert done.stdout == expected + "\n", f"{' '.join(functions)}: {done.stdout}"
 
 
-def test_a_kernel_packet_basis_costs_a_fixed_number_of_calls():
+@pytest.mark.parametrize("beta", [1.0, 2.0, 3.0], ids=["nu=1/2", "nu=3/2", "nu=5/2"])
+def test_a_kernel_packet_basis_costs_a_fixed_number_of_calls(beta):
     # packets._packet_basis builds a factor's basis in a fixed number of
-    # array passes, whatever its size: at nu = 3/2 it makes as many
-    # Python-level calls (cProfile) on 64 sorted Halton points as on 1,024.
-    # Measured: 313 on each (462 when the basis also built the end packets'
-    # polynomials, and 1,296 when those and the series were summed term by
-    # term); the ceiling, 400, leaves room for numpy's own wrappers to
-    # differ between versions.
+    # array passes, whatever its size: at each packet order it makes as
+    # many Python-level calls (cProfile) on 64 sorted Halton points as on
+    # 1,024.  Measured: 316 on each at every order (313 at nu = 3/2
+    # when the packets evaluated q(s) with their own polyval copy, 462 when
+    # the basis also built the end packets' polynomials, and 1,296 when
+    # those and the series were summed term by term); the ceiling, 400,
+    # leaves room for numpy's own wrappers to differ between versions.
     from kernelkit import packets
     from kernelkit.kernels import MaternKernel
     from kernelkit.points import halton_sequence
 
-    kernel = MaternKernel(beta=2.0, dim=1)
+    kernel = MaternKernel(beta=beta, dim=1)
     grids = [np.sort(halton_sequence(count, 1), axis=0) for count in (64, 1024)]
     packets._packet_basis(kernel, grids[0])  # builds the order's series tables once
     counts = []
