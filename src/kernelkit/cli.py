@@ -29,12 +29,18 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
-import hashlib
 import locale  # noqa: F401 - argparse's messages import it through gettext; loaded at start-up
 import math
 import os
 import sys
 from typing import NamedTuple
+
+# CPython's own SHA-256, which hashlib falls back to without OpenSSL: the
+# same digest, and no libcrypto mapped for one hash of under 1 KB.
+try:
+    from _sha2 import sha256  # Python 3.12 and later
+except ImportError:
+    from _sha256 import sha256
 
 # An idle OpenBLAS worker sleeps after 2**4 cycles, the least OpenBLAS takes,
 # instead of spinning through a run.  OpenBLAS reads this as it loads.
@@ -95,7 +101,7 @@ def _write(out: str, name: str, text: str) -> None:
 
 def _manifest_text(config: RunConfig, seed: int, extra: dict) -> str:
     canonical = serialize_config(config)
-    digest = hashlib.sha256(canonical.encode()).hexdigest()
+    digest = sha256(canonical.encode()).hexdigest()
     lines = [
         f"kernelkit {kernelkit.__version__}",
         f"pipeline = {config.pipeline}",

@@ -496,7 +496,8 @@ def _validate(raw: dict[str, dict[str, tuple[str, int]]]) -> RunConfig:
         if len(gamma) != len(beta):
             raise ConfigError(
                 f"[factors] gamma and beta must have equal length "
-                f"({len(gamma)} vs {len(beta)})"
+                f"({len(gamma)} vs {len(beta)})",
+                raw["factors"]["beta"][1],
             )
     if "kernel" in sections:
         k = sections["kernel"]
@@ -504,7 +505,10 @@ def _validate(raw: dict[str, dict[str, tuple[str, int]]]) -> RunConfig:
             message = f"[kernel] alpha must be >= 0, got {k['alpha']}"
             raise ConfigError(message, raw["kernel"]["alpha"][1])
         if k["beta"] - k["alpha"] <= 0:
-            raise ConfigError("[kernel] alpha must be smaller than beta")
+            # beta is positive and alpha defaults to 0, so only a set alpha
+            # gets here.
+            line = raw["kernel"]["alpha"][1]
+            raise ConfigError("[kernel] alpha must be smaller than beta", line)
         try:
             matern_kernel(sections)
         except ValueError as err:

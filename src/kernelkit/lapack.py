@@ -5,11 +5,15 @@ Only scipy's f2py wrappers are loaded (``scipy.linalg._flapack`` and
 (``importlib.util.find_spec("scipy")``, which runs no scipy code), so
 neither the top-level ``scipy`` package nor ``scipy.linalg``, whose
 ``__init__`` pulls in scipy's array-API layer, ``numpy.testing`` and
-``unittest``, ever runs.  If scipy has already loaded a wrapper, that
-module is taken; a wrapper loaded here is entered in ``sys.modules`` under
-its full name before it runs, so a later ``import scipy.linalg`` takes it
-too and each is loaded once.  Every routine is called raw, and each
-caller checks the ``info`` it returns.
+``unittest``, ever runs.  ``_flapack`` loads with this module.  ``_fblas``
+loads on first use of ``dtrmm`` (a module ``__getattr__``), since only
+the ``ouu`` field draws call BLAS (``pde.GaussianFieldSampler``); an
+``ouu`` run plan takes it at parse time (``uq.ouu_sample_specs``), so its
+cost stays in start-up, and no other run maps it.  If scipy has already
+loaded a wrapper, that module is taken; a wrapper loaded here is entered
+in ``sys.modules`` under its full name before it runs, so a later
+``import scipy.linalg`` takes it too and each is loaded once.  Every
+routine is called raw, and each caller checks the ``info`` it returns.
 
 Importing ``scipy.linalg`` also freed a mapped block, which raised glibc
 malloc's mmap threshold (128 KiB at start; freeing a mapped block raises
@@ -55,8 +59,17 @@ def _wrapper(name: str):
 
 
 _flapack = _wrapper("_flapack")
-_fblas = _wrapper("_fblas")
 dgbcon, dgbsv, dgbtrf, dgbtrs = _flapack.dgbcon, _flapack.dgbsv, _flapack.dgbtrf, _flapack.dgbtrs
 dpbsv, dpotrf, dpotrs = _flapack.dpbsv, _flapack.dpotrf, _flapack.dpotrs
-dtrmm = _fblas.dtrmm
+
+
+def __getattr__(name: str):
+    """``_fblas`` and its ``dtrmm``, loaded on first use and then kept as
+    module attributes."""
+    if name not in ("_fblas", "dtrmm"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    global _fblas, dtrmm
+    _fblas = _wrapper("_fblas")
+    dtrmm = _fblas.dtrmm
+    return globals()[name]
 

@@ -55,7 +55,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from kernelkit.lapack import dgbsv, dpbsv, dpotrf, dtrmm
+from kernelkit import lapack
+from kernelkit.lapack import dgbsv, dpbsv, dpotrf
 from kernelkit.points import Box, philox_generator
 from kernelkit.smolyak import scaled_exponential_map
 
@@ -719,7 +720,7 @@ class GaussianFieldSampler:
                 counter[2] = first + row
                 bits.state = state
                 generator.standard_normal(out=normals[row])
-            self._block = dtrmm(1.0, self._factor, normals.T, lower=1, overwrite_b=1)
+            self._block = lapack.dtrmm(1.0, self._factor, normals.T, lower=1, overwrite_b=1)
             self._block_key = (seed, block)
         # A view of the column would keep the whole block alive in every
         # sample that the pipelines cache.

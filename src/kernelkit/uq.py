@@ -404,11 +404,13 @@ def ouu_sample_specs(
     mc_scale: float, pde_scale: float, max_cells: int
 ) -> tuple[FactorSpec, FactorSpec]:
     """The Monte Carlo and field-PDE factors of the ``ouu`` run plan."""
-    # The field draws take their normals from numpy.random (see
-    # pde.GaussianFieldSampler).  A run plan is built at parse time, so
-    # importing both here keeps their cost in start-up, not in the run.
+    # The field draws take their normals from numpy.random and their
+    # products from BLAS dtrmm (see pde.GaussianFieldSampler).  A run plan
+    # is built at parse time, so importing all three here keeps their cost
+    # in start-up, not in the run.
     import numpy.random  # noqa: F401
 
+    from kernelkit.lapack import dtrmm  # noqa: F401
     from kernelkit.pde import pde_resolution_map
 
     mc_map = scaled_exponential_map(*_MC_RATES, mc_scale)

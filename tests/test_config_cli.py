@@ -406,8 +406,18 @@ class TestRoundTrip:
                 "field_level = ",
                 "[ouu] field_level 7: reference grid has 16641 nodes",
             ),
+            (
+                SMALL_CONFIGS["interp"] + "[kernel]\nbeta = 2.0\nalpha = 2.0\n",
+                "alpha = ",
+                "[kernel] alpha must be smaller than beta",
+            ),
+            (
+                RATES_CONFIG.replace("beta = 1, 1", "beta = 1"),
+                "beta = ",
+                "[factors] gamma and beta must have equal length (2 vs 1)",
+            ),
         ],
-        ids=["fit_window", "seed", "alpha", "field_level"],
+        ids=["fit_window", "seed", "alpha", "field_level", "alpha_below_beta", "factor_lengths"],
     )
     def test_a_check_on_one_key_names_its_line(self, tmp_path, capsys, text, row, message):
         line = next(n for n, r in enumerate(text.splitlines(), 1) if r.startswith(row))
@@ -718,8 +728,17 @@ class TestConfigFiles:
 
     @pytest.mark.parametrize("name", PINNED_SHA256)
     def test_config_sha256_is_pinned(self, name):
-        canonical = serialize_config(parse_config(CONFIG_FILES[name]))
-        assert hashlib.sha256(canonical.encode()).hexdigest() == PINNED_SHA256[name]
+        # The digest that the manifest writes, not one computed here.
+        manifest = kernelkit.cli._manifest_text(parse_config(CONFIG_FILES[name]), 0, {})
+        assert f"config_sha256 = {PINNED_SHA256[name]}\n" in manifest
+
+    def test_cli_sha256_matches_hashlib(self):
+        # Lengths 0 to 200 cross every padding boundary of SHA-256's 64-byte
+        # blocks: 55 and 56 bytes (whether the length fits the last block)
+        # and 64 (a full block), also at the second and third block.
+        for length in range(201):
+            message = bytes(range(length))
+            assert kernelkit.cli.sha256(message).hexdigest() == hashlib.sha256(message).hexdigest()
 
 
 class TestCliRuns:

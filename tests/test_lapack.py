@@ -64,9 +64,11 @@ def test_spd_routines_match_scipy(rng, spd):
 
 
 def test_triangular_product_matches_scipy(rng, spd):
+    # dtrmm, loaded on first use, is scipy's own wrapper routine.
     factor = np.linalg.cholesky(spd)
     block = rng.standard_normal((N, 5))
     same(lapack.dtrmm(1.0, factor, block, lower=1), blas.dtrmm(1.0, factor, block, lower=1))
+    assert lapack._fblas is blas._fblas
 
 
 def test_a_missing_wrapper_names_the_scipy_version():
@@ -76,10 +78,15 @@ def test_a_missing_wrapper_names_the_scipy_version():
 
 def test_a_later_scipy_linalg_takes_the_loaded_wrappers():
     # An extension module loaded twice would be two module objects.
+    # _fblas loads on first use of dtrmm, so the script uses it first.
     script = (
+        "import sys\n"
         "import kernelkit.lapack as ours\n"
+        "assert 'scipy.linalg._fblas' not in sys.modules\n"
+        "ours.dtrmm\n"
+        "loaded = sys.modules['scipy.linalg._fblas']\n"
         "from scipy.linalg import blas, lapack\n"
-        "assert lapack._flapack is ours._flapack and blas._fblas is ours._fblas\n"
+        "assert lapack._flapack is ours._flapack and blas._fblas is ours._fblas is loaded\n"
     )
     env = {**os.environ, "PYTHONPATH": str(pathlib.Path(__file__).parents[1] / "src")}
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)

@@ -450,7 +450,9 @@ sys.exit('the interp and rsr-bump examples load ' + ', '.join(loaded) if loaded 
 """
 
 # Imports the CLI and parses a config, then prints the modules that the run
-# itself imports, and whether the FEM module is loaded.
+# itself imports, whether the FEM module is loaded, whether scipy's BLAS
+# wrapper was loaded before the run, and which of hashlib, OpenSSL's
+# _hashlib and that wrapper are loaded after it.
 _RUN_IMPORTS = """
 import sys
 import kernelkit.cli
@@ -460,6 +462,8 @@ before = set(sys.modules)
 code = kernelkit.cli.main(['--config', sys.argv[1], '--out', sys.argv[2], '--quiet'])
 print(*sorted(set(sys.modules) - before))
 print('kernelkit.pde' in sys.modules)
+print('scipy.linalg._fblas' in before)
+print(*[m for m in ('hashlib', '_hashlib', 'scipy.linalg._fblas') if m in sys.modules])
 sys.exit(code)
 """
 
@@ -482,15 +486,25 @@ def test_cli_loads_no_scipy_package_beyond_the_compiled_wrappers(tmp_path):
     assert done.returncode == 0, done.stderr
 
 
-@pytest.mark.parametrize("name", ["interp", "rsr-bump", "ouu-advection"])
+@pytest.mark.parametrize(
+    "name", ["interp", "rsr-bump", "ouu-advection", "rates", "misc-synthetic", "fem-check"]
+)
 def test_a_run_imports_only_the_lazy_modules(tmp_path, name):
     # Every module a run needs is imported with the CLI or its config's run
     # plan, so its cost stays in start-up; only kernelkit.packets, which
-    # only packet-grid fits use, loads on first use.  The interp run never
-    # loads the FEM module, kernelkit.pde.
+    # only packet-grid fits use, loads on first use, and fem-check, which
+    # has no run plan, loads the FEM module, kernelkit.pde, in its run.  The
+    # interp run never loads kernelkit.pde.  The manifest's hash maps no
+    # OpenSSL, and only the ouu field draws call BLAS: their run plan loads
+    # scipy's BLAS wrapper, and no other run maps it.
     done = run_child(_RUN_IMPORTS, f"docs/examples/{name}.cfg", str(tmp_path / name))
     assert done.returncode == 0, done.stderr
-    run_imports, pde_loaded = done.stdout.split("\n")[:2]
-    assert set(run_imports.split()) <= {"kernelkit.packets"}, done.stdout
+    run_imports, pde_loaded, fblas_planned, native = done.stdout.split("\n")[:4]
+    lazy = {"kernelkit.packets"} | ({"kernelkit.pde"} if name == "fem-check" else set())
+    assert set(run_imports.split()) <= lazy, done.stdout
     if name == "interp":
         assert pde_loaded == "False", done.stdout
+    if name == "ouu-advection":
+        assert fblas_planned == "True", done.stdout
+    else:
+        assert native == "", done.stdout
