@@ -516,6 +516,10 @@ def _validate(raw: dict[str, dict[str, tuple[str, int]]]) -> RunConfig:
                 f"[kernel] beta = {k['beta']!r} at kernel dimension {k['d']}: {err}"
             ) from None
     if pipeline == "fem-check":
+        # Its run calls the FEM module: load it now, as the other PDE
+        # pipelines do through their plans, so its cost is in start-up.
+        import kernelkit.pde  # noqa: F401
+
         p = sections["pde"]
         if not 1 <= p["level_min"] <= p["level_max"]:
             raise ConfigError(

@@ -291,10 +291,7 @@ class SmolyakEngine:
 
     def estimate(self, L: int) -> tuple[Any, WorkLedger]:
         """Signed-combination estimate at threshold ``L`` plus its ledger."""
-        n = self.problem.n
-        if L < n:
-            raise ValueError(f"threshold L={L} below factor count n={n}")
-        terms = combination_coefficients(n, L)
+        terms = combination_coefficients(self.problem.n, L)
         tuples = [self.problem.resolutions(t.index) for t in terms]
         self._ensure_evaluated(zip(tuples, (t.index for t in terms)))
 

@@ -19,12 +19,14 @@ factors' nested points for every pipeline that interpolates:
   factors (:func:`~kernelkit.config.run_plan`): kernel interpolation over a
   control disc of empirical means over random-field draws of PDE outputs,
   followed by pattern-search minimization of surrogate plus penalty.  The
-  control nodes of every term are prefixes of one nested sequence, so the
-  PDE outputs are kept as a nested-suffix store: per field draw and mesh,
-  the outputs at the node prefix solved so far, which a term extends by its
-  new nodes only; a plan, made once per study or by a tuple outside it, is
-  solved one field draw at a time, each pair to its longest needed prefix
-  in one run; no field is kept.
+  control nodes of every term are prefixes of the control domain's one
+  nested sequence (:func:`~kernelkit.points.generate_points`), so the PDE
+  outputs are kept as a nested-suffix store of values only: per field draw
+  and mesh, the outputs at the node prefix solved so far, which a term
+  extends by its new nodes only; a term with other nodes is refused.  A
+  plan, made once per study or by a tuple outside it, is solved one field
+  draw at a time, each pair to its longest needed prefix in one run; no
+  field is kept.
 
 Work ledgers charge only sampler work (``prod N_j * N_pde**gamma`` per
 term).  The study functions (:func:`expectation_study`,
@@ -432,14 +434,15 @@ class OuuPipeline:
     realization (the solver samples its bilinear extension), so difference
     terms across mesh resolutions are exactly coupled.
 
-    The control nodes of every tuple are prefixes of one nested sequence
-    (:func:`~kernelkit.points.generate_points`), so solves are kept as a
-    nested-suffix store: per ``(draw, cells)`` pair, the QoI values of the
-    node prefix solved so far.  A tuple solves only the nodes past that
-    prefix and adds each draw's values with one vector add; a QoI call that
-    raises keeps the values solved before it.  Each evaluated tuple checks
-    its nodes, and the planned nodes, against the longest node set seen
-    (``ValueError`` if they are not nested).
+    The control nodes of every tuple are prefixes of one nested sequence,
+    ``generate_points(domain, n)`` on the factor's domain, so solves are
+    kept as a nested-suffix store of values only: per ``(draw, cells)``
+    pair, the QoI values of the node prefix solved so far.  A solve reads
+    its nodes from that cache, solves only the nodes past the prefix, and a
+    tuple adds each draw's values with one vector add; a QoI call that
+    raises keeps the values solved before it.  A tuple whose nodes are not
+    the sequence's prefix raises ``ValueError`` before any draw or solve, so
+    a factor whose ``points`` differ from its domain's sequence is refused.
 
     A plan (:meth:`~kernelkit.smolyak.SmolyakEngine.plan`, which the study
     loop makes once for its largest threshold) sets a target per pair: the
@@ -478,8 +481,6 @@ class OuuPipeline:
         if qoi is None:
             qoi = AdvectionDiffusionProblem().sample_qoi
         self._qoi = qoi
-        self._nodes = np.empty((0, interp_factor.domain.dim))
-        self._planned_nodes = 0
         self._prefixes: dict[tuple[int, int], np.ndarray] = {}
         self._targets: dict[tuple[int, int], int] = {}
         self._needed: dict[tuple[int, int], int] = {}
@@ -497,47 +498,32 @@ class OuuPipeline:
                 short = len(self._prefixes.get((k, cells), _NO_VALUES)) < n_points
                 if short and self._targets.get((k, cells), 0) < n_points:
                     self._targets[k, cells] = n_points
-            self._planned_nodes = max(self._planned_nodes, n_points)
-
-    def _extend_nodes(self, nodes: np.ndarray, resolutions: tuple[int, ...]) -> None:
-        """Check that ``nodes`` and the longest node set seen are nested,
-        and keep the longer."""
-        shared = min(len(nodes), len(self._nodes))
-        if not np.array_equal(nodes[:shared], self._nodes[:shared]):
-            raise ValueError(
-                f"control nodes of tuple {resolutions} are not a prefix of the "
-                f"nodes solved or planned so far; the store needs nested point sets"
-            )
-        if len(nodes) > len(self._nodes):
-            self._nodes = nodes
-
-    def _solve_draw(self, draw: int, field, targets) -> None:
-        """Extend the prefix of each ``(draw, cells)`` pair to its target node
-        count, for ``(cells, target)`` in ``targets``, with ``draw``'s field;
-        a QoI call that raises keeps the values solved before it."""
-        from kernelkit.pde import cached_mesh
-
-        for cells, target in targets:
-            key = (draw, cells)
-            done = self._prefixes.get(key, _NO_VALUES)
-            mesh = cached_mesh(cells)
-            solved = []
-            try:
-                for z in self._nodes[len(done) : target]:
-                    solved.append(float(self._qoi(z, field, mesh)))
-            finally:
-                if solved:
-                    self._prefixes[key] = np.concatenate([done, solved])
 
     def _solve_plan(self) -> None:
-        """Solve every planned pair short of its target, one field draw at a
-        time in ascending order, then release the field sampler."""
+        """Extend every planned pair short of its target, one field draw at a
+        time in ascending order, then release the field sampler; a QoI call
+        that raises keeps the values solved before it."""
+        from kernelkit.pde import cached_mesh
+
         pending: dict[int, list[tuple[int, int]]] = {}
         for (draw, cells), target in sorted(self._targets.items()):
             if len(self._prefixes.get((draw, cells), _NO_VALUES)) < target:
                 pending.setdefault(draw, []).append((cells, target))
+        if pending:
+            longest = max(target for targets in pending.values() for _, target in targets)
+            nodes = generate_points(self.interp_factor.domain, longest).points
         for draw, targets in pending.items():
-            self._solve_draw(draw, self._field_sampler.sample(self.seed, draw), targets)
+            field = self._field_sampler.sample(self.seed, draw)
+            for cells, target in targets:
+                done = self._prefixes.get((draw, cells), _NO_VALUES)
+                mesh = cached_mesh(cells)
+                solved = []
+                try:
+                    for z in nodes[len(done) : target]:
+                        solved.append(float(self._qoi(z, field, mesh)))
+                finally:
+                    if solved:
+                        self._prefixes[draw, cells] = np.concatenate([done, solved])
         self._targets.clear()
         self._field_sampler.release()
 
@@ -551,10 +537,12 @@ class OuuPipeline:
             raise ValueError(
                 f"resolution {mesh_resolution} is not a realized mesh size"
             )
-        if self._planned_nodes > len(self._nodes):
-            planned = self.interp_factor.points(self._planned_nodes).points
-            self._extend_nodes(planned, resolutions)
-        self._extend_nodes(points, resolutions)
+        nested = generate_points(self.interp_factor.domain, n_points).points
+        if not np.array_equal(points, nested):
+            raise ValueError(
+                f"control nodes of tuple {resolutions} are not the first {n_points} "
+                f"points of the control domain's nested sequence, which the store holds"
+            )
         for k in range(n_draws):
             if self._needed.get((k, cells), 0) < n_points:
                 self._needed[k, cells] = n_points

@@ -490,18 +490,17 @@ def test_cli_loads_no_scipy_package_beyond_the_compiled_wrappers(tmp_path):
     "name", ["interp", "rsr-bump", "ouu-advection", "rates", "misc-synthetic", "fem-check"]
 )
 def test_a_run_imports_only_the_lazy_modules(tmp_path, name):
-    # Every module a run needs is imported with the CLI or its config's run
-    # plan, so its cost stays in start-up; only kernelkit.packets, which
-    # only packet-grid fits use, loads on first use, and fem-check, which
-    # has no run plan, loads the FEM module, kernelkit.pde, in its run.  The
-    # interp run never loads kernelkit.pde.  The manifest's hash maps no
-    # OpenSSL, and only the ouu field draws call BLAS: their run plan loads
-    # scipy's BLAS wrapper, and no other run maps it.
+    # Every module a run needs is imported with the CLI or when its config
+    # is validated (through the run plan, or for fem-check, which has none,
+    # by the validation itself), so its cost stays in start-up; only
+    # kernelkit.packets, which only packet-grid fits use, loads on first
+    # use.  The interp run never loads kernelkit.pde.  The manifest's hash
+    # maps no OpenSSL, and only the ouu field draws call BLAS: their run
+    # plan loads scipy's BLAS wrapper, and no other run maps it.
     done = run_child(_RUN_IMPORTS, f"docs/examples/{name}.cfg", str(tmp_path / name))
     assert done.returncode == 0, done.stderr
     run_imports, pde_loaded, fblas_planned, native = done.stdout.split("\n")[:4]
-    lazy = {"kernelkit.packets"} | ({"kernelkit.pde"} if name == "fem-check" else set())
-    assert set(run_imports.split()) <= lazy, done.stdout
+    assert set(run_imports.split()) <= {"kernelkit.packets"}, done.stdout
     if name == "interp":
         assert pde_loaded == "False", done.stdout
     if name == "ouu-advection":

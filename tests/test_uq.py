@@ -596,31 +596,12 @@ class TestSolveOnce:
             assert_same_estimate(pipeline.engine.estimate(L)[0], looped.estimate(L)[0])
         assert pipeline.pde_solves == sum(map(len, pipeline._prefixes.values())) > 0
 
-    def test_point_sets_that_are_not_nested_raise(self):
-        class Reversed(InterpolationFactor):
-            def points(self, count):
-                nodes = generate_points(self.domain, count)
-                return PointSet(points=nodes.points[::-1].copy(), domain=self.domain)
-
-        factor = stub_interp_factor()
-        calls = []
-
-        def qoi(z, field, mesh):
-            calls.append(1)
-            return stub_qoi(z, field, mesh)
-
-        pipeline = OuuPipeline(
-            (Reversed(factor.kernel, factor.domain, factor.spec), *ouu_factors()[1:]),
-            seed=0,
-            qoi=qoi,
-            field_grid=Mesh(cells=4),
-        )
-        evaluate = pipeline.engine.problem.tensor_evaluator
-        evaluate((3, 1, 16))
-        solved = len(calls)
-        with pytest.raises(ValueError, match=r"tuple \(5, 1, 16\) are not a prefix"):
-            evaluate((5, 1, 16))
-        assert len(calls) == solved == pipeline.pde_solves == 3
+    def test_point_sets_that_are_not_nested_raise(self, monkeypatch):
+        pipeline, calls, drawn = reversed_ouu_pipeline(monkeypatch)
+        # The first tuple's nodes are the domain's first 3 points, reversed.
+        with pytest.raises(ValueError, match=r"tuple \(3, 1, 16\) are not the first 3"):
+            pipeline.engine.problem.tensor_evaluator((3, 1, 16))
+        assert not calls and not drawn and pipeline.pde_solves == 0
 
     def test_failed_compute_leaves_key_computable(self):
         from kernelkit.smolyak import FactorSpec
@@ -812,31 +793,13 @@ class TestPlannedStore:
         )
         assert _field_factor.cache_info().currsize == 0
 
-    def test_planned_nodes_that_are_not_nested_raise(self):
-        class Reversed(InterpolationFactor):
-            def points(self, count):
-                nodes = generate_points(self.domain, count)
-                return PointSet(points=nodes.points[::-1].copy(), domain=self.domain)
-
-        factor = stub_interp_factor()
-        calls = []
-
-        def qoi(z, field, mesh):
-            calls.append(1)
-            return stub_qoi(z, field, mesh)
-
-        pipeline = OuuPipeline(
-            (Reversed(factor.kernel, factor.domain, factor.spec), *ouu_factors()[1:]),
-            seed=0,
-            qoi=qoi,
-            field_grid=Mesh(cells=4),
-        )
+    def test_planned_nodes_that_are_not_nested_raise(self, monkeypatch):
+        pipeline, calls, drawn = reversed_ouu_pipeline(monkeypatch)
         pipeline.engine.plan(5)
-        # The first tuple's own nodes are consistent, but not with the
-        # longer planned set that it would solve ahead.
-        with pytest.raises(EvaluationError, match=r"not a prefix of the nodes solved or planned"):
+        # The plan's first tuple is refused before it solves the plan.
+        with pytest.raises(EvaluationError, match=r"points of the control domain's nested"):
             pipeline.engine.estimate(5)
-        assert not calls and pipeline.pde_solves == 0
+        assert not calls and not drawn and pipeline.pde_solves == 0
 
     def test_ouu_study_plans_each_pipeline_once(self, monkeypatch):
         plans = []
@@ -880,6 +843,37 @@ def assert_same_store(pipeline, fresh):
 
 def stub_qoi(z, field, mesh):
     return float(z[0]) + 0.1 * float(field.values[0])
+
+
+def reversed_ouu_pipeline(monkeypatch):
+    """A pipeline whose factor returns its domain's nested points reversed,
+    with the list of its QoI calls and the list of its field draws."""
+
+    class Reversed(InterpolationFactor):
+        def points(self, count):
+            nodes = generate_points(self.domain, count)
+            return PointSet(points=nodes.points[::-1].copy(), domain=self.domain)
+
+    factor = stub_interp_factor()
+    calls, drawn = [], []
+    sample = GaussianFieldSampler.sample
+
+    def counting(sampler, seed, draw):
+        drawn.append(draw)
+        return sample(sampler, seed, draw)
+
+    def qoi(z, field, mesh):
+        calls.append(1)
+        return stub_qoi(z, field, mesh)
+
+    monkeypatch.setattr(GaussianFieldSampler, "sample", counting)
+    pipeline = OuuPipeline(
+        (Reversed(factor.kernel, factor.domain, factor.spec), *ouu_factors()[1:]),
+        seed=0,
+        qoi=qoi,
+        field_grid=Mesh(cells=4),
+    )
+    return pipeline, calls, drawn
 
 
 def small_ouu_pipeline(qoi):
