@@ -179,7 +179,7 @@ def _run_rsr(config: RunConfig, plan: RunPlan, seed: int) -> _Study:
     *factors, sample = plan.factors
     box = _product_domain([f.domain for f in factors])
     points = random_points(box, config[("study", "eval_points")], seed)
-    rows = surface_study(factors, sample, plan.rows, points, reference_L=plan.reference_l)
+    rows = surface_study(factors, sample, plan.rows, points, plan.reference_l)
     series = [(r["work_units"], r["error_l2"]) for r in rows]
     return _Study(["L", "work_units", "pde_solves", "error_l2", "error_linf"], rows, series)
 
@@ -262,14 +262,15 @@ def run(config: RunConfig, out: str, seed: int, quiet: bool) -> None:
     _write(out, "manifest.txt", _manifest_text(config, seed, extra))
     plan = run_plan(config.pipeline, config.sections)
     study = _RUNNERS[config.pipeline](config, plan, seed)
-    fitted = fit_loglog_slope(study.series, window=config.fit_window)
+    window = config[("run", "fit_window")]
+    fitted = fit_loglog_slope(study.series, window=window)
     # fem-check's P1 solutions converge in L2 at order 2 in the mesh width.
     predicted = 2.0 if plan is None else predicted_rates(plan.specs).slope
     _write(out, "study.csv", _csv_text(study.header, study.rows))
     slopes = (
         f"predicted_slope = {predicted:.12e}\n"
         f"fitted_slope = {fitted:.12e}\n"
-        f"fit_window = {config.fit_window:.12e}\n"
+        f"fit_window = {window:.12e}\n"
     )
     _write(out, "slope.txt", slopes)
     for name, text in study.artifacts.items():
@@ -296,10 +297,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = parse_config_file(args.config)
-        seed = config.seed if args.seed is None else args.seed
+        seed = config[("run", "seed")] if args.seed is None else args.seed
         if not 0 <= seed <= _MAX_SEED:
             raise ConfigError(f"--seed must be a 64-bit unsigned integer, got {seed}")
-        out = args.out if args.out is not None else config.out
+        out = args.out if args.out is not None else config[("run", "out")]
         try:
             os.makedirs(out, exist_ok=True)
         except OSError as err:

@@ -13,13 +13,15 @@ naming both lines, and every parse error carries a line number.  Each
 pipeline admits only the keys its run reads (``_KEYS_READ``); any other
 key is an error naming its line.  The serializer emits a canonical form
 (those keys, defaults applied, fixed order) whose parse compares equal to
-the original configuration.
+the original configuration, and is all that a parsed configuration
+(:class:`RunConfig`) holds.  Only :func:`run_plan` derives the automatic
+reference threshold ``l_max + 2``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple
 
 import numpy as np
@@ -210,15 +212,14 @@ _MISC_BY_KERNEL = {
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated configuration of one experiment run."""
+    """Validated configuration of one experiment run: its converted
+    sections, defaults applied, from which every setting is read."""
 
-    pipeline: str
-    seed: int
-    l_min: int | None  # None for fem-check, which has no threshold range
-    l_max: int | None
-    out: str
-    fit_window: float
-    sections: dict[str, dict[str, Any]] = field(default_factory=dict, compare=True)
+    sections: dict[str, dict[str, Any]]
+
+    @property
+    def pipeline(self) -> str:
+        return self.sections["run"]["pipeline"]
 
     def section(self, name: str) -> dict[str, Any]:
         return self.sections.get(name, {})
@@ -335,8 +336,9 @@ class RunPlan(NamedTuple):
     one as ``spec`` (its level map included).  ``dense`` tells, per factor,
     whether its nodes are fitted by a kernel that :attr:`~kernelkit.kernels.
     TensorKernel.fits_densely`.  ``rows`` are the study's thresholds and
-    ``reference_l`` the threshold of its reference estimate, None for a run
-    that makes none.
+    ``reference_l`` the threshold of its reference estimate: ``[study]
+    reference_l``, or ``l_max + 2`` where that is 0 (automatic), and None
+    for a run that makes none.
     """
 
     factors: tuple
@@ -572,15 +574,7 @@ def _validate(raw: dict[str, dict[str, tuple[str, int]]]) -> RunConfig:
             at = "" if top == value else f" (reference at {top})"
             raise ConfigError(f"[{section}] {key} = {value}{at}: {reason}", raw[section][key][1])
 
-    return RunConfig(
-        pipeline=pipeline,
-        seed=seed,
-        l_min=run.get("l_min"),
-        l_max=run.get("l_max"),
-        out=run["out"],
-        fit_window=run["fit_window"],
-        sections=sections,
-    )
+    return RunConfig(sections)
 
 
 def _format_value(value: Any) -> str:

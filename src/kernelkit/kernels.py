@@ -72,7 +72,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from kernelkit.lapack import dgbcon, dgbtrf, dgbtrs, dpotrf, dpotrs
+from kernelkit.lapack import BandLayout, dgbcon, dgbtrf, dgbtrs, dpotrf, dpotrs
 from kernelkit.points import Box, PointSet, _distance_blocks, distinct_rows
 from kernelkit.points import tensor_grid, tensor_weights
 from kernelkit.surrogate import KernelExpansion, PacketExpansion, PacketGrid, Surrogate
@@ -612,13 +612,11 @@ def _packet_factor(kernel: MaternKernel, rows: np.ndarray):
         basis = packets._packet_basis(kernel, points)
         phi = packets._packet_band(basis)
     w = phi.shape[1] // 2
-    # LAPACK's band storage: entry (i, j) in row 2w + i - j of column j; the
-    # w rows above hold the fill-in of the row interchanges.
     i, t = np.indices(phi.shape)
     j = i - w + t
     kept = (j >= 0) & (j < n)
-    band = np.zeros((3 * w + 1, n), order="F")
-    band[3 * w - t[kept], j[kept]] = phi[kept]
+    layout = BandLayout(3 * w + 1, 2 * w, n)
+    band = layout.scatter(layout.index(i[kept], j[kept]), phi[kept])
     lu, pivots, info = dgbtrf(band, w, w, overwrite_ab=True)
     if info > 0 or not np.isfinite(phi).all():
         gaps = np.diff(points[:, 0])

@@ -1,4 +1,6 @@
-"""The compiled LAPACK and BLAS routines the library calls, from scipy.
+"""The compiled LAPACK and BLAS routines the library calls, from scipy, and
+the layout of LAPACK's band storage that its banded callers share
+(:class:`BandLayout`).
 
 Only scipy's f2py wrappers are loaded (``scipy.linalg._flapack`` and
 ``_fblas``), by an import spec found under scipy's package directory
@@ -61,6 +63,31 @@ def _wrapper(name: str):
 _flapack = _wrapper("_flapack")
 dgbcon, dgbsv, dgbtrf, dgbtrs = _flapack.dgbcon, _flapack.dgbsv, _flapack.dgbtrf, _flapack.dgbtrs
 dpbsv, dpotrf, dpotrs = _flapack.dpbsv, _flapack.dpotrf, _flapack.dpotrs
+
+
+class BandLayout:
+    """Positions of the entries of an ``n x n`` matrix in LAPACK band storage.
+
+    Entry ``(i, j)`` lives at ``[diagonal + i - j, j]`` of a Fortran-ordered
+    ``(rows, n)`` array: ``dgbsv`` and ``dgbtrf`` storage has ``diagonal =
+    2p`` for ``p`` sub- and superdiagonals, the ``p`` rows above the band
+    holding the fill-in of the row interchanges; lower ``dpbsv`` storage has
+    ``diagonal = 0``.
+    """
+
+    def __init__(self, rows: int, diagonal: int, n: int):
+        self.rows = rows
+        self.diagonal = diagonal
+        self.n = n
+
+    def index(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """Flat positions of the entries ``(i, j)``, raveled."""
+        return (j * self.rows + self.diagonal + i - j).ravel()
+
+    def scatter(self, index: np.ndarray, entries: np.ndarray) -> np.ndarray:
+        """Band array holding, at each position, the sum of its entries."""
+        flat = np.bincount(index, weights=entries.ravel(), minlength=self.rows * self.n)
+        return flat.reshape(self.n, self.rows).T
 
 
 def __getattr__(name: str):

@@ -20,11 +20,12 @@ Both problems are solved on meshes built once per cell count
 (:func:`cached_mesh`).  A mesh holds, as cached properties, what it alone
 fixes: the geometry-only element stiffness, the nodal averaging weights
 and its Dirichlet operator; :meth:`Mesh.load` is the one P1 load scatter.
-Element entries are scattered straight into LAPACK banded storage.  The
-Dirichlet system of the diffusion problem is symmetric positive definite:
-its :class:`DirichletOperator` assembles the interior system
-(half-bandwidth ``cells`` under row-major interior numbering) and solves
-it by banded Cholesky, whose band holds 134 MB at the configurable maximum
+Element entries are scattered straight into LAPACK banded storage
+(:class:`~kernelkit.lapack.BandLayout`).  The Dirichlet system of the
+diffusion problem is symmetric positive definite: its
+:class:`DirichletOperator` assembles the interior system (half-bandwidth
+``cells`` under row-major interior numbering) and solves it by banded
+Cholesky, whose band holds 134 MB at the configurable maximum
 (``2**config.MAX_MESH_LEVEL`` cells per axis).  For advection-diffusion,
 the :class:`AdvectionOperator` assembles the coefficient-dependent base
 system once per field realization and mesh (half-bandwidth
@@ -56,7 +57,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from kernelkit import lapack
-from kernelkit.lapack import dgbsv, dpbsv, dpotrf
+from kernelkit.lapack import BandLayout, dgbsv, dpbsv, dpotrf
 from kernelkit.points import Box, philox_generator
 from kernelkit.smolyak import scaled_exponential_map
 
@@ -262,29 +263,6 @@ def spatial_average(solution: np.ndarray, mesh: Mesh) -> float:
     return float(solution @ mesh.average_weights)
 
 
-class _BandLayout:
-    """Positions of the entries of an ``n x n`` matrix in LAPACK band storage.
-
-    Entry ``(i, j)`` lives at ``[diagonal + i - j, j]`` of a Fortran-ordered
-    ``(rows, n)`` array: ``dgbsv`` storage has ``diagonal = 2p`` for ``p``
-    sub- and superdiagonals, lower ``dpbsv`` storage has ``diagonal = 0``.
-    """
-
-    def __init__(self, rows: int, diagonal: int, n: int):
-        self.rows = rows
-        self.diagonal = diagonal
-        self.n = n
-
-    def index(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """Flat positions of the entries ``(i, j)``, raveled."""
-        return (j * self.rows + self.diagonal + i - j).ravel()
-
-    def scatter(self, index: np.ndarray, entries: np.ndarray) -> np.ndarray:
-        """Band array holding, at each position, the sum of its entries."""
-        flat = np.bincount(index, weights=entries.ravel(), minlength=self.rows * self.n)
-        return flat.reshape(self.n, self.rows).T
-
-
 class DirichletOperator:
     """The parts of the homogeneous Dirichlet system that one mesh fixes.
 
@@ -313,7 +291,7 @@ class DirichletOperator:
         cols = np.broadcast_to(local[:, None, :], shape)
         # Symmetry supplies the upper triangle.
         kept = (rows >= 0) & (cols >= 0) & (rows >= cols)
-        self._layout = _BandLayout(mesh.cells + 1, 0, n)
+        self._layout = BandLayout(mesh.cells + 1, 0, n)
         self._index = self._layout.index(rows[kept], cols[kept])
         self._triangle = np.nonzero(kept)[0]
         self._stiffness = mesh.stiffness[kept]
@@ -467,7 +445,7 @@ class AdvectionOperator:
         p = mesh.nodes_per_axis + 1
         self.mesh = mesh
         self.bandwidth = p
-        self._layout = _BandLayout(3 * p + 1, 2 * p, n)
+        self._layout = BandLayout(3 * p + 1, 2 * p, n)
         tri = mesh.triangles
         edges = mesh.boundary_edges
         self.edges = edges

@@ -328,16 +328,15 @@ def convergence_study(
     engines: Sequence[SmolyakEngine],
     L_values: Sequence[int],
     errors: Callable[[Any, list], Iterable[dict]],
-    reference: SmolyakEngine | None = None,
-    reference_L: int | None = None,
+    reference: tuple[SmolyakEngine, int] | None = None,
     solves: Callable[[], int] = lambda: 0,
 ) -> tuple[list[dict], Any]:
     """Error-versus-work table over a range of thresholds: the one study loop.
 
     Every engine is first planned (:meth:`SmolyakEngine.plan`) for the
-    largest threshold it will estimate.  With ``reference``, its estimate
-    at ``reference_L`` (default ``max(L_values) + 2``) comes first.  Then
-    every threshold, ascending, is estimated on each of ``engines`` (one
+    largest threshold it will estimate.  With ``reference``, an ``(engine,
+    L)`` pair, that engine's estimate at ``L`` comes first.  Then every
+    threshold, ascending, is estimated on each of ``engines`` (one
     per replication) in turn; a row records ``L``, the last estimate's
     ``work_units`` and ``evaluations``, and ``pde_solves``, the count
     ``solves()`` returns after the row's estimates.  Last, ``errors(reference_value, values)``
@@ -353,10 +352,10 @@ def convergence_study(
         engine.plan(Ls[-1])
     reference_value = None
     if reference is not None:
-        ref_L = reference_L if reference_L is not None else Ls[-1] + 2
+        reference_engine, ref_L = reference
         try:
-            reference.plan(ref_L)
-            reference_value, _ = reference.estimate(ref_L)
+            reference_engine.plan(ref_L)
+            reference_value, _ = reference_engine.estimate(ref_L)
         except ValueError as exc:
             # Evaluator failures arrive wrapped; this one came before them.
             raise EvaluationError(f"reference estimate at L={ref_L} failed: {exc}") from exc

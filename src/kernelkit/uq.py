@@ -352,16 +352,15 @@ def surface_study(
     sample_factor: SampleFactor,
     L_values: Sequence[int],
     eval_points: np.ndarray,
-    reference_L: int | None = None,
+    reference_L: int,
 ) -> list[dict]:
     """Surrogate error table against a fine reference surrogate.
 
-    The reference, at ``reference_L`` (default ``max(L_values) + 2``), is
-    estimated first on the same engine.  Errors are estimated on
-    ``eval_points``: ``error_l2`` is the root mean square difference,
-    ``error_linf`` the maximum difference, all from one stacked pass
-    (:meth:`Surrogate.stack`), which computes each block profile once
-    over the union of the surrogates' nested nodes.
+    The reference, at ``reference_L``, is estimated first on the same
+    engine.  Errors are estimated on ``eval_points``: ``error_l2`` is the
+    root mean square difference, ``error_linf`` the maximum difference, all
+    from one stacked pass (:meth:`Surrogate.stack`), which computes each
+    block profile once over the union of the surrogates' nested nodes.
     """
     engine = SmolyakEngine(
         interpolation_problem(interp_factors, sample_factor.values, (sample_factor.spec,))
@@ -380,8 +379,7 @@ def surface_study(
         [engine],
         L_values,
         errors,
-        reference=engine,
-        reference_L=reference_L,
+        reference=(engine, reference_L),
         solves=lambda: sample_factor.solve_count,
     )
     return rows
@@ -633,20 +631,20 @@ def ouu_study(
     seed: int,
     eval_points: np.ndarray,
     field_grid: Mesh,
+    reference_L: int,
     replications: int = 5,
-    reference_L: int | None = None,
     qoi: Callable[[np.ndarray, Any, Mesh], float] | None = None,
 ) -> tuple[list[dict], Surrogate]:
     """Mean-squared maximum-error table over stochastic replications.
 
     Each pipeline (:class:`OuuPipeline`) takes the run plan's ``factors``
-    and draws its fields on ``field_grid``.
-    The reference surrogate is built on its own stream at ``reference_L``
-    (default ``max(L) + 2``); each replication r = 1..R runs the full
-    threshold range on stream ``r``.  All surrogates are built first and
-    then evaluated in one stacked pass (:meth:`Surrogate.stack`): their
-    nodes are prefixes of one nested sequence, so each kernel profile is
-    computed once per study point and node of the largest surrogate.
+    and draws its fields on ``field_grid``.  The reference surrogate is
+    built on its own stream at ``reference_L``; each replication r = 1..R
+    runs the full threshold range on stream ``r``.  All surrogates are
+    built first and then evaluated in one stacked pass
+    (:meth:`Surrogate.stack`): their nodes are prefixes of one nested
+    sequence, so each kernel profile is computed once per study point and
+    node of the largest surrogate.
     Errors are the maxima over ``eval_points``.  Returns the rows and the
     reference surrogate (for downstream minimization).
     """
@@ -668,7 +666,6 @@ def ouu_study(
         [p.engine for p in pipelines],
         L_values,
         errors,
-        reference=reference_pipeline.engine,
-        reference_L=reference_L,
+        reference=(reference_pipeline.engine, reference_L),
         solves=lambda: sum(p.pde_solves for p in pipelines),
     )

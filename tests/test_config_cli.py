@@ -84,8 +84,8 @@ class TestParseConfig:
         config2 = parse_config(RATES_CONFIG)
         assert config == config2
         assert config.pipeline == "rates"
-        assert config.seed == 0
-        assert config.fit_window == 1.0
+        assert config[("run", "seed")] == 0
+        assert config[("run", "fit_window")] == 1.0
         assert config[("factors", "gamma")] == (1.0, 1.5)
 
     def test_comments_and_blank_lines(self):
@@ -542,7 +542,7 @@ class TestKeysRead:
                 for name, entries in config.sections.items()
             },
         )
-        run_study(recording, config.seed)
+        run_study(recording, config[("run", "seed")])
         serialized = _serialized_keys(config)
         del serialized["run"]
         assert read == serialized
@@ -747,12 +747,38 @@ class TestCliRuns:
         path.write_text(text)
         return str(path)
 
+    def test_a_run_fits_over_the_fit_window_of_its_sections(self, tmp_path):
+        # A config whose sections are replaced runs what they hold, as the
+        # manifest hashes and the canonical form serializes them.
+        text = CONFIG_FILES["docs/examples/rates.cfg"]
+        config = parse_config(text)
+        run = {**config.sections["run"], "fit_window": 0.5}
+        replaced = dataclasses.replace(config, sections={**config.sections, "run": run})
+        edited = parse_config(text.replace("l_max = 10\n", "l_max = 10\nfit_window = 0.5\n"))
+        slopes = []
+        for name, cfg in (("replaced", replaced), ("edited", edited)):
+            os.makedirs(tmp_path / name)
+            kernelkit.cli.run(cfg, str(tmp_path / name), 0, quiet=True)
+            slopes.append((tmp_path / name / "slope.txt").read_text())
+        assert "fit_window = 5.000000000000e-01\n" in slopes[0]
+        assert slopes[0] == slopes[1]
+        assert replaced == edited
+
+    @pytest.mark.parametrize(
+        "study", ["[study]\nreference_l = 0\n", ""], ids=["reference_l-0", "no-study"]
+    )
+    def test_automatic_reference_is_two_thresholds_above_the_study(self, study):
+        text = CONFIG_FILES["docs/examples/rsr-bump.cfg"].split("[study]")[0] + study
+        config = parse_config(text)
+        plan = run_plan(config.pipeline, config.sections)
+        assert plan.reference_l == config[("run", "l_max")] + 2 == 9
+
     @pytest.mark.parametrize("name", ["rsr", "ouu"])
     def test_reference_l_inside_the_study_is_refused(self, tmp_path, capsys, name):
         # Every pipeline that reads [study] reference_l: at l_max the
         # reference would be a row of the study itself.
         text = CONFIGS[name] + "[study]\nreference_l = {}\n"
-        l_max = parse_config(CONFIGS[name]).l_max
+        l_max = parse_config(CONFIGS[name])[("run", "l_max")]
         line = len(text.splitlines())
         inside = tmp_path / "inside"
         assert main(["--config", self.write(tmp_path, text.format(l_max)), "--out", str(inside)]) == 2
@@ -779,7 +805,7 @@ class TestCliRuns:
 
         config = parse_config(MISC_SINE_CONFIG)
         monkeypatch.setattr(SmolyakEngine, "estimate", counted)
-        rows = run_study(config, config.seed).rows
+        rows = run_study(config, config[("run", "seed")]).rows
         monkeypatch.undo()
         assert estimated == [row["L"] for row in rows] == [2, 3, 4]
         *quads, sample = run_plan(config.pipeline, config.sections).factors
@@ -796,7 +822,7 @@ class TestCliRuns:
         # 0.38 at L = 7).
         text = MISC_KERNEL_CONFIG.replace("l_min = 2\nl_max = 4", "l_min = 3\nl_max = 7")
         config = parse_config(text + "[kernel]\nd = 2\n")
-        errors = [row["error_l2"] for row in run_study(config, config.seed).rows]
+        errors = [row["error_l2"] for row in run_study(config, config[("run", "seed")]).rows]
         assert all(later < earlier for earlier, later in zip(errors, errors[1:])), errors
         assert errors[-1] < 0.1, errors
 
@@ -969,7 +995,7 @@ class TestCliRuns:
             "[run]\npipeline = interp\nl_min = 8\nl_max = 10\n"
             "[kernel]\nd = 9\nbeta = 6.5\n[interp]\nblocks = 1\nlevel_map = {}\n"
         )
-        assert parse_config(text.format("exponential")).l_max == 10
+        assert parse_config(text.format("exponential"))[("run", "l_max")] == 10
         with pytest.raises(ConfigError, match="holds 1024 points"):
             parse_config(text.format("doubling"))
 
@@ -1270,7 +1296,7 @@ class TestCliRuns:
         config = parse_config(SMALL_CONFIGS["ouu"])
         plan = run_plan(config.pipeline, config.sections)
         with pytest.raises(Recorded):
-            kernelkit.cli._run_ouu(config, plan, config.seed)
+            kernelkit.cli._run_ouu(config, plan, config[("run", "seed")])
         assert len(received) == 1 and received[0] is plan.factors
 
     @pytest.mark.parametrize("pipeline", ["interp", "rsr", "ouu"])
@@ -1285,7 +1311,7 @@ class TestCliRuns:
         monkeypatch.setattr(Surrogate, "evaluate", recording)
         config = parse_config(SMALL_CONFIGS[pipeline])
         study = run_study(config, 0)
-        rows = config.l_max - config.l_min + 1
+        rows = config[("run", "l_max")] - config[("run", "l_min")] + 1
         # One stacked call holds every surrogate of the table, after the
         # reference (rsr, ouu) and every replication (ouu); the ouu
         # minimizer's own point evaluations come after it, unstacked.

@@ -14,6 +14,7 @@ from scipy.linalg.blas import dtrmm
 from scipy.linalg.lapack import dpbsv
 
 from kernelkit import pde
+from kernelkit.lapack import BandLayout
 from kernelkit.pde import (
     AdvectionDiffusionProblem,
     AdvectionOperator,
@@ -284,7 +285,7 @@ class TestDirichletOperator:
         # Full-node stiffness in general band storage through the shared helper.
         n = mesh.node_count
         p = mesh.nodes_per_axis + 1
-        layout = pde._BandLayout(2 * p + 1, p, n)
+        layout = BandLayout(2 * p + 1, p, n)
         tri = mesh.triangles
         grads = mesh.gradients
         local = np.einsum("tdi,tdj->tij", grads, grads) * (a * mesh.triangle_area)[:, None, None]

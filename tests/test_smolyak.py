@@ -389,13 +389,9 @@ class TestConvergenceStudy:
             calls.append((reference, list(values), list(log)))
             return [{"error": float(i)} for i in range(len(values) // 2)]
 
+        reference_engine = RecordingEngine("ref", log)
         rows, reference = convergence_study(
-            engines,
-            [5, 3, 4],
-            errors,
-            reference=(reference_engine := RecordingEngine("ref", log)),
-            reference_L=7,
-            solves=lambda: len(log),
+            engines, [5, 3, 4], errors, reference=(reference_engine, 7), solves=lambda: len(log)
         )
         expected = [("ref", 7)] + [(name, L) for L in (3, 4, 5) for name in ("a", "b")]
         assert log == expected
@@ -480,21 +476,6 @@ class TestConvergenceStudy:
             [(math.exp(row["L"]), row["error"]) for row in rows], window=0.5
         )
         assert abs(slope - (-pred.b_min)) <= 0.2 * pred.b_min
-
-    def test_default_reference_uses_margin(self):
-        seen = []
-
-        def evaluator(res):
-            seen.append(res)
-            return 1.0 / (1.0 + res[0])
-
-        problem = ProblemSpec(
-            factors=(FactorSpec(gamma=1.0, beta=1.0),), tensor_evaluator=evaluator
-        )
-        engine = SmolyakEngine(problem)
-        convergence_study([engine], [2, 4], absolute_errors(0.0), reference=engine)
-        max_resolution = max(r[0] for r in seen)
-        assert max_resolution == level_to_resolution(problem.factors[0], 6)
 
     def test_csv_format(self, tmp_path):
         from kernelkit.cli import _csv_text, _write

@@ -237,7 +237,7 @@ class TestResponseSurface:
             lambda pts: np.sin(2 * np.pi * pts[:, 0]), gamma=1.5, kappa=1.0
         )
         pts = random_points(UNIT_INTERVAL, 256, seed=6)
-        rows = surface_study([factor], sample, range(2, 7), eval_points=pts)
+        rows = surface_study([factor], sample, range(2, 7), eval_points=pts, reference_L=8)
         works = [r["work_units"] for r in rows]
         assert works == sorted(works)
         assert all(r["error_l2"] <= r["error_linf"] + 1e-15 for r in rows)
@@ -920,7 +920,11 @@ class TestStudyWiring:
         sample = synthetic_bias_factor(lambda pts: pts[:, 0], gamma=1.5, kappa=1.0)
         pts = random_points(UNIT_INTERVAL, 16, seed=6)
         surface_study(
-            [interpolation_factor(kernel, UNIT_INTERVAL)], sample, [4, 2, 3], eval_points=pts
+            [interpolation_factor(kernel, UNIT_INTERVAL)],
+            sample,
+            [4, 2, 3],
+            eval_points=pts,
+            reference_L=6,
         )
         assert [L for _, L in estimate_log] == [6, 2, 3, 4]
         assert len({id(engine) for engine, _ in estimate_log}) == 1
