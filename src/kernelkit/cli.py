@@ -55,6 +55,7 @@ from kernelkit.config import (  # noqa: E402
     RunConfig,
     RunPlan,
     parse_config_file,
+    rates_term,
     run_plan,
     serialize_config,
     sine_product,
@@ -136,7 +137,7 @@ def _run_rates(config: RunConfig, plan: RunPlan, seed: int) -> _Study:
     def evaluator(resolutions):
         out_value = 1.0
         for n, spec in zip(resolutions, plan.factors):
-            out_value *= 1.0 + float(n) ** -spec.beta
+            out_value *= rates_term(n, spec.beta)
         return out_value
 
     engine = SmolyakEngine(ProblemSpec(factors=plan.factors, tensor_evaluator=evaluator))

@@ -319,6 +319,12 @@ def matern_kernel(sections: dict[str, dict[str, Any]]) -> MaternKernel:
     return MaternKernel(beta=k["beta"], dim=k["d"], length_scale=k["length_scale"])
 
 
+def rates_term(resolution: int, beta: float) -> float:
+    """``1 + n**-beta``: a ``rates`` factor's value at resolution ``n``, whose
+    product over the factors the pipeline combines, against its limit 1."""
+    return 1.0 + float(resolution) ** -beta
+
+
 def sine_product(points: np.ndarray) -> np.ndarray:
     """``prod_j sin(2 pi x_j)``: the ``interp`` target and ``misc``'s
     sine-product integrand."""
@@ -354,7 +360,9 @@ class RunPlan(NamedTuple):
 def run_plan(pipeline: str, sections: dict[str, dict[str, Any]]) -> RunPlan | None:
     """The plan of a run of ``pipeline`` on converted ``sections``; None
     for fem-check, which estimates no threshold.  It builds factor objects
-    only: no mesh, point set, Gram matrix or field factor."""
+    only: no mesh, point set, Gram matrix or field factor.  A plan with a
+    dense factor imports :mod:`kernelkit.lapack`, whose Cholesky those fits
+    call, so that its cost stays in start-up."""
     if pipeline == "fem-check":
         return None
     k, study = sections.get("kernel"), sections.get("study", {})
@@ -414,6 +422,8 @@ def run_plan(pipeline: str, sections: dict[str, dict[str, Any]]) -> RunPlan | No
         factors = [interpolation_factor(kernel, disc, k["alpha"], level_map)]
         dense = fitted(1) + [False, False]
         factors += ouu_sample_specs(o["mc_scale"], o["pde_scale"], 2 ** o["max_mesh_level"])
+    if any(dense):
+        import kernelkit.lapack  # noqa: F401
     l_min, l_max = sections["run"]["l_min"], sections["run"]["l_max"]
     reference_l = (study["reference_l"] or l_max + 2) if "reference_l" in study else None
     return RunPlan(tuple(factors), tuple(dense), range(l_min, l_max + 1), reference_l)
@@ -441,6 +451,13 @@ def _unreachable(plan: RunPlan, L: int) -> str | None:
                 f"nodes, above the bound of {_DENSE_FIT_NODES_MAX} nodes"
             )
     return None
+
+
+def _rates_terms_round_off(plan: RunPlan) -> bool:
+    """Whether every factor's term :func:`rates_term` of a ``rates`` plan
+    rounds to 1 at level 1, its coarsest, and so at every level: every
+    estimate is then exactly 1 and every error of the study 0."""
+    return all(rates_term(level_to_resolution(s, 1), s.beta) == 1.0 for s in plan.specs)
 
 
 def _check_point_dims(pipeline: str, sections: dict[str, dict[str, Any]], plan: RunPlan) -> None:
@@ -573,6 +590,13 @@ def _validate(raw: dict[str, dict[str, tuple[str, int]]]) -> RunConfig:
             value = sections[section][key]
             at = "" if top == value else f" (reference at {top})"
             raise ConfigError(f"[{section}] {key} = {value}{at}: {reason}", raw[section][key][1])
+        if pipeline == "rates" and _rates_terms_round_off(plan):
+            raise ConfigError(
+                f"[factors] beta = {_format_value(sections['factors']['beta'])}: every "
+                "factor's 1 + n**-beta rounds to 1 from its coarsest resolution on, so "
+                "every error of the study is 0 and its slope cannot be fitted",
+                raw["factors"]["beta"][1],
+            )
 
     return RunConfig(sections)
 

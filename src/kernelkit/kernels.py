@@ -49,17 +49,28 @@ packets' values at factor ``j``'s points, banded (half-width ``m``) and
 well conditioned whatever the factor's size, where ``K_j`` is not.  The
 packets are evaluated from each factor's first point to its last, which
 are its domain's ends in every pipeline.  Each
-``Phi_j^T`` is factored once by LAPACK's banded LU (``dgbtrf``), each mode
-solved by one ``dgbtrs`` call and applied by a sum over its diagonals.
-It needs no shift and no Gram matrix, and gives the same bits at any BLAS
-thread count.  A grid whose packet solve misses the residual gate takes
-the eigen solve, and keeps its kernel-basis coefficients over its
-factors' kernel translates.  All other node sets, of at most
+``Phi_j^T`` is inverted once, in numpy, by levels of small block inverses
+(:func:`_band_factor`, the SPIKE algorithm), each mode solved by a fixed
+number of numpy calls and applied by a sum over its diagonals.  It needs
+no shift and no Gram matrix, and gives the same bits at any BLAS thread
+count.  A grid whose packet solve misses the residual gate takes the
+eigen solve, and keeps its kernel-basis coefficients over its factors'
+kernel translates.  All other node sets, of at most
 ``_DENSE_FIT_NODES_MAX`` nodes, are solved by a dense Cholesky
 factorization, with the shift added in place to one copy of the Gram
-matrix per attempt.  One cache, ``_FACTORED_GRAMS`` (32 MiB), keeps every
-path's factorizations, so fits of new values on nodes seen before factor
-nothing.
+matrix per attempt; only that path calls LAPACK through
+:mod:`kernelkit.lapack`, imported on its first call, so a run that fits
+only packet and eigen grids maps no scipy library.  A run plan whose fits
+can take it imports that module when it is made
+(:func:`kernelkit.config.run_plan`).  One cache, ``_FACTORED_GRAMS`` (32
+MiB), keeps every path's factorizations, so fits of new values on nodes
+seen before factor nothing.
+
+Every run imports this module, so it also allocates and frees one
+untouched 1 MiB array at import.  Freeing a mapped block raises glibc
+malloc's mmap threshold (128 KiB at start) to that block's size; below the
+threshold a run's arrays are reused from the heap, above it each is mapped
+afresh and its pages faulted in again.
 """
 
 from __future__ import annotations
@@ -72,10 +83,11 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from kernelkit.lapack import BandLayout, dgbcon, dgbtrf, dgbtrs, dpotrf, dpotrs
 from kernelkit.points import Box, PointSet, _distance_blocks, distinct_rows
 from kernelkit.points import tensor_grid, tensor_weights
 from kernelkit.surrogate import KernelExpansion, PacketExpansion, PacketGrid, Surrogate
+
+np.empty(1 << 17)  # the malloc warm-up of the module docstring
 
 _NU_TOL = 1e-9
 # The highest order nu a kernel takes.  Just above it the profile's
@@ -99,12 +111,13 @@ REFERENCE_RULE_MAX_DIM = 3
 _EMBEDDING_BLOCK_ENTRIES = 8 * _GAUSS_POINTS_PER_AXIS**REFERENCE_RULE_MAX_DIM
 # Bytes of factorizations that every fit path keeps (``_FACTORED_GRAMS``);
 # a grid whose packet solve falls back to eigendecompositions keeps both.
-# The interp benchmark's ten grid factors (2 to 1024 points) hold 1.3 MB
-# and no Gram matrix: 1.2 MB of packet bases laid out for evaluation and
-# 0.12 MB of ``Phi^T`` diagonals, banded LU factors and pivots.  Its
-# 1024-point factor, factored for the tuple (2, 1024), is used again at
-# (1024, 2), and below about 1.3 MB every factor would be factored twice.
-# At l_max = 14 the 13 factors (up to 8,192 points) hold 10.7 MB.  The ouu
+# The interp benchmark's ten grid factors (2 to 1024 points) hold 1.66 MB
+# and no Gram matrix: 1.19 MB of packet bases laid out for evaluation,
+# 0.07 MB of ``Phi^T`` diagonals and 0.40 MB of the levels of their
+# inverses (:func:`_band_factor`).  Its 1024-point factor, factored for
+# the tuple (2, 1024), is used again at (1024, 2), and below about 1.7 MB
+# every factor would be factored twice.  At l_max = 14 the 13 factors (up
+# to 8,192 points) hold 13.5 MB, 3.4 MB of them inverses.  The ouu
 # pipelines fit 239 times over 7 node sets of at most 128 nodes (0.26 MB a
 # Gram matrix and its factor).
 _FACTORED_GRAM_BYTES = 2**25
@@ -122,6 +135,15 @@ _DENSE_FIT_NODES_MAX = 2**13
 # table of ``packets._packet_tables`` holds no term.  Higher orders keep
 # the eigen solve.
 _PACKET_ORDER_MAX = 2
+# The banded inverse of a packet factor's Phi^T (:func:`_band_factor`):
+# its first level cuts Phi^T into blocks of at most _BAND_ROWS rows, and
+# every level inverts blocks of at most _BAND_BLOCK_MAX rows, all of a
+# level's blocks in one batched ``np.linalg.inv``.  OpenBLAS factors a
+# matrix of fewer than 10,000 entries on one thread, so those inverses
+# have the same bits at any BLAS thread count; inverses of 128 rows and
+# up did not, at 1 and 2 threads.
+_BAND_ROWS = 16
+_BAND_BLOCK_MAX = 64
 # Integer-order profiles (:func:`_bessel_series`): entries within this
 # radius (in length scales) sum the ascending series of ``s**n K_n(s)`` to
 # this degree in ``t = s**2 / 4``, its n finite terms and 15 - n terms of
@@ -521,6 +543,8 @@ def _solve_spd(kernel: TensorKernel, nodes: PointSet, rhs: np.ndarray) -> np.nda
             f"dense kernel fit on {len(nodes)} nodes exceeds the bound of "
             f"{_DENSE_FIT_NODES_MAX} nodes"
         )
+    from kernelkit.lapack import dpotrs
+
     gram, factor = _FACTORED_GRAMS.get(
         (kernel, nodes.points.tobytes()), partial(_factor_gram, kernel, nodes)
     )
@@ -537,6 +561,8 @@ def _solve_spd(kernel: TensorKernel, nodes: PointSet, rhs: np.ndarray) -> np.nda
 def _factor_gram(kernel: TensorKernel, nodes: PointSet):
     """``(gram, factor)``: the Gram matrix of ``nodes`` and the lower
     Cholesky factor of its smallest admissible diagonal shift."""
+    from kernelkit.lapack import dpotrf
+
     gram = kernel.gram(nodes.points, nodes.points)
     count = len(nodes)
 
@@ -578,23 +604,23 @@ def _packet_order(kernel: MaternKernel) -> int | None:
 
 
 def _packet_factor(kernel: MaternKernel, rows: np.ndarray):
-    """``(order, basis, phi, lu, pivots, condition)`` of one block kernel on
+    """``(order, basis, phi, inverse, condition)`` of one block kernel on
     one factor's points.
 
     ``order`` sorts the points into those of ``basis``, the factor's kernel
     packets (:mod:`kernelkit.packets`).  ``phi`` is ``Phi^T`` by its
     diagonals (:func:`kernelkit.packets._packet_band`), ``Phi`` being the
-    packets' values at the points, and ``lu`` and ``pivots`` its banded LU
-    factorization by LAPACK's ``dgbtrf``, in LAPACK's band storage; ``phi``
-    is applied by :func:`_band_apply` and its inverse by :func:`_band_solve`.
-    The packet machinery is imported on the first call, so that runs
-    without packet grids never load it.  A factor of fewer points than a
-    packet spans takes its kernel translates as its basis: ``phi`` is then
-    its Gram matrix as a full band.  ``condition`` is ``cond(Phi)`` in the
-    1-norm, LAPACK's ``dgbcon`` estimate from the factorization.  No entry
-    holds a Gram matrix of a factor that takes packets.  Raises
-    ConditioningError when ``Phi`` holds a non-finite entry or is exactly
-    singular.
+    packets' values at the points, and ``inverse`` its inverse by
+    :func:`_band_factor`; ``phi`` is applied by :func:`_band_apply` and
+    its inverse by :func:`_band_solve`.  The packet machinery is imported
+    on the first call, so that runs without packet grids never load it.  A
+    factor of fewer points than a packet spans takes its kernel translates
+    as its basis: ``phi`` is then its Gram matrix as a full band.
+    ``condition`` is ``cond(Phi)`` in the 1-norm, ``||Phi||_1`` times
+    :func:`_inverse_norm`.  No entry holds a Gram matrix of a factor that
+    takes packets.  Raises ConditioningError when ``Phi`` holds a
+    non-finite entry or a block that :func:`_band_factor` inverts is
+    exactly singular.
     """
     from kernelkit import packets
 
@@ -611,26 +637,22 @@ def _packet_factor(kernel: MaternKernel, rows: np.ndarray):
     else:
         basis = packets._packet_basis(kernel, points)
         phi = packets._packet_band(basis)
-    w = phi.shape[1] // 2
-    i, t = np.indices(phi.shape)
-    j = i - w + t
-    kept = (j >= 0) & (j < n)
-    layout = BandLayout(3 * w + 1, 2 * w, n)
-    band = layout.scatter(layout.index(i[kept], j[kept]), phi[kept])
-    lu, pivots, info = dgbtrf(band, w, w, overwrite_ab=True)
-    if info > 0 or not np.isfinite(phi).all():
+    try:
+        if not np.isfinite(phi).all():
+            raise LinAlgError("non-finite entry")
+        inverse = _band_factor(phi)
+    except LinAlgError:
         gaps = np.diff(points[:, 0])
         raise ConditioningError(
-            "kernel packet LU met a zero or non-finite pivot",
+            "kernel packet inverse met a zero or non-finite pivot",
             n,
             float(gaps.min()) if len(gaps) else math.inf,
-        )
+        ) from None
     anorm = np.abs(phi).sum(axis=1).max()  # of Phi^T in the max-norm, Phi's 1-norm
-    rcond = dgbcon(w, w, lu, pivots, anorm, norm="I")[0]
-    condition = np.array(1.0 / rcond if rcond > 0.0 else math.inf)
-    for array in (order, phi, lu, pivots, condition):
+    condition = np.array(anorm * _inverse_norm(inverse, n))
+    for array in (order, phi, condition):
         array.setflags(write=False)
-    return order, basis, phi, lu, pivots, condition
+    return order, basis, phi, inverse, condition
 
 
 def _band_apply(band: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -646,12 +668,185 @@ def _band_apply(band: np.ndarray, x: np.ndarray) -> np.ndarray:
     return product
 
 
-def _band_solve(lu: np.ndarray, pivots: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``M^-1 x`` for ``x`` shaped ``(n, k)``, from the banded LU
-    factorization of ``M`` (:func:`_packet_factor`): one ``dgbtrs`` call,
-    with the columns of ``x`` as its right-hand sides."""
-    w = (len(lu) - 1) // 3
-    return dgbtrs(lu, w, w, x, pivots)[0]
+class _BandInverse(tuple):
+    """:func:`_band_factor`'s levels, ``(inverse, spikes, ..., inverse)``:
+    read-only arrays, sized together as one ``_FACTORED_GRAMS`` item."""
+
+    @property
+    def nbytes(self) -> int:
+        return sum(array.nbytes for array in self)
+
+
+def _band_factor(band: np.ndarray) -> _BandInverse:
+    """The inverse of ``M``, given by its diagonals as :func:`_band_apply`
+    takes them, by levels of the SPIKE algorithm (Polizzi & Sameh, Parallel
+    Computing 32, 2006), for :func:`_band_solve`.
+
+    A level is a matrix of diagonal blocks, each coupled to the first ``c``
+    columns of the next block and the last ``c`` of the one before.  The
+    first is ``M`` in blocks of at most ``_BAND_ROWS`` rows (``4w`` if that
+    is more, so that a block holds its ``2w`` end rows), ``c = w`` its
+    half-width; a diagonal ``M`` takes blocks of one row.  A level keeps
+    its blocks' inverses, from one batched ``np.linalg.inv``, and its
+    spikes: each inverse times its block's couplings, ``(count, size,
+    2c)``, to the next block first.  Given the unknowns at the first and
+    last ``c`` rows of every block, each block's unknowns are its inverse
+    times its right-hand side less its spikes times its neighbours' end
+    unknowns.  Those ``2c`` rows of each block solve the next level, in
+    which the spikes' end rows couple them, in blocks of at most
+    ``_BAND_BLOCK_MAX`` rows.  The last level is one block, or has no
+    couplings.  Raises LinAlgError when a block is singular.
+    """
+    c = band.shape[1] // 2
+    units, per, levels = band[:, None, :], max(_BAND_ROWS, 4 * c) if c else 1, []
+    while True:
+        diagonal, couplings = _grouped(units, c, per)
+        if diagonal.shape[1] > 1:
+            levels.append(np.linalg.inv(diagonal))
+        elif diagonal.all():
+            levels.append(1.0 / diagonal)
+        else:
+            raise LinAlgError("Singular matrix")
+        count, size, _ = diagonal.shape
+        if count == 1 or c == 0:
+            break
+        levels.append(levels[-1] @ couplings)
+        # Each block's end rows, over the last c unknowns of the block
+        # before, its own 2c and the first c of the next.
+        ends = levels[-1][:, _ends(size, c)]
+        own = np.broadcast_to(np.identity(2 * c), ends.shape)
+        units = np.concatenate([ends[:, :, c:], own, ends[:, :, :c]], axis=2)
+        per = _BAND_BLOCK_MAX // (2 * c)
+    for array in levels:
+        array.setflags(write=False)
+    return _BandInverse(levels)
+
+
+def _grouped(units: np.ndarray, c: int, per: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(diagonal, couplings)`` of a level of :func:`_band_factor` whose
+    blocks take at most ``per`` of ``units``, ``(count, h, h + 2c)``: the
+    rows of ``count`` consecutive diagonal blocks of ``h`` rows, over the
+    columns from ``c`` before their block to ``c`` after it.  The last
+    block is padded with identity rows; ``couplings`` holds each block's
+    columns of the next block, then those of the one before."""
+    count, h, window = units.shape
+    groups = -(-count // per)
+    per = -(-count // groups)
+    size = per * h
+    padding = groups * per - count
+    if padding:
+        identity = np.zeros((padding, h, window))
+        identity[:, range(h), range(c, c + h)] = 1.0
+        units = np.concatenate([units, identity])
+    # Unit p's rows start at column p h of its block's rows over the
+    # columns from c before the block to c after it, ``size + 2c`` wide.
+    wide = size + 2 * c
+    flat = np.zeros((groups, per, h * (wide + 1)))
+    flat[:, :, : h * wide].reshape(groups, per, h, wide)[..., :window] = units.reshape(
+        groups, per, h, window
+    )
+    rows = flat.reshape(groups, -1)[:, : size * wide].reshape(groups, size, wide)
+    diagonal = rows[:, :, c : c + size]
+    couplings = np.concatenate([rows[:, :, c + size :], rows[:, :, :c]], axis=2)
+    return diagonal, couplings
+
+
+def _ends(size: int, c: int) -> list[int]:
+    """The first and last ``c`` of ``size`` rows of a block."""
+    return [*range(c), *range(size - c, size)]
+
+
+def _band_solve(inverse: _BandInverse, x: np.ndarray, transpose: bool = False) -> np.ndarray:
+    """``M^-1 x``, or ``M^-T x`` if ``transpose``, for ``x`` shaped ``(n,
+    k)``, from :func:`_band_factor`'s levels of ``M``'s inverse.
+
+    Up the levels, each block's inverse takes its right-hand side, and the
+    end rows of the results are the next level's right-hand side; back
+    down, each block's result less its spikes times its neighbours' end
+    unknowns is its solution.  ``M^-T`` takes the transposed steps in
+    reverse order.  A fixed number of numpy calls per level, whatever
+    ``n``; every product is a batch of small matrices.
+    """
+    n, k = x.shape
+    inverses, spikes = inverse[::2], inverse[1::2]
+    if transpose:
+        inverses = [np.swapaxes(a, 1, 2) for a in inverses]
+    r, below = x, []
+    for a, spike in zip(inverses, spikes):
+        count, size, _ = a.shape
+        c = spike.shape[2] // 2
+        r = _padded(r, count * size).reshape(count, size, k)
+        if transpose:
+            below.append(r)
+            r = _neighbours(np.swapaxes(spike, 1, 2) @ r, c, transpose)
+        else:
+            r = a @ r
+            below.append(r)
+            r = r[:, _ends(size, c)]
+        r = r.reshape(-1, k)
+    count, size, _ = inverses[-1].shape
+    r = inverses[-1] @ _padded(r, count * size).reshape(count, size, k)
+    for a, spike, top in zip(inverses[-2::-1], spikes[::-1], below[::-1]):
+        count, size, _ = a.shape
+        c = spike.shape[2] // 2
+        ends = r.reshape(-1, k)[: count * 2 * c].reshape(count, 2 * c, k)
+        if transpose:
+            top = top.copy()
+            top[:, _ends(size, c)] -= ends
+            r = a @ top
+        else:
+            r = top - spike @ _neighbours(ends, c, transpose)
+    return r.reshape(-1, k)[:n]
+
+
+def _padded(r: np.ndarray, rows: int) -> np.ndarray:
+    """``r`` with zero rows appended up to ``rows``."""
+    if len(r) == rows:
+        return r
+    out = np.zeros((rows, r.shape[1]))
+    out[: len(r)] = r
+    return out
+
+
+def _neighbours(ends: np.ndarray, c: int, transpose: bool) -> np.ndarray:
+    """What each block's spikes take of the blocks' end rows ``ends``,
+    ``(count, 2c, k)``: the next block's first ``c`` rows, then the last
+    ``c`` of the one before, zero past the ends; transposed, the first ``c``
+    rows of the one before, then the last ``c`` of the next."""
+    out = np.zeros_like(ends)
+    later, earlier = slice(1, None), slice(None, -1)
+    if transpose:
+        later, earlier = earlier, later
+    out[earlier, :c] = ends[later, :c]
+    out[later, c:] = ends[earlier, c:]
+    return out
+
+
+def _inverse_norm(inverse: _BandInverse, n: int) -> float:
+    """``||M^-1||_inf`` of the ``n``-row ``M`` of :func:`_band_factor`:
+    exact from an inverse of one level, else a lower estimate of
+    ``||M^-T||_1``, the same norm, by at most two steps of Hager's (1984)
+    iteration, with Higham's (1988) alternating-sign vector, as LAPACK's
+    ``dlacn2`` takes them: three or five solves.  On packet factors of 17
+    to 1,024 points, at nu = 3/2 and 5/2, one step read at least 0.9 of
+    the exact norm, and two steps read it to 3e-8."""
+    if len(inverse) == 1:
+        return float(np.abs(inverse[0]).sum(axis=2).max())
+    i = np.arange(n)
+    probes = np.column_stack([np.full(n, 1.0 / n), (1.0 - 2.0 * (i % 2)) * (1.0 + i / (n - 1))])
+    y = _band_solve(inverse, probes, transpose=True)
+    estimate = np.abs(y[:, 0]).sum()
+    alternating = 2.0 * np.abs(y[:, 1]).sum() / (3.0 * n)
+    y = y[:, 0]
+    for _ in range(2):
+        gradient = _band_solve(inverse, np.where(y >= 0.0, 1.0, -1.0)[:, None])
+        unit = np.zeros((n, 1))
+        unit[np.argmax(np.abs(gradient))] = 1.0
+        y = _band_solve(inverse, unit, transpose=True)[:, 0]
+        previous, estimate = estimate, max(estimate, np.abs(y).sum())
+        if estimate <= previous:
+            break
+    return float(max(estimate, alternating))
 
 
 class _FactoredGrams:
@@ -661,7 +856,8 @@ class _FactoredGrams:
     An entry is :func:`_factor_gram`'s pair by (kernel, node bytes), or
     :func:`_packet_factor`'s or :func:`_decompose_factor`'s tuple by
     (block kernel, factor point bytes, kind): a flat tuple of read-only
-    arrays and packet bases, sized by their bytes, a pure function of the
+    arrays, packet bases and banded inverses (:class:`_BandInverse`),
+    sized by their bytes, a pure function of the
     key, so every caller in the process may share it.  One larger than the
     bound is not kept.
     """
@@ -753,8 +949,8 @@ def _packet_solve(
     With ``Phi_j`` the packets' values at factor ``j``'s points
     (:func:`_packet_factor`), the interpolant is ``x -> ((x)phi_j(x_j))^T
     w`` with ``((x)Phi_j^T) w = b``: ``w = ((x)Phi_j^-T) b``, one banded
-    LU solve per mode, unshifted and refined against ``(x)Phi_j^T``, applied
-    by its diagonals.  That node residual
+    solve per mode (:func:`_band_solve`), unshifted and refined against
+    ``(x)Phi_j^T``, applied by its diagonals.  That node residual
     is the interpolant minus the data at the nodes, the quantity every fit
     is gated on, and no Gram matrix is built.  ``Phi_j`` is well
     conditioned whatever the factor's size, where ``K_j`` is not.  A grid
@@ -769,7 +965,7 @@ def _packet_solve(
 
     shape = tuple(len(rows) for rows in factors)
     packets = _factor_entries(kernel, factors, "packets", _packet_factor)
-    orders, bases, phis, lus, pivots, conditions = zip(*packets)
+    orders, bases, phis, inverses, conditions = zip(*packets)
 
     def kron(maps: Sequence[Callable]) -> Callable[[np.ndarray], np.ndarray]:
         return lambda x: _kron_apply(maps, x.reshape(shape)).ravel()
@@ -782,7 +978,7 @@ def _packet_solve(
     # Rounding leaves the weights about cond(Phi_j) eps off, relative.
     if max(conditions) * np.finfo(float).eps <= _RESIDUAL_REQUIRED:
         data = rhs.reshape(shape)[np.ix_(*orders)].ravel()
-        solve = kron([partial(_band_solve, lu, p) for lu, p in zip(lus, pivots)])
+        solve = kron([partial(_band_solve, inverse) for inverse in inverses])
         apply = kron([partial(_band_apply, phi) for phi in phis])
         try:
             weights = _refine(solve, apply, data, nodes)

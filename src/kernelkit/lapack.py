@@ -1,32 +1,29 @@
 """The compiled LAPACK and BLAS routines the library calls, from scipy, and
-the layout of LAPACK's band storage that its banded callers share
+the layout of LAPACK's band storage that the FEM operators share
 (:class:`BandLayout`).
 
-Only scipy's f2py wrappers are loaded (``scipy.linalg._flapack`` and
-``_fblas``), by an import spec found under scipy's package directory
-(``importlib.util.find_spec("scipy")``, which runs no scipy code), so
-neither the top-level ``scipy`` package nor ``scipy.linalg``, whose
-``__init__`` pulls in scipy's array-API layer, ``numpy.testing`` and
-``unittest``, ever runs.  ``_flapack`` loads with this module.  ``_fblas``
-loads on first use of ``dtrmm`` (a module ``__getattr__``), since only
-the ``ouu`` field draws call BLAS (``pde.GaussianFieldSampler``); an
-``ouu`` run plan takes it at parse time (``uq.ouu_sample_specs``), so its
-cost stays in start-up, and no other run maps it.  If scipy has already
-loaded a wrapper, that module is taken; a wrapper loaded here is entered
-in ``sys.modules`` under its full name before it runs, so a later
+Only the PDE pipelines (:mod:`kernelkit.pde`) and dense kernel fits
+(``kernels._factor_gram`` and ``kernels._solve_spd``, the Cholesky path)
+call them, and each run plan that can take those paths imports this module
+when it is made, so its cost stays in start-up and an ``interp`` run of
+packet grids never maps it.  Only scipy's f2py wrappers are loaded
+(``scipy.linalg._flapack`` and ``_fblas``), by an import spec found under
+scipy's package directory (``importlib.util.find_spec("scipy")``, which
+runs no scipy code), so neither the top-level ``scipy`` package nor
+``scipy.linalg``, whose ``__init__`` pulls in scipy's array-API layer,
+``numpy.testing`` and ``unittest``, ever runs.  ``_flapack`` loads with
+this module.  ``_fblas`` loads on first use of ``dtrmm`` (a module
+``__getattr__``), since only the ``ouu`` field draws call BLAS
+(``pde.GaussianFieldSampler``); an ``ouu`` run plan takes it at parse
+time (``uq.ouu_sample_specs``), and no other run maps it.  If scipy has
+already loaded a wrapper, that module is taken; a wrapper loaded here is
+entered in ``sys.modules`` under its full name before it runs, so a later
 ``import scipy.linalg`` takes it too and each is loaded once.  Every
 routine is called raw, and each caller checks the ``info`` it returns.
-
-Importing ``scipy.linalg`` also freed a mapped block, which raised glibc
-malloc's mmap threshold (128 KiB at start; freeing a mapped block raises
-it to that block's size).  Below the threshold a run's arrays are reused
-from the heap; above it each is mapped afresh and its pages faulted in
-again.  One 1 MiB array, never touched, is allocated and freed here at
-import for that, so its cost stays in start-up.  No numpy submodule is
-loaded here: ``numpy.random`` loads when an ``ouu`` run is planned
-(``uq.ouu_sample_specs``, for its field draws), ``numpy.polynomial``
-when kernel quadrature first calls ``leggauss``, and no run calls
-``numpy.ma`` code.
+No numpy submodule is loaded here: ``numpy.random`` loads when an ``ouu``
+run is planned (``uq.ouu_sample_specs``, for its field draws),
+``numpy.polynomial`` when kernel quadrature first calls ``leggauss``, and
+no run calls ``numpy.ma`` code.
 """
 
 from __future__ import annotations
@@ -37,8 +34,6 @@ import os
 import sys
 
 import numpy as np
-
-np.empty(1 << 17)
 
 
 def _wrapper(name: str):
@@ -61,18 +56,17 @@ def _wrapper(name: str):
 
 
 _flapack = _wrapper("_flapack")
-dgbcon, dgbsv, dgbtrf, dgbtrs = _flapack.dgbcon, _flapack.dgbsv, _flapack.dgbtrf, _flapack.dgbtrs
-dpbsv, dpotrf, dpotrs = _flapack.dpbsv, _flapack.dpotrf, _flapack.dpotrs
+dgbsv, dpbsv, dpotrf, dpotrs = _flapack.dgbsv, _flapack.dpbsv, _flapack.dpotrf, _flapack.dpotrs
 
 
 class BandLayout:
     """Positions of the entries of an ``n x n`` matrix in LAPACK band storage.
 
     Entry ``(i, j)`` lives at ``[diagonal + i - j, j]`` of a Fortran-ordered
-    ``(rows, n)`` array: ``dgbsv`` and ``dgbtrf`` storage has ``diagonal =
-    2p`` for ``p`` sub- and superdiagonals, the ``p`` rows above the band
-    holding the fill-in of the row interchanges; lower ``dpbsv`` storage has
-    ``diagonal = 0``.
+    ``(rows, n)`` array: ``dgbsv`` storage has ``diagonal = 2p`` for ``p``
+    sub- and superdiagonals, the ``p`` rows above the band holding the
+    fill-in of the row interchanges; lower ``dpbsv`` storage has ``diagonal
+    = 0``.
     """
 
     def __init__(self, rows: int, diagonal: int, n: int):

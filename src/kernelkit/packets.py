@@ -9,7 +9,7 @@ point, their values at the factor's points, ``Phi``, are banded, and
 ``cond(Phi)`` does not grow with the factor's size, where that of the
 factor's Gram matrix does.  :func:`kernelkit.kernels._packet_solve` fits a
 product grid of such blocks as ``x -> ((x)phi_j(x_j))^T w`` with
-``((x)Phi_j^T) w = b``, by a banded LU factorization of each ``Phi_j^T``
+``((x)Phi_j^T) w = b``, by a banded inverse of each ``Phi_j^T``
 (:func:`kernelkit.kernels._packet_factor`), whose diagonals
 :func:`_packet_band` reads off here.
 

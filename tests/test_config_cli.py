@@ -28,6 +28,7 @@ from kernelkit.config import (
     _MISC_BY_KERNEL,
     _SCHEMA,
     _convert_section,
+    _rates_terms_round_off,
     _unreachable,
     MAX_MESH_LEVEL,
     PIPELINES,
@@ -294,6 +295,8 @@ def config_texts(draw, pipeline, reference_ls=None):
         # An automatic reference is estimated at l_max + 2.
         last = min(_MAX_THRESHOLD, top - 2 * (plan.reference_l is not None))
         assume(last >= n + 2)
+        # A rates study whose every term rounds to 1 is refused.
+        assume(pipeline != "rates" or not _rates_terms_round_off(plan))
         l_min = draw(st.integers(n, last - 2))
         l_max = draw(st.integers(l_min + 2, last))
         sections["run"].update(l_min=str(l_min), l_max=str(l_max))
@@ -746,6 +749,23 @@ class TestCliRuns:
         path = tmp_path / "run.cfg"
         path.write_text(text)
         return str(path)
+
+    def test_rates_config_whose_errors_round_off_is_refused(self, tmp_path, capsys):
+        # At beta 55.5 and 74.8 each factor's coarsest term is 1 + 2**-beta,
+        # which rounds to 1, so every error of the study is 0: the run
+        # exited 1 at its slope fit, after writing the manifest.  The parse
+        # refuses it, naming [factors] beta and its line, and writes nothing.
+        text = CONFIG_FILES["docs/examples/rates.cfg"].replace("beta = 1, 1", "beta = 55.5, 74.8")
+        line = text.splitlines().index("beta = 55.5, 74.8") + 1
+        out = tmp_path / "out"
+        assert main(["--config", self.write(tmp_path, text), "--out", str(out), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: line {line}: [factors] beta = 55.5, 74.8: ")
+        assert "slope cannot be fitted" in err and len(err.splitlines()) == 1
+        assert not out.exists()
+        # One factor whose term stays above 1 leaves its errors positive.
+        kept = text.replace("beta = 55.5, 74.8", "beta = 55.5, 1")
+        assert main(["--config", self.write(tmp_path, kept), "--out", str(out), "--quiet"]) == 0
 
     def test_a_run_fits_over_the_fit_window_of_its_sections(self, tmp_path):
         # A config whose sections are replaced runs what they hold, as the
@@ -1213,10 +1233,13 @@ class TestCliRuns:
         assert "Traceback" not in err
         assert sorted(os.listdir(out)) == ["manifest.txt"]
 
-    def test_failed_slope_fit_is_a_numerical_failure(self, tmp_path, capsys):
-        # At beta = 60 every error of the rates study rounds to exactly 0.0,
-        # so the log-log fit has nothing positive to fit.
-        text = RATES_CONFIG.replace("beta = 1, 1", "beta = 60, 60")
+    def test_failed_slope_fit_is_a_numerical_failure(self, tmp_path, capsys, monkeypatch):
+        # When every term of the rates study is 1, every error is exactly
+        # 0.0, so the log-log fit has nothing positive to fit.  A config
+        # whose terms all round to 1 (beta = 60, 60) is refused at parse
+        # time, so the run's terms are made 1 here.
+        monkeypatch.setattr(kernelkit.cli, "rates_term", lambda resolution, beta: 1.0)
+        text = RATES_CONFIG
         study = run_study(parse_config(text), 0)
         assert all(row["error"] == 0.0 for row in study.rows)
         out = tmp_path / "flat"
@@ -1372,10 +1395,14 @@ class TestCliExitPathsInChild:
     no traceback, and exactly the files the path leaves behind."""
 
     def test_failed_run_leaves_only_the_manifest(self, tmp_path):
-        # At beta = 60 every error of the rates study is exactly 0.0, so the
-        # slope fit fails.
-        with open(os.path.join(ROOT, "docs", "examples", "rates.cfg")) as handle:
-            text = re.sub(r"(?m)^beta = .*", "beta = 60, 60", handle.read())
+        # One block of a very smooth kernel on doubling grids: the dense fit
+        # stays above the residual tolerance at the largest shift.  (A rates
+        # config whose errors are all 0, which failed its slope fit here, is
+        # now refused at parse time.)
+        text = "\n".join(
+            ["[run]", "pipeline = interp", "l_min = 6", "l_max = 8"]
+            + ["[kernel]", "beta = 4.0", "d = 1", "[interp]", "blocks = 1", ""]
+        )
         cfg = tmp_path / "flat.cfg"
         cfg.write_text(text)
         out = tmp_path / "flat"

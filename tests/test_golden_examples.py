@@ -93,12 +93,12 @@ def test_example_repeats_byte_for_byte_in_one_process(example, tmp_path):
 
 def test_interp_example_inverts_its_factors_by_packets(monkeypatch, tmp_path):
     # Its grids' blocks are all one-dimensional with nu = 3/2: each of the 7
-    # distinct factors is given one banded LU, and nothing is
+    # distinct factors is given one banded inverse, and nothing is
     # eigendecomposed.
     fresh = kernels_module._FactoredGrams(limit=kernels_module._FACTORED_GRAM_BYTES)
     monkeypatch.setattr(kernels_module, "_FACTORED_GRAMS", fresh)
-    calls = {"eigh": 0, "_packet_factor": 0, "dgbtrf": 0}
-    owners = {"eigh": np.linalg, "_packet_factor": kernels_module, "dgbtrf": kernels_module}
+    calls = {"eigh": 0, "_packet_factor": 0, "_band_factor": 0}
+    owners = {"eigh": np.linalg, "_packet_factor": kernels_module, "_band_factor": kernels_module}
     for name, owner in owners.items():
         original = getattr(owner, name)
 
@@ -109,7 +109,7 @@ def test_interp_example_inverts_its_factors_by_packets(monkeypatch, tmp_path):
         monkeypatch.setattr(owner, name, counted)
     config = os.path.join(ROOT, "docs", "examples", "interp.cfg")
     assert main(["--config", config, "--out", str(tmp_path / "out"), "--quiet"]) == 0
-    assert calls == {"eigh": 0, "_packet_factor": 7, "dgbtrf": 7}
+    assert calls == {"eigh": 0, "_packet_factor": 7, "_band_factor": 7}
 
 
 @pytest.mark.parametrize("l_max", [8, 11, 14])

@@ -9,10 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 from scipy.spatial.distance import cdist
 from scipy.special import kn, kv
 
 import kernelkit.kernels as kernels_module
+import kernelkit.lapack as lapack_module
 import kernelkit.packets as packets_module
 import kernelkit.surrogate as surrogate_module
 from kernelkit.kernels import (
@@ -767,18 +769,36 @@ def decomposition_bytes(count):
 
 def packet_bytes(count, m=1):
     """Bytes of a packet grid-factor entry: the sort order, the sorted
-    points, ``Phi^T`` by its ``2w + 1`` diagonals, its banded LU in
-    LAPACK's ``3w + 1`` rows, its 4-byte pivots and ``cond(Phi)``, with
-    ``w = m``; beside them, from ``2m + 3`` points on, the packets' starts
-    and coefficients, and each interval's first packet, first point and
-    table (:func:`packets._packet_basis`).  Below ``2m + 3`` points
-    ``Phi^T`` is the Gram matrix, ``w = count - 1``."""
+    points, ``Phi^T`` by its ``2w + 1`` diagonals, the levels of its
+    inverse (:func:`inverse_entries`) and ``cond(Phi)``, with ``w = m``;
+    beside them, from ``2m + 3`` points on, the packets' starts and
+    coefficients, and each interval's first packet, first point and table
+    (:func:`packets._packet_basis`).  Below ``2m + 3`` points ``Phi^T`` is
+    the Gram matrix, ``w = count - 1``."""
     w = m if count >= 2 * m + 3 else count - 1
-    size = 2 * count + count * (2 * w + 1) + count * (3 * w + 1) + 1
+    size = 2 * count + count * (2 * w + 1) + inverse_entries(count, w) + 1
     if count >= 2 * m + 3:
         intervals = count - 1
         size += count * (2 * m + 4) + intervals * (2 + (2 * m + 2) * (8 * m + 8))
-    return 8 * size + 4 * count
+    return 8 * size
+
+
+def inverse_entries(count, w):
+    """Entries of the levels of :func:`kernels._band_factor`'s inverse of a
+    ``count``-row band of half-width ``w``: per level, its blocks'
+    inverses and, below the last, spikes of ``2w`` columns.  The first
+    level has blocks of at most ``_BAND_ROWS`` rows (one row at ``w = 0``);
+    each next one has ``2w`` rows per block below, at most
+    ``_BAND_BLOCK_MAX`` rows a block, and the last has one block."""
+    per, rows, entries = kernels_module._BAND_ROWS if w else 1, 1, 0
+    while True:
+        blocks = -(-count // per)
+        size = -(-count // blocks) * rows
+        entries += blocks * size * size
+        if blocks == 1 or w == 0:
+            return entries
+        entries += blocks * size * 2 * w
+        count, per, rows = blocks, kernels_module._BAND_BLOCK_MAX // (2 * w), 2 * w
 
 
 def counting(monkeypatch, owner, name, calls, record=len):
@@ -820,7 +840,7 @@ class TestSolveSpd:
     def test_in_place_shift_matches_out_of_place(
         self, monkeypatch, failures, fresh_factored_grams
     ):
-        factor = kernels_module.dpotrf
+        factor = lapack_module.dpotrf
         calls = []
 
         def failing_first(a, **kwargs):
@@ -830,7 +850,7 @@ class TestSolveSpd:
                 return a, 1  # LAPACK's info: the first leading minor failed
             return factor(a, **kwargs)
 
-        monkeypatch.setattr(kernels_module, "dpotrf", failing_first)
+        monkeypatch.setattr(lapack_module, "dpotrf", failing_first)
         kernel = TensorKernel(kernels=(MaternKernel(beta=2.0, dim=2),))
         nodes = generate_points(UNIT_SQUARE, 60)
         rhs = np.random.default_rng(3).standard_normal(60)
@@ -843,7 +863,7 @@ class TestSolveSpd:
 
     def test_fits_on_one_node_set_factor_once(self, monkeypatch, fresh_factored_grams):
         factored = []
-        counting(monkeypatch, kernels_module, "dpotrf", factored)
+        counting(monkeypatch, lapack_module, "dpotrf", factored)
         kernel = MaternKernel(beta=4.0, dim=2)
         nodes = generate_points(Disc(center=(0.0, 0.0), radius=1.0), 40)
         rng = np.random.default_rng(7)
@@ -967,7 +987,7 @@ class TestSolveSpd:
         cache = kernels_module._FACTORED_GRAMS
         monkeypatch.setattr(cache, "limit", 3 * pair_bytes(20))
         factored = []
-        counting(monkeypatch, kernels_module, "dpotrf", factored)
+        counting(monkeypatch, lapack_module, "dpotrf", factored)
         kernel = MaternKernel(beta=2.0, dim=2)
         for count in (20, 19, 18, 20, 17, 19, 40, 20):
             nodes = generate_points(UNIT_SQUARE, count)
@@ -1020,7 +1040,7 @@ class TestKroneckerSolve:
         def no_eigh(gram):
             raise AssertionError("a grid of half-integer factors was eigendecomposed")
 
-        monkeypatch.setattr(kernels_module, "dpotrf", no_dense)
+        monkeypatch.setattr(lapack_module, "dpotrf", no_dense)
         packets = all(kernels_module._packet_order(block) is not None for block in kernel.kernels)
         scale = np.max(np.abs(rhs))
         dense_residual = np.max(np.abs(gram @ dense - rhs))
@@ -1164,7 +1184,7 @@ class TestKroneckerSolve:
         limit = pair_bytes(20) + decomposition_bytes(8) + decomposition_bytes(6)
         monkeypatch.setattr(cache, "limit", limit)
         factored, decomposed = [], []
-        counting(monkeypatch, kernels_module, "dpotrf", factored)
+        counting(monkeypatch, lapack_module, "dpotrf", factored)
         counting(monkeypatch, np.linalg, "eigh", decomposed)
         dense = generate_points(UNIT_SQUARE, 20)
         k = MaternKernel(beta=1.5, dim=1)
@@ -1380,9 +1400,9 @@ def mp_interpolant(kernels, factors, rhs, points):
 def packet_interpolant(kernel, rows, values, points):
     """The one-factor interpolant of ``values`` in the factor's basis
     (:func:`kernels._packet_factor`) at ``points``: ``phi(t)^T Phi^-T y``,
-    one solve by the banded LU, unrefined."""
-    order, basis, _, lu, pivots, _ = kernels_module._packet_factor(kernel, rows)
-    weights = kernels_module._band_solve(lu, pivots, values[order][:, None])[:, 0]
+    one solve by the banded inverse, unrefined."""
+    order, basis, _, inverse, _ = kernels_module._packet_factor(kernel, rows)
+    weights = kernels_module._band_solve(inverse, values[order][:, None])[:, 0]
     first, found = basis.values(points)
     return np.sum(found * weights[first[:, None] + np.arange(found.shape[1])], axis=1)
 
@@ -1395,6 +1415,110 @@ def band_matrix(band):
     for i in range(n):
         dense[i, i : i + width] = band[i]
     return dense[:, w : w + n]
+
+
+def lapack_band_lu(band):
+    """scipy's ``dgbtrf`` of the matrix of a band (:func:`band_matrix`), in
+    LAPACK's band storage: ``(lu, pivots, w)``."""
+    n, width = band.shape
+    w = width // 2
+    storage = np.zeros((3 * w + 1, n))
+    i, t = np.indices(band.shape)
+    j = i - w + t
+    kept = (j >= 0) & (j < n)
+    storage[2 * w + i[kept] - j[kept], j[kept]] = band[kept]
+    lu, pivots, info = dgbtrf(storage, w, w)
+    assert info == 0
+    return lu, pivots, w
+
+
+# The factors of the interp benchmark (2 to 1,024 points) and the sizes
+# around the packet window and the band inverse's block sizes.
+PACKET_FACTOR_COUNTS = [2, 3, 4, 5, 6, 7, 16, 17, 33, 64, 100, 256, 1024]
+
+
+class TestBandInverse:
+    # kernels._band_factor and _band_solve against scipy's banded LU
+    # (dgbtrf, dgbtrs), a test-only reference, on the packet factors of
+    # Halton points at nu = 1/2, 3/2 and 5/2.
+    @pytest.mark.parametrize("beta", [1.0, 2.0, 3.0], ids=["nu=1/2", "nu=3/2", "nu=5/2"])
+    def test_solves_match_lapack_banded_lu(self, beta):
+        kernel = MaternKernel(beta=beta, dim=1)
+        swapped = 0
+        for count in PACKET_FACTOR_COUNTS:
+            rows = generate_points(UNIT_INTERVAL, count).points
+            _, basis, phi, inverse, condition = kernels_module._packet_factor(kernel, rows)
+            lu, pivots, w = lapack_band_lu(phi)
+            swapped += np.any(pivots != np.arange(count))
+            x = np.random.default_rng(count).standard_normal((count, 3))
+            # Largest seen on packet factors: 6.6e-16 relative.  Below the
+            # packet window Phi is the Gram matrix, whose cond(Phi) reaches
+            # 1.8e6 at nu = 5/2 (6 points); there two solves agree to
+            # cond(Phi) eps, and the largest seen was 0.05 cond(Phi) eps.
+            bound = 1e-13 if basis.packets else max(1e-13, condition * np.finfo(float).eps)
+            for transpose in (False, True):
+                expected, info = dgbtrs(lu, w, w, x, pivots, trans=int(transpose))
+                assert info == 0
+                got = kernels_module._band_solve(inverse, x, transpose)
+                error = np.max(np.abs(got - expected)) / np.max(np.abs(expected))
+                assert error <= bound, f"{count} points, transpose {transpose}: {error:.2e}"
+        if beta > 1.0:
+            # dgbtrf swaps rows on some of these factors; the blocks of the
+            # numpy inverse are pivoted within themselves only.
+            assert swapped
+
+    @pytest.mark.parametrize("beta", [1.0, 2.0, 3.0], ids=["nu=1/2", "nu=3/2", "nu=5/2"])
+    def test_condition_is_within_three_times_the_exact(self, beta):
+        kernel = MaternKernel(beta=beta, dim=1)
+        for count in PACKET_FACTOR_COUNTS:
+            rows = generate_points(UNIT_INTERVAL, count).points
+            _, _, phi, _, condition = kernels_module._packet_factor(kernel, rows)
+            exact = np.linalg.cond(band_matrix(phi).T, 1)
+            # A lower estimate; every one seen was exact to 1e-12 relative.
+            assert exact / 3 <= condition <= exact * (1 + 1e-9), (count, condition, exact)
+
+    def test_near_coincident_factor_trips_the_condition_gate(self):
+        # 100 Halton points and one 1e-9 from the middle one: the inverse
+        # takes several levels, whose norm is estimated, and cond(Phi) eps
+        # lies far above the required residual.
+        kernel = MaternKernel(beta=2.0, dim=1)
+        halton = generate_points(UNIT_INTERVAL, 100).points
+        rows = np.vstack([halton, [[0.5 + 1e-9]]])
+        _, _, phi, inverse, condition = kernels_module._packet_factor(kernel, rows)
+        assert len(inverse) > 1
+        assert condition * np.finfo(float).eps > kernels_module._RESIDUAL_REQUIRED
+        exact = np.linalg.cond(band_matrix(phi).T, 1)
+        assert exact / 3 <= condition <= exact * (1 + 1e-9)
+
+    @pytest.mark.parametrize("count", [1, 2, 17, 33, 64, 1000, 1024])
+    @pytest.mark.parametrize("w", [0, 1, 2, 5])
+    def test_general_band_solves_match_a_dense_solve(self, count, w):
+        # Random bands with a heavy diagonal: from one level to four (w =
+        # 5, 1,000 rows), with padded blocks.
+        rng = np.random.default_rng(count * 7 + w)
+        band = rng.standard_normal((count, 2 * w + 1))
+        band[:, w] += 2.0 * w + 2.0
+        i, t = np.indices(band.shape)
+        band[(i - w + t < 0) | (i - w + t >= count)] = 0.0
+        inverse = kernels_module._band_factor(band)
+        dense = band_matrix(band)
+        x = rng.standard_normal((count, 2))
+        for transpose in (False, True):
+            expected = np.linalg.solve(dense.T if transpose else dense, x)
+            got = kernels_module._band_solve(inverse, x, transpose)
+            assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    def test_a_singular_block_raises(self):
+        # A zero on a diagonal band, and two equal rows of a tridiagonal one.
+        diagonal = np.ones((40, 1))
+        diagonal[20] = 0.0
+        with pytest.raises(LinAlgError):
+            kernels_module._band_factor(diagonal)
+        band = np.tile([1.0, 4.0, 1.0], (40, 1))
+        band[0, 0] = band[-1, 2] = 0.0
+        band[1] = [4.0, 1.0, 0.0]  # row 1 of the matrix equals row 0
+        with pytest.raises(LinAlgError):
+            kernels_module._band_factor(band)
 
 
 class TestPacketInverse:
@@ -1444,10 +1568,10 @@ class TestPacketInverse:
             for count in (window - 1, window):
                 rows = generate_points(UNIT_INTERVAL, count).points
                 entry = kernels_module._packet_factor(kernel, rows)
-                order, basis, phi, lu, pivots, condition = entry
+                order, basis, phi, inverse, condition = entry
                 assert order.tolist() == np.argsort(rows[:, 0], kind="stable").tolist()
                 y = np.random.default_rng(count).standard_normal((count, 2))
-                solved = kernels_module._band_solve(lu, pivots, y)
+                solved = kernels_module._band_solve(inverse, y)
                 if count < window:
                     # The kernel translates: Phi is the Gram matrix, as a full band.
                     sorted_gram = kernel.gram(rows[order], rows[order])
@@ -1473,24 +1597,27 @@ class TestPacketInverse:
         # At nu = 3/2 the dense inverse of the Gram matrix on these points
         # held 10,176 subnormal entries.
         kernel = MaternKernel(beta=beta, dim=1)
-        _, _, phi, lu, _, _ = kernels_module._packet_factor(
+        _, _, phi, inverse, _ = kernels_module._packet_factor(
             kernel, generate_points(UNIT_INTERVAL, 1024).points
         )
-        for band in (phi, lu):
+        for band in (phi, *inverse):
             magnitudes = np.abs(band[band != 0.0])
             assert magnitudes.size and np.min(magnitudes) >= np.finfo(float).tiny
 
-    def test_kept_1024_point_factor_holds_under_700_kb(self):
-        # It holds 667 KB, 598 KB of them the basis laid out for evaluation.
-        # With its Gram matrix (8.4 MB) beside the band of its inverse, the
+    def test_kept_1024_point_factor_holds_under_900_kb(self):
+        # It holds 845 KB: 598 KB the basis laid out for evaluation and 215
+        # KB the levels of its inverse, 16-row block inverses and their
+        # spikes (the banded LU and pivots it replaced held 36 KB).  With
+        # its Gram matrix (8.4 MB) beside the band of its inverse, the
         # entry held 10.5 MB; with the band of the inverse as blocks, 2.3 MB.
         kernel = MaternKernel(beta=2.0, dim=1)
         entry = kernels_module._packet_factor(
             kernel, generate_points(UNIT_INTERVAL, 1024).points
         )
-        assert sum(array.nbytes for array in entry) < 7e5
-        order, basis, *arrays = entry
-        assert all(not array.flags.writeable for array in (order, *basis.packets, *arrays))
+        assert sum(array.nbytes for array in entry) < 9e5
+        order, basis, phi, inverse, condition = entry
+        arrays = (order, *basis.packets, phi, *inverse, condition)
+        assert all(not array.flags.writeable for array in arrays)
 
     @pytest.mark.parametrize("columns", [1, 2, 33])
     @pytest.mark.parametrize("beta", [1.0, 2.0, 3.0])
@@ -1498,7 +1625,7 @@ class TestPacketInverse:
     def test_apply_matches_the_dense_product(self, count, beta, columns):
         kernel = MaternKernel(beta=beta, dim=1)
         rows = generate_points(UNIT_INTERVAL, count).points
-        _, _, phi, lu, pivots, _ = kernels_module._packet_factor(kernel, rows)
+        _, _, phi, inverse, _ = kernels_module._packet_factor(kernel, rows)
         dense = band_matrix(phi)
         x = np.random.default_rng(columns).standard_normal((count, columns))
         expected = dense @ x
@@ -1507,7 +1634,7 @@ class TestPacketInverse:
         assert np.max(np.abs(result - expected)) <= 1e-15 * np.max(np.abs(expected))
         # Largest seen: 4.8e-16 relative (nu = 5/2, cond(Phi) up to 3.3e4 here).
         expected = np.linalg.solve(dense, x)
-        result = kernels_module._band_solve(lu, pivots, x)
+        result = kernels_module._band_solve(inverse, x)
         assert result.shape == (count, columns)
         assert np.max(np.abs(result - expected)) <= 1e-14 * np.max(np.abs(expected))
 
@@ -1623,7 +1750,9 @@ class TestPacketInverse:
         def forbidden(*args, **kwargs):
             raise AssertionError("the packet path called a Cholesky or Bessel function")
 
-        for name in ("dpotrf", "dpotrs", "bessel_k0", "bessel_k1"):
+        for name in ("dpotrf", "dpotrs"):
+            monkeypatch.setattr(lapack_module, name, forbidden)
+        for name in ("bessel_k0", "bessel_k1"):
             monkeypatch.setattr(kernels_module, name, forbidden)
         kernel, nodes = block_grid(((2.0, 1), (2.0, 1)), (33, 17))
         fit = fit_interpolant(kernel, nodes, smooth_values(nodes.points))
@@ -1838,9 +1967,9 @@ class TestPacketBasis:
             fit_interpolant(tensor, grid, smooth_values(grid.points))
         entries = list(fresh_factored_grams._entries.values())
         assert len(entries) == 2
-        for order, basis, *arrays in entries:
+        for order, basis, phi, inverse, condition in entries:
             count = len(order)
-            for array in (order, *basis.packets, *arrays):
+            for array in (order, *basis.packets, phi, *inverse, condition):
                 assert array.size < count * count
         assert fresh_factored_grams.nbytes == sum(
             sum(array.nbytes for array in entry) for entry in entries

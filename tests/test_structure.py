@@ -35,12 +35,14 @@ def count(owner, name, label=None):
 # Runs the ouu example through the CLI and prints how often each unit of
 # work happened: sample_qoi calls (one per distinct solve), assembled
 # (field draw, mesh) systems, dense node-set factorizations, field draws,
-# field covariance factorizations and solved plans.
+# field covariance factorizations and solved plans.  The dense fits take
+# LAPACK's dpotrf from kernelkit.lapack when they call it; kernelkit.pde
+# bound its own when it was imported, before the counters.
 _OUU_COUNTS = _COUNTING + """
-import kernelkit.kernels as kernels, kernelkit.pde as pde, kernelkit.uq as uq
+import kernelkit.lapack as lapack, kernelkit.pde as pde, kernelkit.uq as uq
 count(pde.AdvectionDiffusionProblem, 'sample_qoi')
 count(pde.AdvectionDiffusionProblem, '_base')
-count(kernels, 'dpotrf', 'kernels.dpotrf')
+count(lapack, 'dpotrf', 'kernels.dpotrf')
 count(pde.GaussianFieldSampler, 'sample')
 count(pde, 'dpotrf', 'pde.dpotrf')
 count(uq.OuuPipeline, '_solve_plan')
@@ -52,13 +54,14 @@ sys.exit(code)
 """
 
 # Runs a config through the CLI and prints how often each named function
-# of kernelkit.kernels (np.linalg for eigh) was called.
+# of kernelkit.kernels (np.linalg for eigh, kernelkit.lapack for dpotrf)
+# was called.
 _FACTORED_ONCE = _COUNTING + """
 import numpy as np
-import kernelkit.kernels as kernels
+import kernelkit.kernels as kernels, kernelkit.lapack as lapack
 config, out, *names = sys.argv[1:]
 for name in names:
-    count(np.linalg if name == 'eigh' else kernels, name)
+    count({'eigh': np.linalg, 'dpotrf': lapack}.get(name, kernels), name)
 code = kernelkit.cli.main(['--config', config, '--out', out, '--quiet'])
 print(*(counts[name] for name in names))
 sys.exit(code)
@@ -273,7 +276,7 @@ def test_each_ouu_unit_of_work_happens_once(tmp_path):
 @pytest.mark.parametrize(
     "name, functions, expected",
     [
-        ("interp", ["_packet_factor", "eigh", "dgbtrf"], "7 0 7"),
+        ("interp", ["_packet_factor", "eigh", "_band_factor"], "7 0 7"),
         ("rsr-bump", ["dpotrf"], "8"),
     ],
     ids=["interp", "rsr-bump"],
@@ -282,9 +285,9 @@ def test_each_kernel_node_set_and_grid_factor_is_factored_once(
     tmp_path, name, functions, expected
 ):
     # The interp example fits on product grids of 7 distinct one-dimensional
-    # nu = 3/2 factors, each given its kernel-packet basis and one banded LU
-    # (dgbtrf) once, and none eigendecomposed; the rsr-bump example fits on
-    # 8 distinct dense node sets, each Cholesky-factored once.
+    # nu = 3/2 factors, each given its kernel-packet basis and one banded
+    # inverse (_band_factor) once, and none eigendecomposed; the rsr-bump
+    # example fits on 8 distinct dense node sets, each Cholesky-factored once.
     config, out = f"docs/examples/{name}.cfg", str(tmp_path / name)
     done = run_child(_FACTORED_ONCE, config, out, *functions)
     assert done.returncode == 0, done.stderr
@@ -451,10 +454,12 @@ sys.exit('the interp and rsr-bump examples load ' + ', '.join(loaded) if loaded 
 
 # Imports the CLI and parses a config, then prints the modules that the run
 # itself imports, whether the FEM module is loaded, whether scipy's BLAS
-# wrapper was loaded before the run, and which of hashlib, OpenSSL's
-# _hashlib and that wrapper are loaded after it.
+# wrapper was loaded before the run, which of hashlib, OpenSSL's _hashlib
+# and that wrapper are loaded after it, whether kernelkit.lapack was loaded
+# before the run, the scipy modules loaded after it, and which of scipy's
+# OpenBLAS and LAPACK wrapper libraries are mapped then.
 _RUN_IMPORTS = """
-import sys
+import os, sys
 import kernelkit.cli
 from kernelkit.config import parse_config_file
 parse_config_file(sys.argv[1])
@@ -464,6 +469,11 @@ print(*sorted(set(sys.modules) - before))
 print('kernelkit.pde' in sys.modules)
 print('scipy.linalg._fblas' in before)
 print(*[m for m in ('hashlib', '_hashlib', 'scipy.linalg._fblas') if m in sys.modules])
+print('kernelkit.lapack' in before)
+print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))
+with open('/proc/self/maps') as maps:
+    libraries = {os.path.basename(line.split()[-1]) for line in maps if '/' in line}
+print(*sorted(n for n in libraries if n.startswith(('libscipy_openblas-', '_flapack'))))
 sys.exit(code)
 """
 
@@ -494,15 +504,22 @@ def test_a_run_imports_only_the_lazy_modules(tmp_path, name):
     # is validated (through the run plan, or for fem-check, which has none,
     # by the validation itself), so its cost stays in start-up; only
     # kernelkit.packets, which only packet-grid fits use, loads on first
-    # use.  The interp run never loads kernelkit.pde.  The manifest's hash
-    # maps no OpenSSL, and only the ouu field draws call BLAS: their run
-    # plan loads scipy's BLAS wrapper, and no other run maps it.
+    # use.  The interp run never loads kernelkit.pde, kernelkit.lapack or
+    # any scipy module, and maps neither scipy's OpenBLAS nor its LAPACK
+    # wrapper; the runs that call LAPACK load kernelkit.lapack before the
+    # run.  The manifest's hash maps no OpenSSL, and only the ouu field
+    # draws call BLAS: their run plan loads scipy's BLAS wrapper, and no
+    # other run maps it.
     done = run_child(_RUN_IMPORTS, f"docs/examples/{name}.cfg", str(tmp_path / name))
     assert done.returncode == 0, done.stderr
-    run_imports, pde_loaded, fblas_planned, native = done.stdout.split("\n")[:4]
+    lines = done.stdout.split("\n")
+    run_imports, pde_loaded, fblas_planned, native, lapack_planned, scipy, mapped = lines[:7]
     assert set(run_imports.split()) <= {"kernelkit.packets"}, done.stdout
     if name == "interp":
         assert pde_loaded == "False", done.stdout
+        assert lapack_planned == "False" and scipy == "" and mapped == "", done.stdout
+    if name in ("rsr-bump", "ouu-advection", "fem-check"):
+        assert lapack_planned == "True", done.stdout
     if name == "ouu-advection":
         assert fblas_planned == "True", done.stdout
     else:
